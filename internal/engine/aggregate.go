@@ -218,10 +218,31 @@ func emitAggRows(b *binder, stmt *sqlparse.Select, order []*group, callIndex map
 	return out, nil
 }
 
+// groupKeyN is a composite grouping key over up to maxFastGroupKeys columns
+// (unused positions stay zero; every row of one query uses the same count).
+type groupKeyN struct {
+	k [maxFastGroupKeys]table.JoinKey
+}
+
+const maxFastGroupKeys = 4
+
+// columnGroupKeyer is ColumnData.JoinKeyer for GROUP BY keys, where NULL is a
+// legitimate grouping value (TagNull) rather than a skipped row.
+func columnGroupKeyer(c *table.ColumnData) func(int32) table.JoinKey {
+	jk := c.JoinKeyer(nil)
+	return func(i int32) table.JoinKey {
+		k, ok := jk(i)
+		if !ok {
+			return table.JoinKey{Tag: table.TagNull}
+		}
+		return k
+	}
+}
+
 // aggregateCol is the columnar grouping/aggregation path. Grouping keys for
 // plain column references over clean (non-Mixed) columns use fixed-size typed
-// keys (the joinKey scheme, with NULL as a first-class tagNull key); anything
-// else falls back to the row path's byte keys. Accumulation and output reuse
+// keys (the table.JoinKey scheme, with NULL as a first-class TagNull key);
+// anything else falls back to the row path's byte keys. Accumulation and output reuse
 // the row path's machinery, so results match it byte for byte.
 func aggregateCol(b *binder, stmt *sqlparse.Select, jb *joinedBatch, g *guard) (*table.Table, error) {
 	if stmt.Star {
@@ -231,10 +252,10 @@ func aggregateCol(b *binder, stmt *sqlparse.Select, jb *joinedBatch, g *guard) (
 
 	type fastKeyer struct {
 		col []int32
-		key func(int32) joinKey
+		key func(int32) table.JoinKey
 	}
 	var fks []fastKeyer
-	fast := len(stmt.GroupBy) <= maxFastJoinPairs
+	fast := len(stmt.GroupBy) <= maxFastGroupKeys
 	for _, ge := range stmt.GroupBy {
 		if !fast {
 			break
@@ -260,13 +281,13 @@ func aggregateCol(b *binder, stmt *sqlparse.Select, jb *joinedBatch, g *guard) (
 	var order []*group
 	env := evalEnv{b: b, batch: jb}
 	if fast {
-		groups := make(map[joinKeyN]*group)
+		groups := make(map[groupKeyN]*group)
 		for idx := 0; idx < jb.n; idx++ {
 			if err := g.tick(1); err != nil {
 				return nil, err
 			}
 			env.idx = idx
-			var kn joinKeyN
+			var kn groupKeyN
 			for pi := range fks {
 				kn.k[pi] = fks[pi].key(fks[pi].col[idx])
 			}

@@ -144,9 +144,10 @@ func BenchmarkColumnarScan(b *testing.B) {
 	}
 }
 
-// BenchmarkHashJoinAllocs pins the allocation win of typed join keys: the
-// row engine materializes a key string per probed row, the columnar join
-// hashes fixed-size typed keys and allocates per output batch instead.
+// BenchmarkHashJoinAllocs pins the allocation win of the columnar join: the
+// row engine hashes the build side and materializes a key string per probed
+// row, the columnar join probes the build column's cached index with
+// fixed-size typed keys and allocates per output batch instead.
 func BenchmarkHashJoinAllocs(b *testing.B) {
 	db := datagen.IMDB(0.1, 1)
 	stmt := sqlparse.MustParse(benchQueries["HashJoin"])
@@ -170,4 +171,45 @@ func BenchmarkHashJoinAllocs(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkJoinIndexed is the layer bench of the index-backed join: the
+// three-way join, whose two build relations (cast_info, name) are unfiltered,
+// so each step probes a cached table.JoinIndex and builds nothing. warm is the
+// steady state every query after the first sees; cold gives each iteration a
+// fresh database with its columnar views derived but no join index yet, so it
+// adds the one-time index builds the first join on a column pays.
+func BenchmarkJoinIndexed(b *testing.B) {
+	stmt := sqlparse.MustParse(benchQueries["ThreeWay"])
+	freshDB := func() *table.Database {
+		db := datagen.IMDB(0.1, 1)
+		for _, t := range db.Tables() {
+			t.Columns()
+		}
+		return db
+	}
+	b.Run("warm", func(b *testing.B) {
+		db := freshDB()
+		if _, err := ExecuteWith(db, stmt, Options{}); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ExecuteWith(db, stmt, Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			db := freshDB()
+			b.StartTimer()
+			if _, err := ExecuteWith(db, stmt, Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

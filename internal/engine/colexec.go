@@ -2,10 +2,11 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
+	"time"
 
 	"asqprl/internal/faults"
 	"asqprl/internal/obs"
@@ -19,7 +20,8 @@ import (
 // same morsel-order merges — but carry intermediates as a joinedBatch
 // (struct-of-arrays of row indices) instead of []joinedRow, evaluate filters
 // through vectorized kernels (kernels.go) with zone-map morsel skipping, and
-// hash-join on fixed-size typed keys instead of materialized key strings.
+// join by probing each build column's cached table.JoinIndex with fixed-size
+// typed keys instead of hashing materialized key strings per query.
 // Results are byte-identical to the row engine at every worker count; the
 // differential fuzz harness (fuzz_differential_test.go) enforces this.
 
@@ -77,15 +79,6 @@ func tickChunks(g *guard, n int) error {
 		n -= c
 	}
 	return nil
-}
-
-// identitySel returns [0, 1, ..., n).
-func identitySel(n int) []int32 {
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(i)
-	}
-	return out
 }
 
 // executeColTail is the columnar pipeline after planning: vectorized
@@ -271,7 +264,7 @@ func runJoinsCol(b *binder, preds []predClass, opts Options, g *guard, span *obs
 			}
 		}
 		needed := neededAfterStep(preds, n, rel, finalNeeds)
-		next, err := joinStepCol(b, cur, candidates[rel], rel, joins, needed, opts, g)
+		next, err := joinStepCol(b, cur, candidates[rel], rel, joins, needed, opts, g, joinSpan)
 		if err != nil {
 			return nil, err
 		}
@@ -332,14 +325,15 @@ func scanRelationsCol(b *binder, preds []predClass, opts Options, g *guard, skip
 		}
 		filters := relFilters(preds, rel)
 		nRows := len(b.tables[rel].Rows)
+		cs := b.tables[rel].Columns()
 		if len(filters) == 0 {
 			if err := tickChunks(g, nRows); err != nil {
 				return nil, err
 			}
-			candidates[rel] = identitySel(nRows)
+			// Shared and immutable: candidates are read-only downstream.
+			candidates[rel] = cs.Identity()
 			continue
 		}
-		cs := b.tables[rel].Columns()
 		ks, ok := compileFilters(b, rel, cs, filters)
 		if !ok {
 			keep, err := scanRelationRows(b, rel, filters, opts, g)
@@ -442,122 +436,12 @@ func identityRange(lo, hi int) []int32 {
 	return out
 }
 
-// joinKey is a fixed-size hash-join key mirroring Value.Key's equivalence
-// classes without materializing strings: ints and integral floats share
-// tagNum, non-integral floats use canonicalized bits (every NaN payload maps
-// to one key, like FormatFloat), strings use dictionary codes, bools two
-// values. NULLs never produce a key (rows are skipped, as in the row path).
-type joinKey struct {
-	tag  uint8
-	bits uint64
-}
-
-const (
-	tagNum  uint8 = iota // int, or float with an exact int64 value
-	tagFrac              // non-integral float (canonical NaN bits)
-	tagStr               // dictionary code (build-side space for joins)
-	tagBool
-	tagNull // NULL (grouping keys only; join keyers skip NULL rows)
-	tagMiss // probe-side string absent from the build dictionary: matches nothing
-)
-
-// joinKeyN is a composite key for joins on up to 4 column pairs (unused
-// positions stay zero; every row of one join uses the same pair count).
-type joinKeyN struct {
-	k [4]joinKey
-}
-
-const maxFastJoinPairs = 4
-
-func floatJoinKey(f float64) joinKey {
-	// Same integral test as Value.Key, so int/float key unification matches.
-	if f == float64(int64(f)) {
-		return joinKey{tagNum, uint64(int64(f))}
-	}
-	if f != f {
-		return joinKey{tagFrac, math.Float64bits(math.NaN())}
-	}
-	return joinKey{tagFrac, math.Float64bits(f)}
-}
-
-// columnJoinKeyer builds a per-row key extractor over column c. ok=false
-// means NULL (the row does not participate). xlat, for string columns on the
-// probe side, translates c's dictionary codes into the build-side dictionary
-// space (-1 = absent, which yields tagMiss and can match nothing).
-func columnJoinKeyer(c *table.ColumnData, xlat []int32) func(int32) (joinKey, bool) {
-	nulls := c.Nulls
-	switch c.Kind {
-	case table.KindInt:
-		vals := c.Ints
-		return func(i int32) (joinKey, bool) {
-			if nulls != nil && nulls.Get(int(i)) {
-				return joinKey{}, false
-			}
-			return joinKey{tagNum, uint64(vals[i])}, true
-		}
-	case table.KindFloat:
-		vals := c.Floats
-		return func(i int32) (joinKey, bool) {
-			if nulls != nil && nulls.Get(int(i)) {
-				return joinKey{}, false
-			}
-			return floatJoinKey(vals[i]), true
-		}
-	case table.KindString:
-		codes := c.Codes
-		if xlat == nil {
-			return func(i int32) (joinKey, bool) {
-				if nulls != nil && nulls.Get(int(i)) {
-					return joinKey{}, false
-				}
-				return joinKey{tagStr, uint64(codes[i])}, true
-			}
-		}
-		return func(i int32) (joinKey, bool) {
-			if nulls != nil && nulls.Get(int(i)) {
-				return joinKey{}, false
-			}
-			bc := xlat[codes[i]]
-			if bc < 0 {
-				return joinKey{tag: tagMiss}, true
-			}
-			return joinKey{tagStr, uint64(bc)}, true
-		}
-	case table.KindBool:
-		vals := c.Bools
-		return func(i int32) (joinKey, bool) {
-			if nulls != nil && nulls.Get(int(i)) {
-				return joinKey{}, false
-			}
-			var bits uint64
-			if vals[i] {
-				bits = 1
-			}
-			return joinKey{tagBool, bits}, true
-		}
-	}
-	return nil // Mixed; callers must check before asking for a keyer
-}
-
-// columnGroupKeyer is columnJoinKeyer for GROUP BY keys, where NULL is a
-// legitimate grouping value (tagNull) rather than a skipped row.
-func columnGroupKeyer(c *table.ColumnData) func(int32) joinKey {
-	jk := columnJoinKeyer(c, nil)
-	return func(i int32) joinKey {
-		k, ok := jk(i)
-		if !ok {
-			return joinKey{tag: tagNull}
-		}
-		return k
-	}
-}
-
-// joinStepCol binds relation rel into the batch: hash join on typed keys when
-// equi-join predicates connect it (byte-key fallback for mixed-kind columns
-// or >4 pairs), cross product otherwise. needed[r] gates which relations'
-// columns the output batch materializes (jb.n is exact regardless). Guard
-// accounting, budget trip points and output order mirror joinStep.
-func joinStepCol(b *binder, cur *joinedBatch, cand []int32, rel int, joins []predClass, needed []bool, opts Options, g *guard) (*joinedBatch, error) {
+// joinStepCol binds relation rel into the batch: index join on typed keys when
+// equi-join predicates connect it (byte-key hash fallback when a key column is
+// Mixed), cross product otherwise. needed[r] gates which relations' columns
+// the output batch materializes (jb.n is exact regardless). Guard accounting,
+// budget trip points and output order mirror joinStep.
+func joinStepCol(b *binder, cur *joinedBatch, cand []int32, rel int, joins []predClass, needed []bool, opts Options, g *guard, span *obs.Span) (*joinedBatch, error) {
 	if faults.Active() {
 		if err := faults.Inject(faults.PointEngineJoin); err != nil {
 			return nil, err
@@ -612,59 +496,91 @@ func joinStepCol(b *binder, cur *joinedBatch, cand []int32, rel int, joins []pre
 			pairs[i] = joinKeyPair{relCol: p.rightBind, boundBind: p.leftBind}
 		}
 	}
-
-	fast := len(pairs) <= maxFastJoinPairs
-	relCS := b.tables[rel].Columns()
-	for _, kp := range pairs {
-		if relCS.Cols[kp.relCol.col].Mixed {
-			fast = false
-			break
-		}
-		if b.tables[kp.boundBind.rel].Columns().Cols[kp.boundBind.col].Mixed {
-			fast = false
-			break
-		}
+	if joinKeysMixed(b, joins) {
+		return joinStepColBytes(b, cur, cand, rel, pairs, emitBound, relNeeded, opts, g)
 	}
-	if fast {
-		return joinStepColFast(b, cur, cand, rel, pairs, emitBound, relNeeded, opts, g)
+	m, err := newJoinMatcher(b, cur, cand, rel, pairs, g, span)
+	if err != nil {
+		return nil, err
 	}
-	return joinStepColBytes(b, cur, cand, rel, pairs, emitBound, relNeeded, opts, g)
+	if workers := opts.workers(); workers > 1 && cur.n >= parallelMinRows {
+		return probeColParallel(cur, rel, emitBound, relNeeded, m, opts, g, workers)
+	}
+	return probeColSerial(cur, rel, emitBound, relNeeded, m, opts, g)
 }
 
-// buildHashCol builds the hash table over rel's candidates keyed by key
-// (NULL rows, ok=false, are skipped — NULL never joins). Buckets are held by
-// pointer so each candidate costs one map access.
-func buildHashCol[K comparable](cand []int32, key func(int32) (K, bool), g *guard) (map[K]*[]int32, error) {
-	build := make(map[K]*[]int32, len(cand))
-	for _, ri := range cand {
-		if err := g.tick(1); err != nil {
-			return nil, err
+// joinKeysMixed reports whether any key column of the equi-join conjuncts is
+// Mixed, which sends the step to the byte-key hash join instead of the index.
+func joinKeysMixed(b *binder, joins []predClass) bool {
+	for _, p := range joins {
+		for _, bd := range [2]binding{p.leftBind, p.rightBind} {
+			if b.tables[bd.rel].Columns().Cols[bd.col].Mixed {
+				return true
+			}
 		}
-		k, ok := key(ri)
-		if !ok {
-			continue
-		}
-		bucket := build[k]
-		if bucket == nil {
-			bucket = new([]int32)
-			build[k] = bucket
-		}
-		*bucket = append(*bucket, ri)
 	}
-	return build, nil
+	return false
 }
 
-// joinStepColFast hash-joins on fixed-size typed keys. Single-pair joins (the
-// overwhelmingly common case) key the hash table on a bare 16-byte joinKey;
-// multi-pair joins use the composite joinKeyN.
-func joinStepColFast(b *binder, cur *joinedBatch, cand []int32, rel int, pairs []joinKeyPair, emitBound []int, relNeeded bool, opts Options, g *guard) (*joinedBatch, error) {
+// joinMatcher is the rowMatcher over the build relation's cached join index
+// (table.JoinIndex), so a step builds nothing proportional to the relation. A
+// cached index covers one column of all rows, so its runs can hold rows to
+// pass over: non-candidates, rows differing on another key pair. Once scanning
+// those has cost what hashing the candidates costs (subCost scanned rows per
+// candidate), the matcher hashes them on every key pair, once (sub), and
+// probes that instead: a step's work stays within probe rows + candidates +
+// matches, like a per-query hash join's, whatever the key cardinalities and
+// the order of the ON conjuncts.
+type joinMatcher struct {
+	ix   *table.JoinIndex // cached, of the key pair with most distinct keys
+	cand []int32
+	mark table.Bitmap // cand as a set; nil when the relation is unfiltered
+	// Per key pair (pair 0 is the indexed one): the batch column holding the
+	// probe relation's row ids, and the probe- and build-side key extractors.
+	probeCols [][]int32
+	pkeyers   []func(int32) (table.JoinKey, bool)
+	bkeyers   []func(int32) (table.JoinKey, bool)
+
+	g       *guard
+	wasted  atomic.Int64 // index rows scanned past, in guardInterval batches
+	subOnce sync.Once
+	sub     *table.JoinIndex
+}
+
+const subCost = 8
+
+// matchScratch is one goroutine's reusable state for joinMatcher.matches.
+type matchScratch struct {
+	rows    []int32
+	keys    []table.JoinKey
+	skipped int // scanned past since the last guard poll, not yet in wasted
+}
+
+func newJoinMatcher(b *binder, cur *joinedBatch, cand []int32, rel int, pairs []joinKeyPair, g *guard, span *obs.Span) (*joinMatcher, error) {
 	relCS := b.tables[rel].Columns()
-	bkeyers := make([]func(int32) (joinKey, bool), len(pairs))
-	pkeyers := make([]func(int32) (joinKey, bool), len(pairs))
-	probeCols := make([][]int32, len(pairs))
+	m := &joinMatcher{
+		cand:      cand,
+		g:         g,
+		probeCols: make([][]int32, len(pairs)),
+		pkeyers:   make([]func(int32) (table.JoinKey, bool), len(pairs)),
+		bkeyers:   make([]func(int32) (table.JoinKey, bool), len(pairs)),
+	}
+	// Index the pair the data makes most selective, not the one written first.
+	for pi, kp := range pairs {
+		start := time.Now()
+		ix, built := relCS.JoinIndex(kp.relCol.col)
+		if built && obs.Enabled() {
+			obs.Default().Counter(metricJoinIndexBuilds).Inc()
+			obs.Default().Histogram(metricJoinIndexBuildSeconds).Observe(time.Since(start).Seconds())
+		}
+		if m.ix == nil || ix.Distinct() > m.ix.Distinct() {
+			m.ix = ix
+			pairs[0], pairs[pi] = pairs[pi], pairs[0]
+		}
+	}
 	for pi, kp := range pairs {
 		bc := &relCS.Cols[kp.relCol.col]
-		bkeyers[pi] = columnJoinKeyer(bc, nil)
+		m.bkeyers[pi] = bc.JoinKeyer(nil)
 		pc := &b.tables[kp.boundBind.rel].Columns().Cols[kp.boundBind.col]
 		var xlat []int32
 		if pc.Kind == table.KindString && bc.Kind == table.KindString {
@@ -677,78 +593,113 @@ func joinStepColFast(b *binder, cur *joinedBatch, cand []int32, rel int, pairs [
 				}
 			}
 		}
-		pkeyers[pi] = columnJoinKeyer(pc, xlat)
-		probeCols[pi] = cur.cols[kp.boundBind.rel]
+		m.pkeyers[pi] = pc.JoinKeyer(xlat)
+		m.probeCols[pi] = cur.cols[kp.boundBind.rel]
+	}
+	if span != nil {
+		name := b.refs[rel].Name()
+		span.Annotate("index/"+name, m.ix.Layout())
+		span.Annotate("build_rows/"+name, len(cand))
 	}
 
-	if len(pairs) == 1 {
-		build, err := buildHashCol(cand, bkeyers[0], g)
-		if err != nil {
-			return nil, err
-		}
-		pk, pcol := pkeyers[0], probeCols[0]
-		probeKey := func(idx int) (joinKey, bool) { return pk(pcol[idx]) }
-		return probeCol(cur, rel, emitBound, relNeeded, build, probeKey, opts, g)
-	}
-
-	buildKey := func(ri int32) (joinKeyN, bool) {
-		var kn joinKeyN
-		for pi := range bkeyers {
-			k, ok := bkeyers[pi](ri)
-			if !ok {
-				return kn, false
-			}
-			kn.k[pi] = k
-		}
-		return kn, true
-	}
-	build, err := buildHashCol(cand, buildKey, g)
-	if err != nil {
+	// One guard tick per build-side candidate, as when the step hashed them.
+	if err := tickChunks(g, len(cand)); err != nil {
 		return nil, err
 	}
-	probeKey := func(idx int) (joinKeyN, bool) {
-		var kn joinKeyN
-		for pi := range pkeyers {
-			k, ok := pkeyers[pi](probeCols[pi][idx])
-			if !ok {
-				return kn, false
-			}
-			kn.k[pi] = k
+	if len(cand) < relCS.NumRows {
+		m.mark = table.NewBitmap(relCS.NumRows)
+		for _, ri := range cand {
+			m.mark.Set(int(ri))
 		}
-		return kn, true
 	}
-	return probeCol(cur, rel, emitBound, relNeeded, build, probeKey, opts, g)
+	return m, nil
 }
 
-// probeCol dispatches the probe phase (serial or morsel-parallel).
-func probeCol[K comparable](cur *joinedBatch, rel int, emitBound []int, relNeeded bool, build map[K]*[]int32, probeKey func(int) (K, bool), opts Options, g *guard) (*joinedBatch, error) {
-	if workers := opts.workers(); workers > 1 && cur.n >= parallelMinRows {
-		return probeColParallel(cur, rel, emitBound, relNeeded, build, probeKey, opts, g, workers)
+// foldKey folds a further key pair's key k into h: sub's key is the key itself
+// for one pair and a TagHash over all of them for several.
+func foldKey(h, k table.JoinKey) table.JoinKey {
+	return table.JoinKey{Tag: table.TagHash, Bits: (h.Bits+uint64(h.Tag))*0x9E3779B97F4A7C15 ^ k.Bits ^ uint64(k.Tag)<<57}
+}
+
+func (m *joinMatcher) buildSub() {
+	m.sub = table.NewJoinIndex(func(ri int32) (table.JoinKey, bool) {
+		h, ok := m.bkeyers[0](ri)
+		for _, keyer := range m.bkeyers[1:] {
+			k, kok := keyer(ri)
+			h, ok = foldKey(h, k), ok && kok
+		}
+		return h, ok
+	}, m.cand)
+}
+
+// matches' result (nil when a probe key is NULL or nothing matches) aliases an
+// index or sc and is valid until the next call with the same sc. The error is
+// the guard's: rows scanned past are polled for, as emitted ones are ticked.
+func (m *joinMatcher) matches(idx int, sc *matchScratch) ([]int32, error) {
+	sc.keys = sc.keys[:0]
+	for pi, keyer := range m.pkeyers {
+		k, ok := keyer(m.probeCols[pi][idx])
+		if !ok {
+			return nil, nil
+		}
+		sc.keys = append(sc.keys, k)
 	}
-	return probeColSerial(cur, rel, emitBound, relNeeded, build, probeKey, opts, g)
+	run, mark, verify := m.ix.Lookup(sc.keys[0]), m.mark, sc.keys[1:]
+	if mark == nil && len(verify) == 0 {
+		return run, nil
+	}
+	// A run of a few rows costs what a lookup in sub would: scan it regardless.
+	if len(run) > subCost && m.wasted.Load() > subCost*int64(len(m.cand)) {
+		m.subOnce.Do(m.buildSub) // candidates only; for several pairs a hash, so verify all
+		h := sc.keys[0]
+		for _, k := range verify {
+			h = foldKey(h, k)
+		}
+		if run, mark, verify = m.sub.Lookup(h), nil, sc.keys; len(verify) == 1 {
+			return run, nil
+		}
+	}
+	bkeyers := m.bkeyers[len(sc.keys)-len(verify):]
+	sc.rows = sc.rows[:0]
+next:
+	for _, ri := range run {
+		if mark != nil && !mark.Get(int(ri)) {
+			continue
+		}
+		for i, pk := range verify {
+			if bk, ok := bkeyers[i](ri); !ok || bk != pk {
+				continue next
+			}
+		}
+		sc.rows = append(sc.rows, ri)
+	}
+	if skip := len(run) - len(sc.rows); skip > subCost {
+		if sc.skipped += skip; sc.skipped >= guardInterval {
+			m.wasted.Add(int64(sc.skipped))
+			sc.skipped = 0
+			return sc.rows, m.g.poll()
+		}
+	}
+	return sc.rows, nil
 }
 
 func errJoinBudget(limit int) error {
 	return fmt.Errorf("%w: join intermediate exceeds limit %d rows", ErrRowBudget, limit)
 }
 
-// probeColSerial probes the hash table over the batch in row order. With no
-// guard and no columns to materialize (count-only tail joins) each probe row
-// costs one lookup and a bucket-length add.
-func probeColSerial[K comparable](cur *joinedBatch, rel int, emitBound []int, relNeeded bool, build map[K]*[]int32, probeKey func(int) (K, bool), opts Options, g *guard) (*joinedBatch, error) {
+// probeColSerial probes the index over the batch in row order. With no guard
+// and no columns to materialize (count-only tail joins) each probe row costs
+// one lookup and a match-count add.
+func probeColSerial(cur *joinedBatch, rel int, emitBound []int, relNeeded bool, m rowMatcher, opts Options, g *guard) (*joinedBatch, error) {
 	limit := opts.MaxIntermediateRows
 	count := 0
+	var sc matchScratch
 	if g == nil && len(emitBound) == 0 && !relNeeded {
 		for idx := 0; idx < cur.n; idx++ {
-			k, ok := probeKey(idx)
-			if !ok {
-				continue
-			}
-			if bucket := build[k]; bucket != nil {
-				count += len(*bucket)
-				if count > limit {
-					return nil, errJoinBudget(limit)
-				}
+			rows, _ := m.matches(idx, &sc) // no guard, no error
+			count += len(rows)
+			if count > limit {
+				return nil, errJoinBudget(limit)
 			}
 		}
 		return &joinedBatch{n: count, cols: make([][]int32, len(cur.cols))}, nil
@@ -763,15 +714,11 @@ func probeColSerial[K comparable](cur *joinedBatch, rel int, emitBound []int, re
 		relCol = make([]int32, 0, cur.n)
 	}
 	for idx := 0; idx < cur.n; idx++ {
-		k, ok := probeKey(idx)
-		if !ok {
-			continue
+		rows, err := m.matches(idx, &sc)
+		if err != nil {
+			return nil, err
 		}
-		bucket := build[k]
-		if bucket == nil {
-			continue
-		}
-		for _, ri := range *bucket {
+		for _, ri := range rows {
 			if err := g.tick(1); err != nil {
 				return nil, err
 			}
@@ -803,7 +750,7 @@ func probeColSerial[K comparable](cur *joinedBatch, rel int, emitBound []int, re
 // probeColParallel fans the probe over workers; per-morsel column chunks are
 // merged in morsel order, and row accounting uses one shared atomic counter
 // so the budget trips iff total emissions exceed the limit (as serial).
-func probeColParallel[K comparable](cur *joinedBatch, rel int, emitBound []int, relNeeded bool, build map[K]*[]int32, probeKey func(int) (K, bool), opts Options, g *guard, workers int) (*joinedBatch, error) {
+func probeColParallel(cur *joinedBatch, rel int, emitBound []int, relNeeded bool, m *joinMatcher, opts Options, g *guard, workers int) (*joinedBatch, error) {
 	nm := morselCount(cur.n)
 	width := len(emitBound)
 	if relNeeded {
@@ -813,23 +760,20 @@ func probeColParallel[K comparable](cur *joinedBatch, rel int, emitBound []int, 
 	counts := make([]int, nm)
 	var produced atomic.Int64
 	limit := int64(opts.MaxIntermediateRows)
-	err := forEachMorsel(workers, cur.n, func(m, lo, hi int) error {
+	err := forEachMorsel(workers, cur.n, func(mi, lo, hi int) error {
 		if err := g.poll(); err != nil {
 			return err
 		}
 		mini := make([][]int32, width)
+		var sc matchScratch
 		emitted := 0
 		since := 0
 		for idx := lo; idx < hi; idx++ {
-			k, ok := probeKey(idx)
-			if !ok {
-				continue
+			rows, err := m.matches(idx, &sc)
+			if err != nil {
+				return err
 			}
-			bucket := build[k]
-			if bucket == nil {
-				continue
-			}
-			for _, ri := range *bucket {
+			for _, ri := range rows {
 				if since++; since >= guardInterval {
 					since = 0
 					if err := g.poll(); err != nil {
@@ -848,8 +792,8 @@ func probeColParallel[K comparable](cur *joinedBatch, rel int, emitBound []int, 
 				}
 			}
 		}
-		chunks[m] = mini
-		counts[m] = emitted
+		chunks[mi] = mini
+		counts[mi] = emitted
 		return nil
 	})
 	if err != nil {
@@ -881,92 +825,56 @@ func probeColParallel[K comparable](cur *joinedBatch, rel int, emitBound []int, 
 	return out, nil
 }
 
-// joinStepColBytes is the byte-key fallback join for mixed-kind key columns
-// or joins on more than maxFastJoinPairs pairs. Serial: the fallback is rare
-// and the output is identical regardless of workers.
+// rowMatcher yields the build-relation rows joining probe row idx, ascending.
+type rowMatcher interface {
+	matches(idx int, sc *matchScratch) ([]int32, error)
+}
+
+// bytesMatcher is the fallback for Mixed key columns: a per-query hash of the
+// candidates on their Value keys. Serial: the fallback is rare and the output
+// is identical regardless of workers.
+type bytesMatcher struct {
+	build map[string][]int32
+	probe func(kp joinKeyPair, idx int) table.Value
+	pairs []joinKeyPair
+	kb    []byte
+}
+
+// key renders the pairs' values as one byte key in m.kb; false on a NULL.
+func (m *bytesMatcher) key(cell func(joinKeyPair, int) table.Value, i int) bool {
+	m.kb = m.kb[:0]
+	for _, kp := range m.pairs {
+		v := cell(kp, i)
+		if v.IsNull() {
+			return false
+		}
+		m.kb = append(v.AppendKey(m.kb), 0x1e)
+	}
+	return true
+}
+
+func (m *bytesMatcher) matches(idx int, _ *matchScratch) ([]int32, error) {
+	if !m.key(m.probe, idx) {
+		return nil, nil
+	}
+	return m.build[string(m.kb)], nil
+}
+
 func joinStepColBytes(b *binder, cur *joinedBatch, cand []int32, rel int, pairs []joinKeyPair, emitBound []int, relNeeded bool, opts Options, g *guard) (*joinedBatch, error) {
-	build := make(map[string]*[]int32, len(cand))
-	var kb []byte
+	m := &bytesMatcher{build: make(map[string][]int32, len(cand)), pairs: pairs}
+	m.probe = func(kp joinKeyPair, idx int) table.Value {
+		return b.tables[kp.boundBind.rel].Rows[cur.cols[kp.boundBind.rel][idx]][kp.boundBind.col]
+	}
+	build := func(kp joinKeyPair, ri int) table.Value { return b.tables[rel].Rows[ri][kp.relCol.col] }
 	for _, ri := range cand {
 		if err := g.tick(1); err != nil {
 			return nil, err
 		}
-		kb = kb[:0]
-		null := false
-		for _, kp := range pairs {
-			v := b.tables[rel].Rows[ri][kp.relCol.col]
-			if v.IsNull() {
-				null = true
-				break
-			}
-			kb = v.AppendKey(kb)
-			kb = append(kb, 0x1e)
-		}
-		if null {
-			continue
-		}
-		bucket := build[string(kb)]
-		if bucket == nil {
-			bucket = new([]int32)
-			build[string(kb)] = bucket
-		}
-		*bucket = append(*bucket, ri)
-	}
-
-	outCols := make([][]int32, len(emitBound))
-	var relCol []int32
-	count := 0
-	limit := opts.MaxIntermediateRows
-	for idx := 0; idx < cur.n; idx++ {
-		kb = kb[:0]
-		null := false
-		for _, kp := range pairs {
-			ri := cur.cols[kp.boundBind.rel][idx]
-			v := b.tables[kp.boundBind.rel].Rows[ri][kp.boundBind.col]
-			if v.IsNull() {
-				null = true
-				break
-			}
-			kb = v.AppendKey(kb)
-			kb = append(kb, 0x1e)
-		}
-		if null {
-			continue
-		}
-		bucket := build[string(kb)]
-		if bucket == nil {
-			continue
-		}
-		for _, ri := range *bucket {
-			if err := g.tick(1); err != nil {
-				return nil, err
-			}
-			for bi, r := range emitBound {
-				outCols[bi] = append(outCols[bi], cur.cols[r][idx])
-			}
-			if relNeeded {
-				relCol = append(relCol, ri)
-			}
-			count++
-			if count > limit {
-				return nil, errJoinBudget(limit)
-			}
+		if m.key(build, int(ri)) {
+			m.build[string(m.kb)] = append(m.build[string(m.kb)], ri)
 		}
 	}
-	out := &joinedBatch{n: count, cols: make([][]int32, len(cur.cols))}
-	for bi, r := range emitBound {
-		if outCols[bi] == nil {
-			outCols[bi] = []int32{}
-		}
-		out.cols[r] = outCols[bi]
-	}
-	if relNeeded {
-		if relCol == nil {
-			relCol = []int32{}
-		}
-		out.cols[rel] = relCol
-	}
-	return out, nil
+	return probeColSerial(cur, rel, emitBound, relNeeded, m, opts, g)
 }
 
 // buildProjectSchema computes the output schema (and the item list for

@@ -2,8 +2,12 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"asqprl/internal/obs"
 	"asqprl/internal/sqlparse"
@@ -129,6 +133,193 @@ func TestColumnarNaNComparisonParity(t *testing.T) {
 		}
 		if rf, cf := resultFingerprint(row), resultFingerprint(col); rf != cf {
 			t.Errorf("%s: columnar diverges from row engine\nrow:\n%s\ncolumnar:\n%s", tc.sql, rf, cf)
+		}
+	}
+}
+
+// TestJoinIndexTelemetry pins the index-backed join's one-name-per-fact
+// signals: the build relation's index is built by the first join that needs it
+// and never again (engine/join/index_builds, engine/join/index_build/seconds),
+// and every join step annotates the engine/join span with the layout it probed
+// and the build-side candidate count.
+func TestJoinIndexTelemetry(t *testing.T) {
+	prev := obs.Enabled()
+	defer obs.SetEnabled(prev)
+	obs.SetEnabled(true)
+	obs.Default().Reset()
+	defer obs.Default().Reset()
+
+	db := testDB()
+	stmt := sqlparse.MustParse(
+		"SELECT m.title, c.person FROM movies m JOIN credits c ON m.id = c.movie_id WHERE c.role = 'director'")
+	var snap obs.SpanSnapshot
+	for i := 0; i < 3; i++ {
+		ctx, root := obs.StartSpan(context.Background(), "test/root")
+		if _, err := ExecuteWithContext(ctx, db, stmt, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		snap = root.Snapshot()
+	}
+	reg := obs.Default().Snapshot()
+	if got := reg.Counters[metricJoinIndexBuilds]; got != 1 {
+		t.Errorf("%s = %d after three runs of one join, want 1", metricJoinIndexBuilds, got)
+	}
+	if got := reg.Histograms[metricJoinIndexBuildSeconds].Count; got != 1 {
+		t.Errorf("%s count = %d, want 1", metricJoinIndexBuildSeconds, got)
+	}
+	join := findSpan(snap, "engine/join")
+	if join == nil {
+		t.Fatal("no engine/join span")
+	}
+	if got := join.Attrs["index/c"]; got != "dense" {
+		t.Errorf("engine/join index/c = %v, want dense; attrs %v", got, join.Attrs)
+	}
+	directors, err := ExecuteWith(db, sqlparse.MustParse("SELECT * FROM credits WHERE role = 'director'"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := join.Attrs["build_rows/c"]; got != directors.Table.NumRows() {
+		t.Errorf("engine/join build_rows/c = %v, want %d", got, directors.Table.NumRows())
+	}
+}
+
+// TestIndexedJoinAllocs pins what the cached join index buys: once warm, a
+// single-pair join whose build side is an unfiltered 50 000-row relation
+// allocates for its few output rows and columns (72 at the time of writing),
+// not per build row or per distinct build key — the per-query hash table it
+// replaces cost one bucket per distinct key, 12 500 here.
+func TestIndexedJoinAllocs(t *testing.T) {
+	big := table.New("big", table.Schema{{Name: "k", Kind: table.KindInt}, {Name: "v", Kind: table.KindInt}})
+	for i := 0; i < 50_000; i++ {
+		big.AppendRow(table.Row{table.NewInt(int64(i / 4)), table.NewInt(int64(i))})
+	}
+	small := table.New("small", table.Schema{{Name: "k", Kind: table.KindInt}})
+	for i := 0; i < 4; i++ {
+		small.AppendRow(table.Row{table.NewInt(int64(i * 1000))})
+	}
+	db := table.NewDatabase()
+	db.Add(big)
+	db.Add(small)
+	stmt := sqlparse.MustParse("SELECT s.k, b.v FROM small s JOIN big b ON s.k = b.k")
+	run := func() {
+		res, err := ExecuteWith(db, stmt, Options{Parallelism: -1})
+		if err != nil || res.Table.NumRows() != 16 {
+			t.Fatalf("rows = %v, err = %v; want 16 rows", res, err)
+		}
+	}
+	run() // warm: columnar views, identity vectors, the index on big.k
+	if allocs := testing.AllocsPerRun(20, run); allocs > 150 {
+		t.Fatalf("warm indexed join allocates %v times per run; want O(output), at most 150", allocs)
+	}
+}
+
+// TestJoinWorkBoundedByCandidatesAndMatches pins the index join's cost model
+// on the shapes a cached single-column index serves worst: a low-cardinality
+// key written first, a selective filter on the build side of a low-cardinality
+// key, a filter anti-correlated with the probe keys, and a composite key whose
+// parts are each unselective. The row engine hashes exactly the candidates on
+// the composite key, so its time is the yardstick: the columnar join is
+// normally several times faster and must stay within 3x of it (the race
+// detector narrows the gap) at any worker count; work proportional to probe
+// rows x run length is 40-100x slower on these shapes.
+func TestJoinWorkBoundedByCandidatesAndMatches(t *testing.T) {
+	const n = 50_000
+	db := lowCardJoinDB(n)
+	cases := []struct {
+		sql  string
+		rows int
+	}{
+		{"SELECT a.id FROM a JOIN b ON a.cat = b.cat AND a.id = b.id", n},
+		{"SELECT a.id FROM a JOIN b ON a.cat = b.cat AND a.id = b.v WHERE b.id > 49990", 2},
+		{"SELECT a.id FROM a JOIN b ON a.cat = b.cat WHERE b.id < 5", n},
+		{"SELECT a.id FROM a JOIN b ON a.cat = b.cat WHERE a.cat = 'c0' AND b.cat <> 'c0'", 0},
+		{"SELECT a.id FROM a JOIN b ON a.x = b.x AND a.y = b.y", n},
+		{"SELECT a.id FROM a JOIN b ON a.x = b.x AND a.y = b.y WHERE b.id < 500", 500},
+	}
+	best := func(stmt *sqlparse.Select, opts Options, want int) time.Duration {
+		min := time.Duration(math.MaxInt64)
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			res, err := ExecuteWith(db, stmt, opts)
+			if d := time.Since(start); d < min {
+				min = d
+			}
+			if err != nil || res.Table.NumRows() != want {
+				t.Fatalf("%s (%+v): rows = %v, err = %v; want %d rows", stmt, opts, res, err, want)
+			}
+		}
+		return min
+	}
+	for _, c := range cases {
+		stmt := sqlparse.MustParse(c.sql)
+		row := best(stmt, Options{UseRowEngine: true}, c.rows)
+		for _, par := range []int{-1, 8} {
+			if col := best(stmt, Options{Parallelism: par}, c.rows); col > 3*row {
+				t.Errorf("%s: columnar (parallelism %d) took %v, row engine %v", c.sql, par, col, row)
+			} else {
+				t.Logf("%s: columnar (parallelism %d) %v, row engine %v", c.sql, par, col, row)
+			}
+		}
+	}
+}
+
+// lowCardJoinDB is two n-row tables a and b with a unique id, its mirror image
+// v, a 5-value string cat, and x, y that are unselective apart (224 values
+// each at 50 000 rows) and unique together.
+func lowCardJoinDB(n int) *table.Database {
+	schema := table.Schema{
+		{Name: "id", Kind: table.KindInt}, {Name: "cat", Kind: table.KindString}, {Name: "v", Kind: table.KindInt},
+		{Name: "x", Kind: table.KindInt}, {Name: "y", Kind: table.KindInt},
+	}
+	db := table.NewDatabase()
+	for _, name := range []string{"a", "b"} {
+		tb := table.New(name, schema)
+		for i := 0; i < n; i++ {
+			tb.AppendRow(table.Row{table.NewInt(int64(i)), table.NewString("c" + string(rune('0'+i%5))),
+				table.NewInt(int64(n - 1 - i)), table.NewInt(int64(i % 224)), table.NewInt(int64(i / 224))})
+		}
+		db.Add(tb)
+	}
+	return db
+}
+
+// cancelInProbe is a context that reads as canceled exactly when the guard
+// polls it from inside joinMatcher.matches.
+type cancelInProbe struct{ context.Context }
+
+func (c cancelInProbe) Err() error {
+	pcs := make([]uintptr, 16)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	for {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, "(*joinMatcher).matches") {
+			return context.Canceled
+		}
+		if !more {
+			return nil
+		}
+	}
+}
+
+// TestJoinPollsGuardWhileScanningPastRows: a probe ticks the guard per row it
+// emits, so the index rows it scans past must reach the guard themselves —
+// cancellation and deadlines fire during such a probe, at every worker count.
+func TestJoinPollsGuardWhileScanningPastRows(t *testing.T) {
+	db := lowCardJoinDB(8192)
+	for _, sql := range []string{
+		"SELECT a.id FROM a JOIN b ON a.cat = b.cat WHERE a.cat = 'c0' AND b.cat <> 'c0'",
+		"SELECT a.id FROM a JOIN b ON a.x = b.x AND a.v = b.y",
+	} {
+		stmt := sqlparse.MustParse(sql)
+		for _, par := range []int{-1, 8} {
+			if _, err := ExecuteWithContext(context.Background(), db, stmt, Options{Parallelism: par}); err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			_, err := ExecuteWithContext(cancelInProbe{context.Background()}, db, stmt, Options{Parallelism: par})
+			if !errors.Is(err, ErrCanceled) {
+				t.Errorf("%s (parallelism %d): err = %v, want ErrCanceled from a poll inside the probe", sql, par, err)
+			}
 		}
 	}
 }

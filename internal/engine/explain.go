@@ -10,7 +10,8 @@ import (
 
 // Explain returns a human-readable description of the physical plan the
 // executor will use for stmt: per-relation scans with pushed-down filters,
-// the join order with join kinds (hash vs cross), residual predicates, and
+// the join order with join kinds (index, byte-key hash when a key column is
+// Mixed, or cross), residual predicates, and
 // the finishing operators. It performs binding and predicate classification
 // but does not execute anything.
 func Explain(db *table.Database, stmt *sqlparse.Select) (string, error) {
@@ -61,6 +62,7 @@ func Explain(db *table.Database, stmt *sqlparse.Select) (string, error) {
 	bound := map[int]bool{0: true}
 	for rel := 1; rel < len(b.tables); rel++ {
 		var keys []string
+		var joins []predClass
 		for _, p := range preds {
 			if !p.isEquiJoin {
 				continue
@@ -68,10 +70,15 @@ func Explain(db *table.Database, stmt *sqlparse.Select) (string, error) {
 			a, c := p.leftBind.rel, p.rightBind.rel
 			if (a == rel && bound[c]) || (c == rel && bound[a]) {
 				keys = append(keys, p.expr.String())
+				joins = append(joins, p)
 			}
 		}
 		if len(keys) > 0 {
-			fmt.Fprintf(&out, "  hash join %s on %s\n", b.refs[rel].Name(), strings.Join(keys, " AND "))
+			kind := "index"
+			if joinKeysMixed(b, joins) {
+				kind = "hash"
+			}
+			fmt.Fprintf(&out, "  %s join %s on %s\n", kind, b.refs[rel].Name(), strings.Join(keys, " AND "))
 		} else {
 			fmt.Fprintf(&out, "  cross join %s\n", b.refs[rel].Name())
 		}

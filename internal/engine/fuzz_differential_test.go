@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"asqprl/internal/faults"
@@ -27,12 +28,17 @@ import (
 // fuzzVocab is the string vocabulary; small so dictionary codes repeat.
 var fuzzVocab = []string{"drama", "comedy", "noir", "sci-fi", "doc"}
 
-// fuzzDB builds a two-table database from rng. About one run in six is big
-// enough (> parallelMinRows) to exercise the parallel scan/probe/project
-// paths; the rest stay small so many statements run per fuzz cycle.
-func fuzzDB(rng *rand.Rand) *table.Database {
+// fuzzSparse spreads the sp key columns far beyond the join index's dense
+// range (table.JoinIndex picks its hash layout for them).
+const fuzzSparse = 1_000_003
+
+// fuzzDB builds a two-table database from rng. About one run in six (and
+// every run with forceBig) is big enough (> parallelMinRows) to exercise the
+// parallel scan/probe/project paths; the rest stay small so many statements
+// run per fuzz cycle.
+func fuzzDB(rng *rand.Rand, forceBig bool) *table.Database {
 	nA := 30 + rng.Intn(50)
-	if rng.Intn(6) == 0 {
+	if rng.Intn(6) == 0 || forceBig {
 		nA = parallelMinRows + 500 + rng.Intn(1000)
 	}
 	mixed := rng.Intn(4) == 0 // poison fa.mx with a string cell → Mixed column
@@ -43,6 +49,7 @@ func fuzzDB(rng *rand.Rand) *table.Database {
 		{Name: "cat", Kind: table.KindString},
 		{Name: "flag", Kind: table.KindBool},
 		{Name: "mx", Kind: table.KindInt},
+		{Name: "sp", Kind: table.KindInt},
 	})
 	for i := 0; i < nA; i++ {
 		num := table.NewInt(int64(rng.Intn(20) - 5))
@@ -72,7 +79,11 @@ func fuzzDB(rng *rand.Rand) *table.Database {
 		if mixed && rng.Intn(16) == 0 {
 			mx = table.NewString("oops")
 		}
-		fa.AppendRow(table.Row{table.NewInt(int64(i)), num, val, cat, flag, mx})
+		sp := table.NewInt(int64(i) * fuzzSparse)
+		if i%7 == 3 {
+			sp = table.Null
+		}
+		fa.AppendRow(table.Row{table.NewInt(int64(i)), num, val, cat, flag, mx, sp})
 	}
 	nB := 20 + rng.Intn(40)
 	if nA > parallelMinRows {
@@ -82,16 +93,19 @@ func fuzzDB(rng *rand.Rand) *table.Database {
 		{Name: "fa_id", Kind: table.KindInt},
 		{Name: "cat", Kind: table.KindString},
 		{Name: "w", Kind: table.KindInt},
+		{Name: "sp", Kind: table.KindInt},
 	})
 	for i := 0; i < nB; i++ {
 		w := table.NewInt(int64(rng.Intn(8)))
 		if rng.Intn(12) == 0 {
 			w = table.Null
 		}
+		faID := int64(rng.Intn(nA + 5)) // some dangling keys
 		fb.AppendRow(table.Row{
-			table.NewInt(int64(rng.Intn(nA + 5))), // some dangling keys
+			table.NewInt(faID),
 			table.NewString(fuzzVocab[rng.Intn(len(fuzzVocab))]),
 			w,
+			table.NewInt(faID * fuzzSparse),
 		})
 	}
 	db := table.NewDatabase()
@@ -228,6 +242,61 @@ func fuzzSQL(rng *rand.Rand) string {
 	}
 }
 
+// fuzzJoinShapes are the joins a negative fuzz seed forces (see
+// FuzzRowVsColumnar), one per situation the index-backed join step
+// distinguishes: which layout the build column's table.JoinIndex takes, whether
+// the build relation is unfiltered (no candidate bitmap), filtered or filtered
+// to nothing, which kind of probe key meets which kind of indexed column, how
+// many key pairs are compared after the indexed one, and whether the cached
+// index fits the step or it falls back to hashing the candidates. The build
+// side is the relation joined in, i.e. the later one in FROM order.
+var fuzzJoinShapes = []string{
+	// Dense int index: unfiltered, filtered to empty (w is 0..7), filtered.
+	"SELECT a.id, b.w FROM fa a JOIN fb b ON a.id = b.fa_id",
+	"SELECT a.id, b.w FROM fa a JOIN fb b ON a.id = b.fa_id WHERE b.w > 100",
+	"SELECT a.id, b.cat FROM fa a JOIN fb b ON a.id = b.fa_id WHERE b.w < 4",
+	// NULL keys on both sides.
+	"SELECT a.id, b.fa_id FROM fa a JOIN fb b ON a.num = b.w WHERE a.id < 40",
+	// Float probe keys (integral, fractional, NaN) into a dense int index, and
+	// int probe keys into a float column's hash index.
+	"SELECT a.id, b.w FROM fa a JOIN fb b ON a.val = b.w WHERE a.id < 40",
+	"SELECT a.id, b.w FROM fb b JOIN fa a ON b.w = a.val WHERE b.fa_id < 40",
+	"SELECT a.id, b.w FROM fb b JOIN fa a ON b.w = a.val WHERE b.fa_id < 40 AND a.flag",
+	// String keys across two dictionaries; bool keys.
+	"SELECT a.id, b.w FROM fa a JOIN fb b ON a.cat = b.cat WHERE a.id < 20",
+	"SELECT a.id, b.w FROM fa a JOIN fb b ON a.cat = b.cat WHERE a.id < 20 AND b.cat <> 'noir'",
+	"SELECT a.id, x.id FROM fa a JOIN fa x ON a.flag = x.flag WHERE a.id < 10 AND x.num = 3",
+	// Two to four key pairs: the most selective is indexed, the rest compared.
+	"SELECT a.id, b.w FROM fa a JOIN fb b ON a.id = b.fa_id AND a.cat = b.cat",
+	"SELECT a.id, b.w FROM fa a JOIN fb b ON a.id = b.fa_id AND a.cat = b.cat AND a.num = b.w",
+	"SELECT a.id, b.w FROM fa a JOIN fb b ON a.sp = b.sp AND a.id = b.fa_id AND a.cat = b.cat AND a.num = b.w WHERE b.w < 6",
+	// Sparse int keys (hash layout): unfiltered, filtered, three-way.
+	"SELECT a.id, b.w FROM fa a JOIN fb b ON a.sp = b.sp",
+	"SELECT a.id, b.w FROM fa a JOIN fb b ON a.sp = b.sp WHERE b.w >= 3",
+	"SELECT a.id, c.w FROM fa a JOIN fb b ON a.id = b.fa_id JOIN fb c ON b.sp = c.sp WHERE b.w < 6 AND c.cat = 'noir'",
+	// Keys no single-column index serves: a selective filter behind a
+	// low-cardinality key, and unselective pairs that are selective together
+	// (the step gives up on the cached index and hashes the candidates).
+	"SELECT a.id, b.fa_id FROM fa a JOIN fb b ON a.cat = b.cat WHERE b.fa_id < 3",
+	"SELECT a.id, b.fa_id FROM fa a JOIN fb b ON a.cat = b.cat AND a.num = b.w",
+	"SELECT a.id, b.fa_id FROM fa a JOIN fb b ON a.num = b.w AND a.cat = b.cat WHERE b.fa_id < 30",
+	// A key column that is Mixed in one database in four: byte-key fallback.
+	"SELECT a.id, b.w FROM fb b JOIN fa a ON b.w = a.mx WHERE b.fa_id < 40",
+}
+
+// fuzzJoinSQL is fuzzJoinShapes[shape], half the time narrowed by a random
+// predicate over a (fa is aliased a in every shape).
+func fuzzJoinSQL(rng *rand.Rand, shape int) string {
+	q := fuzzJoinShapes[shape]
+	if rng.Intn(2) == 0 {
+		return q
+	}
+	if strings.Contains(q, " WHERE ") {
+		return q + " AND " + fuzzPred(rng, "a.", 1)
+	}
+	return q + " WHERE " + fuzzPred(rng, "a.", 1)
+}
+
 // fuzzRun executes stmt under one engine configuration. faultPoint, when
 // non-empty, arms a fresh deterministic error injection (identical across the
 // compared runs — the schedules carry per-run hit counters, so each run gets
@@ -272,16 +341,33 @@ func fuzzCompare(t *testing.T, sql, label string, resA *Result, errA error, resB
 // FuzzRowVsColumnar is the differential harness: seed → random database +
 // statements → row engine vs columnar engine at parallelism 1 and 8, plus
 // CountContext, under normal execution, pre-canceled contexts, output and
-// intermediate row budgets, and injected operator faults.
+// intermediate row budgets, and injected operator faults. A seed >= 0 draws
+// its statements from fuzzSQL; seed -1-k pins all of them to
+// fuzzJoinShapes[k % len], on a parallel-scale database when k / len is odd,
+// so the corpus reaches every shape at both sizes by construction.
 func FuzzRowVsColumnar(f *testing.F) {
 	for s := int64(0); s < 24; s++ {
 		f.Add(s)
 	}
+	for k := 0; k < 2*len(fuzzJoinShapes); k++ {
+		f.Add(int64(-1 - k))
+	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		db := fuzzDB(rng)
+		shape, forceBig := -1, false
+		if seed < 0 {
+			k := uint64(-(seed + 1))
+			shape = int(k % uint64(len(fuzzJoinShapes)))
+			forceBig = k/uint64(len(fuzzJoinShapes))%2 == 1
+		}
+		db := fuzzDB(rng, forceBig)
 		for si := 0; si < 6; si++ {
-			sql := fuzzSQL(rng)
+			var sql string
+			if shape >= 0 {
+				sql = fuzzJoinSQL(rng, shape)
+			} else {
+				sql = fuzzSQL(rng)
+			}
 			stmt, err := sqlparse.Parse(sql)
 			if err != nil {
 				t.Fatalf("generator produced unparsable SQL %q: %v", sql, err)

@@ -23,6 +23,13 @@ type phaseTime struct {
 	d    time.Duration
 }
 
+// Join-index build metrics: a join step records them when its lookup is the
+// one that built a column's index (once per column per columnar view).
+const (
+	metricJoinIndexBuilds       = "engine/join/index_builds"
+	metricJoinIndexBuildSeconds = "engine/join/index_build/seconds"
+)
+
 // recordWorkers publishes the effective operator parallelism of the query
 // being executed. Only called when observability is enabled (timer active).
 func recordWorkers(n int) {

@@ -138,18 +138,37 @@ var exportWarn WarnLimiter
 
 const exportWarnEvery = 10 * time.Second
 
-// traceRing is a fixed-size circular buffer of kept traces.
+// maxParkedAmends bounds the amendments held for traces that have not ended
+// yet (see AmendTrace); the oldest is overwritten first.
+const maxParkedAmends = 32
+
+// traceRing is a fixed-size circular buffer of kept traces, plus a smaller one
+// of amendments that arrived before their trace did.
 type traceRing struct {
 	mu   sync.Mutex
 	buf  [maxKeptTraces]TraceRecord
 	next int
 	n    int
+
+	parked   [maxParkedAmends]parkedAmend
+	parkNext int // oldest parked slot, the next one overwritten
+}
+
+type parkedAmend struct {
+	id string
+	ev SpanEvent
 }
 
 var traceKeep = &traceRing{}
 
 func (r *traceRing) add(rec TraceRecord) {
 	r.mu.Lock()
+	for i := range r.parked {
+		if p := &r.parked[(r.parkNext+i)%maxParkedAmends]; p.id == rec.TraceID {
+			rec.Root.Events = append(rec.Root.Events, p.ev)
+			*p = parkedAmend{}
+		}
+	}
 	r.buf[r.next] = rec
 	r.next = (r.next + 1) % maxKeptTraces
 	if r.n < maxKeptTraces {
@@ -189,9 +208,15 @@ func KeptTrace(id string) (TraceRecord, bool) {
 // /tracez. The amendment is in-memory only: it reaches the traceRing record
 // (and anything snapshotted from it afterwards) but not a JSONL export that
 // already happened at span end; offline joins use the amending subsystem's
-// own span attributes instead. It returns false when the trace is not (or no
-// longer) in the kept ring — tail-dropped or evicted traces are not
-// addressable.
+// own span attributes instead.
+//
+// It returns true when the event is on the kept trace now. False means only
+// "not yet": the trace is not (or no longer) in the kept ring. That covers
+// tail-dropped and evicted traces, which are not addressable and lose the
+// event, and a trace that has not ended yet (a background audit can outrun
+// the response write of the request it audits). The caller cannot tell these
+// apart, so every missed amendment is parked, bounded by maxParkedAmends
+// (oldest overwritten), and lands if its trace is kept later.
 func AmendTrace(id string, ev SpanEvent) bool {
 	if id == "" {
 		return false
@@ -211,6 +236,8 @@ func AmendTrace(id string, ev SpanEvent) bool {
 			return true
 		}
 	}
+	traceKeep.parked[traceKeep.parkNext] = parkedAmend{id, ev}
+	traceKeep.parkNext = (traceKeep.parkNext + 1) % maxParkedAmends
 	return false
 }
 
@@ -299,6 +326,7 @@ func ResetTraces() {
 	traceKeep.buf = [maxKeptTraces]TraceRecord{}
 	traceKeep.next = 0
 	traceKeep.n = 0
+	traceKeep.parked, traceKeep.parkNext = [maxParkedAmends]parkedAmend{}, 0
 	traceKeep.mu.Unlock()
 	slowLog.mu.Lock()
 	slowLog.entries = map[string]*SlowQueryStats{}

@@ -18,6 +18,15 @@ const maxRootSpans = 64
 // counted in the last event's "dropped" attribute.
 const maxSpanEvents = 64
 
+// maxSpanChildren bounds the child spans one span retains, so a loop that
+// opens a span per iteration cannot grow its parent (and every Snapshot of
+// it) without limit. A child past the cap is still a working span that
+// carries the trace and parent IDs; it is just not attached to the tree, and
+// is counted in the parent's children_dropped. When it ends it marks the
+// parent with any error or degradation in its own subtree, so the trace's
+// outcome (and the tail sampler's verdict) does not depend on the cap.
+const maxSpanChildren = 1024
+
 // Span is one timed region of execution. Spans nest: starting a span under a
 // context that already carries one attaches it as a child, producing a
 // wall-clock tree. Every span carries its trace's 128-bit TraceID and its own
@@ -41,6 +50,9 @@ type Span struct {
 	degraded string // degradation reason, "" when none
 	root     bool
 	forced   bool // incoming sampled flag: tail sampler must keep the trace
+
+	childrenDropped int   // children beyond maxSpanChildren
+	droppedFrom     *Span // the parent that did not attach this span, if any
 }
 
 // SpanEvent is one timestamped point annotation inside a span (a retry, a
@@ -68,9 +80,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	if parent, ok := ctx.Value(spanCtxKey{}).(*Span); ok && parent != nil {
 		s.traceID = parent.traceID
 		s.parentID = parent.spanID
-		parent.mu.Lock()
-		parent.children = append(parent.children, s)
-		parent.mu.Unlock()
+		parent.adopt(s)
 	} else if remote, ok := ctx.Value(remoteTraceKey{}).(remoteTrace); ok {
 		s.traceID = remote.tid
 		s.parentID = remote.parent
@@ -105,10 +115,21 @@ func (s *Span) StartChild(name string) *Span {
 		spanID:  NewSpanID(),
 	}
 	c.parentID = s.spanID
-	s.mu.Lock()
-	s.children = append(s.children, c)
-	s.mu.Unlock()
+	s.adopt(c)
 	return c
+}
+
+// adopt attaches c as a child of s, or counts it as dropped once s already
+// holds maxSpanChildren.
+func (s *Span) adopt(c *Span) {
+	s.mu.Lock()
+	if len(s.children) >= maxSpanChildren {
+		s.childrenDropped++
+		c.droppedFrom = s
+	} else {
+		s.children = append(s.children, c)
+	}
+	s.mu.Unlock()
 }
 
 // TraceID returns the span's trace ID (zero for a nil span).
@@ -141,6 +162,15 @@ func (s *Span) End() {
 	}
 	isRoot := s.root
 	s.mu.Unlock()
+	if s.droppedFrom != nil {
+		errMsg, degraded := s.status()
+		if errMsg != "" {
+			s.droppedFrom.MarkError(errMsg)
+		}
+		if degraded != "" {
+			s.droppedFrom.MarkDegraded(degraded)
+		}
+	}
 	if isRoot {
 		spanStore.add(s)
 		tailConsider(s)
@@ -238,6 +268,9 @@ type SpanSnapshot struct {
 	Attrs      map[string]any `json:"attrs,omitempty"`
 	Events     []SpanEvent    `json:"events,omitempty"`
 	Children   []SpanSnapshot `json:"children,omitempty"`
+	// ChildrenDropped counts child spans started beyond the per-span cap
+	// (maxSpanChildren) and therefore missing from Children.
+	ChildrenDropped int `json:"children_dropped,omitempty"`
 }
 
 // Snapshot renders the span and its subtree. Unfinished descendants report
@@ -258,6 +291,7 @@ func (s *Span) Snapshot() SpanSnapshot {
 		Error:      s.errMsg,
 		Degraded:   s.degraded,
 	}
+	snap.ChildrenDropped = s.childrenDropped
 	if !s.parentID.IsZero() {
 		snap.ParentID = s.parentID.String()
 	}

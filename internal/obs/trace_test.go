@@ -257,22 +257,18 @@ func TestJSONLExporterRotationBounds(t *testing.T) {
 
 // TestSnapshotDuringActiveSubtree hammers Snapshot while children are being
 // added, annotated, and ended concurrently. Run with -race: the point is that
-// per-span locking makes mid-flight snapshots safe.
+// per-span locking makes mid-flight snapshots safe. The workers are bounded by
+// iteration count, not by how long the snapshots take, so the test does the
+// same work on any core count.
 func TestSnapshotDuringActiveSubtree(t *testing.T) {
 	withTracing(t, TracingConfig{})
 	_, root := StartSpan(context.Background(), "root")
-	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := 0; i < 500; i++ {
 				c := root.StartChild("child")
 				c.Annotate("i", i)
 				c.Event("tick", "worker", w)
@@ -290,16 +286,56 @@ func TestSnapshotDuringActiveSubtree(t *testing.T) {
 			break
 		}
 	}
-	close(stop)
 	wg.Wait()
-	// Deterministic subtree error: workers may not have been scheduled at all
-	// on a fast machine, so plant one guaranteed errored descendant.
-	g := root.StartChild("child").StartChild("grand")
-	g.MarkError("x")
-	g.End()
 	root.End()
 	if err, _ := root.status(); err != "x" {
 		t.Errorf("status error = %q, want propagated child error", err)
+	}
+}
+
+// TestSpanChildrenCapped: a span keeps at most maxSpanChildren children however
+// many are started under it, through either StartChild or a context, and
+// reports the rest as children_dropped; a dropped child is still a usable span
+// of the same trace.
+func TestSpanChildrenCapped(t *testing.T) {
+	withTracing(t, TracingConfig{})
+	ctx, root := StartSpan(context.Background(), "root")
+	const extra = 40
+	var last *Span
+	for i := 0; i < maxSpanChildren+extra; i++ {
+		if i%2 == 0 {
+			last = root.StartChild("child")
+		} else {
+			_, last = StartSpan(ctx, "child")
+		}
+		last.Annotate("i", i)
+		if i == maxSpanChildren+extra-1 {
+			// The outcome of a dropped child's subtree must still reach the root.
+			last.MarkDegraded("rows")
+			grandchild := last.StartChild("grandchild")
+			grandchild.MarkError("boom")
+			grandchild.End()
+		}
+		last.End()
+	}
+	if last.TraceID() != root.TraceID() || last.Snapshot().ParentID != root.SpanID().String() {
+		t.Errorf("dropped child lost its trace identity: %+v", last.Snapshot())
+	}
+	root.End()
+	snap := root.Snapshot()
+	if len(snap.Children) != maxSpanChildren || snap.ChildrenDropped != extra {
+		t.Errorf("children = %d, children_dropped = %d; want %d and %d",
+			len(snap.Children), snap.ChildrenDropped, maxSpanChildren, extra)
+	}
+	data, err := json.Marshal(snap)
+	if err != nil || !bytes.Contains(data, []byte(`"children_dropped":40`)) {
+		t.Errorf("children_dropped not in the JSON snapshot (err %v)", err)
+	}
+	if snap.Error != "boom" || snap.Degraded != "rows" {
+		t.Errorf("root error = %q, degraded = %q after a dropped child failed; want boom and rows", snap.Error, snap.Degraded)
+	}
+	if rec, ok := KeptTrace(root.TraceID().String()); !ok || rec.Verdict != "error" {
+		t.Errorf("tail sampler verdict for a trace whose dropped child failed = %+v (kept %v), want error", rec.Verdict, ok)
 	}
 }
 

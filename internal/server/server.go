@@ -22,6 +22,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net"
 	"net/http"
 	"runtime"
@@ -884,16 +886,25 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, start time.Time, v
 	if resp, ok := v.(*QueryResponse); ok {
 		resp.ElapsedMs = float64(time.Since(start).Microseconds()) / 1000
 	}
+	// Encode before committing the status: a value JSON cannot carry must
+	// become a 500, not the intended status over an empty body.
+	body, err := json.Marshal(v)
+	if err != nil {
+		obs.Logger().Error("response encode failed", "err", err)
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(&QueryResponse{Error: "response encode failed: " + err.Error()}) // strings only: cannot fail
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(v); err != nil {
-		obs.Logger().Error("response encode failed", "err", err)
-	}
+	// A failed write means the client is gone; nobody is left to tell.
+	_, _ = w.Write(body)
+	_, _ = io.WriteString(w, "\n")
 }
 
 // jsonRows converts result rows to JSON-native values (null, number, string,
-// bool) so clients do not need the repo's Value encoding.
+// bool) so clients do not need the repo's Value encoding. It is total over
+// table.Value: NaN and ±Inf, which the engine supports and JSON does not,
+// become null.
 func jsonRows(t *table.Table) [][]any {
 	rows := make([][]any, len(t.Rows))
 	for i, r := range t.Rows {
@@ -903,7 +914,9 @@ func jsonRows(t *table.Table) [][]any {
 			case table.KindInt:
 				out[j] = v.Int
 			case table.KindFloat:
-				out[j] = v.Float
+				if !math.IsNaN(v.Float) && !math.IsInf(v.Float, 0) {
+					out[j] = v.Float
+				}
 			case table.KindString:
 				out[j] = v.Str
 			case table.KindBool:

@@ -2,7 +2,10 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -403,5 +406,47 @@ func TestObsCountersWired(t *testing.T) {
 	}
 	if snap.Histograms["server/drain_seconds"].Count == 0 {
 		t.Error("server/drain_seconds histogram empty")
+	}
+}
+
+// TestNonFiniteFloatsAnswerAsNull: the engine can produce ±Inf and NaN (float
+// overflow here), which JSON cannot carry. The response must still be a
+// complete 200 whose non-finite cells are null — not an empty body behind an
+// already-written 200 status.
+func TestNonFiniteFloatsAnswerAsNull(t *testing.T) {
+	_, base := startServer(t, trainedSystem(t), Config{})
+	const huge = "rating * 1e308 * 1e308"
+	status, resp := postQuery(t, base,
+		"SELECT rating, "+huge+", "+huge+" - "+huge+", 0 - "+huge+" FROM title LIMIT 3", 0, 0)
+	if status != http.StatusOK {
+		t.Fatalf("status = %d (%s), want 200", status, resp.Error)
+	}
+	if resp.RowCount != 3 || len(resp.Rows) != 3 {
+		t.Fatalf("row_count = %d, rows = %d; want 3", resp.RowCount, len(resp.Rows))
+	}
+	for _, row := range resp.Rows {
+		if _, ok := row[0].(float64); !ok {
+			t.Errorf("finite rating decoded as %T (%v), want a number", row[0], row[0])
+		}
+		for j, cell := range row[1:] {
+			if cell != nil {
+				t.Errorf("non-finite cell %d = %v, want null", j+1, cell)
+			}
+		}
+	}
+}
+
+// TestWriteJSONEncodeFailureIs500: a body that cannot be encoded must surface
+// as a 500 with a JSON error, never as the intended status over an empty body.
+func TestWriteJSONEncodeFailureIs500(t *testing.T) {
+	s := New(nil, Config{})
+	rec := httptest.NewRecorder()
+	s.writeJSON(rec, http.StatusOK, time.Now(), &QueryResponse{Confidence: math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", rec.Code)
+	}
+	var resp QueryResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Error == "" {
+		t.Fatalf("body %q: err %v, want a JSON error", rec.Body.String(), err)
 	}
 }

@@ -130,10 +130,16 @@ func (c *ColumnData) Value(i int) Value {
 	}
 }
 
-// ColumnSet is the cached columnar view of a whole table.
+// ColumnSet is the cached columnar view of a whole table. The typed vectors
+// are built eagerly; the per-column join indexes and the identity selection
+// vector (joinindex.go) are derived from them on first use.
 type ColumnSet struct {
 	NumRows int
 	Cols    []ColumnData
+
+	joinIdx   []joinIndexSlot // one per column
+	identOnce sync.Once
+	ident     []int32
 }
 
 // Columns returns the columnar view of the table, building and caching it on
@@ -154,7 +160,11 @@ func (t *Table) Columns() *ColumnSet {
 }
 
 func buildColumnSet(t *Table) *ColumnSet {
-	cs := &ColumnSet{NumRows: len(t.Rows), Cols: make([]ColumnData, len(t.Schema))}
+	cs := &ColumnSet{
+		NumRows: len(t.Rows),
+		Cols:    make([]ColumnData, len(t.Schema)),
+		joinIdx: make([]joinIndexSlot, len(t.Schema)),
+	}
 	for ci := range t.Schema {
 		buildColumn(t, ci, &cs.Cols[ci])
 	}

@@ -1,0 +1,255 @@
+package table
+
+import (
+	"math"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+)
+
+// joinIndexFixture has one column per key kind and index layout, each with
+// duplicates and NULLs: compact ints (dense), ints spread over the whole int64
+// range (hash), floats mixing integral, fractional, negative-zero and
+// two NaN payloads (hash), dictionary strings and bools (dense).
+func joinIndexFixture() *Table {
+	t := New("ji", Schema{
+		{Name: "dense", Kind: KindInt},
+		{Name: "sparse", Kind: KindInt},
+		{Name: "f", Kind: KindFloat},
+		{Name: "s", Kind: KindString},
+		{Name: "b", Kind: KindBool},
+	})
+	sparse := []int64{math.MinInt64, math.MaxInt64, 0, -7_000_000_011, 7_000_000_011, 1 << 40}
+	floats := []float64{
+		3, 2.5, math.Copysign(0, -1), 0, -1.25, 1e18, math.Inf(1),
+		math.NaN(), math.Float64frombits(0x7ff8_0000_0000_0bad),
+	}
+	strs := []string{"drama", "comedy", "noir", ""}
+	for i := 0; i < 3000; i++ {
+		row := Row{
+			NewInt(int64(100 + i%37)),
+			NewInt(sparse[i%len(sparse)] + int64(i%3)),
+			NewFloat(floats[i%len(floats)]),
+			NewString(strs[i%len(strs)]),
+			NewBool(i%5 < 2),
+		}
+		for ci := range row {
+			if (i+ci)%11 == 0 {
+				row[ci] = Null
+			}
+		}
+		t.AppendRow(row)
+	}
+	return t
+}
+
+// TestJoinIndexMatchesBruteForce checks every column's index against a map
+// from Value.Key — the row engine's definition of join equality — to the
+// ascending row ids holding that key: same groups, same order, no NULLs, and
+// nothing for keys the column does not hold.
+func TestJoinIndexMatchesBruteForce(t *testing.T) {
+	tbl := joinIndexFixture()
+	cs := tbl.Columns()
+	wantLayout := []string{"dense", "hash", "hash", "dense", "dense"}
+	for ci, col := range tbl.Schema {
+		want := map[string][]int32{}
+		for ri, r := range tbl.Rows {
+			if v := r[ci]; !v.IsNull() {
+				want[v.Key()] = append(want[v.Key()], int32(ri))
+			}
+		}
+		ix, built := cs.JoinIndex(ci)
+		if !built {
+			t.Errorf("%s: first JoinIndex call did not report the build", col.Name)
+		}
+		if again, built := cs.JoinIndex(ci); again != ix || built {
+			t.Errorf("%s: second JoinIndex call rebuilt (built=%v)", col.Name, built)
+		}
+		if got := ix.Layout(); got != wantLayout[ci] {
+			t.Errorf("%s: layout %s, want %s", col.Name, got, wantLayout[ci])
+		}
+		keyer := cs.Cols[ci].JoinKeyer(nil)
+		seen := map[string]bool{}
+		for ri, r := range tbl.Rows {
+			k, ok := keyer(int32(ri))
+			if ok == r[ci].IsNull() {
+				t.Fatalf("%s row %d: keyer ok=%v for %v", col.Name, ri, ok, r[ci])
+			}
+			if !ok || seen[r[ci].Key()] {
+				continue
+			}
+			seen[r[ci].Key()] = true
+			if got := ix.Lookup(k); !reflect.DeepEqual(got, want[r[ci].Key()]) {
+				t.Fatalf("%s: Lookup(%v) for %v = %v, want %v", col.Name, k, r[ci], got, want[r[ci].Key()])
+			}
+		}
+		if len(seen) != len(want) || ix.Distinct() != len(want) {
+			t.Errorf("%s: index reached %d keys and reports %d distinct, brute force has %d",
+				col.Name, len(seen), ix.Distinct(), len(want))
+		}
+		for _, k := range []JoinKey{
+			{TagNum, 99}, {TagNum, 137}, {TagNum, 5}, {TagNum, 1 << 62},
+			FloatJoinKey(2.75), {TagStr, 4}, {TagBool, 2}, {Tag: TagMiss}, {Tag: TagNull},
+		} {
+			if got := ix.Lookup(k); len(got) != 0 {
+				t.Errorf("%s: Lookup(%v) = %v, want no rows", col.Name, k, got)
+			}
+		}
+	}
+
+	// Keys unify across kinds exactly as Value.Key does: an integral float
+	// probes an int column, and an int probes a float column.
+	dense, _ := cs.JoinIndex(0)
+	if got := dense.Lookup(FloatJoinKey(101)); len(got) == 0 || tbl.Rows[got[0]][0].Int != 101 {
+		t.Errorf("float 101 into the int index = %v", got)
+	}
+	floats, _ := cs.JoinIndex(2)
+	if got := floats.Lookup(JoinKey{TagNum, 3}); len(got) == 0 || tbl.Rows[got[0]][2].Float != 3 {
+		t.Errorf("int 3 into the float index = %v", got)
+	}
+}
+
+// TestNewJoinIndexOverSubset checks the per-query builder: only the given rows
+// are indexed, in order, under whatever key the caller derives — here a
+// TagHash over two columns, NULL in either excluding the row — and an empty
+// subset indexes nothing.
+func TestNewJoinIndexOverSubset(t *testing.T) {
+	tbl := joinIndexFixture()
+	cs := tbl.Columns()
+	dense, str := cs.Cols[0].JoinKeyer(nil), cs.Cols[3].JoinKeyer(nil)
+	key := func(ri int32) (JoinKey, bool) {
+		a, okA := dense(ri)
+		b, okB := str(ri)
+		return JoinKey{TagHash, a.Bits*31 + b.Bits}, okA && okB
+	}
+	var subset []int32
+	want := map[JoinKey][]int32{}
+	for ri := int32(0); ri < int32(tbl.NumRows()); ri += 3 {
+		subset = append(subset, ri)
+		if k, ok := key(ri); ok {
+			want[k] = append(want[k], ri)
+		}
+	}
+	ix := NewJoinIndex(key, subset)
+	if ix.Layout() != "hash" || ix.Distinct() != len(want) {
+		t.Errorf("layout %s with %d distinct keys, want hash with %d", ix.Layout(), ix.Distinct(), len(want))
+	}
+	for k, rows := range want {
+		if got := ix.Lookup(k); !reflect.DeepEqual(got, rows) {
+			t.Fatalf("Lookup(%v) = %v, want %v", k, got, rows)
+		}
+	}
+	if k, _ := key(1); len(want[k]) == 0 && len(ix.Lookup(k)) != 0 {
+		t.Errorf("row 1 is outside the subset but its key %v is indexed", k)
+	}
+	if got := NewJoinIndex(key, nil).Lookup(JoinKey{TagHash, 0}); len(got) != 0 {
+		t.Errorf("empty subset: Lookup = %v", got)
+	}
+}
+
+func TestJoinIndexEmptyAndAllNull(t *testing.T) {
+	tbl := New("e", Schema{{Name: "i", Kind: KindInt}, {Name: "s", Kind: KindString}, {Name: "f", Kind: KindFloat}})
+	for pass := 0; pass < 2; pass++ { // empty table, then three all-NULL rows
+		cs := tbl.Columns()
+		for ci := range tbl.Schema {
+			ix, _ := cs.JoinIndex(ci)
+			for _, k := range []JoinKey{{TagNum, 0}, {TagStr, 0}, FloatJoinKey(0.5)} {
+				if got := ix.Lookup(k); len(got) != 0 {
+					t.Errorf("pass %d col %d: Lookup(%v) = %v on a column with no keys", pass, ci, k, got)
+				}
+			}
+		}
+		if got := len(cs.Identity()); got != tbl.NumRows() {
+			t.Errorf("pass %d: identity has %d rows, table %d", pass, got, tbl.NumRows())
+		}
+		for i := 0; i < 3; i++ {
+			tbl.AppendRow(Row{Null, Null, Null})
+		}
+	}
+}
+
+// TestJoinIndexInvalidatedByAppendRow: the index and the identity vector hang
+// off the ColumnSet, so AppendRow drops them with the typed vectors and the
+// next use sees the new row.
+func TestJoinIndexInvalidatedByAppendRow(t *testing.T) {
+	tbl := colFixture()
+	old, _ := tbl.Columns().JoinIndex(0)
+	oldIdent := tbl.Columns().Identity()
+	if got := old.Lookup(JoinKey{TagNum, 3}); !reflect.DeepEqual(got, []int32{0}) {
+		t.Fatalf("Lookup(3) = %v, want [0]", got)
+	}
+	tbl.AppendRow(Row{NewInt(3), NewFloat(0), NewString("noir"), NewBool(false)})
+	fresh, built := tbl.Columns().JoinIndex(0)
+	if !built || fresh == old {
+		t.Fatalf("index survived AppendRow (built=%v, same=%v)", built, fresh == old)
+	}
+	if got := fresh.Lookup(JoinKey{TagNum, 3}); !reflect.DeepEqual(got, []int32{0, 4}) {
+		t.Errorf("Lookup(3) after append = %v, want [0 4]", got)
+	}
+	if got := old.Lookup(JoinKey{TagNum, 3}); !reflect.DeepEqual(got, []int32{0}) {
+		t.Errorf("the old index changed under its readers: Lookup(3) = %v", got)
+	}
+	if got := tbl.Columns().Identity(); len(got) != 5 || len(oldIdent) != 4 || got[4] != 4 {
+		t.Errorf("identity after append = %v (before: %v)", got, oldIdent)
+	}
+}
+
+// TestJoinIndexConcurrentFirstUse races many first users of one column's
+// index (and of the identity vector): exactly one of them builds, and all of
+// them get the same immutable result. Run under -race.
+func TestJoinIndexConcurrentFirstUse(t *testing.T) {
+	tbl := joinIndexFixture()
+	cs := tbl.Columns()
+	const users = 16
+	var builds atomic.Int32
+	got := make([]*JoinIndex, users)
+	idents := make([][]int32, users)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for u := 0; u < users; u++ {
+		u := u
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			ix, built := cs.JoinIndex(1)
+			if built {
+				builds.Add(1)
+			}
+			got[u] = ix
+			idents[u] = cs.Identity()
+			if len(ix.Lookup(JoinKey{TagNum, 1<<40 + 2})) == 0 { // rows 5, 11, 17, ...
+				t.Errorf("user %d: index missing a key every build holds", u)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Errorf("%d builds observed, want exactly 1", n)
+	}
+	for u := 1; u < users; u++ {
+		if got[u] != got[0] || &idents[u][0] != &idents[0][0] {
+			t.Fatalf("user %d got a different index or identity vector", u)
+		}
+	}
+}
+
+// BenchmarkJoinIndexBuild measures the one-time cost of both layouts over a
+// 50 000-row column (paid by the first join on the column, then cached).
+func BenchmarkJoinIndexBuild(b *testing.B) {
+	tbl := New("b", Schema{{Name: "dense", Kind: KindInt}, {Name: "sparse", Kind: KindInt}})
+	for i := 0; i < 50_000; i++ {
+		tbl.AppendRow(Row{NewInt(int64(i / 4)), NewInt(int64(i/4) * 1_000_003)})
+	}
+	cs := tbl.Columns()
+	for ci, name := range []string{"dense", "hash"} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = buildJoinIndex(&cs.Cols[ci], cs.Identity())
+			}
+		})
+	}
+}
