@@ -118,9 +118,9 @@ func (c Config) normalize() Config {
 }
 
 // Served describes one answer the serving layer handed out, as the auditor
-// needs to see it. The result table itself is read inside Consider (row
-// count, aggregate values) and not retained, so large results are never
-// pinned by the audit queue.
+// needs to see it. An SPJ answer is judged by its row count alone; an
+// aggregate's result table is read inside Consider (its values) and not
+// retained, so no result is pinned by the audit queue.
 type Served struct {
 	// SQL is the canonical SQL text (sqlparse.Select.String()).
 	SQL string
@@ -213,8 +213,10 @@ func (a *Auditor) Enabled() bool { return a != nil }
 // non-degraded answer is exact by construction. Eligible answers are sampled
 // at the configured rate; sampled ones are enqueued for asynchronous
 // verification (the caller's latency is one channel send). It returns true
-// when the answer was enqueued. Nil-safe and allocation-free when disabled.
-func (a *Auditor) Consider(stmt *sqlparse.Select, sv Served, result *table.Table) bool {
+// when the answer was enqueued. rows is the served row count; agg is the
+// served result of an aggregate statement (nil otherwise). Nil-safe and
+// allocation-free when disabled.
+func (a *Auditor) Consider(stmt *sqlparse.Select, sv Served, rows int, agg *table.Table) bool {
 	if a == nil || a.closed.Load() {
 		return false
 	}
@@ -229,16 +231,13 @@ func (a *Auditor) Consider(stmt *sqlparse.Select, sv Served, result *table.Table
 		return false
 	}
 	a.sampled.Add(1)
-	j := job{stmt: stmt, served: sv}
+	j := job{stmt: stmt, served: sv, rows: rows}
 	if sv.SQL == "" {
 		j.served.SQL = stmt.String()
 	}
-	if result != nil {
-		j.rows = result.NumRows()
-	}
 	if stmt.HasAggregates() {
 		j.isAgg = true
-		j.values = aggValues(stmt, result)
+		j.values = aggValues(stmt, agg)
 	}
 	select {
 	case a.jobs <- j:

@@ -53,16 +53,6 @@ func mustParse(t *testing.T, sql string) *sqlparse.Select {
 	return stmt
 }
 
-// servedRows builds a result table with n placeholder rows — for SPJ audits
-// only the cardinality matters.
-func servedRows(n int) *table.Table {
-	tb := table.New("served", table.Schema{{Name: "x", Kind: table.KindInt}})
-	for i := 0; i < n; i++ {
-		tb.AppendRow(table.Row{table.NewInt(int64(i))})
-	}
-	return tb
-}
-
 // newTestAuditor builds an auditor over testDB with frame F and sample rate 1.
 func newTestAuditor(t *testing.T, frame int, mut func(*Config)) *Auditor {
 	t.Helper()
@@ -100,7 +90,7 @@ func TestAuditSPJCoverageError(t *testing.T) {
 	a := newTestAuditor(t, 25, nil)
 	stmt := mustParse(t, "SELECT title FROM movies WHERE rating > 7")
 	sv := Served{SQL: stmt.String(), Source: "approximation"}
-	if !a.Consider(stmt, sv, servedRows(2)) {
+	if !a.Consider(stmt, sv, 2, nil) {
 		t.Fatal("eligible answer was not enqueued at sample rate 1")
 	}
 	waitCompleted(t, a, 1)
@@ -140,13 +130,31 @@ func TestAuditSPJCoverageError(t *testing.T) {
 	}
 }
 
+// TestAuditLimitedStatement: the ground truth of a LIMIT statement is a count
+// too (the frame-capped min of the matching rows and the LIMIT), so a page
+// that was served in full audits to 0 and one that came up short to its share.
+func TestAuditLimitedStatement(t *testing.T) {
+	a := newTestAuditor(t, 25, nil)
+	stmt := mustParse(t, "SELECT title FROM movies WHERE rating > 7 LIMIT 2") // 3 rows match
+	a.Consider(stmt, Served{SQL: stmt.String(), Source: "approximation"}, 2, nil)
+	waitCompleted(t, a, 1)
+	if got := a.Stats().ErrorMax; got != 0 {
+		t.Errorf("full page audited to error %v, want 0", got)
+	}
+	a.Consider(stmt, Served{SQL: stmt.String(), Source: "approximation"}, 1, nil)
+	waitCompleted(t, a, 2)
+	if got := a.Stats().ErrorMax; math.Abs(got-0.5) > 1e-9 {
+		t.Errorf("half page audited to error %v, want 0.5", got)
+	}
+}
+
 // TestAuditExactAnswerZeroError: serving all true rows audits to error 0 —
 // and the zero still shows up as evidence (ObservedError ok=true).
 func TestAuditExactAnswerZeroError(t *testing.T) {
 	a := newTestAuditor(t, 25, nil)
 	stmt := mustParse(t, "SELECT title FROM movies WHERE rating > 7")
 	sv := Served{SQL: stmt.String(), Source: "approximation"}
-	a.Consider(stmt, sv, servedRows(3))
+	a.Consider(stmt, sv, 3, nil)
 	waitCompleted(t, a, 1)
 	oe, ok := a.ObservedError(sv.SQL)
 	if !ok || oe != 0 {
@@ -169,7 +177,7 @@ func TestAuditAggregateGroupError(t *testing.T) {
 	served.AppendRow(table.Row{table.NewString("drama"), table.NewInt(2)})
 	served.AppendRow(table.Row{table.NewString("comedy"), table.NewInt(1)})
 	sv := Served{SQL: stmt.String(), Source: "approximation"}
-	a.Consider(stmt, sv, served)
+	a.Consider(stmt, sv, served.NumRows(), served)
 	waitCompleted(t, a, 1)
 
 	want := 4.0 / 9.0
@@ -183,13 +191,13 @@ func TestAuditAggregateGroupError(t *testing.T) {
 func TestAuditEligibility(t *testing.T) {
 	a := newTestAuditor(t, 25, nil)
 	stmt := mustParse(t, "SELECT title FROM movies WHERE rating > 7")
-	if a.Consider(stmt, Served{SQL: stmt.String(), Source: "full"}, servedRows(3)) {
+	if a.Consider(stmt, Served{SQL: stmt.String(), Source: "full"}, 3, nil) {
 		t.Error("exact full-database answer was enqueued for audit")
 	}
 	if a.eligible.Load() != 0 {
 		t.Error("exact answer counted as eligible")
 	}
-	if !a.Consider(stmt, Served{SQL: stmt.String(), Source: "full", Degraded: true, Reason: "rows"}, servedRows(1)) {
+	if !a.Consider(stmt, Served{SQL: stmt.String(), Source: "full", Degraded: true, Reason: "rows"}, 1, nil) {
 		t.Error("degraded full answer was not enqueued")
 	}
 }
@@ -206,7 +214,7 @@ func TestAuditSampleRateZeroDisables(t *testing.T) {
 		t.Error("nil auditor reports enabled")
 	}
 	stmt := mustParse(t, "SELECT title FROM movies WHERE rating > 7")
-	if a.Consider(stmt, Served{Source: "approximation"}, servedRows(1)) {
+	if a.Consider(stmt, Served{Source: "approximation"}, 1, nil) {
 		t.Error("nil auditor enqueued an audit")
 	}
 	if _, ok := a.ObservedError("x"); ok {
@@ -240,7 +248,7 @@ func TestAuditQueueBoundsAndDrop(t *testing.T) {
 			t.Fatal("no drops despite a full queue")
 		}
 		done := make(chan bool, 1)
-		go func() { done <- a.Consider(stmt, sv, servedRows(1)) }()
+		go func() { done <- a.Consider(stmt, sv, 1, nil) }()
 		select {
 		case <-done:
 		case <-time.After(time.Second):
@@ -276,7 +284,7 @@ func TestAuditCloseDrainsWorkers(t *testing.T) {
 	stmt := mustParse(t, "SELECT title FROM movies WHERE rating > 7")
 	sv := Served{SQL: stmt.String(), Source: "approximation"}
 	for i := 0; i < 8; i++ {
-		a.Consider(stmt, sv, servedRows(1))
+		a.Consider(stmt, sv, 1, nil)
 	}
 	done := make(chan struct{})
 	go func() { a.Close(); close(done) }()
@@ -285,7 +293,7 @@ func TestAuditCloseDrainsWorkers(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close did not drain the worker pool")
 	}
-	if a.Consider(stmt, sv, servedRows(1)) {
+	if a.Consider(stmt, sv, 1, nil) {
 		t.Error("closed auditor accepted an audit")
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -302,13 +310,13 @@ func TestAuditSLOBurn(t *testing.T) {
 	a := newTestAuditor(t, 25, func(c *Config) { c.SLOP95 = 0.1 })
 	stmt := mustParse(t, "SELECT title FROM movies WHERE rating > 7")
 	sv := Served{SQL: stmt.String(), Source: "approximation", Degraded: true, Reason: "rows"}
-	a.Consider(stmt, sv, servedRows(1)) // error 2/3 > 0.1 → burn
+	a.Consider(stmt, sv, 1, nil) // error 2/3 > 0.1 → burn
 	waitCompleted(t, a, 1)
 	if got := a.Stats().SLOBurn; got != 1 {
 		t.Errorf("SLO burn counter = %d, want 1", got)
 	}
 	// An exact answer must not burn.
-	a.Consider(stmt, Served{SQL: sv.SQL, Source: "approximation"}, servedRows(3))
+	a.Consider(stmt, Served{SQL: sv.SQL, Source: "approximation"}, 3, nil)
 	waitCompleted(t, a, 2)
 	if got := a.Stats().SLOBurn; got != 1 {
 		t.Errorf("SLO burn counter after exact answer = %d, want 1", got)
@@ -321,11 +329,11 @@ func TestAuditWorstOffenderOrdering(t *testing.T) {
 	a := newTestAuditor(t, 25, nil)
 	// Shape A: scan with filter, error 2/3. Shape B: aggregate, error 0.
 	bad := mustParse(t, "SELECT title FROM movies WHERE rating > 7")
-	a.Consider(bad, Served{SQL: bad.String(), Source: "approximation"}, servedRows(1))
+	a.Consider(bad, Served{SQL: bad.String(), Source: "approximation"}, 1, nil)
 	good := mustParse(t, "SELECT COUNT(*) FROM movies")
 	exact := table.New("served", table.Schema{{Name: "count", Kind: table.KindInt}})
 	exact.AppendRow(table.Row{table.NewInt(5)})
-	a.Consider(good, Served{SQL: good.String(), Source: "approximation"}, exact)
+	a.Consider(good, Served{SQL: good.String(), Source: "approximation"}, exact.NumRows(), exact)
 	waitCompleted(t, a, 2)
 
 	page := a.Page(&DriftStatus{Enabled: true, Drifted: 3, Threshold: 10})
@@ -349,9 +357,8 @@ func TestAuditWorstOffenderOrdering(t *testing.T) {
 func TestAuditDisabledZeroAlloc(t *testing.T) {
 	var a *Auditor
 	stmt := mustParse(t, "SELECT title FROM movies WHERE rating > 7")
-	rows := servedRows(2)
 	allocs := testing.AllocsPerRun(1000, func() {
-		a.Consider(stmt, Served{Source: "approximation", TraceID: obs.TraceID{}}, rows)
+		a.Consider(stmt, Served{Source: "approximation", TraceID: obs.TraceID{}}, 2, nil)
 		a.ObservedError("SELECT title FROM movies WHERE rating > 7")
 	})
 	if allocs != 0 {
@@ -367,10 +374,9 @@ func BenchmarkAuditDisabledOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rows := servedRows(2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Consider(stmt, Served{Source: "approximation"}, rows)
+		a.Consider(stmt, Served{Source: "approximation"}, 2, nil)
 	}
 }

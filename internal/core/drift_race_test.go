@@ -1,15 +1,21 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
+
+	"asqprl/internal/obs"
+	"asqprl/internal/sqlparse"
 )
 
 // TestDriftTakeObserveRace hammers Observe and Take concurrently under -race
 // and proves the snapshot-and-reset is lossless: every drifted statement
 // lands in exactly one Take batch — none is dropped by a reset racing a
 // concurrent Observe (the bug the old read-Drifted-then-ResetDrift sequence
-// allowed), none double-counted.
+// allowed), none double-counted. The only statements that reach no batch are
+// the ones the detector's bound discarded and counted, when the taker fell
+// more than Limit() behind.
 func TestDriftTakeObserveRace(t *testing.T) {
 	d := &DriftDetector{Confidence: 0.5, Count: 3}
 	stmt := mustParseCore(t, "SELECT * FROM title WHERE rating > 7")
@@ -52,8 +58,8 @@ func TestDriftTakeObserveRace(t *testing.T) {
 	}()
 	<-takerDone
 
-	if want := writers * perWriter; taken != want {
-		t.Fatalf("lost or duplicated drifted statements: took %d, observed %d", taken, want)
+	if want := writers * perWriter; taken+d.dropped != want {
+		t.Fatalf("lost or duplicated drifted statements: took %d, bound dropped %d, observed %d", taken, d.dropped, want)
 	}
 	if n := d.DriftedCount(); n != 0 {
 		t.Fatalf("detector should be drained, still holds %d", n)
@@ -78,5 +84,38 @@ func TestDriftTakeBelowThreshold(t *testing.T) {
 	}
 	if n := d.DriftedCount(); n != 0 {
 		t.Fatalf("detector should be empty after drain, holds %d", n)
+	}
+}
+
+// TestDriftBatchBounded: with nothing taking the batch (retraining off) the
+// detector keeps the most recent statements within Limit(), counts
+// what it discards, and still reports the trigger.
+func TestDriftBatchBounded(t *testing.T) {
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	before := obs.Default().Counter("core/drift/dropped").Value()
+	d := &DriftDetector{Confidence: 0.5, Count: 3}
+	keep := d.Limit()
+	stmts := make([]*sqlparse.Select, 5*keep)
+	for i := range stmts {
+		stmts[i] = mustParseCore(t, fmt.Sprintf("SELECT * FROM title WHERE rating > %d", i))
+		if drifted, triggered := d.ObserveDetail(stmts[i], 0); !drifted || triggered != (i+1 >= d.Count) {
+			t.Fatalf("observe %d: drifted %v triggered %v", i, drifted, triggered)
+		}
+		if n := d.DriftedCount(); n > keep {
+			t.Fatalf("after %d observations the batch holds %d, bound %d", i+1, n, keep)
+		}
+	}
+	batch := d.Take(1)
+	if len(batch)+d.dropped != len(stmts) || len(batch) < keep/2 {
+		t.Fatalf("kept %d + dropped %d of %d observed (bound %d)", len(batch), d.dropped, len(stmts), keep)
+	}
+	for i, st := range batch {
+		if want := stmts[len(stmts)-len(batch)+i]; st != want {
+			t.Fatalf("batch[%d] = %s, want the most recent statements in order (%s)", i, st, want)
+		}
+	}
+	if got := obs.Default().Counter("core/drift/dropped").Value() - before; got != int64(d.dropped) {
+		t.Errorf("core/drift/dropped advanced by %d, detector dropped %d", got, d.dropped)
 	}
 }

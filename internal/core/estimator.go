@@ -2,10 +2,10 @@ package core
 
 import (
 	"math"
-	"sort"
 	"sync"
 
 	"asqprl/internal/embed"
+	"asqprl/internal/obs"
 	"asqprl/internal/sqlparse"
 )
 
@@ -48,31 +48,40 @@ func (e *Estimator) Estimate(stmt *sqlparse.Select) (pred, confidence float64) {
 	}
 	// Aggregates are judged by their SPJ skeleton, as in Section 4.4.
 	v := e.emb.Query(stmt)
+	// The k most similar training queries, most similar first, ties to the
+	// earlier training query: one pass with a k-sized insertion buffer.
 	type neighbor struct {
 		sim   float64
 		score float64
 	}
-	ns := make([]neighbor, 0, len(e.vecs))
-	for i, tv := range e.vecs {
-		sim := embed.Cosine(v, tv)
-		if sim < 0 {
-			sim = 0
-		}
-		ns = append(ns, neighbor{sim: sim, score: e.scores[i]})
+	k := max(1, min(e.neighbors, len(e.vecs)))
+	var buf [16]neighbor
+	top := buf[:0]
+	if k > len(buf) {
+		top = make([]neighbor, 0, k)
 	}
-	sort.Slice(ns, func(a, b int) bool { return ns[a].sim > ns[b].sim })
-	k := e.neighbors
-	if k > len(ns) {
-		k = len(ns)
+	for i, tv := range e.vecs {
+		sim := max(embed.Cosine(v, tv), 0)
+		if len(top) == k && sim <= top[k-1].sim {
+			continue
+		}
+		if len(top) < k {
+			top = append(top, neighbor{})
+		}
+		j := len(top) - 1
+		for ; j > 0 && top[j-1].sim < sim; j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = neighbor{sim: sim, score: e.scores[i]}
 	}
 	var wsum, ssum float64
-	for _, n := range ns[:k] {
+	for _, n := range top {
 		// Sharpen similarities so near-duplicates dominate the vote.
 		w := n.sim * n.sim * n.sim
 		wsum += w
 		ssum += w * n.score
 	}
-	confidence = ns[0].sim
+	confidence = top[0].sim
 	if wsum <= 0 {
 		return 0, confidence
 	}
@@ -108,6 +117,11 @@ func (e *Estimator) Threshold() float64 { return e.threshold }
 // and signals when fine-tuning should run (Section 4.4): after Count queries
 // whose deviation confidence exceeds Confidence. It is safe for concurrent
 // use — the serving layer observes queries from many requests at once.
+//
+// The batch is bounded: with nothing taking it (retraining off) every miss of
+// a drifted workload would otherwise stay referenced forever. Once it holds
+// Limit() statements the older half is dropped — a fine-tune weights
+// recent interest highest anyway — and counted in core/drift/dropped.
 type DriftDetector struct {
 	// Confidence is the minimum deviation confidence (1 − similarity to the
 	// nearest training query) for a query to count as drifted.
@@ -117,6 +131,7 @@ type DriftDetector struct {
 
 	mu      sync.Mutex
 	drifted []*sqlparse.Select
+	dropped int // statements the bound has discarded
 }
 
 // Observe records a query along with the estimator confidence produced for
@@ -136,11 +151,25 @@ func (d *DriftDetector) ObserveDetail(stmt *sqlparse.Select, similarityConfidenc
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if deviation >= d.Confidence {
+		if keep := d.Limit(); len(d.drifted) >= keep {
+			n := copy(d.drifted, d.drifted[keep/2:])
+			clear(d.drifted[n:])
+			d.drifted = d.drifted[:n]
+			d.dropped += keep / 2
+			if obs.Enabled() {
+				obs.Default().Counter("core/drift/dropped").Add(int64(keep / 2))
+			}
+		}
 		d.drifted = append(d.drifted, stmt)
 		drifted = true
 	}
 	return drifted, len(d.drifted) >= d.Count
 }
+
+// Limit is the most drifted statements the detector holds at once: many
+// fine-tune batches' worth, never fewer than 1024. WAL recovery re-feeds only
+// that many of the newest drift records.
+func (d *DriftDetector) Limit() int { return max(1024, 64*d.Count) }
 
 // Drifted returns the accumulated deviating queries.
 func (d *DriftDetector) Drifted() []*sqlparse.Select {

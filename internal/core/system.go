@@ -252,6 +252,10 @@ func (s *System) BuildSet(reqSize int) (*table.Subset, error) {
 type QueryResult struct {
 	// Table holds the result rows.
 	Table *table.Table
+	// Frame is the answer of QueryFrameContext, which sets it instead of
+	// Table: the result before any output row is built (see engine.Frame,
+	// also for how long it stays valid).
+	Frame *engine.Frame
 	// FromApproximation is true when the approximation set answered the
 	// query; false when the system fell back to the full database.
 	FromApproximation bool
@@ -368,6 +372,17 @@ func (s *System) QueryStmt(stmt *sqlparse.Select) (*QueryResult, error) {
 // the serve path (including injected ones) are recovered into errors, never
 // crashing the serving process.
 func (s *System) QueryStmtContext(ctx context.Context, stmt *sqlparse.Select, opts QueryOptions) (*QueryResult, error) {
+	return s.answer(ctx, stmt, opts, false)
+}
+
+// QueryFrameContext is QueryStmtContext for a caller that writes the answer
+// somewhere other than a table.Table (the server's JSON encoder): the same
+// ladder, with QueryResult.Frame set instead of Table.
+func (s *System) QueryFrameContext(ctx context.Context, stmt *sqlparse.Select, opts QueryOptions) (*QueryResult, error) {
+	return s.answer(ctx, stmt, opts, true)
+}
+
+func (s *System) answer(ctx context.Context, stmt *sqlparse.Select, opts QueryOptions, frames bool) (*QueryResult, error) {
 	start := time.Now()
 	opts = opts.normalize()
 	// Trace the ladder: the span joins the caller's trace (the serving
@@ -401,7 +416,7 @@ func (s *System) QueryStmtContext(ctx context.Context, stmt *sqlparse.Select, op
 	}
 	useApprox := pred >= s.cfg.EstimatorThreshold
 	if span != nil {
-		span.Annotate("sql", stmt.String())
+		span.Annotate("sql", stmt.String) // rendered if a snapshot reads it
 		span.Annotate("predicted_score", pred)
 		span.Annotate("confidence", conf)
 		span.Annotate("route", map[bool]string{true: "approximation", false: "full"}[useApprox])
@@ -410,10 +425,10 @@ func (s *System) QueryStmtContext(ctx context.Context, stmt *sqlparse.Select, op
 	// Rung 1: approximation set, when the estimator trusts it.
 	var approxErr error
 	if useApprox {
-		res, err := s.runGuarded(ctx, s.setDB, stmt, eopts, "approx")
+		res, err := s.runGuarded(ctx, s.setDB, stmt, eopts, "approx", frames)
 		if err == nil {
 			out.FromApproximation = true
-			out.Table = res.Table
+			out.Table, out.Frame = res.Table, res.Frame
 			s.recordQuery(out, start, nil)
 			return out, nil
 		}
@@ -459,11 +474,11 @@ func (s *System) QueryStmtContext(ctx context.Context, stmt *sqlparse.Select, op
 				}
 			}
 			out.FullAttempted = true
-			res, err := s.runGuarded(ctx, s.db, stmt, eopts, "full")
+			res, err := s.runGuarded(ctx, s.db, stmt, eopts, "full", frames)
 			if err == nil {
 				out.FullFailure = ""
 				out.FromApproximation = false
-				out.Table = res.Table
+				out.Table, out.Frame = res.Table, res.Frame
 				s.recordQuery(out, start, nil)
 				return out, nil
 			}
@@ -480,7 +495,7 @@ func (s *System) QueryStmtContext(ctx context.Context, stmt *sqlparse.Select, op
 			}
 			s.noteGuardTrip(err)
 			span.Event("guard_trip", "rung", "full", "kind", out.FullFailure, "attempt", attempt)
-			if res != nil && res.Table != nil {
+			if res != nil {
 				partial = res // row-budget trip carried partial rows
 			}
 			if errors.Is(err, engine.ErrRowBudget) {
@@ -501,7 +516,7 @@ func (s *System) QueryStmtContext(ctx context.Context, stmt *sqlparse.Select, op
 		out.Degraded = true
 		out.DegradedReason = reason
 		out.FromApproximation = false
-		out.Table = partial.Table
+		out.Table, out.Frame = partial.Table, partial.Frame
 		span.MarkDegraded(reason)
 		span.Event("degraded", "reason", reason, "substitute", "partial_rows")
 		s.recordQuery(out, start, nil)
@@ -511,11 +526,11 @@ func (s *System) QueryStmtContext(ctx context.Context, stmt *sqlparse.Select, op
 	// routed past it, or a second chance after a transient rung-1 fault when
 	// the full database is off-limits anyway.
 	if !useApprox || opts.SkipFull {
-		if res, err := s.runGuarded(ctx, s.setDB, stmt, eopts, "approx"); err == nil {
+		if res, err := s.runGuarded(ctx, s.setDB, stmt, eopts, "approx", frames); err == nil {
 			out.Degraded = true
 			out.DegradedReason = reason
 			out.FromApproximation = true
-			out.Table = res.Table
+			out.Table, out.Frame = res.Table, res.Frame
 			span.MarkDegraded(reason)
 			span.Event("degraded", "reason", reason, "substitute", "approximation")
 			s.recordQuery(out, start, nil)
@@ -548,7 +563,7 @@ func guardKindOrFault(err error) string {
 // rung runs under its own child span ("core/rung/approx" or
 // "core/rung/full"), which the engine's operator spans attach to; panic
 // recoveries land on it as events.
-func (s *System) runGuarded(ctx context.Context, db *table.Database, stmt *sqlparse.Select, eopts engine.Options, rung string) (res *engine.Result, err error) {
+func (s *System) runGuarded(ctx context.Context, db *table.Database, stmt *sqlparse.Select, eopts engine.Options, rung string, frames bool) (res *engine.Result, err error) {
 	ctx, rspan := obs.StartSpan(ctx, "core/rung/"+rung)
 	defer rspan.End()
 	defer func() {
@@ -562,6 +577,9 @@ func (s *System) runGuarded(ctx context.Context, db *table.Database, stmt *sqlpa
 			}
 		}
 	}()
+	if frames {
+		return engine.ExecuteFrameContext(ctx, db, stmt, eopts)
+	}
 	return engine.ExecuteWithContext(ctx, db, stmt, eopts)
 }
 

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -82,9 +81,8 @@ func tickChunks(g *guard, n int) error {
 }
 
 // executeColTail is the columnar pipeline after planning: vectorized
-// scan/join, then aggregate or project (or a count-only shortcut), then
-// finish. Span structure, fault points and guard semantics mirror
-// executeRowTail exactly.
+// scan/join, then aggregate or project, then finish. Span structure, fault
+// points and guard semantics mirror executeRowTail exactly.
 func executeColTail(b *binder, stmt *sqlparse.Select, preds []predClass, opts Options, t *queryTimer, g *guard, span *obs.Span) (*Result, error) {
 	// Count-only SPJ needs no output columns at all, which lets the join
 	// pipeline prune every batch column not consumed by a later join step.
@@ -107,67 +105,45 @@ func executeColTail(b *binder, stmt *sqlparse.Select, preds []predClass, opts Op
 		aggSpan.End()
 		t.phase("aggregate")
 		res := &Result{Table: out}
-		res, err = finish(b, stmt, res, nil, true)
+		res, err = finish(stmt, res, nil)
 		t.phase("finish")
 		return res, err
 	}
 
-	if countOnly {
-		// Count-only SPJ: the projection is infallible and DISTINCT/ORDER
-		// BY/LIMIT are absent, so the answer is the join cardinality — skip
-		// materializing output rows entirely. Guard accounting replicates the
-		// projection loop's per-row tick and output-budget charge.
-		projSpan := span.StartChild("engine/project")
-		finishProj := func(err error) error {
-			markSpanOutcome(projSpan, err)
-			projSpan.End()
-			return err
-		}
-		if faults.Active() {
-			if err := faults.Inject(faults.PointEngineProject); err != nil {
-				return nil, finishProj(err)
-			}
-		}
-		if err := tickChunks(g, jb.n); err != nil {
-			return nil, finishProj(err)
-		}
-		if err := g.out(jb.n); err != nil {
-			return nil, finishProj(err)
-		}
-		projSpan.Annotate("rows_out", jb.n)
-		projSpan.End()
-		t.phase("project")
-		t.phase("finish")
-		return &Result{Count: jb.n}, nil
-	}
-
 	projSpan := span.StartChild("engine/project")
-	out, lineage, err := projectCol(b, stmt, jb, opts, g)
-	if err != nil {
-		markSpanOutcome(projSpan, err)
-		if out != nil {
-			projSpan.Annotate("rows_out", out.NumRows())
-		}
-		projSpan.End()
-		if out != nil {
-			return &Result{Table: out, Lineage: lineage}, err
-		}
-		return nil, err
+	res, err := projectCol(b, stmt, jb, opts, countOnly, g)
+	if res != nil {
+		projSpan.Annotate("rows_in", jb.n)
+		projSpan.Annotate("rows_out", res.rows())
+		projSpan.Annotate("materialized", res.Table != nil)
 	}
-	projSpan.Annotate("rows_out", out.NumRows())
+	markSpanOutcome(projSpan, err)
 	projSpan.End()
+	if err != nil {
+		// A tripped output budget still carries the rows produced so far;
+		// surface them (un-finished) so callers can serve a tagged partial.
+		return res, err
+	}
 	t.phase("project")
-	res := &Result{Table: out, Lineage: lineage}
-	res, err = finishCol(b, stmt, res, jb)
+	if sortsOutput(stmt) {
+		res, err = finish(stmt, res, func(i int) evalEnv { return evalEnv{b: b, batch: jb, idx: i} })
+	}
 	t.phase("finish")
 	return res, err
 }
 
-// countableStmt reports whether a statement's cardinality equals its join
-// cardinality with an infallible projection: plain SPJ (no aggregates,
-// DISTINCT, ORDER BY or LIMIT) projecting only columns and literals.
+// sortsOutput reports whether DISTINCT or ORDER BY stands between the
+// projection and LIMIT; without either, LIMIT is applied by the projection.
+func sortsOutput(stmt *sqlparse.Select) bool {
+	return stmt.Distinct || len(stmt.OrderBy) > 0
+}
+
+// countableStmt reports whether a statement's cardinality follows from its
+// join cardinality alone: plain SPJ (no aggregates, DISTINCT or ORDER BY)
+// projecting only columns and literals, so no output row has to exist to be
+// counted. LIMIT caps the count.
 func countableStmt(stmt *sqlparse.Select) bool {
-	if stmt.HasAggregates() || stmt.Distinct || len(stmt.OrderBy) > 0 || stmt.Limit >= 0 {
+	if stmt.HasAggregates() || sortsOutput(stmt) {
 		return false
 	}
 	if stmt.Star {
@@ -877,123 +853,60 @@ func joinStepColBytes(b *binder, cur *joinedBatch, cand []int32, rel int, pairs 
 	return probeColSerial(cur, rel, emitBound, relNeeded, m, opts, g)
 }
 
-// buildProjectSchema computes the output schema (and the item list for
-// non-star queries), shared by the row and columnar projection paths.
-func buildProjectSchema(b *binder, stmt *sqlparse.Select) (table.Schema, []sqlparse.SelectItem) {
-	var schema table.Schema
-	var items []sqlparse.SelectItem
-	if stmt.Star {
-		for i, t := range b.tables {
-			prefix := b.refs[i].Name()
-			for _, c := range t.Schema {
-				schema = append(schema, table.Column{Name: prefix + "." + c.Name, Kind: c.Kind})
-			}
-		}
-	} else {
-		items = stmt.Items
-		for _, it := range items {
-			name := it.Alias
-			if name == "" {
-				name = it.Expr.String()
-			}
-			schema = append(schema, table.Column{Name: name, Kind: inferKind(b, it.Expr)})
-		}
-	}
-	return schema, items
-}
-
-// projectCol materializes the SELECT list over the joined batch. Column
-// references and literals read directly; anything else evaluates through the
-// batch evalEnv. Budget semantics mirror project (partial rows on output
-// budget trip; parallel fan-out only without an output budget).
-func projectCol(b *binder, stmt *sqlparse.Select, jb *joinedBatch, opts Options, g *guard) (*table.Table, [][]table.RowID, error) {
-	trackLineage := opts.TrackLineage
+// projectCol turns the joined batch into the statement's answer. A projection
+// of column references and literals cannot fail, so the guard is charged for
+// the whole pre-LIMIT batch at once (the ticks and the output-budget charge of
+// a row-by-row loop) and no row need exist to be counted (count-only
+// execution) or answered (a frame caller, Result.Frame): LIMIT, when nothing
+// sorts after it, just shortens the answer. Expression projections evaluate
+// every batch row, as the row engine does, and are cut to LIMIT afterwards.
+// On an output-budget trip the rows before the trip come back with the error.
+func projectCol(b *binder, stmt *sqlparse.Select, jb *joinedBatch, opts Options, countOnly bool, g *guard) (*Result, error) {
 	if faults.Active() {
 		if err := faults.Inject(faults.PointEngineProject); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	schema, items := buildProjectSchema(b, stmt)
-	emit := makeRowEmitter(b, stmt, items, schema, jb)
-
-	if workers := opts.workers(); workers > 1 && jb.n >= parallelMinRows && (g == nil || g.maxOutput <= 0) {
-		return projectColParallel(b, schema, jb, emit, trackLineage, g, workers)
+	var p *projection
+	if !countOnly {
+		p = newProjection(b, stmt, jb)
 	}
-
-	out := table.New("result", schema)
-	var lineage [][]table.RowID
-	if trackLineage {
-		lineage = make([][]table.RowID, 0, jb.n)
-	}
-	for idx := 0; idx < jb.n; idx++ {
-		if err := g.tick(1); err != nil {
-			return nil, nil, err
+	keep := jb.n
+	limited := !sortsOutput(stmt) && stmt.Limit >= 0
+	var trip error
+	if countOnly || p.exprs == nil {
+		if err := tickChunks(g, jb.n); err != nil {
+			return nil, err
 		}
-		if err := g.out(1); err != nil {
-			return out, lineage, err
-		}
-		row, err := emit(idx)
-		if err != nil {
-			return nil, nil, err
-		}
-		out.AppendRow(row)
-		if trackLineage {
-			lineage = append(lineage, batchLineageOf(b, jb, idx))
+		if trip = g.out(jb.n); trip != nil {
+			keep, limited = g.maxOutput, false
+		} else if limited && stmt.Limit < keep && (countOnly || opts.frames) {
+			// A caller that wants a table.Table still gets the pre-LIMIT rows
+			// built and cut afterwards, as before frames existed; DESIGN §13
+			// "Answer path" says why that saving waits for a later change.
+			keep = stmt.Limit
 		}
 	}
-	return out, lineage, nil
-}
-
-// makeRowEmitter compiles the projection into a per-row materializer.
-func makeRowEmitter(b *binder, stmt *sqlparse.Select, items []sqlparse.SelectItem, schema table.Schema, jb *joinedBatch) func(idx int) (table.Row, error) {
-	if stmt.Star {
-		width := len(schema)
-		return func(idx int) (table.Row, error) {
-			row := make(table.Row, 0, width)
-			for rel, t := range b.tables {
-				row = append(row, t.Rows[jb.cols[rel][idx]]...)
-			}
-			return row, nil
-		}
+	switch {
+	case countOnly:
+		return &Result{Count: keep}, trip
+	case opts.frames && p.exprs == nil && (trip != nil || !sortsOutput(stmt)):
+		return &Result{Frame: p.frame(keep)}, trip
 	}
-	type itemEval func(idx int) (table.Value, error)
-	evals := make([]itemEval, len(items))
-	for i, it := range items {
-		switch x := it.Expr.(type) {
-		case *sqlparse.Literal:
-			v := x.Value
-			evals[i] = func(int) (table.Value, error) { return v, nil }
-		case *sqlparse.ColumnRef:
-			bd, err := b.resolve(x)
-			if err == nil && jb.cols[bd.rel] != nil {
-				col := jb.cols[bd.rel]
-				rows := b.tables[bd.rel].Rows
-				ci := bd.col
-				evals[i] = func(idx int) (table.Value, error) { return rows[col[idx]][ci], nil }
-				continue
-			}
-			expr := it.Expr
-			evals[i] = func(idx int) (table.Value, error) {
-				return evalExpr(expr, evalEnv{b: b, batch: jb, idx: idx})
-			}
-		default:
-			expr := it.Expr
-			evals[i] = func(idx int) (table.Value, error) {
-				return evalExpr(expr, evalEnv{b: b, batch: jb, idx: idx})
+	out, lineage, err := p.materialize(keep, opts, g)
+	if out == nil {
+		return nil, err
+	}
+	if err == nil {
+		if limited && stmt.Limit < len(out.Rows) {
+			out.Rows = out.Rows[:stmt.Limit]
+			if lineage != nil {
+				lineage = lineage[:stmt.Limit]
 			}
 		}
+		err = trip
 	}
-	return func(idx int) (table.Row, error) {
-		row := make(table.Row, len(evals))
-		for i, ev := range evals {
-			v, err := ev(idx)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
-		}
-		return row, nil
-	}
+	return &Result{Table: out, Lineage: lineage}, err
 }
 
 // batchLineageOf is lineageOf for a batch tuple.
@@ -1007,168 +920,4 @@ func batchLineageOf(b *binder, jb *joinedBatch, idx int) []table.RowID {
 		ids[rel] = table.RowID{Table: strings.ToLower(b.tables[rel].Name), Row: int(ri)}
 	}
 	return ids
-}
-
-// projectColParallel is the worker-pool projection over a batch (no output
-// budget active), merging per-morsel chunks in morsel order.
-func projectColParallel(b *binder, schema table.Schema, jb *joinedBatch, emit func(int) (table.Row, error), trackLineage bool, g *guard, workers int) (*table.Table, [][]table.RowID, error) {
-	n := jb.n
-	nm := morselCount(n)
-	rowChunks := make([][]table.Row, nm)
-	var lineageChunks [][][]table.RowID
-	if trackLineage {
-		lineageChunks = make([][][]table.RowID, nm)
-	}
-	err := forEachMorsel(workers, n, func(m, lo, hi int) error {
-		if err := g.poll(); err != nil {
-			return err
-		}
-		rows := make([]table.Row, 0, hi-lo)
-		var lineage [][]table.RowID
-		if trackLineage {
-			lineage = make([][]table.RowID, 0, hi-lo)
-		}
-		for idx := lo; idx < hi; idx++ {
-			row, err := emit(idx)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, row)
-			if trackLineage {
-				lineage = append(lineage, batchLineageOf(b, jb, idx))
-			}
-		}
-		rowChunks[m] = rows
-		if trackLineage {
-			lineageChunks[m] = lineage
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	out := table.New("result", schema)
-	out.Rows = make([]table.Row, 0, n)
-	var lineage [][]table.RowID
-	if trackLineage {
-		lineage = make([][]table.RowID, 0, n)
-	}
-	for m := range rowChunks {
-		out.Rows = append(out.Rows, rowChunks[m]...)
-		if trackLineage {
-			lineage = append(lineage, lineageChunks[m]...)
-		}
-	}
-	return out, lineage, nil
-}
-
-// finishCol applies DISTINCT, ORDER BY and LIMIT to a columnar SPJ result,
-// mirroring finish with the joined batch standing in for []joinedRow.
-func finishCol(b *binder, stmt *sqlparse.Select, res *Result, jb *joinedBatch) (*Result, error) {
-	// rowIdx maps output rows to batch rows for ORDER BY expressions that
-	// must evaluate against base columns.
-	rowIdx := make([]int32, res.Table.NumRows())
-	for i := range rowIdx {
-		rowIdx[i] = int32(i)
-	}
-
-	if stmt.Distinct {
-		seen := make(map[string]bool, res.Table.NumRows())
-		keepRows := res.Table.Rows[:0]
-		var keepLineage [][]table.RowID
-		if res.Lineage != nil {
-			keepLineage = res.Lineage[:0]
-		}
-		keepIdx := rowIdx[:0]
-		var kb []byte
-		for i, r := range res.Table.Rows {
-			kb = r.AppendKey(kb[:0])
-			if seen[string(kb)] {
-				continue
-			}
-			seen[string(kb)] = true
-			keepRows = append(keepRows, r)
-			if res.Lineage != nil {
-				keepLineage = append(keepLineage, res.Lineage[i])
-			}
-			keepIdx = append(keepIdx, rowIdx[i])
-		}
-		res.Table.Rows = keepRows
-		res.Lineage = keepLineage
-		rowIdx = keepIdx
-	}
-
-	if len(stmt.OrderBy) > 0 {
-		idx := make([]int, res.Table.NumRows())
-		for i := range idx {
-			idx[i] = i
-		}
-		keys := make([][]table.Value, len(idx))
-		for i := range idx {
-			ks := make([]table.Value, len(stmt.OrderBy))
-			for oi, o := range stmt.OrderBy {
-				v, err := orderKeyCol(b, res, jb, rowIdx, i, o.Expr)
-				if err != nil {
-					return nil, err
-				}
-				ks[oi] = v
-			}
-			keys[i] = ks
-		}
-		sortOrderedIdx(idx, keys, stmt.OrderBy)
-		newRows := make([]table.Row, len(idx))
-		var newLineage [][]table.RowID
-		if res.Lineage != nil {
-			newLineage = make([][]table.RowID, len(idx))
-		}
-		for i, j := range idx {
-			newRows[i] = res.Table.Rows[j]
-			if res.Lineage != nil {
-				newLineage[i] = res.Lineage[j]
-			}
-		}
-		res.Table.Rows = newRows
-		res.Lineage = newLineage
-	}
-
-	if stmt.Limit >= 0 && res.Table.NumRows() > stmt.Limit {
-		res.Table.Rows = res.Table.Rows[:stmt.Limit]
-		if res.Lineage != nil {
-			res.Lineage = res.Lineage[:stmt.Limit]
-		}
-	}
-	return res, nil
-}
-
-// orderKeyCol computes an ORDER BY key for output row i of a columnar SPJ
-// result: output-column match first, else evaluation over the batch tuple.
-func orderKeyCol(b *binder, res *Result, jb *joinedBatch, rowIdx []int32, i int, e sqlparse.Expr) (table.Value, error) {
-	name := e.String()
-	if col := res.Table.ColumnIndex(name); col >= 0 {
-		return res.Table.Rows[i][col], nil
-	}
-	if c, ok := e.(*sqlparse.ColumnRef); ok {
-		if col := res.Table.ColumnIndex(c.Column); col >= 0 {
-			return res.Table.Rows[i][col], nil
-		}
-	}
-	return evalExpr(e, evalEnv{b: b, batch: jb, idx: int(rowIdx[i])})
-}
-
-// sortOrderedIdx stably sorts idx by precomputed ORDER BY keys (same
-// comparison semantics as the row path's finish).
-func sortOrderedIdx(idx []int, keys [][]table.Value, orderBy []sqlparse.OrderItem) {
-	sort.SliceStable(idx, func(a, c int) bool {
-		for oi, o := range orderBy {
-			cmp := keys[idx[a]][oi].Compare(keys[idx[c]][oi])
-			if cmp == 0 {
-				continue
-			}
-			if o.Desc {
-				return cmp > 0
-			}
-			return cmp < 0
-		}
-		return false
-	})
 }

@@ -14,9 +14,9 @@ import (
 
 // Result is the output of executing a statement.
 type Result struct {
-	// Table holds the projected output rows. It is nil only for count-only
-	// execution (see CountContext), where Count carries the answer and no
-	// rows are materialized.
+	// Table holds the projected output rows. It is nil for count-only
+	// execution (see CountContext), where Count carries the answer, and for
+	// ExecuteFrameContext, where Frame does.
 	Table *table.Table
 	// Lineage, when tracked, holds for each output row the base-table rows
 	// that produced it (one RowID per relation in the FROM/JOIN list).
@@ -24,6 +24,20 @@ type Result struct {
 	Lineage [][]table.RowID
 	// Count is the result cardinality for count-only execution (Table nil).
 	Count int
+	// Frame is the answer of ExecuteFrameContext, which sets it instead of
+	// Table (and tracks no lineage).
+	Frame *Frame
+}
+
+// rows is the result's cardinality, whichever form the answer took.
+func (r *Result) rows() int {
+	switch {
+	case r.Table != nil:
+		return r.Table.NumRows()
+	case r.Frame != nil:
+		return r.Frame.N
+	}
+	return r.Count
 }
 
 // Options tunes execution.
@@ -51,9 +65,13 @@ type Options struct {
 	// as an operational escape hatch and for differential testing.
 	UseRowEngine bool
 	// countOnly asks execution to skip output materialization when the
-	// statement allows it (SPJ without DISTINCT/ORDER BY/LIMIT) and return
-	// only the result cardinality in Result.Count. Set by CountContext.
+	// statement allows it (SPJ of columns and literals without DISTINCT or
+	// ORDER BY) and return only the result cardinality in Result.Count. Set by
+	// CountContext.
 	countOnly bool
+	// frames asks for the answer as Result.Frame, leaving output rows unbuilt
+	// wherever the statement allows it. Set by ExecuteFrameContext.
+	frames bool
 }
 
 const defaultMaxIntermediate = 2_000_000
@@ -94,10 +112,24 @@ func CountContext(ctx context.Context, db *table.Database, stmt *sqlparse.Select
 	if err != nil {
 		return 0, err
 	}
-	if res.Table == nil {
-		return res.Count, nil
+	return res.rows(), nil
+}
+
+// ExecuteFrameContext is ExecuteWithContext for a caller that writes the
+// answer somewhere other than a table.Table: the result carries a Frame and no
+// Table, and an SPJ projection of columns and literals builds no output row at
+// all — LIMIT just shortens the frame. Guards, budgets (charged on the
+// pre-LIMIT count; a tripped output budget returns the partial frame with the
+// error), fault points and result order are those of ExecuteWithContext.
+// Lineage tracking is forced off. See Frame for how long the frame is valid.
+func ExecuteFrameContext(ctx context.Context, db *table.Database, stmt *sqlparse.Select, opts Options) (*Result, error) {
+	opts.TrackLineage = false
+	opts.frames = true
+	res, err := ExecuteWithContext(ctx, db, stmt, opts)
+	if res != nil && res.Table != nil {
+		res.Frame, res.Table = frameOver(res.Table), nil
 	}
-	return res.Table.NumRows(), nil
+	return res, err
 }
 
 // joinKeyPair names, for one equi-join conjunct, the key column on the
@@ -152,11 +184,7 @@ func ExecuteWithContext(ctx context.Context, db *table.Database, stmt *sqlparse.
 			span.Annotate("plan", planShape(b, preds, stmt))
 		}
 		if res != nil {
-			if res.Table != nil {
-				span.Annotate("rows_out", res.Table.NumRows())
-			} else {
-				span.Annotate("rows_out", res.Count)
-			}
+			span.Annotate("rows_out", res.rows())
 		}
 		if err != nil {
 			markSpanOutcome(span, err)
@@ -259,7 +287,7 @@ func executeRowTail(b *binder, stmt *sqlparse.Select, preds []predClass, opts Op
 		aggSpan.End()
 		t.phase("aggregate")
 		res := &Result{Table: out}
-		res, err = finish(b, stmt, res, nil, true)
+		res, err = finish(stmt, res, nil)
 		t.phase("finish")
 		return res, err
 	}
@@ -283,7 +311,7 @@ func executeRowTail(b *binder, stmt *sqlparse.Select, preds []predClass, opts Op
 	projSpan.End()
 	t.phase("project")
 	res := &Result{Table: out, Lineage: lineage}
-	res, err = finish(b, stmt, res, joined, false)
+	res, err = finish(stmt, res, func(i int) evalEnv { return evalEnv{b: b, row: joined[i]} })
 	t.phase("finish")
 	return res, err
 }
@@ -636,25 +664,7 @@ func project(b *binder, stmt *sqlparse.Select, joined []joinedRow, opts Options,
 			return nil, nil, err
 		}
 	}
-	var schema table.Schema
-	var items []sqlparse.SelectItem
-	if stmt.Star {
-		for i, t := range b.tables {
-			prefix := b.refs[i].Name()
-			for _, c := range t.Schema {
-				schema = append(schema, table.Column{Name: prefix + "." + c.Name, Kind: c.Kind})
-			}
-		}
-	} else {
-		items = stmt.Items
-		for _, it := range items {
-			name := it.Alias
-			if name == "" {
-				name = it.Expr.String()
-			}
-			schema = append(schema, table.Column{Name: name, Kind: inferKind(b, it.Expr)})
-		}
-	}
+	schema, items := projectSchema(b, stmt)
 
 	// An output-row budget must return exactly the rows produced before the
 	// trip, which is inherently serial; without one, projection fans out.
@@ -762,58 +772,72 @@ func inferKind(b *binder, e sqlparse.Expr) table.Kind {
 	return table.KindString
 }
 
-// finish applies DISTINCT, ORDER BY and LIMIT to a result.
-func finish(b *binder, stmt *sqlparse.Select, res *Result, joined []joinedRow, isAgg bool) (*Result, error) {
+// finish applies DISTINCT, ORDER BY and LIMIT to materialized rows. tuple(i)
+// is the evaluation environment of the base tuple behind row i as it was
+// projected (before DISTINCT), for ORDER BY expressions that are not output
+// columns; it is nil for aggregates, whose ORDER BY must name one.
+func finish(stmt *sqlparse.Select, res *Result, tuple func(i int) evalEnv) (*Result, error) {
+	t := res.Table
 	// DISTINCT. Row keys are built in one reused buffer; the map only copies
-	// the bytes for keys seen the first time.
+	// the bytes for keys seen the first time. src maps a kept row back to its
+	// index as projected.
+	var src []int
 	if stmt.Distinct {
-		seen := make(map[string]bool, res.Table.NumRows())
-		keepRows := res.Table.Rows[:0]
-		var keepLineage [][]table.RowID
+		seen := make(map[string]bool, len(t.Rows))
+		rows := t.Rows[:0]
+		var lineage [][]table.RowID
 		if res.Lineage != nil {
-			keepLineage = res.Lineage[:0]
-		}
-		var keepJoined []joinedRow
-		if joined != nil {
-			keepJoined = joined[:0]
+			lineage = res.Lineage[:0]
 		}
 		var kb []byte
-		for i, r := range res.Table.Rows {
+		for i, r := range t.Rows {
 			kb = r.AppendKey(kb[:0])
 			if seen[string(kb)] {
 				continue
 			}
 			seen[string(kb)] = true
-			keepRows = append(keepRows, r)
+			rows = append(rows, r)
 			if res.Lineage != nil {
-				keepLineage = append(keepLineage, res.Lineage[i])
+				lineage = append(lineage, res.Lineage[i])
 			}
-			if joined != nil {
-				keepJoined = append(keepJoined, joined[i])
-			}
+			src = append(src, i)
 		}
-		res.Table.Rows = keepRows
-		res.Lineage = keepLineage
-		joined = keepJoined
+		t.Rows, res.Lineage = rows, lineage
 	}
 
-	// ORDER BY.
 	if len(stmt.OrderBy) > 0 {
-		idx := make([]int, res.Table.NumRows())
-		for i := range idx {
-			idx[i] = i
+		// A key is an output column — matched by alias or rendered text, then
+		// by bare column name — or else evaluated against the base tuple.
+		outCol := make([]int, len(stmt.OrderBy))
+		for oi, o := range stmt.OrderBy {
+			outCol[oi] = t.ColumnIndex(o.Expr.String())
+			if c, ok := o.Expr.(*sqlparse.ColumnRef); ok && outCol[oi] < 0 {
+				outCol[oi] = t.ColumnIndex(c.Column)
+			}
 		}
+		idx := make([]int, len(t.Rows))
 		keys := make([][]table.Value, len(idx))
-		for i := range idx {
-			ks := make([]table.Value, len(stmt.OrderBy))
+		for i, r := range t.Rows {
+			idx[i] = i
+			keys[i] = make([]table.Value, len(stmt.OrderBy))
 			for oi, o := range stmt.OrderBy {
-				v, err := orderKey(b, stmt, res, joined, i, o.Expr, isAgg)
+				if col := outCol[oi]; col >= 0 {
+					keys[i][oi] = r[col]
+					continue
+				}
+				if tuple == nil {
+					return nil, fmt.Errorf("engine: ORDER BY %s does not match an output column", o.Expr)
+				}
+				at := i
+				if src != nil {
+					at = src[i]
+				}
+				v, err := evalExpr(o.Expr, tuple(at))
 				if err != nil {
 					return nil, err
 				}
-				ks[oi] = v
+				keys[i][oi] = v
 			}
-			keys[i] = ks
 		}
 		sort.SliceStable(idx, func(a, c int) bool {
 			for oi, o := range stmt.OrderBy {
@@ -828,48 +852,25 @@ func finish(b *binder, stmt *sqlparse.Select, res *Result, joined []joinedRow, i
 			}
 			return false
 		})
-		newRows := make([]table.Row, len(idx))
-		var newLineage [][]table.RowID
+		rows := make([]table.Row, len(idx))
+		var lineage [][]table.RowID
 		if res.Lineage != nil {
-			newLineage = make([][]table.RowID, len(idx))
+			lineage = make([][]table.RowID, len(idx))
 		}
 		for i, j := range idx {
-			newRows[i] = res.Table.Rows[j]
+			rows[i] = t.Rows[j]
 			if res.Lineage != nil {
-				newLineage[i] = res.Lineage[j]
+				lineage[i] = res.Lineage[j]
 			}
 		}
-		res.Table.Rows = newRows
-		res.Lineage = newLineage
+		t.Rows, res.Lineage = rows, lineage
 	}
 
-	// LIMIT.
-	if stmt.Limit >= 0 && res.Table.NumRows() > stmt.Limit {
-		res.Table.Rows = res.Table.Rows[:stmt.Limit]
+	if stmt.Limit >= 0 && len(t.Rows) > stmt.Limit {
+		t.Rows = t.Rows[:stmt.Limit]
 		if res.Lineage != nil {
 			res.Lineage = res.Lineage[:stmt.Limit]
 		}
 	}
 	return res, nil
-}
-
-// orderKey computes an ORDER BY key for output row i. For SPJ queries the
-// expression is evaluated against the joined base row; for aggregates it must
-// match an output column by alias or rendered text.
-func orderKey(b *binder, stmt *sqlparse.Select, res *Result, joined []joinedRow, i int, e sqlparse.Expr, isAgg bool) (table.Value, error) {
-	// Output-column match (alias or rendered expression) works for both
-	// aggregate and plain queries.
-	name := e.String()
-	if col := res.Table.ColumnIndex(name); col >= 0 {
-		return res.Table.Rows[i][col], nil
-	}
-	if c, ok := e.(*sqlparse.ColumnRef); ok {
-		if col := res.Table.ColumnIndex(c.Column); col >= 0 {
-			return res.Table.Rows[i][col], nil
-		}
-	}
-	if isAgg || joined == nil {
-		return table.Null, fmt.Errorf("engine: ORDER BY %s does not match an output column", name)
-	}
-	return evalExpr(e, evalEnv{b: b, row: joined[i]})
 }

@@ -108,18 +108,25 @@ func Explain(db *table.Database, stmt *sqlparse.Select) (string, error) {
 	} else {
 		out.WriteString("  project\n")
 	}
-	if stmt.Distinct {
-		out.WriteString("  distinct\n")
-	}
-	if len(stmt.OrderBy) > 0 {
-		keys := make([]string, len(stmt.OrderBy))
-		for i, o := range stmt.OrderBy {
-			keys[i] = o.String()
+	// LIMIT is the projection's when nothing sorts or groups before it (the
+	// rows past it are never built); otherwise it ends the finishing step.
+	if stmt.Limit >= 0 && !stmt.HasAggregates() && !sortsOutput(stmt) {
+		fmt.Fprintf(&out, "    limit %d\n", stmt.Limit)
+	} else if stmt.Limit >= 0 || sortsOutput(stmt) {
+		out.WriteString("  finish\n")
+		if stmt.Distinct {
+			out.WriteString("    distinct\n")
 		}
-		fmt.Fprintf(&out, "  sort by %s\n", strings.Join(keys, ", "))
-	}
-	if stmt.Limit >= 0 {
-		fmt.Fprintf(&out, "  limit %d\n", stmt.Limit)
+		if len(stmt.OrderBy) > 0 {
+			keys := make([]string, len(stmt.OrderBy))
+			for i, o := range stmt.OrderBy {
+				keys[i] = o.String()
+			}
+			fmt.Fprintf(&out, "    sort by %s\n", strings.Join(keys, ", "))
+		}
+		if stmt.Limit >= 0 {
+			fmt.Fprintf(&out, "    limit %d\n", stmt.Limit)
+		}
 	}
 	return out.String(), nil
 }

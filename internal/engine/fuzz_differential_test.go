@@ -297,6 +297,42 @@ func fuzzJoinSQL(rng *rand.Rand, shape int) string {
 	return q + " WHERE " + fuzzPred(rng, "a.", 1)
 }
 
+// fuzzLimitShapes are the statements a seed at or below fuzzLimitSeed forces
+// (see FuzzRowVsColumnar), each run with LIMIT 0, 1, a few and more than any
+// result: what the columnar tail distinguishes on the way from the joined batch
+// to the answer. One to three relations; a projection of column references,
+// literals and * stays a frame of row-id vectors that LIMIT merely shortens,
+// DISTINCT / ORDER BY / an expression in the select list materialize rows
+// first, and the aggregate never had a batch-shaped answer.
+var fuzzLimitShapes = []string{
+	"SELECT * FROM fa",
+	"SELECT id, 7, cat, 'lit', NULL, val FROM fa WHERE num > 2",
+	"SELECT num + 1, id FROM fa WHERE flag",
+	"SELECT 10 / num, id FROM fa", // evaluation error at a data-dependent row
+	"SELECT DISTINCT cat, flag FROM fa",
+	"SELECT id, val FROM fa ORDER BY val DESC, id",
+	"SELECT DISTINCT num FROM fa ORDER BY num",
+	"SELECT * FROM fa a JOIN fb b ON a.id = b.fa_id",
+	"SELECT b.w, 1.5, a.cat FROM fa a JOIN fb b ON a.id = b.fa_id WHERE b.w < 6",
+	"SELECT DISTINCT a.cat, b.w FROM fa a JOIN fb b ON a.id = b.fa_id",
+	"SELECT a.id, b.w FROM fa a JOIN fb b ON a.id = b.fa_id ORDER BY b.w, a.id",
+	"SELECT a.id, true, c.w FROM fa a JOIN fb b ON a.id = b.fa_id JOIN fb c ON b.sp = c.sp",
+	"SELECT * FROM fa a JOIN fb b ON a.id = b.fa_id JOIN fb c ON b.sp = c.sp WHERE c.w > 2",
+	"SELECT cat, COUNT(*) FROM fa GROUP BY cat",
+}
+
+var fuzzLimits = []int{0, 1, 7, 1 << 30}
+
+// fuzzLimitSeed - k pins a run to fuzzLimitShapes[k % len] with
+// fuzzLimits[k / len % 4], on a parallel-scale database when k / len / 4 is odd.
+const fuzzLimitSeed = -1 << 32
+
+// fuzzLimitModes is the guard situation of each of a limit seed's statements:
+// none, pre-canceled, output budget below the pre-LIMIT count, injected fault,
+// output budget above it, tiny intermediate budget (cases of the switch in
+// FuzzRowVsColumnar).
+var fuzzLimitModes = [6]int{4, 0, 1, 3, 8, 2}
+
 // fuzzRun executes stmt under one engine configuration. faultPoint, when
 // non-empty, arms a fresh deterministic error injection (identical across the
 // compared runs — the schedules carry per-run hit counters, so each run gets
@@ -309,6 +345,20 @@ func fuzzRun(ctx context.Context, db *table.Database, stmt *sqlparse.Select, opt
 			After: faultAfter,
 		}))
 		defer faults.Disable()
+	}
+	switch {
+	case opts.countOnly:
+		n, err := CountContext(ctx, db, stmt, opts)
+		return &Result{Count: n}, err
+	case opts.frames:
+		res, err := ExecuteFrameContext(ctx, db, stmt, opts)
+		if res != nil {
+			if res.Table != nil || res.Frame == nil || res.Lineage != nil {
+				return nil, fmt.Errorf("ExecuteFrameContext answered %+v, want a frame alone", res)
+			}
+			res.Table = res.Frame.Table()
+		}
+		return res, err
 	}
 	return ExecuteWithContext(ctx, db, stmt, opts)
 }
@@ -331,7 +381,11 @@ func fuzzCompare(t *testing.T, sql, label string, resA *Result, errA error, resB
 		t.Fatalf("%s: partial-result presence mismatch for %q (reference nil=%v, got nil=%v, err=%v)",
 			label, sql, resA == nil, resB == nil, errA)
 	}
-	if resA != nil {
+	if resA != nil && resA.Table == nil {
+		if resA.Count != resB.Count {
+			t.Fatalf("%s: count diverges for %q: reference %d, got %d", label, sql, resA.Count, resB.Count)
+		}
+	} else if resA != nil {
 		if fa, fb := resultFingerprint(resA), resultFingerprint(resB); fa != fb {
 			t.Fatalf("%s: result diverges for %q\nreference:\n%.600s\n%s:\n%.600s", label, sql, fa, label, fb)
 		}
@@ -339,12 +393,15 @@ func fuzzCompare(t *testing.T, sql, label string, resA *Result, errA error, resB
 }
 
 // FuzzRowVsColumnar is the differential harness: seed → random database +
-// statements → row engine vs columnar engine at parallelism 1 and 8, plus
-// CountContext, under normal execution, pre-canceled contexts, output and
+// statements → row engine vs columnar engine at parallelism 1 and 8, as a
+// table (ExecuteWithContext), as a frame (ExecuteFrameContext) and as a count
+// (CountContext), under normal execution, pre-canceled contexts, output and
 // intermediate row budgets, and injected operator faults. A seed >= 0 draws
 // its statements from fuzzSQL; seed -1-k pins all of them to
 // fuzzJoinShapes[k % len], on a parallel-scale database when k / len is odd,
-// so the corpus reaches every shape at both sizes by construction.
+// and seed fuzzLimitSeed-k to a fuzzLimitShapes statement and LIMIT under each
+// of fuzzLimitModes, so the corpus reaches every shape at both sizes by
+// construction.
 func FuzzRowVsColumnar(f *testing.F) {
 	for s := int64(0); s < 24; s++ {
 		f.Add(s)
@@ -352,20 +409,31 @@ func FuzzRowVsColumnar(f *testing.F) {
 	for k := 0; k < 2*len(fuzzJoinShapes); k++ {
 		f.Add(int64(-1 - k))
 	}
+	for k := 0; k < 2*len(fuzzLimits)*len(fuzzLimitShapes); k++ {
+		f.Add(int64(fuzzLimitSeed - k))
+	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		shape, forceBig := -1, false
-		if seed < 0 {
+		shape, limitSQL, forceBig := -1, "", false
+		if seed <= fuzzLimitSeed {
+			k := uint64(fuzzLimitSeed - seed)
+			nShapes, nLimits := uint64(len(fuzzLimitShapes)), uint64(len(fuzzLimits))
+			limitSQL = fmt.Sprintf("%s LIMIT %d", fuzzLimitShapes[k%nShapes], fuzzLimits[k/nShapes%nLimits])
+			forceBig = k/nShapes/nLimits%2 == 1
+		} else if seed < 0 {
 			k := uint64(-(seed + 1))
 			shape = int(k % uint64(len(fuzzJoinShapes)))
 			forceBig = k/uint64(len(fuzzJoinShapes))%2 == 1
 		}
 		db := fuzzDB(rng, forceBig)
 		for si := 0; si < 6; si++ {
-			var sql string
-			if shape >= 0 {
+			sql, mode := limitSQL, rng.Intn(8)
+			switch {
+			case limitSQL != "":
+				mode = fuzzLimitModes[si]
+			case shape >= 0:
 				sql = fuzzJoinSQL(rng, shape)
-			} else {
+			default:
 				sql = fuzzSQL(rng)
 			}
 			stmt, err := sqlparse.Parse(sql)
@@ -380,7 +448,7 @@ func FuzzRowVsColumnar(f *testing.F) {
 			// coverage.
 			base := Options{TrackLineage: true, MaxIntermediateRows: 100_000}
 			faultPoint, faultAfter := "", 0
-			switch rng.Intn(8) {
+			switch mode {
 			case 0: // cooperative cancellation: already-canceled context
 				c, cancel := context.WithCancel(context.Background())
 				cancel()
@@ -393,6 +461,8 @@ func FuzzRowVsColumnar(f *testing.F) {
 				points := []string{faults.PointEngineScan, faults.PointEngineJoin, faults.PointEngineProject}
 				faultPoint = points[rng.Intn(len(points))]
 				faultAfter = rng.Intn(2)
+			case 8: // output row budget no result reaches
+				base.MaxOutputRows = 1 << 30
 			}
 
 			rowOpts := base
@@ -410,15 +480,26 @@ func FuzzRowVsColumnar(f *testing.F) {
 			res8, err8 := fuzzRun(ctx, db, stmt, colPar, faultPoint, faultAfter)
 			fuzzCompare(t, sql, "columnar-parallel-8", refRes, refErr, res8, err8)
 
-			// Count fast path: CountContext must agree with the row engine
-			// whether or not the columnar count-only specialization applies.
-			if faultPoint == "" && ctx.Err() == nil && base.MaxOutputRows == 0 && base.MaxIntermediateRows == 100_000 {
-				rc, rcErr := CountContext(ctx, db, stmt, Options{UseRowEngine: true, MaxIntermediateRows: 100_000})
-				cc, ccErr := CountContext(ctx, db, stmt, Options{MaxIntermediateRows: 100_000})
-				if (rcErr == nil) != (ccErr == nil) || rc != cc {
-					t.Fatalf("CountContext diverges for %q: row %d (%v) vs columnar %d (%v)", sql, rc, rcErr, cc, ccErr)
-				}
+			// A frame is the same answer without lineage, whether its rows
+			// were ever built or not.
+			frameRef := refRes
+			if refRes != nil {
+				frameRef = &Result{Table: refRes.Table}
 			}
+			for _, par := range []int{-1, 8} {
+				frames := base
+				frames.frames, frames.Parallelism = true, par
+				resF, errF := fuzzRun(ctx, db, stmt, frames, faultPoint, faultAfter)
+				fuzzCompare(t, sql, fmt.Sprintf("columnar-frame-%d", par), frameRef, refErr, resF, errF)
+			}
+
+			// CountContext must agree with the row engine whether or not the
+			// columnar count-only specialization applies, guards included.
+			rowCount, colCount := rowOpts, colPar
+			rowCount.countOnly, colCount.countOnly = true, true
+			rc, rcErr := fuzzRun(ctx, db, stmt, rowCount, faultPoint, faultAfter)
+			cc, ccErr := fuzzRun(ctx, db, stmt, colCount, faultPoint, faultAfter)
+			fuzzCompare(t, sql, "columnar-count", rc, rcErr, cc, ccErr)
 		}
 	})
 }

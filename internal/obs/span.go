@@ -177,7 +177,10 @@ func (s *Span) End() {
 	}
 }
 
-// Annotate attaches a key/value attribute to the span (last write wins).
+// Annotate attaches a key/value attribute to the span (last write wins). A
+// func() string value is an attribute too dear to render for a span nobody
+// reads: Snapshot calls it and reports the string, so it must stay callable,
+// and keep returning the same thing, after the span has ended.
 func (s *Span) Annotate(key string, value any) {
 	if s == nil {
 		return
@@ -313,6 +316,11 @@ func (s *Span) Snapshot() SpanSnapshot {
 	}
 	children := append([]*Span(nil), s.children...)
 	s.mu.Unlock()
+	for k, v := range snap.Attrs {
+		if render, ok := v.(func() string); ok {
+			snap.Attrs[k] = render() // the annotator's code: not under the span's lock
+		}
+	}
 	for _, c := range children {
 		snap.Children = append(snap.Children, c.Snapshot())
 	}

@@ -305,7 +305,7 @@ func TestChaosAuditOverloadAndDrain(t *testing.T) {
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("drain with audit backlog: %v", err)
 	}
-	if srv.aud.Consider(mustParse(t, approxRouteSQL), audit.Served{Source: "approximation"}, nil) {
+	if srv.aud.Consider(mustParse(t, approxRouteSQL), audit.Served{Source: "approximation"}, 0, nil) {
 		t.Error("closed auditor accepted new work")
 	}
 	as = srv.aud.Stats()

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"sort"
 	"sync"
@@ -9,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"asqprl/internal/engine"
 	"asqprl/internal/faults"
+	"asqprl/internal/table"
 )
 
 // BenchmarkServeLoad measures the serving layer under closed-loop load at
@@ -219,4 +222,62 @@ func BenchmarkHotSwapUnderLoad(b *testing.B) {
 		b.ReportMetric(p99Post-p99Pre, "p99_delta_ms")
 	}
 	b.ReportMetric(float64(dropped), "dropped")
+}
+
+// BenchmarkEncodeAnswer measures the /query response encoder on the two
+// answers that matter — one LIMIT-50 page and a 10 000 × 12 wide join — as the
+// engine hands them over (base rows behind row-id vectors): "append" is
+// appendAnswer into a reused buffer, "reflect" the path it replaced
+// (materialize the rows, box them into [][]any, json.Marshal), kept as the
+// encoder tests' oracle.
+func BenchmarkEncodeAnswer(b *testing.B) {
+	for _, size := range []struct {
+		name       string
+		rows, cols int
+	}{{"page50x7", 50, 7}, {"wide10000x12", 10_000, 12}} {
+		base := make([]table.Row, 4096)
+		for i := range base {
+			base[i] = make(table.Row, size.cols)
+			for j := range base[i] {
+				switch j % 4 {
+				case 0:
+					base[i][j] = table.NewInt(int64(i * j))
+				case 1:
+					base[i][j] = table.NewString(fmt.Sprintf("title %d of a certain length", i))
+				case 2:
+					base[i][j] = table.NewFloat(float64(i) / 7)
+				default:
+					base[i][j] = table.Null
+				}
+			}
+		}
+		f := &engine.Frame{N: size.rows}
+		sel := make([]int32, size.rows)
+		for i := range sel {
+			sel[i] = int32(i * 31 % len(base))
+		}
+		for j := 0; j < size.cols; j++ {
+			f.Schema = append(f.Schema, table.Column{Name: fmt.Sprintf("t.col%d", j)})
+			f.Cols = append(f.Cols, engine.FrameCol{Rows: base, Sel: sel, Col: j})
+		}
+		resp := QueryResponse{Source: "full", PredictedScore: 0.25, Confidence: 0.5, ElapsedMs: 1.25, Generation: 1}
+		b.Run(size.name+"/append", func(b *testing.B) {
+			b.ReportAllocs()
+			var buf []byte
+			for i := 0; i < b.N; i++ {
+				buf, _ = appendAnswer(buf[:0], &resp, f)
+			}
+			b.SetBytes(int64(len(buf)))
+		})
+		b.Run(size.name+"/reflect", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				body, err := oracleAnswer(resp, f)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(int64(len(body)))
+			}
+		})
+	}
 }

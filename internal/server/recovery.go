@@ -99,6 +99,11 @@ func (s *Server) Recover(sys *core.System, rec wal.Recovery) RecoveryInfo {
 	}
 
 	if d := sys.Drift(); d != nil {
+		// The detector is bounded; older evidence than it would still hold
+		// is not worth parsing.
+		if over := len(pendingDrift) - d.Limit(); over > 0 {
+			pendingDrift = pendingDrift[over:]
+		}
 		for _, r := range pendingDrift {
 			stmt, err := sqlparse.Parse(r.SQL)
 			if err != nil {

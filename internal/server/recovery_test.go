@@ -1,6 +1,8 @@
 package server
 
 import (
+	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -171,6 +173,31 @@ func TestServerWALRecoveryConsumedBatch(t *testing.T) {
 	}
 	if got := sys.Drift().DriftedCount(); got != 1 {
 		t.Errorf("drift detector holds %d observations, want 1", got)
+	}
+}
+
+// TestRecoveryDriftBounded: a tail holding more drift evidence than the
+// detector keeps (a long life with retraining off) restores the newest
+// Limit() observations, not all of them.
+func TestRecoveryDriftBounded(t *testing.T) {
+	sys, err := trainedSystem(t).Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := sys.Drift().Limit()
+	var rec wal.Recovery
+	for i := 0; i < limit+300; i++ {
+		rec.Tail = append(rec.Tail, wal.Record{Type: wal.TypeDrift, Confidence: 0,
+			SQL: fmt.Sprintf("SELECT * FROM name WHERE birth_year > %d", i)})
+	}
+	srv := New(sys, Config{})
+	defer srv.Shutdown(context.Background())
+	info := srv.Recover(sys, rec)
+	if info.DriftRestored != limit || sys.Drift().DriftedCount() != limit {
+		t.Fatalf("restored %d, detector holds %d; want both %d", info.DriftRestored, sys.Drift().DriftedCount(), limit)
+	}
+	if got, want := sys.Drift().Drifted()[0].String(), "SELECT * FROM name WHERE birth_year > 300"; got != want {
+		t.Errorf("oldest restored observation %q, want %q", got, want)
 	}
 }
 

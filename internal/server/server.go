@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"runtime"
@@ -444,7 +443,9 @@ type QueryRequest struct {
 
 // QueryResponse is the JSON answer for /query. Exactly one of Rows/Error is
 // populated; Degraded results are explicitly tagged, never passed off as
-// exact.
+// exact. Clients decode into it; the server encodes errors from it with
+// encoding/json and answers with appendAnswer, which writes Columns, Rows and
+// RowCount from the engine's frame instead of from these fields.
 type QueryResponse struct {
 	Columns        []string `json:"columns,omitempty"`
 	Rows           [][]any  `json:"rows,omitempty"`
@@ -567,7 +568,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		SkipFull:  skipFull,
 		SkipDrift: !s.cfg.DriftObserve,
 	}
-	res, qerr := sys.QueryStmtContext(ctx, stmt, opts)
+	res, qerr := sys.QueryFrameContext(ctx, stmt, opts)
 	s.brk.record(probe, res != nil && res.FullAttempted, fullRungFailed(res))
 
 	if qerr != nil {
@@ -575,9 +576,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := &QueryResponse{
-		Columns:        res.Table.Schema.Names(),
-		Rows:           jsonRows(res.Table),
-		RowCount:       res.Table.NumRows(),
 		Source:         "full",
 		Degraded:       res.Degraded,
 		DegradedReason: res.DegradedReason,
@@ -625,13 +623,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			resp.ObservedError = &oe
 			span.Annotate("observed_error_p95", oe)
 		}
+		var agg *table.Table
+		if stmt.HasAggregates() {
+			agg = res.Frame.Table() // an aggregate's frame is over its own rows: no copy
+		}
 		if s.aud.Consider(stmt, audit.Served{
 			SQL:      canonical,
 			TraceID:  span.TraceID(),
 			Source:   resp.Source,
 			Degraded: resp.Degraded,
 			Reason:   resp.DegradedReason,
-		}, res.Table) {
+		}, res.Frame.N, agg) {
 			span.Event("audit_sampled")
 		}
 	}
@@ -649,7 +651,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			reg.Histogram(metricRungFull).ObserveDuration(elapsed)
 		}
 	}
-	s.writeJSON(w, http.StatusOK, start, resp)
+	// The body is complete before the status is written, and the frame (which
+	// borrows the answering generation's rows) is not used past this point.
+	resp.ElapsedMs = elapsedMs(start)
+	buf := answerBufs.Get().(*[]byte)
+	body, err := appendAnswer((*buf)[:0], resp, res.Frame)
+	writeBody(w, http.StatusOK, body, err)
+	if cap(body) <= maxPooledAnswer {
+		*buf = body
+		answerBufs.Put(buf)
+	}
 }
 
 // fullRungFailed reports whether the query's full-database rung tripped a
@@ -884,48 +895,28 @@ func (s *Server) writeErr(w http.ResponseWriter, span *obs.Span, status int, sta
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, start time.Time, v any) {
 	if resp, ok := v.(*QueryResponse); ok {
-		resp.ElapsedMs = float64(time.Since(start).Microseconds()) / 1000
+		resp.ElapsedMs = elapsedMs(start)
 	}
-	// Encode before committing the status: a value JSON cannot carry must
-	// become a 500, not the intended status over an empty body.
 	body, err := json.Marshal(v)
-	if err != nil {
-		obs.Logger().Error("response encode failed", "err", err)
+	writeBody(w, status, body, err)
+}
+
+func elapsedMs(start time.Time) float64 {
+	return float64(time.Since(start).Microseconds()) / 1000
+}
+
+// writeBody commits status and an encoded body. The body is encoded before
+// the status is committed: a value JSON cannot carry (encErr) must become a
+// 500, not the intended status over an empty body.
+func writeBody(w http.ResponseWriter, status int, body []byte, encErr error) {
+	if encErr != nil {
+		obs.Logger().Error("response encode failed", "err", encErr)
 		status = http.StatusInternalServerError
-		body, _ = json.Marshal(&QueryResponse{Error: "response encode failed: " + err.Error()}) // strings only: cannot fail
+		body, _ = json.Marshal(&QueryResponse{Error: "response encode failed: " + encErr.Error()}) // strings only: cannot fail
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	// A failed write means the client is gone; nobody is left to tell.
 	_, _ = w.Write(body)
 	_, _ = io.WriteString(w, "\n")
-}
-
-// jsonRows converts result rows to JSON-native values (null, number, string,
-// bool) so clients do not need the repo's Value encoding. It is total over
-// table.Value: NaN and ±Inf, which the engine supports and JSON does not,
-// become null.
-func jsonRows(t *table.Table) [][]any {
-	rows := make([][]any, len(t.Rows))
-	for i, r := range t.Rows {
-		out := make([]any, len(r))
-		for j, v := range r {
-			switch v.Kind {
-			case table.KindInt:
-				out[j] = v.Int
-			case table.KindFloat:
-				if !math.IsNaN(v.Float) && !math.IsInf(v.Float, 0) {
-					out[j] = v.Float
-				}
-			case table.KindString:
-				out[j] = v.Str
-			case table.KindBool:
-				out[j] = v.Bool
-			default:
-				out[j] = nil
-			}
-		}
-		rows[i] = out
-	}
-	return rows
 }

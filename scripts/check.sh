@@ -84,6 +84,13 @@ echo "==> go test -bench=ServeLoad ./internal/server/  (-> ${bench_out})"
 go test -bench=ServeLoad -benchtime=200x -run='^$' ./internal/server/ |
 	BENCHJSON_OUT="${bench_out}" go run ./scripts/benchjson
 
+# Answer-encoder bench: the /query append encoder on a 50-row page and a
+# 10 000 x 12 wide join, next to the reflection encoder it replaced (ns/op,
+# B/op and allocs/op: the append path must stay at 0 allocs per answer).
+echo "==> go test -bench=EncodeAnswer ./internal/server/  (-> ${bench_out})"
+go test -bench=EncodeAnswer -benchtime=20x -benchmem -run='^$' ./internal/server/ |
+	BENCHJSON_OUT="${bench_out}" go run ./scripts/benchjson
+
 # Hot-swap bench: closed-loop load at exactly admission capacity with one
 # SetSystem swap mid-run; records p99 before/after the swap and the delta,
 # and fails outright if any request is dropped across the swap.
