@@ -213,3 +213,32 @@ func BenchmarkJoinIndexed(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSidewaysJoin is the layer bench of the scan phase's access paths on
+// the shapes an exploratory miss takes (bench/ explore_miss), warm: a two-way
+// join whose small side keeps one production year, so the big side is read
+// through some hundred keys; a three-way chain where title's id window reaches
+// both big relations; and a wide join whose partner keeps a third of its rows,
+// where the scan counts the keys, declines and reads every row as before.
+func BenchmarkSidewaysJoin(b *testing.B) {
+	db := datagen.IMDB(1, 1)
+	for _, q := range []struct{ name, sql string }{
+		{"twoway", "SELECT * FROM cast_info JOIN title ON cast_info.title_id = title.id WHERE title.production_year = 1987 AND cast_info.position = 5"},
+		{"chain", "SELECT * FROM movie_info JOIN title ON movie_info.title_id = title.id JOIN cast_info ON cast_info.title_id = title.id WHERE title.id BETWEEN 9000 AND 9100 AND cast_info.position <= 10"},
+		{"wide-declines", "SELECT * FROM cast_info JOIN title ON cast_info.title_id = title.id WHERE title.production_year >= 2005 AND cast_info.position <= 10"},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			stmt := sqlparse.MustParse(q.sql)
+			if _, err := ExecuteWith(db, stmt, Options{}); err != nil { // columnar views, join indexes
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ExecuteWith(db, stmt, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

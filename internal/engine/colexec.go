@@ -91,7 +91,7 @@ func executeColTail(b *binder, stmt *sqlparse.Select, preds []predClass, opts Op
 	if err != nil {
 		return nil, err
 	}
-	t.phase("join")
+	t.phase(phaseJoin)
 
 	if stmt.HasAggregates() {
 		aggSpan := span.StartChild("engine/aggregate")
@@ -103,10 +103,10 @@ func executeColTail(b *binder, stmt *sqlparse.Select, preds []predClass, opts Op
 		}
 		aggSpan.Annotate("rows_out", out.NumRows())
 		aggSpan.End()
-		t.phase("aggregate")
+		t.phase(phaseAggregate)
 		res := &Result{Table: out}
 		res, err = finish(stmt, res, nil)
-		t.phase("finish")
+		t.phase(phaseFinish)
 		return res, err
 	}
 
@@ -124,11 +124,11 @@ func executeColTail(b *binder, stmt *sqlparse.Select, preds []predClass, opts Op
 		// surface them (un-finished) so callers can serve a tagged partial.
 		return res, err
 	}
-	t.phase("project")
+	t.phase(phaseProject)
 	if sortsOutput(stmt) {
 		res, err = finish(stmt, res, func(i int) evalEnv { return evalEnv{b: b, batch: jb, idx: i} })
 	}
-	t.phase("finish")
+	t.phase(phaseFinish)
 	return res, err
 }
 
@@ -161,10 +161,11 @@ func countableStmt(stmt *sqlparse.Select) bool {
 
 // neededAfterStep reports which relations' batch columns must survive the
 // join step that binds relation `step`: those referenced by a predicate that
-// is applied at a later step (equi-join or residual whose maximum relation
-// exceeds step), plus everything when the final consumer reads columns
-// (finalNeeds). Count-only execution passes finalNeeds=false, so the last
-// join step materializes no columns at all and reduces to counting matches.
+// is applied after it (an equi-join whose maximum relation exceeds step, a
+// residual whose maximum relation is step or later), plus everything when the
+// final consumer reads columns (finalNeeds). Count-only execution passes
+// finalNeeds=false, so a last join step that no residual follows materializes
+// no columns at all and reduces to counting matches.
 func neededAfterStep(preds []predClass, nRel, step int, finalNeeds bool) []bool {
 	needed := make([]bool, nRel)
 	if finalNeeds {
@@ -177,7 +178,7 @@ func neededAfterStep(preds []predClass, nRel, step int, finalNeeds bool) []bool 
 		if len(p.rels) == 0 {
 			continue
 		}
-		if p.rels[len(p.rels)-1] > step {
+		if last := p.rels[len(p.rels)-1]; last > step || last == step && !p.isEquiJoin && len(p.rels) > 1 {
 			for _, r := range p.rels {
 				needed[r] = true
 			}
@@ -194,8 +195,8 @@ func runJoinsCol(b *binder, preds []predClass, opts Options, g *guard, span *obs
 	n := len(b.tables)
 
 	scanSpan := span.StartChild("engine/scan")
-	var skipped int64
-	candidates, err := scanRelationsCol(b, preds, opts, g, &skipped)
+	var st scanStats
+	candidates, err := scanRelationsCol(b, preds, opts, g, scanSpan, &st)
 	if err != nil {
 		markSpanOutcome(scanSpan, err)
 		scanSpan.End()
@@ -205,13 +206,16 @@ func runJoinsCol(b *binder, preds []predClass, opts Options, g *guard, span *obs
 		for rel := 0; rel < n; rel++ {
 			scanSpan.Annotate("rows/"+b.refs[rel].Name(), len(candidates[rel]))
 		}
-		if skipped > 0 {
-			scanSpan.Annotate("morsels_skipped", skipped)
+		if st.skipped > 0 {
+			scanSpan.Annotate("morsels_skipped", st.skipped)
 		}
 	}
 	scanSpan.End()
-	if skipped > 0 && obs.Enabled() {
-		obs.Default().Counter("engine/morsels_skipped").Add(skipped)
+	if obs.Enabled() {
+		reg := obs.Default()
+		reg.Counter("engine/morsels_skipped").Add(st.skipped)
+		reg.Counter(metricScanSideways).Add(st.sideways)
+		reg.Counter(metricScanRowsRead).Add(st.rowsRead)
 	}
 
 	joinSpan := span.StartChild("engine/join")
@@ -285,52 +289,178 @@ func runJoinsCol(b *binder, preds []predClass, opts Options, g *guard, span *obs
 	return cur, nil
 }
 
-// scanRelationsCol is the vectorized scan phase: per relation, filters
-// compile to kernels and run over morsel-sized selection vectors, with
-// zone-map pruning skipping whole morsels (counted in *skipped). Relations
-// whose filters do not compile fall back to the row engine's per-row scan so
-// evaluation-error ordering is preserved.
-func scanRelationsCol(b *binder, preds []predClass, opts Options, g *guard, skipped *int64) ([][]int32, error) {
+// scanStats counts what the scan phase did, for its span and its counters.
+type scanStats struct {
+	skipped  int64 // morsels the zone maps pruned
+	sideways int64 // relations read through a partner's keys
+	rowsRead int64 // rows handed to the filters, over all relations
+}
+
+// sidewaysFrac bounds sideways key passing: a relation reads only the rows its
+// join index holds for a scanned partner's surviving keys when the keys, and the
+// rows, are each under 1/sidewaysFrac of its rows; above, it scans as cheaply.
+const sidewaysFrac = 8
+
+// scanPlan compiles every relation's filters to kernels (nil where one does not
+// compile) and fixes the scan order: FROM order, the row engine's, or — sideways
+// — smallest table first, so that a selective side is scanned before the
+// relations that can take its keys. Leaving rows unread must not show: every
+// relation compiles (a kernel cannot raise), no residual predicate runs before
+// the last join step (it can raise, on tuples unread rows used to form) and no
+// step is a cross product (its budget error quotes its operands' sizes).
+func scanPlan(b *binder, preds []predClass) (kernels [][]kernel, order []int, sideways bool) {
 	n := len(b.tables)
-	candidates := make([][]int32, n)
-	for rel := 0; rel < n; rel++ {
+	kernels, order, sideways = make([][]kernel, n), make([]int, n), n > 1
+	for rel := range order {
+		order[rel] = rel
+		kernels[rel], _ = compileFilters(b, rel, b.tables[rel].Columns(), relFilters(preds, rel))
+		sideways = sideways && kernels[rel] != nil
+	}
+	sideways = sideways && planOpCounts(b, preds).crossJoins == 0
+	for _, p := range preds {
+		if !p.isEquiJoin && len(p.rels) > 1 && p.rels[len(p.rels)-1] != n-1 {
+			sideways = false
+		}
+	}
+	for i := 1; sideways && i < n; i++ { // a stable insertion sort: n is a handful
+		for j := i; j > 0 && b.tables[order[j]].NumRows() < b.tables[order[j-1]].NumRows(); j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+	return kernels, order, sideways
+}
+
+// sidewaysPartners lists rel's equi-join conjuncts to relations already scanned
+// as (rel's key column, the partner's); a Mixed column has no index to serve one.
+func sidewaysPartners(b *binder, preds []predClass, rel int, scanned []bool) (pairs []joinKeyPair) {
+	for _, p := range preds {
+		kp := joinKeyPair{relCol: p.leftBind, boundBind: p.rightBind}
+		if kp.relCol.rel != rel {
+			kp = joinKeyPair{relCol: p.rightBind, boundBind: p.leftBind}
+		}
+		if p.isEquiJoin && kp.relCol.rel == rel && scanned[kp.boundBind.rel] && !b.col(kp.relCol).Mixed && !b.col(kp.boundBind).Mixed {
+			pairs = append(pairs, kp)
+		}
+	}
+	return pairs
+}
+
+// scanRelationsCol is the vectorized scan phase (DESIGN §13 "Scan phase: access
+// paths"): per relation, in scanPlan's order, the compiled filters run over the
+// rows sidewaysRows finds reachable from a partner, or over every row in
+// morsel-sized selection vectors, zone maps skipping whole morsels. A relation
+// whose filters do not compile gets the row engine's per-row scan.
+func scanRelationsCol(b *binder, preds []predClass, opts Options, g *guard, span *obs.Span, st *scanStats) ([][]int32, error) {
+	n := len(b.tables)
+	candidates, scanned := make([][]int32, n), make([]bool, n)
+	kernels, order, sideways := scanPlan(b, preds)
+	for _, rel := range order {
 		if faults.Active() {
 			if err := faults.Inject(faults.PointEngineScan); err != nil {
 				return nil, err
 			}
 		}
-		filters := relFilters(preds, rel)
-		nRows := len(b.tables[rel].Rows)
 		cs := b.tables[rel].Columns()
-		if len(filters) == 0 {
-			if err := tickChunks(g, nRows); err != nil {
-				return nil, err
+		var sel []int32 // nil: every row
+		var kp *joinKeyPair
+		if sideways {
+			sel, kp = sidewaysRows(b, sidewaysPartners(b, preds, rel, scanned), candidates)
+		}
+		rowsRead := cs.NumRows
+		if sel != nil {
+			rowsRead = len(sel)
+			st.sideways++
+		}
+		st.rowsRead += int64(rowsRead)
+		if span != nil {
+			name, via, keys := b.refs[rel].Name(), "full", 0
+			if kp != nil {
+				keys = len(candidates[kp.boundBind.rel])
 			}
+			if sel != nil {
+				via = b.bindingName(kp.boundBind)
+			}
+			span.Annotate("via/"+name, via)
+			span.Annotate("keys/"+name, keys)
+			span.Annotate("rows_read/"+name, rowsRead)
+		}
+		scanned[rel] = true
+		var err error
+		switch {
+		case kernels[rel] == nil:
+			candidates[rel], err = scanRelationRows(b, rel, relFilters(preds, rel), opts, g)
+		case sel != nil || len(kernels[rel]) > 0:
+			if err = tickChunks(g, len(sel)); err == nil { // sel nil: the full scan ticks per morsel
+				candidates[rel], err = scanKernels(kernels[rel], cs.NumRows, sel, opts, g, &st.skipped)
+			}
+		default:
 			// Shared and immutable: candidates are read-only downstream.
-			candidates[rel] = cs.Identity()
-			continue
+			candidates[rel], err = cs.Identity(), tickChunks(g, cs.NumRows)
 		}
-		ks, ok := compileFilters(b, rel, cs, filters)
-		if !ok {
-			keep, err := scanRelationRows(b, rel, filters, opts, g)
-			if err != nil {
-				return nil, err
-			}
-			candidates[rel] = keep
-			continue
-		}
-		keep, err := scanKernels(ks, nRows, opts, g, skipped)
 		if err != nil {
 			return nil, err
 		}
-		candidates[rel] = keep
 	}
 	return candidates, nil
 }
 
-// scanKernels runs compiled filter kernels over all morsels of a relation,
-// serially or across workers, merging survivors in morsel order.
-func scanKernels(ks []kernel, nRows int, opts Options, g *guard, skipped *int64) ([]int32, error) {
+// sidewaysRows picks the partner with the fewest candidates (kp; nil without
+// partners) and returns, ascending, the rows the relation's cached join index
+// holds for their keys: an inner join emits no other row. sel is nil (scan every
+// row) unless the keys and the rows they reach are each under 1/sidewaysFrac of
+// the relation — counted before an index is asked for and before a row is read.
+func sidewaysRows(b *binder, partners []joinKeyPair, candidates [][]int32) (sel []int32, kp *joinKeyPair) {
+	for i := range partners {
+		if kp == nil || len(candidates[partners[i].boundBind.rel]) < len(candidates[kp.boundBind.rel]) {
+			kp = &partners[i]
+		}
+	}
+	if kp == nil {
+		return nil, nil
+	}
+	cs, keys := b.tables[kp.relCol.rel].Columns(), candidates[kp.boundBind.rel]
+	limit := cs.NumRows / sidewaysFrac
+	if len(keys) >= limit {
+		return nil, kp
+	}
+	ix, keyer := joinIndexOf(cs, kp.relCol.col), probeKeyer(b.col(kp.boundBind), b.col(kp.relCol))
+	mark := table.NewBitmap(cs.NumRows)
+	if reach := reachable(ix, keyer, keys, limit, mark); reach < limit {
+		return mark.AppendRows(make([]int32, 0, reach)), kp
+	}
+	return nil, kp
+}
+
+// reachable marks and counts the rows ix holds for the keys of rows, one lookup
+// each, giving up once there are limit of them.
+func reachable(ix *table.JoinIndex, keyer func(int32) (table.JoinKey, bool), rows []int32, limit int, mark table.Bitmap) (reach int) {
+	for _, ri := range rows {
+		if k, ok := keyer(ri); ok {
+			run := ix.Lookup(k)
+			if reach += len(run); reach >= limit {
+				break
+			}
+			for _, row := range run {
+				mark.Set(int(row))
+			}
+		}
+	}
+	return reach
+}
+
+// scanKernels runs compiled filter kernels over a relation: over the ascending
+// rows sel (at most 1/sidewaysFrac of it), filtered in place, or — sel nil —
+// over all nRows morsel by morsel, serially or across workers, merging the
+// survivors in morsel order.
+func scanKernels(ks []kernel, nRows int, sel []int32, opts Options, g *guard, skipped *int64) ([]int32, error) {
+	if sel != nil {
+		for _, k := range ks {
+			if sel = k.sel(sel); len(sel) == 0 {
+				break
+			}
+		}
+		return sel, nil
+	}
 	if nRows == 0 {
 		return []int32{}, nil
 	}
@@ -338,6 +468,11 @@ func scanKernels(ks []kernel, nRows int, opts Options, g *guard, skipped *int64)
 	if workers := opts.workers(); workers > 1 && nRows >= parallelMinRows {
 		keeps := make([][]int32, nm)
 		var skippedPar int64
+		// One scratch selection per worker: a morsel keeps only its survivors.
+		scratch := make(chan []int32, workers)
+		for w := 0; w < min(workers, nm); w++ {
+			scratch <- make([]int32, morselRows)
+		}
 		err := forEachMorsel(workers, nRows, func(m, lo, hi int) error {
 			if err := g.poll(); err != nil {
 				return err
@@ -346,14 +481,9 @@ func scanKernels(ks []kernel, nRows int, opts Options, g *guard, skipped *int64)
 				atomic.AddInt64(&skippedPar, 1)
 				return nil
 			}
-			sel := identityRange(lo, hi)
-			for _, k := range ks {
-				sel = k.sel(sel)
-				if len(sel) == 0 {
-					break
-				}
-			}
-			keeps[m] = sel
+			buf := <-scratch
+			keeps[m] = append([]int32(nil), runKernels(ks, buf, lo, hi)...)
+			scratch <- buf
 			return nil
 		})
 		if err != nil {
@@ -372,13 +502,10 @@ func scanKernels(ks []kernel, nRows int, opts Options, g *guard, skipped *int64)
 	}
 
 	var out []int32
-	selBuf := make([]int32, 0, morselRows)
+	selBuf := make([]int32, morselRows)
 	for m := 0; m < nm; m++ {
 		lo := m * morselRows
-		hi := lo + morselRows
-		if hi > nRows {
-			hi = nRows
-		}
+		hi := min(lo+morselRows, nRows)
 		if err := g.tick(hi - lo); err != nil {
 			return nil, err
 		}
@@ -386,17 +513,7 @@ func scanKernels(ks []kernel, nRows int, opts Options, g *guard, skipped *int64)
 			*skipped++
 			continue
 		}
-		sel := selBuf[:0]
-		for i := lo; i < hi; i++ {
-			sel = append(sel, int32(i))
-		}
-		for _, k := range ks {
-			sel = k.sel(sel)
-			if len(sel) == 0 {
-				break
-			}
-		}
-		out = append(out, sel...)
+		out = append(out, runKernels(ks, selBuf, lo, hi)...)
 	}
 	if out == nil {
 		out = []int32{}
@@ -404,12 +521,19 @@ func scanKernels(ks []kernel, nRows int, opts Options, g *guard, skipped *int64)
 	return out, nil
 }
 
-func identityRange(lo, hi int) []int32 {
-	out := make([]int32, hi-lo)
-	for i := range out {
-		out[i] = int32(lo + i)
+// runKernels filters rows [lo, hi) through ks in buf (of morselRows entries),
+// returning the surviving prefix of buf.
+func runKernels(ks []kernel, buf []int32, lo, hi int) []int32 {
+	sel := buf[:hi-lo]
+	for i := range sel {
+		sel[i] = int32(lo + i)
 	}
-	return out
+	for _, k := range ks {
+		if sel = k.sel(sel); len(sel) == 0 {
+			break
+		}
+	}
+	return sel
 }
 
 // joinStepCol binds relation rel into the batch: index join on typed keys when
@@ -490,7 +614,7 @@ func joinStepCol(b *binder, cur *joinedBatch, cand []int32, rel int, joins []pre
 func joinKeysMixed(b *binder, joins []predClass) bool {
 	for _, p := range joins {
 		for _, bd := range [2]binding{p.leftBind, p.rightBind} {
-			if b.tables[bd.rel].Columns().Cols[bd.col].Mixed {
+			if b.col(bd).Mixed {
 				return true
 			}
 		}
@@ -532,6 +656,49 @@ type matchScratch struct {
 	skipped int // scanned past since the last guard poll, not yet in wasted
 }
 
+// joinIndexOf is cs.JoinIndex(col), recording the build when this call did it.
+func joinIndexOf(cs *table.ColumnSet, col int) *table.JoinIndex {
+	start := time.Now()
+	ix, built := cs.JoinIndex(col)
+	if built && obs.Enabled() {
+		obs.Default().Counter(metricJoinIndexBuilds).Inc()
+		obs.Default().Histogram(metricJoinIndexBuildSeconds).Observe(time.Since(start).Seconds())
+	}
+	return ix
+}
+
+// dictXlat translates dictionary from's codes into dictionary to's, each the
+// first time it is asked for, not every string of the column per query. memo
+// holds code+2 (0: not yet translated, 1: absent from to); the workers of a
+// parallel probe share it, and racing translations store the same value.
+type dictXlat struct {
+	from, to *table.Dict
+	memo     []atomic.Int32
+}
+
+func (x *dictXlat) code(c int32) int32 {
+	v := x.memo[c].Load()
+	if v == 0 {
+		v = 1
+		if t, ok := x.to.Code(x.from.Strs[c]); ok {
+			v = t + 2
+		}
+		x.memo[c].Store(v)
+	}
+	return v - 2
+}
+
+// probeKeyer is the key extractor over column pc for lookups among keys of
+// column bc (neither Mixed): between two dictionaries, pc's codes are
+// translated into bc's, and a string bc does not hold keys as TagMiss.
+func probeKeyer(pc, bc *table.ColumnData) func(int32) (table.JoinKey, bool) {
+	if pc.Kind != table.KindString || bc.Kind != table.KindString || pc.Dict == bc.Dict {
+		return pc.JoinKeyer(nil)
+	}
+	x := &dictXlat{from: pc.Dict, to: bc.Dict, memo: make([]atomic.Int32, pc.Dict.Len())}
+	return pc.JoinKeyer(x.code)
+}
+
 func newJoinMatcher(b *binder, cur *joinedBatch, cand []int32, rel int, pairs []joinKeyPair, g *guard, span *obs.Span) (*joinMatcher, error) {
 	relCS := b.tables[rel].Columns()
 	m := &joinMatcher{
@@ -543,13 +710,7 @@ func newJoinMatcher(b *binder, cur *joinedBatch, cand []int32, rel int, pairs []
 	}
 	// Index the pair the data makes most selective, not the one written first.
 	for pi, kp := range pairs {
-		start := time.Now()
-		ix, built := relCS.JoinIndex(kp.relCol.col)
-		if built && obs.Enabled() {
-			obs.Default().Counter(metricJoinIndexBuilds).Inc()
-			obs.Default().Histogram(metricJoinIndexBuildSeconds).Observe(time.Since(start).Seconds())
-		}
-		if m.ix == nil || ix.Distinct() > m.ix.Distinct() {
+		if ix := joinIndexOf(relCS, kp.relCol.col); m.ix == nil || ix.Distinct() > m.ix.Distinct() {
 			m.ix = ix
 			pairs[0], pairs[pi] = pairs[pi], pairs[0]
 		}
@@ -557,19 +718,7 @@ func newJoinMatcher(b *binder, cur *joinedBatch, cand []int32, rel int, pairs []
 	for pi, kp := range pairs {
 		bc := &relCS.Cols[kp.relCol.col]
 		m.bkeyers[pi] = bc.JoinKeyer(nil)
-		pc := &b.tables[kp.boundBind.rel].Columns().Cols[kp.boundBind.col]
-		var xlat []int32
-		if pc.Kind == table.KindString && bc.Kind == table.KindString {
-			xlat = make([]int32, pc.Dict.Len())
-			for ci, s := range pc.Dict.Strs {
-				if code, ok := bc.Dict.Code(s); ok {
-					xlat[ci] = code
-				} else {
-					xlat[ci] = -1
-				}
-			}
-		}
-		m.pkeyers[pi] = pc.JoinKeyer(xlat)
+		m.pkeyers[pi] = probeKeyer(b.col(kp.boundBind), bc)
 		m.probeCols[pi] = cur.cols[kp.boundBind.rel]
 	}
 	if span != nil {

@@ -70,7 +70,7 @@ func TestMorselsSkippedCounter(t *testing.T) {
 
 // TestColumnarCountFastPath checks that CountContext — which takes the
 // count-only columnar path that materializes no output columns — agrees with
-// the row engine on filter, join, and unfiltered shapes.
+// the row engine on filter, join, residual and unfiltered shapes.
 func TestColumnarCountFastPath(t *testing.T) {
 	db := testDB()
 	for _, sql := range []string{
@@ -78,6 +78,8 @@ func TestColumnarCountFastPath(t *testing.T) {
 		"SELECT * FROM movies WHERE year > 2000",
 		"SELECT m.title FROM movies m JOIN credits c ON m.id = c.movie_id",
 		"SELECT m.title FROM movies m JOIN credits c ON m.id = c.movie_id WHERE c.role = 'director'",
+		// A residual at the last join step reads columns the count itself does not.
+		"SELECT m.id FROM movies m JOIN credits c ON m.id = c.movie_id WHERE m.year + c.movie_id > 2000",
 	} {
 		stmt := sqlparse.MustParse(sql)
 		rowN, err := CountContext(context.Background(), db, stmt, Options{UseRowEngine: true})

@@ -181,7 +181,7 @@ func ExecuteWithContext(ctx context.Context, db *table.Database, stmt *sqlparse.
 	}
 	if span != nil {
 		if b != nil {
-			span.Annotate("plan", planShape(b, preds, stmt))
+			span.Annotate("plan", shapeOf(b, preds, stmt).String())
 		}
 		if res != nil {
 			span.Annotate("rows_out", res.rows())
@@ -255,7 +255,7 @@ func executeWith(db *table.Database, stmt *sqlparse.Select, opts Options, t *que
 	if err != nil {
 		return nil, b, nil, err
 	}
-	t.phase("plan")
+	t.phase(phasePlan)
 	if !opts.UseRowEngine {
 		res, err := executeColTail(b, stmt, preds, opts, t, g, span)
 		return res, b, preds, err
@@ -273,7 +273,7 @@ func executeRowTail(b *binder, stmt *sqlparse.Select, preds []predClass, opts Op
 	if err != nil {
 		return nil, err
 	}
-	t.phase("join")
+	t.phase(phaseJoin)
 
 	if stmt.HasAggregates() {
 		aggSpan := span.StartChild("engine/aggregate")
@@ -285,10 +285,10 @@ func executeRowTail(b *binder, stmt *sqlparse.Select, preds []predClass, opts Op
 		}
 		aggSpan.Annotate("rows_out", out.NumRows())
 		aggSpan.End()
-		t.phase("aggregate")
+		t.phase(phaseAggregate)
 		res := &Result{Table: out}
 		res, err = finish(stmt, res, nil)
-		t.phase("finish")
+		t.phase(phaseFinish)
 		return res, err
 	}
 
@@ -309,10 +309,10 @@ func executeRowTail(b *binder, stmt *sqlparse.Select, preds []predClass, opts Op
 	}
 	projSpan.Annotate("rows_out", out.NumRows())
 	projSpan.End()
-	t.phase("project")
+	t.phase(phaseProject)
 	res := &Result{Table: out, Lineage: lineage}
 	res, err = finish(stmt, res, func(i int) evalEnv { return evalEnv{b: b, row: joined[i]} })
-	t.phase("finish")
+	t.phase(phaseFinish)
 	return res, err
 }
 

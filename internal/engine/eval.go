@@ -59,6 +59,14 @@ func newBinder(db *table.Database, stmt *sqlparse.Select) (*binder, error) {
 	return b, nil
 }
 
+// col is the columnar form of a bound column.
+func (b *binder) col(bd binding) *table.ColumnData { return &b.tables[bd.rel].Columns().Cols[bd.col] }
+
+// bindingName renders a bound column as relation.column.
+func (b *binder) bindingName(bd binding) string {
+	return b.refs[bd.rel].Name() + "." + b.tables[bd.rel].Schema[bd.col].Name
+}
+
 // resolve binds a single column reference.
 func (b *binder) resolve(c *sqlparse.ColumnRef) (binding, error) {
 	if bd, ok := b.bindings[c]; ok {

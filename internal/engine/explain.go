@@ -9,11 +9,11 @@ import (
 )
 
 // Explain returns a human-readable description of the physical plan the
-// executor will use for stmt: per-relation scans with pushed-down filters,
-// the join order with join kinds (index, byte-key hash when a key column is
-// Mixed, or cross), residual predicates, and
-// the finishing operators. It performs binding and predicate classification
-// but does not execute anything.
+// executor will use for stmt: per-relation scans in the order they run, with
+// pushed-down filters and the partner whose keys a scan takes when the data
+// makes them selective, the join order with join kinds (index, byte-key hash
+// when a key column is Mixed, or cross), residual predicates, and the finishing
+// operators. It binds, classifies and compiles filters but executes nothing.
 func Explain(db *table.Database, stmt *sqlparse.Select) (string, error) {
 	b, err := newBinder(db, stmt)
 	if err != nil {
@@ -40,20 +40,23 @@ func Explain(db *table.Database, stmt *sqlparse.Select) (string, error) {
 	var out strings.Builder
 	fmt.Fprintf(&out, "plan for: %s\n", stmt)
 
-	// Scans.
-	for rel := range b.tables {
+	// Scans, in the order they run (see scanPlan).
+	_, order, sideways := scanPlan(b, preds)
+	scanned := make([]bool, len(b.tables))
+	for _, rel := range order {
 		var filters []string
-		for _, p := range preds {
-			if len(p.rels) == 1 && p.rels[0] == rel {
-				filters = append(filters, p.expr.String())
-			}
-			if len(p.rels) == 0 && rel == 0 {
-				filters = append(filters, p.expr.String())
-			}
+		for _, f := range relFilters(preds, rel) {
+			filters = append(filters, f.String())
 		}
 		fmt.Fprintf(&out, "  scan %s (%d rows)", b.refs[rel].Name(), b.tables[rel].NumRows())
 		if len(filters) > 0 {
 			fmt.Fprintf(&out, " filter: %s", strings.Join(filters, " AND "))
+		}
+		if sideways {
+			for _, kp := range sidewaysPartners(b, preds, rel, scanned) {
+				fmt.Fprintf(&out, " keys from %s when selective", b.bindingName(kp.boundBind))
+			}
+			scanned[rel] = true
 		}
 		out.WriteByte('\n')
 	}
@@ -145,33 +148,43 @@ func PlanShape(db *table.Database, stmt *sqlparse.Select) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return planShape(b, preds, stmt), nil
+	return shapeOf(b, preds, stmt).String(), nil
 }
 
-// planShape is PlanShape over an already-bound statement.
-func planShape(b *binder, preds []predClass, stmt *sqlparse.Select) string {
-	counts := planOpCounts(b, preds)
+// shapeKey is the plan shape of a bound statement as a comparable value;
+// String renders it as PlanShape does.
+type shapeKey struct {
+	opCounts
+	scans                      int
+	agg, distinct, sort, limit bool
+}
+
+func shapeOf(b *binder, preds []predClass, stmt *sqlparse.Select) shapeKey {
+	return shapeKey{planOpCounts(b, preds), len(b.tables), stmt.HasAggregates(), stmt.Distinct, len(stmt.OrderBy) > 0, stmt.Limit >= 0}
+}
+
+func (k shapeKey) String() string {
 	var out strings.Builder
-	fmt.Fprintf(&out, "scan%d", len(b.tables))
-	if counts.hashJoins > 0 {
-		fmt.Fprintf(&out, "-hash%d", counts.hashJoins)
+	fmt.Fprintf(&out, "scan%d", k.scans)
+	if k.hashJoins > 0 {
+		fmt.Fprintf(&out, "-hash%d", k.hashJoins)
 	}
-	if counts.crossJoins > 0 {
-		fmt.Fprintf(&out, "-cross%d", counts.crossJoins)
+	if k.crossJoins > 0 {
+		fmt.Fprintf(&out, "-cross%d", k.crossJoins)
 	}
-	if counts.residuals > 0 {
-		fmt.Fprintf(&out, "-res%d", counts.residuals)
+	if k.residuals > 0 {
+		fmt.Fprintf(&out, "-res%d", k.residuals)
 	}
-	if stmt.HasAggregates() {
+	if k.agg {
 		out.WriteString("+agg")
 	}
-	if stmt.Distinct {
+	if k.distinct {
 		out.WriteString("+distinct")
 	}
-	if len(stmt.OrderBy) > 0 {
+	if k.sort {
 		out.WriteString("+sort")
 	}
-	if stmt.Limit >= 0 {
+	if k.limit {
 		out.WriteString("+limit")
 	}
 	return out.String()
@@ -184,34 +197,25 @@ type opCounts struct {
 	residuals  int
 }
 
-// planOpCounts walks the left-deep join order exactly as runJoins does and
-// counts the operator kinds it will execute.
+// planOpCounts counts the operator kinds the left-deep join order of runJoins
+// will execute: a relation is hash-joined when an equi-join conjunct connects it
+// to one before it in FROM order (the larger of the conjunct's two relations is
+// the one joined in), cross-joined otherwise.
 func planOpCounts(b *binder, preds []predClass) opCounts {
 	var c opCounts
-	bound := map[int]bool{0: true}
-	for rel := 1; rel < len(b.tables); rel++ {
-		hash := false
-		for _, p := range preds {
-			if !p.isEquiJoin {
-				continue
-			}
-			l, r := p.leftBind.rel, p.rightBind.rel
-			if (l == rel && bound[r]) || (r == rel && bound[l]) {
-				hash = true
-				break
-			}
+	joined := make([]bool, len(b.tables))
+	for _, p := range preds {
+		if p.isEquiJoin {
+			joined[p.rels[1]] = true
+		} else if len(p.rels) > 1 {
+			c.residuals++
 		}
-		if hash {
+	}
+	for _, j := range joined[1:] {
+		if j {
 			c.hashJoins++
 		} else {
 			c.crossJoins++
-		}
-		bound[rel] = true
-		for _, p := range preds {
-			if p.isEquiJoin || len(p.rels) < 2 || p.rels[len(p.rels)-1] != rel {
-				continue
-			}
-			c.residuals++
 		}
 	}
 	return c

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -19,7 +20,9 @@ import (
 // parallelism 1 and 8, and the three runs must agree byte for byte — same
 // result fingerprint (schema, row keys, lineage) on success, same error
 // string and guard kind on failure, and identical partial results when an
-// output budget trips mid-projection. The generated data deliberately covers
+// output budget trips mid-projection. The one exception (fuzzReference): the
+// columnar scan leaves rows unread that join nothing, so a join intermediate
+// the reference's budget refuses may fit. The generated data deliberately covers
 // the hard parity corners: NULLs everywhere, NaN and integral floats (which
 // Value.Compare and Value.Key treat specially), dictionary strings,
 // kind-mismatched (Mixed) columns that force the row fallback, and tables
@@ -32,16 +35,26 @@ var fuzzVocab = []string{"drama", "comedy", "noir", "sci-fi", "doc"}
 // range (table.JoinIndex picks its hash layout for them).
 const fuzzSparse = 1_000_003
 
-// fuzzDB builds a two-table database from rng. About one run in six (and
-// every run with forceBig) is big enough (> parallelMinRows) to exercise the
-// parallel scan/probe/project paths; the rest stay small so many statements
-// run per fuzz cycle.
-func fuzzDB(rng *rand.Rand, forceBig bool) *table.Database {
+// fuzzTags is fc.tag's vocabulary: half of it is absent from fuzzVocab, so a
+// join of fa.cat or fb.cat with it meets strings the other dictionary lacks.
+var fuzzTags = []string{"drama", "noir", "musical", "zzz"}
+
+// fuzzDB builds a three-table database from rng: fa, fb keyed to it, and fc
+// keyed to it through int (fa_id, repeating and dangling), string (name, over
+// two dictionaries that overlap in part) and float (v: integral, fractional,
+// NaN) columns. With size 0 about one run in six, and with size 1 or 2 every
+// run, is big enough (> parallelMinRows) to exercise the parallel
+// scan/probe/project paths; the rest stay small so many statements run per fuzz
+// cycle. In a big database fc is a tenth of fa (size 1, or a coin flip) or
+// twice it (size 2), so a scan that takes its keys from a partner
+// (scanRelationsCol) finds the selective side among either the smaller or the
+// larger relation. forceMixed poisons fa.mx, as one run in four does anyway.
+func fuzzDB(rng *rand.Rand, size int, forceMixed bool) *table.Database {
 	nA := 30 + rng.Intn(50)
-	if rng.Intn(6) == 0 || forceBig {
+	if rng.Intn(6) == 0 || size > 0 {
 		nA = parallelMinRows + 500 + rng.Intn(1000)
 	}
-	mixed := rng.Intn(4) == 0 // poison fa.mx with a string cell → Mixed column
+	mixed := rng.Intn(4) == 0 || forceMixed // poison fa.mx with a string cell → Mixed column
 	fa := table.New("fa", table.Schema{
 		{Name: "id", Kind: table.KindInt},
 		{Name: "num", Kind: table.KindInt},
@@ -50,6 +63,7 @@ func fuzzDB(rng *rand.Rand, forceBig bool) *table.Database {
 		{Name: "flag", Kind: table.KindBool},
 		{Name: "mx", Kind: table.KindInt},
 		{Name: "sp", Kind: table.KindInt},
+		{Name: "name", Kind: table.KindString},
 	})
 	for i := 0; i < nA; i++ {
 		num := table.NewInt(int64(rng.Intn(20) - 5))
@@ -83,7 +97,11 @@ func fuzzDB(rng *rand.Rand, forceBig bool) *table.Database {
 		if i%7 == 3 {
 			sp = table.Null
 		}
-		fa.AppendRow(table.Row{table.NewInt(int64(i)), num, val, cat, flag, mx, sp})
+		name := table.NewString(fmt.Sprintf("n%d", i/2))
+		if i%9 == 4 {
+			name = table.Null
+		}
+		fa.AppendRow(table.Row{table.NewInt(int64(i)), num, val, cat, flag, mx, sp, name})
 	}
 	nB := 20 + rng.Intn(40)
 	if nA > parallelMinRows {
@@ -108,9 +126,39 @@ func fuzzDB(rng *rand.Rand, forceBig bool) *table.Database {
 			table.NewInt(faID * fuzzSparse),
 		})
 	}
+	nC := 10 + rng.Intn(30)
+	if nA > parallelMinRows {
+		if nC = nA/10 + rng.Intn(50); size == 2 || size == 0 && rng.Intn(2) == 0 {
+			nC = 2*nA + rng.Intn(500)
+		}
+	}
+	fc := table.New("fc", table.Schema{
+		{Name: "fa_id", Kind: table.KindInt},
+		{Name: "name", Kind: table.KindString},
+		{Name: "v", Kind: table.KindFloat},
+		{Name: "n", Kind: table.KindInt},
+		{Name: "tag", Kind: table.KindString},
+	})
+	for i := 0; i < nC; i++ {
+		faID := rng.Intn(nA + 5)
+		name := table.NewString(fmt.Sprintf("n%d", rng.Intn(nA/2+3)))
+		v := table.NewFloat(float64(faID))
+		n := table.NewInt(int64(rng.Intn(10)))
+		switch rng.Intn(6) {
+		case 0:
+			name, v, n = table.Null, table.Null, table.Null
+		case 1:
+			name = table.NewString(fmt.Sprintf("x%d", faID)) // in no fa.name
+			v = table.NewFloat(float64(faID) + 0.5)
+		case 2:
+			v = table.NewFloat(math.NaN())
+		}
+		fc.AppendRow(table.Row{table.NewInt(int64(faID)), name, v, n, table.NewString(fuzzTags[rng.Intn(len(fuzzTags))])})
+	}
 	db := table.NewDatabase()
 	db.Add(fa)
 	db.Add(fb)
+	db.Add(fc)
 	return db
 }
 
@@ -170,10 +218,17 @@ func fuzzPred(rng *rand.Rand, p string, depth int) string {
 }
 
 // fuzzSQL generates one statement: single-table SPJ (with DISTINCT, ORDER BY,
-// LIMIT), two- and three-way joins on int, string, and float-vs-int keys, and
-// grouped aggregates with HAVING.
+// LIMIT), two- and three-way joins on int, string, and float-vs-int keys,
+// grouped aggregates with HAVING, and joins through fc with a predicate at
+// either end (a fuzzSidewaysShapes statement under random filters).
 func fuzzSQL(rng *rand.Rand) string {
-	switch rng.Intn(5) {
+	switch rng.Intn(6) {
+	case 5:
+		q := fuzzSidewaysShapes[rng.Intn(len(fuzzSidewaysShapes))]
+		if rng.Intn(3) == 0 {
+			q = fuzzNarrow(q, fuzzPred(rng, "a.", 1))
+		}
+		return q
 	case 0: // single-table select-project
 		sel := "*"
 		switch rng.Intn(3) {
@@ -297,6 +352,72 @@ func fuzzJoinSQL(rng *rand.Rand, shape int) string {
 	return q + " WHERE " + fuzzPred(rng, "a.", 1)
 }
 
+// fuzzSidewaysShapes are the joins a seed at or below fuzzSidewaysSeed forces
+// (see FuzzRowVsColumnar): what the scan phase's sideways key passing
+// distinguishes. Whether a scan takes its keys from a partner depends on the
+// table sizes and on how many rows the partner's filters keep, so every shape
+// runs on a small database, on a big one where fc is a tenth of fa and on one
+// where it is twice fa. Every statement ends in a WHERE clause on fa a, fb b
+// or fc c, so a caller can narrow it further with AND.
+var fuzzSidewaysShapes = []string{
+	// A selective partner on either side of a two-way join, in either FROM
+	// order; relation 0 unfiltered and read whole, or through the partner's keys.
+	"SELECT a.id, c.n FROM fa a JOIN fc c ON a.id = c.fa_id WHERE c.n = 3",
+	"SELECT a.id, c.n FROM fc c JOIN fa a ON a.id = c.fa_id WHERE c.n = 3",
+	"SELECT a.id, c.n FROM fa a JOIN fc c ON a.id = c.fa_id WHERE a.num = 3 AND a.val > 0",
+	"SELECT a.id, c.n FROM fc c JOIN fa a ON a.id = c.fa_id WHERE a.num = 3",
+	"SELECT * FROM fc c JOIN fa a ON c.fa_id = a.id WHERE a.id >= 0",
+	"SELECT a.id, c.n FROM fa a JOIN fc c ON a.id = c.fa_id WHERE c.n > 100", // no key at all
+	// Duplicate partner keys: fb.fa_id and fc.fa_id both repeat.
+	"SELECT b.w, c.n FROM fb b JOIN fc c ON b.fa_id = c.fa_id WHERE c.n = 1",
+	"SELECT b.w, c.n FROM fc c JOIN fb b ON b.fa_id = c.fa_id WHERE b.w = 1 AND b.cat = 'noir'",
+	// Three-way: a chain through the middle relation, a star around fa, two
+	// conjuncts to choose the partner from.
+	"SELECT b.w, a.id, c.n FROM fb b JOIN fa a ON b.fa_id = a.id JOIN fc c ON c.fa_id = a.id WHERE b.fa_id < 50",
+	"SELECT b.w, a.id, c.n FROM fc c JOIN fa a ON c.fa_id = a.id JOIN fb b ON b.fa_id = a.id WHERE c.n = 2 AND b.w < 4",
+	"SELECT b.w, a.id, c.n FROM fa a JOIN fb b ON b.fa_id = a.id JOIN fc c ON c.fa_id = a.id AND c.fa_id = b.fa_id WHERE a.num = 3",
+	// Keys: NULLs, float keys (integral, fractional, NaN) against int keys in
+	// both directions, strings across two dictionaries, and low-cardinality
+	// keys whose runs are too long to be worth reading through.
+	"SELECT a.id, c.v FROM fa a JOIN fc c ON a.id = c.v WHERE a.num = 3",
+	"SELECT a.id, c.v FROM fc c JOIN fa a ON c.v = a.id WHERE c.n = 3",
+	"SELECT a.id, c.name FROM fa a JOIN fc c ON a.name = c.name WHERE c.n = 3",
+	"SELECT a.id, c.name FROM fc c JOIN fa a ON a.name = c.name WHERE a.num = 3",
+	"SELECT a.id, c.n FROM fa a JOIN fc c ON a.num = c.n WHERE c.fa_id < 3",
+	"SELECT a.id, c.tag FROM fa a JOIN fc c ON a.cat = c.tag WHERE c.fa_id < 3",
+	// A Mixed key column (these shapes force fa.mx Mixed) has no index: alone,
+	// the scan reads every row; beside a typed conjunct, that one serves.
+	"SELECT a.id, c.n FROM fc c JOIN fa a ON c.n = a.mx WHERE c.fa_id < 5",
+	"SELECT a.id, c.n FROM fc c JOIN fa a ON c.n = a.mx AND c.fa_id = a.id WHERE c.n = 3",
+	// A filter that does not compile, anywhere, turns the pass off: it can
+	// raise, here on rows that match no key (c.n > 100 keeps none).
+	"SELECT a.id, c.n FROM fa a JOIN fc c ON a.id = c.fa_id WHERE c.n + 1 = 4",
+	"SELECT a.id, c.n FROM fa a JOIN fc c ON a.id = c.fa_id WHERE c.n = 3 AND a.mx > 2",
+	"SELECT a.id, c.n FROM fc c JOIN fa a ON a.id = c.fa_id WHERE c.n > 100 AND a.cat + 1 > 1",
+	// Residual predicates: at the last join step the pass stays on; before it
+	// the pass is off, and a residual that raises over (c, a) tuples no fb row
+	// joins (b.w > 100 keeps none) still raises.
+	"SELECT a.id, c.n FROM fa a JOIN fc c ON a.id = c.fa_id WHERE c.n = 3 AND a.num + c.n > 4",
+	"SELECT a.id, b.w FROM fc c JOIN fa a ON c.fa_id = a.id JOIN fb b ON b.fa_id = a.id WHERE c.n = 3 AND a.num + b.w > 4",
+	"SELECT a.id FROM fc c JOIN fa a ON c.fa_id = a.id JOIN fb b ON b.fa_id = a.id WHERE b.w > 100 AND a.cat + c.n > 1",
+	// A cross product's budget error quotes its operands' sizes: pass off.
+	"SELECT a.id, b.w FROM fc c, fb b, fa a WHERE c.fa_id = a.id AND a.num = 3",
+	// Aggregation over a reduced join.
+	"SELECT a.cat, COUNT(*), AVG(c.v) FROM fa a JOIN fc c ON a.id = c.fa_id WHERE a.num = 3 GROUP BY a.cat",
+}
+
+// fuzzNarrow ANDs pred into the WHERE clause q has.
+func fuzzNarrow(q, pred string) string {
+	if i := strings.Index(q, " GROUP BY "); i >= 0 {
+		return q[:i] + " AND " + pred + q[i:]
+	}
+	return q + " AND " + pred
+}
+
+// fuzzSidewaysSeed - k pins a run to fuzzSidewaysShapes[k % len] on a database
+// of size k / len % 3 (see fuzzDB), each statement under one of fuzzLimitModes.
+const fuzzSidewaysSeed = -1 << 40
+
 // fuzzLimitShapes are the statements a seed at or below fuzzLimitSeed forces
 // (see FuzzRowVsColumnar), each run with LIMIT 0, 1, a few and more than any
 // result: what the columnar tail distinguishes on the way from the joined batch
@@ -392,6 +513,43 @@ func fuzzCompare(t *testing.T, sql, label string, resA *Result, errA error, resB
 	}
 }
 
+// intermediateBudget reports whether err is the budget on join intermediates
+// (MaxIntermediateRows), not the one on output rows.
+func intermediateBudget(err error) bool {
+	return errors.Is(err, ErrRowBudget) && !strings.Contains(err.Error(), "output exceeds")
+}
+
+// fuzzReference is the row engine's outcome under opts, as a columnar run that
+// ended in gotErr is held to it: the outcome itself — except that where the
+// reference gave up on a join intermediate over MaxIntermediateRows and the
+// columnar run, whose scans leave out rows that join nothing, fitted it, it is
+// the reference's outcome with that budget lifted to the default. ok is false
+// when even that one refuses the intermediate and nothing is left to compare.
+type fuzzReference struct {
+	run         func(opts Options) (*Result, error)
+	opts        Options
+	res, lifted *Result
+	err, errL   error
+	ran, ranL   bool
+}
+
+func (r *fuzzReference) outcome(gotErr error) (res *Result, err error, ok bool) {
+	if !r.ran {
+		r.res, r.err = r.run(r.opts)
+		r.ran = true
+	}
+	if gotErr != nil || !intermediateBudget(r.err) {
+		return r.res, r.err, true
+	}
+	if !r.ranL {
+		opts := r.opts
+		opts.MaxIntermediateRows = 0
+		r.lifted, r.errL = r.run(opts)
+		r.ranL = true
+	}
+	return r.lifted, r.errL, !intermediateBudget(r.errL)
+}
+
 // FuzzRowVsColumnar is the differential harness: seed → random database +
 // statements → row engine vs columnar engine at parallelism 1 and 8, as a
 // table (ExecuteWithContext), as a frame (ExecuteFrameContext) and as a count
@@ -399,9 +557,10 @@ func fuzzCompare(t *testing.T, sql, label string, resA *Result, errA error, resB
 // intermediate row budgets, and injected operator faults. A seed >= 0 draws
 // its statements from fuzzSQL; seed -1-k pins all of them to
 // fuzzJoinShapes[k % len], on a parallel-scale database when k / len is odd,
-// and seed fuzzLimitSeed-k to a fuzzLimitShapes statement and LIMIT under each
-// of fuzzLimitModes, so the corpus reaches every shape at both sizes by
-// construction.
+// seed fuzzLimitSeed-k to a fuzzLimitShapes statement and LIMIT under each of
+// fuzzLimitModes, and seed fuzzSidewaysSeed-k to a fuzzSidewaysShapes statement
+// under each of them at each database size, so the corpus reaches every shape
+// at every size by construction.
 func FuzzRowVsColumnar(f *testing.F) {
 	for s := int64(0); s < 24; s++ {
 		f.Add(s)
@@ -412,24 +571,42 @@ func FuzzRowVsColumnar(f *testing.F) {
 	for k := 0; k < 2*len(fuzzLimits)*len(fuzzLimitShapes); k++ {
 		f.Add(int64(fuzzLimitSeed - k))
 	}
+	for k := 0; k < 3*len(fuzzSidewaysShapes); k++ {
+		f.Add(int64(fuzzSidewaysSeed - k))
+	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		shape, limitSQL, forceBig := -1, "", false
-		if seed <= fuzzLimitSeed {
+		shape, pinSQL, size := -1, "", 0
+		switch {
+		case seed <= fuzzSidewaysSeed:
+			k := uint64(fuzzSidewaysSeed - seed)
+			nShapes := uint64(len(fuzzSidewaysShapes))
+			pinSQL, size = fuzzSidewaysShapes[k%nShapes], int(k/nShapes%3)
+		case seed <= fuzzLimitSeed:
 			k := uint64(fuzzLimitSeed - seed)
 			nShapes, nLimits := uint64(len(fuzzLimitShapes)), uint64(len(fuzzLimits))
-			limitSQL = fmt.Sprintf("%s LIMIT %d", fuzzLimitShapes[k%nShapes], fuzzLimits[k/nShapes%nLimits])
-			forceBig = k/nShapes/nLimits%2 == 1
-		} else if seed < 0 {
+			pinSQL = fmt.Sprintf("%s LIMIT %d", fuzzLimitShapes[k%nShapes], fuzzLimits[k/nShapes%nLimits])
+			size = int(k / nShapes / nLimits % 2)
+		case seed < 0:
 			k := uint64(-(seed + 1))
 			shape = int(k % uint64(len(fuzzJoinShapes)))
-			forceBig = k/uint64(len(fuzzJoinShapes))%2 == 1
+			size = int(k / uint64(len(fuzzJoinShapes)) % 2)
 		}
-		db := fuzzDB(rng, forceBig)
+		db := fuzzDB(rng, size, strings.Contains(pinSQL, ".mx"))
 		for si := 0; si < 6; si++ {
-			sql, mode := limitSQL, rng.Intn(8)
+			sql, mode := pinSQL, rng.Intn(8)
 			switch {
-			case limitSQL != "":
+			case seed <= fuzzSidewaysSeed:
+				// Half the statements as pinned, half narrowed at random; the
+				// later ones paged, and one with nothing tracked or bounded.
+				mode = fuzzLimitModes[si]
+				if rng.Intn(2) == 0 {
+					sql = fuzzNarrow(sql, fuzzPred(rng, "a.", 1))
+				}
+				if si >= 4 {
+					sql += fmt.Sprintf(" LIMIT %d", 1+rng.Intn(20))
+				}
+			case pinSQL != "":
 				mode = fuzzLimitModes[si]
 			case shape >= 0:
 				sql = fuzzJoinSQL(rng, shape)
@@ -464,42 +641,42 @@ func FuzzRowVsColumnar(f *testing.F) {
 			case 8: // output row budget no result reaches
 				base.MaxOutputRows = 1 << 30
 			}
+			run := func(opts Options) (*Result, error) {
+				return fuzzRun(ctx, db, stmt, opts, faultPoint, faultAfter)
+			}
+			check := func(label string, ref *fuzzReference, frame bool, opts Options) {
+				t.Helper()
+				got, gotErr := run(opts)
+				want, wantErr, ok := ref.outcome(gotErr)
+				if !ok {
+					t.Logf("%s: %q: no reference under any intermediate budget", label, sql)
+					return
+				}
+				if frame && want != nil {
+					// A frame is the same answer without lineage, whether its
+					// rows were ever built or not.
+					want = &Result{Table: want.Table}
+				}
+				fuzzCompare(t, sql, label, want, wantErr, got, gotErr)
+			}
 
 			rowOpts := base
 			rowOpts.UseRowEngine = true
 			rowOpts.Parallelism = -1
-			refRes, refErr := fuzzRun(ctx, db, stmt, rowOpts, faultPoint, faultAfter)
-
-			colSerial := base
-			colSerial.Parallelism = -1
-			res1, err1 := fuzzRun(ctx, db, stmt, colSerial, faultPoint, faultAfter)
-			fuzzCompare(t, sql, "columnar-serial", refRes, refErr, res1, err1)
-
-			colPar := base
-			colPar.Parallelism = 8
-			res8, err8 := fuzzRun(ctx, db, stmt, colPar, faultPoint, faultAfter)
-			fuzzCompare(t, sql, "columnar-parallel-8", refRes, refErr, res8, err8)
-
-			// A frame is the same answer without lineage, whether its rows
-			// were ever built or not.
-			frameRef := refRes
-			if refRes != nil {
-				frameRef = &Result{Table: refRes.Table}
-			}
+			ref := &fuzzReference{run: run, opts: rowOpts}
 			for _, par := range []int{-1, 8} {
-				frames := base
-				frames.frames, frames.Parallelism = true, par
-				resF, errF := fuzzRun(ctx, db, stmt, frames, faultPoint, faultAfter)
-				fuzzCompare(t, sql, fmt.Sprintf("columnar-frame-%d", par), frameRef, refErr, resF, errF)
+				col := base
+				col.Parallelism = par
+				check(fmt.Sprintf("columnar-%d", par), ref, false, col)
+				col.frames = true
+				check(fmt.Sprintf("columnar-frame-%d", par), ref, true, col)
 			}
 
 			// CountContext must agree with the row engine whether or not the
 			// columnar count-only specialization applies, guards included.
-			rowCount, colCount := rowOpts, colPar
-			rowCount.countOnly, colCount.countOnly = true, true
-			rc, rcErr := fuzzRun(ctx, db, stmt, rowCount, faultPoint, faultAfter)
-			cc, ccErr := fuzzRun(ctx, db, stmt, colCount, faultPoint, faultAfter)
-			fuzzCompare(t, sql, "columnar-count", rc, rcErr, cc, ccErr)
+			rowCount, colCount := rowOpts, base
+			rowCount.countOnly, colCount.countOnly, colCount.Parallelism = true, true, 8
+			check("columnar-count", &fuzzReference{run: run, opts: rowCount}, false, colCount)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"sync"
 	"time"
 
 	"asqprl/internal/obs"
@@ -19,15 +20,27 @@ type queryTimer struct {
 }
 
 type phaseTime struct {
-	name string
+	name string // the phase's histogram, one of the phase* constants
 	d    time.Duration
 }
 
-// Join-index build metrics: a join step records them when its lookup is the
-// one that built a column's index (once per column per columnar view).
+// The phases a query's wall clock is split into, by their histograms' names.
+const (
+	phasePlan      = "engine/phase/plan/seconds"
+	phaseJoin      = "engine/phase/join/seconds"
+	phaseAggregate = "engine/phase/aggregate/seconds"
+	phaseProject   = "engine/phase/project/seconds"
+	phaseFinish    = "engine/phase/finish/seconds"
+)
+
+// Join-index build metrics: the scan phase or a join step records them when its
+// lookup is the one that built a column's index (once per column per columnar
+// view). Scan metrics: relations read through a partner's keys, and rows read.
 const (
 	metricJoinIndexBuilds       = "engine/join/index_builds"
 	metricJoinIndexBuildSeconds = "engine/join/index_build/seconds"
+	metricScanSideways          = "engine/scan/sideways"
+	metricScanRowsRead          = "engine/scan/rows_read"
 )
 
 // recordWorkers publishes the effective operator parallelism of the query
@@ -44,7 +57,7 @@ func startQueryTimer() *queryTimer {
 	return &queryTimer{start: now, mark: now}
 }
 
-// phase closes the current phase under the given name.
+// phase closes the current phase under the given phase* name.
 func (t *queryTimer) phase(name string) {
 	if t == nil {
 		return
@@ -69,24 +82,35 @@ func (t *queryTimer) finish(b *binder, preds []predClass, stmt *sqlparse.Select,
 	total := time.Since(t.start)
 	reg.Histogram("engine/query/seconds").ObserveDuration(total)
 	if b != nil {
-		shape := planShape(b, preds, stmt)
-		reg.Histogram("engine/query/seconds/" + shape).ObserveDuration(total)
-		counts := planOpCounts(b, preds)
-		reg.Counter("engine/op/scan").Add(int64(len(b.tables)))
-		reg.Counter("engine/op/hash_join").Add(int64(counts.hashJoins))
-		reg.Counter("engine/op/cross_join").Add(int64(counts.crossJoins))
-		reg.Counter("engine/op/residual_filter").Add(int64(counts.residuals))
-		if stmt.HasAggregates() {
+		shape := shapeOf(b, preds, stmt)
+		reg.Histogram(shapeHistName(shape)).ObserveDuration(total)
+		reg.Counter("engine/op/scan").Add(int64(shape.scans))
+		reg.Counter("engine/op/hash_join").Add(int64(shape.hashJoins))
+		reg.Counter("engine/op/cross_join").Add(int64(shape.crossJoins))
+		reg.Counter("engine/op/residual_filter").Add(int64(shape.residuals))
+		if shape.agg {
 			reg.Counter("engine/op/aggregate").Inc()
 		}
-		if stmt.Distinct {
+		if shape.distinct {
 			reg.Counter("engine/op/distinct").Inc()
 		}
-		if len(stmt.OrderBy) > 0 {
+		if shape.sort {
 			reg.Counter("engine/op/sort").Inc()
 		}
 	}
 	for _, p := range t.phases {
-		reg.Histogram("engine/phase/" + p.name + "/seconds").Observe(p.d.Seconds())
+		reg.Histogram(p.name).Observe(p.d.Seconds())
 	}
+}
+
+// shapeHistNames memoizes, per shapeKey, the name of the shape's latency
+// histogram: a request looks it up instead of rendering and concatenating it.
+var shapeHistNames sync.Map
+
+func shapeHistName(k shapeKey) string {
+	name, ok := shapeHistNames.Load(k)
+	if !ok {
+		name, _ = shapeHistNames.LoadOrStore(k, "engine/query/seconds/"+k.String())
+	}
+	return name.(string)
 }

@@ -2,6 +2,7 @@ package table
 
 import (
 	"math"
+	"math/bits"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -35,6 +36,16 @@ func (b Bitmap) Set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 
 // Get reports bit i.
 func (b Bitmap) Get(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+// AppendRows appends the indices of the set bits to dst, ascending.
+func (b Bitmap) AppendRows(dst []int32) []int32 {
+	for w, word := range b {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, int32(w<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	return dst
+}
 
 // Dict is a first-appearance string dictionary: code i maps to the i-th
 // distinct string encountered in row order, so dictionary contents are

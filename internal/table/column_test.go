@@ -245,3 +245,23 @@ func BenchmarkColumnsBuild(b *testing.B) {
 		_ = tbl.Columns()
 	}
 }
+
+func TestBitmapAppendRows(t *testing.T) {
+	b := NewBitmap(200)
+	want := []int32{0, 63, 64, 65, 127, 199}
+	for i := len(want) - 1; i >= 0; i-- {
+		b.Set(int(want[i]))
+	}
+	got := b.AppendRows([]int32{-1})
+	if len(got) != len(want)+1 || got[0] != -1 {
+		t.Fatalf("AppendRows = %v, want -1 then %v", got, want)
+	}
+	for i, w := range want {
+		if got[i+1] != w {
+			t.Fatalf("AppendRows = %v, want -1 then %v", got, want)
+		}
+	}
+	if rows := NewBitmap(0).AppendRows(nil); len(rows) != 0 {
+		t.Fatalf("empty bitmap yields %v", rows)
+	}
+}

@@ -41,10 +41,10 @@ func FloatJoinKey(f float64) JoinKey {
 
 // JoinKeyer builds a per-row key extractor over the column. ok=false means
 // NULL (the row does not participate). xlat, for string columns on the probe
-// side, translates c's dictionary codes into the build-side dictionary space
-// (-1 = absent, which yields TagMiss and can match nothing). It returns nil
-// for Mixed columns; callers must check before asking for a keyer.
-func (c *ColumnData) JoinKeyer(xlat []int32) func(int32) (JoinKey, bool) {
+// side, translates one of c's dictionary codes into the build-side dictionary
+// space (-1 = absent, which yields TagMiss and can match nothing). It returns
+// nil for Mixed columns; callers must check before asking for a keyer.
+func (c *ColumnData) JoinKeyer(xlat func(code int32) int32) func(int32) (JoinKey, bool) {
 	nulls := c.Nulls
 	switch {
 	case c.Mixed:
@@ -73,7 +73,7 @@ func (c *ColumnData) JoinKeyer(xlat []int32) func(int32) (JoinKey, bool) {
 				return JoinKey{}, false
 			}
 			if xlat != nil {
-				if code = xlat[code]; code < 0 {
+				if code = xlat(code); code < 0 {
 					return JoinKey{Tag: TagMiss}, true
 				}
 			}

@@ -253,3 +253,30 @@ func BenchmarkJoinIndexBuild(b *testing.B) {
 		})
 	}
 }
+
+// TestJoinKeyerTranslatesProbeCodes: a string column keyed for lookups among
+// another dictionary's keys passes each code through xlat — the translated code
+// keys as TagStr, an absent one (-1) as TagMiss, which no index holds, and a
+// NULL cell yields no key without asking.
+func TestJoinKeyerTranslatesProbeCodes(t *testing.T) {
+	tb := New("p", Schema{{Name: "s", Kind: KindString}})
+	for _, v := range []Value{NewString("a"), NewString("b"), Null, NewString("a")} {
+		tb.AppendRow(Row{v})
+	}
+	asked := 0
+	keyer := tb.Columns().Cols[0].JoinKeyer(func(code int32) int32 {
+		asked++
+		return map[int32]int32{0: 7, 1: -1}[code]
+	})
+	for ri, want := range []struct {
+		key JoinKey
+		ok  bool
+	}{{JoinKey{TagStr, 7}, true}, {JoinKey{Tag: TagMiss}, true}, {JoinKey{}, false}, {JoinKey{TagStr, 7}, true}} {
+		if k, ok := keyer(int32(ri)); k != want.key || ok != want.ok {
+			t.Errorf("row %d: key %+v ok=%v, want %+v ok=%v", ri, k, ok, want.key, want.ok)
+		}
+	}
+	if asked != 3 {
+		t.Errorf("xlat asked %d times, want once per non-NULL row (3)", asked)
+	}
+}

@@ -71,11 +71,12 @@ go test -bench=Fig2 -benchtime=1x -run='^$' "$@" ./... |
 	BENCHJSON_OUT="${bench_out}" go run ./scripts/benchjson
 
 # Columnar engine bench: the vectorized scan and index-backed join against
-# their row-engine counterparts, plus the three-way indexed join warm and cold
-# (cold pays the one-time index builds), recorded into the same history so
-# benchdiff below can gate on them.
-echo "==> go test -bench='ColumnarScan|HashJoinAllocs|JoinIndexed' ./internal/engine/  (-> ${bench_out})"
-go test -bench='ColumnarScan|HashJoinAllocs|JoinIndexed' -benchtime=10x -benchmem -run='^$' ./internal/engine/ |
+# their row-engine counterparts, the three-way indexed join warm and cold
+# (cold pays the one-time index builds), and the scan phase's access paths
+# (selective two-way, three-way chain, and the wide shape that declines),
+# recorded into the same history so benchdiff below can gate on them.
+echo "==> go test -bench='ColumnarScan|HashJoinAllocs|JoinIndexed|SidewaysJoin' ./internal/engine/  (-> ${bench_out})"
+go test -bench='ColumnarScan|HashJoinAllocs|JoinIndexed|SidewaysJoin' -benchtime=10x -benchmem -run='^$' ./internal/engine/ |
 	BENCHJSON_OUT="${bench_out}" go run ./scripts/benchjson
 
 # Serving bench: closed-loop HTTP load at 1x/4x/16x admission capacity,
