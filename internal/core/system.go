@@ -419,13 +419,17 @@ func (s *System) answer(ctx context.Context, stmt *sqlparse.Select, opts QueryOp
 		span.Annotate("sql", stmt.String) // rendered if a snapshot reads it
 		span.Annotate("predicted_score", pred)
 		span.Annotate("confidence", conf)
-		span.Annotate("route", map[bool]string{true: "approximation", false: "full"}[useApprox])
+		if useApprox { // a constant boxes without allocating
+			span.Annotate("route", "approximation")
+		} else {
+			span.Annotate("route", "full")
+		}
 	}
 
 	// Rung 1: approximation set, when the estimator trusts it.
 	var approxErr error
 	if useApprox {
-		res, err := s.runGuarded(ctx, s.setDB, stmt, eopts, "approx", frames)
+		res, err := s.runGuarded(ctx, s.setDB, stmt, eopts, rungApprox, frames)
 		if err == nil {
 			out.FromApproximation = true
 			out.Table, out.Frame = res.Table, res.Frame
@@ -474,7 +478,7 @@ func (s *System) answer(ctx context.Context, stmt *sqlparse.Select, opts QueryOp
 				}
 			}
 			out.FullAttempted = true
-			res, err := s.runGuarded(ctx, s.db, stmt, eopts, "full", frames)
+			res, err := s.runGuarded(ctx, s.db, stmt, eopts, rungFull, frames)
 			if err == nil {
 				out.FullFailure = ""
 				out.FromApproximation = false
@@ -526,7 +530,7 @@ func (s *System) answer(ctx context.Context, stmt *sqlparse.Select, opts QueryOp
 	// routed past it, or a second chance after a transient rung-1 fault when
 	// the full database is off-limits anyway.
 	if !useApprox || opts.SkipFull {
-		if res, err := s.runGuarded(ctx, s.setDB, stmt, eopts, "approx", frames); err == nil {
+		if res, err := s.runGuarded(ctx, s.setDB, stmt, eopts, rungApprox, frames); err == nil {
 			out.Degraded = true
 			out.DegradedReason = reason
 			out.FromApproximation = true
@@ -558,13 +562,18 @@ func guardKindOrFault(err error) string {
 	return "fault"
 }
 
+// The span names of the ladder's two rungs.
+const (
+	rungApprox = "core/rung/approx"
+	rungFull   = "core/rung/full"
+)
+
 // runGuarded executes stmt on db under ctx, converting panics into errors so
 // a malformed plan or injected fault cannot crash the serving process. Each
-// rung runs under its own child span ("core/rung/approx" or
-// "core/rung/full"), which the engine's operator spans attach to; panic
-// recoveries land on it as events.
-func (s *System) runGuarded(ctx context.Context, db *table.Database, stmt *sqlparse.Select, eopts engine.Options, rung string, frames bool) (res *engine.Result, err error) {
-	ctx, rspan := obs.StartSpan(ctx, "core/rung/"+rung)
+// rung runs under its own child span (rungApprox or rungFull), which the
+// engine's operator spans attach to; panic recoveries land on it as events.
+func (s *System) runGuarded(ctx context.Context, db *table.Database, stmt *sqlparse.Select, eopts engine.Options, rungSpan string, frames bool) (res *engine.Result, err error) {
+	ctx, rspan := obs.StartSpan(ctx, rungSpan)
 	defer rspan.End()
 	defer func() {
 		if r := recover(); r != nil {

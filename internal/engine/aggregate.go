@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 
 	"asqprl/internal/sqlparse"
@@ -80,19 +81,18 @@ func (a *aggState) value() table.Value {
 	}
 }
 
-// group holds the accumulators and a representative tuple environment for
-// one grouping key. hasRep is false only for the synthetic empty global
-// group.
+// group is one output group as emitAggRows and evalAggExpr read it: the tuple
+// that opened it (hasRep is false only for the synthetic empty global group)
+// and the value of every aggregate call, in collectAggCalls order.
 type group struct {
 	rep    evalEnv
 	hasRep bool
-	aggs   []*aggState
+	vals   []table.Value
 }
 
 // collectAggCalls gathers every aggregate call in the SELECT list and HAVING
-// (in first-appearance order) and resolves plain column-reference arguments
-// once, shared by the row and columnar aggregation paths.
-func collectAggCalls(b *binder, stmt *sqlparse.Select) ([]*sqlparse.Call, map[*sqlparse.Call]int) {
+// (in first-appearance order), shared by the row and columnar aggregation paths.
+func collectAggCalls(stmt *sqlparse.Select) ([]*sqlparse.Call, map[*sqlparse.Call]int) {
 	var calls []*sqlparse.Call
 	callIndex := map[*sqlparse.Call]int{}
 	collect := func(e sqlparse.Expr) {
@@ -130,25 +130,35 @@ func newAggStates(b *binder, calls []*sqlparse.Call) []*aggState {
 	return aggs
 }
 
-// aggregate executes the grouping/aggregation path of a SELECT.
+// aggregate executes the grouping/aggregation path of a SELECT over the row
+// engine's joined rows.
 func aggregate(b *binder, stmt *sqlparse.Select, joined []joinedRow, g *guard) (*table.Table, error) {
+	return aggregateRows(b, stmt, len(joined), func(i int) evalEnv { return evalEnv{b: b, row: joined[i]} }, g)
+}
+
+// aggregateRows is the row-at-a-time aggregation loop over n tuples: it is the
+// row engine's aggregate operator, and the columnar engine's for what typed
+// vectors cannot serve (see planAggregate). Every tuple's GROUP BY key is built
+// in one reused byte buffer (the map copies it only when a new group is created)
+// and every aggregate argument is a boxed Value.
+func aggregateRows(b *binder, stmt *sqlparse.Select, n int, tuple func(i int) evalEnv, g *guard) (*table.Table, error) {
 	if stmt.Star {
-		return nil, fmt.Errorf("engine: SELECT * cannot be combined with aggregates")
+		return nil, errStarAggregate
 	}
+	calls, callIndex := collectAggCalls(stmt)
 
-	// Collect every aggregate call appearing in the SELECT list and HAVING.
-	calls, callIndex := collectAggCalls(b, stmt)
-
-	// Group rows by the GROUP BY key, built in one reused byte buffer (the
-	// map copies it only when a new group is created).
-	groups := map[string]*group{}
-	var order []*group
+	type rowGroup struct {
+		rep  evalEnv
+		aggs []*aggState
+	}
+	groups := map[string]*rowGroup{}
+	var order []*rowGroup
 	var kb []byte
-	for _, jr := range joined {
+	for i := 0; i < n; i++ {
 		if err := g.tick(1); err != nil {
 			return nil, err
 		}
-		env := evalEnv{b: b, row: jr}
+		env := tuple(i)
 		kb = kb[:0]
 		for _, ge := range stmt.GroupBy {
 			v, err := evalExpr(ge, env)
@@ -160,7 +170,7 @@ func aggregate(b *binder, stmt *sqlparse.Select, joined []joinedRow, g *guard) (
 		}
 		gr := groups[string(kb)]
 		if gr == nil {
-			gr = &group{rep: env, hasRep: true, aggs: newAggStates(b, calls)}
+			gr = &rowGroup{rep: env, aggs: newAggStates(b, calls)}
 			groups[string(kb)] = gr
 			order = append(order, gr)
 		}
@@ -172,16 +182,25 @@ func aggregate(b *binder, stmt *sqlparse.Select, joined []joinedRow, g *guard) (
 	}
 	// Global aggregation over an empty input still yields one row
 	// (COUNT(*) = 0 and friends).
+	hasRep := true
 	if len(stmt.GroupBy) == 0 && len(order) == 0 {
-		order = append(order, &group{aggs: newAggStates(b, calls)})
+		order, hasRep = append(order, &rowGroup{aggs: newAggStates(b, calls)}), false
 	}
-	return emitAggRows(b, stmt, order, callIndex, g)
+	return emitAggRows(b, stmt, len(order), len(calls), func(gi int, gr *group) {
+		gr.rep, gr.hasRep = order[gi].rep, hasRep
+		for ci, a := range order[gi].aggs {
+			gr.vals[ci] = a.value()
+		}
+	}, callIndex, g)
 }
 
-// emitAggRows materializes the output table from groups in first-appearance
-// order, applying HAVING and the output-row budget. Shared by the row and
-// columnar aggregation paths, so their results are identical by construction.
-func emitAggRows(b *binder, stmt *sqlparse.Select, order []*group, callIndex map[*sqlparse.Call]int, g *guard) (*table.Table, error) {
+var errStarAggregate = errors.New("engine: SELECT * cannot be combined with aggregates")
+
+// emitAggRows materializes the output table from n groups in first-appearance
+// order, applying HAVING and the output-row budget; load fills in group gi.
+// Shared by the row and columnar aggregation paths, so their results are
+// identical by construction.
+func emitAggRows(b *binder, stmt *sqlparse.Select, n, nCalls int, load func(gi int, gr *group), callIndex map[*sqlparse.Call]int, g *guard) (*table.Table, error) {
 	schema := make(table.Schema, len(stmt.Items))
 	for i, it := range stmt.Items {
 		name := it.Alias
@@ -192,7 +211,9 @@ func emitAggRows(b *binder, stmt *sqlparse.Select, order []*group, callIndex map
 	}
 	out := table.New("result", schema)
 
-	for _, gr := range order {
+	gr := &group{vals: make([]table.Value, nCalls)}
+	for gi := 0; gi < n; gi++ {
+		load(gi, gr)
 		if stmt.Having != nil {
 			v, err := evalAggExpr(b, stmt.Having, gr, callIndex)
 			if err != nil {
@@ -218,127 +239,6 @@ func emitAggRows(b *binder, stmt *sqlparse.Select, order []*group, callIndex map
 	return out, nil
 }
 
-// groupKeyN is a composite grouping key over up to maxFastGroupKeys columns
-// (unused positions stay zero; every row of one query uses the same count).
-type groupKeyN struct {
-	k [maxFastGroupKeys]table.JoinKey
-}
-
-const maxFastGroupKeys = 4
-
-// columnGroupKeyer is ColumnData.JoinKeyer for GROUP BY keys, where NULL is a
-// legitimate grouping value (TagNull) rather than a skipped row.
-func columnGroupKeyer(c *table.ColumnData) func(int32) table.JoinKey {
-	jk := c.JoinKeyer(nil)
-	return func(i int32) table.JoinKey {
-		k, ok := jk(i)
-		if !ok {
-			return table.JoinKey{Tag: table.TagNull}
-		}
-		return k
-	}
-}
-
-// aggregateCol is the columnar grouping/aggregation path. Grouping keys for
-// plain column references over clean (non-Mixed) columns use fixed-size typed
-// keys (the table.JoinKey scheme, with NULL as a first-class TagNull key);
-// anything else falls back to the row path's byte keys. Accumulation and output reuse
-// the row path's machinery, so results match it byte for byte.
-func aggregateCol(b *binder, stmt *sqlparse.Select, jb *joinedBatch, g *guard) (*table.Table, error) {
-	if stmt.Star {
-		return nil, fmt.Errorf("engine: SELECT * cannot be combined with aggregates")
-	}
-	calls, callIndex := collectAggCalls(b, stmt)
-
-	type fastKeyer struct {
-		col []int32
-		key func(int32) table.JoinKey
-	}
-	var fks []fastKeyer
-	fast := len(stmt.GroupBy) <= maxFastGroupKeys
-	for _, ge := range stmt.GroupBy {
-		if !fast {
-			break
-		}
-		ref, ok := ge.(*sqlparse.ColumnRef)
-		if !ok {
-			fast = false
-			break
-		}
-		bd, err := b.resolve(ref)
-		if err != nil || jb.cols[bd.rel] == nil {
-			fast = false
-			break
-		}
-		c := &b.tables[bd.rel].Columns().Cols[bd.col]
-		if c.Mixed {
-			fast = false
-			break
-		}
-		fks = append(fks, fastKeyer{col: jb.cols[bd.rel], key: columnGroupKeyer(c)})
-	}
-
-	var order []*group
-	env := evalEnv{b: b, batch: jb}
-	if fast {
-		groups := make(map[groupKeyN]*group)
-		for idx := 0; idx < jb.n; idx++ {
-			if err := g.tick(1); err != nil {
-				return nil, err
-			}
-			env.idx = idx
-			var kn groupKeyN
-			for pi := range fks {
-				kn.k[pi] = fks[pi].key(fks[pi].col[idx])
-			}
-			gr := groups[kn]
-			if gr == nil {
-				gr = &group{rep: env, hasRep: true, aggs: newAggStates(b, calls)}
-				groups[kn] = gr
-				order = append(order, gr)
-			}
-			for _, a := range gr.aggs {
-				if err := a.add(env); err != nil {
-					return nil, err
-				}
-			}
-		}
-	} else {
-		groups := map[string]*group{}
-		var kb []byte
-		for idx := 0; idx < jb.n; idx++ {
-			if err := g.tick(1); err != nil {
-				return nil, err
-			}
-			env.idx = idx
-			kb = kb[:0]
-			for _, ge := range stmt.GroupBy {
-				v, err := evalExpr(ge, env)
-				if err != nil {
-					return nil, err
-				}
-				kb = v.AppendKey(kb)
-				kb = append(kb, 0x1e)
-			}
-			gr := groups[string(kb)]
-			if gr == nil {
-				gr = &group{rep: env, hasRep: true, aggs: newAggStates(b, calls)}
-				groups[string(kb)] = gr
-				order = append(order, gr)
-			}
-			for _, a := range gr.aggs {
-				if err := a.add(env); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	if len(stmt.GroupBy) == 0 && len(order) == 0 {
-		order = append(order, &group{aggs: newAggStates(b, calls)})
-	}
-	return emitAggRows(b, stmt, order, callIndex, g)
-}
-
 // evalAggExpr evaluates an expression in grouped context: aggregate calls
 // resolve to their accumulated value, other sub-expressions evaluate against
 // the group's representative row (valid for GROUP BY keys, which are
@@ -350,7 +250,7 @@ func evalAggExpr(b *binder, e sqlparse.Expr, gr *group, callIndex map[*sqlparse.
 		if !ok {
 			return table.Null, fmt.Errorf("engine: internal: unregistered aggregate %s", x)
 		}
-		return gr.aggs[idx].value(), nil
+		return gr.vals[idx], nil
 	case *sqlparse.Binary:
 		l, err := evalAggExpr(b, x.Left, gr, callIndex)
 		if err != nil {

@@ -242,3 +242,26 @@ func BenchmarkSidewaysJoin(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAggregateJoin is the layer bench of the aggregate phase on the shape
+// an exploratory miss takes (bench/ explore_miss), warm: a join whose result —
+// every cast_info row, 50 000 of them — is grouped by one dictionary column and
+// aggregated three ways. The join (serial, like the aggregation at any worker
+// count, so allocs/op do not count a parallel probe's per-morsel chunks) is the
+// same work at every commit; what moves is the grouping and the accumulation,
+// and allocs/op, which follow the groups and not the joined rows.
+func BenchmarkAggregateJoin(b *testing.B) {
+	db := datagen.IMDB(1, 1)
+	stmt := sqlparse.MustParse("SELECT cast_info.role, COUNT(*), AVG(cast_info.position), MAX(title.production_year) FROM cast_info JOIN title ON cast_info.title_id = title.id GROUP BY cast_info.role")
+	joined, err := Count(db, RewriteAggregateToSPJ(stmt)) // also: columnar views, join indexes
+	if err != nil || joined < 50_000 {
+		b.Fatalf("%d joined rows (%v), want at least 50000", joined, err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ExecuteWith(db, stmt, Options{Parallelism: -1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -95,7 +95,7 @@ func executeColTail(b *binder, stmt *sqlparse.Select, preds []predClass, opts Op
 
 	if stmt.HasAggregates() {
 		aggSpan := span.StartChild("engine/aggregate")
-		out, err := aggregateCol(b, stmt, jb, g)
+		out, err := aggregateCol(b, stmt, jb, g, aggSpan)
 		if err != nil {
 			markSpanOutcome(aggSpan, err)
 			aggSpan.End()

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -135,6 +136,62 @@ func TestColumnarNaNComparisonParity(t *testing.T) {
 		}
 		if rf, cf := resultFingerprint(row), resultFingerprint(col); rf != cf {
 			t.Errorf("%s: columnar diverges from row engine\nrow:\n%s\ncolumnar:\n%s", tc.sql, rf, cf)
+		}
+	}
+}
+
+// TestIntKernelsMatchFloatComparison pins the int64 comparison kernels to the
+// row engine's float64 comparison at the edges where the two could part: cells
+// beyond ±2^53 (which round as float64), bounds at and next to 2^53 (the first
+// bound the int path must leave to the float path), float-typed integral and
+// fractional bounds, reversed BETWEEN bounds, NULL cells, and morsels the zone
+// maps prune.
+func TestIntKernelsMatchFloatComparison(t *testing.T) {
+	const p53 = 1 << 53
+	for l, want := range map[float64]bool{0: true, -7: true, p53 - 1: true, 1 - p53: true, p53: false, -p53: false, 2.5: false, math.Inf(1): false, math.NaN(): false} {
+		if got, ok := exactInt(l); ok != want || ok && float64(got) != l {
+			t.Errorf("exactInt(%v) = %d, %v", l, got, ok)
+		}
+	}
+	cells := []int64{math.MinInt64, -p53 - 1, -p53, 1 - p53, -6, -5, -1, 0, 1, 4, 5, 6, p53 - 2, p53 - 1, p53, p53 + 1, p53 + 2, math.MaxInt64}
+	tbl := table.New("it", table.Schema{{Name: "id", Kind: table.KindInt}, {Name: "v", Kind: table.KindInt}, {Name: "w", Kind: table.KindInt}})
+	for i := 0; i < 3*table.ZoneChunkRows; i++ {
+		v, w := table.NewInt(cells[i%len(cells)]), table.NewInt(cells[i%len(cells)])
+		if i%7 == 3 {
+			w = table.Null
+		}
+		if i >= table.ZoneChunkRows { // two morsels of small values only
+			v = table.NewInt(int64(i % 10))
+		}
+		tbl.AppendRow(table.Row{table.NewInt(int64(i)), v, w})
+	}
+	db := table.NewDatabase()
+	db.Add(tbl)
+	bounds := []string{"5", "5.0", "-5", "0", "2.5", "9007199254740990", "9007199254740991", "9007199254740992", "9007199254740993",
+		"-9007199254740991", "-9007199254740992", "9223372036854775807", "1e300"}
+	var preds []string
+	for _, col := range []string{"v", "w"} {
+		for _, l := range bounds {
+			for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
+				preds = append(preds, fmt.Sprintf("%s %s %s", col, op, l), fmt.Sprintf("NOT %s %s %s", col, op, l))
+			}
+			for _, h := range bounds {
+				preds = append(preds, fmt.Sprintf("%s BETWEEN %s AND %s", col, l, h), fmt.Sprintf("%s NOT BETWEEN %s AND %s", col, l, h))
+			}
+		}
+	}
+	for _, pred := range preds {
+		stmt := sqlparse.MustParse("SELECT id FROM it WHERE " + pred)
+		row, err := ExecuteWith(db, stmt, Options{UseRowEngine: true})
+		if err != nil {
+			t.Fatalf("%s (row): %v", pred, err)
+		}
+		col, err := ExecuteWith(db, stmt, Options{})
+		if err != nil {
+			t.Fatalf("%s (columnar): %v", pred, err)
+		}
+		if rf, cf := resultFingerprint(row), resultFingerprint(col); rf != cf {
+			t.Errorf("%s: columnar keeps %d rows, the row engine %d", pred, col.Table.NumRows(), row.Table.NumRows())
 		}
 	}
 }

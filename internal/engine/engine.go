@@ -225,31 +225,9 @@ func executeWith(db *table.Database, stmt *sqlparse.Select, opts Options, t *que
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// Bind every expression up front so resolution errors surface before
-	// execution starts.
-	for _, it := range stmt.Items {
-		if err := b.bindExpr(it.Expr); err != nil {
-			return nil, b, nil, err
-		}
-	}
-	for _, j := range stmt.Joins {
-		if err := b.bindExpr(j.On); err != nil {
-			return nil, b, nil, err
-		}
-	}
-	if err := b.bindExpr(stmt.Where); err != nil {
+	if err := b.bindStmt(stmt); err != nil {
 		return nil, b, nil, err
 	}
-	for _, g := range stmt.GroupBy {
-		if err := b.bindExpr(g); err != nil {
-			return nil, b, nil, err
-		}
-	}
-	if err := b.bindExpr(stmt.Having); err != nil {
-		return nil, b, nil, err
-	}
-	// ORDER BY expressions are not pre-bound: they may reference output
-	// aliases rather than base columns, and orderKey resolves them lazily.
 
 	preds, err := classify(b, stmt)
 	if err != nil {

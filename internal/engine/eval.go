@@ -105,6 +105,32 @@ func (b *binder) bindExpr(e sqlparse.Expr) error {
 	return firstErr
 }
 
+// bindStmt binds every expression of stmt up front, so resolution errors
+// surface before execution starts. ORDER BY expressions are not pre-bound: they
+// may reference output aliases rather than base columns, and finish resolves
+// them lazily.
+func (b *binder) bindStmt(stmt *sqlparse.Select) error {
+	for _, it := range stmt.Items {
+		if err := b.bindExpr(it.Expr); err != nil {
+			return err
+		}
+	}
+	for _, j := range stmt.Joins {
+		if err := b.bindExpr(j.On); err != nil {
+			return err
+		}
+	}
+	if err := b.bindExpr(stmt.Where); err != nil {
+		return err
+	}
+	for _, g := range stmt.GroupBy {
+		if err := b.bindExpr(g); err != nil {
+			return err
+		}
+	}
+	return b.bindExpr(stmt.Having)
+}
+
 // joinedRow is an intermediate tuple during join processing: one row index
 // per relation, -1 for relations not yet joined.
 type joinedRow []int32

@@ -19,17 +19,7 @@ func Explain(db *table.Database, stmt *sqlparse.Select) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	for _, it := range stmt.Items {
-		if err := b.bindExpr(it.Expr); err != nil {
-			return "", err
-		}
-	}
-	for _, j := range stmt.Joins {
-		if err := b.bindExpr(j.On); err != nil {
-			return "", err
-		}
-	}
-	if err := b.bindExpr(stmt.Where); err != nil {
+	if err := b.bindStmt(stmt); err != nil {
 		return "", err
 	}
 	preds, err := classify(b, stmt)
@@ -96,14 +86,16 @@ func Explain(db *table.Database, stmt *sqlparse.Select) (string, error) {
 
 	// Finishing operators.
 	if stmt.HasAggregates() {
+		calls, _ := collectAggCalls(stmt)
+		how := planAggregate(b, stmt, calls).describe()
 		if len(stmt.GroupBy) > 0 {
 			groups := make([]string, len(stmt.GroupBy))
 			for i, g := range stmt.GroupBy {
 				groups[i] = g.String()
 			}
-			fmt.Fprintf(&out, "  hash aggregate by %s\n", strings.Join(groups, ", "))
+			fmt.Fprintf(&out, "  hash aggregate by %s%s\n", strings.Join(groups, ", "), how)
 		} else {
-			out.WriteString("  global aggregate\n")
+			fmt.Fprintf(&out, "  global aggregate%s\n", how)
 		}
 		if stmt.Having != nil {
 			fmt.Fprintf(&out, "  having: %s\n", stmt.Having)

@@ -152,7 +152,7 @@ func TestExplainPlacesLimit(t *testing.T) {
 		"SELECT title FROM movies WHERE year > 2000 LIMIT 3":        "  project\n    limit 3\n",
 		"SELECT title FROM movies ORDER BY title LIMIT 3":           "  project\n  finish\n    sort by title\n    limit 3\n",
 		"SELECT DISTINCT genre FROM movies LIMIT 3":                 "  project\n  finish\n    distinct\n    limit 3\n",
-		"SELECT genre, COUNT(*) FROM movies GROUP BY genre LIMIT 2": "  hash aggregate by genre\n  finish\n    limit 2\n",
+		"SELECT genre, COUNT(*) FROM movies GROUP BY genre LIMIT 2": "  hash aggregate by genre (dictionary codes)\n  finish\n    limit 2\n",
 		"SELECT title FROM movies":                                  "  project\n",
 	} {
 		plan, err := Explain(db, sqlparse.MustParse(sql))

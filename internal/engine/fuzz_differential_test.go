@@ -17,7 +17,7 @@ import (
 // This file holds the seeded differential fuzz harness for the columnar
 // execution core: every generated statement is executed by the legacy
 // row-at-a-time engine (the reference) and by the columnar engine at
-// parallelism 1 and 8, and the three runs must agree byte for byte — same
+// parallelism 1, 2 and 8, and the runs must agree byte for byte — same
 // result fingerprint (schema, row keys, lineage) on success, same error
 // string and guard kind on failure, and identical partial results when an
 // output budget trips mid-projection. The one exception (fuzzReference): the
@@ -39,7 +39,8 @@ const fuzzSparse = 1_000_003
 // join of fa.cat or fb.cat with it meets strings the other dictionary lacks.
 var fuzzTags = []string{"drama", "noir", "musical", "zzz"}
 
-// fuzzDB builds a three-table database from rng: fa, fb keyed to it, and fc
+// fuzzDB builds a three-table database from rng: fa (whose val is integral,
+// fractional, -0, ±Inf, NaN — in row 0 always — or NULL), fb keyed to it, and fc
 // keyed to it through int (fa_id, repeating and dangling), string (name, over
 // two dictionaries that overlap in part) and float (v: integral, fractional,
 // NaN) columns. With size 0 about one run in six, and with size 1 or 2 every
@@ -78,8 +79,17 @@ func fuzzDB(rng *rand.Rand, size int, forceMixed bool) *table.Database {
 			val = table.NewFloat(math.NaN())
 		case 2:
 			val = table.NewFloat(float64(rng.Intn(8))) // integral float
+			if val.Float == 0 && i%2 == 1 {
+				val = table.NewFloat(math.Copysign(0, -1)) // -0 keys and sums with 0
+			}
 		default:
 			val = table.NewFloat(float64(rng.Intn(16)) - 7.5)
+			if i%5 == 0 && math.Abs(val.Float) == 7.5 {
+				val = table.NewFloat(math.Inf(int(val.Float))) // ±Inf: a sum over both is NaN
+			}
+		}
+		if i == 0 {
+			val = table.NewFloat(math.NaN()) // the first value a MIN or MAX over fa meets
 		}
 		cat := table.NewString(fuzzVocab[rng.Intn(len(fuzzVocab))])
 		if rng.Intn(8) == 0 {
@@ -406,13 +416,72 @@ var fuzzSidewaysShapes = []string{
 	"SELECT a.cat, COUNT(*), AVG(c.v) FROM fa a JOIN fc c ON a.id = c.fa_id WHERE a.num = 3 GROUP BY a.cat",
 }
 
-// fuzzNarrow ANDs pred into the WHERE clause q has.
+// fuzzNarrow ANDs pred into q's WHERE clause, giving it one if it has none.
 func fuzzNarrow(q, pred string) string {
-	if i := strings.Index(q, " GROUP BY "); i >= 0 {
-		return q[:i] + " AND " + pred + q[i:]
+	kw, at := " WHERE ", len(q)
+	if strings.Contains(q, kw) {
+		kw = " AND "
 	}
-	return q + " AND " + pred
+	for _, clause := range []string{" GROUP BY ", " ORDER BY "} {
+		if i := strings.Index(q, clause); i >= 0 && i < at {
+			at = i
+		}
+	}
+	return q[:at] + kw + pred + q[at:]
 }
+
+// fuzzAggShapes are the statements a seed at or below fuzzAggSeed forces (see
+// FuzzRowVsColumnar): what the columnar aggregate phase distinguishes. How a
+// GROUP BY key is encoded, and whether the keys' codes address a table or are
+// hashed, depends on the columns' values and on the joined row count, so every
+// shape runs at each database size; fa is aliased a in every one.
+var fuzzAggShapes = []string{
+	// One key per encoding — dictionary codes, int offsets, bools, hashed floats
+	// (0 and -0 one group, every NaN one group, ±Inf), and fa.sp, whose range
+	// takes offsets in a small database and hashing in a big one — each with a
+	// NULL group; COUNT(col) over NULLs, MIN/MAX over strings, bools and floats
+	// that start at NaN, SUM/AVG over ints, bools, strings and ±Inf.
+	"SELECT a.cat, COUNT(*), COUNT(a.num), SUM(a.num), AVG(a.val), MIN(a.val), MAX(a.val) FROM fa a GROUP BY a.cat",
+	"SELECT a.num, COUNT(*), MIN(a.cat), MAX(a.cat), MIN(a.name), AVG(a.num) FROM fa a GROUP BY a.num",
+	"SELECT a.flag, COUNT(a.flag), MIN(a.flag), MAX(a.flag), SUM(a.flag), AVG(a.cat), MIN(*) FROM fa a GROUP BY a.flag",
+	"SELECT a.val, COUNT(*), SUM(a.val), MIN(a.num), MAX(a.num) FROM fa a GROUP BY a.val",
+	"SELECT a.sp, COUNT(*), MAX(a.id), SUM(*) FROM fa a GROUP BY a.sp",
+	// Keys and arguments from either side of a join.
+	"SELECT b.cat, COUNT(*), SUM(a.val), AVG(b.w) FROM fa a JOIN fb b ON a.id = b.fa_id GROUP BY b.cat",
+	"SELECT a.flag, c.tag, COUNT(c.v), MIN(c.v), MAX(c.name) FROM fc c JOIN fa a ON c.fa_id = a.id GROUP BY a.flag, c.tag",
+	// Two to five keys: few enough codes to address a table, too many (hashed),
+	// hashed keys among them, and so many that the running code is renumbered
+	// on the way (two hashed keys and a dictionary overflow 64 bits).
+	"SELECT a.cat, a.flag, COUNT(*), AVG(a.num) FROM fa a GROUP BY a.cat, a.flag",
+	"SELECT a.cat, a.num, a.flag, SUM(a.val) FROM fa a GROUP BY a.cat, a.num, a.flag",
+	"SELECT a.name, a.num, a.cat, a.id, COUNT(*) FROM fa a GROUP BY a.name, a.num, a.cat, a.id",
+	"SELECT a.cat, a.num, a.flag, a.val, COUNT(*), MAX(a.id) FROM fa a GROUP BY a.cat, a.num, a.flag, a.val",
+	"SELECT a.val, a.sp, a.name, a.cat, c.v, COUNT(*), SUM(c.n) FROM fa a JOIN fc c ON a.id = c.fa_id GROUP BY a.val, a.sp, a.name, a.cat, c.v",
+	// HAVING and items with arithmetic over aggregates; a select item that is
+	// neither key nor aggregate reads the tuple that opened the group.
+	"SELECT a.cat, SUM(a.num), COUNT(*) FROM fa a GROUP BY a.cat HAVING SUM(a.num) / COUNT(*) > 3 AND MAX(a.val) - MIN(a.val) >= 0",
+	"SELECT a.id, a.name, COUNT(*) * 2 - COUNT(b.w) FROM fa a JOIN fb b ON a.id = b.fa_id GROUP BY b.cat, a.flag",
+	// What typed vectors do not serve runs row at a time: expression arguments
+	// and keys (one raising at a data-dependent row) and Mixed columns.
+	"SELECT a.cat, SUM(a.num * 2), COUNT(a.val + 1) FROM fa a GROUP BY a.cat",
+	"SELECT a.num + 1, COUNT(*), MIN(a.val) FROM fa a GROUP BY a.num + 1",
+	"SELECT a.flag, SUM(a.cat + 1) FROM fa a GROUP BY a.flag",
+	"SELECT a.mx, COUNT(*), SUM(a.mx) FROM fa a GROUP BY a.mx",
+	"SELECT a.cat, MIN(a.mx) FROM fa a GROUP BY a.cat",
+	// Global aggregates: over rows, and over an empty join (one row of NULLs
+	// and zeros, the non-aggregate item NULL).
+	"SELECT COUNT(*), COUNT(a.val), SUM(a.val), AVG(a.num), MIN(a.val), MAX(a.val), MIN(a.cat) FROM fa a",
+	"SELECT COUNT(*), SUM(b.w), MIN(a.cat), a.id, 7 FROM fa a JOIN fb b ON a.id = b.fa_id WHERE b.w > 100",
+	// Finishing: ORDER BY an aggregate, LIMIT.
+	"SELECT a.cat, COUNT(*) AS n, AVG(a.val) FROM fa a GROUP BY a.cat ORDER BY n DESC, a.cat LIMIT 3",
+	"SELECT a.num, a.flag, MAX(a.val) FROM fa a GROUP BY a.num, a.flag ORDER BY a.num, a.flag LIMIT 10",
+}
+
+// fuzzAggSeed - k pins a run to fuzzAggShapes[k % len] on a database of size
+// k / len % 3 (see fuzzDB), each statement under one of fuzzLimitModes — the
+// output budget of mode 1 trips while groups are emitted — and half of them
+// narrowed at random.
+const fuzzAggSeed = -1 << 48
 
 // fuzzSidewaysSeed - k pins a run to fuzzSidewaysShapes[k % len] on a database
 // of size k / len % 3 (see fuzzDB), each statement under one of fuzzLimitModes.
@@ -551,7 +620,7 @@ func (r *fuzzReference) outcome(gotErr error) (res *Result, err error, ok bool) 
 }
 
 // FuzzRowVsColumnar is the differential harness: seed → random database +
-// statements → row engine vs columnar engine at parallelism 1 and 8, as a
+// statements → row engine vs columnar engine at parallelism 1, 2 and 8, as a
 // table (ExecuteWithContext), as a frame (ExecuteFrameContext) and as a count
 // (CountContext), under normal execution, pre-canceled contexts, output and
 // intermediate row budgets, and injected operator faults. A seed >= 0 draws
@@ -559,8 +628,9 @@ func (r *fuzzReference) outcome(gotErr error) (res *Result, err error, ok bool) 
 // fuzzJoinShapes[k % len], on a parallel-scale database when k / len is odd,
 // seed fuzzLimitSeed-k to a fuzzLimitShapes statement and LIMIT under each of
 // fuzzLimitModes, and seed fuzzSidewaysSeed-k to a fuzzSidewaysShapes statement
-// under each of them at each database size, so the corpus reaches every shape
-// at every size by construction.
+// under each of them at each database size, and seed fuzzAggSeed-k likewise to
+// a fuzzAggShapes statement, so the corpus reaches every shape at every size by
+// construction.
 func FuzzRowVsColumnar(f *testing.F) {
 	for s := int64(0); s < 24; s++ {
 		f.Add(s)
@@ -574,10 +644,17 @@ func FuzzRowVsColumnar(f *testing.F) {
 	for k := 0; k < 3*len(fuzzSidewaysShapes); k++ {
 		f.Add(int64(fuzzSidewaysSeed - k))
 	}
+	for k := 0; k < 3*len(fuzzAggShapes); k++ {
+		f.Add(int64(fuzzAggSeed - k))
+	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		shape, pinSQL, size := -1, "", 0
 		switch {
+		case seed <= fuzzAggSeed:
+			k := uint64(fuzzAggSeed - seed)
+			nShapes := uint64(len(fuzzAggShapes))
+			pinSQL, size = fuzzAggShapes[k%nShapes], int(k/nShapes%3)
 		case seed <= fuzzSidewaysSeed:
 			k := uint64(fuzzSidewaysSeed - seed)
 			nShapes := uint64(len(fuzzSidewaysShapes))
@@ -603,7 +680,7 @@ func FuzzRowVsColumnar(f *testing.F) {
 				if rng.Intn(2) == 0 {
 					sql = fuzzNarrow(sql, fuzzPred(rng, "a.", 1))
 				}
-				if si >= 4 {
+				if si >= 4 && seed > fuzzAggSeed {
 					sql += fmt.Sprintf(" LIMIT %d", 1+rng.Intn(20))
 				}
 			case pinSQL != "":
@@ -664,7 +741,7 @@ func FuzzRowVsColumnar(f *testing.F) {
 			rowOpts.UseRowEngine = true
 			rowOpts.Parallelism = -1
 			ref := &fuzzReference{run: run, opts: rowOpts}
-			for _, par := range []int{-1, 8} {
+			for _, par := range []int{-1, 2, 8} {
 				col := base
 				col.Parallelism = par
 				check(fmt.Sprintf("columnar-%d", par), ref, false, col)

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math"
+
 	"asqprl/internal/sqlparse"
 	"asqprl/internal/table"
 )
@@ -398,7 +400,45 @@ func compileCmp(cs *table.ColumnSet, ci int, lit *sqlparse.Literal, op string) (
 	return kernel{}, false
 }
 
-// numericCmpKernel compares an int or float column against a numeric literal
+// exactInt reports whether f is an integer of magnitude below 2^53, and which:
+// against such a bound an int64 cell compares as its float64 conversion does.
+// (Cells beyond ±2^53 round, but monotonically and never across the bound; at
+// 2^53 itself 2^53+1 rounds onto the bound and the two comparisons part.)
+func exactInt(f float64) (int64, bool) {
+	return int64(f), f == math.Trunc(f) && math.Abs(f) < 1<<53
+}
+
+// intRangeSel is the selection loop of lo <= cell <= hi (not: outside it) over a
+// non-NULL int cell: one unsigned comparison inline, no conversion, no call. The
+// surviving prefix is written branch-free behind the read position.
+func intRangeSel(c *table.ColumnData, lo, hi int64, not bool) func(sel []int32) []int32 {
+	vals, nulls, span := c.Ints, c.Nulls, uint64(hi)-uint64(lo)
+	if nulls == nil {
+		return func(sel []int32) []int32 {
+			n := 0
+			for _, i := range sel {
+				sel[n] = i
+				if (uint64(vals[i])-uint64(lo) <= span) != not {
+					n++
+				}
+			}
+			return sel[:n]
+		}
+	}
+	return func(sel []int32) []int32 {
+		n := 0
+		for _, i := range sel {
+			sel[n] = i
+			if (uint64(vals[i])-uint64(lo) <= span) != not && !nulls.Get(int(i)) {
+				n++
+			}
+		}
+		return sel[:n]
+	}
+}
+
+// numericCmpKernel compares an int or float column against a numeric literal:
+// in int64 when the column is int and the literal an exactInt, otherwise
 // through float64, exactly like Value.Compare on numeric pairs.
 func numericCmpKernel(c *table.ColumnData, op string, lit float64) kernel {
 	nulls := c.Nulls
@@ -430,6 +470,24 @@ func numericCmpKernel(c *table.ColumnData, op string, lit float64) kernel {
 		return kernel{}
 	}
 	k := kernel{prune: prune}
+	if l, ok := exactInt(lit); ok && c.Kind == table.KindInt {
+		// v op l is one of: v in [l, l], not in it, in (-inf, l) ... [l, +inf).
+		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+		switch op {
+		case "=", "<>":
+			lo, hi = l, l
+		case "<":
+			hi = l - 1
+		case "<=":
+			hi = l
+		case ">":
+			lo = l + 1
+		case ">=":
+			lo = l
+		}
+		k.sel = intRangeSel(c, lo, hi, op == "<>")
+		return k
+	}
 	if c.Kind == table.KindInt {
 		vals := c.Ints
 		if nulls == nil {
@@ -799,6 +857,12 @@ func numericBetweenKernel(c *table.ColumnData, lo, hi float64, not bool) kernel 
 	// Compare returns 0 for NaN operands — so NaN is BETWEEN everything.
 	// !(v < lo) && !(v > hi) reproduces that exactly.
 	test := func(v float64) bool { return (!(v < lo) && !(v > hi)) != not }
+	if l, lok := exactInt(lo); lok && c.Kind == table.KindInt {
+		if h, hok := exactInt(hi); hok && l <= h { // an int cell is never NaN
+			k.sel = intRangeSel(c, l, h, not)
+			return k
+		}
+	}
 	if c.Kind == table.KindInt {
 		vals := c.Ints
 		k.sel = func(sel []int32) []int32 {

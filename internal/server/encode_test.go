@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -11,7 +12,9 @@ import (
 	"strings"
 	"testing"
 
+	"asqprl/internal/core"
 	"asqprl/internal/engine"
+	"asqprl/internal/obs"
 	"asqprl/internal/table"
 )
 
@@ -326,5 +329,55 @@ func TestAnswerAllocatesNothingPerRow(t *testing.T) {
 	t.Logf("page: %d rows, %.0f allocs; wide join: %d rows, %.0f allocs", pageRows, page, wideRows, wide)
 	if wide-page > 100 {
 		t.Errorf("wide join of %d rows allocates %.0f objects, a %d-row page %.0f: allocation grows with rows", wideRows, wide, pageRows, page)
+	}
+}
+
+// TestTracedLadderBuildsNoNames: asqp-serve always traces, so what the ladder
+// adds to the engine call it wraps is paid per request: its spans, its contexts,
+// its result — 15 objects on the approximation rung, 16 on the full one — and
+// no name built on the way (the route annotation and the rung's span name are
+// constants; a map lookup boxed and a concatenation were two objects more).
+func TestTracedLadderBuildsNoNames(t *testing.T) {
+	sys := trainedSystem(t)
+	wasEnabled := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(wasEnabled)
+	traced := func(f func(ctx context.Context) error) float64 {
+		run := func() {
+			ctx, root := obs.StartSpan(context.Background(), "test/root")
+			if err := f(ctx); err != nil {
+				t.Fatal(err)
+			}
+			root.End()
+		}
+		run() // warm
+		return testing.AllocsPerRun(50, run)
+	}
+	rungs := map[bool]int{}
+	for _, sql := range []string{approxRouteSQL + " LIMIT 50", "SELECT * FROM cast_info WHERE id BETWEEN 10 AND 20"} {
+		stmt, db := mustParse(t, sql), sys.DB()
+		ladder := traced(func(ctx context.Context) error {
+			res, err := sys.QueryFrameContext(ctx, stmt, core.QueryOptions{})
+			if err == nil && res.FromApproximation {
+				db = sys.SetDB()
+			}
+			return err
+		})
+		full := db == sys.DB()
+		rungs[full]++
+		eng := traced(func(ctx context.Context) error {
+			_, err := engine.ExecuteFrameContext(ctx, db, stmt, engine.Options{})
+			return err
+		})
+		want := 15.0
+		if full {
+			want = 16
+		}
+		if own := ladder - eng; own > want {
+			t.Errorf("%s: the ladder allocates %.0f objects around an engine call of %.0f, want at most %.0f", sql, own, eng, want)
+		}
+	}
+	if len(rungs) != 2 {
+		t.Fatalf("statements per rung (full: true) %v: fixture reaches one rung only", rungs)
 	}
 }

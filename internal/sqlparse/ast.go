@@ -2,6 +2,7 @@ package sqlparse
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"asqprl/internal/table"
@@ -53,6 +54,15 @@ func (l *Literal) String() string {
 			return "TRUE"
 		}
 		return "FALSE"
+	case table.KindFloat:
+		// An integral float keeps a mark of its kind: "6" would parse back as
+		// an int, and int and float literals differ in arithmetic and in the
+		// kind of the column they project.
+		text := l.Value.String()
+		if !strings.ContainsAny(text, ".eE") && !math.IsInf(l.Value.Float, 0) && !math.IsNaN(l.Value.Float) {
+			text += ".0"
+		}
+		return text
 	default:
 		return l.Value.String()
 	}
@@ -441,31 +451,63 @@ func Walk(e Expr, fn func(Expr)) {
 	}
 }
 
+// exprHeight is the height of e's tree: 0 for nil, 1 for a leaf.
+func exprHeight(e Expr) int {
+	h := 0
+	switch x := e.(type) {
+	case nil:
+		return 0
+	case *Binary:
+		h = max(exprHeight(x.Left), exprHeight(x.Right))
+	case *Unary:
+		h = exprHeight(x.X)
+	case *In:
+		h = exprHeight(x.X)
+		for _, item := range x.List {
+			h = max(h, exprHeight(item))
+		}
+	case *Between:
+		h = max(exprHeight(x.X), exprHeight(x.Lo), exprHeight(x.Hi))
+	case *Like:
+		h = exprHeight(x.X)
+	case *IsNull:
+		h = exprHeight(x.X)
+	case *Call:
+		h = exprHeight(x.Arg)
+	}
+	return h + 1
+}
+
+// eachExpr calls fn on the statement's expressions in clause order (nil where a
+// clause is absent).
+func (s *Select) eachExpr(fn func(Expr)) {
+	for _, it := range s.Items {
+		fn(it.Expr)
+	}
+	for _, j := range s.Joins {
+		fn(j.On)
+	}
+	fn(s.Where)
+	for _, g := range s.GroupBy {
+		fn(g)
+	}
+	fn(s.Having)
+	for _, o := range s.OrderBy {
+		fn(o.Expr)
+	}
+}
+
 // Columns returns every column reference appearing anywhere in the
 // statement, in traversal order.
 func (s *Select) Columns() []*ColumnRef {
 	var out []*ColumnRef
-	collect := func(e Expr) {
+	s.eachExpr(func(e Expr) {
 		Walk(e, func(n Expr) {
 			if c, ok := n.(*ColumnRef); ok {
 				out = append(out, c)
 			}
 		})
-	}
-	for _, it := range s.Items {
-		collect(it.Expr)
-	}
-	for _, j := range s.Joins {
-		collect(j.On)
-	}
-	collect(s.Where)
-	for _, g := range s.GroupBy {
-		collect(g)
-	}
-	collect(s.Having)
-	for _, o := range s.OrderBy {
-		collect(o.Expr)
-	}
+	})
 	return out
 }
 

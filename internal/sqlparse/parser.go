@@ -26,6 +26,11 @@ func Parse(sql string) (*Select, error) {
 	if p.peek().kind != tokEOF {
 		return nil, fmt.Errorf("sqlparse: unexpected trailing input %q at offset %d", p.peek().text, p.peek().pos)
 	}
+	height := 0
+	stmt.eachExpr(func(e Expr) { height = max(height, exprHeight(e)) })
+	if height > maxExprDepth {
+		return nil, fmt.Errorf("sqlparse: an expression is %d levels high, over the limit of %d", height, maxExprDepth)
+	}
 	return stmt, nil
 }
 
@@ -40,8 +45,26 @@ func MustParse(sql string) *Select {
 }
 
 type parser struct {
-	toks []token
-	pos  int
+	toks  []token
+	pos   int
+	depth int // recursion depth of the expression being parsed; see nest
+}
+
+// maxExprDepth bounds how deep an expression nests. A statement is network
+// input: without the bound a megabyte of "(" or "NOT " grows the parser's stack,
+// and a megabyte-long operator chain that of every later walk over its tree, by
+// a frame per byte. The parser may recurse (a parenthesis, a NOT, a unary
+// minus, an aggregate's argument) this deep and a parsed tree be this high.
+// String renders a tree with at most one such level per tree level, so what
+// parses once parses again from its rendering.
+const maxExprDepth = 1000
+
+// nest enters one more level of recursion; the caller leaves it with p.depth--.
+func (p *parser) nest() error {
+	if p.depth++; p.depth > maxExprDepth {
+		return fmt.Errorf("expression nests deeper than %d levels at offset %d", maxExprDepth, p.peek().pos)
+	}
+	return nil
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -302,10 +325,14 @@ func (p *parser) parseAnd() (Expr, error) {
 
 func (p *parser) parseNot() (Expr, error) {
 	if p.acceptKeyword("NOT") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		x, err := p.parseNot()
 		if err != nil {
 			return nil, err
 		}
+		p.depth--
 		return &Unary{Op: "NOT", X: x}, nil
 	}
 	return p.parsePredicate()
@@ -435,10 +462,14 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 func (p *parser) parseUnary() (Expr, error) {
 	if t := p.peek(); t.kind == tokOp && t.text == "-" {
 		p.next()
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
+		p.depth--
 		// Fold negation into numeric literals for cleaner ASTs.
 		if lit, ok := x.(*Literal); ok {
 			switch lit.Value.Kind {
@@ -493,10 +524,14 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if p.acceptOp("*") {
 				call.Star = true
 			} else {
+				if err := p.nest(); err != nil {
+					return nil, err
+				}
 				arg, err := p.parseExpr()
 				if err != nil {
 					return nil, err
 				}
+				p.depth--
 				call.Arg = arg
 			}
 			if err := p.expectOp(")"); err != nil {
@@ -521,10 +556,14 @@ func (p *parser) parsePrimary() (Expr, error) {
 	case tokOp:
 		if t.text == "(" {
 			p.next()
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
+			p.depth--
 			if err := p.expectOp(")"); err != nil {
 				return nil, err
 			}

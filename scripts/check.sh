@@ -23,7 +23,7 @@ go test -race ./...
 # defeats the test cache so the determinism sweeps actually rerun. This gate
 # also covers the columnar engine: the FuzzRowVsColumnar seed corpus runs the
 # row-vs-columnar differential (byte-identical results and guard/error
-# semantics at parallelism 1 and 8) under the race detector.
+# semantics at parallelism 1, 2 and 8) under the race detector.
 echo "==> parallelism gate: engine/metrics/rl under -race"
 go test -race -count=1 ./internal/engine/ ./internal/metrics/ ./internal/rl/
 
@@ -62,6 +62,16 @@ go test -race -count=1 -timeout 5m ./internal/retrain/
 echo "==> durability gate: internal/wal under -race"
 go test -race -count=1 -timeout 5m ./internal/wal/
 
+# Fuzz smoke: the seed corpora of the fuzz targets already ran as tests above;
+# a few seconds of mutation on top catch what a change to the grammar, the
+# canonical rendering or an operator opens up next to the seeds. FuzzParse holds
+# sqlparse.Parse to its two properties on network-shaped input (it returns,
+# promptly, on any bytes; a statement it accepts round-trips through
+# Select.String), FuzzRowVsColumnar the columnar engine to the row engine.
+echo "==> fuzz smoke: FuzzParse, FuzzRowVsColumnar"
+go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/sqlparse/
+go test -run='^$' -fuzz=FuzzRowVsColumnar -fuzztime=20s ./internal/engine/
+
 # Bench smoke: the Fig2 benches cover the scoring hot loop (serial vs
 # parallel vs reference-cached) plus the end-to-end Figure 2 harness; pass
 # extra args (e.g. -bench=.) to widen the sweep.
@@ -73,10 +83,11 @@ go test -bench=Fig2 -benchtime=1x -run='^$' "$@" ./... |
 # Columnar engine bench: the vectorized scan and index-backed join against
 # their row-engine counterparts, the three-way indexed join warm and cold
 # (cold pays the one-time index builds), and the scan phase's access paths
-# (selective two-way, three-way chain, and the wide shape that declines),
+# (selective two-way, three-way chain, and the wide shape that declines), and
+# the aggregate phase over a 50 000-row join (allocs/op follow its groups),
 # recorded into the same history so benchdiff below can gate on them.
-echo "==> go test -bench='ColumnarScan|HashJoinAllocs|JoinIndexed|SidewaysJoin' ./internal/engine/  (-> ${bench_out})"
-go test -bench='ColumnarScan|HashJoinAllocs|JoinIndexed|SidewaysJoin' -benchtime=10x -benchmem -run='^$' ./internal/engine/ |
+echo "==> go test -bench='ColumnarScan|HashJoinAllocs|JoinIndexed|SidewaysJoin|AggregateJoin' ./internal/engine/  (-> ${bench_out})"
+go test -bench='ColumnarScan|HashJoinAllocs|JoinIndexed|SidewaysJoin|AggregateJoin' -benchtime=10x -benchmem -run='^$' ./internal/engine/ |
 	BENCHJSON_OUT="${bench_out}" go run ./scripts/benchjson
 
 # Serving bench: closed-loop HTTP load at 1x/4x/16x admission capacity,
