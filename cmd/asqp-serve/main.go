@@ -63,7 +63,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight queries")
 	breakerTrips := flag.Int("breaker-trips", 5, "consecutive full-DB guard trips that open the circuit breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", 500*time.Millisecond, "initial breaker open duration (doubles per failed probe)")
-	parallelism := flag.Int("parallelism", 0, "per-query execution workers (0 = one per CPU, <0 = serial)")
+	parallelism := flag.Int("parallelism", 0, "per-query execution workers (0 = one per CPU, <0 = serial); scans and projections use them from 131072 input rows, joins never")
 	rowEngine := flag.Bool("row-engine", false, "serve queries with the legacy row-at-a-time engine instead of the columnar one (results are identical; escape hatch / A-B measurement)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /spans, /tracez and /debug/pprof on this address")
 	logLevel := flag.String("log", "info", "structured log level on stderr (debug, info, warn, error, off)")

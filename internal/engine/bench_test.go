@@ -60,7 +60,7 @@ func BenchmarkLineageOverhead(b *testing.B) {
 }
 
 // BenchmarkParallelThreeWay runs the three-way join at a scale where the
-// morsel-parallel scan, probe and projection paths engage, across worker
+// morsel-parallel scan and projection paths engage, across worker
 // counts. On a single-core host the counts tie (the parallel paths only add
 // scheduling overhead); the sub-run names keep multi-core results comparable
 // across machines in the BENCH history.
@@ -246,10 +246,9 @@ func BenchmarkSidewaysJoin(b *testing.B) {
 // BenchmarkAggregateJoin is the layer bench of the aggregate phase on the shape
 // an exploratory miss takes (bench/ explore_miss), warm: a join whose result —
 // every cast_info row, 50 000 of them — is grouped by one dictionary column and
-// aggregated three ways. The join (serial, like the aggregation at any worker
-// count, so allocs/op do not count a parallel probe's per-morsel chunks) is the
-// same work at every commit; what moves is the grouping and the accumulation,
-// and allocs/op, which follow the groups and not the joined rows.
+// aggregated three ways. The join (serial, like the aggregation, at any worker
+// count) is the same work at every commit; what moves is the grouping and the
+// accumulation, and allocs/op, which follow the groups and not the joined rows.
 func BenchmarkAggregateJoin(b *testing.B) {
 	db := datagen.IMDB(1, 1)
 	stmt := sqlparse.MustParse("SELECT cast_info.role, COUNT(*), AVG(cast_info.position), MAX(title.production_year) FROM cast_info JOIN title ON cast_info.title_id = title.id GROUP BY cast_info.role")
@@ -262,6 +261,155 @@ func BenchmarkAggregateJoin(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ExecuteWith(db, stmt, Options{Parallelism: -1}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// bindSQL parses, binds and classifies sql: where execution starts.
+func bindSQL(tb testing.TB, db *table.Database, sql string) (*binder, *sqlparse.Select, []predClass) {
+	tb.Helper()
+	stmt := sqlparse.MustParse(sql)
+	b, err := newBinder(db, stmt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	preds, err := classify(b, stmt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b, stmt, preds
+}
+
+// probeStep binds a two-relation join and runs its scans, returning the probe
+// step alone — what joinStepCol does to bind relation 1, every column kept —
+// and how many batch rows it probes with.
+func probeStep(tb testing.TB, db *table.Database, sql string) (step func(Options) (*joinedBatch, error), probeRows int) {
+	tb.Helper()
+	b, _, preds := bindSQL(tb, db, sql)
+	var st scanStats
+	cands, err := scanRelationsCol(b, preds, Options{Parallelism: -1}, nil, nil, &st)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var joins []predClass
+	for _, p := range preds {
+		if p.isEquiJoin {
+			joins = append(joins, p)
+		}
+	}
+	cur := &joinedBatch{n: len(cands[0]), cols: [][]int32{cands[0], nil}}
+	return func(opts Options) (*joinedBatch, error) {
+		if opts.MaxIntermediateRows == 0 {
+			opts.MaxIntermediateRows = defaultMaxIntermediate
+		}
+		return joinStepCol(b, cur, cands[1], 1, joins, []bool{true, true}, opts, nil, nil)
+	}, cur.n
+}
+
+// probeBenchDB is IMDB x 2 (movie_info: 50 000 rows, the probe side of every
+// BenchmarkProbe case) plus what IMDB lacks: a second dictionary over
+// movie_info's info types, and the title ids spread beyond a dense index's
+// range on both sides.
+func probeBenchDB() *table.Database {
+	db := datagen.IMDB(2, 1)
+	kinds := table.New("info_kind", table.Schema{{Name: "kind", Kind: table.KindString}, {Name: "weight", Kind: table.KindInt}})
+	for i, k := range []string{"trivia", "language", "country", "runtime", "gross", "budget", "goofs"} {
+		kinds.AppendRow(table.Row{table.NewString(k), table.NewInt(int64(i))})
+	}
+	db.Add(kinds)
+	const spread = 1_000_003
+	mi, sparseInfo := db.Table("movie_info"), table.New("sparse_info", table.Schema{{Name: "title_sp", Kind: table.KindInt}})
+	for _, r := range mi.Rows {
+		sparseInfo.AppendRow(table.Row{table.NewInt(r[mi.ColumnIndex("title_id")].Int * spread)})
+	}
+	db.Add(sparseInfo)
+	ti, sparseTitle := db.Table("title"), table.New("sparse_title", table.Schema{{Name: "sp", Kind: table.KindInt}})
+	for _, r := range ti.Rows {
+		sparseTitle.AppendRow(table.Row{table.NewInt(r[ti.ColumnIndex("id")].Int * spread)})
+	}
+	db.Add(sparseTitle)
+	return db
+}
+
+// BenchmarkProbe is the layer bench of the join probe: one join step alone,
+// warm, 50 000 probe rows into each kind of index the step distinguishes — a
+// primary key's (one row per key) behind a filter that keeps a quarter of it
+// (the heavy explore_miss aggregate's join) and unfiltered, runs of several
+// rows behind a filter, dictionary keys translated between two dictionaries,
+// the hash layout, and two key pairs — reporting the step's time per probe row.
+// The step runs on its caller's goroutine at every Parallelism; the second
+// setting is there to show it.
+func BenchmarkProbe(b *testing.B) {
+	db := probeBenchDB()
+	for _, c := range []struct{ name, sql string }{
+		{"unique/filtered", "SELECT * FROM movie_info JOIN title ON movie_info.title_id = title.id WHERE title.production_year BETWEEN 1990 AND 2024 AND title.kind = 'movie'"},
+		{"unique/unfiltered", "SELECT * FROM movie_info JOIN title ON movie_info.title_id = title.id"},
+		{"runs/filtered", "SELECT * FROM movie_info JOIN cast_info ON movie_info.title_id = cast_info.title_id WHERE cast_info.role = 'director'"},
+		{"dict", "SELECT * FROM movie_info JOIN info_kind ON movie_info.info_type = info_kind.kind"},
+		{"hash", "SELECT * FROM sparse_info JOIN sparse_title ON sparse_info.title_sp = sparse_title.sp"},
+		{"two-pairs", "SELECT * FROM movie_info a JOIN movie_info b ON a.title_id = b.title_id AND a.info_type = b.info_type"},
+	} {
+		step, probeRows := probeStep(b, db, c.sql)
+		if probeRows != 50_000 {
+			b.Fatalf("%s: %d probe rows, want 50000", c.name, probeRows)
+		}
+		for _, par := range []int{-1, 2} {
+			b.Run(fmt.Sprintf("%s/parallelism=%d", c.name, par), func(b *testing.B) {
+				opts := Options{Parallelism: par}
+				if _, err := step(opts); err != nil { // the join index
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := step(opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(probeRows), "ns/probe-row")
+			})
+		}
+	}
+}
+
+// BenchmarkParallelCrossover is what parallelMinRows is read from: the kernel
+// scan alone over 16 k to 1 M input rows, serial and with two workers whatever
+// the size (minParallelRows 1). The gate belongs where workers=2 is a fifth
+// faster than serial; DESIGN §13 "Parallel gate" records the sweep and the
+// machine. Filter values are scattered, so no zone prunes; a quarter of the
+// rows pass.
+func BenchmarkParallelCrossover(b *testing.B) {
+	for _, n := range []int{16 << 10, 64 << 10, 128 << 10, 256 << 10, 1 << 20} {
+		fact := table.New("fact", table.Schema{{Name: "v", Kind: table.KindInt}})
+		for i := 0; i < n; i++ {
+			fact.AppendRow(table.Row{table.NewInt(int64(i) * 7919 % 1000)})
+		}
+		db := table.NewDatabase()
+		db.Add(fact)
+		bd, _, preds := bindSQL(b, db, "SELECT * FROM fact WHERE v < 250")
+		kernels, _, _ := scanPlan(bd, preds)
+		scan := func(opts Options) int {
+			var skipped int64
+			sel, err := scanKernels(kernels[0], n, nil, opts, nil, &skipped)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return len(sel)
+		}
+		want := scan(Options{Parallelism: -1})
+		if want < n/5 || want > n/3 {
+			b.Fatalf("%d rows out of %d, want about a quarter", want, n)
+		}
+		for _, workers := range []int{-1, 2} {
+			b.Run(fmt.Sprintf("scan/rows=%d/parallelism=%d", n, workers), func(b *testing.B) {
+				opts := Options{Parallelism: workers, minParallelRows: 1}
+				for i := 0; i < b.N; i++ {
+					if got := scan(opts); got != want {
+						b.Fatalf("%d rows, want %d", got, want)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/row")
+			})
 		}
 	}
 }

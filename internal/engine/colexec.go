@@ -2,10 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"asqprl/internal/faults"
 	"asqprl/internal/obs"
@@ -465,7 +464,7 @@ func scanKernels(ks []kernel, nRows int, sel []int32, opts Options, g *guard, sk
 		return []int32{}, nil
 	}
 	nm := morselCount(nRows)
-	if workers := opts.workers(); workers > 1 && nRows >= parallelMinRows {
+	if workers := opts.workers(); workers > 1 && nRows >= opts.parallelRows() {
 		keeps := make([][]int32, nm)
 		var skippedPar int64
 		// One scratch selection per worker: a morsel keeps only its survivors.
@@ -513,12 +512,26 @@ func scanKernels(ks []kernel, nRows int, sel []int32, opts Options, g *guard, sk
 			*skipped++
 			continue
 		}
-		out = append(out, runKernels(ks, selBuf, lo, hi)...)
+		keep := runKernels(ks, selBuf, lo, hi)
+		if n := len(out) + len(keep); n > cap(out) {
+			// Grow once, to what the pass rate so far predicts for the relation,
+			// not by doubling: a scan that keeps 30 000 rows allocates them once.
+			out = slices.Grow(out, len(keep)+restAtRate(n, hi, nRows))
+		}
+		out = append(out, keep...)
 	}
 	if out == nil {
 		out = []int32{}
 	}
 	return out, nil
+}
+
+// restAtRate is how many more rows an operator that emitted n from the first
+// done of total input rows will emit from the rest at that rate, and a
+// sixteenth over: what a growing output vector reserves instead of doubling.
+func restAtRate(n, done, total int) int {
+	rest := int64(n) * int64(total-done) / int64(done)
+	return int(rest + rest/16)
 }
 
 // runKernels filters rows [lo, hi) through ks in buf (of morselRows entries),
@@ -588,25 +601,38 @@ func joinStepCol(b *binder, cur *joinedBatch, cand []int32, rel int, joins []pre
 		return out, nil
 	}
 
-	pairs := make([]joinKeyPair, len(joins))
-	for i, p := range joins {
-		if p.leftBind.rel == rel {
-			pairs[i] = joinKeyPair{relCol: p.leftBind, boundBind: p.rightBind}
-		} else {
-			pairs[i] = joinKeyPair{relCol: p.rightBind, boundBind: p.leftBind}
-		}
+	pairs := joinKeyPairs(joins, rel)
+	// The step's output columns: the bound relations still needed, then rel's.
+	width := len(emitBound)
+	if relNeeded {
+		width++
 	}
 	if joinKeysMixed(b, joins) {
-		return joinStepColBytes(b, cur, cand, rel, pairs, emitBound, relNeeded, opts, g)
+		return joinStepColBytes(b, cur, cand, rel, pairs, emitBound, width, opts, g)
 	}
-	m, err := newJoinMatcher(b, cur, cand, rel, pairs, g, span)
+	m, err := newJoinMatcher(b, cur, cand, rel, pairs, width > 0, g)
 	if err != nil {
 		return nil, err
 	}
-	if workers := opts.workers(); workers > 1 && cur.n >= parallelMinRows {
-		return probeColParallel(cur, rel, emitBound, relNeeded, m, opts, g, workers)
+	if span != nil {
+		name := b.refs[rel].Name()
+		span.Annotate("index/"+name, m.ix.Layout()+", "+probeKind(m.ix))
+		span.Annotate("build_rows/"+name, len(cand))
 	}
-	return probeColSerial(cur, rel, emitBound, relNeeded, m, opts, g)
+	return probeCol(cur, rel, emitBound, width, m, opts.MaxIntermediateRows, g)
+}
+
+// joinKeyPairs orients each equi-join conjunct binding rel: rel's key column,
+// and the one on the side already bound.
+func joinKeyPairs(joins []predClass, rel int) []joinKeyPair {
+	pairs := make([]joinKeyPair, len(joins))
+	for i, p := range joins {
+		pairs[i] = joinKeyPair{relCol: p.rightBind, boundBind: p.leftBind}
+		if p.leftBind.rel == rel {
+			pairs[i] = joinKeyPair{relCol: p.leftBind, boundBind: p.rightBind}
+		}
+	}
+	return pairs
 }
 
 // joinKeysMixed reports whether any key column of the equi-join conjuncts is
@@ -622,345 +648,11 @@ func joinKeysMixed(b *binder, joins []predClass) bool {
 	return false
 }
 
-// joinMatcher is the rowMatcher over the build relation's cached join index
-// (table.JoinIndex), so a step builds nothing proportional to the relation. A
-// cached index covers one column of all rows, so its runs can hold rows to
-// pass over: non-candidates, rows differing on another key pair. Once scanning
-// those has cost what hashing the candidates costs (subCost scanned rows per
-// candidate), the matcher hashes them on every key pair, once (sub), and
-// probes that instead: a step's work stays within probe rows + candidates +
-// matches, like a per-query hash join's, whatever the key cardinalities and
-// the order of the ON conjuncts.
-type joinMatcher struct {
-	ix   *table.JoinIndex // cached, of the key pair with most distinct keys
-	cand []int32
-	mark table.Bitmap // cand as a set; nil when the relation is unfiltered
-	// Per key pair (pair 0 is the indexed one): the batch column holding the
-	// probe relation's row ids, and the probe- and build-side key extractors.
-	probeCols [][]int32
-	pkeyers   []func(int32) (table.JoinKey, bool)
-	bkeyers   []func(int32) (table.JoinKey, bool)
-
-	g       *guard
-	wasted  atomic.Int64 // index rows scanned past, in guardInterval batches
-	subOnce sync.Once
-	sub     *table.JoinIndex
-}
-
-const subCost = 8
-
-// matchScratch is one goroutine's reusable state for joinMatcher.matches.
-type matchScratch struct {
-	rows    []int32
-	keys    []table.JoinKey
-	skipped int // scanned past since the last guard poll, not yet in wasted
-}
-
-// joinIndexOf is cs.JoinIndex(col), recording the build when this call did it.
-func joinIndexOf(cs *table.ColumnSet, col int) *table.JoinIndex {
-	start := time.Now()
-	ix, built := cs.JoinIndex(col)
-	if built && obs.Enabled() {
-		obs.Default().Counter(metricJoinIndexBuilds).Inc()
-		obs.Default().Histogram(metricJoinIndexBuildSeconds).Observe(time.Since(start).Seconds())
-	}
-	return ix
-}
-
-// dictXlat translates dictionary from's codes into dictionary to's, each the
-// first time it is asked for, not every string of the column per query. memo
-// holds code+2 (0: not yet translated, 1: absent from to); the workers of a
-// parallel probe share it, and racing translations store the same value.
-type dictXlat struct {
-	from, to *table.Dict
-	memo     []atomic.Int32
-}
-
-func (x *dictXlat) code(c int32) int32 {
-	v := x.memo[c].Load()
-	if v == 0 {
-		v = 1
-		if t, ok := x.to.Code(x.from.Strs[c]); ok {
-			v = t + 2
-		}
-		x.memo[c].Store(v)
-	}
-	return v - 2
-}
-
-// probeKeyer is the key extractor over column pc for lookups among keys of
-// column bc (neither Mixed): between two dictionaries, pc's codes are
-// translated into bc's, and a string bc does not hold keys as TagMiss.
-func probeKeyer(pc, bc *table.ColumnData) func(int32) (table.JoinKey, bool) {
-	if pc.Kind != table.KindString || bc.Kind != table.KindString || pc.Dict == bc.Dict {
-		return pc.JoinKeyer(nil)
-	}
-	x := &dictXlat{from: pc.Dict, to: bc.Dict, memo: make([]atomic.Int32, pc.Dict.Len())}
-	return pc.JoinKeyer(x.code)
-}
-
-func newJoinMatcher(b *binder, cur *joinedBatch, cand []int32, rel int, pairs []joinKeyPair, g *guard, span *obs.Span) (*joinMatcher, error) {
-	relCS := b.tables[rel].Columns()
-	m := &joinMatcher{
-		cand:      cand,
-		g:         g,
-		probeCols: make([][]int32, len(pairs)),
-		pkeyers:   make([]func(int32) (table.JoinKey, bool), len(pairs)),
-		bkeyers:   make([]func(int32) (table.JoinKey, bool), len(pairs)),
-	}
-	// Index the pair the data makes most selective, not the one written first.
-	for pi, kp := range pairs {
-		if ix := joinIndexOf(relCS, kp.relCol.col); m.ix == nil || ix.Distinct() > m.ix.Distinct() {
-			m.ix = ix
-			pairs[0], pairs[pi] = pairs[pi], pairs[0]
-		}
-	}
-	for pi, kp := range pairs {
-		bc := &relCS.Cols[kp.relCol.col]
-		m.bkeyers[pi] = bc.JoinKeyer(nil)
-		m.pkeyers[pi] = probeKeyer(b.col(kp.boundBind), bc)
-		m.probeCols[pi] = cur.cols[kp.boundBind.rel]
-	}
-	if span != nil {
-		name := b.refs[rel].Name()
-		span.Annotate("index/"+name, m.ix.Layout())
-		span.Annotate("build_rows/"+name, len(cand))
-	}
-
-	// One guard tick per build-side candidate, as when the step hashed them.
-	if err := tickChunks(g, len(cand)); err != nil {
-		return nil, err
-	}
-	if len(cand) < relCS.NumRows {
-		m.mark = table.NewBitmap(relCS.NumRows)
-		for _, ri := range cand {
-			m.mark.Set(int(ri))
-		}
-	}
-	return m, nil
-}
-
-// foldKey folds a further key pair's key k into h: sub's key is the key itself
-// for one pair and a TagHash over all of them for several.
-func foldKey(h, k table.JoinKey) table.JoinKey {
-	return table.JoinKey{Tag: table.TagHash, Bits: (h.Bits+uint64(h.Tag))*0x9E3779B97F4A7C15 ^ k.Bits ^ uint64(k.Tag)<<57}
-}
-
-func (m *joinMatcher) buildSub() {
-	m.sub = table.NewJoinIndex(func(ri int32) (table.JoinKey, bool) {
-		h, ok := m.bkeyers[0](ri)
-		for _, keyer := range m.bkeyers[1:] {
-			k, kok := keyer(ri)
-			h, ok = foldKey(h, k), ok && kok
-		}
-		return h, ok
-	}, m.cand)
-}
-
-// matches' result (nil when a probe key is NULL or nothing matches) aliases an
-// index or sc and is valid until the next call with the same sc. The error is
-// the guard's: rows scanned past are polled for, as emitted ones are ticked.
-func (m *joinMatcher) matches(idx int, sc *matchScratch) ([]int32, error) {
-	sc.keys = sc.keys[:0]
-	for pi, keyer := range m.pkeyers {
-		k, ok := keyer(m.probeCols[pi][idx])
-		if !ok {
-			return nil, nil
-		}
-		sc.keys = append(sc.keys, k)
-	}
-	run, mark, verify := m.ix.Lookup(sc.keys[0]), m.mark, sc.keys[1:]
-	if mark == nil && len(verify) == 0 {
-		return run, nil
-	}
-	// A run of a few rows costs what a lookup in sub would: scan it regardless.
-	if len(run) > subCost && m.wasted.Load() > subCost*int64(len(m.cand)) {
-		m.subOnce.Do(m.buildSub) // candidates only; for several pairs a hash, so verify all
-		h := sc.keys[0]
-		for _, k := range verify {
-			h = foldKey(h, k)
-		}
-		if run, mark, verify = m.sub.Lookup(h), nil, sc.keys; len(verify) == 1 {
-			return run, nil
-		}
-	}
-	bkeyers := m.bkeyers[len(sc.keys)-len(verify):]
-	sc.rows = sc.rows[:0]
-next:
-	for _, ri := range run {
-		if mark != nil && !mark.Get(int(ri)) {
-			continue
-		}
-		for i, pk := range verify {
-			if bk, ok := bkeyers[i](ri); !ok || bk != pk {
-				continue next
-			}
-		}
-		sc.rows = append(sc.rows, ri)
-	}
-	if skip := len(run) - len(sc.rows); skip > subCost {
-		if sc.skipped += skip; sc.skipped >= guardInterval {
-			m.wasted.Add(int64(sc.skipped))
-			sc.skipped = 0
-			return sc.rows, m.g.poll()
-		}
-	}
-	return sc.rows, nil
-}
-
-func errJoinBudget(limit int) error {
-	return fmt.Errorf("%w: join intermediate exceeds limit %d rows", ErrRowBudget, limit)
-}
-
-// probeColSerial probes the index over the batch in row order. With no guard
-// and no columns to materialize (count-only tail joins) each probe row costs
-// one lookup and a match-count add.
-func probeColSerial(cur *joinedBatch, rel int, emitBound []int, relNeeded bool, m rowMatcher, opts Options, g *guard) (*joinedBatch, error) {
-	limit := opts.MaxIntermediateRows
-	count := 0
-	var sc matchScratch
-	if g == nil && len(emitBound) == 0 && !relNeeded {
-		for idx := 0; idx < cur.n; idx++ {
-			rows, _ := m.matches(idx, &sc) // no guard, no error
-			count += len(rows)
-			if count > limit {
-				return nil, errJoinBudget(limit)
-			}
-		}
-		return &joinedBatch{n: count, cols: make([][]int32, len(cur.cols))}, nil
-	}
-
-	outCols := make([][]int32, len(emitBound))
-	for i := range outCols {
-		outCols[i] = make([]int32, 0, cur.n)
-	}
-	var relCol []int32
-	if relNeeded {
-		relCol = make([]int32, 0, cur.n)
-	}
-	for idx := 0; idx < cur.n; idx++ {
-		rows, err := m.matches(idx, &sc)
-		if err != nil {
-			return nil, err
-		}
-		for _, ri := range rows {
-			if err := g.tick(1); err != nil {
-				return nil, err
-			}
-			for bi, r := range emitBound {
-				outCols[bi] = append(outCols[bi], cur.cols[r][idx])
-			}
-			if relNeeded {
-				relCol = append(relCol, ri)
-			}
-			count++
-			if count > limit {
-				return nil, errJoinBudget(limit)
-			}
-		}
-	}
-	out := &joinedBatch{n: count, cols: make([][]int32, len(cur.cols))}
-	for bi, r := range emitBound {
-		out.cols[r] = outCols[bi]
-	}
-	if relNeeded {
-		if relCol == nil {
-			relCol = []int32{}
-		}
-		out.cols[rel] = relCol
-	}
-	return out, nil
-}
-
-// probeColParallel fans the probe over workers; per-morsel column chunks are
-// merged in morsel order, and row accounting uses one shared atomic counter
-// so the budget trips iff total emissions exceed the limit (as serial).
-func probeColParallel(cur *joinedBatch, rel int, emitBound []int, relNeeded bool, m *joinMatcher, opts Options, g *guard, workers int) (*joinedBatch, error) {
-	nm := morselCount(cur.n)
-	width := len(emitBound)
-	if relNeeded {
-		width++
-	}
-	chunks := make([][][]int32, nm)
-	counts := make([]int, nm)
-	var produced atomic.Int64
-	limit := int64(opts.MaxIntermediateRows)
-	err := forEachMorsel(workers, cur.n, func(mi, lo, hi int) error {
-		if err := g.poll(); err != nil {
-			return err
-		}
-		mini := make([][]int32, width)
-		var sc matchScratch
-		emitted := 0
-		since := 0
-		for idx := lo; idx < hi; idx++ {
-			rows, err := m.matches(idx, &sc)
-			if err != nil {
-				return err
-			}
-			for _, ri := range rows {
-				if since++; since >= guardInterval {
-					since = 0
-					if err := g.poll(); err != nil {
-						return err
-					}
-				}
-				for bi, r := range emitBound {
-					mini[bi] = append(mini[bi], cur.cols[r][idx])
-				}
-				if relNeeded {
-					mini[width-1] = append(mini[width-1], ri)
-				}
-				emitted++
-				if produced.Add(1) > limit {
-					return errJoinBudget(opts.MaxIntermediateRows)
-				}
-			}
-		}
-		chunks[mi] = mini
-		counts[mi] = emitted
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	out := &joinedBatch{n: total, cols: make([][]int32, len(cur.cols))}
-	for bi, r := range emitBound {
-		col := make([]int32, 0, total)
-		for _, ch := range chunks {
-			if ch != nil {
-				col = append(col, ch[bi]...)
-			}
-		}
-		out.cols[r] = col
-	}
-	if relNeeded {
-		relCol := make([]int32, 0, total)
-		for _, ch := range chunks {
-			if ch != nil {
-				relCol = append(relCol, ch[width-1]...)
-			}
-		}
-		out.cols[rel] = relCol
-	}
-	return out, nil
-}
-
-// rowMatcher yields the build-relation rows joining probe row idx, ascending.
-type rowMatcher interface {
-	matches(idx int, sc *matchScratch) ([]int32, error)
-}
-
 // bytesMatcher is the fallback for Mixed key columns: a per-query hash of the
-// candidates on their Value keys. Serial: the fallback is rare and the output
-// is identical regardless of workers.
+// candidates on their Value keys, probed a row at a time. Serial: the fallback
+// is rare and the output is identical regardless of workers.
 type bytesMatcher struct {
 	build map[string][]int32
-	probe func(kp joinKeyPair, idx int) table.Value
 	pairs []joinKeyPair
 	kb    []byte
 }
@@ -978,16 +670,9 @@ func (m *bytesMatcher) key(cell func(joinKeyPair, int) table.Value, i int) bool 
 	return true
 }
 
-func (m *bytesMatcher) matches(idx int, _ *matchScratch) ([]int32, error) {
-	if !m.key(m.probe, idx) {
-		return nil, nil
-	}
-	return m.build[string(m.kb)], nil
-}
-
-func joinStepColBytes(b *binder, cur *joinedBatch, cand []int32, rel int, pairs []joinKeyPair, emitBound []int, relNeeded bool, opts Options, g *guard) (*joinedBatch, error) {
+func joinStepColBytes(b *binder, cur *joinedBatch, cand []int32, rel int, pairs []joinKeyPair, emitBound []int, width int, opts Options, g *guard) (*joinedBatch, error) {
 	m := &bytesMatcher{build: make(map[string][]int32, len(cand)), pairs: pairs}
-	m.probe = func(kp joinKeyPair, idx int) table.Value {
+	probe := func(kp joinKeyPair, idx int) table.Value {
 		return b.tables[kp.boundBind.rel].Rows[cur.cols[kp.boundBind.rel][idx]][kp.boundBind.col]
 	}
 	build := func(kp joinKeyPair, ri int) table.Value { return b.tables[rel].Rows[ri][kp.relCol.col] }
@@ -999,7 +684,27 @@ func joinStepColBytes(b *binder, cur *joinedBatch, cand []int32, rel int, pairs 
 			m.build[string(m.kb)] = append(m.build[string(m.kb)], ri)
 		}
 	}
-	return probeColSerial(cur, rel, emitBound, relNeeded, m, opts, g)
+	cols, relNeeded, count := make([][]int32, width), width > len(emitBound), 0
+	for idx := 0; idx < cur.n; idx++ {
+		if !m.key(probe, idx) {
+			continue
+		}
+		for _, ri := range m.build[string(m.kb)] {
+			if err := g.tick(1); err != nil {
+				return nil, err
+			}
+			for bi, r := range emitBound {
+				cols[bi] = append(cols[bi], cur.cols[r][idx])
+			}
+			if relNeeded {
+				cols[len(emitBound)] = append(cols[len(emitBound)], ri)
+			}
+			if count++; count > opts.MaxIntermediateRows {
+				return nil, errJoinBudget(opts.MaxIntermediateRows)
+			}
+		}
+	}
+	return probeBatch(cur, rel, emitBound, cols, count), nil
 }
 
 // projectCol turns the joined batch into the statement's answer. A projection

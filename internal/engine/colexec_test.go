@@ -196,11 +196,70 @@ func TestIntKernelsMatchFloatComparison(t *testing.T) {
 	}
 }
 
+// TestMaskKernelsMatchRowEngine pins the branch-free dictionary and bool
+// kernels to the row engine: masks that pass every code, none (constant-false)
+// and some, over a column with NULLs and one without, a morsel of NULLs alone
+// (pruned) included, and composed under AND, OR and NOT.
+func TestMaskKernelsMatchRowEngine(t *testing.T) {
+	words := []string{"drama", "comedy", "noir", ""}
+	tbl := table.New("mt", table.Schema{
+		{Name: "id", Kind: table.KindInt},
+		{Name: "s", Kind: table.KindString}, {Name: "sn", Kind: table.KindString},
+		{Name: "b", Kind: table.KindBool}, {Name: "bn", Kind: table.KindBool},
+	})
+	for i := 0; i < 3*table.ZoneChunkRows+17; i++ {
+		s, b := table.NewString(words[i%len(words)]), table.NewBool(i%3 == 0)
+		sn, bn := s, b
+		if i%5 == 2 || i/table.ZoneChunkRows == 1 { // the second morsel: NULLs alone
+			sn, bn = table.Null, table.Null
+		}
+		tbl.AppendRow(table.Row{table.NewInt(int64(i)), s, sn, b, bn})
+	}
+	db := table.NewDatabase()
+	db.Add(tbl)
+	var preds []string
+	for _, col := range []string{"s", "sn"} {
+		for _, p := range []string{
+			"%s <> 'zzz'", "%s = 'zzz'", "%s = 'noir'", "%s <> 'noir'", "%s >= ''", "%s < ''", "%s > 'd'",
+			"%s LIKE '%%'", "%s NOT LIKE '%%'", "%s LIKE 'd%%'", "%s NOT LIKE '_o%%'",
+			"%s IN ('drama', 'noir', 7)", "%s NOT IN ('drama', 'noir')", "%s IN ('zzz')", "%s NOT IN ('zzz')",
+			"%s BETWEEN 'a' AND 'e'", "%s NOT BETWEEN 'a' AND 'e'", "%s BETWEEN '' AND 'zzz'", "%s", "NOT %s",
+			"%s = 'noir' OR id < 10", "NOT (%s = 'noir' AND id > 100)",
+		} {
+			preds = append(preds, fmt.Sprintf(p, col))
+		}
+	}
+	for _, col := range []string{"b", "bn"} {
+		for _, p := range []string{
+			"%s", "NOT %s", "%s = true", "%s <> true", "%s = false", "%s >= false", "%s < false", "%s > true",
+			"%s IN (true, false)", "%s NOT IN (true, false)", "%s IN (true)", "%s NOT IN (false, 1)",
+			"%s OR id < 10", "NOT %s AND id > 100",
+		} {
+			preds = append(preds, fmt.Sprintf(p, col))
+		}
+	}
+	for _, pred := range preds {
+		stmt := sqlparse.MustParse("SELECT id FROM mt WHERE " + pred)
+		row, err := ExecuteWith(db, stmt, Options{UseRowEngine: true})
+		if err != nil {
+			t.Fatalf("%s (row): %v", pred, err)
+		}
+		col, err := ExecuteWith(db, stmt, Options{})
+		if err != nil {
+			t.Fatalf("%s (columnar): %v", pred, err)
+		}
+		if rf, cf := resultFingerprint(row), resultFingerprint(col); rf != cf {
+			t.Errorf("%s: columnar keeps %d rows, the row engine %d", pred, col.Table.NumRows(), row.Table.NumRows())
+		}
+	}
+}
+
 // TestJoinIndexTelemetry pins the index-backed join's one-name-per-fact
 // signals: the build relation's index is built by the first join that needs it
 // and never again (engine/join/index_builds, engine/join/index_build/seconds),
-// and every join step annotates the engine/join span with the layout it probed
-// and the build-side candidate count.
+// and every join step annotates the engine/join span with the layout it
+// probed, how the runs were emitted and by how many workers, and the build-side
+// candidate count.
 func TestJoinIndexTelemetry(t *testing.T) {
 	prev := obs.Enabled()
 	defer obs.SetEnabled(prev)
@@ -231,8 +290,8 @@ func TestJoinIndexTelemetry(t *testing.T) {
 	if join == nil {
 		t.Fatal("no engine/join span")
 	}
-	if got := join.Attrs["index/c"]; got != "dense" {
-		t.Errorf("engine/join index/c = %v, want dense; attrs %v", got, join.Attrs)
+	if got := join.Attrs["index/c"]; got != "dense, runs" {
+		t.Errorf("engine/join index/c = %v, want dense, runs; attrs %v", got, join.Attrs)
 	}
 	directors, err := ExecuteWith(db, sqlparse.MustParse("SELECT * FROM credits WHERE role = 'director'"), Options{})
 	if err != nil {

@@ -54,10 +54,12 @@ type Options struct {
 	// TrackLineage enables per-row lineage for SPJ queries.
 	TrackLineage bool
 	// Parallelism is the number of workers for the data-parallel operators
-	// (candidate filter scans, hash-join probe, projection). Zero means one
-	// worker per CPU; values below 1 force the serial path. Results are
-	// byte-identical for every setting: morsel outputs are merged in input
-	// order, so parallelism changes wall-clock only, never answers.
+	// (candidate filter scans, projection, and the row engine's hash-join
+	// probe; the columnar probe runs on one goroutine). Zero means one worker
+	// per CPU; values below 1 force the serial path, which an operator also
+	// takes at any setting while its input is under parallelMinRows rows.
+	// Results are byte-identical for every setting: morsel outputs are merged
+	// in input order, so parallelism changes wall-clock only, never answers.
 	Parallelism int
 	// UseRowEngine forces the legacy row-at-a-time operators instead of the
 	// columnar/vectorized pipeline. The two paths produce byte-identical
@@ -72,6 +74,10 @@ type Options struct {
 	// frames asks for the answer as Result.Frame, leaving output rows unbuilt
 	// wherever the statement allows it. Set by ExecuteFrameContext.
 	frames bool
+	// minParallelRows, when positive, replaces parallelMinRows: tests reach the
+	// parallel operators on data of their own size, and the crossover benchmark
+	// measures them below the constant it is read from.
+	minParallelRows int
 }
 
 const defaultMaxIntermediate = 2_000_000
@@ -487,7 +493,7 @@ func scanRelations(b *binder, preds []predClass, opts Options, g *guard) ([][]in
 // identical).
 func scanRelationRows(b *binder, rel int, filters []sqlparse.Expr, opts Options, g *guard) ([]int32, error) {
 	rows := b.tables[rel].Rows
-	if workers := opts.workers(); workers > 1 && len(rows) >= parallelMinRows {
+	if workers := opts.workers(); workers > 1 && len(rows) >= opts.parallelRows() {
 		return scanFilterParallel(b, rel, filters, g, workers)
 	}
 	n := len(b.tables)
@@ -593,7 +599,7 @@ func joinStep(b *binder, current []joinedRow, cand []int32, rel int, joins []pre
 
 	// Probe phase: the build table is read-only from here, so the probe over
 	// the (usually much larger) intermediate side fans out across workers.
-	if workers := opts.workers(); workers > 1 && len(current) >= parallelMinRows {
+	if workers := opts.workers(); workers > 1 && len(current) >= opts.parallelRows() {
 		return probeParallel(b, current, rel, pairs, build, opts, g, workers)
 	}
 
@@ -646,7 +652,7 @@ func project(b *binder, stmt *sqlparse.Select, joined []joinedRow, opts Options,
 
 	// An output-row budget must return exactly the rows produced before the
 	// trip, which is inherently serial; without one, projection fans out.
-	if workers := opts.workers(); workers > 1 && len(joined) >= parallelMinRows && (g == nil || g.maxOutput <= 0) {
+	if workers := opts.workers(); workers > 1 && len(joined) >= opts.parallelRows() && (g == nil || g.maxOutput <= 0) {
 		return projectParallel(b, stmt, items, schema, joined, trackLineage, g, workers)
 	}
 

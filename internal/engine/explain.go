@@ -11,9 +11,15 @@ import (
 // Explain returns a human-readable description of the physical plan the
 // executor will use for stmt: per-relation scans in the order they run, with
 // pushed-down filters and the partner whose keys a scan takes when the data
-// makes them selective, the join order with join kinds (index, byte-key hash
-// when a key column is Mixed, or cross), residual predicates, and the finishing
-// operators. It binds, classifies and compiles filters but executes nothing.
+// makes them selective, the join order with join kinds (index — naming how the
+// probed index's runs are emitted — byte-key hash when a key column is Mixed, or
+// cross), residual predicates, and the finishing operators. It binds,
+// classifies and compiles filters, and reads no row of an answer — but it is
+// not free on a cold table: which emission a step takes is a property of the
+// join index it probes, so Explain asks for the index of every join key column
+// the steps will probe, and the first to ask builds it (one O(rows) pass per
+// column, counted in index_builds like any build; the statement's execution
+// then finds it cached).
 func Explain(db *table.Database, stmt *sqlparse.Select) (string, error) {
 	b, err := newBinder(db, stmt)
 	if err != nil {
@@ -67,11 +73,11 @@ func Explain(db *table.Database, stmt *sqlparse.Select) (string, error) {
 			}
 		}
 		if len(keys) > 0 {
-			kind := "index"
-			if joinKeysMixed(b, joins) {
-				kind = "hash"
+			kind, how := "hash", "byte keys: Mixed column"
+			if !joinKeysMixed(b, joins) {
+				kind, how = "index", probeKind(indexedPair(b, rel, joinKeyPairs(joins, rel)))
 			}
-			fmt.Fprintf(&out, "  %s join %s on %s\n", kind, b.refs[rel].Name(), strings.Join(keys, " AND "))
+			fmt.Fprintf(&out, "  %s join %s on %s (%s)\n", kind, b.refs[rel].Name(), strings.Join(keys, " AND "), how)
 		} else {
 			fmt.Fprintf(&out, "  cross join %s\n", b.refs[rel].Name())
 		}

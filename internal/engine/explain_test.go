@@ -18,8 +18,23 @@ func TestExplainJoinPlan(t *testing.T) {
 	for _, want := range []string{
 		"scan m", "scan c",
 		"filter: m.year > 2000", "filter: c.role = 'director'",
-		"index join c on m.id = c.movie_id",
+		"index join c on m.id = c.movie_id (runs)",
 		"project", "sort by m.title", "limit 5",
+	} {
+		if !strings.Contains(plan, want) {
+			t.Errorf("plan missing %q:\n%s", want, plan)
+		}
+	}
+
+	// The other way round the step probes movies' primary key: one row per key.
+	plan, err = Explain(db, sqlparse.MustParse(
+		"SELECT c.person FROM credits c JOIN movies m ON m.id = c.movie_id JOIN credits d ON d.movie_id = m.id"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"index join m on m.id = c.movie_id (unique keys)",
+		"index join d on d.movie_id = m.id (runs)",
 	} {
 		if !strings.Contains(plan, want) {
 			t.Errorf("plan missing %q:\n%s", want, plan)
@@ -98,7 +113,7 @@ func TestExplainMixedKeyFallsBackToHashJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "hash join c on m.id = c.movie_id"; !strings.Contains(plan, want) {
+	if want := "hash join c on m.id = c.movie_id (byte keys: Mixed column)"; !strings.Contains(plan, want) {
 		t.Errorf("plan missing %q:\n%s", want, plan)
 	}
 }

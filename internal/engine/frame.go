@@ -198,7 +198,7 @@ func (p *projection) materialize(n int, opts Options, g *guard) (*table.Table, [
 		return nil
 	}
 	charged := p.exprs == nil
-	if workers := opts.workers(); workers > 1 && n >= parallelMinRows && (charged || g == nil || g.maxOutput <= 0) {
+	if workers := opts.workers(); workers > 1 && n >= opts.parallelRows() && (charged || g == nil || g.maxOutput <= 0) {
 		err := forEachMorsel(workers, n, func(_, lo, hi int) error {
 			err := g.poll()
 			for idx := lo; idx < hi && err == nil; idx++ {

@@ -12,7 +12,7 @@ import (
 )
 
 // bigDB is one table of n rows (id, id%7, a string), large enough for the
-// parallel paths when n >= parallelMinRows.
+// parallel paths when n >= testParallelRows.
 func bigDB(n int) *table.Database {
 	t := table.New("big", table.Schema{
 		{Name: "id", Kind: table.KindInt}, {Name: "m", Kind: table.KindInt}, {Name: "s", Kind: table.KindString},
@@ -48,7 +48,7 @@ func TestFrameBorrowsBaseRows(t *testing.T) {
 		{"SELECT m, COUNT(*) FROM big GROUP BY m", 7, false},
 	} {
 		stmt := sqlparse.MustParse(tc.sql)
-		for _, opts := range []Options{{Parallelism: -1}, {Parallelism: 8}, {UseRowEngine: true}} {
+		for _, opts := range []Options{{Parallelism: -1}, {Parallelism: 8, minParallelRows: testParallelRows}, {UseRowEngine: true}} {
 			res, err := ExecuteFrameContext(context.Background(), db, stmt, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.sql, err)

@@ -44,16 +44,18 @@ var fuzzTags = []string{"drama", "noir", "musical", "zzz"}
 // keyed to it through int (fa_id, repeating and dangling), string (name, over
 // two dictionaries that overlap in part) and float (v: integral, fractional,
 // NaN) columns. With size 0 about one run in six, and with size 1 or 2 every
-// run, is big enough (> parallelMinRows) to exercise the parallel
+// run, is big enough (> testParallelRows) to exercise the parallel
 // scan/probe/project paths; the rest stay small so many statements run per fuzz
 // cycle. In a big database fc is a tenth of fa (size 1, or a coin flip) or
 // twice it (size 2), so a scan that takes its keys from a partner
 // (scanRelationsCol) finds the selective side among either the smaller or the
 // larger relation. forceMixed poisons fa.mx, as one run in four does anyway.
+// fd is four fixed rows, drawn without rng, whose indexes hold one row per key
+// and address keys no row has: flag is false once and never true, k has gaps.
 func fuzzDB(rng *rand.Rand, size int, forceMixed bool) *table.Database {
 	nA := 30 + rng.Intn(50)
 	if rng.Intn(6) == 0 || size > 0 {
-		nA = parallelMinRows + 500 + rng.Intn(1000)
+		nA = testParallelRows + 500 + rng.Intn(1000)
 	}
 	mixed := rng.Intn(4) == 0 || forceMixed // poison fa.mx with a string cell → Mixed column
 	fa := table.New("fa", table.Schema{
@@ -114,8 +116,8 @@ func fuzzDB(rng *rand.Rand, size int, forceMixed bool) *table.Database {
 		fa.AppendRow(table.Row{table.NewInt(int64(i)), num, val, cat, flag, mx, sp, name})
 	}
 	nB := 20 + rng.Intn(40)
-	if nA > parallelMinRows {
-		nB = parallelMinRows + rng.Intn(500)
+	if nA > testParallelRows {
+		nB = testParallelRows + rng.Intn(500)
 	}
 	fb := table.New("fb", table.Schema{
 		{Name: "fa_id", Kind: table.KindInt},
@@ -137,7 +139,7 @@ func fuzzDB(rng *rand.Rand, size int, forceMixed bool) *table.Database {
 		})
 	}
 	nC := 10 + rng.Intn(30)
-	if nA > parallelMinRows {
+	if nA > testParallelRows {
 		if nC = nA/10 + rng.Intn(50); size == 2 || size == 0 && rng.Intn(2) == 0 {
 			nC = 2*nA + rng.Intn(500)
 		}
@@ -165,10 +167,16 @@ func fuzzDB(rng *rand.Rand, size int, forceMixed bool) *table.Database {
 		}
 		fc.AppendRow(table.Row{table.NewInt(int64(faID)), name, v, n, table.NewString(fuzzTags[rng.Intn(len(fuzzTags))])})
 	}
+	fd := table.New("fd", table.Schema{{Name: "flag", Kind: table.KindBool}, {Name: "k", Kind: table.KindInt}})
+	fd.AppendRow(table.Row{table.NewBool(false), table.NewInt(2)})
+	fd.AppendRow(table.Row{table.Null, table.NewInt(5)})
+	fd.AppendRow(table.Row{table.Null, table.NewInt(9)})
+	fd.AppendRow(table.Row{table.Null, table.Null})
 	db := table.NewDatabase()
 	db.Add(fa)
 	db.Add(fb)
 	db.Add(fc)
+	db.Add(fd)
 	return db
 }
 
@@ -416,6 +424,76 @@ var fuzzSidewaysShapes = []string{
 	"SELECT a.cat, COUNT(*), AVG(c.v) FROM fa a JOIN fc c ON a.id = c.fa_id WHERE a.num = 3 GROUP BY a.cat",
 }
 
+// fuzzProbeShapes are the joins a seed at or below fuzzProbeSeed forces (see
+// FuzzRowVsColumnar): what the chunk-at-a-time probe distinguishes, each at
+// every database size, so that the probing batch is a few dozen rows or several
+// chunks. Which kind of key the typed loop reads on the probe side and which the
+// index holds; whether the index is dense or hashed, holds one row per key
+// (fa.id, fa.sp, fd's columns: the branch-free emission) or runs (every fb and
+// fc key); whether the build relation is filtered (a candidate bitmap) or not;
+// how many further key pairs are verified, in which written order; and whether
+// scanning past rows gives way to the candidates' own index. fa is aliased a in
+// every shape.
+var fuzzProbeShapes = []string{
+	// int = int into a dense index: runs, then one row per key; either side
+	// filtered or not.
+	"SELECT a.id, b.w FROM fa a JOIN fb b ON a.id = b.fa_id",
+	"SELECT a.id, b.w FROM fa a JOIN fb b ON a.id = b.fa_id WHERE b.w < 3",
+	"SELECT a.id, b.w FROM fb b JOIN fa a ON b.fa_id = a.id",
+	"SELECT a.id, b.w FROM fb b JOIN fa a ON b.fa_id = a.id WHERE a.num > 2",
+	"SELECT a.id, c.n FROM fc c JOIN fa a ON c.fa_id = a.id WHERE a.flag",
+	// Sparse ints, the hash layout: runs, one row per key, filtered.
+	"SELECT a.id, b.w FROM fa a JOIN fb b ON a.sp = b.sp",
+	"SELECT a.id, b.w FROM fb b JOIN fa a ON b.sp = a.sp",
+	"SELECT a.id, b.w FROM fb b JOIN fa a ON b.sp = a.sp WHERE a.num < 5",
+	// int = float in both directions (fc.v: integral, fractional, NaN, NULL;
+	// fa.val: those and -0, ±Inf), float = float (NaN joins NaN, -0 joins 0).
+	"SELECT a.id, c.v FROM fa a JOIN fc c ON a.id = c.v",
+	"SELECT a.id, c.v FROM fc c JOIN fa a ON c.v = a.id",
+	"SELECT a.id, b.w FROM fa a JOIN fb b ON a.val = b.w WHERE b.fa_id < 50",
+	"SELECT a.id, b.w FROM fb b JOIN fa a ON b.w = a.val WHERE a.id < 200",
+	"SELECT a.id, c.v FROM fa a JOIN fc c ON a.val = c.v WHERE c.fa_id < 40",
+	"SELECT a.id, c.v FROM fc c JOIN fa a ON c.v = a.val WHERE a.num = 3 AND a.id < 1500",
+	// string = string over two dictionaries, each holding strings the other lacks.
+	"SELECT a.id, c.name FROM fa a JOIN fc c ON a.name = c.name",
+	"SELECT a.id, c.name FROM fc c JOIN fa a ON c.name = a.name WHERE a.num < 5",
+	"SELECT a.id, c.tag FROM fc c JOIN fa a ON c.tag = a.cat WHERE a.id < 12",
+	"SELECT a.id, c.tag FROM fa a JOIN fc c ON a.cat = c.tag WHERE c.fa_id < 4",
+	// bool = bool and int = int with NULL keys on both sides.
+	"SELECT a.id, x.id FROM fa a JOIN fa x ON a.flag = x.flag WHERE a.id < 10 AND x.num = 3",
+	"SELECT a.id, b.w FROM fa a JOIN fb b ON a.num = b.w WHERE a.id < 60",
+	"SELECT a.id, b.w FROM fb b JOIN fa a ON b.w = a.num WHERE b.fa_id < 60 AND a.id < 300",
+	// One row per key in a dense index that addresses keys no row has: a bool
+	// column that is never true (its run would start past the last row), ints
+	// with gaps; unfiltered and filtered.
+	"SELECT a.id, d.k FROM fa a JOIN fd d ON a.flag = d.flag",
+	"SELECT a.id, d.k FROM fa a JOIN fd d ON a.flag = d.flag WHERE d.k < 4",
+	"SELECT a.id, d.k FROM fa a JOIN fd d ON a.num = d.k",
+	"SELECT a.id, d.flag FROM fa a JOIN fd d ON a.num = d.k AND a.flag = d.flag WHERE d.k > 0",
+	// Two and three conjuncts in both written orders: runs and verification, one
+	// row per key and verification.
+	"SELECT a.id, b.w FROM fa a JOIN fb b ON a.id = b.fa_id AND a.cat = b.cat",
+	"SELECT a.id, b.w FROM fa a JOIN fb b ON a.cat = b.cat AND a.id = b.fa_id",
+	"SELECT a.id, b.w FROM fb b JOIN fa a ON b.fa_id = a.id AND b.cat = a.cat",
+	"SELECT a.id, b.w FROM fb b JOIN fa a ON b.cat = a.cat AND b.fa_id = a.id WHERE a.num > 0",
+	"SELECT a.id, b.w FROM fa a JOIN fb b ON a.id = b.fa_id AND a.cat = b.cat AND a.num = b.w",
+	"SELECT a.id, b.w FROM fa a JOIN fb b ON a.num = b.w AND a.cat = b.cat AND a.id = b.fa_id",
+	"SELECT a.id, c.n FROM fc c JOIN fa a ON c.fa_id = a.id AND c.name = a.name AND c.v = a.val",
+	// Scanning past rows gives way to hashing the candidates: a selective filter
+	// behind a low-cardinality key, and pairs selective only together.
+	"SELECT a.id, b.fa_id FROM fa a JOIN fb b ON a.cat = b.cat WHERE b.fa_id < 3",
+	"SELECT a.id, b.fa_id FROM fa a JOIN fb b ON a.cat = b.cat AND a.num = b.w WHERE b.fa_id < 300",
+	"SELECT a.id, b.fa_id FROM fa a JOIN fb b ON a.num = b.w AND a.cat = b.cat WHERE b.fa_id < 30",
+	"SELECT a.id, x.id FROM fa a JOIN fa x ON a.cat = x.cat AND a.flag = x.flag WHERE x.num = 7 AND x.val > 3",
+	// The second step of a three-way join probes with a batch of two columns.
+	"SELECT a.id, b.w, c.n FROM fb b JOIN fa a ON b.fa_id = a.id JOIN fc c ON c.fa_id = a.id AND c.name = a.name",
+}
+
+// fuzzProbeSeed - k pins a run to fuzzProbeShapes[k % len] on a database of
+// size k / len % 3 (see fuzzDB): each statement under one of fuzzLimitModes,
+// then with MaxIntermediateRows at exactly its row count and at one less.
+const fuzzProbeSeed = -1 << 56
+
 // fuzzNarrow ANDs pred into q's WHERE clause, giving it one if it has none.
 func fuzzNarrow(q, pred string) string {
 	kw, at := " WHERE ", len(q)
@@ -629,8 +707,8 @@ func (r *fuzzReference) outcome(gotErr error) (res *Result, err error, ok bool) 
 // seed fuzzLimitSeed-k to a fuzzLimitShapes statement and LIMIT under each of
 // fuzzLimitModes, and seed fuzzSidewaysSeed-k to a fuzzSidewaysShapes statement
 // under each of them at each database size, and seed fuzzAggSeed-k likewise to
-// a fuzzAggShapes statement, so the corpus reaches every shape at every size by
-// construction.
+// a fuzzAggShapes statement and seed fuzzProbeSeed-k to a fuzzProbeShapes one,
+// so the corpus reaches every shape at every size by construction.
 func FuzzRowVsColumnar(f *testing.F) {
 	for s := int64(0); s < 24; s++ {
 		f.Add(s)
@@ -647,10 +725,17 @@ func FuzzRowVsColumnar(f *testing.F) {
 	for k := 0; k < 3*len(fuzzAggShapes); k++ {
 		f.Add(int64(fuzzAggSeed - k))
 	}
+	for k := 0; k < 3*len(fuzzProbeShapes); k++ {
+		f.Add(int64(fuzzProbeSeed - k))
+	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		shape, pinSQL, size := -1, "", 0
+		shape, pinSQL, size, stmts := -1, "", 0, 6
 		switch {
+		case seed <= fuzzProbeSeed:
+			k := uint64(fuzzProbeSeed - seed)
+			nShapes := uint64(len(fuzzProbeShapes))
+			pinSQL, size, stmts = fuzzProbeShapes[k%nShapes], int(k/nShapes%3), 8
 		case seed <= fuzzAggSeed:
 			k := uint64(fuzzAggSeed - seed)
 			nShapes := uint64(len(fuzzAggShapes))
@@ -670,13 +755,16 @@ func FuzzRowVsColumnar(f *testing.F) {
 			size = int(k / uint64(len(fuzzJoinShapes)) % 2)
 		}
 		db := fuzzDB(rng, size, strings.Contains(pinSQL, ".mx"))
-		for si := 0; si < 6; si++ {
+		for si := 0; si < stmts; si++ {
 			sql, mode := pinSQL, rng.Intn(8)
 			switch {
 			case seed <= fuzzSidewaysSeed:
 				// Half the statements as pinned, half narrowed at random; the
 				// later ones paged, and one with nothing tracked or bounded.
-				mode = fuzzLimitModes[si]
+				mode = 9 // a probe seed's last two: the budget at the row count
+				if si < len(fuzzLimitModes) {
+					mode = fuzzLimitModes[si]
+				}
 				if rng.Intn(2) == 0 {
 					sql = fuzzNarrow(sql, fuzzPred(rng, "a.", 1))
 				}
@@ -700,7 +788,7 @@ func FuzzRowVsColumnar(f *testing.F) {
 			// budget trip is itself a compared outcome (same error string on
 			// every path), so capping keeps the harness fast without losing
 			// coverage.
-			base := Options{TrackLineage: true, MaxIntermediateRows: 100_000}
+			base := Options{TrackLineage: true, MaxIntermediateRows: 100_000, minParallelRows: testParallelRows}
 			faultPoint, faultAfter := "", 0
 			switch mode {
 			case 0: // cooperative cancellation: already-canceled context
@@ -717,6 +805,10 @@ func FuzzRowVsColumnar(f *testing.F) {
 				faultAfter = rng.Intn(2)
 			case 8: // output row budget no result reaches
 				base.MaxOutputRows = 1 << 30
+			case 9: // intermediate budget exactly the rows the join makes, and one short
+				if n, err := CountContext(ctx, db, stmt, Options{UseRowEngine: true, Parallelism: -1}); err == nil {
+					base.MaxIntermediateRows = max(1, n-si%2)
+				}
 			}
 			run := func(opts Options) (*Result, error) {
 				return fuzzRun(ctx, db, stmt, opts, faultPoint, faultAfter)

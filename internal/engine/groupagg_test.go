@@ -158,15 +158,7 @@ func TestAggregateFallbackCounter(t *testing.T) {
 // operators take: the same tuples as a batch and as joined rows.
 func aggInput(t testing.TB, db *table.Database, sql string) (*binder, *sqlparse.Select, *joinedBatch, []joinedRow) {
 	t.Helper()
-	stmt := sqlparse.MustParse(sql)
-	b, err := newBinder(db, stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	preds, err := classify(b, stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b, stmt, preds := bindSQL(t, db, sql)
 	jb, err := runJoinsCol(b, preds, Options{MaxIntermediateRows: defaultMaxIntermediate, Parallelism: -1}, nil, nil, true)
 	if err != nil {
 		t.Fatal(err)

@@ -539,71 +539,79 @@ func numericCmpKernel(c *table.ColumnData, op string, lit float64) kernel {
 }
 
 // maskKernel passes non-NULL rows of a dictionary column whose code is set in
-// mask. An all-false mask is constant-false.
+// mask. An all-false mask is constant-false. The surviving prefix is written
+// branch-free behind the read position, like intRangeSel's: the write position
+// moves on by the row's mask byte, and a NULL row's code, -1, reads the zero
+// byte in front of the mask.
 func maskKernel(c *table.ColumnData, mask []bool) kernel {
-	any := false
-	for _, m := range mask {
+	mask8, any := make([]uint8, len(mask)+1), false
+	for code, m := range mask {
 		if m {
-			any = true
-			break
+			mask8[code+1], any = 1, true
 		}
 	}
 	if !any {
 		return kernel{constFalse: true, sel: emptySel}
 	}
 	codes := c.Codes
-	nulls := c.Nulls
 	zones := c.Zones
 	return kernel{
 		sel: func(sel []int32) []int32 {
-			out := sel[:0]
-			if nulls == nil {
-				for _, i := range sel {
-					if mask[codes[i]] {
-						out = append(out, i)
-					}
-				}
-				return out
-			}
+			n := 0
 			for _, i := range sel {
-				if !nulls.Get(int(i)) && mask[codes[i]] {
-					out = append(out, i)
-				}
+				sel[n] = i
+				n += int(mask8[codes[i]+1])
 			}
-			return out
+			return sel[:n]
 		},
 		prune: func(m int) bool { return !zones[m].HasValue },
 	}
 }
 
 // boolMaskKernel is maskKernel for boolean columns (mask2[0]=false cells,
-// mask2[1]=true cells).
+// mask2[1]=true cells); a NULL row's bit in the bitmap clears its mask byte.
 func boolMaskKernel(c *table.ColumnData, mask2 [2]bool) kernel {
 	if !mask2[0] && !mask2[1] {
 		return kernel{constFalse: true, sel: emptySel}
 	}
+	var mask8 [2]uint8
+	for v, m := range mask2 {
+		if m {
+			mask8[v] = 1
+		}
+	}
 	vals := c.Bools
 	nulls := c.Nulls
 	zones := c.Zones
-	return kernel{
-		sel: func(sel []int32) []int32 {
-			out := sel[:0]
+	k := kernel{prune: func(m int) bool { return !zones[m].HasValue }}
+	if nulls == nil {
+		k.sel = func(sel []int32) []int32 {
+			n := 0
 			for _, i := range sel {
-				if nulls != nil && nulls.Get(int(i)) {
-					continue
-				}
-				idx := 0
+				sel[n] = i
+				v := 0
 				if vals[i] {
-					idx = 1
+					v = 1
 				}
-				if mask2[idx] {
-					out = append(out, i)
-				}
+				n += int(mask8[v])
 			}
-			return out
-		},
-		prune: func(m int) bool { return !zones[m].HasValue },
+			return sel[:n]
+		}
+		return k
 	}
+	k.sel = func(sel []int32) []int32 {
+		n := 0
+		for _, i := range sel {
+			sel[n] = i
+			v := 0
+			if vals[i] {
+				v = 1
+			}
+			n += int(mask8[v]) &^ nulls.Bit(int(i))
+		}
+		return sel[:n]
+	}
+	return k
 }
 
 // truthyKernel passes rows whose value is non-NULL and truthy (or falsy,

@@ -20,10 +20,20 @@ const (
 	// guardInterval so one cooperative guard poll per morsel preserves the
 	// serial path's cancellation granularity.
 	morselRows = 1024
-	// parallelMinRows is the input size below which operators stay serial:
-	// under a few morsels of work, goroutine hand-off costs more than it buys.
-	parallelMinRows = 4096
+	// parallelMinRows is the input size below which operators stay serial: the
+	// size from which two workers beat one by a fifth on the two-core machine
+	// BenchmarkParallelCrossover was read on (DESIGN §13 "Parallel gate"). Below
+	// it, starting and joining the workers costs more than the second one saves.
+	parallelMinRows = 128 * morselRows
 )
+
+// parallelRows is the input size from which an operator runs its workers.
+func (o Options) parallelRows() int {
+	if o.minParallelRows > 0 {
+		return o.minParallelRows
+	}
+	return parallelMinRows
+}
 
 // workers resolves Options.Parallelism to an effective worker count:
 // 0 means all CPUs, anything below 1 means serial.

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
+	"strconv"
 	"testing"
 	"time"
 
@@ -13,26 +13,35 @@ import (
 	"asqprl/internal/sqlparse"
 )
 
+// testParallelRows is the parallel gate the tests run under
+// (Options.minParallelRows): their tables were sized to clear 4 096 rows, the
+// gate before it was measured, and stay that size.
+const testParallelRows = 4096
+
 // resultFingerprint renders a result into a canonical string: schema, every
 // row key in order, and every lineage entry. Two byte-identical results
-// produce equal fingerprints and vice versa.
+// produce equal fingerprints and vice versa. The differential harness spends
+// most of its time here, so rows and lineage are appended, not formatted.
 func resultFingerprint(res *Result) string {
-	var s strings.Builder
-	fmt.Fprintf(&s, "schema=%v rows=%d\n", res.Table.Schema, res.Table.NumRows())
+	s := fmt.Appendf(nil, "schema=%v rows=%d\n", res.Table.Schema, res.Table.NumRows())
 	for i, r := range res.Table.Rows {
-		fmt.Fprintf(&s, "%d: %s\n", i, r.Key())
+		s = append(r.AppendKey(append(strconv.AppendInt(s, int64(i), 10), ": "...)), '\n')
 	}
 	for i, lin := range res.Lineage {
-		fmt.Fprintf(&s, "lin %d: %v\n", i, lin)
+		s = append(strconv.AppendInt(append(s, "lin "...), int64(i), 10), ": ["...)
+		for _, id := range lin {
+			s = append(strconv.AppendInt(append(append(s, id.Table...), ':'), int64(id.Row), 10), ' ')
+		}
+		s = append(s, "]\n"...)
 	}
-	return s.String()
+	return string(s)
 }
 
 // TestParallelMatchesSerial checks the tentpole determinism property: for
-// every query shape, Parallelism=8 produces byte-identical rows and lineage
-// to the serial path, under several GOMAXPROCS settings. The scale is chosen
-// so the candidate scans and join probes exceed parallelMinRows and actually
-// take the parallel paths.
+// every query shape, two and eight workers produce byte-identical rows and
+// lineage to the serial path, under several GOMAXPROCS settings. The scale is
+// chosen so the candidate scans and the projections exceed testParallelRows
+// and actually take the parallel paths (the join probe has none).
 func TestParallelMatchesSerial(t *testing.T) {
 	db := datagen.IMDB(0.3, 1)
 	for _, procs := range []int{1, 2, 4} {
@@ -44,27 +53,32 @@ func TestParallelMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s serial: %v", name, err)
 				}
-				parallel, err := ExecuteWith(db, stmt, Options{TrackLineage: true, Parallelism: 8})
-				if err != nil {
-					t.Fatalf("%s parallel: %v", name, err)
-				}
-				if sf, pf := resultFingerprint(serial), resultFingerprint(parallel); sf != pf {
-					t.Errorf("%s: parallel result diverges from serial\nserial:\n%.400s\nparallel:\n%.400s", name, sf, pf)
+				for _, workers := range []int{2, 8} {
+					parallel, err := ExecuteWith(db, stmt, Options{TrackLineage: true, Parallelism: workers, minParallelRows: testParallelRows})
+					if err != nil {
+						t.Fatalf("%s parallel: %v", name, err)
+					}
+					if sf, pf := resultFingerprint(serial), resultFingerprint(parallel); sf != pf {
+						t.Errorf("%s: %d workers' result diverges from serial\nserial:\n%.400s\nparallel:\n%.400s", name, workers, sf, pf)
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestParallelIntermediateBudget checks that the shared atomic row accounting
-// of the parallel probe trips ErrRowBudget exactly like the serial counter.
+// TestParallelIntermediateBudget checks that the join intermediate budget trips
+// ErrRowBudget at every worker count: the columnar probe settles it per chunk
+// on one goroutine, the row engine's parallel probe on a shared counter.
 func TestParallelIntermediateBudget(t *testing.T) {
 	db := datagen.IMDB(0.3, 1)
 	stmt := sqlparse.MustParse(benchQueries["HashJoin"])
-	for _, par := range []int{-1, 8} {
-		_, err := ExecuteWith(db, stmt, Options{MaxIntermediateRows: 10, Parallelism: par})
-		if !errors.Is(err, ErrRowBudget) {
-			t.Errorf("parallelism %d: err = %v, want ErrRowBudget", par, err)
+	for _, par := range []int{-1, 2, 8} {
+		for _, rowEngine := range []bool{false, true} {
+			_, err := ExecuteWith(db, stmt, Options{MaxIntermediateRows: 10, Parallelism: par, minParallelRows: testParallelRows, UseRowEngine: rowEngine})
+			if !errors.Is(err, ErrRowBudget) {
+				t.Errorf("parallelism %d (row engine: %v): err = %v, want ErrRowBudget", par, rowEngine, err)
+			}
 		}
 	}
 }
@@ -77,14 +91,16 @@ func TestParallelDeadlineAndCancel(t *testing.T) {
 
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := ExecuteWithContext(ctx, db, stmt, Options{Parallelism: 8}); !errors.Is(err, ErrDeadline) {
-		t.Errorf("expired deadline: err = %v, want ErrDeadline", err)
-	}
-
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	if _, err := ExecuteWithContext(ctx2, db, stmt, Options{Parallelism: 8}); !errors.Is(err, ErrCanceled) {
-		t.Errorf("canceled context: err = %v, want ErrCanceled", err)
+	for _, workers := range []int{2, 8} {
+		opts := Options{Parallelism: workers, minParallelRows: testParallelRows}
+		if _, err := ExecuteWithContext(ctx, db, stmt, opts); !errors.Is(err, ErrDeadline) {
+			t.Errorf("expired deadline, %d workers: err = %v, want ErrDeadline", workers, err)
+		}
+		if _, err := ExecuteWithContext(ctx2, db, stmt, opts); !errors.Is(err, ErrCanceled) {
+			t.Errorf("canceled context, %d workers: err = %v, want ErrCanceled", workers, err)
+		}
 	}
 }
 
@@ -94,7 +110,7 @@ func TestParallelDeadlineAndCancel(t *testing.T) {
 func TestParallelOutputBudgetPartialRows(t *testing.T) {
 	db := datagen.IMDB(0.3, 1)
 	stmt := sqlparse.MustParse("SELECT * FROM title")
-	res, err := ExecuteWith(db, stmt, Options{MaxOutputRows: 7, Parallelism: 8})
+	res, err := ExecuteWith(db, stmt, Options{MaxOutputRows: 7, Parallelism: 8, minParallelRows: testParallelRows})
 	if !errors.Is(err, ErrRowBudget) {
 		t.Fatalf("err = %v, want ErrRowBudget", err)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"asqprl/internal/obs"
@@ -190,7 +189,7 @@ func TestProbeKeyerTranslatesLazily(t *testing.T) {
 		other.AppendRow(table.Row{table.NewString(fmt.Sprintf("p%05d", i+i%2*distinct))})
 	}
 	pc, bc := &other.Columns().Cols[0], &big.Columns().Cols[0]
-	x := &dictXlat{from: pc.Dict, to: bc.Dict, memo: make([]atomic.Int32, pc.Dict.Len())}
+	x := &dictXlat{from: pc.Dict, to: bc.Dict, memo: make([]int32, pc.Dict.Len())}
 	keyer := pc.JoinKeyer(x.code)
 	ix, _ := big.Columns().JoinIndex(0)
 	for ri := int32(0); ri < 10; ri++ {
@@ -210,7 +209,7 @@ func TestProbeKeyerTranslatesLazily(t *testing.T) {
 	}
 	translated := 0
 	for i := range x.memo {
-		if x.memo[i].Load() != 0 {
+		if x.memo[i] != 0 {
 			translated++
 		}
 	}

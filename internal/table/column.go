@@ -37,6 +37,9 @@ func (b Bitmap) Set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 // Get reports bit i.
 func (b Bitmap) Get(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
+// Bit is bit i as 0 or 1, for loops that add it instead of branching on it.
+func (b Bitmap) Bit(i int) int { return int(b[i>>6] >> (uint(i) & 63) & 1) }
+
 // AppendRows appends the indices of the set bits to dst, ascending.
 func (b Bitmap) AppendRows(dst []int32) []int32 {
 	for w, word := range b {

@@ -118,6 +118,10 @@ type JoinIndex struct {
 	slots []int32
 	shift uint
 	key   func(int32) (JoinKey, bool)
+	// A cached hash index is over an int or a float column: Runs reads a run's
+	// first key from the vector, not through key.
+	ints   []int64
+	floats []float64
 }
 
 // denseSpread bounds the direct-address offset array: an int column is dense
@@ -135,6 +139,67 @@ func (ix *JoinIndex) Layout() string {
 
 // Distinct returns the number of distinct keys indexed.
 func (ix *JoinIndex) Distinct() int { return ix.distinct }
+
+// Unique reports whether no two indexed rows share a key, as in a primary key's
+// index: every run is one row long.
+func (ix *JoinIndex) Unique() bool { return ix.distinct == len(ix.rows) }
+
+// Rows returns every indexed row id, grouped by key; Runs' bounds delimit it.
+// The slice is the index's own and must not be modified.
+func (ix *JoinIndex) Rows() []int32 { return ix.rows }
+
+// Runs is Lookup for a chunk of keys at once, one loop per layout with the
+// lookup inline: key i is (tags[i], bits[i]) and its run Rows()[lo[i]:hi[i]],
+// with lo[i] == hi[i] == 0 when no row holds it (so Rows()[lo[i]] can be read
+// before the run's length is, whenever the index holds a row at all). A
+// TagNull or TagMiss key is in no index.
+func (ix *JoinIndex) Runs(tags []uint8, bits []uint64, lo, hi []int32) {
+	offs := ix.offs
+	bits, lo, hi = bits[:len(tags)], lo[:len(tags)], hi[:len(tags)]
+	if ix.slots == nil {
+		tag, base, groups := ix.tag, ix.base, uint64(len(offs)-1)
+		for i, t := range tags {
+			g := bits[i] - base
+			if t != tag || g >= groups {
+				lo[i], hi[i] = 0, 0
+				continue
+			}
+			l, h := offs[g], offs[g+1]
+			if l == h { // in range, and no row has it: offs[g] may be len(rows)
+				l, h = 0, 0
+			}
+			lo[i], hi[i] = l, h
+		}
+		return
+	}
+	mask := uint64(len(ix.slots) - 1)
+	for i, t := range tags {
+		lo[i], hi[i] = 0, 0
+		if t == TagNull || t == TagMiss {
+			continue
+		}
+		k := JoinKey{t, bits[i]}
+		for h := hashJoinKey(k) >> ix.shift; ; h = (h + 1) & mask {
+			s := ix.slots[h]
+			if s == 0 {
+				break
+			}
+			var fk JoinKey
+			switch first := ix.rows[offs[s-1]]; {
+			case ix.ints != nil:
+				fk = JoinKey{TagNum, uint64(ix.ints[first])}
+			case ix.floats != nil:
+				fk = FloatJoinKey(ix.floats[first])
+			default:
+				fk, _ = ix.key(first)
+			}
+			if fk == k {
+				lo[i], hi[i] = offs[s-1], offs[s]
+				break
+			}
+		}
+	}
+}
 
 // Lookup returns the ascending row ids whose cell equals k (nil when none).
 // The slice aliases the index and must not be modified.
@@ -177,7 +242,10 @@ func buildJoinIndex(c *ColumnData, all []int32) *JoinIndex {
 		ix.tag, groups = TagStr, c.Dict.Len()
 	case KindBool:
 		ix.tag, groups = TagBool, 2
+	case KindFloat:
+		ix.floats = c.Floats
 	case KindInt:
+		ix.ints = c.Ints
 		lo, hi, any := int64(0), int64(0), false
 		for i, v := range c.Ints {
 			if c.IsNull(i) {

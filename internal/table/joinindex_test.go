@@ -11,7 +11,9 @@ import (
 // joinIndexFixture has one column per key kind and index layout, each with
 // duplicates and NULLs: compact ints (dense), ints spread over the whole int64
 // range (hash), floats mixing integral, fractional, negative-zero and
-// two NaN payloads (hash), dictionary strings and bools (dense).
+// two NaN payloads (hash), dictionary strings and bools (dense) — and two dense
+// columns whose direct-address range holds keys no row has: ints with gaps, and
+// a bool column that is never true.
 func joinIndexFixture() *Table {
 	t := New("ji", Schema{
 		{Name: "dense", Kind: KindInt},
@@ -19,6 +21,8 @@ func joinIndexFixture() *Table {
 		{Name: "f", Kind: KindFloat},
 		{Name: "s", Kind: KindString},
 		{Name: "b", Kind: KindBool},
+		{Name: "gaps", Kind: KindInt},
+		{Name: "nevertrue", Kind: KindBool},
 	})
 	sparse := []int64{math.MinInt64, math.MaxInt64, 0, -7_000_000_011, 7_000_000_011, 1 << 40}
 	floats := []float64{
@@ -33,6 +37,8 @@ func joinIndexFixture() *Table {
 			NewFloat(floats[i%len(floats)]),
 			NewString(strs[i%len(strs)]),
 			NewBool(i%5 < 2),
+			NewInt(int64(200 + 3*(i%20))),
+			NewBool(false),
 		}
 		for ci := range row {
 			if (i+ci)%11 == 0 {
@@ -51,7 +57,7 @@ func joinIndexFixture() *Table {
 func TestJoinIndexMatchesBruteForce(t *testing.T) {
 	tbl := joinIndexFixture()
 	cs := tbl.Columns()
-	wantLayout := []string{"dense", "hash", "hash", "dense", "dense"}
+	wantLayout := []string{"dense", "hash", "hash", "dense", "dense", "dense", "dense"}
 	for ci, col := range tbl.Schema {
 		want := map[string][]int32{}
 		for ri, r := range tbl.Rows {
@@ -88,13 +94,43 @@ func TestJoinIndexMatchesBruteForce(t *testing.T) {
 			t.Errorf("%s: index reached %d keys and reports %d distinct, brute force has %d",
 				col.Name, len(seen), ix.Distinct(), len(want))
 		}
-		for _, k := range []JoinKey{
-			{TagNum, 99}, {TagNum, 137}, {TagNum, 5}, {TagNum, 1 << 62},
+		absent := []JoinKey{
+			{TagNum, 99}, {TagNum, 137}, {TagNum, 5}, {TagNum, 1 << 62}, {TagNum, 201},
 			FloatJoinKey(2.75), {TagStr, 4}, {TagBool, 2}, {Tag: TagMiss}, {Tag: TagNull},
-		} {
+		}
+		if col.Name == "nevertrue" {
+			absent = append(absent, JoinKey{TagBool, 1})
+		}
+		for _, k := range absent {
 			if got := ix.Lookup(k); len(got) != 0 {
 				t.Errorf("%s: Lookup(%v) = %v, want no rows", col.Name, k, got)
 			}
+		}
+
+		// Runs is Lookup over a chunk: every row's key (a NULL cell as TagNull)
+		// and the absent ones, each run the bounds of Lookup's slice in Rows().
+		var tags []uint8
+		var bits []uint64
+		for ri := range tbl.Rows {
+			k, ok := keyer(int32(ri))
+			if !ok {
+				k = JoinKey{Tag: TagNull}
+			}
+			tags, bits = append(tags, k.Tag), append(bits, k.Bits)
+		}
+		for _, k := range absent {
+			tags, bits = append(tags, k.Tag), append(bits, k.Bits)
+		}
+		lo, hi := make([]int32, len(tags)), make([]int32, len(tags))
+		ix.Runs(tags, bits, lo, hi)
+		for i := range tags {
+			want := ix.Lookup(JoinKey{tags[i], bits[i]})
+			if got := ix.Rows()[lo[i]:hi[i]]; !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 || len(want) == 0 && lo[i]+hi[i] != 0 {
+				t.Fatalf("%s: Runs finds %v (%d:%d) for key %d (%d, %#x), Lookup %v", col.Name, got, lo[i], hi[i], i, tags[i], bits[i], want)
+			}
+		}
+		if ix.Unique() {
+			t.Errorf("%s: Unique() with %d rows under %d keys", col.Name, len(ix.Rows()), ix.Distinct())
 		}
 	}
 
@@ -157,6 +193,10 @@ func TestJoinIndexEmptyAndAllNull(t *testing.T) {
 			for _, k := range []JoinKey{{TagNum, 0}, {TagStr, 0}, FloatJoinKey(0.5)} {
 				if got := ix.Lookup(k); len(got) != 0 {
 					t.Errorf("pass %d col %d: Lookup(%v) = %v on a column with no keys", pass, ci, k, got)
+				}
+				lo, hi := []int32{7}, []int32{7}
+				if ix.Runs([]uint8{k.Tag}, []uint64{k.Bits}, lo, hi); lo[0] != 0 || hi[0] != 0 || len(ix.Rows()) != 0 {
+					t.Errorf("pass %d col %d: Runs(%v) = %d:%d of %d rows on a column with no keys", pass, ci, k, lo[0], hi[0], len(ix.Rows()))
 				}
 			}
 		}

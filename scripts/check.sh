@@ -83,11 +83,14 @@ go test -bench=Fig2 -benchtime=1x -run='^$' "$@" ./... |
 # Columnar engine bench: the vectorized scan and index-backed join against
 # their row-engine counterparts, the three-way indexed join warm and cold
 # (cold pays the one-time index builds), and the scan phase's access paths
-# (selective two-way, three-way chain, and the wide shape that declines), and
-# the aggregate phase over a 50 000-row join (allocs/op follow its groups),
-# recorded into the same history so benchdiff below can gate on them.
-echo "==> go test -bench='ColumnarScan|HashJoinAllocs|JoinIndexed|SidewaysJoin|AggregateJoin' ./internal/engine/  (-> ${bench_out})"
-go test -bench='ColumnarScan|HashJoinAllocs|JoinIndexed|SidewaysJoin|AggregateJoin' -benchtime=10x -benchmem -run='^$' ./internal/engine/ |
+# (selective two-way, three-way chain, and the wide shape that declines), the
+# aggregate phase over a 50 000-row join (allocs/op follow its groups), and
+# the join probe alone over 50 000 probe rows per kind of index (ns/probe-row;
+# the same at every worker count), recorded into the same history.
+# (BenchmarkParallelCrossover, which parallelMinRows is read from, is run by
+# hand when the scan changes.)
+echo "==> go test -bench='ColumnarScan|HashJoinAllocs|JoinIndexed|SidewaysJoin|AggregateJoin|Probe' ./internal/engine/  (-> ${bench_out})"
+go test -bench='ColumnarScan|HashJoinAllocs|JoinIndexed|SidewaysJoin|AggregateJoin|Probe' -benchtime=10x -benchmem -run='^$' ./internal/engine/ |
 	BENCHJSON_OUT="${bench_out}" go run ./scripts/benchjson
 
 # Serving bench: closed-loop HTTP load at 1x/4x/16x admission capacity,
