@@ -51,7 +51,7 @@ func main() {
 	seed := flag.Int64("seed", 0, "override base random seed")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /spans and /debug/pprof on this address while experiments run")
 	timingJSON := flag.String("timing-json", "", "write a per-phase timing artifact (durations, metrics snapshot, span trees) to this file")
-	parallelism := flag.Int("parallelism", 0, "worker count for scoring and query execution (0 = one per CPU, <0 = serial); recorded in -timing-json, results are identical for every setting")
+	parallelism := flag.Int("parallelism", 0, "worker count for workload scoring (0 = one per CPU, <0 = serial; query execution is serial); recorded in -timing-json, results are identical for every setting")
 	logLevel := flag.String("log", "", "emit structured logs to stderr at this level (debug, info, warn, error)")
 	expTimeout := flag.Duration("train-timeout", 0, "watchdog: abort with a diagnostic if any single experiment exceeds this wall-clock bound (0 = none)")
 	flag.Parse()

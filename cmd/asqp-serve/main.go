@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -63,8 +62,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight queries")
 	breakerTrips := flag.Int("breaker-trips", 5, "consecutive full-DB guard trips that open the circuit breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", 500*time.Millisecond, "initial breaker open duration (doubles per failed probe)")
-	parallelism := flag.Int("parallelism", 0, "per-query execution workers (0 = one per CPU, <0 = serial); scans and projections use them from 131072 input rows, joins never")
-	rowEngine := flag.Bool("row-engine", false, "serve queries with the legacy row-at-a-time engine instead of the columnar one (results are identical; escape hatch / A-B measurement)")
+	parallelism := flag.Int("parallelism", 0, "workload-scoring workers for training, retraining and validation (0 = one per CPU, <0 = serial); query execution is serial at every setting")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /spans, /tracez and /debug/pprof on this address")
 	logLevel := flag.String("log", "info", "structured log level on stderr (debug, info, warn, error, off)")
 	traceDir := flag.String("trace-dir", "", "export tail-sampled traces as rotated JSONL files in this directory")
@@ -243,7 +241,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 
-	sys, err := buildSystem(ctx, *dataset, *dataDir, *workloadFile, *loadFile, *scale, *seed, *k, *frame, *light, *parallelism, *rowEngine, *driftConfidence, *driftCount)
+	sys, err := buildSystem(ctx, *dataset, *dataDir, *workloadFile, *loadFile, *scale, *seed, *k, *frame, *light, *parallelism, *driftConfidence, *driftCount)
 	if err != nil {
 		fatal(err)
 	}
@@ -314,7 +312,7 @@ func main() {
 }
 
 // buildSystem loads a snapshot or trains from scratch, honoring cancellation.
-func buildSystem(ctx context.Context, dataset, dataDir, workloadFile, loadFile string, scale float64, seed int64, k, frame int, light bool, parallelism int, rowEngine bool, driftConfidence float64, driftCount int) (*core.System, error) {
+func buildSystem(ctx context.Context, dataset, dataDir, workloadFile, loadFile string, scale float64, seed int64, k, frame int, light bool, parallelism int, driftConfidence float64, driftCount int) (*core.System, error) {
 	db, err := loadDB(dataset, dataDir, scale, seed)
 	if err != nil {
 		return nil, err
@@ -341,7 +339,6 @@ func buildSystem(ctx context.Context, dataset, dataDir, workloadFile, loadFile s
 	cfg.F = frame
 	cfg.Seed = seed
 	cfg.Parallelism = parallelism
-	cfg.RowEngine = rowEngine
 	if driftConfidence > 0 {
 		cfg.DriftConfidence = driftConfidence
 	}
@@ -360,28 +357,7 @@ func buildSystem(ctx context.Context, dataset, dataDir, workloadFile, loadFile s
 func loadDB(dataset, dataDir string, scale float64, seed int64) (*table.Database, error) {
 	switch {
 	case dataDir != "":
-		entries, err := filepath.Glob(filepath.Join(dataDir, "*.csv"))
-		if err != nil {
-			return nil, err
-		}
-		if len(entries) == 0 {
-			return nil, fmt.Errorf("no CSV files in %s", dataDir)
-		}
-		db := table.NewDatabase()
-		for _, path := range entries {
-			f, err := os.Open(path)
-			if err != nil {
-				return nil, err
-			}
-			name := strings.TrimSuffix(filepath.Base(path), ".csv")
-			t, err := table.ReadCSV(name, bufio.NewReader(f))
-			f.Close()
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", path, err)
-			}
-			db.Add(t)
-		}
-		return db, nil
+		return table.ReadCSVDir(dataDir)
 	case dataset == "imdb" || dataset == "":
 		return datagen.IMDB(scale, seed), nil
 	case dataset == "mas":

@@ -31,7 +31,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"time"
@@ -69,7 +68,7 @@ func main() {
 	trainTimeout := flag.Duration("train-timeout", 0, "wall-clock bound on training; on expiry the partially trained system is still used (0 = none)")
 	queryTimeout := flag.Duration("query-timeout", 0, "per-query deadline; an expired query returns a deadline error (0 = none)")
 	maxRows := flag.Int("max-rows", 0, "per-query result-row budget; on a trip the partial rows are returned marked degraded (0 = unlimited)")
-	parallelism := flag.Int("parallelism", 0, "worker count for query execution, scoring and RL updates (0 = one per CPU, <0 = serial); results are identical for every setting")
+	parallelism := flag.Int("parallelism", 0, "worker count for workload scoring and RL updates (0 = one per CPU, <0 = serial; query execution is serial); results are identical for every setting")
 	traceDir := flag.String("trace-dir", "", "export tail-sampled query traces as rotated JSONL files in this directory (also enables tracing)")
 	traceSlow := flag.Duration("trace-slow", 500*time.Millisecond, "latency above which a trace counts as slow and is always kept")
 	var queries queryList
@@ -236,28 +235,7 @@ func main() {
 func loadDB(dataset, dataDir string, scale float64, seed int64) (*table.Database, error) {
 	switch {
 	case dataDir != "":
-		entries, err := filepath.Glob(filepath.Join(dataDir, "*.csv"))
-		if err != nil {
-			return nil, err
-		}
-		if len(entries) == 0 {
-			return nil, fmt.Errorf("no CSV files in %s", dataDir)
-		}
-		db := table.NewDatabase()
-		for _, path := range entries {
-			f, err := os.Open(path)
-			if err != nil {
-				return nil, err
-			}
-			name := strings.TrimSuffix(filepath.Base(path), ".csv")
-			t, err := table.ReadCSV(name, bufio.NewReader(f))
-			f.Close()
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", path, err)
-			}
-			db.Add(t)
-		}
-		return db, nil
+		return table.ReadCSVDir(dataDir)
 	case dataset == "imdb" || dataset == "":
 		return datagen.IMDB(scale, seed), nil
 	case dataset == "mas":

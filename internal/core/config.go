@@ -102,17 +102,11 @@ type Config struct {
 	// DriftCount is the number of deviating queries that triggers
 	// fine-tuning.
 	DriftCount int
-	// Parallelism is the worker count for data-parallel query execution and
-	// workload scoring (0 = one worker per CPU, <0 = serial). It does not
-	// change any result — engine operators merge in input order and scoring
-	// is per-query independent — only wall-clock.
+	// Parallelism is the worker count of workload scoring (training reward,
+	// validation, Score; 0 = one worker per CPU, <0 = serial). It does not
+	// change any result — scoring is per-query independent — only wall-clock.
+	// Query execution does not read it: every operator is serial.
 	Parallelism int
-	// RowEngine forces query serving onto the legacy row-at-a-time execution
-	// engine instead of the default columnar (vectorized) one. Results are
-	// byte-identical either way — the columnar engine is a pure performance
-	// change — so this exists only as an escape hatch and for A/B
-	// measurement.
-	RowEngine bool
 	// Seed drives every random choice for reproducibility.
 	Seed int64
 }

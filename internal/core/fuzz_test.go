@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -72,18 +73,23 @@ func TestLoadImplausibleLength(t *testing.T) {
 	}
 }
 
-// TestLoadLegacyFrameless: input without the frame magic still decodes via
-// the legacy path (snapshots written before the frame existed are raw gob).
-func TestLoadLegacyFrameless(t *testing.T) {
+// TestLoadRejectsFrameless: input that does not open with the frame magic is
+// not a snapshot — neither a bare gob payload (what writers before the frame
+// produced) nor a valid snapshot with any one bit of its magic flipped, which
+// must not reach the decoder past the length and CRC checks.
+func TestLoadRejectsFrameless(t *testing.T) {
 	db := testIMDB()
 	data := savedBytes(t)
-	legacy := data[snapHeaderLen:] // strip the frame: raw gob payload
-	sys, err := LoadBytes(db, legacy)
-	if err != nil {
-		t.Fatalf("legacy frameless snapshot should load: %v", err)
+	inputs := map[string][]byte{"bare gob payload": data[snapHeaderLen:]}
+	for bit := 0; bit < 8*len(snapMagic); bit++ {
+		flipped := append([]byte(nil), data...)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		inputs[fmt.Sprintf("magic bit %d flipped", bit)] = flipped
 	}
-	if sys.Set().Size() == 0 {
-		t.Error("legacy-loaded system has an empty set")
+	for name, in := range inputs {
+		if sys, err := LoadBytes(db, in); sys != nil || err == nil || !strings.Contains(err.Error(), "not a snapshot: bad magic") {
+			t.Errorf("%s: loaded %v, err = %v; want a bad-magic error", name, sys != nil, err)
+		}
 	}
 }
 

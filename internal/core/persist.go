@@ -19,8 +19,8 @@ import (
 // Snapshot framing: a fixed magic, a format version, a payload length, and a
 // CRC-32 of the payload, followed by the gob-encoded snapshot. The frame lets
 // Load reject truncated or bit-flipped files with a descriptive error instead
-// of feeding garbage to the gob decoder. Frameless input (written before the
-// frame existed) is still accepted via a legacy fallback.
+// of feeding garbage to the gob decoder; input that does not open with the
+// magic is not a snapshot, and is not decoded at all.
 var snapMagic = [4]byte{'A', 'S', 'Q', 'P'}
 
 const (
@@ -109,10 +109,10 @@ func Load(db *table.Database, r io.Reader) (*System, error) {
 }
 
 // decodeFrame validates the snapshot frame around data and returns the gob
-// payload. Frameless (legacy) input is returned as-is.
+// payload.
 func decodeFrame(data []byte) ([]byte, error) {
 	if len(data) < 4 || !bytes.Equal(data[:4], snapMagic[:]) {
-		return data, nil // legacy frameless snapshot
+		return nil, fmt.Errorf("core: load: not a snapshot: bad magic %q", data[:min(4, len(data))])
 	}
 	if len(data) < snapHeaderLen {
 		return nil, fmt.Errorf("core: load: truncated header: %d of %d bytes", len(data), snapHeaderLen)

@@ -411,8 +411,6 @@ func (s *System) answer(ctx context.Context, stmt *sqlparse.Select, opts QueryOp
 	eopts := engine.Options{
 		MaxOutputRows:       opts.MaxRows,
 		MaxIntermediateRows: opts.MaxIntermediateRows,
-		Parallelism:         s.cfg.Parallelism,
-		UseRowEngine:        s.cfg.RowEngine,
 	}
 	useApprox := pred >= s.cfg.EstimatorThreshold
 	if span != nil {

@@ -91,7 +91,7 @@ type group struct {
 }
 
 // collectAggCalls gathers every aggregate call in the SELECT list and HAVING
-// (in first-appearance order), shared by the row and columnar aggregation paths.
+// (in first-appearance order), shared by the row-at-a-time and typed aggregation paths.
 func collectAggCalls(stmt *sqlparse.Select) ([]*sqlparse.Call, map[*sqlparse.Call]int) {
 	var calls []*sqlparse.Call
 	callIndex := map[*sqlparse.Call]int{}
@@ -130,15 +130,9 @@ func newAggStates(b *binder, calls []*sqlparse.Call) []*aggState {
 	return aggs
 }
 
-// aggregate executes the grouping/aggregation path of a SELECT over the row
-// engine's joined rows.
-func aggregate(b *binder, stmt *sqlparse.Select, joined []joinedRow, g *guard) (*table.Table, error) {
-	return aggregateRows(b, stmt, len(joined), func(i int) evalEnv { return evalEnv{b: b, row: joined[i]} }, g)
-}
-
-// aggregateRows is the row-at-a-time aggregation loop over n tuples: it is the
-// row engine's aggregate operator, and the columnar engine's for what typed
-// vectors cannot serve (see planAggregate). Every tuple's GROUP BY key is built
+// aggregateRows is the row-at-a-time aggregation loop over n tuples: the
+// aggregate operator for what typed vectors cannot serve (an expression key or
+// argument, see planAggregate), and the reference executor's. Every tuple's GROUP BY key is built
 // in one reused byte buffer (the map copies it only when a new group is created)
 // and every aggregate argument is a boxed Value.
 func aggregateRows(b *binder, stmt *sqlparse.Select, n int, tuple func(i int) evalEnv, g *guard) (*table.Table, error) {
@@ -198,8 +192,8 @@ var errStarAggregate = errors.New("engine: SELECT * cannot be combined with aggr
 
 // emitAggRows materializes the output table from n groups in first-appearance
 // order, applying HAVING and the output-row budget; load fills in group gi.
-// Shared by the row and columnar aggregation paths, so their results are
-// identical by construction.
+// Shared by the row-at-a-time and typed aggregation paths, so their results
+// are identical by construction.
 func emitAggRows(b *binder, stmt *sqlparse.Select, n, nCalls int, load func(gi int, gr *group), callIndex map[*sqlparse.Call]int, g *guard) (*table.Table, error) {
 	schema := make(table.Schema, len(stmt.Items))
 	for i, it := range stmt.Items {

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"testing"
 
 	"asqprl/internal/datagen"
@@ -59,31 +58,6 @@ func BenchmarkLineageOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkParallelThreeWay runs the three-way join at a scale where the
-// morsel-parallel scan and projection paths engage, across worker
-// counts. On a single-core host the counts tie (the parallel paths only add
-// scheduling overhead); the sub-run names keep multi-core results comparable
-// across machines in the BENCH history.
-func BenchmarkParallelThreeWay(b *testing.B) {
-	db := datagen.IMDB(0.3, 1)
-	stmt := sqlparse.MustParse(benchQueries["ThreeWay"])
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opts := Options{Parallelism: workers}
-			if workers == 1 {
-				opts.Parallelism = -1 // serial path, not a one-worker pool
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ExecuteWith(db, stmt, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSubsetSpeedup contrasts full-database execution against the same
 // query on a 2% materialized subset — the paper's headline efficiency gain.
 func BenchmarkSubsetSpeedup(b *testing.B) {
@@ -113,65 +87,35 @@ func BenchmarkSubsetSpeedup(b *testing.B) {
 	})
 }
 
-// BenchmarkColumnarScan contrasts the row-at-a-time filter scan against the
-// vectorized kernel scan (typed vectors, dictionary string masks, zone-map
-// pruning) on the same query and data. This is the scan-heavy benchmark the
-// benchdiff regression gate watches.
-func BenchmarkColumnarScan(b *testing.B) {
+// benchmarkWarm times stmt over db with every columnar view derived outside
+// the timed region, as it is cached across queries in production use. The one
+// sub-benchmark keeps the name the BENCH history and benchdiff know.
+func benchmarkWarm(b *testing.B, query string) {
 	db := datagen.IMDB(0.1, 1)
-	stmt := sqlparse.MustParse(benchQueries["Filter"])
-	for _, cfg := range []struct {
-		name string
-		opts Options
-	}{
-		{"row", Options{UseRowEngine: true}},
-		{"columnar", Options{}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			// Derive the columnar view outside the timed region: it is
-			// cached across queries in production use.
-			for _, t := range db.Tables() {
-				t.Columns()
+	stmt := sqlparse.MustParse(benchQueries[query])
+	b.Run("columnar", func(b *testing.B) {
+		for _, t := range db.Tables() {
+			t.Columns()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ExecuteWith(db, stmt, Options{}); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ExecuteWith(db, stmt, cfg.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
-// BenchmarkHashJoinAllocs pins the allocation win of the columnar join: the
-// row engine hashes the build side and materializes a key string per probed
-// row, the columnar join probes the build column's cached index with
-// fixed-size typed keys and allocates per output batch instead.
-func BenchmarkHashJoinAllocs(b *testing.B) {
-	db := datagen.IMDB(0.1, 1)
-	stmt := sqlparse.MustParse(benchQueries["HashJoin"])
-	for _, cfg := range []struct {
-		name string
-		opts Options
-	}{
-		{"row", Options{UseRowEngine: true}},
-		{"columnar", Options{}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			for _, t := range db.Tables() {
-				t.Columns()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ExecuteWith(db, stmt, cfg.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+// BenchmarkColumnarScan is the vectorized kernel scan (typed vectors,
+// dictionary string masks, zone-map pruning): the scan-heavy benchmark the
+// benchdiff regression gate watches.
+func BenchmarkColumnarScan(b *testing.B) { benchmarkWarm(b, "Filter") }
+
+// BenchmarkHashJoinAllocs pins the allocations of the join: it probes the
+// build column's cached index with fixed-size typed keys and allocates per
+// output batch, not per probed row.
+func BenchmarkHashJoinAllocs(b *testing.B) { benchmarkWarm(b, "HashJoin") }
 
 // BenchmarkJoinIndexed is the layer bench of the index-backed join: the
 // three-way join, whose two build relations (cast_info, name) are unfiltered,
@@ -259,7 +203,7 @@ func BenchmarkAggregateJoin(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ExecuteWith(db, stmt, Options{Parallelism: -1}); err != nil {
+		if _, err := ExecuteWith(db, stmt, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -287,7 +231,7 @@ func probeStep(tb testing.TB, db *table.Database, sql string) (step func(Options
 	tb.Helper()
 	b, _, preds := bindSQL(tb, db, sql)
 	var st scanStats
-	cands, err := scanRelationsCol(b, preds, Options{Parallelism: -1}, nil, nil, &st)
+	cands, err := scanRelationsCol(b, preds, nil, nil, &st)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -337,8 +281,6 @@ func probeBenchDB() *table.Database {
 // (the heavy explore_miss aggregate's join) and unfiltered, runs of several
 // rows behind a filter, dictionary keys translated between two dictionaries,
 // the hash layout, and two key pairs — reporting the step's time per probe row.
-// The step runs on its caller's goroutine at every Parallelism; the second
-// setting is there to show it.
 func BenchmarkProbe(b *testing.B) {
 	db := probeBenchDB()
 	for _, c := range []struct{ name, sql string }{
@@ -353,63 +295,18 @@ func BenchmarkProbe(b *testing.B) {
 		if probeRows != 50_000 {
 			b.Fatalf("%s: %d probe rows, want 50000", c.name, probeRows)
 		}
-		for _, par := range []int{-1, 2} {
-			b.Run(fmt.Sprintf("%s/parallelism=%d", c.name, par), func(b *testing.B) {
-				opts := Options{Parallelism: par}
-				if _, err := step(opts); err != nil { // the join index
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := step(opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(probeRows), "ns/probe-row")
-			})
-		}
-	}
-}
-
-// BenchmarkParallelCrossover is what parallelMinRows is read from: the kernel
-// scan alone over 16 k to 1 M input rows, serial and with two workers whatever
-// the size (minParallelRows 1). The gate belongs where workers=2 is a fifth
-// faster than serial; DESIGN §13 "Parallel gate" records the sweep and the
-// machine. Filter values are scattered, so no zone prunes; a quarter of the
-// rows pass.
-func BenchmarkParallelCrossover(b *testing.B) {
-	for _, n := range []int{16 << 10, 64 << 10, 128 << 10, 256 << 10, 1 << 20} {
-		fact := table.New("fact", table.Schema{{Name: "v", Kind: table.KindInt}})
-		for i := 0; i < n; i++ {
-			fact.AppendRow(table.Row{table.NewInt(int64(i) * 7919 % 1000)})
-		}
-		db := table.NewDatabase()
-		db.Add(fact)
-		bd, _, preds := bindSQL(b, db, "SELECT * FROM fact WHERE v < 250")
-		kernels, _, _ := scanPlan(bd, preds)
-		scan := func(opts Options) int {
-			var skipped int64
-			sel, err := scanKernels(kernels[0], n, nil, opts, nil, &skipped)
-			if err != nil {
+		b.Run(c.name, func(b *testing.B) {
+			if _, err := step(Options{}); err != nil { // the join index
 				b.Fatal(err)
 			}
-			return len(sel)
-		}
-		want := scan(Options{Parallelism: -1})
-		if want < n/5 || want > n/3 {
-			b.Fatalf("%d rows out of %d, want about a quarter", want, n)
-		}
-		for _, workers := range []int{-1, 2} {
-			b.Run(fmt.Sprintf("scan/rows=%d/parallelism=%d", n, workers), func(b *testing.B) {
-				opts := Options{Parallelism: workers, minParallelRows: 1}
-				for i := 0; i < b.N; i++ {
-					if got := scan(opts); got != want {
-						b.Fatalf("%d rows, want %d", got, want)
-					}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := step(Options{}); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/row")
-			})
-		}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(probeRows), "ns/probe-row")
+		})
 	}
 }

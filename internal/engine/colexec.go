@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync/atomic"
 
 	"asqprl/internal/faults"
 	"asqprl/internal/obs"
@@ -12,24 +11,33 @@ import (
 	"asqprl/internal/table"
 )
 
-// Columnar execution pipeline. The operators here mirror the row engine
-// (runJoins/scanRelations/joinStep/project/finish) operator for operator —
-// same spans, same fault-injection points, same guard tick/budget accounting,
-// same morsel-order merges — but carry intermediates as a joinedBatch
-// (struct-of-arrays of row indices) instead of []joinedRow, evaluate filters
-// through vectorized kernels (kernels.go) with zone-map morsel skipping, and
-// join by probing each build column's cached table.JoinIndex with fixed-size
-// typed keys instead of hashing materialized key strings per query.
-// Results are byte-identical to the row engine at every worker count; the
-// differential fuzz harness (fuzz_differential_test.go) enforces this.
+// Columnar execution pipeline: the executor. Intermediates are a joinedBatch
+// (struct-of-arrays of row indices), filters run through vectorized kernels
+// (kernels.go) with zone-map morsel skipping, and a join probes the build
+// column's cached table.JoinIndex with fixed-size typed keys. Every operator
+// runs on the calling goroutine. Operator for operator — fault-injection points,
+// guard tick/budget accounting, error strings, result order — it mirrors the
+// row-at-a-time reference executor in rowengine_test.go, and the differential
+// fuzz harness (fuzz_differential_test.go) holds its results byte-identical to
+// that one's.
 
-// morselRows must equal table.ZoneChunkRows so zone-map entry m summarizes
-// exactly morsel m. This constant fails to compile if they diverge.
-const _ = -uint(morselRows - table.ZoneChunkRows)
+// morselRows is the number of rows a full scan filters at a time. It matches
+// guardInterval, so one guard tick per morsel is the row loop's cancellation
+// granularity, and it must equal table.ZoneChunkRows so zone-map entry m
+// summarizes exactly morsel m: the second constant fails to compile if they
+// diverge.
+const (
+	morselRows = 1024
+	_          = -uint(morselRows - table.ZoneChunkRows)
+)
+
+// morselCount returns the number of morsels covering n input rows.
+func morselCount(n int) int {
+	return (n + morselRows - 1) / morselRows
+}
 
 // joinedBatch is the columnar join intermediate: one row-index column per
 // relation (nil for relations not yet bound), all bound columns of length n.
-// It is the struct-of-arrays equivalent of []joinedRow.
 type joinedBatch struct {
 	n    int
 	cols [][]int32
@@ -79,9 +87,8 @@ func tickChunks(g *guard, n int) error {
 	return nil
 }
 
-// executeColTail is the columnar pipeline after planning: vectorized
-// scan/join, then aggregate or project, then finish. Span structure, fault
-// points and guard semantics mirror executeRowTail exactly.
+// executeColTail is the pipeline after planning: vectorized scan/join, then
+// aggregate or project, then finish.
 func executeColTail(b *binder, stmt *sqlparse.Select, preds []predClass, opts Options, t *queryTimer, g *guard, span *obs.Span) (*Result, error) {
 	// Count-only SPJ needs no output columns at all, which lets the join
 	// pipeline prune every batch column not consumed by a later join step.
@@ -187,15 +194,14 @@ func neededAfterStep(preds []predClass, nRel, step int, finalNeeds bool) []bool 
 }
 
 // runJoinsCol executes the vectorized scan + join pipeline, returning the
-// joined batch. Span and fault behavior mirror runJoins. finalNeeds=false
-// (count-only) lets join steps prune batch columns that no later predicate
-// reads; jb.n is exact either way.
+// joined batch. finalNeeds=false (count-only) lets join steps prune batch
+// columns that no later predicate reads; jb.n is exact either way.
 func runJoinsCol(b *binder, preds []predClass, opts Options, g *guard, span *obs.Span, finalNeeds bool) (out *joinedBatch, err error) {
 	n := len(b.tables)
 
 	scanSpan := span.StartChild("engine/scan")
 	var st scanStats
-	candidates, err := scanRelationsCol(b, preds, opts, g, scanSpan, &st)
+	candidates, err := scanRelationsCol(b, preds, g, scanSpan, &st)
 	if err != nil {
 		markSpanOutcome(scanSpan, err)
 		scanSpan.End()
@@ -330,14 +336,14 @@ func scanPlan(b *binder, preds []predClass) (kernels [][]kernel, order []int, si
 }
 
 // sidewaysPartners lists rel's equi-join conjuncts to relations already scanned
-// as (rel's key column, the partner's); a Mixed column has no index to serve one.
+// as (rel's key column, the partner's).
 func sidewaysPartners(b *binder, preds []predClass, rel int, scanned []bool) (pairs []joinKeyPair) {
 	for _, p := range preds {
 		kp := joinKeyPair{relCol: p.leftBind, boundBind: p.rightBind}
 		if kp.relCol.rel != rel {
 			kp = joinKeyPair{relCol: p.rightBind, boundBind: p.leftBind}
 		}
-		if p.isEquiJoin && kp.relCol.rel == rel && scanned[kp.boundBind.rel] && !b.col(kp.relCol).Mixed && !b.col(kp.boundBind).Mixed {
+		if p.isEquiJoin && kp.relCol.rel == rel && scanned[kp.boundBind.rel] {
 			pairs = append(pairs, kp)
 		}
 	}
@@ -348,8 +354,8 @@ func sidewaysPartners(b *binder, preds []predClass, rel int, scanned []bool) (pa
 // paths"): per relation, in scanPlan's order, the compiled filters run over the
 // rows sidewaysRows finds reachable from a partner, or over every row in
 // morsel-sized selection vectors, zone maps skipping whole morsels. A relation
-// whose filters do not compile gets the row engine's per-row scan.
-func scanRelationsCol(b *binder, preds []predClass, opts Options, g *guard, span *obs.Span, st *scanStats) ([][]int32, error) {
+// whose filters do not compile is scanned a row at a time (scanRelationRows).
+func scanRelationsCol(b *binder, preds []predClass, g *guard, span *obs.Span, st *scanStats) ([][]int32, error) {
 	n := len(b.tables)
 	candidates, scanned := make([][]int32, n), make([]bool, n)
 	kernels, order, sideways := scanPlan(b, preds)
@@ -387,10 +393,10 @@ func scanRelationsCol(b *binder, preds []predClass, opts Options, g *guard, span
 		var err error
 		switch {
 		case kernels[rel] == nil:
-			candidates[rel], err = scanRelationRows(b, rel, relFilters(preds, rel), opts, g)
+			candidates[rel], err = scanRelationRows(b, rel, relFilters(preds, rel), g)
 		case sel != nil || len(kernels[rel]) > 0:
 			if err = tickChunks(g, len(sel)); err == nil { // sel nil: the full scan ticks per morsel
-				candidates[rel], err = scanKernels(kernels[rel], cs.NumRows, sel, opts, g, &st.skipped)
+				candidates[rel], err = scanKernels(kernels[rel], cs.NumRows, sel, g, &st.skipped)
 			}
 		default:
 			// Shared and immutable: candidates are read-only downstream.
@@ -449,9 +455,8 @@ func reachable(ix *table.JoinIndex, keyer func(int32) (table.JoinKey, bool), row
 
 // scanKernels runs compiled filter kernels over a relation: over the ascending
 // rows sel (at most 1/sidewaysFrac of it), filtered in place, or — sel nil —
-// over all nRows morsel by morsel, serially or across workers, merging the
-// survivors in morsel order.
-func scanKernels(ks []kernel, nRows int, sel []int32, opts Options, g *guard, skipped *int64) ([]int32, error) {
+// over all nRows morsel by morsel.
+func scanKernels(ks []kernel, nRows int, sel []int32, g *guard, skipped *int64) ([]int32, error) {
 	if sel != nil {
 		for _, k := range ks {
 			if sel = k.sel(sel); len(sel) == 0 {
@@ -460,49 +465,9 @@ func scanKernels(ks []kernel, nRows int, sel []int32, opts Options, g *guard, sk
 		}
 		return sel, nil
 	}
-	if nRows == 0 {
-		return []int32{}, nil
-	}
-	nm := morselCount(nRows)
-	if workers := opts.workers(); workers > 1 && nRows >= opts.parallelRows() {
-		keeps := make([][]int32, nm)
-		var skippedPar int64
-		// One scratch selection per worker: a morsel keeps only its survivors.
-		scratch := make(chan []int32, workers)
-		for w := 0; w < min(workers, nm); w++ {
-			scratch <- make([]int32, morselRows)
-		}
-		err := forEachMorsel(workers, nRows, func(m, lo, hi int) error {
-			if err := g.poll(); err != nil {
-				return err
-			}
-			if pruneMorsel(ks, m) {
-				atomic.AddInt64(&skippedPar, 1)
-				return nil
-			}
-			buf := <-scratch
-			keeps[m] = append([]int32(nil), runKernels(ks, buf, lo, hi)...)
-			scratch <- buf
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		*skipped += skippedPar
-		total := 0
-		for _, k := range keeps {
-			total += len(k)
-		}
-		out := make([]int32, 0, total)
-		for _, k := range keeps {
-			out = append(out, k...)
-		}
-		return out, nil
-	}
-
-	var out []int32
+	out := []int32{}
 	selBuf := make([]int32, morselRows)
-	for m := 0; m < nm; m++ {
+	for m, nm := 0, morselCount(nRows); m < nm; m++ {
 		lo := m * morselRows
 		hi := min(lo+morselRows, nRows)
 		if err := g.tick(hi - lo); err != nil {
@@ -519,9 +484,6 @@ func scanKernels(ks []kernel, nRows int, sel []int32, opts Options, g *guard, sk
 			out = slices.Grow(out, len(keep)+restAtRate(n, hi, nRows))
 		}
 		out = append(out, keep...)
-	}
-	if out == nil {
-		out = []int32{}
 	}
 	return out, nil
 }
@@ -550,10 +512,9 @@ func runKernels(ks []kernel, buf []int32, lo, hi int) []int32 {
 }
 
 // joinStepCol binds relation rel into the batch: index join on typed keys when
-// equi-join predicates connect it (byte-key hash fallback when a key column is
-// Mixed), cross product otherwise. needed[r] gates which relations' columns
-// the output batch materializes (jb.n is exact regardless). Guard accounting,
-// budget trip points and output order mirror joinStep.
+// equi-join predicates connect it, cross product otherwise. needed[r] gates
+// which relations' columns the output batch materializes (jb.n is exact
+// regardless).
 func joinStepCol(b *binder, cur *joinedBatch, cand []int32, rel int, joins []predClass, needed []bool, opts Options, g *guard, span *obs.Span) (*joinedBatch, error) {
 	if faults.Active() {
 		if err := faults.Inject(faults.PointEngineJoin); err != nil {
@@ -607,9 +568,6 @@ func joinStepCol(b *binder, cur *joinedBatch, cand []int32, rel int, joins []pre
 	if relNeeded {
 		width++
 	}
-	if joinKeysMixed(b, joins) {
-		return joinStepColBytes(b, cur, cand, rel, pairs, emitBound, width, opts, g)
-	}
 	m, err := newJoinMatcher(b, cur, cand, rel, pairs, width > 0, g)
 	if err != nil {
 		return nil, err
@@ -635,85 +593,13 @@ func joinKeyPairs(joins []predClass, rel int) []joinKeyPair {
 	return pairs
 }
 
-// joinKeysMixed reports whether any key column of the equi-join conjuncts is
-// Mixed, which sends the step to the byte-key hash join instead of the index.
-func joinKeysMixed(b *binder, joins []predClass) bool {
-	for _, p := range joins {
-		for _, bd := range [2]binding{p.leftBind, p.rightBind} {
-			if b.col(bd).Mixed {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// bytesMatcher is the fallback for Mixed key columns: a per-query hash of the
-// candidates on their Value keys, probed a row at a time. Serial: the fallback
-// is rare and the output is identical regardless of workers.
-type bytesMatcher struct {
-	build map[string][]int32
-	pairs []joinKeyPair
-	kb    []byte
-}
-
-// key renders the pairs' values as one byte key in m.kb; false on a NULL.
-func (m *bytesMatcher) key(cell func(joinKeyPair, int) table.Value, i int) bool {
-	m.kb = m.kb[:0]
-	for _, kp := range m.pairs {
-		v := cell(kp, i)
-		if v.IsNull() {
-			return false
-		}
-		m.kb = append(v.AppendKey(m.kb), 0x1e)
-	}
-	return true
-}
-
-func joinStepColBytes(b *binder, cur *joinedBatch, cand []int32, rel int, pairs []joinKeyPair, emitBound []int, width int, opts Options, g *guard) (*joinedBatch, error) {
-	m := &bytesMatcher{build: make(map[string][]int32, len(cand)), pairs: pairs}
-	probe := func(kp joinKeyPair, idx int) table.Value {
-		return b.tables[kp.boundBind.rel].Rows[cur.cols[kp.boundBind.rel][idx]][kp.boundBind.col]
-	}
-	build := func(kp joinKeyPair, ri int) table.Value { return b.tables[rel].Rows[ri][kp.relCol.col] }
-	for _, ri := range cand {
-		if err := g.tick(1); err != nil {
-			return nil, err
-		}
-		if m.key(build, int(ri)) {
-			m.build[string(m.kb)] = append(m.build[string(m.kb)], ri)
-		}
-	}
-	cols, relNeeded, count := make([][]int32, width), width > len(emitBound), 0
-	for idx := 0; idx < cur.n; idx++ {
-		if !m.key(probe, idx) {
-			continue
-		}
-		for _, ri := range m.build[string(m.kb)] {
-			if err := g.tick(1); err != nil {
-				return nil, err
-			}
-			for bi, r := range emitBound {
-				cols[bi] = append(cols[bi], cur.cols[r][idx])
-			}
-			if relNeeded {
-				cols[len(emitBound)] = append(cols[len(emitBound)], ri)
-			}
-			if count++; count > opts.MaxIntermediateRows {
-				return nil, errJoinBudget(opts.MaxIntermediateRows)
-			}
-		}
-	}
-	return probeBatch(cur, rel, emitBound, cols, count), nil
-}
-
 // projectCol turns the joined batch into the statement's answer. A projection
 // of column references and literals cannot fail, so the guard is charged for
 // the whole pre-LIMIT batch at once (the ticks and the output-budget charge of
 // a row-by-row loop) and no row need exist to be counted (count-only
 // execution) or answered (a frame caller, Result.Frame): LIMIT, when nothing
 // sorts after it, just shortens the answer. Expression projections evaluate
-// every batch row, as the row engine does, and are cut to LIMIT afterwards.
+// every batch row (any of them may raise) and are cut to LIMIT afterwards.
 // On an output-budget trip the rows before the trip come back with the error.
 func projectCol(b *binder, stmt *sqlparse.Select, jb *joinedBatch, opts Options, countOnly bool, g *guard) (*Result, error) {
 	if faults.Active() {
@@ -747,7 +633,7 @@ func projectCol(b *binder, stmt *sqlparse.Select, jb *joinedBatch, opts Options,
 	case opts.frames && p.exprs == nil && (trip != nil || !sortsOutput(stmt)):
 		return &Result{Frame: p.frame(keep)}, trip
 	}
-	out, lineage, err := p.materialize(keep, opts, g)
+	out, lineage, err := p.materialize(keep, opts.TrackLineage, g)
 	if out == nil {
 		return nil, err
 	}
@@ -763,7 +649,8 @@ func projectCol(b *binder, stmt *sqlparse.Select, jb *joinedBatch, opts Options,
 	return &Result{Table: out, Lineage: lineage}, err
 }
 
-// batchLineageOf is lineageOf for a batch tuple.
+// batchLineageOf records the base-table row of every relation behind batch
+// tuple idx.
 func batchLineageOf(b *binder, jb *joinedBatch, idx int) []table.RowID {
 	ids := make([]table.RowID, len(b.tables))
 	for rel := range b.tables {

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 
-	"asqprl/internal/faults"
 	"asqprl/internal/obs"
 	"asqprl/internal/sqlparse"
 	"asqprl/internal/table"
@@ -53,19 +51,11 @@ type Options struct {
 	MaxOutputRows int
 	// TrackLineage enables per-row lineage for SPJ queries.
 	TrackLineage bool
-	// Parallelism is the number of workers for the data-parallel operators
-	// (candidate filter scans, projection, and the row engine's hash-join
-	// probe; the columnar probe runs on one goroutine). Zero means one worker
-	// per CPU; values below 1 force the serial path, which an operator also
-	// takes at any setting while its input is under parallelMinRows rows.
-	// Results are byte-identical for every setting: morsel outputs are merged
-	// in input order, so parallelism changes wall-clock only, never answers.
+	// Parallelism is ignored: every operator runs on the calling goroutine at
+	// every input size (DESIGN §13 "Operators are serial"). The field stays
+	// because the bench module, which this repository's changes may not edit,
+	// sets it.
 	Parallelism int
-	// UseRowEngine forces the legacy row-at-a-time operators instead of the
-	// columnar/vectorized pipeline. The two paths produce byte-identical
-	// results (proven by the differential fuzz harness); this switch exists
-	// as an operational escape hatch and for differential testing.
-	UseRowEngine bool
 	// countOnly asks execution to skip output materialization when the
 	// statement allows it (SPJ of columns and literals without DISTINCT or
 	// ORDER BY) and return only the result cardinality in Result.Count. Set by
@@ -74,10 +64,6 @@ type Options struct {
 	// frames asks for the answer as Result.Frame, leaving output rows unbuilt
 	// wherever the statement allows it. Set by ExecuteFrameContext.
 	frames bool
-	// minParallelRows, when positive, replaces parallelMinRows: tests reach the
-	// parallel operators on data of their own size, and the crossover benchmark
-	// measures them below the constant it is read from.
-	minParallelRows int
 }
 
 const defaultMaxIntermediate = 2_000_000
@@ -175,9 +161,6 @@ func ExecuteWithContext(ctx context.Context, db *table.Database, stmt *sqlparse.
 	// context lookup and the nil-receiver no-ops.
 	span := obs.SpanFromContext(ctx).StartChild("engine/execute")
 	t := startQueryTimer()
-	if t != nil {
-		recordWorkers(opts.workers())
-	}
 	// When both the timer and the span are off, the binder and predicates
 	// are dropped immediately so the plan state does not stay live (and
 	// GC-scannable) past execution.
@@ -227,77 +210,28 @@ func executeWith(db *table.Database, stmt *sqlparse.Select, opts Options, t *que
 	if err := g.poll(); err != nil {
 		return nil, nil, nil, err
 	}
-	b, err := newBinder(db, stmt)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if err := b.bindStmt(stmt); err != nil {
-		return nil, b, nil, err
-	}
-
-	preds, err := classify(b, stmt)
+	b, preds, err := plan(db, stmt)
 	if err != nil {
 		return nil, b, nil, err
 	}
 	t.phase(phasePlan)
-	if !opts.UseRowEngine {
-		res, err := executeColTail(b, stmt, preds, opts, t, g, span)
-		return res, b, preds, err
-	}
-	res, err := executeRowTail(b, stmt, preds, opts, t, g, span)
+	res, err := executeColTail(b, stmt, preds, opts, t, g, span)
 	return res, b, preds, err
 }
 
-// executeRowTail is the legacy row-at-a-time pipeline after planning:
-// scan/join, then aggregate or project, then finish. It remains the reference
-// semantics the columnar path (executeColTail) is differentially tested
-// against.
-func executeRowTail(b *binder, stmt *sqlparse.Select, preds []predClass, opts Options, t *queryTimer, g *guard, span *obs.Span) (*Result, error) {
-	joined, err := runJoins(b, preds, opts, g, span)
+// plan resolves stmt's relations, binds every expression and classifies the
+// predicates. The binder comes back with the error once the relations
+// resolved, for a caller that keys its metrics on it.
+func plan(db *table.Database, stmt *sqlparse.Select) (*binder, []predClass, error) {
+	b, err := newBinder(db, stmt)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	t.phase(phaseJoin)
-
-	if stmt.HasAggregates() {
-		aggSpan := span.StartChild("engine/aggregate")
-		out, err := aggregate(b, stmt, joined, g)
-		if err != nil {
-			markSpanOutcome(aggSpan, err)
-			aggSpan.End()
-			return nil, err
-		}
-		aggSpan.Annotate("rows_out", out.NumRows())
-		aggSpan.End()
-		t.phase(phaseAggregate)
-		res := &Result{Table: out}
-		res, err = finish(stmt, res, nil)
-		t.phase(phaseFinish)
-		return res, err
+	if err := b.bindStmt(stmt); err != nil {
+		return b, nil, err
 	}
-
-	projSpan := span.StartChild("engine/project")
-	out, lineage, err := project(b, stmt, joined, opts, g)
-	if err != nil {
-		markSpanOutcome(projSpan, err)
-		if out != nil {
-			projSpan.Annotate("rows_out", out.NumRows())
-		}
-		projSpan.End()
-		// A tripped output budget still carries the rows produced so far;
-		// surface them (un-finished) so callers can serve a tagged partial.
-		if out != nil {
-			return &Result{Table: out, Lineage: lineage}, err
-		}
-		return nil, err
-	}
-	projSpan.Annotate("rows_out", out.NumRows())
-	projSpan.End()
-	t.phase(phaseProject)
-	res := &Result{Table: out, Lineage: lineage}
-	res, err = finish(stmt, res, func(i int) evalEnv { return evalEnv{b: b, row: joined[i]} })
-	t.phase(phaseFinish)
-	return res, err
+	preds, err := classify(b, stmt)
+	return b, preds, err
 }
 
 // classify splits WHERE and ON into per-relation filters, equi-joins and
@@ -350,105 +284,6 @@ func classify(b *binder, stmt *sqlparse.Select) ([]predClass, error) {
 	return preds, nil
 }
 
-// runJoins executes the scan + join pipeline and returns joined rows. When
-// span is a live trace span, scan and join phases attach child spans with
-// per-relation and output row counts.
-func runJoins(b *binder, preds []predClass, opts Options, g *guard, span *obs.Span) (out []joinedRow, err error) {
-	n := len(b.tables)
-
-	scanSpan := span.StartChild("engine/scan")
-	candidates, err := scanRelations(b, preds, opts, g)
-	if err != nil {
-		markSpanOutcome(scanSpan, err)
-		scanSpan.End()
-		return nil, err
-	}
-	if scanSpan != nil {
-		for rel := 0; rel < n; rel++ {
-			scanSpan.Annotate("rows/"+b.refs[rel].Name(), len(candidates[rel]))
-		}
-	}
-	scanSpan.End()
-
-	joinSpan := span.StartChild("engine/join")
-	defer func() {
-		if err != nil {
-			markSpanOutcome(joinSpan, err)
-		} else {
-			joinSpan.Annotate("rows_out", len(out))
-		}
-		joinSpan.End()
-	}()
-
-	// Left-deep joins in FROM order.
-	current := make([]joinedRow, 0, len(candidates[0]))
-	for _, ri := range candidates[0] {
-		jr := make(joinedRow, n)
-		for i := range jr {
-			jr[i] = -1
-		}
-		jr[0] = ri
-		current = append(current, jr)
-	}
-
-	bound := map[int]bool{0: true}
-	for rel := 1; rel < n; rel++ {
-		// Equi-join conjuncts connecting rel to already-bound relations.
-		var joins []predClass
-		for _, p := range preds {
-			if !p.isEquiJoin {
-				continue
-			}
-			a, c := p.leftBind.rel, p.rightBind.rel
-			if (a == rel && bound[c]) || (c == rel && bound[a]) {
-				joins = append(joins, p)
-			}
-		}
-		next, err := joinStep(b, current, candidates[rel], rel, joins, opts, g)
-		if err != nil {
-			return nil, err
-		}
-		current = next
-		bound[rel] = true
-
-		// Residual predicates whose relations are all now bound and which
-		// involve rel (so each residual applies exactly once).
-		for _, p := range preds {
-			if p.isEquiJoin || len(p.rels) < 2 {
-				continue
-			}
-			if p.rels[len(p.rels)-1] != rel {
-				continue
-			}
-			allBound := true
-			for _, r := range p.rels {
-				if !bound[r] {
-					allBound = false
-					break
-				}
-			}
-			if !allBound {
-				continue
-			}
-			filtered := current[:0]
-			for _, jr := range current {
-				if err := g.tick(1); err != nil {
-					return nil, err
-				}
-				v, err := evalExpr(p.expr, evalEnv{b: b, row: jr})
-				if err != nil {
-					return nil, err
-				}
-				if !v.IsNull() && truthy(v) {
-					filtered = append(filtered, jr)
-				}
-			}
-			current = filtered
-		}
-	}
-	return current, nil
-}
-
 // relFilters collects the per-relation filter expressions for rel: its
 // single-relation conjuncts, plus (at relation 0) constant conjuncts, which
 // are applied exactly once per row so errors (e.g. aggregates in WHERE)
@@ -466,36 +301,12 @@ func relFilters(preds []predClass, rel int) []sqlparse.Expr {
 	return filters
 }
 
-// scanRelations produces the per-relation filtered candidate row lists (the
-// scan phase of runJoins).
-func scanRelations(b *binder, preds []predClass, opts Options, g *guard) ([][]int32, error) {
-	n := len(b.tables)
-	candidates := make([][]int32, n)
-	for rel := 0; rel < n; rel++ {
-		if faults.Active() {
-			if err := faults.Inject(faults.PointEngineScan); err != nil {
-				return nil, err
-			}
-		}
-		keep, err := scanRelationRows(b, rel, relFilters(preds, rel), opts, g)
-		if err != nil {
-			return nil, err
-		}
-		candidates[rel] = keep
-	}
-	return candidates, nil
-}
-
 // scanRelationRows filters one relation's rows with per-row expression
-// evaluation, returning kept row indices in row order. It is the reference
-// scan used by the row engine and by the columnar scan whenever a filter does
-// not compile to a vectorized kernel (keeping data-dependent error ordering
-// identical).
-func scanRelationRows(b *binder, rel int, filters []sqlparse.Expr, opts Options, g *guard) ([]int32, error) {
+// evaluation, returning kept row indices in row order: the scan of a relation
+// one of whose filters does not compile to a vectorized kernel (an evaluation
+// error surfaces at the first row, in row order, that raises it).
+func scanRelationRows(b *binder, rel int, filters []sqlparse.Expr, g *guard) ([]int32, error) {
 	rows := b.tables[rel].Rows
-	if workers := opts.workers(); workers > 1 && len(rows) >= opts.parallelRows() {
-		return scanFilterParallel(b, rel, filters, g, workers)
-	}
 	n := len(b.tables)
 	keep := make([]int32, 0, len(rows))
 	probe := make(joinedRow, n)
@@ -523,191 +334,6 @@ func scanRelationRows(b *binder, rel int, filters []sqlparse.Expr, opts Options,
 		}
 	}
 	return keep, nil
-}
-
-// joinStep binds relation rel into the current intermediate rows, using a
-// hash join when equi-join predicates connect it, or a cross product
-// otherwise.
-func joinStep(b *binder, current []joinedRow, cand []int32, rel int, joins []predClass, opts Options, g *guard) ([]joinedRow, error) {
-	if faults.Active() {
-		if err := faults.Inject(faults.PointEngineJoin); err != nil {
-			return nil, err
-		}
-	}
-	if len(joins) == 0 {
-		// Cross product.
-		if len(current)*len(cand) > opts.MaxIntermediateRows {
-			return nil, fmt.Errorf("%w: cross product of %d x %d rows exceeds limit %d", ErrRowBudget, len(current), len(cand), opts.MaxIntermediateRows)
-		}
-		out := make([]joinedRow, 0, len(current)*len(cand))
-		for _, jr := range current {
-			for _, ri := range cand {
-				if err := g.tick(1); err != nil {
-					return nil, err
-				}
-				nr := make(joinedRow, len(jr))
-				copy(nr, jr)
-				nr[rel] = ri
-				out = append(out, nr)
-			}
-		}
-		return out, nil
-	}
-
-	// Key extraction: for each join predicate, the column on rel's side and
-	// the column on the bound side.
-	pairs := make([]joinKeyPair, len(joins))
-	for i, p := range joins {
-		if p.leftBind.rel == rel {
-			pairs[i] = joinKeyPair{relCol: p.leftBind, boundBind: p.rightBind}
-		} else {
-			pairs[i] = joinKeyPair{relCol: p.rightBind, boundBind: p.leftBind}
-		}
-	}
-
-	// Build hash table over rel's candidates. Keys are appended into one
-	// reused byte buffer; the bytes are copied into a map key only once per
-	// distinct key (the bucket is held by pointer), so the per-row string
-	// allocation of Value.Key is gone from this path.
-	build := make(map[string]*[]int32, len(cand))
-	var kb []byte
-	for _, ri := range cand {
-		if err := g.tick(1); err != nil {
-			return nil, err
-		}
-		kb = kb[:0]
-		null := false
-		for _, kp := range pairs {
-			v := b.tables[rel].Rows[ri][kp.relCol.col]
-			if v.IsNull() {
-				null = true
-				break
-			}
-			kb = v.AppendKey(kb)
-			kb = append(kb, 0x1e)
-		}
-		if null {
-			continue // NULL never joins
-		}
-		bucket := build[string(kb)]
-		if bucket == nil {
-			bucket = new([]int32)
-			build[string(kb)] = bucket
-		}
-		*bucket = append(*bucket, ri)
-	}
-
-	// Probe phase: the build table is read-only from here, so the probe over
-	// the (usually much larger) intermediate side fans out across workers.
-	if workers := opts.workers(); workers > 1 && len(current) >= opts.parallelRows() {
-		return probeParallel(b, current, rel, pairs, build, opts, g, workers)
-	}
-
-	out := make([]joinedRow, 0, len(current))
-	for _, jr := range current {
-		kb = kb[:0]
-		null := false
-		for _, kp := range pairs {
-			ri := jr[kp.boundBind.rel]
-			v := b.tables[kp.boundBind.rel].Rows[ri][kp.boundBind.col]
-			if v.IsNull() {
-				null = true
-				break
-			}
-			kb = v.AppendKey(kb)
-			kb = append(kb, 0x1e)
-		}
-		if null {
-			continue
-		}
-		if bucket := build[string(kb)]; bucket != nil {
-			for _, ri := range *bucket {
-				if err := g.tick(1); err != nil {
-					return nil, err
-				}
-				nr := make(joinedRow, len(jr))
-				copy(nr, jr)
-				nr[rel] = ri
-				out = append(out, nr)
-				if len(out) > opts.MaxIntermediateRows {
-					return nil, fmt.Errorf("%w: join intermediate exceeds limit %d rows", ErrRowBudget, opts.MaxIntermediateRows)
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-// project evaluates the SELECT list over joined rows (non-aggregate path).
-// When the output row budget trips, the partial table built so far is
-// returned together with the ErrRowBudget error.
-func project(b *binder, stmt *sqlparse.Select, joined []joinedRow, opts Options, g *guard) (*table.Table, [][]table.RowID, error) {
-	trackLineage := opts.TrackLineage
-	if faults.Active() {
-		if err := faults.Inject(faults.PointEngineProject); err != nil {
-			return nil, nil, err
-		}
-	}
-	schema, items := projectSchema(b, stmt)
-
-	// An output-row budget must return exactly the rows produced before the
-	// trip, which is inherently serial; without one, projection fans out.
-	if workers := opts.workers(); workers > 1 && len(joined) >= opts.parallelRows() && (g == nil || g.maxOutput <= 0) {
-		return projectParallel(b, stmt, items, schema, joined, trackLineage, g, workers)
-	}
-
-	out := table.New("result", schema)
-	var lineage [][]table.RowID
-	if trackLineage {
-		lineage = make([][]table.RowID, 0, len(joined))
-	}
-	for _, jr := range joined {
-		if err := g.tick(1); err != nil {
-			return nil, nil, err
-		}
-		if err := g.out(1); err != nil {
-			return out, lineage, err
-		}
-		row, err := projectRow(b, stmt, items, schema, jr)
-		if err != nil {
-			return nil, nil, err
-		}
-		out.AppendRow(row)
-		if trackLineage {
-			lineage = append(lineage, lineageOf(b, jr))
-		}
-	}
-	return out, lineage, nil
-}
-
-// projectRow materializes one output row from a joined base row.
-func projectRow(b *binder, stmt *sqlparse.Select, items []sqlparse.SelectItem, schema table.Schema, jr joinedRow) (table.Row, error) {
-	if stmt.Star {
-		row := make(table.Row, 0, len(schema))
-		for rel, t := range b.tables {
-			row = append(row, t.Rows[jr[rel]]...)
-		}
-		return row, nil
-	}
-	row := make(table.Row, len(items))
-	for i, it := range items {
-		v, err := evalExpr(it.Expr, evalEnv{b: b, row: jr})
-		if err != nil {
-			return nil, err
-		}
-		row[i] = v
-	}
-	return row, nil
-}
-
-// lineageOf records the base-table row of every relation behind one output
-// row.
-func lineageOf(b *binder, jr joinedRow) []table.RowID {
-	ids := make([]table.RowID, len(b.tables))
-	for rel := range b.tables {
-		ids[rel] = table.RowID{Table: strings.ToLower(b.tables[rel].Name), Row: int(jr[rel])}
-	}
-	return ids
 }
 
 // inferKind guesses the output kind of an expression for schema purposes.

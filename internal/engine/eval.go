@@ -136,8 +136,8 @@ func (b *binder) bindStmt(stmt *sqlparse.Select) error {
 type joinedRow []int32
 
 // evalEnv supplies column values for expression evaluation over either a
-// joined row (row engine) or one tuple of a joinedBatch (columnar engine,
-// batch + idx set). Exactly one of row/batch is set; with neither, every
+// joined row (the per-row scan, the reference executor) or one tuple of a
+// joinedBatch (batch + idx set). Exactly one of row/batch is set; with neither, every
 // column reads as NULL (used for constant-only evaluation).
 type evalEnv struct {
 	b     *binder

@@ -12,8 +12,7 @@ import (
 // executor will use for stmt: per-relation scans in the order they run, with
 // pushed-down filters and the partner whose keys a scan takes when the data
 // makes them selective, the join order with join kinds (index — naming how the
-// probed index's runs are emitted — byte-key hash when a key column is Mixed, or
-// cross), residual predicates, and the finishing operators. It binds,
+// probed index's runs are emitted — or cross), residual predicates, and the finishing operators. It binds,
 // classifies and compiles filters, and reads no row of an answer — but it is
 // not free on a cold table: which emission a step takes is a property of the
 // join index it probes, so Explain asks for the index of every join key column
@@ -21,14 +20,7 @@ import (
 // column, counted in index_builds like any build; the statement's execution
 // then finds it cached).
 func Explain(db *table.Database, stmt *sqlparse.Select) (string, error) {
-	b, err := newBinder(db, stmt)
-	if err != nil {
-		return "", err
-	}
-	if err := b.bindStmt(stmt); err != nil {
-		return "", err
-	}
-	preds, err := classify(b, stmt)
+	b, preds, err := plan(db, stmt)
 	if err != nil {
 		return "", err
 	}
@@ -73,11 +65,8 @@ func Explain(db *table.Database, stmt *sqlparse.Select) (string, error) {
 			}
 		}
 		if len(keys) > 0 {
-			kind, how := "hash", "byte keys: Mixed column"
-			if !joinKeysMixed(b, joins) {
-				kind, how = "index", probeKind(indexedPair(b, rel, joinKeyPairs(joins, rel)))
-			}
-			fmt.Fprintf(&out, "  %s join %s on %s (%s)\n", kind, b.refs[rel].Name(), strings.Join(keys, " AND "), how)
+			how := probeKind(indexedPair(b, rel, joinKeyPairs(joins, rel)))
+			fmt.Fprintf(&out, "  index join %s on %s (%s)\n", b.refs[rel].Name(), strings.Join(keys, " AND "), how)
 		} else {
 			fmt.Fprintf(&out, "  cross join %s\n", b.refs[rel].Name())
 		}
@@ -195,7 +184,7 @@ type opCounts struct {
 	residuals  int
 }
 
-// planOpCounts counts the operator kinds the left-deep join order of runJoins
+// planOpCounts counts the operator kinds the left-deep join order of runJoinsCol
 // will execute: a relation is hash-joined when an equi-join conjunct connects it
 // to one before it in FROM order (the larger of the conjunct's two relations is
 // the one joined in), cross-joined otherwise.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"asqprl/internal/sqlparse"
-	"asqprl/internal/table"
 )
 
 func TestExplainJoinPlan(t *testing.T) {
@@ -97,23 +96,5 @@ func TestExplainErrors(t *testing.T) {
 	}
 	if _, err := Explain(db, sqlparse.MustParse("SELECT nope FROM movies")); err == nil {
 		t.Error("unknown column should error")
-	}
-}
-
-// TestExplainMixedKeyFallsBackToHashJoin: a join whose key column is Mixed
-// cannot use the column's join index and is reported as the byte-key hash join
-// it runs as.
-func TestExplainMixedKeyFallsBackToHashJoin(t *testing.T) {
-	db := testDB()
-	credits := db.Table("credits")
-	row := credits.Rows[0].Clone()
-	row[credits.ColumnIndex("movie_id")] = table.NewString("tt0000001")
-	credits.AppendRow(row)
-	plan, err := Explain(db, sqlparse.MustParse("SELECT m.title FROM movies m JOIN credits c ON m.id = c.movie_id"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := "hash join c on m.id = c.movie_id (byte keys: Mixed column)"; !strings.Contains(plan, want) {
-		t.Errorf("plan missing %q:\n%s", want, plan)
 	}
 }

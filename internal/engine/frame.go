@@ -11,7 +11,7 @@ import (
 // tables' rows and the joined batch's row-id vectors, so LIMIT shortens N and
 // a caller with its own sink (the server's JSON encoder) reads cells in place;
 // anything that needs values first (DISTINCT, ORDER BY, aggregates, expression
-// projections, the row engine) is a frame over its own materialized rows.
+// projections) is a frame over its own materialized rows.
 //
 // A frame borrows the rows of the database it was executed on. Those are
 // immutable for the life of a serving generation; a frame must be consumed
@@ -66,7 +66,7 @@ func (f *Frame) Table() *table.Table {
 		return f.own
 	}
 	p := projection{schema: f.Schema, cols: f.Cols}
-	t, _, _ := p.materialize(f.N, Options{Parallelism: -1}, nil) // nothing to evaluate, no guard: no error
+	t, _, _ := p.materialize(f.N, false, nil) // nothing to evaluate, no guard: no error
 	return t
 }
 
@@ -172,45 +172,19 @@ func (p *projection) row(idx int) (table.Row, error) {
 }
 
 // materialize copies the projection's first n rows into a table, with their
-// lineage when opts asks for it. It is the one routine that builds output
+// lineage when asked for. It is the one routine that builds output
 // rows. A projection that cannot fail has had its guard ticks and output
 // budget charged for the whole batch by the caller and is only polled here,
 // once per morsel; one that evaluates expressions is charged row by row, so an
 // output-budget trip returns exactly the rows built before it together with
-// the error — which is inherently serial, so only budget-free evaluation fans
-// out. Workers fill disjoint row ranges of one slice: every worker count
-// produces the same table.
-func (p *projection) materialize(n int, opts Options, g *guard) (*table.Table, [][]table.RowID, error) {
+// the error.
+func (p *projection) materialize(n int, trackLineage bool, g *guard) (*table.Table, [][]table.RowID, error) {
 	out := &table.Table{Name: "result", Schema: p.schema, Rows: make([]table.Row, n)}
 	var lineage [][]table.RowID
-	if opts.TrackLineage {
+	if trackLineage {
 		lineage = make([][]table.RowID, n)
 	}
-	build := func(idx int) error {
-		row, err := p.row(idx)
-		if err != nil {
-			return err
-		}
-		out.Rows[idx] = row
-		if lineage != nil {
-			lineage[idx] = batchLineageOf(p.b, p.jb, idx)
-		}
-		return nil
-	}
 	charged := p.exprs == nil
-	if workers := opts.workers(); workers > 1 && n >= opts.parallelRows() && (charged || g == nil || g.maxOutput <= 0) {
-		err := forEachMorsel(workers, n, func(_, lo, hi int) error {
-			err := g.poll()
-			for idx := lo; idx < hi && err == nil; idx++ {
-				err = build(idx)
-			}
-			return err
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return out, lineage, nil
-	}
 	for idx := 0; idx < n; idx++ {
 		if charged {
 			if idx%morselRows == 0 {
@@ -230,8 +204,13 @@ func (p *projection) materialize(n int, opts Options, g *guard) (*table.Table, [
 				return out, lineage, err
 			}
 		}
-		if err := build(idx); err != nil {
+		row, err := p.row(idx)
+		if err != nil {
 			return nil, nil, err
+		}
+		out.Rows[idx] = row
+		if lineage != nil {
+			lineage[idx] = batchLineageOf(p.b, p.jb, idx)
 		}
 	}
 	return out, lineage, nil

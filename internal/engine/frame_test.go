@@ -11,8 +11,7 @@ import (
 	"asqprl/internal/table"
 )
 
-// bigDB is one table of n rows (id, id%7, a string), large enough for the
-// parallel paths when n >= testParallelRows.
+// bigDB is one table of n rows (id, id%7, a string).
 func bigDB(n int) *table.Database {
 	t := table.New("big", table.Schema{
 		{Name: "id", Kind: table.KindInt}, {Name: "m", Kind: table.KindInt}, {Name: "s", Kind: table.KindString},
@@ -29,7 +28,7 @@ func bigDB(n int) *table.Database {
 // ExecuteFrameContext without building a row — its cells are the base table's
 // own — LIMIT only shortens it, and statements that need values first come
 // back as a frame over rows of their own. Either way the frame holds exactly
-// the table ExecuteWithContext builds.
+// the table the row engine builds.
 func TestFrameBorrowsBaseRows(t *testing.T) {
 	db := bigDB(6000)
 	base := db.Table("big").Rows
@@ -48,34 +47,32 @@ func TestFrameBorrowsBaseRows(t *testing.T) {
 		{"SELECT m, COUNT(*) FROM big GROUP BY m", 7, false},
 	} {
 		stmt := sqlparse.MustParse(tc.sql)
-		for _, opts := range []Options{{Parallelism: -1}, {Parallelism: 8, minParallelRows: testParallelRows}, {UseRowEngine: true}} {
-			res, err := ExecuteFrameContext(context.Background(), db, stmt, opts)
-			if err != nil {
-				t.Fatalf("%s: %v", tc.sql, err)
+		res, err := ExecuteFrameContext(context.Background(), db, stmt, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		f := res.Frame
+		if res.Table != nil || f == nil || f.N != tc.n {
+			t.Fatalf("%s: table %v, frame %+v; want a frame of %d rows alone", tc.sql, res.Table, f, tc.n)
+		}
+		borrowed := false
+		for j := range f.Cols {
+			if c := &f.Cols[j]; len(c.Rows) > 0 && &c.Rows[0] == &base[0] {
+				borrowed = true
 			}
-			f := res.Frame
-			if res.Table != nil || f == nil || f.N != tc.n {
-				t.Fatalf("%s: table %v, frame %+v; want a frame of %d rows alone", tc.sql, res.Table, f, tc.n)
-			}
-			borrowed := false
-			for j := range f.Cols {
-				if c := &f.Cols[j]; len(c.Rows) > 0 && &c.Rows[0] == &base[0] {
-					borrowed = true
-				}
-			}
-			if want := tc.borrowed && !opts.UseRowEngine; borrowed != want {
-				t.Errorf("%s (%+v): frame reads base rows in place = %v, want %v", tc.sql, opts, borrowed, want)
-			}
-			ref, err := ExecuteWithContext(context.Background(), db, stmt, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := resultFingerprint(&Result{Table: f.Table()}), resultFingerprint(ref); got != want {
-				t.Errorf("%s (%+v): frame holds\n%.300s\nwant\n%.300s", tc.sql, opts, got, want)
-			}
-			if n, err := CountContext(context.Background(), db, stmt, opts); err != nil || n != tc.n {
-				t.Errorf("%s (%+v): CountContext = %d, %v; want %d", tc.sql, opts, n, err, tc.n)
-			}
+		}
+		if borrowed != tc.borrowed {
+			t.Errorf("%s: frame reads base rows in place = %v, want %v", tc.sql, borrowed, tc.borrowed)
+		}
+		ref, err := rowExecute(context.Background(), db, stmt, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := resultFingerprint(&Result{Table: f.Table()}), resultFingerprint(ref); got != want {
+			t.Errorf("%s: frame holds\n%.300s\nwant\n%.300s", tc.sql, got, want)
+		}
+		if n, err := CountContext(context.Background(), db, stmt, Options{}); err != nil || n != tc.n {
+			t.Errorf("%s: CountContext = %d, %v; want %d", tc.sql, n, err, tc.n)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -14,19 +15,39 @@ import (
 	"asqprl/internal/table"
 )
 
-// This file holds the seeded differential fuzz harness for the columnar
-// execution core: every generated statement is executed by the legacy
-// row-at-a-time engine (the reference) and by the columnar engine at
-// parallelism 1, 2 and 8, and the runs must agree byte for byte — same
-// result fingerprint (schema, row keys, lineage) on success, same error
-// string and guard kind on failure, and identical partial results when an
-// output budget trips mid-projection. The one exception (fuzzReference): the
-// columnar scan leaves rows unread that join nothing, so a join intermediate
-// the reference's budget refuses may fit. The generated data deliberately covers
-// the hard parity corners: NULLs everywhere, NaN and integral floats (which
-// Value.Compare and Value.Key treat specially), dictionary strings,
-// kind-mismatched (Mixed) columns that force the row fallback, and tables
-// large enough to engage the parallel morsel paths.
+// This file holds the seeded differential fuzz harness for the executor:
+// every generated statement is executed by the row-at-a-time reference
+// (rowExecute, rowengine_test.go) and by the engine, and the runs must agree
+// byte for byte — same result fingerprint (schema, row keys, lineage) on
+// success, same error string and guard kind on failure, and identical partial
+// results when an output budget trips mid-projection. The one exception
+// (fuzzReference): the columnar scan leaves rows unread that join nothing, so a
+// join intermediate the reference's budget refuses may fit. The generated data
+// deliberately covers the hard parity corners: NULLs everywhere, NaN and
+// integral floats (which Value.Compare and Value.Key treat specially),
+// dictionary strings, and tables of several morsels and probe chunks.
+
+// fuzzBigRows is the size a big fuzz database's tables exceed: four morsels.
+const fuzzBigRows = 4096
+
+// resultFingerprint renders a result into a canonical string: schema, every
+// row key in order, and every lineage entry. Two byte-identical results
+// produce equal fingerprints and vice versa. The differential harness spends
+// most of its time here, so rows and lineage are appended, not formatted.
+func resultFingerprint(res *Result) string {
+	s := fmt.Appendf(nil, "schema=%v rows=%d\n", res.Table.Schema, res.Table.NumRows())
+	for i, r := range res.Table.Rows {
+		s = append(r.AppendKey(append(strconv.AppendInt(s, int64(i), 10), ": "...)), '\n')
+	}
+	for i, lin := range res.Lineage {
+		s = append(strconv.AppendInt(append(s, "lin "...), int64(i), 10), ": ["...)
+		for _, id := range lin {
+			s = append(strconv.AppendInt(append(append(s, id.Table...), ':'), int64(id.Row), 10), ' ')
+		}
+		s = append(s, "]\n"...)
+	}
+	return string(s)
+}
 
 // fuzzVocab is the string vocabulary; small so dictionary codes repeat.
 var fuzzVocab = []string{"drama", "comedy", "noir", "sci-fi", "doc"}
@@ -44,20 +65,21 @@ var fuzzTags = []string{"drama", "noir", "musical", "zzz"}
 // keyed to it through int (fa_id, repeating and dangling), string (name, over
 // two dictionaries that overlap in part) and float (v: integral, fractional,
 // NaN) columns. With size 0 about one run in six, and with size 1 or 2 every
-// run, is big enough (> testParallelRows) to exercise the parallel
-// scan/probe/project paths; the rest stay small so many statements run per fuzz
-// cycle. In a big database fc is a tenth of fa (size 1, or a coin flip) or
+// run, is big (> fuzzBigRows: scans of several morsels, probes of several
+// chunks); the rest stay small so many statements run per fuzz cycle. In a big database fc is a tenth of fa (size 1, or a coin flip) or
 // twice it (size 2), so a scan that takes its keys from a partner
 // (scanRelationsCol) finds the selective side among either the smaller or the
-// larger relation. forceMixed poisons fa.mx, as one run in four does anyway.
+// larger relation. nullMx puts NULLs into fa.mx, as one run in four does anyway
+// (these are the draws that once wrote a string into it, kept where they were so
+// that a seed still generates the database and statements it always did).
 // fd is four fixed rows, drawn without rng, whose indexes hold one row per key
 // and address keys no row has: flag is false once and never true, k has gaps.
-func fuzzDB(rng *rand.Rand, size int, forceMixed bool) *table.Database {
+func fuzzDB(rng *rand.Rand, size int, nullMx bool) *table.Database {
 	nA := 30 + rng.Intn(50)
 	if rng.Intn(6) == 0 || size > 0 {
-		nA = testParallelRows + 500 + rng.Intn(1000)
+		nA = fuzzBigRows + 500 + rng.Intn(1000)
 	}
-	mixed := rng.Intn(4) == 0 || forceMixed // poison fa.mx with a string cell → Mixed column
+	nullMx = rng.Intn(4) == 0 || nullMx
 	fa := table.New("fa", table.Schema{
 		{Name: "id", Kind: table.KindInt},
 		{Name: "num", Kind: table.KindInt},
@@ -102,8 +124,8 @@ func fuzzDB(rng *rand.Rand, size int, forceMixed bool) *table.Database {
 			flag = table.Null
 		}
 		mx := table.NewInt(int64(rng.Intn(10)))
-		if mixed && rng.Intn(16) == 0 {
-			mx = table.NewString("oops")
+		if nullMx && rng.Intn(16) == 0 {
+			mx = table.Null
 		}
 		sp := table.NewInt(int64(i) * fuzzSparse)
 		if i%7 == 3 {
@@ -116,8 +138,8 @@ func fuzzDB(rng *rand.Rand, size int, forceMixed bool) *table.Database {
 		fa.AppendRow(table.Row{table.NewInt(int64(i)), num, val, cat, flag, mx, sp, name})
 	}
 	nB := 20 + rng.Intn(40)
-	if nA > testParallelRows {
-		nB = testParallelRows + rng.Intn(500)
+	if nA > fuzzBigRows {
+		nB = fuzzBigRows + rng.Intn(500)
 	}
 	fb := table.New("fb", table.Schema{
 		{Name: "fa_id", Kind: table.KindInt},
@@ -139,7 +161,7 @@ func fuzzDB(rng *rand.Rand, size int, forceMixed bool) *table.Database {
 		})
 	}
 	nC := 10 + rng.Intn(30)
-	if nA > testParallelRows {
+	if nA > fuzzBigRows {
 		if nC = nA/10 + rng.Intn(50); size == 2 || size == 0 && rng.Intn(2) == 0 {
 			nC = 2*nA + rng.Intn(500)
 		}
@@ -190,8 +212,8 @@ func fuzzNot(rng *rand.Rand) string {
 // fuzzPred generates a predicate over fa's columns, qualified with prefix p
 // ("" or "a."). It covers every kernel family: ordered comparisons on ints
 // and floats (the NaN parity corner), BETWEEN, IN, LIKE, IS [NOT] NULL,
-// truthy bool columns, Mixed-column comparisons (row fallback), and
-// NOT/AND/OR composition.
+// truthy bool columns, comparisons on the sometimes-NULL mx, and NOT/AND/OR
+// composition.
 func fuzzPred(rng *rand.Rand, p string, depth int) string {
 	if depth > 0 && rng.Intn(3) == 0 {
 		op := " AND "
@@ -353,7 +375,7 @@ var fuzzJoinShapes = []string{
 	"SELECT a.id, b.fa_id FROM fa a JOIN fb b ON a.cat = b.cat WHERE b.fa_id < 3",
 	"SELECT a.id, b.fa_id FROM fa a JOIN fb b ON a.cat = b.cat AND a.num = b.w",
 	"SELECT a.id, b.fa_id FROM fa a JOIN fb b ON a.num = b.w AND a.cat = b.cat WHERE b.fa_id < 30",
-	// A key column that is Mixed in one database in four: byte-key fallback.
+	// A key column that holds NULLs in one database in four.
 	"SELECT a.id, b.w FROM fb b JOIN fa a ON b.w = a.mx WHERE b.fa_id < 40",
 }
 
@@ -403,12 +425,13 @@ var fuzzSidewaysShapes = []string{
 	"SELECT a.id, c.name FROM fc c JOIN fa a ON a.name = c.name WHERE a.num = 3",
 	"SELECT a.id, c.n FROM fa a JOIN fc c ON a.num = c.n WHERE c.fa_id < 3",
 	"SELECT a.id, c.tag FROM fa a JOIN fc c ON a.cat = c.tag WHERE c.fa_id < 3",
-	// A Mixed key column (these shapes force fa.mx Mixed) has no index: alone,
-	// the scan reads every row; beside a typed conjunct, that one serves.
+	// A key column with NULLs among its keys (these shapes put them into fa.mx),
+	// alone and beside a second conjunct.
 	"SELECT a.id, c.n FROM fc c JOIN fa a ON c.n = a.mx WHERE c.fa_id < 5",
 	"SELECT a.id, c.n FROM fc c JOIN fa a ON c.n = a.mx AND c.fa_id = a.id WHERE c.n = 3",
 	// A filter that does not compile, anywhere, turns the pass off: it can
-	// raise, here on rows that match no key (c.n > 100 keeps none).
+	// raise, here on rows that match no key (c.n > 100 keeps none). The one on
+	// fa.mx compiles, NULLs and all, and leaves it on.
 	"SELECT a.id, c.n FROM fa a JOIN fc c ON a.id = c.fa_id WHERE c.n + 1 = 4",
 	"SELECT a.id, c.n FROM fa a JOIN fc c ON a.id = c.fa_id WHERE c.n = 3 AND a.mx > 2",
 	"SELECT a.id, c.n FROM fc c JOIN fa a ON a.id = c.fa_id WHERE c.n > 100 AND a.cat + 1 > 1",
@@ -540,7 +563,8 @@ var fuzzAggShapes = []string{
 	"SELECT a.cat, SUM(a.num), COUNT(*) FROM fa a GROUP BY a.cat HAVING SUM(a.num) / COUNT(*) > 3 AND MAX(a.val) - MIN(a.val) >= 0",
 	"SELECT a.id, a.name, COUNT(*) * 2 - COUNT(b.w) FROM fa a JOIN fb b ON a.id = b.fa_id GROUP BY b.cat, a.flag",
 	// What typed vectors do not serve runs row at a time: expression arguments
-	// and keys (one raising at a data-dependent row) and Mixed columns.
+	// and keys (one raising at a data-dependent row). Then fa.mx, NULLs forced in,
+	// as key and as argument.
 	"SELECT a.cat, SUM(a.num * 2), COUNT(a.val + 1) FROM fa a GROUP BY a.cat",
 	"SELECT a.num + 1, COUNT(*), MIN(a.val) FROM fa a GROUP BY a.num + 1",
 	"SELECT a.flag, SUM(a.cat + 1) FROM fa a GROUP BY a.flag",
@@ -592,7 +616,7 @@ var fuzzLimitShapes = []string{
 var fuzzLimits = []int{0, 1, 7, 1 << 30}
 
 // fuzzLimitSeed - k pins a run to fuzzLimitShapes[k % len] with
-// fuzzLimits[k / len % 4], on a parallel-scale database when k / len / 4 is odd.
+// fuzzLimits[k / len % 4], on a big database when k / len / 4 is odd.
 const fuzzLimitSeed = -1 << 32
 
 // fuzzLimitModes is the guard situation of each of a limit seed's statements:
@@ -601,11 +625,12 @@ const fuzzLimitSeed = -1 << 32
 // FuzzRowVsColumnar).
 var fuzzLimitModes = [6]int{4, 0, 1, 3, 8, 2}
 
-// fuzzRun executes stmt under one engine configuration. faultPoint, when
+// fuzzRun executes stmt under opts, on the reference executor or — as a table,
+// a frame or a count, whichever opts asks for — on the engine. faultPoint, when
 // non-empty, arms a fresh deterministic error injection (identical across the
 // compared runs — the schedules carry per-run hit counters, so each run gets
 // its own).
-func fuzzRun(ctx context.Context, db *table.Database, stmt *sqlparse.Select, opts Options, faultPoint string, faultAfter int) (*Result, error) {
+func fuzzRun(ctx context.Context, db *table.Database, stmt *sqlparse.Select, opts Options, reference bool, faultPoint string, faultAfter int) (*Result, error) {
 	if faultPoint != "" {
 		faults.Enable(faults.NewSchedule(1, faults.Injection{
 			Point: faultPoint,
@@ -615,6 +640,11 @@ func fuzzRun(ctx context.Context, db *table.Database, stmt *sqlparse.Select, opt
 		defer faults.Disable()
 	}
 	switch {
+	case reference && opts.countOnly:
+		n, err := rowCount(ctx, db, stmt, opts)
+		return &Result{Count: n}, err
+	case reference:
+		return rowExecute(ctx, db, stmt, opts)
 	case opts.countOnly:
 		n, err := CountContext(ctx, db, stmt, opts)
 		return &Result{Count: n}, err
@@ -698,12 +728,12 @@ func (r *fuzzReference) outcome(gotErr error) (res *Result, err error, ok bool) 
 }
 
 // FuzzRowVsColumnar is the differential harness: seed → random database +
-// statements → row engine vs columnar engine at parallelism 1, 2 and 8, as a
-// table (ExecuteWithContext), as a frame (ExecuteFrameContext) and as a count
+// statements → row engine vs the engine's answer as a table
+// (ExecuteWithContext), as a frame (ExecuteFrameContext) and as a count
 // (CountContext), under normal execution, pre-canceled contexts, output and
 // intermediate row budgets, and injected operator faults. A seed >= 0 draws
 // its statements from fuzzSQL; seed -1-k pins all of them to
-// fuzzJoinShapes[k % len], on a parallel-scale database when k / len is odd,
+// fuzzJoinShapes[k % len], on a big database when k / len is odd,
 // seed fuzzLimitSeed-k to a fuzzLimitShapes statement and LIMIT under each of
 // fuzzLimitModes, and seed fuzzSidewaysSeed-k to a fuzzSidewaysShapes statement
 // under each of them at each database size, and seed fuzzAggSeed-k likewise to
@@ -788,7 +818,7 @@ func FuzzRowVsColumnar(f *testing.F) {
 			// budget trip is itself a compared outcome (same error string on
 			// every path), so capping keeps the harness fast without losing
 			// coverage.
-			base := Options{TrackLineage: true, MaxIntermediateRows: 100_000, minParallelRows: testParallelRows}
+			base := Options{TrackLineage: true, MaxIntermediateRows: 100_000}
 			faultPoint, faultAfter := "", 0
 			switch mode {
 			case 0: // cooperative cancellation: already-canceled context
@@ -806,46 +836,37 @@ func FuzzRowVsColumnar(f *testing.F) {
 			case 8: // output row budget no result reaches
 				base.MaxOutputRows = 1 << 30
 			case 9: // intermediate budget exactly the rows the join makes, and one short
-				if n, err := CountContext(ctx, db, stmt, Options{UseRowEngine: true, Parallelism: -1}); err == nil {
+				if n, err := rowCount(ctx, db, stmt, Options{}); err == nil {
 					base.MaxIntermediateRows = max(1, n-si%2)
 				}
 			}
-			run := func(opts Options) (*Result, error) {
-				return fuzzRun(ctx, db, stmt, opts, faultPoint, faultAfter)
+			reference := func(opts Options) *fuzzReference {
+				return &fuzzReference{opts: opts, run: func(opts Options) (*Result, error) {
+					return fuzzRun(ctx, db, stmt, opts, true, faultPoint, faultAfter)
+				}}
 			}
-			check := func(label string, ref *fuzzReference, frame bool, opts Options) {
+			check := func(label string, ref *fuzzReference, opts Options) {
 				t.Helper()
-				got, gotErr := run(opts)
+				got, gotErr := fuzzRun(ctx, db, stmt, opts, false, faultPoint, faultAfter)
 				want, wantErr, ok := ref.outcome(gotErr)
 				if !ok {
 					t.Logf("%s: %q: no reference under any intermediate budget", label, sql)
 					return
 				}
-				if frame && want != nil {
+				if opts.frames && want != nil {
 					// A frame is the same answer without lineage, whether its
 					// rows were ever built or not.
 					want = &Result{Table: want.Table}
 				}
 				fuzzCompare(t, sql, label, want, wantErr, got, gotErr)
 			}
-
-			rowOpts := base
-			rowOpts.UseRowEngine = true
-			rowOpts.Parallelism = -1
-			ref := &fuzzReference{run: run, opts: rowOpts}
-			for _, par := range []int{-1, 2, 8} {
-				col := base
-				col.Parallelism = par
-				check(fmt.Sprintf("columnar-%d", par), ref, false, col)
-				col.frames = true
-				check(fmt.Sprintf("columnar-frame-%d", par), ref, true, col)
-			}
-
+			ref, frame, count := reference(base), base, base
+			frame.frames, count.countOnly = true, true
+			check("columnar", ref, base)
+			check("columnar-frame", ref, frame)
 			// CountContext must agree with the row engine whether or not the
-			// columnar count-only specialization applies, guards included.
-			rowCount, colCount := rowOpts, base
-			rowCount.countOnly, colCount.countOnly, colCount.Parallelism = true, true, 8
-			check("columnar-count", &fuzzReference{run: run, opts: rowCount}, false, colCount)
+			// count-only specialization applies, guards included.
+			check("columnar-count", reference(count), count)
 		}
 	})
 }

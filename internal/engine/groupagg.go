@@ -418,8 +418,7 @@ func (a *aggAcc) value(g int) table.Value {
 // aggPlan is how aggregateCol will run a statement, fixed from the statement
 // and the tables' columns before a row is read (Explain prints it): typed, or —
 // fallback naming why — the row-at-a-time loop over byte keys and boxed Values,
-// which alone evaluates expressions (and raises their errors in row order) and
-// reads Mixed columns.
+// which alone evaluates expressions (and raises their errors in row order).
 type aggPlan struct {
 	keys     []groupKey
 	accs     []aggAcc
@@ -435,10 +434,7 @@ func planAggregate(b *binder, stmt *sqlparse.Select, calls []*sqlparse.Call) *ag
 			p.fallback = "expression " + what
 			return bd, false
 		}
-		if bd, _ = b.resolve(ref); b.col(bd).Mixed { // bound before anything runs
-			p.fallback = "mixed-kind " + what
-			return bd, false
-		}
+		bd, _ = b.resolve(ref) // bound before anything runs
 		return bd, true
 	}
 	for _, ge := range stmt.GroupBy {
@@ -502,8 +498,7 @@ const metricAggregateFallback = "engine/aggregate/fallback"
 // aggregateCol is the columnar grouping/aggregation operator: planAggregate's
 // typed plan over the batch, chunk by chunk, or aggregateRows. Groups come out
 // in first-appearance order through emitAggRows either way, so results match
-// the row engine byte for byte. Aggregation is serial at every Parallelism:
-// partial float sums merged across workers would not add up in row order.
+// the row engine byte for byte (float sums add up in row order).
 func aggregateCol(b *binder, stmt *sqlparse.Select, jb *joinedBatch, g *guard, span *obs.Span) (*table.Table, error) {
 	if stmt.Star {
 		return nil, errStarAggregate

@@ -117,7 +117,7 @@ func TestGroupNumbering(t *testing.T) {
 		if tc.keys != nil && len(tc.keys) != res.Table.NumRows() {
 			t.Errorf("%s: %d groups, want %d", tc.sql, res.Table.NumRows(), len(tc.keys))
 		}
-		row, err := ExecuteWith(db, sqlparse.MustParse(tc.sql), Options{UseRowEngine: true})
+		row, err := rowExecute(context.Background(), db, sqlparse.MustParse(tc.sql), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestAggregateFallbackCounter(t *testing.T) {
 func aggInput(t testing.TB, db *table.Database, sql string) (*binder, *sqlparse.Select, *joinedBatch, []joinedRow) {
 	t.Helper()
 	b, stmt, preds := bindSQL(t, db, sql)
-	jb, err := runJoinsCol(b, preds, Options{MaxIntermediateRows: defaultMaxIntermediate, Parallelism: -1}, nil, nil, true)
+	jb, err := runJoinsCol(b, preds, Options{MaxIntermediateRows: defaultMaxIntermediate}, nil, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,12 +43,6 @@ const (
 	metricScanRowsRead          = "engine/scan/rows_read"
 )
 
-// recordWorkers publishes the effective operator parallelism of the query
-// being executed. Only called when observability is enabled (timer active).
-func recordWorkers(n int) {
-	obs.Default().Gauge("engine/parallel_workers").Set(float64(n))
-}
-
 func startQueryTimer() *queryTimer {
 	if !obs.Enabled() {
 		return nil

@@ -10,8 +10,8 @@ import (
 // Vectorized predicate kernels. compileFilters translates a relation's filter
 // expressions into kernels that run tight typed loops over the table's column
 // vectors, filtering a selection vector in place. Compilation is
-// all-or-nothing per relation: if any filter cannot be compiled (mixed-kind
-// column, non-literal comparand, an expression form with data-dependent
+// all-or-nothing per relation: if any filter cannot be compiled (non-literal
+// comparand, an expression form with data-dependent
 // evaluation errors), the whole relation falls back to per-row evalExpr so
 // error ordering stays byte-identical to the row engine.
 //
@@ -152,7 +152,7 @@ func compileExpr(b *binder, rel int, cs *table.ColumnSet, e sqlparse.Expr, negat
 		}
 	case *sqlparse.ColumnRef:
 		// Bare column as predicate: pass iff non-NULL and truthy.
-		ci, ok := relColumn(b, rel, x, cs)
+		ci, ok := relColumn(b, rel, x)
 		if !ok {
 			return kernel{}, false
 		}
@@ -162,7 +162,7 @@ func compileExpr(b *binder, rel int, cs *table.ColumnSet, e sqlparse.Expr, negat
 		if !ok {
 			return kernel{}, false
 		}
-		ci, ok := relColumn(b, rel, ref, cs)
+		ci, ok := relColumn(b, rel, ref)
 		if !ok {
 			return kernel{}, false
 		}
@@ -180,7 +180,7 @@ func compileExpr(b *binder, rel int, cs *table.ColumnSet, e sqlparse.Expr, negat
 		if !ok {
 			return kernel{}, false
 		}
-		ci, ok := relColumn(b, rel, ref, cs)
+		ci, ok := relColumn(b, rel, ref)
 		if !ok {
 			return kernel{}, false
 		}
@@ -195,20 +195,20 @@ func compileExpr(b *binder, rel int, cs *table.ColumnSet, e sqlparse.Expr, negat
 		if !ok {
 			return kernel{}, false
 		}
-		ci, ok := relColumn(b, rel, ref, cs)
+		ci, ok := relColumn(b, rel, ref)
 		if !ok {
 			return kernel{}, false
 		}
 		c := &cs.Cols[ci]
 		if c.Kind != table.KindString {
 			// LIKE on non-string columns stringifies per row; leave it to the
-			// row engine.
+			// per-row scan.
 			return kernel{}, false
 		}
 		re, err := likeRegexp(x.Pattern)
 		if err != nil {
-			// Bad pattern: the row engine errors per evaluated row; fall back
-			// so the error surfaces identically.
+			// Bad pattern: evalExpr errors per evaluated row; fall back so the
+			// error surfaces at the first row read.
 			return kernel{}, false
 		}
 		not := x.Not != negate
@@ -222,7 +222,7 @@ func compileExpr(b *binder, rel int, cs *table.ColumnSet, e sqlparse.Expr, negat
 		if !ok {
 			return kernel{}, false
 		}
-		ci, ok := relColumn(b, rel, ref, cs)
+		ci, ok := relColumn(b, rel, ref)
 		if !ok {
 			return kernel{}, false
 		}
@@ -240,14 +240,14 @@ type cmpOperand struct {
 func splitCmp(b *binder, rel int, x *sqlparse.Binary) (cmpOperand, *sqlparse.Literal, bool) {
 	if ref, ok := x.Left.(*sqlparse.ColumnRef); ok {
 		if lit, ok := x.Right.(*sqlparse.Literal); ok {
-			if ci, ok := relColumnRaw(b, rel, ref); ok {
+			if ci, ok := relColumn(b, rel, ref); ok {
 				return cmpOperand{col: ci}, lit, true
 			}
 		}
 	}
 	if ref, ok := x.Right.(*sqlparse.ColumnRef); ok {
 		if lit, ok := x.Left.(*sqlparse.Literal); ok {
-			if ci, ok := relColumnRaw(b, rel, ref); ok {
+			if ci, ok := relColumn(b, rel, ref); ok {
 				return cmpOperand{col: ci, flipped: true}, lit, true
 			}
 		}
@@ -255,22 +255,13 @@ func splitCmp(b *binder, rel int, x *sqlparse.Binary) (cmpOperand, *sqlparse.Lit
 	return cmpOperand{}, nil, false
 }
 
-// relColumnRaw resolves ref to a column index on rel.
-func relColumnRaw(b *binder, rel int, ref *sqlparse.ColumnRef) (int, bool) {
+// relColumn resolves ref to a column index on rel.
+func relColumn(b *binder, rel int, ref *sqlparse.ColumnRef) (int, bool) {
 	bd, err := b.resolve(ref)
 	if err != nil || bd.rel != rel {
 		return 0, false
 	}
 	return bd.col, true
-}
-
-// relColumn additionally requires the column to be vectorizable (not Mixed).
-func relColumn(b *binder, rel int, ref *sqlparse.ColumnRef, cs *table.ColumnSet) (int, bool) {
-	ci, ok := relColumnRaw(b, rel, ref)
-	if !ok || cs.Cols[ci].Mixed {
-		return 0, false
-	}
-	return ci, true
 }
 
 // flipOp mirrors a comparison for a swapped operand order (5 < x ⇒ x > 5).
@@ -362,9 +353,6 @@ func passNonNullKernel(c *table.ColumnData) kernel {
 // compileCmp builds the kernel for <col> <op> <lit>.
 func compileCmp(cs *table.ColumnSet, ci int, lit *sqlparse.Literal, op string) (kernel, bool) {
 	c := &cs.Cols[ci]
-	if c.Mixed {
-		return kernel{}, false
-	}
 	lv := lit.Value
 	if lv.IsNull() {
 		// cmp NULL is NULL: nothing passes.
@@ -375,7 +363,7 @@ func compileCmp(cs *table.ColumnSet, ci int, lit *sqlparse.Literal, op string) (
 		if lv.IsNumeric() {
 			return numericCmpKernel(c, op, lv.AsFloat()), true
 		}
-		// Mixed kind classes: the outcome is the same for every non-NULL
+		// Different kind classes: the outcome is the same for every non-NULL
 		// value of the column (Compare orders by Kind; Equal is false).
 		rep := table.NewInt(0)
 		if c.Kind == table.KindFloat {
@@ -830,7 +818,7 @@ func compileBetween(c *table.ColumnData, lo, hi table.Value, not bool) (kernel, 
 	case table.KindInt, table.KindFloat:
 		if !lo.IsNumeric() || !hi.IsNumeric() {
 			// Kind-mismatched bounds have constant Compare signs; rare enough
-			// to leave to the row engine.
+			// to leave to the per-row scan.
 			return kernel{}, false
 		}
 		return numericBetweenKernel(c, lo.AsFloat(), hi.AsFloat(), not), true

@@ -18,14 +18,13 @@ import (
 // as two vectors — batch row, build row — from which the step's output columns
 // are gathered, one loop each. Nothing is called or boxed per row, the guard
 // and the intermediate budget are settled per chunk, and a step runs on the
-// goroutine that called it at every Options.Parallelism (DESIGN §13 "Parallel
-// gate": no benchmark workload is large enough for a second worker to pay).
+// goroutine that called it (DESIGN §13 "Operators are serial").
 
 // keyCol reads one key column's join keys a chunk at a time: a kind switch per
 // call, a typed loop inside (table.ColumnData.JoinKeyer's keys, row for row).
 type keyCol struct {
-	col  *table.ColumnData // not Mixed
-	xlat *dictXlat         // probe side of a string pair over two dictionaries
+	col  *table.ColumnData
+	xlat *dictXlat // probe side of a string pair over two dictionaries
 }
 
 // keys stores the key of each of rows as (tags[i], bits[i]); a NULL cell keys
@@ -112,7 +111,7 @@ func (x *dictXlat) translate(c int32) int32 {
 }
 
 // probeKeys is the key reader over column pc for lookups among keys of column
-// bc (neither Mixed): between two dictionaries, pc's codes are translated into
+// bc: between two dictionaries, pc's codes are translated into
 // bc's, and a string bc does not hold keys as TagMiss.
 func probeKeys(pc, bc *table.ColumnData) keyCol {
 	k := keyCol{col: pc}

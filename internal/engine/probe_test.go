@@ -39,7 +39,7 @@ func TestProbeAllocsFollowMatches(t *testing.T) {
 			t.Fatalf("%d probe rows, want %d", n, probeRows)
 		}
 		return testing.AllocsPerRun(10, func() {
-			if out, err := step(Options{Parallelism: -1}); err != nil || out.n != matches {
+			if out, err := step(Options{}); err != nil || out.n != matches {
 				t.Fatalf("%v rows, %v; want %d", out, err, matches)
 			}
 		})
@@ -73,7 +73,7 @@ func TestProbeUniqueIndexAddressesAbsentKeys(t *testing.T) {
 		"SELECT p.k FROM p JOIN d ON p.k = d.k AND p.b = d.b WHERE d.k > 0",
 	} {
 		stmt := sqlparse.MustParse(sql)
-		want, err := ExecuteWith(db, stmt, Options{UseRowEngine: true})
+		want, err := rowExecute(context.Background(), db, stmt, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,8 +90,8 @@ func TestProbeUniqueIndexAddressesAbsentKeys(t *testing.T) {
 // TestProbeChunkBudgetExact: the intermediate budget, settled per chunk and
 // checked per probe row inside it, trips iff the step emits more rows than
 // MaxIntermediateRows — at exactly the join's size it does not, at one less it
-// does, with one worker and with several — and a key whose fan-out fills the
-// room left stops its chunk: the rows after it write nothing.
+// does — and a key whose fan-out fills the room left stops its chunk: the rows
+// after it write nothing.
 func TestProbeChunkBudgetExact(t *testing.T) {
 	const fan, hot = 5_000, 10
 	p := table.New("p", table.Schema{{Name: "k", Kind: table.KindInt}})
@@ -114,20 +114,18 @@ func TestProbeChunkBudgetExact(t *testing.T) {
 		"SELECT p.k FROM p JOIN d ON p.k = d.id WHERE d.id > 0",
 	} {
 		stmt := sqlparse.MustParse(sql)
-		for _, par := range []int{-1, 2, 8} {
-			for _, tc := range []struct {
-				budget int
-				trips  bool
-			}{{hot * fan, false}, {hot*fan - 1, true}, {fan + 1, true}, {fan, true}, {hot*fan + 1, false}} {
-				opts := Options{Parallelism: par, minParallelRows: testParallelRows, MaxIntermediateRows: tc.budget}
-				n, err := CountContext(context.Background(), db, stmt, opts)
-				res, rerr := ExecuteWith(db, stmt, opts)
-				if tripped := errors.Is(err, ErrRowBudget); tripped != tc.trips || tripped != errors.Is(rerr, ErrRowBudget) || !tripped && (err != nil || rerr != nil) {
-					t.Fatalf("%s, parallelism %d, budget %d: count ends in %v, rows in %v; want a budget trip: %v", sql, par, tc.budget, err, rerr, tc.trips)
-				}
-				if !tc.trips && (n != hot*fan || res.Table.NumRows() != hot*fan) {
-					t.Errorf("%s, parallelism %d, budget %d: %d counted, %d rows, want %d", sql, par, tc.budget, n, res.Table.NumRows(), hot*fan)
-				}
+		for _, tc := range []struct {
+			budget int
+			trips  bool
+		}{{hot * fan, false}, {hot*fan - 1, true}, {fan + 1, true}, {fan, true}, {hot*fan + 1, false}} {
+			opts := Options{MaxIntermediateRows: tc.budget}
+			n, err := CountContext(context.Background(), db, stmt, opts)
+			res, rerr := ExecuteWith(db, stmt, opts)
+			if tripped := errors.Is(err, ErrRowBudget); tripped != tc.trips || tripped != errors.Is(rerr, ErrRowBudget) || !tripped && (err != nil || rerr != nil) {
+				t.Fatalf("%s, budget %d: count ends in %v, rows in %v; want a budget trip: %v", sql, tc.budget, err, rerr, tc.trips)
+			}
+			if !tc.trips && (n != hot*fan || res.Table.NumRows() != hot*fan) {
+				t.Errorf("%s, budget %d: %d counted, %d rows, want %d", sql, tc.budget, n, res.Table.NumRows(), hot*fan)
 			}
 		}
 	}
@@ -147,8 +145,8 @@ func TestProbeChunkBudgetExact(t *testing.T) {
 	}
 }
 
-// countdownPolls is countdownCtx for several goroutines: it expires after Err
-// has answered nil left times, and counts the answers.
+// countdownPolls is a context that expires after Err has answered nil left
+// times, and counts the answers.
 type countdownPolls struct {
 	context.Context
 	left, asked *atomic.Int64
@@ -164,11 +162,8 @@ func (c countdownPolls) Err() error {
 
 // TestProbeDeadlineMidway: a probe polls the guard per chunk for the rows it
 // emitted, so a deadline that expires at the k-th poll of the statement stops
-// it with the same error at every worker count, for every k the statement
-// polls, and one past the last stops none. (With several workers the scans and
-// the projection poll per morsel, and how many morsels start before one of them
-// sees the deadline depends on scheduling: there a deadline stops the statement
-// with that error iff one of the run's polls saw it.)
+// it with the same error for every k the statement polls, and one past the last
+// stops none.
 func TestProbeDeadlineMidway(t *testing.T) {
 	db := lowCardJoinDB(3*guardInterval + 100)
 	for _, sql := range []string{
@@ -178,34 +173,27 @@ func TestProbeDeadlineMidway(t *testing.T) {
 		"SELECT a.id, b.v FROM a JOIN b ON a.cat = b.cat WHERE b.id < 40", // high fan-out chunks
 	} {
 		stmt := sqlparse.MustParse(sql)
-		want, err := ExecuteWith(db, stmt, Options{Parallelism: -1})
+		want, err := ExecuteWith(db, stmt, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, par := range []int{-1, 2, 8} {
-			opts := Options{Parallelism: par, minParallelRows: guardInterval}
-			run := func(polls int64) (*Result, error, int64) {
-				var left, asked atomic.Int64
-				left.Store(polls)
-				res, err := ExecuteWithContext(countdownPolls{context.Background(), &left, &asked}, db, stmt, opts)
-				return res, err, asked.Load()
-			}
-			_, err, total := run(1 << 40)
-			if err != nil || total < int64(want.Table.NumRows()/guardInterval) {
-				t.Fatalf("%s (parallelism %d): %v after %d polls for %d rows", sql, par, err, total, want.Table.NumRows())
-			}
-			for polls := int64(0); polls <= total; polls++ {
-				res, err, asked := run(polls)
-				expired := polls < total
-				if par > 1 {
-					expired = polls < asked
-				}
-				switch {
-				case expired && (!errors.Is(err, ErrDeadline) || err.Error() != "engine: query deadline exceeded: context deadline exceeded"):
-					t.Fatalf("%s (parallelism %d): a deadline at poll %d of %d ends in %v", sql, par, polls, total, err)
-				case !expired && (err != nil || resultFingerprint(res) != resultFingerprint(want)):
-					t.Fatalf("%s (parallelism %d): a deadline past the last poll (%d) ends in %v, or another answer", sql, par, polls, err)
-				}
+		run := func(polls int64) (*Result, error, int64) {
+			var left, asked atomic.Int64
+			left.Store(polls)
+			res, err := ExecuteWithContext(countdownPolls{context.Background(), &left, &asked}, db, stmt, Options{})
+			return res, err, asked.Load()
+		}
+		_, err, total := run(1 << 40)
+		if err != nil || total < int64(want.Table.NumRows()/guardInterval) {
+			t.Fatalf("%s: %v after %d polls for %d rows", sql, err, total, want.Table.NumRows())
+		}
+		for polls := int64(0); polls <= total; polls++ {
+			res, err, _ := run(polls)
+			switch expired := polls < total; {
+			case expired && (!errors.Is(err, ErrDeadline) || err.Error() != "engine: query deadline exceeded: context deadline exceeded"):
+				t.Fatalf("%s: a deadline at poll %d of %d ends in %v", sql, polls, total, err)
+			case !expired && (err != nil || resultFingerprint(res) != resultFingerprint(want)):
+				t.Fatalf("%s: a deadline past the last poll (%d) ends in %v, or another answer", sql, polls, err)
 			}
 		}
 	}

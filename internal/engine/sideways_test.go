@@ -91,7 +91,7 @@ func TestSidewaysDecision(t *testing.T) {
 		if d := after[metricScanRowsRead] - before[metricScanRowsRead]; d != c.rowsIn {
 			t.Errorf("%s: %s grew by %d, want %d", c.name, metricScanRowsRead, d, c.rowsIn)
 		}
-		ref, err := ExecuteWith(db, sqlparse.MustParse(sql), Options{TrackLineage: true, UseRowEngine: true})
+		ref, err := rowExecute(context.Background(), db, sqlparse.MustParse(sql), Options{TrackLineage: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,25 +154,19 @@ func TestSidewaysFitsIntermediateBudget(t *testing.T) {
 	db.Add(tt)
 	stmt := sqlparse.MustParse("SELECT a.id, t.id FROM a JOIN b ON a.id = b.a_id JOIN t ON t.id = b.t_id WHERE t.v = 1")
 	opts := Options{TrackLineage: true, MaxIntermediateRows: 1000}
-	rowOpts := opts
-	rowOpts.UseRowEngine = true
-	if _, err := ExecuteWith(db, stmt, rowOpts); !errors.Is(err, ErrRowBudget) {
+	if _, err := rowExecute(context.Background(), db, stmt, opts); !errors.Is(err, ErrRowBudget) {
 		t.Fatalf("row engine under the budget: err = %v, want ErrRowBudget", err)
 	}
-	rowOpts.MaxIntermediateRows = 0
-	ref, err := ExecuteWith(db, stmt, rowOpts)
+	ref, err := rowExecute(context.Background(), db, stmt, Options{TrackLineage: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{-1, 8} {
-		opts.Parallelism = par
-		res, err := ExecuteWith(db, stmt, opts)
-		if err != nil {
-			t.Fatalf("columnar (parallelism %d) under the budget: %v", par, err)
-		}
-		if res.Table.NumRows() != 40 || resultFingerprint(res) != resultFingerprint(ref) {
-			t.Errorf("columnar (parallelism %d): %d rows, diverging from the row engine with the budget lifted (%d rows)", par, res.Table.NumRows(), ref.Table.NumRows())
-		}
+	res, err := ExecuteWith(db, stmt, opts)
+	if err != nil {
+		t.Fatalf("columnar under the budget: %v", err)
+	}
+	if res.Table.NumRows() != 40 || resultFingerprint(res) != resultFingerprint(ref) {
+		t.Errorf("columnar: %d rows, diverging from the row engine with the budget lifted (%d rows)", res.Table.NumRows(), ref.Table.NumRows())
 	}
 }
 
@@ -226,7 +220,7 @@ func TestProbeKeyerTranslatesLazily(t *testing.T) {
 		"SELECT b.v FROM big b JOIN other o ON o.name = b.name WHERE b.v < 10",
 	} {
 		stmt := sqlparse.MustParse(sql)
-		ref, err := ExecuteWith(db, stmt, Options{UseRowEngine: true})
+		ref, err := rowExecute(context.Background(), db, stmt, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,7 +45,7 @@ type Params struct {
 	Seeds int
 	// BaselineBudget caps BRT/GRE search time.
 	BaselineBudget time.Duration
-	// Parallelism is the worker count for scoring and query execution
+	// Parallelism is the worker count for workload scoring
 	// (0 = one worker per CPU, <0 = serial). Results are identical for
 	// every setting; only wall-clock changes.
 	Parallelism int

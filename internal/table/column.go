@@ -1,6 +1,7 @@
 package table
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"strings"
@@ -15,10 +16,11 @@ import (
 // columnar form is derived lazily and cached, invalidated on AppendRow.
 //
 // The engine's vectorized operators consume this view; everything else keeps
-// reading Rows. A column whose cells disagree with the declared schema kind
-// is marked Mixed and the engine falls back to row-at-a-time evaluation for
-// predicates touching it, so the columnar path never has to reproduce
-// cross-kind coercion semantics cell by cell.
+// reading Rows. A relation's column holds NULLs and values of its declared
+// kind and nothing else: buildColumn panics on any other cell (a programming
+// error, as a wrong arity is to AppendRow; ReadCSV parses every field by its
+// column's kind and refuses a null-kind column), so no operator has to
+// reproduce cross-kind coercion semantics cell by cell.
 
 // ZoneChunkRows is the number of rows summarized by one zone-map entry. It is
 // deliberately equal to the engine's morsel size so a zone prunes exactly one
@@ -96,12 +98,9 @@ type Zone struct {
 }
 
 // ColumnData is the columnar form of a single column. Exactly one of the
-// typed vectors is populated, chosen by the declared schema Kind; cells whose
-// runtime kind disagrees with the declaration mark the column Mixed, in which
-// case no vectors are built and callers must read Rows.
+// typed vectors is populated, chosen by the declared schema Kind.
 type ColumnData struct {
-	Kind  Kind
-	Mixed bool
+	Kind Kind
 	// Nulls is non-nil iff the column has at least one NULL cell.
 	Nulls Bitmap
 	// Ints holds KindInt cells (0 at NULL positions).
@@ -124,8 +123,7 @@ func (c *ColumnData) IsNull(i int) bool { return c.Nulls != nil && c.Nulls.Get(i
 // HasNulls reports whether any cell is NULL.
 func (c *ColumnData) HasNulls() bool { return c.Nulls != nil }
 
-// Value reconstructs cell i as a Value. It must not be called on Mixed
-// columns.
+// Value reconstructs cell i as a Value.
 func (c *ColumnData) Value(i int) Value {
 	if c.IsNull(i) {
 		return Null
@@ -157,8 +155,9 @@ type ColumnSet struct {
 }
 
 // Columns returns the columnar view of the table, building and caching it on
-// first use. The cache is invalidated by AppendRow; concurrent callers may
-// build redundantly but always observe a complete, immutable ColumnSet.
+// first use: concurrent first callers block on one build and share its
+// complete, immutable ColumnSet. The cache is invalidated by AppendRow. It
+// panics if a cell is neither NULL nor of its column's declared kind.
 func (t *Table) Columns() *ColumnSet {
 	if cs := t.cols.Load(); cs != nil {
 		return cs
@@ -189,11 +188,6 @@ func buildColumn(t *Table, ci int, out *ColumnData) {
 	n := len(t.Rows)
 	kind := t.Schema[ci].Kind
 	out.Kind = kind
-	if kind == KindNull {
-		// A column declared NULL holds no typed vector worth building.
-		out.Mixed = true
-		return
-	}
 	switch kind {
 	case KindInt:
 		out.Ints = make([]int64, n)
@@ -204,6 +198,8 @@ func buildColumn(t *Table, ci int, out *ColumnData) {
 		out.Dict = &Dict{}
 	case KindBool:
 		out.Bools = make([]bool, n)
+	default:
+		panic(fmt.Sprintf("table %s: column %s is declared %s, which no cell can hold", t.Name, t.Schema[ci].Name, kind))
 	}
 	nChunks := (n + ZoneChunkRows - 1) / ZoneChunkRows
 	zones := make([]Zone, nChunks)
@@ -222,8 +218,7 @@ func buildColumn(t *Table, ci int, out *ColumnData) {
 			continue
 		}
 		if v.Kind != kind {
-			*out = ColumnData{Kind: kind, Mixed: true}
-			return
+			panic(fmt.Sprintf("table %s: column %s row %d holds a %s, declared %s", t.Name, t.Schema[ci].Name, i, v.Kind, kind))
 		}
 		switch kind {
 		case KindInt:

@@ -26,8 +26,8 @@ func TestColumnsBuildTypedVectors(t *testing.T) {
 		t.Fatalf("NumRows = %d, want 4", cs.NumRows)
 	}
 	ints := cs.Cols[0]
-	if ints.Mixed || ints.Kind != KindInt {
-		t.Fatalf("int column: Mixed=%v Kind=%v", ints.Mixed, ints.Kind)
+	if ints.Kind != KindInt {
+		t.Fatalf("int column: Kind=%v", ints.Kind)
 	}
 	if ints.Ints[0] != 3 || ints.Ints[1] != 1 || ints.Ints[2] != 2 {
 		t.Fatalf("int vector = %v", ints.Ints)
@@ -63,19 +63,40 @@ func TestColumnsBuildTypedVectors(t *testing.T) {
 	}
 }
 
-func TestColumnsMixedFallback(t *testing.T) {
-	tbl := New("m", Schema{{Name: "x", Kind: KindInt}})
-	tbl.AppendRow(Row{NewInt(1)})
-	tbl.AppendRow(Row{NewString("oops")})
-	cs := tbl.Columns()
-	if !cs.Cols[0].Mixed {
-		t.Fatal("kind-mismatched cell must mark the column Mixed")
+// columnsPanic is the message Columns panics with on tbl ("" if it does not).
+func columnsPanic(tbl *Table) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	tbl.Columns()
+	return ""
+}
+
+// TestColumnsPanicsOnKindMismatch: a cell that is neither NULL nor of its
+// column's declared kind is a programming error the columnar view refuses,
+// naming table, column, row and both kinds; NULLs are no mismatch.
+func TestColumnsPanicsOnKindMismatch(t *testing.T) {
+	tbl := New("m", Schema{{Name: "ok", Kind: KindString}, {Name: "x", Kind: KindInt}})
+	tbl.AppendRow(Row{NewString("a"), NewInt(1)})
+	tbl.AppendRow(Row{Null, Null})
+	if msg := columnsPanic(tbl); msg != "" {
+		t.Fatalf("NULL cells panicked: %s", msg)
 	}
-	// A column declared KindNull never gets vectors either.
-	tn := New("n", Schema{{Name: "v", Kind: KindNull}})
-	tn.AppendRow(Row{Null})
-	if !tn.Columns().Cols[0].Mixed {
-		t.Fatal("KindNull column should be Mixed")
+	tbl.AppendRow(Row{NewString("b"), NewString("oops")})
+	if got, want := columnsPanic(tbl), "table m: column x row 2 holds a string, declared int"; got != want {
+		t.Fatalf("panic = %q, want %q", got, want)
+	}
+}
+
+// TestColumnsPanicsOnNullKindColumn: no cell can hold a value of kind null, so
+// a column declared that way is refused too, whatever it holds.
+func TestColumnsPanicsOnNullKindColumn(t *testing.T) {
+	tbl := New("n", Schema{{Name: "v", Kind: KindNull}})
+	tbl.AppendRow(Row{Null})
+	if got, want := columnsPanic(tbl), "table n: column v is declared null, which no cell can hold"; got != want {
+		t.Fatalf("panic = %q, want %q", got, want)
 	}
 }
 

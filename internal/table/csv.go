@@ -1,9 +1,12 @@
 package table
 
 import (
+	"bufio"
 	"encoding/csv"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 )
 
@@ -32,7 +35,9 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV parses a table previously written by WriteCSV.
+// ReadCSV parses a table previously written by WriteCSV. Every field is parsed
+// as its column's declared kind (empty is NULL), and a column declared null is
+// refused: no cell could hold a value, and no relation has such a column.
 func ReadCSV(name string, r io.Reader) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
@@ -49,6 +54,9 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 		kind, err := ParseKind(kindName)
 		if err != nil {
 			return nil, err
+		}
+		if kind == KindNull {
+			return nil, fmt.Errorf("table: csv line 1 col %s: declared null, a kind no value has", name)
 		}
 		schema[i] = Column{Name: name, Kind: kind}
 	}
@@ -75,4 +83,36 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 		t.AppendRow(row)
 	}
 	return t, nil
+}
+
+// ReadCSVDir loads every *.csv file of dir, in name order, as the table its
+// base name gives. Errors name the file (ReadCSV adds line and column), and two
+// files whose names fold to the same table are refused: Database.Add would
+// silently replace the first with the second.
+func ReadCSVDir(dir string) (*Database, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "*.csv"))
+	if err != nil {
+		return nil, err
+	}
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("no CSV files in %s", dir)
+	}
+	db := NewDatabase()
+	for _, path := range paths {
+		name := strings.TrimSuffix(filepath.Base(path), ".csv")
+		if prev := db.Table(name); prev != nil {
+			return nil, fmt.Errorf("%s: table %s was already loaded from %s.csv", path, name, prev.Name)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		t, err := ReadCSV(name, bufio.NewReader(f))
+		f.Close() // read only: nothing to lose
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		db.Add(t)
+	}
+	return db, nil
 }

@@ -42,14 +42,11 @@ func FloatJoinKey(f float64) JoinKey {
 // JoinKeyer builds a per-row key extractor over the column. ok=false means
 // NULL (the row does not participate). xlat, for string columns on the probe
 // side, translates one of c's dictionary codes into the build-side dictionary
-// space (-1 = absent, which yields TagMiss and can match nothing). It returns
-// nil for Mixed columns; callers must check before asking for a keyer.
+// space (-1 = absent, which yields TagMiss and can match nothing).
 func (c *ColumnData) JoinKeyer(xlat func(code int32) int32) func(int32) (JoinKey, bool) {
 	nulls := c.Nulls
-	switch {
-	case c.Mixed:
-		return nil
-	case c.Kind == KindInt:
+	switch c.Kind {
+	case KindInt:
 		vals := c.Ints
 		return func(i int32) (JoinKey, bool) {
 			if nulls != nil && nulls.Get(int(i)) {
@@ -57,7 +54,7 @@ func (c *ColumnData) JoinKeyer(xlat func(code int32) int32) func(int32) (JoinKey
 			}
 			return JoinKey{TagNum, uint64(vals[i])}, true
 		}
-	case c.Kind == KindFloat:
+	case KindFloat:
 		vals := c.Floats
 		return func(i int32) (JoinKey, bool) {
 			if nulls != nil && nulls.Get(int(i)) {
@@ -65,7 +62,7 @@ func (c *ColumnData) JoinKeyer(xlat func(code int32) int32) func(int32) (JoinKey
 			}
 			return FloatJoinKey(vals[i]), true
 		}
-	case c.Kind == KindString:
+	case KindString:
 		codes := c.Codes
 		return func(i int32) (JoinKey, bool) {
 			code := codes[i]
@@ -232,7 +229,7 @@ func hashJoinKey(k JoinKey) uint64 {
 	return (k.Bits ^ uint64(k.Tag)<<57) * 0x9E3779B97F4A7C15
 }
 
-// buildJoinIndex indexes a non-Mixed column over all rows, the layout chosen
+// buildJoinIndex indexes a column over all rows, the layout chosen
 // from the data.
 func buildJoinIndex(c *ColumnData, all []int32) *JoinIndex {
 	ix := &JoinIndex{key: c.JoinKeyer(nil)}
@@ -331,8 +328,7 @@ func (ix *JoinIndex) fill(rows []int32, groups int) *JoinIndex {
 	return ix
 }
 
-// JoinIndex returns the join index of column col (which must not be Mixed),
-// building it on first use; built reports whether this call did the build.
+// JoinIndex returns the join index of column col, building it on first use; built reports whether this call did the build.
 // Concurrent first users of one column block on one build and share it. Like
 // the vectors it is derived from, the index is immutable and dies with the
 // ColumnSet when AppendRow invalidates the table's columnar view.

@@ -2,6 +2,8 @@ package table
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -223,6 +225,55 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 	if _, err := ReadCSV("x", strings.NewReader("id:int,name:string\n1\n")); err == nil {
 		t.Error("wrong field count should fail")
+	}
+}
+
+// TestReadCSVDir: a directory of CSV files loads as one database, and whatever
+// stops it — nothing to load, two files naming one table, a column declared
+// null, a cell that is not of its column's kind — is an error naming the file
+// and, inside it, line and column.
+func TestReadCSVDir(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		files   map[string]string
+		wantErr []string // substrings of the error; nil: loads
+	}{
+		{"happy path", map[string]string{"title.csv": "id:int,name:string\n1,Alpha\n2,\n", "Cast.csv": "title_id:int\n1\n"}, nil},
+		{"no CSVs", map[string]string{"notes.txt": "id:int\n1\n"}, []string{"no CSV files in "}},
+		{"two files, one table", map[string]string{"Title.csv": "id:int\n1\n", "title.csv": "id:int\n2\n"}, []string{"title.csv", "already loaded from Title.csv"}},
+		{"null-kind column", map[string]string{"title.csv": "id:int,junk:null\n1,\n"}, []string{"title.csv", "line 1 col junk", "declared null"}},
+		{"cell of another kind", map[string]string{"title.csv": "id:int,year:int\n1,1999\n2,soon\n"}, []string{"title.csv", "line 3 col year", `"soon"`}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for name, body := range tc.files {
+				if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o600); err != nil {
+					t.Fatal(err)
+				}
+			}
+			db, err := ReadCSVDir(dir)
+			if tc.wantErr == nil {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if names := db.TableNames(); len(names) != 2 || names[0] != "cast" || names[1] != "title" {
+					t.Fatalf("tables = %v, want cast then title (file-name order)", names)
+				}
+				if tt := db.Table("title"); tt.NumRows() != 2 || !tt.Rows[1][1].Equal(NewString("")) {
+					t.Fatalf("title = %v", tt.Rows)
+				}
+				db.Table("title").Columns() // every cell is of its column's kind
+				return
+			}
+			if err == nil {
+				t.Fatalf("loaded %v, want an error", db.TableNames())
+			}
+			for _, want := range tc.wantErr {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %q", err, want)
+				}
+			}
+		})
 	}
 }
 

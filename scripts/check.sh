@@ -14,53 +14,21 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
-echo "==> go test -race ./..."
-go test -race ./...
-
-# Parallelism gate: the data-parallel operators (morsel scans, join probe,
-# projection), the scoring worker pool, and the blocked PPO gradient
-# accumulation must stay race-free and worker-count-deterministic. -count=1
-# defeats the test cache so the determinism sweeps actually rerun. This gate
-# also covers the columnar engine: the FuzzRowVsColumnar seed corpus runs the
-# row-vs-columnar differential (byte-identical results and guard/error
-# semantics at parallelism 1, 2 and 8) under the race detector.
-echo "==> parallelism gate: engine/metrics/rl under -race"
-go test -race -count=1 ./internal/engine/ ./internal/metrics/ ./internal/rl/
-
-# Chaos gate: the randomized fault-injection sweeps (Train/Query under seeded
-# fault schedules) run under the race detector with a hard timeout, so any
-# panic, data race, or hang introduced by a change fails the gate here rather
-# than in production. The seeds are fixed inside the tests — a failure log
-# names the seed and replays deterministically.
-echo "==> chaos gate: fault-injection sweeps under -race"
-go test -race -timeout 5m -count=1 ./internal/faults/
-go test -race -timeout 5m -count=1 \
-	-run 'TestChaos|TestScanFaultInjection|TestPreprocessCancellationPerStage|TestTrainRecoversFromInjectedNaN|TestQueryPanicRecovered' \
-	./internal/core/ ./internal/engine/
-
-# Serving gate: the HTTP layer's admission control, circuit breaker, drain,
-# and chaos tests (concurrent clients + fault injection) must stay race-free.
-# -count=1 defeats the cache so the goroutine-leak checks rerun every time.
-# The hot-swap chaos tests (zero-downtime swap under load, retrain faults
-# leaving the incumbent byte-identical, retrain under 4x overload) live here
-# too and run as part of this gate.
-echo "==> serving gate: internal/server under -race"
-go test -race -count=1 -timeout 5m ./internal/server/
-
-# Retrain gate: the drift-triggered background retraining controller — clone
-# isolation, validation gate, atomic swap, rollback, backoff/budget — under
-# the race detector, including the seeded fault-injection sweep over the four
-# retrain/* points. Seeds are fixed inside the tests.
-echo "==> retrain gate: internal/retrain under -race"
-go test -race -count=1 -timeout 5m ./internal/retrain/
-
-# Durability gate: the WAL's crash-fault matrix (seeded kills at every
-# append/fsync/rotate/checkpoint boundary, zero acknowledged-then-lost
-# frames), the replay fuzzer's seed corpus, and the recovery tests run under
-# the race detector. The snapshot-swap kill point and the server-layer
-# kill-and-restart tests are covered by the core and serving gates above.
-echo "==> durability gate: internal/wal under -race"
-go test -race -count=1 -timeout 5m ./internal/wal/
+# One race pass over every package. -count=1 defeats the test cache, so the
+# determinism sweeps, the goroutine-leak checks and the seeded chaos schedules
+# actually rerun; the timeout turns a hang into a failure. What it guards, by
+# package: the scoring worker pool and the blocked PPO gradient accumulation
+# stay race-free and worker-count-deterministic (metrics, rl); the
+# FuzzRowVsColumnar seed corpus holds the engine to the row-at-a-time
+# reference — byte-identical results, guard and error semantics (engine); the
+# randomized fault-injection sweeps end without panic, race or hang, a failure
+# log naming the seed to replay (faults, core, engine); admission control,
+# circuit breaker, drain and hot swap under concurrent clients (server); the
+# retrain controller's clone isolation, validation gate, swap, rollback and
+# backoff (retrain); and the WAL's crash-fault matrix, replay fuzz corpus and
+# recovery (wal).
+echo "==> go test -race -count=1 -timeout 10m ./..."
+go test -race -count=1 -timeout 10m ./...
 
 # Fuzz smoke: the seed corpora of the fuzz targets already ran as tests above;
 # a few seconds of mutation on top catch what a change to the grammar, the
@@ -80,15 +48,12 @@ echo "==> go test -bench=Fig2 -benchtime=1x -run='^\$' ./...  (-> ${bench_out})"
 go test -bench=Fig2 -benchtime=1x -run='^$' "$@" ./... |
 	BENCHJSON_OUT="${bench_out}" go run ./scripts/benchjson
 
-# Columnar engine bench: the vectorized scan and index-backed join against
-# their row-engine counterparts, the three-way indexed join warm and cold
-# (cold pays the one-time index builds), and the scan phase's access paths
-# (selective two-way, three-way chain, and the wide shape that declines), the
-# aggregate phase over a 50 000-row join (allocs/op follow its groups), and
-# the join probe alone over 50 000 probe rows per kind of index (ns/probe-row;
-# the same at every worker count), recorded into the same history.
-# (BenchmarkParallelCrossover, which parallelMinRows is read from, is run by
-# hand when the scan changes.)
+# Engine bench: the vectorized scan and the index-backed join, the three-way
+# indexed join warm and cold (cold pays the one-time index builds), and the
+# scan phase's access paths (selective two-way, three-way chain, and the wide
+# shape that declines), the aggregate phase over a 50 000-row join (allocs/op
+# follow its groups), and the join probe alone over 50 000 probe rows per kind
+# of index (ns/probe-row), recorded into the same history.
 echo "==> go test -bench='ColumnarScan|HashJoinAllocs|JoinIndexed|SidewaysJoin|AggregateJoin|Probe' ./internal/engine/  (-> ${bench_out})"
 go test -bench='ColumnarScan|HashJoinAllocs|JoinIndexed|SidewaysJoin|AggregateJoin|Probe' -benchtime=10x -benchmem -run='^$' ./internal/engine/ |
 	BENCHJSON_OUT="${bench_out}" go run ./scripts/benchjson
@@ -133,7 +98,7 @@ go test -bench='RecoveryReplay' -benchtime=2x -run='^$' ./internal/wal/ |
 # Audit-overhead bench: the disabled shadow auditor must stay a pointer
 # compare on the serve hot path — the bench records ns/op and allocs/op so
 # any regression shows in the history (the 0-alloc assertion itself lives in
-# TestAuditDisabledZeroAlloc, run in the race gate above).
+# TestAuditDisabledZeroAlloc, run in the race pass above).
 echo "==> go test -bench=AuditDisabledOverhead ./internal/audit/  (-> ${bench_out})"
 go test -bench=AuditDisabledOverhead -benchtime=100000x -run='^$' ./internal/audit/ |
 	BENCHJSON_OUT="${bench_out}" go run ./scripts/benchjson
@@ -142,7 +107,7 @@ go test -bench=AuditDisabledOverhead -benchtime=100000x -run='^$' ./internal/aud
 # request-path instrumentation the SLO layer added must stay one atomic load
 # and zero allocations; the bench records ns/op and allocs/op for both the
 # disabled and armed paths (the hard 0-alloc assertion lives in
-# TestSLOHotPathZeroAlloc, run in the serving gate above).
+# TestSLOHotPathZeroAlloc, run in the race pass above).
 echo "==> go test -bench=SLODisabledOverhead ./internal/server/  (-> ${bench_out})"
 go test -bench=SLODisabledOverhead -benchtime=100000x -run='^$' ./internal/server/ |
 	BENCHJSON_OUT="${bench_out}" go run ./scripts/benchjson
@@ -186,7 +151,7 @@ rm -f "${serve_bin}" "${snap_file}"
 # the loadgen stamping a traceparent on each request). The export must parse
 # as JSONL and every record must be a single connected span tree. Goroutine
 # hygiene after a traced drain is asserted in-process by
-# TestDrainLeavesNoTraceGoroutines in the serving gate.
+# TestDrainLeavesNoTraceGoroutines in the race pass.
 echo "==> tracing gate: validate JSONL trace export"
 go run ./scripts/tracecheck "${trace_dir}"
 rm -rf "${trace_dir}"
