@@ -216,7 +216,7 @@ func (a *Auditor) Enabled() bool { return a != nil }
 // when the answer was enqueued. rows is the served row count; agg is the
 // served result of an aggregate statement (nil otherwise). Nil-safe and
 // allocation-free when disabled.
-func (a *Auditor) Consider(stmt *sqlparse.Select, sv Served, rows int, agg *table.Table) bool {
+func (a *Auditor) Consider(stmt *sqlparse.Select, sv Served, rows int, agg *table.RowSet) bool {
 	if a == nil || a.closed.Load() {
 		return false
 	}
@@ -237,7 +237,7 @@ func (a *Auditor) Consider(stmt *sqlparse.Select, sv Served, rows int, agg *tabl
 	}
 	if stmt.HasAggregates() {
 		j.isAgg = true
-		j.values = aggValues(stmt, agg)
+		j.values = agg.GroupValues(len(stmt.GroupBy) > 0)
 	}
 	select {
 	case a.jobs <- j:
@@ -398,7 +398,7 @@ func (a *Auditor) groundTruth(ctx context.Context, db *table.Database, frame int
 		if err != nil {
 			return 0, 0, fmt.Errorf("audit: ground truth: %w", err)
 		}
-		truth := aggValues(j.stmt, res.Table)
+		truth := res.Table.GroupValues(len(j.stmt.GroupBy) > 0)
 		return metrics.GroupRelativeError(j.values, truth), res.Table.NumRows(), nil
 	}
 	n, err := engine.CountContext(ctx, db, j.stmt, engine.Options{})
@@ -418,25 +418,4 @@ func (a *Auditor) warnBurn(j job, shape string, relErr float64) {
 		"relative_error", relErr, "slo_p95", a.cfg.SLOP95, "shape", shape,
 		"sql", j.served.SQL, "trace_id", j.served.TraceID.String(),
 		"degraded", j.served.Degraded, "reason", j.served.Reason)
-}
-
-// aggValues converts an executed aggregate result into group → value, the
-// same convention as core.AggregateResult (group key is the first column's
-// Value.String(); "" for global aggregates; first aggregate value only).
-func aggValues(stmt *sqlparse.Select, t *table.Table) map[string]float64 {
-	out := map[string]float64{}
-	if t == nil {
-		return out
-	}
-	grouped := len(stmt.GroupBy) > 0
-	for _, r := range t.Rows {
-		if grouped {
-			if len(r) >= 2 {
-				out[r[0].String()] = r[1].AsFloat()
-			}
-		} else if len(r) >= 1 {
-			out[""] = r[0].AsFloat()
-		}
-	}
-	return out
 }

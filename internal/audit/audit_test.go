@@ -170,12 +170,13 @@ func TestAuditAggregateGroupError(t *testing.T) {
 	stmt := mustParse(t, "SELECT genre, COUNT(*) FROM movies GROUP BY genre")
 	// Truth: drama 3, comedy 1, action 1. Served: drama 2 (error 1/3),
 	// comedy 1 (exact), action missing (error 1) → mean 4/9.
-	served := table.New("served", table.Schema{
+	served := &table.RowSet{Schema: table.Schema{
 		{Name: "genre", Kind: table.KindString},
 		{Name: "count", Kind: table.KindInt},
-	})
-	served.AppendRow(table.Row{table.NewString("drama"), table.NewInt(2)})
-	served.AppendRow(table.Row{table.NewString("comedy"), table.NewInt(1)})
+	}, Rows: []table.Row{
+		{table.NewString("drama"), table.NewInt(2)},
+		{table.NewString("comedy"), table.NewInt(1)},
+	}}
 	sv := Served{SQL: stmt.String(), Source: "approximation"}
 	a.Consider(stmt, sv, served.NumRows(), served)
 	waitCompleted(t, a, 1)
@@ -331,8 +332,7 @@ func TestAuditWorstOffenderOrdering(t *testing.T) {
 	bad := mustParse(t, "SELECT title FROM movies WHERE rating > 7")
 	a.Consider(bad, Served{SQL: bad.String(), Source: "approximation"}, 1, nil)
 	good := mustParse(t, "SELECT COUNT(*) FROM movies")
-	exact := table.New("served", table.Schema{{Name: "count", Kind: table.KindInt}})
-	exact.AppendRow(table.Row{table.NewInt(5)})
+	exact := &table.RowSet{Schema: table.Schema{{Name: "count", Kind: table.KindInt}}, Rows: []table.Row{{table.NewInt(5)}}}
 	a.Consider(good, Served{SQL: good.String(), Source: "approximation"}, exact.NumRows(), exact)
 	waitCompleted(t, a, 2)
 

@@ -36,7 +36,7 @@ func buildPool(db *table.Database, size int, rng *rand.Rand) []poolRow {
 		for _, i := range sample.Uniform(t.NumRows(), quota, rng) {
 			pool = append(pool, poolRow{
 				id:  table.RowID{Table: strings.ToLower(t.Name), Row: i},
-				row: t.Rows[i],
+				row: t.Row(i),
 				tab: t,
 			})
 		}
@@ -173,7 +173,7 @@ func skylineLayers(t *table.Table, pool []int, quota int) []int {
 		if t.Schema[ci].Kind == table.KindString {
 			f := map[string]int{}
 			for _, ri := range pool {
-				f[t.Rows[ri][ci].Str]++
+				f[t.Cell(ri, ci).Str]++
 			}
 			freq[di] = f
 		}
@@ -182,7 +182,7 @@ func skylineLayers(t *table.Table, pool []int, quota int) []int {
 	for pi, ri := range pool {
 		v := make([]float64, len(dims))
 		for di, ci := range dims {
-			cell := t.Rows[ri][ci]
+			cell := t.Cell(ri, ci)
 			if freq[di] != nil {
 				v[di] = float64(freq[di][cell.Str])
 			} else {
@@ -305,8 +305,8 @@ func (QuickR) Build(db *table.Database, train workload.Workload, k int, opts Opt
 		} else {
 			strata := make([]int, t.NumRows())
 			seen := map[string]int{}
-			for i, r := range t.Rows {
-				key := r[strat].Key()
+			for i := range strata {
+				key := t.Cell(i, strat).Key()
 				id, ok := seen[key]
 				if !ok {
 					id = len(seen)
@@ -335,8 +335,8 @@ func strataColumn(t *table.Table) int {
 			continue
 		}
 		card := map[string]bool{}
-		for _, r := range t.Rows {
-			card[r[ci].Str] = true
+		for r := 0; r < t.NumRows(); r++ {
+			card[t.Cell(r, ci).Str] = true
 			if len(card) > 256 {
 				break
 			}

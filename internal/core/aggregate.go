@@ -62,19 +62,9 @@ func (s *System) QueryAggregateStmt(stmt *sqlparse.Select) (*AggregateResult, er
 		return nil, err
 	}
 	out := &AggregateResult{
-		Values:            map[string]float64{},
+		Values:            res.Table.GroupValues(len(stmt.GroupBy) > 0),
 		ScaleFactor:       1,
 		FromApproximation: fromApprox,
-	}
-	grouped := len(stmt.GroupBy) > 0
-	for _, r := range res.Table.Rows {
-		if grouped {
-			if len(r) >= 2 {
-				out.Values[r[0].String()] = r[1].AsFloat()
-			}
-		} else if len(r) >= 1 {
-			out.Values[""] = r[0].AsFloat()
-		}
 	}
 
 	// Scale COUNT/SUM by the sampling ratio of the queried table when
@@ -126,18 +116,7 @@ func (s *System) ExactAggregate(stmt *sqlparse.Select) (map[string]float64, erro
 	if err != nil {
 		return nil, err
 	}
-	out := map[string]float64{}
-	grouped := len(stmt.GroupBy) > 0
-	for _, r := range res.Table.Rows {
-		if grouped {
-			if len(r) >= 2 {
-				out[r[0].String()] = r[1].AsFloat()
-			}
-		} else if len(r) >= 1 {
-			out[""] = r[0].AsFloat()
-		}
-	}
-	return out, nil
+	return res.Table.GroupValues(len(stmt.GroupBy) > 0), nil
 }
 
 // AggregateCategory buckets an aggregate query the way Figure 12 does:

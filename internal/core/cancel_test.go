@@ -11,7 +11,6 @@ import (
 	"asqprl/internal/engine"
 	"asqprl/internal/faults"
 	"asqprl/internal/rl"
-	"asqprl/internal/table"
 )
 
 // countGoroutines samples the goroutine count after a settle period so
@@ -292,39 +291,5 @@ func TestAgentCancellationBetweenIterations(t *testing.T) {
 	}
 	if stats.Iterations != 0 {
 		t.Errorf("pre-canceled TrainContext ran %d iterations", stats.Iterations)
-	}
-}
-
-// TestQueryOnKindMismatchedTableIsAnError: a hand-built table with a cell of
-// another kind than its column declares is a programming error the columnar
-// view panics on. A query that reaches it does not crash the process: while
-// the approximation set holds none of the table the ladder answers from it,
-// tagged degraded, and once every rung reaches the cell the query comes back as
-// an error naming table, column and row.
-func TestQueryOnKindMismatchedTableIsAnError(t *testing.T) {
-	data, err := trainedSystem(t).SaveBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := testIMDB()
-	bad := table.New("bad", table.Schema{{Name: "x", Kind: table.KindInt}})
-	bad.AppendRow(table.Row{table.NewInt(1)})
-	bad.AppendRow(table.Row{table.NewString("oops")})
-	db.Add(bad)
-	sys, err := LoadBytes(db, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	query := func() (*QueryResult, error) {
-		return sys.QueryContext(context.Background(), "SELECT * FROM bad WHERE x > 0", QueryOptions{Backoff: time.Microsecond})
-	}
-	if res, err := query(); err != nil || !res.Degraded || res.FullFailure != "fault" {
-		t.Fatalf("full rung alone reaches the cell: result %+v, err = %v; want a degraded answer after a fault", res, err)
-	}
-	sys.set.Add(table.RowID{Table: "bad", Row: 1})
-	sys.setDB = sys.set.Materialize(db)
-	res, err := query()
-	if want := "table bad: column x row 1 holds a string, declared int"; err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("every rung reaches the cell: result %+v, err = %v; want an error naming %q", res, err, want)
 	}
 }

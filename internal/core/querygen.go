@@ -112,8 +112,8 @@ func collectStats(t *table.Table, rng *rand.Rand) tableStats {
 		cs := columnStats{name: col.Name, kind: col.Kind}
 		distinct := map[string]bool{}
 		first := true
-		for _, r := range t.Rows {
-			v := r[ci]
+		for r := 0; r < t.NumRows(); r++ {
+			v := t.Cell(r, ci)
 			if v.IsNull() {
 				continue
 			}
@@ -135,7 +135,7 @@ func collectStats(t *table.Table, rng *rand.Rand) tableStats {
 		// Sample values with repetition (popularity-weighted).
 		n := t.NumRows()
 		for s := 0; s < maxSamples && s < n; s++ {
-			v := t.Rows[rng.Intn(n)][ci]
+			v := t.Cell(rng.Intn(n), ci)
 			if !v.IsNull() {
 				cs.samples = append(cs.samples, v)
 			}

@@ -251,7 +251,7 @@ func (s *System) BuildSet(reqSize int) (*table.Subset, error) {
 // QueryResult is the outcome of answering one user query.
 type QueryResult struct {
 	// Table holds the result rows.
-	Table *table.Table
+	Table *table.RowSet
 	// Frame is the answer of QueryFrameContext, which sets it instead of
 	// Table: the result before any output row is built (see engine.Frame,
 	// also for how long it stays valid).
@@ -376,7 +376,7 @@ func (s *System) QueryStmtContext(ctx context.Context, stmt *sqlparse.Select, op
 }
 
 // QueryFrameContext is QueryStmtContext for a caller that writes the answer
-// somewhere other than a table.Table (the server's JSON encoder): the same
+// somewhere other than a table.RowSet (the server's JSON encoder): the same
 // ladder, with QueryResult.Frame set instead of Table.
 func (s *System) QueryFrameContext(ctx context.Context, stmt *sqlparse.Select, opts QueryOptions) (*QueryResult, error) {
 	return s.answer(ctx, stmt, opts, true)
@@ -641,7 +641,7 @@ func (s *System) recordQuery(out *QueryResult, start time.Time, err error) {
 
 // QueryApprox always answers from the approximation set, regardless of the
 // estimator (used by experiments that measure raw set quality).
-func (s *System) QueryApprox(stmt *sqlparse.Select) (*table.Table, error) {
+func (s *System) QueryApprox(stmt *sqlparse.Select) (*table.RowSet, error) {
 	res, err := engine.ExecuteWith(s.setDB, stmt, engine.Options{})
 	if err != nil {
 		return nil, err

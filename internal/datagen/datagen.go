@@ -387,8 +387,8 @@ func Blowup(db *table.Database, factor int) *table.Database {
 		idCol := t.ColumnIndex("id")
 		nextID := int64(t.NumRows())
 		for f := 0; f < factor; f++ {
-			for _, r := range t.Rows {
-				row := r.Clone()
+			for i := 0; i < t.NumRows(); i++ {
+				row := t.Row(i)
 				if f > 0 && idCol >= 0 {
 					row[idCol] = table.NewInt(nextID)
 					nextID++

@@ -21,7 +21,8 @@ func TestIMDBShape(t *testing.T) {
 	titles := db.Table("title").NumRows()
 	ci := db.Table("cast_info")
 	col := ci.ColumnIndex("title_id")
-	for _, r := range ci.Rows {
+	for ri := 0; ri < ci.NumRows(); ri++ {
+		r := ci.Row(ri)
 		if id := r[col].Int; id < 0 || id >= int64(titles) {
 			t.Fatalf("dangling title_id %d", id)
 		}
@@ -46,7 +47,8 @@ func TestIMDBSkew(t *testing.T) {
 	// uniform share.
 	counts := map[string]int{}
 	gi := db.Table("title").ColumnIndex("genre")
-	for _, r := range db.Table("title").Rows {
+	for ri := 0; ri < db.Table("title").NumRows(); ri++ {
+		r := db.Table("title").Row(ri)
 		counts[r[gi].Str]++
 	}
 	max, total := 0, 0
@@ -87,7 +89,8 @@ func TestFlightsShape(t *testing.T) {
 	}
 	// origin != dest invariant.
 	oi, di := f.ColumnIndex("origin"), f.ColumnIndex("dest")
-	for _, r := range f.Rows {
+	for ri := 0; ri < f.NumRows(); ri++ {
+		r := f.Row(ri)
 		if r[oi].Str == r[di].Str {
 			t.Fatal("origin == dest")
 		}
@@ -108,13 +111,13 @@ func TestDeterminism(t *testing.T) {
 	if at.NumRows() != bt.NumRows() {
 		t.Fatal("row counts differ")
 	}
-	for i := range at.Rows {
-		if at.Rows[i].Key() != bt.Rows[i].Key() {
+	for i := 0; i < at.NumRows(); i++ {
+		if at.Row(i).Key() != bt.Row(i).Key() {
 			t.Fatal("same seed produced different data")
 		}
 	}
 	c := IMDB(0.01, 6)
-	if c.Table("title").Rows[0].Key() == at.Rows[0].Key() && c.Table("title").Rows[1].Key() == at.Rows[1].Key() {
+	if c.Table("title").Row(0).Key() == at.Row(0).Key() && c.Table("title").Row(1).Key() == at.Row(1).Key() {
 		t.Error("different seeds produced identical data")
 	}
 }
@@ -139,7 +142,8 @@ func TestBlowup(t *testing.T) {
 	f := big.Table("flights")
 	idc := f.ColumnIndex("id")
 	seen := map[int64]bool{}
-	for _, r := range f.Rows {
+	for ri := 0; ri < f.NumRows(); ri++ {
+		r := f.Row(ri)
 		if seen[r[idc].Int] {
 			t.Fatal("duplicate id after blowup")
 		}

@@ -135,7 +135,7 @@ func newAggStates(b *binder, calls []*sqlparse.Call) []*aggState {
 // argument, see planAggregate), and the reference executor's. Every tuple's GROUP BY key is built
 // in one reused byte buffer (the map copies it only when a new group is created)
 // and every aggregate argument is a boxed Value.
-func aggregateRows(b *binder, stmt *sqlparse.Select, n int, tuple func(i int) evalEnv, g *guard) (*table.Table, error) {
+func aggregateRows(b *binder, stmt *sqlparse.Select, n int, tuple func(i int) evalEnv, g *guard) (*table.RowSet, error) {
 	if stmt.Star {
 		return nil, errStarAggregate
 	}
@@ -194,7 +194,7 @@ var errStarAggregate = errors.New("engine: SELECT * cannot be combined with aggr
 // order, applying HAVING and the output-row budget; load fills in group gi.
 // Shared by the row-at-a-time and typed aggregation paths, so their results
 // are identical by construction.
-func emitAggRows(b *binder, stmt *sqlparse.Select, n, nCalls int, load func(gi int, gr *group), callIndex map[*sqlparse.Call]int, g *guard) (*table.Table, error) {
+func emitAggRows(b *binder, stmt *sqlparse.Select, n, nCalls int, load func(gi int, gr *group), callIndex map[*sqlparse.Call]int, g *guard) (*table.RowSet, error) {
 	schema := make(table.Schema, len(stmt.Items))
 	for i, it := range stmt.Items {
 		name := it.Alias
@@ -203,7 +203,7 @@ func emitAggRows(b *binder, stmt *sqlparse.Select, n, nCalls int, load func(gi i
 		}
 		schema[i] = table.Column{Name: name, Kind: inferKind(b, it.Expr)}
 	}
-	out := table.New("result", schema)
+	out := &table.RowSet{Schema: schema}
 
 	gr := &group{vals: make([]table.Value, nCalls)}
 	for gi := 0; gi < n; gi++ {
@@ -228,7 +228,7 @@ func emitAggRows(b *binder, stmt *sqlparse.Select, n, nCalls int, load func(gi i
 			}
 			row[i] = v
 		}
-		out.AppendRow(row)
+		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
 }

@@ -263,12 +263,14 @@ func probeBenchDB() *table.Database {
 	db.Add(kinds)
 	const spread = 1_000_003
 	mi, sparseInfo := db.Table("movie_info"), table.New("sparse_info", table.Schema{{Name: "title_sp", Kind: table.KindInt}})
-	for _, r := range mi.Rows {
+	for ri := 0; ri < mi.NumRows(); ri++ {
+		r := mi.Row(ri)
 		sparseInfo.AppendRow(table.Row{table.NewInt(r[mi.ColumnIndex("title_id")].Int * spread)})
 	}
 	db.Add(sparseInfo)
 	ti, sparseTitle := db.Table("title"), table.New("sparse_title", table.Schema{{Name: "sp", Kind: table.KindInt}})
-	for _, r := range ti.Rows {
+	for ri := 0; ri < ti.NumRows(); ri++ {
+		r := ti.Row(ri)
 		sparseTitle.AppendRow(table.Row{table.NewInt(r[ti.ColumnIndex("id")].Int * spread)})
 	}
 	db.Add(sparseTitle)

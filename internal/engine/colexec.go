@@ -621,7 +621,7 @@ func projectCol(b *binder, stmt *sqlparse.Select, jb *joinedBatch, opts Options,
 		if trip = g.out(jb.n); trip != nil {
 			keep, limited = g.maxOutput, false
 		} else if limited && stmt.Limit < keep && (countOnly || opts.frames) {
-			// A caller that wants a table.Table still gets the pre-LIMIT rows
+			// A caller that wants a table.RowSet still gets the pre-LIMIT rows
 			// built and cut afterwards, as before frames existed; DESIGN §13
 			// "Answer path" says why that saving waits for a later change.
 			keep = stmt.Limit

@@ -84,7 +84,8 @@ func TestDifferentialSingleTable(t *testing.T) {
 			p1.col, p1.op, p1.val, conn, p2.col, p2.op, p2.val)
 
 		want := 0
-		for _, row := range ta.Rows {
+		for i := 0; i < ta.NumRows(); i++ {
+			row := ta.Row(i)
 			a, b := p1.eval(ta, row), p2.eval(ta, row)
 			if (conn == "AND" && a && b) || (conn == "OR" && (a || b)) {
 				want++
@@ -127,9 +128,9 @@ func TestDifferentialJoinPaths(t *testing.T) {
 		// Nested-loop ground truth.
 		ta, tb := db.Table("ta"), db.Table("tb")
 		want := 0
-		for _, ra := range ta.Rows {
-			for _, rb := range tb.Rows {
-				if ra[0].Int == rb[0].Int && rb[1].Int > int64(zCut) {
+		for i := 0; i < ta.NumRows(); i++ {
+			for j := 0; j < tb.NumRows(); j++ {
+				if ta.Cell(i, 0).Int == tb.Cell(j, 0).Int && tb.Cell(j, 1).Int > int64(zCut) {
 					want++
 				}
 			}
@@ -195,7 +196,8 @@ func TestAggregateConsistencyWithManualGrouping(t *testing.T) {
 			sum float64
 		}
 		want := map[int64]*agg{}
-		for _, r := range db.Table("ta").Rows {
+		for i, ta := 0, db.Table("ta"); i < ta.NumRows(); i++ {
+			r := ta.Row(i)
 			if r[2].Int < int64(cut) {
 				continue
 			}

@@ -15,7 +15,7 @@ type Result struct {
 	// Table holds the projected output rows. It is nil for count-only
 	// execution (see CountContext), where Count carries the answer, and for
 	// ExecuteFrameContext, where Frame does.
-	Table *table.Table
+	Table *table.RowSet
 	// Lineage, when tracked, holds for each output row the base-table rows
 	// that produced it (one RowID per relation in the FROM/JOIN list).
 	// It is nil for aggregate queries.
@@ -108,7 +108,7 @@ func CountContext(ctx context.Context, db *table.Database, stmt *sqlparse.Select
 }
 
 // ExecuteFrameContext is ExecuteWithContext for a caller that writes the
-// answer somewhere other than a table.Table: the result carries a Frame and no
+// answer somewhere other than a table.RowSet: the result carries a Frame and no
 // Table, and an SPJ projection of columns and literals builds no output row at
 // all — LIMIT just shortens the frame. Guards, budgets (charged on the
 // pre-LIMIT count; a tripped output budget returns the partial frame with the
@@ -306,14 +306,13 @@ func relFilters(preds []predClass, rel int) []sqlparse.Expr {
 // one of whose filters does not compile to a vectorized kernel (an evaluation
 // error surfaces at the first row, in row order, that raises it).
 func scanRelationRows(b *binder, rel int, filters []sqlparse.Expr, g *guard) ([]int32, error) {
-	rows := b.tables[rel].Rows
-	n := len(b.tables)
-	keep := make([]int32, 0, len(rows))
-	probe := make(joinedRow, n)
+	rows := b.tables[rel].NumRows()
+	keep := make([]int32, 0, rows)
+	probe := make(joinedRow, len(b.tables))
 	for i := range probe {
 		probe[i] = -1
 	}
-	for i := range rows {
+	for i := 0; i < rows; i++ {
 		if err := g.tick(1); err != nil {
 			return nil, err
 		}
@@ -370,9 +369,9 @@ func inferKind(b *binder, e sqlparse.Expr) table.Kind {
 		switch x.Name {
 		case "COUNT":
 			return table.KindInt
-		case "AVG":
+		case "AVG", "SUM": // a SUM is accumulated and returned as a float, whatever it adds up
 			return table.KindFloat
-		default: // SUM/MIN/MAX follow the argument
+		default: // MIN/MAX follow the argument
 			if x.Arg != nil {
 				return inferKind(b, x.Arg)
 			}

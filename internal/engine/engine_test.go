@@ -67,6 +67,20 @@ func testDB() *table.Database {
 	return db
 }
 
+// withCell is tbl with one cell replaced. A relation is immutable, so a test
+// that wants a NULL somewhere builds the table again.
+func withCell(tbl *table.Table, row, col int, v table.Value) *table.Table {
+	out := table.New(tbl.Name, tbl.Schema)
+	for i := 0; i < tbl.NumRows(); i++ {
+		r := tbl.Row(i)
+		if i == row {
+			r[col] = v
+		}
+		out.AppendRow(r)
+	}
+	return out
+}
+
 func mustExec(t *testing.T, db *table.Database, sql string) *Result {
 	t.Helper()
 	res, err := ExecuteSQL(db, sql)
@@ -88,8 +102,8 @@ func TestExecuteSimpleFilter(t *testing.T) {
 
 func TestExecuteStarProjection(t *testing.T) {
 	res := mustExec(t, testDB(), "SELECT * FROM movies WHERE id = 1")
-	if res.Table.NumCols() != 5 {
-		t.Fatalf("cols = %d, want 5", res.Table.NumCols())
+	if len(res.Table.Schema) != 5 {
+		t.Fatalf("cols = %d, want 5", len(res.Table.Schema))
 	}
 	if res.Table.Schema[0].Name != "movies.id" {
 		t.Errorf("star column names should be qualified, got %q", res.Table.Schema[0].Name)
@@ -150,9 +164,9 @@ func TestJoinMatchesBruteForce(t *testing.T) {
 	res := mustExec(t, db, "SELECT m.id, c.person FROM movies m, credits c WHERE m.id = c.movie_id")
 	movies, credits := db.Table("movies"), db.Table("credits")
 	want := 0
-	for _, mr := range movies.Rows {
-		for _, cr := range credits.Rows {
-			if mr[0].Equal(cr[0]) {
+	for i := 0; i < movies.NumRows(); i++ {
+		for j := 0; j < credits.NumRows(); j++ {
+			if movies.Cell(i, 0).Equal(credits.Cell(j, 0)) {
 				want++
 			}
 		}
@@ -179,7 +193,7 @@ func TestLineageTracking(t *testing.T) {
 	// The movie row referenced by lineage must actually satisfy the query.
 	db := testDB()
 	for _, lin := range res.Lineage {
-		row := db.Table("movies").Rows[lin[0].Row]
+		row := db.Table("movies").Row(lin[0].Row)
 		if row[0].Kind != table.KindInt {
 			t.Error("lineage points at wrong column layout")
 		}
@@ -297,8 +311,7 @@ func TestAggregateGroupByEmptyInput(t *testing.T) {
 
 func TestAggregateCountColumnSkipsNulls(t *testing.T) {
 	db := testDB()
-	m := db.Table("movies")
-	m.Rows[0][3] = table.Null // rating of Alpha
+	db.Add(withCell(db.Table("movies"), 0, 3, table.Null)) // rating of Alpha
 	res := mustExec(t, db, "SELECT COUNT(rating) FROM movies")
 	if res.Table.Rows[0][0].Int != 4 {
 		t.Errorf("COUNT(col) with null = %v, want 4", res.Table.Rows[0][0])
@@ -316,8 +329,7 @@ func TestAggregateExpressionOverAggregates(t *testing.T) {
 
 func TestNullJoinSemantics(t *testing.T) {
 	db := testDB()
-	credits := db.Table("credits")
-	credits.Rows[0][0] = table.Null // Ann/director now has NULL movie_id
+	db.Add(withCell(db.Table("credits"), 0, 0, table.Null)) // Ann/director now has NULL movie_id
 	res := mustExec(t, db, "SELECT m.title FROM movies m JOIN credits c ON m.id = c.movie_id")
 	// Previously 6 matching pairs, one removed by the NULL key.
 	if res.Table.NumRows() != 5 {

@@ -158,7 +158,7 @@ func (e evalEnv) value(bd binding) table.Value {
 	if ri < 0 {
 		return table.Null
 	}
-	return e.b.tables[bd.rel].Rows[ri][bd.col]
+	return e.b.col(bd).Value(int(ri))
 }
 
 // likeCacheCap bounds the LIKE-pattern memo. Workloads reuse a small set of

@@ -8,12 +8,13 @@ import (
 // Frame is an answer that has not been copied into rows: the output schema,
 // the row count, and per output column where each cell lives. An SPJ
 // projection of column references and literals ends as a frame over the base
-// tables' rows and the joined batch's row-id vectors, so LIMIT shortens N and
-// a caller with its own sink (the server's JSON encoder) reads cells in place;
-// anything that needs values first (DISTINCT, ORDER BY, aggregates, expression
-// projections) is a frame over its own materialized rows.
+// tables' column vectors and the joined batch's row-id vectors, so LIMIT
+// shortens N and a caller with its own sink (the server's JSON encoder) boxes
+// one cell at a time and keeps none; anything that needs values first
+// (DISTINCT, ORDER BY, aggregates, expression projections) is a frame over its
+// own materialized rows.
 //
-// A frame borrows the rows of the database it was executed on. Those are
+// A frame borrows the vectors of the database it was executed on. Those are
 // immutable for the life of a serving generation; a frame must be consumed
 // before the request that produced it returns.
 type Frame struct {
@@ -21,47 +22,57 @@ type Frame struct {
 	N      int
 	Cols   []FrameCol
 
-	own *table.Table // set when the frame is over its own rows
+	own *table.RowSet // set when the frame is over its own rows
 }
 
-// FrameCol locates one output column: cell i is Lit when Rows is nil, else
-// Rows[Sel[i]][Col] (Rows[i][Col] when Sel is nil).
+// FrameCol locates one output column. Cell i is Data's cell Sel[i] (cell i when
+// Sel is nil) when Data, a relation's column, is set; Rows[i][Col] when Rows,
+// the answer's own, is; Lit otherwise.
 type FrameCol struct {
 	Lit  table.Value
-	Rows []table.Row
+	Data *table.ColumnData
 	Sel  []int32
+	Rows []table.Row
 	Col  int
-
-	rel  int // relation the column reads (-1: literal or evaluated)
-	more int // output columns after this one that read the next cells of the same row
 }
 
-// Cell returns output cell i of the column, in place.
-func (c *FrameCol) Cell(i int) *table.Value {
-	if c.Rows == nil {
-		return &c.Lit
+// Cell returns output cell i of the column.
+func (c *FrameCol) Cell(i int) table.Value {
+	switch {
+	case c.Data != nil:
+		if c.Sel != nil {
+			i = int(c.Sel[i])
+		}
+		return c.Data.Value(i)
+	case c.Rows != nil:
+		return c.Rows[i][c.Col]
 	}
-	return &c.row(i)[c.Col]
+	return c.Lit
 }
 
-func (c *FrameCol) row(i int) table.Row {
-	if c.Sel != nil {
-		i = int(c.Sel[i])
+// fill boxes the column's cells lo, lo+1, ... into column j of dst, whose cells
+// are still zero.
+func (c *FrameCol) fill(dst []table.Row, j, lo int) {
+	if c.Data != nil {
+		c.Data.Gather(dst, j, c.Sel, lo)
+		return
 	}
-	return c.Rows[i]
+	for k, r := range dst {
+		r[j] = c.Cell(lo + k)
+	}
 }
 
 // frameOver wraps materialized rows as a frame.
-func frameOver(t *table.Table) *Frame {
+func frameOver(t *table.RowSet) *Frame {
 	f := &Frame{Schema: t.Schema, N: len(t.Rows), Cols: make([]FrameCol, len(t.Schema)), own: t}
 	for j := range f.Cols {
-		f.Cols[j] = FrameCol{Rows: t.Rows, Col: j, more: len(f.Cols) - j - 1}
+		f.Cols[j] = FrameCol{Rows: t.Rows, Col: j}
 	}
 	return f
 }
 
 // Table copies the frame into rows (or hands back the rows it is over).
-func (f *Frame) Table() *table.Table {
+func (f *Frame) Table() *table.RowSet {
 	if f.own != nil {
 		return f.own
 	}
@@ -108,36 +119,29 @@ func projectSchema(b *binder, stmt *sqlparse.Select) (table.Schema, []sqlparse.S
 func newProjection(b *binder, stmt *sqlparse.Select, jb *joinedBatch) *projection {
 	schema, items := projectSchema(b, stmt)
 	p := &projection{b: b, jb: jb, schema: schema, cols: make([]FrameCol, 0, len(schema))}
-	ref := func(rel, col int) {
-		p.cols = append(p.cols, FrameCol{Rows: b.tables[rel].Rows, Sel: jb.cols[rel], Col: col, rel: rel})
+	ref := func(bd binding) {
+		p.cols = append(p.cols, FrameCol{Data: b.col(bd), Sel: jb.cols[bd.rel]})
 	}
 	if stmt.Star {
 		for rel, t := range b.tables {
 			for col := range t.Schema {
-				ref(rel, col)
+				ref(binding{rel: rel, col: col})
 			}
 		}
 	}
 	for i, it := range items {
 		switch x := it.Expr.(type) {
 		case *sqlparse.Literal:
-			p.cols = append(p.cols, FrameCol{Lit: x.Value, rel: -1})
+			p.cols = append(p.cols, FrameCol{Lit: x.Value})
 		case *sqlparse.ColumnRef:
 			bd, _ := b.resolve(x) // bound before execution started
-			ref(bd.rel, bd.col)
+			ref(bd)
 		default:
 			if p.exprs == nil {
 				p.exprs = make([]sqlparse.Expr, len(items))
 			}
 			p.exprs[i] = it.Expr
-			p.cols = append(p.cols, FrameCol{rel: -1})
-		}
-	}
-	// Adjacent output columns reading adjacent cells of one relation's row
-	// (SELECT *, above all) are copied as one run.
-	for j := len(p.cols) - 2; j >= 0; j-- {
-		if c, next := &p.cols[j], &p.cols[j+1]; c.rel >= 0 && next.rel == c.rel && next.Col == c.Col+1 {
-			c.more = next.more + 1
+			p.cols = append(p.cols, FrameCol{})
 		}
 	}
 	return p
@@ -148,70 +152,70 @@ func (p *projection) frame(n int) *Frame {
 	return &Frame{Schema: p.schema, N: n, Cols: p.cols}
 }
 
-// row builds output row idx.
+// row builds output row idx of a projection that evaluates expressions, boxing
+// the other cells from where they live.
 func (p *projection) row(idx int) (table.Row, error) {
 	row := make(table.Row, len(p.cols))
-	for j := 0; j < len(p.cols); {
-		c := &p.cols[j]
-		switch {
-		case c.Rows != nil:
-			j += copy(row[j:j+1+c.more], c.row(idx)[c.Col:])
+	for j := range p.cols {
+		if p.exprs[j] == nil {
+			row[j] = p.cols[j].Cell(idx)
 			continue
-		case p.exprs != nil && p.exprs[j] != nil:
-			v, err := evalExpr(p.exprs[j], evalEnv{b: p.b, batch: p.jb, idx: idx})
-			if err != nil {
-				return nil, err
-			}
-			row[j] = v
-		default:
-			row[j] = c.Lit
 		}
-		j++
+		v, err := evalExpr(p.exprs[j], evalEnv{b: p.b, batch: p.jb, idx: idx})
+		if err != nil {
+			return nil, err
+		}
+		row[j] = v
 	}
 	return row, nil
 }
 
-// materialize copies the projection's first n rows into a table, with their
-// lineage when asked for. It is the one routine that builds output
-// rows. A projection that cannot fail has had its guard ticks and output
-// budget charged for the whole batch by the caller and is only polled here,
-// once per morsel; one that evaluates expressions is charged row by row, so an
-// output-budget trip returns exactly the rows built before it together with
-// the error.
-func (p *projection) materialize(n int, trackLineage bool, g *guard) (*table.Table, [][]table.RowID, error) {
-	out := &table.Table{Name: "result", Schema: p.schema, Rows: make([]table.Row, n)}
-	var lineage [][]table.RowID
-	if trackLineage {
-		lineage = make([][]table.RowID, n)
-	}
-	charged := p.exprs == nil
-	for idx := 0; idx < n; idx++ {
-		if charged {
-			if idx%morselRows == 0 {
-				if err := g.poll(); err != nil {
-					return nil, nil, err
-				}
+// materialize copies the projection's first n rows into a row set, with their
+// lineage when asked for. It is the one routine that builds output rows: one
+// allocation per row. A projection that cannot fail has had its guard ticks and
+// output budget charged for the whole batch by the caller and is only polled
+// here, once per morsel, whose rows are then filled a column at a time (one
+// typed loop over each vector, while the morsel's rows are still in cache); one
+// that evaluates expressions is charged row by row, so an output-budget trip
+// returns exactly the rows built before it together with the error.
+func (p *projection) materialize(n int, trackLineage bool, g *guard) (*table.RowSet, [][]table.RowID, error) {
+	rows := make([]table.Row, n)
+	var trip error
+	if p.exprs == nil {
+		for lo := 0; lo < n; lo += morselRows {
+			if err := g.poll(); err != nil {
+				return nil, nil, err
 			}
-		} else {
+			block := rows[lo:min(lo+morselRows, n)]
+			for k := range block {
+				block[k] = make(table.Row, len(p.cols))
+			}
+			for j := range p.cols {
+				p.cols[j].fill(block, j, lo)
+			}
+		}
+	} else {
+		for idx := range rows {
 			if err := g.tick(1); err != nil {
 				return nil, nil, err
 			}
-			if err := g.out(1); err != nil {
-				out.Rows = out.Rows[:idx]
-				if lineage != nil {
-					lineage = lineage[:idx]
-				}
-				return out, lineage, err
+			if trip = g.out(1); trip != nil {
+				rows = rows[:idx]
+				break
 			}
+			row, err := p.row(idx)
+			if err != nil {
+				return nil, nil, err
+			}
+			rows[idx] = row
 		}
-		row, err := p.row(idx)
-		if err != nil {
-			return nil, nil, err
-		}
-		out.Rows[idx] = row
-		if lineage != nil {
+	}
+	var lineage [][]table.RowID
+	if trackLineage {
+		lineage = make([][]table.RowID, len(rows))
+		for idx := range lineage {
 			lineage[idx] = batchLineageOf(p.b, p.jb, idx)
 		}
 	}
-	return out, lineage, nil
+	return &table.RowSet{Schema: p.schema, Rows: rows}, lineage, trip
 }

@@ -25,13 +25,13 @@ func bigDB(n int) *table.Database {
 }
 
 // TestFrameBorrowsBaseRows: an SPJ projection of columns and literals answers
-// ExecuteFrameContext without building a row — its cells are the base table's
-// own — LIMIT only shortens it, and statements that need values first come
+// ExecuteFrameContext without building a row — its columns are the base
+// table's own vectors — LIMIT only shortens it, and statements that need values first come
 // back as a frame over rows of their own. Either way the frame holds exactly
 // the table the row engine builds.
 func TestFrameBorrowsBaseRows(t *testing.T) {
 	db := bigDB(6000)
-	base := db.Table("big").Rows
+	base := db.Table("big").Columns().Cols
 	for _, tc := range []struct {
 		sql      string
 		n        int
@@ -57,12 +57,12 @@ func TestFrameBorrowsBaseRows(t *testing.T) {
 		}
 		borrowed := false
 		for j := range f.Cols {
-			if c := &f.Cols[j]; len(c.Rows) > 0 && &c.Rows[0] == &base[0] {
-				borrowed = true
+			for k := range base {
+				borrowed = borrowed || f.Cols[j].Data == &base[k]
 			}
 		}
 		if borrowed != tc.borrowed {
-			t.Errorf("%s: frame reads base rows in place = %v, want %v", tc.sql, borrowed, tc.borrowed)
+			t.Errorf("%s: frame reads base vectors in place = %v, want %v", tc.sql, borrowed, tc.borrowed)
 		}
 		ref, err := rowExecute(context.Background(), db, stmt, Options{})
 		if err != nil {

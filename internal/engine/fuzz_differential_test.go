@@ -687,7 +687,27 @@ func fuzzCompare(t *testing.T, sql, label string, resA *Result, errA error, resB
 		if fa, fb := resultFingerprint(resA), resultFingerprint(resB); fa != fb {
 			t.Fatalf("%s: result diverges for %q\nreference:\n%.600s\n%s:\n%.600s", label, sql, fa, label, fb)
 		}
+		// Equal keys are not equal kinds (an integral float keys as its int).
+		if err := declaredKinds(resA.Table); err != nil {
+			t.Fatalf("reference: %q: %v", sql, err)
+		}
+		if err := declaredKinds(resB.Table); err != nil {
+			t.Fatalf("%s: %q: %v", label, sql, err)
+		}
 	}
+}
+
+// declaredKinds reports the first cell of an answer that is neither NULL nor of
+// the kind its column's schema declares.
+func declaredKinds(t *table.RowSet) error {
+	for i, r := range t.Rows {
+		for j, v := range r {
+			if v.Kind != table.KindNull && v.Kind != t.Schema[j].Kind {
+				return fmt.Errorf("row %d: column %s is declared %s and holds the %s %v", i, t.Schema[j].Name, t.Schema[j].Kind, v.Kind, v)
+			}
+		}
+	}
+	return nil
 }
 
 // intermediateBudget reports whether err is the budget on join intermediates

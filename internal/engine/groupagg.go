@@ -499,7 +499,7 @@ const metricAggregateFallback = "engine/aggregate/fallback"
 // typed plan over the batch, chunk by chunk, or aggregateRows. Groups come out
 // in first-appearance order through emitAggRows either way, so results match
 // the row engine byte for byte (float sums add up in row order).
-func aggregateCol(b *binder, stmt *sqlparse.Select, jb *joinedBatch, g *guard, span *obs.Span) (*table.Table, error) {
+func aggregateCol(b *binder, stmt *sqlparse.Select, jb *joinedBatch, g *guard, span *obs.Span) (*table.RowSet, error) {
 	if stmt.Star {
 		return nil, errStarAggregate
 	}

@@ -222,7 +222,7 @@ func TestAggregateDeadlineMidway(t *testing.T) {
 	} {
 		b, stmt, jb, joined := aggInput(t, db, sql)
 		for polls := 0; polls <= n/guardInterval; polls++ {
-			run := func(col bool) (*table.Table, error) {
+			run := func(col bool) (*table.RowSet, error) {
 				left := polls
 				g := newGuard(countdownCtx{context.Background(), &left}, Options{})
 				if col {

@@ -227,7 +227,7 @@ func joinStep(b *binder, current []joinedRow, cand []int32, rel int, joins []pre
 		kb = kb[:0]
 		null := false
 		for _, kp := range pairs {
-			v := b.tables[rel].Rows[ri][kp.relCol.col]
+			v := b.tables[rel].Cell(int(ri), kp.relCol.col)
 			if v.IsNull() {
 				null = true
 				break
@@ -253,7 +253,7 @@ func joinStep(b *binder, current []joinedRow, cand []int32, rel int, joins []pre
 		null := false
 		for _, kp := range pairs {
 			ri := jr[kp.boundBind.rel]
-			v := b.tables[kp.boundBind.rel].Rows[ri][kp.boundBind.col]
+			v := b.tables[kp.boundBind.rel].Cell(int(ri), kp.boundBind.col)
 			if v.IsNull() {
 				null = true
 				break
@@ -285,7 +285,7 @@ func joinStep(b *binder, current []joinedRow, cand []int32, rel int, joins []pre
 // project evaluates the SELECT list over joined rows (non-aggregate path).
 // When the output row budget trips, the partial table built so far is
 // returned together with the ErrRowBudget error.
-func project(b *binder, stmt *sqlparse.Select, joined []joinedRow, opts Options, g *guard) (*table.Table, [][]table.RowID, error) {
+func project(b *binder, stmt *sqlparse.Select, joined []joinedRow, opts Options, g *guard) (*table.RowSet, [][]table.RowID, error) {
 	trackLineage := opts.TrackLineage
 	if faults.Active() {
 		if err := faults.Inject(faults.PointEngineProject); err != nil {
@@ -294,7 +294,7 @@ func project(b *binder, stmt *sqlparse.Select, joined []joinedRow, opts Options,
 	}
 	schema, items := projectSchema(b, stmt)
 
-	out := table.New("result", schema)
+	out := &table.RowSet{Schema: schema}
 	var lineage [][]table.RowID
 	if trackLineage {
 		lineage = make([][]table.RowID, 0, len(joined))
@@ -310,7 +310,7 @@ func project(b *binder, stmt *sqlparse.Select, joined []joinedRow, opts Options,
 		if err != nil {
 			return nil, nil, err
 		}
-		out.AppendRow(row)
+		out.Rows = append(out.Rows, row)
 		if trackLineage {
 			lineage = append(lineage, lineageOf(b, jr))
 		}
@@ -323,7 +323,7 @@ func projectRow(b *binder, stmt *sqlparse.Select, items []sqlparse.SelectItem, s
 	if stmt.Star {
 		row := make(table.Row, 0, len(schema))
 		for rel, t := range b.tables {
-			row = append(row, t.Rows[jr[rel]]...)
+			row = append(row, t.Row(int(jr[rel]))...)
 		}
 		return row, nil
 	}
@@ -350,6 +350,6 @@ func lineageOf(b *binder, jr joinedRow) []table.RowID {
 
 // aggregate executes the grouping/aggregation path of a SELECT over the
 // joined rows.
-func aggregate(b *binder, stmt *sqlparse.Select, joined []joinedRow, g *guard) (*table.Table, error) {
+func aggregate(b *binder, stmt *sqlparse.Select, joined []joinedRow, g *guard) (*table.RowSet, error) {
 	return aggregateRows(b, stmt, len(joined), func(i int) evalEnv { return evalEnv{b: b, row: joined[i]} }, g)
 }

@@ -35,21 +35,6 @@ func aggCategory(stmt *sqlparse.Select) string {
 	return short
 }
 
-// aggResultMap converts an executed aggregate result into group -> value.
-func aggResultMap(t *table.Table, grouped bool) map[string]float64 {
-	out := map[string]float64{}
-	for _, r := range t.Rows {
-		if grouped {
-			if len(r) >= 2 {
-				out[r[0].String()] = r[1].AsFloat()
-			}
-		} else if len(r) >= 1 {
-			out[""] = r[0].AsFloat()
-		}
-	}
-	return out
-}
-
 // scaledAggregate executes an aggregate on an approximate database and
 // scales COUNT/SUM answers by the sampling ratio of the queried table — the
 // standard AQP scale-up for unweighted samples. AVG needs no scaling.
@@ -59,7 +44,7 @@ func scaledAggregate(full, approx *table.Database, stmt *sqlparse.Select) (map[s
 		return nil, err
 	}
 	grouped := len(stmt.GroupBy) > 0
-	out := aggResultMap(res.Table, grouped)
+	out := res.Table.GroupValues(grouped)
 
 	cat := aggCategory(stmt)
 	if strings.HasSuffix(cat, "CNT") || strings.HasSuffix(cat, "SUM") {
@@ -146,7 +131,7 @@ func Fig12Aggregates(p Params) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		truth := aggResultMap(truthRes.Table, grouped)
+		truth := truthRes.Table.GroupValues(grouped)
 		if len(truth) == 0 {
 			continue
 		}

@@ -111,7 +111,7 @@ func TrainVAE(t *table.Table, opts Options) (*VAE, error) {
 	perm := rng.Perm(n)[:rowsUsed]
 	feats := make([][]float64, rowsUsed)
 	for i, ri := range perm {
-		feats[i] = v.encodeRow(t.Rows[ri])
+		feats[i] = v.encodeRow(t.Row(ri))
 	}
 
 	const miniBatch = 32
@@ -185,11 +185,12 @@ func (v *VAE) buildCodecs(t *table.Table, opts Options) {
 		case table.KindInt, table.KindFloat:
 			var sum, sumSq float64
 			n := 0
-			for _, r := range t.Rows {
-				if r[ci].IsNull() {
+			for r := 0; r < t.NumRows(); r++ {
+				cell := t.Cell(r, ci)
+				if cell.IsNull() {
 					continue
 				}
-				f := r[ci].AsFloat()
+				f := cell.AsFloat()
 				sum += f
 				sumSq += f * f
 				n++
@@ -206,9 +207,9 @@ func (v *VAE) buildCodecs(t *table.Table, opts Options) {
 			c.std = 1
 		case table.KindString:
 			counts := map[string]int{}
-			for _, r := range t.Rows {
-				if !r[ci].IsNull() {
-					counts[r[ci].Str]++
+			for r := 0; r < t.NumRows(); r++ {
+				if cell := t.Cell(r, ci); !cell.IsNull() {
+					counts[cell.Str]++
 				}
 			}
 			type kv struct {
@@ -353,7 +354,7 @@ func (v *VAE) ReconstructionError(t *table.Table, maxRows int) float64 {
 	}
 	var total float64
 	for i := 0; i < n; i++ {
-		x := v.encodeRow(t.Rows[i])
+		x := v.encodeRow(t.Row(i))
 		mu := v.encoder.Forward(x)[:v.latent]
 		xhat := v.decoder.Forward(mu)
 		for j := range x {

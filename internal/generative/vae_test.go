@@ -34,17 +34,20 @@ func TestTrainVAEAndGenerate(t *testing.T) {
 	ci := gen.ColumnIndex("carrier")
 	valid := map[string]bool{}
 	ti := tab.ColumnIndex("carrier")
-	for _, r := range tab.Rows {
+	for ri := 0; ri < tab.NumRows(); ri++ {
+		r := tab.Row(ri)
 		valid[r[ti].Str] = true
 	}
-	for _, r := range gen.Rows {
+	for ri := 0; ri < gen.NumRows(); ri++ {
+		r := gen.Row(ri)
 		if !valid[r[ci].Str] {
 			t.Fatalf("generated unseen carrier %q", r[ci].Str)
 		}
 	}
 	// Generated numerics stay in a plausible range (within 5 sigma-ish).
 	di := gen.ColumnIndex("distance")
-	for _, r := range gen.Rows {
+	for ri := 0; ri < gen.NumRows(); ri++ {
+		r := gen.Row(ri)
 		d := r[di].AsFloat()
 		if d < -5000 || d > 50000 {
 			t.Fatalf("generated wild distance %v", d)
@@ -140,8 +143,8 @@ func TestVAEDeterministicGivenSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := g1.Generate(10), g2.Generate(10)
-	for i := range a.Rows {
-		if a.Rows[i].Key() != b.Rows[i].Key() {
+	for i := 0; i < a.NumRows(); i++ {
+		if a.Row(i).Key() != b.Row(i).Key() {
 			t.Fatal("same seed should generate identical tuples")
 		}
 	}

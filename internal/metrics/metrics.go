@@ -250,7 +250,7 @@ func jaccardDistance(a, b map[string]bool) float64 {
 }
 
 // RowKeys extracts the row keys of a result table, for JaccardDiversity.
-func RowKeys(t *table.Table) []string {
+func RowKeys(t *table.RowSet) []string {
 	out := make([]string, t.NumRows())
 	for i, r := range t.Rows {
 		out[i] = r.Key()
@@ -264,7 +264,7 @@ func RowKeys(t *table.Table) []string {
 // answer has a fixed intrinsic diversity; a good approximation set should
 // preserve it rather than collapse onto near-duplicate tuples). Returns 0
 // for fewer than two rows. At most maxRows rows are compared (0 = all).
-func IntraResultDiversity(t *table.Table, maxRows int) float64 {
+func IntraResultDiversity(t *table.RowSet, maxRows int) float64 {
 	n := t.NumRows()
 	if maxRows > 0 && n > maxRows {
 		n = maxRows

@@ -324,9 +324,9 @@ func TestJaccardDiversity(t *testing.T) {
 }
 
 func TestRowKeys(t *testing.T) {
-	tab := table.New("t", table.Schema{{Name: "a", Kind: table.KindInt}})
-	tab.AppendRow(table.Row{table.NewInt(1)})
-	tab.AppendRow(table.Row{table.NewInt(2)})
+	tab := &table.RowSet{Schema: table.Schema{{Name: "a", Kind: table.KindInt}}}
+	tab.Rows = append(tab.Rows, table.Row{table.NewInt(1)})
+	tab.Rows = append(tab.Rows, table.Row{table.NewInt(2)})
 	keys := RowKeys(tab)
 	if len(keys) != 2 || keys[0] == keys[1] {
 		t.Errorf("RowKeys = %v", keys)
@@ -366,29 +366,29 @@ func TestMeanStdDev(t *testing.T) {
 
 func TestIntraResultDiversity(t *testing.T) {
 	// Identical rows → 0 diversity.
-	same := table.New("t", table.Schema{{Name: "a", Kind: table.KindInt}, {Name: "b", Kind: table.KindInt}})
-	same.AppendRow(table.Row{table.NewInt(1), table.NewInt(2)})
-	same.AppendRow(table.Row{table.NewInt(1), table.NewInt(2)})
+	same := &table.RowSet{Schema: table.Schema{{Name: "a", Kind: table.KindInt}, {Name: "b", Kind: table.KindInt}}}
+	same.Rows = append(same.Rows, table.Row{table.NewInt(1), table.NewInt(2)})
+	same.Rows = append(same.Rows, table.Row{table.NewInt(1), table.NewInt(2)})
 	if d := IntraResultDiversity(same, 0); d != 0 {
 		t.Errorf("identical rows diversity = %v", d)
 	}
 	// Fully distinct rows → 1.
-	diff := table.New("t", table.Schema{{Name: "a", Kind: table.KindInt}, {Name: "b", Kind: table.KindInt}})
-	diff.AppendRow(table.Row{table.NewInt(1), table.NewInt(2)})
-	diff.AppendRow(table.Row{table.NewInt(3), table.NewInt(4)})
+	diff := &table.RowSet{Schema: table.Schema{{Name: "a", Kind: table.KindInt}, {Name: "b", Kind: table.KindInt}}}
+	diff.Rows = append(diff.Rows, table.Row{table.NewInt(1), table.NewInt(2)})
+	diff.Rows = append(diff.Rows, table.Row{table.NewInt(3), table.NewInt(4)})
 	if d := IntraResultDiversity(diff, 0); math.Abs(d-1) > 1e-9 {
 		t.Errorf("disjoint rows diversity = %v, want 1", d)
 	}
 	// Single row → 0.
-	one := table.New("t", table.Schema{{Name: "a", Kind: table.KindInt}})
-	one.AppendRow(table.Row{table.NewInt(1)})
+	one := &table.RowSet{Schema: table.Schema{{Name: "a", Kind: table.KindInt}}}
+	one.Rows = append(one.Rows, table.Row{table.NewInt(1)})
 	if d := IntraResultDiversity(one, 0); d != 0 {
 		t.Errorf("single-row diversity = %v", d)
 	}
 	// maxRows caps the comparison.
-	big := table.New("t", table.Schema{{Name: "a", Kind: table.KindInt}})
+	big := &table.RowSet{Schema: table.Schema{{Name: "a", Kind: table.KindInt}}}
 	for i := 0; i < 500; i++ {
-		big.AppendRow(table.Row{table.NewInt(int64(i))})
+		big.Rows = append(big.Rows, table.Row{table.NewInt(int64(i))})
 	}
 	if d := IntraResultDiversity(big, 10); math.Abs(d-1) > 1e-9 {
 		t.Errorf("capped diversity = %v", d)

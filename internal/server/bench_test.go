@@ -226,7 +226,7 @@ func BenchmarkHotSwapUnderLoad(b *testing.B) {
 
 // BenchmarkEncodeAnswer measures the /query response encoder on the two
 // answers that matter — one LIMIT-50 page and a 10 000 × 12 wide join — as the
-// engine hands them over (base rows behind row-id vectors): "append" is
+// engine hands them over (base vectors behind row-id vectors): "append" is
 // appendAnswer into a reused buffer, "reflect" the path it replaced
 // (materialize the rows, box them into [][]any, json.Marshal), kept as the
 // encoder tests' oracle.
@@ -235,30 +235,35 @@ func BenchmarkEncodeAnswer(b *testing.B) {
 		name       string
 		rows, cols int
 	}{{"page50x7", 50, 7}, {"wide10000x12", 10_000, 12}} {
-		base := make([]table.Row, 4096)
-		for i := range base {
-			base[i] = make(table.Row, size.cols)
-			for j := range base[i] {
+		schema := make(table.Schema, size.cols)
+		for j := range schema {
+			schema[j] = table.Column{Name: fmt.Sprintf("col%d", j), Kind: []table.Kind{table.KindInt, table.KindString, table.KindFloat, table.KindBool}[j%4]}
+		}
+		base := table.New("t", schema)
+		row := make(table.Row, size.cols)
+		for i := 0; i < 4096; i++ {
+			for j := range row {
 				switch j % 4 {
 				case 0:
-					base[i][j] = table.NewInt(int64(i * j))
+					row[j] = table.NewInt(int64(i * j))
 				case 1:
-					base[i][j] = table.NewString(fmt.Sprintf("title %d of a certain length", i))
+					row[j] = table.NewString(fmt.Sprintf("title %d of a certain length", i))
 				case 2:
-					base[i][j] = table.NewFloat(float64(i) / 7)
+					row[j] = table.NewFloat(float64(i) / 7)
 				default:
-					base[i][j] = table.Null
+					row[j] = table.Null
 				}
 			}
+			base.AppendRow(row)
 		}
 		f := &engine.Frame{N: size.rows}
 		sel := make([]int32, size.rows)
 		for i := range sel {
-			sel[i] = int32(i * 31 % len(base))
+			sel[i] = int32(i * 31 % base.NumRows())
 		}
 		for j := 0; j < size.cols; j++ {
 			f.Schema = append(f.Schema, table.Column{Name: fmt.Sprintf("t.col%d", j)})
-			f.Cols = append(f.Cols, engine.FrameCol{Rows: base, Sel: sel, Col: j})
+			f.Cols = append(f.Cols, engine.FrameCol{Data: &base.Columns().Cols[j], Sel: sel})
 		}
 		resp := QueryResponse{Source: "full", PredictedScore: 0.25, Confidence: 0.5, ElapsedMs: 1.25, Generation: 1}
 		b.Run(size.name+"/append", func(b *testing.B) {

@@ -19,8 +19,9 @@ var answerBufs = sync.Pool{New: func() any { return new([]byte) }}
 const maxPooledAnswer = 4 << 20
 
 // appendAnswer appends the JSON body of a successful /query response, written
-// straight from the engine's frame: cells are read where they live, so a
-// response costs no allocation per row or cell. r supplies the scalar fields
+// straight from the engine's frame: cells are boxed one at a time from where
+// they live (a relation's vectors, or the answer's own rows), so a response
+// costs no allocation per row or cell. r supplies the scalar fields
 // (its Columns, Rows and RowCount are not read). The bytes are exactly what
 // encoding/json produced for a QueryResponse whose Rows held the same cells as
 // [][]any — field order, omitempty, number formats, string escaping — which
@@ -50,7 +51,13 @@ func appendAnswer(dst []byte, r *QueryResponse, f *engine.Frame) ([]byte, error)
 				if j > 0 {
 					dst = append(dst, ',')
 				}
-				dst = appendCell(dst, f.Cols[j].Cell(i))
+				if c := &f.Cols[j]; c.Data == nil {
+					dst = appendCell(dst, c.Cell(i))
+				} else if c.Sel != nil {
+					dst = appendColumnCell(dst, c.Data, int(c.Sel[i]))
+				} else {
+					dst = appendColumnCell(dst, c.Data, i)
+				}
 			}
 			dst = append(dst, ']')
 		}
@@ -97,7 +104,7 @@ func appendAnswer(dst []byte, r *QueryResponse, f *engine.Frame) ([]byte, error)
 
 // appendCell appends one result cell as a JSON-native value (null, number,
 // string, bool), so clients do not need the repo's Value encoding.
-func appendCell(dst []byte, v *table.Value) []byte {
+func appendCell(dst []byte, v table.Value) []byte {
 	switch v.Kind {
 	case table.KindInt:
 		return strconv.AppendInt(dst, v.Int, 10)
@@ -109,6 +116,26 @@ func appendCell(dst []byte, v *table.Value) []byte {
 		return appendJSONString(dst, v.Str)
 	case table.KindBool:
 		return strconv.AppendBool(dst, v.Bool)
+	}
+	return append(dst, "null"...)
+}
+
+// appendColumnCell is appendCell for cell i of a relation's column, read from
+// its vector without boxing it: most cells of most answers.
+func appendColumnCell(dst []byte, c *table.ColumnData, i int) []byte {
+	if !c.IsNull(i) {
+		switch c.Kind {
+		case table.KindInt:
+			return strconv.AppendInt(dst, c.Ints[i], 10)
+		case table.KindFloat:
+			if out, ok := appendJSONFloat(dst, c.Floats[i]); ok {
+				return out
+			}
+		case table.KindString:
+			return appendJSONString(dst, c.Dict.Strs[c.Codes[i]])
+		case table.KindBool:
+			return strconv.AppendBool(dst, c.Bools[i])
+		}
 	}
 	return append(dst, "null"...)
 }

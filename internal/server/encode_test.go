@@ -22,7 +22,7 @@ import (
 // appendAnswer — result cells boxed into [][]any and the whole response handed
 // to encoding/json — kept as the reference the append encoder must match byte
 // for byte.
-func jsonRows(t *table.Table) [][]any {
+func jsonRows(t *table.RowSet) [][]any {
 	rows := make([][]any, len(t.Rows))
 	for i, r := range t.Rows {
 		out := make([]any, len(r))
@@ -91,60 +91,81 @@ var trickyFloats = []float64{
 	5e-324, math.MaxFloat64, 123456789.125, 1.0 / 3, math.NaN(), math.Inf(1), math.Inf(-1),
 }
 
-func randomValue(rng *rand.Rand) table.Value {
-	switch rng.Intn(9) {
-	case 0:
+// randomCell draws a cell a column of the given kind can hold: a value of that
+// kind, or one time in six NULL.
+func randomCell(rng *rand.Rand, kind table.Kind) table.Value {
+	switch pick := rng.Intn(6); {
+	case pick == 0:
 		return table.Null
-	case 1:
+	case kind == table.KindInt && pick < 3:
 		return table.NewInt(rng.Int63() - rng.Int63())
-	case 2:
+	case kind == table.KindInt:
 		return table.NewInt(int64(rng.Intn(7)) - 3)
-	case 3:
+	case kind == table.KindFloat && pick < 3:
 		return table.NewFloat(trickyFloats[rng.Intn(len(trickyFloats))])
-	case 4:
+	case kind == table.KindFloat:
 		return table.NewFloat(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(60)-30)))
-	case 5:
+	case kind == table.KindString && pick < 3:
 		return table.NewString(trickyStrings[rng.Intn(len(trickyStrings))])
-	case 6:
+	case kind == table.KindString:
 		b := make([]byte, rng.Intn(12))
 		rng.Read(b)
 		return table.NewString(string(b))
-	case 7:
-		return table.NewBool(rng.Intn(2) == 0)
-	default:
+	}
+	return table.NewBool(rng.Intn(2) == 0)
+}
+
+// randomValue draws a cell of any kind, as an answer's own rows and a literal
+// may hold whatever an expression evaluated to.
+func randomValue(rng *rand.Rand) table.Value {
+	if rng.Intn(9) == 0 {
 		return table.Value{Kind: table.Kind(200)} // no such kind: null, like NULL
 	}
+	return randomCell(rng, table.KindInt+table.Kind(rng.Intn(4)))
 }
 
 // randomFrame builds a frame the way the engine's tails do: a few base
-// "relations" of random rows, output columns that read them through shared
-// row-id vectors, read them directly (a frame over its own rows), or are
-// literals — and an N that may stop short of the vectors (LIMIT) or be zero.
+// relations of random typed columns, output columns that read their vectors
+// through shared row-id vectors or in place, output columns over the answer's
+// own rows (of any kinds), and literals — and an N that may stop short of the
+// vectors (LIMIT) or be zero.
 func randomFrame(rng *rand.Rand) *engine.Frame {
 	n := rng.Intn(6)
 	if rng.Intn(4) == 0 {
 		n = 40 + rng.Intn(40)
 	}
 	type rel struct {
-		rows []table.Row
+		cols []table.ColumnData
 		sel  []int32
 	}
 	rels := make([]rel, 1+rng.Intn(3))
 	for r := range rels {
-		width := 1 + rng.Intn(5)
-		rows := make([]table.Row, n+1+rng.Intn(5))
-		for i := range rows {
-			rows[i] = make(table.Row, width)
-			for j := range rows[i] {
-				rows[i][j] = randomValue(rng)
-			}
+		schema := make(table.Schema, 1+rng.Intn(5))
+		for j := range schema {
+			schema[j] = table.Column{Name: fmt.Sprintf("c%d", j), Kind: table.KindInt + table.Kind(rng.Intn(4))}
 		}
-		rels[r].rows = rows
-		if rng.Intn(3) > 0 { // else: read rows in place, as a frame over its own rows does
+		tbl := table.New("rel", schema)
+		row := make(table.Row, len(schema))
+		rows := n + 1 + rng.Intn(5)
+		for i := 0; i < rows; i++ {
+			for j := range row {
+				row[j] = randomCell(rng, schema[j].Kind)
+			}
+			tbl.AppendRow(row)
+		}
+		rels[r].cols = tbl.Columns().Cols
+		if rng.Intn(3) > 0 { // else: the vectors read in place
 			rels[r].sel = make([]int32, n+rng.Intn(4))
 			for i := range rels[r].sel {
-				rels[r].sel[i] = int32(rng.Intn(len(rows)))
+				rels[r].sel[i] = int32(rng.Intn(rows))
 			}
+		}
+	}
+	own := make([]table.Row, n+rng.Intn(3))
+	for i := range own {
+		own[i] = make(table.Row, 3)
+		for j := range own[i] {
+			own[i][j] = randomValue(rng)
 		}
 	}
 	f := &engine.Frame{N: n}
@@ -154,12 +175,15 @@ func randomFrame(rng *rand.Rand) *engine.Frame {
 	for c := 1 + rng.Intn(6); c > 0; c-- {
 		name := trickyStrings[rng.Intn(len(trickyStrings))]
 		f.Schema = append(f.Schema, table.Column{Name: fmt.Sprintf("%s%d", name, c)})
-		if rng.Intn(5) == 0 {
+		switch rng.Intn(6) {
+		case 0:
 			f.Cols = append(f.Cols, engine.FrameCol{Lit: randomValue(rng)})
-			continue
+		case 1:
+			f.Cols = append(f.Cols, engine.FrameCol{Rows: own, Col: rng.Intn(3)})
+		default:
+			r := rels[rng.Intn(len(rels))]
+			f.Cols = append(f.Cols, engine.FrameCol{Data: &r.cols[rng.Intn(len(r.cols))], Sel: r.sel})
 		}
-		r := rels[rng.Intn(len(rels))]
-		f.Cols = append(f.Cols, engine.FrameCol{Rows: r.rows, Sel: r.sel, Col: rng.Intn(len(r.rows[0]))})
 	}
 	return f
 }
@@ -201,9 +225,12 @@ func TestEncodeAnswerMatchesEncodingJSON(t *testing.T) {
 	for _, s := range trickyStrings {
 		for _, v := range trickyFloats {
 			rows := []table.Row{{table.NewString(s), table.NewFloat(v)}}
+			tbl := table.New("rel", table.Schema{{Name: "s", Kind: table.KindString}, {Name: "v", Kind: table.KindFloat}})
+			tbl.AppendRow(rows[0])
+			cols := tbl.Columns().Cols
 			f := &engine.Frame{
-				Schema: table.Schema{{Name: s}, {Name: "v"}, {Name: "lit"}}, N: 1,
-				Cols: []engine.FrameCol{{Rows: rows, Col: 0}, {Rows: rows, Sel: []int32{0, 0}, Col: 1}, {Lit: table.NewFloat(v)}},
+				Schema: table.Schema{{Name: s}, {Name: "v"}, {Name: "own"}, {Name: "lit"}}, N: 1,
+				Cols: []engine.FrameCol{{Data: &cols[0]}, {Data: &cols[1], Sel: []int32{0, 0}}, {Rows: rows, Col: 1}, {Lit: table.NewFloat(v)}},
 			}
 			checkAnswer(t, QueryResponse{Source: s, DegradedReason: s, Error: s, TraceID: s, ElapsedMs: 0.25}, f)
 			checkAnswer(t, QueryResponse{PredictedScore: v}, f)
@@ -229,13 +256,15 @@ func FuzzEncodeQueryResponse(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		fr := randomFrame(rng)
 		cells := table.Row{table.NewString(s), table.NewFloat(v), table.NewInt(n), table.Null}
+		tbl := table.New("rel", table.Schema{{Name: "s", Kind: table.KindString}, {Name: "v", Kind: table.KindFloat}, {Name: "n", Kind: table.KindInt}, {Name: "null", Kind: table.KindBool}})
 		rows := make([]table.Row, fr.N+1)
 		for i := range rows {
 			rows[i] = cells
+			tbl.AppendRow(cells)
 		}
 		for j, c := range cells {
-			fr.Schema = append(fr.Schema, table.Column{Name: s}, table.Column{Name: "lit"})
-			fr.Cols = append(fr.Cols, engine.FrameCol{Rows: rows, Col: j}, engine.FrameCol{Lit: c})
+			fr.Schema = append(fr.Schema, table.Column{Name: s}, table.Column{Name: "own"}, table.Column{Name: "lit"})
+			fr.Cols = append(fr.Cols, engine.FrameCol{Data: &tbl.Columns().Cols[j]}, engine.FrameCol{Rows: rows, Col: j}, engine.FrameCol{Lit: c})
 		}
 		r := randomResponse(rng)
 		switch rng.Intn(4) {

@@ -623,7 +623,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			resp.ObservedError = &oe
 			span.Annotate("observed_error_p95", oe)
 		}
-		var agg *table.Table
+		var agg *table.RowSet
 		if stmt.HasAggregates() {
 			agg = res.Frame.Table() // an aggregate's frame is over its own rows: no copy
 		}

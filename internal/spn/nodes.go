@@ -120,7 +120,7 @@ func newLeaf(t *table.Table, rows []int, col int, opts Options) *leaf {
 		lo, hi := math.Inf(1), math.Inf(-1)
 		nulls := 0
 		for _, r := range rows {
-			v := t.Rows[r][col]
+			v := t.Cell(r, col)
 			if v.IsNull() {
 				nulls++
 				continue
@@ -157,7 +157,7 @@ func newLeaf(t *table.Table, rows []int, col int, opts Options) *leaf {
 		}
 		l.binHi[bins-1] = hi
 		for _, r := range rows {
-			v := t.Rows[r][col]
+			v := t.Cell(r, col)
 			if v.IsNull() {
 				continue
 			}
@@ -185,7 +185,7 @@ func newLeaf(t *table.Table, rows []int, col int, opts Options) *leaf {
 	// Categorical (string/bool) leaf.
 	l.catMass = map[string]float64{}
 	for _, r := range rows {
-		v := t.Rows[r][col]
+		v := t.Cell(r, col)
 		if v.IsNull() {
 			l.nullFrac += 1 / n
 			continue

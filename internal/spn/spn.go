@@ -107,8 +107,8 @@ func Learn(t *table.Table, opts Options) (*SPN, error) {
 	for ci := range t.Schema {
 		seen := map[string]table.Value{}
 		var order []string
-		for _, r := range t.Rows {
-			v := r[ci]
+		for r := 0; r < t.NumRows(); r++ {
+			v := t.Cell(r, ci)
 			if v.IsNull() {
 				continue
 			}
@@ -212,7 +212,7 @@ func splitColumns(t *table.Table, rows, cols []int, opts Options) [][]int {
 			step = 1
 		}
 		for j := 0; j < sampleSize; j++ {
-			v[j] = colValue(t.Rows[rows[(j*step)%len(rows)]][c])
+			v[j] = colValue(t.Cell(rows[(j*step)%len(rows)], c))
 		}
 		vals[i] = v
 	}
@@ -285,7 +285,7 @@ func splitRows(t *table.Table, rows, cols []int, rng *rand.Rand) (left, right []
 	for i, c := range cols {
 		var s, ss float64
 		for _, r := range rows {
-			f := colValue(t.Rows[r][c])
+			f := colValue(t.Cell(r, c))
 			s += f
 			ss += f * f
 		}
@@ -295,7 +295,7 @@ func splitRows(t *table.Table, rows, cols []int, rng *rand.Rand) (left, right []
 	}
 	feat := func(r int, buf []float64) []float64 {
 		for i, c := range cols {
-			buf[i] = (colValue(t.Rows[r][c]) - means[i]) / stds[i]
+			buf[i] = (colValue(t.Cell(r, c)) - means[i]) / stds[i]
 		}
 		return buf
 	}

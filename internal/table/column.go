@@ -1,26 +1,18 @@
 package table
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
-// This file implements the columnar view of a Table: typed column vectors
-// (int64/float64/bool), dictionary-encoded strings, validity bitmaps, and
-// per-chunk zone maps. The row-major Rows slice remains the source of truth —
-// CSV load, lineage (RowID) and snapshot persistence are untouched — and the
-// columnar form is derived lazily and cached, invalidated on AppendRow.
-//
-// The engine's vectorized operators consume this view; everything else keeps
-// reading Rows. A relation's column holds NULLs and values of its declared
-// kind and nothing else: buildColumn panics on any other cell (a programming
-// error, as a wrong arity is to AppendRow; ReadCSV parses every field by its
-// column's kind and refuses a null-kind column), so no operator has to
-// reproduce cross-kind coercion semantics cell by cell.
+// This file is a relation's storage: typed column vectors (int64/float64/bool),
+// dictionary-encoded strings, validity bitmaps and per-chunk zone maps, each
+// grown one cell at a time by Table.AppendRow. There is no other copy of a
+// table: lineage (RowID) is an index into these vectors, CSV and snapshots
+// read and write them through Value, and the engine's operators consume them
+// directly. A column holds NULLs and values of its declared kind and nothing
+// else; AppendRow is where that is checked.
 
 // ZoneChunkRows is the number of rows summarized by one zone-map entry. It is
 // deliberately equal to the engine's morsel size so a zone prunes exactly one
@@ -97,8 +89,8 @@ type Zone struct {
 	HasNull bool
 }
 
-// ColumnData is the columnar form of a single column. Exactly one of the
-// typed vectors is populated, chosen by the declared schema Kind.
+// ColumnData is one column of a table. Exactly one of the typed vectors is
+// populated, chosen by the declared schema Kind.
 type ColumnData struct {
 	Kind Kind
 	// Nulls is non-nil iff the column has at least one NULL cell.
@@ -120,10 +112,7 @@ type ColumnData struct {
 // IsNull reports whether cell i is NULL.
 func (c *ColumnData) IsNull(i int) bool { return c.Nulls != nil && c.Nulls.Get(i) }
 
-// HasNulls reports whether any cell is NULL.
-func (c *ColumnData) HasNulls() bool { return c.Nulls != nil }
-
-// Value reconstructs cell i as a Value.
+// Value boxes cell i.
 func (c *ColumnData) Value(i int) Value {
 	if c.IsNull(i) {
 		return Null
@@ -142,100 +131,80 @@ func (c *ColumnData) Value(i int) Value {
 	}
 }
 
-// ColumnSet is the cached columnar view of a whole table. The typed vectors
-// are built eagerly; the per-column join indexes and the identity selection
-// vector (joinindex.go) are derived from them on first use.
+// Gather boxes cells into column j of dst: dst[k][j] becomes cell sel[lo+k] of
+// the column (cell lo+k when sel is nil). Each dst[k][j] must be the zero
+// Value, which is what a NULL cell leaves there.
+func (c *ColumnData) Gather(dst []Row, j int, sel []int32, lo int) {
+	for k, r := range dst {
+		i := lo + k
+		if sel != nil {
+			i = int(sel[i])
+		}
+		if c.Nulls != nil && c.Nulls.Get(i) {
+			continue
+		}
+		v := &r[j]
+		v.Kind = c.Kind
+		switch c.Kind {
+		case KindInt:
+			v.Int = c.Ints[i]
+		case KindFloat:
+			v.Float = c.Floats[i]
+		case KindString:
+			v.Str = c.Dict.Strs[c.Codes[i]]
+		case KindBool:
+			v.Bool = c.Bools[i]
+		}
+	}
+}
+
+// append adds cell i (the column's next) to the vector: the value or the
+// kind's zero, the null bit, the chunk's zone, the string's dictionary code.
+// AppendRow has checked that v is NULL or of the column's kind.
+func (c *ColumnData) append(i int, v Value) {
+	if i%ZoneChunkRows == 0 {
+		c.Zones = append(c.Zones, Zone{})
+	}
+	z := &c.Zones[len(c.Zones)-1]
+	if c.Nulls != nil && i>>6 == len(c.Nulls) {
+		c.Nulls = append(c.Nulls, 0)
+	}
+	code := int32(-1)
+	switch {
+	case v.Kind == KindNull:
+		if c.Nulls == nil {
+			c.Nulls = NewBitmap(i + 1)
+		}
+		c.Nulls.Set(i)
+		z.HasNull = true
+		v = Null
+	case v.IsNumeric():
+		updateZone(z, v.AsFloat())
+	case v.Kind == KindString:
+		code, z.HasValue = c.Dict.add(v.Str), true
+	default:
+		z.HasValue = true
+	}
+	switch c.Kind {
+	case KindInt:
+		c.Ints = append(c.Ints, v.Int)
+	case KindFloat:
+		c.Floats = append(c.Floats, v.Float)
+	case KindBool:
+		c.Bools = append(c.Bools, v.Bool)
+	case KindString:
+		c.Codes = append(c.Codes, code)
+	}
+}
+
+// ColumnSet is a table's columns. The typed vectors are the storage; the
+// per-column join indexes and the identity selection vector (joinindex.go) are
+// derived from them on first use and dropped by the next AppendRow.
 type ColumnSet struct {
 	NumRows int
 	Cols    []ColumnData
 
-	joinIdx   []joinIndexSlot // one per column
-	identOnce sync.Once
-	ident     []int32
-}
-
-// Columns returns the columnar view of the table, building and caching it on
-// first use: concurrent first callers block on one build and share its
-// complete, immutable ColumnSet. The cache is invalidated by AppendRow. It
-// panics if a cell is neither NULL nor of its column's declared kind.
-func (t *Table) Columns() *ColumnSet {
-	if cs := t.cols.Load(); cs != nil {
-		return cs
-	}
-	t.colsMu.Lock()
-	defer t.colsMu.Unlock()
-	if cs := t.cols.Load(); cs != nil {
-		return cs
-	}
-	cs := buildColumnSet(t)
-	t.cols.Store(cs)
-	return cs
-}
-
-func buildColumnSet(t *Table) *ColumnSet {
-	cs := &ColumnSet{
-		NumRows: len(t.Rows),
-		Cols:    make([]ColumnData, len(t.Schema)),
-		joinIdx: make([]joinIndexSlot, len(t.Schema)),
-	}
-	for ci := range t.Schema {
-		buildColumn(t, ci, &cs.Cols[ci])
-	}
-	return cs
-}
-
-func buildColumn(t *Table, ci int, out *ColumnData) {
-	n := len(t.Rows)
-	kind := t.Schema[ci].Kind
-	out.Kind = kind
-	switch kind {
-	case KindInt:
-		out.Ints = make([]int64, n)
-	case KindFloat:
-		out.Floats = make([]float64, n)
-	case KindString:
-		out.Codes = make([]int32, n)
-		out.Dict = &Dict{}
-	case KindBool:
-		out.Bools = make([]bool, n)
-	default:
-		panic(fmt.Sprintf("table %s: column %s is declared %s, which no cell can hold", t.Name, t.Schema[ci].Name, kind))
-	}
-	nChunks := (n + ZoneChunkRows - 1) / ZoneChunkRows
-	zones := make([]Zone, nChunks)
-	for i, r := range t.Rows {
-		v := r[ci]
-		z := &zones[i/ZoneChunkRows]
-		if v.Kind == KindNull {
-			if out.Nulls == nil {
-				out.Nulls = NewBitmap(n)
-			}
-			out.Nulls.Set(i)
-			if out.Codes != nil {
-				out.Codes[i] = -1
-			}
-			z.HasNull = true
-			continue
-		}
-		if v.Kind != kind {
-			panic(fmt.Sprintf("table %s: column %s row %d holds a %s, declared %s", t.Name, t.Schema[ci].Name, i, v.Kind, kind))
-		}
-		switch kind {
-		case KindInt:
-			out.Ints[i] = v.Int
-			updateZone(z, float64(v.Int))
-		case KindFloat:
-			out.Floats[i] = v.Float
-			updateZone(z, v.Float)
-		case KindString:
-			out.Codes[i] = out.Dict.add(v.Str)
-			z.HasValue = true
-		case KindBool:
-			out.Bools[i] = v.Bool
-			z.HasValue = true
-		}
-	}
-	out.Zones = zones
+	derived *derived
 }
 
 func updateZone(z *Zone, v float64) {
@@ -257,23 +226,6 @@ func updateZone(z *Zone, v float64) {
 	}
 	if v > z.Max {
 		z.Max = v
-	}
-}
-
-// cache holds the lazily-derived per-table indexes: the columnar view and the
-// case-folded column-name index. It lives in its own struct so Table's hot
-// fields stay simple and the zero Table remains usable.
-type cache struct {
-	cols    atomic.Pointer[ColumnSet]
-	colsMu  sync.Mutex
-	nameIdx atomic.Pointer[nameIndexData]
-}
-
-// invalidate drops the columnar view (called on row mutation). The name index
-// survives: the schema is fixed at New time.
-func (c *cache) invalidate() {
-	if c.cols.Load() != nil {
-		c.cols.Store(nil)
 	}
 }
 

@@ -1,7 +1,10 @@
 package table
 
 import (
+	"bytes"
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -54,7 +57,8 @@ func TestColumnsBuildTypedVectors(t *testing.T) {
 	}
 	// Every cell round-trips through Value.
 	for ci := range tbl.Schema {
-		for ri, r := range tbl.Rows {
+		for ri := 0; ri < tbl.NumRows(); ri++ {
+			r := tbl.Row(ri)
 			got, want := cs.Cols[ci].Value(ri), r[ci]
 			if got.Key() != want.Key() {
 				t.Fatalf("col %d row %d: %v != %v", ci, ri, got, want)
@@ -63,39 +67,44 @@ func TestColumnsBuildTypedVectors(t *testing.T) {
 	}
 }
 
-// columnsPanic is the message Columns panics with on tbl ("" if it does not).
-func columnsPanic(tbl *Table) (msg string) {
+// appendPanic is the message AppendRow(r) panics with on tbl ("" if it does
+// not).
+func appendPanic(tbl *Table, r Row) (msg string) {
 	defer func() {
 		if r := recover(); r != nil {
 			msg = fmt.Sprint(r)
 		}
 	}()
-	tbl.Columns()
+	tbl.AppendRow(r)
 	return ""
 }
 
 // TestColumnsPanicsOnKindMismatch: a cell that is neither NULL nor of its
-// column's declared kind is a programming error the columnar view refuses,
-// naming table, column, row and both kinds; NULLs are no mismatch.
+// column's declared kind is a programming error the append refuses, naming
+// table, column, row and both kinds, and leaving the table as it was; NULLs are
+// no mismatch. A wrong arity names the table and both arities.
 func TestColumnsPanicsOnKindMismatch(t *testing.T) {
 	tbl := New("m", Schema{{Name: "ok", Kind: KindString}, {Name: "x", Kind: KindInt}})
 	tbl.AppendRow(Row{NewString("a"), NewInt(1)})
-	tbl.AppendRow(Row{Null, Null})
-	if msg := columnsPanic(tbl); msg != "" {
+	if msg := appendPanic(tbl, Row{Null, Null}); msg != "" {
 		t.Fatalf("NULL cells panicked: %s", msg)
 	}
-	tbl.AppendRow(Row{NewString("b"), NewString("oops")})
-	if got, want := columnsPanic(tbl), "table m: column x row 2 holds a string, declared int"; got != want {
+	if got, want := appendPanic(tbl, Row{NewString("b"), NewString("oops")}), "table m: column x row 2 holds a string, declared int"; got != want {
 		t.Fatalf("panic = %q, want %q", got, want)
+	}
+	if got, want := appendPanic(tbl, Row{NewString("b")}), "table m: row arity 1 != schema arity 2"; got != want {
+		t.Fatalf("panic = %q, want %q", got, want)
+	}
+	if cs := tbl.Columns(); cs.NumRows != 2 || len(cs.Cols[0].Codes) != 2 || cs.Cols[0].Dict.Len() != 1 || len(cs.Cols[1].Ints) != 2 {
+		t.Fatalf("a refused row left cells behind: %d rows, codes %v, dict %v, ints %v", cs.NumRows, cs.Cols[0].Codes, cs.Cols[0].Dict.Strs, cs.Cols[1].Ints)
 	}
 }
 
 // TestColumnsPanicsOnNullKindColumn: no cell can hold a value of kind null, so
-// a column declared that way is refused too, whatever it holds.
+// a column declared that way is refused too, whatever it is handed.
 func TestColumnsPanicsOnNullKindColumn(t *testing.T) {
 	tbl := New("n", Schema{{Name: "v", Kind: KindNull}})
-	tbl.AppendRow(Row{Null})
-	if got, want := columnsPanic(tbl), "table n: column v is declared null, which no cell can hold"; got != want {
+	if got, want := appendPanic(tbl, Row{Null}), "table n: column v is declared null, which no cell can hold"; got != want {
 		t.Fatalf("panic = %q, want %q", got, want)
 	}
 }
@@ -249,24 +258,6 @@ func BenchmarkRowKey(b *testing.B) {
 	})
 }
 
-// BenchmarkColumnsBuild measures the one-time cost of deriving the columnar
-// view (paid on first query after load/append, then cached).
-func BenchmarkColumnsBuild(b *testing.B) {
-	tbl := New("b", Schema{
-		{Name: "id", Kind: KindInt},
-		{Name: "genre", Kind: KindString},
-	})
-	for i := 0; i < 50_000; i++ {
-		tbl.AppendRow(Row{NewInt(int64(i)), NewString(fmt.Sprintf("g%d", i%32))})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl.invalidate()
-		_ = tbl.Columns()
-	}
-}
-
 func TestBitmapAppendRows(t *testing.T) {
 	b := NewBitmap(200)
 	want := []int32{0, 63, 64, 65, 127, 199}
@@ -284,5 +275,241 @@ func TestBitmapAppendRows(t *testing.T) {
 	}
 	if rows := NewBitmap(0).AppendRows(nil); len(rows) != 0 {
 		t.Fatalf("empty bitmap yields %v", rows)
+	}
+}
+
+// refColumns builds every column of schema from rows at once: the routine that
+// derived a table's columnar view from its rows when a table still kept rows,
+// kept as the reference incremental AppendRow and Select are held to.
+func refColumns(schema Schema, rows []Row) []ColumnData {
+	cols := make([]ColumnData, len(schema))
+	n := len(rows)
+	for ci := range schema {
+		out, kind := &cols[ci], schema[ci].Kind
+		out.Kind = kind
+		switch kind {
+		case KindInt:
+			out.Ints = make([]int64, n)
+		case KindFloat:
+			out.Floats = make([]float64, n)
+		case KindString:
+			out.Codes = make([]int32, n)
+			out.Dict = &Dict{}
+		case KindBool:
+			out.Bools = make([]bool, n)
+		}
+		zones := make([]Zone, (n+ZoneChunkRows-1)/ZoneChunkRows)
+		for i, r := range rows {
+			v := r[ci]
+			z := &zones[i/ZoneChunkRows]
+			if v.Kind == KindNull {
+				if out.Nulls == nil {
+					out.Nulls = NewBitmap(n)
+				}
+				out.Nulls.Set(i)
+				if out.Codes != nil {
+					out.Codes[i] = -1
+				}
+				z.HasNull = true
+				continue
+			}
+			switch kind {
+			case KindInt:
+				out.Ints[i] = v.Int
+				updateZone(z, float64(v.Int))
+			case KindFloat:
+				out.Floats[i] = v.Float
+				updateZone(z, v.Float)
+			case KindString:
+				out.Codes[i] = out.Dict.add(v.Str)
+				z.HasValue = true
+			case KindBool:
+				out.Bools[i] = v.Bool
+				z.HasValue = true
+			}
+		}
+		out.Zones = zones
+	}
+	return cols
+}
+
+// sameColumns reports the first difference between two column lists: vectors
+// (floats by bit pattern), null bitmaps, dictionaries and zones.
+func sameColumns(got, want []ColumnData) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d columns, want %d", len(got), len(want))
+	}
+	bits := func(fs []float64) []uint64 {
+		out := make([]uint64, len(fs))
+		for i, f := range fs {
+			out[i] = math.Float64bits(f)
+		}
+		return out
+	}
+	zoneBits := func(zs []Zone) []string {
+		out := make([]string, len(zs))
+		for i, z := range zs {
+			out[i] = fmt.Sprintf("%x %x %v %v", math.Float64bits(z.Min), math.Float64bits(z.Max), z.HasValue, z.HasNull)
+		}
+		return out
+	}
+	for ci := range want {
+		g, w := &got[ci], &want[ci]
+		var gd, wd []string
+		if w.Dict != nil {
+			wd = w.Dict.Strs
+		}
+		if g.Dict != nil {
+			gd = g.Dict.Strs
+		}
+		for _, f := range []struct {
+			name      string
+			got, want any
+		}{
+			{"kind", g.Kind, w.Kind},
+			{"nulls", []uint64(g.Nulls), []uint64(w.Nulls)},
+			{"ints", g.Ints, w.Ints},
+			{"floats", bits(g.Floats), bits(w.Floats)},
+			{"bools", g.Bools, w.Bools},
+			{"codes", g.Codes, w.Codes},
+			{"dict", gd, wd},
+			{"zones", zoneBits(g.Zones), zoneBits(w.Zones)},
+		} {
+			if fmt.Sprint(f.got) != fmt.Sprint(f.want) {
+				return fmt.Errorf("column %d %s differ:\n got %v\nwant %v", ci, f.name, f.got, f.want)
+			}
+		}
+		if (g.Nulls == nil) != (w.Nulls == nil) {
+			return fmt.Errorf("column %d: Nulls nil = %v, want %v", ci, g.Nulls == nil, w.Nulls == nil)
+		}
+		for s, code := range wd {
+			if c, ok := g.Dict.Code(wd[s]); !ok || int(c) != s {
+				return fmt.Errorf("column %d: Code(%q) = %d,%v, want %d", ci, code, c, ok, s)
+			}
+		}
+	}
+	return nil
+}
+
+// randomRows draws n rows of every kind: NULLs in runs that cross chunk
+// boundaries, floats among NaN, ±Inf and -0, strings from a small domain so
+// that codes repeat.
+func randomRows(rng *rand.Rand, n int) (Schema, []Row) {
+	schema := Schema{
+		{Name: "i", Kind: KindInt}, {Name: "f", Kind: KindFloat}, {Name: "s", Kind: KindString},
+		{Name: "b", Kind: KindBool}, {Name: "dense", Kind: KindInt},
+	}
+	floats := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 2.5, -1e300}
+	rows := make([]Row, n)
+	nullRun := make([]int, len(schema)) // cells of the column's current NULL run still to come
+	for i := range rows {
+		r := Row{
+			NewInt(rng.Int63() - 1<<62),
+			NewFloat(floats[rng.Intn(len(floats))] + float64(rng.Intn(3))),
+			NewString(fmt.Sprintf("s%d", rng.Intn(40))),
+			NewBool(rng.Intn(2) == 0),
+			NewInt(int64(i)),
+		}
+		for ci := range r[:4] { // "dense" never holds a NULL: its Nulls stays nil
+			if nullRun[ci] == 0 && rng.Intn(300) == 0 {
+				nullRun[ci] = 1 + rng.Intn(2*ZoneChunkRows)
+			}
+			if nullRun[ci] > 0 {
+				nullRun[ci]--
+				r[ci] = Null
+			}
+		}
+		rows[i] = r
+	}
+	return schema, rows
+}
+
+// TestAppendRowMatchesReferenceBuild: columns grown a row at a time are the
+// columns the reference builds from all rows at once, at every size around the
+// chunk and bitmap-word boundaries and over several chunks.
+func TestAppendRowMatchesReferenceBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for _, n := range []int{0, 1, 63, 64, 65, ZoneChunkRows - 1, ZoneChunkRows, ZoneChunkRows + 1, 3*ZoneChunkRows + 517} {
+		schema, rows := randomRows(rng, n)
+		tbl := New("r", schema)
+		for _, r := range rows {
+			tbl.AppendRow(r)
+		}
+		if tbl.NumRows() != n || tbl.Columns().NumRows != n {
+			t.Fatalf("n=%d: NumRows = %d / %d", n, tbl.NumRows(), tbl.Columns().NumRows)
+		}
+		if err := sameColumns(tbl.Columns().Cols, refColumns(schema, rows)); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		for i, r := range rows {
+			if got := tbl.Row(i); got.Key() != r.Key() {
+				t.Fatalf("n=%d: Row(%d) = %v, appended %v", n, i, got, r)
+			}
+		}
+	}
+}
+
+// TestSelectMatchesReferenceBuild: Select of any index list — repeats, indices
+// out of range (skipped), nothing at all — is the table the reference builds
+// from the selected rows: its own zones, and its own dictionaries in
+// first-appearance order over the selection.
+func TestSelectMatchesReferenceBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(81))
+	schema, rows := randomRows(rng, 2*ZoneChunkRows+100)
+	tbl := New("r", schema)
+	for _, r := range rows {
+		tbl.AppendRow(r)
+	}
+	for _, k := range []int{0, 1, 70, ZoneChunkRows + 3, 3 * ZoneChunkRows} {
+		indices := make([]int, k)
+		var picked []Row
+		for j := range indices {
+			indices[j] = rng.Intn(len(rows)+20) - 10
+			if i := indices[j]; i >= 0 && i < len(rows) {
+				picked = append(picked, rows[i])
+			}
+		}
+		sel := tbl.Select(indices)
+		if sel.NumRows() != len(picked) || sel.Name != tbl.Name || sel.Schema.String() != tbl.Schema.String() {
+			t.Fatalf("k=%d: Select = %s %q with %d rows, want %d", k, sel.Name, sel.Schema, sel.NumRows(), len(picked))
+		}
+		if err := sameColumns(sel.Columns().Cols, refColumns(schema, picked)); err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+	}
+	if err := sameColumns(tbl.Columns().Cols, refColumns(schema, rows)); err != nil {
+		t.Fatalf("Select changed its source: %v", err)
+	}
+}
+
+// TestCSVRoundTripColumns: ReadCSV(WriteCSV(t)) is t column for column, and
+// writing it again gives the same bytes. (A NULL string is the one cell CSV
+// cannot carry — it reads back as the empty string — so the table has none.)
+func TestCSVRoundTripColumns(t *testing.T) {
+	schema, rows := randomRows(rand.New(rand.NewSource(5)), 2*ZoneChunkRows+9)
+	tbl := New("r", schema)
+	for _, r := range rows {
+		if r[2].IsNull() {
+			r[2] = NewString("")
+		}
+		tbl.AppendRow(r)
+	}
+	var first bytes.Buffer
+	if err := tbl.WriteCSV(&first); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadCSV("r", bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameColumns(back.Columns().Cols, tbl.Columns().Cols); err != nil {
+		t.Fatal(err)
+	}
+	var second bytes.Buffer
+	if err := back.WriteCSV(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatal("a table read back from CSV writes different CSV")
 	}
 }

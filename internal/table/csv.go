@@ -23,9 +23,9 @@ func (t *Table) WriteCSV(w io.Writer) error {
 		return fmt.Errorf("table: write csv header: %w", err)
 	}
 	record := make([]string, len(t.Schema))
-	for _, r := range t.Rows {
-		for i, v := range r {
-			record[i] = v.String()
+	for r := 0; r < t.NumRows(); r++ {
+		for i := range record {
+			record[i] = t.Cell(r, i).String()
 		}
 		if err := cw.Write(record); err != nil {
 			return fmt.Errorf("table: write csv row: %w", err)
@@ -38,9 +38,13 @@ func (t *Table) WriteCSV(w io.Writer) error {
 // ReadCSV parses a table previously written by WriteCSV. Every field is parsed
 // as its column's declared kind (empty is NULL), and a column declared null is
 // refused: no cell could hold a value, and no relation has such a column.
+// Nothing is allocated per line beyond what encoding/csv reads it into, and a
+// string new to its column's dictionary is copied so that the dictionary does
+// not pin every line it first saw a string on.
 func ReadCSV(name string, r io.Reader) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
+	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("table: read csv header: %w", err)
@@ -61,6 +65,7 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 		schema[i] = Column{Name: name, Kind: kind}
 	}
 	t := New(name, schema)
+	row := make(Row, len(schema))
 	for lineNo := 2; ; lineNo++ {
 		record, err := cr.Read()
 		if err == io.EOF {
@@ -72,8 +77,12 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 		if len(record) != len(schema) {
 			return nil, fmt.Errorf("table: csv line %d has %d fields, want %d", lineNo, len(record), len(schema))
 		}
-		row := make(Row, len(schema))
 		for i, field := range record {
+			if dict := t.cols.Cols[i].Dict; dict != nil {
+				if _, known := dict.Code(field); !known {
+					field = strings.Clone(field)
+				}
+			}
 			v, err := ParseValue(field, schema[i].Kind)
 			if err != nil {
 				return nil, fmt.Errorf("table: csv line %d col %s: %w", lineNo, schema[i].Name, err)

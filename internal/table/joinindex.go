@@ -328,32 +328,45 @@ func (ix *JoinIndex) fill(rows []int32, groups int) *JoinIndex {
 	return ix
 }
 
+// derived is what a ColumnSet builds from its vectors on first use: a
+// build-once join index per column and the identity selection vector, which
+// every index build reads — so ident is non-nil once there is anything here for
+// AppendRow to drop.
+type derived struct {
+	joinIdx   []joinIndexSlot // one per column
+	identOnce sync.Once
+	ident     []int32
+}
+
+func newDerived(cols int) *derived { return &derived{joinIdx: make([]joinIndexSlot, cols)} }
+
+// joinIndexSlot is a build-once cell for one column's index.
+type joinIndexSlot struct {
+	once sync.Once
+	ix   *JoinIndex
+}
+
 // JoinIndex returns the join index of column col, building it on first use; built reports whether this call did the build.
-// Concurrent first users of one column block on one build and share it. Like
-// the vectors it is derived from, the index is immutable and dies with the
-// ColumnSet when AppendRow invalidates the table's columnar view.
+// Concurrent first users of one column block on one build and share it. The
+// index is immutable, and right for the rows the table holds now: an AppendRow
+// drops it.
 func (cs *ColumnSet) JoinIndex(col int) (ix *JoinIndex, built bool) {
-	e := &cs.joinIdx[col]
+	e := &cs.derived.joinIdx[col]
 	e.once.Do(func() {
 		e.ix, built = buildJoinIndex(&cs.Cols[col], cs.Identity()), true
 	})
 	return e.ix, built
 }
 
-// joinIndexSlot is a ColumnSet's build-once cell for one column's index.
-type joinIndexSlot struct {
-	once sync.Once
-	ix   *JoinIndex
-}
-
 // Identity returns the selection vector [0, NumRows): every row of the table.
 // It is built once and shared, so callers must treat it as read-only.
 func (cs *ColumnSet) Identity() []int32 {
-	cs.identOnce.Do(func() {
-		cs.ident = make([]int32, cs.NumRows)
-		for i := range cs.ident {
-			cs.ident[i] = int32(i)
+	d := cs.derived
+	d.identOnce.Do(func() {
+		d.ident = make([]int32, cs.NumRows)
+		for i := range d.ident {
+			d.ident[i] = int32(i)
 		}
 	})
-	return cs.ident
+	return d.ident
 }

@@ -60,7 +60,8 @@ func TestJoinIndexMatchesBruteForce(t *testing.T) {
 	wantLayout := []string{"dense", "hash", "hash", "dense", "dense", "dense", "dense"}
 	for ci, col := range tbl.Schema {
 		want := map[string][]int32{}
-		for ri, r := range tbl.Rows {
+		for ri := 0; ri < tbl.NumRows(); ri++ {
+			r := tbl.Row(ri)
 			if v := r[ci]; !v.IsNull() {
 				want[v.Key()] = append(want[v.Key()], int32(ri))
 			}
@@ -77,7 +78,8 @@ func TestJoinIndexMatchesBruteForce(t *testing.T) {
 		}
 		keyer := cs.Cols[ci].JoinKeyer(nil)
 		seen := map[string]bool{}
-		for ri, r := range tbl.Rows {
+		for ri := 0; ri < tbl.NumRows(); ri++ {
+			r := tbl.Row(ri)
 			k, ok := keyer(int32(ri))
 			if ok == r[ci].IsNull() {
 				t.Fatalf("%s row %d: keyer ok=%v for %v", col.Name, ri, ok, r[ci])
@@ -111,7 +113,7 @@ func TestJoinIndexMatchesBruteForce(t *testing.T) {
 		// and the absent ones, each run the bounds of Lookup's slice in Rows().
 		var tags []uint8
 		var bits []uint64
-		for ri := range tbl.Rows {
+		for ri := 0; ri < tbl.NumRows(); ri++ {
 			k, ok := keyer(int32(ri))
 			if !ok {
 				k = JoinKey{Tag: TagNull}
@@ -137,11 +139,11 @@ func TestJoinIndexMatchesBruteForce(t *testing.T) {
 	// Keys unify across kinds exactly as Value.Key does: an integral float
 	// probes an int column, and an int probes a float column.
 	dense, _ := cs.JoinIndex(0)
-	if got := dense.Lookup(FloatJoinKey(101)); len(got) == 0 || tbl.Rows[got[0]][0].Int != 101 {
+	if got := dense.Lookup(FloatJoinKey(101)); len(got) == 0 || tbl.Cell(int(got[0]), 0).Int != 101 {
 		t.Errorf("float 101 into the int index = %v", got)
 	}
 	floats, _ := cs.JoinIndex(2)
-	if got := floats.Lookup(JoinKey{TagNum, 3}); len(got) == 0 || tbl.Rows[got[0]][2].Float != 3 {
+	if got := floats.Lookup(JoinKey{TagNum, 3}); len(got) == 0 || tbl.Cell(int(got[0]), 2).Float != 3 {
 		t.Errorf("int 3 into the float index = %v", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Column describes one column of a table schema.
@@ -16,8 +17,7 @@ type Column struct {
 type Schema []Column
 
 // ColumnIndex returns the index of the named column, or -1. The scan is
-// linear; Table.ColumnIndex memoizes a case-folded map and should be
-// preferred on hot paths.
+// linear: a relation's binder goes through Table.ColumnIndex instead.
 func (s Schema) ColumnIndex(name string) int {
 	for i, c := range s {
 		if strings.EqualFold(c.Name, name) {
@@ -69,49 +69,81 @@ func (r Row) AppendKey(dst []byte) []byte {
 	return dst
 }
 
-// Clone returns a copy of the row.
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}
-
-// Table is a named relation: a schema plus row-major tuple storage. The
-// embedded cache lazily derives a columnar view (see Columns) and a
-// case-folded column-name index; both are rebuilt on demand and never
-// serialized.
+// Table is a named relation, stored as its columns and nothing else: one typed
+// vector per schema column (column.go). Build one with New and AppendRow; once
+// it is shared — added to a database that serves queries — it is not appended
+// to again, and Select is how a copy is made. Row and Cell box cells on demand
+// for display, the test oracle and cold per-row code; operators read Columns.
 type Table struct {
 	Name   string
 	Schema Schema
-	Rows   []Row
 
-	cache
+	cols    ColumnSet
+	nameIdx atomic.Pointer[nameIndexData]
 }
 
 // New creates an empty table with the given name and schema.
 func New(name string, schema Schema) *Table {
-	return &Table{Name: name, Schema: schema.Clone()}
+	t := &Table{Name: name, Schema: schema.Clone()}
+	t.cols.Cols = make([]ColumnData, len(schema))
+	for ci, c := range schema {
+		t.cols.Cols[ci].Kind = c.Kind
+		if c.Kind == KindString {
+			t.cols.Cols[ci].Dict = &Dict{}
+		}
+	}
+	t.cols.derived = newDerived(len(schema))
+	return t
 }
 
 // NumRows returns the number of tuples in the table.
-func (t *Table) NumRows() int { return len(t.Rows) }
+func (t *Table) NumRows() int { return t.cols.NumRows }
 
-// NumCols returns the number of columns.
-func (t *Table) NumCols() int { return len(t.Schema) }
+// Columns returns the table's storage. It is read-only to callers.
+func (t *Table) Columns() *ColumnSet { return &t.cols }
 
-// AppendRow adds a tuple. It panics if the arity does not match the schema,
-// since that is always a programming error in this codebase.
+// AppendRow adds a tuple: each cell goes onto its column's vector, r itself is
+// not kept. It panics, leaving the table as it was, if the arity does not match
+// the schema, if a cell is neither NULL nor of its column's declared kind, or
+// if a column is declared null (a kind no cell can hold): each is always a
+// programming error in this codebase, and ReadCSV refuses all three as errors.
 func (t *Table) AppendRow(r Row) {
 	if len(r) != len(t.Schema) {
 		panic(fmt.Sprintf("table %s: row arity %d != schema arity %d", t.Name, len(r), len(t.Schema)))
 	}
-	t.Rows = append(t.Rows, r)
-	t.cache.invalidate()
+	cs := &t.cols
+	for ci, v := range r {
+		switch kind := cs.Cols[ci].Kind; {
+		case kind < KindInt || kind > KindBool:
+			panic(fmt.Sprintf("table %s: column %s is declared %s, which no cell can hold", t.Name, t.Schema[ci].Name, kind))
+		case v.Kind != KindNull && v.Kind != kind:
+			panic(fmt.Sprintf("table %s: column %s row %d holds a %s, declared %s", t.Name, t.Schema[ci].Name, cs.NumRows, v.Kind, kind))
+		}
+	}
+	for ci, v := range r {
+		cs.Cols[ci].append(cs.NumRows, v)
+	}
+	cs.NumRows++
+	if cs.derived.ident != nil {
+		cs.derived = newDerived(len(cs.Cols))
+	}
 }
+
+// Row boxes tuple i.
+func (t *Table) Row(i int) Row {
+	r := make(Row, len(t.cols.Cols))
+	for c := range r {
+		r[c] = t.cols.Cols[c].Value(i)
+	}
+	return r
+}
+
+// Cell boxes the cell of tuple i in column c.
+func (t *Table) Cell(i, c int) Value { return t.cols.Cols[c].Value(i) }
 
 // ColumnIndex returns the index of the named column, or -1. Unlike
 // Schema.ColumnIndex it answers from a memoized case-folded map, so repeated
-// lookups (binder resolution, projection, ORDER BY) are O(1).
+// lookups (binder resolution, projection) are O(1).
 func (t *Table) ColumnIndex(name string) int {
 	ni := t.nameIndex()
 	if i, ok := lookupFolded(ni, name); ok {
@@ -125,40 +157,57 @@ func (t *Table) ColumnIndex(name string) int {
 	return -1
 }
 
-// Column returns all values of the named column. It returns an error if the
-// column does not exist.
-func (t *Table) Column(name string) ([]Value, error) {
-	idx := t.ColumnIndex(name)
-	if idx < 0 {
-		return nil, fmt.Errorf("table %s: no column %q", t.Name, name)
-	}
-	out := make([]Value, len(t.Rows))
-	for i, r := range t.Rows {
-		out[i] = r[idx]
-	}
-	return out, nil
-}
-
 // Select returns a new table containing the rows at the given indices (in the
-// given order). Indices out of range are skipped.
+// given order). Indices out of range are skipped. Each column is gathered
+// through the same append AppendRow uses, so the copy is what appending the
+// selected rows to an empty table builds: its own zones, and its own
+// dictionaries in first-appearance order over the selected rows.
 func (t *Table) Select(indices []int) *Table {
 	out := New(t.Name, t.Schema)
-	out.Rows = make([]Row, 0, len(indices))
+	keep := make([]int, 0, len(indices))
 	for _, i := range indices {
-		if i >= 0 && i < len(t.Rows) {
-			out.Rows = append(out.Rows, t.Rows[i])
+		if i >= 0 && i < t.cols.NumRows {
+			keep = append(keep, i)
+		}
+	}
+	out.cols.NumRows = len(keep)
+	for ci := range out.cols.Cols {
+		for at, i := range keep {
+			out.cols.Cols[ci].append(at, t.cols.Cols[ci].Value(i))
 		}
 	}
 	return out
 }
 
-// Clone returns a deep copy of the table (rows are shallow-copied Value
-// slices, which is safe because Value is immutable by convention).
-func (t *Table) Clone() *Table {
-	out := New(t.Name, t.Schema)
-	out.Rows = make([]Row, len(t.Rows))
-	for i, r := range t.Rows {
-		out.Rows[i] = r.Clone()
+// RowSet is an answer: the rows a statement produced, under the schema the
+// engine inferred for them. It is not a relation — a cell's kind is whatever
+// the expression evaluated to (Schema is the engine's best guess), nothing is
+// columnar and nothing joins against it.
+type RowSet struct {
+	Schema Schema
+	Rows   []Row
+}
+
+// NumRows returns the number of rows in the answer.
+func (s *RowSet) NumRows() int { return len(s.Rows) }
+
+// ColumnIndex returns the index of the named output column, or -1.
+func (s *RowSet) ColumnIndex(name string) int { return s.Schema.ColumnIndex(name) }
+
+// GroupValues reads an aggregate's answer as group → value: a grouped one maps
+// its first column's Value.String() to its second column (the first aggregate),
+// an ungrouped one maps "" to its first. A nil answer has no groups.
+func (s *RowSet) GroupValues(grouped bool) map[string]float64 {
+	out := map[string]float64{}
+	if s == nil {
+		return out
+	}
+	for _, r := range s.Rows {
+		if grouped && len(r) >= 2 {
+			out[r[0].String()] = r[1].AsFloat()
+		} else if !grouped && len(r) >= 1 {
+			out[""] = r[0].AsFloat()
+		}
 	}
 	return out
 }

@@ -25,8 +25,8 @@ func testTable(t *testing.T) *Table {
 
 func TestTableBasics(t *testing.T) {
 	tab := testTable(t)
-	if tab.NumRows() != 3 || tab.NumCols() != 4 {
-		t.Fatalf("got %dx%d, want 3x4", tab.NumRows(), tab.NumCols())
+	if tab.NumRows() != 3 || len(tab.Schema) != 4 {
+		t.Fatalf("got %dx%d, want 3x4", tab.NumRows(), len(tab.Schema))
 	}
 	if tab.ColumnIndex("TITLE") != 1 {
 		t.Error("column lookup should be case-insensitive")
@@ -34,15 +34,11 @@ func TestTableBasics(t *testing.T) {
 	if tab.ColumnIndex("nope") != -1 {
 		t.Error("missing column should return -1")
 	}
-	col, err := tab.Column("year")
-	if err != nil {
-		t.Fatal(err)
+	if got := tab.Cell(0, 2); got != NewInt(1999) {
+		t.Errorf("Cell(0, year) = %v", got)
 	}
-	if len(col) != 3 || col[0].Int != 1999 {
-		t.Errorf("Column(year) = %v", col)
-	}
-	if _, err := tab.Column("missing"); err == nil {
-		t.Error("Column on missing name should error")
+	if got := tab.Row(2); len(got) != 4 || got[1] != NewString("Gamma") || !got[3].IsNull() {
+		t.Errorf("Row(2) = %v", got)
 	}
 }
 
@@ -62,17 +58,8 @@ func TestTableSelect(t *testing.T) {
 	if sel.NumRows() != 2 {
 		t.Fatalf("Select kept %d rows, want 2 (out-of-range skipped)", sel.NumRows())
 	}
-	if sel.Rows[0][1].Str != "Gamma" || sel.Rows[1][1].Str != "Alpha" {
-		t.Errorf("Select order not preserved: %v", sel.Rows)
-	}
-}
-
-func TestTableCloneIndependence(t *testing.T) {
-	tab := testTable(t)
-	cl := tab.Clone()
-	cl.Rows[0][1] = NewString("Mutated")
-	if tab.Rows[0][1].Str != "Alpha" {
-		t.Error("mutating clone affected original")
+	if sel.Cell(0, 1).Str != "Gamma" || sel.Cell(1, 1).Str != "Alpha" {
+		t.Errorf("Select order not preserved: %v %v", sel.Row(0), sel.Row(1))
 	}
 }
 
@@ -144,8 +131,8 @@ func TestSubsetMaterialize(t *testing.T) {
 	if m.NumRows() != 2 {
 		t.Fatalf("materialized movies has %d rows, want 2", m.NumRows())
 	}
-	if m.Rows[0][1].Str != "Alpha" || m.Rows[1][1].Str != "Gamma" {
-		t.Errorf("materialized rows = %v", m.Rows)
+	if m.Cell(0, 1).Str != "Alpha" || m.Cell(1, 1).Str != "Gamma" {
+		t.Errorf("materialized rows = %v %v", m.Row(0), m.Row(1))
 	}
 	// Tables with no selected rows exist but are empty.
 	if e := sub.Table("empty"); e == nil || e.NumRows() != 0 {
@@ -200,9 +187,10 @@ func TestCSVRoundTrip(t *testing.T) {
 	if got.NumRows() != tab.NumRows() {
 		t.Fatalf("round trip rows = %d, want %d", got.NumRows(), tab.NumRows())
 	}
-	for i, r := range tab.Rows {
+	for i := 0; i < tab.NumRows(); i++ {
+		r := tab.Row(i)
 		for j, v := range r {
-			g := got.Rows[i][j]
+			g := got.Cell(i, j)
 			if v.IsNull() != g.IsNull() || (!v.IsNull() && !v.Equal(g)) {
 				t.Errorf("cell (%d,%d): got %v want %v", i, j, g, v)
 			}
@@ -259,8 +247,8 @@ func TestReadCSVDir(t *testing.T) {
 				if names := db.TableNames(); len(names) != 2 || names[0] != "cast" || names[1] != "title" {
 					t.Fatalf("tables = %v, want cast then title (file-name order)", names)
 				}
-				if tt := db.Table("title"); tt.NumRows() != 2 || !tt.Rows[1][1].Equal(NewString("")) {
-					t.Fatalf("title = %v", tt.Rows)
+				if tt := db.Table("title"); tt.NumRows() != 2 || !tt.Cell(1, 1).Equal(NewString("")) {
+					t.Fatalf("title = %v", tt.Row(1))
 				}
 				db.Table("title").Columns() // every cell is of its column's kind
 				return

@@ -3,9 +3,10 @@
 // identifiers, databases (catalogs of tables), subsets of databases, and CSV
 // import/export.
 //
-// The storage model is deliberately simple — row-major slices of Value — so
-// that the query engine (internal/engine), the preprocessing pipeline and
-// every baseline operate over exactly the same representation.
+// A relation (Table) is stored as typed column vectors and nothing else, the
+// one representation the query engine (internal/engine), the preprocessing
+// pipeline and every baseline read; a Value is a cell boxed out of one, and an
+// answer (RowSet) is rows of them.
 package table
 
 import (

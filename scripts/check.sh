@@ -53,9 +53,11 @@ go test -bench=Fig2 -benchtime=1x -run='^$' "$@" ./... |
 # scan phase's access paths (selective two-way, three-way chain, and the wide
 # shape that declines), the aggregate phase over a 50 000-row join (allocs/op
 # follow its groups), and the join probe alone over 50 000 probe rows per kind
-# of index (ns/probe-row), recorded into the same history.
-echo "==> go test -bench='ColumnarScan|HashJoinAllocs|JoinIndexed|SidewaysJoin|AggregateJoin|Probe' ./internal/engine/  (-> ${bench_out})"
-go test -bench='ColumnarScan|HashJoinAllocs|JoinIndexed|SidewaysJoin|AggregateJoin|Probe' -benchtime=10x -benchmem -run='^$' ./internal/engine/ |
+# of index (ns/probe-row), and the load path every table enters by (214 000
+# tuples from CSV: allocs/op, and the heap they keep as B/cell), recorded into
+# the same history.
+echo "==> go test -bench='ColumnarScan|HashJoinAllocs|JoinIndexed|SidewaysJoin|AggregateJoin|Probe|LoadCSV' ./internal/engine/ ./internal/table/  (-> ${bench_out})"
+go test -bench='ColumnarScan|HashJoinAllocs|JoinIndexed|SidewaysJoin|AggregateJoin|Probe|LoadCSV' -benchtime=10x -benchmem -run='^$' ./internal/engine/ ./internal/table/ |
 	BENCHJSON_OUT="${bench_out}" go run ./scripts/benchjson
 
 # Serving bench: closed-loop HTTP load at 1x/4x/16x admission capacity,
