@@ -9,11 +9,12 @@
 // Experiment ids map to the paper's artifacts; see DESIGN.md for the
 // per-experiment index.
 //
-// Observability: -debug-addr serves /metrics, /spans and /debug/pprof while
+// Observability: -debug-addr serves /metrics, /tracez and /debug/pprof while
 // experiments run, and -timing-json writes a machine-readable artifact with
 // per-experiment wall-clock, the metrics registry snapshot (per-phase
-// latency histograms, RL learning curves), and the recorded span trees —
-// the perf trajectory future optimization PRs diff against.
+// latency histograms, RL learning curves), and the kept traces' span trees
+// (the most recent 128) — the perf trajectory future optimization PRs diff
+// against.
 package main
 
 import (
@@ -49,7 +50,7 @@ func main() {
 	scale := flag.Float64("scale", 0, "override dataset scale factor")
 	seeds := flag.Int("seeds", 0, "override repetition count")
 	seed := flag.Int64("seed", 0, "override base random seed")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /spans and /debug/pprof on this address while experiments run")
+	debugAddr := flag.String("debug-addr", "", "serve /metrics, /tracez and /debug/pprof on this address while experiments run")
 	timingJSON := flag.String("timing-json", "", "write a per-phase timing artifact (durations, metrics snapshot, span trees) to this file")
 	parallelism := flag.Int("parallelism", 0, "worker count for workload scoring (0 = one per CPU, <0 = serial; query execution is serial); recorded in -timing-json, results are identical for every setting")
 	logLevel := flag.String("log", "", "emit structured logs to stderr at this level (debug, info, warn, error)")
@@ -60,16 +61,17 @@ func main() {
 		obs.EnableLogging(os.Stderr, obs.ParseLevel(*logLevel))
 	}
 	if *debugAddr != "" {
-		addr, err := obs.Serve(*debugAddr)
+		debug, err := obs.StartDebug(*debugAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("debug server on http://%s (/metrics, /spans, /debug/pprof)\n", addr)
+		fmt.Printf("debug server on http://%s (/metrics, /tracez, /debug/pprof)\n", debug.Addr())
 	}
-	if *timingJSON != "" {
-		// The artifact needs metrics and spans even without a debug server.
-		obs.SetEnabled(true)
+	if *debugAddr != "" || *timingJSON != "" {
+		// The artifact and /tracez want every span tree, and metrics with or
+		// without a debug server.
+		obs.ConfigureTracing(obs.TracingConfig{SampleRate: 1})
 	}
 
 	if *list || *run == "" {
@@ -160,7 +162,9 @@ func writeTimingArtifact(path string, fast bool, params experiments.Params, timi
 		Params:      params,
 		Experiments: timings,
 		Metrics:     obs.Default().Snapshot(),
-		Spans:       obs.RecentSpans(),
+	}
+	for _, rec := range obs.KeptTraces() {
+		art.Spans = append(art.Spans, rec.Root)
 	}
 	f, err := os.Create(path)
 	if err != nil {

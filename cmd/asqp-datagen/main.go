@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 
 	"asqprl/internal/datagen"
-	"asqprl/internal/table"
 )
 
 func main() {
@@ -23,16 +22,9 @@ func main() {
 	out := flag.String("out", ".", "output directory")
 	flag.Parse()
 
-	var db *table.Database
-	switch *dataset {
-	case "imdb":
-		db = datagen.IMDB(*scale, *seed)
-	case "mas":
-		db = datagen.MAS(*scale, *seed)
-	case "flights":
-		db = datagen.Flights(*scale, *seed)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown dataset %q (want imdb, mas or flights)\n", *dataset)
+	db, err := datagen.ByName(*dataset, *scale, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 

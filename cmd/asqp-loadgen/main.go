@@ -1,8 +1,8 @@
 // Command asqp-loadgen is a closed-loop load generator for asqp-serve: N
 // concurrent clients each fire queries back-to-back at the server for a fixed
 // duration, and the run's throughput, latency quantiles, and shed rate are
-// printed and optionally appended as JSON to the BENCH_<date>.json history
-// (same file the benchjson gate writes).
+// printed. The scenario and check flags turn it into a gate: the process
+// exits non-zero when a response is malformed or a check fails.
 //
 // Closed-loop means offered load scales with -clients relative to the
 // server's -max-inflight: clients = 4x max-inflight probes the shedding
@@ -11,8 +11,7 @@
 // Usage:
 //
 //	asqp-serve -dataset imdb -light -max-inflight 8 &
-//	asqp-loadgen -url http://localhost:8080 -clients 32 -duration 10s \
-//	    -json BENCH_$(date +%Y%m%d).json
+//	asqp-loadgen -url http://localhost:8080 -clients 32 -duration 10s
 package main
 
 import (
@@ -31,39 +30,12 @@ import (
 	"asqprl/internal/obs"
 )
 
+// result counts one run's responses by outcome.
 type result struct {
-	Name       string  `json:"name"`
-	Clients    int     `json:"clients"`
-	Duration   string  `json:"duration"`
-	Requests   int64   `json:"iterations"`
-	QPS        float64 `json:"qps"`
-	NsPerOp    float64 `json:"ns_per_op"` // mean latency, benchjson-compatible
-	P50Ms      float64 `json:"p50_ms"`
-	P99Ms      float64 `json:"p99_ms"`
-	OK         int64   `json:"ok"`
-	Degraded   int64   `json:"degraded"`
-	Shed       int64   `json:"shed"`
-	Errors     int64   `json:"errors"`
-	Malformed  int64   `json:"malformed"`
-	ShedRate   float64 `json:"shed_rate"`
-	DegradRate float64 `json:"degraded_rate"`
+	Requests, OK, Degraded, Shed, Errors, Malformed int64
 	// WithObservedError counts OK responses carrying a well-formed
 	// observed_error field (present only when the server shadow-audits).
-	WithObservedError int64 `json:"with_observed_error,omitempty"`
-	// RetrainSwaps and Generation record the drift-storm outcome: how many
-	// hot swaps the server's retrain controller completed and which system
-	// generation was serving when the run ended.
-	RetrainSwaps int64 `json:"retrain_swaps,omitempty"`
-	Generation   int64 `json:"generation,omitempty"`
-	// RecoveryFramesReplayed and RecoveryDriftRestored record the
-	// -expect-recovery outcome: what the server's startup WAL replay
-	// reported in /stats.
-	RecoveryFramesReplayed int64 `json:"recovery_frames_replayed,omitempty"`
-	RecoveryDriftRestored  int64 `json:"recovery_drift_restored,omitempty"`
-	// SLOFastBurn and DiagBundles record the slo-burn outcome: which SLO hit
-	// fast_burn and how many flight-recorder bundles exist afterwards.
-	SLOFastBurn string `json:"slo_fast_burn,omitempty"`
-	DiagBundles int64  `json:"diag_bundles,omitempty"`
+	WithObservedError int64
 }
 
 type queryList []string
@@ -79,14 +51,12 @@ func main() {
 	clients := flag.Int("clients", 16, "concurrent closed-loop clients")
 	duration := flag.Duration("duration", 10*time.Second, "run length")
 	timeoutMs := flag.Int("timeout-ms", 0, "per-query timeout_ms sent to the server (0 = server default)")
-	jsonOut := flag.String("json", "", "append the run's JSON record to this file (e.g. BENCH_<date>.json)")
-	label := flag.String("label", "LoadgenServe", "benchmark name recorded in the JSON output")
 	trace := flag.Bool("traceparent", true, "send a W3C traceparent header per request and check the server echoes the trace ID")
 	quality := flag.Bool("quality", false, "after the run, fetch /qualityz and fail unless the audit block is well-formed")
 	scenario := flag.String("scenario", "", "traffic scenario: empty (steady mix), drift-storm (shift the query mix mid-run, then require a completed retrain or clean backoff), or slo-burn (steady traffic against an impossible latency target; require a fast_burn on /sloz plus a flight-recorder bundle)")
 	retrainWait := flag.Duration("retrain-wait", 45*time.Second, "drift-storm: how long to wait after the run for the server's retrain to reach a terminal state")
 	sloGate := flag.Bool("slo-gate", false, "after the run, fetch /sloz and fail unless the page is well-formed and no SLO is fast-burning")
-	sloBurnWait := flag.Duration("slo-burn-wait", 30*time.Second, "slo-burn: how long to wait for fast_burn and a captured bundle after the run")
+	burnWait := flag.Duration("slo-burn-wait", 30*time.Second, "slo-burn: how long to wait for fast_burn and a captured bundle after the run")
 	expectRecovery := flag.Bool("expect-recovery", false, "require the server's /stats to report a completed WAL recovery with replayed frames (kill-and-restart smoke)")
 	var queries queryList
 	flag.Var(&queries, "query", "query to fire (repeatable; defaults to an IMDB mix)")
@@ -117,11 +87,8 @@ func main() {
 		fatal(err)
 	}
 
-	var recFrames, recDrift int64
 	if *expectRecovery {
-		var err error
-		recFrames, recDrift, err = checkRecovery(&http.Client{Timeout: 10 * time.Second}, *url)
-		if err != nil {
+		if err := checkRecovery(&http.Client{Timeout: 10 * time.Second}, *url); err != nil {
 			fatal(err)
 		}
 	}
@@ -129,7 +96,7 @@ func main() {
 	var (
 		mu        sync.Mutex
 		latencies []float64 // milliseconds
-		res       = result{Name: fmt.Sprintf("%s/clients=%d", *label, *clients), Clients: *clients}
+		res       result
 	)
 	client := &http.Client{Timeout: 30 * time.Second}
 	start := time.Now()
@@ -191,26 +158,18 @@ func main() {
 	elapsed := time.Since(start)
 
 	sort.Float64s(latencies)
-	res.Duration = elapsed.Round(time.Millisecond).String()
-	res.QPS = float64(res.Requests) / elapsed.Seconds()
-	if len(latencies) > 0 {
-		var sum float64
-		for _, l := range latencies {
-			sum += l
-		}
-		res.NsPerOp = sum / float64(len(latencies)) * 1e6
-		res.P50Ms = quantile(latencies, 0.50)
-		res.P99Ms = quantile(latencies, 0.99)
+	var mean, shedRate float64
+	for _, l := range latencies {
+		mean += l / float64(len(latencies))
 	}
 	if res.Requests > 0 {
-		res.ShedRate = float64(res.Shed) / float64(res.Requests)
-		res.DegradRate = float64(res.Degraded) / float64(res.Requests)
+		shedRate = float64(res.Shed) / float64(res.Requests)
 	}
-
-	fmt.Printf("%s: %d requests in %s (%.1f qps)\n", res.Name, res.Requests, res.Duration, res.QPS)
-	fmt.Printf("  latency: mean %.2fms  p50 %.2fms  p99 %.2fms\n", res.NsPerOp/1e6, res.P50Ms, res.P99Ms)
+	fmt.Printf("clients=%d: %d requests in %s (%.1f qps)\n", *clients, res.Requests,
+		elapsed.Round(time.Millisecond), float64(res.Requests)/elapsed.Seconds())
+	fmt.Printf("  latency: mean %.2fms  p50 %.2fms  p99 %.2fms\n", mean, quantile(latencies, 0.50), quantile(latencies, 0.99))
 	fmt.Printf("  ok %d (degraded %d), shed %d (%.1f%%), errors %d, malformed %d\n",
-		res.OK, res.Degraded, res.Shed, 100*res.ShedRate, res.Errors, res.Malformed)
+		res.OK, res.Degraded, res.Shed, 100*shedRate, res.Errors, res.Malformed)
 	if res.WithObservedError > 0 {
 		fmt.Printf("  observed_error present on %d responses\n", res.WithObservedError)
 	}
@@ -223,45 +182,19 @@ func main() {
 		}
 	}
 	if *scenario == "drift-storm" {
-		swaps, gen, err := checkRetrain(client, *url, *retrainWait)
-		if err != nil {
+		if err := checkRetrain(client, *url, *retrainWait); err != nil {
 			fatal(err)
 		}
-		res.RetrainSwaps = swaps
-		res.Generation = gen
 	}
 	if *scenario == "slo-burn" {
-		burning, bundles, err := checkSLOBurn(client, *url, *sloBurnWait)
-		if err != nil {
+		if err := checkSLOBurn(client, *url, *burnWait); err != nil {
 			fatal(err)
 		}
-		res.SLOFastBurn = burning
-		res.DiagBundles = bundles
 	}
 	if *sloGate {
 		if err := checkSLOGate(client, *url); err != nil {
 			fatal(err)
 		}
-	}
-	if *expectRecovery {
-		res.RecoveryFramesReplayed = recFrames
-		res.RecoveryDriftRestored = recDrift
-	}
-
-	if *jsonOut != "" {
-		f, err := os.OpenFile(*jsonOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fatal(err)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode([]result{res}); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("appended JSON record to %s\n", *jsonOut)
 	}
 }
 
@@ -380,7 +313,7 @@ func checkQuality(client *http.Client, base string) error {
 // the incumbent still serving. Anything else within the wait (controller
 // disabled, no drift picked up, no attempt started) fails the run: the storm
 // was supposed to trip the pipeline.
-func checkRetrain(client *http.Client, base string, wait time.Duration) (swaps, generation int64, err error) {
+func checkRetrain(client *http.Client, base string, wait time.Duration) error {
 	deadline := time.Now().Add(wait)
 	var page struct {
 		Generation int64 `json:"generation"`
@@ -398,37 +331,37 @@ func checkRetrain(client *http.Client, base string, wait time.Duration) (swaps, 
 	for {
 		resp, gerr := client.Get(base + "/retrainz")
 		if gerr != nil {
-			return 0, 0, fmt.Errorf("/retrainz: %w", gerr)
+			return fmt.Errorf("/retrainz: %w", gerr)
 		}
 		body, rerr := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 		resp.Body.Close()
 		if rerr != nil {
-			return 0, 0, fmt.Errorf("/retrainz: %w", rerr)
+			return fmt.Errorf("/retrainz: %w", rerr)
 		}
 		if resp.StatusCode != http.StatusOK {
-			return 0, 0, fmt.Errorf("/retrainz: HTTP %d: %s", resp.StatusCode, body)
+			return fmt.Errorf("/retrainz: HTTP %d: %s", resp.StatusCode, body)
 		}
 		if uerr := json.Unmarshal(body, &page); uerr != nil {
-			return 0, 0, fmt.Errorf("/retrainz: bad JSON: %w", uerr)
+			return fmt.Errorf("/retrainz: bad JSON: %w", uerr)
 		}
 		st := page.Status
 		if !st.Enabled {
-			return 0, 0, fmt.Errorf("drift-storm needs a server started with -retrain (controller reports disabled)")
+			return fmt.Errorf("drift-storm needs a server started with -retrain (controller reports disabled)")
 		}
 		switch {
 		case st.Swaps > 0:
 			fmt.Printf("retrain: %d swap(s), %d rollback(s); serving generation %d (state %s)\n",
 				st.Swaps, st.Rollbacks, page.Generation, st.State)
-			return st.Swaps, page.Generation, nil
+			return nil
 		case st.Failures > 0 && (st.State == "backoff" || st.LastOutcome == "gave_up"):
 			// Clean backoff: attempts ran, failed validated-or-faulted, and the
 			// controller is holding off — the incumbent never stopped serving.
 			fmt.Printf("retrain: no swap, clean backoff after %d attempt(s) (%s: %s); still generation %d\n",
 				st.Attempts, st.LastOutcome, st.LastError, page.Generation)
-			return 0, page.Generation, nil
+			return nil
 		}
 		if time.Now().After(deadline) {
-			return 0, 0, fmt.Errorf("retrain reached no terminal state within %s: %+v", wait, st)
+			return fmt.Errorf("retrain reached no terminal state within %s: %+v", wait, st)
 		}
 		time.Sleep(500 * time.Millisecond)
 	}
@@ -437,20 +370,19 @@ func checkRetrain(client *http.Client, base string, wait time.Duration) (swaps, 
 // checkRecovery validates the /stats recovery block after a kill-and-restart:
 // the server must have gone through WAL recovery, replayed at least one frame
 // (the pre-kill traffic wrote some), and report internally consistent
-// counters. It returns the replayed-frame and restored-drift counts for the
-// JSON record.
-func checkRecovery(client *http.Client, base string) (frames, drift int64, err error) {
+// counters.
+func checkRecovery(client *http.Client, base string) error {
 	resp, err := client.Get(base + "/stats")
 	if err != nil {
-		return 0, 0, fmt.Errorf("/stats: %w", err)
+		return fmt.Errorf("/stats: %w", err)
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
 	if err != nil {
-		return 0, 0, fmt.Errorf("/stats: %w", err)
+		return fmt.Errorf("/stats: %w", err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return 0, 0, fmt.Errorf("/stats: HTTP %d", resp.StatusCode)
+		return fmt.Errorf("/stats: HTTP %d", resp.StatusCode)
 	}
 	var page struct {
 		WAL *struct {
@@ -470,29 +402,29 @@ func checkRecovery(client *http.Client, base string) (frames, drift int64, err e
 		DriftedQueries int64 `json:"drifted_queries"`
 	}
 	if err := json.Unmarshal(body, &page); err != nil {
-		return 0, 0, fmt.Errorf("/stats: bad JSON: %w", err)
+		return fmt.Errorf("/stats: bad JSON: %w", err)
 	}
 	switch {
 	case page.WAL == nil:
-		return 0, 0, fmt.Errorf("expected recovery: server has no WAL (start it with -wal-dir)")
+		return fmt.Errorf("expected recovery: server has no WAL (start it with -wal-dir)")
 	case page.WAL.Failed != "":
-		return 0, 0, fmt.Errorf("expected recovery: WAL is in failed state: %s", page.WAL.Failed)
+		return fmt.Errorf("expected recovery: WAL is in failed state: %s", page.WAL.Failed)
 	case page.Recovery == nil:
-		return 0, 0, fmt.Errorf("expected recovery: /stats has no recovery block (server did not replay a WAL)")
+		return fmt.Errorf("expected recovery: /stats has no recovery block (server did not replay a WAL)")
 	}
 	r := page.Recovery
 	switch {
 	case r.FramesReplayed <= 0:
-		return 0, 0, fmt.Errorf("expected recovery: 0 frames replayed — pre-kill traffic did not survive")
+		return fmt.Errorf("expected recovery: 0 frames replayed — pre-kill traffic did not survive")
 	case r.FramesDropped < 0 || r.TruncatedBytes < 0 || r.DriftRestored < 0 || r.WallMs < 0:
-		return 0, 0, fmt.Errorf("expected recovery: negative recovery counter: %+v", *r)
+		return fmt.Errorf("expected recovery: negative recovery counter: %+v", *r)
 	case r.DriftRestored > 0 && page.DriftedQueries < r.DriftRestored:
-		return 0, 0, fmt.Errorf("expected recovery: restored %d drift observations but detector holds %d",
+		return fmt.Errorf("expected recovery: restored %d drift observations but detector holds %d",
 			r.DriftRestored, page.DriftedQueries)
 	}
 	fmt.Printf("recovery: %d segments, %d frames replayed (%d drift restored, %d served), %d dropped, %d torn bytes, %.1fms\n",
 		r.Segments, r.FramesReplayed, r.DriftRestored, r.ServedSeen, r.FramesDropped, r.TruncatedBytes, r.WallMs)
-	return r.FramesReplayed, r.DriftRestored, nil
+	return nil
 }
 
 // slozPage is the subset of /sloz the load generator validates.
@@ -586,22 +518,23 @@ func checkSLOGate(client *http.Client, base string) error {
 // at a server with an impossible latency target and tiny windows) must push
 // some SLO into fast_burn, and the flight recorder must have captured at
 // least one bundle for it.
-func checkSLOBurn(client *http.Client, base string, wait time.Duration) (burning string, bundles int64, err error) {
+func checkSLOBurn(client *http.Client, base string, wait time.Duration) error {
 	deadline := time.Now().Add(wait)
+	var burning string
 	for {
 		page, perr := fetchSloz(client, base)
 		if perr != nil {
-			return "", 0, perr
+			return perr
 		}
 		if verr := validateSloz(page); verr != nil {
-			return "", 0, verr
+			return verr
 		}
 		if len(page.FastBurning) > 0 {
 			burning = page.FastBurning[0]
 			break
 		}
 		if time.Now().After(deadline) {
-			return "", 0, fmt.Errorf("slo-burn: no SLO reached fast_burn within %s: %+v", wait, page.SLOs)
+			return fmt.Errorf("slo-burn: no SLO reached fast_burn within %s: %+v", wait, page.SLOs)
 		}
 		time.Sleep(200 * time.Millisecond)
 	}
@@ -609,12 +542,12 @@ func checkSLOBurn(client *http.Client, base string, wait time.Duration) (burning
 	for {
 		resp, derr := client.Get(base + "/debugz")
 		if derr != nil {
-			return "", 0, fmt.Errorf("/debugz: %w", derr)
+			return fmt.Errorf("/debugz: %w", derr)
 		}
 		body, rerr := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 		resp.Body.Close()
 		if rerr != nil {
-			return "", 0, fmt.Errorf("/debugz: %w", rerr)
+			return fmt.Errorf("/debugz: %w", rerr)
 		}
 		var page struct {
 			Enabled bool `json:"enabled"`
@@ -625,18 +558,18 @@ func checkSLOBurn(client *http.Client, base string, wait time.Duration) (burning
 			} `json:"status"`
 		}
 		if uerr := json.Unmarshal(body, &page); uerr != nil {
-			return "", 0, fmt.Errorf("/debugz: bad JSON: %w", uerr)
+			return fmt.Errorf("/debugz: bad JSON: %w", uerr)
 		}
 		if !page.Enabled {
-			return "", 0, fmt.Errorf("slo-burn needs a server started with -diag-dir (flight recorder disabled)")
+			return fmt.Errorf("slo-burn needs a server started with -diag-dir (flight recorder disabled)")
 		}
 		if page.Status.Captures > 0 {
 			fmt.Printf("slo-burn: %q fast-burning; %d bundle(s) captured (last reason %q)\n",
 				burning, page.Status.Captures, page.Status.LastReason)
-			return burning, page.Status.Captures, nil
+			return nil
 		}
 		if time.Now().After(deadline) {
-			return "", 0, fmt.Errorf("slo-burn: fast_burn reached but no bundle captured within %s", wait)
+			return fmt.Errorf("slo-burn: fast_burn reached but no bundle captured within %s", wait)
 		}
 		time.Sleep(200 * time.Millisecond)
 	}

@@ -22,7 +22,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -35,7 +34,6 @@ import (
 	"asqprl/internal/core"
 	"asqprl/internal/datagen"
 	"asqprl/internal/obs"
-	"asqprl/internal/retrain"
 	"asqprl/internal/server"
 	"asqprl/internal/slo"
 	"asqprl/internal/table"
@@ -43,70 +41,123 @@ import (
 	"asqprl/internal/workload"
 )
 
+// options is everything the flags configure. Each flag is registered onto
+// the field of the struct that consumes it — server.Config, wal.Options,
+// obs.TracingConfig, buildInputs — with that field's value as its default, so
+// a default is written where its owner applies it and -h prints it.
+type options struct {
+	server  server.Config
+	wal     wal.Options
+	tracing obs.TracingConfig
+	build   buildInputs
+
+	walDir, traceDir, debugAddr, logLevel string
+}
+
+// buildInputs is what loading or training the system needs: where the data
+// and workload come from, and the core.Config fields the binary exposes.
+type buildInputs struct {
+	dataset, dataDir       string
+	workloadFile, loadFile string
+	scale                  float64
+	seed                   int64
+	k, frame, parallelism  int
+	light                  bool
+	// Detector overrides (0 = the config's own).
+	driftConfidence float64
+	driftCount      int
+}
+
+func defaultOptions() options {
+	o := options{
+		server:   server.DefaultConfig(),
+		wal:      wal.DefaultOptions(),
+		tracing:  obs.TracingConfig{SampleRate: 0.01, SlowThreshold: 500 * time.Millisecond},
+		build:    buildInputs{dataset: "imdb", scale: 0.1, seed: 1, k: 1000, frame: 50},
+		logLevel: "info",
+	}
+	// An embedded server keeps drift observation off so synthetic traffic
+	// cannot poison the fine-tuning signal; the binary serves real users.
+	o.server.DriftObserve = true
+	return o
+}
+
+// registerFlags binds every flag to its field in o; a flag's default is the
+// value the field holds when it is registered.
+func registerFlags(fs *flag.FlagSet, o *options) {
+	str := func(p *string, name, usage string) { fs.StringVar(p, name, *p, usage) }
+	num := func(p *int, name, usage string) { fs.IntVar(p, name, *p, usage) }
+	big := func(p *int64, name, usage string) { fs.Int64Var(p, name, *p, usage) }
+	frac := func(p *float64, name, usage string) { fs.Float64Var(p, name, *p, usage) }
+	dur := func(p *time.Duration, name, usage string) { fs.DurationVar(p, name, *p, usage) }
+	on := func(p *bool, name, usage string) { fs.BoolVar(p, name, *p, usage) }
+
+	c, b, r := &o.server, &o.build, &o.server.Retrain
+	str(&c.Addr, "addr", "serve address")
+	str(&b.dataset, "dataset", "built-in dataset: imdb, mas or flights")
+	frac(&b.scale, "scale", "synthetic dataset scale")
+	str(&b.dataDir, "data", "directory of CSV tables (alternative to -dataset)")
+	str(&b.workloadFile, "workload", "file with one SQL query per line (omit to generate)")
+	num(&b.k, "k", "memory budget: tuples in the approximation set")
+	num(&b.frame, "f", "frame size F")
+	on(&b.light, "light", "use the ASQP-Light configuration")
+	big(&b.seed, "seed", "random seed")
+	str(&b.loadFile, "load", "load a trained system snapshot instead of training")
+	// With -save set, a retrained candidate replaces the snapshot by the same
+	// atomic rename before every swap (and the incumbent re-replaces it after
+	// a rollback), so a crash at any moment restarts with a consistent,
+	// current approximation set.
+	str(&r.SnapshotPath, "save", "save the trained system to this file (atomic rename)")
+	num(&c.MaxInFlight, "max-inflight", "queries executing concurrently (0 = 2x CPUs)")
+	num(&c.QueueDepth, "queue", "admitted requests that may wait for a slot (0 = max-inflight)")
+	dur(&c.DefaultTimeout, "query-timeout", "default per-query deadline")
+	num(&c.MaxRows, "max-rows", "per-query result-row cap")
+	dur(&c.DrainTimeout, "drain-timeout", "how long shutdown waits for in-flight queries")
+	num(&c.BreakerTrips, "breaker-trips", "consecutive full-DB guard trips that open the circuit breaker")
+	dur(&c.BreakerCooldown, "breaker-cooldown", "initial breaker open duration (doubles per failed probe)")
+	num(&b.parallelism, "parallelism", "workload-scoring workers for training, retraining and validation (0 = one per CPU, <0 = serial); query execution is serial at every setting")
+	str(&o.debugAddr, "debug-addr", "serve /metrics, /tracez and /debug/pprof on this address")
+	str(&o.logLevel, "log", "structured log level on stderr (debug, info, warn, error, off)")
+	str(&o.traceDir, "trace-dir", "export tail-sampled traces as rotated JSONL files in this directory")
+	frac(&o.tracing.SampleRate, "trace-sample", "fraction of healthy traces kept by the tail sampler (errors, degraded and slow traces are always kept)")
+	dur(&o.tracing.SlowThreshold, "trace-slow", "latency above which a trace counts as slow and is always kept")
+	frac(&c.AuditSample, "audit-sample", "fraction of approx-served/degraded answers shadow-audited against the full database (0 = off)")
+	num(&c.AuditWorkers, "audit-workers", "low-priority audit worker pool size")
+	frac(&c.SLOQualityP95, "slo-quality-p95", "quality SLO: p95 relative-error target for shadow-audited answers; burn-rate alerting on the 0.95 objective (0 = off)")
+	dur(&c.SLOLatencyP99, "slo-latency-p99", "latency SLO: p99 request-latency target; burn-rate alerting on the 0.99 objective (0 = off)")
+	frac(&c.SLOAvailability, "slo-availability", "availability SLO objective in (0,1), e.g. 0.999: fraction of requests answered without degradation/error/shedding (0 = off)")
+	fs.Func("slo-windows", "burn-rate windows fast-short,fast-long,slow-short,slow-long (default 1m,5m,30m,6h)", func(v string) (err error) {
+		c.SLOWindows, err = parseSLOWindows(v)
+		return err
+	})
+	str(&c.DiagDir, "diag-dir", "flight-recorder directory: capture a diagnostic bundle on SLO fast-burn or /debugz?capture=1 (empty = off)")
+	dur(&c.DiagMinInterval, "diag-min-interval", "rate limit between unforced flight-recorder captures")
+	on(&c.DriftObserve, "drift-observe", "feed served queries into the interest-drift detector")
+	frac(&b.driftConfidence, "drift-confidence", "deviation confidence (1 - similarity) above which a served query counts as drifted (0 = config default)")
+	num(&b.driftCount, "drift-count", "drifted queries that trigger fine-tuning/retraining (0 = config default)")
+	on(&r.Enabled, "retrain", "enable drift-triggered background retraining with validated hot-swap and rollback")
+	dur(&r.Interval, "retrain-interval", "how often the retrain controller polls the drift detector")
+	dur(&r.Timeout, "retrain-timeout", "hard deadline for one retrain attempt (clone + fine-tune + validate)")
+	frac(&r.ValidateMargin, "retrain-validate-margin", "how much worse the candidate may score than the incumbent and still swap in")
+	dur(&r.RollbackWindow, "retrain-rollback-window", "how long the old system is retained after a swap for automatic rollback")
+	str(&o.walDir, "wal-dir", "write-ahead log directory: durably record served/drift/retrain events and replay them on startup (empty = durability off)")
+	big(&o.wal.SegmentBytes, "wal-segment-bytes", "WAL segment rotation threshold in bytes")
+}
+
 func main() {
-	addr := flag.String("addr", "localhost:8080", "serve address")
-	dataset := flag.String("dataset", "imdb", "built-in dataset: imdb, mas or flights")
-	scale := flag.Float64("scale", 0.1, "synthetic dataset scale")
-	dataDir := flag.String("data", "", "directory of CSV tables (alternative to -dataset)")
-	workloadFile := flag.String("workload", "", "file with one SQL query per line (omit to generate)")
-	k := flag.Int("k", 1000, "memory budget: tuples in the approximation set")
-	frame := flag.Int("f", 50, "frame size F")
-	light := flag.Bool("light", false, "use the ASQP-Light configuration")
-	seed := flag.Int64("seed", 1, "random seed")
-	loadFile := flag.String("load", "", "load a trained system snapshot instead of training")
-	saveFile := flag.String("save", "", "save the trained system to this file (atomic rename)")
-	maxInFlight := flag.Int("max-inflight", 0, "queries executing concurrently (0 = 2x CPUs)")
-	queue := flag.Int("queue", 0, "admitted requests that may wait for a slot (0 = max-inflight)")
-	queryTimeout := flag.Duration("query-timeout", 2*time.Second, "default per-query deadline")
-	maxRows := flag.Int("max-rows", 0, "per-query result-row cap (0 = 100000)")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight queries")
-	breakerTrips := flag.Int("breaker-trips", 5, "consecutive full-DB guard trips that open the circuit breaker")
-	breakerCooldown := flag.Duration("breaker-cooldown", 500*time.Millisecond, "initial breaker open duration (doubles per failed probe)")
-	parallelism := flag.Int("parallelism", 0, "workload-scoring workers for training, retraining and validation (0 = one per CPU, <0 = serial); query execution is serial at every setting")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /spans, /tracez and /debug/pprof on this address")
-	logLevel := flag.String("log", "info", "structured log level on stderr (debug, info, warn, error, off)")
-	traceDir := flag.String("trace-dir", "", "export tail-sampled traces as rotated JSONL files in this directory")
-	traceSample := flag.Float64("trace-sample", 0.01, "fraction of healthy traces kept by the tail sampler (errors, degraded and slow traces are always kept)")
-	traceSlow := flag.Duration("trace-slow", 500*time.Millisecond, "latency above which a trace counts as slow and is always kept")
-	auditSample := flag.Float64("audit-sample", 0, "fraction of approx-served/degraded answers shadow-audited against the full database (0 = off)")
-	auditWorkers := flag.Int("audit-workers", 1, "low-priority audit worker pool size")
-	qualitySLOOld := flag.Float64("quality-slo-p95", 0, "deprecated alias for -slo-quality-p95")
-	sloQuality := flag.Float64("slo-quality-p95", 0, "quality SLO: p95 relative-error target for shadow-audited answers; burn-rate alerting on the 0.95 objective (0 = off)")
-	sloLatency := flag.Duration("slo-latency-p99", 0, "latency SLO: p99 request-latency target; burn-rate alerting on the 0.99 objective (0 = off)")
-	sloAvail := flag.Float64("slo-availability", 0, "availability SLO objective in (0,1), e.g. 0.999: fraction of requests answered without degradation/error/shedding (0 = off)")
-	sloWindows := flag.String("slo-windows", "", "burn-rate windows fast-short,fast-long,slow-short,slow-long (default 1m,5m,30m,6h)")
-	diagDir := flag.String("diag-dir", "", "flight-recorder directory: capture a diagnostic bundle on SLO fast-burn or /debugz?capture=1 (empty = off)")
-	diagMinInterval := flag.Duration("diag-min-interval", time.Minute, "rate limit between unforced flight-recorder captures")
-	driftObserve := flag.Bool("drift-observe", true, "feed served queries into the interest-drift detector")
-	driftConfidence := flag.Float64("drift-confidence", 0, "deviation confidence (1 - similarity) above which a served query counts as drifted (0 = config default)")
-	driftCount := flag.Int("drift-count", 0, "drifted queries that trigger fine-tuning/retraining (0 = config default)")
-	retrainOn := flag.Bool("retrain", false, "enable drift-triggered background retraining with validated hot-swap and rollback")
-	retrainInterval := flag.Duration("retrain-interval", 2*time.Second, "how often the retrain controller polls the drift detector")
-	retrainTimeout := flag.Duration("retrain-timeout", 5*time.Minute, "hard deadline for one retrain attempt (clone + fine-tune + validate)")
-	retrainMargin := flag.Float64("retrain-validate-margin", 0.05, "how much worse the candidate may score than the incumbent and still swap in")
-	retrainRollback := flag.Duration("retrain-rollback-window", 30*time.Second, "how long the old system is retained after a swap for automatic rollback")
-	walDir := flag.String("wal-dir", "", "write-ahead log directory: durably record served/drift/retrain events and replay them on startup (empty = durability off)")
-	walSegBytes := flag.Int64("wal-segment-bytes", 4<<20, "WAL segment rotation threshold in bytes")
-	walNoGroup := flag.Bool("wal-no-group-commit", false, "fsync every durable WAL append individually instead of sharing group commits")
+	o := defaultOptions()
+	registerFlags(flag.CommandLine, &o)
 	flag.Parse()
-
-	if *logLevel != "" && *logLevel != "off" {
-		obs.EnableLogging(os.Stderr, obs.ParseLevel(*logLevel))
-	}
-	obs.SetEnabled(true)
-
-	// -quality-slo-p95 is the pre-SLO-engine spelling; it keeps working but
-	// -slo-quality-p95 wins when both are set.
-	if *qualitySLOOld > 0 {
-		fmt.Fprintln(os.Stderr, "asqp-serve: -quality-slo-p95 is deprecated; use -slo-quality-p95")
-		if *sloQuality == 0 {
-			*sloQuality = *qualitySLOOld
-		}
-	}
-	windows, err := parseSLOWindows(*sloWindows)
-	if err != nil {
+	cfg, saveFile := &o.server, o.server.Retrain.SnapshotPath
+	cfg.Seed, cfg.Retrain.Seed = o.build.seed, o.build.seed
+	if err := cfg.Validate(); err != nil {
 		fatal(err)
 	}
+
+	if o.logLevel != "" && o.logLevel != "off" {
+		obs.EnableLogging(os.Stderr, obs.ParseLevel(o.logLevel))
+	}
+	obs.SetEnabled(true)
 
 	// Process vitals (goroutines, heap, GC pauses, uptime) ride the same
 	// registry as application metrics: windowed, scraped, bundled.
@@ -118,40 +169,34 @@ func main() {
 	// keeps every error/degraded/slow trace in memory for /tracez, and
 	// -trace-dir additionally persists them as rotated JSONL.
 	var exporter *obs.JSONLExporter
-	if *traceDir != "" {
+	if o.traceDir != "" {
 		var err error
-		exporter, err = obs.NewJSONLExporter(*traceDir, 0, 0)
+		exporter, err = obs.NewJSONLExporter(o.traceDir, 0, 0)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("exporting traces to %s\n", exporter.Dir())
+		// Only set the sink when an exporter exists: assigning the nil
+		// *JSONLExporter directly would store a typed-nil interface that
+		// passes the sampler's != nil check and panic on the first kept trace.
+		o.tracing.Exporter = exporter
 	}
-	tracingCfg := obs.TracingConfig{
-		SampleRate:    *traceSample,
-		SlowThreshold: *traceSlow,
-	}
-	// Only set the sink when an exporter exists: assigning the nil
-	// *JSONLExporter directly would store a typed-nil interface that passes
-	// the sampler's != nil check and panic on the first kept trace.
-	if exporter != nil {
-		tracingCfg.Exporter = exporter
-	}
-	obs.ConfigureTracing(tracingCfg)
+	obs.ConfigureTracing(o.tracing)
 
 	var debug *obs.DebugServer
-	if *debugAddr != "" {
+	if o.debugAddr != "" {
 		var err error
-		debug, err = obs.StartDebug(*debugAddr)
+		debug, err = obs.StartDebug(o.debugAddr)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("debug server on http://%s (/metrics, /spans, /tracez, /debug/pprof)\n", debug.Addr())
+		fmt.Printf("debug server on http://%s (/metrics, /tracez, /debug/pprof)\n", debug.Addr())
 	}
 
 	// Startup hygiene: a crash between SaveFile's temp-write and rename
 	// leaves orphaned `<snapshot>.tmp-*` files that are never live data.
-	if *saveFile != "" {
-		if n := core.CleanSnapshotTemps(*saveFile); n > 0 {
+	if saveFile != "" {
+		if n := core.CleanSnapshotTemps(saveFile); n > 0 {
 			fmt.Printf("startup hygiene: removed %d orphaned snapshot temp file(s)\n", n)
 		}
 	}
@@ -162,54 +207,18 @@ func main() {
 		wlog *wal.Log
 		wrec wal.Recovery
 	)
-	if *walDir != "" {
+	if o.walDir != "" {
 		var werr error
-		wlog, wrec, werr = wal.Open(*walDir, wal.Options{
-			SegmentBytes:       *walSegBytes,
-			DisableGroupCommit: *walNoGroup,
-		})
+		wlog, wrec, werr = wal.Open(o.walDir, o.wal)
 		if werr != nil {
 			fatal(werr)
 		}
 		fmt.Printf("wal: %s (%d segments scanned, %d frames to replay, %d dropped, %d torn bytes truncated)\n",
-			*walDir, wrec.Stats.Segments, wrec.Stats.FramesReplayed, wrec.Stats.FramesDropped, wrec.Stats.TruncatedBytes)
+			o.walDir, wrec.Stats.Segments, wrec.Stats.FramesReplayed, wrec.Stats.FramesDropped, wrec.Stats.TruncatedBytes)
 	}
 
-	srv := server.New(nil, server.Config{
-		Addr:            *addr,
-		MaxInFlight:     *maxInFlight,
-		QueueDepth:      *queue,
-		DefaultTimeout:  *queryTimeout,
-		MaxRows:         *maxRows,
-		DrainTimeout:    *drainTimeout,
-		BreakerTrips:    *breakerTrips,
-		BreakerCooldown: *breakerCooldown,
-		Seed:            *seed,
-		AuditSample:     *auditSample,
-		AuditWorkers:    *auditWorkers,
-		QualitySLOP95:   *sloQuality,
-		DriftObserve:    *driftObserve,
-		SLOAvailability: *sloAvail,
-		SLOLatencyP99:   *sloLatency,
-		SLOQualityP95:   *sloQuality,
-		SLOWindows:      windows,
-		DiagDir:         *diagDir,
-		DiagMinInterval: *diagMinInterval,
-		Retrain: retrain.Config{
-			Enabled:        *retrainOn,
-			Interval:       *retrainInterval,
-			Timeout:        *retrainTimeout,
-			ValidateMargin: *retrainMargin,
-			RollbackWindow: *retrainRollback,
-			// With -save set, the retrained candidate replaces the snapshot via
-			// the same atomic-rename path before every swap (and the incumbent
-			// re-replaces it after a rollback), so a crash at any moment
-			// restarts with a consistent, current approximation set.
-			SnapshotPath: *saveFile,
-			Seed:         *seed,
-		},
-		WAL: wlog,
-	})
+	cfg.WAL = wlog
+	srv := server.New(nil, *cfg)
 	if wlog != nil {
 		// /readyz stays 503 "recovering" until the tail is replayed into the
 		// freshly built system — a probe can never see a half-restored server.
@@ -220,20 +229,20 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("serving on http://%s (/query, /healthz, /readyz, /stats, /qualityz, /retrainz, /sloz, /debugz); not ready until the system loads\n", bound)
-	if *auditSample > 0 {
-		fmt.Printf("shadow auditing %.0f%% of approx-served answers (workers=%d, slo-p95=%g)\n",
-			*auditSample*100, *auditWorkers, *sloQuality)
+	if cfg.AuditSample > 0 {
+		fmt.Printf("shadow auditing %.0f%% of approx-served answers (workers=%d)\n",
+			cfg.AuditSample*100, cfg.AuditWorkers)
 	}
-	if *sloAvail > 0 || *sloLatency > 0 || *sloQuality > 0 {
+	if cfg.SLOAvailability > 0 || cfg.SLOLatencyP99 > 0 || cfg.SLOQualityP95 > 0 {
 		fmt.Printf("slo engine armed (availability=%g, latency-p99=%s, quality-p95=%g)\n",
-			*sloAvail, *sloLatency, *sloQuality)
+			cfg.SLOAvailability, cfg.SLOLatencyP99, cfg.SLOQualityP95)
 	}
-	if *diagDir != "" {
-		fmt.Printf("flight recorder armed: bundles in %s on SLO fast-burn or /debugz?capture=1\n", *diagDir)
+	if cfg.DiagDir != "" {
+		fmt.Printf("flight recorder armed: bundles in %s on SLO fast-burn or /debugz?capture=1\n", cfg.DiagDir)
 	}
-	if *retrainOn {
+	if cfg.Retrain.Enabled {
 		fmt.Printf("background retraining armed (margin=%g, attempt timeout=%s, rollback window=%s)\n",
-			*retrainMargin, *retrainTimeout, *retrainRollback)
+			cfg.Retrain.ValidateMargin, cfg.Retrain.Timeout, cfg.Retrain.RollbackWindow)
 	}
 
 	// Drain on SIGTERM/SIGINT: stop admitting, wait for in-flight queries up
@@ -241,27 +250,15 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 
-	sys, err := buildSystem(ctx, *dataset, *dataDir, *workloadFile, *loadFile, *scale, *seed, *k, *frame, *light, *parallelism, *driftConfidence, *driftCount)
+	sys, err := buildSystem(ctx, o.build)
 	if err != nil {
 		fatal(err)
 	}
-	// Apply detector overrides to a -load'ed system too: its detector came
-	// from the snapshot's training-time config. (Train-path overrides are
-	// baked into the config inside buildSystem, so clones made by the
-	// retrain controller inherit them through the snapshot.)
-	if d := sys.Drift(); d != nil {
-		if *driftConfidence > 0 {
-			d.Confidence = *driftConfidence
-		}
-		if *driftCount > 0 {
-			d.Count = *driftCount
-		}
-	}
-	if *saveFile != "" {
-		if err := sys.SaveFile(*saveFile); err != nil {
+	if saveFile != "" {
+		if err := sys.SaveFile(saveFile); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("saved system to %s\n", *saveFile)
+		fmt.Printf("saved system to %s\n", saveFile)
 	}
 	if wlog != nil {
 		info := srv.Recover(sys, wrec)
@@ -273,7 +270,7 @@ func main() {
 		// restored drift evidence lives only in memory until a retrain
 		// consumes it and persists, and truncating the log here would lose it
 		// on the next crash.
-		if len(wrec.Tail) == 0 && *saveFile != "" {
+		if len(wrec.Tail) == 0 && saveFile != "" {
 			_, gen := srv.System()
 			if err := wlog.Checkpoint(gen); err != nil {
 				fmt.Fprintln(os.Stderr, "asqp-serve: initial wal checkpoint:", err)
@@ -312,38 +309,60 @@ func main() {
 }
 
 // buildSystem loads a snapshot or trains from scratch, honoring cancellation.
-func buildSystem(ctx context.Context, dataset, dataDir, workloadFile, loadFile string, scale float64, seed int64, k, frame int, light bool, parallelism int, driftConfidence float64, driftCount int) (*core.System, error) {
-	db, err := loadDB(dataset, dataDir, scale, seed)
+func buildSystem(ctx context.Context, in buildInputs) (*core.System, error) {
+	var db *table.Database
+	var err error
+	if in.dataDir != "" {
+		db, err = table.ReadCSVDir(in.dataDir)
+	} else {
+		db, err = datagen.ByName(in.dataset, in.scale, in.seed)
+	}
 	if err != nil {
 		return nil, err
 	}
 	fmt.Printf("database: %d tables, %d tuples\n", len(db.TableNames()), db.TotalRows())
-	if loadFile != "" {
-		sys, err := core.LoadFile(db, loadFile)
+	if in.loadFile != "" {
+		sys, err := core.LoadFile(db, in.loadFile)
 		if err != nil {
 			return nil, err
 		}
-		fmt.Printf("loaded system from %s\n", loadFile)
+		fmt.Printf("loaded system from %s\n", in.loadFile)
+		// The loaded detector came from the snapshot's training-time config.
+		// (On the train path the overrides are baked into the config below,
+		// so clones made by the retrain controller inherit them.)
+		if d := sys.Drift(); d != nil {
+			if in.driftConfidence > 0 {
+				d.Confidence = in.driftConfidence
+			}
+			if in.driftCount > 0 {
+				d.Count = in.driftCount
+			}
+		}
 		return sys, nil
 	}
-	w, err := loadWorkload(workloadFile, db, seed)
+	var w workload.Workload
+	if in.workloadFile != "" {
+		w, err = workload.ReadFile(in.workloadFile)
+	} else {
+		w, err = core.GenerateWorkload(db, core.GenOptions{N: 30, Seed: in.seed})
+	}
 	if err != nil {
 		return nil, err
 	}
 	fmt.Printf("workload: %d queries; training...\n", len(w))
 	cfg := core.DefaultConfig()
-	if light {
+	if in.light {
 		cfg = core.LightConfig()
 	}
-	cfg.K = k
-	cfg.F = frame
-	cfg.Seed = seed
-	cfg.Parallelism = parallelism
-	if driftConfidence > 0 {
-		cfg.DriftConfidence = driftConfidence
+	cfg.K = in.k
+	cfg.F = in.frame
+	cfg.Seed = in.seed
+	cfg.Parallelism = in.parallelism
+	if in.driftConfidence > 0 {
+		cfg.DriftConfidence = in.driftConfidence
 	}
-	if driftCount > 0 {
-		cfg.DriftCount = driftCount
+	if in.driftCount > 0 {
+		cfg.DriftCount = in.driftCount
 	}
 	start := time.Now()
 	sys, err := core.TrainContext(ctx, db, w, cfg)
@@ -354,60 +373,18 @@ func buildSystem(ctx context.Context, dataset, dataDir, workloadFile, loadFile s
 	return sys, nil
 }
 
-func loadDB(dataset, dataDir string, scale float64, seed int64) (*table.Database, error) {
-	switch {
-	case dataDir != "":
-		return table.ReadCSVDir(dataDir)
-	case dataset == "imdb" || dataset == "":
-		return datagen.IMDB(scale, seed), nil
-	case dataset == "mas":
-		return datagen.MAS(scale, seed), nil
-	case dataset == "flights":
-		return datagen.Flights(scale, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown dataset %q", dataset)
-	}
-}
-
-func loadWorkload(path string, db *table.Database, seed int64) (workload.Workload, error) {
-	if path == "" {
-		return core.GenerateWorkload(db, core.GenOptions{N: 30, Seed: seed})
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var sqls []string
-	scanner := bufio.NewScanner(f)
-	for scanner.Scan() {
-		line := strings.TrimSpace(scanner.Text())
-		if line == "" || strings.HasPrefix(line, "--") {
-			continue
-		}
-		sqls = append(sqls, line)
-	}
-	if err := scanner.Err(); err != nil {
-		return nil, err
-	}
-	return workload.New(sqls...)
-}
-
 // parseSLOWindows parses "fast-short,fast-long,slow-short,slow-long" (e.g.
-// "1m,5m,30m,6h"); empty keeps the engine defaults.
+// "1m,5m,30m,6h").
 func parseSLOWindows(s string) (slo.Windows, error) {
 	var w slo.Windows
-	if s == "" {
-		return w, nil
-	}
 	parts := strings.Split(s, ",")
 	if len(parts) != 4 {
-		return w, fmt.Errorf("-slo-windows wants 4 comma-separated durations, got %q", s)
+		return w, fmt.Errorf("want 4 comma-separated durations, got %q", s)
 	}
 	for i, dst := range []*time.Duration{&w.FastShort, &w.FastLong, &w.SlowShort, &w.SlowLong} {
 		d, err := time.ParseDuration(strings.TrimSpace(parts[i]))
 		if err != nil || d <= 0 {
-			return w, fmt.Errorf("-slo-windows element %d (%q): need a positive duration", i+1, parts[i])
+			return w, fmt.Errorf("element %d (%q): need a positive duration", i+1, parts[i])
 		}
 		*dst = d
 	}

@@ -15,7 +15,7 @@
 //	# Load CSVs from a directory and a workload file (one query per line):
 //	asqp -data ./data -workload queries.sql -k 1000 -query "..."
 //
-//	# Observability: serve metrics, span trees and pprof while training and
+//	# Observability: serve metrics, kept traces and pprof while training and
 //	# emit structured logs (see the Observability section of README.md):
 //	asqp -dataset imdb -debug-addr localhost:6060 -log info -query "..."
 //
@@ -26,7 +26,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -52,7 +51,7 @@ func (q *queryList) Set(v string) error {
 }
 
 func main() {
-	dataset := flag.String("dataset", "", "built-in dataset: imdb, mas or flights")
+	dataset := flag.String("dataset", "imdb", "built-in dataset: imdb, mas or flights")
 	scale := flag.Float64("scale", 0.1, "synthetic dataset scale")
 	dataDir := flag.String("data", "", "directory of CSV tables (alternative to -dataset)")
 	workloadFile := flag.String("workload", "", "file with one SQL query per line (omit to generate)")
@@ -63,7 +62,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	saveFile := flag.String("save", "", "save the trained system to this file")
 	loadFile := flag.String("load", "", "load a previously saved system instead of training")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /spans and /debug/pprof on this address (e.g. localhost:6060); also enables metric and span recording")
+	debugAddr := flag.String("debug-addr", "", "serve /metrics, /tracez and /debug/pprof on this address (e.g. localhost:6060); also enables metric and span recording")
 	logLevel := flag.String("log", "", "emit structured logs to stderr at this level (debug, info, warn, error)")
 	trainTimeout := flag.Duration("train-timeout", 0, "wall-clock bound on training; on expiry the partially trained system is still used (0 = none)")
 	queryTimeout := flag.Duration("query-timeout", 0, "per-query deadline; an expired query returns a deadline error (0 = none)")
@@ -79,30 +78,38 @@ func main() {
 		obs.EnableLogging(os.Stderr, obs.ParseLevel(*logLevel))
 	}
 	if *debugAddr != "" {
-		addr, err := obs.Serve(*debugAddr)
+		debug, err := obs.StartDebug(*debugAddr)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("debug server on http://%s (/metrics, /spans, /tracez, /debug/pprof)\n", addr)
+		fmt.Printf("debug server on http://%s (/metrics, /tracez, /debug/pprof)\n", debug.Addr())
 	}
-	var exporter *obs.JSONLExporter
-	if *traceDir != "" {
-		var err error
-		exporter, err = obs.NewJSONLExporter(*traceDir, 0, 0)
-		if err != nil {
-			fatal(err)
-		}
+	if *debugAddr != "" || *traceDir != "" {
 		// Batch CLI traces are few and all interesting: keep everything.
-		obs.ConfigureTracing(obs.TracingConfig{SampleRate: 1, SlowThreshold: *traceSlow, Exporter: exporter})
-		defer func() {
-			obs.DisableTracing()
-			if err := exporter.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "asqp: trace export:", err)
+		tracing := obs.TracingConfig{SampleRate: 1, SlowThreshold: *traceSlow}
+		if *traceDir != "" {
+			exporter, err := obs.NewJSONLExporter(*traceDir, 0, 0)
+			if err != nil {
+				fatal(err)
 			}
-		}()
+			tracing.Exporter = exporter
+			defer func() {
+				obs.DisableTracing()
+				if err := exporter.Close(); err != nil {
+					fmt.Fprintln(os.Stderr, "asqp: trace export:", err)
+				}
+			}()
+		}
+		obs.ConfigureTracing(tracing)
 	}
 
-	db, err := loadDB(*dataset, *dataDir, *scale, *seed)
+	var db *table.Database
+	var err error
+	if *dataDir != "" {
+		db, err = table.ReadCSVDir(*dataDir)
+	} else {
+		db, err = datagen.ByName(*dataset, *scale, *seed)
+	}
 	if err != nil {
 		fatal(err)
 	}
@@ -117,7 +124,14 @@ func main() {
 		fmt.Printf("loaded system from %s: approximation set of %d tuples\n",
 			*loadFile, sys.Set().Size())
 	} else {
-		w, err := loadWorkload(*workloadFile, db, *seed)
+		var w workload.Workload
+		if *workloadFile != "" {
+			w, err = workload.ReadFile(*workloadFile)
+		} else {
+			// No workload given: generate one from database statistics
+			// (Section 4.5 of the paper).
+			w, err = core.GenerateWorkload(db, core.GenOptions{N: 30, Seed: *seed})
+		}
 		if err != nil {
 			fatal(err)
 		}
@@ -230,47 +244,6 @@ func main() {
 		fmt.Println("\ndebug server still running; press Ctrl-C to exit")
 		select {}
 	}
-}
-
-func loadDB(dataset, dataDir string, scale float64, seed int64) (*table.Database, error) {
-	switch {
-	case dataDir != "":
-		return table.ReadCSVDir(dataDir)
-	case dataset == "imdb" || dataset == "":
-		return datagen.IMDB(scale, seed), nil
-	case dataset == "mas":
-		return datagen.MAS(scale, seed), nil
-	case dataset == "flights":
-		return datagen.Flights(scale, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown dataset %q", dataset)
-	}
-}
-
-func loadWorkload(path string, db *table.Database, seed int64) (workload.Workload, error) {
-	if path == "" {
-		// No workload given: generate one from database statistics
-		// (Section 4.5 of the paper).
-		return core.GenerateWorkload(db, core.GenOptions{N: 30, Seed: seed})
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var sqls []string
-	scanner := bufio.NewScanner(f)
-	for scanner.Scan() {
-		line := strings.TrimSpace(scanner.Text())
-		if line == "" || strings.HasPrefix(line, "--") {
-			continue
-		}
-		sqls = append(sqls, line)
-	}
-	if err := scanner.Err(); err != nil {
-		return nil, err
-	}
-	return workload.New(sqls...)
 }
 
 func fatal(err error) {

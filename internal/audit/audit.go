@@ -56,8 +56,8 @@ type Config struct {
 	// degraded) answers that are shadow-audited, in [0, 1]. Zero disables
 	// auditing.
 	SampleRate float64
-	// Workers is the number of low-priority audit executors (default 1; the
-	// auditor is a background verifier, not a throughput machine).
+	// Workers is the number of low-priority audit executors (default
+	// DefaultWorkers).
 	Workers int
 	// QueueDepth bounds the pending-audit queue (default 64). A full queue
 	// drops the new audit and counts it — user-facing serving is never
@@ -69,19 +69,13 @@ type Config struct {
 	// it doubles up to MaxBackoff (defaults 25ms and 1s).
 	Backoff    time.Duration
 	MaxBackoff time.Duration
-	// SLOP95 is the quality SLO: the relative error above which one audited
-	// answer burns error budget (0 disables the SLO). The name mirrors the
-	// -quality-slo-p95 flag: the target is that per-shape p95 observed error
-	// stays under it, and every single observation above it is a burn.
-	SLOP95 float64
-	// MaxShapes bounds the per-shape stats map (default 256, FIFO eviction).
-	MaxShapes int
-	// MaxSQLIndex bounds the canonical-SQL → shape index used for
-	// observed_error lookups (default 1024, FIFO eviction).
-	MaxSQLIndex int
 	// Seed drives the sampling decisions (default 1).
 	Seed int64
 }
+
+// DefaultWorkers is the audit pool size when Config.Workers is unset: the
+// auditor is a background verifier, not a throughput machine.
+const DefaultWorkers = 1
 
 func (c Config) normalize() Config {
 	if c.SampleRate < 0 {
@@ -91,7 +85,7 @@ func (c Config) normalize() Config {
 		c.SampleRate = 1
 	}
 	if c.Workers <= 0 {
-		c.Workers = 1
+		c.Workers = DefaultWorkers
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
@@ -104,12 +98,6 @@ func (c Config) normalize() Config {
 	}
 	if c.MaxBackoff < c.Backoff {
 		c.MaxBackoff = time.Second
-	}
-	if c.MaxShapes <= 0 {
-		c.MaxShapes = 256
-	}
-	if c.MaxSQLIndex <= 0 {
-		c.MaxSQLIndex = 1024
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -173,9 +161,6 @@ type Auditor struct {
 	completed atomic.Int64
 	failed    atomic.Int64 // ground truth could not be computed
 	deferrals atomic.Int64 // capacity-gate backoff sleeps
-	sloBurn   atomic.Int64 // audits whose error exceeded SLOP95
-
-	burnWarn obs.WarnLimiter // rate-limits SLO-burn warnings
 }
 
 // New builds and starts an auditor. target supplies the live full database
@@ -242,13 +227,13 @@ func (a *Auditor) Consider(stmt *sqlparse.Select, sv Served, rows int, agg *tabl
 	select {
 	case a.jobs <- j:
 		if obs.Enabled() {
-			obs.Default().Counter("asqp/audit/sampled").Inc()
+			obs.Default().Counter("audit/sampled").Inc()
 		}
 		return true
 	default:
 		a.dropped.Add(1)
 		if obs.Enabled() {
-			obs.Default().Counter("asqp/audit/dropped").Inc()
+			obs.Default().Counter("audit/dropped").Inc()
 		}
 		return false
 	}
@@ -307,7 +292,7 @@ func (a *Auditor) waitCapacity() bool {
 		}
 		a.deferrals.Add(1)
 		if obs.Enabled() {
-			obs.Default().Counter("asqp/audit/deferred").Inc()
+			obs.Default().Counter("audit/deferred").Inc()
 		}
 		select {
 		case <-a.stop:
@@ -348,7 +333,7 @@ func (a *Auditor) run(j job) {
 		a.failed.Add(1)
 		span.MarkError(err.Error())
 		if obs.Enabled() {
-			obs.Default().Counter("asqp/audit/failed").Inc()
+			obs.Default().Counter("audit/failed").Inc()
 		}
 		obs.LoggerCtx(ctx).Warn("shadow audit failed",
 			"sql", j.served.SQL, "audited_trace_id", j.served.TraceID.String(), "err", err)
@@ -360,17 +345,9 @@ func (a *Auditor) run(j job) {
 	span.Annotate("shape", shape)
 	span.Event("verdict", "relative_error", relErr, "truth_rows", truthRows, "served_rows", j.rows)
 
-	burned := a.cfg.SLOP95 > 0 && relErr > a.cfg.SLOP95
-	if burned {
-		a.sloBurn.Add(1)
-		if obs.Enabled() {
-			obs.Default().Counter("asqp/audit/slo_burn").Inc()
-		}
-		a.warnBurn(j, shape, relErr)
-	}
 	if obs.Enabled() {
-		obs.Default().Counter("asqp/audit/completed").Inc()
-		obs.Default().Histogram("asqp/audit/relative_error").ObserveExemplar(relErr, j.served.TraceID)
+		obs.Default().Counter("audit/completed").Inc()
+		obs.Default().Histogram(MetricRelativeError).ObserveExemplar(relErr, j.served.TraceID)
 	}
 	// Attach the verdict to the original request's trace so /tracez shows
 	// "this degraded answer was later measured at error X". The amendment is
@@ -383,7 +360,6 @@ func (a *Auditor) run(j job) {
 		Attrs: map[string]any{
 			"relative_error": relErr,
 			"shape":          shape,
-			"slo_burn":       burned,
 		},
 	})
 }
@@ -406,16 +382,4 @@ func (a *Auditor) groundTruth(ctx context.Context, db *table.Database, frame int
 		return 0, 0, fmt.Errorf("audit: ground truth: %w", err)
 	}
 	return metrics.CoverageError(j.rows, n, frame), n, nil
-}
-
-// warnBurn logs an SLO-burn warning, rate-limited to one per second so a
-// sick shape cannot flood the logs.
-func (a *Auditor) warnBurn(j job, shape string, relErr float64) {
-	if !a.burnWarn.Allow(time.Second) {
-		return
-	}
-	obs.Logger().Warn("quality SLO burn",
-		"relative_error", relErr, "slo_p95", a.cfg.SLOP95, "shape", shape,
-		"sql", j.served.SQL, "trace_id", j.served.TraceID.String(),
-		"degraded", j.served.Degraded, "reason", j.served.Reason)
 }

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sync/atomic"
@@ -306,21 +307,38 @@ func TestAuditCloseDrainsWorkers(t *testing.T) {
 	}
 }
 
-// TestAuditSLOBurn: audited errors above the quality SLO must burn budget.
-func TestAuditSLOBurn(t *testing.T) {
-	a := newTestAuditor(t, 25, func(c *Config) { c.SLOP95 = 0.1 })
-	stmt := mustParse(t, "SELECT title FROM movies WHERE rating > 7")
-	sv := Served{SQL: stmt.String(), Source: "approximation", Degraded: true, Reason: "rows"}
-	a.Consider(stmt, sv, 1, nil) // error 2/3 > 0.1 → burn
-	waitCompleted(t, a, 1)
-	if got := a.Stats().SLOBurn; got != 1 {
-		t.Errorf("SLO burn counter = %d, want 1", got)
+// TestAuditMapsBounded: the shape map and the SQL index hold at most their
+// caps however many distinct shapes and statements are audited; the oldest
+// entry goes first, and an evicted statement has no evidence left.
+func TestAuditMapsBounded(t *testing.T) {
+	a := newTestAuditor(t, 25, nil)
+	name := func(kind string, i int) string { return fmt.Sprintf("%s-%d", kind, i) }
+	for i := 0; i <= maxSQLIndex; i++ {
+		sv := Served{SQL: name("sql", i), Source: "approximation"}
+		a.record(job{served: sv}, name("shape", i), 0.25)
 	}
-	// An exact answer must not burn.
-	a.Consider(stmt, Served{SQL: sv.SQL, Source: "approximation"}, 3, nil)
-	waitCompleted(t, a, 2)
-	if got := a.Stats().SLOBurn; got != 1 {
-		t.Errorf("SLO burn counter after exact answer = %d, want 1", got)
+	a.mu.Lock()
+	shapes, order, sqls, sqlOrder := len(a.shapes), len(a.order), len(a.sqlShape), len(a.sqlOrder)
+	_, oldestShape := a.shapes[name("shape", maxSQLIndex-maxShapes)]
+	_, newestShape := a.shapes[name("shape", maxSQLIndex)]
+	a.mu.Unlock()
+	if shapes != maxShapes || order != maxShapes {
+		t.Errorf("shape map holds %d entries (%d ordered), want the cap %d", shapes, order, maxShapes)
+	}
+	if sqls != maxSQLIndex || sqlOrder != maxSQLIndex {
+		t.Errorf("SQL index holds %d entries (%d ordered), want the cap %d", sqls, sqlOrder, maxSQLIndex)
+	}
+	if oldestShape || !newestShape {
+		t.Errorf("shape eviction is not oldest-first: oldest kept=%v newest kept=%v", oldestShape, newestShape)
+	}
+	if _, ok := a.ObservedError(name("sql", 0)); ok {
+		t.Error("the evicted statement still reports evidence")
+	}
+	if p95, ok := a.ObservedError(name("sql", maxSQLIndex)); !ok || p95 <= 0 {
+		t.Errorf("the newest statement reports (%v, %v), want its evidence", p95, ok)
+	}
+	if p := a.Page(nil); len(p.Shapes) != maxShapes {
+		t.Errorf("/qualityz lists %d shapes, want %d", len(p.Shapes), maxShapes)
 	}
 }
 

@@ -7,6 +7,18 @@ import (
 	"asqprl/internal/obs"
 )
 
+// MetricRelativeError names the pooled relative-error histogram: every
+// completed audit observes into it with the audited request's trace ID as
+// exemplar. The serving layer's quality SLO reads it by this name.
+const MetricRelativeError = "audit/relative_error"
+
+// maxShapes bounds the per-shape stats map and maxSQLIndex the canonical-SQL
+// → shape index behind ObservedError; both evict oldest-first.
+const (
+	maxShapes   = 256
+	maxSQLIndex = 1024
+)
+
 // shapeStats aggregates audit verdicts for one query shape. A shape is the
 // pair (plan skeleton, aggregate-ness) produced by engine.PlanShape — coarse
 // enough that repeated exploratory variations of one query pattern pool
@@ -33,7 +45,7 @@ func (a *Auditor) record(j job, shape string, relErr float64) {
 	defer a.mu.Unlock()
 	st := a.shapes[shape]
 	if st == nil {
-		if len(a.order) >= a.cfg.MaxShapes {
+		if len(a.order) >= maxShapes {
 			oldest := a.order[0]
 			a.order = a.order[1:]
 			delete(a.shapes, oldest)
@@ -54,7 +66,7 @@ func (a *Auditor) record(j job, shape string, relErr float64) {
 		st.worstSQL = j.served.SQL
 	}
 	if a.sqlShape[j.served.SQL] == nil {
-		if len(a.sqlOrder) >= a.cfg.MaxSQLIndex {
+		if len(a.sqlOrder) >= maxSQLIndex {
 			oldest := a.sqlOrder[0]
 			a.sqlOrder = a.sqlOrder[1:]
 			delete(a.sqlShape, oldest)
@@ -113,14 +125,12 @@ func (a *Auditor) WorstShapeP95() (p95 float64, completed int64, ok bool) {
 type Summary struct {
 	Enabled    bool    `json:"enabled"`
 	SampleRate float64 `json:"sample_rate"`
-	SLOP95     float64 `json:"slo_p95,omitempty"`
 	Eligible   int64   `json:"eligible"`
 	Sampled    int64   `json:"sampled"`
 	Completed  int64   `json:"completed"`
 	Failed     int64   `json:"failed"`
 	Dropped    int64   `json:"dropped"`
 	Deferred   int64   `json:"deferred"`
-	SLOBurn    int64   `json:"slo_burn"`
 	// Coverage is completed / eligible — the fraction of eligible answers
 	// whose error has actually been measured.
 	Coverage float64 `json:"coverage"`
@@ -140,14 +150,12 @@ func (a *Auditor) Stats() Summary {
 	s := Summary{
 		Enabled:    true,
 		SampleRate: a.cfg.SampleRate,
-		SLOP95:     a.cfg.SLOP95,
 		Eligible:   a.eligible.Load(),
 		Sampled:    a.sampled.Load(),
 		Completed:  a.completed.Load(),
 		Failed:     a.failed.Load(),
 		Dropped:    a.dropped.Load(),
 		Deferred:   a.deferrals.Load(),
-		SLOBurn:    a.sloBurn.Load(),
 	}
 	if s.Eligible > 0 {
 		s.Coverage = float64(s.Completed) / float64(s.Eligible)
@@ -163,7 +171,7 @@ func (a *Auditor) Stats() Summary {
 	}
 	a.mu.Unlock()
 	if obs.Enabled() {
-		h := obs.Default().Histogram("asqp/audit/relative_error")
+		h := obs.Default().Histogram(MetricRelativeError)
 		if h.Count() > 0 {
 			s.ErrorP50 = h.Quantile(0.50)
 			s.ErrorP95 = h.Quantile(0.95)
@@ -187,8 +195,6 @@ type ShapeReport struct {
 	WorstSQL   string    `json:"worst_sql,omitempty"`
 	LastSQL    string    `json:"last_sql,omitempty"`
 	LastAt     time.Time `json:"last_at"`
-	// BurningSLO marks shapes whose p95 exceeds the configured quality SLO.
-	BurningSLO bool `json:"burning_slo,omitempty"`
 }
 
 // DriftStatus is the drift-detector view composed into QualityPage by the
@@ -225,7 +231,7 @@ func (a *Auditor) Page(drift *DriftStatus) QualityPage {
 		shapes = append(shapes, st)
 	}
 	for _, st := range shapes {
-		r := ShapeReport{
+		p.Shapes = append(p.Shapes, ShapeReport{
 			Shape:      st.shape,
 			Count:      st.hist.Count(),
 			Degraded:   st.degraded,
@@ -237,9 +243,7 @@ func (a *Auditor) Page(drift *DriftStatus) QualityPage {
 			WorstSQL:   st.worstSQL,
 			LastSQL:    st.lastSQL,
 			LastAt:     st.lastAt,
-		}
-		r.BurningSLO = a.cfg.SLOP95 > 0 && r.P95 > a.cfg.SLOP95
-		p.Shapes = append(p.Shapes, r)
+		})
 	}
 	a.mu.Unlock()
 	sort.Slice(p.Shapes, func(i, j int) bool {

@@ -51,23 +51,17 @@ func TestQueryFrameContextMatchesTable(t *testing.T) {
 
 // TestQuerySpanCarriesCanonicalSQL: the ladder hands its span the statement's
 // String method rather than the rendered text, so a request whose trace nobody
-// reads never canonicalizes; a snapshot (what /tracez, /spans and the JSONL
-// export show) must still carry the canonical SQL as a string.
+// reads never canonicalizes; a snapshot (what /tracez and the JSONL export
+// show) must still carry the canonical SQL as a string.
 func TestQuerySpanCarriesCanonicalSQL(t *testing.T) {
-	prev := obs.Enabled()
-	obs.SetEnabled(true)
-	obs.ResetSpans()
-	t.Cleanup(func() {
-		obs.SetEnabled(prev)
-		obs.ResetSpans()
-	})
+	keepEveryTrace(t)
 	sys := trainedSystem(t)
 	stmt := mustParseCore(t, "select  *  from title where rating>7")
 	if _, err := sys.QueryStmtContext(context.Background(), stmt, QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range obs.RecentSpans() {
-		if s.Name == "core/query" {
+	for _, rec := range obs.KeptTraces() {
+		if s := rec.Root; s.Name == "core/query" {
 			if got, want := s.Attrs["sql"], any(stmt.String()); got != want {
 				t.Fatalf("core/query sql attribute = %#v, want %#v", got, want)
 			}

@@ -6,20 +6,29 @@ import (
 	"asqprl/internal/obs"
 )
 
+// keepEveryTrace turns tracing on at sample rate 1 for one test, so every
+// finished root span tree is in obs.KeptTraces, and restores the previous
+// observability state afterwards.
+func keepEveryTrace(t *testing.T) {
+	t.Helper()
+	prev := obs.Enabled()
+	obs.ConfigureTracing(obs.TracingConfig{SampleRate: 1})
+	obs.ResetTraces()
+	t.Cleanup(func() {
+		obs.DisableTracing()
+		obs.ResetTraces()
+		obs.SetEnabled(prev)
+	})
+}
+
 // TestTrainProducesSpansAndSeries runs a small end-to-end training with
 // observability enabled and checks the acceptance surface: a per-stage
 // preprocessing span tree nested under the train span, and non-empty
 // per-iteration learning-curve series in the registry.
 func TestTrainProducesSpansAndSeries(t *testing.T) {
-	prev := obs.Enabled()
-	obs.SetEnabled(true)
+	keepEveryTrace(t)
 	obs.Default().Reset()
-	obs.ResetSpans()
-	t.Cleanup(func() {
-		obs.SetEnabled(prev)
-		obs.Default().Reset()
-		obs.ResetSpans()
-	})
+	t.Cleanup(obs.Default().Reset)
 
 	cfg := testConfig()
 	cfg.Episodes = 8
@@ -32,10 +41,9 @@ func TestTrainProducesSpansAndSeries(t *testing.T) {
 	}
 
 	var train *obs.SpanSnapshot
-	for _, s := range obs.RecentSpans() {
-		if s.Name == "train" {
-			snap := s
-			train = &snap
+	for _, rec := range obs.KeptTraces() {
+		if rec.Root.Name == "train" {
+			train = &rec.Root
 		}
 	}
 	if train == nil {

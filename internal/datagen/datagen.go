@@ -106,6 +106,20 @@ var roles = []string{"actor", "actress", "director", "producer", "writer", "comp
 
 var infoTypes = []string{"budget", "gross", "runtime", "country", "language"}
 
+// ByName generates the built-in dataset the CLIs call imdb, mas or flights.
+func ByName(name string, scale float64, seed int64) (*table.Database, error) {
+	switch name {
+	case "imdb":
+		return IMDB(scale, seed), nil
+	case "mas":
+		return MAS(scale, seed), nil
+	case "flights":
+		return Flights(scale, seed), nil
+	default:
+		return nil, fmt.Errorf("unknown dataset %q (want imdb, mas or flights)", name)
+	}
+}
+
 // IMDB generates the IMDB-JOB-shaped database. At scale 1.0:
 // title ≈ 20k, name ≈ 12k, cast_info ≈ 50k, movie_info ≈ 25k.
 func IMDB(scale float64, seed int64) *table.Database {

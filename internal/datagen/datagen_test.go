@@ -1,6 +1,7 @@
 package datagen
 
 import (
+	"strings"
 	"testing"
 
 	"asqprl/internal/engine"
@@ -159,4 +160,19 @@ func TestZipfPickBounds(t *testing.T) {
 	rngDB := IMDB(0.01, 3) // just to touch generation paths
 	_ = rngDB
 	var _ = table.NewDatabase()
+}
+
+func TestByName(t *testing.T) {
+	for name, table := range map[string]string{"imdb": "title", "mas": "author", "flights": "flights"} {
+		db, err := ByName(name, 0.01, 1)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", name, err)
+		}
+		if db.Table(table) == nil {
+			t.Errorf("ByName(%q) has no %s table (tables %v)", name, table, db.TableNames())
+		}
+	}
+	if _, err := ByName("tpch", 0.01, 1); err == nil || !strings.Contains(err.Error(), `"tpch"`) {
+		t.Errorf("ByName(tpch) = %v, want an error naming the dataset", err)
+	}
 }

@@ -31,11 +31,15 @@ type Config struct {
 	MaxBundles int
 	// MaxTotalBytes caps the directory's total size (default 64 MiB).
 	MaxTotalBytes int64
-	// MinInterval rate-limits unforced captures (default 1m).
+	// MinInterval rate-limits unforced captures (default DefaultMinInterval).
 	MinInterval time.Duration
 	// Now is the clock; defaults to time.Now (injectable for tests).
 	Now func() time.Time
 }
+
+// DefaultMinInterval is the gap between unforced captures when
+// Config.MinInterval is unset.
+const DefaultMinInterval = time.Minute
 
 // Source provides the state a bundle captures. Every field is optional;
 // nil collectors are skipped. Collectors run at capture time.
@@ -91,7 +95,7 @@ func New(cfg Config, src Source) (*Recorder, error) {
 		cfg.MaxTotalBytes = 64 << 20
 	}
 	if cfg.MinInterval <= 0 {
-		cfg.MinInterval = time.Minute
+		cfg.MinInterval = DefaultMinInterval
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now

@@ -89,7 +89,7 @@ func BenchmarkSubsetSpeedup(b *testing.B) {
 
 // benchmarkWarm times stmt over db with every columnar view derived outside
 // the timed region, as it is cached across queries in production use. The one
-// sub-benchmark keeps the name the BENCH history and benchdiff know.
+// sub-benchmark keeps the name DESIGN §13's tables quote.
 func benchmarkWarm(b *testing.B, query string) {
 	db := datagen.IMDB(0.1, 1)
 	stmt := sqlparse.MustParse(benchQueries[query])
@@ -108,8 +108,7 @@ func benchmarkWarm(b *testing.B, query string) {
 }
 
 // BenchmarkColumnarScan is the vectorized kernel scan (typed vectors,
-// dictionary string masks, zone-map pruning): the scan-heavy benchmark the
-// benchdiff regression gate watches.
+// dictionary string masks, zone-map pruning).
 func BenchmarkColumnarScan(b *testing.B) { benchmarkWarm(b, "Filter") }
 
 // BenchmarkHashJoinAllocs pins the allocations of the join: it probes the

@@ -77,14 +77,18 @@ func TestOperatorSpansUnderTracedContext(t *testing.T) {
 // observability is enabled.
 func TestUntracedContextCreatesNoSpans(t *testing.T) {
 	wasEnabled := obs.Enabled()
-	obs.SetEnabled(true)
-	t.Cleanup(func() { obs.SetEnabled(wasEnabled) })
-	obs.ResetSpans()
+	obs.ConfigureTracing(obs.TracingConfig{SampleRate: 1})
+	obs.ResetTraces()
+	t.Cleanup(func() {
+		obs.DisableTracing()
+		obs.ResetTraces()
+		obs.SetEnabled(wasEnabled)
+	})
 	stmt := sqlparse.MustParse("SELECT title FROM movies WHERE year > 2000")
 	if _, err := ExecuteWithContext(context.Background(), testDB(), stmt, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(obs.RecentSpans()); got != 0 {
+	if got := len(obs.KeptTraces()); got != 0 {
 		t.Errorf("untraced execution published %d root spans, want 0", got)
 	}
 }

@@ -159,12 +159,12 @@ func TestHistogramExemplarZeroTraceIDSkipped(t *testing.T) {
 // become underscores.
 func TestPromNameSanitization(t *testing.T) {
 	cases := map[string]string{
-		"asqp/audit/relative_error": "asqp_audit_relative_error",
-		"server/request_seconds":    "server_request_seconds",
-		"a.b-c d":                   "a_b_c_d",
-		"0leading":                  "_leading",
-		"ok:colon_9":                "ok:colon_9",
-		"héllo/wörld":               "h_llo_w_rld",
+		"audit/relative_error":   "audit_relative_error",
+		"server/request_seconds": "server_request_seconds",
+		"a.b-c d":                "a_b_c_d",
+		"0leading":               "_leading",
+		"ok:colon_9":             "ok:colon_9",
+		"héllo/wörld":            "h_llo_w_rld",
 	}
 	for in, want := range cases {
 		if got := promName(in); got != want {
@@ -181,7 +181,7 @@ func TestPromExemplarLabelEscaping(t *testing.T) {
 	tid := NewTraceID()
 	h.ObserveExemplar(2e-6, tid)
 	var sb strings.Builder
-	if err := writePromHistogram(&sb, "asqp_audit_relative_error", "asqp/audit/relative_error", h); err != nil {
+	if err := writePromHistogram(&sb, "audit_relative_error", "audit/relative_error", h); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -197,8 +197,8 @@ func TestPromExemplarLabelEscaping(t *testing.T) {
 			if strings.Count(line, `"`) < 2 {
 				t.Errorf("unquoted le label: %q", line)
 			}
-		case strings.HasPrefix(line, "asqp_audit_relative_error_sum"),
-			strings.HasPrefix(line, "asqp_audit_relative_error_count"):
+		case strings.HasPrefix(line, "audit_relative_error_sum"),
+			strings.HasPrefix(line, "audit_relative_error_count"):
 		default:
 			t.Errorf("unexpected exposition line: %q", line)
 		}

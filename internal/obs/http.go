@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 )
 
 // Handler returns the debug HTTP handler:
@@ -15,7 +14,6 @@ import (
 //	/            index linking the endpoints
 //	/metrics     JSON snapshot of the default registry (?format=prom for
 //	             Prometheus text exposition with exemplars)
-//	/spans       last-N finished root span trees (?n= caps the count)
 //	/tracez      tail-sampled traces: slow/error/degraded views, slow-query
 //	             log, full trees by ?trace=<id>
 //	/debug/pprof the standard net/http/pprof handlers
@@ -29,7 +27,6 @@ func Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		fmt.Fprint(w, `<html><body><h1>asqp debug</h1><ul>`+
 			`<li><a href="/metrics">/metrics</a> — metrics registry snapshot (JSON; <a href="/metrics?format=prom">?format=prom</a>)</li>`+
-			`<li><a href="/spans">/spans</a> — recent span trees (JSON)</li>`+
 			`<li><a href="/tracez">/tracez</a> — tail-sampled traces and slow-query log</li>`+
 			`<li><a href="/debug/pprof/">/debug/pprof/</a> — runtime profiles</li>`+
 			`</ul></body></html>`)
@@ -45,15 +42,6 @@ func Handler() http.Handler {
 		writeJSON(w, Default().Snapshot())
 	})
 	mux.HandleFunc("/tracez", handleTracez)
-	mux.HandleFunc("/spans", func(w http.ResponseWriter, r *http.Request) {
-		spans := RecentSpans()
-		if s := r.URL.Query().Get("n"); s != "" {
-			if n, err := strconv.Atoi(s); err == nil && n >= 0 && n < len(spans) {
-				spans = spans[len(spans)-n:]
-			}
-		}
-		writeJSON(w, spans)
-	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -128,18 +116,6 @@ func (d *DebugServer) Close() error {
 		err = d.err
 	}
 	return err
-}
-
-// Serve starts the debug server on addr in a background goroutine, enabling
-// observability as a side effect. It returns the bound address (useful with
-// ":0") or an error if the listener cannot be opened. The server runs for the
-// life of the process; callers that need clean shutdown use StartDebug.
-func Serve(addr string) (string, error) {
-	d, err := StartDebug(addr)
-	if err != nil {
-		return "", err
-	}
-	return d.Addr(), nil
 }
 
 // writeJSON marshals v with indentation for human-friendly curling.

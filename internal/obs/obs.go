@@ -9,9 +9,9 @@
 // nil-receiver no-ops. Callers therefore instrument unconditionally and let
 // the package decide whether anything is recorded.
 //
-// A process-wide default registry and span collector back the package-level
-// helpers; the debug HTTP server (see Handler/Serve) exposes them as JSON at
-// /metrics and /spans alongside net/http/pprof.
+// A process-wide default registry and tail sampler back the package-level
+// helpers; the debug HTTP server (see Handler/StartDebug) exposes them as
+// JSON at /metrics and /tracez alongside net/http/pprof.
 package obs
 
 import "sync/atomic"

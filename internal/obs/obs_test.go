@@ -18,10 +18,10 @@ func withObs(t *testing.T) {
 	t.Helper()
 	prev := Enabled()
 	SetEnabled(true)
-	ResetSpans()
+	ResetTraces()
 	t.Cleanup(func() {
 		SetEnabled(prev)
-		ResetSpans()
+		ResetTraces()
 	})
 }
 
@@ -83,6 +83,14 @@ func TestHistogramEmptyAndSnapshot(t *testing.T) {
 
 func TestSpanTreeNestingAndOrdering(t *testing.T) {
 	withObs(t)
+	// Tracing unconfigured: a finished root span is retained nowhere.
+	_, loose := StartSpan(context.Background(), "unkept")
+	loose.End()
+	if n := len(KeptTraces()); n != 0 {
+		t.Fatalf("%d traces kept with tracing unconfigured, want 0", n)
+	}
+	// SampleRate 1 keeps every tree, whole.
+	withTracing(t, TracingConfig{SampleRate: 1})
 	ctx, root := StartSpan(context.Background(), "preprocess")
 	root.Annotate("k", 100)
 	_, relax := StartSpan(ctx, "preprocess/relax")
@@ -93,11 +101,11 @@ func TestSpanTreeNestingAndOrdering(t *testing.T) {
 	exec.End()
 	root.End()
 
-	trees := RecentSpans()
-	if len(trees) != 1 {
-		t.Fatalf("got %d root spans, want 1", len(trees))
+	kept := KeptTraces()
+	if len(kept) != 1 {
+		t.Fatalf("got %d kept traces, want 1", len(kept))
 	}
-	tree := trees[0]
+	tree := kept[0].Root
 	if tree.Name != "preprocess" {
 		t.Fatalf("root name = %q", tree.Name)
 	}
@@ -118,10 +126,8 @@ func TestSpanTreeNestingAndOrdering(t *testing.T) {
 }
 
 func TestSpanDisabledIsNoop(t *testing.T) {
-	prev := Enabled()
+	withTracing(t, TracingConfig{SampleRate: 1})
 	SetEnabled(false)
-	defer SetEnabled(prev)
-	ResetSpans()
 	ctx, s := StartSpan(context.Background(), "x")
 	if s != nil {
 		t.Fatal("disabled StartSpan must return a nil span")
@@ -134,7 +140,7 @@ func TestSpanDisabledIsNoop(t *testing.T) {
 	if _, child := StartSpan(ctx, "y"); child != nil {
 		t.Fatal("child of disabled span must be nil")
 	}
-	if len(RecentSpans()) != 0 {
+	if len(KeptTraces()) != 0 {
 		t.Fatal("no spans should be recorded while disabled")
 	}
 }
@@ -167,9 +173,6 @@ func TestRegistryConcurrentAndSnapshot(t *testing.T) {
 	}
 	if len(snap.Series["s"]) != 4000 {
 		t.Fatalf("series len = %d, want 4000", len(snap.Series["s"]))
-	}
-	if names := r.MetricNames(); len(names) != 4 {
-		t.Fatalf("metric names = %v", names)
 	}
 }
 
@@ -209,7 +212,7 @@ func TestLoggerDefaultIsNoop(t *testing.T) {
 }
 
 func TestDebugHandlerEndpoints(t *testing.T) {
-	withObs(t)
+	withTracing(t, TracingConfig{SampleRate: 1})
 	Default().Counter("test/hits").Inc()
 	_, sp := StartSpan(context.Background(), "test/root")
 	sp.End()
@@ -223,16 +226,10 @@ func TestDebugHandlerEndpoints(t *testing.T) {
 		t.Fatalf("metrics snapshot missing counter: %+v", snap.Counters)
 	}
 
-	var spans []SpanSnapshot
-	getJSON(t, srv.URL+"/spans", &spans)
-	found := false
-	for _, s := range spans {
-		if s.Name == "test/root" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("spans endpoint missing root span: %+v", spans)
+	var rec TraceRecord
+	getJSON(t, srv.URL+"/tracez?trace="+sp.TraceID().String(), &rec)
+	if rec.Root.Name != "test/root" || rec.Verdict != "sampled" {
+		t.Fatalf("tracez endpoint returned %+v, want the sampled test/root tree", rec)
 	}
 
 	resp, err := http.Get(srv.URL + "/debug/pprof/")

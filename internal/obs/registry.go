@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -210,29 +209,4 @@ func (r *Registry) Snapshot() Snapshot {
 		snap.Series[name] = s.Values()
 	}
 	return snap
-}
-
-// MetricNames returns the sorted union of all metric names, for diagnostics.
-func (r *Registry) MetricNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	seen := map[string]bool{}
-	for n := range r.counters {
-		seen[n] = true
-	}
-	for n := range r.gauges {
-		seen[n] = true
-	}
-	for n := range r.hists {
-		seen[n] = true
-	}
-	for n := range r.series {
-		seen[n] = true
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -9,10 +9,6 @@ import (
 // spanCtxKey is the context key carrying the current span.
 type spanCtxKey struct{}
 
-// maxRootSpans bounds the ring buffer of finished root span trees retained
-// for the /spans endpoint.
-const maxRootSpans = 64
-
 // maxSpanEvents bounds the number of timestamped events one span retains, so
 // a retry loop gone wild cannot grow a span without limit. Overflow is
 // counted in the last event's "dropped" attribute.
@@ -148,10 +144,10 @@ func (s *Span) SpanID() SpanID {
 	return s.spanID
 }
 
-// End finishes the span, fixing its duration. Root spans are published to the
-// recent-spans ring buffer and offered to the tail sampler (which may retain
-// them for /tracez and export them). Calling End more than once keeps the
-// first end time.
+// End finishes the span, fixing its duration. A root span is offered to the
+// tail sampler, which keeps it for /tracez (and exports it) or lets it go:
+// with tracing unconfigured nothing retains a finished tree. Calling End more
+// than once keeps the first end time.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -172,7 +168,6 @@ func (s *Span) End() {
 		}
 	}
 	if isRoot {
-		spanStore.add(s)
 		tailConsider(s)
 	}
 }
@@ -358,63 +353,4 @@ func (s *Span) durationLocked() time.Duration {
 		return time.Since(s.start)
 	}
 	return s.end.Sub(s.start)
-}
-
-// spanRing retains the last maxRootSpans finished root spans in a fixed-size
-// circular buffer: adding is O(1) and allocation-free in steady state (the
-// slot array is allocated once and evicted pointers are overwritten in
-// place, never re-sliced — a [1:] re-slice would pin the whole backing array
-// and shift on every add).
-type spanRing struct {
-	mu   sync.Mutex
-	buf  [maxRootSpans]*Span
-	next int // slot the next add writes
-	n    int // occupied slots, ≤ maxRootSpans
-}
-
-var spanStore = &spanRing{}
-
-func (r *spanRing) add(s *Span) {
-	r.mu.Lock()
-	r.buf[r.next] = s
-	r.next = (r.next + 1) % maxRootSpans
-	if r.n < maxRootSpans {
-		r.n++
-	}
-	r.mu.Unlock()
-}
-
-// list returns the retained spans, oldest first.
-func (r *spanRing) list() []*Span {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*Span, 0, r.n)
-	start := r.next - r.n
-	if start < 0 {
-		start += maxRootSpans
-	}
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.buf[(start+i)%maxRootSpans])
-	}
-	return out
-}
-
-// RecentSpans returns snapshots of the most recently finished root span
-// trees, oldest first.
-func RecentSpans() []SpanSnapshot {
-	spans := spanStore.list()
-	out := make([]SpanSnapshot, len(spans))
-	for i, s := range spans {
-		out[i] = s.Snapshot()
-	}
-	return out
-}
-
-// ResetSpans drops all retained root spans. Intended for tests.
-func ResetSpans() {
-	spanStore.mu.Lock()
-	spanStore.buf = [maxRootSpans]*Span{}
-	spanStore.next = 0
-	spanStore.n = 0
-	spanStore.mu.Unlock()
 }

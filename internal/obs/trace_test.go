@@ -20,11 +20,9 @@ func withTracing(t *testing.T, cfg TracingConfig) {
 	wasEnabled := Enabled()
 	ConfigureTracing(cfg)
 	ResetTraces()
-	ResetSpans()
 	t.Cleanup(func() {
 		DisableTracing()
 		ResetTraces()
-		ResetSpans()
 		SetEnabled(wasEnabled)
 	})
 }
@@ -405,16 +403,6 @@ func TestDisabledTracingZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("disabled tracing allocates %v per request, want 0", allocs)
-	}
-}
-
-func BenchmarkSpanRingAdd(b *testing.B) {
-	r := &spanRing{}
-	s := &Span{name: "bench", root: true}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.add(s)
 	}
 }
 

@@ -47,79 +47,84 @@ import (
 	"asqprl/internal/workload"
 )
 
-// Config tunes the controller. The zero value (plus Enabled) is usable:
-// every field has a production-safe default filled in by normalize.
+// Config tunes the controller. The zero value (plus Enabled) is usable: New
+// fills every unset field from DefaultConfig.
 type Config struct {
 	// Enabled turns the controller on. Serving layers construct it only when
 	// set, so a disabled deployment pays nothing.
 	Enabled bool
-	// Interval is the drift-poll cadence (default 2s). The controller wakes,
-	// checks the incumbent's drift detector, and goes back to sleep; a Force
-	// call wakes it immediately.
+	// Interval is the drift-poll cadence. The controller wakes, checks the
+	// incumbent's drift detector, and goes back to sleep; a Force call wakes
+	// it immediately.
 	Interval time.Duration
 	// Timeout is the hard wall-clock deadline for one retrain attempt:
-	// clone + fine-tune + validate (default 5m). A deadline overrun discards
-	// the candidate — a half-trained set never reaches the gate.
+	// clone + fine-tune + validate. A deadline overrun discards the
+	// candidate — a half-trained set never reaches the gate.
 	Timeout time.Duration
 	// ExtraEpisodes is the fine-tuning budget per attempt (0 = core's
 	// default, half the original training episodes).
 	ExtraEpisodes int
 	// ValidateMargin is how much worse (in workload score, Equation 1) the
 	// candidate may be than the incumbent and still pass the gate, on both
-	// the drifted and the held-back workload (default 0.05; negative values
-	// demand the candidate beat the incumbent by that much).
+	// the drifted and the held-back workload (negative values demand the
+	// candidate beat the incumbent by that much).
 	ValidateMargin float64
 	// HoldbackFraction is the share of the incumbent's training workload
-	// held back as the catastrophic-forgetting probe (default 0.25, at
-	// least one query).
+	// held back as the catastrophic-forgetting probe (at least one query).
 	HoldbackFraction float64
 	// RollbackWindow is how long the swapped-out incumbent is retained after
-	// a successful swap, watching for a quality regression (default 30s).
+	// a successful swap, watching for a quality regression.
 	RollbackWindow time.Duration
 	// RollbackCheck is the polling cadence inside the window (default
 	// RollbackWindow/10, at least 10ms).
 	RollbackCheck time.Duration
-	// RollbackRegression is the increase in worst-shape p95 audit error over
-	// the pre-swap baseline that triggers automatic rollback (default 0.10
-	// absolute error).
-	RollbackRegression float64
-	// MaxAttempts caps retrain attempts per drift batch (default 3); an
-	// exhausted budget discards the batch and waits for fresh drift.
+	// MaxAttempts caps retrain attempts per drift batch; an exhausted budget
+	// discards the batch and waits for fresh drift.
 	MaxAttempts int
 	// Backoff is the initial delay after a failed attempt, doubling up to
-	// MaxBackoff (defaults 5s and 80s).
+	// MaxBackoff (default 16×Backoff).
 	Backoff    time.Duration
 	MaxBackoff time.Duration
 	// SnapshotPath, when set, receives the candidate via the atomic SaveFile
 	// path *before* the swap (and the incumbent again after a rollback), so
 	// a crash at any point recovers to a consistent approximation set.
 	SnapshotPath string
-	// RecencyDecay is the per-position exponential decay applied when
-	// weighting the drifted batch: the newest observation gets weight 1, the
-	// one before it RecencyDecay, then RecencyDecay², … Repeats of the same
-	// canonical statement sum their weights, so a query that drifted five
-	// times recently dominates one stale outlier. 1 means pure frequency
-	// weighting (no decay); default 0.9.
-	RecencyDecay float64
-	// Seed drives holdback sampling (default 1).
+	// Seed drives holdback sampling.
 	Seed int64
 }
 
+// DefaultConfig returns the value every unset Config field takes — the one
+// place the controller's defaults are written (asqp-serve registers its
+// -retrain-* flags over it).
+func DefaultConfig() Config {
+	return Config{
+		Interval:         2 * time.Second,
+		Timeout:          5 * time.Minute,
+		ValidateMargin:   0.05,
+		HoldbackFraction: 0.25,
+		RollbackWindow:   30 * time.Second,
+		MaxAttempts:      3,
+		Backoff:          5 * time.Second,
+		Seed:             1,
+	}
+}
+
 func (c Config) normalize() Config {
+	d := DefaultConfig()
 	if c.Interval <= 0 {
-		c.Interval = 2 * time.Second
+		c.Interval = d.Interval
 	}
 	if c.Timeout <= 0 {
-		c.Timeout = 5 * time.Minute
+		c.Timeout = d.Timeout
 	}
 	if c.ValidateMargin == 0 {
-		c.ValidateMargin = 0.05
+		c.ValidateMargin = d.ValidateMargin
 	}
 	if c.HoldbackFraction <= 0 || c.HoldbackFraction > 1 {
-		c.HoldbackFraction = 0.25
+		c.HoldbackFraction = d.HoldbackFraction
 	}
 	if c.RollbackWindow <= 0 {
-		c.RollbackWindow = 30 * time.Second
+		c.RollbackWindow = d.RollbackWindow
 	}
 	if c.RollbackCheck <= 0 {
 		c.RollbackCheck = c.RollbackWindow / 10
@@ -127,23 +132,17 @@ func (c Config) normalize() Config {
 	if c.RollbackCheck < 10*time.Millisecond {
 		c.RollbackCheck = 10 * time.Millisecond
 	}
-	if c.RollbackRegression <= 0 {
-		c.RollbackRegression = 0.10
-	}
 	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
+		c.MaxAttempts = d.MaxAttempts
 	}
 	if c.Backoff <= 0 {
-		c.Backoff = 5 * time.Second
-	}
-	if c.RecencyDecay <= 0 || c.RecencyDecay > 1 {
-		c.RecencyDecay = 0.9
+		c.Backoff = d.Backoff
 	}
 	if c.MaxBackoff < c.Backoff {
 		c.MaxBackoff = 16 * c.Backoff
 	}
 	if c.Seed == 0 {
-		c.Seed = 1
+		c.Seed = d.Seed
 	}
 	return c
 }
@@ -389,7 +388,7 @@ func (c *Controller) runOnce(forced bool) {
 			}
 			return
 		}
-		pending = weightedDriftBatch(drifted, c.cfg.RecencyDecay)
+		pending = weightedDriftBatch(drifted, recencyDecay)
 		c.mu.Lock()
 		c.pending = pending
 		c.st.AttemptsThisBatch = 0
@@ -595,6 +594,10 @@ func (c *Controller) attempt(inc *core.System, drifted workload.Workload) {
 	span.Event("committed")
 }
 
+// rollbackRegression is the rise in worst-shape p95 audit error over the
+// pre-swap baseline (absolute error) at which the raw probe rolls back.
+const rollbackRegression = 0.10
+
 // watchRollback holds the swapped-out incumbent for the rollback window.
 // With a QualityAlarm hook it consumes the quality SLO state: rollback fires
 // when the SLO is fast-burning and entered that state after the swap.
@@ -622,10 +625,10 @@ func (c *Controller) watchRollback(inc *core.System, swapAt time.Time, baseP95 f
 			if !baseOK {
 				base = 0 // no pre-swap evidence: any post-swap error is new
 			}
-			if ok && fresh && p95 > base+c.cfg.RollbackRegression {
+			if ok && fresh && p95 > base+rollbackRegression {
 				c.rollbackReason(inc, fmt.Sprintf(
 					"quality regression: worst-shape p95 %.4f > baseline %.4f + %.4f",
-					p95, base, c.cfg.RollbackRegression))
+					p95, base, rollbackRegression))
 				return true
 			}
 		}
@@ -749,6 +752,10 @@ func (c *Controller) setOutcome(outcome, msg string) {
 	c.st.LastError = msg
 	c.mu.Unlock()
 }
+
+// recencyDecay is the decay the controller weights a drifted batch with: the
+// newest observation gets weight 1, the one before it 0.9, then 0.9², …
+const recencyDecay = 0.9
 
 // weightedDriftBatch turns the raw drift observations (in observation order,
 // oldest first) into a weighted fine-tune workload: each occurrence of a

@@ -18,7 +18,7 @@ import (
 // database in the background, and its relative error must surface on every
 // spine the quality layer claims — (a) an `audit` span event amended onto
 // the original request's kept trace, (b) the /qualityz shape report, (c) the
-// asqp_audit_relative_error Prometheus histogram carrying the same trace ID
+// audit_relative_error Prometheus histogram carrying the same trace ID
 // as an exemplar, (d) the quality block of /stats, and (e) an observed_error
 // field on the next same-shape /query response.
 func TestAuditEndToEnd(t *testing.T) {
@@ -109,13 +109,13 @@ func TestAuditEndToEnd(t *testing.T) {
 	// (c) the registry histogram holds the exemplar with the request's trace
 	// ID, and the Prometheus exposition renders both.
 	found := false
-	for _, ex := range obs.Default().Histogram("asqp/audit/relative_error").Exemplars() {
+	for _, ex := range obs.Default().Histogram(audit.MetricRelativeError).Exemplars() {
 		if ex.TraceID == tid.String() {
 			found = true
 		}
 	}
 	if !found {
-		t.Error("no exemplar with the audited request's trace ID on asqp/audit/relative_error")
+		t.Error("no exemplar with the audited request's trace ID on the pooled relative-error histogram")
 	}
 	debug := httptest.NewServer(obs.Handler())
 	defer debug.Close()
@@ -124,8 +124,8 @@ func TestAuditEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	prom, _ := readAll(promResp)
-	if !strings.Contains(prom, "asqp_audit_relative_error_bucket") {
-		t.Error("Prometheus exposition missing asqp_audit_relative_error")
+	if !strings.Contains(prom, "audit_relative_error_bucket") {
+		t.Error("Prometheus exposition missing audit_relative_error")
 	}
 	if !strings.Contains(prom, `trace_id="`+tid.String()+`"`) {
 		t.Error("Prometheus exposition missing the audit exemplar's trace ID")

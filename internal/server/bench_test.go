@@ -15,117 +15,6 @@ import (
 	"asqprl/internal/table"
 )
 
-// BenchmarkServeLoad measures the serving layer under closed-loop load at
-// 1x, 4x, and 16x admission capacity: each client fires back-to-back queries
-// for the duration of the benchmark. Reported metrics: sustained qps, p50 and
-// p99 latency (milliseconds), and the shed rate (fraction of requests turned
-// away with 503). Only latencies of answered requests enter the percentiles;
-// sheds return immediately and would flatter them.
-//
-// A 10ms scan latency injection stands in for the remote DBMS the paper's
-// deployment queries on the full-database rung: service time is then
-// IO-shaped (slots held while blocked, CPU mostly idle), so offered load
-// translates into concurrency at the admission gate instead of vanishing
-// into CPU starvation — clients and server share one process, and on a
-// small machine a purely CPU-bound handler would serialize everything.
-func BenchmarkServeLoad(b *testing.B) {
-	sys := trainedSystem(b)
-	faults.Enable(faults.NewSchedule(1, faults.Injection{
-		Point:   faults.PointEngineScan,
-		Kind:    faults.KindLatency,
-		Latency: 10 * time.Millisecond,
-	}))
-	defer faults.Disable()
-	const capacity = 2 // slots; queue adds the same again
-	for _, mult := range []int{1, 4, 16} {
-		name := map[int]string{1: "load=1x", 4: "load=4x", 16: "load=16x"}[mult]
-		b.Run(name, func(b *testing.B) {
-			srv := New(sys, Config{
-				Addr:           "localhost:0",
-				MaxInFlight:    capacity,
-				QueueDepth:     capacity,
-				DefaultTimeout: 2 * time.Second,
-				DrainTimeout:   10 * time.Second,
-			})
-			addr, err := srv.Start()
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Warm keep-alive connections: requests must reach the admission
-			// gate concurrently rather than queue in the kernel accept backlog,
-			// or the gate never sees the offered load.
-			benchClient := &http.Client{Transport: &http.Transport{
-				MaxIdleConnsPerHost: capacity * 16,
-			}}
-			defer benchClient.CloseIdleConnections()
-			defer func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-				defer cancel()
-				_ = srv.Shutdown(ctx)
-			}()
-			base := "http://" + addr
-
-			clients := capacity * mult
-			// Closed loop: b.N requests split across the clients.
-			perClient := b.N/clients + 1
-			// The join keeps service time well above client-side overhead, so
-			// the offered-load multiplier translates into real server-side
-			// concurrency (and, past capacity, real shedding).
-			queries := []string{
-				"SELECT * FROM title t JOIN cast_info c ON t.id = c.title_id WHERE t.rating > 8",
-				fullRouteSQL,
-			}
-
-			var (
-				mu        sync.Mutex
-				latencies []time.Duration
-				shed      int
-				total     int
-			)
-			b.ResetTimer()
-			start := time.Now()
-			var wg sync.WaitGroup
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					for i := 0; i < perClient; i++ {
-						sql := queries[(c+i)%len(queries)]
-						t0 := time.Now()
-						status, _, err := tryPostQueryWith(benchClient, base, sql, 0, 0)
-						lat := time.Since(t0)
-						mu.Lock()
-						total++
-						switch {
-						case err != nil:
-							// transport errors count as neither answer nor shed
-						case status == http.StatusServiceUnavailable:
-							shed++
-						case status == http.StatusOK:
-							latencies = append(latencies, lat)
-						}
-						mu.Unlock()
-					}
-				}(c)
-			}
-			wg.Wait()
-			elapsed := time.Since(start)
-			b.StopTimer()
-
-			if len(latencies) == 0 {
-				b.Fatal("no request was answered")
-			}
-			sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-			p50 := latencies[len(latencies)/2]
-			p99 := latencies[len(latencies)*99/100]
-			b.ReportMetric(float64(len(latencies))/elapsed.Seconds(), "qps")
-			b.ReportMetric(float64(p50.Microseconds())/1000, "p50_ms")
-			b.ReportMetric(float64(p99.Microseconds())/1000, "p99_ms")
-			b.ReportMetric(float64(shed)/float64(total), "shed_rate")
-		})
-	}
-}
-
 // BenchmarkHotSwapUnderLoad measures what a hot swap costs the clients that
 // live through it: closed-loop load at exactly admission capacity (so nothing
 // is shed structurally), one SetSystem swap halfway through, p99 latency

@@ -54,22 +54,17 @@ type breaker struct {
 	now       func() time.Time // injectable clock for tests
 }
 
-func newBreaker(threshold int, cooldown, maxCooldown time.Duration, seed int64) *breaker {
-	if threshold < 1 {
-		threshold = 5
-	}
-	if cooldown <= 0 {
-		cooldown = 500 * time.Millisecond
-	}
-	if maxCooldown < cooldown {
-		maxCooldown = 16 * cooldown
-	}
+// breakerMaxCooldownFactor caps the doubling: however many probes fail, the
+// breaker waits at most this many initial cooldowns before the next one.
+const breakerMaxCooldownFactor = 16
+
+func newBreaker(threshold int, cooldown time.Duration, seed int64) *breaker {
 	return &breaker{
 		state:     breakerClosed,
 		threshold: threshold,
 		cooldown:  cooldown,
 		baseCool:  cooldown,
-		maxCool:   maxCooldown,
+		maxCool:   breakerMaxCooldownFactor * cooldown,
 		rng:       rand.New(rand.NewSource(seed)),
 		now:       time.Now,
 	}

@@ -43,55 +43,44 @@ import (
 	"asqprl/internal/wal"
 )
 
-// Config tunes the serving layer. The zero value is usable: every field has
-// a production-safe default filled in by normalize.
+// Config tunes the serving layer. The zero value is usable: New fills every
+// unset field from DefaultConfig.
 type Config struct {
-	// Addr is the listen address (default "localhost:8080"; use ":0" in
-	// tests to pick a free port).
+	// Addr is the listen address (use ":0" in tests to pick a free port).
 	Addr string
 	// MaxInFlight is the number of queries executing concurrently
-	// (default 2×CPUs).
+	// (0 = 2×CPUs).
 	MaxInFlight int
 	// QueueDepth is how many admitted requests may wait for an execution
-	// slot before new ones are shed (default MaxInFlight).
+	// slot before new ones are shed (0 = MaxInFlight, negative = none).
 	QueueDepth int
 	// DefaultTimeout is the per-query deadline when the client does not send
-	// one (default 2s). Clients cannot disable it — only shorten or extend
-	// it up to MaxTimeout.
+	// one. Clients cannot disable it — only shorten it, or extend it up to
+	// maxTimeout.
 	DefaultTimeout time.Duration
-	// MaxTimeout caps client-requested deadlines (default 30s).
-	MaxTimeout time.Duration
-	// MaxRows caps per-query result rows (default 100000; 0 keeps the
-	// default — the serving layer always bounds result size).
+	// MaxRows caps per-query result rows — the serving layer always bounds
+	// result size.
 	MaxRows int
 	// Retries and Backoff pass through to core.QueryOptions.
 	Retries int
 	Backoff time.Duration
 	// BreakerTrips is the consecutive full-database guard-trip count that
-	// opens the circuit breaker (default 5).
+	// opens the circuit breaker.
 	BreakerTrips int
-	// BreakerCooldown is the initial open duration before a half-open probe
-	// (default 500ms); it doubles on each failed probe up to
-	// BreakerMaxCooldown (default 16×).
-	BreakerCooldown    time.Duration
-	BreakerMaxCooldown time.Duration
+	// BreakerCooldown is the initial open duration before a half-open probe;
+	// it doubles on each failed probe up to breakerMaxCooldownFactor times.
+	BreakerCooldown time.Duration
 	// DrainTimeout bounds how long Shutdown waits for in-flight queries
-	// before canceling them (default 10s).
+	// before canceling them.
 	DrainTimeout time.Duration
-	// Seed drives the breaker's cooldown jitter (default 1).
+	// Seed drives the breaker's cooldown jitter and audit sampling.
 	Seed int64
 	// AuditSample is the fraction of approximation-served/degraded answers
 	// shadow-audited against the full database (0 disables auditing, the
 	// default — the hot path then pays zero overhead).
 	AuditSample float64
-	// AuditWorkers is the size of the low-priority audit worker pool
-	// (default 1 when auditing is enabled).
+	// AuditWorkers is the size of the low-priority audit worker pool.
 	AuditWorkers int
-	// AuditTimeout bounds one ground-truth re-execution (default 10s).
-	AuditTimeout time.Duration
-	// QualitySLOP95 is the relative-error quality SLO: audited answers whose
-	// error exceeds it burn error budget and are logged (0 disables).
-	QualitySLOP95 float64
 	// DriftObserve feeds each served query into core's interest-drift
 	// detector (Section 4.4). Off by default for in-process servers so
 	// synthetic traffic cannot poison the fine-tuning signal; asqp-serve
@@ -133,15 +122,86 @@ type Config struct {
 	// /debugz?capture=1) a diagnostic bundle is captured here. Empty
 	// disables — the nil recorder adds nothing to any path.
 	DiagDir string
-	// DiagMinInterval rate-limits unforced captures (default 1m);
-	// DiagMaxBundles caps retained bundles (default 8).
+	// DiagMinInterval rate-limits unforced captures.
 	DiagMinInterval time.Duration
-	DiagMaxBundles  int
+}
+
+// maxTimeout caps the deadline a client may ask for with timeout_ms.
+const maxTimeout = 30 * time.Second
+
+// DefaultConfig returns the value every unset Config field takes. It is the
+// one place the serving defaults are written: New fills from it and
+// asqp-serve registers its flags over it, so -h prints what New applies.
+func DefaultConfig() Config {
+	return Config{
+		Addr:            "localhost:8080",
+		DefaultTimeout:  2 * time.Second,
+		MaxRows:         100000,
+		BreakerTrips:    5,
+		BreakerCooldown: 500 * time.Millisecond,
+		DrainTimeout:    10 * time.Second,
+		Seed:            1,
+		AuditWorkers:    audit.DefaultWorkers,
+		DiagMinInterval: diag.DefaultMinInterval,
+		Retrain:         retrain.DefaultConfig(),
+	}
+}
+
+// Validate rejects values no deployment can mean: an objective outside
+// (0,1), a sampling fraction outside [0,1], a negative duration or count.
+// Zero stays "unset" throughout (the default, or off). asqp-serve calls it
+// on its flag values so a typo is one line on stderr, not a panic in New.
+func (c Config) Validate() error {
+	if c.SLOAvailability < 0 || c.SLOAvailability >= 1 {
+		return fmt.Errorf("availability objective %v outside (0,1)", c.SLOAvailability)
+	}
+	if c.AuditSample < 0 || c.AuditSample > 1 {
+		return fmt.Errorf("audit sample fraction %v outside [0,1]", c.AuditSample)
+	}
+	if c.SLOQualityP95 < 0 {
+		return fmt.Errorf("quality SLO target %v is negative", c.SLOQualityP95)
+	}
+	for _, d := range []struct {
+		name string
+		v    time.Duration
+	}{
+		{"query timeout", c.DefaultTimeout},
+		{"retry backoff", c.Backoff},
+		{"breaker cooldown", c.BreakerCooldown},
+		{"drain timeout", c.DrainTimeout},
+		{"latency SLO target", c.SLOLatencyP99},
+		{"SLO sample interval", c.SLOInterval},
+		{"SLO window", min(c.SLOWindows.FastShort, c.SLOWindows.FastLong, c.SLOWindows.SlowShort, c.SLOWindows.SlowLong)},
+		{"flight-recorder interval", c.DiagMinInterval},
+		{"retrain interval", c.Retrain.Interval},
+		{"retrain timeout", c.Retrain.Timeout},
+		{"retrain rollback window", c.Retrain.RollbackWindow},
+	} {
+		if d.v < 0 {
+			return fmt.Errorf("%s %s is negative", d.name, d.v)
+		}
+	}
+	for _, n := range []struct {
+		name string
+		v    int
+	}{
+		{"max in-flight", c.MaxInFlight},
+		{"max rows", c.MaxRows},
+		{"retries", c.Retries},
+		{"breaker trips", c.BreakerTrips},
+		{"audit workers", c.AuditWorkers},
+	} {
+		if n.v < 0 {
+			return fmt.Errorf("%s %d is negative", n.name, n.v)
+		}
+	}
+	return nil
 }
 
 func (c Config) normalize() Config {
+	d := DefaultConfig()
 	if c.Addr == "" {
-		c.Addr = "localhost:8080"
+		c.Addr = d.Addr
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 2 * runtime.NumCPU()
@@ -152,28 +212,22 @@ func (c Config) normalize() Config {
 		c.QueueDepth = c.MaxInFlight
 	}
 	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 2 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 30 * time.Second
+		c.DefaultTimeout = d.DefaultTimeout
 	}
 	if c.MaxRows <= 0 {
-		c.MaxRows = 100000
+		c.MaxRows = d.MaxRows
 	}
 	if c.BreakerTrips <= 0 {
-		c.BreakerTrips = 5
+		c.BreakerTrips = d.BreakerTrips
 	}
 	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 500 * time.Millisecond
-	}
-	if c.BreakerMaxCooldown < c.BreakerCooldown {
-		c.BreakerMaxCooldown = 16 * c.BreakerCooldown
+		c.BreakerCooldown = d.BreakerCooldown
 	}
 	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 10 * time.Second
+		c.DrainTimeout = d.DrainTimeout
 	}
 	if c.Seed == 0 {
-		c.Seed = 1
+		c.Seed = d.Seed
 	}
 	return c
 }
@@ -234,7 +288,7 @@ func New(sys *core.System, cfg Config) *Server {
 	s := &Server{
 		cfg:  cfg,
 		adm:  newAdmission(cfg.MaxInFlight, cfg.QueueDepth),
-		brk:  newBreaker(cfg.BreakerTrips, cfg.BreakerCooldown, cfg.BreakerMaxCooldown, cfg.Seed),
+		brk:  newBreaker(cfg.BreakerTrips, cfg.BreakerCooldown, cfg.Seed),
 		wal:  cfg.WAL,
 		done: make(chan struct{}),
 	}
@@ -265,8 +319,6 @@ func New(sys *core.System, cfg Config) *Server {
 		audit.Config{
 			SampleRate: cfg.AuditSample,
 			Workers:    cfg.AuditWorkers,
-			Timeout:    cfg.AuditTimeout,
-			SLOP95:     cfg.QualitySLOP95,
 			Seed:       cfg.Seed,
 		},
 	)
@@ -476,7 +528,7 @@ type QueryResponse struct {
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if obs.Enabled() {
-		obs.Default().Counter("server/requests").Inc()
+		obs.Default().Counter(metricRequests).Inc()
 	}
 	// Join the caller's trace (W3C traceparent) or start a fresh one. The
 	// root span opens before the drain/readiness checks so shed requests
@@ -515,15 +567,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	span.Annotate("sql", req.SQL)
 
-	// Per-request deadline: client wish, clamped into (0, MaxTimeout], or the
+	// Per-request deadline: client wish, clamped into (0, maxTimeout], or the
 	// server default. The admission wait runs under the same deadline so a
 	// queued request cannot outlive its client's patience.
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMs > 0 {
 		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
+		timeout = min(timeout, maxTimeout)
 	}
 	maxRows := s.cfg.MaxRows
 	if req.MaxRows > 0 && req.MaxRows < maxRows {
@@ -880,11 +930,11 @@ func (s *Server) writeErr(w http.ResponseWriter, span *obs.Span, status int, sta
 	if obs.Enabled() {
 		reg := obs.Default()
 		if shed {
-			reg.Counter("server/unavailable").Inc()
+			reg.Counter(metricUnavailable).Inc()
 		} else {
-			reg.Counter("server/errors").Inc()
+			reg.Counter(metricErrors).Inc()
 		}
-		reg.Histogram("server/request_seconds").ObserveDurationExemplar(time.Since(start), span.TraceID())
+		reg.Histogram(metricRequestSeconds).ObserveDurationExemplar(time.Since(start), span.TraceID())
 	}
 	resp := &QueryResponse{Error: msg}
 	if span != nil {

@@ -13,6 +13,8 @@ import (
 
 	"asqprl/internal/faults"
 	"asqprl/internal/obs"
+	"asqprl/internal/retrain"
+	"asqprl/internal/slo"
 )
 
 func TestQueryEndpointBasic(t *testing.T) {
@@ -214,7 +216,7 @@ func TestAdmissionUnit(t *testing.T) {
 // reopens with a doubled cooldown.
 func TestBreakerStateMachine(t *testing.T) {
 	now := time.Unix(0, 0)
-	b := newBreaker(3, time.Second, 8*time.Second, 42)
+	b := newBreaker(3, time.Second, 42)
 	b.now = func() time.Time { return now }
 
 	// Failures below the threshold keep it closed; a success resets the run.
@@ -449,4 +451,45 @@ func TestWriteJSONEncodeFailureIs500(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Error == "" {
 		t.Fatalf("body %q: err %v, want a JSON error", rec.Body.String(), err)
 	}
+}
+
+// TestConfigValidate: the values asqp-serve must refuse before New (which
+// panics on an objective the SLO engine rejects), and the ones it must not —
+// zero is "unset" everywhere, and the defaults themselves are valid.
+func TestConfigValidate(t *testing.T) {
+	for _, ok := range []Config{{}, DefaultConfig(), {SLOAvailability: 0.999, AuditSample: 1, SLOQualityP95: 2, QueueDepth: -1}} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", ok, err)
+		}
+	}
+	for name, bad := range map[string]Config{
+		"availability 1":        {SLOAvailability: 1},
+		"availability above 1":  {SLOAvailability: 1.5},
+		"availability negative": {SLOAvailability: -0.1},
+		"audit sample above 1":  {AuditSample: 1.01},
+		"audit sample negative": {AuditSample: -0.5},
+		"quality negative":      {SLOQualityP95: -0.2},
+		"query timeout":         {DefaultTimeout: -time.Second},
+		"breaker cooldown":      {BreakerCooldown: -time.Millisecond},
+		"drain timeout":         {DrainTimeout: -time.Second},
+		"latency target":        {SLOLatencyP99: -time.Millisecond},
+		"slo window":            {SLOWindows: slo.Windows{FastLong: -time.Minute}},
+		"diag interval":         {DiagMinInterval: -time.Minute},
+		"retrain timeout":       {Retrain: retrain.Config{Timeout: -time.Minute}},
+		"max in-flight":         {MaxInFlight: -1},
+		"max rows":              {MaxRows: -1},
+		"breaker trips":         {BreakerTrips: -5},
+		"audit workers":         {AuditWorkers: -1},
+	} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, bad)
+		} else if strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s: error is not one line: %q", name, err)
+		}
+	}
+	// What Validate accepts, New builds without panicking.
+	prev := obs.Enabled()
+	defer obs.SetEnabled(prev) // arming an SLO turns recording on
+	s := New(nil, Config{SLOAvailability: 0.999, SLOLatencyP99: time.Second, SLOQualityP95: 0.2, SLOClock: time.Now})
+	_ = s.Shutdown(context.Background())
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"asqprl/internal/audit"
 	"asqprl/internal/diag"
 	"asqprl/internal/obs"
 	"asqprl/internal/slo"
@@ -17,9 +18,9 @@ import (
 )
 
 // Metric names the SLO layer reads. The counters and the request histogram
-// are maintained by handleQuery/writeErr; the audit histogram by the shadow
-// auditor. Per-rung histograms are const so the hot path pays no string
-// concatenation.
+// are maintained by handleQuery/writeErr; the quality SLO reads the shadow
+// auditor's audit.MetricRelativeError. Per-rung histograms are const so the
+// hot path pays no string concatenation.
 const (
 	metricRequests       = "server/requests"
 	metricDegraded       = "server/degraded"
@@ -28,7 +29,6 @@ const (
 	metricRequestSeconds = "server/request_seconds"
 	metricRungApprox     = "server/rung_seconds/approximation"
 	metricRungFull       = "server/rung_seconds/full"
-	metricAuditRelError  = "asqp/audit/relative_error"
 )
 
 // sloEnabled reports whether any objective is configured.
@@ -98,7 +98,7 @@ func (s *Server) initSLO() {
 				Kind:      slo.Quality,
 				Objective: 0.95,
 				Threshold: cfg.SLOQualityP95,
-				Metric:    metricAuditRelError,
+				Metric:    audit.MetricRelativeError,
 			})
 		}
 		eng, err := slo.New(s.ts, defs, slo.Options{
@@ -108,8 +108,9 @@ func (s *Server) initSLO() {
 			Registry:   obs.Default(),
 		})
 		if err != nil {
-			// Config objectives are validated ranges; reaching here is a
-			// programming error in initSLO's def construction.
+			// Config.Validate rejects every objective and threshold slo.New
+			// would; reaching here means the caller skipped it or initSLO
+			// built a def wrong.
 			panic(fmt.Sprintf("server: building SLO engine: %v", err))
 		}
 		s.sloEng = eng
@@ -118,7 +119,6 @@ func (s *Server) initSLO() {
 	if cfg.DiagDir != "" {
 		rec, err := diag.New(diag.Config{
 			Dir:         cfg.DiagDir,
-			MaxBundles:  cfg.DiagMaxBundles,
 			MinInterval: cfg.DiagMinInterval,
 			Now:         cfg.SLOClock,
 		}, diag.Source{

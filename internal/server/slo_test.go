@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"asqprl/internal/audit"
 	"asqprl/internal/obs"
 	"asqprl/internal/slo"
 	"asqprl/internal/wal"
@@ -279,7 +280,7 @@ func TestSLOFastBurnFlightRecorderEndToEnd(t *testing.T) {
 	// --- A second SLO tripping inside MinInterval must be suppressed by the
 	// recorder's rate limit: drive the quality SLO (audit relative-error
 	// histogram) into fast_burn one tick later. ---
-	rel := obs.Default().Histogram(metricAuditRelError)
+	rel := obs.Default().Histogram(audit.MetricRelativeError)
 	tick(func() {
 		for i := 0; i < 10; i++ {
 			rel.Observe(1.0) // relative error 1.0 >> the 0.1 target

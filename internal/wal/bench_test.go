@@ -15,35 +15,24 @@ var benchRecord = Record{
 	Source:     "approximation",
 }
 
-// BenchmarkWALAppend measures durable append throughput with group commit on
-// (concurrent appenders share fsyncs) and off (every append pays its own
-// fsync) — the on/off ratio is the whole argument for the group-commit
-// design.
+// BenchmarkWALAppend measures durable append throughput: concurrent appenders
+// share fsyncs, so ns/op falls as -cpu rises (DESIGN §14 has the measured
+// ratio against an fsync per append).
 func BenchmarkWALAppend(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{
-		{"group-commit", false},
-		{"per-append-fsync", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			l, _, err := Open(b.TempDir(), Options{DisableGroupCommit: mode.disable})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer l.Close()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if err := l.Append(benchRecord); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
+	l, _, err := Open(b.TempDir(), Options{})
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer l.Close()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if err := l.Append(benchRecord); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // BenchmarkWALAppendAsync measures the fire-and-forget path the serving hot

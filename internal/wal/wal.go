@@ -170,26 +170,30 @@ func buildFrame(typ Type, seq uint64, payload []byte) []byte {
 	return buf
 }
 
-// Options tunes a Log. The zero value is production-safe via normalize.
+// Options tunes a Log. The zero value is production-safe: Open fills unset
+// fields from DefaultOptions.
 type Options struct {
-	// SegmentBytes is the rotation threshold (default 4 MiB).
+	// SegmentBytes is the rotation threshold.
 	SegmentBytes int64
 	// MaxSegments bounds the directory: rotation beyond it prunes the oldest
 	// segment, sacrificing (and counting) its evidence rather than growing
-	// without bound between checkpoints (default 64).
+	// without bound between checkpoints.
 	MaxSegments int
-	// DisableGroupCommit makes every durable Append perform its own
-	// flush+fsync instead of sharing batched ones. Exists for the
-	// BenchmarkWALAppend on/off comparison and for paranoid deployments.
-	DisableGroupCommit bool
+}
+
+// DefaultOptions returns the value every unset Options field takes
+// (asqp-serve registers -wal-segment-bytes over it).
+func DefaultOptions() Options {
+	return Options{SegmentBytes: 4 << 20, MaxSegments: 64}
 }
 
 func (o Options) normalize() Options {
+	d := DefaultOptions()
 	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 4 << 20
+		o.SegmentBytes = d.SegmentBytes
 	}
 	if o.MaxSegments <= 0 {
-		o.MaxSegments = 64
+		o.MaxSegments = d.MaxSegments
 	}
 	return o
 }
@@ -269,9 +273,6 @@ func (l *Log) Append(rec Record) error {
 	if err != nil {
 		return err
 	}
-	if l.opts.DisableGroupCommit {
-		return l.syncNow()
-	}
 	select {
 	case l.syncReq <- struct{}{}:
 	default: // a sync is already requested; our frame rides along
@@ -347,21 +348,6 @@ func (l *Log) write(rec Record) (uint64, error) {
 		obs.Default().Counter("wal/appends").Inc()
 	}
 	return l.written, nil
-}
-
-// syncNow flushes and fsyncs inline (per-append durability mode).
-func (l *Log) syncNow() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.failed != nil {
-		return l.failed
-	}
-	if err := l.flushAndSyncLocked(); err != nil {
-		return err
-	}
-	l.flushed = l.written
-	l.cond.Broadcast()
-	return nil
 }
 
 // flushAndSyncLocked drains the buffer and fsyncs the active segment under

@@ -6,8 +6,11 @@
 package workload
 
 import (
+	"bufio"
 	"fmt"
 	"math/rand"
+	"os"
+	"strings"
 
 	"asqprl/internal/sqlparse"
 )
@@ -35,6 +38,38 @@ func New(sqls ...string) (Workload, error) {
 			return nil, fmt.Errorf("workload: query %q: %w", s, err)
 		}
 		w = append(w, Query{SQL: s, Stmt: stmt, Weight: 1})
+	}
+	w.Normalize()
+	return w, nil
+}
+
+// ReadFile reads a workload file: one statement per line, uniformly weighted;
+// blank lines and lines starting with "--" are skipped. A statement that does
+// not parse is reported with the file and line it stands on.
+func ReadFile(path string) (Workload, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var w Workload
+	sc := bufio.NewScanner(f)
+	for line := 1; sc.Scan(); line++ {
+		sql := strings.TrimSpace(sc.Text())
+		if sql == "" || strings.HasPrefix(sql, "--") {
+			continue
+		}
+		stmt, err := sqlparse.Parse(sql)
+		if err != nil {
+			return nil, fmt.Errorf("workload: %s:%d: %w", path, line, err)
+		}
+		w = append(w, Query{SQL: sql, Stmt: stmt, Weight: 1})
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("workload: %s: %w", path, err)
+	}
+	if len(w) == 0 {
+		return nil, fmt.Errorf("workload: %s holds no statements", path)
 	}
 	w.Normalize()
 	return w, nil

@@ -3,6 +3,9 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"asqprl/internal/datagen"
@@ -189,5 +192,35 @@ func TestAggregateWorkloadHasGroups(t *testing.T) {
 	}
 	if grouped == 0 {
 		t.Error("no GROUP BY queries generated")
+	}
+}
+
+func TestReadFile(t *testing.T) {
+	write := func(body string) string {
+		path := filepath.Join(t.TempDir(), "queries.sql")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	w, err := ReadFile(write("-- the hot set\n\n  SELECT * FROM t WHERE a > 1\n--SELECT nothing\nSELECT b FROM t\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.SQLs(); len(got) != 2 || got[0] != "SELECT * FROM t WHERE a > 1" || got[1] != "SELECT b FROM t" {
+		t.Errorf("statements = %q, want the two non-comment lines, trimmed", got)
+	}
+	if w[0].Weight != 0.5 || w[0].Stmt == nil {
+		t.Errorf("first query = %+v, want parsed with weight 0.5", w[0])
+	}
+	bad := write("SELECT * FROM t\n\nSELECT FROM WHERE\n")
+	if _, err := ReadFile(bad); err == nil || !strings.Contains(err.Error(), bad+":3:") {
+		t.Errorf("bad statement error = %v, want it to name %s:3", err, bad)
+	}
+	if _, err := ReadFile(write("-- nothing here\n")); err == nil {
+		t.Error("a file with no statements should error")
+	}
+	if _, err := ReadFile(filepath.Join(t.TempDir(), "absent.sql")); err == nil {
+		t.Error("a missing file should error")
 	}
 }
