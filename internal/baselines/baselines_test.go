@@ -225,30 +225,44 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestCoverageScoreAgainstMetrics(t *testing.T) {
-	// The incremental coverage score must agree with the executed metric
-	// when the subset is exactly a union of result tuples.
-	db := testDB()
-	w := testWorkload()
-	queries := runWorkload(db, w, 0) // no cap: exact tracking
-	cov := newCoverage(queries, 25)
-	s := table.NewSubset()
-	// Add the first 30 tuples of the first query.
-	added := 0
-	for _, rows := range queries[0].tuples {
-		cov.addGroup(rows)
-		s.AddAll(rows)
-		added++
-		if added >= 30 {
-			break
+// TestLineageCapIsUniform: the term scales a capped query's coverage by
+// total/tracked, which estimates |q(S)| only if the tracked tuples are a
+// uniform sample of the result. A join's result arrives in FROM-table row
+// order, so a prefix of it is one join partner's rows only.
+func TestLineageCapIsUniform(t *testing.T) {
+	const perParent = lineageCap + 100
+	parent := table.New("parent", table.Schema{{Name: "id", Kind: table.KindInt}})
+	child := table.New("child", table.Schema{{Name: "parent_id", Kind: table.KindInt}})
+	for p := int64(0); p < 2; p++ {
+		parent.AppendRow(table.Row{table.NewInt(p)})
+		for i := 0; i < perParent; i++ {
+			child.AppendRow(table.Row{table.NewInt(p)})
 		}
 	}
-	got := cov.score()
-	want, err := metrics.Score(db, s.Materialize(db), w, 25)
+	db := table.NewDatabase()
+	db.Add(parent)
+	db.Add(child)
+	w, err := workload.New("SELECT * FROM parent JOIN child ON parent.id = child.parent_id")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diff := got - want; diff > 0.02 || diff < -0.02 {
-		t.Errorf("coverage score %.4f vs executed metric %.4f", got, want)
+	q := runWorkload(db, w, 1)[0]
+	if q.Total != 2*perParent || len(q.Tuples) != lineageCap {
+		t.Fatalf("total %d, tracked %d; want %d, %d", q.Total, len(q.Tuples), 2*perParent, lineageCap)
+	}
+	perParentTracked := map[int]int{}
+	for _, tuple := range q.Tuples {
+		for _, id := range tuple {
+			if id.Table == "parent" {
+				perParentTracked[id.Row]++
+			}
+		}
+	}
+	// Each parent's share of a uniform sample is 200 ± 10 (one σ); a prefix
+	// gives 400 and 0.
+	for p := 0; p < 2; p++ {
+		if n := perParentTracked[p]; n < lineageCap/4 {
+			t.Errorf("parent row %d is in %d of %d tracked tuples; a uniform sample has about %d", p, n, lineageCap, lineageCap/2)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"asqprl/internal/engine"
+	"asqprl/internal/metrics"
 	"asqprl/internal/table"
 	"asqprl/internal/workload"
 )
@@ -29,20 +30,14 @@ func (GreedyExec) Build(db *table.Database, train workload.Workload, k int, opts
 	rng := rand.New(rand.NewSource(opts.Seed))
 	deadline := time.Now().Add(opts.TimeBudget)
 
-	// Full-result sizes, computed once (charged against the budget, as the
-	// paper's metric evaluation would be).
-	fullCounts := make([]int, len(train))
+	// The metric is evaluated on the workload in SPJ form, rewritten once;
+	// full-result sizes are computed on first use and kept (charged against
+	// the budget, as the paper's metric evaluation would be).
+	spj := make(workload.Workload, len(train))
 	for i, q := range train {
-		stmt := engine.RewriteAggregateToSPJ(q.Stmt)
-		n, err := engine.Count(db, stmt)
-		if err != nil {
-			n = 0
-		}
-		fullCounts[i] = n
-		if time.Now().After(deadline) {
-			break
-		}
+		spj[i] = workload.Query{SQL: q.SQL, Stmt: engine.RewriteAggregateToSPJ(q.Stmt), Weight: q.Weight}
 	}
+	scoring := metrics.ScoreOptions{Parallelism: 1, Cache: metrics.NewReferenceCache(db)}
 
 	spans, total := spansOf(db)
 	s := table.NewSubset()
@@ -53,33 +48,9 @@ func (GreedyExec) Build(db *table.Database, train workload.Workload, k int, opts
 	// candidates until the deadline.
 	order := rng.Perm(total)
 
-	scoreOf := func(sub *table.Subset) float64 {
-		sdb := sub.Materialize(db)
-		var sc float64
-		for i, q := range train {
-			if fullCounts[i] == 0 {
-				sc += q.Weight
-				continue
-			}
-			stmt := engine.RewriteAggregateToSPJ(q.Stmt)
-			n, err := engine.Count(sdb, stmt)
-			if err != nil {
-				continue
-			}
-			need := opts.F
-			if fullCounts[i] < need {
-				need = fullCounts[i]
-			}
-			frac := float64(n) / float64(need)
-			if frac > 1 {
-				frac = 1
-			}
-			sc += q.Weight * frac
-		}
-		return sc
-	}
-
-	base := scoreOf(s)
+	// A query that fails scores zero on every subset and so moves no gain:
+	// the joined error ScoreWith returns beside the score is dropped.
+	base, _ := metrics.ScoreWith(db, s.Materialize(db), spj, opts.F, scoring)
 	for s.Size() < k && time.Now().Before(deadline) {
 		bestRow := table.RowID{Row: -1}
 		bestGain := 0.0
@@ -93,7 +64,8 @@ func (GreedyExec) Build(db *table.Database, train workload.Workload, k int, opts
 			}
 			trial := s.Clone()
 			trial.Add(id)
-			gain := scoreOf(trial) - base
+			score, _ := metrics.ScoreWith(db, trial.Materialize(db), spj, opts.F, scoring)
+			gain := score - base
 			if gain > bestGain {
 				bestGain = gain
 				bestRow = id

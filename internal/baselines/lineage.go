@@ -1,175 +1,35 @@
 package baselines
 
 import (
-	"sort"
-	"strconv"
-	"strings"
+	"math/rand"
 
 	"asqprl/internal/engine"
+	"asqprl/internal/metrics"
 	"asqprl/internal/table"
 	"asqprl/internal/workload"
 )
 
-// queryResults holds the lineage-level results of one training query.
-type queryResults struct {
-	weight float64
-	total  int             // |q(T)|
-	tuples [][]table.RowID // deduped result tuples (base-row groups)
-}
+const lineageCap = 400 // per-query tracked result tuples for the baselines
 
-// runWorkload executes every training query with lineage tracking, deduping
-// result tuples. Queries that fail are skipped (their weight is dropped),
-// mirroring how baselines in the paper simply cannot use unexecutable
-// queries. Aggregates are rewritten to SPJ first.
-func runWorkload(db *table.Database, train workload.Workload, capPerQuery int) []queryResults {
-	var out []queryResults
+// runWorkload executes every training query with lineage tracking and returns
+// them as tracked queries: result tuples deduplicated and, beyond lineageCap,
+// cut down to a uniform sample seeded by seed. Queries that fail are skipped
+// (their weight is dropped), mirroring how baselines in the paper simply
+// cannot use unexecutable queries. Aggregates are rewritten to SPJ first.
+func runWorkload(db *table.Database, train workload.Workload, seed int64) []metrics.TrackedQuery {
+	rng := rand.New(rand.NewSource(seed))
+	var out []metrics.TrackedQuery
 	for _, q := range train {
 		stmt := engine.RewriteAggregateToSPJ(q.Stmt)
 		res, err := engine.ExecuteWith(db, stmt, engine.Options{TrackLineage: true})
 		if err != nil {
 			continue
 		}
-		qr := queryResults{weight: q.Weight, total: res.Table.NumRows()}
-		seen := map[string]bool{}
-		for _, lin := range res.Lineage {
-			rows := normalizeRowSet(lin)
-			key := rowSetKey(rows)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			qr.tuples = append(qr.tuples, rows)
-			if capPerQuery > 0 && len(qr.tuples) >= capPerQuery {
-				break
-			}
-		}
-		out = append(out, qr)
+		out = append(out, metrics.TrackedQuery{
+			Weight: q.Weight,
+			Total:  res.Table.NumRows(),
+			Tuples: metrics.SampleTuples(metrics.Tuples(res.Lineage), lineageCap, rng),
+		})
 	}
 	return out
-}
-
-func normalizeRowSet(rows []table.RowID) []table.RowID {
-	cp := append([]table.RowID(nil), rows...)
-	sort.Slice(cp, func(a, b int) bool {
-		if cp[a].Table != cp[b].Table {
-			return cp[a].Table < cp[b].Table
-		}
-		return cp[a].Row < cp[b].Row
-	})
-	out := cp[:0]
-	for i, r := range cp {
-		if i > 0 && r == cp[i-1] {
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
-func rowSetKey(rows []table.RowID) string {
-	var b strings.Builder
-	for _, r := range rows {
-		b.WriteString(r.Table)
-		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(r.Row))
-		b.WriteByte('|')
-	}
-	return b.String()
-}
-
-// coverage incrementally scores subsets against executed workload results —
-// the same Equation-1 bookkeeping the RL environment uses, rebuilt here so
-// baselines stay self-contained.
-type coverage struct {
-	queries   []queryResults
-	frameSize int
-	rowRef    map[table.RowID]int
-	rowIndex  map[table.RowID][][2]int // (query, tuple) pairs needing the row
-	missing   [][]int
-	covered   []int
-	size      int
-}
-
-func newCoverage(queries []queryResults, frameSize int) *coverage {
-	c := &coverage{
-		queries:   queries,
-		frameSize: frameSize,
-		rowRef:    make(map[table.RowID]int),
-		rowIndex:  make(map[table.RowID][][2]int),
-		missing:   make([][]int, len(queries)),
-		covered:   make([]int, len(queries)),
-	}
-	for qi, q := range queries {
-		c.missing[qi] = make([]int, len(q.tuples))
-		for ti, rows := range q.tuples {
-			c.missing[qi][ti] = len(rows)
-			for _, id := range rows {
-				c.rowIndex[id] = append(c.rowIndex[id], [2]int{qi, ti})
-			}
-		}
-	}
-	return c
-}
-
-func (c *coverage) addRow(id table.RowID) {
-	c.rowRef[id]++
-	if c.rowRef[id] > 1 {
-		return
-	}
-	c.size++
-	for _, ref := range c.rowIndex[id] {
-		c.missing[ref[0]][ref[1]]--
-		if c.missing[ref[0]][ref[1]] == 0 {
-			c.covered[ref[0]]++
-		}
-	}
-}
-
-func (c *coverage) removeRow(id table.RowID) {
-	c.rowRef[id]--
-	if c.rowRef[id] > 0 {
-		return
-	}
-	delete(c.rowRef, id)
-	c.size--
-	for _, ref := range c.rowIndex[id] {
-		if c.missing[ref[0]][ref[1]] == 0 {
-			c.covered[ref[0]]--
-		}
-		c.missing[ref[0]][ref[1]]++
-	}
-}
-
-func (c *coverage) addGroup(rows []table.RowID) {
-	for _, id := range rows {
-		c.addRow(id)
-	}
-}
-
-func (c *coverage) removeGroup(rows []table.RowID) {
-	for _, id := range rows {
-		c.removeRow(id)
-	}
-}
-
-// score evaluates Equation 1 over the tracked queries.
-func (c *coverage) score() float64 {
-	var s float64
-	for qi, q := range c.queries {
-		need := q.total
-		if c.frameSize < need {
-			need = c.frameSize
-		}
-		if need == 0 || len(q.tuples) == 0 {
-			s += q.weight
-			continue
-		}
-		est := float64(c.covered[qi]) * float64(q.total) / float64(len(q.tuples))
-		frac := est / float64(need)
-		if frac > 1 {
-			frac = 1
-		}
-		s += q.weight * frac
-	}
-	return s
 }

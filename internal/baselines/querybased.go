@@ -6,12 +6,11 @@ import (
 	"strconv"
 	"time"
 
+	"asqprl/internal/metrics"
 	"asqprl/internal/sample"
 	"asqprl/internal/table"
 	"asqprl/internal/workload"
 )
-
-const lineageCap = 400 // per-query tracked result tuples for the baselines
 
 // TopQueried implements TOP: rank tuples by how many workload queries their
 // result tuples participate in, keep the top k.
@@ -23,12 +22,12 @@ func (TopQueried) Name() string { return "TOP" }
 // Build implements Builder.
 func (TopQueried) Build(db *table.Database, train workload.Workload, k int, opts Options) (*table.Subset, error) {
 	opts = opts.normalize()
-	queries := runWorkload(db, train, lineageCap)
+	queries := runWorkload(db, train, opts.Seed)
 	counts := map[table.RowID]int{}
 	order := []table.RowID{}
-	for qi, q := range queries {
+	for _, q := range queries {
 		seenInQuery := map[table.RowID]bool{}
-		for _, rows := range q.tuples {
+		for _, rows := range q.Tuples {
 			for _, id := range rows {
 				if seenInQuery[id] {
 					continue
@@ -40,7 +39,6 @@ func (TopQueried) Build(db *table.Database, train workload.Workload, k int, opts
 				counts[id]++
 			}
 		}
-		_ = qi
 	}
 	sort.SliceStable(order, func(a, b int) bool { return counts[order[a]] > counts[order[b]] })
 	s := table.NewSubset()
@@ -64,12 +62,12 @@ func (Caching) Name() string { return "CACH" }
 // Build implements Builder.
 func (Caching) Build(db *table.Database, train workload.Workload, k int, opts Options) (*table.Subset, error) {
 	opts = opts.normalize()
-	queries := runWorkload(db, train, lineageCap)
+	queries := runWorkload(db, train, opts.Seed)
 	// LRU over rows: recency increases with use.
 	recency := map[table.RowID]int{}
 	clock := 0
 	for _, q := range queries {
-		for _, rows := range q.tuples {
+		for _, rows := range q.Tuples {
 			for _, id := range rows {
 				clock++
 				recency[id] = clock
@@ -102,7 +100,7 @@ func (Verdict) Name() string { return "VERD" }
 func (Verdict) Build(db *table.Database, train workload.Workload, k int, opts Options) (*table.Subset, error) {
 	opts = opts.normalize()
 	rng := rand.New(rand.NewSource(opts.Seed))
-	queries := runWorkload(db, train, lineageCap)
+	queries := runWorkload(db, train, opts.Seed)
 
 	type tupleEntry struct {
 		rows []table.RowID
@@ -111,7 +109,7 @@ func (Verdict) Build(db *table.Database, train workload.Workload, k int, opts Op
 	var entries []tupleEntry
 	for qi, q := range queries {
 		sig := strconv.Itoa(qi)
-		for _, rows := range q.tuples {
+		for _, rows := range q.Tuples {
 			entries = append(entries, tupleEntry{rows: rows, sig: sig})
 		}
 	}
@@ -152,8 +150,8 @@ func (Greedy) Name() string { return "GRE+" }
 func (Greedy) Build(db *table.Database, train workload.Workload, k int, opts Options) (*table.Subset, error) {
 	opts = opts.normalize()
 	deadline := time.Now().Add(opts.TimeBudget)
-	queries := runWorkload(db, train, lineageCap)
-	cov := newCoverage(queries, opts.F)
+	queries := runWorkload(db, train, opts.Seed)
+	cov := metrics.NewCoverIndex(queries, opts.F).NewTracker()
 
 	type group struct {
 		rows []table.RowID
@@ -162,8 +160,8 @@ func (Greedy) Build(db *table.Database, train workload.Workload, k int, opts Opt
 	var groups []group
 	seen := map[string]bool{}
 	for _, q := range queries {
-		for _, rows := range q.tuples {
-			key := rowSetKey(rows)
+		for _, rows := range q.Tuples {
+			key := metrics.TupleKey(rows)
 			if seen[key] {
 				continue
 			}
@@ -175,15 +173,15 @@ func (Greedy) Build(db *table.Database, train workload.Workload, k int, opts Opt
 	s := table.NewSubset()
 	for s.Size() < k && time.Now().Before(deadline) {
 		best, bestGain := -1, 0.0
-		base := cov.score()
+		base := cov.Score()
 		for gi := range groups {
 			if groups[gi].used {
 				continue
 			}
-			cov.addGroup(groups[gi].rows)
-			gain := cov.score() - base
+			cov.Add(groups[gi].rows)
+			gain := cov.Score() - base
 			added := newRowCount(s, groups[gi].rows)
-			cov.removeGroup(groups[gi].rows)
+			cov.Remove(groups[gi].rows)
 			if added == 0 {
 				groups[gi].used = true
 				continue
@@ -200,7 +198,7 @@ func (Greedy) Build(db *table.Database, train workload.Workload, k int, opts Opt
 			break
 		}
 		groups[best].used = true
-		cov.addGroup(groups[best].rows)
+		cov.Add(groups[best].rows)
 		for _, id := range groups[best].rows {
 			if s.Size() >= k {
 				break
@@ -238,7 +236,7 @@ func (BruteForce) Build(db *table.Database, train workload.Workload, k int, opts
 	opts = opts.normalize()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	deadline := time.Now().Add(opts.TimeBudget)
-	queries := runWorkload(db, train, lineageCap)
+	queries := runWorkload(db, train, opts.Seed)
 
 	spans, total := spansOf(db)
 	if total == 0 {
@@ -249,7 +247,7 @@ func (BruteForce) Build(db *table.Database, train workload.Workload, k int, opts
 		pool[g] = globalToRowID(spans, g)
 	}
 
-	cov := newCoverage(queries, opts.F)
+	cov := metrics.NewCoverIndex(queries, opts.F).NewTracker()
 	var bestRows []table.RowID
 	bestScore := -1.0
 	for time.Now().Before(deadline) {
@@ -261,15 +259,13 @@ func (BruteForce) Build(db *table.Database, train workload.Workload, k int, opts
 		rows := make([]table.RowID, len(idx))
 		for i, j := range idx {
 			rows[i] = pool[j]
-			cov.addRow(pool[j])
 		}
-		if sc := cov.score(); sc > bestScore {
+		cov.Add(rows)
+		if sc := cov.Score(); sc > bestScore {
 			bestScore = sc
 			bestRows = rows
 		}
-		for _, id := range rows {
-			cov.removeRow(id)
-		}
+		cov.Remove(rows)
 	}
 	s := table.NewSubset()
 	s.AddAll(bestRows)

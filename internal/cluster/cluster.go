@@ -1,8 +1,8 @@
-// Package cluster implements k-means and k-medoids clustering over embedding
-// vectors. ASQP-RL uses it to select query representatives from the embedded,
-// relaxed workload (Section 4.2), to split workloads into interest clusters
-// for the drift experiments (Section 6.2), and as the core of the QRD
-// baseline (query result diversification via medoid selection).
+// Package cluster implements k-means clustering over embedding vectors.
+// ASQP-RL uses it to select query representatives from the embedded, relaxed
+// workload (Section 4.2; the caller picks each cluster's medoid), to split
+// workloads into interest clusters for the drift experiments (Section 6.2),
+// and as the core of the QRD baseline (query result diversification).
 package cluster
 
 import (
@@ -134,90 +134,4 @@ func KMeans(vecs [][]float64, k, iters int, rng *rand.Rand) Result {
 		assign[i] = best
 	}
 	return Result{Assignments: assign, Centroids: centroids}
-}
-
-// Medoids clusters vecs with KMeans and returns, for each cluster, the index
-// of the input vector closest to its centroid. The returned indices are
-// unique and sorted by cluster id; empty clusters are skipped, so fewer than
-// k indices may be returned.
-func Medoids(vecs [][]float64, k, iters int, rng *rand.Rand) []int {
-	res := KMeans(vecs, k, iters, rng)
-	if len(res.Centroids) == 0 {
-		return nil
-	}
-	medoids := make([]int, 0, len(res.Centroids))
-	for ci := range res.Centroids {
-		best, bestD := -1, math.Inf(1)
-		for i, v := range vecs {
-			if res.Assignments[i] != ci {
-				continue
-			}
-			if d := sqDist(v, res.Centroids[ci]); d < bestD {
-				best, bestD = i, d
-			}
-		}
-		if best >= 0 {
-			medoids = append(medoids, best)
-		}
-	}
-	return medoids
-}
-
-// Silhouette returns the mean silhouette coefficient of a clustering, a
-// quality measure in [-1, 1]; useful in tests and the drift-splitting
-// heuristics. Returns 0 for degenerate inputs.
-func Silhouette(vecs [][]float64, assign []int) float64 {
-	n := len(vecs)
-	if n < 2 {
-		return 0
-	}
-	k := 0
-	for _, a := range assign {
-		if a+1 > k {
-			k = a + 1
-		}
-	}
-	if k < 2 {
-		return 0
-	}
-	var total float64
-	counted := 0
-	for i := range vecs {
-		sums := make([]float64, k)
-		counts := make([]int, k)
-		for j := range vecs {
-			if i == j {
-				continue
-			}
-			d := math.Sqrt(sqDist(vecs[i], vecs[j]))
-			sums[assign[j]] += d
-			counts[assign[j]]++
-		}
-		own := assign[i]
-		if counts[own] == 0 {
-			continue
-		}
-		a := sums[own] / float64(counts[own])
-		b := math.Inf(1)
-		for ci := 0; ci < k; ci++ {
-			if ci == own || counts[ci] == 0 {
-				continue
-			}
-			if m := sums[ci] / float64(counts[ci]); m < b {
-				b = m
-			}
-		}
-		if math.IsInf(b, 1) {
-			continue
-		}
-		den := math.Max(a, b)
-		if den > 0 {
-			total += (b - a) / den
-			counted++
-		}
-	}
-	if counted == 0 {
-		return 0
-	}
-	return total / float64(counted)
 }

@@ -85,55 +85,3 @@ func TestKMeansDeterministicGivenSeed(t *testing.T) {
 		}
 	}
 }
-
-func TestMedoidsAreInputPoints(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	vecs, _ := threeBlobs(rng, 15)
-	meds := Medoids(vecs, 3, 25, rng)
-	if len(meds) != 3 {
-		t.Fatalf("medoids = %v, want 3 indices", meds)
-	}
-	seen := map[int]bool{}
-	for _, m := range meds {
-		if m < 0 || m >= len(vecs) {
-			t.Errorf("medoid index %d out of range", m)
-		}
-		if seen[m] {
-			t.Errorf("duplicate medoid %d", m)
-		}
-		seen[m] = true
-	}
-}
-
-func TestMedoidsEmpty(t *testing.T) {
-	if m := Medoids(nil, 3, 10, rand.New(rand.NewSource(1))); m != nil {
-		t.Errorf("empty input should give nil medoids, got %v", m)
-	}
-}
-
-func TestSilhouetteSeparatedVsRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	vecs, labels := threeBlobs(rng, 20)
-	good := Silhouette(vecs, labels)
-	if good < 0.7 {
-		t.Errorf("silhouette of perfect clustering = %.3f, want high", good)
-	}
-	randomAssign := make([]int, len(vecs))
-	for i := range randomAssign {
-		randomAssign[i] = rng.Intn(3)
-	}
-	bad := Silhouette(vecs, randomAssign)
-	if bad >= good {
-		t.Errorf("random assignment silhouette %.3f should be below true %.3f", bad, good)
-	}
-}
-
-func TestSilhouetteDegenerate(t *testing.T) {
-	if s := Silhouette(nil, nil); s != 0 {
-		t.Error("empty silhouette should be 0")
-	}
-	vecs := [][]float64{{1}, {2}, {3}}
-	if s := Silhouette(vecs, []int{0, 0, 0}); s != 0 {
-		t.Error("single-cluster silhouette should be 0")
-	}
-}

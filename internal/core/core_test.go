@@ -75,11 +75,17 @@ func TestPreprocessInvariants(t *testing.T) {
 	var wsum float64
 	for _, r := range pre.Reps {
 		wsum += r.Weight
-		if len(r.Tuples) > cfg.MaxTrackedPerQuery {
-			t.Errorf("rep tracks %d tuples > cap %d", len(r.Tuples), cfg.MaxTrackedPerQuery)
-		}
-		if r.Total < len(r.Tuples) {
-			t.Errorf("rep Total %d < tracked %d", r.Total, len(r.Tuples))
+		for _, q := range []int{r.Orig, r.Rel} {
+			if q < 0 {
+				continue
+			}
+			tq := pre.Cover.Queries[q]
+			if len(tq.Tuples) > cfg.MaxTrackedPerQuery {
+				t.Errorf("rep tracks %d tuples > cap %d", len(tq.Tuples), cfg.MaxTrackedPerQuery)
+			}
+			if tq.Total < len(tq.Tuples) {
+				t.Errorf("rep Total %d < tracked %d", tq.Total, len(tq.Tuples))
+			}
 		}
 	}
 	if wsum < 0.999 || wsum > 1.001 {
@@ -94,27 +100,6 @@ func TestPreprocessInvariants(t *testing.T) {
 			tab := db.Table(id.Table)
 			if tab == nil || id.Row < 0 || id.Row >= tab.NumRows() {
 				t.Errorf("candidate references invalid row %v", id)
-			}
-		}
-	}
-	// RowToTuples index is consistent with the tuples (original and relaxed).
-	for id, refs := range pre.RowToTuples {
-		for _, ref := range refs {
-			tuples := pre.Reps[ref.q].Tuples
-			if ref.relaxed {
-				tuples = pre.Reps[ref.q].RelaxedTuples
-			}
-			if ref.t >= len(tuples) {
-				t.Fatalf("RowToTuples ref out of range for %v (relaxed=%v)", id, ref.relaxed)
-			}
-			found := false
-			for _, row := range tuples[ref.t].Rows {
-				if row == id {
-					found = true
-				}
-			}
-			if !found {
-				t.Errorf("RowToTuples inconsistency for %v (relaxed=%v)", id, ref.relaxed)
 			}
 		}
 	}
@@ -143,62 +128,6 @@ func TestPreprocessTrainFraction(t *testing.T) {
 	if pre.ExecutedQueries >= preFull.ExecutedQueries {
 		t.Errorf("fraction 0.25 executed %d queries, full executed %d",
 			pre.ExecutedQueries, preFull.ExecutedQueries)
-	}
-}
-
-func TestCoverTrackerAddRemoveInverse(t *testing.T) {
-	db := testIMDB()
-	pre, err := Preprocess(db, testWorkload(), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := newCoverTracker(pre, 25)
-	base := tr.score()
-	if base != 0 {
-		t.Fatalf("empty tracker score = %v, want 0 (non-empty reps)", base)
-	}
-	rng := rand.New(rand.NewSource(3))
-	// Add a random sequence, remember scores, remove in reverse: state must
-	// return exactly.
-	var added []int
-	var scores []float64
-	for i := 0; i < 20 && i < len(pre.Candidates); i++ {
-		ci := rng.Intn(len(pre.Candidates))
-		added = append(added, ci)
-		tr.addCandidate(pre.Candidates[ci])
-		scores = append(scores, tr.score())
-	}
-	for i := len(added) - 1; i >= 0; i-- {
-		if got := tr.score(); got != scores[i] {
-			t.Fatalf("score before removing step %d = %v, want %v", i, got, scores[i])
-		}
-		tr.removeCandidate(pre.Candidates[added[i]])
-	}
-	if got := tr.score(); got != base {
-		t.Errorf("score after full removal = %v, want %v", got, base)
-	}
-	if tr.size != 0 {
-		t.Errorf("size after full removal = %d, want 0", tr.size)
-	}
-}
-
-func TestCoverTrackerScoreMonotoneUnderAdds(t *testing.T) {
-	pre, err := Preprocess(testIMDB(), testWorkload(), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := newCoverTracker(pre, 25)
-	last := tr.score()
-	for i := range pre.Candidates {
-		tr.addCandidate(pre.Candidates[i])
-		s := tr.score()
-		if s < last-1e-12 {
-			t.Fatalf("score decreased on add: %v -> %v", last, s)
-		}
-		last = s
-	}
-	if last <= 0 {
-		t.Error("adding all candidates should give positive score")
 	}
 }
 

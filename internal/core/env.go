@@ -4,172 +4,10 @@ import (
 	"math"
 	"math/rand"
 
+	"asqprl/internal/metrics"
 	"asqprl/internal/rl"
 	"asqprl/internal/table"
 )
-
-// coverTracker maintains, incrementally, how much of each representative
-// query's tracked result set is covered by the currently chosen candidates.
-// It is the reward engine shared by every environment: adding or removing a
-// candidate updates per-tuple missing-row counts in time proportional to the
-// number of affected tuples, so rewards never require re-executing SQL.
-type coverTracker struct {
-	pre        *Preprocessed
-	frameSize  int
-	relaxW     float64 // reward share of relaxed-result coverage
-	rowRef     map[table.RowID]int
-	missing    [][]int
-	covered    []int
-	missingRel [][]int
-	coveredRel []int
-	size       int
-}
-
-func newCoverTracker(pre *Preprocessed, frameSize int) *coverTracker {
-	return newCoverTrackerWeighted(pre, frameSize, 0.2)
-}
-
-func newCoverTrackerWeighted(pre *Preprocessed, frameSize int, relaxW float64) *coverTracker {
-	t := &coverTracker{
-		pre:        pre,
-		frameSize:  frameSize,
-		relaxW:     relaxW,
-		rowRef:     make(map[table.RowID]int),
-		missing:    make([][]int, len(pre.Reps)),
-		covered:    make([]int, len(pre.Reps)),
-		missingRel: make([][]int, len(pre.Reps)),
-		coveredRel: make([]int, len(pre.Reps)),
-	}
-	for q := range pre.Reps {
-		m := make([]int, len(pre.Reps[q].Tuples))
-		for ti, tup := range pre.Reps[q].Tuples {
-			m[ti] = len(tup.Rows)
-		}
-		t.missing[q] = m
-		mr := make([]int, len(pre.Reps[q].RelaxedTuples))
-		for ti, tup := range pre.Reps[q].RelaxedTuples {
-			mr[ti] = len(tup.Rows)
-		}
-		t.missingRel[q] = mr
-	}
-	return t
-}
-
-// addCandidate includes candidate i's rows; returns the number of rows newly
-// added to the set.
-func (t *coverTracker) addCandidate(c Candidate) int {
-	added := 0
-	for _, id := range c.Rows {
-		t.rowRef[id]++
-		if t.rowRef[id] > 1 {
-			continue
-		}
-		added++
-		for _, ref := range t.pre.RowToTuples[id] {
-			if ref.relaxed {
-				t.missingRel[ref.q][ref.t]--
-				if t.missingRel[ref.q][ref.t] == 0 {
-					t.coveredRel[ref.q]++
-				}
-				continue
-			}
-			t.missing[ref.q][ref.t]--
-			if t.missing[ref.q][ref.t] == 0 {
-				t.covered[ref.q]++
-			}
-		}
-	}
-	t.size += added
-	return added
-}
-
-// removeCandidate withdraws candidate i's rows; rows still referenced by
-// another chosen candidate stay in the set.
-func (t *coverTracker) removeCandidate(c Candidate) int {
-	removed := 0
-	for _, id := range c.Rows {
-		t.rowRef[id]--
-		if t.rowRef[id] > 0 {
-			continue
-		}
-		delete(t.rowRef, id)
-		removed++
-		for _, ref := range t.pre.RowToTuples[id] {
-			if ref.relaxed {
-				if t.missingRel[ref.q][ref.t] == 0 {
-					t.coveredRel[ref.q]--
-				}
-				t.missingRel[ref.q][ref.t]++
-				continue
-			}
-			if t.missing[ref.q][ref.t] == 0 {
-				t.covered[ref.q]--
-			}
-			t.missing[ref.q][ref.t]++
-		}
-	}
-	t.size -= removed
-	return removed
-}
-
-// queryScore returns the blended coverage score of rep q: the original
-// query's Equation-1 term weighted (1 − relaxW) plus the relaxed variant's
-// term weighted relaxW (training on generalized queries, Section 4.2).
-func (t *coverTracker) queryScore(q int) float64 {
-	rep := &t.pre.Reps[q]
-	orig := coverageTerm(t.covered[q], len(rep.Tuples), rep.Total, t.frameSize)
-	if len(rep.RelaxedTuples) == 0 || t.relaxW <= 0 {
-		return orig
-	}
-	rel := coverageTerm(t.coveredRel[q], len(rep.RelaxedTuples), rep.RelaxedTotal, t.frameSize)
-	return (1-t.relaxW)*orig + t.relaxW*rel
-}
-
-// coverageTerm is min(1, coveredEstimate / min(F, total)). When tracked
-// tuples are a sample of a larger result, coverage is scaled by
-// total/tracked. Empty true answers are trivially covered.
-func coverageTerm(covered, tracked, total, frameSize int) float64 {
-	need := total
-	if frameSize < need {
-		need = frameSize
-	}
-	if need == 0 || tracked == 0 {
-		return 1
-	}
-	est := float64(covered) * float64(total) / float64(tracked)
-	return math.Min(1, est/float64(need))
-}
-
-// score returns the weighted Equation-1 score over the representatives.
-func (t *coverTracker) score() float64 {
-	var s float64
-	for q := range t.pre.Reps {
-		s += t.pre.Reps[q].Weight * t.queryScore(q)
-	}
-	return s
-}
-
-// stateInto writes the per-representative coverage fractions into dst
-// (padded with zeros beyond the live representatives).
-func (t *coverTracker) stateInto(dst []float64) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	for q := range t.pre.Reps {
-		if q < len(dst) {
-			dst[q] = t.queryScore(q)
-		}
-	}
-}
-
-// subset materializes the current row set.
-func (t *coverTracker) subset() *table.Subset {
-	s := table.NewSubset()
-	for id := range t.rowRef {
-		s.Add(id)
-	}
-	return s
-}
 
 // SetEnvironment is an rl.Environment that also exposes the approximation
 // set built during the episode.
@@ -205,43 +43,131 @@ func envShape(cfg Config) (stateDim, actions int) {
 	return cfg.NumRepresentatives + 2, cfg.ActionSpaceSize
 }
 
+// envBase is what the three environments share: the preprocessed inputs, the
+// reward tracker over pre.Cover, which candidates are in the set, and the
+// observation layout (one blended coverage score per representative, the
+// filled share of the budget, a phase slot).
+type envBase struct {
+	pre     *Preprocessed
+	cfg     Config
+	budget  int
+	tracker *metrics.Tracker
+	chosen  []bool
+	state   []float64
+}
+
+func newEnvBase(pre *Preprocessed, cfg Config, budget int) envBase {
+	stateDim, _ := envShape(cfg)
+	return envBase{pre: pre, cfg: cfg, budget: budget, state: make([]float64, stateDim)}
+}
+
+// reset empties the set.
+func (e *envBase) reset() {
+	e.tracker = e.pre.Cover.NewTracker()
+	e.chosen = make([]bool, len(e.pre.Candidates))
+}
+
+// add puts candidate i into the set; drop takes it out again (rows another
+// chosen candidate shares stay).
+func (e *envBase) add(i int) {
+	e.chosen[i] = true
+	e.tracker.Add(e.pre.Candidates[i].Rows)
+}
+
+func (e *envBase) drop(i int) {
+	e.chosen[i] = false
+	e.tracker.Remove(e.pre.Candidates[i].Rows)
+}
+
+// queryScore returns the blended coverage score of rep q: the original
+// query's Equation-1 term weighted (1 − w) plus the relaxed variant's term
+// weighted w = RelaxRewardWeight (training on generalized queries, Section
+// 4.2).
+func (e *envBase) queryScore(q int) float64 {
+	rep := &e.pre.Reps[q]
+	orig := e.tracker.Term(rep.Orig)
+	if rep.Rel < 0 {
+		return orig
+	}
+	w := e.cfg.RelaxRewardWeight
+	return (1-w)*orig + w*e.tracker.Term(rep.Rel)
+}
+
+// score returns the weighted blended score over the representatives: the
+// reward signal. (The tracker's own Score is the same sum up to rounding; this
+// one is the sum of what observe shows the agent.)
+func (e *envBase) score() float64 {
+	var s float64
+	for q := range e.pre.Reps {
+		s += e.pre.Reps[q].Weight * e.queryScore(q)
+	}
+	return s
+}
+
+// observe writes the state: per-representative scores (zero-padded beyond the
+// live representatives), budget share, phase.
+func (e *envBase) observe(phase float64) []float64 {
+	n := len(e.state)
+	reps := e.state[:n-2]
+	for i := range reps {
+		reps[i] = 0
+	}
+	for q := range e.pre.Reps {
+		if q < len(reps) {
+			reps[q] = e.queryScore(q)
+		}
+	}
+	e.state[n-2] = math.Min(1, float64(e.tracker.Size())/float64(e.budget))
+	e.state[n-1] = phase
+	return append([]float64(nil), e.state...)
+}
+
+func (e *envBase) StateDim() int {
+	d, _ := envShape(e.cfg)
+	return d
+}
+
+func (e *envBase) NumActions() int {
+	_, a := envShape(e.cfg)
+	return a
+}
+
+// Score implements SetEnvironment.
+func (e *envBase) Score() float64 {
+	if e.tracker == nil {
+		return 0
+	}
+	return e.score()
+}
+
+// Subset implements SetEnvironment.
+func (e *envBase) Subset() *table.Subset {
+	if e.tracker == nil {
+		return table.NewSubset()
+	}
+	return e.tracker.Subset()
+}
+
 // --- GSL: gradual-set-learning (Section 5.2) ---
 
 // gslEnv starts from the empty set; every action adds one candidate tuple
 // group. The reward is the score delta, and an episode ends when the memory
 // budget k is reached or every candidate has been chosen.
 type gslEnv struct {
-	pre       *Preprocessed
-	cfg       Config
-	budget    int
-	tracker   *coverTracker
-	chosen    []bool
+	envBase
 	remaining int
 	lastScore float64
-	state     []float64
 }
 
 func newGSLEnv(pre *Preprocessed, cfg Config, budget int) *gslEnv {
-	e := &gslEnv{pre: pre, cfg: cfg, budget: budget}
-	stateDim, _ := envShape(cfg)
-	e.state = make([]float64, stateDim)
-	return e
+	return &gslEnv{envBase: newEnvBase(pre, cfg, budget)}
 }
 
 func (e *gslEnv) Reset() ([]float64, []bool) {
-	e.tracker = newCoverTrackerWeighted(e.pre, e.cfg.F, e.cfg.RelaxRewardWeight)
-	e.chosen = make([]bool, len(e.pre.Candidates))
+	e.reset()
 	e.remaining = len(e.pre.Candidates)
-	e.lastScore = e.tracker.score()
-	return e.observe(), e.mask()
-}
-
-func (e *gslEnv) observe() []float64 {
-	n := len(e.state)
-	e.tracker.stateInto(e.state[:n-2])
-	e.state[n-2] = math.Min(1, float64(e.tracker.size)/float64(e.budget))
-	e.state[n-1] = 0 // phase slot, unused by GSL
-	return append([]float64(nil), e.state...)
+	e.lastScore = e.score()
+	return e.observe(0), e.mask()
 }
 
 // mask marks the valid actions: unchosen candidates that would add at least
@@ -249,14 +175,13 @@ func (e *gslEnv) observe() []float64 {
 // selections" (Section 4.2) — a candidate fully subsumed by the current set
 // is not a valid selection.
 func (e *gslEnv) mask() []bool {
-	_, actions := envShape(e.cfg)
-	m := make([]bool, actions)
+	m := make([]bool, e.NumActions())
 	for i := range e.pre.Candidates {
-		if i >= actions || e.chosen[i] {
+		if i >= len(m) || e.chosen[i] {
 			continue
 		}
 		for _, id := range e.pre.Candidates[i].Rows {
-			if e.tracker.rowRef[id] == 0 {
+			if !e.tracker.Has(id) {
 				m[i] = true
 				break
 			}
@@ -267,43 +192,17 @@ func (e *gslEnv) mask() []bool {
 
 func (e *gslEnv) Step(action int) ([]float64, []bool, float64, bool) {
 	if action >= 0 && action < len(e.pre.Candidates) && !e.chosen[action] {
-		e.chosen[action] = true
 		e.remaining--
-		e.tracker.addCandidate(e.pre.Candidates[action])
+		e.add(action)
 	}
-	score := e.tracker.score()
+	score := e.score()
 	reward := score - e.lastScore
 	e.lastScore = score
-	done := e.tracker.size >= e.budget || e.remaining == 0
-	return e.observe(), e.mask(), reward, done
-}
-
-func (e *gslEnv) StateDim() int {
-	d, _ := envShape(e.cfg)
-	return d
-}
-
-func (e *gslEnv) NumActions() int {
-	_, a := envShape(e.cfg)
-	return a
+	done := e.tracker.Size() >= e.budget || e.remaining == 0
+	return e.observe(0), e.mask(), reward, done
 }
 
 func (e *gslEnv) Clone() rl.Environment { return newGSLEnv(e.pre, e.cfg, e.budget) }
-
-// Score implements SetEnvironment.
-func (e *gslEnv) Score() float64 {
-	if e.tracker == nil {
-		return 0
-	}
-	return e.tracker.score()
-}
-
-func (e *gslEnv) Subset() *table.Subset {
-	if e.tracker == nil {
-		return table.NewSubset()
-	}
-	return e.tracker.subset()
-}
 
 // --- DRP: drop-one (Section 5.2) ---
 
@@ -314,76 +213,54 @@ func (e *gslEnv) Subset() *table.Subset {
 // horizon. The paper reports this environment is prone to poor local optima
 // and unstable initialization — reproduced in the Figure 3 ablation.
 type drpEnv struct {
-	pre       *Preprocessed
-	cfg       Config
-	budget    int
+	envBase
 	seed      int64
 	resets    int64
-	tracker   *coverTracker
-	chosen    []bool
 	phase     int // 0 remove, 1 add
 	stepsLeft int
 	preSwap   float64
-	state     []float64
 }
 
 func newDRPEnv(pre *Preprocessed, cfg Config, budget int) *drpEnv {
-	e := &drpEnv{pre: pre, cfg: cfg, budget: budget, seed: cfg.Seed}
-	stateDim, _ := envShape(cfg)
-	e.state = make([]float64, stateDim)
-	return e
+	return &drpEnv{envBase: newEnvBase(pre, cfg, budget), seed: cfg.Seed}
 }
 
 // noopAction is the extra action index meaning "leave the set unchanged".
 // It is mapped onto the last candidate slot when the candidate list is
 // shorter than the action space, or sacrificed otherwise.
-func (e *drpEnv) noopAction() int {
-	_, actions := envShape(e.cfg)
-	return actions - 1
-}
+func (e *drpEnv) noopAction() int { return e.NumActions() - 1 }
 
 func (e *drpEnv) Reset() ([]float64, []bool) {
 	e.resets++
 	rng := rand.New(rand.NewSource(e.seed + e.resets*7919))
-	e.tracker = newCoverTrackerWeighted(e.pre, e.cfg.F, e.cfg.RelaxRewardWeight)
-	e.chosen = make([]bool, len(e.pre.Candidates))
+	e.reset()
 	// Random initialization up to the budget.
 	for _, i := range rng.Perm(len(e.pre.Candidates)) {
-		if e.tracker.size >= e.budget {
+		if e.tracker.Size() >= e.budget {
 			break
 		}
 		if i == e.noopAction() {
 			continue
 		}
-		e.chosen[i] = true
-		e.tracker.addCandidate(e.pre.Candidates[i])
+		e.add(i)
 	}
 	e.phase = 0
 	e.stepsLeft = e.cfg.DRPHorizon
-	e.preSwap = e.tracker.score()
-	return e.observe(), e.mask()
-}
-
-func (e *drpEnv) observe() []float64 {
-	n := len(e.state)
-	e.tracker.stateInto(e.state[:n-2])
-	e.state[n-2] = math.Min(1, float64(e.tracker.size)/float64(e.budget))
-	e.state[n-1] = float64(e.phase)
-	return append([]float64(nil), e.state...)
+	e.preSwap = e.score()
+	return e.observe(float64(e.phase)), e.mask()
 }
 
 func (e *drpEnv) mask() []bool {
-	_, actions := envShape(e.cfg)
-	m := make([]bool, actions)
+	m := make([]bool, e.NumActions())
 	noop := e.noopAction()
 	for i := range e.pre.Candidates {
-		if i >= actions || i == noop {
+		if i >= len(m) || i == noop {
 			continue
 		}
 		if e.phase == 0 {
 			m[i] = e.chosen[i]
 		} else {
-			m[i] = !e.chosen[i] && e.tracker.size < e.budget+len(e.pre.Candidates[i].Rows)
+			m[i] = !e.chosen[i] && e.tracker.Size() < e.budget+len(e.pre.Candidates[i].Rows)
 		}
 	}
 	m[noop] = true
@@ -394,54 +271,27 @@ func (e *drpEnv) Step(action int) ([]float64, []bool, float64, bool) {
 	noop := e.noopAction()
 	if action != noop && action >= 0 && action < len(e.pre.Candidates) {
 		if e.phase == 0 && e.chosen[action] {
-			e.chosen[action] = false
-			e.tracker.removeCandidate(e.pre.Candidates[action])
+			e.drop(action)
 		} else if e.phase == 1 && !e.chosen[action] {
-			e.chosen[action] = true
-			e.tracker.addCandidate(e.pre.Candidates[action])
+			e.add(action)
 		}
 	}
 	var reward float64
 	if e.phase == 1 {
-		score := e.tracker.score()
+		score := e.score()
 		reward = score - e.preSwap
 		e.preSwap = score
 	}
 	e.phase = 1 - e.phase
 	e.stepsLeft--
 	done := e.stepsLeft <= 0
-	return e.observe(), e.mask(), reward, done
-}
-
-func (e *drpEnv) StateDim() int {
-	d, _ := envShape(e.cfg)
-	return d
-}
-
-func (e *drpEnv) NumActions() int {
-	_, a := envShape(e.cfg)
-	return a
+	return e.observe(float64(e.phase)), e.mask(), reward, done
 }
 
 func (e *drpEnv) Clone() rl.Environment {
 	c := newDRPEnv(e.pre, e.cfg, e.budget)
 	c.seed = e.seed + 104729
 	return c
-}
-
-// Score implements SetEnvironment.
-func (e *drpEnv) Score() float64 {
-	if e.tracker == nil {
-		return 0
-	}
-	return e.tracker.score()
-}
-
-func (e *drpEnv) Subset() *table.Subset {
-	if e.tracker == nil {
-		return table.NewSubset()
-	}
-	return e.tracker.subset()
 }
 
 // --- Hybrid: GSL fill followed by DRP refinement ---
@@ -459,32 +309,30 @@ func newHybridEnv(pre *Preprocessed, cfg Config, budget int) *hybridEnv {
 
 func (e *hybridEnv) Reset() ([]float64, []bool) {
 	e.resets++
-	e.tracker = newCoverTrackerWeighted(e.pre, e.cfg.F, e.cfg.RelaxRewardWeight)
-	e.chosen = make([]bool, len(e.pre.Candidates))
+	e.reset()
 	e.filling = true
 	e.phase = 1 // additions only while filling
 	e.stepsLeft = e.cfg.DRPHorizon
-	e.preSwap = e.tracker.score()
-	return e.observe(), e.mask()
+	e.preSwap = e.score()
+	return e.observe(float64(e.phase)), e.mask()
 }
 
 func (e *hybridEnv) Step(action int) ([]float64, []bool, float64, bool) {
 	if e.filling {
 		noop := e.noopAction()
 		if action != noop && action >= 0 && action < len(e.pre.Candidates) && !e.chosen[action] {
-			e.chosen[action] = true
-			e.tracker.addCandidate(e.pre.Candidates[action])
+			e.add(action)
 		}
-		score := e.tracker.score()
+		score := e.score()
 		reward := score - e.preSwap
 		e.preSwap = score
 		e.stepsLeft--
-		if e.tracker.size >= e.budget {
+		if e.tracker.Size() >= e.budget {
 			e.filling = false
 			e.phase = 0
 		}
 		done := e.stepsLeft <= 0 || (e.filling && e.allChosen())
-		return e.observe(), e.mask(), reward, done
+		return e.observe(float64(e.phase)), e.mask(), reward, done
 	}
 	return e.drpEnv.Step(action)
 }

@@ -23,8 +23,8 @@ func keepEveryTrace(t *testing.T) {
 
 // TestTrainProducesSpansAndSeries runs a small end-to-end training with
 // observability enabled and checks the acceptance surface: a per-stage
-// preprocessing span tree nested under the train span, and non-empty
-// per-iteration learning-curve series in the registry.
+// preprocessing span tree nested under the train span, and the learning
+// curves' one home, Stats().RL.History, holding an entry per iteration.
 func TestTrainProducesSpansAndSeries(t *testing.T) {
 	keepEveryTrace(t)
 	obs.Default().Reset()
@@ -72,15 +72,10 @@ func TestTrainProducesSpansAndSeries(t *testing.T) {
 	}
 
 	snap := obs.Default().Snapshot()
-	for _, name := range []string{"rl/mean_return", "rl/policy_loss", "rl/entropy"} {
-		if got := len(snap.Series[name]); got != sys.Stats().RL.Iterations {
-			t.Errorf("series %q has %d points, want %d", name, got, sys.Stats().RL.Iterations)
-		}
+	if got := len(sys.Stats().RL.History); got != sys.Stats().RL.Iterations {
+		t.Errorf("History has %d entries, want one per iteration (%d)", got, sys.Stats().RL.Iterations)
 	}
 	if snap.Counters["engine/queries"] == 0 {
 		t.Error("preprocessing should have recorded engine query metrics")
-	}
-	if snap.Gauges["core/train/set_size"] != float64(sys.Stats().SetSize) {
-		t.Errorf("core/train/set_size = %f, want %d", snap.Gauges["core/train/set_size"], sys.Stats().SetSize)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"asqprl/internal/embed"
 	"asqprl/internal/engine"
 	"asqprl/internal/faults"
+	"asqprl/internal/metrics"
 	"asqprl/internal/obs"
 	"asqprl/internal/relax"
 	"asqprl/internal/sample"
@@ -20,41 +21,23 @@ import (
 	"asqprl/internal/workload"
 )
 
-// ResultTuple is one tracked result row of a representative query: the set of
-// distinct base-table rows that must all be present in the approximation set
-// for the tuple to appear in the query's answer.
-type ResultTuple struct {
-	Rows []table.RowID
-}
-
-// RepQuery is one query representative after clustering (Section 4.2).
+// RepQuery is one query representative after clustering (Section 4.2). Its
+// results are tracked in Preprocessed.Cover as two queries: the original
+// medoid statement, whose result tuples define the training reward, and the
+// relaxed variant, whose coverage is rewarded at Config.RelaxRewardWeight —
+// the paper's training on generalized queries (challenge C4) without
+// unanchoring the reward from the real workload.
 type RepQuery struct {
-	// Stmt is the original (SPJ-rewritten) medoid statement; its results
-	// define the training reward.
+	// Stmt is the original (SPJ-rewritten) medoid statement.
 	Stmt *sqlparse.Select
 	// Relaxed is the relaxed variant executed to enlarge the action space.
 	Relaxed *sqlparse.Select
 	// Weight aggregates the workload weights of the cluster's members.
 	Weight float64
-	// Total is |q(𝒯)|: the full result size of the original representative.
-	Total int
-	// Tuples are the tracked result tuples (all of them when Total is small,
-	// a uniform sample capped at MaxTrackedPerQuery otherwise).
-	Tuples []ResultTuple
-	// RelaxedTotal and RelaxedTuples track the relaxed variant's results;
-	// covering them is rewarded at Config.RelaxRewardWeight, implementing
-	// the paper's training on generalized queries (challenge C4) without
-	// unanchoring the reward from the real workload.
-	RelaxedTotal  int
-	RelaxedTuples []ResultTuple
-}
-
-// Need returns min(F, Total), the number of result tuples worth covering.
-func (r *RepQuery) Need(frameSize int) int {
-	if r.Total < frameSize {
-		return r.Total
-	}
-	return frameSize
+	// Orig and Rel index the representative's tracked queries in
+	// Preprocessed.Cover. Rel is -1 when the relaxed variant could not be
+	// executed or returned nothing.
+	Orig, Rel int
 }
 
 // Candidate is one action of the RL action space: a group of base rows
@@ -63,22 +46,17 @@ type Candidate struct {
 	Rows []table.RowID
 }
 
-// tupleRef addresses a tracked result tuple of a representative query.
-// relaxed marks tuples of the relaxed variant.
-type tupleRef struct {
-	q, t    int
-	relaxed bool
-}
-
 // Preprocessed is the output of the data and query pre-processing phase:
 // the inputs the RL environments train on.
 type Preprocessed struct {
 	DB         *table.Database
 	Reps       []RepQuery
 	Candidates []Candidate
-	// RowToTuples indexes, for every base row appearing in a tracked tuple,
-	// the tuples that require it.
-	RowToTuples map[table.RowID][]tupleRef
+	// Cover indexes the representatives' tracked result tuples (at most
+	// MaxTrackedPerQuery per query, a uniform sample beyond that); every
+	// environment's reward is a metrics.Tracker over it. A tracked query's
+	// weight is its share of the blended reward.
+	Cover *metrics.CoverIndex
 	// Aggregate workload statistics for reporting.
 	ExecutedQueries int
 	TotalCandidates int // before subsampling
@@ -190,10 +168,7 @@ func PreprocessContext(ctx context.Context, db *table.Database, w workload.Workl
 	selectSpan.Annotate("representatives", len(order))
 	selectSpan.End()
 
-	pre := &Preprocessed{
-		DB:          db,
-		RowToTuples: make(map[table.RowID][]tupleRef),
-	}
+	pre := &Preprocessed{DB: db}
 
 	// 3. Execute representatives with lineage. The original medoid query's
 	// result tuples define the reward (what the approximation set must
@@ -205,21 +180,31 @@ func PreprocessContext(ctx context.Context, db *table.Database, w workload.Workl
 	execCtx, execSpan := obs.StartSpan(ctx, "preprocess/execute")
 	type candInfo struct {
 		rows []table.RowID
-		key  string
 		sig  []int // representative indices that reference it
 	}
 	candByKey := map[string]*candInfo{}
 	var candOrder []string
-	addCandidate := func(rows []table.RowID, qIdx int) *candInfo {
-		key := rowsKey(rows)
+	addCandidate := func(rows []table.RowID, qIdx int) {
+		key := metrics.TupleKey(rows)
 		info := candByKey[key]
 		if info == nil {
-			info = &candInfo{rows: rows, key: key}
+			info = &candInfo{rows: rows}
 			candByKey[key] = info
 			candOrder = append(candOrder, key)
 		}
 		info.sig = append(info.sig, qIdx)
-		return info
+	}
+	// track turns one execution of representative qIdx into a tracked query
+	// (result tuples deduplicated, sampled down to the cap) and bundles those
+	// tuples into group actions. It returns the tracked query's index.
+	var tracked []metrics.TrackedQuery
+	track := func(res *engine.Result, qIdx int) int {
+		tuples := metrics.SampleTuples(metrics.Tuples(res.Lineage), cfg.MaxTrackedPerQuery, rng)
+		tracked = append(tracked, metrics.TrackedQuery{Total: res.Table.NumRows(), Tuples: tuples})
+		for _, group := range chunkRowSets(tuples, cfg.ActionGroupSize, rng) {
+			addCandidate(group, qIdx)
+		}
+		return len(tracked) - 1
 	}
 
 	for _, ci := range order {
@@ -231,39 +216,17 @@ func PreprocessContext(ctx context.Context, db *table.Database, w workload.Workl
 			execSpan.End()
 			return nil, fmt.Errorf("core: executing representative %q: %w", orig, err)
 		}
+		qIdx := len(pre.Reps)
 		rep := RepQuery{
 			Stmt:    orig,
 			Relaxed: relaxed[medoids[ci]],
 			Weight:  clusterWeight[ci],
-			Total:   res.Table.NumRows(),
-		}
-		qIdx := len(pre.Reps)
-
-		// Deduplicate lineage row-sets, then sample down to the cap.
-		lineages := dedupeLineages(res.Lineage)
-		tracked := lineages
-		if len(lineages) > cfg.MaxTrackedPerQuery {
-			idx := sample.Uniform(len(lineages), cfg.MaxTrackedPerQuery, rng)
-			tracked = make([][]table.RowID, len(idx))
-			for i, j := range idx {
-				tracked[i] = lineages[j]
-			}
-		}
-		for _, rows := range tracked {
-			tIdx := len(rep.Tuples)
-			rep.Tuples = append(rep.Tuples, ResultTuple{Rows: rows})
-			for _, id := range rows {
-				pre.RowToTuples[id] = append(pre.RowToTuples[id], tupleRef{q: qIdx, t: tIdx})
-			}
-		}
-		// Bundle the representative's result tuples into group actions.
-		for _, group := range chunkRowSets(tracked, cfg.ActionGroupSize, rng) {
-			addCandidate(group, qIdx)
+			Orig:    track(res, qIdx),
+			Rel:     -1,
 		}
 
 		// Relaxed execution: extra candidates and weakly-rewarded tracked
-		// tuples (generalization beyond the workload). Cap the lineage to
-		// keep preprocessing bounded.
+		// tuples (generalization beyond the workload).
 		relRes, err := engine.ExecuteWithContext(ctx, db, rep.Relaxed, engine.Options{TrackLineage: true})
 		if err != nil && terminal(err) {
 			repSpan.End()
@@ -271,28 +234,11 @@ func PreprocessContext(ctx context.Context, db *table.Database, w workload.Workl
 			return nil, fmt.Errorf("core: executing relaxed representative: %w", err)
 		}
 		if err == nil {
-			rep.RelaxedTotal = relRes.Table.NumRows()
-			relLineages := dedupeLineages(relRes.Lineage)
-			if len(relLineages) > cfg.MaxTrackedPerQuery {
-				idx := sample.Uniform(len(relLineages), cfg.MaxTrackedPerQuery, rng)
-				sampled := make([][]table.RowID, len(idx))
-				for i, j := range idx {
-					sampled[i] = relLineages[j]
-				}
-				relLineages = sampled
-			}
-			for _, rows := range relLineages {
-				tIdx := len(rep.RelaxedTuples)
-				rep.RelaxedTuples = append(rep.RelaxedTuples, ResultTuple{Rows: rows})
-				for _, id := range rows {
-					pre.RowToTuples[id] = append(pre.RowToTuples[id], tupleRef{q: qIdx, t: tIdx, relaxed: true})
-				}
-			}
-			for _, group := range chunkRowSets(relLineages, cfg.ActionGroupSize, rng) {
-				addCandidate(group, qIdx)
+			if rel := track(relRes, qIdx); len(tracked[rel].Tuples) > 0 {
+				rep.Rel = rel
 			}
 		}
-		repSpan.Annotate("rows", rep.Total)
+		repSpan.Annotate("rows", tracked[rep.Orig].Total)
 		repSpan.End()
 		pre.Reps = append(pre.Reps, rep)
 		pre.ExecutedQueries++
@@ -310,6 +256,16 @@ func PreprocessContext(ctx context.Context, db *table.Database, w workload.Workl
 			pre.Reps[i].Weight /= wTotal
 		}
 	}
+	// A tracked query's weight is its share of the blended reward.
+	for _, rep := range pre.Reps {
+		if rep.Rel < 0 {
+			tracked[rep.Orig].Weight = rep.Weight
+			continue
+		}
+		tracked[rep.Orig].Weight = (1 - cfg.RelaxRewardWeight) * rep.Weight
+		tracked[rep.Rel].Weight = cfg.RelaxRewardWeight * rep.Weight
+	}
+	pre.Cover = metrics.NewCoverIndex(tracked, cfg.F)
 
 	// 4. Variational subsampling of the candidate space (Section 4.2): the
 	// stratification signature is the set of representatives referencing the
@@ -339,12 +295,7 @@ func PreprocessContext(ctx context.Context, db *table.Database, w workload.Workl
 		return nil, fmt.Errorf("core: preprocessing produced no candidate actions (all representative queries returned empty results)")
 	}
 	if obs.Enabled() {
-		reg := obs.Default()
-		reg.Counter("core/preprocess/runs").Inc()
-		reg.Counter("core/preprocess/executed_queries").Add(int64(pre.ExecutedQueries))
-		reg.Gauge("core/preprocess/representatives").Set(float64(len(pre.Reps)))
-		reg.Gauge("core/preprocess/candidates").Set(float64(len(pre.Candidates)))
-		reg.Gauge("core/preprocess/total_candidates").Set(float64(pre.TotalCandidates))
+		obs.Default().Counter("core/preprocess/runs").Inc()
 	}
 	return pre, nil
 }
@@ -394,55 +345,7 @@ func chunkRowSets(rowSets [][]table.RowID, groupSize int, rng *rand.Rand) [][]ta
 		for _, i := range idx[start:end] {
 			union = append(union, rowSets[i]...)
 		}
-		out = append(out, normalizeRows(union))
+		out = append(out, metrics.Tuple(union))
 	}
 	return out
-}
-
-// dedupeLineages removes duplicate row-sets and normalizes each set (sorted,
-// distinct rows).
-func dedupeLineages(lineage [][]table.RowID) [][]table.RowID {
-	seen := map[string]bool{}
-	var out [][]table.RowID
-	for _, rows := range lineage {
-		norm := normalizeRows(rows)
-		key := rowsKey(norm)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, norm)
-	}
-	return out
-}
-
-// normalizeRows sorts and dedupes a row-set.
-func normalizeRows(rows []table.RowID) []table.RowID {
-	cp := append([]table.RowID(nil), rows...)
-	sort.Slice(cp, func(a, b int) bool {
-		if cp[a].Table != cp[b].Table {
-			return cp[a].Table < cp[b].Table
-		}
-		return cp[a].Row < cp[b].Row
-	})
-	out := cp[:0]
-	for i, r := range cp {
-		if i > 0 && r == cp[i-1] {
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
-// rowsKey builds a canonical key for a normalized row-set.
-func rowsKey(rows []table.RowID) string {
-	var b strings.Builder
-	for _, r := range rows {
-		b.WriteString(r.Table)
-		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(r.Row))
-		b.WriteByte('|')
-	}
-	return b.String()
 }

@@ -128,12 +128,7 @@ func TrainContext(ctx context.Context, db *table.Database, w workload.Workload, 
 	s.stats.Representatives = len(pre.Reps)
 	s.stats.Candidates = len(pre.Candidates)
 	if obs.Enabled() {
-		reg := obs.Default()
-		reg.Counter("core/train/runs").Inc()
-		reg.Gauge("core/train/set_size").Set(float64(s.stats.SetSize))
-		reg.Histogram("core/train/preprocess_seconds").ObserveDuration(s.stats.PreprocessTime)
-		reg.Histogram("core/train/rl_seconds").ObserveDuration(s.stats.TrainTime)
-		reg.Histogram("core/train/setup_seconds").ObserveDuration(s.stats.SetupTime)
+		obs.Default().Counter("core/train/runs").Inc()
 	}
 	obs.Logger().Info("training finished",
 		"k", cfg.K, "f", cfg.F, "seed", cfg.Seed,

@@ -2,6 +2,11 @@
 // approximation-set quality metric score(𝒮) (Equation 1), the relative error
 // used for aggregate queries (Equation 2), pairwise-Jaccard result diversity
 // (Section 6.2), and precision/recall for the answerability estimator.
+//
+// Equation 1 has two forms here and one definition (Term): Score and its
+// variants execute a workload against a materialized set; CoverIndex and
+// Tracker keep the same sum incrementally over lineage, which is what the RL
+// environments are rewarded by and the score-driven baselines search with.
 package metrics
 
 import (
@@ -110,11 +115,7 @@ func PerQueryScoresWith(full, approx *table.Database, w workload.Workload, frame
 			qerrs[i] = fmt.Errorf("metrics: query %q on approximation set: %w", q.SQL, err)
 			return
 		}
-		denom := frameSize
-		if fullCount < denom {
-			denom = fullCount
-		}
-		scores[i] = math.Min(1, float64(approxCount)/float64(denom))
+		scores[i] = Term(approxCount, fullCount, fullCount, frameSize)
 	}
 	if workers := opts.workers(len(w)); workers > 1 {
 		var cursor atomic.Int64
@@ -183,9 +184,9 @@ func GroupRelativeError(pred, truth map[string]float64) float64 {
 //
 //	error = 1 − min(1, served / min(F, truth))
 //
-// served is the number of rows the system answered with, truth the full-
-// database cardinality, and frameSize the exploratory frame F (≤ 0 disables
-// the frame cap). Because the approximation set is a subset of the full
+// that is, 1 − Term with every row counted. served is the number of rows the
+// system answered with, truth the full-database cardinality, and frameSize the
+// exploratory frame F (≤ 0 disables the frame cap). Because the approximation set is a subset of the full
 // database, cardinalities alone measure coverage — a served answer can miss
 // true rows but never invent them. A truth of zero is a perfect answer
 // (nothing to cover) unless rows were served anyway, which counts as a
@@ -197,15 +198,7 @@ func CoverageError(served, truth, frameSize int) float64 {
 		}
 		return 1
 	}
-	denom := truth
-	if frameSize > 0 && frameSize < denom {
-		denom = frameSize
-	}
-	score := float64(served) / float64(denom)
-	if score > 1 {
-		score = 1
-	}
-	return 1 - score
+	return 1 - Term(served, truth, truth, frameSize)
 }
 
 // JaccardDiversity measures result diversity as the mean pairwise Jaccard

@@ -165,31 +165,6 @@ func TestTrainingRegression(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumTrains(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	m := NewMLP(rng, ActTanh, 1, 8, 1)
-	opt := NewSGD(m, 0.05, 0.9)
-	g := m.NewGrads()
-	var loss float64
-	for epoch := 0; epoch < 300; epoch++ {
-		g.Zero()
-		loss = 0
-		for i := 0; i < 16; i++ {
-			x := []float64{rng.Float64()*2 - 1}
-			target := 0.5 * x[0]
-			cache := m.ForwardCache(x)
-			diff := cache.Output()[0] - target
-			loss += diff * diff
-			m.Backward(cache, []float64{2 * diff / 16}, g)
-		}
-		loss /= 16
-		opt.Step(m, g)
-	}
-	if loss > 0.02 {
-		t.Errorf("SGD did not converge: final MSE %.5f", loss)
-	}
-}
-
 func TestGradsOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := NewMLP(rng, ActTanh, 2, 3, 1)

@@ -2,43 +2,6 @@ package nn
 
 import "math"
 
-// Optimizer applies accumulated gradients to an MLP's parameters.
-type Optimizer interface {
-	Step(m *MLP, g *Grads)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	vW, vB   [][]float64
-}
-
-// NewSGD constructs an SGD optimizer for m.
-func NewSGD(m *MLP, lr, momentum float64) *SGD {
-	s := &SGD{LR: lr, Momentum: momentum}
-	for l := range m.W {
-		s.vW = append(s.vW, make([]float64, len(m.W[l])))
-		s.vB = append(s.vB, make([]float64, len(m.B[l])))
-	}
-	return s
-}
-
-// Step applies one gradient-descent update (minimizing the loss whose
-// gradient is g).
-func (s *SGD) Step(m *MLP, g *Grads) {
-	for l := range m.W {
-		for i := range m.W[l] {
-			s.vW[l][i] = s.Momentum*s.vW[l][i] - s.LR*g.W[l][i]
-			m.W[l][i] += s.vW[l][i]
-		}
-		for i := range m.B[l] {
-			s.vB[l][i] = s.Momentum*s.vB[l][i] - s.LR*g.B[l][i]
-			m.B[l][i] += s.vB[l][i]
-		}
-	}
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba).
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64

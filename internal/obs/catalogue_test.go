@@ -16,7 +16,7 @@ import (
 
 // TestMetricCatalogue holds DESIGN.md §7's metric catalogue to the source: it
 // parses every non-test file under internal/ and fails on a registry name —
-// the argument of a Counter, Gauge, Histogram or Series call that is a string
+// the argument of a Counter, Gauge or Histogram call that is a string
 // literal, a package-level constant, or one of those plus a suffix — that no
 // catalogue row covers, and on an exact catalogue row no such call names.
 // Names built from variables (slo/<name>/…, engine/phase/…) cannot be read
@@ -85,7 +85,7 @@ func TestMetricCatalogue(t *testing.T) {
 		return "", false, false
 	}
 
-	kinds := map[string]bool{"Counter": true, "Gauge": true, "Histogram": true, "Series": true}
+	kinds := map[string]bool{"Counter": true, "Gauge": true, "Histogram": true}
 	used := map[string]bool{}
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {

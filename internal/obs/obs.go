@@ -1,7 +1,7 @@
 // Package obs is the observability layer of the ASQP-RL system: a
-// concurrency-safe metrics registry (counters, gauges, fixed-bucket latency
-// histograms, and bounded series), lightweight hierarchical spans, and a
-// log/slog-based structured logger.
+// concurrency-safe metrics registry (counters, gauges and fixed-bucket latency
+// histograms), lightweight hierarchical spans, and a log/slog-based structured
+// logger.
 //
 // The package is stdlib-only and designed so instrumented hot paths cost
 // near zero when observability is off: every recording entry point first

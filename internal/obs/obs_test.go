@@ -156,7 +156,6 @@ func TestRegistryConcurrentAndSnapshot(t *testing.T) {
 				r.Counter("c").Inc()
 				r.Gauge("g").Add(1)
 				r.Histogram("h").Observe(0.001)
-				r.Series("s").Append(float64(i))
 			}
 		}()
 	}
@@ -170,23 +169,6 @@ func TestRegistryConcurrentAndSnapshot(t *testing.T) {
 	}
 	if snap.Histograms["h"].Count != 4000 {
 		t.Fatalf("histogram count = %d, want 4000", snap.Histograms["h"].Count)
-	}
-	if len(snap.Series["s"]) != 4000 {
-		t.Fatalf("series len = %d, want 4000", len(snap.Series["s"]))
-	}
-}
-
-func TestSeriesCap(t *testing.T) {
-	s := &Series{}
-	for i := 0; i < seriesCap+10; i++ {
-		s.Append(float64(i))
-	}
-	vals := s.Values()
-	if len(vals) != seriesCap {
-		t.Fatalf("len = %d, want %d", len(vals), seriesCap)
-	}
-	if vals[0] != 10 || vals[len(vals)-1] != float64(seriesCap+9) {
-		t.Fatalf("eviction wrong: first=%f last=%f", vals[0], vals[len(vals)-1])
 	}
 }
 

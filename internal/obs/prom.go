@@ -20,8 +20,6 @@ import (
 //     `_sum`/`_count`, with each bucket's retained exemplar rendered in
 //     OpenMetrics style (`# {trace_id="..."} value timestamp`) so tail
 //     buckets link to concrete traces;
-//   - series (bounded learning curves) are skipped — they are iteration
-//     logs, not instantaneous samples, and belong to the JSON snapshot;
 //   - one `asqp_build_info` gauge carries the module path/version and Go
 //     toolchain as labels, the standard way to join metrics to a build.
 //

@@ -34,43 +34,6 @@ func (g *Gauge) Add(delta float64) { atomicAddFloat(&g.bits, delta) }
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// seriesCap bounds the retained length of a Series; older points are dropped
-// from the front once the cap is reached.
-const seriesCap = 4096
-
-// Series is an append-only bounded sequence of float64 samples, used for
-// learning curves (per-iteration loss, entropy, return, ...).
-type Series struct {
-	mu      sync.Mutex
-	vals    []float64
-	dropped int
-}
-
-// Append records one sample, evicting the oldest when the cap is hit.
-func (s *Series) Append(v float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.vals) >= seriesCap {
-		s.vals = s.vals[1:]
-		s.dropped++
-	}
-	s.vals = append(s.vals, v)
-}
-
-// Values returns a copy of the retained samples.
-func (s *Series) Values() []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]float64(nil), s.vals...)
-}
-
-// Len returns the number of retained samples.
-func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.vals)
-}
-
 // Registry is a concurrency-safe collection of named metrics. Metric
 // accessors are get-or-create, so instrumentation sites never need
 // registration boilerplate. Names are free-form; the convention used across
@@ -80,7 +43,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	series   map[string]*Series
 }
 
 // NewRegistry returns an empty registry.
@@ -89,7 +51,6 @@ func NewRegistry() *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
-		series:   map[string]*Series{},
 	}
 }
 
@@ -150,23 +111,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Series returns the named series, creating it on first use.
-func (r *Registry) Series(name string) *Series {
-	r.mu.RLock()
-	s := r.series[name]
-	r.mu.RUnlock()
-	if s != nil {
-		return s
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s = r.series[name]; s == nil {
-		s = &Series{}
-		r.series[name] = s
-	}
-	return s
-}
-
 // Reset drops every metric. Intended for tests and for the start of
 // independent benchmark runs.
 func (r *Registry) Reset() {
@@ -175,7 +119,6 @@ func (r *Registry) Reset() {
 	r.counters = map[string]*Counter{}
 	r.gauges = map[string]*Gauge{}
 	r.hists = map[string]*Histogram{}
-	r.series = map[string]*Series{}
 }
 
 // Snapshot is a point-in-time JSON-friendly view of a registry.
@@ -183,7 +126,6 @@ type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Series     map[string][]float64         `json:"series,omitempty"`
 }
 
 // Snapshot captures every metric's current state.
@@ -194,7 +136,6 @@ func (r *Registry) Snapshot() Snapshot {
 		Counters:   make(map[string]int64, len(r.counters)),
 		Gauges:     make(map[string]float64, len(r.gauges)),
 		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
-		Series:     make(map[string][]float64, len(r.series)),
 	}
 	for name, c := range r.counters {
 		snap.Counters[name] = c.Value()
@@ -204,9 +145,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for name, h := range r.hists {
 		snap.Histograms[name] = h.Snapshot()
-	}
-	for name, s := range r.series {
-		snap.Series[name] = s.Values()
 	}
 	return snap
 }

@@ -421,22 +421,15 @@ func (a *Agent) TrainContext(ctx context.Context, env Environment, maxEpisodes i
 	return stats
 }
 
-// recordIteration publishes one iteration's telemetry to the default obs
-// registry (series per learning-curve signal plus run counters) and the
-// structured logger. It is a no-op when observability is disabled.
+// recordIteration counts one iteration on the default obs registry and logs
+// its telemetry at debug level; the learning curve itself is
+// TrainStats.History.
 func recordIteration(it IterationStats, bestReturn float64) {
 	if obs.Enabled() {
 		reg := obs.Default()
 		reg.Counter("rl/iterations").Inc()
 		reg.Counter("rl/episodes").Add(int64(it.Episodes))
 		reg.Gauge("rl/best_return").Set(bestReturn)
-		reg.Series("rl/mean_return").Append(it.MeanReturn)
-		reg.Series("rl/policy_loss").Append(it.PolicyLoss)
-		reg.Series("rl/value_loss").Append(it.ValueLoss)
-		reg.Series("rl/entropy").Append(it.Entropy)
-		reg.Series("rl/clip_fraction").Append(it.ClipFraction)
-		reg.Series("rl/kl").Append(it.MeanKL)
-		reg.Series("rl/episode_len").Append(it.MeanEpisodeLen)
 	}
 	obs.Logger().Debug("rl iteration",
 		"iter", it.Iteration,
@@ -576,17 +569,17 @@ func (u *updateStats) finalize() {
 // exactly this reason.
 const gradBlockSize = 64
 
-// forEachStep applies fn to every step, fanning out across cfg.Workers for
-// large batches. fn must touch only its own step, so parallelism never
-// changes the outcome.
-func (a *Agent) forEachStep(steps []*step, fn func(*step)) {
+// parallelFor calls fn(i) for every i in [0, n), fanning out across
+// cfg.Workers; with one worker (or one item) it runs fn inline, in order. fn
+// must touch only item i's state, so parallelism never changes the outcome.
+func (a *Agent) parallelFor(n int, fn func(i int)) {
 	workers := a.cfg.Workers
-	if workers > len(steps) {
-		workers = len(steps)
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 {
-		for _, s := range steps {
-			fn(s)
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
 		return
 	}
@@ -598,10 +591,10 @@ func (a *Agent) forEachStep(steps []*step, fn func(*step)) {
 			defer wg.Done()
 			for {
 				i := int(cursor.Add(1)) - 1
-				if i >= len(steps) {
+				if i >= n {
 					return
 				}
-				fn(steps[i])
+				fn(i)
 			}
 		}()
 	}
@@ -628,8 +621,8 @@ func (a *Agent) update(trajs []trajectory) updateStats {
 
 	// Advantages.
 	if a.cfg.UseCritic {
-		a.forEachStep(steps, func(s *step) {
-			s.adv = s.ret - a.critic.Forward(s.state)[0]
+		a.parallelFor(len(steps), func(i int) {
+			steps[i].adv = steps[i].ret - a.critic.Forward(steps[i].state)[0]
 		})
 	} else {
 		// REINFORCE ablation: batch-mean baseline only.
@@ -656,17 +649,9 @@ func (a *Agent) update(trajs []trajectory) updateStats {
 	criticGrads := a.critic.NewGrads()
 	inv := 1.0 / float64(len(steps))
 
-	workers := a.cfg.Workers
-	if workers > numBlocks {
-		workers = numBlocks
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
 	for epoch := 0; epoch < a.cfg.Epochs; epoch++ {
 		first := epoch == 0
-		runBlock := func(bi int) {
+		a.parallelFor(numBlocks, func(bi int) {
 			lo := bi * gradBlockSize
 			hi := lo + gradBlockSize
 			if hi > len(steps) {
@@ -682,29 +667,7 @@ func (a *Agent) update(trajs []trajectory) updateStats {
 			for _, s := range steps[lo:hi] {
 				a.accumulateStep(s, actorBufs[bi], criticBufs[bi], inv, collect)
 			}
-		}
-		if workers > 1 {
-			var cursor atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						bi := int(cursor.Add(1)) - 1
-						if bi >= numBlocks {
-							return
-						}
-						runBlock(bi)
-					}
-				}()
-			}
-			wg.Wait()
-		} else {
-			for bi := 0; bi < numBlocks; bi++ {
-				runBlock(bi)
-			}
-		}
+		})
 		actorGrads.Zero()
 		criticGrads.Zero()
 		for bi := 0; bi < numBlocks; bi++ {

@@ -1,6 +1,6 @@
 // Package sample implements the subsampling primitives used by the ASQP-RL
 // preprocessing pipeline and by several baselines: uniform sampling without
-// replacement, reservoir sampling, stratified sampling, and a "variational"
+// replacement, stratified sampling, and a "variational"
 // signature-stratified subsampler standing in for VerdictDB's variational
 // subsampling (see DESIGN.md for the substitution rationale).
 package sample
@@ -36,30 +36,6 @@ func Uniform(n, k int, rng *rand.Rand) []int {
 	out := perm[:k:k]
 	sort.Ints(out)
 	return out
-}
-
-// Reservoir streams items 0..n-1 through a size-k reservoir and returns the
-// selected indices, sorted. It is equivalent in distribution to Uniform but
-// exercises the streaming code path used when n is not known in advance.
-func Reservoir(n, k int, rng *rand.Rand) []int {
-	if n <= 0 || k <= 0 {
-		return nil
-	}
-	if k > n {
-		k = n
-	}
-	res := make([]int, k)
-	for i := 0; i < k; i++ {
-		res[i] = i
-	}
-	for i := k; i < n; i++ {
-		j := rng.Intn(i + 1)
-		if j < k {
-			res[j] = i
-		}
-	}
-	sort.Ints(res)
-	return res
 }
 
 // Stratified samples k total indices from items grouped by strata[i],

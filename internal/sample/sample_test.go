@@ -82,21 +82,6 @@ func TestUniformProperty(t *testing.T) {
 	}
 }
 
-func TestReservoirMatchesUniformContract(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	got := Reservoir(1000, 50, rng)
-	if len(got) != 50 || !isSortedUnique(got) {
-		t.Errorf("reservoir bad: len=%d", len(got))
-	}
-	if Reservoir(0, 5, rng) != nil || Reservoir(5, 0, rng) != nil {
-		t.Error("degenerate reservoir should be nil")
-	}
-	all := Reservoir(3, 10, rng)
-	if len(all) != 3 {
-		t.Errorf("k>n reservoir = %v", all)
-	}
-}
-
 func TestStratifiedCoversAllStrata(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	// 3 strata: sizes 70, 20, 10.

@@ -36,10 +36,15 @@ go test -race -count=1 -timeout 10m ./...
 # canonical rendering or an operator opens up next to the seeds. FuzzParse holds
 # sqlparse.Parse to its two properties on network-shaped input (it returns,
 # promptly, on any bytes; a statement it accepts round-trips through
-# Select.String), FuzzRowVsColumnar the columnar engine to the row engine.
-echo "==> fuzz smoke: FuzzParse, FuzzRowVsColumnar"
+# Select.String), FuzzRowVsColumnar the columnar engine to the row engine. The
+# two disk-facing targets ride along: FuzzLoad (snapshot bytes: a system or an
+# error, never a panic) and FuzzWALReplay (a damaged log opens, replays a
+# subsequence of what was written and accounts for the rest).
+echo "==> fuzz smoke: FuzzParse, FuzzRowVsColumnar, FuzzLoad, FuzzWALReplay"
 go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/sqlparse/
 go test -run='^$' -fuzz=FuzzRowVsColumnar -fuzztime=20s ./internal/engine/
+go test -run='^$' -fuzz=FuzzLoad -fuzztime=5s ./internal/core/
+go test -run='^$' -fuzz=FuzzWALReplay -fuzztime=5s ./internal/wal/
 
 # The benchmark module is frozen (BENCHMARK.json "paths") and compiles against
 # internal packages: a change to an API it uses must fail here, not in the
