@@ -147,15 +147,7 @@ func main() {
 		if *episodes > 0 {
 			cfg.Episodes = *episodes
 		}
-		// Training results are worker-count-invariant (episode seeds are
-		// pre-derived and gradient blocks merge in index order), so the flag
-		// only changes wall-clock time — but the batch size defaults to the
-		// worker count, so pin it first or the override would change the
-		// training trajectory.
 		cfg.Parallelism = *parallelism
-		if cfg.RL.EpisodesPerIteration <= 0 {
-			cfg.RL.EpisodesPerIteration = cfg.RL.Workers
-		}
 		switch {
 		case *parallelism > 0:
 			cfg.RL.Workers = *parallelism
@@ -177,10 +169,10 @@ func main() {
 			fatal(err)
 		}
 		stats := sys.Stats()
-		fmt.Printf("trained in %s (preprocess %s, RL %s): approximation set of %d tuples, %d representatives, %d actions\n",
-			time.Since(start).Round(time.Millisecond),
-			stats.PreprocessTime.Round(time.Millisecond),
-			stats.TrainTime.Round(time.Millisecond),
+		ms := func(d time.Duration) time.Duration { return d.Round(time.Millisecond) }
+		fmt.Printf("trained in %s (preprocess %s, RL %s = collect %s + update %s, build set %s, estimator %s): approximation set of %d tuples, %d representatives, %d actions\n",
+			ms(time.Since(start)), ms(stats.PreprocessTime), ms(stats.TrainTime),
+			ms(stats.RL.CollectTime), ms(stats.RL.UpdateTime), ms(stats.BuildSetTime), ms(stats.EstimatorTime),
 			stats.SetSize, stats.Representatives, stats.Candidates)
 		if stats.RL.Canceled {
 			fmt.Println("note: training stopped at the -train-timeout; the set was built from the partially trained agent")

@@ -20,9 +20,14 @@ import (
 
 // Stats reports what a training run did and how long it took.
 type Stats struct {
-	SetupTime       time.Duration
-	PreprocessTime  time.Duration
-	TrainTime       time.Duration
+	SetupTime      time.Duration
+	PreprocessTime time.Duration
+	TrainTime      time.Duration
+	// BuildSetTime (rolling the policy out into the set) and EstimatorTime
+	// follow RL; with PreprocessTime and RL's CollectTime and UpdateTime
+	// they are where SetupTime goes.
+	BuildSetTime    time.Duration
+	EstimatorTime   time.Duration
 	RL              rl.TrainStats
 	Representatives int
 	Candidates      int
@@ -110,7 +115,8 @@ func TrainContext(ctx context.Context, db *table.Database, w workload.Workload, 
 			obs.Default().Counter("core/train/canceled").Inc()
 		}
 	}
-	s.stats.TrainTime = time.Since(preDone)
+	rlDone := time.Now()
+	s.stats.TrainTime = rlDone.Sub(preDone)
 
 	_, buildSpan := obs.StartSpan(ctx, "train/buildset")
 	err = s.rebuildSet(0)
@@ -118,9 +124,12 @@ func TrainContext(ctx context.Context, db *table.Database, w workload.Workload, 
 	if err != nil {
 		return nil, err
 	}
+	setDone := time.Now()
+	s.stats.BuildSetTime = setDone.Sub(rlDone)
 	_, estSpan := obs.StartSpan(ctx, "train/estimator")
 	s.fitEstimator()
 	estSpan.End()
+	s.stats.EstimatorTime = time.Since(setDone)
 	s.drift = &DriftDetector{Confidence: cfg.DriftConfidence, Count: cfg.DriftCount}
 
 	s.stats.PreprocessTime = preDone.Sub(start)
@@ -133,7 +142,8 @@ func TrainContext(ctx context.Context, db *table.Database, w workload.Workload, 
 	obs.Logger().Info("training finished",
 		"k", cfg.K, "f", cfg.F, "seed", cfg.Seed,
 		"setup", s.stats.SetupTime, "preprocess", s.stats.PreprocessTime,
-		"rl", s.stats.TrainTime, "set_size", s.stats.SetSize,
+		"rl", s.stats.TrainTime, "collect", s.stats.RL.CollectTime, "update", s.stats.RL.UpdateTime,
+		"build_set", s.stats.BuildSetTime, "estimator", s.stats.EstimatorTime, "set_size", s.stats.SetSize,
 		"representatives", s.stats.Representatives, "candidates", s.stats.Candidates,
 		"final_return", s.stats.RL.FinalReturn, "iterations", s.stats.RL.Iterations)
 	return s, nil

@@ -56,9 +56,48 @@ func BenchmarkMaskedSoftmax(b *testing.B) {
 		logits[i] = float64(i%13) * 0.1
 		mask[i] = i%3 != 0
 	}
+	p := make([]float64, 512)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Softmax(MaskLogits(logits, mask))
+		Softmax(p, logits, mask)
+	}
+}
+
+// BenchmarkKernel is one epoch's worth of the batch kernel at the PPO
+// update's shape: 86 samples forward, deltas back, every layer's gradient.
+func BenchmarkKernel(b *testing.B) {
+	const n = 86
+	m := benchNet()
+	g := m.NewGrads()
+	ws := m.NewWorkspace(n)
+	rng := rand.New(rand.NewSource(2))
+	for s := 0; s < n; s++ {
+		for i := range ws.Input(s) {
+			ws.Input(s)[i] = rng.Float64()
+		}
+		for i := range ws.OutputDelta(s) {
+			ws.OutputDelta(s)[i] = rng.NormFloat64()
+		}
+	}
+	phases := []struct {
+		name string
+		run  func()
+	}{
+		{"forward", func() { m.ForwardBatch(ws, 0, n) }},
+		{"backward", func() { m.BackwardBatch(ws, 0, n, false) }},
+		{"grads", func() {
+			for l := range m.W {
+				m.AddGrads(ws, n, l, 0, m.Sizes[l+1], g)
+			}
+		}},
+	}
+	for _, phase := range phases {
+		b.Run(phase.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				phase.run()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/sample")
+		})
 	}
 }

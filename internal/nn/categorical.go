@@ -8,28 +8,13 @@ import (
 // negInf is used to mask invalid logits.
 var negInf = math.Inf(-1)
 
-// MaskLogits returns a copy of logits with invalid entries (mask[i] == false)
-// set to -Inf. A nil mask returns logits unchanged (no copy).
-func MaskLogits(logits []float64, mask []bool) []float64 {
-	if mask == nil {
-		return logits
-	}
-	out := make([]float64, len(logits))
-	for i, l := range logits {
-		if mask[i] {
-			out[i] = l
-		} else {
-			out[i] = negInf
-		}
-	}
-	return out
-}
-
-// LogSumExp computes log Σ exp(x_i) stably. All -Inf input yields -Inf.
-func LogSumExp(x []float64) float64 {
+// LogSumExp computes log Σ exp(x_i) stably over the valid entries: those with
+// mask[i] set, or all of them when mask is nil. No valid entry above -Inf
+// yields -Inf.
+func LogSumExp(x []float64, mask []bool) float64 {
 	max := negInf
-	for _, v := range x {
-		if v > max {
+	for i, v := range x {
+		if (mask == nil || mask[i]) && v > max {
 			max = v
 		}
 	}
@@ -37,42 +22,32 @@ func LogSumExp(x []float64) float64 {
 		return negInf
 	}
 	var sum float64
-	for _, v := range x {
-		sum += math.Exp(v - max)
+	for i, v := range x {
+		if mask == nil || mask[i] {
+			sum += math.Exp(v - max)
+		}
 	}
 	return max + math.Log(sum)
 }
 
-// Softmax returns the softmax distribution of logits. Entries at -Inf get
-// probability zero. If every entry is -Inf the result is all zeros.
-func Softmax(logits []float64) []float64 {
-	out := make([]float64, len(logits))
-	lse := LogSumExp(logits)
+// Softmax writes the softmax distribution over the valid logits (see
+// LogSumExp) into dst, which may be logits itself, and returns their
+// log-sum-exp. Invalid entries and entries at -Inf get probability zero; if
+// there is no other entry the result is all zeros.
+func Softmax(dst, logits []float64, mask []bool) float64 {
+	lse := LogSumExp(logits, mask)
 	if math.IsInf(lse, -1) {
-		return out
+		clear(dst[:len(logits)])
+		return lse
 	}
 	for i, l := range logits {
-		if math.IsInf(l, -1) {
-			out[i] = 0
+		if (mask != nil && !mask[i]) || math.IsInf(l, -1) {
+			dst[i] = 0
 		} else {
-			out[i] = math.Exp(l - lse)
+			dst[i] = math.Exp(l - lse)
 		}
 	}
-	return out
-}
-
-// LogSoftmax returns log-probabilities for logits (−Inf where masked).
-func LogSoftmax(logits []float64) []float64 {
-	out := make([]float64, len(logits))
-	lse := LogSumExp(logits)
-	for i, l := range logits {
-		if math.IsInf(l, -1) || math.IsInf(lse, -1) {
-			out[i] = negInf
-		} else {
-			out[i] = l - lse
-		}
-	}
-	return out
+	return lse
 }
 
 // SampleCategorical draws an index from probability distribution p. It
@@ -111,17 +86,6 @@ func Argmax(x []float64) int {
 		}
 	}
 	return best
-}
-
-// Entropy returns the Shannon entropy (nats) of distribution p.
-func Entropy(p []float64) float64 {
-	var h float64
-	for _, v := range p {
-		if v > 0 {
-			h -= v * math.Log(v)
-		}
-	}
-	return h
 }
 
 // KL returns the Kullback-Leibler divergence KL(p || q) in nats, treating

@@ -23,7 +23,20 @@ func NewAdam(m *MLP, lr float64) *Adam {
 
 // Step applies one Adam update (minimizing the loss whose gradient is g).
 func (a *Adam) Step(m *MLP, g *Grads) {
-	a.t++
+	a.Tick()
+	for l := range m.W {
+		a.StepRows(m, g, l, 0, m.Sizes[l+1])
+	}
+}
+
+// Tick begins the next update: StepRows calls until the following Tick belong
+// to it and share its bias correction.
+func (a *Adam) Tick() { a.t++ }
+
+// StepRows applies the current update to rows [lo, hi) of layer l. The update
+// is elementwise, so an update may be split by rows between concurrent callers,
+// each row updated exactly once.
+func (a *Adam) StepRows(m *MLP, g *Grads, l, lo, hi int) {
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	update := func(p, gr, mo, ve []float64) {
@@ -35,10 +48,9 @@ func (a *Adam) Step(m *MLP, g *Grads) {
 			p[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
 		}
 	}
-	for l := range m.W {
-		update(m.W[l], g.W[l], a.mW[l], a.vW[l])
-		update(m.B[l], g.B[l], a.mB[l], a.vB[l])
-	}
+	in := m.Sizes[l]
+	update(m.W[l][lo*in:hi*in], g.W[l][lo*in:hi*in], a.mW[l][lo*in:hi*in], a.vW[l][lo*in:hi*in])
+	update(m.B[l][lo:hi], g.B[l][lo:hi], a.mB[l][lo:hi], a.vB[l][lo:hi])
 }
 
 // ClipGrads rescales g in place so its global L2 norm does not exceed max.

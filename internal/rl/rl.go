@@ -20,6 +20,7 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"asqprl/internal/faults"
 	"asqprl/internal/nn"
@@ -69,10 +70,10 @@ type Config struct {
 	// Epochs is the number of optimization passes per collected batch
 	// (only meaningful with clipping or KL penalty; forced to 1 otherwise).
 	Epochs int
-	// Workers is the number of parallel actor-learners collecting episodes.
+	// Workers is the number of goroutines that collect episodes and share an
+	// update. It changes wall-clock time only, never a result.
 	Workers int
-	// EpisodesPerIteration is the batch size in episodes; zero means
-	// Workers episodes per iteration.
+	// EpisodesPerIteration is the batch size in episodes; zero means 4.
 	EpisodesPerIteration int
 	// GradClip bounds the global gradient norm (0 disables).
 	GradClip float64
@@ -127,7 +128,7 @@ func (c Config) normalize() Config {
 		c.Workers = 4
 	}
 	if c.EpisodesPerIteration <= 0 {
-		c.EpisodesPerIteration = c.Workers
+		c.EpisodesPerIteration = 4
 	}
 	if c.GradClip < 0 {
 		c.GradClip = 0
@@ -173,6 +174,18 @@ type Agent struct {
 	rng       *rand.Rand
 	stateDim  int
 	actions   int
+
+	buf updateBuffers
+}
+
+// updateBuffers is what an update works in: made by a training run's first
+// update and grown to the largest batch seen, so a steady-state update
+// allocates nothing per step; dropped when the run ends.
+type updateBuffers struct {
+	steps                   []*step
+	stepStats               []stepStats
+	actorWS, criticWS       *nn.Workspace
+	actorGrads, criticGrads *nn.Grads
 }
 
 // NewAgent constructs an agent for environments with the given state
@@ -205,8 +218,9 @@ func (a *Agent) Config() Config { return a.cfg }
 
 // Policy returns the masked action distribution for a state.
 func (a *Agent) Policy(state []float64, mask []bool) []float64 {
-	logits := a.actor.Forward(state)
-	return nn.Softmax(nn.MaskLogits(logits, mask))
+	p := a.actor.Forward(state)
+	nn.Softmax(p, p, mask)
+	return p
 }
 
 // Value returns the critic's state-value estimate.
@@ -302,6 +316,9 @@ type TrainStats struct {
 	// Canceled is true when training stopped early because the context was
 	// canceled; the stats (and the agent) reflect the completed iterations.
 	Canceled bool
+	// CollectTime and UpdateTime split the run's wall-clock time between
+	// rolling out episodes and optimizing on them, summed over iterations.
+	CollectTime, UpdateTime time.Duration
 	// History holds one entry per iteration with the full telemetry
 	// (loss, entropy, clip fraction, KL, return, episode length, and any
 	// watchdog recovery).
@@ -333,6 +350,7 @@ func (a *Agent) TrainContext(ctx context.Context, env Environment, maxEpisodes i
 	if maxEpisodes <= 0 {
 		return stats
 	}
+	defer func() { a.buf = updateBuffers{} }()
 	perIter := a.cfg.EpisodesPerIteration
 	good := a.snapshot(0) // pre-training state is the first rollback target
 	sinceCkpt := 0
@@ -345,7 +363,9 @@ func (a *Agent) TrainContext(ctx context.Context, env Environment, maxEpisodes i
 		if rem := maxEpisodes - stats.Episodes; n > rem {
 			n = rem
 		}
+		collectStart := time.Now()
 		trajs := a.collect(env, n)
+		stats.CollectTime += time.Since(collectStart)
 		var sum, steps float64
 		for _, tr := range trajs {
 			sum += tr.reward
@@ -367,7 +387,9 @@ func (a *Agent) TrainContext(ctx context.Context, env Environment, maxEpisodes i
 			// diverges and the watchdog must recover.
 			a.poison()
 		}
+		updateStart := time.Now()
 		us := a.update(trajs)
+		stats.UpdateTime += time.Since(updateStart)
 		iter := IterationStats{
 			Iteration:      stats.Iterations,
 			Episodes:       n,
@@ -461,9 +483,9 @@ func (a *Agent) collect(env Environment, n int) []trajectory {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			wenv := env.Clone()
+			wenv, ws := env.Clone(), a.actor.NewWorkspace(1)
 			for i := w; i < n; i += workers {
-				trajs[i] = a.runEpisode(wenv, rand.New(rand.NewSource(seeds[i])))
+				trajs[i] = a.runEpisode(wenv, rand.New(rand.NewSource(seeds[i])), ws)
 			}
 		}(w)
 	}
@@ -471,13 +493,16 @@ func (a *Agent) collect(env Environment, n int) []trajectory {
 	return trajs
 }
 
-// runEpisode plays one episode with the current stochastic policy.
-func (a *Agent) runEpisode(env Environment, rng *rand.Rand) trajectory {
+// runEpisode plays one episode with the current stochastic policy, forwarding
+// through the worker's one-sample workspace ws.
+func (a *Agent) runEpisode(env Environment, rng *rand.Rand, ws *nn.Workspace) trajectory {
 	var tr trajectory
 	state, mask := env.Reset()
 	for {
-		logits := a.actor.Forward(state)
-		dist := nn.Softmax(nn.MaskLogits(logits, mask))
+		copy(ws.Input(0), state)
+		a.actor.ForwardBatch(ws, 0, 1)
+		dist := make([]float64, a.actions)
+		nn.Softmax(dist, ws.Output(0), mask)
 		var mass float64
 		for _, p := range dist {
 			mass += p
@@ -560,14 +585,22 @@ func (u *updateStats) finalize() {
 	u.clipFraction *= inv
 }
 
-// gradBlockSize is the number of consecutive batch steps whose gradient
-// contributions are accumulated into one block buffer. Blocks — not workers —
-// define the floating-point summation order: each block is summed serially
-// into its own buffer and the buffers are merged in block index order, so the
-// gradients (and therefore the whole loss series) are bit-identical for every
-// Workers setting and GOMAXPROCS. The serial path walks the same blocks for
-// exactly this reason.
-const gradBlockSize = 64
+// stepStats is one step's loss telemetry, kept during the first epoch.
+type stepStats struct {
+	policyLoss, valueLoss, entropy, kl float64
+	clipped                            bool
+}
+
+// An update is split between workers two ways, neither of which can reach a
+// float: by sample (stepChunk steps forward and back through the networks,
+// each writing only its own workspace rows) and by parameter (gradRowChunk
+// rows of one layer, each gradient element summed and applied by one worker).
+// An element's summation order is nn.GradBlock's, so the loss series and the
+// parameters are bit-identical for every Workers setting and GOMAXPROCS.
+const (
+	stepChunk    = 8
+	gradRowChunk = 16
+)
 
 // parallelFor calls fn(i) for every i in [0, n), fanning out across
 // cfg.Workers; with one worker (or one item) it runs fn inline, in order. fn
@@ -603,26 +636,48 @@ func (a *Agent) parallelFor(n int, fn func(i int)) {
 
 // update applies the PPO (or ablated) optimization over a batch of
 // trajectories and returns loss telemetry measured during the first epoch
-// (against the collection-time policy). Gradient accumulation is
-// data-parallel across fixed step blocks (see gradBlockSize); the networks
-// are only read until the merged gradients are applied, so sharing them
-// across workers is safe.
+// (against the collection-time policy). The batch is one matrix per network:
+// its states are copied into the workspaces once, and every epoch runs the
+// steps forward and back by sample chunk, then sums and applies the gradients
+// by row chunk. The networks are only read while the workspaces are written,
+// and only written row by row once they are not.
 func (a *Agent) update(trajs []trajectory) updateStats {
 	var us updateStats
-	var steps []*step
+	b := &a.buf
+	steps := b.steps[:0]
 	for ti := range trajs {
 		for si := range trajs[ti].steps {
 			steps = append(steps, &trajs[ti].steps[si])
 		}
 	}
-	if len(steps) == 0 {
+	b.steps = steps
+	n := len(steps)
+	if n == 0 {
 		return us
 	}
+	if b.actorWS == nil {
+		b.actorWS, b.criticWS = a.actor.NewWorkspace(n), a.critic.NewWorkspace(n)
+		b.actorGrads, b.criticGrads = a.actor.NewGrads(), a.critic.NewGrads()
+	}
+	b.actorWS.Resize(n)
+	b.criticWS.Resize(n)
+	if len(b.stepStats) < n {
+		b.stepStats = make([]stepStats, n)
+	}
+	for i, s := range steps {
+		copy(b.actorWS.Input(i), s.state)
+		copy(b.criticWS.Input(i), s.state)
+	}
+	chunks := (n + stepChunk - 1) / stepChunk
 
 	// Advantages.
 	if a.cfg.UseCritic {
-		a.parallelFor(len(steps), func(i int) {
-			steps[i].adv = steps[i].ret - a.critic.Forward(steps[i].state)[0]
+		a.parallelFor(chunks, func(ci int) {
+			lo, hi := ci*stepChunk, min((ci+1)*stepChunk, n)
+			a.critic.ForwardBatch(b.criticWS, lo, hi)
+			for i := lo; i < hi; i++ {
+				steps[i].adv = steps[i].ret - b.criticWS.Output(i)[0]
+			}
 		})
 	} else {
 		// REINFORCE ablation: batch-mean baseline only.
@@ -630,78 +685,94 @@ func (a *Agent) update(trajs []trajectory) updateStats {
 		for _, s := range steps {
 			mean += s.ret
 		}
-		mean /= float64(len(steps))
+		mean /= float64(n)
 		for _, s := range steps {
 			s.adv = s.ret - mean
 		}
 	}
 	normalizeAdvantages(steps)
 
-	numBlocks := (len(steps) + gradBlockSize - 1) / gradBlockSize
-	actorBufs := make([]*nn.Grads, numBlocks)
-	criticBufs := make([]*nn.Grads, numBlocks)
-	for i := range actorBufs {
-		actorBufs[i] = a.actor.NewGrads()
-		criticBufs[i] = a.critic.NewGrads()
-	}
-	blockStats := make([]updateStats, numBlocks)
-	actorGrads := a.actor.NewGrads()
-	criticGrads := a.critic.NewGrads()
-	inv := 1.0 / float64(len(steps))
-
+	inv := 1.0 / float64(n)
 	for epoch := 0; epoch < a.cfg.Epochs; epoch++ {
 		first := epoch == 0
-		a.parallelFor(numBlocks, func(bi int) {
-			lo := bi * gradBlockSize
-			hi := lo + gradBlockSize
-			if hi > len(steps) {
-				hi = len(steps)
+		a.parallelFor(chunks, func(ci int) {
+			lo, hi := ci*stepChunk, min((ci+1)*stepChunk, n)
+			a.actor.ForwardBatch(b.actorWS, lo, hi)
+			for i := lo; i < hi; i++ {
+				var st *stepStats
+				if first {
+					st = &b.stepStats[i]
+				}
+				a.policyStep(steps[i], b.actorWS.Output(i), b.actorWS.OutputDelta(i), inv, st)
 			}
-			actorBufs[bi].Zero()
-			criticBufs[bi].Zero()
-			var collect *updateStats
-			if first {
-				blockStats[bi] = updateStats{}
-				collect = &blockStats[bi]
+			a.actor.BackwardBatch(b.actorWS, lo, hi, false)
+			if !a.cfg.UseCritic {
+				return
 			}
-			for _, s := range steps[lo:hi] {
-				a.accumulateStep(s, actorBufs[bi], criticBufs[bi], inv, collect)
+			if !first {
+				// The first epoch's values are the advantage pass's.
+				a.critic.ForwardBatch(b.criticWS, lo, hi)
 			}
+			for i := lo; i < hi; i++ {
+				v, ret := b.criticWS.Output(i)[0], steps[i].ret
+				b.criticWS.OutputDelta(i)[0] = 2 * (v - ret) * a.cfg.ValueCoef * inv
+				if first {
+					b.stepStats[i].valueLoss = a.cfg.ValueCoef * (v - ret) * (v - ret)
+				}
+			}
+			a.critic.BackwardBatch(b.criticWS, lo, hi, false)
 		})
-		actorGrads.Zero()
-		criticGrads.Zero()
-		for bi := 0; bi < numBlocks; bi++ {
-			actorGrads.Add(actorBufs[bi])
-			criticGrads.Add(criticBufs[bi])
-		}
 		if first {
-			for bi := 0; bi < numBlocks; bi++ {
-				us.merge(blockStats[bi])
+			for b0 := 0; b0 < n; b0 += nn.GradBlock {
+				var block updateStats
+				for _, st := range b.stepStats[b0:min(b0+nn.GradBlock, n)] {
+					block.observe(st.policyLoss, st.valueLoss, st.entropy, st.kl, st.clipped)
+				}
+				us.merge(block)
 			}
 		}
-		if a.cfg.GradClip > 0 {
-			nn.ClipGrads(actorGrads, a.cfg.GradClip)
-			nn.ClipGrads(criticGrads, a.cfg.GradClip)
-		}
-		a.actorOpt.Step(a.actor, actorGrads)
+		a.apply(a.actor, b.actorWS, b.actorGrads, a.actorOpt, n)
 		if a.cfg.UseCritic {
-			a.criticOpt.Step(a.critic, criticGrads)
+			a.apply(a.critic, b.criticWS, b.criticGrads, a.criticOpt, n)
 		}
 	}
 	us.finalize()
 	return us
 }
 
-// accumulateStep adds the gradient contribution of one transition. When
-// stats is non-nil it also folds the step's loss telemetry into it.
-func (a *Agent) accumulateStep(s *step, actorGrads, criticGrads *nn.Grads, scale float64, stats *updateStats) {
-	cache := a.actor.ForwardCache(s.state)
-	logits := nn.MaskLogits(cache.Output(), s.mask)
-	logp := nn.LogSoftmax(logits)
-	p := nn.Softmax(logits)
+// apply sums the gradient of the n steps whose deltas ws holds into g and
+// takes one optimizer step on net, both by row chunk.
+func (a *Agent) apply(net *nn.MLP, ws *nn.Workspace, g *nn.Grads, opt *nn.Adam, n int) {
+	var rows [][3]int // layer, first row, end row
+	for l, out := range net.Sizes[1:] {
+		for lo := 0; lo < out; lo += gradRowChunk {
+			rows = append(rows, [3]int{l, lo, min(lo+gradRowChunk, out)})
+		}
+	}
+	g.Zero()
+	a.parallelFor(len(rows), func(k int) { net.AddGrads(ws, n, rows[k][0], rows[k][1], rows[k][2], g) })
+	if a.cfg.GradClip > 0 {
+		nn.ClipGrads(g, a.cfg.GradClip)
+	}
+	opt.Tick()
+	a.parallelFor(len(rows), func(k int) { opt.StepRows(net, g, rows[k][0], rows[k][1], rows[k][2]) })
+}
 
-	newLogp := logp[s.action]
-	ratio := math.Exp(newLogp - s.logProb)
+// policyStep turns one step's actor logits into the loss gradient at those
+// logits, scaled and written to delta; logits is overwritten (with log p, as
+// scratch). When st is non-nil it also records the step's loss telemetry. The
+// masked softmax is computed once: p into delta, log p into logits, and the
+// entropy from both.
+func (a *Agent) policyStep(s *step, logits, delta []float64, scale float64, st *stepStats) {
+	valid := func(i int) bool { return s.mask == nil || s.mask[i] }
+	lse := nn.Softmax(delta, logits, s.mask)
+	logp := func(i int) float64 {
+		if !valid(i) || math.IsInf(logits[i], -1) || math.IsInf(lse, -1) {
+			return math.Inf(-1)
+		}
+		return logits[i] - lse
+	}
+	ratio := math.Exp(logp(s.action) - s.logProb)
 
 	// Policy-gradient coefficient g = dL/d(logp_action); L is minimized.
 	var g, surrogateLoss float64
@@ -722,67 +793,46 @@ func (a *Agent) accumulateStep(s *step, actorGrads, criticGrads *nn.Grads, scale
 		surrogateLoss = g
 	}
 
-	// dLoss/dlogits via d logp_a / dz_i = δ_ai − p_i.
-	dLogits := make([]float64, len(p))
-	for i := range dLogits {
-		if s.mask != nil && !s.mask[i] {
+	// Entropy H = −Σ p log p and, in the first epoch, KL(old || new). Each
+	// log p is taken once and kept for the gradient below.
+	var h, kl float64
+	if st != nil || a.cfg.EntropyCoef > 0 {
+		for i, p := range delta {
+			if st != nil && valid(i) && s.oldDist[i] > 0 {
+				kl += s.oldDist[i] * (math.Log(s.oldDist[i]) - logp(i))
+			}
+			if p > 0 {
+				logits[i] = math.Log(p)
+				h -= p * logits[i]
+			}
+		}
+	}
+	if st != nil {
+		*st = stepStats{policyLoss: surrogateLoss, entropy: h, kl: kl, clipped: clipped}
+	}
+
+	for i, p := range delta {
+		if !valid(i) {
+			delta[i] = 0
 			continue
 		}
-		d := -p[i]
+		// dLoss/dlogits via d logp_a / dz_i = δ_ai − p_i.
+		d := -p
 		if i == s.action {
 			d += 1
 		}
-		dLogits[i] += g * d
-	}
-
-	// Entropy bonus: maximize H, i.e. subtract entCoef·dH/dz.
-	if a.cfg.EntropyCoef > 0 {
-		h := nn.Entropy(p)
-		for i := range dLogits {
-			if p[i] <= 0 {
-				continue
-			}
-			dH := -p[i] * (math.Log(p[i]) + h)
-			dLogits[i] -= a.cfg.EntropyCoef * dH
+		var dz float64
+		dz += g * d // from zero, as the gradient always was: a clipped step's −0 is +0
+		// Entropy bonus: maximize H, i.e. subtract entCoef·dH/dz.
+		if a.cfg.EntropyCoef > 0 && p > 0 {
+			dH := -p * (logits[i] + h)
+			dz -= a.cfg.EntropyCoef * dH
 		}
-	}
-
-	// KL(old || new) penalty: d/dz_i = p_i − pOld_i.
-	if a.cfg.KLCoef > 0 {
-		for i := range dLogits {
-			if s.mask != nil && !s.mask[i] {
-				continue
-			}
-			dLogits[i] += a.cfg.KLCoef * (p[i] - s.oldDist[i])
+		// KL(old || new) penalty: d/dz_i = p_i − pOld_i.
+		if a.cfg.KLCoef > 0 {
+			dz += a.cfg.KLCoef * (p - s.oldDist[i])
 		}
-	}
-
-	for i := range dLogits {
-		dLogits[i] *= scale
-	}
-	a.actor.Backward(cache, dLogits, actorGrads)
-
-	var vLoss float64
-	if a.cfg.UseCritic {
-		cCache := a.critic.ForwardCache(s.state)
-		v := cCache.Output()[0]
-		dV := 2 * (v - s.ret) * a.cfg.ValueCoef * scale
-		a.critic.Backward(cCache, []float64{dV}, criticGrads)
-		vLoss = a.cfg.ValueCoef * (v - s.ret) * (v - s.ret)
-	}
-
-	if stats != nil {
-		var kl float64
-		for i := range p {
-			if s.mask != nil && !s.mask[i] {
-				continue
-			}
-			if s.oldDist[i] <= 0 {
-				continue
-			}
-			kl += s.oldDist[i] * (math.Log(s.oldDist[i]) - logp[i])
-		}
-		stats.observe(surrogateLoss, vLoss, nn.Entropy(p), kl, clipped)
+		delta[i] = dz * scale
 	}
 }
 

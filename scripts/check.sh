@@ -18,10 +18,10 @@ go build ./...
 # One race pass over every package. -count=1 defeats the test cache, so the
 # determinism sweeps, the goroutine-leak checks and the seeded chaos schedules
 # actually rerun; the timeout turns a hang into a failure. What it guards, by
-# package: the scoring worker pool and the blocked PPO gradient accumulation
-# stay race-free and worker-count-deterministic (metrics, rl); the
-# FuzzRowVsColumnar seed corpus holds the engine to the row-at-a-time
-# reference — byte-identical results, guard and error semantics (engine); the
+# package: the scoring worker pool and the row-split PPO update stay race-free
+# and worker-count-deterministic (metrics, rl); the FuzzRowVsColumnar seed
+# corpus holds the engine to the row-at-a-time reference — byte-identical
+# results, guard and error semantics (engine); the
 # randomized fault-injection sweeps end without panic, race or hang, a failure
 # log naming the seed to replay (faults, core, engine); admission control,
 # circuit breaker, drain and hot swap under concurrent clients (server); the
@@ -30,6 +30,16 @@ go build ./...
 # recovery (wal).
 echo "==> go test -race -count=1 -timeout 10m ./..."
 go test -race -count=1 -timeout 10m ./...
+
+# Training is bit-identical at any processor count: the pinned trained set, the
+# pinned loss series and parameters, and the kernel against its per-sample
+# oracle, once each at one processor and at four — the race pass above only
+# ever sees the box's own count.
+echo "==> training pins under GOMAXPROCS=1 and GOMAXPROCS=4"
+for procs in 1 4; do
+	GOMAXPROCS="${procs}" go test -count=1 -run 'TestTrainedSetPinned|TestTrainPinned|TestKernelMatchesReference' \
+		./internal/core/ ./internal/rl/ ./internal/nn/
+done
 
 # Fuzz smoke: the seed corpora of the fuzz targets already ran as tests above;
 # a few seconds of mutation on top catch what a change to the grammar, the
