@@ -159,12 +159,6 @@ func main() {
 	}
 	obs.SetEnabled(true)
 
-	// Process vitals (goroutines, heap, GC pauses, uptime) ride the same
-	// registry as application metrics: windowed, scraped, bundled.
-	runtimeSampler := obs.NewRuntimeSampler(obs.Default(), 10*time.Second)
-	runtimeSampler.Start()
-	defer runtimeSampler.Close()
-
 	// Tracing is always configured for the serving binary: the tail sampler
 	// keeps every error/degraded/slow trace in memory for /tracez, and
 	// -trace-dir additionally persists them as rotated JSONL.

@@ -226,15 +226,9 @@ func (a *Auditor) Consider(stmt *sqlparse.Select, sv Served, rows int, agg *tabl
 	}
 	select {
 	case a.jobs <- j:
-		if obs.Enabled() {
-			obs.Default().Counter("audit/sampled").Inc()
-		}
 		return true
 	default:
 		a.dropped.Add(1)
-		if obs.Enabled() {
-			obs.Default().Counter("audit/dropped").Inc()
-		}
 		return false
 	}
 }
@@ -291,9 +285,6 @@ func (a *Auditor) waitCapacity() bool {
 			return true
 		}
 		a.deferrals.Add(1)
-		if obs.Enabled() {
-			obs.Default().Counter("audit/deferred").Inc()
-		}
 		select {
 		case <-a.stop:
 			return false
@@ -332,9 +323,6 @@ func (a *Auditor) run(j job) {
 	if err != nil {
 		a.failed.Add(1)
 		span.MarkError(err.Error())
-		if obs.Enabled() {
-			obs.Default().Counter("audit/failed").Inc()
-		}
 		obs.LoggerCtx(ctx).Warn("shadow audit failed",
 			"sql", j.served.SQL, "audited_trace_id", j.served.TraceID.String(), "err", err)
 		return
@@ -345,10 +333,7 @@ func (a *Auditor) run(j job) {
 	span.Annotate("shape", shape)
 	span.Event("verdict", "relative_error", relErr, "truth_rows", truthRows, "served_rows", j.rows)
 
-	if obs.Enabled() {
-		obs.Default().Counter("audit/completed").Inc()
-		obs.Default().Histogram(MetricRelativeError).ObserveExemplar(relErr, j.served.TraceID)
-	}
+	relativeError.ObserveExemplar(relErr, j.served.TraceID)
 	// Attach the verdict to the original request's trace so /tracez shows
 	// "this degraded answer was later measured at error X". The amendment is
 	// best-effort: only tail-kept traces are still addressable, and the JSONL

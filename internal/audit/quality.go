@@ -12,6 +12,8 @@ import (
 // exemplar. The serving layer's quality SLO reads it by this name.
 const MetricRelativeError = "audit/relative_error"
 
+var relativeError = obs.Default().Histogram(MetricRelativeError)
+
 // maxShapes bounds the per-shape stats map and maxSQLIndex the canonical-SQL
 // → shape index behind ObservedError; both evict oldest-first.
 const (
@@ -170,13 +172,10 @@ func (a *Auditor) Stats() Summary {
 		}
 	}
 	a.mu.Unlock()
-	if obs.Enabled() {
-		h := obs.Default().Histogram(MetricRelativeError)
-		if h.Count() > 0 {
-			s.ErrorP50 = h.Quantile(0.50)
-			s.ErrorP95 = h.Quantile(0.95)
-			s.ErrorMax = h.Max()
-		}
+	if obs.Enabled() && relativeError.Count() > 0 {
+		s.ErrorP50 = relativeError.Quantile(0.50)
+		s.ErrorP95 = relativeError.Quantile(0.95)
+		s.ErrorMax = relativeError.Max()
 	}
 	return s
 }

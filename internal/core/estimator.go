@@ -134,6 +134,9 @@ type DriftDetector struct {
 	dropped int // statements the bound has discarded
 }
 
+// driftDropped counts, over every detector, the statements the bound discarded.
+var driftDropped = obs.Default().Counter("core/drift/dropped")
+
 // Observe records a query along with the estimator confidence produced for
 // it. It returns true when enough drifted queries have accumulated that
 // fine-tuning should be triggered.
@@ -156,9 +159,7 @@ func (d *DriftDetector) ObserveDetail(stmt *sqlparse.Select, similarityConfidenc
 			clear(d.drifted[n:])
 			d.drifted = d.drifted[:n]
 			d.dropped += keep / 2
-			if obs.Enabled() {
-				obs.Default().Counter("core/drift/dropped").Add(int64(keep / 2))
-			}
+			driftDropped.Add(int64(keep / 2))
 		}
 		d.drifted = append(d.drifted, stmt)
 		drifted = true

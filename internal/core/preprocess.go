@@ -294,9 +294,6 @@ func PreprocessContext(ctx context.Context, db *table.Database, w workload.Workl
 	if len(pre.Candidates) == 0 {
 		return nil, fmt.Errorf("core: preprocessing produced no candidate actions (all representative queries returned empty results)")
 	}
-	if obs.Enabled() {
-		obs.Default().Counter("core/preprocess/runs").Inc()
-	}
 	return pre, nil
 }
 

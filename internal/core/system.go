@@ -77,9 +77,6 @@ func TrainContext(ctx context.Context, db *table.Database, w workload.Workload, 
 			sys = nil
 			err = fmt.Errorf("core: train panic recovered: %v", r)
 			obs.Logger().Error("train panic recovered", "panic", r)
-			if obs.Enabled() {
-				obs.Default().Counter("core/train/panics_recovered").Inc()
-			}
 		}
 	}()
 	cfg = cfg.normalize()
@@ -111,9 +108,6 @@ func TrainContext(ctx context.Context, db *table.Database, w workload.Workload, 
 	if s.stats.RL.Canceled {
 		obs.Logger().Warn("training canceled mid-RL; building set from partial agent",
 			"iterations", s.stats.RL.Iterations, "episodes", s.stats.RL.Episodes)
-		if obs.Enabled() {
-			obs.Default().Counter("core/train/canceled").Inc()
-		}
 	}
 	rlDone := time.Now()
 	s.stats.TrainTime = rlDone.Sub(preDone)
@@ -136,9 +130,6 @@ func TrainContext(ctx context.Context, db *table.Database, w workload.Workload, 
 	s.stats.SetupTime = time.Since(start)
 	s.stats.Representatives = len(pre.Reps)
 	s.stats.Candidates = len(pre.Candidates)
-	if obs.Enabled() {
-		obs.Default().Counter("core/train/runs").Inc()
-	}
 	obs.Logger().Info("training finished",
 		"k", cfg.K, "f", cfg.F, "seed", cfg.Seed,
 		"setup", s.stats.SetupTime, "preprocess", s.stats.PreprocessTime,
@@ -388,7 +379,6 @@ func (s *System) QueryFrameContext(ctx context.Context, stmt *sqlparse.Select, o
 }
 
 func (s *System) answer(ctx context.Context, stmt *sqlparse.Select, opts QueryOptions, frames bool) (*QueryResult, error) {
-	start := time.Now()
 	opts = opts.normalize()
 	// Trace the ladder: the span joins the caller's trace (the serving
 	// layer's request span) or opens one for direct core callers. Every
@@ -436,16 +426,13 @@ func (s *System) answer(ctx context.Context, stmt *sqlparse.Select, opts QueryOp
 		if err == nil {
 			out.FromApproximation = true
 			out.Table, out.Frame = res.Table, res.Frame
-			s.recordQuery(out, start, nil)
 			return out, nil
 		}
 		if terminal(err) {
 			span.MarkError(err.Error())
-			s.recordQuery(nil, start, err)
 			return out, err
 		}
 		approxErr = err
-		s.noteGuardTrip(err)
 		span.Event("guard_trip", "rung", "approx", "kind", guardKindOrFault(err))
 	}
 
@@ -455,9 +442,6 @@ func (s *System) answer(ctx context.Context, stmt *sqlparse.Select, opts QueryOp
 	var fullErr error
 	var partial *engine.Result
 	if opts.SkipFull {
-		if obs.Enabled() {
-			obs.Default().Counter("core/query/full_skipped").Inc()
-		}
 		span.Event("breaker_skip", "rung", "full")
 	} else {
 		backoff := opts.Backoff
@@ -471,14 +455,10 @@ func (s *System) answer(ctx context.Context, stmt *sqlparse.Select, opts QueryOp
 						err = fmt.Errorf("%w: %v", engine.ErrDeadline, ctx.Err())
 					}
 					span.MarkError(err.Error())
-					s.recordQuery(nil, start, err)
 					return out, err
 				case <-time.After(backoff):
 				}
 				backoff *= 2
-				if obs.Enabled() {
-					obs.Default().Counter("core/query/retries").Inc()
-				}
 			}
 			out.FullAttempted = true
 			res, err := s.runGuarded(ctx, s.db, stmt, eopts, rungFull, frames)
@@ -486,7 +466,6 @@ func (s *System) answer(ctx context.Context, stmt *sqlparse.Select, opts QueryOp
 				out.FullFailure = ""
 				out.FromApproximation = false
 				out.Table, out.Frame = res.Table, res.Frame
-				s.recordQuery(out, start, nil)
 				return out, nil
 			}
 			fullErr = err
@@ -497,10 +476,8 @@ func (s *System) answer(ctx context.Context, stmt *sqlparse.Select, opts QueryOp
 			}
 			if terminal(err) {
 				span.MarkError(err.Error())
-				s.recordQuery(nil, start, err)
 				return out, err
 			}
-			s.noteGuardTrip(err)
 			span.Event("guard_trip", "rung", "full", "kind", out.FullFailure, "attempt", attempt)
 			if res != nil {
 				partial = res // row-budget trip carried partial rows
@@ -526,7 +503,6 @@ func (s *System) answer(ctx context.Context, stmt *sqlparse.Select, opts QueryOp
 		out.Table, out.Frame = partial.Table, partial.Frame
 		span.MarkDegraded(reason)
 		span.Event("degraded", "reason", reason, "substitute", "partial_rows")
-		s.recordQuery(out, start, nil)
 		return out, nil
 	}
 	// Serve the approximation set's answer: first try when the estimator
@@ -540,7 +516,6 @@ func (s *System) answer(ctx context.Context, stmt *sqlparse.Select, opts QueryOp
 			out.Table, out.Frame = res.Table, res.Frame
 			span.MarkDegraded(reason)
 			span.Event("degraded", "reason", reason, "substitute", "approximation")
-			s.recordQuery(out, start, nil)
 			return out, nil
 		} else if approxErr == nil {
 			approxErr = err
@@ -553,7 +528,6 @@ func (s *System) answer(ctx context.Context, stmt *sqlparse.Select, opts QueryOp
 		fullErr = fmt.Errorf("core: query failed on every rung")
 	}
 	span.MarkError(fullErr.Error())
-	s.recordQuery(nil, start, fullErr)
 	return out, fullErr
 }
 
@@ -584,9 +558,6 @@ func (s *System) runGuarded(ctx context.Context, db *table.Database, stmt *sqlpa
 			rspan.Event("panic_recovered", "panic", fmt.Sprint(r))
 			rspan.MarkError(fmt.Sprintf("panic: %v", r))
 			obs.LoggerCtx(ctx).Error("query panic recovered", "panic", r)
-			if obs.Enabled() {
-				obs.Default().Counter("core/query/panics_recovered").Inc()
-			}
 		}
 	}()
 	if frames {
@@ -600,48 +571,6 @@ func (s *System) runGuarded(ctx context.Context, db *table.Database, stmt *sqlpa
 func terminal(err error) bool {
 	return errors.Is(err, engine.ErrDeadline) || errors.Is(err, engine.ErrCanceled) ||
 		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// noteGuardTrip counts a non-terminal guard trip by kind.
-func (s *System) noteGuardTrip(err error) {
-	if !obs.Enabled() {
-		return
-	}
-	kind := engine.GuardKind(err)
-	if kind == "" {
-		kind = "fault"
-	}
-	obs.Default().Counter("core/query/guard_trips/" + kind).Inc()
-}
-
-// recordQuery publishes one query's outcome to observability.
-func (s *System) recordQuery(out *QueryResult, start time.Time, err error) {
-	if !obs.Enabled() {
-		return
-	}
-	reg := obs.Default()
-	if err != nil {
-		if kind := engine.GuardKind(err); kind != "" {
-			reg.Counter("core/query/guard_trips/" + kind).Inc()
-			if kind == "canceled" {
-				reg.Counter("core/query/canceled").Inc()
-			}
-		}
-		reg.Counter("core/query/errors").Inc()
-		return
-	}
-	if out.Degraded {
-		reg.Counter("core/query/degraded").Inc()
-	}
-	if out.FromApproximation {
-		reg.Counter("core/query/approx").Inc()
-	} else {
-		reg.Counter("core/query/fallback").Inc()
-	}
-	if out.DriftTriggered {
-		reg.Counter("core/query/drift_triggered").Inc()
-	}
-	reg.Histogram("core/query/seconds").ObserveDuration(time.Since(start))
 }
 
 // QueryApprox always answers from the approximation set, regardless of the
@@ -698,9 +627,6 @@ func (s *System) FineTuneContext(ctx context.Context, newQueries workload.Worklo
 	}
 	s.fitEstimator()
 	s.drift.ResetDrift()
-	if obs.Enabled() {
-		obs.Default().Counter("core/finetune/runs").Inc()
-	}
 	obs.Logger().Info("fine-tuning finished",
 		"k", s.cfg.K, "f", s.cfg.F, "seed", s.cfg.Seed,
 		"set_size", s.stats.SetSize, "fine_tunes", s.stats.FineTunes)

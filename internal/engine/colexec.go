@@ -89,7 +89,7 @@ func tickChunks(g *guard, n int) error {
 
 // executeColTail is the pipeline after planning: vectorized scan/join, then
 // aggregate or project, then finish.
-func executeColTail(b *binder, stmt *sqlparse.Select, preds []predClass, opts Options, t *queryTimer, g *guard, span *obs.Span) (*Result, error) {
+func executeColTail(b *binder, stmt *sqlparse.Select, preds []predClass, opts Options, g *guard, span *obs.Span) (*Result, error) {
 	// Count-only SPJ needs no output columns at all, which lets the join
 	// pipeline prune every batch column not consumed by a later join step.
 	countOnly := opts.countOnly && !opts.TrackLineage && countableStmt(stmt)
@@ -97,7 +97,6 @@ func executeColTail(b *binder, stmt *sqlparse.Select, preds []predClass, opts Op
 	if err != nil {
 		return nil, err
 	}
-	t.phase(phaseJoin)
 
 	if stmt.HasAggregates() {
 		aggSpan := span.StartChild("engine/aggregate")
@@ -109,10 +108,8 @@ func executeColTail(b *binder, stmt *sqlparse.Select, preds []predClass, opts Op
 		}
 		aggSpan.Annotate("rows_out", out.NumRows())
 		aggSpan.End()
-		t.phase(phaseAggregate)
 		res := &Result{Table: out}
 		res, err = finish(stmt, res, nil)
-		t.phase(phaseFinish)
 		return res, err
 	}
 
@@ -130,11 +127,9 @@ func executeColTail(b *binder, stmt *sqlparse.Select, preds []predClass, opts Op
 		// surface them (un-finished) so callers can serve a tagged partial.
 		return res, err
 	}
-	t.phase(phaseProject)
 	if sortsOutput(stmt) {
 		res, err = finish(stmt, res, func(i int) evalEnv { return evalEnv{b: b, batch: jb, idx: i} })
 	}
-	t.phase(phaseFinish)
 	return res, err
 }
 
@@ -216,12 +211,9 @@ func runJoinsCol(b *binder, preds []predClass, opts Options, g *guard, span *obs
 		}
 	}
 	scanSpan.End()
-	if obs.Enabled() {
-		reg := obs.Default()
-		reg.Counter("engine/morsels_skipped").Add(st.skipped)
-		reg.Counter(metricScanSideways).Add(st.sideways)
-		reg.Counter(metricScanRowsRead).Add(st.rowsRead)
-	}
+	morselsSkipped.Add(st.skipped)
+	scanSideways.Add(st.sideways)
+	scanRowsRead.Add(st.rowsRead)
 
 	joinSpan := span.StartChild("engine/join")
 	defer func() {
@@ -300,6 +292,19 @@ type scanStats struct {
 	sideways int64 // relations read through a partner's keys
 	rowsRead int64 // rows handed to the filters, over all relations
 }
+
+// The registry's copies of scanStats, summed over queries.
+const (
+	metricMorselsSkipped = "engine/morsels_skipped"
+	metricScanSideways   = "engine/scan/sideways"
+	metricScanRowsRead   = "engine/scan/rows_read"
+)
+
+var (
+	morselsSkipped = obs.Default().Counter(metricMorselsSkipped)
+	scanSideways   = obs.Default().Counter(metricScanSideways)
+	scanRowsRead   = obs.Default().Counter(metricScanRowsRead)
+)
 
 // sidewaysFrac bounds sideways key passing: a relation reads only the rows its
 // join index holds for a scanned partner's surviving keys when the keys, and the

@@ -44,18 +44,21 @@ func TestMorselsSkippedCounter(t *testing.T) {
 	if want := n - 7000; res.Table.NumRows() != want {
 		t.Fatalf("rows = %d, want %d", res.Table.NumRows(), want)
 	}
-	if skipped := obs.Default().Snapshot().Counters["engine/morsels_skipped"]; skipped != 6 {
-		t.Fatalf("engine/morsels_skipped = %d, want 6", skipped)
+	on := obs.Default().Snapshot().Counters
+	if on[metricMorselsSkipped] != 6 || on[metricScanRowsRead] == 0 {
+		t.Fatalf("%s = %d, want 6; %s = %d, want > 0", metricMorselsSkipped, on[metricMorselsSkipped], metricScanRowsRead, on[metricScanRowsRead])
 	}
 
-	// Disabled observability records nothing even though pruning still runs.
+	// Disabled observability records nothing even though the scan still runs:
+	// the handles are held either way, the switch is read inside them.
 	obs.SetEnabled(false)
 	obs.Default().Reset()
 	if _, err := ExecuteWith(db, stmt, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if skipped := obs.Default().Snapshot().Counters["engine/morsels_skipped"]; skipped != 0 {
-		t.Fatalf("disabled observability recorded %d skipped morsels", skipped)
+	off := obs.Default().Snapshot().Counters
+	if off[metricMorselsSkipped] != 0 || off[metricScanRowsRead] != 0 {
+		t.Fatalf("disabled observability recorded %d skipped morsels, %d rows read", off[metricMorselsSkipped], off[metricScanRowsRead])
 	}
 	obs.Default().Reset()
 }

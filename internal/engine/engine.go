@@ -138,9 +138,7 @@ type predClass struct {
 	rightBind  binding
 }
 
-// ExecuteWith runs stmt against db with explicit options. When observability
-// is enabled (see internal/obs), it records per-query latency keyed by the
-// plan shape, per-operator execution counts, and per-phase timings.
+// ExecuteWith runs stmt against db with explicit options.
 func ExecuteWith(db *table.Database, stmt *sqlparse.Select, opts Options) (*Result, error) {
 	return ExecuteWithContext(context.Background(), db, stmt, opts)
 }
@@ -160,17 +158,10 @@ func ExecuteWithContext(ctx context.Context, db *table.Database, stmt *sqlparse.
 	// Untraced calls — the scoring hot loop, plain ExecuteWith — pay only the
 	// context lookup and the nil-receiver no-ops.
 	span := obs.SpanFromContext(ctx).StartChild("engine/execute")
-	t := startQueryTimer()
-	// When both the timer and the span are off, the binder and predicates
-	// are dropped immediately so the plan state does not stay live (and
-	// GC-scannable) past execution.
-	res, b, preds, err := executeWith(db, stmt, opts, t, g, span)
-	if t != nil {
-		t.finish(b, preds, stmt, err)
-	}
+	res, b, preds, err := executeWith(db, stmt, opts, g, span)
 	if span != nil {
 		if b != nil {
-			span.Annotate("plan", shapeOf(b, preds, stmt).String())
+			span.Annotate("plan", planShape(b, preds, stmt))
 		}
 		if res != nil {
 			span.Annotate("rows_out", res.rows())
@@ -200,9 +191,9 @@ func markSpanOutcome(span *obs.Span, err error) {
 	span.MarkError(err.Error())
 }
 
-// executeWith is the untimed execution pipeline. It returns the binder and
-// classified predicates so the caller can key metrics by plan shape.
-func executeWith(db *table.Database, stmt *sqlparse.Select, opts Options, t *queryTimer, g *guard, span *obs.Span) (*Result, *binder, []predClass, error) {
+// executeWith is the execution pipeline. It returns the binder and classified
+// predicates so the caller can annotate its span with the plan shape.
+func executeWith(db *table.Database, stmt *sqlparse.Select, opts Options, g *guard, span *obs.Span) (*Result, *binder, []predClass, error) {
 	if opts.MaxIntermediateRows <= 0 {
 		opts.MaxIntermediateRows = defaultMaxIntermediate
 	}
@@ -214,14 +205,13 @@ func executeWith(db *table.Database, stmt *sqlparse.Select, opts Options, t *que
 	if err != nil {
 		return nil, b, nil, err
 	}
-	t.phase(phasePlan)
-	res, err := executeColTail(b, stmt, preds, opts, t, g, span)
+	res, err := executeColTail(b, stmt, preds, opts, g, span)
 	return res, b, preds, err
 }
 
 // plan resolves stmt's relations, binds every expression and classifies the
 // predicates. The binder comes back with the error once the relations
-// resolved, for a caller that keys its metrics on it.
+// resolved, for a caller that names the plan shape on its span.
 func plan(db *table.Database, stmt *sqlparse.Select) (*binder, []predClass, error) {
 	b, err := newBinder(db, stmt)
 	if err != nil {

@@ -123,9 +123,9 @@ func Explain(db *table.Database, stmt *sqlparse.Select) (string, error) {
 
 // PlanShape returns a compact key describing the physical plan the executor
 // will use for stmt — scan/join/residual operator counts plus finishing
-// operator flags, e.g. "scan3-hash2-res1+agg+sort+limit". The engine's
-// per-query metrics are keyed by it, so queries with the same plan skeleton
-// aggregate into one histogram regardless of their literals.
+// operator flags, e.g. "scan3-hash2-res1+agg+sort+limit". The engine/execute
+// span carries it and the shadow auditor pools its verdicts by it, so queries
+// with the same plan skeleton aggregate regardless of their literals.
 func PlanShape(db *table.Database, stmt *sqlparse.Select) (string, error) {
 	b, err := newBinder(db, stmt)
 	if err != nil {
@@ -135,43 +135,33 @@ func PlanShape(db *table.Database, stmt *sqlparse.Select) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return shapeOf(b, preds, stmt).String(), nil
+	return planShape(b, preds, stmt), nil
 }
 
-// shapeKey is the plan shape of a bound statement as a comparable value;
-// String renders it as PlanShape does.
-type shapeKey struct {
-	opCounts
-	scans                      int
-	agg, distinct, sort, limit bool
-}
-
-func shapeOf(b *binder, preds []predClass, stmt *sqlparse.Select) shapeKey {
-	return shapeKey{planOpCounts(b, preds), len(b.tables), stmt.HasAggregates(), stmt.Distinct, len(stmt.OrderBy) > 0, stmt.Limit >= 0}
-}
-
-func (k shapeKey) String() string {
+// planShape renders the plan shape of a bound statement, as PlanShape does.
+func planShape(b *binder, preds []predClass, stmt *sqlparse.Select) string {
+	ops := planOpCounts(b, preds)
 	var out strings.Builder
-	fmt.Fprintf(&out, "scan%d", k.scans)
-	if k.hashJoins > 0 {
-		fmt.Fprintf(&out, "-hash%d", k.hashJoins)
+	fmt.Fprintf(&out, "scan%d", len(b.tables))
+	if ops.hashJoins > 0 {
+		fmt.Fprintf(&out, "-hash%d", ops.hashJoins)
 	}
-	if k.crossJoins > 0 {
-		fmt.Fprintf(&out, "-cross%d", k.crossJoins)
+	if ops.crossJoins > 0 {
+		fmt.Fprintf(&out, "-cross%d", ops.crossJoins)
 	}
-	if k.residuals > 0 {
-		fmt.Fprintf(&out, "-res%d", k.residuals)
+	if ops.residuals > 0 {
+		fmt.Fprintf(&out, "-res%d", ops.residuals)
 	}
-	if k.agg {
+	if stmt.HasAggregates() {
 		out.WriteString("+agg")
 	}
-	if k.distinct {
+	if stmt.Distinct {
 		out.WriteString("+distinct")
 	}
-	if k.sort {
+	if len(stmt.OrderBy) > 0 {
 		out.WriteString("+sort")
 	}
-	if k.limit {
+	if stmt.Limit >= 0 {
 		out.WriteString("+limit")
 	}
 	return out.String()

@@ -493,7 +493,10 @@ type aggScratch struct {
 
 var aggScratchPool = sync.Pool{New: func() any { return new(aggScratch) }}
 
+// Aggregations that ran the row-at-a-time loop.
 const metricAggregateFallback = "engine/aggregate/fallback"
+
+var aggregateFallback = obs.Default().Counter(metricAggregateFallback)
 
 // aggregateCol is the columnar grouping/aggregation operator: planAggregate's
 // typed plan over the batch, chunk by chunk, or aggregateRows. Groups come out
@@ -510,9 +513,7 @@ func aggregateCol(b *binder, stmt *sqlparse.Select, jb *joinedBatch, g *guard, s
 			span.Annotate("rows_in", jb.n)
 			span.Annotate("via", "rows")
 		}
-		if obs.Enabled() {
-			obs.Default().Counter(metricAggregateFallback).Inc()
-		}
+		aggregateFallback.Inc()
 		return aggregateRows(b, stmt, jb.n, func(i int) evalEnv { return evalEnv{b: b, batch: jb, idx: i} }, g)
 	}
 

@@ -130,13 +130,25 @@ func probeKeyer(pc, bc *table.ColumnData) func(int32) (table.JoinKey, bool) {
 	return pc.JoinKeyer(nil)
 }
 
+// Join-index builds: the scan phase or a join step records one when its lookup
+// is the one that built a column's index (once per column per columnar view).
+const (
+	metricJoinIndexBuilds       = "engine/join/index_builds"
+	metricJoinIndexBuildSeconds = "engine/join/index_build/seconds"
+)
+
+var (
+	joinIndexBuilds       = obs.Default().Counter(metricJoinIndexBuilds)
+	joinIndexBuildSeconds = obs.Default().Histogram(metricJoinIndexBuildSeconds)
+)
+
 // joinIndexOf is cs.JoinIndex(col), recording the build when this call did it.
 func joinIndexOf(cs *table.ColumnSet, col int) *table.JoinIndex {
 	start := time.Now()
 	ix, built := cs.JoinIndex(col)
-	if built && obs.Enabled() {
-		obs.Default().Counter(metricJoinIndexBuilds).Inc()
-		obs.Default().Histogram(metricJoinIndexBuildSeconds).Observe(time.Since(start).Seconds())
+	if built {
+		joinIndexBuilds.Inc()
+		joinIndexBuildSeconds.ObserveDuration(time.Since(start))
 	}
 	return ix
 }

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"asqprl/internal/engine"
-	"asqprl/internal/obs"
 	"asqprl/internal/table"
 	"asqprl/internal/workload"
 )
@@ -38,9 +37,8 @@ func NewReferenceCache(full *table.Database) *ReferenceCache {
 }
 
 // FullCount returns |q(full)| for the query, serving it from the memo when
-// full is the cache's bound database. Cache hits and misses are counted both
-// locally and, when observability is enabled, on the default registry as
-// metrics/refcache/hits and metrics/refcache/misses.
+// full is the cache's bound database. Cache hits and misses are counted on
+// the cache (Hits, Misses).
 func (c *ReferenceCache) FullCount(full *table.Database, q workload.Query) (int, error) {
 	if c == nil || full != c.full {
 		return engine.Count(full, q.Stmt)
@@ -51,15 +49,9 @@ func (c *ReferenceCache) FullCount(full *table.Database, q workload.Query) (int,
 	c.mu.RUnlock()
 	if ok {
 		c.hits.Add(1)
-		if obs.Enabled() {
-			obs.Default().Counter("metrics/refcache/hits").Inc()
-		}
 		return n, nil
 	}
 	c.misses.Add(1)
-	if obs.Enabled() {
-		obs.Default().Counter("metrics/refcache/misses").Inc()
-	}
 	n, err := engine.Count(full, q.Stmt)
 	if err != nil {
 		return 0, err

@@ -1,133 +1,68 @@
-package obs
+package obs_test
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
+
+	"asqprl/internal/obs"
+	_ "asqprl/internal/server" // links every package that declares a metric
 )
 
-// TestMetricCatalogue holds DESIGN.md §7's metric catalogue to the source: it
-// parses every non-test file under internal/ and fails on a registry name —
-// the argument of a Counter, Gauge or Histogram call that is a string
-// literal, a package-level constant, or one of those plus a suffix — that no
-// catalogue row covers, and on an exact catalogue row no such call names.
-// Names built from variables (slo/<name>/…, engine/phase/…) cannot be read
-// off the syntax tree; their `prefix/*` rows are documentation only.
+// declared is the default registry's name set once every package has
+// initialised and before any test has run: exactly the package-level handles.
+var declared = obs.Default().Snapshot()
+
+// TestMetricCatalogue holds DESIGN.md §7's metric catalogue to the registry in
+// both directions: every name a package declares has a row of its type, every
+// row names a declared metric, and every row says who reads it.
 func TestMetricCatalogue(t *testing.T) {
-	exact, prefixes := readCatalogue(t, filepath.Join("..", "..", "DESIGN.md"))
+	rows := readCatalogue(t, filepath.Join("..", "..", "DESIGN.md"))
 
-	fset := token.NewFileSet()
-	var files []*ast.File
-	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return err
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		files = append(files, f)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
+	have := map[string]string{}
+	for name := range declared.Counters {
+		have[name] = "Counter"
 	}
-
-	// Package-level string constants, keyed "pkg.Name".
-	consts := map[string]string{}
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.CONST {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				vs := spec.(*ast.ValueSpec)
-				for i, name := range vs.Names {
-					if i < len(vs.Values) {
-						if lit, ok := vs.Values[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-							consts[f.Name.Name+"."+name.Name], _ = strconv.Unquote(lit.Value)
-						}
-					}
-				}
-			}
+	for name := range declared.Gauges {
+		have[name] = "Gauge"
+	}
+	for name := range declared.Histograms {
+		have[name] = "Histogram"
+	}
+	names := make([]string, 0, len(have))
+	for name := range have {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		switch row, ok := rows[name]; {
+		case !ok:
+			t.Errorf("%s %q is declared but has no row in DESIGN.md §7's metric catalogue", have[name], name)
+		case row.kind != have[name]:
+			t.Errorf("catalogue row %q says %s, the registry holds a %s", name, row.kind, have[name])
 		}
 	}
-	// resolve reads a metric name off an argument: the whole name, or (for
-	// `known + suffix`) the prefix every name built there starts with.
-	var resolve func(pkg string, e ast.Expr) (name string, isPrefix, ok bool)
-	resolve = func(pkg string, e ast.Expr) (string, bool, bool) {
-		switch e := e.(type) {
-		case *ast.BasicLit:
-			if e.Kind == token.STRING {
-				s, err := strconv.Unquote(e.Value)
-				return s, false, err == nil
-			}
-		case *ast.Ident:
-			s, ok := consts[pkg+"."+e.Name]
-			return s, false, ok
-		case *ast.SelectorExpr:
-			if x, isIdent := e.X.(*ast.Ident); isIdent {
-				s, ok := consts[x.Name+"."+e.Sel.Name]
-				return s, false, ok
-			}
-		case *ast.BinaryExpr:
-			if e.Op == token.ADD {
-				s, _, ok := resolve(pkg, e.X)
-				return s, true, ok
-			}
+	for name, row := range rows {
+		if _, ok := have[name]; !ok {
+			t.Errorf("catalogue row %q names no declared metric", name)
 		}
-		return "", false, false
-	}
-
-	kinds := map[string]bool{"Counter": true, "Gauge": true, "Histogram": true}
-	used := map[string]bool{}
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) != 1 {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || !kinds[sel.Sel.Name] {
-				return true
-			}
-			name, isPrefix, ok := resolve(f.Name.Name, call.Args[0])
-			if !ok {
-				return true
-			}
-			used[name] = true
-			covered := exact[name] && !isPrefix
-			for _, p := range prefixes {
-				covered = covered || strings.HasPrefix(name, p)
-			}
-			if !covered {
-				t.Errorf("%s: %s %q is not in DESIGN.md §7's metric catalogue",
-					fset.Position(call.Pos()), sel.Sel.Name, name)
-			}
-			return true
-		})
-	}
-	var stale []string
-	for name := range exact {
-		if !used[name] {
-			stale = append(stale, name)
+		if row.consumer == "" || strings.Contains(row.consumer, "doc only") {
+			t.Errorf("catalogue row %q names no reader (%q): a metric nothing reads is deleted, not documented", name, row.consumer)
 		}
 	}
-	sort.Strings(stale)
-	for _, name := range stale {
-		t.Errorf("catalogue row %q names no metric in the source", name)
+	if len(rows) > 30 {
+		t.Errorf("the catalogue has %d rows; past 30, apply §7's rule before adding one", len(rows))
 	}
 }
 
+type catalogueRow struct{ kind, consumer string }
+
 // readCatalogue returns the rows of the table between DESIGN.md's
-// metric-catalogue markers: exact names, and the prefixes of `prefix/*` rows.
-func readCatalogue(t *testing.T, path string) (exact map[string]bool, prefixes []string) {
+// metric-catalogue markers, by metric name.
+func readCatalogue(t *testing.T, path string) map[string]catalogueRow {
 	t.Helper()
 	doc, err := os.ReadFile(path)
 	if err != nil {
@@ -138,16 +73,13 @@ func readCatalogue(t *testing.T, path string) (exact map[string]bool, prefixes [
 	if !ok || !ok2 {
 		t.Fatalf("%s has no metric-catalogue markers", path)
 	}
-	exact = map[string]bool{}
-	for _, m := range regexp.MustCompile("(?m)^\\| `([^`]+)` \\|").FindAllStringSubmatch(table, -1) {
-		if p, wild := strings.CutSuffix(m[1], "*"); wild {
-			prefixes = append(prefixes, p)
-		} else {
-			exact[m[1]] = true
-		}
+	rows := map[string]catalogueRow{}
+	// | `name` | type | `owner` | rule | consumer |
+	for _, m := range regexp.MustCompile("(?m)^\\| `([^`]+)` \\| (\\w+) \\|[^|]*\\|[^|]*\\| ([^|]*?) *\\|$").FindAllStringSubmatch(table, -1) {
+		rows[m[1]] = catalogueRow{kind: m[2], consumer: m[3]}
 	}
-	if len(exact) == 0 {
+	if len(rows) == 0 {
 		t.Fatalf("%s: the metric catalogue has no rows", path)
 	}
-	return exact, prefixes
+	return rows
 }

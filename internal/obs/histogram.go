@@ -45,6 +45,7 @@ type Histogram struct {
 	// export). Written only by ObserveExemplar with a non-zero trace ID —
 	// untraced observations never allocate.
 	exemplars [numBuckets + 1]atomic.Pointer[Exemplar]
+	gated     bool // of the default registry: records only while Enabled()
 }
 
 // Exemplar ties one histogram observation to the trace that produced it.
@@ -65,22 +66,24 @@ type ExemplarSnapshot struct {
 // NewHistogram returns an empty histogram ready for concurrent use.
 func NewHistogram() *Histogram {
 	h := &Histogram{}
-	h.minBits.Store(math.Float64bits(math.Inf(1)))
-	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
+	h.reset()
 	return h
 }
 
-// Observe records one value. Negative values are clamped to zero.
-func (h *Histogram) Observe(v float64) {
-	if v < 0 || math.IsNaN(v) {
-		v = 0
+// reset empties the histogram in place (Registry.Reset).
+func (h *Histogram) reset() {
+	for i := range h.counts {
+		h.counts[i].Store(0)
+		h.exemplars[i].Store(nil)
 	}
-	h.counts[bucketIndex(v)].Add(1)
-	h.count.Add(1)
-	atomicAddFloat(&h.sumBits, v)
-	atomicMinFloat(&h.minBits, v)
-	atomicMaxFloat(&h.maxBits, v)
+	h.count.Store(0)
+	h.sumBits.Store(0)
+	h.minBits.Store(math.Float64bits(math.Inf(1)))
+	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
 }
+
+// Observe records one value. Negative values are clamped to zero.
+func (h *Histogram) Observe(v float64) { h.ObserveExemplar(v, TraceID{}) }
 
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
@@ -89,6 +92,9 @@ func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 // the observation as the containing bucket's exemplar (most recent wins).
 // With a zero trace ID it is exactly Observe — no allocation.
 func (h *Histogram) ObserveExemplar(v float64, tid TraceID) {
+	if h.gated && !enabled.Load() {
+		return
+	}
 	if v < 0 || math.IsNaN(v) {
 		v = 0
 	}

@@ -7,7 +7,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"time"
 )
+
+// readHeaderTimeout bounds how long a connection may take to send its request
+// headers: the serving listener's value (internal/server), so the debug
+// listener is not the one socket a silent client can hold open for ever.
+const readHeaderTimeout = 5 * time.Second
 
 // Handler returns the debug HTTP handler:
 //
@@ -72,7 +78,7 @@ func StartDebug(addr string) (*DebugServer, error) {
 	SetEnabled(true)
 	d := &DebugServer{
 		addr: ln.Addr().String(),
-		srv:  &http.Server{Handler: Handler()},
+		srv:  &http.Server{Handler: Handler(), ReadHeaderTimeout: readHeaderTimeout},
 		done: make(chan struct{}),
 	}
 	go func() {
@@ -89,7 +95,9 @@ func StartDebug(addr string) (*DebugServer, error) {
 func (d *DebugServer) Addr() string { return d.addr }
 
 // Shutdown gracefully stops the server, waiting for in-flight requests up to
-// ctx's deadline, and returns any serve error observed over its lifetime.
+// ctx's deadline, and returns any serve error observed over its lifetime. The
+// serve goroutine writes that error before it closes done, so it is read only
+// once done is seen closed; a ctx that expires first returns Shutdown's error.
 func (d *DebugServer) Shutdown(ctx context.Context) error {
 	if d == nil {
 		return nil
@@ -97,10 +105,10 @@ func (d *DebugServer) Shutdown(ctx context.Context) error {
 	err := d.srv.Shutdown(ctx)
 	select {
 	case <-d.done:
+		if err == nil {
+			err = d.err
+		}
 	case <-ctx.Done():
-	}
-	if err == nil {
-		err = d.err
 	}
 	return err
 }

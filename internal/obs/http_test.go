@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"runtime"
@@ -86,5 +87,40 @@ func TestStartDebugClose(t *testing.T) {
 	}
 	if err := nilServer.Close(); err != nil {
 		t.Errorf("nil Close: %v", err)
+	}
+}
+
+// TestStartDebugHeaderTimeout: the debug listener bounds how long a client may
+// take over its request headers, with the serving listener's value — read off
+// the http.Server StartDebug built, not waited out.
+func TestStartDebugHeaderTimeout(t *testing.T) {
+	d, err := StartDebug("localhost:0")
+	if err != nil {
+		t.Fatalf("StartDebug: %v", err)
+	}
+	defer d.Close()
+	if got := d.srv.ReadHeaderTimeout; got != 5*time.Second {
+		t.Errorf("debug server ReadHeaderTimeout = %v, want the serving listener's 5s", got)
+	}
+}
+
+// TestShutdownExpiredContext: with the deadline already gone Shutdown may
+// return before it has seen the serve goroutine finish, and must then not read
+// the error that goroutine writes (the race detector is the assertion); what
+// it returns is nil or the context's error, and Close afterwards still reaps.
+func TestShutdownExpiredContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 20; i++ {
+		d, err := StartDebug("localhost:0")
+		if err != nil {
+			t.Fatalf("StartDebug: %v", err)
+		}
+		if err := d.Shutdown(ctx); err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatalf("Shutdown under an expired context: %v", err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatalf("Close after Shutdown: %v", err)
+		}
 	}
 }

@@ -4,10 +4,11 @@
 // logger.
 //
 // The package is stdlib-only and designed so instrumented hot paths cost
-// near zero when observability is off: every recording entry point first
-// checks Enabled(), a single atomic load, and spans/loggers degrade to
-// nil-receiver no-ops. Callers therefore instrument unconditionally and let
-// the package decide whether anything is recorded.
+// near zero when observability is off: an instrument of the default registry
+// loads Enabled() inside Inc/Add/Set/Observe, a single atomic load, and
+// spans/loggers degrade to nil-receiver no-ops. Callers therefore instrument
+// unconditionally — a package-level handle, one bare call — and let the
+// package decide whether anything is recorded.
 //
 // A process-wide default registry and tail sampler back the package-level
 // helpers; the debug HTTP server (see Handler/StartDebug) exposes them as
@@ -22,6 +23,7 @@ var enabled atomic.Bool
 // Structured logging is controlled separately via EnableLogging.
 func SetEnabled(on bool) { enabled.Store(on) }
 
-// Enabled reports whether metric and span recording is on. Instrumented hot
-// paths use this as their only gate, so the disabled cost is one atomic load.
+// Enabled reports whether metric and span recording is on: the one gate, read
+// by StartSpan and by the default registry's instruments themselves, so the
+// disabled cost is one atomic load.
 func Enabled() bool { return enabled.Load() }

@@ -2,10 +2,8 @@ package obs
 
 import (
 	"bytes"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 )
 
 // promLines renders r and returns the exposition split into lines.
@@ -134,64 +132,5 @@ func TestPromBuildInfo(t *testing.T) {
 	}
 	if !strings.Contains(out, "} 1\n") {
 		t.Fatalf("build_info value must be 1:\n%s", out)
-	}
-}
-
-// TestRuntimeSamplerPublishes: one sample populates every runtime gauge, and
-// forced GCs feed the pause histogram.
-func TestRuntimeSamplerPublishes(t *testing.T) {
-	r := NewRegistry()
-	s := NewRuntimeSampler(r, 0)
-	s.SampleNow()
-
-	snap := r.Snapshot()
-	for _, g := range []string{
-		MetricGoroutines, MetricHeapInuse, MetricHeapAlloc,
-		MetricGCCount, MetricUptimeSeconds,
-	} {
-		if _, ok := snap.Gauges[g]; !ok {
-			t.Fatalf("gauge %q not published; have %v", g, snap.Gauges)
-		}
-	}
-	if snap.Gauges[MetricGoroutines] < 1 {
-		t.Fatalf("goroutines gauge = %v, want >= 1", snap.Gauges[MetricGoroutines])
-	}
-
-	// Force GC cycles; the next sample must observe their pauses.
-	runtimeGCTimes(3)
-	s.SampleNow()
-	if c := r.Histogram(MetricGCPauseSeconds).Count(); c < 3 {
-		t.Fatalf("gc pause observations = %d, want >= 3", c)
-	}
-	// And the runtime metrics render in the exposition.
-	out, _ := promLines(t, r)
-	if !strings.Contains(out, "runtime_goroutines ") ||
-		!strings.Contains(out, "# TYPE runtime_gc_pause_seconds histogram") {
-		t.Fatalf("runtime metrics missing from exposition:\n%s", out)
-	}
-}
-
-// TestRuntimeSamplerLifecycle: Start/Close are clean and idempotent; nil is
-// a no-op.
-func TestRuntimeSamplerLifecycle(t *testing.T) {
-	r := NewRegistry()
-	s := NewRuntimeSampler(r, time.Hour)
-	s.Start()
-	s.Start() // idempotent
-	s.Close()
-	s.Close() // idempotent
-	if _, ok := r.Snapshot().Gauges[MetricGoroutines]; !ok {
-		t.Fatal("Start must take an immediate sample")
-	}
-	var nilS *RuntimeSampler
-	nilS.SampleNow()
-	nilS.Start()
-	nilS.Close()
-}
-
-// runtimeGCTimes forces n GC cycles.
-func runtimeGCTimes(n int) {
-	for i := 0; i < n; i++ {
-		runtime.GC()
 	}
 }

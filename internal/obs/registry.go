@@ -6,15 +6,20 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing integer metric.
-type Counter struct{ v atomic.Int64 }
+// Counter is a monotonically increasing integer metric. One that belongs to
+// the default registry records only while Enabled(): the switch is read here,
+// inside the instrument, so call sites hold a handle and call it bare.
+type Counter struct {
+	v     atomic.Int64
+	gated bool
+}
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n (negative deltas are ignored; counters only go up).
 func (c *Counter) Add(n int64) {
-	if n > 0 {
+	if n > 0 && (!c.gated || enabled.Load()) {
 		c.v.Add(n)
 	}
 }
@@ -22,32 +27,49 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a float metric that can move in both directions.
-type Gauge struct{ bits atomic.Uint64 }
+// Gauge is a float metric that can move in both directions, gated like a
+// Counter.
+type Gauge struct {
+	bits  atomic.Uint64
+	gated bool
+}
 
 // Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) {
+	if !g.gated || enabled.Load() {
+		g.bits.Store(math.Float64bits(v))
+	}
+}
 
 // Add shifts the gauge by delta.
-func (g *Gauge) Add(delta float64) { atomicAddFloat(&g.bits, delta) }
+func (g *Gauge) Add(delta float64) {
+	if !g.gated || enabled.Load() {
+		atomicAddFloat(&g.bits, delta)
+	}
+}
 
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Registry is a concurrency-safe collection of named metrics. Metric
-// accessors are get-or-create, so instrumentation sites never need
-// registration boilerplate. Names are free-form; the convention used across
-// the repo is slash-separated paths like "engine/query/seconds".
+// accessors are get-or-create; an instrumentation site calls one once, in a
+// package-level var next to the code that owns the fact, and keeps the handle,
+// so the request path neither locks nor hashes and cannot mint a name. Names
+// are slash-separated paths like "server/request_seconds".
 type Registry struct {
+	gated    bool // instruments record only while Enabled(): the default registry
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
+// NewRegistry returns an empty registry whose instruments always record.
+func NewRegistry() *Registry { return newRegistry(false) }
+
+func newRegistry(gated bool) *Registry {
 	return &Registry{
+		gated:    gated,
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
@@ -55,7 +77,7 @@ func NewRegistry() *Registry {
 }
 
 // defaultRegistry backs the package-level helpers and the debug server.
-var defaultRegistry = NewRegistry()
+var defaultRegistry = newRegistry(true)
 
 // Default returns the process-wide registry.
 func Default() *Registry { return defaultRegistry }
@@ -71,7 +93,7 @@ func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c = r.counters[name]; c == nil {
-		c = &Counter{}
+		c = &Counter{gated: r.gated}
 		r.counters[name] = c
 	}
 	return c
@@ -88,7 +110,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
+		g = &Gauge{gated: r.gated}
 		r.gauges[name] = g
 	}
 	return g
@@ -106,19 +128,27 @@ func (r *Registry) Histogram(name string) *Histogram {
 	defer r.mu.Unlock()
 	if h = r.hists[name]; h == nil {
 		h = NewHistogram()
+		h.gated = r.gated
 		r.hists[name] = h
 	}
 	return h
 }
 
-// Reset drops every metric. Intended for tests and for the start of
-// independent benchmark runs.
+// Reset zeroes every metric in place, so a handle taken before it still
+// reaches the registry after it. Intended for tests and for the start of
+// independent benchmark runs, not for use beside concurrent writers.
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.counters = map[string]*Counter{}
-	r.gauges = map[string]*Gauge{}
-	r.hists = map[string]*Histogram{}
+	for _, c := range r.counters {
+		c.v.Store(0)
+	}
+	for _, g := range r.gauges {
+		g.bits.Store(0)
+	}
+	for _, h := range r.hists {
+		h.reset()
+	}
 }
 
 // Snapshot is a point-in-time JSON-friendly view of a registry.

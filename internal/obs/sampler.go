@@ -53,6 +53,13 @@ type TracingConfig struct {
 
 var traceState atomic.Pointer[TracingConfig]
 
+// The tail sampler's two counts: roots it let go (its only count — kept roots
+// are the ring, /tracez) and kept roots the exporter failed to write.
+var (
+	traceDropped      = Default().Counter("obs/trace/dropped")
+	traceExportErrors = Default().Counter("obs/trace/export_errors")
+)
+
 // ConfigureTracing installs the tail sampling policy (and optional exporter)
 // process-wide and enables observability. Passing a new config replaces the
 // old one atomically; in-flight decisions use whichever config they loaded.
@@ -106,7 +113,7 @@ func tailConsider(s *Span) {
 	case cfg.SampleRate > 0 && rand.Float64() < cfg.SampleRate:
 		verdict = "sampled"
 	default:
-		Default().Counter("obs/trace/dropped").Inc()
+		traceDropped.Inc()
 		return
 	}
 	rec := TraceRecord{
@@ -115,7 +122,6 @@ func tailConsider(s *Span) {
 		DurationMS: float64(d) / float64(time.Millisecond),
 		Root:       s.Snapshot(),
 	}
-	Default().Counter("obs/trace/kept/" + verdict).Inc()
 	traceKeep.add(rec)
 	slowLog.observe(rec)
 	if cfg.Exporter != nil {
@@ -123,7 +129,7 @@ func tailConsider(s *Span) {
 			// Counted drop, rate-limited warning: a full disk fails every
 			// export, and one warning per trace would turn the log into the
 			// second full disk.
-			Default().Counter("obs/trace/export_errors").Inc()
+			traceExportErrors.Inc()
 			if exportWarn.Allow(exportWarnEvery) {
 				Logger().Warn("trace export failed (dropping; see obs/trace/export_errors)",
 					"trace_id", rec.TraceID, "err", err)

@@ -412,9 +412,6 @@ func (c *Controller) attempt(inc *core.System, drifted workload.Workload) {
 	c.st.LastError = ""
 	seed := c.cfg.Seed + c.st.Attempts
 	c.mu.Unlock()
-	if obs.Enabled() {
-		obs.Default().Counter("retrain/attempts").Inc()
-	}
 
 	ctx, cancel := context.WithTimeout(c.ctx, c.cfg.Timeout)
 	defer cancel()
@@ -529,9 +526,6 @@ func (c *Controller) attempt(inc *core.System, drifted workload.Workload) {
 		c.mu.Lock()
 		c.st.ValidationRejects++
 		c.mu.Unlock()
-		if obs.Enabled() {
-			obs.Default().Counter("retrain/validation_rejects").Inc()
-		}
 		failed("validate", fmt.Errorf(
 			"retrain: validation gate rejected candidate: drift %.4f vs %.4f, holdback %.4f vs %.4f (margin %.4f)",
 			candDrift, incDrift, candHold, incHold, c.cfg.ValidateMargin))
@@ -568,9 +562,6 @@ func (c *Controller) attempt(inc *core.System, drifted workload.Workload) {
 	c.st.LastOutcome = "swapped"
 	c.st.BaselineP95 = baseP95
 	c.mu.Unlock()
-	if obs.Enabled() {
-		obs.Default().Counter("retrain/swaps").Inc()
-	}
 	c.journal(Event{Name: "swapped", Persisted: c.cfg.SnapshotPath != ""})
 	span.Event("swapped", "baseline_p95", baseP95, "baseline_ok", baseOK)
 	obs.Logger().Info("retrain swapped in candidate",
@@ -659,9 +650,6 @@ func (c *Controller) rollbackReason(inc *core.System, reason string) {
 	c.st.State = "idle"
 	c.armBackoffLocked()
 	c.mu.Unlock()
-	if obs.Enabled() {
-		obs.Default().Counter("retrain/rollbacks").Inc()
-	}
 	c.journal(Event{Name: "rolled_back", Persisted: c.cfg.SnapshotPath != ""})
 	obs.Logger().Warn("retrain rolled back to incumbent", "reason", reason)
 }
@@ -670,10 +658,6 @@ func (c *Controller) rollbackReason(inc *core.System, reason string) {
 // it was never published), the backoff doubles, and an exhausted attempt
 // budget discards the drift batch entirely.
 func (c *Controller) fail(stage string, err error) {
-	if obs.Enabled() {
-		obs.Default().Counter("retrain/failures").Inc()
-		obs.Default().Counter("retrain/failures/" + stage).Inc()
-	}
 	obs.Logger().Warn("retrain attempt failed", "stage", stage, "err", err)
 	c.mu.Lock()
 	c.st.Failures++

@@ -414,9 +414,9 @@ func (a *Agent) TrainContext(ctx context.Context, env Environment, maxEpisodes i
 			}
 			a.halveLR()
 			iter.LR = a.cfg.LR
-			recordRecovery(stats.Iterations, reason, a.cfg.LR)
+			logRecovery(stats.Iterations, reason, a.cfg.LR)
 			stats.History = append(stats.History, iter)
-			recordIteration(iter, stats.BestReturn)
+			logIteration(iter)
 			if stats.Recoveries >= a.cfg.MaxRecoveries {
 				// Persistent divergence: keep the last good state instead of
 				// burning the remaining budget on a doomed run.
@@ -433,7 +433,7 @@ func (a *Agent) TrainContext(ctx context.Context, env Environment, maxEpisodes i
 			sinceCkpt = 0
 		}
 		stats.History = append(stats.History, iter)
-		recordIteration(iter, stats.BestReturn)
+		logIteration(iter)
 
 		if progress != nil && !progress(stats.Iterations, stats.Episodes, mean) {
 			stats.EarlyStopped = true
@@ -443,16 +443,9 @@ func (a *Agent) TrainContext(ctx context.Context, env Environment, maxEpisodes i
 	return stats
 }
 
-// recordIteration counts one iteration on the default obs registry and logs
-// its telemetry at debug level; the learning curve itself is
-// TrainStats.History.
-func recordIteration(it IterationStats, bestReturn float64) {
-	if obs.Enabled() {
-		reg := obs.Default()
-		reg.Counter("rl/iterations").Inc()
-		reg.Counter("rl/episodes").Add(int64(it.Episodes))
-		reg.Gauge("rl/best_return").Set(bestReturn)
-	}
+// logIteration logs one iteration's telemetry at debug level; the learning
+// curve itself is TrainStats.History.
+func logIteration(it IterationStats) {
 	obs.Logger().Debug("rl iteration",
 		"iter", it.Iteration,
 		"episodes", it.Episodes,

@@ -328,17 +328,8 @@ func TestInvalidShapesError(t *testing.T) {
 }
 
 // TestTrainEmitsMetrics asserts the trainer records loss/entropy/return
-// telemetry for every iteration, both in the extended TrainStats and in the
-// obs registry series.
+// telemetry for every iteration in the extended TrainStats, their one home.
 func TestTrainEmitsMetrics(t *testing.T) {
-	prevEnabled := obs.Enabled()
-	obs.SetEnabled(true)
-	obs.Default().Reset()
-	defer func() {
-		obs.SetEnabled(prevEnabled)
-		obs.Default().Reset()
-	}()
-
 	env := newCoverEnv()
 	cfg := DefaultConfig()
 	cfg.Seed = 3
@@ -375,14 +366,6 @@ func TestTrainEmitsMetrics(t *testing.T) {
 		if stats.History[i].MeanReturn != r {
 			t.Fatalf("History[%d].MeanReturn = %f, ReturnHistory = %f", i, stats.History[i].MeanReturn, r)
 		}
-	}
-
-	snap := obs.Default().Snapshot()
-	if snap.Counters["rl/iterations"] != int64(stats.Iterations) {
-		t.Errorf("rl/iterations = %d, want %d", snap.Counters["rl/iterations"], stats.Iterations)
-	}
-	if snap.Counters["rl/episodes"] != int64(stats.Episodes) {
-		t.Errorf("rl/episodes = %d, want %d", snap.Counters["rl/episodes"], stats.Episodes)
 	}
 }
 

@@ -124,11 +124,8 @@ func (a *Agent) poison() {
 	}
 }
 
-// recordRecovery publishes one watchdog recovery to observability.
-func recordRecovery(iteration int, reason string, lr float64) {
-	if obs.Enabled() {
-		obs.Default().Counter("rl/recoveries").Inc()
-	}
+// logRecovery logs one watchdog recovery; TrainStats.Recoveries counts them.
+func logRecovery(iteration int, reason string, lr float64) {
 	obs.Logger().Warn("rl divergence recovery",
 		"iter", iteration, "reason", reason, "new_lr", lr)
 }

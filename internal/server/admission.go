@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync/atomic"
-
-	"asqprl/internal/obs"
 )
 
 // ErrShed reports that admission control rejected a request outright: every
@@ -45,45 +43,21 @@ func (a *admission) acquire(ctx context.Context) error {
 	select {
 	case a.tickets <- struct{}{}:
 	default:
-		if obs.Enabled() {
-			obs.Default().Counter("server/shed").Inc()
-		}
 		return ErrShed
 	}
 	// Ticket held: wait for an execution slot.
 	select {
 	case a.slots <- struct{}{}:
-		if obs.Enabled() {
-			reg := obs.Default()
-			reg.Counter("server/admitted").Inc()
-			reg.Gauge("server/inflight").Set(float64(len(a.slots)))
-		}
 		return nil
 	default:
 	}
 	a.queued.Add(1)
-	if obs.Enabled() {
-		obs.Default().Gauge("server/queued").Set(float64(a.queued.Load()))
-	}
-	defer func() {
-		a.queued.Add(-1)
-		if obs.Enabled() {
-			obs.Default().Gauge("server/queued").Set(float64(a.queued.Load()))
-		}
-	}()
+	defer a.queued.Add(-1)
 	select {
 	case a.slots <- struct{}{}:
-		if obs.Enabled() {
-			reg := obs.Default()
-			reg.Counter("server/admitted").Inc()
-			reg.Gauge("server/inflight").Set(float64(len(a.slots)))
-		}
 		return nil
 	case <-ctx.Done():
 		<-a.tickets
-		if obs.Enabled() {
-			obs.Default().Counter("server/abandoned").Inc()
-		}
 		return ctx.Err()
 	}
 }
@@ -92,9 +66,6 @@ func (a *admission) acquire(ctx context.Context) error {
 func (a *admission) release() {
 	<-a.slots
 	<-a.tickets
-	if obs.Enabled() {
-		obs.Default().Gauge("server/inflight").Set(float64(len(a.slots)))
-	}
 }
 
 // inFlight returns the number of requests currently holding execution slots.

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"time"
-
-	"asqprl/internal/obs"
 )
 
 // breakerState is the circuit breaker's state machine position.
@@ -84,20 +82,14 @@ func (b *breaker) acquire() (skipFull, probe bool) {
 		if b.now().Before(b.until) {
 			return true, false
 		}
-		b.setState(breakerHalfOpen)
+		b.state = breakerHalfOpen
 		b.probing = true
-		if obs.Enabled() {
-			obs.Default().Counter("server/breaker/probes").Inc()
-		}
 		return false, true
 	default: // half-open
 		if b.probing {
 			return true, false
 		}
 		b.probing = true
-		if obs.Enabled() {
-			obs.Default().Counter("server/breaker/probes").Inc()
-		}
 		return false, true
 	}
 }
@@ -128,10 +120,7 @@ func (b *breaker) record(probe, attempted, failed bool) {
 		}
 	case !failed && b.state == breakerHalfOpen && probe:
 		b.failures = 0
-		b.setState(breakerClosed)
-		if obs.Enabled() {
-			obs.Default().Counter("server/breaker/closed").Inc()
-		}
+		b.state = breakerClosed
 	case !failed && b.state == breakerClosed:
 		b.failures = 0
 	}
@@ -145,18 +134,7 @@ func (b *breaker) open() {
 	jitter := 0.8 + 0.4*b.rng.Float64()
 	b.until = b.now().Add(time.Duration(float64(b.cooldown) * jitter))
 	b.failures = 0
-	b.setState(breakerOpen)
-	if obs.Enabled() {
-		obs.Default().Counter("server/breaker/opened").Inc()
-	}
-}
-
-// setState updates the state and its gauge (0 closed, 1 half-open, 2 open).
-func (b *breaker) setState(s breakerState) {
-	b.state = s
-	if obs.Enabled() {
-		obs.Default().Gauge("server/breaker/state").Set(float64(s))
-	}
+	b.state = breakerOpen
 }
 
 // currentState returns the state for /stats and tests.

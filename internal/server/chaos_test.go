@@ -117,12 +117,13 @@ func TestChaosOverloadWithFaults(t *testing.T) {
 		t.Fatalf("shutdown after chaos: %v", err)
 	}
 
+	// The availability SLO's inputs agree with what the clients saw.
 	snap := obs.Default().Snapshot()
-	if snap.Counters["server/shed"] == 0 {
-		t.Error("server/shed counter = 0 despite observed 503s")
+	if got := snap.Counters[metricRequests]; got != int64(want) {
+		t.Errorf("%s = %d, clients sent %d", metricRequests, got, want)
 	}
-	if snap.Counters["server/admitted"] == 0 {
-		t.Error("server/admitted counter = 0")
+	if got := snap.Counters[metricUnavailable]; got != int64(total.shed) {
+		t.Errorf("%s = %d, clients saw %d 503s", metricUnavailable, got, total.shed)
 	}
 
 	// No goroutine leaks: everything spawned by the server, admission queue,
@@ -142,10 +143,6 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	if pred, _ := sys.Estimator().Estimate(mustParse(t, fullRouteSQL)); pred >= sys.Config().EstimatorThreshold {
 		t.Skip("fixture query unexpectedly routed to the approximation set")
 	}
-
-	obs.SetEnabled(true)
-	defer obs.SetEnabled(false)
-	obs.Default().Reset()
 
 	srv, base := startServer(t, sys, Config{
 		MaxInFlight:     2,
@@ -184,10 +181,9 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	}
 
 	// Phase 2: faults cleared, breaker still open — queries are answered
-	// from the approximation set, tagged Degraded with reason "breaker",
-	// and the full database is not touched.
+	// from the approximation set, tagged Degraded with reason "breaker":
+	// the full database was not touched.
 	faults.Disable()
-	skippedBefore := obs.Default().Counter("core/query/full_skipped").Value()
 	status, resp := postQuery(t, base, fullRouteSQL, 0, 0)
 	if status != http.StatusOK {
 		t.Fatalf("open-breaker query: status %d (%s), want 200 degraded", status, resp.Error)
@@ -195,9 +191,6 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	if !resp.Degraded || resp.DegradedReason != "breaker" || resp.Source != "approximation" {
 		t.Fatalf("open-breaker answer = degraded=%v reason=%q source=%q, want breaker-degraded approximation",
 			resp.Degraded, resp.DegradedReason, resp.Source)
-	}
-	if got := obs.Default().Counter("core/query/full_skipped").Value(); got <= skippedBefore {
-		t.Error("full-database rung was not skipped while the breaker was open")
 	}
 
 	// Phase 3: after the cooldown a half-open probe reaches the healthy full
@@ -218,12 +211,6 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	if status != http.StatusOK || resp.Degraded || resp.Source != "full" {
 		t.Errorf("post-recovery answer = status=%d degraded=%v source=%q, want clean full answer",
 			status, resp.Degraded, resp.Source)
-	}
-	if opened := obs.Default().Counter("server/breaker/opened").Value(); opened == 0 {
-		t.Error("server/breaker/opened counter = 0")
-	}
-	if closed := obs.Default().Counter("server/breaker/closed").Value(); closed == 0 {
-		t.Error("server/breaker/closed counter = 0")
 	}
 
 	if err := srv.Shutdown(context.Background()); err != nil {

@@ -186,9 +186,7 @@ func (s *Server) journalRetrain(ev retrain.Event) {
 	})
 	if err != nil {
 		obs.Logger().Warn("retrain journal append failed", "event", ev.Name, "err", err)
-		if obs.Enabled() {
-			obs.Default().Counter("server/wal_append_errors").Inc()
-		}
+		walAppendErrors.Inc()
 		return
 	}
 	if ev.Persisted && (ev.Name == "swapped" || ev.Name == "rolled_back") {

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"asqprl/internal/faults"
+	"asqprl/internal/obs"
 	"asqprl/internal/retrain"
 	"asqprl/internal/wal"
 )
@@ -198,6 +200,34 @@ func TestRecoveryDriftBounded(t *testing.T) {
 	}
 	if got, want := sys.Drift().Drifted()[0].String(), "SELECT * FROM name WHERE birth_year > 300"; got != want {
 		t.Errorf("oldest restored observation %q, want %q", got, want)
+	}
+}
+
+// TestJournalFailureCountedNotServed: the journal is best-effort beside an
+// answer already computed. With every append failing, queries still answer
+// 200, and server/wal_append_errors — the only place the loss shows — counts
+// one per answer that went unjournalled.
+func TestJournalFailureCountedNotServed(t *testing.T) {
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	wlog, _, err := wal.Open(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wlog.Close()
+	_, base := startServer(t, trainedSystem(t), Config{WAL: wlog})
+	faults.Enable(faults.NewSchedule(1, faults.Injection{Point: faults.PointWALAppend, Kind: faults.KindError}))
+	defer faults.Disable()
+
+	before := walAppendErrors.Value()
+	const n = 3
+	for i := 0; i < n; i++ {
+		if status, resp := postQuery(t, base, approxRouteSQL, 0, 0); status != 200 {
+			t.Fatalf("query %d with the journal failing: HTTP %d (%s)", i, status, resp.Error)
+		}
+	}
+	if got := walAppendErrors.Value() - before; got != n {
+		t.Errorf("server/wal_append_errors advanced by %d over %d unjournalled answers", got, n)
 	}
 }
 

@@ -357,12 +357,8 @@ func New(sys *core.System, cfg Config) *Server {
 func (s *Server) SetSystem(sys *core.System) {
 	s.pubMu.Lock()
 	s.gen++
-	gen := s.gen
-	s.live.Store(&liveSystem{sys: sys, gen: gen})
+	s.live.Store(&liveSystem{sys: sys, gen: s.gen})
 	s.pubMu.Unlock()
-	if obs.Enabled() {
-		obs.Default().Gauge("server/generation").Set(float64(gen))
-	}
 }
 
 // System returns the live system (nil before any SetSystem) and its publish
@@ -434,9 +430,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	start := time.Now()
-	if obs.Enabled() {
-		obs.Default().Counter("server/drains").Inc()
-	}
 	obs.Logger().Info("drain started", "inflight", s.adm.inFlight())
 	// Stop the retraining controller first: it cancels any in-flight
 	// fine-tune, and no new swap can land mid-drain. A candidate already
@@ -457,9 +450,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if err != nil {
 		// Drain deadline hit: cancel in-flight queries and close hard. Each
 		// canceled query still writes a well-formed JSON error response.
-		if obs.Enabled() {
-			obs.Default().Counter("server/drain_timeouts").Inc()
-		}
 		s.baseCancel()
 		grace, cancel2 := context.WithTimeout(context.Background(), time.Second)
 		defer cancel2()
@@ -473,9 +463,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// audits, aborts any in-flight ground-truth execution, and waits for the
 	// pool to exit — SIGTERM leaves no audit goroutines behind.
 	s.aud.Close()
-	if obs.Enabled() {
-		obs.Default().Histogram("server/drain_seconds").ObserveDuration(time.Since(start))
-	}
 	obs.Logger().Info("drain finished", "took", time.Since(start), "err", err)
 	if err == nil {
 		err = s.serveErr
@@ -523,13 +510,38 @@ type QueryResponse struct {
 	Generation int64 `json:"generation,omitempty"`
 }
 
+// The request path's registry names. handleQuery and writeErr keep them; the
+// availability and latency SLOs and /sloz's rung_latency read them by name
+// (slo.go). Whatever else the front door knows — in flight, queued, breaker
+// state, generation — it serves itself, on /stats.
+const (
+	metricRequests       = "server/requests"
+	metricDegraded       = "server/degraded"
+	metricErrors         = "server/errors"
+	metricUnavailable    = "server/unavailable"
+	metricRequestSeconds = "server/request_seconds"
+	metricRungApprox     = "server/rung_seconds/approximation"
+	metricRungFull       = "server/rung_seconds/full"
+)
+
+var (
+	requests          = obs.Default().Counter(metricRequests)
+	degraded          = obs.Default().Counter(metricDegraded)
+	errorsTotal       = obs.Default().Counter(metricErrors)
+	unavailable       = obs.Default().Counter(metricUnavailable)
+	requestSeconds    = obs.Default().Histogram(metricRequestSeconds)
+	rungApproxSeconds = obs.Default().Histogram(metricRungApprox)
+	rungFullSeconds   = obs.Default().Histogram(metricRungFull)
+	// walAppendErrors counts journal appends the server gave up on: the WAL
+	// is best-effort beside an answer already computed.
+	walAppendErrors = obs.Default().Counter("server/wal_append_errors")
+)
+
 // handleQuery runs one query through admission control, breaker routing, and
 // the core degradation ladder. Every exit path writes well-formed JSON.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	if obs.Enabled() {
-		obs.Default().Counter(metricRequests).Inc()
-	}
+	requests.Inc()
 	// Join the caller's trace (W3C traceparent) or start a fresh one. The
 	// root span opens before the drain/readiness checks so shed requests
 	// leave a trace naming the cause, and the response always carries the
@@ -538,8 +550,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if h := r.Header.Get("traceparent"); h != "" {
 		if tid, parent, sampled, perr := obs.ParseTraceparent(h); perr == nil {
 			ctx = obs.ContextWithRemoteTrace(ctx, tid, parent, sampled)
-		} else if obs.Enabled() {
-			obs.Default().Counter("server/traceparent_invalid").Inc()
 		}
 	}
 	ctx, span := obs.StartSpan(ctx, "server/query")
@@ -664,8 +674,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				Confidence: res.Confidence,
 			})
 		}
-		if aerr != nil && obs.Enabled() {
-			obs.Default().Counter("server/wal_append_errors").Inc()
+		if aerr != nil {
+			walAppendErrors.Inc()
 		}
 	}
 	if s.aud != nil {
@@ -687,19 +697,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			span.Event("audit_sampled")
 		}
 	}
-	if obs.Enabled() {
-		reg := obs.Default()
-		if res.Degraded {
-			reg.Counter(metricDegraded).Inc()
-		}
-		elapsed := time.Since(start)
-		reg.Histogram(metricRequestSeconds).ObserveDurationExemplar(elapsed, span.TraceID())
-		// Per-rung latency (const metric names: no per-request allocation).
-		if res.FromApproximation {
-			reg.Histogram(metricRungApprox).ObserveDuration(elapsed)
-		} else {
-			reg.Histogram(metricRungFull).ObserveDuration(elapsed)
-		}
+	if res.Degraded {
+		degraded.Inc()
+	}
+	elapsed := time.Since(start)
+	requestSeconds.ObserveDurationExemplar(elapsed, span.TraceID())
+	if res.FromApproximation {
+		rungApproxSeconds.ObserveDuration(elapsed)
+	} else {
+		rungFullSeconds.ObserveDuration(elapsed)
 	}
 	// The body is complete before the status is written, and the frame (which
 	// borrows the answering generation's rows) is not used past this point.
@@ -927,15 +933,12 @@ func (s *Server) writeErr(w http.ResponseWriter, span *obs.Span, status int, sta
 	}
 	span.MarkError(msg)
 	span.Annotate("http_status", status)
-	if obs.Enabled() {
-		reg := obs.Default()
-		if shed {
-			reg.Counter(metricUnavailable).Inc()
-		} else {
-			reg.Counter(metricErrors).Inc()
-		}
-		reg.Histogram(metricRequestSeconds).ObserveDurationExemplar(time.Since(start), span.TraceID())
+	if shed {
+		unavailable.Inc()
+	} else {
+		errorsTotal.Inc()
 	}
+	requestSeconds.ObserveDurationExemplar(time.Since(start), span.TraceID())
 	resp := &QueryResponse{Error: msg}
 	if span != nil {
 		resp.TraceID = span.TraceID().String()

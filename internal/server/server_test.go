@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"asqprl/internal/engine"
 	"asqprl/internal/faults"
 	"asqprl/internal/obs"
 	"asqprl/internal/retrain"
@@ -398,16 +400,95 @@ func TestObsCountersWired(t *testing.T) {
 	}
 
 	snap := obs.Default().Snapshot()
-	for _, name := range []string{"server/requests", "server/admitted", "server/drains"} {
-		if snap.Counters[name] == 0 {
-			t.Errorf("counter %s = 0, want > 0 (have %v)", name, snap.Counters)
+	if snap.Counters[metricRequests] != 1 {
+		t.Errorf("counter %s = %d, want 1 (have %v)", metricRequests, snap.Counters[metricRequests], snap.Counters)
+	}
+	for _, name := range []string{metricRequestSeconds, metricRungApprox} {
+		if snap.Histograms[name].Count != 1 {
+			t.Errorf("histogram %s holds %d observations, want 1", name, snap.Histograms[name].Count)
 		}
 	}
-	if snap.Histograms["server/request_seconds"].Count == 0 {
-		t.Error("server/request_seconds histogram empty")
+}
+
+// TestRegistryNameSetIsClosed: every registry name is declared by a
+// package-level handle before the first request, and nothing a client sends —
+// forty-odd plan shapes over one to eight FROM entries, a parse error, a
+// row-budget trip, a shed, a breaker-open answer — can mint another. (A name
+// per plan shape was a histogram, and 88 kB of sampler ring, per distinct
+// FROM-list a client cared to send.)
+func TestRegistryNameSetIsClosed(t *testing.T) {
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	sys := trainedSystem(t)
+	srv := New(sys, Config{BreakerTrips: 1, BreakerCooldown: time.Hour, Retries: -1})
+	h := srv.Handler()
+	names := func() [3]int {
+		snap := obs.Default().Snapshot()
+		return [3]int{len(snap.Counters), len(snap.Gauges), len(snap.Histograms)}
 	}
-	if snap.Histograms["server/drain_seconds"].Count == 0 {
-		t.Error("server/drain_seconds histogram empty")
+	before := names()
+
+	post := func(sql string, maxRows int) (int, QueryResponse) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		body := fmt.Sprintf(`{"sql": %q, "max_rows": %d}`, sql, maxRows)
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+		var resp QueryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%s: HTTP %d with a body that is not JSON: %v", sql, rec.Code, err)
+		}
+		return rec.Code, resp
+	}
+
+	shapes := map[string]bool{}
+	for n := 1; n <= 8; n++ {
+		joined, crossed, small := "title t1", "title t1", "t1.id < 3"
+		for i := 2; i <= n; i++ {
+			joined += fmt.Sprintf(" JOIN title t%d ON t%d.id = t%d.id", i, i-1, i)
+			crossed += fmt.Sprintf(", title t%d", i)
+			small += fmt.Sprintf(" AND t%d.id < 3", i)
+		}
+		for _, sql := range []string{
+			"SELECT t1.id FROM " + joined + " WHERE t1.id < 5",
+			fmt.Sprintf("SELECT t1.id FROM %s WHERE t1.id < 5 AND t1.rating + t%d.rating > 0 ORDER BY t1.id", joined, n),
+			"SELECT DISTINCT t1.kind FROM " + joined + " WHERE t1.id < 5 LIMIT 5",
+			"SELECT COUNT(*) FROM " + joined + " WHERE t1.id < 5",
+			"SELECT t1.id FROM " + crossed + " WHERE " + small + " ORDER BY t1.id LIMIT 4",
+		} {
+			if status, resp := post(sql, 0); status != http.StatusOK {
+				t.Fatalf("%s: HTTP %d (%s)", sql, status, resp.Error)
+			}
+			shape, err := engine.PlanShape(sys.DB(), mustParse(t, sql))
+			if err != nil {
+				t.Fatal(err)
+			}
+			shapes[shape] = true
+		}
+	}
+	if len(shapes) < 40 {
+		t.Fatalf("the statements cover %d distinct plan shapes, want at least 40: %v", len(shapes), shapes)
+	}
+
+	if status, _ := post("SELECT FROM WHERE", 0); status != http.StatusBadRequest {
+		t.Errorf("parse error: HTTP %d, want 400", status)
+	}
+	// The row-budget trip on the full database is also the failure that opens
+	// the breaker (BreakerTrips 1), so the request after it is routed around.
+	if _, resp := post(fullRouteSQL, 2); resp.DegradedReason != "rows" {
+		t.Errorf("row-budget trip: degraded_reason %q, want rows", resp.DegradedReason)
+	}
+	if _, resp := post(fullRouteSQL, 0); resp.DegradedReason != "breaker" {
+		t.Errorf("after the trip: degraded_reason %q, want breaker", resp.DegradedReason)
+	}
+	for i := 0; i < cap(srv.adm.tickets); i++ {
+		srv.adm.tickets <- struct{}{}
+	}
+	if status, _ := post(approxRouteSQL, 0); status != http.StatusServiceUnavailable {
+		t.Errorf("with every ticket taken: HTTP %d, want 503", status)
+	}
+
+	if after := names(); after != before {
+		t.Errorf("registry names (counters, gauges, histograms) grew from %v to %v under requests", before, after)
 	}
 }
 

@@ -17,20 +17,6 @@ import (
 	"asqprl/internal/wal"
 )
 
-// Metric names the SLO layer reads. The counters and the request histogram
-// are maintained by handleQuery/writeErr; the quality SLO reads the shadow
-// auditor's audit.MetricRelativeError. Per-rung histograms are const so the
-// hot path pays no string concatenation.
-const (
-	metricRequests       = "server/requests"
-	metricDegraded       = "server/degraded"
-	metricErrors         = "server/errors"
-	metricUnavailable    = "server/unavailable"
-	metricRequestSeconds = "server/request_seconds"
-	metricRungApprox     = "server/rung_seconds/approximation"
-	metricRungFull       = "server/rung_seconds/full"
-)
-
 // sloEnabled reports whether any objective is configured.
 func (c Config) sloEnabled() bool {
 	return c.SLOAvailability > 0 || c.SLOLatencyP99 > 0 || c.SLOQualityP95 > 0
@@ -145,9 +131,6 @@ func (s *Server) initSLO() {
 	s.sloEng.OnTransition(func(tr slo.Transition) {
 		obs.Logger().Warn("slo state change", "slo", tr.SLO.Name,
 			"from", tr.From, "to", tr.To, "budget_consumed", tr.SLO.BudgetConsumed)
-		if obs.Enabled() {
-			obs.Default().Counter("slo/transitions").Inc()
-		}
 		if tr.To != slo.StateFastBurn || s.rec == nil {
 			return
 		}
@@ -185,9 +168,7 @@ func (s *Server) journalDiag(reason, bundle string) {
 	})
 	if err != nil {
 		obs.Logger().Warn("diag journal append failed", "reason", reason, "err", err)
-		if obs.Enabled() {
-			obs.Default().Counter("server/wal_append_errors").Inc()
-		}
+		walAppendErrors.Inc()
 	}
 }
 

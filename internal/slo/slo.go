@@ -151,8 +151,8 @@ type Options struct {
 	// WorstShape, when set, annotates the quality SLO status with the
 	// worst-audited plan shape (from the shadow auditor).
 	WorstShape func() (p95 float64, completed int64, ok bool)
-	// Registry receives per-SLO burn/state gauges on every evaluation so
-	// the SLO series are scrapeable at /metrics?format=prom. Nil disables.
+	// Registry holds the latency and quality SLOs' histograms (Def.Metric),
+	// read for the exemplar trace behind a threshold violation. Nil: none.
 	Registry *obs.Registry
 }
 
@@ -409,14 +409,6 @@ func (e *Engine) Evaluate() []Status {
 		out = append(out, status)
 		if st.state != prev {
 			trans = append(trans, Transition{SLO: status, From: prev, To: st.state})
-		}
-
-		if reg := e.opts.Registry; reg != nil {
-			base := "slo/" + def.Name + "/"
-			reg.Gauge(base + "burn_fast").Set(rawBurn["fast_long"])
-			reg.Gauge(base + "burn_slow").Set(rawBurn["slow_long"])
-			reg.Gauge(base + "budget_consumed").Set(status.BudgetConsumed)
-			reg.Gauge(base + "state").Set(float64(stateLevel(st.state)))
 		}
 	}
 	e.lastEval = now

@@ -245,23 +245,6 @@ func TestExemplarTraceIDSurfaced(t *testing.T) {
 	}
 }
 
-func TestEngineGaugesPublished(t *testing.T) {
-	h := newHarness(t, []Def{availDef()}, nil)
-	h.reg.Counter("req/total").Add(10)
-	h.tick()
-	snap := h.reg.Snapshot()
-	for _, g := range []string{
-		"slo/availability/burn_fast",
-		"slo/availability/burn_slow",
-		"slo/availability/budget_consumed",
-		"slo/availability/state",
-	} {
-		if _, ok := snap.Gauges[g]; !ok {
-			t.Fatalf("gauge %q not published; have %v", g, snap.Gauges)
-		}
-	}
-}
-
 func TestTransitionCallback(t *testing.T) {
 	h := newHarness(t, []Def{latencyDef()}, nil)
 	hist := h.reg.Histogram("req/seconds")

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"asqprl/internal/faults"
+	"asqprl/internal/obs"
 )
 
 // TestCrashMatrix is the durability proof surface: for every kill point at a
@@ -62,6 +63,10 @@ func runCrashCase(t *testing.T, point string, seed int64) {
 	defer faults.Disable()
 
 	l, _ := openT(t, dir, Options{SegmentBytes: 300})
+	prev := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	failedBefore := obs.Default().Counter("wal/append_errors").Value()
 
 	// acked tracks frames acknowledged durable since the last durable
 	// checkpoint — exactly the set recovery must replay.
@@ -95,6 +100,11 @@ func runCrashCase(t *testing.T, point string, seed int64) {
 					if err2 := l.Append(servedRec(1000 + j)); err2 == nil {
 						t.Fatalf("append acknowledged after sticky %s failure", point)
 					}
+				}
+				// …and the failure that made the log read-only is counted
+				// once, not once per refused append.
+				if got := obs.Default().Counter("wal/append_errors").Value() - failedBefore; got != 1 {
+					t.Fatalf("wal/append_errors advanced by %d after a sticky %s failure, want 1", got, point)
 				}
 			}
 		}

@@ -297,14 +297,6 @@ func Open(dir string, opts Options) (*Log, Recovery, error) {
 	go l.syncer()
 
 	rec.Stats.WallMs = float64(time.Since(start).Microseconds()) / 1e3
-	if obs.Enabled() {
-		m := obs.Default()
-		m.Counter("wal/recovery/frames_replayed").Add(int64(rec.Stats.FramesReplayed))
-		m.Counter("wal/recovery/frames_dropped").Add(int64(rec.Stats.FramesDropped))
-		m.Counter("wal/recovery/truncated_bytes").Add(rec.Stats.TruncatedBytes)
-		m.Counter("wal/recovery/stale_segments_removed").Add(int64(rec.Stats.StaleSegmentsRemoved))
-		m.Gauge("wal/segments").Set(float64(len(l.segs)))
-	}
 	if rec.Stats.FramesDropped > 0 || rec.Stats.TruncatedBytes > 0 {
 		obs.Logger().Warn("wal recovery repaired damage",
 			"dir", dir,

@@ -235,6 +235,14 @@ type Stats struct {
 	Failed        string `json:"failed,omitempty"`
 }
 
+// What no page carries: segments retention discarded with their evidence, and
+// the failure that turned a log read-only. Everything else the log counts is
+// on Stats and Recovery.
+var (
+	segmentsPruned = obs.Default().Counter("wal/segments_pruned")
+	appendErrors   = obs.Default().Counter("wal/append_errors")
+)
+
 // segName formats a segment file name; segSeq parses one.
 func segName(seq int) string { return fmt.Sprintf("wal-%08d.seg", seq) }
 
@@ -344,9 +352,6 @@ func (l *Log) write(rec Record) (uint64, error) {
 	l.size += int64(len(frame))
 	l.written++
 	l.appended++
-	if obs.Enabled() {
-		obs.Default().Counter("wal/appends").Inc()
-	}
 	return l.written, nil
 }
 
@@ -364,9 +369,6 @@ func (l *Log) flushAndSyncLocked() error {
 	if err := l.f.Sync(); err != nil {
 		l.failLocked(fmt.Errorf("wal: fsync segment %d: %w", l.seq, err))
 		return l.failed
-	}
-	if obs.Enabled() {
-		obs.Default().Counter("wal/fsyncs").Inc()
 	}
 	return nil
 }
@@ -417,9 +419,6 @@ func (l *Log) syncer() {
 			if target > l.flushed {
 				l.flushed = target
 			}
-			if obs.Enabled() {
-				obs.Default().Counter("wal/fsyncs").Inc()
-			}
 		case l.flushed >= target:
 			// A rotation fsynced-and-closed the file under us; the frames we
 			// were syncing are already durable, so the stale-handle error is
@@ -462,10 +461,6 @@ func (l *Log) rotateLocked() error {
 	if err := l.openSegmentLocked(l.seq + 1); err != nil {
 		return err
 	}
-	if obs.Enabled() {
-		obs.Default().Counter("wal/rotations").Inc()
-		obs.Default().Gauge("wal/segments").Set(float64(len(l.segs)))
-	}
 	// Retention cap: prune the oldest segments beyond MaxSegments. Their
 	// evidence is sacrificed and counted — bounded disk beats unbounded truth.
 	for len(l.segs) > l.opts.MaxSegments {
@@ -474,9 +469,7 @@ func (l *Log) rotateLocked() error {
 			break // leave it for the next rotation; pruning is best-effort
 		}
 		l.segs = l.segs[1:]
-		if obs.Enabled() {
-			obs.Default().Counter("wal/segments_pruned").Inc()
-		}
+		segmentsPruned.Inc()
 	}
 	return nil
 }
@@ -577,10 +570,6 @@ func (l *Log) Checkpoint(gen int64) error {
 	}
 	l.segs = kept
 	l.mu.Unlock()
-	if obs.Enabled() {
-		obs.Default().Counter("wal/checkpoints").Inc()
-		obs.Default().Gauge("wal/segments").Set(float64(len(kept)))
-	}
 	return nil
 }
 
@@ -657,9 +646,7 @@ func (l *Log) Close() error {
 func (l *Log) failLocked(err error) {
 	if l.failed == nil {
 		l.failed = err
-		if obs.Enabled() {
-			obs.Default().Counter("wal/append_errors").Inc()
-		}
+		appendErrors.Inc()
 		obs.Logger().Error("wal failed; log is read-only until restart", "dir", l.dir, "err", err)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"asqprl/internal/obs"
 )
 
 // openT opens a log in dir, failing the test on error.
@@ -289,23 +291,45 @@ func TestNilLogNoOps(t *testing.T) {
 	}
 }
 
-// TestMaxSegmentsPrunes: rotation beyond the retention cap deletes the oldest
-// segments.
+// TestMaxSegmentsPrunes: segment retention is the log's one bounded store.
+// Rotating well past the cap leaves exactly MaxSegments segments, the ones
+// gone are the oldest, and wal/segments_pruned counts each of them.
 func TestMaxSegmentsPrunes(t *testing.T) {
+	prev := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	pruned := obs.Default().Counter("wal/segments_pruned")
+	before := pruned.Value()
+
+	const maxSegs = 3
 	dir := t.TempDir()
-	l, _ := openT(t, dir, Options{SegmentBytes: 128, MaxSegments: 3})
+	l, _ := openT(t, dir, Options{SegmentBytes: 128, MaxSegments: maxSegs})
 	for i := 0; i < 60; i++ {
 		if err := l.Append(servedRec(i)); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
-	if st := l.Stats(); st.Segments > 3 {
-		t.Fatalf("retention cap ignored: %d segments", st.Segments)
+	if st := l.Stats(); st.Segments != maxSegs {
+		t.Fatalf("retention cap ignored: %d segments, want %d", st.Segments, maxSegs)
 	}
 	l.Close()
 	segs, _ := listSegments(dir)
-	if len(segs) > 3 {
-		t.Fatalf("%d segment files on disk, want <= 3", len(segs))
+	if len(segs) != maxSegs {
+		t.Fatalf("%d segment files on disk, want %d", len(segs), maxSegs)
+	}
+	// Segments are numbered from 1 in the order they were opened, so the
+	// newest's number is how many there have been.
+	opened := segs[maxSegs-1]
+	if opened < 3*maxSegs {
+		t.Fatalf("only %d segments were ever opened; the test means to overfill the cap 3x", opened)
+	}
+	for i, seq := range segs {
+		if want := opened - maxSegs + 1 + i; seq != want {
+			t.Fatalf("surviving segments %v are not the newest %d of %d: the oldest was not the one pruned", segs, maxSegs, opened)
+		}
+	}
+	if got, want := pruned.Value()-before, int64(opened-maxSegs); got != want {
+		t.Errorf("wal/segments_pruned advanced by %d, want %d (one per segment over the cap)", got, want)
 	}
 }
 

@@ -173,4 +173,10 @@ rm -f "${serve_bin}" "${snap_file}"
 rm -rf "${wal_dir}"
 trap - EXIT
 
+# Size: the three numbers a CHANGES.md entry reports. Printed, not gated.
+echo "==> size"
+echo "non-test Go lines (internal cmd scripts): $(find internal cmd scripts -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+echo "asqp-serve flags: $(grep -c '^  -' cmd/asqp-serve/testdata/help.golden)"
+echo "metric catalogue rows: $(sed -n '/metric-catalogue:begin/,/metric-catalogue:end/p' DESIGN.md | grep -c '^| `')"
+
 echo "==> all checks passed"
