@@ -2,23 +2,21 @@
 //
 // Usage:
 //
-//	asqp-bench -run fig2            # one experiment at full sizing
-//	asqp-bench -run all -fast      # every experiment at smoke sizing
-//	asqp-bench -list               # list experiment ids
+//	asqp-bench -run fig2                       # one experiment at full sizing
+//	asqp-bench -run all -fast                  # every experiment at smoke sizing
+//	asqp-bench -run all -md EXPERIMENTS.md     # ... and rewrite the tables in the document
+//	asqp-bench -list                           # list experiment ids
 //
 // Experiment ids map to the paper's artifacts; see DESIGN.md for the
-// per-experiment index.
+// per-experiment index. -md replaces what stands between the
+// "<!-- <id>:begin -->" and "<!-- <id>:end -->" markers of each experiment
+// run and touches nothing else in the file.
 //
 // Observability: -debug-addr serves /metrics, /tracez and /debug/pprof while
-// experiments run, and -timing-json writes a machine-readable artifact with
-// per-experiment wall-clock, the metrics registry snapshot (per-phase
-// latency histograms, RL learning curves), and the kept traces' span trees
-// (the most recent 128) — the perf trajectory future optimization PRs diff
-// against.
+// experiments run.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -28,21 +26,6 @@ import (
 	"asqprl/internal/obs"
 )
 
-// timingArtifact is the JSON document written by -timing-json.
-type timingArtifact struct {
-	GeneratedAt time.Time          `json:"generated_at"`
-	Fast        bool               `json:"fast"`
-	Params      experiments.Params `json:"params"`
-	Experiments []experimentTiming `json:"experiments"`
-	Metrics     obs.Snapshot       `json:"metrics"`
-	Spans       []obs.SpanSnapshot `json:"spans"`
-}
-
-type experimentTiming struct {
-	ID      string  `json:"id"`
-	Seconds float64 `json:"seconds"`
-}
-
 func main() {
 	run := flag.String("run", "", "experiment id to run (or 'all')")
 	list := flag.Bool("list", false, "list available experiments")
@@ -51,8 +34,8 @@ func main() {
 	seeds := flag.Int("seeds", 0, "override repetition count")
 	seed := flag.Int64("seed", 0, "override base random seed")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /tracez and /debug/pprof on this address while experiments run")
-	timingJSON := flag.String("timing-json", "", "write a per-phase timing artifact (durations, metrics snapshot, span trees) to this file")
-	parallelism := flag.Int("parallelism", 0, "worker count for workload scoring (0 = one per CPU, <0 = serial; query execution is serial); recorded in -timing-json, results are identical for every setting")
+	md := flag.String("md", "", "rewrite each experiment's tables in this Markdown file, between its <!-- <id>:begin --> and <!-- <id>:end --> markers")
+	parallelism := flag.Int("parallelism", 0, "worker count for workload scoring (0 = one per CPU, <0 = serial; query execution is serial); results are identical for every setting")
 	logLevel := flag.String("log", "", "emit structured logs to stderr at this level (debug, info, warn, error)")
 	expTimeout := flag.Duration("train-timeout", 0, "watchdog: abort with a diagnostic if any single experiment exceeds this wall-clock bound (0 = none)")
 	flag.Parse()
@@ -67,10 +50,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("debug server on http://%s (/metrics, /tracez, /debug/pprof)\n", debug.Addr())
-	}
-	if *debugAddr != "" || *timingJSON != "" {
-		// The artifact and /tracez want every span tree, and metrics with or
-		// without a debug server.
+		// /tracez wants every span tree.
 		obs.ConfigureTracing(obs.TracingConfig{SampleRate: 1})
 	}
 
@@ -112,7 +92,6 @@ func main() {
 		runners = []experiments.Runner{r}
 	}
 
-	var timings []experimentTiming
 	for _, r := range runners {
 		fmt.Printf("# %s — %s\n", r.ID, r.Description)
 		start := time.Now()
@@ -121,13 +100,12 @@ func main() {
 		// named, instead of hanging a CI job until its global kill.
 		var watchdog *time.Timer
 		if *expTimeout > 0 {
-			id := r.ID
 			watchdog = time.AfterFunc(*expTimeout, func() {
-				fmt.Fprintf(os.Stderr, "asqp-bench: experiment %s exceeded -train-timeout %s\n", id, *expTimeout)
+				fmt.Fprintf(os.Stderr, "asqp-bench: experiment %s exceeded -train-timeout %s\n", r.ID, *expTimeout)
 				os.Exit(2)
 			})
 		}
-		tables, err := r.Run(params)
+		res, err := r.Run(params)
 		if watchdog != nil {
 			watchdog.Stop()
 		}
@@ -135,46 +113,16 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", r.ID, err)
 			os.Exit(1)
 		}
-		for _, t := range tables {
+		for _, t := range res.Tables {
 			fmt.Println()
 			t.Render(os.Stdout)
 		}
-		elapsed := time.Since(start)
-		timings = append(timings, experimentTiming{ID: r.ID, Seconds: elapsed.Seconds()})
-		fmt.Printf("\n(%s completed in %s)\n\n", r.ID, elapsed.Round(time.Millisecond))
-	}
-
-	if *timingJSON != "" {
-		if err := writeTimingArtifact(*timingJSON, *fast, params, timings); err != nil {
-			fmt.Fprintln(os.Stderr, "asqp-bench:", err)
-			os.Exit(1)
+		if *md != "" {
+			if err := experiments.WriteMarkdown(*md, r.ID, res.Tables); err != nil {
+				fmt.Fprintln(os.Stderr, "asqp-bench:", err)
+				os.Exit(1)
+			}
 		}
-		fmt.Printf("timing artifact written to %s\n", *timingJSON)
+		fmt.Printf("\n(%s completed in %s)\n\n", r.ID, time.Since(start).Round(time.Millisecond))
 	}
-}
-
-// writeTimingArtifact dumps experiment durations plus the observability
-// state (metrics snapshot, span trees) as indented JSON.
-func writeTimingArtifact(path string, fast bool, params experiments.Params, timings []experimentTiming) error {
-	art := timingArtifact{
-		GeneratedAt: time.Now().UTC(),
-		Fast:        fast,
-		Params:      params,
-		Experiments: timings,
-		Metrics:     obs.Default().Snapshot(),
-	}
-	for _, rec := range obs.KeptTraces() {
-		art.Spans = append(art.Spans, rec.Root)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(art); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -5,6 +5,6 @@
 //
 // The implementation lives under internal/ (see DESIGN.md for the module
 // inventory), the runnable entry points under cmd/ and examples/, and the
-// benchmark harness that regenerates every table and figure of the paper's
-// evaluation in bench_test.go and internal/experiments.
+// harness that regenerates every table and figure of the paper's evaluation
+// in internal/experiments (run by cmd/asqp-bench).
 package asqprl

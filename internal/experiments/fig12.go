@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 
 	"asqprl/internal/core"
@@ -72,16 +71,13 @@ func scaledAggregate(full, approx *table.Database, stmt *sqlparse.Select) (map[s
 // approximation set, scaled), the VAE (gAQP: aggregates over generated
 // tuples, scaled) and the SPN (DeepDB: model-based estimation). Memory is 1%
 // of the data, as in Section 6.4.
-func Fig12Aggregates(p Params) ([]*Table, error) {
-	db := datasetFlights(p)
+func Fig12Aggregates(p Params) (Result, error) {
+	db := loadDataset("FLIGHTS", p, p.Seed).db
 	flights := db.Table("flights")
 	// 1% memory as in Section 6.4, floored at 400 tuples: the paper's 1%
 	// of their FLIGHTS data is thousands of rows, and no sampling-based
 	// method is meaningful from a few dozen tuples.
-	k := flights.NumRows() / 100
-	if k < 400 {
-		k = 400
-	}
+	k := max(400, flights.NumRows()/100)
 	aggW := workload.FlightsAggregates(p.WorkloadSize*2, p.Seed+300)
 	train := aggW[:len(aggW)/2]
 	test := aggW[len(aggW)/2:]
@@ -93,7 +89,7 @@ func Fig12Aggregates(p Params) ([]*Table, error) {
 	cfg.K = k
 	sys, err := core.Train(db, train, cfg)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 
 	// VAE with a 1% generation budget.
@@ -101,81 +97,65 @@ func Fig12Aggregates(p Params) ([]*Table, error) {
 		Epochs: 15, BatchRows: 3000, Seed: p.Seed,
 	})
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 
 	// SPN over the fact table.
 	model, err := spn.Learn(flights, spn.Options{Seed: p.Seed})
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 
-	type agg struct {
-		sum   map[string]float64
-		count map[string]int
+	estimators := []struct {
+		name     string
+		estimate func(*sqlparse.Select) (map[string]float64, error)
+	}{
+		{"ASQP-RL", func(stmt *sqlparse.Select) (map[string]float64, error) { return scaledAggregate(db, sys.SetDB(), stmt) }},
+		{"VAE (gAQP)", func(stmt *sqlparse.Select) (map[string]float64, error) { return scaledAggregate(db, gen, stmt) }},
+		{"SPN (DeepDB)", func(stmt *sqlparse.Select) (map[string]float64, error) { return model.Estimate(stmt) }},
 	}
-	methodErr := map[string]*agg{}
-	for _, m := range []string{"ASQP-RL", "VAE", "SPN"} {
-		methodErr[m] = &agg{sum: map[string]float64{}, count: map[string]int{}}
-	}
-	record := func(method, cat string, e float64) {
-		a := methodErr[method]
-		a.sum[cat] += e
-		a.count[cat]++
-	}
-
+	// Relative errors per operator category and estimator; a query an
+	// estimator cannot answer counts as error 1.
+	errs := map[string][][]float64{}
 	for _, q := range test {
-		grouped := len(q.Stmt.GroupBy) > 0
-		cat := aggCategory(q.Stmt)
 		truthRes, err := engine.ExecuteWith(db, q.Stmt, engine.Options{})
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
-		truth := truthRes.Table.GroupValues(grouped)
+		truth := truthRes.Table.GroupValues(len(q.Stmt.GroupBy) > 0)
 		if len(truth) == 0 {
 			continue
 		}
-
-		// ASQP-RL.
-		if est, err := scaledAggregate(db, sys.SetDB(), q.Stmt); err == nil {
-			record("ASQP-RL", cat, metrics.GroupRelativeError(est, truth))
-		} else {
-			record("ASQP-RL", cat, 1)
+		cat := aggCategory(q.Stmt)
+		if errs[cat] == nil {
+			errs[cat] = make([][]float64, len(estimators))
 		}
-		// VAE.
-		if est, err := scaledAggregate(db, gen, q.Stmt); err == nil {
-			record("VAE", cat, metrics.GroupRelativeError(est, truth))
-		} else {
-			record("VAE", cat, 1)
-		}
-		// SPN.
-		if est, err := model.Estimate(q.Stmt); err == nil {
-			record("SPN", cat, metrics.GroupRelativeError(map[string]float64(est), truth))
-		} else {
-			record("SPN", cat, 1)
+		for i, e := range estimators {
+			relErr := 1.0
+			if est, err := e.estimate(q.Stmt); err == nil {
+				relErr = metrics.GroupRelativeError(est, truth)
+			}
+			errs[cat][i] = append(errs[cat][i], relErr)
 		}
 	}
 
 	t := &Table{
 		Title:  "Figure 12: aggregate relative error by operator (FLIGHTS, 1% memory)",
-		Header: []string{"Operator", "ASQP-RL", "VAE (gAQP)", "SPN (DeepDB)"},
+		Header: []string{"Operator"},
+	}
+	for _, e := range estimators {
+		t.Header = append(t.Header, e.name)
 	}
 	for _, cat := range []string{"G+SUM", "SUM", "G+AVG", "AVG", "G+CNT", "CNT"} {
-		row := []string{cat}
-		for _, m := range []string{"ASQP-RL", "VAE", "SPN"} {
-			a := methodErr[m]
-			if a.count[cat] == 0 {
-				row = append(row, "-")
-				continue
+		row := []Cell{Text(cat)}
+		for i := range estimators {
+			if errs[cat] == nil {
+				row = append(row, Text("-"))
+			} else {
+				row = append(row, Score{errs[cat][i]})
 			}
-			row = append(row, fmt.Sprintf("%.3f", a.sum[cat]/float64(a.count[cat])))
 		}
 		t.AddRow(row...)
 	}
-	return []*Table{t}, nil
-}
-
-// datasetFlights builds the FLIGHTS database at the params scale.
-func datasetFlights(p Params) *table.Database {
-	return loadDataset("FLIGHTS", p, p.Seed).db
+	return Result{Tables: []*Table{t}}, nil
 }

@@ -13,39 +13,24 @@ import (
 // showing how the cumulative average time of answering exploratory queries
 // directly on the database grows with database size. The IMDB database is
 // blown up by increasing factors and the workload replayed against each.
-func Fig4ProblemJustification(p Params) ([]*Table, error) {
+func Fig4ProblemJustification(p Params) (Result, error) {
 	base := datagen.IMDB(p.Scale, p.Seed)
-	w := workload.IMDB(p.WorkloadSize, p.Seed+100)
-	if len(w) > 10 {
-		w = w[:10]
-		w.Normalize()
-	}
-	factors := []int{1, 2, 4, 8}
-
+	w := workload.IMDB(min(10, p.WorkloadSize), p.Seed+100)
 	t := &Table{
 		Title:  "Figure 4: cumulative average direct-query time vs database size",
 		Header: []string{"BlowupFactor", "Rows", "Queries", "CumAvgPerQuery"},
 	}
-	for _, f := range factors {
+	for _, f := range []int{1, 2, 4, 8} {
 		db := datagen.Blowup(base, f)
-		var cum time.Duration
-		for qi, q := range w {
+		var times Durations
+		for _, q := range w {
 			start := time.Now()
 			if _, err := engine.ExecuteWith(db, q.Stmt, engine.Options{MaxIntermediateRows: 20_000_000}); err != nil {
-				return nil, fmt.Errorf("fig4: query %q at factor %d: %w", q.SQL, f, err)
+				return Result{}, fmt.Errorf("fig4: query %q at factor %d: %w", q.SQL, f, err)
 			}
-			cum += time.Since(start)
-			// Emit the running average at a few checkpoints to trace the
-			// figure's accumulation curve.
-			if qi == len(w)-1 {
-				t.AddRow(
-					fmt.Sprintf("x%d", f),
-					fmt.Sprintf("%d", db.TotalRows()),
-					fmt.Sprintf("%d", qi+1),
-					fmtDur(cum/time.Duration(qi+1)),
-				)
-			}
+			times = append(times, time.Since(start))
 		}
+		t.AddRow(Text(fmt.Sprintf("x%d", f)), Count(db.TotalRows()), Count(len(w)), times)
 	}
-	return []*Table{t}, nil
+	return Result{Tables: []*Table{t}}, nil
 }

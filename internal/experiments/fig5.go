@@ -7,6 +7,7 @@ import (
 	"asqprl/internal/core"
 	"asqprl/internal/engine"
 	"asqprl/internal/metrics"
+	"asqprl/internal/workload"
 )
 
 // Fig5Estimator regenerates Figure 5 and the "Answers Estimation Quality"
@@ -14,33 +15,34 @@ import (
 // recall on held-out queries as the training fraction shrinks, plus the
 // full-system variants that fall back to the database below prediction
 // thresholds 0.6 and 0.8, reporting the resulting score and per-query time.
-func Fig5Estimator(p Params) ([]*Table, error) {
+func Fig5Estimator(p Params) (Result, error) {
 	t := &Table{
 		Title:  "Figure 5: answerability estimator quality vs training fraction (IMDB)",
 		Header: []string{"TrainFraction", "Precision", "Recall"},
 	}
-	fractions := []float64{1.0, 0.75, 0.5}
 	ds := loadDataset("IMDB", p, p.Seed)
 	// The estimator's job is separating answerable from unanswerable
 	// queries; evaluate it over a mix that contains both populations —
 	// familiar (train) and unseen (test) queries.
-	evalSet := append(workloadCopy(ds.train), ds.test...)
-	evalSet.Normalize()
+	evalSet := workload.Merge(ds.train, ds.test)
 
 	var fullSys *core.System
-	for _, frac := range fractions {
+	for _, frac := range []float64{1.0, 0.75, 0.5} {
 		cfg := p.asqpConfig(p.Seed)
 		cfg.TrainFraction = frac
 		sys, err := core.Train(ds.db, ds.train, cfg)
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
 		if frac == 1.0 {
 			fullSys = sys
 		}
 		// Ground truth: actual per-query score on the approximation set,
 		// thresholded at 0.5 as in the paper.
-		actualScores, _ := metrics.PerQueryScoresWith(ds.db, sys.SetDB(), evalSet, p.F, ds.scoreOpts(p))
+		actualScores, err := metrics.PerQueryScoresWith(ds.db, sys.SetDB(), evalSet, p.F, ds.scoreOpts(p))
+		if err != nil {
+			return Result{}, err
+		}
 		actual := make([]bool, len(evalSet))
 		predicted := make([]bool, len(evalSet))
 		for i, q := range evalSet {
@@ -49,47 +51,40 @@ func Fig5Estimator(p Params) ([]*Table, error) {
 			predicted[i] = pred >= 0.5
 		}
 		precision, recall := metrics.PrecisionRecall(predicted, actual)
-		t.AddRow(fmt.Sprintf("%.0f%%", frac*100), fmt.Sprintf("%.2f", precision), fmt.Sprintf("%.2f", recall))
+		t.AddRow(Text(fmt.Sprintf("%.0f%%", frac*100)), Value(precision), Value(recall))
 	}
 
-	// Full-system fallback variants.
+	// Full-system fallback variants: a query predicted below the threshold
+	// is answered exactly by the database, the rest by the set.
 	t2 := &Table{
 		Title:  "Section 6.2: full system with database fallback below prediction threshold (IMDB)",
 		Header: []string{"FallbackThreshold", "Score", "QueryAvg"},
 	}
+	onSet, err := metrics.PerQueryScoresWith(ds.db, fullSys.SetDB(), ds.test, p.F, ds.scoreOpts(p))
+	if err != nil {
+		return Result{}, err
+	}
 	for _, thr := range []float64{0.0, 0.6, 0.8} {
-		var total float64
-		var elapsed time.Duration
+		scores := make([]float64, len(ds.test))
+		var times Durations
 		for i, q := range ds.test {
 			pred, _ := fullSys.Estimator().Estimate(q.Stmt)
+			target, score := fullSys.SetDB(), onSet[i]
+			if pred < thr {
+				target, score = ds.db, 1
+			}
 			start := time.Now()
-			target := fullSys.SetDB()
-			if pred < thr {
-				target = ds.db
+			if _, err := engine.ExecuteWith(target, q.Stmt, engine.Options{}); err != nil {
+				return Result{}, err
 			}
-			res, err := engine.ExecuteWith(target, q.Stmt, engine.Options{})
-			if err != nil {
-				return nil, err
-			}
-			elapsed += time.Since(start)
-			if pred < thr {
-				// Exact answer.
-				total += 1
-			} else {
-				scores, _ := metrics.PerQueryScoresWith(ds.db, fullSys.SetDB(), ds.test.Subset([]int{i}), p.F, ds.scoreOpts(p))
-				if len(scores) > 0 {
-					total += scores[0]
-				}
-			}
-			_ = res
+			times = append(times, time.Since(start))
+			scores[i] = score
 		}
 		label := "none"
 		if thr > 0 {
 			label = fmt.Sprintf("%.1f", thr)
 		}
-		t2.AddRow(label,
-			fmt.Sprintf("%.3f", total/float64(len(ds.test))),
-			fmtDur(elapsed/time.Duration(len(ds.test))))
+		t2.AddRow(Text(label), Score{scores}, times)
 	}
-	return []*Table{t, t2}, nil
+	return Result{Tables: []*Table{t, t2}}, nil
 }

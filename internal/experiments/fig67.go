@@ -8,6 +8,7 @@ import (
 	"asqprl/internal/cluster"
 	"asqprl/internal/core"
 	"asqprl/internal/embed"
+	"asqprl/internal/metrics"
 	"asqprl/internal/workload"
 )
 
@@ -17,83 +18,63 @@ import (
 // interest, the system fine-tunes, and the quality on the user's interest is
 // measured. RAN and QRD — which can run without a workload — are the static
 // comparison lines.
-func Fig6NoWorkload(p Params) ([]*Table, error) {
+func Fig6NoWorkload(p Params) (Result, error) {
 	ds := loadDataset("FLIGHTS", p, p.Seed)
 	// Hidden user interest: a narrow topic (heavily delayed long-haul
 	// flights) the statistics-driven bootstrap cannot anticipate. The user
 	// reveals interest queries five at a time; quality is measured on the
 	// whole interest.
 	interest := delayedFlightsInterest(p.Seed)
-	userQueries := interest
 
 	// Bootstrap from generated queries only.
 	genW, err := core.GenerateWorkload(ds.db, core.GenOptions{N: p.WorkloadSize, Seed: p.Seed})
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
-	cfg := p.asqpConfig(p.Seed)
-	sys, err := core.Train(ds.db, genW, cfg)
+	sys, err := core.Train(ds.db, genW, p.asqpConfig(p.Seed))
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 
-	// Static baselines.
-	opts := baselines.Options{F: p.F, Seed: p.Seed, TimeBudget: p.BaselineBudget}
-	ranSub, err := (baselines.Random{}).Build(ds.db, nil, p.K, opts)
-	if err != nil {
-		return nil, err
+	// The static lines: RAN and QRD need no workload.
+	var static []Cell
+	for _, b := range []baselines.Builder{baselines.Random{}, baselines.QRD{}} {
+		sub, err := b.Build(ds.db, nil, p.K, baselines.Options{F: p.F, Seed: p.Seed, TimeBudget: p.BaselineBudget})
+		if err != nil {
+			return Result{}, err
+		}
+		score, err := metrics.ScoreWith(ds.db, sub.Materialize(ds.db), interest, p.F, ds.scoreOpts(p))
+		if err != nil {
+			return Result{}, err
+		}
+		static = append(static, Value(score))
 	}
-	ranScore, _ := ds.score(ranSub.Materialize(ds.db), interest, p.F, p)
-	qrdSub, err := (baselines.QRD{}).Build(ds.db, nil, p.K, opts)
-	if err != nil {
-		return nil, err
-	}
-	qrdScore, _ := ds.score(qrdSub.Materialize(ds.db), interest, p.F, p)
 
 	t := &Table{
 		Title:  "Figure 6: unknown workload on FLIGHTS — quality per refinement iteration",
 		Header: []string{"Iteration", "UserQueriesSeen", "ASQP-RL", "RAN", "QRD"},
 	}
-	record := func(iter, seen int) error {
+	const perStep = 5
+	for iter := 0; iter*perStep <= len(interest); iter++ {
+		seen := iter * perStep
+		if iter > 0 {
+			// The user's next five queries, with as many generated ones
+			// aligned alongside (Section 4.5); fine-tune on both.
+			aligned, err := core.GenerateWorkload(ds.db, core.GenOptions{N: perStep, Seed: p.Seed + int64(iter)})
+			if err != nil {
+				return Result{}, err
+			}
+			if err := sys.FineTune(workload.Merge(interest[seen-perStep:seen], aligned), p.Episodes/3); err != nil {
+				return Result{}, err
+			}
+		}
 		score, err := sys.ScoreOn(interest)
 		if err != nil {
-			return err
+			return Result{}, err
 		}
-		t.AddRow(fmt.Sprintf("%d", iter), fmt.Sprintf("%d", seen),
-			fmt.Sprintf("%.3f", score), fmt.Sprintf("%.3f", ranScore), fmt.Sprintf("%.3f", qrdScore))
-		return nil
+		t.AddRow(Count(iter), Count(seen), Value(score), static[0], static[1])
 	}
-	if err := record(0, 0); err != nil {
-		return nil, err
-	}
-
-	perStep := 5
-	iter := 0
-	for start := 0; start < len(userQueries); start += perStep {
-		iter++
-		end := start + perStep
-		if end > len(userQueries) {
-			end = len(userQueries)
-		}
-		step := userQueries[start:end]
-		// Generate additional aligned queries alongside the user's
-		// (Section 4.5) and fine-tune.
-		aligned, err := core.GenerateWorkload(ds.db, core.GenOptions{N: perStep, Seed: p.Seed + int64(iter)})
-		if err != nil {
-			return nil, err
-		}
-		ft := workload.Merge(workload.Workload(step), aligned)
-		if err := sys.FineTune(ft, p.Episodes/3); err != nil {
-			return nil, err
-		}
-		if err := record(iter, end); err != nil {
-			return nil, err
-		}
-		if iter >= 4 {
-			break
-		}
-	}
-	return []*Table{t}, nil
+	return Result{Tables: []*Table{t}}, nil
 }
 
 // delayedFlightsInterest generates the narrow "delayed long-haul" user
@@ -130,7 +111,7 @@ func delayedFlightsInterest(seed int64) workload.Workload {
 // interest clusters over query embeddings; the system trains on the first,
 // then each new cluster arrives as drifted user queries and fine-tuning is
 // triggered, with quality on the active cluster measured before and after.
-func Fig7Drift(p Params) ([]*Table, error) {
+func Fig7Drift(p Params) (Result, error) {
 	ds := loadDataset("IMDB", p, p.Seed)
 	all := workload.Merge(ds.train, ds.test)
 
@@ -149,7 +130,7 @@ func Fig7Drift(p Params) ([]*Table, error) {
 	}
 	for i := range clusters {
 		if len(clusters[i]) == 0 {
-			return nil, fmt.Errorf("fig7: cluster %d empty; increase workload size", i)
+			return Result{}, fmt.Errorf("fig7: cluster %d empty; increase workload size", i)
 		}
 		clusters[i].Normalize()
 	}
@@ -165,22 +146,27 @@ func Fig7Drift(p Params) ([]*Table, error) {
 		splits[i] = split{tr, te}
 	}
 
-	cfg := p.asqpConfig(p.Seed)
-	sys, err := core.Train(ds.db, splits[0].train, cfg)
+	sys, err := core.Train(ds.db, splits[0].train, p.asqpConfig(p.Seed))
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 
 	t := &Table{
 		Title:  "Figure 7: interest drift and fine-tuning (IMDB, 3 workload clusters)",
 		Header: []string{"Phase", "ActiveCluster", "ScoreBeforeFineTune", "ScoreAfterFineTune"},
 	}
-	s0, _ := sys.ScoreOn(splits[0].test)
-	t.AddRow("0", "1", fmt.Sprintf("%.3f", s0), "-")
+	s0, err := sys.ScoreOn(splits[0].test)
+	if err != nil {
+		return Result{}, err
+	}
+	t.AddRow(Count(0), Count(1), Value(s0), Text("-"))
 
 	for phase := 1; phase <= 2; phase++ {
 		sp := splits[phase]
-		before, _ := sys.ScoreOn(sp.test)
+		before, err := sys.ScoreOn(sp.test)
+		if err != nil {
+			return Result{}, err
+		}
 		// Fine-tuning is "tailored to the specific characteristics" of the
 		// drifted queries (Section 4.4): they receive double weight in the
 		// merged workload, and a full training budget re-aligns the policy.
@@ -189,11 +175,13 @@ func Fig7Drift(p Params) ([]*Table, error) {
 			boosted[i].Weight *= 2
 		}
 		if err := sys.FineTune(boosted, p.Episodes); err != nil {
-			return nil, err
+			return Result{}, err
 		}
-		after, _ := sys.ScoreOn(sp.test)
-		t.AddRow(fmt.Sprintf("%d", phase), fmt.Sprintf("%d", phase+1),
-			fmt.Sprintf("%.3f", before), fmt.Sprintf("%.3f", after))
+		after, err := sys.ScoreOn(sp.test)
+		if err != nil {
+			return Result{}, err
+		}
+		t.AddRow(Count(phase), Count(phase+1), Value(before), Value(after))
 	}
-	return []*Table{t}, nil
+	return Result{Tables: []*Table{t}}, nil
 }

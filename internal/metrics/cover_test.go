@@ -243,7 +243,7 @@ func TestTrackerProperties(t *testing.T) {
 
 // TestBruteForceOptimumBounds enumerates every set of up to six rows of the
 // tiny fixture and holds the best score per size over everything that builds a
-// set: random sampling, GRE+, and the trained learner. Equation 1 is monotone,
+// set: every baseline and the trained learner. Equation 1 is monotone,
 // so a builder that returns fewer rows than it may is bounded all the same.
 func TestBruteForceOptimumBounds(t *testing.T) {
 	const maxSize, k = 6, 4
@@ -298,8 +298,10 @@ func TestBruteForceOptimumBounds(t *testing.T) {
 		}
 		t.Logf("%s: %.4f with %d rows (optimum %.4f)", name, got, s.Size(), best[s.Size()])
 	}
-	opts := baselines.Options{F: tinyFrame, Seed: 1, TimeBudget: time.Minute}
-	for _, b := range []baselines.Builder{baselines.Random{}, baselines.Greedy{}} {
+	// BRT and GRE search until their budget runs out; everything else finishes
+	// on this fixture in well under it.
+	opts := baselines.Options{F: tinyFrame, Seed: 1, TimeBudget: 200 * time.Millisecond}
+	for _, b := range baselines.All() {
 		s, err := b.Build(db, w, k, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -318,16 +319,19 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
+// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs, interpolating linearly
+// between the two nearest order statistics (0 for empty input).
+func Quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
 		return 0
 	}
-	m := Mean(xs)
-	var v float64
-	for _, x := range xs {
-		d := x - m
-		v += d * d
+	sorted := slices.Clone(xs)
+	slices.Sort(sorted)
+	pos := q * float64(len(sorted)-1)
+	lo := int(pos)
+	if lo >= len(sorted)-1 {
+		return sorted[len(sorted)-1]
 	}
-	return math.Sqrt(v / float64(len(xs)))
+	frac := pos - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }

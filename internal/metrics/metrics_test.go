@@ -349,18 +349,24 @@ func TestPrecisionRecall(t *testing.T) {
 	}
 }
 
-func TestMeanStdDev(t *testing.T) {
+func TestMeanQuantile(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Error("empty mean")
 	}
 	if Mean([]float64{1, 2, 3}) != 2 {
 		t.Error("mean")
 	}
-	if StdDev([]float64{5}) != 0 {
-		t.Error("single stddev")
+	if Quantile(nil, 0.5) != 0 {
+		t.Error("empty quantile")
 	}
-	if got := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}); math.Abs(got-2) > 1e-9 {
-		t.Errorf("stddev = %v, want 2", got)
+	xs := []float64{9, 1, 5, 3, 7} // unsorted on purpose; must not be reordered
+	for _, c := range []struct{ q, want float64 }{{0, 1}, {0.5, 5}, {1, 9}, {0.25, 3}, {0.125, 2}} {
+		if got := Quantile(xs, c.q); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+		}
+	}
+	if xs[0] != 9 {
+		t.Error("Quantile sorted its argument in place")
 	}
 }
 

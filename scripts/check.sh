@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # check.sh — the full local gate: vet, build, race tests, fuzz smoke, the
-# frozen bench module, one run of every micro-benchmark, three process smokes.
+# frozen bench module, one run of every micro-benchmark, the EXPERIMENTS.md
+# writer and three process smokes.
 # It measures nothing: performance is judged by bench/ (bench/README.md),
 # paired runs against the parent commit.
 #
@@ -67,6 +68,24 @@ echo "==> bench module: go vet + go test"
 # nothing (ROADMAP aim 1).
 echo "==> go test -run='^\$' -bench=. -benchtime=1x ./...  (compile-and-run smoke)"
 go test -run='^$' -bench=. -benchtime=1x ./...
+
+# Document writer smoke: asqp-bench -md rewrites a copy of EXPERIMENTS.md at
+# smoke sizing. Every experiment's markers must be there, and with the marked
+# regions cut out the copy must still be the original: the writer touches
+# nothing it does not own. The --stat line shows the size of the rewrite.
+echo "==> asqp-bench -md smoke: rewrite a copy of EXPERIMENTS.md"
+md_copy="$(mktemp -t experiments.XXXXXX)"
+trap 'rm -f "${md_copy}"' EXIT
+cp EXPERIMENTS.md "${md_copy}"
+go run ./cmd/asqp-bench -run all -fast -md "${md_copy}" >/dev/null
+outside_markers() { sed '/^<!-- [a-z0-9-]*:begin -->$/,/^<!-- [a-z0-9-]*:end -->$/d' "$1"; }
+if [ "$(outside_markers EXPERIMENTS.md)" != "$(outside_markers "${md_copy}")" ]; then
+	echo "asqp-bench -md changed text outside its markers" >&2
+	exit 1
+fi
+git diff --no-index --stat EXPERIMENTS.md "${md_copy}" || true
+rm -f "${md_copy}"
+trap - EXIT
 
 # Loadgen smoke: boot a real asqp-serve process on a tiny dataset and point
 # asqp-loadgen at it. Fails if any
@@ -173,10 +192,12 @@ rm -f "${serve_bin}" "${snap_file}"
 rm -rf "${wal_dir}"
 trap - EXIT
 
-# Size: the three numbers a CHANGES.md entry reports. Printed, not gated.
+# Size: the numbers a CHANGES.md entry reports. Printed, not gated. The
+# repository is Go only: the last line is expected to read 0.
 echo "==> size"
 echo "non-test Go lines (internal cmd scripts): $(find internal cmd scripts -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 echo "asqp-serve flags: $(grep -c '^  -' cmd/asqp-serve/testdata/help.golden)"
 echo "metric catalogue rows: $(sed -n '/metric-catalogue:begin/,/metric-catalogue:end/p' DESIGN.md | grep -c '^| `')"
+echo "python files: $(git ls-files '*.py' | wc -l)"
 
 echo "==> all checks passed"
