@@ -190,9 +190,6 @@ func New(target TargetFunc, gate GateFunc, cfg Config) *Auditor {
 	return a
 }
 
-// Enabled reports whether the auditor is sampling (false for nil).
-func (a *Auditor) Enabled() bool { return a != nil }
-
 // Consider offers one served answer for shadow auditing. Only
 // approximation-served or degraded answers are eligible — a full-database
 // non-degraded answer is exact by construction. Eligible answers are sampled

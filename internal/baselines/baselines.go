@@ -13,7 +13,6 @@
 package baselines
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -62,16 +61,6 @@ func All() []Builder {
 		Caching{}, Random{}, QuickR{}, Verdict{}, Skyline{},
 		BruteForce{}, QRD{}, TopQueried{}, GreedyExec{}, Greedy{},
 	}
-}
-
-// ByName returns the baseline with the given name, or an error.
-func ByName(name string) (Builder, error) {
-	for _, b := range All() {
-		if b.Name() == name {
-			return b, nil
-		}
-	}
-	return nil, fmt.Errorf("baselines: unknown baseline %q", name)
 }
 
 // tableSpans indexes the database rows as one flat range per table, used by

@@ -1,10 +1,12 @@
 package baselines
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"asqprl/internal/datagen"
+	"asqprl/internal/faults"
 	"asqprl/internal/metrics"
 	"asqprl/internal/table"
 	"asqprl/internal/workload"
@@ -93,6 +95,23 @@ func TestGreedyRespectsTimeBudget(t *testing.T) {
 		t.Errorf("greedy with 1ms budget took %v", elapsed)
 	}
 	_ = s // a tiny budget may legitimately give a tiny subset
+}
+
+// TestGreedyExecPropagatesScoringErrors: GRE re-evaluates the metric per
+// candidate; a failed evaluation is an error, not a score of zero. One fault
+// after n clean scans, for n from the first evaluation (the empty set) well
+// into the candidate loop.
+func TestGreedyExecPropagatesScoringErrors(t *testing.T) {
+	db := testDB()
+	w := workload.MustNew("SELECT * FROM title WHERE rating > 7")
+	defer faults.Disable()
+	for _, after := range []int{0, 1, 2, 3, 6} {
+		faults.Enable(faults.NewSchedule(1, faults.Injection{
+			Point: faults.PointEngineScan, Kind: faults.KindError, After: after, MaxFires: 1}))
+		if _, err := (GreedyExec{}).Build(db, w, 2, opts()); !errors.Is(err, faults.ErrInjected) {
+			t.Errorf("fault after %d scans: err = %v, want the injected fault", after, err)
+		}
+	}
 }
 
 func TestBruteForceImprovesWithTime(t *testing.T) {
@@ -213,15 +232,20 @@ func TestCachingKeepsRecentQueries(t *testing.T) {
 	}
 }
 
+// TestByName: All holds each of the paper's ten baselines once, by the name
+// the tables print.
 func TestByName(t *testing.T) {
+	seen := map[string]int{}
+	for _, b := range All() {
+		seen[b.Name()]++
+	}
 	for _, name := range []string{"RAN", "BRT", "GRE", "GRE+", "TOP", "CACH", "QRD", "SKY", "VERD", "QUIK"} {
-		b, err := ByName(name)
-		if err != nil || b.Name() != name {
-			t.Errorf("ByName(%s) = %v, %v", name, b, err)
+		if seen[name] != 1 {
+			t.Errorf("All() holds %d baselines named %s, want 1", seen[name], name)
 		}
 	}
-	if _, err := ByName("NOPE"); err == nil {
-		t.Error("unknown name should error")
+	if len(seen) != 10 {
+		t.Errorf("All() holds %d names, want 10: %v", len(seen), seen)
 	}
 }
 

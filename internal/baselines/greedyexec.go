@@ -48,9 +48,10 @@ func (GreedyExec) Build(db *table.Database, train workload.Workload, k int, opts
 	// candidates until the deadline.
 	order := rng.Perm(total)
 
-	// A query that fails scores zero on every subset and so moves no gain:
-	// the joined error ScoreWith returns beside the score is dropped.
-	base, _ := metrics.ScoreWith(db, s.Materialize(db), spj, opts.F, scoring)
+	base, err := metrics.ScoreWith(db, s.Materialize(db), spj, opts.F, scoring)
+	if err != nil {
+		return nil, err
+	}
 	for s.Size() < k && time.Now().Before(deadline) {
 		bestRow := table.RowID{Row: -1}
 		bestGain := 0.0
@@ -64,7 +65,10 @@ func (GreedyExec) Build(db *table.Database, train workload.Workload, k int, opts
 			}
 			trial := s.Clone()
 			trial.Add(id)
-			score, _ := metrics.ScoreWith(db, trial.Materialize(db), spj, opts.F, scoring)
+			score, err := metrics.ScoreWith(db, trial.Materialize(db), spj, opts.F, scoring)
+			if err != nil {
+				return nil, err
+			}
 			gain := score - base
 			if gain > bestGain {
 				bestGain = gain

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"asqprl/internal/engine"
 	"asqprl/internal/sqlparse"
@@ -117,18 +116,4 @@ func (s *System) ExactAggregate(stmt *sqlparse.Select) (map[string]float64, erro
 		return nil, err
 	}
 	return res.Table.GroupValues(len(stmt.GroupBy) > 0), nil
-}
-
-// AggregateCategory buckets an aggregate query the way Figure 12 does:
-// "G+SUM", "SUM", "G+AVG", "AVG", "G+CNT", "CNT".
-func AggregateCategory(stmt *sqlparse.Select) string {
-	call := firstAggregateCall(stmt)
-	if call == nil {
-		return ""
-	}
-	short := map[string]string{"COUNT": "CNT", "SUM": "SUM", "AVG": "AVG", "MIN": "MIN", "MAX": "MAX"}[strings.ToUpper(call.Name)]
-	if len(stmt.GroupBy) > 0 {
-		return "G+" + short
-	}
-	return short
 }

@@ -89,18 +89,3 @@ func TestQueryAggregateErrors(t *testing.T) {
 		t.Error("bad SQL should error")
 	}
 }
-
-func TestAggregateCategory(t *testing.T) {
-	cases := map[string]string{
-		"SELECT COUNT(*) FROM flights":                             "CNT",
-		"SELECT carrier, COUNT(*) FROM flights GROUP BY carrier":   "G+CNT",
-		"SELECT SUM(distance) FROM flights":                        "SUM",
-		"SELECT month, AVG(dep_delay) FROM flights GROUP BY month": "G+AVG",
-		"SELECT carrier FROM flights":                              "",
-	}
-	for sql, want := range cases {
-		if got := AggregateCategory(sqlparse.MustParse(sql)); got != want {
-			t.Errorf("%s: category %q, want %q", sql, got, want)
-		}
-	}
-}

@@ -212,6 +212,30 @@ func TestQueryPanicRecovered(t *testing.T) {
 	}
 }
 
+// TestFitEstimatorErrorPropagates: a training statement that cannot be scored
+// on the new set fails BuildSet; the estimator is never fitted on zeros that
+// stand for "failed".
+func TestFitEstimatorErrorPropagates(t *testing.T) {
+	sys, err := trainedSystem(t).Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Unarmed: preprocesses the clone and fills the reference cache, so the
+	// armed call below reaches the engine only to count on the set.
+	if _, err := sys.BuildSet(0); err != nil {
+		t.Fatal(err)
+	}
+	est := sys.Estimator()
+	faults.Enable(faults.NewSchedule(1, faults.Injection{Point: faults.PointEngineScan, Kind: faults.KindError}))
+	defer faults.Disable()
+	if _, err := sys.BuildSet(0); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("BuildSet with every scan failing: err = %v, want the injected fault", err)
+	}
+	if sys.Estimator() != est {
+		t.Error("a failed fit replaced the estimator")
+	}
+}
+
 // TestTrainRecoversFromInjectedNaN arms the rl/update corruption point so one
 // PPO update poisons the actor with NaN, and asserts the divergence watchdog
 // rolled back (visible in TrainStats.History), halved the learning rate, and
@@ -251,7 +275,7 @@ func TestTrainRecoversFromInjectedNaN(t *testing.T) {
 	if !found {
 		t.Fatal("no History entry marked Recovered")
 	}
-	if lr := sys.agent.LR(); lr >= cfg.RL.LR && cfg.RL.LR > 0 {
+	if lr := stats.History[len(stats.History)-1].LR; lr >= cfg.RL.LR && cfg.RL.LR > 0 {
 		t.Errorf("learning rate %v not reduced from %v after recovery", lr, cfg.RL.LR)
 	}
 

@@ -19,17 +19,15 @@ type Estimator struct {
 	vecs      [][]float64 // training-query embeddings
 	scores    []float64   // achieved per-query scores on the built set
 	neighbors int
-	threshold float64
 }
 
 // NewEstimator builds an estimator from the training queries and their
 // measured per-query scores over the approximation set.
-func NewEstimator(emb embed.Embedder, stmts []*sqlparse.Select, scores []float64, neighbors int, threshold float64) *Estimator {
+func NewEstimator(emb embed.Embedder, stmts []*sqlparse.Select, scores []float64, neighbors int) *Estimator {
 	e := &Estimator{
 		emb:       emb,
 		scores:    append([]float64(nil), scores...),
 		neighbors: neighbors,
-		threshold: threshold,
 	}
 	for _, s := range stmts {
 		e.vecs = append(e.vecs, emb.Query(s))
@@ -104,15 +102,6 @@ func attenuation(conf float64) float64 {
 	}
 }
 
-// Answerable reports whether the predicted score clears the threshold.
-func (e *Estimator) Answerable(stmt *sqlparse.Select) bool {
-	pred, _ := e.Estimate(stmt)
-	return pred >= e.threshold
-}
-
-// Threshold returns the answerability threshold.
-func (e *Estimator) Threshold() float64 { return e.threshold }
-
 // DriftDetector accumulates queries that deviate from the training workload
 // and signals when fine-tuning should run (Section 4.4): after Count queries
 // whose deviation confidence exceeds Confidence. It is safe for concurrent
@@ -131,7 +120,6 @@ type DriftDetector struct {
 
 	mu      sync.Mutex
 	drifted []*sqlparse.Select
-	dropped int // statements the bound has discarded
 }
 
 // driftDropped counts, over every detector, the statements the bound discarded.
@@ -158,7 +146,6 @@ func (d *DriftDetector) ObserveDetail(stmt *sqlparse.Select, similarityConfidenc
 			n := copy(d.drifted, d.drifted[keep/2:])
 			clear(d.drifted[n:])
 			d.drifted = d.drifted[:n]
-			d.dropped += keep / 2
 			driftDropped.Add(int64(keep / 2))
 		}
 		d.drifted = append(d.drifted, stmt)
@@ -171,13 +158,6 @@ func (d *DriftDetector) ObserveDetail(stmt *sqlparse.Select, similarityConfidenc
 // fine-tune batches' worth, never fewer than 1024. WAL recovery re-feeds only
 // that many of the newest drift records.
 func (d *DriftDetector) Limit() int { return max(1024, 64*d.Count) }
-
-// Drifted returns the accumulated deviating queries.
-func (d *DriftDetector) Drifted() []*sqlparse.Select {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]*sqlparse.Select(nil), d.drifted...)
-}
 
 // DriftedCount returns how many deviating queries have accumulated since the
 // last reset, without copying them. Serving layers expose it in /stats and
@@ -201,7 +181,7 @@ func (d *DriftDetector) Triggered() bool {
 // returns nil — and clears nothing — below the threshold. Snapshot and reset
 // happen under one mutex hold, so statements observed concurrently by serving
 // traffic land either in this batch or in the next one, never in both and
-// never lost: the read/mutate race of reading Drifted() and resetting later
+// never lost: the read/mutate race of reading the batch and resetting later
 // cannot drop an Observe that slipped in between.
 func (d *DriftDetector) Take(min int) []*sqlparse.Select {
 	if min <= 0 {

@@ -42,7 +42,7 @@ func TestEstimateTopKMatchesFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(60)
-		e := &Estimator{emb: emb, neighbors: []int{1, 3, 5, 16, 17, 40}[rng.Intn(6)], threshold: 0.5}
+		e := &Estimator{emb: emb, neighbors: []int{1, 3, 5, 16, 17, 40}[rng.Intn(6)]}
 		for i := 0; i < n; i++ {
 			var vec []float64
 			switch {

@@ -95,19 +95,6 @@ func (s *System) SaveBytes() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Load restores a system previously written by Save, attaching it to db.
-// The database must contain the tables (with at least as many rows) that the
-// approximation set references. Truncated or corrupted input is rejected
-// with a descriptive error — the frame's length and checksum are verified
-// before any decoding happens.
-func Load(db *table.Database, r io.Reader) (*System, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: load: %w", err)
-	}
-	return LoadBytes(db, data)
-}
-
 // decodeFrame validates the snapshot frame around data and returns the gob
 // payload.
 func decodeFrame(data []byte) ([]byte, error) {
@@ -200,9 +187,9 @@ func loadBytes(db *table.Database, data []byte) (*System, error) {
 	// the snapshot predates them).
 	emb := embed.Embedder{Dim: cfg.EmbedDim}
 	if len(snap.EstScores) == len(w) {
-		s.est = NewEstimator(emb, w.Statements(), snap.EstScores, cfg.EstimatorNeighbors, cfg.EstimatorThreshold)
-	} else {
-		s.fitEstimator()
+		s.est = NewEstimator(emb, w.Statements(), snap.EstScores, cfg.EstimatorNeighbors)
+	} else if err := s.fitEstimator(); err != nil {
+		return nil, fmt.Errorf("core: load: %w", err)
 	}
 	s.drift = &DriftDetector{Confidence: cfg.DriftConfidence, Count: cfg.DriftCount}
 

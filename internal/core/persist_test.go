@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -139,7 +138,7 @@ func errString(_ *System, err error) string {
 }
 
 func TestLoadGarbage(t *testing.T) {
-	if _, err := Load(testIMDB(), bytes.NewReader([]byte("junk"))); err == nil {
+	if _, err := LoadBytes(testIMDB(), []byte("junk")); err == nil {
 		t.Error("garbage snapshot should fail")
 	}
 }

@@ -143,7 +143,8 @@ func TestQueryWithLimitRespectedOnApproxSet(t *testing.T) {
 }
 
 // TestFineTuneShapeStability: repeated fine-tuning must keep network shapes
-// compatible (the invariant that makes weight reuse possible).
+// compatible, so the trained weights still load. What a slot of those weights
+// means after re-preprocessing is another matter (DESIGN.md §4b).
 func TestFineTuneShapeStability(t *testing.T) {
 	db := testIMDB()
 	w := testWorkload()
@@ -167,13 +168,10 @@ func TestFineTuneShapeStability(t *testing.T) {
 
 // TestEstimatorDegeneracies: the estimator handles empty inputs gracefully.
 func TestEstimatorDegeneracies(t *testing.T) {
-	est := NewEstimator(embedderForTest(), nil, nil, 5, 0.5)
+	est := NewEstimator(embedderForTest(), nil, nil, 5)
 	pred, conf := est.Estimate(testWorkload()[0].Stmt)
 	if pred != 0 || conf != 0 {
 		t.Errorf("empty estimator should predict (0,0), got (%v,%v)", pred, conf)
-	}
-	if est.Answerable(testWorkload()[0].Stmt) {
-		t.Error("empty estimator should never say answerable")
 	}
 }
 
@@ -190,11 +188,11 @@ func TestDriftDetectorExactThreshold(t *testing.T) {
 	if !d.Observe(stmt, 0.2) { // second drifted: trigger
 		t.Error("second drifted query should trigger")
 	}
-	if len(d.Drifted()) != 2 {
-		t.Errorf("drifted = %d, want 2", len(d.Drifted()))
+	if d.DriftedCount() != 2 {
+		t.Errorf("drifted = %d, want 2", d.DriftedCount())
 	}
 	d.ResetDrift()
-	if len(d.Drifted()) != 0 {
+	if d.DriftedCount() != 0 {
 		t.Error("reset should clear")
 	}
 }

@@ -121,8 +121,11 @@ func TrainContext(ctx context.Context, db *table.Database, w workload.Workload, 
 	setDone := time.Now()
 	s.stats.BuildSetTime = setDone.Sub(rlDone)
 	_, estSpan := obs.StartSpan(ctx, "train/estimator")
-	s.fitEstimator()
+	err = s.fitEstimator()
 	estSpan.End()
+	if err != nil {
+		return nil, err
+	}
 	s.stats.EstimatorTime = time.Since(setDone)
 	s.drift = &DriftDetector{Confidence: cfg.DriftConfidence, Count: cfg.DriftCount}
 
@@ -202,11 +205,17 @@ func (s *System) rebuildSet(reqSize int) error {
 }
 
 // fitEstimator measures per-query scores of the training workload on the
-// built set and fits the answerability estimator on them.
-func (s *System) fitEstimator() {
+// built set and fits the answerability estimator on them. A statement that
+// cannot be scored is an error: an estimator fitted on a zero that stands for
+// "failed" would route around the set for the wrong reason.
+func (s *System) fitEstimator() error {
 	emb := embed.Embedder{Dim: s.cfg.EmbedDim}
-	scores, _ := metrics.PerQueryScoresWith(s.db, s.setDB, s.train, s.cfg.F, s.scoreOpts())
-	s.est = NewEstimator(emb, s.train.Statements(), scores, s.cfg.EstimatorNeighbors, s.cfg.EstimatorThreshold)
+	scores, err := metrics.PerQueryScoresWith(s.db, s.setDB, s.train, s.cfg.F, s.scoreOpts())
+	if err != nil {
+		return fmt.Errorf("core: fit estimator: %w", err)
+	}
+	s.est = NewEstimator(emb, s.train.Statements(), scores, s.cfg.EstimatorNeighbors)
+	return nil
 }
 
 // Set returns the approximation set (row references into the full database).
@@ -240,7 +249,9 @@ func (s *System) BuildSet(reqSize int) (*table.Subset, error) {
 	if err := s.rebuildSet(reqSize); err != nil {
 		return nil, err
 	}
-	s.fitEstimator()
+	if err := s.fitEstimator(); err != nil {
+		return nil, err
+	}
 	return s.set, nil
 }
 
@@ -344,11 +355,6 @@ func (s *System) QueryContext(ctx context.Context, sql string, opts QueryOptions
 		return nil, err
 	}
 	return s.QueryStmtContext(ctx, stmt, opts)
-}
-
-// QueryStmt is Query over a parsed statement.
-func (s *System) QueryStmt(stmt *sqlparse.Select) (*QueryResult, error) {
-	return s.QueryStmtContext(context.Background(), stmt, QueryOptions{})
 }
 
 // QueryStmtContext answers stmt under ctx and opts, degrading gracefully
@@ -590,9 +596,12 @@ func (s *System) ScoreOn(w workload.Workload) (float64, error) {
 }
 
 // FineTune merges new queries into the training workload, re-runs
-// preprocessing, and continues training the existing agent for extraEpisodes
-// (the network shapes are fixed by the config, so the learned weights carry
-// over). The approximation set and estimator are rebuilt.
+// preprocessing, and continues training the existing agent for extraEpisodes.
+// The network shapes are fixed by the config, so the weights load; but
+// re-preprocessing draws new representatives and new candidates in a new
+// order, so every state and action slot those weights were trained on now
+// means something else (ROADMAP item 3). The approximation set and estimator
+// are rebuilt.
 func (s *System) FineTune(newQueries workload.Workload, extraEpisodes int) error {
 	return s.FineTuneContext(context.Background(), newQueries, extraEpisodes)
 }
@@ -625,7 +634,9 @@ func (s *System) FineTuneContext(ctx context.Context, newQueries workload.Worklo
 	if err := s.rebuildSet(0); err != nil {
 		return err
 	}
-	s.fitEstimator()
+	if err := s.fitEstimator(); err != nil {
+		return err
+	}
 	s.drift.ResetDrift()
 	obs.Logger().Info("fine-tuning finished",
 		"k", s.cfg.K, "f", s.cfg.F, "seed", s.cfg.Seed,

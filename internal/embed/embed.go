@@ -147,16 +147,6 @@ func (e Embedder) Query(stmt *sqlparse.Select) []float64 {
 	return vec
 }
 
-// QuerySQL parses and embeds a SQL string; unparseable strings fall back to
-// plain text embedding so the estimator degrades gracefully.
-func (e Embedder) QuerySQL(sql string) []float64 {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return e.Text(sql)
-	}
-	return e.Query(stmt)
-}
-
 // addPredicateTokens walks a predicate tree adding tokens per node.
 func addPredicateTokens(vec []float64, expr sqlparse.Expr) {
 	sqlparse.Walk(expr, func(n sqlparse.Expr) {
@@ -261,6 +251,3 @@ func Cosine(a, b []float64) float64 {
 	}
 	return dot / math.Sqrt(na*nb)
 }
-
-// Distance returns 1 - Cosine(a, b), a dissimilarity in [0, 2].
-func Distance(a, b []float64) float64 { return 1 - Cosine(a, b) }

@@ -69,9 +69,9 @@ func TestEmptyTextIsZeroVector(t *testing.T) {
 
 func TestQuerySimilarityOrdering(t *testing.T) {
 	e := Embedder{}
-	base := e.QuerySQL("SELECT title FROM movies WHERE year > 2000 AND genre = 'drama'")
-	similar := e.QuerySQL("SELECT title FROM movies WHERE year > 1995 AND genre = 'drama'")
-	different := e.QuerySQL("SELECT person FROM credits WHERE role = 'director'")
+	base := e.Query(sqlparse.MustParse("SELECT title FROM movies WHERE year > 2000 AND genre = 'drama'"))
+	similar := e.Query(sqlparse.MustParse("SELECT title FROM movies WHERE year > 1995 AND genre = 'drama'"))
+	different := e.Query(sqlparse.MustParse("SELECT person FROM credits WHERE role = 'director'"))
 
 	simClose := Cosine(base, similar)
 	simFar := Cosine(base, different)
@@ -87,22 +87,10 @@ func TestRelaxedQueryStaysClose(t *testing.T) {
 	e := Embedder{}
 	// Relaxation changes constants slightly; embeddings must stay close
 	// because buckets are coarse.
-	a := e.QuerySQL("SELECT * FROM flights WHERE dep_delay > 100")
-	b := e.QuerySQL("SELECT * FROM flights WHERE dep_delay > 75")
+	a := e.Query(sqlparse.MustParse("SELECT * FROM flights WHERE dep_delay > 100"))
+	b := e.Query(sqlparse.MustParse("SELECT * FROM flights WHERE dep_delay > 75"))
 	if Cosine(a, b) < 0.8 {
 		t.Errorf("relaxed variant should stay close, got %.3f", Cosine(a, b))
-	}
-}
-
-func TestQueryEmbedFallsBackToText(t *testing.T) {
-	e := Embedder{}
-	v := e.QuerySQL("THIS IS NOT ((( SQL")
-	var n float64
-	for _, x := range v {
-		n += x * x
-	}
-	if n == 0 {
-		t.Error("unparseable query should still embed via text fallback")
 	}
 }
 
@@ -153,10 +141,6 @@ func TestCosineProperties(t *testing.T) {
 	}
 	if Cosine(nil, nil) != 0 {
 		t.Error("empty vectors should give 0")
-	}
-	b := e.Text("delta epsilon")
-	if got := Distance(a, b); math.Abs(got-(1-Cosine(a, b))) > 1e-12 {
-		t.Error("Distance should be 1 - Cosine")
 	}
 }
 

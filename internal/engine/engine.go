@@ -73,12 +73,6 @@ func Execute(db *table.Database, stmt *sqlparse.Select) (*Result, error) {
 	return ExecuteWith(db, stmt, Options{TrackLineage: true})
 }
 
-// ExecuteContext runs stmt against db with lineage tracking enabled,
-// honoring ctx cancellation and deadline through cooperative per-row checks.
-func ExecuteContext(ctx context.Context, db *table.Database, stmt *sqlparse.Select) (*Result, error) {
-	return ExecuteWithContext(ctx, db, stmt, Options{TrackLineage: true})
-}
-
 // ExecuteSQL parses and executes a SQL string.
 func ExecuteSQL(db *table.Database, sql string) (*Result, error) {
 	stmt, err := sqlparse.Parse(sql)

@@ -1,9 +1,3 @@
-// Package engine implements the query planner and executor for the SQL
-// subset parsed by internal/sqlparse: filtered scans, left-deep hash joins
-// with cartesian fallback, projection, hash aggregation, DISTINCT, ORDER BY
-// and LIMIT. The executor tracks lineage — for every SPJ result row, the base
-// table rows that produced it — which the ASQP-RL preprocessing pipeline uses
-// to build the RL action space.
 package engine
 
 import (

@@ -31,7 +31,7 @@ func TestDeadlineExceeded(t *testing.T) {
 	defer cancel()
 	time.Sleep(2 * time.Millisecond) // guarantee expiry regardless of machine speed
 
-	res, err := ExecuteContext(ctx, db, stmt)
+	res, err := ExecuteWithContext(ctx, db, stmt, Options{TrackLineage: true})
 	if err == nil {
 		t.Fatalf("expected deadline error, got %d rows", res.Table.NumRows())
 	}
@@ -51,7 +51,7 @@ func TestCancellationMidScan(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // pre-canceled: the first poll must observe it
-	_, err := ExecuteContext(ctx, db, stmt)
+	_, err := ExecuteWithContext(ctx, db, stmt, Options{TrackLineage: true})
 	if !errors.Is(err, ErrCanceled) && !errors.Is(err, context.Canceled) {
 		t.Fatalf("want cancellation error, got %v", err)
 	}

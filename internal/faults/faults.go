@@ -205,25 +205,6 @@ func (s *Schedule) Events() []Event {
 	return append([]Event(nil), s.log...)
 }
 
-// Fired reports whether any injection fired at point.
-func (s *Schedule) Fired(point string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range s.log {
-		if e.Point == point {
-			return true
-		}
-	}
-	return false
-}
-
-// FiredAny reports whether any injection fired at all.
-func (s *Schedule) FiredAny() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.log) > 0
-}
-
 // Canonical injection-point names wired into the system. Chaos tests draw
 // from this list; keeping it here documents the available surface.
 const (

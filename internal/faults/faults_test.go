@@ -38,7 +38,7 @@ func TestErrorInjection(t *testing.T) {
 	if err := Inject("p"); err != nil {
 		t.Fatalf("MaxFires=1 exceeded: %v", err)
 	}
-	if !s.Fired("p") || len(s.Events()) != 1 {
+	if ev := s.Events(); len(ev) != 1 || ev[0].Point != "p" {
 		t.Fatalf("event log wrong: %+v", s.Events())
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 
 	"asqprl/internal/nn"
 	"asqprl/internal/table"
@@ -341,29 +340,3 @@ func GenerateDatabase(db *table.Database, k int, opts Options) (*table.Database,
 	}
 	return out, nil
 }
-
-// ReconstructionError reports the mean squared reconstruction error over a
-// sample of rows — a training-quality diagnostic used in tests.
-func (v *VAE) ReconstructionError(t *table.Table, maxRows int) float64 {
-	n := t.NumRows()
-	if n == 0 {
-		return 0
-	}
-	if maxRows > 0 && n > maxRows {
-		n = maxRows
-	}
-	var total float64
-	for i := 0; i < n; i++ {
-		x := v.encodeRow(t.Row(i))
-		mu := v.encoder.Forward(x)[:v.latent]
-		xhat := v.decoder.Forward(mu)
-		for j := range x {
-			d := xhat[j] - x[j]
-			total += d * d
-		}
-	}
-	return total / float64(n*v.featDim)
-}
-
-// tableNameOf helps tests introspect.
-func (v *VAE) TableName() string { return strings.ToLower(v.tableName) }

@@ -243,15 +243,6 @@ func jaccardDistance(a, b map[string]bool) float64 {
 	return 1 - float64(inter)/float64(union)
 }
 
-// RowKeys extracts the row keys of a result table, for JaccardDiversity.
-func RowKeys(t *table.RowSet) []string {
-	out := make([]string, t.NumRows())
-	for i, r := range t.Rows {
-		out[i] = r.Key()
-	}
-	return out
-}
-
 // IntraResultDiversity measures how diverse the rows *within* one query
 // answer are: the mean pairwise Jaccard distance between the rows' value
 // sets, as in the paper's Section 6.2 diversity comparison (a full-database

@@ -323,16 +323,6 @@ func TestJaccardDiversity(t *testing.T) {
 	}
 }
 
-func TestRowKeys(t *testing.T) {
-	tab := &table.RowSet{Schema: table.Schema{{Name: "a", Kind: table.KindInt}}}
-	tab.Rows = append(tab.Rows, table.Row{table.NewInt(1)})
-	tab.Rows = append(tab.Rows, table.Row{table.NewInt(2)})
-	keys := RowKeys(tab)
-	if len(keys) != 2 || keys[0] == keys[1] {
-		t.Errorf("RowKeys = %v", keys)
-	}
-}
-
 func TestPrecisionRecall(t *testing.T) {
 	pred := []bool{true, true, false, false, true}
 	act := []bool{true, false, false, true, true}

@@ -43,8 +43,8 @@ func TestPerQueryScoresParallelMatchesSerial(t *testing.T) {
 }
 
 // TestReferenceCacheHitsAndInvalidate checks the memoization contract: the
-// first pass misses per distinct query, repeat passes hit, and Invalidate
-// drops everything.
+// first pass misses per distinct query, repeat passes hit, and the way to
+// invalidate — a fresh cache for the same database — starts cold.
 func TestReferenceCacheHitsAndInvalidate(t *testing.T) {
 	db := numsDB(100)
 	approx := subsetDB(db, []int{0, 1, 2})
@@ -72,15 +72,12 @@ func TestReferenceCacheHitsAndInvalidate(t *testing.T) {
 	if cache.Len() != 12 {
 		t.Fatalf("cache len = %d, want 12", cache.Len())
 	}
-	cache.Invalidate()
-	if cache.Len() != 0 {
-		t.Fatalf("after Invalidate: len = %d, want 0", cache.Len())
-	}
-	if _, err := ScoreWith(db, approx, w, 10, opts); err != nil {
+	fresh := NewReferenceCache(db)
+	if _, err := ScoreWith(db, approx, w, 10, ScoreOptions{Parallelism: -1, Cache: fresh}); err != nil {
 		t.Fatal(err)
 	}
-	if cache.Misses() != 24 {
-		t.Fatalf("after invalidated pass: misses = %d, want 24", cache.Misses())
+	if fresh.Misses() != 12 || fresh.Hits() != 0 {
+		t.Fatalf("fresh cache: hits=%d misses=%d, want 0/12", fresh.Hits(), fresh.Misses())
 	}
 }
 
@@ -118,7 +115,7 @@ func TestReferenceCacheBypassesOtherDatabases(t *testing.T) {
 }
 
 // TestReferenceCacheConcurrent hammers one cache from many goroutines with a
-// mix of hits, misses, and Invalidate calls. Every returned count must be
+// mix of hits and misses. Every returned count must be
 // correct regardless of interleaving (the serving layer makes concurrent
 // scoring the default path); run under -race this also proves memory safety.
 func TestReferenceCacheConcurrent(t *testing.T) {
@@ -154,10 +151,6 @@ func TestReferenceCacheConcurrent(t *testing.T) {
 				if n != want[qi] {
 					errs <- fmt.Errorf("goroutine %d: count[%d] = %d, want %d", g, qi, n, want[qi])
 					return
-				}
-				// Every goroutine occasionally invalidates mid-flight.
-				if i%17 == g%17 {
-					cache.Invalidate()
 				}
 			}
 		}(g)

@@ -16,11 +16,10 @@ import (
 // once per baseline instead of once overall; the full-database side is by far
 // the most expensive part of scoring.
 //
-// Invalidation rules: a cache is bound to the exact *table.Database it was
-// constructed for. Scoring against any other database bypasses the cache
-// entirely (no stale reads, no pollution), and callers that mutate the
-// underlying database must call Invalidate. Only successful counts are
-// cached; failures are recomputed so transient errors cannot stick.
+// A cache is bound to the exact *table.Database it was constructed for, which
+// nothing mutates after loading. Scoring against any other database bypasses
+// the cache entirely (no stale reads, no pollution). Only successful counts
+// are cached; failures are recomputed so transient errors cannot stick.
 //
 // All methods are safe for concurrent use by the scoring worker pool.
 type ReferenceCache struct {
@@ -60,14 +59,6 @@ func (c *ReferenceCache) FullCount(full *table.Database, q workload.Query) (int,
 	c.counts[key] = n
 	c.mu.Unlock()
 	return n, nil
-}
-
-// Invalidate drops every memoized count. Required after mutating the bound
-// database.
-func (c *ReferenceCache) Invalidate() {
-	c.mu.Lock()
-	c.counts = make(map[string]int)
-	c.mu.Unlock()
 }
 
 // Len returns the number of memoized reference counts.

@@ -87,23 +87,3 @@ func Argmax(x []float64) int {
 	}
 	return best
 }
-
-// KL returns the Kullback-Leibler divergence KL(p || q) in nats, treating
-// 0·log(0/q) as 0. Entries where q is zero but p is positive contribute a
-// large finite penalty rather than +Inf, keeping optimization stable.
-func KL(p, q []float64) float64 {
-	const cap = 30 // e^-30 floor on q
-	var d float64
-	for i, pi := range p {
-		if pi <= 0 {
-			continue
-		}
-		qi := q[i]
-		if qi <= 0 {
-			d += pi * cap
-			continue
-		}
-		d += pi * math.Log(pi/qi)
-	}
-	return d
-}

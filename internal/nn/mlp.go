@@ -79,15 +79,6 @@ func (m *MLP) InputDim() int { return m.Sizes[0] }
 // OutputDim returns the output width.
 func (m *MLP) OutputDim() int { return m.Sizes[len(m.Sizes)-1] }
 
-// NumParams returns the total number of trainable parameters.
-func (m *MLP) NumParams() int {
-	n := 0
-	for l := range m.W {
-		n += len(m.W[l]) + len(m.B[l])
-	}
-	return n
-}
-
 func (m *MLP) activate(z float64) float64 {
 	if m.Act == ActReLU {
 		if z > 0 {
@@ -352,16 +343,6 @@ func (m *MLP) Backward(c *Cache, dOut []float64, g *Grads) []float64 {
 		m.AddGrads(ws, 1, l, 0, m.Sizes[l+1], g)
 	}
 	return ws.row(ws.d, 0, 0)
-}
-
-// Clone returns a deep copy of the network.
-func (m *MLP) Clone() *MLP {
-	cp := &MLP{Sizes: append([]int(nil), m.Sizes...), Act: m.Act}
-	for l := range m.W {
-		cp.W = append(cp.W, append([]float64(nil), m.W[l]...))
-		cp.B = append(cp.B, append([]float64(nil), m.B[l]...))
-	}
-	return cp
 }
 
 // CopyFrom copies parameters from src (shapes must match).

@@ -17,8 +17,8 @@ func TestForwardShapes(t *testing.T) {
 	if m.InputDim() != 4 || m.OutputDim() != 3 || m.Layers() != 2 {
 		t.Errorf("dims: in=%d out=%d layers=%d", m.InputDim(), m.OutputDim(), m.Layers())
 	}
-	if m.NumParams() != 4*8+8+8*3+3 {
-		t.Errorf("NumParams = %d", m.NumParams())
+	if n := len(m.W[0]) + len(m.B[0]) + len(m.W[1]) + len(m.B[1]); n != 4*8+8+8*3+3 {
+		t.Errorf("parameters = %d", n)
 	}
 }
 
@@ -206,14 +206,17 @@ func TestClipGrads(t *testing.T) {
 func TestCloneAndCopyFrom(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := NewMLP(rng, ActTanh, 2, 3, 1)
-	c := m.Clone()
-	c.W[0][0] += 1
+	c := NewMLP(rng, ActTanh, 2, 3, 1)
 	if m.W[0][0] == c.W[0][0] {
-		t.Error("clone shares weights")
+		t.Fatal("two draws from one rng gave the same weight")
 	}
 	m.CopyFrom(c)
 	if m.W[0][0] != c.W[0][0] {
 		t.Error("CopyFrom did not copy")
+	}
+	c.W[0][0] += 1
+	if m.W[0][0] == c.W[0][0] {
+		t.Error("the copy shares weights with its source")
 	}
 }
 
@@ -327,21 +330,6 @@ func TestArgmax(t *testing.T) {
 	}
 	if Argmax([]float64{2, 2, 1}) != 0 {
 		t.Error("ties should pick first")
-	}
-}
-
-func TestKL(t *testing.T) {
-	p := []float64{0.5, 0.5}
-	if kl := KL(p, p); math.Abs(kl) > 1e-12 {
-		t.Errorf("KL(p,p) = %v, want 0", kl)
-	}
-	q := []float64{0.9, 0.1}
-	if kl := KL(p, q); kl <= 0 {
-		t.Errorf("KL(p,q) = %v, want > 0", kl)
-	}
-	// q with zero where p has mass: finite penalty.
-	if kl := KL([]float64{1, 0}, []float64{0, 1}); math.IsInf(kl, 1) {
-		t.Error("KL with zero q should be finite")
 	}
 }
 

@@ -26,9 +26,6 @@ func TestMetricCatalogue(t *testing.T) {
 	for name := range declared.Counters {
 		have[name] = "Counter"
 	}
-	for name := range declared.Gauges {
-		have[name] = "Gauge"
-	}
 	for name := range declared.Histograms {
 		have[name] = "Histogram"
 	}

@@ -77,8 +77,8 @@ func TestExporterPersistentFailureCountedAndRateLimited(t *testing.T) {
 	e.mu.Unlock()
 
 	var captured syncBuffer
-	SetLogger(slog.New(slog.NewTextHandler(&captured, nil)))
-	defer SetLogger(nil)
+	setLogger(slog.New(slog.NewTextHandler(&captured, nil)))
+	defer setLogger(nil)
 	exportWarn.last.Store(0) // ensure the first failure is eligible to warn
 
 	ConfigureTracing(TracingConfig{SampleRate: 1, Exporter: e})

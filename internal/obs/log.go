@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"strings"
 	"sync/atomic"
-	"time"
 )
 
 // nopHandler is an slog.Handler that reports every level disabled, making
@@ -27,8 +26,8 @@ func init() {
 	defaultLogger.Store(slog.New(nopHandler{}))
 }
 
-// Logger returns the package logger. It is a no-op unless EnableLogging (or
-// SetLogger) has been called, so call sites may log unconditionally.
+// Logger returns the package logger. It is a no-op unless EnableLogging has
+// been called, so call sites may log unconditionally.
 func Logger() *slog.Logger { return defaultLogger.Load() }
 
 // LoggerCtx returns the package logger stamped with ctx's trace ID, so every
@@ -46,9 +45,9 @@ func LoggerCtx(ctx context.Context) *slog.Logger {
 	return l
 }
 
-// SetLogger replaces the package logger. Passing nil restores the no-op
+// setLogger replaces the package logger. Passing nil restores the no-op
 // logger.
-func SetLogger(l *slog.Logger) {
+func setLogger(l *slog.Logger) {
 	if l == nil {
 		l = slog.New(nopHandler{})
 		loggingActive.Store(false)
@@ -61,25 +60,7 @@ func SetLogger(l *slog.Logger) {
 // EnableLogging routes structured logs at or above level to w as
 // logfmt-style text.
 func EnableLogging(w io.Writer, level slog.Level) {
-	SetLogger(slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: level})))
-}
-
-// WarnLimiter rate-limits repeated warnings about one recurring condition —
-// a full disk failing every trace export, a sick query shape burning SLO on
-// every audit — to one log line per interval, while the caller's counters
-// stay exact: limit the noise, never the numbers. The zero value is ready to
-// use.
-type WarnLimiter struct {
-	last atomic.Int64 // unix nanos of the last emitted warning
-}
-
-// Allow reports whether a warning may be emitted now and, if so, claims the
-// slot. Concurrent callers race for one slot per interval; losers stay
-// silent.
-func (w *WarnLimiter) Allow(interval time.Duration) bool {
-	now := time.Now().UnixNano()
-	last := w.last.Load()
-	return now-last >= int64(interval) && w.last.CompareAndSwap(last, now)
+	setLogger(slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: level})))
 }
 
 // ParseLevel maps a -log flag value ("debug", "info", "warn", "error") to a

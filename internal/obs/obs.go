@@ -1,11 +1,11 @@
 // Package obs is the observability layer of the ASQP-RL system: a
-// concurrency-safe metrics registry (counters, gauges and fixed-bucket latency
+// concurrency-safe metrics registry (counters and fixed-bucket latency
 // histograms), lightweight hierarchical spans, and a log/slog-based structured
 // logger.
 //
 // The package is stdlib-only and designed so instrumented hot paths cost
 // near zero when observability is off: an instrument of the default registry
-// loads Enabled() inside Inc/Add/Set/Observe, a single atomic load, and
+// loads Enabled() inside Inc/Add/Observe, a single atomic load, and
 // spans/loggers degrade to nil-receiver no-ops. Callers therefore instrument
 // unconditionally — a package-level handle, one bare call — and let the
 // package decide whether anything is recorded.

@@ -154,7 +154,6 @@ func TestRegistryConcurrentAndSnapshot(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				r.Counter("c").Inc()
-				r.Gauge("g").Add(1)
 				r.Histogram("h").Observe(0.001)
 			}
 		}()
@@ -164,16 +163,13 @@ func TestRegistryConcurrentAndSnapshot(t *testing.T) {
 	if snap.Counters["c"] != 4000 {
 		t.Fatalf("counter = %d, want 4000", snap.Counters["c"])
 	}
-	if snap.Gauges["g"] != 4000 {
-		t.Fatalf("gauge = %f, want 4000", snap.Gauges["g"])
-	}
 	if snap.Histograms["h"].Count != 4000 {
 		t.Fatalf("histogram count = %d, want 4000", snap.Histograms["h"].Count)
 	}
 }
 
 func TestLoggerDefaultIsNoop(t *testing.T) {
-	SetLogger(nil)
+	setLogger(nil)
 	l := Logger()
 	if l.Enabled(context.Background(), slog.LevelError) {
 		t.Fatal("default logger must be disabled at every level")
@@ -182,7 +178,7 @@ func TestLoggerDefaultIsNoop(t *testing.T) {
 
 	var buf bytes.Buffer
 	EnableLogging(&buf, slog.LevelInfo)
-	defer SetLogger(nil)
+	defer setLogger(nil)
 	Logger().Info("hello", "dataset", "imdb", "k", 100)
 	if got := buf.String(); got == "" || !bytes.Contains(buf.Bytes(), []byte("dataset=imdb")) {
 		t.Fatalf("structured log missing fields: %q", got)

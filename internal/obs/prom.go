@@ -15,7 +15,6 @@ import (
 //
 //   - counters become `<name>_total` (never double-suffixed: a counter
 //     already named `*_total` keeps its name);
-//   - gauges keep their name;
 //   - histograms expand into cumulative `_bucket{le=...}` samples plus
 //     `_sum`/`_count`, with each bucket's retained exemplar rendered in
 //     OpenMetrics style (`# {trace_id="..."} value timestamp`) so tail
@@ -38,10 +37,6 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 	for n, c := range r.counters {
 		counters[n] = c
 	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for n, g := range r.gauges {
-		gauges[n] = g
-	}
 	hists := make(map[string]*Histogram, len(r.hists))
 	for n, h := range r.hists {
 		hists[n] = h
@@ -50,7 +45,7 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 
 	// seen tracks every emitted family name so a sanitization collision
 	// (within or across metric types) cannot produce duplicate TYPE lines.
-	seen := make(map[string]bool, len(counters)+len(gauges)+len(hists)+4)
+	seen := make(map[string]bool, len(counters)+len(hists)+4)
 
 	for _, name := range sortedKeys(counters) {
 		pn := promName(name)
@@ -65,19 +60,6 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 			return err
 		}
 		if _, err := fmt.Fprintf(w, "%s %d\n", pn, counters[name].Value()); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(gauges) {
-		pn := promName(name)
-		if seen[pn] {
-			continue
-		}
-		seen[pn] = true
-		if err := writeFamilyHeader(w, pn, name, "gauge"); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s %s\n", pn, promFloat(gauges[name].Value())); err != nil {
 			return err
 		}
 	}

@@ -22,7 +22,6 @@ func promLines(t *testing.T, r *Registry) (string, []string) {
 func TestPromHelpTypeOncePerFamily(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("server/requests").Add(1)
-	r.Gauge("pool/size").Set(2)
 	r.Histogram("server/request_seconds").Observe(0.1)
 
 	out, lines := promLines(t, r)
@@ -40,7 +39,7 @@ func TestPromHelpTypeOncePerFamily(t *testing.T) {
 			typeSeen[f[2]]++
 		}
 	}
-	for _, fam := range []string{"server_requests_total", "pool_size", "server_request_seconds"} {
+	for _, fam := range []string{"server_requests_total", "server_request_seconds"} {
 		if helpSeen[fam] != 1 || typeSeen[fam] != 1 {
 			t.Errorf("family %s: HELP×%d TYPE×%d, want exactly 1 of each\n%s",
 				fam, helpSeen[fam], typeSeen[fam], out)
@@ -68,9 +67,9 @@ func TestPromSanitizationCollision(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a/b").Add(1)
 	r.Counter("a_b").Add(2)
-	// Cross-type collision too: a gauge whose sanitized name equals the
+	// Cross-type collision too: a histogram whose sanitized name equals the
 	// counter family.
-	r.Gauge("a/b_total").Set(9)
+	r.Histogram("a/b_total").Observe(9)
 
 	out, lines := promLines(t, r)
 	typeCount := 0

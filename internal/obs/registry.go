@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -27,30 +26,6 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a float metric that can move in both directions, gated like a
-// Counter.
-type Gauge struct {
-	bits  atomic.Uint64
-	gated bool
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) {
-	if !g.gated || enabled.Load() {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Add shifts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	if !g.gated || enabled.Load() {
-		atomicAddFloat(&g.bits, delta)
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // Registry is a concurrency-safe collection of named metrics. Metric
 // accessors are get-or-create; an instrumentation site calls one once, in a
 // package-level var next to the code that owns the fact, and keeps the handle,
@@ -60,7 +35,6 @@ type Registry struct {
 	gated    bool // instruments record only while Enabled(): the default registry
 	mu       sync.RWMutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -71,7 +45,6 @@ func newRegistry(gated bool) *Registry {
 	return &Registry{
 		gated:    gated,
 		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 	}
 }
@@ -97,23 +70,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{gated: r.gated}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -143,9 +99,6 @@ func (r *Registry) Reset() {
 	for _, c := range r.counters {
 		c.v.Store(0)
 	}
-	for _, g := range r.gauges {
-		g.bits.Store(0)
-	}
 	for _, h := range r.hists {
 		h.reset()
 	}
@@ -154,7 +107,6 @@ func (r *Registry) Reset() {
 // Snapshot is a point-in-time JSON-friendly view of a registry.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
-	Gauges     map[string]float64           `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
@@ -164,14 +116,10 @@ func (r *Registry) Snapshot() Snapshot {
 	defer r.mu.RUnlock()
 	snap := Snapshot{
 		Counters:   make(map[string]int64, len(r.counters)),
-		Gauges:     make(map[string]float64, len(r.gauges)),
 		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
 	}
 	for name, c := range r.counters {
 		snap.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		snap.Gauges[name] = g.Value()
 	}
 	for name, h := range r.hists {
 		snap.Histograms[name] = h.Snapshot()

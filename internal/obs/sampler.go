@@ -140,9 +140,23 @@ func tailConsider(s *Span) {
 
 // exportWarn rate-limits export-failure warnings to one per exportWarnEvery;
 // the counter stays exact.
-var exportWarn WarnLimiter
+var exportWarn warnLimiter
 
 const exportWarnEvery = 10 * time.Second
+
+// warnLimiter limits the log lines about one recurring condition (a full disk
+// fails every trace export) to one per interval: the noise, never the numbers.
+type warnLimiter struct {
+	last atomic.Int64 // unix nanos of the last emitted warning
+}
+
+// Allow reports whether a warning may be emitted now and, if so, claims the
+// slot. Concurrent callers race for one slot per interval; losers stay silent.
+func (w *warnLimiter) Allow(interval time.Duration) bool {
+	now := time.Now().UnixNano()
+	last := w.last.Load()
+	return now-last >= int64(interval) && w.last.CompareAndSwap(last, now)
+}
 
 // maxParkedAmends bounds the amendments held for traces that have not ended
 // yet (see AmendTrace); the oldest is overwritten first.

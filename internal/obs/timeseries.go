@@ -9,18 +9,18 @@ import (
 
 // TimeSeries turns the cumulative metrics in a Registry into windowed ones.
 // A background ticker (or an explicit SampleNow under a test clock) records
-// one sample per interval — counter cumulatives, gauge values, and raw
-// histogram bucket cumulatives — into two fixed-size rings: a fine ring at
-// the sampling interval and a coarse ring that keeps every coarseEvery-th
-// sample. Windowed queries (Rate, CounterWindow, HistogramWindow) subtract
-// the retained sample nearest the window start from the live registry state:
-// counter deltas give rates, histogram bucket-count differences give
-// windowed quantiles and threshold fractions without per-observation cost.
+// one sample per interval — counter cumulatives and raw histogram bucket
+// cumulatives — into two fixed-size rings: a fine ring at the sampling
+// interval and a coarse ring that keeps every coarseEvery-th sample. Windowed
+// queries (CounterWindow, HistogramWindow) subtract the retained sample
+// nearest the window start from the live registry state: counter deltas give
+// ratios, histogram bucket-count differences give windowed quantiles and
+// threshold fractions without per-observation cost.
 //
 // The hot instrumentation path is untouched: writers keep hitting the plain
-// atomic Counter/Gauge/Histogram; all windowing cost lives in the sampler
-// and in queries. A nil *TimeSeries is a valid no-op (queries report no
-// data), matching the nil-receiver contract used by spans and the auditor.
+// atomic Counter/Histogram; all windowing cost lives in the sampler and in
+// queries. A nil *TimeSeries is a valid no-op (queries report no data),
+// matching the nil-receiver contract used by spans and the auditor.
 type TimeSeries struct {
 	reg  *Registry
 	opts TimeSeriesOptions
@@ -86,7 +86,6 @@ type histCum struct {
 type tsSample struct {
 	at       time.Time
 	counters map[string]int64
-	gauges   map[string]float64
 	hists    map[string]histCum
 }
 
@@ -102,14 +101,6 @@ func NewTimeSeries(reg *Registry, opts TimeSeriesOptions) *TimeSeries {
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-}
-
-// Interval returns the fine sampling cadence.
-func (ts *TimeSeries) Interval() time.Duration {
-	if ts == nil {
-		return 0
-	}
-	return ts.opts.Interval
 }
 
 // OnSample registers fn to run after every sample (ticker or SampleNow),
@@ -202,14 +193,10 @@ func (ts *TimeSeries) capture(at time.Time) tsSample {
 	s := tsSample{
 		at:       at,
 		counters: make(map[string]int64, len(r.counters)),
-		gauges:   make(map[string]float64, len(r.gauges)),
 		hists:    make(map[string]histCum, len(r.hists)),
 	}
 	for name, c := range r.counters {
 		s.counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		s.gauges[name] = g.Value()
 	}
 	for name, h := range r.hists {
 		s.hists[name] = h.cum()
@@ -287,15 +274,6 @@ func (ts *TimeSeries) CounterWindow(name string, window time.Duration) (delta in
 		elapsed = 0
 	}
 	return delta, elapsed, true
-}
-
-// Rate returns the per-second rate of counter name over the trailing window.
-func (ts *TimeSeries) Rate(name string, window time.Duration) (perSec float64, ok bool) {
-	delta, elapsed, ok := ts.CounterWindow(name, window)
-	if !ok || elapsed <= 0 {
-		return 0, false
-	}
-	return float64(delta) / elapsed.Seconds(), true
 }
 
 // HistWindow is a histogram restricted to a trailing time window, built by
@@ -423,12 +401,11 @@ type HistPoint struct {
 }
 
 // SeriesDump is a chartable export of the fine ring: counters as
-// per-interval deltas, gauges as sampled values, histograms as per-interval
+// per-interval deltas, histograms as per-interval
 // count and p50/p99. Used by flight-recorder bundles.
 type SeriesDump struct {
 	Interval   string                   `json:"interval"`
 	Counters   map[string][]SeriesPoint `json:"counters,omitempty"`
-	Gauges     map[string][]SeriesPoint `json:"gauges,omitempty"`
 	Histograms map[string][]HistPoint   `json:"histograms,omitempty"`
 }
 
@@ -436,7 +413,6 @@ type SeriesDump struct {
 func (ts *TimeSeries) DumpSeries() SeriesDump {
 	dump := SeriesDump{
 		Counters:   map[string][]SeriesPoint{},
-		Gauges:     map[string][]SeriesPoint{},
 		Histograms: map[string][]HistPoint{},
 	}
 	if ts == nil {
@@ -458,9 +434,6 @@ func (ts *TimeSeries) DumpSeries() SeriesDump {
 				d = 0
 			}
 			dump.Counters[name] = append(dump.Counters[name], SeriesPoint{At: cur.at, V: float64(d)})
-		}
-		for name, v := range cur.gauges {
-			dump.Gauges[name] = append(dump.Gauges[name], SeriesPoint{At: cur.at, V: v})
 		}
 		for name, hc := range cur.hists {
 			var hw HistWindow

@@ -54,10 +54,6 @@ func TestTimeSeriesCounterWindow(t *testing.T) {
 	if elapsed != 5*time.Second {
 		t.Fatalf("elapsed = %v, want 5s", elapsed)
 	}
-	rate, ok := ts.Rate("x", 5*time.Second)
-	if !ok || rate != 10 {
-		t.Fatalf("rate = %v ok=%v, want 10", rate, ok)
-	}
 
 	// A window longer than history falls back to the oldest sample.
 	delta, elapsed, ok = ts.CounterWindow("x", time.Hour)
@@ -175,9 +171,6 @@ func TestTimeSeriesNilIsNoOp(t *testing.T) {
 	if _, _, ok := ts.CounterWindow("x", time.Minute); ok {
 		t.Fatal("nil CounterWindow must report no data")
 	}
-	if _, ok := ts.Rate("x", time.Minute); ok {
-		t.Fatal("nil Rate must report no data")
-	}
 	if _, _, ok := ts.HistogramWindow("x", time.Minute); ok {
 		t.Fatal("nil HistogramWindow must report no data")
 	}
@@ -210,12 +203,10 @@ func TestTimeSeriesDumpSeries(t *testing.T) {
 	clk := newFakeClock()
 	ts := newTestTS(reg, clk, time.Second)
 	c := reg.Counter("req")
-	g := reg.Gauge("load")
 	h := reg.Histogram("lat")
 	for i := 0; i < 5; i++ {
 		ts.SampleNow()
 		c.Add(int64(i + 1))
-		g.Set(float64(i))
 		h.Observe(0.01)
 		clk.advance(time.Second)
 	}
@@ -236,9 +227,6 @@ func TestTimeSeriesDumpSeries(t *testing.T) {
 	}
 	if hp := dump.Histograms["lat"]; len(hp) != 5 || hp[0].Count != 1 {
 		t.Fatalf("hist points = %+v, want 5 points of count 1", hp)
-	}
-	if gp := dump.Gauges["load"]; len(gp) != 5 || gp[4].V != 4 {
-		t.Fatalf("gauge points = %+v", gp)
 	}
 }
 

@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -22,7 +23,7 @@ func trainRun(t *testing.T, workers int) (TrainStats, *Agent) {
 	cfg.EpisodesPerIteration = 70
 	env := newCoverEnv()
 	agent := mustAgent(t, cfg, env.StateDim(), env.NumActions())
-	stats := agent.Train(env, 350, nil)
+	stats := agent.TrainContext(context.Background(), env, 350, nil)
 	if stats.Iterations != 5 || stats.TotalSteps != 700 {
 		t.Fatalf("fixture ran %d iterations, %d steps; want 5 and 700", stats.Iterations, stats.TotalSteps)
 	}
@@ -118,7 +119,7 @@ func TestWorkersDoNotSetBatchSize(t *testing.T) {
 		cfg.Workers = workers
 		cfg.EpisodesPerIteration = 0
 		env := newCoverEnv()
-		return mustAgent(t, cfg, env.StateDim(), env.NumActions()).Train(env, 24, nil).History
+		return mustAgent(t, cfg, env.StateDim(), env.NumActions()).TrainContext(context.Background(), env, 24, nil).History
 	}
 	a, b := run(2), run(3)
 	if len(a) != len(b) {

@@ -213,19 +213,11 @@ func NewAgent(cfg Config, stateDim, numActions int) (*Agent, error) {
 	return a, nil
 }
 
-// Config returns the agent's (normalized) configuration.
-func (a *Agent) Config() Config { return a.cfg }
-
 // Policy returns the masked action distribution for a state.
 func (a *Agent) Policy(state []float64, mask []bool) []float64 {
 	p := a.actor.Forward(state)
 	nn.Softmax(p, p, mask)
 	return p
-}
-
-// Value returns the critic's state-value estimate.
-func (a *Agent) Value(state []float64) float64 {
-	return a.critic.Forward(state)[0]
 }
 
 // SelectAction samples from the masked policy (or takes the argmax when
@@ -329,15 +321,10 @@ type TrainStats struct {
 // the mean undiscounted return of the iteration's episodes.
 type ProgressFunc func(iteration, episodes int, meanReturn float64) bool
 
-// Train runs up to maxEpisodes episodes of collection + PPO updates against
-// env. Parallel workers each use an independent clone of env. progress may
-// be nil.
-func (a *Agent) Train(env Environment, maxEpisodes int, progress ProgressFunc) TrainStats {
-	return a.TrainContext(context.Background(), env, maxEpisodes, progress)
-}
-
-// TrainContext is Train with cooperative cancellation and a divergence
-// watchdog. Cancellation is honored between iterations: the stats of the
+// TrainContext runs up to maxEpisodes episodes of collection + PPO updates
+// against env, with cooperative cancellation and a divergence watchdog.
+// Parallel workers each use an independent clone of env; progress may be nil.
+// Cancellation is honored between iterations: the stats of the
 // completed iterations are returned with Canceled set, leaving the agent in
 // its last consistent state (partial but usable). After every update the
 // watchdog inspects the loss telemetry and network parameters; on NaN/Inf
@@ -853,29 +840,6 @@ func normalizeAdvantages(steps []*step) {
 	for _, s := range steps {
 		s.adv = (s.adv - mean) / std
 	}
-}
-
-// Greedy rolls out one episode with the deterministic (argmax) policy and
-// returns the visited actions and total reward. Useful for inference-time
-// set construction and tests.
-func (a *Agent) Greedy(env Environment, maxSteps int) ([]int, float64) {
-	var actions []int
-	var total float64
-	state, mask := env.Reset()
-	for steps := 0; maxSteps <= 0 || steps < maxSteps; steps++ {
-		action := a.SelectAction(state, mask, true, nil)
-		if action < 0 {
-			break
-		}
-		next, nextMask, reward, done := env.Step(action)
-		actions = append(actions, action)
-		total += reward
-		state, mask = next, nextMask
-		if done {
-			break
-		}
-	}
-	return actions, total
 }
 
 // ActorParams exposes the actor network for serialization by callers.

@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -106,7 +107,7 @@ func TestAgentLearnsBandit(t *testing.T) {
 	cfg.Seed = 1
 	cfg.LR = 0.01
 	agent := mustAgent(t, cfg, env.StateDim(), env.NumActions())
-	stats := agent.Train(env, 200, nil)
+	stats := agent.TrainContext(context.Background(), env, 200, nil)
 	if stats.Episodes != 200 {
 		t.Fatalf("episodes = %d", stats.Episodes)
 	}
@@ -129,6 +130,28 @@ func argmaxOf(p []float64) int {
 	return best
 }
 
+// greedyRollout plays one episode with the argmax policy and returns the
+// visited actions and the total reward.
+func greedyRollout(a *Agent, env Environment, maxSteps int) ([]int, float64) {
+	var actions []int
+	var total float64
+	state, mask := env.Reset()
+	for steps := 0; steps < maxSteps; steps++ {
+		action := a.SelectAction(state, mask, true, nil)
+		if action < 0 {
+			break
+		}
+		next, nextMask, reward, done := env.Step(action)
+		actions = append(actions, action)
+		total += reward
+		state, mask = next, nextMask
+		if done {
+			break
+		}
+	}
+	return actions, total
+}
+
 func TestAgentLearnsSetCover(t *testing.T) {
 	env := newCoverEnv()
 	cfg := DefaultConfig()
@@ -136,9 +159,9 @@ func TestAgentLearnsSetCover(t *testing.T) {
 	cfg.LR = 0.01
 	cfg.EntropyCoef = 0.001
 	agent := mustAgent(t, cfg, env.StateDim(), env.NumActions())
-	stats := agent.Train(env, 300, nil)
+	stats := agent.TrainContext(context.Background(), env, 300, nil)
 	// Optimal return: cover all 7 elements = 1.0.
-	actions, total := agent.Greedy(newCoverEnv(), 10)
+	actions, total := greedyRollout(agent, newCoverEnv(), 10)
 	if total < 0.99 {
 		t.Errorf("greedy rollout return = %.3f (actions %v), want 1.0; train stats %+v",
 			total, actions, stats.FinalReturn)
@@ -151,8 +174,8 @@ func TestAgentBeatsRandomOnCover(t *testing.T) {
 	cfg.Seed = 5
 	cfg.LR = 0.01
 	agent := mustAgent(t, cfg, env.StateDim(), env.NumActions())
-	agent.Train(env, 300, nil)
-	_, trained := agent.Greedy(newCoverEnv(), 10)
+	agent.TrainContext(context.Background(), env, 300, nil)
+	_, trained := greedyRollout(agent, newCoverEnv(), 10)
 
 	// Random baseline.
 	rng := rand.New(rand.NewSource(9))
@@ -197,7 +220,7 @@ func TestMaskingNeverViolated(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 7
 	agent := mustAgent(t, cfg, env.StateDim(), env.NumActions())
-	agent.Train(env, 100, nil)
+	agent.TrainContext(context.Background(), env, 100, nil)
 }
 
 func TestAblationConfigsTrain(t *testing.T) {
@@ -214,7 +237,7 @@ func TestAblationConfigsTrain(t *testing.T) {
 		mod(&cfg)
 		env := newCoverEnv()
 		agent := mustAgent(t, cfg, env.StateDim(), env.NumActions())
-		stats := agent.Train(env, 60, nil)
+		stats := agent.TrainContext(context.Background(), env, 60, nil)
 		if stats.Episodes != 60 || math.IsNaN(stats.FinalReturn) {
 			t.Errorf("%s: bad stats %+v", name, stats)
 		}
@@ -239,7 +262,7 @@ func TestTrainDeterministicGivenSeed(t *testing.T) {
 		cfg.Workers = 3
 		env := newCoverEnv()
 		agent := mustAgent(t, cfg, env.StateDim(), env.NumActions())
-		stats := agent.Train(env, 30, nil)
+		stats := agent.TrainContext(context.Background(), env, 30, nil)
 		return stats.ReturnHistory
 	}
 	a, b := run(), run()
@@ -259,7 +282,7 @@ func TestEarlyStopCallback(t *testing.T) {
 	cfg.Seed = 2
 	agent := mustAgent(t, cfg, env.StateDim(), env.NumActions())
 	calls := 0
-	stats := agent.Train(env, 1000, func(iter, eps int, ret float64) bool {
+	stats := agent.TrainContext(context.Background(), env, 1000, func(iter, eps int, ret float64) bool {
 		calls++
 		return calls < 3
 	})
@@ -291,7 +314,7 @@ func TestValueAndParamsAccessors(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 1
 	agent := mustAgent(t, cfg, 2, 3)
-	v := agent.Value([]float64{0.5, -0.5})
+	v := agent.CriticParams().Forward([]float64{0.5, -0.5})[0]
 	if math.IsNaN(v) {
 		t.Error("value NaN")
 	}
@@ -303,7 +326,7 @@ func TestValueAndParamsAccessors(t *testing.T) {
 func TestZeroEpisodes(t *testing.T) {
 	cfg := DefaultConfig()
 	agent := mustAgent(t, cfg, 1, 2)
-	stats := agent.Train(&banditEnv{rewards: []float64{0, 1}}, 0, nil)
+	stats := agent.TrainContext(context.Background(), &banditEnv{rewards: []float64{0, 1}}, 0, nil)
 	if stats.Episodes != 0 || stats.Iterations != 0 {
 		t.Errorf("zero-episode train produced work: %+v", stats)
 	}
@@ -336,7 +359,7 @@ func TestTrainEmitsMetrics(t *testing.T) {
 	cfg.Workers = 2
 	cfg.EpisodesPerIteration = 4
 	agent := mustAgent(t, cfg, env.StateDim(), env.NumActions())
-	stats := agent.Train(env, 20, nil)
+	stats := agent.TrainContext(context.Background(), env, 20, nil)
 
 	if stats.Iterations == 0 {
 		t.Fatal("no iterations ran")
@@ -380,7 +403,7 @@ func TestTrainHistoryWithoutObs(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 1
 	agent := mustAgent(t, cfg, env.StateDim(), env.NumActions())
-	stats := agent.Train(env, 12, nil)
+	stats := agent.TrainContext(context.Background(), env, 12, nil)
 	if len(stats.History) != stats.Iterations || stats.Iterations == 0 {
 		t.Fatalf("History len %d vs iterations %d", len(stats.History), stats.Iterations)
 	}

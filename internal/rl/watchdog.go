@@ -61,10 +61,6 @@ func (a *Agent) halveLR() {
 	a.criticOpt = nn.NewAdam(a.critic, a.cfg.LR)
 }
 
-// LR returns the agent's current learning rate (halved by each divergence
-// recovery).
-func (a *Agent) LR() float64 { return a.cfg.LR }
-
 // paramsFinite reports whether every parameter of m is finite.
 func paramsFinite(m *nn.MLP) bool {
 	for l := range m.W {

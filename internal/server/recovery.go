@@ -165,10 +165,6 @@ func (s *Server) RecoveryInfo() *RecoveryInfo {
 	return &ri
 }
 
-// WAL exposes the server's write-ahead log (nil when durability is off);
-// asqp-serve uses it for the initial checkpoint and tests for assertions.
-func (s *Server) WAL() *wal.Log { return s.wal }
-
 // journalRetrain is the retrain.Hooks.Journal implementation: lifecycle
 // events get the durable (fsync-acknowledged) append, and a persisted swap or
 // rollback checkpoints the log at the just-published generation — the

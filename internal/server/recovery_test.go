@@ -198,7 +198,7 @@ func TestRecoveryDriftBounded(t *testing.T) {
 	if info.DriftRestored != limit || sys.Drift().DriftedCount() != limit {
 		t.Fatalf("restored %d, detector holds %d; want both %d", info.DriftRestored, sys.Drift().DriftedCount(), limit)
 	}
-	if got, want := sys.Drift().Drifted()[0].String(), "SELECT * FROM name WHERE birth_year > 300"; got != want {
+	if got, want := sys.Drift().Take(1)[0].String(), "SELECT * FROM name WHERE birth_year > 300"; got != want {
 		t.Errorf("oldest restored observation %q, want %q", got, want)
 	}
 }

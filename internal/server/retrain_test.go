@@ -62,7 +62,7 @@ func waitRetrain(t *testing.T, srv *Server, timeout time.Duration, cond func(ret
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		st := srv.Retrain().Status()
+		st := srv.ret.Status()
 		if cond(st) {
 			return st
 		}
@@ -196,7 +196,7 @@ func TestRetrainFaultsLeaveIncumbentUntouched(t *testing.T) {
 			faults.Enable(faults.NewSchedule(1, faults.Injection{Point: tc.point, Kind: tc.kind}))
 			t.Cleanup(faults.Disable)
 
-			if err := srv.Retrain().Force(); err != nil {
+			if err := srv.ret.Force(); err != nil {
 				t.Fatal(err)
 			}
 			st := waitRetrain(t, srv, 2*time.Minute, func(st retrain.Status) bool {
@@ -296,7 +296,7 @@ func TestRetrainChaosUnderOverload(t *testing.T) {
 		t.Fatalf("quiet phase accounting: ok %d + shed %d != %d", okQuiet, shedQuiet, clientsN*rounds)
 	}
 
-	if err := srv.Retrain().Force(); err != nil {
+	if err := srv.ret.Force(); err != nil {
 		t.Fatal(err)
 	}
 	okBusy, shedBusy := burst()

@@ -371,10 +371,6 @@ func (s *Server) System() (*core.System, int64) {
 	return ls.sys, ls.gen
 }
 
-// Retrain exposes the background retraining controller (nil when disabled);
-// tests use it to force attempts and read status without HTTP.
-func (s *Server) Retrain() *retrain.Controller { return s.ret }
-
 // Ready reports whether the server would pass a readiness probe. Recovery
 // (WAL tail replay at startup) holds readiness down until the replayed state
 // is live — a load balancer never routes to a server still rebuilding its

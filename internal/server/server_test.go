@@ -422,9 +422,9 @@ func TestRegistryNameSetIsClosed(t *testing.T) {
 	sys := trainedSystem(t)
 	srv := New(sys, Config{BreakerTrips: 1, BreakerCooldown: time.Hour, Retries: -1})
 	h := srv.Handler()
-	names := func() [3]int {
+	names := func() [2]int {
 		snap := obs.Default().Snapshot()
-		return [3]int{len(snap.Counters), len(snap.Gauges), len(snap.Histograms)}
+		return [2]int{len(snap.Counters), len(snap.Histograms)}
 	}
 	before := names()
 
@@ -488,7 +488,7 @@ func TestRegistryNameSetIsClosed(t *testing.T) {
 	}
 
 	if after := names(); after != before {
-		t.Errorf("registry names (counters, gauges, histograms) grew from %v to %v under requests", before, after)
+		t.Errorf("registry names (counters, histograms) grew from %v to %v under requests", before, after)
 	}
 }
 

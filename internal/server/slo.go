@@ -188,16 +188,6 @@ func (s *Server) qualityAlarm() (burning bool, since time.Time, desc string) {
 	return true, st.Since, desc
 }
 
-// TimeSeries exposes the windowed-telemetry sampler (nil when no SLOs or
-// recorder are configured); tests drive SampleNow through it.
-func (s *Server) TimeSeries() *obs.TimeSeries { return s.ts }
-
-// SLOEngine exposes the burn-rate engine (nil when no objectives configured).
-func (s *Server) SLOEngine() *slo.Engine { return s.sloEng }
-
-// Recorder exposes the flight recorder (nil when DiagDir is unset).
-func (s *Server) Recorder() *diag.Recorder { return s.rec }
-
 // RungLatency is a per-degradation-rung windowed latency summary in /sloz.
 type RungLatency struct {
 	Window string  `json:"window"`

@@ -95,7 +95,7 @@ func TestSLOFastBurnFlightRecorderEndToEnd(t *testing.T) {
 		DiagMinInterval: time.Hour, // only ONE unforced bundle can ever fit
 	}
 	srv, base := startServer(t, sys, cfg)
-	ts, eng, rec := srv.TimeSeries(), srv.SLOEngine(), srv.Recorder()
+	ts, eng, rec := srv.ts, srv.sloEng, srv.rec
 	if ts == nil || eng == nil || rec == nil {
 		t.Fatalf("SLO wiring incomplete: ts=%v eng=%v rec=%v", ts, eng, rec)
 	}
@@ -379,7 +379,7 @@ func listBundles(t *testing.T, dir string) []string {
 // the accessors confirm nothing was wired into the request path.
 func TestSlozDebugzDisabled(t *testing.T) {
 	srv, base := startServer(t, trainedSystem(t), Config{})
-	if srv.TimeSeries() != nil || srv.SLOEngine() != nil || srv.Recorder() != nil {
+	if srv.ts != nil || srv.sloEng != nil || srv.rec != nil {
 		t.Fatal("SLO layer built without any objectives or diag dir")
 	}
 	var page SlozPage
@@ -405,10 +405,10 @@ func TestDebugzManualCapture(t *testing.T) {
 	defer obs.SetEnabled(false)
 	diagDir := filepath.Join(t.TempDir(), "diag")
 	srv, base := startServer(t, trainedSystem(t), Config{DiagDir: diagDir})
-	if srv.Recorder() == nil {
+	if srv.rec == nil {
 		t.Fatal("recorder not armed by DiagDir alone")
 	}
-	if srv.SLOEngine() != nil {
+	if srv.sloEng != nil {
 		t.Fatal("SLO engine built without objectives")
 	}
 	var dbg DebugzPage

@@ -107,9 +107,6 @@ func (s *SPN) estimateOne(call *sqlparse.Call, preds predSet) (float64, error) {
 	}
 }
 
-// N returns the number of rows the SPN was learned from.
-func (s *SPN) N() int { return s.n }
-
 func firstAggregate(stmt *sqlparse.Select) *sqlparse.Call {
 	for _, it := range stmt.Items {
 		var found *sqlparse.Call

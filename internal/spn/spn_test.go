@@ -186,7 +186,7 @@ func TestSPNDeterministic(t *testing.T) {
 
 func TestNAccessor(t *testing.T) {
 	s, db := learned(t)
-	if s.N() != db.Table("flights").NumRows() {
-		t.Errorf("N = %d", s.N())
+	if s.n != db.Table("flights").NumRows() {
+		t.Errorf("n = %d", s.n)
 	}
 }

@@ -239,15 +239,6 @@ func (c *Call) CloneExpr() Expr {
 	return cp
 }
 
-// IsAggregateName reports whether name is a supported aggregate function.
-func IsAggregateName(name string) bool {
-	switch strings.ToUpper(name) {
-	case "COUNT", "SUM", "AVG", "MIN", "MAX":
-		return true
-	}
-	return false
-}
-
 // TableRef is an entry in a FROM list: a table name with an optional alias.
 type TableRef struct {
 	Table string

@@ -282,17 +282,6 @@ func TestWalkNilSafe(t *testing.T) {
 	Walk(nil, func(Expr) { t.Error("fn should not be called for nil") })
 }
 
-func TestIsAggregateName(t *testing.T) {
-	for _, name := range []string{"count", "SUM", "Avg", "MIN", "max"} {
-		if !IsAggregateName(name) {
-			t.Errorf("%q should be an aggregate", name)
-		}
-	}
-	if IsAggregateName("median") {
-		t.Error("median is not supported")
-	}
-}
-
 // TestParseRandomIdentifiers exercises the lexer/parser with generated
 // identifier-ish queries; every generated query must either parse or fail
 // cleanly (no panic), and parsed ones must round-trip.

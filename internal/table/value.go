@@ -1,12 +1,3 @@
-// Package table implements the in-memory relational storage substrate used
-// throughout the ASQP-RL reproduction: typed values, schemas, tables, row
-// identifiers, databases (catalogs of tables), subsets of databases, and CSV
-// import/export.
-//
-// A relation (Table) is stored as typed column vectors and nothing else, the
-// one representation the query engine (internal/engine), the preprocessing
-// pipeline and every baseline read; a Value is a cell boxed out of one, and an
-// answer (RowSet) is rows of them.
 package table
 
 import (
@@ -105,23 +96,6 @@ func (v Value) AsFloat() float64 {
 		return float64(v.Int)
 	case KindFloat:
 		return v.Float
-	case KindBool:
-		if v.Bool {
-			return 1
-		}
-		return 0
-	default:
-		return 0
-	}
-}
-
-// AsInt converts a numeric value to int64, truncating floats.
-func (v Value) AsInt() int64 {
-	switch v.Kind {
-	case KindInt:
-		return v.Int
-	case KindFloat:
-		return int64(v.Float)
 	case KindBool:
 		if v.Bool {
 			return 1

@@ -1,15 +1,24 @@
 // Package wal is the crash-safe durability layer of ASQP-RL's serving loop:
 // a CRC32-framed, segment-rotated write-ahead log that durably records served
 // statements, drift observations, and retrain lifecycle events, so the
-// continuous-learning signal (ROADMAP item 3's "persistent workload log")
-// survives process death instead of evaporating with the heap.
+// continuous-learning signal survives process death instead of evaporating
+// with the heap.
 //
 // Design, in the order the guarantees matter:
 //
 //   - Frames reuse the snapshot codec's magic/version/length/CRC idea: every
-//     record is `magic | version | type | payload-len | payload-crc | payload`
-//     with a JSON payload. Replay rejects torn or bit-flipped frames by
+//     record is a 22-byte header — magic AWAL (4 B), version (1), type (1),
+//     frame sequence (8, little-endian), payload length (4), CRC32-IEEE (4) —
+//     and a JSON payload. The CRC covers header bytes [4:18) and the payload,
+//     so a bit flip anywhere, the sequence field included, fails
+//     verification: replay rejects torn or bit-flipped frames by
 //     construction, never by decoder luck.
+//   - Sequences are monotonic per directory and continue across restarts
+//     (recovery seeds the next log's counter from the highest one seen), so
+//     replay counts losses exactly: a gap adds seq − prev − 1 to
+//     FramesDropped, a duplicate or backward jump drops the frame itself. A
+//     sealed segment truncated at a frame boundary passes every per-frame
+//     checksum; only the sequence line shows the frames are gone.
 //   - Append acknowledges only after fsync. Appends are group-committed: a
 //     single syncer goroutine batches every frame written while the previous
 //     fsync was in flight into the next one, so concurrent appenders share
@@ -591,14 +600,6 @@ func (l *Log) Stats() Stats {
 		st.Failed = l.failed.Error()
 	}
 	return st
-}
-
-// Dir returns the log directory (empty for a nil log).
-func (l *Log) Dir() string {
-	if l == nil {
-		return ""
-	}
-	return l.dir
 }
 
 // Close flushes, fsyncs, and closes the active segment, then stops the

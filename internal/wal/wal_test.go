@@ -286,9 +286,6 @@ func TestNilLogNoOps(t *testing.T) {
 	if st := l.Stats(); st.Segments != 0 {
 		t.Fatalf("nil Stats = %+v", st)
 	}
-	if l.Dir() != "" {
-		t.Fatalf("nil Dir = %q", l.Dir())
-	}
 }
 
 // TestMaxSegmentsPrunes: segment retention is the log's one bounded store.

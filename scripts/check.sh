@@ -195,7 +195,9 @@ trap - EXIT
 # Size: the numbers a CHANGES.md entry reports. Printed, not gated. The
 # repository is Go only: the last line is expected to read 0.
 echo "==> size"
-echo "non-test Go lines (internal cmd scripts): $(find internal cmd scripts -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+echo "non-test Go lines (internal cmd scripts, without doc.go): $(find internal cmd scripts -name '*.go' ! -name '*_test.go' ! -name doc.go | xargs cat | wc -l)"
+echo "doc.go lines: $(find internal cmd scripts -name doc.go | xargs cat | wc -l)"
+echo "prose lines: DESIGN.md $(wc -l <DESIGN.md), README.md $(wc -l <README.md)"
 echo "asqp-serve flags: $(grep -c '^  -' cmd/asqp-serve/testdata/help.golden)"
 echo "metric catalogue rows: $(sed -n '/metric-catalogue:begin/,/metric-catalogue:end/p' DESIGN.md | grep -c '^| `')"
 echo "python files: $(git ls-files '*.py' | wc -l)"
