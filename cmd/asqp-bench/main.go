@@ -17,6 +17,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -113,12 +114,17 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", r.ID, err)
 			os.Exit(1)
 		}
-		for _, t := range res.Tables {
-			fmt.Println()
-			t.Render(os.Stdout)
+		// Render once: a score cell's bootstrap runs when it is printed.
+		var rendered bytes.Buffer
+		for i, t := range res.Tables {
+			if i > 0 {
+				rendered.WriteString("\n")
+			}
+			t.Render(&rendered)
 		}
+		fmt.Printf("\n%s", rendered.Bytes())
 		if *md != "" {
-			if err := experiments.WriteMarkdown(*md, r.ID, res.Tables); err != nil {
+			if err := experiments.WriteMarkdown(*md, r.ID, rendered.Bytes()); err != nil {
 				fmt.Fprintln(os.Stderr, "asqp-bench:", err)
 				os.Exit(1)
 			}

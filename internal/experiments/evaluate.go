@@ -90,17 +90,26 @@ func queryAvg(db *table.Database, w workload.Workload, n int) (time.Duration, er
 
 // A method is one way of turning a dataset's training workload into an
 // approximation database of p.K tuples: ASQP-RL under some configuration, a
-// subset baseline, the VAE, a floor.
+// subset baseline, the VAE, a floor. A method with next continues: at every
+// condition of a seed after the first, next is handed the method's own build
+// at the previous condition instead of build starting over.
 type method struct {
 	name  string
 	build func(ds *dataset, p Params, seed int64) (built, error)
+	next  func(prev built, ds *dataset, p Params, seed int64) (built, error)
 }
 
-// built is what a method hands back: the approximation database and, for
-// methods that preprocess, the share of the build spent executing queries.
+// built is what a method hands back: the approximation database, the learner
+// that chose it (nil for the other methods), and for methods that preprocess,
+// the share of the build spent executing queries.
 type built struct {
 	db         *table.Database
+	sys        *core.System
 	preprocess time.Duration
+}
+
+func builtOf(sys *core.System) built {
+	return built{db: sys.SetDB(), sys: sys, preprocess: sys.Stats().PreprocessTime}
 }
 
 // trainOn trains ASQP-RL on w. A configuration that trains at another budget
@@ -116,13 +125,13 @@ func trainOn(ds *dataset, w workload.Workload, cfg core.Config, k int) (built, e
 			return built{}, err
 		}
 	}
-	return built{db: sys.SetDB(), preprocess: sys.Stats().PreprocessTime}, nil
+	return builtOf(sys), nil
 }
 
 // trained is ASQP-RL on the dataset's training workload under a variant of
 // the run's configuration (nil: the configuration itself).
 func trained(name string, variant func(*core.Config)) method {
-	return method{name, func(ds *dataset, p Params, seed int64) (built, error) {
+	return method{name: name, build: func(ds *dataset, p Params, seed int64) (built, error) {
 		cfg := p.asqpConfig(seed)
 		if variant != nil {
 			variant(&cfg)
@@ -145,7 +154,7 @@ func light(cfg *core.Config) {
 func subsets(bs ...baselines.Builder) []method {
 	out := make([]method, len(bs))
 	for i, b := range bs {
-		out[i] = method{b.Name(), func(ds *dataset, p Params, seed int64) (built, error) {
+		out[i] = method{name: b.Name(), build: func(ds *dataset, p Params, seed int64) (built, error) {
 			sub, err := b.Build(ds.db, ds.train, p.K, baselines.Options{F: p.F, Seed: seed, TimeBudget: p.BaselineBudget})
 			if err != nil {
 				return built{}, err
@@ -156,8 +165,14 @@ func subsets(bs ...baselines.Builder) []method {
 	return out
 }
 
+// frozen is m built at a seed's first condition and never adapted after.
+func frozen(m method) method {
+	m.next = func(prev built, _ *dataset, _ Params, _ int64) (built, error) { return prev, nil }
+	return m
+}
+
 // vae is gAQP: p.K generated tuples, queried directly.
-var vae = method{"VAE", func(ds *dataset, p Params, seed int64) (built, error) {
+var vae = method{name: "VAE", build: func(ds *dataset, p Params, seed int64) (built, error) {
 	gen, err := generative.GenerateDatabase(ds.db, p.K, generative.Options{Epochs: 12, BatchRows: 2000, Seed: seed})
 	return built{db: gen}, err
 }}
@@ -169,7 +184,7 @@ var floors = []method{
 	// What PPO must clear: a policy that picks uniformly among the valid
 	// actions of the learner's own environment. Like System.rebuildSet it
 	// keeps the best of eight rollouts by the environment's score.
-	{"floor: random policy", func(ds *dataset, p Params, seed int64) (built, error) {
+	{name: "floor: random policy", build: func(ds *dataset, p Params, seed int64) (built, error) {
 		cfg := p.asqpConfig(seed)
 		pre, err := core.Preprocess(ds.db, ds.train, cfg)
 		if err != nil {
@@ -201,7 +216,7 @@ var floors = []method{
 	}},
 	// What any policy could do with this pool: add, until the budget is full,
 	// the candidate that raises the tracked score most.
-	{"floor: greedy on pool", func(ds *dataset, p Params, seed int64) (built, error) {
+	{name: "floor: greedy on pool", build: func(ds *dataset, p Params, seed int64) (built, error) {
 		pre, err := core.Preprocess(ds.db, ds.train, p.asqpConfig(seed))
 		if err != nil {
 			return built{}, err
@@ -227,13 +242,17 @@ var floors = []method{
 }
 
 // condition is one (dataset, sizing) an experiment evaluates its methods
-// under: one (see on), or in a sweep one per swept value.
+// under: one (see on), or in a sweep or a sequence one per swept value or
+// phase. The conditions of one experiment share Seed and Seeds.
 type condition struct {
-	point   string // the swept value's label; empty outside sweeps
+	point   string // the swept value's or the phase's label; else empty
 	dataset string
 	p       Params
-	// probe, when set, measures something more of each built set.
-	probe func(ds *dataset, approx *table.Database, s *Sample) error
+	// phase, when set, derives the condition's view of the seed's dataset: the
+	// same database and reference cache, its own training and test workloads.
+	phase func(ds *dataset, seed int64) (*dataset, error)
+	// probe, when set, measures something more of each build.
+	probe func(ds *dataset, b built, s *Sample) error
 }
 
 // on is the named dataset at the run's own sizing.
@@ -244,7 +263,7 @@ func on(p Params, dataset string) []condition {
 // Sample is one method's result on one dataset under one seed.
 type Sample struct {
 	Dataset string
-	Point   string // the swept value in a sweep ("100" in Figure 8), else empty
+	Point   string // the swept value or the phase ("100" in Figure 8), else empty
 	Method  string
 	Seed    int64
 	// Train and Test are the per-query terms of Equation 1 on the training
@@ -256,21 +275,47 @@ type Sample struct {
 	Setup, Preprocess, QueryAvg time.Duration
 	// Diversity is the per-query answer diversity (the div experiment only).
 	Diversity []float64
+	// Predicted is the answerability estimator's prediction for each training
+	// and then each test statement (Figure 5 only).
+	Predicted []float64
 }
 
-// evaluate owns the package's seed loop. Per condition and seed it loads the
-// dataset once and hands the same value to every method, so the seeds of two
-// methods are paired by construction.
+// evaluate owns the package's seed loop. Per seed it loads each dataset once,
+// for every condition with the same dataset, Scale and WorkloadSize, and hands
+// the same value to every method, so the seeds of two methods are paired by
+// construction; a method with next continues from its own build at the
+// seed's previous condition.
 func evaluate(conds []condition, methods []method) ([]Sample, error) {
+	type sizing struct {
+		dataset string
+		scale   float64
+		size    int
+	}
 	var out []Sample
-	for _, c := range conds {
-		for i := 0; i < c.p.Seeds; i++ {
-			seed := c.p.Seed + int64(i)*1000
-			ds := loadDataset(c.dataset, c.p, seed)
-			for _, m := range methods {
-				s, err := c.sample(ds, m, seed)
+	for i := 0; i < conds[0].p.Seeds; i++ {
+		seed := conds[0].p.Seed + int64(i)*1000
+		loaded := map[sizing]*dataset{}
+		prev := make([]*built, len(methods))
+		for _, c := range conds {
+			key := sizing{c.dataset, c.p.Scale, c.p.WorkloadSize}
+			ds := loaded[key]
+			if ds == nil {
+				ds = loadDataset(c.dataset, c.p, seed)
+				loaded[key] = ds
+			}
+			if c.phase != nil {
+				var err error
+				if ds, err = c.phase(ds, seed); err != nil {
+					return nil, fmt.Errorf("%s %s seed %d: %w", c.dataset, c.point, seed, err)
+				}
+			}
+			for j, m := range methods {
+				s, b, err := c.sample(ds, m, seed, prev[j])
 				if err != nil {
 					return nil, fmt.Errorf("%s on %s %s seed %d: %w", m.name, c.dataset, c.point, seed, err)
+				}
+				if m.next != nil {
+					prev[j] = &b
 				}
 				out = append(out, s)
 			}
@@ -279,27 +324,34 @@ func evaluate(conds []condition, methods []method) ([]Sample, error) {
 	return out, nil
 }
 
-// sample times one build and scores the set per query on the training and the
+// sample times one build, continued from prev when the method continues and
+// there is one, and scores the set per query on the training and the
 // held-out workload.
-func (c condition) sample(ds *dataset, m method, seed int64) (Sample, error) {
+func (c condition) sample(ds *dataset, m method, seed int64, prev *built) (Sample, built, error) {
 	s := Sample{Dataset: c.dataset, Point: c.point, Method: m.name, Seed: seed}
 	start := time.Now()
-	b, err := m.build(ds, c.p, seed)
+	var b built
+	var err error
+	if prev != nil {
+		b, err = m.next(*prev, ds, c.p, seed)
+	} else {
+		b, err = m.build(ds, c.p, seed)
+	}
 	if err != nil {
-		return s, err
+		return s, b, err
 	}
 	s.Setup, s.Preprocess = time.Since(start), b.preprocess
 	if s.Train, err = metrics.PerQueryScoresWith(ds.db, b.db, ds.train, c.p.F, ds.scoreOpts(c.p)); err != nil {
-		return s, err
+		return s, b, err
 	}
 	if s.Test, err = metrics.PerQueryScoresWith(ds.db, b.db, ds.test, c.p.F, ds.scoreOpts(c.p)); err != nil {
-		return s, err
+		return s, b, err
 	}
 	if s.QueryAvg, err = queryAvg(b.db, ds.test, 10); err != nil {
-		return s, err
+		return s, b, err
 	}
 	if c.probe != nil {
-		err = c.probe(ds, b.db, &s)
+		err = c.probe(ds, b, &s)
 	}
-	return s, err
+	return s, b, err
 }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"asqprl/internal/core"
-	"asqprl/internal/workload"
 )
 
 // Params sizes an experiment run. Full() matches the shapes of the paper's
@@ -95,8 +94,10 @@ func (p Params) asqpConfig(seed int64) core.Config {
 	return cfg
 }
 
-// Result is what an experiment produces: its tables and, for the experiments
-// that stand on the evaluator, the samples the tables were computed from.
+// Result is what an experiment produces: its tables and the samples they were
+// computed from. Every experiment stands on the evaluator except fig4, which
+// compares no methods, and fig12, whose score is not Equation 1; those two
+// return tables only.
 type Result struct {
 	Tables  []*Table
 	Samples []Sample
@@ -122,7 +123,7 @@ func Registry() []Runner {
 		{"fig4", "Problem justification: cumulative average direct-query latency vs database blow-up", Fig4ProblemJustification},
 		{"fig5", "Answerability estimator: precision/recall vs training fraction; full-system fallback variants", Fig5Estimator},
 		{"fig6", "Unknown workload on FLIGHTS: quality per refinement iteration vs RAN and QRD", Fig6NoWorkload},
-		{"fig7", "Interest drift: quality per phase with fine-tuning", Fig7Drift},
+		{"fig7", "Interest drift: quality per phase of a stale, a fine-tuned and a retrained learner", Fig7Drift},
 		{"fig8", "Memory budget sweep: score vs k", Fig8MemorySweep},
 		{"fig9", "Frame size sweep: score vs F", Fig9FrameSweep},
 		{"fig10", "Training-set size: score and training time vs executed fraction", Fig10TrainingSetSize},
@@ -145,9 +146,4 @@ func ByID(id string) (Runner, error) {
 		ids = append(ids, r.ID)
 	}
 	return Runner{}, fmt.Errorf("experiments: unknown experiment %q (have %s)", id, strings.Join(ids, ", "))
-}
-
-// workloadCopy clones a workload slice (weights included).
-func workloadCopy(w workload.Workload) workload.Workload {
-	return append(workload.Workload(nil), w...)
 }

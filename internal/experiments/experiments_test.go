@@ -2,14 +2,18 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"asqprl/internal/baselines"
+	"asqprl/internal/core"
 	"asqprl/internal/metrics"
+	"asqprl/internal/table"
 )
 
 // TestAllRunnersProduceWellFormedTables runs every experiment at Fast()
@@ -27,6 +31,11 @@ func TestAllRunnersProduceWellFormedTables(t *testing.T) {
 			}
 			if len(res.Tables) == 0 {
 				t.Fatalf("%s: no tables", r.ID)
+			}
+			// Only fig4 (no methods) and fig12 (not Equation 1) keep bodies of
+			// their own; every other experiment stands on evaluate.
+			if len(res.Samples) == 0 && r.ID != "fig4" && r.ID != "fig12" {
+				t.Errorf("%s: no samples", r.ID)
 			}
 			for _, tab := range res.Tables {
 				if tab.Title == "" || len(tab.Header) == 0 {
@@ -130,27 +139,63 @@ func TestFig2ShapeHolds(t *testing.T) {
 	}
 }
 
-// TestEvaluatePaired holds evaluate to its two promises: every method of a
-// seed is handed the same dataset value (and a different one per seed), and
-// the samples do not depend on the scoring parallelism.
+// buildCall is one call of a method's build (prev nil) or next, as evaluate
+// made it.
+type buildCall struct {
+	method string
+	seed   int64
+	ds     *dataset
+	prev   *built
+	out    built
+}
+
+// spy wraps methods so that every call of their build or next is logged.
+func spy(methods []method, log *[]buildCall) []method {
+	out := make([]method, len(methods))
+	for i, m := range methods {
+		build, next := m.build, m.next
+		m.build = func(ds *dataset, p Params, seed int64) (built, error) {
+			b, err := build(ds, p, seed)
+			*log = append(*log, buildCall{m.name, seed, ds, nil, b})
+			return b, err
+		}
+		if next != nil {
+			m.next = func(prev built, ds *dataset, p Params, seed int64) (built, error) {
+				b, err := next(prev, ds, p, seed)
+				*log = append(*log, buildCall{m.name, seed, ds, &prev, b})
+				return b, err
+			}
+		}
+		out[i] = m
+	}
+	return out
+}
+
+// TestEvaluatePaired holds evaluate to its promises: within a seed every
+// method under every condition of the same dataset sizing is handed one
+// dataset value (a different one per seed); a continuing method is handed
+// its own build at the seed's previous condition and nothing at the first;
+// and the samples do not depend on the scoring parallelism.
 func TestEvaluatePaired(t *testing.T) {
 	p := Fast()
 	p.Seeds = 2
-	saw := map[string][]*dataset{}
-	spy := func(b baselines.Builder) method {
-		m := subsets(b)[0]
-		build := m.build
-		m.build = func(ds *dataset, p Params, seed int64) (built, error) {
-			saw[m.name] = append(saw[m.name], ds)
-			return build(ds, p, seed)
-		}
+	half := p
+	half.K /= 2
+	conds := []condition{{point: "k", dataset: "IMDB", p: p}, {point: "k/2", dataset: "IMDB", p: half}}
+	continuing := func(m method) method {
+		m.next = func(_ built, ds *dataset, p Params, seed int64) (built, error) { return m.build(ds, p, seed) }
 		return m
 	}
-	methods := []method{spy(baselines.Random{}), spy(baselines.TopQueried{}), spy(baselines.Verdict{})}
+	base := subsets(baselines.Random{}, baselines.TopQueried{}, baselines.Verdict{})
+	var log []buildCall
+	methods := spy([]method{base[0], continuing(base[1]), continuing(base[2])}, &log)
 
 	run := func(parallelism int) []Sample {
-		p.Parallelism = parallelism
-		samples, err := evaluate(on(p, "IMDB"), methods)
+		log = nil
+		for i := range conds {
+			conds[i].p.Parallelism = parallelism
+		}
+		samples, err := evaluate(conds, methods)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,19 +205,135 @@ func TestEvaluatePaired(t *testing.T) {
 		return samples
 	}
 	serial := run(1)
-	if len(serial) != p.Seeds*len(methods) {
-		t.Fatalf("%d samples, want %d", len(serial), p.Seeds*len(methods))
+	if len(serial) != p.Seeds*len(conds)*len(methods) {
+		t.Fatalf("%d samples, want %d", len(serial), p.Seeds*len(conds)*len(methods))
 	}
-	for _, m := range methods[1:] {
-		if !reflect.DeepEqual(saw[m.name], saw[methods[0].name]) {
-			t.Errorf("%s and %s were not handed the same dataset values", m.name, methods[0].name)
+	datasets := map[int64]*dataset{}
+	last := map[string]built{}
+	for _, c := range log {
+		if ds, ok := datasets[c.seed]; !ok {
+			datasets[c.seed] = c.ds
+		} else if ds != c.ds {
+			t.Errorf("%s seed %d: handed another dataset value than the seed's other calls", c.method, c.seed)
 		}
+		key := fmt.Sprint(c.method, c.seed)
+		prev, seen := last[key]
+		if seen && c.method != base[0].name {
+			if c.prev == nil || c.prev.db != prev.db {
+				t.Errorf("%s seed %d: not handed its own previous build", c.method, c.seed)
+			}
+		} else if c.prev != nil {
+			t.Errorf("%s seed %d: handed a previous build at its first condition, or though it does not continue", c.method, c.seed)
+		}
+		last[key] = c.out
 	}
-	if first := saw[methods[0].name]; first[0] == first[1] {
-		t.Error("two seeds shared one dataset value")
+	if len(datasets) != p.Seeds || datasets[p.Seed] == datasets[p.Seed+1000] {
+		t.Errorf("%d dataset values over %d seeds", len(datasets), p.Seeds)
 	}
 	if parallel := run(4); !reflect.DeepEqual(serial, parallel) {
 		t.Error("samples differ between Parallelism 1 and 4")
+	}
+}
+
+// systemsPerSeed is the set of learners each seed's calls returned.
+func systemsPerSeed(log []buildCall, method string) map[int64]map[*core.System]bool {
+	out := map[int64]map[*core.System]bool{}
+	for _, c := range log {
+		if c.method == method {
+			if out[c.seed] == nil {
+				out[c.seed] = map[*core.System]bool{}
+			}
+			out[c.seed][c.out.sys] = true
+		}
+	}
+	return out
+}
+
+// TestFig8TrainsOncePerSeed holds Figure 8's learner to one core.Train per
+// seed, and its per-query test scores at every k to those of a fresh
+// training per k.
+func TestFig8TrainsOncePerSeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("not short")
+	}
+	p := Fast()
+	p.Seeds = 2
+	points, methods := memorySweep(p)
+	var log []buildCall
+	samples, err := evaluate(points, spy(methods[:1], &log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	systems := systemsPerSeed(log, asqp)
+	for seed, s := range systems {
+		if len(s) != 1 {
+			t.Errorf("seed %d: %d trainings, want 1", seed, len(s))
+		}
+	}
+	if len(systems) != p.Seeds || len(samples) != p.Seeds*len(points) {
+		t.Fatalf("%d seeds, %d samples", len(systems), len(samples))
+	}
+	cfg := func(seed int64) core.Config {
+		c := p.asqpConfig(seed)
+		c.K = points[len(points)-1].p.K
+		return c
+	}
+	for _, s := range samples {
+		ds := loadDataset("IMDB", p, s.Seed)
+		k, _ := strconv.Atoi(s.Point)
+		b, err := trainOn(ds, ds.train, cfg(s.Seed), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := metrics.PerQueryScoresWith(ds.db, b.db, ds.test, p.F, ds.scoreOpts(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(s.Test, fresh) {
+			t.Errorf("k = %s seed %d: scores differ from a fresh training", s.Point, s.Seed)
+		}
+	}
+}
+
+// TestFig6FineTunesInsteadOfReplaying holds Figure 6 to one training and one
+// fine-tune per refinement for the learner, and one build for each static
+// baseline, per seed.
+func TestFig6FineTunesInsteadOfReplaying(t *testing.T) {
+	if testing.Short() {
+		t.Skip("not short")
+	}
+	p := Fast()
+	p.Seeds = 2
+	phases, methods := refinements(p)
+	var log []buildCall
+	if _, err := evaluate(phases, spy(methods, &log)); err != nil {
+		t.Fatal(err)
+	}
+	systems := systemsPerSeed(log, asqp)
+	if len(systems) != p.Seeds {
+		t.Fatalf("learner built under %d seeds, want %d", len(systems), p.Seeds)
+	}
+	for seed, s := range systems {
+		for sys := range s {
+			if len(s) != 1 || sys.Stats().FineTunes != len(phases)-1 {
+				t.Errorf("seed %d: %d trainings, %d fine-tunes; want 1 and %d", seed, len(s), sys.Stats().FineTunes, len(phases)-1)
+			}
+		}
+	}
+	sets := map[string]map[*table.Database]bool{}
+	for _, c := range log {
+		if c.method != asqp {
+			key := fmt.Sprint(c.method, c.seed)
+			if sets[key] == nil {
+				sets[key] = map[*table.Database]bool{}
+			}
+			sets[key][c.out.db] = true
+		}
+	}
+	for key, s := range sets {
+		if len(s) != 1 {
+			t.Errorf("%s: %d builds, want 1", key, len(s))
+		}
 	}
 }
 
@@ -196,20 +357,20 @@ func TestWriteMarkdown(t *testing.T) {
 	}
 	tab := &Table{Title: "demo", Header: []string{"A", "Score"}}
 	tab.AddRow(Text("x"), Score{{0.2, 0.4}, {0.6}})
-	tables := []*Table{tab, tab}
+	var rendered bytes.Buffer
+	tab.Render(&rendered)
+	body := rendered.Bytes()
 
 	write(doc)
-	if err := WriteMarkdown(path, "fig4", tables); err != nil {
+	if err := WriteMarkdown(path, "fig4", body); err != nil {
 		t.Fatal(err)
 	}
 	first := read()
-	var rendered bytes.Buffer
-	tab.Render(&rendered)
-	want := before + "<!-- fig4:begin -->\n```\n" + rendered.String() + "\n" + rendered.String() + "```\n<!-- fig4:end -->" + between + "<!-- fig5:begin --><!-- fig5:end -->" + after
+	want := before + "<!-- fig4:begin -->\n```\n" + rendered.String() + "```\n<!-- fig4:end -->" + between + "<!-- fig5:begin --><!-- fig5:end -->" + after
 	if first != want {
 		t.Errorf("after one write:\n%s\nwant:\n%s", first, want)
 	}
-	if err := WriteMarkdown(path, "fig4", tables); err != nil {
+	if err := WriteMarkdown(path, "fig4", body); err != nil {
 		t.Fatal(err)
 	}
 	if second := read(); second != first {
@@ -223,7 +384,7 @@ func TestWriteMarkdown(t *testing.T) {
 		"reversed":      "<!-- fig4:end --> <!-- fig4:begin -->",
 	} {
 		write(bad)
-		if err := WriteMarkdown(path, "fig4", tables); err == nil {
+		if err := WriteMarkdown(path, "fig4", body); err == nil {
 			t.Errorf("%s marker: no error", name)
 		}
 		if read() != bad {
@@ -231,7 +392,7 @@ func TestWriteMarkdown(t *testing.T) {
 		}
 	}
 	write(doc)
-	if err := WriteMarkdown(path, "fig99", tables); err == nil {
+	if err := WriteMarkdown(path, "fig99", body); err == nil {
 		t.Error("unknown experiment id: no error")
 	}
 }

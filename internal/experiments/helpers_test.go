@@ -145,13 +145,3 @@ func TestDelayedFlightsInterestShape(t *testing.T) {
 		}
 	}
 }
-
-func TestWorkloadCopyIndependence(t *testing.T) {
-	p := Fast()
-	ds := loadDataset("IMDB", p, 1)
-	cp := workloadCopy(ds.train)
-	cp[0].Weight = 99
-	if ds.train[0].Weight == 99 {
-		t.Error("workloadCopy shares backing array entries")
-	}
-}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"time"
 	"unicode/utf8"
@@ -27,11 +28,6 @@ func (t Text) String() string { return string(t) }
 type Count int
 
 func (c Count) String() string { return fmt.Sprintf("%d", int(c)) }
-
-// Value is one measured number with no sample behind it.
-type Value float64
-
-func (v Value) String() string { return fmt.Sprintf("%.3f", float64(v)) }
 
 // Score is a sample of per-query values, one slice per seed. It prints as the
 // mean over seeds of the per-seed means and the 95 % bootstrap interval of
@@ -203,6 +199,9 @@ var (
 	colSetup      = durationColumn("Setup", func(s Sample) time.Duration { return s.Setup })
 	colPreprocess = durationColumn("QueryExecTime", func(s Sample) time.Duration { return s.Preprocess })
 	colQueryAvg   = durationColumn("QueryAvg", func(s Sample) time.Duration { return s.QueryAvg })
+	// Precision and recall are one number per seed.
+	colPrecision = scoreColumn("Precision", func(s Sample) []float64 { p, _ := estimatorQuality(s); return []float64{p} })
+	colRecall    = scoreColumn("Recall", func(s Sample) []float64 { _, r := estimatorQuality(s); return []float64{r} })
 	// colTally pairs the row with the reference seed by seed: evaluate gives
 	// both the same dataset value per seed, in the same order.
 	colTally = column{"W-L-T", func(row, ref []Sample) Cell {
@@ -223,6 +222,32 @@ var (
 		return t
 	}}
 )
+
+// estimatorQuality is the precision and recall of "predicted term >= 0.5"
+// against "executed term >= 0.5" over the sample's training and test
+// statements.
+func estimatorQuality(s Sample) (precision, recall float64) {
+	terms := append(slices.Clone(s.Train), s.Test...)
+	predicted, actual := make([]bool, len(terms)), make([]bool, len(terms))
+	for i, t := range terms {
+		predicted[i], actual[i] = s.Predicted[i] >= 0.5, t >= 0.5
+	}
+	return metrics.PrecisionRecall(predicted, actual)
+}
+
+// fallbackColumn is the test score of the full system that answers a
+// statement predicted below threshold from the database, exactly (term 1).
+func fallbackColumn(threshold float64) column {
+	return scoreColumn(fmt.Sprintf("Fallback%.1f", threshold), func(s Sample) []float64 {
+		terms := slices.Clone(s.Test)
+		for i, pred := range s.Predicted[len(s.Train):] {
+			if pred < threshold {
+				terms[i] = 1
+			}
+		}
+		return terms
+	})
+}
 
 // tabulate lays samples out one row per (point, method), in the order
 // evaluate produced them, with ref naming the method each row is paired
@@ -273,7 +298,7 @@ func tabulate(title, pointHeader, methodHeader, ref string, samples []Sample, co
 // WriteMarkdown replaces what stands between "<!-- id:begin -->" and
 // "<!-- id:end -->" in the file at path with the rendered tables. Each marker
 // must occur exactly once, in that order; nothing outside them changes.
-func WriteMarkdown(path, id string, tables []*Table) error {
+func WriteMarkdown(path, id string, rendered []byte) error {
 	if _, err := ByID(id); err != nil {
 		return err
 	}
@@ -292,12 +317,7 @@ func WriteMarkdown(path, id string, tables []*Table) error {
 	var out bytes.Buffer
 	out.Write(doc[:from])
 	out.WriteString("\n```\n")
-	for i, t := range tables {
-		if i > 0 {
-			out.WriteString("\n")
-		}
-		t.Render(&out)
-	}
+	out.Write(rendered)
 	out.WriteString("```\n")
 	out.Write(doc[to:])
 	return os.WriteFile(path, out.Bytes(), 0o644)
