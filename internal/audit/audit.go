@@ -59,16 +59,6 @@ type Config struct {
 	// Workers is the number of low-priority audit executors (default
 	// DefaultWorkers).
 	Workers int
-	// QueueDepth bounds the pending-audit queue (default 64). A full queue
-	// drops the new audit and counts it — user-facing serving is never
-	// blocked on audit capacity.
-	QueueDepth int
-	// Timeout bounds one ground-truth re-execution (default 10s).
-	Timeout time.Duration
-	// Backoff is the initial sleep when the capacity gate denies an audit;
-	// it doubles up to MaxBackoff (defaults 25ms and 1s).
-	Backoff    time.Duration
-	MaxBackoff time.Duration
 	// Seed drives the sampling decisions (default 1).
 	Seed int64
 }
@@ -76,6 +66,18 @@ type Config struct {
 // DefaultWorkers is the audit pool size when Config.Workers is unset: the
 // auditor is a background verifier, not a throughput machine.
 const DefaultWorkers = 1
+
+// The auditor's fixed bounds. queueDepth bounds the pending-audit queue: a
+// full queue drops the new audit and counts it, so user-facing serving is
+// never blocked on audit capacity. auditTimeout bounds one ground-truth
+// re-execution. When the capacity gate denies an audit the worker sleeps
+// gateBackoff, doubling up to gateMaxBackoff.
+const (
+	queueDepth     = 64
+	auditTimeout   = 10 * time.Second
+	gateBackoff    = 25 * time.Millisecond
+	gateMaxBackoff = time.Second
+)
 
 func (c Config) normalize() Config {
 	if c.SampleRate < 0 {
@@ -86,18 +88,6 @@ func (c Config) normalize() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = DefaultWorkers
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 10 * time.Second
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 25 * time.Millisecond
-	}
-	if c.MaxBackoff < c.Backoff {
-		c.MaxBackoff = time.Second
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -176,7 +166,7 @@ func New(target TargetFunc, gate GateFunc, cfg Config) *Auditor {
 		cfg:      cfg,
 		target:   target,
 		gate:     gate,
-		jobs:     make(chan job, cfg.QueueDepth),
+		jobs:     make(chan job, queueDepth),
 		stop:     make(chan struct{}),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		shapes:   map[string]*shapeStats{},
@@ -276,7 +266,7 @@ func (a *Auditor) waitCapacity() bool {
 	if a.gate == nil {
 		return true
 	}
-	wait := a.cfg.Backoff
+	wait := gateBackoff
 	for {
 		if a.gate() {
 			return true
@@ -287,9 +277,7 @@ func (a *Auditor) waitCapacity() bool {
 			return false
 		case <-time.After(wait):
 		}
-		if wait *= 2; wait > a.cfg.MaxBackoff {
-			wait = a.cfg.MaxBackoff
-		}
+		wait = min(2*wait, gateMaxBackoff)
 	}
 }
 
@@ -309,7 +297,7 @@ func (a *Auditor) run(j job) {
 	defer span.End()
 	span.Annotate("sql", j.served.SQL)
 	span.Annotate("audited_trace_id", j.served.TraceID.String())
-	ctx, cancel := context.WithTimeout(ctx, a.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(ctx, auditTimeout)
 	defer cancel()
 
 	shape, err := engine.PlanShape(db, j.stmt)

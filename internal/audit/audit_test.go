@@ -57,7 +57,7 @@ func mustParse(t *testing.T, sql string) *sqlparse.Select {
 // newTestAuditor builds an auditor over testDB with frame F and sample rate 1.
 func newTestAuditor(t *testing.T, frame int, mut func(*Config)) *Auditor {
 	t.Helper()
-	cfg := Config{SampleRate: 1, Timeout: 5 * time.Second}
+	cfg := Config{SampleRate: 1}
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -226,21 +226,21 @@ func TestAuditSampleRateZeroDisables(t *testing.T) {
 }
 
 // TestAuditQueueBoundsAndDrop: with the worker pool wedged behind a denying
-// gate, offers beyond QueueDepth are dropped (counted), never blocked on.
+// gate, offers beyond queueDepth are dropped (counted), never blocked on.
 func TestAuditQueueBoundsAndDrop(t *testing.T) {
 	var allow atomic.Bool
 	db := testDB()
 	a := New(
 		func() (*table.Database, int) { return db, 25 },
 		func() bool { return allow.Load() },
-		Config{SampleRate: 1, QueueDepth: 2, Workers: 1, Backoff: time.Millisecond},
+		Config{SampleRate: 1, Workers: 1},
 	)
 	t.Cleanup(a.Close)
 	stmt := mustParse(t, "SELECT title FROM movies WHERE rating > 7")
 	sv := Served{SQL: stmt.String(), Source: "approximation"}
 
-	// The worker pulls one job and parks at the gate; 2 more fill the queue.
-	// Everything beyond that must drop immediately.
+	// The worker pulls one job and parks at the gate; queueDepth more fill
+	// the queue. Everything beyond that must drop immediately.
 	deadline := time.Now().Add(5 * time.Second)
 	for a.dropped.Load() == 0 {
 		if time.Now().After(deadline) {
@@ -278,7 +278,7 @@ func TestAuditCloseDrainsWorkers(t *testing.T) {
 	a := New(
 		func() (*table.Database, int) { return db, 25 },
 		func() bool { return false }, // gate never opens
-		Config{SampleRate: 1, Workers: 4, Backoff: time.Millisecond},
+		Config{SampleRate: 1, Workers: 4},
 	)
 	stmt := mustParse(t, "SELECT title FROM movies WHERE rating > 7")
 	sv := Served{SQL: stmt.String(), Source: "approximation"}

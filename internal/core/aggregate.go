@@ -52,7 +52,7 @@ func (s *System) QueryAggregateStmt(stmt *sqlparse.Select) (*AggregateResult, er
 	s.drift.Observe(spj, conf)
 
 	target := s.setDB
-	fromApprox := pred >= s.cfg.EstimatorThreshold
+	fromApprox := pred >= EstimatorThreshold
 	if !fromApprox {
 		target = s.db
 	}

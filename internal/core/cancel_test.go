@@ -172,7 +172,7 @@ func TestQueryFaultFallsBackToApprox(t *testing.T) {
 	sys := trainedSystem(t)
 	sql := "SELECT * FROM name WHERE birth_year > 1800" // routes to full DB
 	pred, _ := sys.Estimator().Estimate(mustParseCore(t, sql))
-	if pred >= sys.Config().EstimatorThreshold {
+	if pred >= EstimatorThreshold {
 		t.Skip("query unexpectedly routed to the approximation set")
 	}
 	// Fail the full-DB scans persistently, but only after the scans the

@@ -72,10 +72,6 @@ type Config struct {
 	RelaxFactor float64
 	// RelaxDrop also drops the most selective conjunct during relaxation.
 	RelaxDrop bool
-	// RelaxRewardWeight is the share of each representative's reward given
-	// to covering its relaxed variant's results (the rest rewards the
-	// original results). It implements training on generalized queries.
-	RelaxRewardWeight float64
 	// Environment selects GSL (default), DRP or the hybrid.
 	Environment EnvironmentKind
 	// DRPHorizon is the episode length for the DRP environment.
@@ -89,12 +85,6 @@ type Config struct {
 	RL rl.Config
 	// EmbedDim is the embedding dimensionality.
 	EmbedDim int
-	// EstimatorThreshold is the predicted-score threshold above which a
-	// query is considered answerable from the approximation set.
-	EstimatorThreshold float64
-	// EstimatorNeighbors is how many nearest training queries vote in the
-	// answerability estimate.
-	EstimatorNeighbors int
 	// DriftConfidence and DriftCount configure interest-drift detection:
 	// fine-tuning triggers after DriftCount queries deviate from the
 	// training workload with confidence above DriftConfidence.
@@ -111,6 +101,19 @@ type Config struct {
 	Seed int64
 }
 
+// relaxRewardWeight is the share of each representative's reward given to
+// covering its relaxed variant's results (the rest rewards the original
+// results). It implements training on generalized queries.
+const relaxRewardWeight = 0.3
+
+// EstimatorThreshold is the predicted score at or above which a query is
+// answered from the approximation set; estimatorNeighbors is how many
+// nearest training queries vote in that prediction.
+const (
+	EstimatorThreshold = 0.5
+	estimatorNeighbors = 5
+)
+
 // DefaultConfig returns the paper-default configuration (Section 6.1),
 // scaled to the laptop-size synthetic datasets of this reproduction.
 func DefaultConfig() Config {
@@ -124,7 +127,6 @@ func DefaultConfig() Config {
 		MaxTrackedPerQuery: 200,
 		RelaxFactor:        0.25,
 		RelaxDrop:          true,
-		RelaxRewardWeight:  0.3,
 		Environment:        EnvGSL,
 		DRPHorizon:         160,
 		Episodes:           96,
@@ -135,14 +137,11 @@ func DefaultConfig() Config {
 			ClipEpsilon: 0.2,
 			EntropyCoef: 0.001,
 			KLCoef:      0.2,
-			ValueCoef:   0.5,
 			UseCritic:   true,
 			Epochs:      4,
 			Workers:     4,
 		},
-		EmbedDim:           64,
-		EstimatorThreshold: 0.5,
-		EstimatorNeighbors: 5,
+		EmbedDim: 64,
 		// The paper uses 0.8 with sentence-BERT embeddings; our hash
 		// embeddings put in-distribution queries near similarity 0.95 and
 		// out-of-distribution ones below 0.5, so deviation 0.5 separates
@@ -217,10 +216,6 @@ func (c Config) normalize() Config {
 	if c.RelaxFactor <= 0 {
 		c.RelaxFactor = d.RelaxFactor
 	}
-	// Zero means default; use a tiny positive value to effectively disable.
-	if c.RelaxRewardWeight <= 0 || c.RelaxRewardWeight >= 1 {
-		c.RelaxRewardWeight = d.RelaxRewardWeight
-	}
 	if c.DRPHorizon <= 0 {
 		c.DRPHorizon = d.DRPHorizon
 	}
@@ -229,12 +224,6 @@ func (c Config) normalize() Config {
 	}
 	if c.EmbedDim <= 0 {
 		c.EmbedDim = d.EmbedDim
-	}
-	if c.EstimatorThreshold <= 0 {
-		c.EstimatorThreshold = d.EstimatorThreshold
-	}
-	if c.EstimatorNeighbors <= 0 {
-		c.EstimatorNeighbors = d.EstimatorNeighbors
 	}
 	if c.DriftConfidence <= 0 {
 		c.DriftConfidence = d.DriftConfidence

@@ -81,7 +81,7 @@ func (e *envBase) drop(i int) {
 
 // queryScore returns the blended coverage score of rep q: the original
 // query's Equation-1 term weighted (1 − w) plus the relaxed variant's term
-// weighted w = RelaxRewardWeight (training on generalized queries, Section
+// weighted w = relaxRewardWeight (training on generalized queries, Section
 // 4.2).
 func (e *envBase) queryScore(q int) float64 {
 	rep := &e.pre.Reps[q]
@@ -89,7 +89,7 @@ func (e *envBase) queryScore(q int) float64 {
 	if rep.Rel < 0 {
 		return orig
 	}
-	w := e.cfg.RelaxRewardWeight
+	w := relaxRewardWeight
 	return (1-w)*orig + w*e.tracker.Term(rep.Rel)
 }
 

@@ -187,7 +187,7 @@ func loadBytes(db *table.Database, data []byte) (*System, error) {
 	// the snapshot predates them).
 	emb := embed.Embedder{Dim: cfg.EmbedDim}
 	if len(snap.EstScores) == len(w) {
-		s.est = NewEstimator(emb, w.Statements(), snap.EstScores, cfg.EstimatorNeighbors)
+		s.est = NewEstimator(emb, w.Statements(), snap.EstScores, estimatorNeighbors)
 	} else if err := s.fitEstimator(); err != nil {
 		return nil, fmt.Errorf("core: load: %w", err)
 	}

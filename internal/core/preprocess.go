@@ -24,7 +24,7 @@ import (
 // RepQuery is one query representative after clustering (Section 4.2). Its
 // results are tracked in Preprocessed.Cover as two queries: the original
 // medoid statement, whose result tuples define the training reward, and the
-// relaxed variant, whose coverage is rewarded at Config.RelaxRewardWeight —
+// relaxed variant, whose coverage is rewarded at relaxRewardWeight —
 // the paper's training on generalized queries (challenge C4) without
 // unanchoring the reward from the real workload.
 type RepQuery struct {
@@ -257,13 +257,14 @@ func PreprocessContext(ctx context.Context, db *table.Database, w workload.Workl
 		}
 	}
 	// A tracked query's weight is its share of the blended reward.
+	rw := relaxRewardWeight
 	for _, rep := range pre.Reps {
 		if rep.Rel < 0 {
 			tracked[rep.Orig].Weight = rep.Weight
 			continue
 		}
-		tracked[rep.Orig].Weight = (1 - cfg.RelaxRewardWeight) * rep.Weight
-		tracked[rep.Rel].Weight = cfg.RelaxRewardWeight * rep.Weight
+		tracked[rep.Orig].Weight = (1 - rw) * rep.Weight
+		tracked[rep.Rel].Weight = rw * rep.Weight
 	}
 	pre.Cover = metrics.NewCoverIndex(tracked, cfg.F)
 

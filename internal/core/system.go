@@ -214,7 +214,7 @@ func (s *System) fitEstimator() error {
 	if err != nil {
 		return fmt.Errorf("core: fit estimator: %w", err)
 	}
-	s.est = NewEstimator(emb, s.train.Statements(), scores, s.cfg.EstimatorNeighbors)
+	s.est = NewEstimator(emb, s.train.Statements(), scores, estimatorNeighbors)
 	return nil
 }
 
@@ -413,7 +413,7 @@ func (s *System) answer(ctx context.Context, stmt *sqlparse.Select, opts QueryOp
 		MaxOutputRows:       opts.MaxRows,
 		MaxIntermediateRows: opts.MaxIntermediateRows,
 	}
-	useApprox := pred >= s.cfg.EstimatorThreshold
+	useApprox := pred >= EstimatorThreshold
 	if span != nil {
 		span.Annotate("sql", stmt.String) // rendered if a snapshot reads it
 		span.Annotate("predicted_score", pred)

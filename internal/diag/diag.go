@@ -27,8 +27,6 @@ import (
 type Config struct {
 	// Dir is the bundle directory (created if missing). Required.
 	Dir string
-	// MaxBundles caps retained bundles (default 8; oldest pruned first).
-	MaxBundles int
 	// MaxTotalBytes caps the directory's total size (default 64 MiB).
 	MaxTotalBytes int64
 	// MinInterval rate-limits unforced captures (default DefaultMinInterval).
@@ -40,6 +38,9 @@ type Config struct {
 // DefaultMinInterval is the gap between unforced captures when
 // Config.MinInterval is unset.
 const DefaultMinInterval = time.Minute
+
+// maxBundles caps retained bundles; the oldest is pruned first.
+const maxBundles = 8
 
 // Source provides the state a bundle captures. Every field is optional;
 // nil collectors are skipped. Collectors run at capture time.
@@ -87,9 +88,6 @@ type Recorder struct {
 func New(cfg Config, src Source) (*Recorder, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("diag: Dir is required")
-	}
-	if cfg.MaxBundles <= 0 {
-		cfg.MaxBundles = 8
 	}
 	if cfg.MaxTotalBytes <= 0 {
 		cfg.MaxTotalBytes = 64 << 20
@@ -208,7 +206,7 @@ func (r *Recorder) write(dir, reason string, now time.Time) error {
 	return err
 }
 
-// rotate prunes oldest bundles beyond MaxBundles or MaxTotalBytes.
+// rotate prunes oldest bundles beyond maxBundles or MaxTotalBytes.
 func (r *Recorder) rotate() {
 	entries, err := os.ReadDir(r.cfg.Dir)
 	if err != nil {
@@ -230,7 +228,7 @@ func (r *Recorder) rotate() {
 		sizes[b] = sz
 		total += sz
 	}
-	for len(bundles) > 0 && (len(bundles) > r.cfg.MaxBundles || total > r.cfg.MaxTotalBytes) {
+	for len(bundles) > 0 && (len(bundles) > maxBundles || total > r.cfg.MaxTotalBytes) {
 		victim := bundles[0]
 		bundles = bundles[1:]
 		total -= sizes[victim]

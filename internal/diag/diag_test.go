@@ -114,27 +114,26 @@ func TestRateLimitSuppressesAndForceBypasses(t *testing.T) {
 func TestRotationByCountAndBytes(t *testing.T) {
 	clk := &testClock{t: time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)}
 	r := newTestRecorder(t, clk, func(c *Config) {
-		c.MaxBundles = 3
 		c.MinInterval = time.Millisecond
 	}, Source{})
-	for i := 0; i < 6; i++ {
+	for i := 0; i < maxBundles+3; i++ {
 		if _, err := r.Capture("r", true); err != nil {
 			t.Fatal(err)
 		}
 		clk.advance(time.Second)
 	}
 	st := r.Status()
-	if len(st.Bundles) != 3 {
-		t.Fatalf("retained %d bundles, want 3: %v", len(st.Bundles), st.Bundles)
+	if len(st.Bundles) != maxBundles {
+		t.Fatalf("retained %d bundles, want %d: %v", len(st.Bundles), maxBundles, st.Bundles)
 	}
 	// The retained ones are the newest (lexically last by timestamped name).
-	if !strings.Contains(st.Bundles[2], st.LastBundle[:20]) && st.Bundles[2] != st.LastBundle {
+	newest := st.Bundles[maxBundles-1]
+	if !strings.Contains(newest, st.LastBundle[:20]) && newest != st.LastBundle {
 		t.Fatalf("newest bundle missing after rotation: %v (last %s)", st.Bundles, st.LastBundle)
 	}
 
 	// Byte cap: tiny budget forces pruning down to the newest bundle.
 	r2 := newTestRecorder(t, clk, func(c *Config) {
-		c.MaxBundles = 100
 		c.MaxTotalBytes = 1 // every rotation prunes all but... everything beyond the cap
 	}, Source{})
 	r2.Capture("a", true)

@@ -248,18 +248,6 @@ func (g *Grads) Zero() {
 	}
 }
 
-// Scale multiplies all gradients by f.
-func (g *Grads) Scale(f float64) {
-	for l := range g.W {
-		for i := range g.W[l] {
-			g.W[l][i] *= f
-		}
-		for i := range g.B[l] {
-			g.B[l][i] *= f
-		}
-	}
-}
-
 // AddGrads adds to rows [lo, hi) of layer l of g the gradient of the first n
 // samples of ws, whose deltas BackwardBatch has filled. Each element is summed
 // on its own, GradBlock by GradBlock (see there), so any split of a layer's

@@ -52,22 +52,3 @@ func (a *Adam) StepRows(m *MLP, g *Grads, l, lo, hi int) {
 	update(m.W[l][lo*in:hi*in], g.W[l][lo*in:hi*in], a.mW[l][lo*in:hi*in], a.vW[l][lo*in:hi*in])
 	update(m.B[l][lo:hi], g.B[l][lo:hi], a.mB[l][lo:hi], a.vB[l][lo:hi])
 }
-
-// ClipGrads rescales g in place so its global L2 norm does not exceed max.
-// It returns the pre-clip norm.
-func ClipGrads(g *Grads, max float64) float64 {
-	var sum float64
-	for l := range g.W {
-		for _, v := range g.W[l] {
-			sum += v * v
-		}
-		for _, v := range g.B[l] {
-			sum += v * v
-		}
-	}
-	norm := math.Sqrt(sum)
-	if max > 0 && norm > max {
-		g.Scale(max / norm)
-	}
-	return norm
-}

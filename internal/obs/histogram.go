@@ -163,46 +163,22 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
 // Quantile estimates the q-th quantile (q in [0, 1]) by linear interpolation
-// within the containing bucket. It returns 0 when the histogram is empty.
+// within the containing bucket, clamped to the observed extrema so
+// single-bucket histograms report tight values. It returns 0 when the
+// histogram is empty.
 func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
+	b := h.buckets()
+	return b.quantile(q, h.Min(), h.Max())
+}
+
+// buckets reads the per-bucket counts.
+func (h *Histogram) buckets() bucketCounts {
+	var b bucketCounts
+	for i := range h.counts {
+		b.n[i] = h.counts[i].Load()
+		b.total += b.n[i]
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	// Rank of the target observation (1-based, ceiling).
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i := 0; i <= numBuckets; i++ {
-		c := h.counts[i].Load()
-		if c == 0 {
-			continue
-		}
-		if cum+c < rank {
-			cum += c
-			continue
-		}
-		lo, hi := bucketRange(i)
-		// Clamp interpolation to the observed extrema so single-bucket
-		// histograms report tight values.
-		if min := h.Min(); min > lo && min <= hi {
-			lo = min
-		}
-		if max := h.Max(); max < hi && max >= lo {
-			hi = max
-		}
-		frac := float64(rank-cum) / float64(c)
-		return lo + (hi-lo)*frac
-	}
-	return h.Max()
+	return b
 }
 
 // Min returns the smallest observed value (0 when empty).
@@ -272,6 +248,94 @@ func bucketRange(i int) (lo, hi float64) {
 		return bucketBounds[numBuckets-1], bucketBounds[numBuckets-1] * 2
 	}
 	return bucketBounds[i-1], bucketBounds[i]
+}
+
+// bucketCounts is a histogram's per-bucket counts at one instant, or the
+// difference between two instants. Every quantile and threshold fraction in
+// the package is read off one.
+type bucketCounts struct {
+	n     [numBuckets + 1]int64
+	total int64 // sum of n
+}
+
+// minus returns b − o bucket by bucket. A negative difference (the registry
+// was reset between the two reads) counts as zero.
+func (b *bucketCounts) minus(o *bucketCounts) bucketCounts {
+	var d bucketCounts
+	for i := range b.n {
+		if c := b.n[i] - o.n[i]; c > 0 {
+			d.n[i] = c
+			d.total += c
+		}
+	}
+	return d
+}
+
+// quantile estimates the q-th quantile (q clamped to [0, 1]) by linear
+// interpolation inside the bucket holding the ⌈q·total⌉-th observation. The
+// interpolation range is narrowed to the observed extrema vmin and vmax where
+// they fall in that bucket; pass ±Inf when none are known. It returns 0 when
+// empty.
+func (b *bucketCounts) quantile(q, vmin, vmax float64) float64 {
+	if b.total == 0 {
+		return 0
+	}
+	if q < 0 {
+		q = 0
+	}
+	if q > 1 {
+		q = 1
+	}
+	rank := int64(math.Ceil(q * float64(b.total)))
+	if rank < 1 {
+		rank = 1
+	}
+	var cum int64
+	for i, c := range b.n {
+		if c == 0 {
+			continue
+		}
+		if cum+c < rank {
+			cum += c
+			continue
+		}
+		lo, hi := bucketRange(i)
+		if vmin > lo && vmin <= hi {
+			lo = vmin
+		}
+		if vmax < hi && vmax >= lo {
+			hi = vmax
+		}
+		frac := float64(rank-cum) / float64(c)
+		return lo + (hi-lo)*frac
+	}
+	_, hi := bucketRange(numBuckets)
+	return hi // not reached: rank ≤ total
+}
+
+// fractionBelow estimates the fraction of observations ≤ v, interpolating
+// linearly inside the bucket containing v. It returns 1 when empty (no
+// observations means no violations).
+func (b *bucketCounts) fractionBelow(v float64) float64 {
+	if b.total == 0 {
+		return 1
+	}
+	var below float64
+	for i, c := range b.n {
+		if c == 0 {
+			continue
+		}
+		lo, hi := bucketRange(i)
+		switch {
+		case hi <= v:
+			below += float64(c)
+		case lo >= v:
+			// bucket entirely above v
+		default:
+			below += float64(c) * (v - lo) / (hi - lo)
+		}
+	}
+	return max(0, min(below/float64(b.total), 1))
 }
 
 // atomicAddFloat adds delta to a float64 stored as bits, using CAS.

@@ -26,10 +26,10 @@ type TimeSeries struct {
 	opts TimeSeriesOptions
 
 	mu        sync.Mutex
-	fine      []tsSample // ring, len == FineSlots once warm
-	fineIdx   int        // next write position
-	fineN     int        // filled slots
-	coarse    []tsSample
+	fine      [fineSlots]tsSample // ring
+	fineIdx   int                 // next write position
+	fineN     int                 // filled slots
+	coarse    [coarseSlots]tsSample
 	coarseIdx int
 	coarseN   int
 	ticks     int // samples taken, drives coarse admission
@@ -41,17 +41,26 @@ type TimeSeries struct {
 	started bool
 }
 
-// TimeSeriesOptions configures sampling cadence and retention.
+// The rings' shape: the fine ring holds fineSlots samples, and the coarse
+// ring keeps one of every coarseEvery of them, coarseSlots deep. At the
+// default 5s interval that is 10m40s fine and 6.4h coarse.
+const (
+	fineSlots   = 128
+	coarseEvery = 36
+	coarseSlots = 128
+)
+
+// Retention returns how far back the fine and the coarse ring reach when
+// sampling every interval: a window longer than fine is answered from the
+// coarse ring, and one longer than coarse from less history than it names.
+func Retention(interval time.Duration) (fine, coarse time.Duration) {
+	return fineSlots * interval, coarseSlots * coarseEvery * interval
+}
+
+// TimeSeriesOptions configures sampling cadence.
 type TimeSeriesOptions struct {
 	// Interval is the fine sampling cadence (default 5s).
 	Interval time.Duration
-	// FineSlots is the fine ring length (default 128 → ~10m40s at 5s).
-	FineSlots int
-	// CoarseEvery keeps one of every N fine samples in the coarse ring
-	// (default 36 → one per 3m at 5s).
-	CoarseEvery int
-	// CoarseSlots is the coarse ring length (default 128 → ~6.4h at 3m).
-	CoarseSlots int
 	// Now is the clock; defaults to time.Now. Injectable for deterministic
 	// window-math tests.
 	Now func() time.Time
@@ -61,32 +70,16 @@ func (o *TimeSeriesOptions) normalize() {
 	if o.Interval <= 0 {
 		o.Interval = 5 * time.Second
 	}
-	if o.FineSlots <= 0 {
-		o.FineSlots = 128
-	}
-	if o.CoarseEvery <= 0 {
-		o.CoarseEvery = 36
-	}
-	if o.CoarseSlots <= 0 {
-		o.CoarseSlots = 128
-	}
 	if o.Now == nil {
 		o.Now = time.Now
 	}
-}
-
-// histCum is one histogram's cumulative state at a sample instant.
-type histCum struct {
-	counts [numBuckets + 1]int64
-	count  int64
-	sum    float64
 }
 
 // tsSample is one point-in-time capture of the registry.
 type tsSample struct {
 	at       time.Time
 	counters map[string]int64
-	hists    map[string]histCum
+	hists    map[string]bucketCounts
 }
 
 // NewTimeSeries builds a sampler over reg. Call Start for the background
@@ -94,12 +87,10 @@ type tsSample struct {
 func NewTimeSeries(reg *Registry, opts TimeSeriesOptions) *TimeSeries {
 	opts.normalize()
 	return &TimeSeries{
-		reg:    reg,
-		opts:   opts,
-		fine:   make([]tsSample, opts.FineSlots),
-		coarse: make([]tsSample, opts.CoarseSlots),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		reg:  reg,
+		opts: opts,
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 }
 
@@ -167,16 +158,12 @@ func (ts *TimeSeries) SampleNow() {
 	s := ts.capture(ts.opts.Now())
 	ts.mu.Lock()
 	ts.fine[ts.fineIdx] = s
-	ts.fineIdx = (ts.fineIdx + 1) % len(ts.fine)
-	if ts.fineN < len(ts.fine) {
-		ts.fineN++
-	}
-	if ts.ticks%ts.opts.CoarseEvery == 0 {
+	ts.fineIdx = (ts.fineIdx + 1) % fineSlots
+	ts.fineN = min(ts.fineN+1, fineSlots)
+	if ts.ticks%coarseEvery == 0 {
 		ts.coarse[ts.coarseIdx] = s
-		ts.coarseIdx = (ts.coarseIdx + 1) % len(ts.coarse)
-		if ts.coarseN < len(ts.coarse) {
-			ts.coarseN++
-		}
+		ts.coarseIdx = (ts.coarseIdx + 1) % coarseSlots
+		ts.coarseN = min(ts.coarseN+1, coarseSlots)
 	}
 	ts.ticks++
 	cbs := ts.onSample
@@ -193,27 +180,16 @@ func (ts *TimeSeries) capture(at time.Time) tsSample {
 	s := tsSample{
 		at:       at,
 		counters: make(map[string]int64, len(r.counters)),
-		hists:    make(map[string]histCum, len(r.hists)),
+		hists:    make(map[string]bucketCounts, len(r.hists)),
 	}
 	for name, c := range r.counters {
 		s.counters[name] = c.Value()
 	}
 	for name, h := range r.hists {
-		s.hists[name] = h.cum()
+		s.hists[name] = h.buckets()
 	}
 	r.mu.RUnlock()
 	return s
-}
-
-// cum reads a histogram's cumulative bucket counts, total, and sum.
-func (h *Histogram) cum() histCum {
-	var c histCum
-	for i := 0; i <= numBuckets; i++ {
-		c.counts[i] = h.counts[i].Load()
-	}
-	c.count = h.count.Load()
-	c.sum = h.Sum()
-	return c
 }
 
 // baseline returns the retained sample closest to (and at or before) target,
@@ -279,78 +255,20 @@ func (ts *TimeSeries) CounterWindow(name string, window time.Duration) (delta in
 // HistWindow is a histogram restricted to a trailing time window, built by
 // subtracting the baseline sample's bucket cumulatives from the live ones.
 type HistWindow struct {
-	Count  int64
-	Sum    float64
-	counts [numBuckets + 1]int64
+	Count int64
+	b     bucketCounts
 }
 
-// Quantile estimates the q-th quantile of the windowed observations using
-// the same bucket interpolation as Histogram.Quantile (without extrema
-// clamping — windowed extrema are not tracked).
+// Quantile estimates the q-th quantile of the windowed observations with
+// Histogram.Quantile's interpolation, unclamped: windowed extrema are not
+// tracked.
 func (hw HistWindow) Quantile(q float64) float64 {
-	if hw.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(math.Ceil(q * float64(hw.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i := 0; i <= numBuckets; i++ {
-		c := hw.counts[i]
-		if c == 0 {
-			continue
-		}
-		if cum+c < rank {
-			cum += c
-			continue
-		}
-		lo, hi := bucketRange(i)
-		frac := float64(rank-cum) / float64(c)
-		return lo + (hi-lo)*frac
-	}
-	_, hi := bucketRange(numBuckets)
-	return hi
+	return hw.b.quantile(q, math.Inf(-1), math.Inf(1))
 }
 
-// FractionBelow estimates the fraction of windowed observations ≤ v,
-// interpolating linearly inside the bucket containing v. Returns 1 for an
-// empty window (no observations means no violations).
-func (hw HistWindow) FractionBelow(v float64) float64 {
-	if hw.Count == 0 {
-		return 1
-	}
-	var below float64
-	for i := 0; i <= numBuckets; i++ {
-		c := hw.counts[i]
-		if c == 0 {
-			continue
-		}
-		lo, hi := bucketRange(i)
-		switch {
-		case hi <= v:
-			below += float64(c)
-		case lo >= v:
-			// bucket entirely above v
-		default:
-			below += float64(c) * (v - lo) / (hi - lo)
-		}
-	}
-	f := below / float64(hw.Count)
-	if f < 0 {
-		return 0
-	}
-	if f > 1 {
-		return 1
-	}
-	return f
-}
+// FractionBelow estimates the fraction of windowed observations ≤ v. It
+// returns 1 for an empty window (no observations means no violations).
+func (hw HistWindow) FractionBelow(v float64) float64 { return hw.b.fractionBelow(v) }
 
 // HistogramWindow returns histogram name restricted to the trailing window,
 // plus the actual elapsed span covered. ok is false before the first sample.
@@ -365,20 +283,10 @@ func (ts *TimeSeries) HistogramWindow(name string, window time.Duration) (hw His
 	if !bok {
 		return HistWindow{}, 0, false
 	}
-	cur := ts.reg.Histogram(name).cum()
+	cur := ts.reg.Histogram(name).buckets()
 	bc := base.hists[name] // zero value when the histogram postdates the baseline
-	for i := 0; i <= numBuckets; i++ {
-		d := cur.counts[i] - bc.counts[i]
-		if d < 0 {
-			d = 0
-		}
-		hw.counts[i] = d
-		hw.Count += d
-	}
-	hw.Sum = cur.sum - bc.sum
-	if hw.Sum < 0 {
-		hw.Sum = 0
-	}
+	hw.b = cur.minus(&bc)
+	hw.Count = hw.b.total
 	elapsed = now.Sub(base.at)
 	if elapsed < 0 {
 		elapsed = 0
@@ -422,7 +330,7 @@ func (ts *TimeSeries) DumpSeries() SeriesDump {
 	ts.mu.Lock()
 	samples := make([]tsSample, 0, ts.fineN)
 	for i := 0; i < ts.fineN; i++ {
-		samples = append(samples, ts.fine[(ts.fineIdx-ts.fineN+i+len(ts.fine))%len(ts.fine)])
+		samples = append(samples, ts.fine[(ts.fineIdx-ts.fineN+i+fineSlots)%fineSlots])
 	}
 	ts.mu.Unlock()
 	sort.Slice(samples, func(i, j int) bool { return samples[i].at.Before(samples[j].at) })
@@ -436,19 +344,11 @@ func (ts *TimeSeries) DumpSeries() SeriesDump {
 			dump.Counters[name] = append(dump.Counters[name], SeriesPoint{At: cur.at, V: float64(d)})
 		}
 		for name, hc := range cur.hists {
-			var hw HistWindow
 			pc := prev.hists[name]
-			for b := 0; b <= numBuckets; b++ {
-				d := hc.counts[b] - pc.counts[b]
-				if d < 0 {
-					d = 0
-				}
-				hw.counts[b] = d
-				hw.Count += d
-			}
+			hw := HistWindow{b: hc.minus(&pc)}
 			dump.Histograms[name] = append(dump.Histograms[name], HistPoint{
 				At:    cur.at,
-				Count: hw.Count,
+				Count: hw.b.total,
 				P50:   hw.Quantile(0.50),
 				P99:   hw.Quantile(0.99),
 			})

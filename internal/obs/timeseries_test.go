@@ -15,13 +15,7 @@ func newFakeClock() *fakeClock {
 }
 
 func newTestTS(reg *Registry, clk *fakeClock, interval time.Duration) *TimeSeries {
-	return NewTimeSeries(reg, TimeSeriesOptions{
-		Interval:    interval,
-		FineSlots:   16,
-		CoarseEvery: 4,
-		CoarseSlots: 16,
-		Now:         clk.now,
-	})
+	return NewTimeSeries(reg, TimeSeriesOptions{Interval: interval, Now: clk.now})
 }
 
 func TestTimeSeriesCounterWindow(t *testing.T) {
@@ -65,24 +59,24 @@ func TestTimeSeriesCounterWindow(t *testing.T) {
 func TestTimeSeriesCoarseRingExtendsRetention(t *testing.T) {
 	reg := NewRegistry()
 	clk := newFakeClock()
-	ts := newTestTS(reg, clk, time.Second) // fine keeps 16s, coarse 1-in-4 keeps 64s
+	ts := newTestTS(reg, clk, time.Second) // fine keeps 128s, coarse 1-in-36 keeps 76m48s
 	c := reg.Counter("x")
 
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 200; i++ {
 		ts.SampleNow()
 		c.Inc()
 		clk.advance(time.Second)
 	}
 	ts.SampleNow()
 
-	// 30s window is beyond the fine ring (16 slots) but inside coarse
-	// retention; the coarse baseline lands on a 4s-aligned sample.
-	delta, elapsed, ok := ts.CounterWindow("x", 30*time.Second)
+	// 150s window is beyond the fine ring (128 slots) but inside coarse
+	// retention; the coarse baseline lands on a 36s-aligned sample.
+	delta, elapsed, ok := ts.CounterWindow("x", 150*time.Second)
 	if !ok {
 		t.Fatal("expected data from coarse ring")
 	}
-	if elapsed < 30*time.Second || elapsed > 34*time.Second {
-		t.Fatalf("elapsed = %v, want within [30s,34s]", elapsed)
+	if elapsed < 150*time.Second || elapsed > 186*time.Second {
+		t.Fatalf("elapsed = %v, want within [150s,186s]", elapsed)
 	}
 	if delta != int64(elapsed/time.Second) {
 		t.Fatalf("delta = %d, want %d (1/s over elapsed)", delta, int64(elapsed/time.Second))

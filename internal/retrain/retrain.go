@@ -48,7 +48,8 @@ import (
 )
 
 // Config tunes the controller. The zero value (plus Enabled) is usable: New
-// fills every unset field from DefaultConfig.
+// fills every unset field but ValidateMargin from DefaultConfig, and a zero
+// margin gates at "no worse than the incumbent".
 type Config struct {
 	// Enabled turns the controller on. Serving layers construct it only when
 	// set, so a disabled deployment pays nothing.
@@ -61,30 +62,19 @@ type Config struct {
 	// clone + fine-tune + validate. A deadline overrun discards the
 	// candidate — a half-trained set never reaches the gate.
 	Timeout time.Duration
-	// ExtraEpisodes is the fine-tuning budget per attempt (0 = core's
-	// default, half the original training episodes).
-	ExtraEpisodes int
 	// ValidateMargin is how much worse (in workload score, Equation 1) the
 	// candidate may be than the incumbent and still pass the gate, on both
-	// the drifted and the held-back workload (negative values demand the
-	// candidate beat the incumbent by that much).
+	// the drifted and the held-back workload. Zero means "no worse than the
+	// incumbent"; negative values demand the candidate beat the incumbent by
+	// that much.
 	ValidateMargin float64
-	// HoldbackFraction is the share of the incumbent's training workload
-	// held back as the catastrophic-forgetting probe (at least one query).
-	HoldbackFraction float64
 	// RollbackWindow is how long the swapped-out incumbent is retained after
-	// a successful swap, watching for a quality regression.
+	// a successful swap, watching for a quality regression. It is polled
+	// every tenth of the window, at least every rollbackCheckFloor.
 	RollbackWindow time.Duration
-	// RollbackCheck is the polling cadence inside the window (default
-	// RollbackWindow/10, at least 10ms).
-	RollbackCheck time.Duration
-	// MaxAttempts caps retrain attempts per drift batch; an exhausted budget
-	// discards the batch and waits for fresh drift.
-	MaxAttempts int
 	// Backoff is the initial delay after a failed attempt, doubling up to
-	// MaxBackoff (default 16×Backoff).
-	Backoff    time.Duration
-	MaxBackoff time.Duration
+	// maxBackoffFactor×Backoff.
+	Backoff time.Duration
 	// SnapshotPath, when set, receives the candidate via the atomic SaveFile
 	// path *before* the swap (and the incumbent again after a rollback), so
 	// a crash at any point recovers to a consistent approximation set.
@@ -98,16 +88,27 @@ type Config struct {
 // -retrain-* flags over it).
 func DefaultConfig() Config {
 	return Config{
-		Interval:         2 * time.Second,
-		Timeout:          5 * time.Minute,
-		ValidateMargin:   0.05,
-		HoldbackFraction: 0.25,
-		RollbackWindow:   30 * time.Second,
-		MaxAttempts:      3,
-		Backoff:          5 * time.Second,
-		Seed:             1,
+		Interval:       2 * time.Second,
+		Timeout:        5 * time.Minute,
+		ValidateMargin: 0.05,
+		RollbackWindow: 30 * time.Second,
+		Backoff:        5 * time.Second,
+		Seed:           1,
 	}
 }
+
+// The controller's fixed policy. A quarter of the incumbent's training
+// workload (at least one query) is held back as the catastrophic-forgetting
+// probe. A drift batch gets maxAttempts attempts before it is discarded. The
+// failure backoff doubles up to maxBackoffFactor times Config.Backoff. The
+// rollback window is polled every tenth of its length, never more often than
+// rollbackCheckFloor.
+const (
+	holdbackFraction   = 0.25
+	maxAttempts        = 3
+	maxBackoffFactor   = 16
+	rollbackCheckFloor = 10 * time.Millisecond
+)
 
 func (c Config) normalize() Config {
 	d := DefaultConfig()
@@ -117,34 +118,26 @@ func (c Config) normalize() Config {
 	if c.Timeout <= 0 {
 		c.Timeout = d.Timeout
 	}
-	if c.ValidateMargin == 0 {
-		c.ValidateMargin = d.ValidateMargin
-	}
-	if c.HoldbackFraction <= 0 || c.HoldbackFraction > 1 {
-		c.HoldbackFraction = d.HoldbackFraction
-	}
 	if c.RollbackWindow <= 0 {
 		c.RollbackWindow = d.RollbackWindow
 	}
-	if c.RollbackCheck <= 0 {
-		c.RollbackCheck = c.RollbackWindow / 10
-	}
-	if c.RollbackCheck < 10*time.Millisecond {
-		c.RollbackCheck = 10 * time.Millisecond
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = d.MaxAttempts
-	}
 	if c.Backoff <= 0 {
 		c.Backoff = d.Backoff
-	}
-	if c.MaxBackoff < c.Backoff {
-		c.MaxBackoff = 16 * c.Backoff
 	}
 	if c.Seed == 0 {
 		c.Seed = d.Seed
 	}
 	return c
+}
+
+// rollbackCheck is the polling cadence inside the rollback window.
+func (c Config) rollbackCheck() time.Duration {
+	return max(c.RollbackWindow/10, rollbackCheckFloor)
+}
+
+// maxBackoff caps the doubling failure backoff.
+func (c Config) maxBackoff() time.Duration {
+	return maxBackoffFactor * c.Backoff
 }
 
 // Event is one retrain lifecycle transition, emitted through Hooks.Journal so
@@ -448,7 +441,7 @@ func (c *Controller) attempt(inc *core.System, drifted workload.Workload) {
 	// Baselines are scored on the candidate BEFORE fine-tuning: its set is
 	// identical to the incumbent's, so these are the incumbent's scores
 	// without running anything against the incumbent's own caches.
-	holdback := holdbackSlice(cand.TrainingWorkload(), c.cfg.HoldbackFraction, seed)
+	holdback := holdbackSlice(cand.TrainingWorkload(), holdbackFraction, seed)
 	incDrift, err := cand.ScoreOn(drifted)
 	if err != nil {
 		failed("baseline", err)
@@ -470,7 +463,7 @@ func (c *Controller) attempt(inc *core.System, drifted workload.Workload) {
 		failed("train", err)
 		return
 	}
-	err = cand.FineTuneContext(trainCtx, drifted, c.cfg.ExtraEpisodes)
+	err = cand.FineTuneContext(trainCtx, drifted, 0) // core's default budget
 	trainSpan.End()
 	if err != nil {
 		failed("train", err)
@@ -601,7 +594,7 @@ func (c *Controller) watchRollback(inc *core.System, swapAt time.Time, baseP95 f
 		select {
 		case <-c.ctx.Done():
 			return false // closing: leave the candidate published
-		case <-time.After(c.cfg.RollbackCheck):
+		case <-time.After(c.cfg.rollbackCheck()):
 		}
 		if c.hooks.QualityAlarm != nil {
 			if burning, since, desc := c.hooks.QualityAlarm(); burning && since.After(swapAt) {
@@ -665,7 +658,7 @@ func (c *Controller) fail(stage string, err error) {
 	c.st.LastError = err.Error()
 	c.st.State = "idle"
 	attemptNo := c.st.AttemptsThisBatch
-	gaveUp := attemptNo >= c.cfg.MaxAttempts
+	gaveUp := attemptNo >= maxAttempts
 	if gaveUp {
 		c.pending = nil
 		c.st.AttemptsThisBatch = 0
@@ -679,7 +672,7 @@ func (c *Controller) fail(stage string, err error) {
 	if gaveUp {
 		c.journal(Event{Name: "gave_up", Attempt: attemptNo})
 		obs.Logger().Warn("retrain attempt budget exhausted; discarding drift batch",
-			"max_attempts", c.cfg.MaxAttempts)
+			"max_attempts", maxAttempts)
 		return
 	}
 	c.journal(Event{Name: "failed", Attempt: attemptNo})
@@ -707,10 +700,7 @@ func (c *Controller) Restore(attemptsThisBatch int) {
 	defer c.mu.Unlock()
 	c.backoff = c.cfg.Backoff
 	for i := 1; i < attemptsThisBatch; i++ {
-		if c.backoff *= 2; c.backoff > c.cfg.MaxBackoff {
-			c.backoff = c.cfg.MaxBackoff
-			break
-		}
+		c.backoff = min(2*c.backoff, c.cfg.maxBackoff())
 	}
 	c.st.LastOutcome = "recovered"
 	c.armBackoffLocked()
@@ -719,9 +709,7 @@ func (c *Controller) Restore(attemptsThisBatch int) {
 // armBackoffLocked starts (and doubles) the failure backoff. Caller holds mu.
 func (c *Controller) armBackoffLocked() {
 	c.until = time.Now().Add(c.backoff)
-	if c.backoff *= 2; c.backoff > c.cfg.MaxBackoff {
-		c.backoff = c.cfg.MaxBackoff
-	}
+	c.backoff = min(2*c.backoff, c.cfg.maxBackoff())
 }
 
 func (c *Controller) setState(s string) {

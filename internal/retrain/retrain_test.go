@@ -100,21 +100,16 @@ func (h *host) hooks() Hooks {
 }
 
 // testCfg is a controller config tuned for fast deterministic tests: huge
-// poll interval (only Force drives it), tiny training budget, short windows.
+// poll interval (only Force drives it), short windows and backoff.
 func testCfg() Config {
 	return Config{
-		Enabled:          true,
-		Interval:         time.Hour,
-		Timeout:          2 * time.Minute,
-		ExtraEpisodes:    2,
-		ValidateMargin:   2, // scores live in [0,1]: the gate always passes
-		HoldbackFraction: 0.25,
-		RollbackWindow:   300 * time.Millisecond,
-		RollbackCheck:    20 * time.Millisecond,
-		MaxAttempts:      3,
-		Backoff:          10 * time.Millisecond,
-		MaxBackoff:       40 * time.Millisecond,
-		Seed:             1,
+		Enabled:        true,
+		Interval:       time.Hour,
+		Timeout:        2 * time.Minute,
+		ValidateMargin: 2, // scores live in [0,1]: the gate always passes
+		RollbackWindow: 300 * time.Millisecond,
+		Backoff:        10 * time.Millisecond,
+		Seed:           1,
 	}
 }
 
@@ -233,18 +228,20 @@ func TestValidationRejectKeepsIncumbent(t *testing.T) {
 
 	cfg := testCfg()
 	cfg.ValidateMargin = -2
-	cfg.MaxAttempts = 1
 	h := newHost(inc)
 	c := New(cfg, h.hooks())
 	c.Start()
 	defer c.Close()
-	if err := c.Force(); err != nil {
-		t.Fatal(err)
-	}
 
-	st := waitStatus(t, c, 2*time.Minute, func(st Status) bool {
-		return st.ValidationRejects == 1
-	})
+	var st Status
+	for i := int64(1); i <= maxAttempts; i++ {
+		if err := c.Force(); err != nil {
+			t.Fatal(err)
+		}
+		st = waitStatus(t, c, 2*time.Minute, func(st Status) bool {
+			return st.ValidationRejects == i
+		})
+	}
 	if st.Swaps != 0 {
 		t.Fatalf("swaps = %d, want 0", st.Swaps)
 	}
@@ -260,10 +257,37 @@ func TestValidationRejectKeepsIncumbent(t *testing.T) {
 	if !bytes.Equal(incBefore, mustBytes(t, inc)) {
 		t.Fatal("incumbent bytes changed across a rejected retrain")
 	}
-	// MaxAttempts 1: the batch is discarded after the single reject.
+	// The batch is discarded after its last allowed reject.
 	waitStatus(t, c, 5*time.Second, func(st Status) bool {
 		return st.LastOutcome == "gave_up" && st.PendingDrifted == 0
 	})
+}
+
+// TestValidateMarginZeroMeansNoWorse runs the gate at margin 0: the gate
+// records margin 0 (it is not replaced by the default) and passes exactly
+// when the candidate is no worse than the incumbent on both workloads.
+func TestValidateMarginZeroMeansNoWorse(t *testing.T) {
+	inc := fixture(t)
+	primeDrift(t, inc, 3)
+
+	cfg := testCfg()
+	cfg.ValidateMargin = 0
+	h := newHost(inc)
+	c := New(cfg, h.hooks())
+	c.Start()
+	defer c.Close()
+	if err := c.Force(); err != nil {
+		t.Fatal(err)
+	}
+	st := waitStatus(t, c, 2*time.Minute, func(st Status) bool { return st.LastGate != nil })
+	g := st.LastGate
+	if g.Margin != 0 {
+		t.Fatalf("last_gate.margin = %v, want 0", g.Margin)
+	}
+	noWorse := g.CandidateDrift >= g.IncumbentDrift && g.CandidateHoldback >= g.IncumbentHoldback
+	if g.Passed != noWorse {
+		t.Fatalf("gate passed=%v at margin 0, want %v: %+v", g.Passed, noWorse, g)
+	}
 }
 
 // TestRollbackRestoresIncumbentByteIdentical swaps a candidate in, then
@@ -335,10 +359,8 @@ func TestFaultsFailAttemptAndBackOff(t *testing.T) {
 			faults.Enable(sched)
 			t.Cleanup(faults.Disable)
 
-			cfg := testCfg()
-			cfg.MaxAttempts = 2
 			h := newHost(inc)
-			c := New(cfg, h.hooks())
+			c := New(testCfg(), h.hooks())
 			c.Start()
 			defer c.Close()
 			if err := c.Force(); err != nil {
@@ -370,7 +392,7 @@ func TestFaultsFailAttemptAndBackOff(t *testing.T) {
 }
 
 // TestAttemptBudgetExhaustionDiscardsBatch forces repeated failures until
-// MaxAttempts is hit and checks the batch is dropped with outcome gave_up.
+// maxAttempts is hit and checks the batch is dropped with outcome gave_up.
 func TestAttemptBudgetExhaustionDiscardsBatch(t *testing.T) {
 	inc := fixture(t)
 	primeDrift(t, inc, 3)
@@ -379,14 +401,12 @@ func TestAttemptBudgetExhaustionDiscardsBatch(t *testing.T) {
 	faults.Enable(sched)
 	t.Cleanup(faults.Disable)
 
-	cfg := testCfg()
-	cfg.MaxAttempts = 2
 	h := newHost(inc)
-	c := New(cfg, h.hooks())
+	c := New(testCfg(), h.hooks())
 	c.Start()
 	defer c.Close()
 
-	for i := 0; i < cfg.MaxAttempts; i++ {
+	for i := 0; i < maxAttempts; i++ {
 		want := int64(i + 1)
 		if err := c.Force(); err != nil {
 			t.Fatal(err)
@@ -521,7 +541,6 @@ func TestWeightedDriftBatch(t *testing.T) {
 func TestRestoreRearmsBackoff(t *testing.T) {
 	cfg := testCfg()
 	cfg.Backoff = 50 * time.Millisecond
-	cfg.MaxBackoff = 200 * time.Millisecond
 	sys := fixture(t)
 	h := newHost(sys)
 	c := New(cfg, h.hooks())
@@ -536,8 +555,8 @@ func TestRestoreRearmsBackoff(t *testing.T) {
 	c.mu.Unlock()
 	if remaining := time.Until(until); remaining <= 0 {
 		t.Fatal("Restore did not arm a backoff window")
-	} else if remaining > cfg.MaxBackoff {
-		t.Fatalf("backoff window %v exceeds MaxBackoff %v", remaining, cfg.MaxBackoff)
+	} else if remaining > cfg.maxBackoff() {
+		t.Fatalf("backoff window %v exceeds the cap %v", remaining, cfg.maxBackoff())
 	}
 	// Two prior attempts: armed with Backoff×2=100ms, next doubling 200ms.
 	if backoff != 200*time.Millisecond {
@@ -585,9 +604,9 @@ func TestQualityAlarmSupersedesProbe(t *testing.T) {
 	}
 	waitStatus(t, c, 2*time.Minute, func(st Status) bool { return st.Swaps == 1 })
 
-	// Several rollback checks pass: neither the stale alarm nor the
-	// superseded raw probe may trigger.
-	time.Sleep(150 * time.Millisecond)
+	// Two rollback checks (every 200ms of the 2s window) pass: neither the
+	// stale alarm nor the superseded raw probe may trigger.
+	time.Sleep(500 * time.Millisecond)
 	if st := c.Status(); st.Rollbacks != 0 {
 		t.Fatalf("rolled back on a stale alarm or the superseded probe: %+v", st)
 	}

@@ -62,8 +62,6 @@ type Config struct {
 	EntropyCoef float64
 	// KLCoef scales the penalty on KL(old || new) keeping updates proximal.
 	KLCoef float64
-	// ValueCoef scales the critic's squared-error loss.
-	ValueCoef float64
 	// UseCritic enables the critic baseline; false is the "-ac" ablation
 	// (REINFORCE with batch-mean baseline).
 	UseCritic bool
@@ -75,29 +73,23 @@ type Config struct {
 	Workers int
 	// EpisodesPerIteration is the batch size in episodes; zero means 4.
 	EpisodesPerIteration int
-	// GradClip bounds the global gradient norm (0 disables).
-	GradClip float64
 	// Seed makes training deterministic.
 	Seed int64
-
-	// Divergence watchdog (see TrainContext). Non-finite losses or
-	// parameters always trigger a rollback; the thresholds below add
-	// configurable triggers.
-
-	// DivergeKL triggers a rollback when an iteration's mean KL exceeds it.
-	// Zero means the default (5.0); negative disables the KL trigger.
-	DivergeKL float64
-	// EntropyFloor triggers a rollback when the mean policy entropy falls
-	// below it (policy collapse). Zero disables.
-	EntropyFloor float64
-	// CheckpointEvery is how many healthy iterations pass between in-memory
-	// checkpoints of the actor/critic. Zero means the default (5).
-	CheckpointEvery int
-	// MaxRecoveries bounds watchdog rollbacks per training run; once
-	// exhausted, training stops at the last good checkpoint instead of
-	// looping. Zero means the default (3).
-	MaxRecoveries int
 }
+
+// valueCoef scales the critic's squared-error loss.
+const valueCoef = 0.5
+
+// The divergence watchdog (see TrainContext). Non-finite losses or parameters
+// always trigger a rollback, and so does an iteration whose mean KL exceeds
+// divergeKL. A checkpoint is taken every checkpointEvery healthy iterations,
+// and after maxRecoveries rollbacks training stops at the last good
+// checkpoint instead of looping.
+const (
+	divergeKL       = 5.0
+	checkpointEvery = 5
+	maxRecoveries   = 3
+)
 
 // normalize fills defaults in place and returns the config.
 func (c Config) normalize() Config {
@@ -113,9 +105,6 @@ func (c Config) normalize() Config {
 	if c.EntropyCoef < 0 {
 		c.EntropyCoef = 0
 	}
-	if c.ValueCoef <= 0 {
-		c.ValueCoef = 0.5
-	}
 	if c.Epochs <= 0 {
 		c.Epochs = 4
 	}
@@ -130,21 +119,6 @@ func (c Config) normalize() Config {
 	if c.EpisodesPerIteration <= 0 {
 		c.EpisodesPerIteration = 4
 	}
-	if c.GradClip < 0 {
-		c.GradClip = 0
-	}
-	if c.DivergeKL == 0 {
-		c.DivergeKL = 5.0
-	}
-	if c.EntropyFloor < 0 {
-		c.EntropyFloor = 0
-	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 5
-	}
-	if c.MaxRecoveries <= 0 {
-		c.MaxRecoveries = 3
-	}
 	return c
 }
 
@@ -157,7 +131,6 @@ func DefaultConfig() Config {
 		ClipEpsilon: 0.2,
 		EntropyCoef: 0.001,
 		KLCoef:      0.2,
-		ValueCoef:   0.5,
 		UseCritic:   true,
 		Epochs:      4,
 		Workers:     4,
@@ -328,10 +301,10 @@ type ProgressFunc func(iteration, episodes int, meanReturn float64) bool
 // completed iterations are returned with Canceled set, leaving the agent in
 // its last consistent state (partial but usable). After every update the
 // watchdog inspects the loss telemetry and network parameters; on NaN/Inf
-// loss, KL blow-up past cfg.DivergeKL, entropy collapse below
-// cfg.EntropyFloor, or non-finite parameters it rolls actor and critic back
-// to the last good in-memory checkpoint, halves the learning rate, and
-// resumes. Every recovery is recorded in the iteration's History entry.
+// loss, KL blow-up past divergeKL, or non-finite parameters it rolls actor
+// and critic back to the last good in-memory checkpoint, halves the learning
+// rate, and resumes. Every recovery is recorded in the iteration's History
+// entry.
 func (a *Agent) TrainContext(ctx context.Context, env Environment, maxEpisodes int, progress ProgressFunc) TrainStats {
 	stats := TrainStats{BestReturn: math.Inf(-1)}
 	if maxEpisodes <= 0 {
@@ -404,7 +377,7 @@ func (a *Agent) TrainContext(ctx context.Context, env Environment, maxEpisodes i
 			logRecovery(stats.Iterations, reason, a.cfg.LR)
 			stats.History = append(stats.History, iter)
 			logIteration(iter)
-			if stats.Recoveries >= a.cfg.MaxRecoveries {
+			if stats.Recoveries >= maxRecoveries {
 				// Persistent divergence: keep the last good state instead of
 				// burning the remaining budget on a doomed run.
 				break
@@ -413,7 +386,7 @@ func (a *Agent) TrainContext(ctx context.Context, env Environment, maxEpisodes i
 		}
 
 		sinceCkpt++
-		if sinceCkpt >= a.cfg.CheckpointEvery {
+		if sinceCkpt >= checkpointEvery {
 			if ck := a.snapshot(stats.Iterations); ck != nil {
 				good = ck
 			}
@@ -695,9 +668,9 @@ func (a *Agent) update(trajs []trajectory) updateStats {
 			}
 			for i := lo; i < hi; i++ {
 				v, ret := b.criticWS.Output(i)[0], steps[i].ret
-				b.criticWS.OutputDelta(i)[0] = 2 * (v - ret) * a.cfg.ValueCoef * inv
+				b.criticWS.OutputDelta(i)[0] = 2 * (v - ret) * valueCoef * inv
 				if first {
-					b.stepStats[i].valueLoss = a.cfg.ValueCoef * (v - ret) * (v - ret)
+					b.stepStats[i].valueLoss = valueCoef * (v - ret) * (v - ret)
 				}
 			}
 			a.critic.BackwardBatch(b.criticWS, lo, hi, false)
@@ -731,9 +704,6 @@ func (a *Agent) apply(net *nn.MLP, ws *nn.Workspace, g *nn.Grads, opt *nn.Adam, 
 	}
 	g.Zero()
 	a.parallelFor(len(rows), func(k int) { net.AddGrads(ws, n, rows[k][0], rows[k][1], rows[k][2], g) })
-	if a.cfg.GradClip > 0 {
-		nn.ClipGrads(g, a.cfg.GradClip)
-	}
 	opt.Tick()
 	a.parallelFor(len(rows), func(k int) { opt.StepRows(net, g, rows[k][0], rows[k][1], rows[k][2]) })
 }

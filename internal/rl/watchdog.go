@@ -80,8 +80,8 @@ func paramsFinite(m *nn.MLP) bool {
 
 // divergence inspects one iteration's loss telemetry and the network
 // parameters and names the first divergence signal it finds: non-finite loss
-// terms, KL blow-up past cfg.DivergeKL, entropy collapse below
-// cfg.EntropyFloor, or non-finite parameters. An empty string means healthy.
+// terms, KL blow-up past divergeKL, or non-finite parameters. An empty string
+// means healthy.
 func (a *Agent) divergence(us updateStats) string {
 	for _, v := range []struct {
 		name string
@@ -96,11 +96,8 @@ func (a *Agent) divergence(us updateStats) string {
 			return "non-finite " + v.name
 		}
 	}
-	if a.cfg.DivergeKL > 0 && us.meanKL > a.cfg.DivergeKL {
-		return fmt.Sprintf("kl %.3g exceeds threshold %.3g", us.meanKL, a.cfg.DivergeKL)
-	}
-	if a.cfg.EntropyFloor > 0 && us.entropy < a.cfg.EntropyFloor {
-		return fmt.Sprintf("entropy %.3g collapsed below %.3g", us.entropy, a.cfg.EntropyFloor)
+	if us.meanKL > divergeKL {
+		return fmt.Sprintf("kl %.3g exceeds threshold %.3g", us.meanKL, divergeKL)
 	}
 	if !paramsFinite(a.actor) {
 		return "non-finite actor parameters"

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"asqprl/internal/core"
 	"asqprl/internal/faults"
 	"asqprl/internal/obs"
 )
@@ -140,7 +141,7 @@ func TestChaosOverloadWithFaults(t *testing.T) {
 // "breaker", and once the fault clears a half-open probe closes it again.
 func TestBreakerOpensAndRecovers(t *testing.T) {
 	sys := trainedSystem(t)
-	if pred, _ := sys.Estimator().Estimate(mustParse(t, fullRouteSQL)); pred >= sys.Config().EstimatorThreshold {
+	if pred, _ := sys.Estimator().Estimate(mustParse(t, fullRouteSQL)); pred >= core.EstimatorThreshold {
 		t.Skip("fixture query unexpectedly routed to the approximation set")
 	}
 

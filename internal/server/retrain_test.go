@@ -40,18 +40,15 @@ func primeDrift(t testing.TB, sys *core.System, n int) {
 }
 
 // fastRetrain is a controller config tuned for tests: only Force drives it,
-// training is tiny, the gate always passes (scores live in [0,1], margin 2),
-// and the rollback window is short.
+// the gate always passes (scores live in [0,1], margin 2), and the rollback
+// window is short.
 func fastRetrain() retrain.Config {
 	return retrain.Config{
 		Enabled:        true,
 		Interval:       time.Hour,
 		Timeout:        2 * time.Minute,
-		ExtraEpisodes:  2,
 		ValidateMargin: 2,
 		RollbackWindow: 100 * time.Millisecond,
-		RollbackCheck:  20 * time.Millisecond,
-		MaxAttempts:    2,
 		Backoff:        10 * time.Millisecond,
 		Seed:           1,
 	}

@@ -109,11 +109,10 @@ type Config struct {
 	// auditing on (AuditSample > 0) to see data. 0 disables.
 	SLOQualityP95 float64
 	// SLOWindows overrides the burn-rate windows (zero fields default to
-	// 1m/5m/30m/6h). Tests shrink them to seconds.
+	// 1m/5m/30m/6h). Tests shrink them to seconds. The telemetry is sampled
+	// every min(FastShort/4, 5s), and Validate rejects a set whose long
+	// windows reach past what the sampler keeps at that interval.
 	SLOWindows slo.Windows
-	// SLOInterval overrides the telemetry sample interval (default:
-	// min(FastShort/4, 5s)).
-	SLOInterval time.Duration
 	// SLOClock injects the SLO/diag clock for deterministic tests. When set,
 	// the background sampler ticker is NOT started — drive
 	// TimeSeries().SampleNow() manually.
@@ -170,7 +169,6 @@ func (c Config) Validate() error {
 		{"breaker cooldown", c.BreakerCooldown},
 		{"drain timeout", c.DrainTimeout},
 		{"latency SLO target", c.SLOLatencyP99},
-		{"SLO sample interval", c.SLOInterval},
 		{"SLO window", min(c.SLOWindows.FastShort, c.SLOWindows.FastLong, c.SLOWindows.SlowShort, c.SLOWindows.SlowLong)},
 		{"flight-recorder interval", c.DiagMinInterval},
 		{"retrain interval", c.Retrain.Interval},
@@ -194,6 +192,18 @@ func (c Config) Validate() error {
 		if n.v < 0 {
 			return fmt.Errorf("%s %d is negative", n.name, n.v)
 		}
+	}
+	// A burn window longer than the sampler's rings would be read over less
+	// time than /sloz labels it with.
+	w := c.SLOWindows
+	w.Normalize()
+	interval := sloInterval(w)
+	fine, coarse := obs.Retention(interval)
+	if w.FastLong > fine {
+		return fmt.Errorf("SLO window fast-long %s is longer than the %s the sampler keeps at its %s interval", w.FastLong, fine, interval)
+	}
+	if w.SlowLong > coarse {
+		return fmt.Errorf("SLO window slow-long %s is longer than the %s the sampler keeps at its %s interval", w.SlowLong, coarse, interval)
 	}
 	return nil
 }

@@ -22,6 +22,13 @@ func (c Config) sloEnabled() bool {
 	return c.SLOAvailability > 0 || c.SLOLatencyP99 > 0 || c.SLOQualityP95 > 0
 }
 
+// sloInterval is the telemetry sample interval for a normalized window set:
+// at least four samples per fast confirmation window, so that window always
+// spans several, and never slower than 5s, which matches the default 1m.
+func sloInterval(w slo.Windows) time.Duration {
+	return min(w.FastShort/4, 5*time.Second)
+}
+
 // initSLO builds the windowed-telemetry sampler, the SLO engine, and the
 // flight recorder from Config. Called once from New, after the auditor
 // exists (the quality SLO annotates from it) and before the retrain
@@ -42,19 +49,9 @@ func (s *Server) initSLO() {
 	}
 
 	windows := cfg.SLOWindows
-	interval := cfg.SLOInterval
-	if interval <= 0 {
-		// Sample at least 4× per fast confirmation window so the window
-		// always spans several samples; 5s matches the default 1m window.
-		w := windows
-		(&w).Normalize()
-		interval = w.FastShort / 4
-		if interval > 5*time.Second {
-			interval = 5 * time.Second
-		}
-	}
+	windows.Normalize()
 	s.ts = obs.NewTimeSeries(obs.Default(), obs.TimeSeriesOptions{
-		Interval: interval,
+		Interval: sloInterval(windows),
 		Now:      cfg.SLOClock,
 	})
 

@@ -89,8 +89,7 @@ func TestSLOFastBurnFlightRecorderEndToEnd(t *testing.T) {
 			SlowShort: 40 * time.Second,
 			SlowLong:  2 * time.Minute,
 		},
-		SLOInterval:     time.Second,
-		SLOClock:        clk.now,
+		SLOClock:        clk.now, // sampled every FastShort/4 = 1s
 		DiagDir:         diagDir,
 		DiagMinInterval: time.Hour, // only ONE unforced bundle can ever fit
 	}

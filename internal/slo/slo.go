@@ -17,11 +17,11 @@
 // SLO period; burn 14.4 exhausts a 30-day budget in 2 days. Following the
 // multi-window practice from the SRE literature, an SLO enters fast_burn
 // when both a short confirmation window and a longer fast window exceed the
-// fast threshold (default 14.4), and slow_burn when both slow windows exceed
-// the slow threshold (default 6). Downward transitions are hysteretic: the
-// state only relaxes after the condition has stayed clear for a hold-down
-// period, so a burn that flaps around the threshold does not flap the state
-// (or re-trigger the flight recorder).
+// fast threshold (14.4), and slow_burn when both slow windows exceed the slow
+// threshold (6). Downward transitions are hysteretic: the state only relaxes
+// after the condition has stayed clear for the fast-short window, so a burn
+// that flaps around the threshold does not flap the state (or re-trigger the
+// flight recorder).
 package slo
 
 import (
@@ -137,15 +137,16 @@ func (w Windows) view() WindowsView {
 	}
 }
 
+// The burn-rate thresholds of the multi-window rule. A state relaxes only
+// after its burn condition has stayed clear for the fast-short window.
+const (
+	fastBurn = 14.4
+	slowBurn = 6
+)
+
 // Options configures the engine.
 type Options struct {
 	Windows Windows
-	// FastBurn / SlowBurn are the burn-rate thresholds (defaults 14.4, 6).
-	FastBurn float64
-	SlowBurn float64
-	// HoldDown is how long the burn condition must stay clear before the
-	// state relaxes (default = FastShort).
-	HoldDown time.Duration
 	// Now is the clock; defaults to time.Now (injectable for tests).
 	Now func() time.Time
 	// WorstShape, when set, annotates the quality SLO status with the
@@ -203,7 +204,7 @@ type sloState struct {
 	since time.Time
 	// lastAtOrAbove[level] is the last evaluation time at which the raw
 	// (hysteresis-free) level was ≥ level; downward transitions wait until
-	// HoldDown has passed since then.
+	// the fast-short window has passed since then.
 	lastAtOrAbove [3]time.Time
 	last          Status
 }
@@ -223,15 +224,6 @@ type Engine struct {
 // rejected. A nil *Engine is a valid no-op (Page reports disabled).
 func New(ts *obs.TimeSeries, defs []Def, opts Options) (*Engine, error) {
 	opts.Windows.Normalize()
-	if opts.FastBurn <= 0 {
-		opts.FastBurn = 14.4
-	}
-	if opts.SlowBurn <= 0 {
-		opts.SlowBurn = 6
-	}
-	if opts.HoldDown <= 0 {
-		opts.HoldDown = opts.Windows.FastShort
-	}
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
@@ -343,11 +335,11 @@ func (e *Engine) Evaluate() []Status {
 		// have evidence and exceed the threshold.
 		rawLevel := 0
 		if rawEvents["slow_short"] > 0 && rawEvents["slow_long"] > 0 &&
-			rawBurn["slow_short"] >= e.opts.SlowBurn && rawBurn["slow_long"] >= e.opts.SlowBurn {
+			rawBurn["slow_short"] >= slowBurn && rawBurn["slow_long"] >= slowBurn {
 			rawLevel = 1
 		}
 		if rawEvents["fast_short"] > 0 && rawEvents["fast_long"] > 0 &&
-			rawBurn["fast_short"] >= e.opts.FastBurn && rawBurn["fast_long"] >= e.opts.FastBurn {
+			rawBurn["fast_short"] >= fastBurn && rawBurn["fast_long"] >= fastBurn {
 			rawLevel = 2
 		}
 		for l := 0; l <= rawLevel; l++ {
@@ -363,9 +355,9 @@ func (e *Engine) Evaluate() []Status {
 			next = levelState(rawLevel)
 		case rawLevel < stateLevel(prev):
 			// Hysteresis: relax one level at a time, only after the level
-			// has stayed clear for HoldDown.
+			// has stayed clear for the fast-short window.
 			cur := stateLevel(prev)
-			if now.Sub(st.lastAtOrAbove[cur]) >= e.opts.HoldDown {
+			if now.Sub(st.lastAtOrAbove[cur]) >= w.FastShort {
 				next = levelState(cur - 1)
 				if next == StateOK && !anyData {
 					next = StateNoData
@@ -476,8 +468,8 @@ func (e *Engine) Page() Page {
 	p := Page{
 		Enabled:     true,
 		Windows:     e.opts.Windows.view(),
-		FastBurn:    e.opts.FastBurn,
-		SlowBurn:    e.opts.SlowBurn,
+		FastBurn:    fastBurn,
+		SlowBurn:    slowBurn,
 		EvaluatedAt: e.lastEval,
 	}
 	for _, st := range e.states {

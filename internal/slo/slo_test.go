@@ -35,13 +35,7 @@ func newHarness(t *testing.T, defs []Def, mutate func(*Options)) *harness {
 		now: time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC),
 	}
 	clock := func() time.Time { return h.now }
-	h.ts = obs.NewTimeSeries(h.reg, obs.TimeSeriesOptions{
-		Interval:    time.Second,
-		FineSlots:   64,
-		CoarseEvery: 8,
-		CoarseSlots: 64,
-		Now:         clock,
-	})
+	h.ts = obs.NewTimeSeries(h.reg, obs.TimeSeriesOptions{Interval: time.Second, Now: clock})
 	opts := Options{Windows: testWindows(), Now: clock, Registry: h.reg}
 	if mutate != nil {
 		mutate(&opts)

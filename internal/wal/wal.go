@@ -184,25 +184,22 @@ func buildFrame(typ Type, seq uint64, payload []byte) []byte {
 type Options struct {
 	// SegmentBytes is the rotation threshold.
 	SegmentBytes int64
-	// MaxSegments bounds the directory: rotation beyond it prunes the oldest
-	// segment, sacrificing (and counting) its evidence rather than growing
-	// without bound between checkpoints.
-	MaxSegments int
 }
+
+// maxSegments bounds the directory: rotation beyond it prunes the oldest
+// segment, sacrificing (and counting) its evidence rather than growing
+// without bound between checkpoints.
+const maxSegments = 64
 
 // DefaultOptions returns the value every unset Options field takes
 // (asqp-serve registers -wal-segment-bytes over it).
 func DefaultOptions() Options {
-	return Options{SegmentBytes: 4 << 20, MaxSegments: 64}
+	return Options{SegmentBytes: 4 << 20}
 }
 
 func (o Options) normalize() Options {
-	d := DefaultOptions()
 	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = d.SegmentBytes
-	}
-	if o.MaxSegments <= 0 {
-		o.MaxSegments = d.MaxSegments
+		o.SegmentBytes = DefaultOptions().SegmentBytes
 	}
 	return o
 }
@@ -470,9 +467,9 @@ func (l *Log) rotateLocked() error {
 	if err := l.openSegmentLocked(l.seq + 1); err != nil {
 		return err
 	}
-	// Retention cap: prune the oldest segments beyond MaxSegments. Their
+	// Retention cap: prune the oldest segments beyond maxSegments. Their
 	// evidence is sacrificed and counted — bounded disk beats unbounded truth.
-	for len(l.segs) > l.opts.MaxSegments {
+	for len(l.segs) > maxSegments {
 		oldest := l.segs[0]
 		if err := os.Remove(filepath.Join(l.dir, segName(oldest))); err != nil && !os.IsNotExist(err) {
 			break // leave it for the next rotation; pruning is best-effort

@@ -289,7 +289,7 @@ func TestNilLogNoOps(t *testing.T) {
 }
 
 // TestMaxSegmentsPrunes: segment retention is the log's one bounded store.
-// Rotating well past the cap leaves exactly MaxSegments segments, the ones
+// Rotating well past the cap leaves exactly maxSegments segments, the ones
 // gone are the oldest, and wal/segments_pruned counts each of them.
 func TestMaxSegmentsPrunes(t *testing.T) {
 	prev := obs.Enabled()
@@ -298,10 +298,11 @@ func TestMaxSegmentsPrunes(t *testing.T) {
 	pruned := obs.Default().Counter("wal/segments_pruned")
 	before := pruned.Value()
 
-	const maxSegs = 3
+	const maxSegs = maxSegments
 	dir := t.TempDir()
-	l, _ := openT(t, dir, Options{SegmentBytes: 128, MaxSegments: maxSegs})
-	for i := 0; i < 60; i++ {
+	// A one-byte threshold puts every record in a segment of its own.
+	l, _ := openT(t, dir, Options{SegmentBytes: 1})
+	for i := 0; i < 3*maxSegs+4; i++ {
 		if err := l.Append(servedRec(i)); err != nil {
 			t.Fatalf("Append: %v", err)
 		}

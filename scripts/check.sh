@@ -142,6 +142,19 @@ serve_port=18481
 serve_bin="$(mktemp -t asqp-serve.XXXXXX)"
 diag_dir="$(mktemp -d -t asqp-diag.XXXXXX)"
 go build -o "${serve_bin}" ./cmd/asqp-serve
+# A slow-long window past what the sampler keeps (6.4h at the 5s interval of
+# a 1m fast-short window) is refused before any data loads: exit non-zero,
+# one line on stderr.
+if "${serve_bin}" -slo-windows 1m,5m,30m,24h >/dev/null 2>"${diag_dir}/stderr"; then
+	echo "asqp-serve accepted -slo-windows 1m,5m,30m,24h" >&2
+	exit 1
+fi
+if [ "$(wc -l <"${diag_dir}/stderr")" -ne 1 ]; then
+	echo "asqp-serve -slo-windows 1m,5m,30m,24h: want one line on stderr, got:" >&2
+	cat "${diag_dir}/stderr" >&2
+	exit 1
+fi
+rm -f "${diag_dir}/stderr"
 "${serve_bin}" -addr "localhost:${serve_port}" -scale 0.02 -k 150 -light \
 	-slo-latency-p99 100us -slo-windows 2s,6s,20s,2m \
 	-diag-dir "${diag_dir}" -diag-min-interval 1s \
@@ -198,7 +211,7 @@ echo "==> size"
 echo "non-test Go lines (internal cmd scripts, without doc.go): $(find internal cmd scripts -name '*.go' ! -name '*_test.go' ! -name doc.go | xargs cat | wc -l)"
 echo "doc.go lines: $(find internal cmd scripts -name doc.go | xargs cat | wc -l)"
 echo "prose lines: DESIGN.md $(wc -l <DESIGN.md), README.md $(wc -l <README.md)"
-echo "asqp-serve flags: $(grep -c '^  -' cmd/asqp-serve/testdata/help.golden)"
+echo "asqp-serve flags: $(grep -c '^  -' cmd/asqp-serve/testdata/help.golden), settable config values: $(go test -count=1 -run '^TestConfigSurfaceIsClosed$' -v ./internal/server | sed -n 's/.*settable values: //p')"
 echo "metric catalogue rows: $(sed -n '/metric-catalogue:begin/,/metric-catalogue:end/p' DESIGN.md | grep -c '^| `')"
 echo "python files: $(git ls-files '*.py' | wc -l)"
 
