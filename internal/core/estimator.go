@@ -17,6 +17,7 @@ import (
 type Estimator struct {
 	emb       embed.Embedder
 	vecs      [][]float64 // training-query embeddings
+	norms     []float64   // Σb² of each embedding, summed as embed.Cosine sums it
 	scores    []float64   // achieved per-query scores on the built set
 	neighbors int
 }
@@ -24,13 +25,18 @@ type Estimator struct {
 // NewEstimator builds an estimator from the training queries and their
 // measured per-query scores over the approximation set.
 func NewEstimator(emb embed.Embedder, stmts []*sqlparse.Select, scores []float64, neighbors int) *Estimator {
-	e := &Estimator{
-		emb:       emb,
-		scores:    append([]float64(nil), scores...),
-		neighbors: neighbors,
-	}
+	var vecs [][]float64
 	for _, s := range stmts {
-		e.vecs = append(e.vecs, emb.Query(s))
+		vecs = append(vecs, emb.Query(s))
+	}
+	return newEstimator(emb, vecs, append([]float64(nil), scores...), neighbors)
+}
+
+// newEstimator is NewEstimator over the training embeddings themselves.
+func newEstimator(emb embed.Embedder, vecs [][]float64, scores []float64, neighbors int) *Estimator {
+	e := &Estimator{emb: emb, vecs: vecs, norms: make([]float64, len(vecs)), scores: scores, neighbors: neighbors}
+	for i, v := range vecs {
+		e.norms[i] = sumSquares(v)
 	}
 	return e
 }
@@ -46,6 +52,7 @@ func (e *Estimator) Estimate(stmt *sqlparse.Select) (pred, confidence float64) {
 	}
 	// Aggregates are judged by their SPJ skeleton, as in Section 4.4.
 	v := e.emb.Query(stmt)
+	nv := sumSquares(v)
 	// The k most similar training queries, most similar first, ties to the
 	// earlier training query: one pass with a k-sized insertion buffer.
 	type neighbor struct {
@@ -59,7 +66,7 @@ func (e *Estimator) Estimate(stmt *sqlparse.Select) (pred, confidence float64) {
 		top = make([]neighbor, 0, k)
 	}
 	for i, tv := range e.vecs {
-		sim := max(embed.Cosine(v, tv), 0)
+		sim := max(cosine(v, tv, nv, e.norms[i]), 0)
 		if len(top) == k && sim <= top[k-1].sim {
 			continue
 		}
@@ -86,6 +93,27 @@ func (e *Estimator) Estimate(stmt *sqlparse.Select) (pred, confidence float64) {
 	// Far queries should predict low regardless of neighbor quality:
 	// attenuate by the confidence itself.
 	return math.Min(1, ssum/wsum) * attenuation(confidence), confidence
+}
+
+// cosine is embed.Cosine(a, b) given na = sumSquares(a) and nb =
+// sumSquares(b): the same sums in the same order, so the same bits.
+func cosine(a, b []float64, na, nb float64) float64 {
+	if len(a) != len(b) || len(a) == 0 || na == 0 || nb == 0 {
+		return 0
+	}
+	var dot float64
+	for i := range a {
+		dot += a[i] * b[i]
+	}
+	return dot / math.Sqrt(na*nb)
+}
+
+// sumSquares is Σv², summed in index order.
+func sumSquares(v []float64) (s float64) {
+	for _, x := range v {
+		s += x * x
+	}
+	return s
 }
 
 // attenuation maps the nearest-neighbor similarity to a multiplier that

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"asqprl/internal/embed"
+	"asqprl/internal/workload"
 )
 
 // estimateByFullSort is Estimate as it was first written — score every
@@ -42,12 +43,14 @@ func TestEstimateTopKMatchesFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(60)
-		e := &Estimator{emb: emb, neighbors: []int{1, 3, 5, 16, 17, 40}[rng.Intn(6)]}
+		k := []int{1, 3, 5, 16, 17, 40}[rng.Intn(6)]
+		var vecs [][]float64
+		var scores []float64
 		for i := 0; i < n; i++ {
 			var vec []float64
 			switch {
 			case i > 0 && rng.Intn(3) == 0:
-				vec = e.vecs[rng.Intn(i)] // an exact tie with an earlier training query
+				vec = vecs[rng.Intn(i)] // an exact tie with an earlier training query
 			case rng.Intn(4) == 0:
 				vec = emb.Query(queries[rng.Intn(len(queries))].Stmt) // a real neighbour
 			default:
@@ -56,14 +59,36 @@ func TestEstimateTopKMatchesFullSort(t *testing.T) {
 					vec[j] = rng.NormFloat64()
 				}
 			}
-			e.vecs = append(e.vecs, vec)
-			e.scores = append(e.scores, rng.Float64())
+			vecs = append(vecs, vec)
+			scores = append(scores, rng.Float64())
 		}
+		e := newEstimator(emb, vecs, scores, k)
 		stmt := queries[rng.Intn(len(queries))].Stmt
 		wantPred, wantConf := estimateByFullSort(e, emb.Query(stmt))
 		if pred, conf := e.Estimate(stmt); pred != wantPred || conf != wantConf {
 			t.Fatalf("trial %d (n=%d, k=%d): Estimate = (%v, %v), full stable sort = (%v, %v)",
 				trial, n, e.neighbors, pred, conf, wantPred, wantConf)
+		}
+	}
+}
+
+// TestEstimateMatchesCosine holds Estimate, which sums each training vector's
+// Σb² once when the estimator is built and the query's Σa² once per call, to
+// the reference that calls embed.Cosine for every pair, bit for bit: over the
+// training workload itself and 500 generated statements it never saw.
+func TestEstimateMatchesCosine(t *testing.T) {
+	emb := embedderForTest()
+	train := testWorkload()
+	rng := rand.New(rand.NewSource(9))
+	scores := make([]float64, len(train))
+	for i := range scores {
+		scores[i] = rng.Float64()
+	}
+	e := NewEstimator(emb, train.Statements(), scores, estimatorNeighbors)
+	for i, stmt := range append(train.Statements(), workload.IMDB(500, 13).Statements()...) {
+		wantPred, wantConf := estimateByFullSort(e, emb.Query(stmt))
+		if pred, conf := e.Estimate(stmt); pred != wantPred || conf != wantConf {
+			t.Fatalf("statement %d %q: Estimate = (%v, %v), through embed.Cosine = (%v, %v)", i, stmt, pred, conf, wantPred, wantConf)
 		}
 	}
 }

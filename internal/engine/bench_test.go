@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"asqprl/internal/datagen"
@@ -108,8 +109,28 @@ func benchmarkWarm(b *testing.B, query string) {
 }
 
 // BenchmarkColumnarScan is the vectorized kernel scan (typed vectors,
-// dictionary string masks, zone-map pruning).
-func BenchmarkColumnarScan(b *testing.B) { benchmarkWarm(b, "Filter") }
+// dictionary string masks, zone-map pruning). range counts the rows of a
+// selective range on a column in no order — about 3 % of IMDB x 2's 40 000
+// titles by production_year — which the column's dense join index holds as one
+// slice, so the scan reads only them; counting builds no answer, so the scan is
+// most of what is timed.
+func BenchmarkColumnarScan(b *testing.B) {
+	benchmarkWarm(b, "Filter")
+	db := datagen.IMDB(2, 1)
+	stmt := sqlparse.MustParse("SELECT id FROM title WHERE production_year BETWEEN 1950 AND 1959")
+	b.Run("range", func(b *testing.B) {
+		if _, err := CountContext(context.Background(), db, stmt, Options{}); err != nil { // builds the index
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := CountContext(context.Background(), db, stmt, Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
 
 // BenchmarkHashJoinAllocs pins the allocations of the join: it probes the
 // build column's cached index with fixed-size typed keys and allocates per

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -306,25 +307,52 @@ var (
 	scanRowsRead   = obs.Default().Counter(metricScanRowsRead)
 )
 
-// sidewaysFrac bounds sideways key passing: a relation reads only the rows its
-// join index holds for a scanned partner's surviving keys when the keys, and the
-// rows, are each under 1/sidewaysFrac of its rows; above, it scans as cheaply.
+// sidewaysFrac bounds the scan's narrow access paths: a relation reads only the
+// rows its index holds for one of its own int ranges, or for a scanned partner's
+// surviving keys, when they are under 1/sidewaysFrac of its rows (and the keys
+// too, for a partner's); above, it scans as cheaply.
 const sidewaysFrac = 8
 
-// scanPlan compiles every relation's filters to kernels (nil where one does not
-// compile) and fixes the scan order: FROM order, the row engine's, or — sideways
-// — smallest table first, so that a selective side is scanned before the
+// relScan is one relation's part of the scan plan: its filters compiled to
+// kernels (nil when one does not compile) and, when one of them is an int range
+// a dense join index serves, the fewest rows any such range holds.
+type relScan struct {
+	kernels []kernel
+	index   *intRange // nil: no kernel's range is served by an index
+	rows    []int32   // index's rows, grouped by key (the index's own slice)
+}
+
+// indexed reports whether the relation is read through its own index: its
+// narrowest range holds under 1/sidewaysFrac of its rows.
+func (rs *relScan) indexed(numRows int) bool {
+	return rs.index != nil && len(rs.rows) < numRows/sidewaysFrac
+}
+
+// scanPlan compiles every relation's filters and finds its narrowest index
+// range (indexRange), and fixes the scan order: FROM order, the row engine's,
+// or — sideways — fewest candidate rows first (an index range's exact count,
+// else the table's size), so that a selective side is scanned before the
 // relations that can take its keys. Leaving rows unread must not show: every
 // relation compiles (a kernel cannot raise), no residual predicate runs before
 // the last join step (it can raise, on tuples unread rows used to form) and no
-// step is a cross product (its budget error quotes its operands' sizes).
-func scanPlan(b *binder, preds []predClass) (kernels [][]kernel, order []int, sideways bool) {
+// step is a cross product (its budget error quotes its operands' sizes). An
+// index range leaves unread only rows the relation's own kernels reject, so it
+// needs none of that.
+func scanPlan(b *binder, preds []predClass) (scans []relScan, order []int, sideways bool) {
 	n := len(b.tables)
-	kernels, order, sideways = make([][]kernel, n), make([]int, n), n > 1
+	scans, order, sideways = make([]relScan, n), make([]int, n), n > 1
+	count := make([]int, n)
 	for rel := range order {
 		order[rel] = rel
-		kernels[rel], _ = compileFilters(b, rel, b.tables[rel].Columns(), relFilters(preds, rel))
-		sideways = sideways && kernels[rel] != nil
+		cs := b.tables[rel].Columns()
+		rs := &scans[rel]
+		rs.kernels, _ = compileFilters(b, rel, cs, relFilters(preds, rel))
+		rs.index, rs.rows = indexRange(cs, rs.kernels)
+		count[rel] = cs.NumRows
+		if rs.index != nil {
+			count[rel] = len(rs.rows)
+		}
+		sideways = sideways && rs.kernels != nil
 	}
 	sideways = sideways && planOpCounts(b, preds).crossJoins == 0
 	for _, p := range preds {
@@ -333,11 +361,62 @@ func scanPlan(b *binder, preds []predClass) (kernels [][]kernel, order []int, si
 		}
 	}
 	for i := 1; sideways && i < n; i++ { // a stable insertion sort: n is a handful
-		for j := i; j > 0 && b.tables[order[j]].NumRows() < b.tables[order[j-1]].NumRows(); j-- {
+		for j := i; j > 0 && count[order[j]] < count[order[j-1]]; j-- {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
-	return kernels, order, sideways
+	return scans, order, sideways
+}
+
+// indexRange returns, of the kernels' int ranges, the one whose column's cached
+// join index holds the fewest rows for it, and those rows. Only a column the
+// zone maps prove dense is asked for its index (denseInts), so a sparse one is
+// never indexed to learn it; a relation of one morsel scans as cheaply as it
+// builds one, and is never asked.
+func indexRange(cs *table.ColumnSet, ks []kernel) (best *intRange, rows []int32) {
+	if cs.NumRows <= morselRows {
+		return nil, nil
+	}
+	for _, k := range ks {
+		if k.ints == nil || !denseInts(&cs.Cols[k.ints.col], cs.NumRows) {
+			continue
+		}
+		if r, ok := joinIndexOf(cs, k.ints.col).IntRange(k.ints.lo, k.ints.hi); ok && (best == nil || len(r) < len(rows)) {
+			best, rows = k.ints, r
+		}
+	}
+	return best, rows
+}
+
+// denseInts reports, from the zone maps' bounds alone, whether the join index
+// of int column c takes the dense layout. Bounds past ±2^53 are not exact in a
+// zone's float64, so such a column is taken as sparse.
+func denseInts(c *table.ColumnData, numRows int) bool {
+	lo, hi, any := math.Inf(1), math.Inf(-1), false
+	for i := range c.Zones {
+		if z := &c.Zones[i]; z.HasValue {
+			lo, hi, any = min(lo, z.Min), max(hi, z.Max), true
+		}
+	}
+	l, lok := exactInt(lo)
+	h, hok := exactInt(hi)
+	return any && lok && hok && table.DenseSpread(l, h, numRows)
+}
+
+// ascendingRows copies an index range's rows into ascending order: one key's
+// run already is; several keys' runs are re-sorted through a bitmap over the
+// relation's numRows, O(len(rows) + numRows/64). The copy is never nil, so an
+// empty range still reads no row.
+func ascendingRows(rows []int32, numRows int) []int32 {
+	out := make([]int32, 0, len(rows))
+	if slices.IsSorted(rows) {
+		return append(out, rows...)
+	}
+	mark := table.NewBitmap(numRows)
+	for _, r := range rows {
+		mark.Set(int(r))
+	}
+	return mark.AppendRows(out)
 }
 
 // sidewaysPartners lists rel's equi-join conjuncts to relations already scanned
@@ -355,31 +434,42 @@ func sidewaysPartners(b *binder, preds []predClass, rel int, scanned []bool) (pa
 	return pairs
 }
 
-// scanRelationsCol is the vectorized scan phase (DESIGN §13 "Scan phase: access
-// paths"): per relation, in scanPlan's order, the compiled filters run over the
-// rows sidewaysRows finds reachable from a partner, or over every row in
+// scanRelationsCol is the vectorized scan phase (DESIGN §13 "Scan"): per
+// relation, in scanPlan's order, one chooser picks from exact counts the rows
+// the compiled filters run over — the relation's narrowest index range, the
+// rows sidewaysRows finds reachable from a partner, whichever is under
+// 1/sidewaysFrac of the relation and smaller, or else every row in
 // morsel-sized selection vectors, zone maps skipping whole morsels. A relation
 // whose filters do not compile is scanned a row at a time (scanRelationRows).
 func scanRelationsCol(b *binder, preds []predClass, g *guard, span *obs.Span, st *scanStats) ([][]int32, error) {
 	n := len(b.tables)
 	candidates, scanned := make([][]int32, n), make([]bool, n)
-	kernels, order, sideways := scanPlan(b, preds)
+	scans, order, sideways := scanPlan(b, preds)
 	for _, rel := range order {
 		if faults.Active() {
 			if err := faults.Inject(faults.PointEngineScan); err != nil {
 				return nil, err
 			}
 		}
-		cs := b.tables[rel].Columns()
+		cs, rs := b.tables[rel].Columns(), &scans[rel]
+		limit, indexed := cs.NumRows/sidewaysFrac, rs.indexed(cs.NumRows)
+		if indexed {
+			limit = len(rs.rows) // a partner's keys must beat the index range
+		}
 		var sel []int32 // nil: every row
 		var kp *joinKeyPair
 		if sideways {
-			sel, kp = sidewaysRows(b, sidewaysPartners(b, preds, rel, scanned), candidates)
+			sel, kp = sidewaysRows(b, sidewaysPartners(b, preds, rel, scanned), candidates, limit)
+		}
+		partner := sel != nil
+		if partner {
+			st.sideways++
+		} else if indexed {
+			sel = ascendingRows(rs.rows, cs.NumRows)
 		}
 		rowsRead := cs.NumRows
 		if sel != nil {
 			rowsRead = len(sel)
-			st.sideways++
 		}
 		st.rowsRead += int64(rowsRead)
 		if span != nil {
@@ -387,8 +477,11 @@ func scanRelationsCol(b *binder, preds []predClass, g *guard, span *obs.Span, st
 			if kp != nil {
 				keys = len(candidates[kp.boundBind.rel])
 			}
-			if sel != nil {
+			switch {
+			case partner:
 				via = b.bindingName(kp.boundBind)
+			case indexed:
+				via = "index " + b.bindingName(binding{rel: rel, col: rs.index.col})
 			}
 			span.Annotate("via/"+name, via)
 			span.Annotate("keys/"+name, keys)
@@ -397,11 +490,11 @@ func scanRelationsCol(b *binder, preds []predClass, g *guard, span *obs.Span, st
 		scanned[rel] = true
 		var err error
 		switch {
-		case kernels[rel] == nil:
+		case rs.kernels == nil:
 			candidates[rel], err = scanRelationRows(b, rel, relFilters(preds, rel), g)
-		case sel != nil || len(kernels[rel]) > 0:
+		case sel != nil || len(rs.kernels) > 0:
 			if err = tickChunks(g, len(sel)); err == nil { // sel nil: the full scan ticks per morsel
-				candidates[rel], err = scanKernels(kernels[rel], cs.NumRows, sel, g, &st.skipped)
+				candidates[rel], err = scanKernels(rs.kernels, cs.NumRows, sel, g, &st.skipped)
 			}
 		default:
 			// Shared and immutable: candidates are read-only downstream.
@@ -416,10 +509,11 @@ func scanRelationsCol(b *binder, preds []predClass, g *guard, span *obs.Span, st
 
 // sidewaysRows picks the partner with the fewest candidates (kp; nil without
 // partners) and returns, ascending, the rows the relation's cached join index
-// holds for their keys: an inner join emits no other row. sel is nil (scan every
-// row) unless the keys and the rows they reach are each under 1/sidewaysFrac of
-// the relation — counted before an index is asked for and before a row is read.
-func sidewaysRows(b *binder, partners []joinKeyPair, candidates [][]int32) (sel []int32, kp *joinKeyPair) {
+// holds for their keys: an inner join emits no other row. sel is nil (take
+// another path) unless the keys and the rows they reach are each under limit —
+// 1/sidewaysFrac of the relation, or fewer when its own index range is — counted
+// before an index is asked for and before a row is read.
+func sidewaysRows(b *binder, partners []joinKeyPair, candidates [][]int32, limit int) (sel []int32, kp *joinKeyPair) {
 	for i := range partners {
 		if kp == nil || len(candidates[partners[i].boundBind.rel]) < len(candidates[kp.boundBind.rel]) {
 			kp = &partners[i]
@@ -429,7 +523,6 @@ func sidewaysRows(b *binder, partners []joinKeyPair, candidates [][]int32) (sel 
 		return nil, nil
 	}
 	cs, keys := b.tables[kp.relCol.rel].Columns(), candidates[kp.boundBind.rel]
-	limit := cs.NumRows / sidewaysFrac
 	if len(keys) >= limit {
 		return nil, kp
 	}
@@ -459,7 +552,7 @@ func reachable(ix *table.JoinIndex, keyer func(int32) (table.JoinKey, bool), row
 }
 
 // scanKernels runs compiled filter kernels over a relation: over the ascending
-// rows sel (at most 1/sidewaysFrac of it), filtered in place, or — sel nil —
+// rows sel (under 1/sidewaysFrac of it), filtered in place, or — sel nil —
 // over all nRows morsel by morsel.
 func scanKernels(ks []kernel, nRows int, sel []int32, g *guard, skipped *int64) ([]int32, error) {
 	if sel != nil {

@@ -48,25 +48,45 @@
 // int64 cell, agreeing with the float64 comparison on every int64
 // (TestIntKernelsMatchFloatComparison).
 //
-// scanRelationsCol has two access paths per relation, chosen per execution
-// from counts it takes itself — no planner, no statistics, no option.
-// scanPlan scans the smallest table first; a relation R with an equi-join
-// conjunct to an already-scanned S takes S's surviving keys sideways
-// (sidewaysRows): if S's candidates number under NumRows(R)/sidewaysFrac, it
-// counts through R's cached table.JoinIndex the rows those keys reach
-// (reachable, giving up at the same fraction) and runs R's kernels over just
-// those rows. Inner equi-joins are conjunctive, so a row left unread joins no
-// surviving partner and appears in no output tuple; the join steps still run
-// in FROM order over ascending candidates, so the answer is byte-identical.
-// The pass is off for a single relation, for any filter that does not compile
-// (an unread row would hide the error the oracle reports), for a residual
-// predicate applied before the last join step, and for a cross product. Its
-// one visible effect: intermediates only shrink, so a statement whose first
-// intermediate exceeded MaxIntermediateRows may now succeed
-// (TestSidewaysFitsIntermediateBudget). TestSidewaysDecision pins the
-// decision, the rows read, the span attributes (via/<rel>, keys/<rel>,
-// rows_read/<rel>) and the counters; TestSidewaysDeclineCostsOneLookupPerKey
-// and TestExplainScanOrder the rest.
+// scanRelationsCol has three access paths per relation, and one chooser picks
+// among them per execution from exact counts it takes itself — no planner, no
+// statistics, no option:
+//
+//   - full: every row, morsel by morsel, zone maps skipping morsels;
+//   - index: a kernel that passes exactly the non-NULL int cells in [lo, hi]
+//     (=, <, <=, >, >=, BETWEEN against exact-int bounds; never <>, NOT
+//     BETWEEN, a float column or a non-integral bound) records that range, and
+//     over a column the zone maps prove dense (table.DenseSpread, asked before
+//     anything is built) the column's cached table.JoinIndex holds the range's
+//     rows as one slice (JoinIndex.IntRange), counted in O(1);
+//   - sideways: a relation R with an equi-join conjunct to an already-scanned
+//     S takes S's surviving keys (sidewaysRows) and counts through R's cached
+//     join index the rows they reach (reachable).
+//
+// The chooser reads the relation's narrowest index range, or the rows a
+// partner's keys reach, whichever is under NumRows/sidewaysFrac and smaller
+// (the keys are counted only up to the index range's count), and otherwise
+// every row; then all of the relation's kernels run over the chosen ascending
+// rows, so the selection is the kernels' own by construction. A range of
+// several keys comes back grouped by key and is re-sorted through a bitmap
+// (ascendingRows). A relation of one morsel is always read whole. An index
+// range leaves unread only rows the relation's own kernels reject, so it is
+// open to every relation whose filters compile. Sideways is not: inner
+// equi-joins are conjunctive, so a row it leaves unread joins no surviving
+// partner and appears in no output tuple, but it is off for a single relation,
+// for any filter that does not compile (an unread row would hide the error the
+// oracle reports), for a residual predicate applied before the last join step,
+// and for a cross product. When it is on, scanPlan scans fewest candidate rows
+// first — an index range's exact count, else the table's size — so a selective
+// side is scanned before the relations that can take its keys; the join steps
+// still run in FROM order over ascending candidates, so the answer, lineage
+// included, is byte-identical. Its one visible effect: intermediates only
+// shrink, so a statement whose first intermediate exceeded MaxIntermediateRows
+// may now succeed (TestSidewaysFitsIntermediateBudget). TestSidewaysDecision
+// and TestIndexRangeDecision pin the decisions, the rows read, the span
+// attributes (via/<rel> — "full", "index <rel>.<col>" or the partner's key
+// column —, keys/<rel>, rows_read/<rel>) and the counters;
+// TestSidewaysDeclineCostsOneLookupPerKey and TestExplainScanOrder the rest.
 //
 // # Join: the probe is a kernel over a cached index
 //

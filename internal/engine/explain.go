@@ -10,15 +10,17 @@ import (
 
 // Explain returns a human-readable description of the physical plan the
 // executor will use for stmt: per-relation scans in the order they run, with
-// pushed-down filters and the partner whose keys a scan takes when the data
-// makes them selective, the join order with join kinds (index — naming how the
-// probed index's runs are emitted — or cross), residual predicates, and the finishing operators. It binds,
-// classifies and compiles filters, and reads no row of an answer — but it is
-// not free on a cold table: which emission a step takes is a property of the
-// join index it probes, so Explain asks for the index of every join key column
-// the steps will probe, and the first to ask builds it (one O(rows) pass per
-// column, counted in index_builds like any build; the statement's execution
-// then finds it cached).
+// pushed-down filters, the int range whose index a scan reads with its exact
+// row count, and the partner whose keys a scan takes when the data makes them
+// selective, the join order with join kinds (index — naming how the probed
+// index's runs are emitted — or cross), residual predicates, and the finishing
+// operators. It binds, classifies and compiles filters, and reads no row of an
+// answer — but it is not free on a cold table: a range's count and the emission
+// a step takes are properties of a join index, so Explain asks for the index of
+// every dense int column a range filters and every join key column the steps
+// will probe, and the first to ask builds it (one O(rows) pass per column,
+// counted in index_builds like any build; the statement's execution then finds
+// it cached).
 func Explain(db *table.Database, stmt *sqlparse.Select) (string, error) {
 	b, preds, err := plan(db, stmt)
 	if err != nil {
@@ -29,7 +31,7 @@ func Explain(db *table.Database, stmt *sqlparse.Select) (string, error) {
 	fmt.Fprintf(&out, "plan for: %s\n", stmt)
 
 	// Scans, in the order they run (see scanPlan).
-	_, order, sideways := scanPlan(b, preds)
+	scans, order, sideways := scanPlan(b, preds)
 	scanned := make([]bool, len(b.tables))
 	for _, rel := range order {
 		var filters []string
@@ -39,6 +41,9 @@ func Explain(db *table.Database, stmt *sqlparse.Select) (string, error) {
 		fmt.Fprintf(&out, "  scan %s (%d rows)", b.refs[rel].Name(), b.tables[rel].NumRows())
 		if len(filters) > 0 {
 			fmt.Fprintf(&out, " filter: %s", strings.Join(filters, " AND "))
+		}
+		if rs := &scans[rel]; rs.indexed(b.tables[rel].NumRows()) {
+			fmt.Fprintf(&out, " via index %s (%d rows)", b.bindingName(binding{rel: rel, col: rs.index.col}), len(rs.rows))
 		}
 		if sideways {
 			for _, kp := range sidewaysPartners(b, preds, rel, scanned) {

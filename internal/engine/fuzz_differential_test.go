@@ -74,6 +74,8 @@ var fuzzTags = []string{"drama", "noir", "musical", "zzz"}
 // that a seed still generates the database and statements it always did).
 // fd is four fixed rows, drawn without rng, whose indexes hold one row per key
 // and address keys no row has: flag is false once and never true, k has gaps.
+// fa.dn is drawn without rng too: a dense int column with NULLs and negative
+// values, out of row order.
 func fuzzDB(rng *rand.Rand, size int, nullMx bool) *table.Database {
 	nA := 30 + rng.Intn(50)
 	if rng.Intn(6) == 0 || size > 0 {
@@ -89,6 +91,7 @@ func fuzzDB(rng *rand.Rand, size int, nullMx bool) *table.Database {
 		{Name: "mx", Kind: table.KindInt},
 		{Name: "sp", Kind: table.KindInt},
 		{Name: "name", Kind: table.KindString},
+		{Name: "dn", Kind: table.KindInt},
 	})
 	for i := 0; i < nA; i++ {
 		num := table.NewInt(int64(rng.Intn(20) - 5))
@@ -135,7 +138,13 @@ func fuzzDB(rng *rand.Rand, size int, nullMx bool) *table.Database {
 		if i%9 == 4 {
 			name = table.Null
 		}
-		fa.AppendRow(table.Row{table.NewInt(int64(i)), num, val, cat, flag, mx, sp, name})
+		// dn: nA consecutive values from -nA/2, each once, out of row order (7919
+		// is a prime above nA), so a range of it is several runs of a dense index.
+		dn := table.NewInt(int64(i*7919%nA - nA/2))
+		if i%13 == 6 {
+			dn = table.Null
+		}
+		fa.AppendRow(table.Row{table.NewInt(int64(i)), num, val, cat, flag, mx, sp, name, dn})
 	}
 	nB := 20 + rng.Intn(40)
 	if nA > fuzzBigRows {
@@ -589,6 +598,44 @@ const fuzzAggSeed = -1 << 48
 // of size k / len % 3 (see fuzzDB), each statement under one of fuzzLimitModes.
 const fuzzSidewaysSeed = -1 << 40
 
+// fuzzIndexShapes are the statements a seed at or below fuzzIndexSeed forces
+// (see FuzzRowVsColumnar): what the scan's index range distinguishes. It serves
+// a relation of several morsels whose int range holds under an eighth of its
+// rows in a dense index, so the shapes filter fa.dn (unique values out of row
+// order, NULLs, negatives), fa.num (few values, NULLs, negatives) and the keys
+// of fb and fc by a single key, by ranges of many keys (runs re-sorted into row
+// order), by bounds at ±2^53 and past them (those only the float comparison
+// takes), by empty ranges, by the forms that record no range (<>, NOT BETWEEN, a
+// non-integral bound), and on both sides of a join, where a partner's keys
+// compete with the relation's own range.
+var fuzzIndexShapes = []string{
+	"SELECT a.id, a.dn FROM fa a WHERE a.dn = 7",
+	"SELECT a.id, a.dn, a.val FROM fa a WHERE a.dn BETWEEN -40 AND 40",
+	"SELECT * FROM fa a WHERE a.num = 3",
+	"SELECT a.id, a.num FROM fa a WHERE -5 <= a.num AND a.num < -3",
+	"SELECT a.id FROM fa a WHERE NOT a.dn < 2400",
+	"SELECT a.id FROM fa a WHERE a.dn <= -9007199254740991 OR a.dn > 9007199254740991",
+	"SELECT a.id FROM fa a WHERE a.dn < 9007199254740992 AND a.dn >= 9007199254740990",
+	"SELECT a.id FROM fa a WHERE a.dn >= -9007199254740993 AND a.num < -9007199254740992",
+	"SELECT a.id FROM fa a WHERE a.dn > 1152921504606846976 AND a.id < 1152921504606846977",
+	"SELECT a.id FROM fa a WHERE a.dn >= -9007199254740991 AND a.num <= -5",
+	"SELECT a.id FROM fa a WHERE a.dn > 100000",
+	"SELECT a.id FROM fa a WHERE a.dn BETWEEN 50 AND 49",
+	"SELECT a.id, a.dn FROM fa a WHERE a.dn <> 5 AND a.num = 2",
+	"SELECT a.id, a.dn FROM fa a WHERE a.dn NOT BETWEEN -10 AND 10",
+	"SELECT a.id, a.dn FROM fa a WHERE a.dn < -2200.5",
+	"SELECT a.id, b.w FROM fa a JOIN fb b ON a.id = b.fa_id WHERE a.dn BETWEEN -30 AND 30 AND b.fa_id < 2000",
+	"SELECT a.id, b.w FROM fb b JOIN fa a ON b.fa_id = a.id WHERE b.fa_id BETWEEN 100 AND 110 AND a.dn > -300",
+	"SELECT a.id, c.n FROM fc c JOIN fa a ON c.fa_id = a.id WHERE c.fa_id BETWEEN 100 AND 160 AND a.dn > -100 AND a.dn <= 100",
+	"SELECT a.id, b.w FROM fb b JOIN fa a ON b.fa_id = a.id WHERE a.num = 4 AND b.w = 2",
+	"SELECT a.id, b.w, c.n FROM fa a JOIN fb b ON b.fa_id = a.id JOIN fc c ON c.fa_id = a.id WHERE a.dn BETWEEN -20 AND 20 AND c.n = 3",
+	"SELECT a.dn, COUNT(*) FROM fa a JOIN fc c ON c.fa_id = a.id WHERE a.dn < -2000 GROUP BY a.dn",
+}
+
+// fuzzIndexSeed - k pins a run to fuzzIndexShapes[k % len] on a database of
+// size k / len % 3 (see fuzzDB), each statement under one of fuzzLimitModes.
+const fuzzIndexSeed = -1 << 60
+
 // fuzzLimitShapes are the statements a seed at or below fuzzLimitSeed forces
 // (see FuzzRowVsColumnar), each run with LIMIT 0, 1, a few and more than any
 // result: what the columnar tail distinguishes on the way from the joined batch
@@ -757,8 +804,9 @@ func (r *fuzzReference) outcome(gotErr error) (res *Result, err error, ok bool) 
 // seed fuzzLimitSeed-k to a fuzzLimitShapes statement and LIMIT under each of
 // fuzzLimitModes, and seed fuzzSidewaysSeed-k to a fuzzSidewaysShapes statement
 // under each of them at each database size, and seed fuzzAggSeed-k likewise to
-// a fuzzAggShapes statement and seed fuzzProbeSeed-k to a fuzzProbeShapes one,
-// so the corpus reaches every shape at every size by construction.
+// a fuzzAggShapes statement, seed fuzzProbeSeed-k to a fuzzProbeShapes one and
+// seed fuzzIndexSeed-k to a fuzzIndexShapes one, so the corpus reaches every
+// shape at every size by construction.
 func FuzzRowVsColumnar(f *testing.F) {
 	for s := int64(0); s < 24; s++ {
 		f.Add(s)
@@ -778,10 +826,17 @@ func FuzzRowVsColumnar(f *testing.F) {
 	for k := 0; k < 3*len(fuzzProbeShapes); k++ {
 		f.Add(int64(fuzzProbeSeed - k))
 	}
+	for k := 0; k < 3*len(fuzzIndexShapes); k++ {
+		f.Add(int64(fuzzIndexSeed - k))
+	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		shape, pinSQL, size, stmts := -1, "", 0, 6
 		switch {
+		case seed <= fuzzIndexSeed:
+			k := uint64(fuzzIndexSeed - seed)
+			nShapes := uint64(len(fuzzIndexShapes))
+			pinSQL, size = fuzzIndexShapes[k%nShapes], int(k/nShapes%3)
 		case seed <= fuzzProbeSeed:
 			k := uint64(fuzzProbeSeed - seed)
 			nShapes := uint64(len(fuzzProbeShapes))

@@ -36,6 +36,16 @@ type kernel struct {
 	// constFalse marks a kernel that passes no row at all (every chunk of
 	// every morsel prunes).
 	constFalse bool
+	// ints, when set, says the kernel passes exactly the non-NULL cells of an
+	// int column that lie in a range: the rows a dense join index holds for it
+	// (the scan's index path, colexec.go).
+	ints *intRange
+}
+
+// intRange is lo <= cell <= hi over int column col of the kernel's relation.
+type intRange struct {
+	col    int
+	lo, hi int64
 }
 
 // compileFilters compiles every filter or reports ok=false (fall back to
@@ -189,7 +199,7 @@ func compileExpr(b *binder, rel int, cs *table.ColumnSet, e sqlparse.Expr, negat
 		if !lok || !hok {
 			return kernel{}, false
 		}
-		return compileBetween(&cs.Cols[ci], lo.Value, hi.Value, x.Not != negate)
+		return compileBetween(cs, ci, lo.Value, hi.Value, x.Not != negate)
 	case *sqlparse.Like:
 		ref, ok := x.X.(*sqlparse.ColumnRef)
 		if !ok {
@@ -361,7 +371,7 @@ func compileCmp(cs *table.ColumnSet, ci int, lit *sqlparse.Literal, op string) (
 	switch c.Kind {
 	case table.KindInt, table.KindFloat:
 		if lv.IsNumeric() {
-			return numericCmpKernel(c, op, lv.AsFloat()), true
+			return numericCmpKernel(c, ci, op, lv.AsFloat()), true
 		}
 		// Different kind classes: the outcome is the same for every non-NULL
 		// value of the column (Compare orders by Kind; Equal is false).
@@ -425,10 +435,11 @@ func intRangeSel(c *table.ColumnData, lo, hi int64, not bool) func(sel []int32) 
 	}
 }
 
-// numericCmpKernel compares an int or float column against a numeric literal:
-// in int64 when the column is int and the literal an exactInt, otherwise
-// through float64, exactly like Value.Compare on numeric pairs.
-func numericCmpKernel(c *table.ColumnData, op string, lit float64) kernel {
+// numericCmpKernel compares column ci, int or float, against a numeric literal:
+// in int64 when the column is int and the literal an exactInt (every operator
+// but <> then records its range), otherwise through float64, exactly like
+// Value.Compare on numeric pairs.
+func numericCmpKernel(c *table.ColumnData, ci int, op string, lit float64) kernel {
 	nulls := c.Nulls
 	zones := c.Zones
 	var pass func(v float64) bool
@@ -474,6 +485,9 @@ func numericCmpKernel(c *table.ColumnData, op string, lit float64) kernel {
 			lo = l
 		}
 		k.sel = intRangeSel(c, lo, hi, op == "<>")
+		if op != "<>" {
+			k.ints = &intRange{ci, lo, hi}
+		}
 		return k
 	}
 	if c.Kind == table.KindInt {
@@ -808,8 +822,9 @@ func numericInKernel(c *table.ColumnData, members []float64, not bool) kernel {
 	return k
 }
 
-// compileBetween builds the kernel for <col> [NOT] BETWEEN lo AND hi.
-func compileBetween(c *table.ColumnData, lo, hi table.Value, not bool) (kernel, bool) {
+// compileBetween builds the kernel for column ci [NOT] BETWEEN lo AND hi.
+func compileBetween(cs *table.ColumnSet, ci int, lo, hi table.Value, not bool) (kernel, bool) {
+	c := &cs.Cols[ci]
 	if lo.IsNull() || hi.IsNull() {
 		// BETWEEN with a NULL bound is NULL for every row.
 		return kernel{constFalse: true, sel: emptySel}, true
@@ -821,20 +836,22 @@ func compileBetween(c *table.ColumnData, lo, hi table.Value, not bool) (kernel, 
 			// to leave to the per-row scan.
 			return kernel{}, false
 		}
-		return numericBetweenKernel(c, lo.AsFloat(), hi.AsFloat(), not), true
+		return numericBetweenKernel(c, ci, lo.AsFloat(), hi.AsFloat(), not), true
 	case table.KindString:
 		mask := make([]bool, c.Dict.Len())
-		for ci, s := range c.Dict.Strs {
+		for code, s := range c.Dict.Strs {
 			sv := table.NewString(s)
 			in := sv.Compare(lo) >= 0 && sv.Compare(hi) <= 0
-			mask[ci] = in != not
+			mask[code] = in != not
 		}
 		return maskKernel(c, mask), true
 	}
 	return kernel{}, false
 }
 
-func numericBetweenKernel(c *table.ColumnData, lo, hi float64, not bool) kernel {
+// numericBetweenKernel is compileBetween over an int or float column; over an
+// int column between exactInt bounds, BETWEEN records its range.
+func numericBetweenKernel(c *table.ColumnData, ci int, lo, hi float64, not bool) kernel {
 	nulls := c.Nulls
 	zones := c.Zones
 	k := kernel{}
@@ -856,6 +873,9 @@ func numericBetweenKernel(c *table.ColumnData, lo, hi float64, not bool) kernel 
 	if l, lok := exactInt(lo); lok && c.Kind == table.KindInt {
 		if h, hok := exactInt(hi); hok && l <= h { // an int cell is never NaN
 			k.sel = intRangeSel(c, l, h, not)
+			if !not {
+				k.ints = &intRange{ci, l, h}
+			}
 			return k
 		}
 	}

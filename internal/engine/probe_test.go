@@ -13,13 +13,14 @@ import (
 
 // probeDB is a probe table p (k = its row number, n rows) and a build table d
 // whose id is unique and whose f numbers its rows: d.f < m keeps m candidates,
-// each matched by one row of p.
+// each matched by one row of p. f is a float column, which no index range
+// serves, so d is scanned whole and gives p no keys: all n rows of p probe.
 func probeDB(n int) *table.Database {
 	p := table.New("p", table.Schema{{Name: "k", Kind: table.KindInt}})
-	d := table.New("d", table.Schema{{Name: "id", Kind: table.KindInt}, {Name: "f", Kind: table.KindInt}})
+	d := table.New("d", table.Schema{{Name: "id", Kind: table.KindInt}, {Name: "f", Kind: table.KindFloat}})
 	for i := 0; i < n; i++ {
 		p.AppendRow(table.Row{table.NewInt(int64(i))})
-		d.AppendRow(table.Row{table.NewInt(int64(i)), table.NewInt(int64(i))})
+		d.AppendRow(table.Row{table.NewInt(int64(i)), table.NewFloat(float64(i))})
 	}
 	db := table.NewDatabase()
 	db.Add(p)

@@ -51,7 +51,9 @@ func scanAttrs(t *testing.T, db *table.Database, sql string, opts Options) (*Res
 // name per fact: r is read through s's surviving keys when they, and the rows
 // of r they reach, are each under an eighth of r — and then exactly those rows
 // are read — and whole otherwise; a scan that declines on the key count alone
-// asks for no index; answers equal the row engine's either way.
+// asks for no index; s, scanned first, is read whole unless its own range on
+// s.v holds under an eighth of it (then through s.v's index, as
+// TestIndexRangeDecision pins); answers equal the row engine's either way.
 func TestSidewaysDecision(t *testing.T) {
 	prev := obs.Enabled()
 	defer obs.SetEnabled(prev)
@@ -65,15 +67,17 @@ func TestSidewaysDecision(t *testing.T) {
 		name, where      string
 		via              string
 		keys, rowsRead   int
+		viaS             string
+		rowsReadS        int
 		sideways, rowsIn int64 // counters' growth
 		indexBuilt       bool  // r.k's index exists afterwards
 	}{
 		// r is the probe side (relation 0), so no join step builds r.k's index.
-		{"declines on the key count, asks for no index", "s.v >= 0", "full", 1200, 8000, 0, 9200, false},
-		{"declines on the rows the keys reach", "s.v < 250", "full", 250, 8000, 0, 9200, true},
-		{"reads the reachable rows", "s.v < 249 AND r.v >= 0", "s.k", 249, 996, 1, 2196, true},
-		{"reads them without a filter of its own", "s.v < 100", "s.k", 100, 400, 1, 1600, true},
-		{"no key survives", "s.v < 0", "s.k", 0, 0, 1, 1200, true},
+		{"declines on the key count, asks for no index", "s.v >= 0", "full", 1200, 8000, "full", 1200, 0, 9200, false},
+		{"declines on the rows the keys reach", "s.v < 250", "full", 250, 8000, "full", 1200, 0, 9200, true},
+		{"reads the reachable rows", "s.v < 249 AND r.v >= 0", "s.k", 249, 996, "full", 1200, 1, 2196, true},
+		{"reads them without a filter of its own", "s.v < 100", "s.k", 100, 400, "index s.v", 100, 1, 500, true},
+		{"no key survives", "s.v < 0", "s.k", 0, 0, "index s.v", 0, 1, 0, true},
 	} {
 		sql := "SELECT r.v, s.v FROM r JOIN s ON r.k = s.k WHERE " + c.where
 		before := obs.Default().Snapshot().Counters
@@ -82,8 +86,8 @@ func TestSidewaysDecision(t *testing.T) {
 		if attrs["via/r"] != c.via || attrs["keys/r"] != c.keys || attrs["rows_read/r"] != c.rowsRead {
 			t.Errorf("%s: via/r=%v keys/r=%v rows_read/r=%v, want %s %d %d", c.name, attrs["via/r"], attrs["keys/r"], attrs["rows_read/r"], c.via, c.keys, c.rowsRead)
 		}
-		if attrs["via/s"] != "full" || attrs["rows_read/s"] != 1200 {
-			t.Errorf("%s: the smaller relation is scanned first and whole; attrs %v", c.name, attrs)
+		if attrs["via/s"] != c.viaS || attrs["rows_read/s"] != c.rowsReadS || attrs["keys/s"] != 0 {
+			t.Errorf("%s: via/s=%v rows_read/s=%v keys/s=%v, want %s %d 0 (s is scanned first)", c.name, attrs["via/s"], attrs["rows_read/s"], attrs["keys/s"], c.viaS, c.rowsReadS)
 		}
 		if d := after[metricScanSideways] - before[metricScanSideways]; d != c.sideways {
 			t.Errorf("%s: %s grew by %d, want %d", c.name, metricScanSideways, d, c.sideways)
@@ -234,26 +238,176 @@ func TestProbeKeyerTranslatesLazily(t *testing.T) {
 	}
 }
 
-// TestExplainScanOrder: EXPLAIN prints the scans in the order they run and the
-// partner column a scan may take its keys from; a filter that does not compile
-// keeps FROM order and promises nothing.
+// TestExplainScanOrder: EXPLAIN prints the scans in the order they run —
+// fewest candidate rows first, an index range's exact count standing in for its
+// table's size — with the index a scan reads and the partner column a scan may
+// take its keys from; a filter that does not compile keeps FROM order and
+// promises nothing.
 func TestExplainScanOrder(t *testing.T) {
 	db := sidewaysDB()
-	plan, err := Explain(db, sqlparse.MustParse("SELECT r.v FROM r JOIN s ON r.k = s.k JOIN t ON t.k = s.k WHERE s.v < 100"))
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		where string
+		scans []string // in the order they must appear
+	}{
+		// 600 of s's rows pass: more than t's 500 and than an eighth of s.
+		{"s.v < 600", []string{
+			"scan t (500 rows)\n",
+			"scan s (1200 rows) filter: s.v < 600 keys from t.k when selective\n",
+			"scan r (8000 rows) keys from s.k when selective\n",
+		}},
+		// 100 pass: fewer than t has, and s reads them through its index.
+		{"s.v < 100", []string{
+			"scan s (1200 rows) filter: s.v < 100 via index s.v (100 rows)\n",
+			"scan t (500 rows) keys from s.k when selective\n",
+			"scan r (8000 rows) keys from s.k when selective\n",
+		}},
+	} {
+		plan, err := Explain(db, sqlparse.MustParse("SELECT r.v FROM r JOIN s ON r.k = s.k JOIN t ON t.k = s.k WHERE "+c.where))
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := -1
+		for _, scan := range c.scans {
+			i := strings.Index(plan, scan)
+			if i <= at {
+				t.Errorf("%s: plan does not have %q after the scans before it:\n%s", c.where, scan, plan)
+			}
+			at = i
+		}
 	}
-	tAt := strings.Index(plan, "scan t (500 rows)\n")
-	sAt := strings.Index(plan, "scan s (1200 rows) filter: s.v < 100 keys from t.k when selective\n")
-	rAt := strings.Index(plan, "scan r (8000 rows) keys from s.k when selective\n")
-	if tAt < 0 || sAt < tAt || rAt < sAt {
-		t.Errorf("plan does not scan t, s (keys from t.k), r (keys from s.k) in that order:\n%s", plan)
-	}
-	plan, err = Explain(db, sqlparse.MustParse("SELECT r.v FROM r JOIN s ON r.k = s.k WHERE s.v + 1 < 100"))
+	plan, err := Explain(db, sqlparse.MustParse("SELECT r.v FROM r JOIN s ON r.k = s.k WHERE s.v + 1 < 100"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(plan, "keys from") || strings.Index(plan, "scan r") > strings.Index(plan, "scan s") {
 		t.Errorf("a filter that does not compile must keep FROM order and full scans:\n%s", plan)
+	}
+}
+
+// indexDB is x, 8 000 rows: k repeats four times, d runs over -200..200 out of
+// row order and is NULL in every seventeenth row (a dense index), sp spreads the
+// row number a million times wider (a sparse one) and f is d as a float; y, 2 000
+// rows, has a unique k and v its row number; small is x's first 1 000 rows, one
+// morsel.
+func indexDB() *table.Database {
+	db := table.NewDatabase()
+	schema := table.Schema{{Name: "k", Kind: table.KindInt}, {Name: "d", Kind: table.KindInt}, {Name: "sp", Kind: table.KindInt}, {Name: "f", Kind: table.KindFloat}}
+	x, small := table.New("x", schema), table.New("small", schema)
+	for i := 0; i < 8000; i++ {
+		d := int64(i*7919%401 - 200)
+		row := table.Row{table.NewInt(int64(i / 4)), table.NewInt(d), table.NewInt(int64(i) * 1_000_003), table.NewFloat(float64(d))}
+		if i%17 == 0 {
+			row[1] = table.Null
+		}
+		x.AppendRow(row)
+		if i < 1000 {
+			small.AppendRow(row)
+		}
+	}
+	y := table.New("y", table.Schema{{Name: "k", Kind: table.KindInt}, {Name: "v", Kind: table.KindInt}})
+	for i := 0; i < 2000; i++ {
+		y.AppendRow(table.Row{table.NewInt(int64(i)), table.NewInt(int64(i))})
+	}
+	db.Add(x)
+	db.Add(y)
+	db.Add(small)
+	return db
+}
+
+// TestIndexRangeDecision pins the scan's third access path beside
+// TestSidewaysDecision's two: a relation of more than one morsel whose int range
+// holds under an eighth of its rows in a dense index reads exactly those rows
+// (via/<rel> "index <col>"); a range over more declines after counting, and a
+// sparse int column, a float column, <>, NOT BETWEEN, a non-integral bound and a
+// one-morsel relation decline without an index being built. In a join the
+// narrower of a relation's index range and a partner's keys is read, and the
+// relation with fewer candidate rows is scanned first. Answers, lineage
+// included, equal the row engine's in every case.
+func TestIndexRangeDecision(t *testing.T) {
+	prev := obs.Enabled()
+	defer obs.SetEnabled(prev)
+	obs.SetEnabled(true)
+	obs.Default().Reset()
+	defer obs.Default().Reset()
+
+	// inRange counts x's non-NULL d in [lo, hi]: the rows its index holds.
+	inRange := func(lo, hi int64) (n int) {
+		for i := 0; i < 8000; i++ {
+			if d := int64(i*7919%401 - 200); i%17 != 0 && lo <= d && d <= hi {
+				n++
+			}
+		}
+		return n
+	}
+	type read struct {
+		via  string
+		rows int
+	}
+	for _, c := range []struct {
+		sql     string
+		reads   map[string]read
+		unbuilt string // a column of x (or small) no decision may index
+	}{
+		{"SELECT x.k FROM x WHERE x.d = 5", map[string]read{"x": {"index x.d", inRange(5, 5)}}, ""},
+		{"SELECT x.k, x.d FROM x WHERE x.d BETWEEN -3 AND 3", map[string]read{"x": {"index x.d", inRange(-3, 3)}}, ""},
+		{"SELECT * FROM x WHERE 190 < x.d AND x.f < 195", map[string]read{"x": {"index x.d", inRange(191, 200)}}, ""},
+		{"SELECT x.k FROM x WHERE NOT x.d >= -195", map[string]read{"x": {"index x.d", inRange(-200, -196)}}, ""},
+		{"SELECT x.k FROM x WHERE x.d < -1000", map[string]read{"x": {"index x.d", 0}}, ""},
+		{"SELECT x.k FROM x WHERE x.d >= -150", map[string]read{"x": {"full", 8000}}, ""},
+		{"SELECT x.k FROM x WHERE x.sp < 5000000", map[string]read{"x": {"full", 8000}}, "sp"},
+		{"SELECT x.k FROM x WHERE x.f = 5", map[string]read{"x": {"full", 8000}}, "f"},
+		{"SELECT x.k FROM x WHERE x.d <> 5", map[string]read{"x": {"full", 8000}}, "d"},
+		{"SELECT x.k FROM x WHERE x.d NOT BETWEEN -200 AND 195", map[string]read{"x": {"full", 8000}}, "d"},
+		{"SELECT x.k FROM x WHERE x.d < -195.5", map[string]read{"x": {"full", 8000}}, "d"},
+		{"SELECT small.k FROM small WHERE small.d = 5", map[string]read{"small": {"full", 1000}}, "d"},
+		// y's 10 keys reach 40 rows of x, fewer than its own range holds.
+		{"SELECT x.d, y.v FROM x JOIN y ON x.k = y.k WHERE y.v < 10 AND x.d BETWEEN -10 AND 10",
+			map[string]read{"y": {"index y.v", 10}, "x": {"y.k", 40}}, ""},
+		// y's 100 keys would reach 400 rows: x's own range holds fewer.
+		{"SELECT x.d, y.v FROM x JOIN y ON x.k = y.k WHERE y.v < 100 AND x.d BETWEEN -5 AND 5",
+			map[string]read{"y": {"index y.v", 100}, "x": {"index x.d", inRange(-5, 5)}}, ""},
+	} {
+		db := indexDB()
+		before := obs.Default().Snapshot().Counters
+		res, attrs := scanAttrs(t, db, c.sql, Options{TrackLineage: true})
+		after := obs.Default().Snapshot().Counters
+		total := 0
+		for rel, want := range c.reads {
+			if attrs["via/"+rel] != want.via || attrs["rows_read/"+rel] != want.rows {
+				t.Errorf("%s: via/%s=%v rows_read/%s=%v, want %s %d", c.sql, rel, attrs["via/"+rel], rel, attrs["rows_read/"+rel], want.via, want.rows)
+			}
+			total += want.rows
+		}
+		if d := after[metricScanRowsRead] - before[metricScanRowsRead]; d != int64(total) {
+			t.Errorf("%s: %s grew by %d, want %d", c.sql, metricScanRowsRead, d, total)
+		}
+		ref, err := rowExecute(context.Background(), db, sqlparse.MustParse(c.sql), Options{TrackLineage: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resultFingerprint(res) != resultFingerprint(ref) {
+			t.Errorf("%s: columnar answer diverges from the row engine's", c.sql)
+		}
+		plan, err := Explain(db, sqlparse.MustParse(c.sql))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rel, want := range c.reads {
+			if col, ok := strings.CutPrefix(want.via, "index "); ok {
+				if !strings.Contains(plan, fmt.Sprintf(" via index %s (%d rows)", col, want.rows)) {
+					t.Errorf("%s: EXPLAIN does not name %s's index and its count:\n%s", c.sql, rel, plan)
+				}
+			} else if want.via == "full" && strings.Contains(plan, "via index") {
+				t.Errorf("%s: EXPLAIN names an index %s does not read:\n%s", c.sql, rel, plan)
+			}
+		}
+		if c.unbuilt != "" {
+			for name := range c.reads {
+				tb := db.Table(name)
+				if _, built := tb.Columns().JoinIndex(tb.ColumnIndex(c.unbuilt)); !built {
+					t.Errorf("%s: %s.%s was indexed for a scan that declined it", c.sql, name, c.unbuilt)
+				}
+			}
+		}
 	}
 }

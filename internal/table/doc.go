@@ -54,7 +54,11 @@
 //
 //   - dense: keys of one tag whose bits span a compact range address offs
 //     directly — dictionary codes, bools, and int columns whose max − min is
-//     under 4× the row count (ids and foreign keys);
+//     under 4× the row count (ids, foreign keys, years; DenseSpread, which a
+//     caller can ask of the zone maps' bounds before anything is built). Over
+//     an int column the rows of a value range [lo, hi] are then one slice of
+//     rows, counted in O(1) (JoinIndex.IntRange): the engine's range access
+//     path;
 //   - hash: everything else goes through an open-addressed table of group
 //     numbers (linear probing, load ≤ ¾). Slots store no key; a hit is
 //     verified against the key of the group's first row.
@@ -62,8 +66,8 @@
 // Both are built by two counting-sort passes, which is what makes each group
 // ascending — the order a per-query hash join bucketed candidates in, so a
 // probe over the index emits what that join emitted. Memory is bounded by
-// about 20 bytes per row per indexed column, and only columns some join has
-// used are indexed. Indexes are built lazily behind one sync.Once per column:
+// about 20 bytes per row per indexed column, and only columns some join or
+// range scan has used are indexed. Indexes are built lazily behind one sync.Once per column:
 // concurrent first users of a column share one build
 // (TestJoinIndexConcurrentFirstUse), first uses of different columns do not
 // queue behind each other, and an AppendRow after a build drops them — which,

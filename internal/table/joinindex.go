@@ -97,8 +97,7 @@ func (c *ColumnData) JoinKeyer(xlat func(code int32) int32) func(int32) (JoinKey
 // the data when the index is built, either at most ~20 bytes per row:
 //
 //   - dense: keys of one tag whose Bits span a compact range (dictionary
-//     codes, bools, int columns whose max-min is under denseSpread x rows)
-//     address offs directly;
+//     codes, bools, int columns DenseSpread admits) address offs directly;
 //   - hash: everything else (floats, sparse ints) goes through an
 //     open-addressed table of group numbers. Slots store no key: a hit is
 //     verified against the key of the run's first row.
@@ -121,10 +120,14 @@ type JoinIndex struct {
 	floats []float64
 }
 
-// denseSpread bounds the direct-address offset array: an int column is dense
-// when its value range is under denseSpread slots per row (16 B/row of offsets
-// at worst, still cheaper to probe than hashing).
-const denseSpread = 4
+// DenseSpread reports whether the index of an int column of rows rows whose
+// non-NULL values lie in [lo, hi] takes the dense layout: the value range is
+// under four slots per row (16 B/row of offsets at worst, still cheaper to
+// probe than hashing). A caller can ask it of the zone maps' bounds before
+// anything is built.
+func DenseSpread(lo, hi int64, rows int) bool {
+	return uint64(hi)-uint64(lo) < 4*uint64(rows)
+}
 
 // Layout names the layout the build chose: "dense" or "hash".
 func (ix *JoinIndex) Layout() string {
@@ -144,6 +147,26 @@ func (ix *JoinIndex) Unique() bool { return ix.distinct == len(ix.rows) }
 // Rows returns every indexed row id, grouped by key; Runs' bounds delimit it.
 // The slice is the index's own and must not be modified.
 func (ix *JoinIndex) Rows() []int32 { return ix.rows }
+
+// IntRange returns the row ids whose cell lies in [lo, hi], grouped by key
+// (ascending within a key's run, so ascending outright when the range holds
+// one key), and ok = true — for the dense layout over an int column only:
+// there the rows of a range are one contiguous slice, counted in O(1). The
+// bounds are clamped to the indexed keys, so any int64 bounds are safe; lo >
+// hi is the empty range. The slice aliases the index and must not be
+// modified.
+func (ix *JoinIndex) IntRange(lo, hi int64) (rows []int32, ok bool) {
+	if ix.slots != nil || ix.ints == nil {
+		return nil, false
+	}
+	first := int64(ix.base)
+	last := first + int64(len(ix.offs)-2)
+	lo, hi = max(lo, first), min(hi, last)
+	if lo > hi {
+		return ix.rows[:0], true
+	}
+	return ix.rows[ix.offs[lo-first]:ix.offs[hi-first+1]], true
+}
 
 // Runs is Lookup for a chunk of keys at once, one loop per layout with the
 // lookup inline: key i is (tags[i], bits[i]) and its run Rows()[lo[i]:hi[i]],
@@ -256,8 +279,8 @@ func buildJoinIndex(c *ColumnData, all []int32) *JoinIndex {
 			}
 			any = true
 		}
-		if spread := uint64(hi) - uint64(lo); any && spread < denseSpread*uint64(len(all)) {
-			ix.tag, ix.base, groups = TagNum, uint64(lo), int(spread)+1
+		if any && DenseSpread(lo, hi, len(all)) {
+			ix.tag, ix.base, groups = TagNum, uint64(lo), int(uint64(hi)-uint64(lo))+1
 		}
 	}
 	return ix.fill(all, groups)

@@ -186,6 +186,77 @@ func TestNewJoinIndexOverSubset(t *testing.T) {
 	}
 }
 
+// TestJoinIndexIntRange holds IntRange on a dense int index to the rows a scan
+// keeps for lo <= cell <= hi — NULLs left out, grouped by key, ascending within
+// a key — for ranges below, above, straddling and inside the keys, empty ones,
+// single keys and the int64 extremes, over negative keys with gaps; and to
+// ok = false wherever the index is not a dense int one.
+func TestJoinIndexIntRange(t *testing.T) {
+	tbl := New("r", Schema{{Name: "v", Kind: KindInt}})
+	for i := 0; i < 3000; i++ {
+		v := NewInt(int64((i*7919)%41 - 20)) // -20..20, unordered
+		if v.Int == 3 || i%13 == 0 {
+			v = Null // a key inside the range no row has, and NULL rows
+		}
+		tbl.AppendRow(Row{v})
+	}
+	ix, _ := tbl.Columns().JoinIndex(0)
+	if ix.Layout() != "dense" {
+		t.Fatalf("layout %s, want dense", ix.Layout())
+	}
+	const minI, maxI = math.MinInt64, math.MaxInt64
+	for _, r := range [][2]int64{
+		{-40, -21}, {21, 40}, // below, above
+		{-25, -18}, {18, 25}, {-5, 7}, {-20, 20}, // straddling, inside, exactly the keys
+		{5, 4}, {maxI, minI}, {3, 3}, // empty: lo > hi, and a key no row has
+		{-7, -7}, {20, 20}, {-20, -20}, // single keys, the ends among them
+		{minI, minI}, {maxI, maxI}, {minI, -19}, {19, maxI}, {minI, maxI},
+	} {
+		lo, hi := r[0], r[1]
+		var want []int32
+		for k := max(lo, -20); k <= min(hi, 20); k++ {
+			for ri := 0; ri < tbl.NumRows(); ri++ {
+				if c := tbl.Row(ri)[0]; !c.IsNull() && c.Int == k {
+					want = append(want, int32(ri))
+				}
+			}
+		}
+		got, ok := ix.IntRange(lo, hi)
+		if !ok || len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Errorf("IntRange(%d, %d) = %d rows (ok=%v), want %d", lo, hi, len(got), ok, len(want))
+		}
+	}
+
+	fix := joinIndexFixture()
+	for _, col := range []string{"sparse", "f", "s", "b"} { // hash int, float, string, bool
+		ix, _ := fix.Columns().JoinIndex(fix.ColumnIndex(col))
+		if rows, ok := ix.IntRange(minI, maxI); ok || rows != nil {
+			t.Errorf("%s (%s layout): IntRange answered %d rows, ok=%v", col, ix.Layout(), len(rows), ok)
+		}
+	}
+	dense := fix.Columns()
+	hashed := NewJoinIndex(dense.Cols[0].JoinKeyer(nil), dense.Identity())
+	if _, ok := hashed.IntRange(minI, maxI); ok {
+		t.Error("a NewJoinIndex (hash layout) over an int column answered IntRange")
+	}
+}
+
+// TestDenseSpreadDecidesLayout: the int column whose values span DenseSpread's
+// limit exactly is the first the build indexes by hashing.
+func TestDenseSpreadDecidesLayout(t *testing.T) {
+	for _, spread := range []int64{0, 4*100 - 1, 4 * 100} {
+		tbl := New("d", Schema{{Name: "v", Kind: KindInt}})
+		for i := 0; i < 100; i++ {
+			tbl.AppendRow(Row{NewInt(-50 + spread*int64(i%2))})
+		}
+		ix, _ := tbl.Columns().JoinIndex(0)
+		dense := DenseSpread(-50, -50+spread, 100)
+		if (ix.Layout() == "dense") != dense || dense != (spread < 400) {
+			t.Errorf("spread %d over 100 rows: layout %s, DenseSpread %v", spread, ix.Layout(), dense)
+		}
+	}
+}
+
 func TestJoinIndexEmptyAndAllNull(t *testing.T) {
 	tbl := New("e", Schema{{Name: "i", Kind: KindInt}, {Name: "s", Kind: KindString}, {Name: "f", Kind: KindFloat}})
 	for pass := 0; pass < 2; pass++ { // empty table, then three all-NULL rows
