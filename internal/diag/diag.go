@@ -1,9 +1,9 @@
 // Package diag is the flight recorder: when an SLO enters fast-burn (or an
 // operator hits /debugz?capture=1) it captures a diagnostic bundle — the
-// windowed metric series, the tail-sampled trace ring, the slow-query log,
-// the server's /stats state, and goroutine + heap profiles — into a
-// size-rotated directory, so the moments around an alert survive even if
-// the process dies before anyone can attach.
+// windowed metric series, the tail-sampled trace ring, the server's /stats
+// state, and goroutine + heap profiles — into a size-rotated directory, so
+// the moments around an alert survive even if the process dies before anyone
+// can attach.
 //
 // Captures are rate-limited (one per MinInterval unless forced) and the
 // directory is bounded both by bundle count and total bytes: the recorder
@@ -45,12 +45,11 @@ const maxBundles = 8
 // Source provides the state a bundle captures. Every field is optional;
 // nil collectors are skipped. Collectors run at capture time.
 type Source struct {
-	Metrics     func() any // registry snapshot
-	Series      func() any // windowed per-interval series (obs.TimeSeries)
-	SLO         func() any // SLO engine page
-	Traces      func() any // tail-sampled trace ring
-	SlowQueries func() any // slow-query log
-	Stats       func() any // server /stats (breaker/admission/retrain/WAL)
+	Metrics func() any // registry snapshot
+	Series  func() any // windowed per-interval series (obs.TimeSeries)
+	SLO     func() any // SLO engine page
+	Traces  func() any // tail-sampled trace ring
+	Stats   func() any // server /stats (breaker/admission/retrain/WAL)
 	// Journal stamps a diag/bundle event (reason + bundle name) onto the
 	// WAL after a successful capture, so recovery can report "crashed
 	// while alerting".
@@ -168,7 +167,6 @@ func (r *Recorder) write(dir, reason string, now time.Time) error {
 		{"series.json", r.src.Series},
 		{"slo.json", r.src.SLO},
 		{"traces.json", r.src.Traces},
-		{"slow_queries.json", r.src.SlowQueries},
 		{"stats.json", r.src.Stats},
 	}
 	for _, p := range parts {

@@ -35,13 +35,12 @@ func TestCaptureWritesBundle(t *testing.T) {
 	clk := &testClock{t: time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)}
 	var journaled []string
 	src := Source{
-		Metrics:     func() any { return map[string]int{"x": 1} },
-		Series:      func() any { return map[string]string{"interval": "5s"} },
-		SLO:         func() any { return map[string]bool{"enabled": true} },
-		Traces:      func() any { return []string{"t1"} },
-		SlowQueries: func() any { return []string{"SELECT 1"} },
-		Stats:       func() any { return map[string]bool{"ready": true} },
-		Journal:     func(reason, bundle string) { journaled = append(journaled, reason+":"+bundle) },
+		Metrics: func() any { return map[string]int{"x": 1} },
+		Series:  func() any { return map[string]string{"interval": "5s"} },
+		SLO:     func() any { return map[string]bool{"enabled": true} },
+		Traces:  func() any { return []string{"t1"} },
+		Stats:   func() any { return map[string]bool{"ready": true} },
+		Journal: func(reason, bundle string) { journaled = append(journaled, reason+":"+bundle) },
 	}
 	r := newTestRecorder(t, clk, nil, src)
 
@@ -54,7 +53,7 @@ func TestCaptureWritesBundle(t *testing.T) {
 	}
 	for _, f := range []string{
 		"meta.json", "metrics.json", "series.json", "slo.json",
-		"traces.json", "slow_queries.json", "stats.json",
+		"traces.json", "stats.json",
 		"goroutines.txt", "heap.pprof",
 	} {
 		path := filepath.Join(dir, f)

@@ -6,12 +6,13 @@ import (
 )
 
 // TestBoundedStores overfills each of the package's bounded in-memory stores
-// to three times its cap: the cap holds, and what is gone is the oldest. None
-// of the three counts what it discards — a kept trace, a parked amendment and
-// a slow-query row are each a debugging aid whose loss changes no answer — so
-// there is no drop counter to hold to the overflow here; the stores that have
-// one are core's drift batch (TestDriftBatchBounded) and the WAL's segment
-// retention (TestMaxSegmentsPrunes).
+// to three times its cap: the cap holds, and what is gone is the oldest.
+// Neither counts what it discards — a kept trace and a parked amendment are
+// each a debugging aid whose loss changes no answer — so there is no drop
+// counter to hold to the overflow here; the stores that have one are core's
+// drift batch (TestDriftBatchBounded) and the WAL's segment retention
+// (TestMaxSegmentsPrunes). The slow-query log is a view of the kept-trace
+// ring, not a store (TestSlowQueryRowsResolve).
 func TestBoundedStores(t *testing.T) {
 	ResetTraces()
 	t.Cleanup(ResetTraces)
@@ -45,21 +46,6 @@ func TestBoundedStores(t *testing.T) {
 		has: func(i int) bool {
 			for _, p := range traceKeep.parked {
 				if p.id == "parked-"+id(i) {
-					return true
-				}
-			}
-			return false
-		},
-	}, {
-		name: "slow-query log",
-		cap:  maxSlowQueryKeys,
-		add: func(i int) {
-			slowLog.observe(TraceRecord{TraceID: id(i), Root: SpanSnapshot{Attrs: map[string]any{"sql": "SELECT " + id(i)}}})
-		},
-		size: func() int { return len(SlowQueries()) },
-		has: func(i int) bool {
-			for _, q := range SlowQueries() {
-				if q.SQL == "SELECT "+id(i) {
 					return true
 				}
 			}

@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -83,8 +82,8 @@ func TestHistogramNegativeAndNaNClampedToZero(t *testing.T) {
 }
 
 // TestHistogramExemplarConcurrentReadWrite races exemplar stores against
-// loads (Exemplars, Snapshot, WritePrometheus) — run under -race this is the
-// pointer-race guard for the per-bucket atomic exemplar slots.
+// loads (Exemplars, Snapshot) — run under -race this is the pointer-race
+// guard for the per-bucket atomic exemplar slots.
 func TestHistogramExemplarConcurrentReadWrite(t *testing.T) {
 	h := NewHistogram()
 	stop := make(chan struct{})
@@ -108,7 +107,6 @@ func TestHistogramExemplarConcurrentReadWrite(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var sb strings.Builder
 			for {
 				select {
 				case <-stop:
@@ -121,8 +119,6 @@ func TestHistogramExemplarConcurrentReadWrite(t *testing.T) {
 						}
 					}
 					_ = h.Snapshot()
-					sb.Reset()
-					_ = writePromHistogram(&sb, "x", "x", h)
 				}
 			}
 		}()
@@ -151,57 +147,6 @@ func TestHistogramExemplarZeroTraceIDSkipped(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("untraced ObserveExemplar allocates %.1f per op, want 0", allocs)
-	}
-}
-
-// TestPromNameSanitization: metric names must render as valid Prometheus
-// identifiers — slashes, dots, dashes, unicode, and leading digits all
-// become underscores.
-func TestPromNameSanitization(t *testing.T) {
-	cases := map[string]string{
-		"audit/relative_error":   "audit_relative_error",
-		"server/request_seconds": "server_request_seconds",
-		"a.b-c d":                "a_b_c_d",
-		"0leading":               "_leading",
-		"ok:colon_9":             "ok:colon_9",
-		"héllo/wörld":            "h_llo_w_rld",
-	}
-	for in, want := range cases {
-		if got := promName(in); got != want {
-			t.Errorf("promName(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-// TestPromExemplarLabelEscaping: a trace ID rendered into the OpenMetrics
-// exemplar comment is quoted with %q, so the label survives even hostile
-// values; the exposition around it must stay parseable line-by-line.
-func TestPromExemplarLabelEscaping(t *testing.T) {
-	h := NewHistogram()
-	tid := NewTraceID()
-	h.ObserveExemplar(2e-6, tid)
-	var sb strings.Builder
-	if err := writePromHistogram(&sb, "audit_relative_error", "audit/relative_error", h); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, `# {trace_id="`+tid.String()+`"}`) {
-		t.Errorf("exemplar comment missing quoted trace_id:\n%s", out)
-	}
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		switch {
-		case strings.HasPrefix(line, "# TYPE"), strings.HasPrefix(line, "# HELP"):
-		case strings.Contains(line, "_bucket{le=\""):
-			// Bucket lines: `name_bucket{le="..."} N` with an optional
-			// ` # {...} v ts` exemplar suffix; the le label must be quoted.
-			if strings.Count(line, `"`) < 2 {
-				t.Errorf("unquoted le label: %q", line)
-			}
-		case strings.HasPrefix(line, "audit_relative_error_sum"),
-			strings.HasPrefix(line, "audit_relative_error_count"):
-		default:
-			t.Errorf("unexpected exposition line: %q", line)
-		}
 	}
 }
 

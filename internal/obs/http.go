@@ -18,8 +18,8 @@ const readHeaderTimeout = 5 * time.Second
 // Handler returns the debug HTTP handler:
 //
 //	/            index linking the endpoints
-//	/metrics     JSON snapshot of the default registry (?format=prom for
-//	             Prometheus text exposition with exemplars)
+//	/metrics     JSON snapshot of the default registry, each histogram
+//	             bucket's exemplar trace ID included
 //	/tracez      tail-sampled traces: slow/error/degraded views, slow-query
 //	             log, full trees by ?trace=<id>
 //	/debug/pprof the standard net/http/pprof handlers
@@ -32,19 +32,12 @@ func Handler() http.Handler {
 		}
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		fmt.Fprint(w, `<html><body><h1>asqp debug</h1><ul>`+
-			`<li><a href="/metrics">/metrics</a> — metrics registry snapshot (JSON; <a href="/metrics?format=prom">?format=prom</a>)</li>`+
+			`<li><a href="/metrics">/metrics</a> — metrics registry snapshot (JSON)</li>`+
 			`<li><a href="/tracez">/tracez</a> — tail-sampled traces and slow-query log</li>`+
 			`<li><a href="/debug/pprof/">/debug/pprof/</a> — runtime profiles</li>`+
 			`</ul></body></html>`)
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("format") == "prom" {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			if err := WritePrometheus(w, Default()); err != nil {
-				Logger().Error("prometheus exposition failed", "err", err)
-			}
-			return
-		}
 		writeJSON(w, Default().Snapshot())
 	})
 	mux.HandleFunc("/tracez", handleTracez)
@@ -58,7 +51,7 @@ func Handler() http.Handler {
 
 // DebugServer is a running debug HTTP server with an owned lifecycle: the
 // bound address is known, serve errors are surfaced instead of dropped, and
-// Shutdown/Close release the listener and its goroutine so tests and draining
+// Shutdown releases the listener and its goroutine so tests and draining
 // binaries do not leak.
 type DebugServer struct {
 	addr string
@@ -109,19 +102,6 @@ func (d *DebugServer) Shutdown(ctx context.Context) error {
 			err = d.err
 		}
 	case <-ctx.Done():
-	}
-	return err
-}
-
-// Close stops the server immediately, dropping in-flight requests.
-func (d *DebugServer) Close() error {
-	if d == nil {
-		return nil
-	}
-	err := d.srv.Close()
-	<-d.done
-	if err == nil {
-		err = d.err
 	}
 	return err
 }

@@ -52,6 +52,12 @@ func TestStartDebugLifecycle(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("goroutines after Shutdown = %d, baseline %d — serve goroutine leaked", n, before)
 	}
+
+	// A nil receiver is a no-op so callers can shut down unconditionally.
+	var nilServer *DebugServer
+	if err := nilServer.Shutdown(context.Background()); err != nil {
+		t.Errorf("nil Shutdown: %v", err)
+	}
 }
 
 // TestStartDebugBindErrorSurfaces checks a taken port fails fast at StartDebug
@@ -61,32 +67,10 @@ func TestStartDebugBindErrorSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatalf("StartDebug: %v", err)
 	}
-	defer d.Close()
+	defer d.Shutdown(context.Background())
 
 	if _, err := StartDebug(d.Addr()); err == nil {
 		t.Fatal("StartDebug on a taken port returned no error")
-	}
-}
-
-// TestStartDebugClose checks the abrupt-stop path also releases everything.
-func TestStartDebugClose(t *testing.T) {
-	d, err := StartDebug("localhost:0")
-	if err != nil {
-		t.Fatalf("StartDebug: %v", err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if _, err := http.Get("http://" + d.Addr() + "/"); err == nil {
-		t.Error("debug server still serving after Close")
-	}
-	// Nil receivers are no-ops so callers can shut down unconditionally.
-	var nilServer *DebugServer
-	if err := nilServer.Shutdown(context.Background()); err != nil {
-		t.Errorf("nil Shutdown: %v", err)
-	}
-	if err := nilServer.Close(); err != nil {
-		t.Errorf("nil Close: %v", err)
 	}
 }
 
@@ -98,7 +82,7 @@ func TestStartDebugHeaderTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatalf("StartDebug: %v", err)
 	}
-	defer d.Close()
+	defer d.Shutdown(context.Background())
 	if got := d.srv.ReadHeaderTimeout; got != 5*time.Second {
 		t.Errorf("debug server ReadHeaderTimeout = %v, want the serving listener's 5s", got)
 	}
@@ -107,7 +91,7 @@ func TestStartDebugHeaderTimeout(t *testing.T) {
 // TestShutdownExpiredContext: with the deadline already gone Shutdown may
 // return before it has seen the serve goroutine finish, and must then not read
 // the error that goroutine writes (the race detector is the assertion); what
-// it returns is nil or the context's error, and Close afterwards still reaps.
+// it returns is nil or the context's error, and the goroutine still ends.
 func TestShutdownExpiredContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -119,8 +103,6 @@ func TestShutdownExpiredContext(t *testing.T) {
 		if err := d.Shutdown(ctx); err != nil && !errors.Is(err, context.Canceled) {
 			t.Fatalf("Shutdown under an expired context: %v", err)
 		}
-		if err := d.Close(); err != nil {
-			t.Fatalf("Close after Shutdown: %v", err)
-		}
+		<-d.done
 	}
 }

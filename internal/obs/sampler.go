@@ -9,11 +9,8 @@ import (
 )
 
 // maxKeptTraces bounds the in-memory store of tail-sampled traces backing
-// /tracez.
+// /tracez and the slow-query log read from it.
 const maxKeptTraces = 128
-
-// maxSlowQueryKeys bounds the slow-query log (distinct canonical SQL texts).
-const maxSlowQueryKeys = 256
 
 // TraceRecord is one kept trace: the finished root span tree plus the tail
 // sampler's verdict. It is the unit of /tracez listing and JSONL export.
@@ -79,9 +76,9 @@ func ConfigureTracing(cfg TracingConfig) {
 // left untouched.
 func DisableTracing() { traceState.Store(nil) }
 
-// TracingConfigured returns the active tail-sampling config, or false when
+// tracingConfigured returns the active tail-sampling config, or false when
 // tracing is off.
-func TracingConfigured() (TracingConfig, bool) {
+func tracingConfigured() (TracingConfig, bool) {
 	cfg := traceState.Load()
 	if cfg == nil {
 		return TracingConfig{}, false
@@ -123,7 +120,6 @@ func tailConsider(s *Span) {
 		Root:       s.Snapshot(),
 	}
 	traceKeep.add(rec)
-	slowLog.observe(rec)
 	if cfg.Exporter != nil {
 		if err := cfg.Exporter.ExportTrace(rec); err != nil {
 			// Counted drop, rate-limited warning: a full disk fails every
@@ -261,8 +257,8 @@ func AmendTrace(id string, ev SpanEvent) bool {
 	return false
 }
 
-// SlowQueryStats aggregates kept traces per canonical SQL text (the root
-// span's "sql" attribute): how often the query appeared in kept traces, how
+// SlowQueryStats aggregates the kept traces of one canonical SQL text (the
+// root span's "sql" attribute): how often the query appears among them, how
 // slow it got, and the trace ID of its most recent appearance — the /tracez
 // jumping-off point from "this query is slow" to "here is exactly what it
 // did".
@@ -277,59 +273,34 @@ type SlowQueryStats struct {
 	LastAt      time.Time `json:"last_at"`
 }
 
-// slowQueryLog is a bounded per-canonical-SQL aggregation of kept traces.
-// Keys beyond maxSlowQueryKeys evict the oldest-inserted entry (FIFO): the
-// log is a debugging aid, not an unbounded archive.
-type slowQueryLog struct {
-	mu      sync.Mutex
-	entries map[string]*SlowQueryStats
-	order   []string
-}
-
-var slowLog = &slowQueryLog{entries: map[string]*SlowQueryStats{}}
-
-func (l *slowQueryLog) observe(rec TraceRecord) {
-	sql, _ := rec.Root.Attrs["sql"].(string)
-	if sql == "" {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	e := l.entries[sql]
-	if e == nil {
-		if len(l.order) >= maxSlowQueryKeys {
-			oldest := l.order[0]
-			l.order = l.order[1:]
-			delete(l.entries, oldest)
-		}
-		e = &SlowQueryStats{SQL: sql}
-		l.entries[sql] = e
-		l.order = append(l.order, sql)
-	}
-	e.Count++
-	if rec.Verdict == "error" {
-		e.Errors++
-	}
-	if rec.Verdict == "degraded" {
-		e.Degraded++
-	}
-	if rec.DurationMS > e.MaxMS {
-		e.MaxMS = rec.DurationMS
-	}
-	e.LastMS = rec.DurationMS
-	e.LastTraceID = rec.TraceID
-	e.LastAt = rec.Root.Start
-}
-
-// SlowQueries returns the slow-query log sorted by worst-case latency,
-// slowest first.
+// SlowQueries groups the kept traces by canonical SQL text, slowest worst case
+// first. It is a view of the kept-trace ring, not a store of its own: every
+// row describes traces that KeptTrace can still return.
 func SlowQueries() []SlowQueryStats {
-	slowLog.mu.Lock()
-	out := make([]SlowQueryStats, 0, len(slowLog.entries))
-	for _, e := range slowLog.entries {
-		out = append(out, *e)
+	var out []SlowQueryStats
+	row := map[string]int{}
+	for _, rec := range KeptTraces() { // newest first
+		sql, _ := rec.Root.Attrs["sql"].(string)
+		if sql == "" {
+			continue
+		}
+		i, ok := row[sql]
+		if !ok {
+			i = len(out)
+			row[sql] = i
+			out = append(out, SlowQueryStats{SQL: sql, LastMS: rec.DurationMS,
+				LastTraceID: rec.TraceID, LastAt: rec.Root.Start})
+		}
+		e := &out[i]
+		e.Count++
+		if rec.Verdict == "error" {
+			e.Errors++
+		}
+		if rec.Verdict == "degraded" {
+			e.Degraded++
+		}
+		e.MaxMS = max(e.MaxMS, rec.DurationMS)
 	}
-	slowLog.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].MaxMS != out[j].MaxMS {
 			return out[i].MaxMS > out[j].MaxMS
@@ -339,8 +310,7 @@ func SlowQueries() []SlowQueryStats {
 	return out
 }
 
-// ResetTraces drops all kept traces and the slow-query log. Intended for
-// tests.
+// ResetTraces drops all kept traces and parked amendments. Intended for tests.
 func ResetTraces() {
 	traceKeep.mu.Lock()
 	traceKeep.buf = [maxKeptTraces]TraceRecord{}
@@ -348,8 +318,4 @@ func ResetTraces() {
 	traceKeep.n = 0
 	traceKeep.parked, traceKeep.parkNext = [maxParkedAmends]parkedAmend{}, 0
 	traceKeep.mu.Unlock()
-	slowLog.mu.Lock()
-	slowLog.entries = map[string]*SlowQueryStats{}
-	slowLog.order = nil
-	slowLog.mu.Unlock()
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand/v2"
+	"strings"
 )
 
 // TraceID is a 128-bit request identity, shared by every span of one request
@@ -58,8 +59,8 @@ func NewSpanID() SpanID {
 // (version-format "00": `00-<32 hex trace-id>-<16 hex parent-id>-<2 hex
 // flags>`). It returns the trace ID, the caller's span ID, and whether the
 // sampled flag (bit 0) is set. Unknown future versions are accepted as long
-// as the four 00-version fields parse; version "ff" and all-zero IDs are
-// rejected per spec.
+// as the four 00-version fields parse; version "ff", all-zero IDs and
+// uppercase hex digits are rejected per spec.
 func ParseTraceparent(h string) (TraceID, SpanID, bool, error) {
 	var tid TraceID
 	var sid SpanID
@@ -72,6 +73,11 @@ func ParseTraceparent(h string) (TraceID, SpanID, bool, error) {
 	version := h[0:2]
 	if version == "ff" {
 		return tid, sid, false, fmt.Errorf("obs: traceparent version ff is invalid")
+	}
+	// The grammar's hex is lowercase only: an uppercase ID would parse and be
+	// echoed back lowercased, a different string from the client's.
+	if strings.ContainsAny(h[:55], "ABCDEF") {
+		return tid, sid, false, fmt.Errorf("obs: traceparent has uppercase hex")
 	}
 	if _, err := hex.Decode(make([]byte, 1), []byte(version)); err != nil {
 		return tid, sid, false, fmt.Errorf("obs: traceparent version %q not hex", version)

@@ -45,19 +45,27 @@ func TestTraceparentRoundtrip(t *testing.T) {
 	}
 }
 
+// malformedTraceparents are headers ParseTraceparent must reject; they also
+// seed FuzzParseTraceparent.
+var malformedTraceparents = []string{
+	"",
+	"00",
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",        // missing flags
+	"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",     // version ff invalid
+	"00-00000000000000000000000000000000-00f067aa0ba902b7-01",     // zero trace id
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",     // zero span id
+	"00-4bf92f3577b34da6a3ce929d0e0e47zz-00f067aa0ba902b7-01",     // bad hex
+	"00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",     // bad separator
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-x",   // version 00 with extra field
+	"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",     // uppercase trace id
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00F067AA0BA902B7-01",     // uppercase parent id
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0A",     // uppercase flags
+	"0A-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-x",   // uppercase version
+	"cc-4bf92f3577b34da6a3ce929d0e0e473F-00f067aa0ba902b7-01-xyz", // future version, uppercase trace id
+}
+
 func TestParseTraceparentRejectsMalformed(t *testing.T) {
-	bad := []string{
-		"",
-		"00",
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",      // missing flags
-		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",   // version ff invalid
-		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",   // zero trace id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",   // zero span id
-		"00-4bf92f3577b34da6a3ce929d0e0e47zz-00f067aa0ba902b7-01",   // bad hex
-		"00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",   // bad separator
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-x", // version 00 with extra field
-	}
-	for _, h := range bad {
+	for _, h := range malformedTraceparents {
 		if _, _, _, err := ParseTraceparent(h); err == nil {
 			t.Errorf("ParseTraceparent(%q) accepted, want error", h)
 		}
@@ -68,6 +76,34 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 	if _, _, _, err := ParseTraceparent(future); err != nil {
 		t.Errorf("ParseTraceparent(%q): %v, want future version accepted", future, err)
 	}
+}
+
+// FuzzParseTraceparent holds the package's one network-facing parser to its
+// contract on any bytes: it never panics, an accepted header's trace-id and
+// parent-id fields are exactly what FormatTraceparent renders for the parsed
+// IDs (so the echoed header matches the client's byte for byte), and that
+// rendering parses back to the same identity. The version field is not
+// compared: a future version is accepted and answered as 00.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	f.Add("cc-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-whatever")
+	for _, h := range malformedTraceparents {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		tid, sid, sampled, err := ParseTraceparent(h)
+		if err != nil {
+			return
+		}
+		out := FormatTraceparent(tid, sid, sampled)
+		if out[3:52] != h[3:52] {
+			t.Fatalf("ParseTraceparent(%q) accepted; FormatTraceparent renders the IDs as %q", h, out)
+		}
+		tid2, sid2, sampled2, err := ParseTraceparent(out)
+		if err != nil || tid2 != tid || sid2 != sid || sampled2 != sampled {
+			t.Fatalf("re-parse of %q = (%s, %s, %v, %v), want (%s, %s, %v)", out, tid2, sid2, sampled2, err, tid, sid, sampled)
+		}
+	})
 }
 
 func TestSpanTraceIdentityInheritance(t *testing.T) {
@@ -199,6 +235,36 @@ func TestSlowQueryLogAggregates(t *testing.T) {
 	}
 	if _, ok := KeptTrace(e.LastTraceID); !ok {
 		t.Error("LastTraceID does not resolve to a kept trace")
+	}
+}
+
+// TestSlowQueryRowsResolve: the slow-query log is read off the kept-trace ring,
+// so after more roots than the ring holds every row's trace still opens, and
+// the rows account for exactly the kept traces that carry a statement.
+func TestSlowQueryRowsResolve(t *testing.T) {
+	withTracing(t, TracingConfig{SampleRate: 1})
+	for i := 0; i < 2*maxKeptTraces; i++ {
+		_, s := StartSpan(context.Background(), "server/query")
+		if i%3 != 0 {
+			s.Annotate("sql", "SELECT * FROM title WHERE id = "+strconv.Itoa(i))
+		}
+		s.End()
+	}
+	withSQL := 0
+	for _, rec := range KeptTraces() {
+		if sql, _ := rec.Root.Attrs["sql"].(string); sql != "" {
+			withSQL++
+		}
+	}
+	var counted int64
+	for _, q := range SlowQueries() {
+		counted += q.Count
+		if _, ok := KeptTrace(q.LastTraceID); !ok {
+			t.Errorf("row %q: last_trace_id %s does not resolve to a kept trace", q.SQL, q.LastTraceID)
+		}
+	}
+	if withSQL == 0 || counted != int64(withSQL) {
+		t.Errorf("slow-query rows count %d traces, the ring keeps %d with sql", counted, withSQL)
 	}
 }
 
@@ -334,53 +400,6 @@ func TestSpanChildrenCapped(t *testing.T) {
 	}
 	if rec, ok := KeptTrace(root.TraceID().String()); !ok || rec.Verdict != "error" {
 		t.Errorf("tail sampler verdict for a trace whose dropped child failed = %+v (kept %v), want error", rec.Verdict, ok)
-	}
-}
-
-func TestWritePrometheusWithExemplars(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("server/requests").Add(5)
-	tid := NewTraceID()
-	h := r.Histogram("server/request_seconds")
-	h.Observe(0.2)
-	h.ObserveExemplar(0.4, tid)
-
-	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE server_requests_total counter",
-		"server_requests_total 5",
-		"# TYPE server_request_seconds histogram",
-		`server_request_seconds_bucket{le="+Inf"} 2`,
-		"server_request_seconds_count 2",
-		`# {trace_id="` + tid.String() + `"} 0.4`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
-	}
-	// Bucket counts must be cumulative: each le line ≥ the previous. The
-	// count is the second field; anything after a '#' is the exemplar.
-	prev := -1.0
-	for _, line := range strings.Split(out, "\n") {
-		if !strings.HasPrefix(line, "server_request_seconds_bucket{") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			t.Fatalf("malformed bucket line %q", line)
-		}
-		v, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			t.Fatalf("bucket line %q: %v", line, err)
-		}
-		if v < prev {
-			t.Errorf("bucket counts not cumulative: %q after %v", line, prev)
-		}
-		prev = v
 	}
 }
 

@@ -51,7 +51,7 @@ func handleTracez(w http.ResponseWriter, r *http.Request) {
 	}
 	view := strings.ToLower(r.URL.Query().Get("view"))
 	page := tracezPage{SlowQueries: SlowQueries()}
-	if cfg, ok := TracingConfigured(); ok {
+	if cfg, ok := tracingConfigured(); ok {
 		page.SamplePolicy = tracezPolicy{
 			Configured:    true,
 			SampleRate:    cfg.SampleRate,

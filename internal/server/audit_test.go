@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,7 +17,7 @@ import (
 // database in the background, and its relative error must surface on every
 // spine the quality layer claims — (a) an `audit` span event amended onto
 // the original request's kept trace, (b) the /qualityz shape report, (c) the
-// audit_relative_error Prometheus histogram carrying the same trace ID
+// audit/relative_error histogram on /metrics carrying the same trace ID
 // as an exemplar, (d) the quality block of /stats, and (e) an observed_error
 // field on the next same-shape /query response.
 func TestAuditEndToEnd(t *testing.T) {
@@ -106,29 +105,12 @@ func TestAuditEndToEnd(t *testing.T) {
 		t.Errorf("qualityz drift block = %+v, want enabled (DriftObserve on)", page.Drift)
 	}
 
-	// (c) the registry histogram holds the exemplar with the request's trace
-	// ID, and the Prometheus exposition renders both.
-	found := false
-	for _, ex := range obs.Default().Histogram(audit.MetricRelativeError).Exemplars() {
-		if ex.TraceID == tid.String() {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("no exemplar with the audited request's trace ID on the pooled relative-error histogram")
-	}
+	// (c) /metrics serves the pooled relative-error histogram with an
+	// exemplar carrying the request's trace ID.
 	debug := httptest.NewServer(obs.Handler())
 	defer debug.Close()
-	promResp, err := http.Get(debug.URL + "/metrics?format=prom")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prom, _ := readAll(promResp)
-	if !strings.Contains(prom, "audit_relative_error_bucket") {
-		t.Error("Prometheus exposition missing audit_relative_error")
-	}
-	if !strings.Contains(prom, `trace_id="`+tid.String()+`"`) {
-		t.Error("Prometheus exposition missing the audit exemplar's trace ID")
+	if !hasExemplar(t, debug.URL, audit.MetricRelativeError, tid) {
+		t.Error("/metrics: no exemplar with the audited request's trace ID on the pooled relative-error histogram")
 	}
 
 	// (d) /stats embeds the same rollup plus the drift counter.

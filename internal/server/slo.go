@@ -105,13 +105,12 @@ func (s *Server) initSLO() {
 			MinInterval: cfg.DiagMinInterval,
 			Now:         cfg.SLOClock,
 		}, diag.Source{
-			Metrics:     func() any { return obs.Default().Snapshot() },
-			Series:      func() any { return s.ts.DumpSeries() },
-			SLO:         func() any { return s.sloEng.Page() },
-			Traces:      func() any { return obs.KeptTraces() },
-			SlowQueries: func() any { return obs.SlowQueries() },
-			Stats:       func() any { return s.statsNow() },
-			Journal:     s.journalDiag,
+			Metrics: func() any { return obs.Default().Snapshot() },
+			Series:  func() any { return s.ts.DumpSeries() },
+			SLO:     func() any { return s.sloEng.Page() },
+			Traces:  func() any { return obs.KeptTraces() },
+			Stats:   func() any { return s.statsNow() },
+			Journal: s.journalDiag,
 		})
 		if err != nil {
 			obs.Logger().Error("diag: flight recorder disabled", "dir", cfg.DiagDir, "err", err)

@@ -245,7 +245,7 @@ func TestSLOFastBurnFlightRecorderEndToEnd(t *testing.T) {
 	bundleDir := filepath.Join(diagDir, bundleName)
 	for _, f := range []string{
 		"meta.json", "metrics.json", "series.json", "slo.json",
-		"traces.json", "slow_queries.json", "stats.json",
+		"traces.json", "stats.json",
 		"goroutines.txt", "heap.pprof",
 	} {
 		fi, err := os.Stat(filepath.Join(bundleDir, f))

@@ -212,32 +212,25 @@ func TestTraceEndToEndDegradedQuery(t *testing.T) {
 		t.Errorf("exported record mismatch: %+v", exported)
 	}
 
-	// (d) the server latency histogram carries an exemplar with the trace ID.
-	found := false
-	for _, ex := range obs.Default().Histogram("server/request_seconds").Exemplars() {
-		if ex.TraceID == tid.String() {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("no exemplar with the request's trace ID on server/request_seconds")
-	}
-	// And the Prometheus exposition renders it.
-	promResp, err := http.Get(debug.URL + "/metrics?format=prom")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prom, _ := readAll(promResp)
-	if !strings.Contains(prom, `trace_id="`+tid.String()+`"`) {
-		t.Error("Prometheus exposition missing the trace exemplar")
+	// (d) /metrics serves the server latency histogram with an exemplar
+	// carrying the trace ID.
+	if !hasExemplar(t, debug.URL, "server/request_seconds", tid) {
+		t.Error("/metrics: no exemplar with the request's trace ID on server/request_seconds")
 	}
 }
 
-func readAll(resp *http.Response) (string, error) {
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	_, err := buf.ReadFrom(resp.Body)
-	return buf.String(), err
+// hasExemplar reports whether the /metrics JSON snapshot served at base holds
+// an exemplar of trace tid on histogram name.
+func hasExemplar(t *testing.T, base, name string, tid obs.TraceID) bool {
+	t.Helper()
+	var snap obs.Snapshot
+	getJSON(t, base+"/metrics", &snap)
+	for _, ex := range snap.Histograms[name].Exemplars {
+		if ex.TraceID == tid.String() {
+			return true
+		}
+	}
+	return false
 }
 
 // TestShedRequestProducesTrace verifies trace propagation through the

@@ -47,13 +47,16 @@ done
 # canonical rendering or an operator opens up next to the seeds. FuzzParse holds
 # sqlparse.Parse to its two properties on network-shaped input (it returns,
 # promptly, on any bytes; a statement it accepts round-trips through
-# Select.String), FuzzRowVsColumnar the columnar engine to the row engine. The
-# two disk-facing targets ride along: FuzzLoad (snapshot bytes: a system or an
-# error, never a panic) and FuzzWALReplay (a damaged log opens, replays a
+# Select.String), FuzzRowVsColumnar the columnar engine to the row engine, and
+# FuzzParseTraceparent the traceparent header parser (never panics; an accepted
+# header's IDs render back byte for byte and re-parse to the same identity).
+# The two disk-facing targets ride along: FuzzLoad (snapshot bytes: a system or
+# an error, never a panic) and FuzzWALReplay (a damaged log opens, replays a
 # subsequence of what was written and accounts for the rest).
-echo "==> fuzz smoke: FuzzParse, FuzzRowVsColumnar, FuzzLoad, FuzzWALReplay"
+echo "==> fuzz smoke: FuzzParse, FuzzRowVsColumnar, FuzzParseTraceparent, FuzzLoad, FuzzWALReplay"
 go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/sqlparse/
 go test -run='^$' -fuzz=FuzzRowVsColumnar -fuzztime=20s ./internal/engine/
+go test -run='^$' -fuzz=FuzzParseTraceparent -fuzztime=5s ./internal/obs/
 go test -run='^$' -fuzz=FuzzLoad -fuzztime=5s ./internal/core/
 go test -run='^$' -fuzz=FuzzWALReplay -fuzztime=5s ./internal/wal/
 
@@ -208,7 +211,7 @@ trap - EXIT
 # Size: the numbers a CHANGES.md entry reports. Printed, not gated. The
 # repository is Go only: the last line is expected to read 0.
 echo "==> size"
-echo "non-test Go lines (internal cmd scripts, without doc.go): $(find internal cmd scripts -name '*.go' ! -name '*_test.go' ! -name doc.go | xargs cat | wc -l)"
+echo "non-test Go lines (internal cmd scripts, without doc.go): $(find internal cmd scripts -name '*.go' ! -name '*_test.go' ! -name doc.go | xargs cat | wc -l), of which internal/obs: $(find internal/obs -name '*.go' ! -name '*_test.go' ! -name doc.go | xargs cat | wc -l)"
 echo "doc.go lines: $(find internal cmd scripts -name doc.go | xargs cat | wc -l)"
 echo "prose lines: DESIGN.md $(wc -l <DESIGN.md), README.md $(wc -l <README.md)"
 echo "asqp-serve flags: $(grep -c '^  -' cmd/asqp-serve/testdata/help.golden), settable config values: $(go test -count=1 -run '^TestConfigSurfaceIsClosed$' -v ./internal/server | sed -n 's/.*settable values: //p')"
