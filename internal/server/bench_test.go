@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"sort"
 	"sync"
@@ -113,49 +114,26 @@ func BenchmarkHotSwapUnderLoad(b *testing.B) {
 	b.ReportMetric(float64(dropped), "dropped")
 }
 
-// BenchmarkEncodeAnswer measures the /query response encoder on the two
-// answers that matter — one LIMIT-50 page and a 10 000 × 12 wide join — as the
-// engine hands them over (base vectors behind row-id vectors): "append" is
-// appendAnswer into a reused buffer, "reflect" the path it replaced
-// (materialize the rows, box them into [][]any, json.Marshal), kept as the
-// encoder tests' oracle.
+// BenchmarkEncodeAnswer measures the /query response encoder on the answers
+// that matter, as the engine hands them over (base vectors behind row-id
+// vectors): one LIMIT-50 page, a 10 000 × 12 answer over a small base that
+// stays in cache, and a join-shaped 10 000 × 10 answer like the bench's wide
+// family (movie_info JOIN title): a 50 000-row relation read in order beside a
+// 40 000-row one read through random row ids. "append" is appendAnswer into a
+// reused buffer, "reflect" the path it replaced (materialize the rows, box them
+// into [][]any, json.Marshal), kept as the encoder tests' oracle.
 func BenchmarkEncodeAnswer(b *testing.B) {
-	for _, size := range []struct {
-		name       string
-		rows, cols int
-	}{{"page50x7", 50, 7}, {"wide10000x12", 10_000, 12}} {
-		schema := make(table.Schema, size.cols)
-		for j := range schema {
-			schema[j] = table.Column{Name: fmt.Sprintf("col%d", j), Kind: []table.Kind{table.KindInt, table.KindString, table.KindFloat, table.KindBool}[j%4]}
-		}
-		base := table.New("t", schema)
-		row := make(table.Row, size.cols)
-		for i := 0; i < 4096; i++ {
-			for j := range row {
-				switch j % 4 {
-				case 0:
-					row[j] = table.NewInt(int64(i * j))
-				case 1:
-					row[j] = table.NewString(fmt.Sprintf("title %d of a certain length", i))
-				case 2:
-					row[j] = table.NewFloat(float64(i) / 7)
-				default:
-					row[j] = table.Null
-				}
-			}
-			base.AppendRow(row)
-		}
-		f := &engine.Frame{N: size.rows}
-		sel := make([]int32, size.rows)
-		for i := range sel {
-			sel[i] = int32(i * 31 % base.NumRows())
-		}
-		for j := 0; j < size.cols; j++ {
-			f.Schema = append(f.Schema, table.Column{Name: fmt.Sprintf("t.col%d", j)})
-			f.Cols = append(f.Cols, engine.FrameCol{Data: &base.Columns().Cols[j], Sel: sel})
-		}
+	for _, c := range []struct {
+		name  string
+		frame func() *engine.Frame
+	}{
+		{"page50x7", func() *engine.Frame { return strideFrame(50, 7) }},
+		{"wide10000x12", func() *engine.Frame { return strideFrame(10_000, 12) }},
+		{"join10000x10", joinFrame},
+	} {
+		f := c.frame()
 		resp := QueryResponse{Source: "full", PredictedScore: 0.25, Confidence: 0.5, ElapsedMs: 1.25, Generation: 1}
-		b.Run(size.name+"/append", func(b *testing.B) {
+		b.Run(c.name+"/append", func(b *testing.B) {
 			b.ReportAllocs()
 			var buf []byte
 			for i := 0; i < b.N; i++ {
@@ -163,7 +141,7 @@ func BenchmarkEncodeAnswer(b *testing.B) {
 			}
 			b.SetBytes(int64(len(buf)))
 		})
-		b.Run(size.name+"/reflect", func(b *testing.B) {
+		b.Run(c.name+"/reflect", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				body, err := oracleAnswer(resp, f)
@@ -174,4 +152,85 @@ func BenchmarkEncodeAnswer(b *testing.B) {
 			}
 		})
 	}
+}
+
+// strideFrame is rows × cols cells of a 4 096-row base of int, string, float
+// and all-NULL columns, read at stride 31.
+func strideFrame(rows, cols int) *engine.Frame {
+	schema := make(table.Schema, cols)
+	for j := range schema {
+		schema[j] = table.Column{Name: fmt.Sprintf("col%d", j), Kind: []table.Kind{table.KindInt, table.KindString, table.KindFloat, table.KindBool}[j%4]}
+	}
+	base := table.New("t", schema)
+	row := make(table.Row, cols)
+	for i := 0; i < 4096; i++ {
+		for j := range row {
+			switch j % 4 {
+			case 0:
+				row[j] = table.NewInt(int64(i * j))
+			case 1:
+				row[j] = table.NewString(fmt.Sprintf("title %d of a certain length", i))
+			case 2:
+				row[j] = table.NewFloat(float64(i) / 7)
+			default:
+				row[j] = table.Null
+			}
+		}
+		base.AppendRow(row)
+	}
+	f := &engine.Frame{N: rows}
+	sel := make([]int32, rows)
+	for i := range sel {
+		sel[i] = int32(i * 31 % base.NumRows())
+	}
+	for j := 0; j < cols; j++ {
+		f.Schema = append(f.Schema, table.Column{Name: fmt.Sprintf("t.col%d", j)})
+		f.Cols = append(f.Cols, engine.FrameCol{Data: &base.Columns().Cols[j], Sel: sel})
+	}
+	return f
+}
+
+// joinFrame is a 10 000-row join answer: movie_info's 50 000 rows (id,
+// movie_id, info_type, an integral float value, a note that is mostly NULL)
+// read in ascending row order, beside title's 40 000 rows (id, title,
+// production_year, rating, kind) read through a seeded random row-id vector.
+func joinFrame() *engine.Frame {
+	const rows, infoRows, titleRows = 10_000, 50_000, 40_000
+	rng := rand.New(rand.NewSource(1))
+	info := table.New("movie_info", table.Schema{
+		{Name: "id", Kind: table.KindInt}, {Name: "movie_id", Kind: table.KindInt}, {Name: "info_type", Kind: table.KindString},
+		{Name: "value", Kind: table.KindFloat}, {Name: "note", Kind: table.KindString},
+	})
+	for i := 0; i < infoRows; i++ {
+		note := table.Null
+		if i%7 == 0 {
+			note = table.NewString(fmt.Sprintf("note %d", i%500))
+		}
+		info.AppendRow(table.Row{table.NewInt(int64(i)), table.NewInt(int64(rng.Intn(titleRows))),
+			table.NewString([]string{"budget", "runtime", "votes", "gross"}[i%4]), table.NewFloat(float64(rng.Intn(1_000_000))), note})
+	}
+	title := table.New("title", table.Schema{
+		{Name: "id", Kind: table.KindInt}, {Name: "title", Kind: table.KindString}, {Name: "production_year", Kind: table.KindInt},
+		{Name: "rating", Kind: table.KindFloat}, {Name: "kind", Kind: table.KindString},
+	})
+	for i := 0; i < titleRows; i++ {
+		title.AppendRow(table.Row{table.NewInt(int64(i)), table.NewString(fmt.Sprintf("title %d of a certain length", i)),
+			table.NewInt(int64(1900 + rng.Intn(120))), table.NewFloat(float64(rng.Intn(100)) / 10), table.NewString([]string{"movie", "episode", "short"}[i%3])})
+	}
+	infoSel, titleSel := make([]int32, rows), make([]int32, rows)
+	for i := range infoSel {
+		infoSel[i] = int32(i * infoRows / rows)
+		titleSel[i] = int32(rng.Intn(titleRows))
+	}
+	f := &engine.Frame{N: rows}
+	for _, side := range []struct {
+		t   *table.Table
+		sel []int32
+	}{{info, infoSel}, {title, titleSel}} {
+		for j, col := range side.t.Schema {
+			f.Schema = append(f.Schema, table.Column{Name: side.t.Name + "." + col.Name})
+			f.Cols = append(f.Cols, engine.FrameCol{Data: &side.t.Columns().Cols[j], Sel: side.sel})
+		}
+	}
+	return f
 }

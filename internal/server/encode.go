@@ -18,16 +18,38 @@ var answerBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledAnswer = 4 << 20
 
+// answerMorsel is how many output rows appendAnswer gathers before it formats
+// them: enough that a morsel's random loads overlap, few enough that its
+// scratch stays in cache.
+const answerMorsel = 256
+
+// answerScratch holds one morsel's gathered cells, column j's at
+// [j*stride, j*stride+stride) of each vector: an int cell, a float cell's
+// bits or a bool as 0/1 in words, a string cell's header in strs, and the
+// null bit in nulls (written only for columns that have NULLs). Typed, so
+// gathering boxes nothing.
+type answerScratch struct {
+	words []uint64
+	strs  []string
+	nulls []bool
+	ids   []int32 // a column read in place: its row ids, lo..lo+n-1
+}
+
+var answerScratches = sync.Pool{New: func() any { return new(answerScratch) }}
+
 // appendAnswer appends the JSON body of a successful /query response, written
-// straight from the engine's frame: cells are boxed one at a time from where
-// they live (a relation's vectors, or the answer's own rows), so a response
-// costs no allocation per row or cell. r supplies the scalar fields
-// (its Columns, Rows and RowCount are not read). The bytes are exactly what
-// encoding/json produced for a QueryResponse whose Rows held the same cells as
-// [][]any — field order, omitempty, number formats, string escaping — which
-// the encoder tests hold it to. NaN and ±Inf cells, which the engine supports
-// and JSON does not, become null; a non-finite scalar field is an error, as it
-// is for encoding/json.
+// straight from the engine's frame without boxing the cells of a relation's
+// column, so a response costs no allocation per row or cell. The rows go out
+// a morsel at a time in two passes: gather copies each column's cells of the
+// morsel into dense typed scratch (one loop per column, its loads independent
+// of one another), then one loop formats the morsel row by row from that
+// scratch; a column over the answer's own rows or a literal is formatted from
+// its boxed cell. r supplies the scalar fields (its Columns, Rows and RowCount
+// are not read). The bytes are exactly what encoding/json produced for a
+// QueryResponse whose Rows held the same cells as [][]any — field order,
+// omitempty, number formats, string escaping — which the encoder tests hold it
+// to. NaN and ±Inf cells, which the engine supports and JSON does not, become
+// null; a non-finite scalar field is an error, as it is for encoding/json.
 func appendAnswer(dst []byte, r *QueryResponse, f *engine.Frame) ([]byte, error) {
 	dst = append(dst, '{')
 	if len(f.Schema) > 0 {
@@ -42,25 +64,19 @@ func appendAnswer(dst []byte, r *QueryResponse, f *engine.Frame) ([]byte, error)
 	}
 	if f.N > 0 {
 		dst = append(dst, `"rows":[`...)
-		for i := 0; i < f.N; i++ {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, '[')
-			for j := range f.Cols {
-				if j > 0 {
-					dst = append(dst, ',')
-				}
-				if c := &f.Cols[j]; c.Data == nil {
-					dst = appendCell(dst, c.Cell(i))
-				} else if c.Sel != nil {
-					dst = appendColumnCell(dst, c.Data, int(c.Sel[i]))
-				} else {
-					dst = appendColumnCell(dst, c.Data, i)
-				}
-			}
-			dst = append(dst, ']')
+		s := answerScratches.Get().(*answerScratch)
+		stride := min(f.N, answerMorsel)
+		if cells := stride * len(f.Cols); len(s.words) < cells {
+			s.words, s.strs, s.nulls = make([]uint64, cells), make([]string, cells), make([]bool, cells)
 		}
+		for lo := 0; lo < f.N; lo += stride {
+			n := min(stride, f.N-lo)
+			for j := range f.Cols {
+				s.gather(&f.Cols[j], j*stride, lo, n)
+			}
+			dst = s.format(dst, f.Cols, stride, lo, n)
+		}
+		answerScratches.Put(s)
 		dst = append(dst, `],`...)
 	}
 	dst = strconv.AppendInt(append(dst, `"row_count":`...), int64(f.N), 10)
@@ -102,6 +118,93 @@ func appendAnswer(dst []byte, r *QueryResponse, f *engine.Frame) ([]byte, error)
 	return append(dst, '}'), bad
 }
 
+// gather copies cells lo..lo+n-1 of frame column c into the scratch from off
+// on. A column over the answer's own rows or a literal has nothing to gather.
+func (s *answerScratch) gather(c *engine.FrameCol, off, lo, n int) {
+	d := c.Data
+	if d == nil {
+		return
+	}
+	var rows []int32
+	if c.Sel != nil {
+		rows = c.Sel[lo : lo+n]
+	} else {
+		if cap(s.ids) < n {
+			s.ids = make([]int32, answerMorsel)
+		}
+		rows = s.ids[:n]
+		for k := range rows {
+			rows[k] = int32(lo + k)
+		}
+	}
+	words := s.words[off : off+n]
+	switch d.Kind {
+	case table.KindInt:
+		for k, r := range rows {
+			words[k] = uint64(d.Ints[r])
+		}
+	case table.KindFloat:
+		for k, r := range rows {
+			words[k] = math.Float64bits(d.Floats[r])
+		}
+	case table.KindBool:
+		for k, r := range rows {
+			words[k] = 0
+			if d.Bools[r] {
+				words[k] = 1
+			}
+		}
+	case table.KindString:
+		strs := s.strs[off : off+n]
+		for k, r := range rows {
+			if code := d.Codes[r]; code >= 0 { // -1 at a NULL cell
+				strs[k] = d.Dict.Strs[code]
+			}
+		}
+	}
+	if d.Nulls != nil {
+		nulls := s.nulls[off : off+n]
+		for k, r := range rows {
+			nulls[k] = d.Nulls.Get(int(r))
+		}
+	}
+}
+
+// format appends output rows lo..lo+n-1, reading column j's gathered cells
+// from j*stride on.
+func (s *answerScratch) format(dst []byte, cols []engine.FrameCol, stride, lo, n int) []byte {
+	for k := 0; k < n; k++ {
+		if lo+k > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, '[')
+		for j := range cols {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			c, at := &cols[j], j*stride+k
+			switch {
+			case c.Data == nil:
+				dst = appendCell(dst, c.Cell(lo+k))
+			case c.Data.Nulls != nil && s.nulls[at]:
+				dst = append(dst, "null"...)
+			case c.Data.Kind == table.KindInt:
+				dst = strconv.AppendInt(dst, int64(s.words[at]), 10)
+			case c.Data.Kind == table.KindFloat:
+				dst = appendFloatCell(dst, math.Float64frombits(s.words[at]))
+			case c.Data.Kind == table.KindString:
+				dst = appendJSONString(dst, s.strs[at])
+			case c.Data.Kind == table.KindBool:
+				dst = strconv.AppendBool(dst, s.words[at] != 0)
+			default:
+				dst = append(dst, "null"...)
+			}
+		}
+		dst = append(dst, ']')
+	}
+	return dst
+}
+
 // appendCell appends one result cell as a JSON-native value (null, number,
 // string, bool), so clients do not need the repo's Value encoding.
 func appendCell(dst []byte, v table.Value) []byte {
@@ -109,9 +212,7 @@ func appendCell(dst []byte, v table.Value) []byte {
 	case table.KindInt:
 		return strconv.AppendInt(dst, v.Int, 10)
 	case table.KindFloat:
-		if out, ok := appendJSONFloat(dst, v.Float); ok {
-			return out
-		}
+		return appendFloatCell(dst, v.Float)
 	case table.KindString:
 		return appendJSONString(dst, v.Str)
 	case table.KindBool:
@@ -120,22 +221,10 @@ func appendCell(dst []byte, v table.Value) []byte {
 	return append(dst, "null"...)
 }
 
-// appendColumnCell is appendCell for cell i of a relation's column, read from
-// its vector without boxing it: most cells of most answers.
-func appendColumnCell(dst []byte, c *table.ColumnData, i int) []byte {
-	if !c.IsNull(i) {
-		switch c.Kind {
-		case table.KindInt:
-			return strconv.AppendInt(dst, c.Ints[i], 10)
-		case table.KindFloat:
-			if out, ok := appendJSONFloat(dst, c.Floats[i]); ok {
-				return out
-			}
-		case table.KindString:
-			return appendJSONString(dst, c.Dict.Strs[c.Codes[i]])
-		case table.KindBool:
-			return strconv.AppendBool(dst, c.Bools[i])
-		}
+// appendFloatCell appends a float cell: null where JSON has no number for it.
+func appendFloatCell(dst []byte, f float64) []byte {
+	if out, ok := appendJSONFloat(dst, f); ok {
+		return out
 	}
 	return append(dst, "null"...)
 }
@@ -143,12 +232,18 @@ func appendColumnCell(dst []byte, c *table.ColumnData, i int) []byte {
 // appendJSONFloat appends f as encoding/json writes a float64 (shortest
 // round-trip digits; exponent form below 1e-6 and from 1e21, with a one-digit
 // exponent unpadded), or reports false for NaN and ±Inf, appending nothing.
+// An integer below 2^53 in magnitude, −0 aside, has exactly its own digits as
+// its shortest round-trip form, so it is written as an int.
 func appendJSONFloat(dst []byte, f float64) ([]byte, bool) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return dst, false
 	}
+	abs := math.Abs(f)
+	if i := int64(f); abs < 1<<53 && float64(i) == f && (i != 0 || !math.Signbit(f)) {
+		return strconv.AppendInt(dst, i, 10), true
+	}
 	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
 	dst = strconv.AppendFloat(dst, f, format, -1, 64)

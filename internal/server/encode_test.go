@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -89,6 +90,7 @@ var trickyStrings = []string{
 var trickyFloats = []float64{
 	0, math.Copysign(0, -1), 1, -1.5, 0.1, 1e20, 1e21, 1.5e21, -1e21, 1e-6, 1e-7, 9.999e-7, 1e-9, 1e-10, 1e100, 1e-100,
 	5e-324, math.MaxFloat64, 123456789.125, 1.0 / 3, math.NaN(), math.Inf(1), math.Inf(-1),
+	1<<53 - 1, -(1<<53 - 1), 1 << 53, -(1 << 53), 1<<53 + 2, 1e15, 4096,
 }
 
 // randomCell draws a cell a column of the given kind can hold: a value of that
@@ -128,11 +130,16 @@ func randomValue(rng *rand.Rand) table.Value {
 // relations of random typed columns, output columns that read their vectors
 // through shared row-id vectors or in place, output columns over the answer's
 // own rows (of any kinds), and literals — and an N that may stop short of the
-// vectors (LIMIT) or be zero.
+// vectors (LIMIT) or be zero. About one frame in eight spans several of the
+// encoder's morsels and a remainder, over relations that carry every kind.
 func randomFrame(rng *rand.Rand) *engine.Frame {
 	n := rng.Intn(6)
 	if rng.Intn(4) == 0 {
 		n = 40 + rng.Intn(40)
+	}
+	wide := rng.Intn(8) == 0
+	if wide {
+		n = answerMorsel*(1+rng.Intn(3)) + 1 + rng.Intn(answerMorsel-1)
 	}
 	type rel struct {
 		cols []table.ColumnData
@@ -141,8 +148,15 @@ func randomFrame(rng *rand.Rand) *engine.Frame {
 	rels := make([]rel, 1+rng.Intn(3))
 	for r := range rels {
 		schema := make(table.Schema, 1+rng.Intn(5))
+		if wide {
+			schema = make(table.Schema, 4+rng.Intn(2))
+		}
 		for j := range schema {
-			schema[j] = table.Column{Name: fmt.Sprintf("c%d", j), Kind: table.KindInt + table.Kind(rng.Intn(4))}
+			kind := table.KindInt + table.Kind(rng.Intn(4))
+			if wide && j < 4 {
+				kind = table.KindInt + table.Kind(j)
+			}
+			schema[j] = table.Column{Name: fmt.Sprintf("c%d", j), Kind: kind}
 		}
 		tbl := table.New("rel", schema)
 		row := make(table.Row, len(schema))
@@ -169,7 +183,7 @@ func randomFrame(rng *rand.Rand) *engine.Frame {
 		}
 	}
 	f := &engine.Frame{N: n}
-	if rng.Intn(5) == 0 {
+	if rng.Intn(5) == 0 || wide && rng.Intn(2) == 0 {
 		f.N = rng.Intn(n + 1) // LIMIT cut the frame short of its vectors
 	}
 	for c := 1 + rng.Intn(6); c > 0; c-- {
@@ -358,6 +372,31 @@ func TestAnswerAllocatesNothingPerRow(t *testing.T) {
 	t.Logf("page: %d rows, %.0f allocs; wide join: %d rows, %.0f allocs", pageRows, page, wideRows, wide)
 	if wide-page > 100 {
 		t.Errorf("wide join of %d rows allocates %.0f objects, a %d-row page %.0f: allocation grows with rows", wideRows, wide, pageRows, page)
+	}
+}
+
+// TestWideAnswerDeclaresItsLength: a body of any size goes out with its
+// Content-Length and in one piece, never with chunked transfer encoding (which
+// net/http picks for a body past its buffer when no length is declared).
+func TestWideAnswerDeclaresItsLength(t *testing.T) {
+	ts := httptest.NewServer(New(trainedSystem(t), Config{}).Handler())
+	defer ts.Close()
+	res, err := http.Post(ts.URL+"/query", "application/json",
+		strings.NewReader(`{"sql": "SELECT * FROM title a JOIN title b ON a.kind = b.kind WHERE a.id < 70"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	body, err := io.ReadAll(res.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp QueryResponse
+	if err := json.Unmarshal(body, &resp); err != nil || res.StatusCode != http.StatusOK || resp.RowCount < 10_000 {
+		t.Fatalf("HTTP %d, %d rows, %v: fixture too small or request failed", res.StatusCode, resp.RowCount, err)
+	}
+	if res.ContentLength != int64(len(body)) || len(res.TransferEncoding) > 0 {
+		t.Errorf("%d-byte body arrived with Content-Length %d, Transfer-Encoding %v", len(body), res.ContentLength, res.TransferEncoding)
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -964,18 +963,21 @@ func elapsedMs(start time.Time) float64 {
 	return float64(time.Since(start).Microseconds()) / 1000
 }
 
-// writeBody commits status and an encoded body. The body is encoded before
-// the status is committed: a value JSON cannot carry (encErr) must become a
-// 500, not the intended status over an empty body.
+// writeBody commits status and an encoded body, newline-terminated. The body
+// is encoded before the status is committed: a value JSON cannot carry
+// (encErr) must become a 500, not the intended status over an empty body. Its
+// length is declared and it goes out in one Write, so net/http sends it whole
+// rather than in chunks.
 func writeBody(w http.ResponseWriter, status int, body []byte, encErr error) {
 	if encErr != nil {
 		obs.Logger().Error("response encode failed", "err", encErr)
 		status = http.StatusInternalServerError
 		body, _ = json.Marshal(&QueryResponse{Error: "response encode failed: " + encErr.Error()}) // strings only: cannot fail
 	}
+	body = append(body, '\n')
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	// A failed write means the client is gone; nobody is left to tell.
 	_, _ = w.Write(body)
-	_, _ = io.WriteString(w, "\n")
 }

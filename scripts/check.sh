@@ -49,14 +49,17 @@ done
 # promptly, on any bytes; a statement it accepts round-trips through
 # Select.String), FuzzRowVsColumnar the columnar engine to the row engine, and
 # FuzzParseTraceparent the traceparent header parser (never panics; an accepted
-# header's IDs render back byte for byte and re-parse to the same identity).
+# header's IDs render back byte for byte and re-parse to the same identity),
+# and FuzzEncodeQueryResponse the /query encoder to encoding/json, byte for
+# byte, on frames that cross its morsel boundaries.
 # The two disk-facing targets ride along: FuzzLoad (snapshot bytes: a system or
 # an error, never a panic) and FuzzWALReplay (a damaged log opens, replays a
 # subsequence of what was written and accounts for the rest).
-echo "==> fuzz smoke: FuzzParse, FuzzRowVsColumnar, FuzzParseTraceparent, FuzzLoad, FuzzWALReplay"
+echo "==> fuzz smoke: FuzzParse, FuzzRowVsColumnar, FuzzParseTraceparent, FuzzEncodeQueryResponse, FuzzLoad, FuzzWALReplay"
 go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/sqlparse/
 go test -run='^$' -fuzz=FuzzRowVsColumnar -fuzztime=20s ./internal/engine/
 go test -run='^$' -fuzz=FuzzParseTraceparent -fuzztime=5s ./internal/obs/
+go test -run='^$' -fuzz=FuzzEncodeQueryResponse -fuzztime=5s ./internal/server/
 go test -run='^$' -fuzz=FuzzLoad -fuzztime=5s ./internal/core/
 go test -run='^$' -fuzz=FuzzWALReplay -fuzztime=5s ./internal/wal/
 
