@@ -8,11 +8,11 @@ import (
 
 // This file is a relation's storage: typed column vectors (int64/float64/bool),
 // dictionary-encoded strings, validity bitmaps and per-chunk zone maps, each
-// grown one cell at a time by Table.AppendRow. There is no other copy of a
-// table: lineage (RowID) is an index into these vectors, CSV and snapshots
-// read and write them through Value, and the engine's operators consume them
-// directly. A column holds NULLs and values of its declared kind and nothing
-// else; AppendRow is where that is checked.
+// grown one cell at a time by the typed appenders. There is no other copy of a
+// table: lineage (RowID) is an index into these vectors, snapshots and WriteCSV
+// read them through Value, and the engine's operators consume them directly. A
+// column holds NULLs and values of its declared kind and nothing else;
+// AppendRow checks that with a panic, ReadCSV with an error.
 
 // ZoneChunkRows is the number of rows summarized by one zone-map entry. It is
 // deliberately equal to the engine's morsel size so a zone prunes exactly one
@@ -61,9 +61,13 @@ func (d *Dict) Code(s string) (int32, bool) {
 	return c, ok
 }
 
-func (d *Dict) add(s string) int32 {
+// add returns s's code, adding s (a copy, if clone) when it is new.
+func (d *Dict) add(s string, clone bool) int32 {
 	if c, ok := d.codes[s]; ok {
 		return c
+	}
+	if clone {
+		s = strings.Clone(s)
 	}
 	if d.codes == nil {
 		d.codes = make(map[string]int32)
@@ -158,43 +162,73 @@ func (c *ColumnData) Gather(dst []Row, j int, sel []int32, lo int) {
 	}
 }
 
-// append adds cell i (the column's next) to the vector: the value or the
-// kind's zero, the null bit, the chunk's zone, the string's dictionary code.
-// AppendRow has checked that v is NULL or of the column's kind.
+// append adds cell i, the column's next, through the typed appender of v's
+// kind. AppendRow has checked that v is NULL or of the column's kind.
 func (c *ColumnData) append(i int, v Value) {
+	switch v.Kind {
+	case KindNull:
+		c.appendNull(i)
+	case KindInt:
+		c.appendInt(i, v.Int)
+	case KindFloat:
+		c.appendFloat(i, v.Float)
+	case KindString:
+		c.appendString(i, v.Str, false)
+	case KindBool:
+		c.appendBool(i, v.Bool)
+	}
+}
+
+// The typed appenders add cell i, the column's next, to a column of their kind
+// (appendNull to any): the value or the kind's zero, the null bit, the chunk's
+// zone, the string's dictionary code (see Dict.add for clone). Nothing else
+// grows a column. zone opens a chunk (and a null-bitmap word) where i starts one.
+func (c *ColumnData) zone(i int) *Zone {
 	if i%ZoneChunkRows == 0 {
 		c.Zones = append(c.Zones, Zone{})
 	}
-	z := &c.Zones[len(c.Zones)-1]
 	if c.Nulls != nil && i>>6 == len(c.Nulls) {
 		c.Nulls = append(c.Nulls, 0)
 	}
-	code := int32(-1)
-	switch {
-	case v.Kind == KindNull:
-		if c.Nulls == nil {
-			c.Nulls = NewBitmap(i + 1)
-		}
-		c.Nulls.Set(i)
-		z.HasNull = true
-		v = Null
-	case v.IsNumeric():
-		updateZone(z, v.AsFloat())
-	case v.Kind == KindString:
-		code, z.HasValue = c.Dict.add(v.Str), true
-	default:
-		z.HasValue = true
+	return &c.Zones[len(c.Zones)-1]
+}
+
+func (c *ColumnData) appendNull(i int) {
+	c.zone(i).HasNull = true
+	if c.Nulls == nil {
+		c.Nulls = NewBitmap(i + 1)
 	}
+	c.Nulls.Set(i)
 	switch c.Kind {
 	case KindInt:
-		c.Ints = append(c.Ints, v.Int)
+		c.Ints = append(c.Ints, 0)
 	case KindFloat:
-		c.Floats = append(c.Floats, v.Float)
+		c.Floats = append(c.Floats, 0)
 	case KindBool:
-		c.Bools = append(c.Bools, v.Bool)
+		c.Bools = append(c.Bools, false)
 	case KindString:
-		c.Codes = append(c.Codes, code)
+		c.Codes = append(c.Codes, -1)
 	}
+}
+
+func (c *ColumnData) appendInt(i int, v int64) {
+	updateZone(c.zone(i), float64(v))
+	c.Ints = append(c.Ints, v)
+}
+
+func (c *ColumnData) appendFloat(i int, v float64) {
+	updateZone(c.zone(i), v)
+	c.Floats = append(c.Floats, v)
+}
+
+func (c *ColumnData) appendBool(i int, v bool) {
+	c.zone(i).HasValue = true
+	c.Bools = append(c.Bools, v)
+}
+
+func (c *ColumnData) appendString(i int, v string, clone bool) {
+	c.zone(i).HasValue = true
+	c.Codes = append(c.Codes, c.Dict.add(v, clone))
 }
 
 // ColumnSet is a table's columns. The typed vectors are the storage; the

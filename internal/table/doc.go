@@ -19,22 +19,35 @@
 // copy has its own zones and its own dictionaries in first-appearance order
 // over the selected rows.
 //
-// AppendRow is the one way in. It appends each cell to its vector, sets the
-// null bit, folds the cell into its chunk's zone, interns a string, and keeps
-// nothing of the Row it was handed. The kind check lives there: a wrong
-// arity, a cell of another kind or a null-kind column panics, naming table,
-// column, row and both kinds, and leaves the table as it was — a programming
-// error, so a relation that violates "a column holds NULLs and values of its
-// declared kind and nothing else" cannot exist. ReadCSV, the one outside
-// door, parses every field by its declared kind into one scratch row and
-// refuses a :null header column with an error naming file, line and column.
-// No operator therefore re-implements cross-kind coercion or has a second
-// path for a column that is not typed vectors. column_test.go keeps the
-// build-everything-from-rows routine as the reference (refColumns) and holds
-// AppendRow, Select and ReadCSV(WriteCSV(t)) to it over random tables with
-// NULL runs across chunk boundaries; TestGeneratedCSVPinned pins a generated
+// The typed appenders (appendNull, appendInt, appendFloat, appendBool,
+// appendString) are the one way in: each adds a column's next cell to its
+// vector, sets the null bit, folds the cell into its chunk's zone and interns a
+// string, and nothing else does any of the four. AppendRow checks a Row and
+// dispatches each cell to them, keeping nothing of the Row: a wrong arity, a
+// cell of another kind or a null-kind column panics, naming table, column, row
+// and both kinds, and leaves the table as it was — a programming error, so a
+// relation that violates "a column holds NULLs and values of its declared kind
+// and nothing else" cannot exist. ReadCSV, the one outside door, parses each
+// field by its column's declared kind straight into its appender (no Row, no
+// boxed Value, one dictionary lookup per string, copied only when new), refuses
+// a :null header column or an unparsable field with an error naming line and
+// column, and returns no table on an error. ReadCSVDir reads a directory's
+// regular *.csv files concurrently, at most GOMAXPROCS at once and the largest
+// first, one goroutine per file, never a file split (a table's dictionaries
+// stay in first-appearance order); it adds the tables in name order and reports
+// the first failing file in name order, so the database and the error are what
+// a serial loop gives. No operator therefore re-implements cross-kind coercion
+// or has a second path for a column that is not typed vectors. column_test.go
+// keeps the build-everything-from-rows routine as the reference (refColumns)
+// and holds AppendRow, Select and ReadCSV(WriteCSV(t)) to it over random tables
+// with NULL runs across chunk boundaries; csv_test.go keeps the row-at-a-time
+// loader (refReadCSV) and FuzzReadCSV holds ReadCSV to it on any bytes, and
+// what loads to a WriteCSV fixed point; TestReadCSVDirConcurrent holds the
+// concurrent load to name order. TestGeneratedCSVPinned pins a generated
 // dataset's CSV bytes, TestResidentBytesPerCell holds a generated database to
-// 16 heap bytes a cell, BenchmarkLoadCSV reports bytes per loaded cell.
+// 16 heap bytes a cell, TestReadCSVKeepsNoLine holds ReadCSV's dictionaries off
+// the lines they were read from, and BenchmarkLoadCSV and BenchmarkReadCSVDir
+// report bytes per loaded cell.
 //
 // An answer is not a relation: a RowSet is a Schema and Rows []Row, because a
 // result cell's kind is whatever its expression evaluated to.

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"asqprl/internal/datagen"
@@ -82,6 +85,61 @@ func BenchmarkLoadCSV(b *testing.B) {
 	b.ReportMetric(float64(heapAlloc()-before)/float64(cells), "B/cell")
 	runtime.KeepAlive(db)
 	runtime.KeepAlive(files) // counted in before
+}
+
+// BenchmarkReadCSVDir is the same corpus as BenchmarkLoadCSV, written once as
+// a directory of files and loaded the way -data loads it: the files
+// concurrently, at most GOMAXPROCS at a time.
+func BenchmarkReadCSVDir(b *testing.B) {
+	names, files, cells := imdbCSV(b)
+	dir := b.TempDir()
+	for f, name := range names {
+		if err := os.WriteFile(filepath.Join(dir, name+".csv"), files[f], 0o600); err != nil {
+			b.Fatal(err)
+		}
+	}
+	files = nil // not counted in before
+	before := heapAlloc()
+	var db *table.Database
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if db, err = table.ReadCSVDir(dir); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(heapAlloc()-before)/float64(cells), "B/cell")
+	runtime.KeepAlive(db)
+}
+
+// TestReadCSVKeepsNoLine: a string new to its column's dictionary is copied
+// out of the line encoding/csv read it into, so a loaded table does not pin
+// its input: here each row's key is new and 6 bytes long, its line 409.
+func TestReadCSVKeepsNoLine(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap figures under the race detector are not the program's")
+	}
+	const rows = 20000
+	var buf bytes.Buffer
+	buf.WriteString("key:string,pad:string\n")
+	pad := strings.Repeat("p", 400)
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&buf, "k%05d,%s\n", i, pad)
+	}
+	before := heapAlloc()
+	tbl, err := table.ReadCSV("t", bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRow := float64(heapAlloc()-before) / rows
+	runtime.KeepAlive(tbl)
+	runtime.KeepAlive(buf.Bytes()) // counted in before
+	t.Logf("%.0f B/row", perRow)
+	if perRow > 200 {
+		t.Fatalf("%.0f heap bytes per row, want at most 200: the dictionary keeps the lines", perRow)
+	}
 }
 
 // imdbCSV is datagen.IMDB(2, 1) as CSV, one file per table, and its cell count.

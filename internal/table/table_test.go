@@ -216,24 +216,35 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
-// TestReadCSVDir: a directory of CSV files loads as one database, and whatever
-// stops it — nothing to load, two files naming one table, a column declared
-// null, a cell that is not of its column's kind — is an error naming the file
-// and, inside it, line and column.
+// TestReadCSVDir: a directory of CSV files loads as one database, wherever it
+// is (glob metacharacters in its path) and whatever else it holds (a directory
+// named like a CSV file). Whatever stops it — nothing to load, two files naming
+// one table, a column declared null, a cell that is not of its column's kind —
+// is an error naming the file and, inside it, line and column.
 func TestReadCSVDir(t *testing.T) {
+	happy := map[string]string{"title.csv": "id:int,name:string\n1,Alpha\n2,\n", "Cast.csv": "title_id:int\n1\n"}
 	for _, tc := range []struct {
 		name    string
+		dir     string   // the data directory, under the temporary one
+		subdirs []string // directories inside it
 		files   map[string]string
 		wantErr []string // substrings of the error; nil: loads
 	}{
-		{"happy path", map[string]string{"title.csv": "id:int,name:string\n1,Alpha\n2,\n", "Cast.csv": "title_id:int\n1\n"}, nil},
-		{"no CSVs", map[string]string{"notes.txt": "id:int\n1\n"}, []string{"no CSV files in "}},
-		{"two files, one table", map[string]string{"Title.csv": "id:int\n1\n", "title.csv": "id:int\n2\n"}, []string{"title.csv", "already loaded from Title.csv"}},
-		{"null-kind column", map[string]string{"title.csv": "id:int,junk:null\n1,\n"}, []string{"title.csv", "line 1 col junk", "declared null"}},
-		{"cell of another kind", map[string]string{"title.csv": "id:int,year:int\n1,1999\n2,soon\n"}, []string{"title.csv", "line 3 col year", `"soon"`}},
+		{"happy path", "", nil, happy, nil},
+		{"glob metacharacters in the path", "run[1]*?", nil, happy, nil},
+		{"a directory named like a CSV", "", []string{"sub.csv"}, happy, nil},
+		{"no CSVs", "", []string{"only.csv"}, map[string]string{"notes.txt": "id:int\n1\n"}, []string{"no CSV files in "}},
+		{"two files, one table", "", nil, map[string]string{"Title.csv": "id:int\n1\n", "title.csv": "id:int\n2\n"}, []string{"title.csv", "already loaded from Title.csv"}},
+		{"null-kind column", "", nil, map[string]string{"title.csv": "id:int,junk:null\n1,\n"}, []string{"title.csv", "line 1 col junk", "declared null"}},
+		{"cell of another kind", "", nil, map[string]string{"title.csv": "id:int,year:int\n1,1999\n2,soon\n"}, []string{"title.csv", "line 3 col year", `"soon"`}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
+			dir := filepath.Join(t.TempDir(), tc.dir)
+			for _, sub := range append([]string{""}, tc.subdirs...) {
+				if err := os.MkdirAll(filepath.Join(dir, sub), 0o700); err != nil {
+					t.Fatal(err)
+				}
+			}
 			for name, body := range tc.files {
 				if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o600); err != nil {
 					t.Fatal(err)

@@ -226,37 +226,3 @@ func (v Value) Compare(o Value) int {
 		return 0
 	}
 }
-
-// ParseValue parses s as the given kind. The empty string parses to NULL for
-// every kind except KindString.
-func ParseValue(s string, k Kind) (Value, error) {
-	if s == "" && k != KindString {
-		return Null, nil
-	}
-	switch k {
-	case KindInt:
-		n, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return Null, fmt.Errorf("table: parse int %q: %w", s, err)
-		}
-		return NewInt(n), nil
-	case KindFloat:
-		f, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return Null, fmt.Errorf("table: parse float %q: %w", s, err)
-		}
-		return NewFloat(f), nil
-	case KindString:
-		return NewString(s), nil
-	case KindBool:
-		b, err := strconv.ParseBool(s)
-		if err != nil {
-			return Null, fmt.Errorf("table: parse bool %q: %w", s, err)
-		}
-		return NewBool(b), nil
-	case KindNull:
-		return Null, nil
-	default:
-		return Null, fmt.Errorf("table: parse: unknown kind %v", k)
-	}
-}

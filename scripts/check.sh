@@ -27,8 +27,9 @@ go build ./...
 # log naming the seed to replay (faults, core, engine); admission control,
 # circuit breaker, drain and hot swap under concurrent clients (server); the
 # retrain controller's clone isolation, validation gate, swap, rollback and
-# backoff (retrain); and the WAL's crash-fault matrix, replay fuzz corpus and
-# recovery (wal).
+# backoff (retrain); the WAL's crash-fault matrix, replay fuzz corpus and
+# recovery (wal); and the concurrent CSV directory load, its tables and its
+# first error in name order, no loader goroutine left behind (table).
 echo "==> go test -race -count=1 -timeout 10m ./..."
 go test -race -count=1 -timeout 10m ./...
 
@@ -52,16 +53,19 @@ done
 # header's IDs render back byte for byte and re-parse to the same identity),
 # and FuzzEncodeQueryResponse the /query encoder to encoding/json, byte for
 # byte, on frames that cross its morsel boundaries.
-# The two disk-facing targets ride along: FuzzLoad (snapshot bytes: a system or
-# an error, never a panic) and FuzzWALReplay (a damaged log opens, replays a
-# subsequence of what was written and accounts for the rest).
-echo "==> fuzz smoke: FuzzParse, FuzzRowVsColumnar, FuzzParseTraceparent, FuzzEncodeQueryResponse, FuzzLoad, FuzzWALReplay"
+# The three disk-facing targets ride along: FuzzLoad (snapshot bytes: a system
+# or an error, never a panic), FuzzWALReplay (a damaged log opens, replays a
+# subsequence of what was written and accounts for the rest) and FuzzReadCSV
+# (CSV bytes: the columns or the error of the row-at-a-time reference loader,
+# and a table that loads writes and reads back to a fixed point).
+echo "==> fuzz smoke: FuzzParse, FuzzRowVsColumnar, FuzzParseTraceparent, FuzzEncodeQueryResponse, FuzzLoad, FuzzWALReplay, FuzzReadCSV"
 go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/sqlparse/
 go test -run='^$' -fuzz=FuzzRowVsColumnar -fuzztime=20s ./internal/engine/
 go test -run='^$' -fuzz=FuzzParseTraceparent -fuzztime=5s ./internal/obs/
 go test -run='^$' -fuzz=FuzzEncodeQueryResponse -fuzztime=5s ./internal/server/
 go test -run='^$' -fuzz=FuzzLoad -fuzztime=5s ./internal/core/
 go test -run='^$' -fuzz=FuzzWALReplay -fuzztime=5s ./internal/wal/
+go test -run='^$' -fuzz=FuzzReadCSV -fuzztime=5s ./internal/table/
 
 # The benchmark module is frozen (BENCHMARK.json "paths") and compiles against
 # internal packages: a change to an API it uses must fail here, not in the
