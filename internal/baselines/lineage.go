@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math/rand"
 
 	"asqprl/internal/engine"
@@ -11,25 +12,22 @@ import (
 
 const lineageCap = 400 // per-query tracked result tuples for the baselines
 
-// runWorkload executes every training query with lineage tracking and returns
-// them as tracked queries: result tuples deduplicated and, beyond lineageCap,
-// cut down to a uniform sample seeded by seed. Queries that fail are skipped
-// (their weight is dropped), mirroring how baselines in the paper simply
-// cannot use unexecutable queries. Aggregates are rewritten to SPJ first.
+// runWorkload executes every training query for its lineage (metrics.Track)
+// and returns them as tracked queries: result tuples deduplicated and, beyond
+// lineageCap, cut down to a uniform sample seeded by seed. Queries that fail
+// are skipped (their weight is dropped), mirroring how baselines in the paper
+// simply cannot use unexecutable queries. Aggregates are rewritten to SPJ
+// first.
 func runWorkload(db *table.Database, train workload.Workload, seed int64) []metrics.TrackedQuery {
 	rng := rand.New(rand.NewSource(seed))
 	var out []metrics.TrackedQuery
 	for _, q := range train {
-		stmt := engine.RewriteAggregateToSPJ(q.Stmt)
-		res, err := engine.ExecuteWith(db, stmt, engine.Options{TrackLineage: true})
+		tq, err := metrics.Track(context.Background(), db, engine.RewriteAggregateToSPJ(q.Stmt), lineageCap, rng)
 		if err != nil {
 			continue
 		}
-		out = append(out, metrics.TrackedQuery{
-			Weight: q.Weight,
-			Total:  res.Table.NumRows(),
-			Tuples: metrics.SampleTuples(metrics.Tuples(res.Lineage), lineageCap, rng),
-		})
+		tq.Weight = q.Weight
+		out = append(out, tq)
 	}
 	return out
 }

@@ -1,0 +1,30 @@
+package core
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+
+	"asqprl/internal/datagen"
+)
+
+// BenchmarkPreprocess is preprocessing at the benchmark's train_pipeline
+// shape: IMDB at scale 0.2, the 48 training statements of a 60-statement
+// generated workload (15 % aggregates) split 80/20, k = 200, F = 50.
+func BenchmarkPreprocess(b *testing.B) {
+	db := datagen.IMDB(0.2, 1)
+	w, err := GenerateWorkload(db, GenOptions{N: 60, AggregateProb: 0.15, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	train, _ := w.Split(0.8, rand.New(rand.NewSource(1)))
+	cfg := DefaultConfig()
+	cfg.K, cfg.F, cfg.Seed = 200, 50, 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := PreprocessContext(context.Background(), db, train, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -238,8 +238,10 @@ func TestFitEstimatorErrorPropagates(t *testing.T) {
 
 // TestTrainRecoversFromInjectedNaN arms the rl/update corruption point so one
 // PPO update poisons the actor with NaN, and asserts the divergence watchdog
-// rolled back (visible in TrainStats.History), halved the learning rate, and
-// that the final system still beats the random baseline.
+// rolled back (visible in TrainStats.History) on the non-finite parameters —
+// the update's first epoch runs on the collection-time forward pass, so its
+// losses stay finite — halved the learning rate, and that the final system
+// still beats the random baseline.
 func TestTrainRecoversFromInjectedNaN(t *testing.T) {
 	db := testIMDB()
 	w := testWorkload()
@@ -266,8 +268,8 @@ func TestTrainRecoversFromInjectedNaN(t *testing.T) {
 	for _, it := range stats.History {
 		if it.Recovered {
 			found = true
-			if it.RecoveryReason == "" {
-				t.Error("recovered iteration has empty RecoveryReason")
+			if it.RecoveryReason != "non-finite actor parameters" {
+				t.Errorf("recovered iteration names %q, want the non-finite actor parameters", it.RecoveryReason)
 			}
 			break
 		}

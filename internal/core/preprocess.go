@@ -194,14 +194,13 @@ func PreprocessContext(ctx context.Context, db *table.Database, w workload.Workl
 		}
 		info.sig = append(info.sig, qIdx)
 	}
-	// track turns one execution of representative qIdx into a tracked query
-	// (result tuples deduplicated, sampled down to the cap) and bundles those
+	// track adds one tracked query of representative qIdx (result tuples
+	// deduplicated, sampled down to the cap; see metrics.Track) and bundles its
 	// tuples into group actions. It returns the tracked query's index.
 	var tracked []metrics.TrackedQuery
-	track := func(res *engine.Result, qIdx int) int {
-		tuples := metrics.SampleTuples(metrics.Tuples(res.Lineage), cfg.MaxTrackedPerQuery, rng)
-		tracked = append(tracked, metrics.TrackedQuery{Total: res.Table.NumRows(), Tuples: tuples})
-		for _, group := range chunkRowSets(tuples, cfg.ActionGroupSize, rng) {
+	track := func(tq metrics.TrackedQuery, qIdx int) int {
+		tracked = append(tracked, tq)
+		for _, group := range chunkRowSets(tq.Tuples, cfg.ActionGroupSize, rng) {
 			addCandidate(group, qIdx)
 		}
 		return len(tracked) - 1
@@ -210,7 +209,7 @@ func PreprocessContext(ctx context.Context, db *table.Database, w workload.Workl
 	for _, ci := range order {
 		orig := originals[medoids[ci]]
 		_, repSpan := obs.StartSpan(execCtx, "preprocess/execute/representative")
-		res, err := engine.ExecuteWithContext(ctx, db, orig, engine.Options{TrackLineage: true})
+		tq, err := metrics.Track(ctx, db, orig, cfg.MaxTrackedPerQuery, rng)
 		if err != nil {
 			repSpan.End()
 			execSpan.End()
@@ -221,20 +220,20 @@ func PreprocessContext(ctx context.Context, db *table.Database, w workload.Workl
 			Stmt:    orig,
 			Relaxed: relaxed[medoids[ci]],
 			Weight:  clusterWeight[ci],
-			Orig:    track(res, qIdx),
+			Orig:    track(tq, qIdx),
 			Rel:     -1,
 		}
 
 		// Relaxed execution: extra candidates and weakly-rewarded tracked
 		// tuples (generalization beyond the workload).
-		relRes, err := engine.ExecuteWithContext(ctx, db, rep.Relaxed, engine.Options{TrackLineage: true})
+		relTQ, err := metrics.Track(ctx, db, rep.Relaxed, cfg.MaxTrackedPerQuery, rng)
 		if err != nil && terminal(err) {
 			repSpan.End()
 			execSpan.End()
 			return nil, fmt.Errorf("core: executing relaxed representative: %w", err)
 		}
 		if err == nil {
-			if rel := track(relRes, qIdx); len(tracked[rel].Tuples) > 0 {
+			if rel := track(relTQ, qIdx); len(tracked[rel].Tuples) > 0 {
 				rep.Rel = rel
 			}
 		}

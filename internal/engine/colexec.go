@@ -695,10 +695,11 @@ func joinKeyPairs(joins []predClass, rel int) []joinKeyPair {
 // of column references and literals cannot fail, so the guard is charged for
 // the whole pre-LIMIT batch at once (the ticks and the output-budget charge of
 // a row-by-row loop) and no row need exist to be counted (count-only
-// execution) or answered (a frame caller, Result.Frame): LIMIT, when nothing
-// sorts after it, just shortens the answer. Expression projections evaluate
-// every batch row (any of them may raise) and are cut to LIMIT afterwards.
-// On an output-budget trip the rows before the trip come back with the error.
+// execution), answered (a frame caller, Result.Frame) or traced back to its
+// base rows (a lineage caller): LIMIT, when nothing sorts after it, just
+// shortens the answer. Expression projections evaluate every batch row (any of
+// them may raise) and are cut to LIMIT afterwards. On an output-budget trip
+// the rows before the trip come back with the error.
 func projectCol(b *binder, stmt *sqlparse.Select, jb *joinedBatch, opts Options, countOnly bool, g *guard) (*Result, error) {
 	if faults.Active() {
 		if err := faults.Inject(faults.PointEngineProject); err != nil {
@@ -718,18 +719,27 @@ func projectCol(b *binder, stmt *sqlparse.Select, jb *joinedBatch, opts Options,
 		}
 		if trip = g.out(jb.n); trip != nil {
 			keep, limited = g.maxOutput, false
-		} else if limited && stmt.Limit < keep && (countOnly || opts.frames) {
+		} else if limited && stmt.Limit < keep && (countOnly || opts.frames || opts.lineageOnly) {
 			// A caller that wants a table.RowSet still gets the pre-LIMIT rows
 			// built and cut afterwards, as before frames existed; DESIGN §13
 			// "Answer path" says why that saving waits for a later change.
 			keep = stmt.Limit
 		}
 	}
+	// Columns and literals that nothing sorts (or that tripped the budget
+	// before anything could) need no row built for a frame or a lineage.
+	unbuilt := p != nil && p.exprs == nil && (trip != nil || !sortsOutput(stmt))
 	switch {
 	case countOnly:
 		return &Result{Count: keep}, trip
-	case opts.frames && p.exprs == nil && (trip != nil || !sortsOutput(stmt)):
+	case opts.frames && unbuilt:
 		return &Result{Frame: p.frame(keep)}, trip
+	case opts.lineageOnly && unbuilt:
+		lineage, err := batchLineage(b, jb, keep, g)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Lineage: lineage, Count: keep}, trip
 	}
 	out, lineage, err := p.materialize(keep, opts.TrackLineage, g)
 	if out == nil {
@@ -747,16 +757,33 @@ func projectCol(b *binder, stmt *sqlparse.Select, jb *joinedBatch, opts Options,
 	return &Result{Table: out, Lineage: lineage}, err
 }
 
-// batchLineageOf records the base-table row of every relation behind batch
-// tuple idx.
-func batchLineageOf(b *binder, jb *joinedBatch, idx int) []table.RowID {
-	ids := make([]table.RowID, len(b.tables))
-	for rel := range b.tables {
-		ri := int32(-1)
-		if c := jb.cols[rel]; c != nil {
-			ri = c[idx]
-		}
-		ids[rel] = table.RowID{Table: strings.ToLower(b.tables[rel].Name), Row: int(ri)}
+// batchLineage records, for each of the batch's first n tuples, the
+// base-table row of every relation behind it: the relation names are lowered
+// once, and the n tuples share one allocation. g, when not nil, is polled once
+// per morsel (a caller that has built the rows has polled it already).
+func batchLineage(b *binder, jb *joinedBatch, n int, g *guard) ([][]table.RowID, error) {
+	names := make([]string, len(b.tables))
+	for rel, t := range b.tables {
+		names[rel] = strings.ToLower(t.Name)
 	}
-	return ids
+	w := len(names)
+	ids := make([]table.RowID, n*w)
+	lineage := make([][]table.RowID, n)
+	for idx := range lineage {
+		if idx%morselRows == 0 {
+			if err := g.poll(); err != nil {
+				return nil, err
+			}
+		}
+		row := ids[idx*w : (idx+1)*w : (idx+1)*w]
+		for rel, name := range names {
+			ri := int32(-1)
+			if c := jb.cols[rel]; c != nil {
+				ri = c[idx]
+			}
+			row[rel] = table.RowID{Table: name, Row: int(ri)}
+		}
+		lineage[idx] = row
+	}
+	return lineage, nil
 }

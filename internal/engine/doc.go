@@ -151,7 +151,9 @@
 // (tickChunks + one out(n): the oracle's accounting, so LIMIT never lifts an
 // output budget — TestLimitDoesNotLiftOutputBudget) and then builds only what
 // the caller needs: CountContext builds nothing (TestColumnarCountFastPath),
-// ExecuteFrameContext shortens Frame.N, ExecuteWithContext materializes the
+// ExecuteFrameContext shortens Frame.N, LineageContext writes the lineage of
+// the first N tuples into one allocation (TestLineageOfMixedCaseTable),
+// ExecuteWithContext materializes the
 // pre-LIMIT rows through projection.materialize, the one routine that builds
 // output rows. DISTINCT, ORDER BY, aggregates and expression projections
 // materialize first and are then a frame over their own rows.

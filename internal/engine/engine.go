@@ -13,14 +13,16 @@ import (
 // Result is the output of executing a statement.
 type Result struct {
 	// Table holds the projected output rows. It is nil for count-only
-	// execution (see CountContext), where Count carries the answer, and for
+	// execution (see CountContext), where Count carries the answer, for
+	// LineageContext, where Lineage and Count do, and for
 	// ExecuteFrameContext, where Frame does.
 	Table *table.RowSet
 	// Lineage, when tracked, holds for each output row the base-table rows
 	// that produced it (one RowID per relation in the FROM/JOIN list).
 	// It is nil for aggregate queries.
 	Lineage [][]table.RowID
-	// Count is the result cardinality for count-only execution (Table nil).
+	// Count is the result cardinality for count-only and lineage-only
+	// execution (Table nil).
 	Count int
 	// Frame is the answer of ExecuteFrameContext, which sets it instead of
 	// Table (and tracks no lineage).
@@ -64,6 +66,10 @@ type Options struct {
 	// frames asks for the answer as Result.Frame, leaving output rows unbuilt
 	// wherever the statement allows it. Set by ExecuteFrameContext.
 	frames bool
+	// lineageOnly asks for Result.Lineage and Result.Count, leaving output
+	// rows unbuilt wherever the statement allows it (as countOnly does). Set
+	// by LineageContext.
+	lineageOnly bool
 }
 
 const defaultMaxIntermediate = 2_000_000
@@ -114,6 +120,24 @@ func ExecuteFrameContext(ctx context.Context, db *table.Database, stmt *sqlparse
 	res, err := ExecuteWithContext(ctx, db, stmt, opts)
 	if res != nil && res.Table != nil {
 		res.Frame, res.Table = frameOver(res.Table), nil
+	}
+	return res, err
+}
+
+// LineageContext runs stmt for its lineage alone: the result carries Lineage
+// and Count — exactly what ExecuteWithContext with lineage tracking gives as
+// Lineage and Table.NumRows(), after LIMIT, with the same errors, budget trips
+// (a tripped output budget returns the partial lineage with the error) and
+// fault points — and no Table. An SPJ projection of columns and literals
+// builds no output row; DISTINCT, ORDER BY, aggregates and computed
+// expressions need values, so those statements are executed with their rows,
+// which are then dropped. Lineage tracking is forced on.
+func LineageContext(ctx context.Context, db *table.Database, stmt *sqlparse.Select, opts Options) (*Result, error) {
+	opts.TrackLineage = true
+	opts.lineageOnly = true
+	res, err := ExecuteWithContext(ctx, db, stmt, opts)
+	if res != nil && res.Table != nil {
+		res.Count, res.Table = res.Table.NumRows(), nil
 	}
 	return res, err
 }

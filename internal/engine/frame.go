@@ -212,10 +212,7 @@ func (p *projection) materialize(n int, trackLineage bool, g *guard) (*table.Row
 	}
 	var lineage [][]table.RowID
 	if trackLineage {
-		lineage = make([][]table.RowID, len(rows))
-		for idx := range lineage {
-			lineage[idx] = batchLineageOf(p.b, p.jb, idx)
-		}
+		lineage, _ = batchLineage(p.b, p.jb, len(rows), nil) // no guard: no error
 	}
 	return &table.RowSet{Schema: p.schema, Rows: rows}, lineage, trip
 }

@@ -39,14 +39,19 @@ func resultFingerprint(res *Result) string {
 	for i, r := range res.Table.Rows {
 		s = append(r.AppendKey(append(strconv.AppendInt(s, int64(i), 10), ": "...)), '\n')
 	}
-	for i, lin := range res.Lineage {
+	return string(appendLineage(s, res.Lineage))
+}
+
+// appendLineage appends every lineage entry to s, one line each.
+func appendLineage(s []byte, lineage [][]table.RowID) []byte {
+	for i, lin := range lineage {
 		s = append(strconv.AppendInt(append(s, "lin "...), int64(i), 10), ": ["...)
 		for _, id := range lin {
 			s = append(strconv.AppendInt(append(append(s, id.Table...), ':'), int64(id.Row), 10), ' ')
 		}
 		s = append(s, "]\n"...)
 	}
-	return string(s)
+	return s
 }
 
 // fuzzVocab is the string vocabulary; small so dictionary codes repeat.
@@ -673,10 +678,10 @@ const fuzzLimitSeed = -1 << 32
 var fuzzLimitModes = [6]int{4, 0, 1, 3, 8, 2}
 
 // fuzzRun executes stmt under opts, on the reference executor or — as a table,
-// a frame or a count, whichever opts asks for — on the engine. faultPoint, when
-// non-empty, arms a fresh deterministic error injection (identical across the
-// compared runs — the schedules carry per-run hit counters, so each run gets
-// its own).
+// a frame, a count or a lineage, whichever opts asks for — on the engine.
+// faultPoint, when non-empty, arms a fresh deterministic error injection
+// (identical across the compared runs — the schedules carry per-run hit
+// counters, so each run gets its own).
 func fuzzRun(ctx context.Context, db *table.Database, stmt *sqlparse.Select, opts Options, reference bool, faultPoint string, faultAfter int) (*Result, error) {
 	if faultPoint != "" {
 		faults.Enable(faults.NewSchedule(1, faults.Injection{
@@ -695,6 +700,12 @@ func fuzzRun(ctx context.Context, db *table.Database, stmt *sqlparse.Select, opt
 	case opts.countOnly:
 		n, err := CountContext(ctx, db, stmt, opts)
 		return &Result{Count: n}, err
+	case opts.lineageOnly:
+		res, err := LineageContext(ctx, db, stmt, opts)
+		if res != nil && (res.Table != nil || res.Frame != nil) {
+			return nil, fmt.Errorf("LineageContext answered %+v, want a lineage and a count alone", res)
+		}
+		return res, err
 	case opts.frames:
 		res, err := ExecuteFrameContext(ctx, db, stmt, opts)
 		if res != nil {
@@ -710,7 +721,8 @@ func fuzzRun(ctx context.Context, db *table.Database, stmt *sqlparse.Select, opt
 
 // fuzzCompare asserts run B matches the reference run A exactly: same
 // success/failure, same error string and guard kind, same (possibly partial)
-// result fingerprint.
+// result fingerprint — or, for an answer without a table, the same count and
+// lineage.
 func fuzzCompare(t *testing.T, sql, label string, resA *Result, errA error, resB *Result, errB error) {
 	t.Helper()
 	if (errA == nil) != (errB == nil) {
@@ -729,6 +741,9 @@ func fuzzCompare(t *testing.T, sql, label string, resA *Result, errA error, resB
 	if resA != nil && resA.Table == nil {
 		if resA.Count != resB.Count {
 			t.Fatalf("%s: count diverges for %q: reference %d, got %d", label, sql, resA.Count, resB.Count)
+		}
+		if la, lb := appendLineage(nil, resA.Lineage), appendLineage(nil, resB.Lineage); string(la) != string(lb) {
+			t.Fatalf("%s: lineage diverges for %q\nreference:\n%.600s\n%s:\n%.600s", label, sql, la, label, lb)
 		}
 	} else if resA != nil {
 		if fa, fb := resultFingerprint(resA), resultFingerprint(resB); fa != fb {
@@ -796,9 +811,10 @@ func (r *fuzzReference) outcome(gotErr error) (res *Result, err error, ok bool) 
 
 // FuzzRowVsColumnar is the differential harness: seed → random database +
 // statements → row engine vs the engine's answer as a table
-// (ExecuteWithContext), as a frame (ExecuteFrameContext) and as a count
-// (CountContext), under normal execution, pre-canceled contexts, output and
-// intermediate row budgets, and injected operator faults. A seed >= 0 draws
+// (ExecuteWithContext), as a frame (ExecuteFrameContext), as a lineage and
+// its count (LineageContext) and as a count (CountContext), under normal
+// execution, pre-canceled contexts, output and intermediate row budgets, and
+// injected operator faults. A seed >= 0 draws
 // its statements from fuzzSQL; seed -1-k pins all of them to
 // fuzzJoinShapes[k % len], on a big database when k / len is odd,
 // seed fuzzLimitSeed-k to a fuzzLimitShapes statement and LIMIT under each of
@@ -928,17 +944,23 @@ func FuzzRowVsColumnar(f *testing.F) {
 					t.Logf("%s: %q: no reference under any intermediate budget", label, sql)
 					return
 				}
-				if opts.frames && want != nil {
+				switch {
+				case want == nil:
+				case opts.frames:
 					// A frame is the same answer without lineage, whether its
 					// rows were ever built or not.
 					want = &Result{Table: want.Table}
+				case opts.lineageOnly:
+					// A lineage is the same answer without its rows.
+					want = &Result{Lineage: want.Lineage, Count: want.Table.NumRows()}
 				}
 				fuzzCompare(t, sql, label, want, wantErr, got, gotErr)
 			}
-			ref, frame, count := reference(base), base, base
-			frame.frames, count.countOnly = true, true
+			ref, frame, lineage, count := reference(base), base, base, base
+			frame.frames, lineage.lineageOnly, count.countOnly = true, true, true
 			check("columnar", ref, base)
 			check("columnar-frame", ref, frame)
+			check("columnar-lineage", ref, lineage)
 			// CountContext must agree with the row engine whether or not the
 			// count-only specialization applies, guards included.
 			check("columnar-count", reference(count), count)

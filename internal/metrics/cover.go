@@ -1,13 +1,17 @@
 package metrics
 
 import (
+	"cmp"
+	"context"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
+	"asqprl/internal/engine"
 	"asqprl/internal/sample"
+	"asqprl/internal/sqlparse"
 	"asqprl/internal/table"
 )
 
@@ -36,21 +40,38 @@ func Term(covered, tracked, total, frameSize int) float64 {
 	return math.Min(1, est/float64(need))
 }
 
+// Track executes stmt on db for its lineage alone (engine.LineageContext,
+// which builds no output row) and returns it as a tracked query of zero
+// weight: Total is the result's cardinality and Tuples its result tuples
+// (Tuples), cut down to max by SampleTuples with rng. It is the one lineage
+// pass of preprocessing and of the score-driven baselines.
+func Track(ctx context.Context, db *table.Database, stmt *sqlparse.Select, max int, rng *rand.Rand) (TrackedQuery, error) {
+	res, err := engine.LineageContext(ctx, db, stmt, engine.Options{})
+	if err != nil {
+		return TrackedQuery{}, err
+	}
+	return TrackedQuery{Total: res.Count, Tuples: SampleTuples(Tuples(res.Lineage), max, rng)}, nil
+}
+
 // Tuples normalises an execution's lineage into result tuples: each tuple is
 // the sorted distinct base rows that must all be in the approximation set for
 // the result row to appear, and a tuple that repeats is kept once, where it
-// first appeared.
+// first appeared. The tuples share one allocation; lineage is left as it was.
 func Tuples(lineage [][]table.RowID) [][]table.RowID {
-	seen := make(map[string]bool, len(lineage))
-	var out [][]table.RowID
+	n := 0
 	for _, rows := range lineage {
-		tuple := Tuple(rows)
-		key := TupleKey(tuple)
-		if seen[key] {
-			continue
+		n += len(rows)
+	}
+	buf := make([]table.RowID, 0, n)
+	set := tupleSet{heads: make(map[uint64]int32, len(lineage)), next: make([]int32, 0, len(lineage))}
+	out := make([][]table.RowID, 0, len(lineage))
+	for _, rows := range lineage {
+		at := len(buf)
+		tuple := sortDistinct(append(buf, rows...)[at:])
+		if set.add(out, tuple) {
+			buf = buf[:at+len(tuple)]
+			out = append(out, buf[at:len(buf):len(buf)])
 		}
-		seen[key] = true
-		out = append(out, tuple)
 	}
 	return out
 }
@@ -58,21 +79,59 @@ func Tuples(lineage [][]table.RowID) [][]table.RowID {
 // Tuple returns the sorted distinct rows of rows: one result tuple, or the
 // union of several, in the form Tuples produces. rows is left as it was.
 func Tuple(rows []table.RowID) []table.RowID {
-	cp := append([]table.RowID(nil), rows...)
-	sort.Slice(cp, func(a, b int) bool {
-		if cp[a].Table != cp[b].Table {
-			return cp[a].Table < cp[b].Table
-		}
-		return cp[a].Row < cp[b].Row
-	})
-	out := cp[:0]
-	for i, r := range cp {
-		if i > 0 && r == cp[i-1] {
-			continue
-		}
-		out = append(out, r)
+	return sortDistinct(slices.Clone(rows))
+}
+
+// sortDistinct orders rows in place by table name, then row, and returns the
+// distinct prefix.
+func sortDistinct(rows []table.RowID) []table.RowID {
+	slices.SortFunc(rows, compareRows)
+	return slices.Compact(rows)
+}
+
+func compareRows(a, b table.RowID) int {
+	if c := strings.Compare(a.Table, b.Table); c != 0 {
+		return c
 	}
-	return out
+	return cmp.Compare(a.Row, b.Row)
+}
+
+// tupleSet recognises a tuple seen before without building a key for it: a
+// tuple hashes the position of each row's table among the names met so far
+// and the row number, and tuples that share a hash are chained and compared
+// row by row.
+type tupleSet struct {
+	names []string
+	heads map[uint64]int32 // hash → the last tuple with it
+	next  []int32          // per tuple, the one before it with its hash, or -1
+}
+
+// add reports whether tuple is new among kept, the tuples added so far, and
+// if so records it as kept's next.
+func (s *tupleSet) add(kept [][]table.RowID, tuple []table.RowID) bool {
+	h := uint64(0xcbf29ce484222325)
+	for _, id := range tuple {
+		k := slices.Index(s.names, id.Table)
+		if k < 0 {
+			k = len(s.names)
+			s.names = append(s.names, id.Table)
+		}
+		h = (h ^ uint64(k)) * 0x9e3779b97f4a7c15
+		h = (h ^ uint64(id.Row)) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	head, ok := s.heads[h]
+	if !ok {
+		head = -1
+	}
+	for i := head; i >= 0; i = s.next[i] {
+		if slices.Equal(kept[i], tuple) {
+			return false
+		}
+	}
+	s.heads[h] = int32(len(s.next))
+	s.next = append(s.next, head)
+	return true
 }
 
 // TupleKey is a canonical map key for a normalised tuple.
@@ -91,15 +150,23 @@ func TupleKey(tuple []table.RowID) string {
 // replacement, result order kept — uniform because Term scales the covered
 // count by total/tracked, which is an estimate of |q(𝒮)| only for a uniform
 // sample. A query with at most max tuples is returned whole and draws nothing
-// from rng.
+// from rng; a drawn sample is copied into one allocation of its own, so it
+// does not keep the whole result's tuples alive.
 func SampleTuples(tuples [][]table.RowID, max int, rng *rand.Rand) [][]table.RowID {
 	if len(tuples) <= max {
 		return tuples
 	}
 	idx := sample.Uniform(len(tuples), max, rng)
+	n := 0
+	for _, j := range idx {
+		n += len(tuples[j])
+	}
+	buf := make([]table.RowID, 0, n)
 	out := make([][]table.RowID, len(idx))
 	for i, j := range idx {
-		out[i] = tuples[j]
+		at := len(buf)
+		buf = append(buf, tuples[j]...)
+		out[i] = buf[at:len(buf):len(buf)]
 	}
 	return out
 }

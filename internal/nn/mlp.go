@@ -7,6 +7,10 @@
 // activations and deltas of n samples, one row each — filled by sample range
 // (ForwardBatch, BackwardBatch) and by parameter row range (AddGrads) in a
 // fixed summation order; ForwardCache and Backward are the kernel at n = 1.
+// BackwardBatch and AddGrads share one loop shape: a partial row that starts
+// at zero takes four terms per pass over it. A sample's activations can be
+// kept (Workspace.CopyActivations) and put back (Workspace.SetActivations) in
+// place of a forward pass while the weights are unchanged.
 //
 // The library is deliberately minimal — dense layers only — because that is
 // exactly what the paper's actor and critic networks are: "a large input
@@ -129,11 +133,7 @@ func (ws *Workspace) Resize(n int) {
 	if len(ws.a) > 0 && len(ws.a[0]) >= n*ws.sizes[0] {
 		return
 	}
-	width := 0
-	for _, s := range ws.sizes {
-		width += s
-	}
-	buf := make([]float64, 2*n*width)
+	buf := make([]float64, 2*n*ws.Width())
 	rows := make([][]float64, 2*len(ws.sizes))
 	for i := range rows {
 		w := n * ws.sizes[i%len(ws.sizes)]
@@ -156,6 +156,33 @@ func (ws *Workspace) Output(s int) []float64 { return ws.row(ws.a, len(ws.sizes)
 // OutputDelta returns the row that holds the loss gradient at sample s's
 // output, for the caller to fill before BackwardBatch.
 func (ws *Workspace) OutputDelta(s int) []float64 { return ws.row(ws.d, len(ws.sizes)-1, s) }
+
+// Width is the number of activations one sample has: its input, every hidden
+// layer and its output.
+func (ws *Workspace) Width() int {
+	w := 0
+	for _, s := range ws.sizes {
+		w += s
+	}
+	return w
+}
+
+// CopyActivations copies sample s's activations — input, hidden layers and
+// output, in layer order — into dst, which holds Width values.
+func (ws *Workspace) CopyActivations(dst []float64, s int) {
+	for l := range ws.sizes {
+		dst = dst[copy(dst, ws.row(ws.a, l, s)):]
+	}
+}
+
+// SetActivations makes src, as CopyActivations took it, sample s's
+// activations: with the weights unchanged since, exactly what ForwardBatch
+// would compute from src's input.
+func (ws *Workspace) SetActivations(s int, src []float64) {
+	for l := range ws.sizes {
+		src = src[copy(ws.row(ws.a, l, s), src):]
+	}
+}
 
 // ForwardBatch runs samples [lo, hi) of ws from their input rows to their
 // output rows. Every unit's sum is its bias, then its inputs in index order;
@@ -248,15 +275,22 @@ func (g *Grads) Zero() {
 	}
 }
 
+// gradTile is how many weights of one gradient row AddGrads sums at a time:
+// the width of its partial row, which lives on the stack.
+const gradTile = 256
+
 // AddGrads adds to rows [lo, hi) of layer l of g the gradient of the first n
 // samples of ws, whose deltas BackwardBatch has filled. Each element is summed
 // on its own, GradBlock by GradBlock (see there), so any split of a layer's
 // rows between callers yields the same bits, and distinct rows can be added
-// concurrently.
+// concurrently. The loop is BackwardBatch's: per output row and block, a
+// partial row starts at zero, takes four samples per pass over it, and is then
+// added to the gradient.
 func (m *MLP) AddGrads(ws *Workspace, n, l, lo, hi int, g *Grads) {
 	in, out := m.Sizes[l], m.Sizes[l+1]
 	acts, deltas := ws.a[l], ws.d[l+1]
 	var col [GradBlock]float64
+	var tile [gradTile]float64
 	for b0 := 0; b0 < n; b0 += GradBlock {
 		d := col[:min(GradBlock, n-b0)]
 		for o := lo; o < hi; o++ {
@@ -267,26 +301,31 @@ func (m *MLP) AddGrads(ws *Workspace, n, l, lo, hi int, g *Grads) {
 			}
 			g.B[l][o] += sum
 			row := g.W[l][o*in:][:in]
-			i := 0
-			for ; i+8 <= in; i += 8 {
-				var s0, s1, s2, s3, s4, s5, s6, s7 float64
-				at := b0*in + i
-				for _, dk := range d {
-					a := acts[at:][:8]
-					s0, s1, s2, s3 = s0+dk*a[0], s1+dk*a[1], s2+dk*a[2], s3+dk*a[3]
-					s4, s5, s6, s7 = s4+dk*a[4], s5+dk*a[5], s6+dk*a[6], s7+dk*a[7]
+			for i0 := 0; i0 < in; i0 += gradTile {
+				w := min(gradTile, in-i0)
+				part := tile[:w]
+				clear(part)
+				at := b0*in + i0
+				k := 0
+				for ; k+4 <= len(d); k += 4 {
+					a0, a1, a2, a3 := acts[at:][:len(part)], acts[at+in:][:len(part)], acts[at+2*in:][:len(part)], acts[at+3*in:][:len(part)]
+					d0, d1, d2, d3 := d[k], d[k+1], d[k+2], d[k+3]
+					for i, p := range part {
+						part[i] = p + d0*a0[i] + d1*a1[i] + d2*a2[i] + d3*a3[i]
+					}
+					at += 4 * in
+				}
+				for ; k < len(d); k++ {
+					a, dk := acts[at:][:len(part)], d[k]
+					for i := range part {
+						part[i] += dk * a[i]
+					}
 					at += in
 				}
-				r := row[i:][:8]
-				r[0], r[1], r[2], r[3] = r[0]+s0, r[1]+s1, r[2]+s2, r[3]+s3
-				r[4], r[5], r[6], r[7] = r[4]+s4, r[5]+s5, r[6]+s6, r[7]+s7
-			}
-			for ; i < in; i++ {
-				var s float64
-				for k, dk := range d {
-					s += dk * acts[(b0+k)*in+i]
+				r := row[i0:][:w]
+				for i, p := range part {
+					r[i] += p
 				}
-				row[i] += s
 			}
 		}
 	}

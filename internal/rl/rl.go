@@ -151,14 +151,42 @@ type Agent struct {
 	buf updateBuffers
 }
 
-// updateBuffers is what an update works in: made by a training run's first
-// update and grown to the largest batch seen, so a steady-state update
-// allocates nothing per step; dropped when the run ends.
+// updateBuffers is what collection and an update work in: made by a training
+// run's first iteration and grown to the largest batch seen, so a steady-state
+// iteration allocates nothing per step; dropped when the run ends.
 type updateBuffers struct {
+	rows                    []rowArena // per collection worker
 	steps                   []*step
 	stepStats               []stepStats
 	actorWS, criticWS       *nn.Workspace
 	actorGrads, criticGrads *nn.Grads
+}
+
+// rowArena hands out the rows a collection worker keeps per step. A block
+// that fills up is left to the steps that point into it and a larger one is
+// started; reset starts the next collection in one block that holds what the
+// last one took.
+type rowArena struct {
+	buf  []float64
+	used int // values handed out since the last reset
+}
+
+func (r *rowArena) reset() {
+	if cap(r.buf) < r.used {
+		r.buf = make([]float64, 0, r.used)
+	}
+	r.buf, r.used = r.buf[:0], 0
+}
+
+// take returns the next n values of the arena.
+func (r *rowArena) take(n int) []float64 {
+	if len(r.buf)+n > cap(r.buf) {
+		r.buf = make([]float64, 0, max(2*cap(r.buf), 64*n))
+	}
+	at := len(r.buf)
+	r.buf = r.buf[:at+n]
+	r.used += n
+	return r.buf[at : at+n : at+n]
 }
 
 // NewAgent constructs an agent for environments with the given state
@@ -220,9 +248,15 @@ type step struct {
 	action  int
 	reward  float64
 	logProb float64
-	oldDist []float64 // masked policy at collection time (for KL)
-	ret     float64   // discounted return-to-go, filled by finishEpisode
-	adv     float64   // advantage, filled by the updater
+	// acts, oldDist and lse are the actor's forward pass at collection time:
+	// its activations (nn.Workspace.CopyActivations), the masked policy and
+	// that policy's log-sum-exp. Nothing changes the weights before the
+	// update's first epoch, which restores them instead of recomputing them.
+	acts    []float64
+	oldDist []float64
+	lse     float64
+	ret     float64 // discounted return-to-go, filled by finishEpisode
+	adv     float64 // advantage, filled by the updater
 }
 
 // trajectory is one collected episode.
@@ -419,7 +453,8 @@ func logIteration(it IterationStats) {
 
 // collect gathers n episodes using cfg.Workers parallel actor-learners. The
 // actor network is only read during collection, so sharing it across
-// goroutines is safe; each worker owns an environment clone and rng.
+// goroutines is safe; each worker owns an environment clone, rng and row
+// arena. The steps point into the arenas until the next collection.
 func (a *Agent) collect(env Environment, n int) []trajectory {
 	workers := a.cfg.Workers
 	if workers > n {
@@ -431,14 +466,18 @@ func (a *Agent) collect(env Environment, n int) []trajectory {
 	for i := range seeds {
 		seeds[i] = a.rng.Int63()
 	}
+	for len(a.buf.rows) < workers {
+		a.buf.rows = append(a.buf.rows, rowArena{})
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			wenv, ws := env.Clone(), a.actor.NewWorkspace(1)
+			wenv, ws, rows := env.Clone(), a.actor.NewWorkspace(1), &a.buf.rows[w]
+			rows.reset()
 			for i := w; i < n; i += workers {
-				trajs[i] = a.runEpisode(wenv, rand.New(rand.NewSource(seeds[i])), ws)
+				trajs[i] = a.runEpisode(wenv, rand.New(rand.NewSource(seeds[i])), ws, rows)
 			}
 		}(w)
 	}
@@ -447,15 +486,19 @@ func (a *Agent) collect(env Environment, n int) []trajectory {
 }
 
 // runEpisode plays one episode with the current stochastic policy, forwarding
-// through the worker's one-sample workspace ws.
-func (a *Agent) runEpisode(env Environment, rng *rand.Rand, ws *nn.Workspace) trajectory {
+// through the worker's one-sample workspace ws and keeping each step's forward
+// pass in rows.
+func (a *Agent) runEpisode(env Environment, rng *rand.Rand, ws *nn.Workspace, rows *rowArena) trajectory {
 	var tr trajectory
+	width := ws.Width()
 	state, mask := env.Reset()
 	for {
 		copy(ws.Input(0), state)
 		a.actor.ForwardBatch(ws, 0, 1)
-		dist := make([]float64, a.actions)
-		nn.Softmax(dist, ws.Output(0), mask)
+		row := rows.take(width + a.actions)
+		acts, dist := row[:width:width], row[width:]
+		ws.CopyActivations(acts, 0)
+		lse := nn.Softmax(dist, ws.Output(0), mask)
 		var mass float64
 		for _, p := range dist {
 			mass += p
@@ -471,7 +514,9 @@ func (a *Agent) runEpisode(env Environment, rng *rand.Rand, ws *nn.Workspace) tr
 			action:  action,
 			reward:  reward,
 			logProb: math.Log(math.Max(dist[action], 1e-12)),
+			acts:    acts,
 			oldDist: dist,
+			lse:     lse,
 		})
 		tr.reward += reward
 		state, mask = next, nextMask
@@ -590,10 +635,12 @@ func (a *Agent) parallelFor(n int, fn func(i int)) {
 // update applies the PPO (or ablated) optimization over a batch of
 // trajectories and returns loss telemetry measured during the first epoch
 // (against the collection-time policy). The batch is one matrix per network:
-// its states are copied into the workspaces once, and every epoch runs the
-// steps forward and back by sample chunk, then sums and applies the gradients
-// by row chunk. The networks are only read while the workspaces are written,
-// and only written row by row once they are not.
+// the actor's first epoch restores each step's collection-time forward pass
+// into it, the critic's states are copied in once, and every epoch runs the
+// steps forward (from the second epoch on, for the actor) and back by sample
+// chunk, then sums and applies the gradients by row chunk. The networks are
+// only read while the workspaces are written, and only written row by row once
+// they are not.
 func (a *Agent) update(trajs []trajectory) updateStats {
 	var us updateStats
 	b := &a.buf
@@ -618,7 +665,6 @@ func (a *Agent) update(trajs []trajectory) updateStats {
 		b.stepStats = make([]stepStats, n)
 	}
 	for i, s := range steps {
-		copy(b.actorWS.Input(i), s.state)
 		copy(b.criticWS.Input(i), s.state)
 	}
 	chunks := (n + stepChunk - 1) / stepChunk
@@ -650,7 +696,13 @@ func (a *Agent) update(trajs []trajectory) updateStats {
 		first := epoch == 0
 		a.parallelFor(chunks, func(ci int) {
 			lo, hi := ci*stepChunk, min((ci+1)*stepChunk, n)
-			a.actor.ForwardBatch(b.actorWS, lo, hi)
+			if first {
+				for i := lo; i < hi; i++ {
+					b.actorWS.SetActivations(i, steps[i].acts)
+				}
+			} else {
+				a.actor.ForwardBatch(b.actorWS, lo, hi)
+			}
 			for i := lo; i < hi; i++ {
 				var st *stepStats
 				if first {
@@ -710,12 +762,19 @@ func (a *Agent) apply(net *nn.MLP, ws *nn.Workspace, g *nn.Grads, opt *nn.Adam, 
 
 // policyStep turns one step's actor logits into the loss gradient at those
 // logits, scaled and written to delta; logits is overwritten (with log p, as
-// scratch). When st is non-nil it also records the step's loss telemetry. The
-// masked softmax is computed once: p into delta, log p into logits, and the
-// entropy from both.
+// scratch). st is non-nil in the first epoch, whose policy is the collection
+// one: it receives the step's loss telemetry, and the masked softmax p and its
+// log-sum-exp are the step's own. Otherwise p is computed once, into delta;
+// either way log p goes into logits, and the entropy comes from both.
 func (a *Agent) policyStep(s *step, logits, delta []float64, scale float64, st *stepStats) {
 	valid := func(i int) bool { return s.mask == nil || s.mask[i] }
-	lse := nn.Softmax(delta, logits, s.mask)
+	var lse float64
+	if st != nil {
+		lse = s.lse
+		copy(delta, s.oldDist)
+	} else {
+		lse = nn.Softmax(delta, logits, s.mask)
+	}
 	logp := func(i int) float64 {
 		if !valid(i) || math.IsInf(logits[i], -1) || math.IsInf(lse, -1) {
 			return math.Inf(-1)
@@ -743,17 +802,19 @@ func (a *Agent) policyStep(s *step, logits, delta []float64, scale float64, st *
 		surrogateLoss = g
 	}
 
-	// Entropy H = −Σ p log p and, in the first epoch, KL(old || new). Each
-	// log p is taken once and kept for the gradient below.
+	// Entropy H = −Σ p log p and, in the first epoch, KL(old || new), where
+	// the old policy is p itself (a valid action is the only kind with p > 0),
+	// so one log p serves both. Each log p is kept for the gradient below.
 	var h, kl float64
 	if st != nil || a.cfg.EntropyCoef > 0 {
 		for i, p := range delta {
-			if st != nil && valid(i) && s.oldDist[i] > 0 {
-				kl += s.oldDist[i] * (math.Log(s.oldDist[i]) - logp(i))
-			}
 			if p > 0 {
-				logits[i] = math.Log(p)
-				h -= p * logits[i]
+				lp := math.Log(p)
+				if st != nil {
+					kl += p * (lp - logp(i))
+				}
+				logits[i] = lp
+				h -= p * lp
 			}
 		}
 	}

@@ -21,8 +21,9 @@ go build ./...
 # actually rerun; the timeout turns a hang into a failure. What it guards, by
 # package: the scoring worker pool and the row-split PPO update stay race-free
 # and worker-count-deterministic (metrics, rl); the FuzzRowVsColumnar seed
-# corpus holds the engine to the row-at-a-time reference — byte-identical
-# results, guard and error semantics (engine); the
+# corpus holds the engine's answer as a table, a frame, a lineage and a count
+# to the row-at-a-time reference — byte-identical results, guard and error
+# semantics (engine); the
 # randomized fault-injection sweeps end without panic, race or hang, a failure
 # log naming the seed to replay (faults, core, engine); admission control,
 # circuit breaker, drain and hot swap under concurrent clients (server); the
@@ -48,19 +49,23 @@ done
 # canonical rendering or an operator opens up next to the seeds. FuzzParse holds
 # sqlparse.Parse to its two properties on network-shaped input (it returns,
 # promptly, on any bytes; a statement it accepts round-trips through
-# Select.String), FuzzRowVsColumnar the columnar engine to the row engine, and
-# FuzzParseTraceparent the traceparent header parser (never panics; an accepted
-# header's IDs render back byte for byte and re-parse to the same identity),
-# and FuzzEncodeQueryResponse the /query encoder to encoding/json, byte for
-# byte, on frames that cross its morsel boundaries.
+# Select.String), FuzzRowVsColumnar the columnar engine's table, frame,
+# lineage (LineageContext) and count answers to the row engine — lineage, count
+# and error string under every guard and fault mode, FuzzTuples the lineage
+# normalisation to its string-key reference (the same tuples in the same
+# order), FuzzParseTraceparent the traceparent header parser (never panics; an
+# accepted header's IDs render back byte for byte and re-parse to the same
+# identity), and FuzzEncodeQueryResponse the /query encoder to encoding/json,
+# byte for byte, on frames that cross its morsel boundaries.
 # The three disk-facing targets ride along: FuzzLoad (snapshot bytes: a system
 # or an error, never a panic), FuzzWALReplay (a damaged log opens, replays a
 # subsequence of what was written and accounts for the rest) and FuzzReadCSV
 # (CSV bytes: the columns or the error of the row-at-a-time reference loader,
 # and a table that loads writes and reads back to a fixed point).
-echo "==> fuzz smoke: FuzzParse, FuzzRowVsColumnar, FuzzParseTraceparent, FuzzEncodeQueryResponse, FuzzLoad, FuzzWALReplay, FuzzReadCSV"
+echo "==> fuzz smoke: FuzzParse, FuzzRowVsColumnar, FuzzTuples, FuzzParseTraceparent, FuzzEncodeQueryResponse, FuzzLoad, FuzzWALReplay, FuzzReadCSV"
 go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/sqlparse/
 go test -run='^$' -fuzz=FuzzRowVsColumnar -fuzztime=20s ./internal/engine/
+go test -run='^$' -fuzz=FuzzTuples -fuzztime=5s ./internal/metrics/
 go test -run='^$' -fuzz=FuzzParseTraceparent -fuzztime=5s ./internal/obs/
 go test -run='^$' -fuzz=FuzzEncodeQueryResponse -fuzztime=5s ./internal/server/
 go test -run='^$' -fuzz=FuzzLoad -fuzztime=5s ./internal/core/
