@@ -10,6 +10,7 @@ import (
 
 	"asqprl/internal/engine"
 	"asqprl/internal/faults"
+	"asqprl/internal/obs"
 	"asqprl/internal/rl"
 )
 
@@ -165,9 +166,32 @@ func TestQueryMaxRowsDegrades(t *testing.T) {
 	}
 }
 
-// TestQueryFaultFallsBackToApprox: when every full-database attempt fails
-// with an injected fault, the ladder serves the approximation set's answer
-// tagged Degraded.
+// TestQuerySetRowsWhenFullSkipped: with the full database off-limits
+// (SkipFull, the breaker open), a row-budget trip on the approximation set
+// serves the set's partial rows, tagged Degraded with reason "breaker".
+func TestQuerySetRowsWhenFullSkipped(t *testing.T) {
+	sys := trainedSystem(t)
+	sql := "SELECT * FROM title WHERE rating > 7" // from the training workload
+	if pred, _ := sys.Estimator().Estimate(mustParseCore(t, sql)); pred < EstimatorThreshold {
+		t.Skip("query unexpectedly routed to the full database")
+	}
+	res, err := sys.QueryContext(context.Background(), sql, QueryOptions{MaxRows: 2, SkipFull: true})
+	if err != nil {
+		t.Fatalf("row-budget trip with the full database skipped should degrade, not fail: %v", err)
+	}
+	if !res.Degraded || res.DegradedReason != "breaker" || !res.FromApproximation || res.FullAttempted {
+		t.Fatalf("degraded=%v reason=%q approx=%v full attempted=%v, want a breaker-degraded set answer",
+			res.Degraded, res.DegradedReason, res.FromApproximation, res.FullAttempted)
+	}
+	if res.Table.NumRows() != 2 {
+		t.Errorf("partial result has %d rows, want 2", res.Table.NumRows())
+	}
+}
+
+// TestQueryFaultFallsBackToApprox: when the full-database run fails with an
+// injected fault, the ladder serves the approximation set's answer tagged
+// Degraded, entering each rung once: one full-database span, one
+// approximation span, no second attempt.
 func TestQueryFaultFallsBackToApprox(t *testing.T) {
 	sys := trainedSystem(t)
 	sql := "SELECT * FROM name WHERE birth_year > 1800" // routes to full DB
@@ -175,24 +199,67 @@ func TestQueryFaultFallsBackToApprox(t *testing.T) {
 	if pred >= EstimatorThreshold {
 		t.Skip("query unexpectedly routed to the approximation set")
 	}
-	// Fail the full-DB scans persistently, but only after the scans the
-	// approximation-set fallback will itself perform remain unarmed: arm
-	// enough fires for the retries, then let the fallback through.
+	keepEveryTrace(t)
+	// Fail the one full-database scan (single table); the approximation
+	// set's scan after it runs clean.
 	faults.Enable(faults.NewSchedule(1, faults.Injection{
 		Point:    faults.PointEngineScan,
 		Kind:     faults.KindError,
-		MaxFires: 3, // initial attempt + 2 retries, one scan each (single table)
+		MaxFires: 1,
 	}))
 	defer faults.Disable()
-	res, err := sys.QueryContext(context.Background(), sql, QueryOptions{Backoff: time.Microsecond})
+	res, err := sys.QueryContext(context.Background(), sql, QueryOptions{})
 	if err != nil {
 		t.Fatalf("expected degraded approx answer, got error %v", err)
 	}
 	if !res.Degraded || !res.FromApproximation {
 		t.Fatalf("want Degraded approx answer, got degraded=%v approx=%v", res.Degraded, res.FromApproximation)
 	}
-	if res.DegradedReason != "fault" {
-		t.Errorf("DegradedReason = %q, want fault", res.DegradedReason)
+	if res.DegradedReason != "fault" || res.FullFailure != "fault" {
+		t.Errorf("DegradedReason = %q, FullFailure = %q, want fault", res.DegradedReason, res.FullFailure)
+	}
+
+	traces := obs.KeptTraces()
+	if len(traces) != 1 || traces[0].Root.Name != "core/query" {
+		t.Fatalf("want one core/query trace, got %d", len(traces))
+	}
+	rungs := map[string]int{}
+	for _, c := range traces[0].Root.Children {
+		rungs[c.Name]++
+	}
+	if rungs[rungFull] != 1 || rungs[rungApprox] != 1 || len(rungs) != 2 {
+		t.Errorf("rung spans = %v, want one %s and one %s", rungs, rungFull, rungApprox)
+	}
+	var events []string
+	for _, ev := range traces[0].Root.Events {
+		events = append(events, ev.Name)
+	}
+	if got := strings.Join(events, " "); got != "guard_trip degraded" {
+		t.Errorf("ladder events = %q, want \"guard_trip degraded\"", got)
+	}
+}
+
+// TestQueryStatementErrorEndsLadder: a statement that cannot bind fails the
+// same way on every rung, so the first rung that meets it returns it as an
+// engine.ErrStatement, tagged "statement", with nothing degraded.
+func TestQueryStatementErrorEndsLadder(t *testing.T) {
+	sys := trainedSystem(t)
+	for _, sql := range []string{
+		"SELECT nosuch FROM name WHERE birth_year > 1800",
+		"SELECT nosuch FROM title WHERE rating > 7",
+	} {
+		stmt := mustParseCore(t, sql)
+		pred, _ := sys.Estimator().Estimate(stmt)
+		res, err := sys.QueryStmtContext(context.Background(), stmt, QueryOptions{})
+		if !errors.Is(err, engine.ErrStatement) || !strings.Contains(err.Error(), `column "nosuch" not found`) {
+			t.Fatalf("%s: err = %v, want the engine's bind error", sql, err)
+		}
+		if res.Degraded {
+			t.Errorf("%s: degraded (%s)", sql, res.DegradedReason)
+		}
+		if full := pred < EstimatorThreshold; res.FullAttempted != full || (full && res.FullFailure != "statement") {
+			t.Errorf("%s: routed full=%v, FullAttempted=%v FullFailure=%q", sql, full, res.FullAttempted, res.FullFailure)
+		}
 	}
 }
 
@@ -206,7 +273,7 @@ func TestQueryPanicRecovered(t *testing.T) {
 	}))
 	defer faults.Disable()
 	res, err := sys.QueryContext(context.Background(),
-		"SELECT * FROM name WHERE birth_year > 1800", QueryOptions{Backoff: time.Microsecond})
+		"SELECT * FROM name WHERE birth_year > 1800", QueryOptions{})
 	if err == nil && !res.Degraded {
 		t.Fatal("persistent panics should yield an error or a degraded result")
 	}

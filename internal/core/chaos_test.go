@@ -87,7 +87,7 @@ func TestChaosTrainAndQuery(t *testing.T) {
 
 		for i, sql := range probes {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			res, err := sys.QueryContext(ctx, sql, QueryOptions{Backoff: time.Microsecond})
+			res, err := sys.QueryContext(ctx, sql, QueryOptions{})
 			cancel()
 			if err != nil {
 				if !acceptableChaosError(err) {

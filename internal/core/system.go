@@ -284,21 +284,22 @@ type QueryResult struct {
 	// degraded result is never silently returned as exact.
 	Degraded bool
 	// DegradedReason names the guard or fault behind the degradation:
-	// "deadline", "rows", "canceled", "fault", or "breaker" (the caller
-	// routed around the full database via QueryOptions.SkipFull).
+	// "rows", "fault", or "breaker" (the caller routed around the full
+	// database via QueryOptions.SkipFull).
 	DegradedReason string
 	// FullAttempted is true when the full-database rung actually executed
 	// (successfully or not). Serving-layer circuit breakers use it to
 	// attribute failures to the expensive path rather than the set.
 	FullAttempted bool
-	// FullFailure names the guard behind the last full-database failure
-	// ("deadline", "rows", "canceled", or "fault"); empty when the full
+	// FullFailure names what stopped the full-database rung: a guard
+	// ("deadline", "rows", "canceled"), "statement" (the statement cannot
+	// run; see engine.ErrStatement), or "fault"; empty when the full
 	// database answered or was never attempted.
 	FullFailure string
 }
 
-// QueryOptions bounds one query's execution and tunes the fallback ladder of
-// QueryContext.
+// QueryOptions bounds one query's execution and routes its ladder (see
+// QueryStmtContext).
 type QueryOptions struct {
 	// Timeout is the per-query wall-clock deadline (0 = none). It combines
 	// with any deadline already carried by the context; the earlier wins.
@@ -306,14 +307,6 @@ type QueryOptions struct {
 	// MaxRows bounds the number of result rows (0 = unlimited). When the
 	// budget trips, the rows produced so far may be served tagged Degraded.
 	MaxRows int
-	// MaxIntermediateRows bounds join intermediates (0 = engine default).
-	MaxIntermediateRows int
-	// Retries is how many extra full-database attempts the fallback makes
-	// after a transient failure (negative disables retries; 0 = default 2).
-	Retries int
-	// Backoff is the initial delay between fallback retries, doubling each
-	// attempt (0 = default 5ms).
-	Backoff time.Duration
 	// SkipFull routes around the full-database rung entirely: queries the
 	// estimator would send to the full database are answered from the
 	// approximation set, tagged Degraded with reason "breaker". Serving
@@ -325,19 +318,6 @@ type QueryOptions struct {
 	// flag, so synthetic traffic (health probes, load tests) cannot poison
 	// the fine-tuning signal.
 	SkipDrift bool
-}
-
-func (o QueryOptions) normalize() QueryOptions {
-	if o.Retries == 0 {
-		o.Retries = 2
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 5 * time.Millisecond
-	}
-	return o
 }
 
 // Query answers sql following the inference flow of Figure 1(b): the
@@ -358,21 +338,26 @@ func (s *System) QueryContext(ctx context.Context, sql string, opts QueryOptions
 }
 
 // QueryStmtContext answers stmt under ctx and opts, degrading gracefully
-// instead of failing hard. The ladder:
+// instead of failing hard. The ladder enters each rung at most once:
 //
 //  1. If the estimator predicts the approximation set answers the query, run
 //     there first (the normal fast path).
 //  2. On failure — or when the estimator routes past the set — run on the
-//     full database, retrying transient failures with exponential backoff.
+//     full database, once: execution over an immutable database is
+//     deterministic, so running it again would fail the same way.
 //  3. If the full database cannot answer either, serve a best-effort
-//     substitute tagged Degraded with the guard that fired: the partial rows
-//     a row-budget trip produced, or the approximation set's answer.
+//     substitute tagged Degraded with the guard or fault that stopped it
+//     ("breaker" when SkipFull kept it from running): the partial rows its
+//     row-budget trip produced, or else the approximation set's answer —
+//     run now when rung 1 never ran, or the partial rows rung 1 left.
 //
 // Deadline expiry and cancellation abort the ladder immediately — the caller
-// is gone, so retrying or degrading would only waste cycles; the returned
-// error wraps engine.ErrDeadline / engine.ErrCanceled. Panics anywhere in
-// the serve path (including injected ones) are recovered into errors, never
-// crashing the serving process.
+// is gone, so degrading would only waste cycles; the returned error wraps
+// engine.ErrDeadline / engine.ErrCanceled. So does an error of the statement
+// itself (engine.ErrStatement): it fails the same way on every rung, and it
+// belongs to the client. Panics anywhere in the serve path (including
+// injected ones) are recovered into errors, never crashing the serving
+// process.
 func (s *System) QueryStmtContext(ctx context.Context, stmt *sqlparse.Select, opts QueryOptions) (*QueryResult, error) {
 	return s.answer(ctx, stmt, opts, false)
 }
@@ -385,7 +370,6 @@ func (s *System) QueryFrameContext(ctx context.Context, stmt *sqlparse.Select, o
 }
 
 func (s *System) answer(ctx context.Context, stmt *sqlparse.Select, opts QueryOptions, frames bool) (*QueryResult, error) {
-	opts = opts.normalize()
 	// Trace the ladder: the span joins the caller's trace (the serving
 	// layer's request span) or opens one for direct core callers. Every
 	// degradation decision below lands on it as a span event, so a tail
@@ -409,10 +393,7 @@ func (s *System) answer(ctx context.Context, stmt *sqlparse.Select, opts QueryOp
 		out.Drifted, out.DriftTriggered = s.drift.ObserveDetail(estStmt, conf)
 	}
 
-	eopts := engine.Options{
-		MaxOutputRows:       opts.MaxRows,
-		MaxIntermediateRows: opts.MaxIntermediateRows,
-	}
+	eopts := engine.Options{MaxOutputRows: opts.MaxRows}
 	useApprox := pred >= EstimatorThreshold
 	if span != nil {
 		span.Annotate("sql", stmt.String) // rendered if a snapshot reads it
@@ -426,121 +407,81 @@ func (s *System) answer(ctx context.Context, stmt *sqlparse.Select, opts QueryOp
 	}
 
 	// Rung 1: approximation set, when the estimator trusts it.
-	var approxErr error
+	var err error
+	var setRes *engine.Result // the set's answer, for rung 3
 	if useApprox {
-		res, err := s.runGuarded(ctx, s.setDB, stmt, eopts, rungApprox, frames)
+		setRes, err = s.runGuarded(ctx, s.setDB, stmt, eopts, rungApprox, frames)
 		if err == nil {
 			out.FromApproximation = true
-			out.Table, out.Frame = res.Table, res.Frame
+			out.Table, out.Frame = setRes.Table, setRes.Frame
 			return out, nil
 		}
-		if terminal(err) {
+		if final(err) {
 			span.MarkError(err.Error())
 			return out, err
 		}
-		approxErr = err
-		span.Event("guard_trip", "rung", "approx", "kind", guardKindOrFault(err))
+		// setRes now holds the rows before a row-budget trip, if any.
+		span.Event("guard_trip", "rung", "approx", "kind", failureKind(err))
 	}
 
-	// Rung 2: full database, with retry/backoff for transient failures.
-	// With SkipFull set (circuit breaker open) the rung is skipped wholesale
-	// and the ladder drops straight to the degraded substitute.
-	var fullErr error
-	var partial *engine.Result
+	// Rung 2: full database, once. With SkipFull set (circuit breaker open)
+	// the rung is skipped and the ladder drops straight to the substitute.
+	reason := "breaker"
 	if opts.SkipFull {
 		span.Event("breaker_skip", "rung", "full")
 	} else {
-		backoff := opts.Backoff
-		for attempt := 0; attempt <= opts.Retries; attempt++ {
-			if attempt > 0 {
-				span.Event("retry", "attempt", attempt, "backoff", backoff.String())
-				select {
-				case <-ctx.Done():
-					err := fmt.Errorf("%w: %v", engine.ErrCanceled, ctx.Err())
-					if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-						err = fmt.Errorf("%w: %v", engine.ErrDeadline, ctx.Err())
-					}
-					span.MarkError(err.Error())
-					return out, err
-				case <-time.After(backoff):
-				}
-				backoff *= 2
-			}
-			out.FullAttempted = true
-			res, err := s.runGuarded(ctx, s.db, stmt, eopts, rungFull, frames)
-			if err == nil {
-				out.FullFailure = ""
-				out.FromApproximation = false
-				out.Table, out.Frame = res.Table, res.Frame
-				return out, nil
-			}
-			fullErr = err
-			if kind := engine.GuardKind(err); kind != "" {
-				out.FullFailure = kind
-			} else {
-				out.FullFailure = "fault"
-			}
-			if terminal(err) {
-				span.MarkError(err.Error())
-				return out, err
-			}
-			span.Event("guard_trip", "rung", "full", "kind", out.FullFailure, "attempt", attempt)
-			if res != nil {
-				partial = res // row-budget trip carried partial rows
-			}
-			if errors.Is(err, engine.ErrRowBudget) {
-				break // a budget trip repeats deterministically; don't retry
-			}
+		out.FullAttempted = true
+		res, fullErr := s.runGuarded(ctx, s.db, stmt, eopts, rungFull, frames)
+		if fullErr == nil {
+			out.Table, out.Frame = res.Table, res.Frame
+			return out, nil
 		}
-	}
-
-	// Rung 3: tagged degraded substitute.
-	reason := engine.GuardKind(fullErr)
-	if reason == "" {
-		reason = "fault"
-	}
-	if opts.SkipFull {
-		reason = "breaker"
-	}
-	if partial != nil {
-		out.Degraded = true
-		out.DegradedReason = reason
-		out.FromApproximation = false
-		out.Table, out.Frame = partial.Table, partial.Frame
-		span.MarkDegraded(reason)
-		span.Event("degraded", "reason", reason, "substitute", "partial_rows")
-		return out, nil
-	}
-	// Serve the approximation set's answer: first try when the estimator
-	// routed past it, or a second chance after a transient rung-1 fault when
-	// the full database is off-limits anyway.
-	if !useApprox || opts.SkipFull {
-		if res, err := s.runGuarded(ctx, s.setDB, stmt, eopts, rungApprox, frames); err == nil {
-			out.Degraded = true
-			out.DegradedReason = reason
-			out.FromApproximation = true
+		err, reason = fullErr, failureKind(fullErr)
+		out.FullFailure = reason
+		if final(err) {
+			span.MarkError(err.Error())
+			return out, err
+		}
+		span.Event("guard_trip", "rung", "full", "kind", reason)
+		if res != nil { // a row-budget trip carries the rows before it
+			out.Degraded, out.DegradedReason = true, reason
 			out.Table, out.Frame = res.Table, res.Frame
 			span.MarkDegraded(reason)
-			span.Event("degraded", "reason", reason, "substitute", "approximation")
+			span.Event("degraded", "reason", reason, "substitute", "partial_rows")
 			return out, nil
-		} else if approxErr == nil {
-			approxErr = err
 		}
 	}
-	if fullErr == nil {
-		fullErr = approxErr
+
+	// Rung 3: the approximation set's answer, tagged degraded: run now when
+	// rung 1 was skipped, or the partial rows rung 1 left.
+	if !useApprox {
+		res, approxErr := s.runGuarded(ctx, s.setDB, stmt, eopts, rungApprox, frames)
+		if approxErr == nil {
+			setRes = res
+		} else if err == nil || final(approxErr) {
+			err = approxErr
+		}
 	}
-	if fullErr == nil {
-		fullErr = fmt.Errorf("core: query failed on every rung")
+	if setRes != nil {
+		out.Degraded, out.DegradedReason = true, reason
+		out.FromApproximation = true
+		out.Table, out.Frame = setRes.Table, setRes.Frame
+		span.MarkDegraded(reason)
+		span.Event("degraded", "reason", reason, "substitute", "approximation")
+		return out, nil
 	}
-	span.MarkError(fullErr.Error())
-	return out, fullErr
+	span.MarkError(err.Error())
+	return out, err
 }
 
-// guardKindOrFault is GuardKind with "" mapped to "fault" for labeling.
-func guardKindOrFault(err error) string {
+// failureKind names what stopped a rung: the guard (engine.GuardKind),
+// "statement" for an error of the statement itself, otherwise "fault".
+func failureKind(err error) string {
 	if kind := engine.GuardKind(err); kind != "" {
 		return kind
+	}
+	if errors.Is(err, engine.ErrStatement) {
+		return "statement"
 	}
 	return "fault"
 }
@@ -572,11 +513,17 @@ func (s *System) runGuarded(ctx context.Context, db *table.Database, stmt *sqlpa
 	return engine.ExecuteWithContext(ctx, db, stmt, eopts)
 }
 
-// terminal reports whether err ends the ladder immediately: the caller's
-// deadline expired or the query was canceled.
+// terminal reports whether the caller is gone: the deadline expired or the
+// query was canceled.
 func terminal(err error) bool {
 	return errors.Is(err, engine.ErrDeadline) || errors.Is(err, engine.ErrCanceled) ||
 		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// final reports whether err ends the ladder at once: the caller is gone, or
+// the statement itself cannot run, and no other rung would do better.
+func final(err error) bool {
+	return terminal(err) || errors.Is(err, engine.ErrStatement)
 }
 
 // QueryApprox always answers from the approximation set, regardless of the

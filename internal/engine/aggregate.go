@@ -188,7 +188,7 @@ func aggregateRows(b *binder, stmt *sqlparse.Select, n int, tuple func(i int) ev
 	}, callIndex, g)
 }
 
-var errStarAggregate = errors.New("engine: SELECT * cannot be combined with aggregates")
+var errStarAggregate error = statementError{errors.New("engine: SELECT * cannot be combined with aggregates")}
 
 // emitAggRows materializes the output table from n groups in first-appearance
 // order, applying HAVING and the output-row budget; load fills in group gi.

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"asqprl/internal/obs"
@@ -443,7 +442,7 @@ func finish(stmt *sqlparse.Select, res *Result, tuple func(i int) evalEnv) (*Res
 					continue
 				}
 				if tuple == nil {
-					return nil, fmt.Errorf("engine: ORDER BY %s does not match an output column", o.Expr)
+					return nil, statementErrorf("engine: ORDER BY %s does not match an output column", o.Expr)
 				}
 				at := i
 				if src != nil {

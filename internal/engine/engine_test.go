@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -350,6 +351,9 @@ func TestCrossProductLimitEnforced(t *testing.T) {
 	if err == nil {
 		t.Error("cross product over limit should fail")
 	}
+	if errors.Is(err, ErrStatement) {
+		t.Errorf("a row-budget trip is not an error of the statement: %v", err)
+	}
 }
 
 func TestErrorCases(t *testing.T) {
@@ -365,14 +369,23 @@ func TestErrorCases(t *testing.T) {
 		"SELECT * FROM movies GROUP BY genre",                              // star with group by
 		"SELECT title FROM movies ORDER BY ghost",                          // unknown order col
 		"SELECT genre, COUNT(*) FROM movies GROUP BY genre ORDER BY ghost", // unknown agg order col
+		"SELECT title + 1 FROM movies",                                     // arithmetic on a string
+		"SELECT -title FROM movies",                                        // negated string
 	}
 	for _, sql := range bad {
-		if _, err := ExecuteSQL(db, sql); err == nil {
+		_, err := ExecuteSQL(db, sql)
+		switch {
+		case err == nil:
 			// "SELECT id FROM movies, credits" is actually unambiguous; skip.
 			if sql == "SELECT id FROM movies, credits" {
 				continue
 			}
 			t.Errorf("%s: expected error", sql)
+		case !errors.Is(err, ErrStatement):
+			if _, perr := sqlparse.Parse(sql); perr != nil {
+				continue // rejected by the grammar before the engine runs
+			}
+			t.Errorf("%s: %v does not match ErrStatement", sql, err)
 		}
 	}
 }

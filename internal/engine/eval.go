@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"regexp"
 	"strings"
@@ -9,6 +10,26 @@ import (
 	"asqprl/internal/sqlparse"
 	"asqprl/internal/table"
 )
+
+// ErrStatement marks an error in the statement itself: a table or column
+// that does not bind, an ORDER BY that names no output column, an operator
+// applied to values it cannot take, a bad LIKE pattern. Such a statement is
+// wrong whatever data it runs on, so callers match it with errors.Is and hand
+// it back to the client rather than retry or degrade. The marked error's text
+// is its message alone.
+var ErrStatement = errors.New("engine: statement error")
+
+// statementError is an error of the statement, matching ErrStatement.
+type statementError struct{ err error }
+
+func (e statementError) Error() string        { return e.err.Error() }
+func (e statementError) Unwrap() error        { return e.err }
+func (e statementError) Is(target error) bool { return target == ErrStatement }
+
+// statementErrorf formats an error of the statement.
+func statementErrorf(format string, args ...any) error {
+	return statementError{fmt.Errorf(format, args...)}
+}
 
 // binding maps a column reference to (relation index, column index).
 type binding struct {
@@ -29,11 +50,11 @@ func newBinder(db *table.Database, stmt *sqlparse.Select) (*binder, error) {
 	add := func(ref sqlparse.TableRef) error {
 		t := db.Table(ref.Table)
 		if t == nil {
-			return fmt.Errorf("engine: unknown table %q", ref.Table)
+			return statementErrorf("engine: unknown table %q", ref.Table)
 		}
 		for _, existing := range b.refs {
 			if strings.EqualFold(existing.Name(), ref.Name()) {
-				return fmt.Errorf("engine: duplicate relation name %q (alias it)", ref.Name())
+				return statementErrorf("engine: duplicate relation name %q (alias it)", ref.Name())
 			}
 		}
 		b.refs = append(b.refs, ref)
@@ -77,12 +98,12 @@ func (b *binder) resolve(c *sqlparse.ColumnRef) (binding, error) {
 	}
 	switch len(found) {
 	case 0:
-		return binding{}, fmt.Errorf("engine: column %q not found", c.String())
+		return binding{}, statementErrorf("engine: column %q not found", c.String())
 	case 1:
 		b.bindings[c] = found[0]
 		return found[0], nil
 	default:
-		return binding{}, fmt.Errorf("engine: column %q is ambiguous", c.String())
+		return binding{}, statementErrorf("engine: column %q is ambiguous", c.String())
 	}
 }
 
@@ -190,7 +211,7 @@ func likeRegexp(pattern string) (*regexp.Regexp, error) {
 	b.WriteString("$")
 	re, err := regexp.Compile(b.String())
 	if err != nil {
-		return nil, fmt.Errorf("engine: bad LIKE pattern %q: %w", pattern, err)
+		return nil, statementErrorf("engine: bad LIKE pattern %q: %w", pattern, err)
 	}
 	likeMu.Lock()
 	if _, exists := likeCache[pattern]; !exists {
@@ -238,7 +259,7 @@ func evalExpr(e sqlparse.Expr, env evalEnv) (table.Value, error) {
 			case table.KindNull:
 				return table.Null, nil
 			}
-			return table.Null, fmt.Errorf("engine: cannot negate %v", v.Kind)
+			return table.Null, statementErrorf("engine: cannot negate %v", v.Kind)
 		}
 		return table.Null, fmt.Errorf("engine: unknown unary op %q", x.Op)
 	case *sqlparse.Binary:
@@ -301,7 +322,7 @@ func evalExpr(e sqlparse.Expr, env evalEnv) (table.Value, error) {
 		}
 		return table.NewBool(v.IsNull() != x.Not), nil
 	case *sqlparse.Call:
-		return table.Null, fmt.Errorf("engine: aggregate %s not allowed in this context", x.Name)
+		return table.Null, statementErrorf("engine: aggregate %s not allowed in this context", x.Name)
 	}
 	return table.Null, fmt.Errorf("engine: unsupported expression %T", e)
 }
@@ -382,7 +403,7 @@ func evalBinary(x *sqlparse.Binary, env evalEnv) (table.Value, error) {
 			return table.Null, nil
 		}
 		if !l.IsNumeric() || !r.IsNumeric() {
-			return table.Null, fmt.Errorf("engine: arithmetic %q on non-numeric values", x.Op)
+			return table.Null, statementErrorf("engine: arithmetic %q on non-numeric values", x.Op)
 		}
 		if l.Kind == table.KindInt && r.Kind == table.KindInt && x.Op != "/" {
 			a, b := l.Int, r.Int

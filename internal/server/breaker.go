@@ -33,7 +33,8 @@ func (s breakerState) String() string {
 // When the expensive path trips its guards (deadline, row budget, fault) N
 // times in a row, the breaker opens: queries route around the full database
 // and are answered from the approximation set tagged Degraded, instead of
-// stacking doomed retries on a sick backend. After a jittered cooldown the
+// stacking doomed work on a sick backend. An error of the statement itself
+// says nothing about the backend and does not count. After a jittered cooldown the
 // breaker goes half-open and lets exactly one probe through; a successful
 // probe closes it, a failed probe reopens it with doubled (capped) cooldown.
 //

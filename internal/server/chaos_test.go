@@ -31,8 +31,6 @@ func TestChaosOverloadWithFaults(t *testing.T) {
 		QueueDepth:     4,
 		DefaultTimeout: 2 * time.Second,
 		DrainTimeout:   5 * time.Second,
-		Retries:        -1,
-		Backoff:        time.Millisecond,
 		BreakerTrips:   3,
 	})
 
@@ -148,7 +146,6 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	srv, base := startServer(t, sys, Config{
 		MaxInFlight:     2,
 		DefaultTimeout:  2 * time.Second,
-		Retries:         -1,
 		BreakerTrips:    2,
 		BreakerCooldown: 300 * time.Millisecond,
 	})

@@ -27,7 +27,7 @@ func TestConfigSurfaceIsClosed(t *testing.T) {
 			"EarlyStopPatience RL EmbedDim DriftConfidence DriftCount Parallelism Seed",
 		"rl.Config": "Hidden LR Gamma ClipEpsilon EntropyCoef KLCoef UseCritic Epochs Workers " +
 			"EpisodesPerIteration Seed",
-		"server.Config": "Addr MaxInFlight QueueDepth DefaultTimeout MaxRows Retries Backoff " +
+		"server.Config": "Addr MaxInFlight QueueDepth DefaultTimeout MaxRows " +
 			"BreakerTrips BreakerCooldown DrainTimeout Seed AuditSample AuditWorkers DriftObserve " +
 			"Retrain WAL SLOAvailability SLOLatencyP99 SLOQualityP95 SLOWindows SLOClock DiagDir " +
 			"DiagMinInterval",

@@ -60,9 +60,6 @@ type Config struct {
 	// MaxRows caps per-query result rows — the serving layer always bounds
 	// result size.
 	MaxRows int
-	// Retries and Backoff pass through to core.QueryOptions.
-	Retries int
-	Backoff time.Duration
 	// BreakerTrips is the consecutive full-database guard-trip count that
 	// opens the circuit breaker.
 	BreakerTrips int
@@ -164,7 +161,6 @@ func (c Config) Validate() error {
 		v    time.Duration
 	}{
 		{"query timeout", c.DefaultTimeout},
-		{"retry backoff", c.Backoff},
 		{"breaker cooldown", c.BreakerCooldown},
 		{"drain timeout", c.DrainTimeout},
 		{"latency SLO target", c.SLOLatencyP99},
@@ -184,7 +180,6 @@ func (c Config) Validate() error {
 	}{
 		{"max in-flight", c.MaxInFlight},
 		{"max rows", c.MaxRows},
-		{"retries", c.Retries},
 		{"breaker trips", c.BreakerTrips},
 		{"audit workers", c.AuditWorkers},
 	} {
@@ -628,8 +623,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	opts := core.QueryOptions{
 		Timeout:   0, // ctx already carries the deadline
 		MaxRows:   maxRows,
-		Retries:   s.cfg.Retries,
-		Backoff:   s.cfg.Backoff,
 		SkipFull:  skipFull,
 		SkipDrift: !s.cfg.DriftObserve,
 	}
@@ -726,7 +719,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // fullRungFailed reports whether the query's full-database rung tripped a
 // guard or fault that should count against the circuit breaker. Client
-// cancellation does not count — it says nothing about backend health.
+// cancellation and an error of the statement do not count: they say nothing
+// about backend health.
 func fullRungFailed(res *core.QueryResult) bool {
 	if res == nil || !res.FullAttempted {
 		return false
@@ -919,10 +913,13 @@ func parseQueryRequest(r *http.Request) (QueryRequest, error) {
 	return req, nil
 }
 
-// statusForError maps query errors to HTTP statuses: deadline → 504, client
-// cancellation → 499 (nginx convention), anything else → 500.
+// statusForError maps query errors to HTTP statuses: a statement that cannot
+// run, or a row budget it trips with no rows to serve → 400, deadline → 504,
+// client cancellation → 499 (nginx convention), anything else → 500.
 func statusForError(err error) int {
 	switch {
+	case errors.Is(err, engine.ErrStatement), errors.Is(err, engine.ErrRowBudget):
+		return http.StatusBadRequest
 	case errors.Is(err, engine.ErrDeadline), errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, engine.ErrCanceled), errors.Is(err, context.Canceled):

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"asqprl/internal/core"
 	"asqprl/internal/engine"
 	"asqprl/internal/faults"
 	"asqprl/internal/obs"
@@ -114,7 +115,6 @@ func TestAdmissionShedsAtQueueLimit(t *testing.T) {
 		MaxInFlight:    1,
 		QueueDepth:     1,
 		DefaultTimeout: 5 * time.Second,
-		Retries:        -1,
 	})
 
 	// Slow every scan down so requests overlap deterministically.
@@ -304,7 +304,6 @@ func TestDrainWaitsForInflight(t *testing.T) {
 		MaxInFlight:    2,
 		DefaultTimeout: 5 * time.Second,
 		DrainTimeout:   5 * time.Second,
-		Retries:        -1,
 	})
 
 	faults.Enable(faults.NewSchedule(1, faults.Injection{
@@ -355,7 +354,6 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 		MaxInFlight:    1,
 		DefaultTimeout: 5 * time.Second,
 		DrainTimeout:   100 * time.Millisecond,
-		Retries:        -1,
 	})
 
 	faults.Enable(faults.NewSchedule(1, faults.Injection{
@@ -420,7 +418,7 @@ func TestRegistryNameSetIsClosed(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
 	sys := trainedSystem(t)
-	srv := New(sys, Config{BreakerTrips: 1, BreakerCooldown: time.Hour, Retries: -1})
+	srv := New(sys, Config{BreakerTrips: 1, BreakerCooldown: time.Hour})
 	h := srv.Handler()
 	names := func() [2]int {
 		snap := obs.Default().Snapshot()
@@ -489,6 +487,34 @@ func TestRegistryNameSetIsClosed(t *testing.T) {
 
 	if after := names(); after != before {
 		t.Errorf("registry names (counters, histograms) grew from %v to %v under requests", before, after)
+	}
+}
+
+// TestUnbindableStatementIs400AndSparesBreaker: a statement that cannot run
+// on any generation is the client's error. Each one answers 400 at once, and
+// BreakerTrips of them in a row leave the breaker closed, so the next
+// full-routed query is still answered by the full database.
+func TestUnbindableStatementIs400AndSparesBreaker(t *testing.T) {
+	sys := trainedSystem(t)
+	if pred, _ := sys.Estimator().Estimate(mustParse(t, fullRouteSQL)); pred >= core.EstimatorThreshold {
+		t.Skip("fixture query unexpectedly routed to the approximation set")
+	}
+	_, base := startServer(t, sys, Config{})
+	for i := 0; i < DefaultConfig().BreakerTrips; i++ {
+		status, resp := postQuery(t, base, "SELECT nosuch FROM name WHERE birth_year > 1800", 0, 0)
+		if status != http.StatusBadRequest || !strings.Contains(resp.Error, `column "nosuch" not found`) {
+			t.Fatalf("unbindable statement %d: HTTP %d (%q), want 400 naming the column", i, status, resp.Error)
+		}
+	}
+	var st Stats
+	getJSON(t, base+"/stats", &st)
+	if st.BreakerState != "closed" {
+		t.Fatalf("breaker after unbindable statements = %q, want closed", st.BreakerState)
+	}
+	status, resp := postQuery(t, base, fullRouteSQL, 0, 0)
+	if status != http.StatusOK || resp.Source != "full" || resp.Degraded {
+		t.Fatalf("full-routed query after them: HTTP %d source=%q degraded=%v reason=%q, want a clean full answer",
+			status, resp.Source, resp.Degraded, resp.DegradedReason)
 	}
 }
 

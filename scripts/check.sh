@@ -55,19 +55,23 @@ done
 # normalisation to its string-key reference (the same tuples in the same
 # order), FuzzParseTraceparent the traceparent header parser (never panics; an
 # accepted header's IDs render back byte for byte and re-parse to the same
-# identity), and FuzzEncodeQueryResponse the /query encoder to encoding/json,
-# byte for byte, on frames that cross its morsel boundaries.
+# identity), FuzzEncodeQueryResponse the /query encoder to encoding/json,
+# byte for byte, on frames that cross its morsel boundaries, and
+# FuzzQueryRequest the /query handler to its contract on any method, body, q,
+# timeout_ms and max_rows (one JSON object back; 200, 400, 503 or 504, never
+# 500; an error message on every non-200).
 # The three disk-facing targets ride along: FuzzLoad (snapshot bytes: a system
 # or an error, never a panic), FuzzWALReplay (a damaged log opens, replays a
 # subsequence of what was written and accounts for the rest) and FuzzReadCSV
 # (CSV bytes: the columns or the error of the row-at-a-time reference loader,
 # and a table that loads writes and reads back to a fixed point).
-echo "==> fuzz smoke: FuzzParse, FuzzRowVsColumnar, FuzzTuples, FuzzParseTraceparent, FuzzEncodeQueryResponse, FuzzLoad, FuzzWALReplay, FuzzReadCSV"
+echo "==> fuzz smoke: FuzzParse, FuzzRowVsColumnar, FuzzTuples, FuzzParseTraceparent, FuzzEncodeQueryResponse, FuzzQueryRequest, FuzzLoad, FuzzWALReplay, FuzzReadCSV"
 go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/sqlparse/
 go test -run='^$' -fuzz=FuzzRowVsColumnar -fuzztime=20s ./internal/engine/
 go test -run='^$' -fuzz=FuzzTuples -fuzztime=5s ./internal/metrics/
 go test -run='^$' -fuzz=FuzzParseTraceparent -fuzztime=5s ./internal/obs/
 go test -run='^$' -fuzz=FuzzEncodeQueryResponse -fuzztime=5s ./internal/server/
+go test -run='^$' -fuzz=FuzzQueryRequest -fuzztime=5s ./internal/server/
 go test -run='^$' -fuzz=FuzzLoad -fuzztime=5s ./internal/core/
 go test -run='^$' -fuzz=FuzzWALReplay -fuzztime=5s ./internal/wal/
 go test -run='^$' -fuzz=FuzzReadCSV -fuzztime=5s ./internal/table/
