@@ -165,7 +165,7 @@ func main() {
 	var exporter *obs.JSONLExporter
 	if o.traceDir != "" {
 		var err error
-		exporter, err = obs.NewJSONLExporter(o.traceDir, 0, 0)
+		exporter, err = obs.NewJSONLExporter(o.traceDir)
 		if err != nil {
 			fatal(err)
 		}

@@ -88,7 +88,7 @@ func main() {
 		// Batch CLI traces are few and all interesting: keep everything.
 		tracing := obs.TracingConfig{SampleRate: 1, SlowThreshold: *traceSlow}
 		if *traceDir != "" {
-			exporter, err := obs.NewJSONLExporter(*traceDir, 0, 0)
+			exporter, err := obs.NewJSONLExporter(*traceDir)
 			if err != nil {
 				fatal(err)
 			}

@@ -20,6 +20,10 @@
 //  3. Everything is bounded: the pending-audit queue, the per-shape stats
 //     map, and the SQL→shape index all have fixed caps with FIFO eviction
 //     and drop counters — sustained overload sheds audits, never memory.
+//
+// Per-shape evidence belongs to one publish generation of the served system
+// (SetGeneration), so it describes the live set only; the lifetime counters
+// and the pooled histogram span every generation.
 package audit
 
 import (
@@ -109,6 +113,8 @@ type Served struct {
 	// Degraded and Reason mirror the response's degradation tagging.
 	Degraded bool
 	Reason   string
+	// Generation is the publish generation of the system that answered.
+	Generation int64
 }
 
 // job is one queued shadow audit.
@@ -140,6 +146,7 @@ type Auditor struct {
 	rng   *rand.Rand
 
 	mu       sync.Mutex
+	gen      int64 // the generation whose evidence the tables hold
 	shapes   map[string]*shapeStats
 	order    []string // shape insertion order, for FIFO eviction
 	sqlShape map[string]*shapeStats

@@ -339,6 +339,51 @@ func TestAuditMapsBounded(t *testing.T) {
 	}
 }
 
+// TestAuditEvidencePerGeneration: SetGeneration retires the per-shape
+// tables — shapes, worst offenders, the SQL index — while the lifetime
+// counters keep counting; a late verdict on the retired generation's answer
+// is not folded into the new generation's tables, the new generation's own
+// verdicts are.
+func TestAuditEvidencePerGeneration(t *testing.T) {
+	a := newTestAuditor(t, 25, nil)
+	stmt := mustParse(t, "SELECT title FROM movies WHERE rating > 7")
+	old := Served{SQL: stmt.String(), Source: "approximation", Generation: 1}
+	a.SetGeneration(1)
+	a.Consider(stmt, old, 1, nil) // error 2/3
+	waitCompleted(t, a, 1)
+	if p95, n, ok := a.WorstShapeP95(); !ok || n != 1 || p95 == 0 {
+		t.Fatalf("generation 1 evidence = (%v, %d, %v), want one verdict", p95, n, ok)
+	}
+
+	a.SetGeneration(2)
+	if _, _, ok := a.WorstShapeP95(); ok {
+		t.Error("the retired generation's shapes still back WorstShapeP95")
+	}
+	if _, ok := a.ObservedError(old.SQL); ok {
+		t.Error("the retired generation's statement still reports observed error")
+	}
+	if p := a.Page(nil); len(p.Shapes) != 0 || p.Audit.Completed != 1 {
+		t.Errorf("after the swap /qualityz lists %d shapes over %d completed, want 0 over 1", len(p.Shapes), p.Audit.Completed)
+	}
+
+	a.Consider(stmt, old, 1, nil) // completes after the swap
+	waitCompleted(t, a, 2)
+	if _, _, ok := a.WorstShapeP95(); ok {
+		t.Error("a late verdict on generation 1 reached generation 2's tables")
+	}
+	if got := a.Stats().Completed; got != 2 {
+		t.Errorf("lifetime completed = %d, want 2 (the late verdict counts)", got)
+	}
+
+	exact := old
+	exact.Generation = 2
+	a.Consider(stmt, exact, 3, nil)
+	waitCompleted(t, a, 3)
+	if p95, n, ok := a.WorstShapeP95(); !ok || n != 1 || p95 != 0 {
+		t.Errorf("generation 2 evidence = (%v, %d, %v), want its one exact verdict", p95, n, ok)
+	}
+}
+
 // TestAuditWorstOffenderOrdering: /qualityz shapes must sort worst p95
 // first, with per-shape worst offenders retained.
 func TestAuditWorstOffenderOrdering(t *testing.T) {

@@ -40,11 +40,15 @@ type shapeStats struct {
 }
 
 // record folds one audit verdict into the per-shape aggregation and the
-// canonical-SQL index used by ObservedError. Both maps are bounded with FIFO
+// canonical-SQL index used by ObservedError, unless the audited answer came
+// from a generation SetGeneration has retired. Both maps are bounded with FIFO
 // eviction; evictions only forget history, never block.
 func (a *Auditor) record(j job, shape string, relErr float64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if j.served.Generation != a.gen {
+		return
+	}
 	st := a.shapes[shape]
 	if st == nil {
 		if len(a.order) >= maxShapes {
@@ -78,11 +82,28 @@ func (a *Auditor) record(j job, shape string, relErr float64) {
 	a.sqlShape[j.served.SQL] = st
 }
 
-// ObservedError returns the historical p95 relative error observed for the
-// shape of the query with the given canonical SQL, and whether any audit
-// evidence exists for it. It backs the optional observed_error field on
-// /query responses: "answers shaped like yours have measured error ≤ X 95%
-// of the time". Nil-safe; a disabled auditor has no evidence.
+// SetGeneration retires the per-shape tables — the shape histograms, their
+// worst offenders and the SQL→shape index — and folds only verdicts on
+// answers served by generation gen from here on. The serving layer calls it
+// on every publish, rollback included. Nil-safe.
+func (a *Auditor) SetGeneration(gen int64) {
+	if a == nil {
+		return
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.gen = gen
+	a.shapes = map[string]*shapeStats{}
+	a.order = nil
+	a.sqlShape = map[string]*shapeStats{}
+	a.sqlOrder = nil
+}
+
+// ObservedError returns the p95 relative error the live generation's audits
+// measured for the shape of the query with the given canonical SQL, and
+// whether any such evidence exists. It backs the optional observed_error
+// field on /query responses: "answers shaped like yours have measured error
+// ≤ X 95% of the time". Nil-safe; a disabled auditor has no evidence.
 func (a *Auditor) ObservedError(canonicalSQL string) (float64, bool) {
 	if a == nil {
 		return 0, false
@@ -96,30 +117,25 @@ func (a *Auditor) ObservedError(canonicalSQL string) (float64, bool) {
 	return st.hist.Quantile(0.95), true
 }
 
-// WorstShapeP95 returns the worst per-shape p95 relative error observed so
-// far, plus the total number of completed audits backing the figure. ok is
-// false when auditing is disabled or no audit has completed yet — callers
-// (the retrain controller's rollback monitor) then have no quality signal
-// and must not act on the zeros. The per-shape p95 is the right rollback
-// signal: a retrained set that regresses one query pattern shows up in that
-// shape's histogram immediately, where a pooled global quantile would dilute
-// it under healthy traffic.
-func (a *Auditor) WorstShapeP95() (p95 float64, completed int64, ok bool) {
+// WorstShapeP95 returns the worst per-shape p95 relative error of the live
+// generation's audits, plus the number of audits backing the figure. ok is
+// false when auditing is disabled or the live generation has no verdict yet —
+// callers (the retrain controller's rollback window) then have no quality
+// signal and must not act on the zeros. The per-shape p95 is the right
+// rollback signal: a retrained set that regresses one query pattern shows up
+// in that shape's histogram immediately, where a pooled global quantile would
+// dilute it under healthy traffic.
+func (a *Auditor) WorstShapeP95() (p95 float64, audits int64, ok bool) {
 	if a == nil {
 		return 0, 0, false
 	}
 	a.mu.Lock()
-	shapes := len(a.shapes)
+	defer a.mu.Unlock()
 	for _, st := range a.shapes {
-		if q := st.hist.Quantile(0.95); q > p95 {
-			p95 = q
-		}
+		p95 = max(p95, st.hist.Quantile(0.95))
+		audits += st.hist.Count()
 	}
-	a.mu.Unlock()
-	if shapes == 0 {
-		return 0, a.completed.Load(), false
-	}
-	return p95, a.completed.Load(), true
+	return p95, audits, len(a.shapes) > 0
 }
 
 // Summary is the compact audit rollup embedded as the "quality" block of
@@ -136,11 +152,13 @@ type Summary struct {
 	// Coverage is completed / eligible — the fraction of eligible answers
 	// whose error has actually been measured.
 	Coverage float64 `json:"coverage"`
-	// ErrorP50/P95/Max summarize relative error across ALL completed audits.
+	// ErrorP50/P95/Max summarize relative error across ALL completed audits
+	// (with metric recording off, ErrorMax is the live generation's).
 	ErrorP50 float64 `json:"error_p50"`
 	ErrorP95 float64 `json:"error_p95"`
 	ErrorMax float64 `json:"error_max"`
-	Shapes   int     `json:"shapes"`
+	// Shapes counts the query shapes the live generation's audits cover.
+	Shapes int `json:"shapes"`
 }
 
 // Stats returns the audit rollup. Nil-safe: a disabled auditor reports
@@ -208,8 +226,8 @@ type DriftStatus struct {
 }
 
 // QualityPage is the full /qualityz payload: the audit rollup, every shape
-// sorted worst-p95 first (so the top of the list IS the worst-offenders
-// list), and the drift status.
+// the live generation's audits cover, sorted worst-p95 first (so the top of
+// the list IS the worst-offenders list), and the drift status.
 type QualityPage struct {
 	Audit  Summary       `json:"audit"`
 	Shapes []ShapeReport `json:"shapes,omitempty"`

@@ -156,10 +156,13 @@ func PreprocessContext(ctx context.Context, db *table.Database, w workload.Workl
 		}
 	}
 	// Order representatives by weight and keep the executed fraction
-	// (ASQP-Light / Figure 10: the most important queries run first).
-	order := make([]int, len(medoids))
-	for i := range order {
-		order[i] = i
+	// (ASQP-Light / Figure 10: the most important queries run first). An
+	// empty cluster yields no representative.
+	order := make([]int, 0, len(medoids))
+	for ci, m := range medoids {
+		if m >= 0 {
+			order = append(order, ci)
+		}
 	}
 	sort.SliceStable(order, func(a, b int) bool { return clusterWeight[order[a]] > clusterWeight[order[b]] })
 	if executed < len(order) {
@@ -297,7 +300,8 @@ func PreprocessContext(ctx context.Context, db *table.Database, w workload.Workl
 	return pre, nil
 }
 
-// medoidsOf picks, per cluster, the member closest to the centroid.
+// medoidsOf picks, per cluster, the member closest to the centroid; an empty
+// cluster has none (-1).
 func medoidsOf(vecs [][]float64, res cluster.Result) []int {
 	medoids := make([]int, 0, len(res.Centroids))
 	for ci := range res.Centroids {
@@ -315,11 +319,7 @@ func medoidsOf(vecs [][]float64, res cluster.Result) []int {
 				best, bestD = i, d
 			}
 		}
-		if best >= 0 {
-			medoids = append(medoids, best)
-		} else {
-			medoids = append(medoids, 0)
-		}
+		medoids = append(medoids, best)
 	}
 	return medoids
 }

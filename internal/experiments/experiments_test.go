@@ -13,6 +13,7 @@ import (
 	"asqprl/internal/baselines"
 	"asqprl/internal/core"
 	"asqprl/internal/metrics"
+	"asqprl/internal/sqlparse"
 	"asqprl/internal/table"
 )
 
@@ -411,6 +412,31 @@ func BenchmarkHeadline(b *testing.B) {
 	for _, s := range res.Samples {
 		if s.Dataset == "IMDB" && s.Method == asqp {
 			b.ReportMetric(metrics.Mean(s.Test), "headline_score")
+		}
+	}
+}
+
+// TestRepresentativesAreDistinct: on Full()'s seed-1 training splits k-means
+// leaves clusters empty, and an empty cluster yields no representative — no
+// training statement is a representative twice, and every representative
+// carries weight.
+func TestRepresentativesAreDistinct(t *testing.T) {
+	p := Full()
+	for _, name := range []string{"IMDB", "MAS"} {
+		ds := loadDataset(name, p, p.Seed)
+		pre, err := core.Preprocess(ds.db, ds.train, p.asqpConfig(p.Seed))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		seen := map[*sqlparse.Select]bool{}
+		for i, rep := range pre.Reps {
+			if seen[rep.Stmt] {
+				t.Errorf("%s: representative %d repeats statement %q", name, i, rep.Stmt)
+			}
+			seen[rep.Stmt] = true
+			if rep.Weight <= 0 {
+				t.Errorf("%s: representative %d (%q) has weight %v", name, i, rep.Stmt, rep.Weight)
+			}
 		}
 	}
 }

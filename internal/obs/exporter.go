@@ -9,12 +9,12 @@ import (
 	"sync"
 )
 
-// Exporter file-rotation defaults: a trace directory never grows past
-// maxFiles×maxFileBytes (≈32 MiB by default), so a long-running server's
-// durable trace history is bounded like every other buffer in the system.
+// Exporter file-rotation bounds: a trace directory never grows past
+// traceFiles×traceFileBytes (32 MiB), so a long-running server's durable
+// trace history is bounded like every other buffer in the system.
 const (
-	defaultTraceFileBytes = 8 << 20
-	defaultTraceFiles     = 4
+	traceFileBytes = 8 << 20
+	traceFiles     = 4
 )
 
 // JSONLExporter writes kept traces as one JSON object per line into
@@ -37,15 +37,14 @@ type JSONLExporter struct {
 }
 
 // NewJSONLExporter creates dir if needed and opens a fresh sequence file
-// after any left by previous runs. maxFileBytes and maxFiles bound the
-// directory (values ≤ 0 use the defaults: 8 MiB × 4 files).
-func NewJSONLExporter(dir string, maxFileBytes int64, maxFiles int) (*JSONLExporter, error) {
-	if maxFileBytes <= 0 {
-		maxFileBytes = defaultTraceFileBytes
-	}
-	if maxFiles <= 0 {
-		maxFiles = defaultTraceFiles
-	}
+// after any left by previous runs. The directory holds at most traceFiles
+// files of traceFileBytes each.
+func NewJSONLExporter(dir string) (*JSONLExporter, error) {
+	return newJSONLExporter(dir, traceFileBytes, traceFiles)
+}
+
+// newJSONLExporter is NewJSONLExporter with explicit rotation bounds.
+func newJSONLExporter(dir string, maxFileBytes int64, maxFiles int) (*JSONLExporter, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("obs: trace dir: %w", err)
 	}

@@ -16,7 +16,7 @@ import (
 // sequence file and landing the line there — no error, no lost trace.
 func TestExporterTransientWriteFailureSelfHeals(t *testing.T) {
 	dir := t.TempDir()
-	e, err := NewJSONLExporter(dir, 0, 0)
+	e, err := NewJSONLExporter(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func (b *syncBuffer) String() string {
 // error, and the log gets ONE rate-limited warning instead of one per trace.
 func TestExporterPersistentFailureCountedAndRateLimited(t *testing.T) {
 	dir := t.TempDir()
-	e, err := NewJSONLExporter(dir, 0, 0)
+	e, err := NewJSONLExporter(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -270,7 +270,7 @@ func TestSlowQueryRowsResolve(t *testing.T) {
 
 func TestJSONLExporterRotationBounds(t *testing.T) {
 	dir := t.TempDir()
-	exp, err := NewJSONLExporter(dir, 256, 2)
+	exp, err := newJSONLExporter(dir, 256, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestJSONLExporterRotationBounds(t *testing.T) {
 	}
 	// A new exporter in the same directory continues the sequence instead of
 	// clobbering history.
-	exp2, err := NewJSONLExporter(dir, 256, 2)
+	exp2, err := newJSONLExporter(dir, 256, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +424,7 @@ func TestDisabledTracingZeroAlloc(t *testing.T) {
 }
 
 func BenchmarkTraceExport(b *testing.B) {
-	exp, err := NewJSONLExporter(b.TempDir(), 0, 0)
+	exp, err := NewJSONLExporter(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}

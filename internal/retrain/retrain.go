@@ -17,10 +17,11 @@
 //     that learned the new interest by forgetting the old one is rejected;
 //  4. persists the candidate via the atomic SaveFile path, then publishes it
 //     with one atomic pointer swap (the serving layer's SetSystem);
-//  5. retains the incumbent for a rollback window, during which a regression
-//     in the shadow-audit per-shape p95 error (vs. the pre-swap baseline)
-//     republishes the retained incumbent — byte-identical, it was never
-//     mutated.
+//  5. retains the incumbent for a rollback window with one trigger: the
+//     shadow auditor keeps its evidence per publish generation, and once the
+//     candidate's own worst-shape p95 error exceeds the incumbent's, read
+//     just before the swap, by rollbackRegression, the window republishes
+//     the retained incumbent — byte-identical, it was never mutated.
 //
 // Failed attempts (clone/train/validate/swap faults, divergence, deadline,
 // gate rejection) discard the candidate and back off with doubling delays
@@ -159,11 +160,12 @@ type Event struct {
 	Persisted bool
 }
 
-// QualityProbe reports the current worst per-shape p95 relative error from
-// the shadow auditor, the number of completed audits backing it, and whether
-// any evidence exists. With ok false (auditing disabled, or no audits yet)
-// the rollback monitor has no signal and the window expires without action.
-type QualityProbe func() (worstShapeP95 float64, completed int64, ok bool)
+// QualityProbe reports the live generation's worst per-shape p95 relative
+// error from the shadow auditor, the number of audits backing it, and
+// whether any evidence exists (audit.Auditor.WorstShapeP95). With ok false
+// (auditing disabled, or no verdict yet) the rollback window has no signal
+// and expires without action.
+type QualityProbe func() (worstShapeP95 float64, audits int64, ok bool)
 
 // Hooks connect the controller to the serving layer without importing it.
 type Hooks struct {
@@ -175,16 +177,10 @@ type Hooks struct {
 	Publish func(*core.System)
 	// Quality is the rollback signal (optional; nil means no rollback
 	// monitoring — the window still runs so tests and operators see the
-	// state, but nothing can trigger).
+	// state, but nothing can trigger). Its evidence must be the live
+	// generation's own, retired at every Publish: read just before the swap
+	// it is the incumbent's baseline, read in the window the candidate's.
 	Quality QualityProbe
-	// QualityAlarm, when set, supersedes Quality as the rollback trigger:
-	// instead of polling the raw worst-shape p95 and judging a regression
-	// against the pre-swap baseline, the window rolls back as soon as the
-	// serving layer's quality SLO reports fast-burn with evidence that
-	// postdates the swap (since > swap time). The SLO engine already owns
-	// windowing, budgets, and hysteresis, so the controller does not
-	// re-derive them.
-	QualityAlarm func() (burning bool, since time.Time, desc string)
 	// Journal receives lifecycle events for durable logging (optional). It is
 	// called synchronously from the controller goroutine; implementations
 	// that need durability (WAL append + fsync) should still be quick, and
@@ -541,10 +537,11 @@ func (c *Controller) attempt(inc *core.System, drifted workload.Workload) {
 		failed("swap", err)
 		return
 	}
-	baseP95, baseCompleted := 0.0, int64(0)
-	baseOK := false
+	baseP95 := 0.0 // no verdict on the incumbent: any candidate error is new
 	if c.hooks.Quality != nil {
-		baseP95, baseCompleted, baseOK = c.hooks.Quality()
+		if p95, _, ok := c.hooks.Quality(); ok {
+			baseP95 = p95
+		}
 	}
 	c.hooks.Publish(cand)
 	now := time.Now()
@@ -556,14 +553,14 @@ func (c *Controller) attempt(inc *core.System, drifted workload.Workload) {
 	c.st.BaselineP95 = baseP95
 	c.mu.Unlock()
 	c.journal(Event{Name: "swapped", Persisted: c.cfg.SnapshotPath != ""})
-	span.Event("swapped", "baseline_p95", baseP95, "baseline_ok", baseOK)
+	span.Event("swapped", "baseline_p95", baseP95)
 	obs.Logger().Info("retrain swapped in candidate",
 		"drift_score", candDrift, "holdback_score", candHold,
 		"baseline_p95", baseP95, "rollback_window", c.cfg.RollbackWindow)
 
 	// Stage 6: rollback window. The incumbent stays retained (and unmutated)
 	// until the window expires clean; a quality regression republishes it.
-	if c.watchRollback(inc, now, baseP95, baseCompleted, baseOK) {
+	if c.watchRollback(inc, baseP95) {
 		span.Event("rolled_back")
 		return
 	}
@@ -578,17 +575,15 @@ func (c *Controller) attempt(inc *core.System, drifted workload.Workload) {
 	span.Event("committed")
 }
 
-// rollbackRegression is the rise in worst-shape p95 audit error over the
-// pre-swap baseline (absolute error) at which the raw probe rolls back.
+// rollbackRegression is the rise of the candidate's worst-shape p95 audit
+// error over the incumbent's (absolute error) at which the window rolls back.
 const rollbackRegression = 0.10
 
-// watchRollback holds the swapped-out incumbent for the rollback window.
-// With a QualityAlarm hook it consumes the quality SLO state: rollback fires
-// when the SLO is fast-burning and entered that state after the swap.
-// Otherwise it polls the raw quality probe and judges a regression against
-// the pre-swap baseline (evidence must postdate the swap: completed count
-// advanced past the baseline). It returns true when it rolled back.
-func (c *Controller) watchRollback(inc *core.System, swapAt time.Time, baseP95 float64, baseCompleted int64, baseOK bool) bool {
+// watchRollback holds the swapped-out incumbent for the rollback window,
+// polling Hooks.Quality, which now reads the candidate's audits only. It rolls
+// back once their worst-shape p95 exceeds base, the incumbent's, by
+// rollbackRegression, and returns true when it did.
+func (c *Controller) watchRollback(inc *core.System, base float64) bool {
 	deadline := time.Now().Add(c.cfg.RollbackWindow)
 	for {
 		select {
@@ -596,22 +591,10 @@ func (c *Controller) watchRollback(inc *core.System, swapAt time.Time, baseP95 f
 			return false // closing: leave the candidate published
 		case <-time.After(c.cfg.rollbackCheck()):
 		}
-		if c.hooks.QualityAlarm != nil {
-			if burning, since, desc := c.hooks.QualityAlarm(); burning && since.After(swapAt) {
-				c.rollbackReason(inc, "quality SLO fast-burn since "+
-					since.Format(time.RFC3339Nano)+": "+desc)
-				return true
-			}
-		} else if c.hooks.Quality != nil {
-			p95, completed, ok := c.hooks.Quality()
-			fresh := completed > baseCompleted
-			base := baseP95
-			if !baseOK {
-				base = 0 // no pre-swap evidence: any post-swap error is new
-			}
-			if ok && fresh && p95 > base+rollbackRegression {
+		if c.hooks.Quality != nil {
+			if p95, _, ok := c.hooks.Quality(); ok && p95 > base+rollbackRegression {
 				c.rollbackReason(inc, fmt.Sprintf(
-					"quality regression: worst-shape p95 %.4f > baseline %.4f + %.4f",
+					"quality regression: candidate worst-shape p95 %.4f > incumbent %.4f + %.4f",
 					p95, base, rollbackRegression))
 				return true
 			}

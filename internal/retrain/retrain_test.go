@@ -5,13 +5,16 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"asqprl/internal/audit"
 	"asqprl/internal/core"
 	"asqprl/internal/datagen"
 	"asqprl/internal/faults"
 	"asqprl/internal/sqlparse"
+	"asqprl/internal/table"
 	"asqprl/internal/workload"
 )
 
@@ -48,14 +51,19 @@ func fixture(t *testing.T) *core.System {
 	return sys
 }
 
-// host is a fake serving layer: an incumbent slot plus a publish log.
+// host is a fake serving layer: an incumbent slot plus a publish log, and
+// for newAuditedHost a shadow auditor with the live generation.
 type host struct {
 	mu        sync.Mutex
 	sys       *core.System
 	publishes []*core.System
+	gen       int64
 
 	qmu     sync.Mutex
 	quality func() (float64, int64, bool)
+
+	aud  *audit.Auditor
+	hold atomic.Bool
 }
 
 func newHost(sys *core.System) *host { return &host{sys: sys} }
@@ -71,6 +79,8 @@ func (h *host) publish(sys *core.System) {
 	defer h.mu.Unlock()
 	h.sys = sys
 	h.publishes = append(h.publishes, sys)
+	h.gen++
+	h.aud.SetGeneration(h.gen)
 }
 
 func (h *host) publishCount() int {
@@ -574,51 +584,160 @@ func TestRestoreRearmsBackoff(t *testing.T) {
 	}
 }
 
-// TestQualityAlarmSupersedesProbe wires the SLO-alarm rollback hook: the
-// window must consume it instead of the raw probe (which screams regression
-// the whole time and must be ignored), must not act on an alarm whose onset
-// predates the swap, and must roll back once the alarm postdates it.
-func TestQualityAlarmSupersedesProbe(t *testing.T) {
-	inc := fixture(t)
-	primeDrift(t, inc, 3)
-	h := newHost(inc)
-	h.setQuality(func() (float64, int64, bool) { return 0.9, 100, true })
+// auditFrame is the frame size the audited hosts judge answers against, and
+// auditSQL a statement with more than auditFrame true rows, so an answer of
+// r rows audits to relative error 1 − r/auditFrame.
+const (
+	auditFrame = 50
+	auditSQL   = "SELECT * FROM title"
+)
 
-	var amu sync.Mutex
-	burning := true
-	since := time.Now().Add(-time.Hour) // stale: long before any swap
-	hooks := h.hooks()
-	hooks.QualityAlarm = func() (bool, time.Time, string) {
-		amu.Lock()
-		defer amu.Unlock()
-		return burning, since, "quality SLO fast-burn (test)"
+// newAuditedHost is a host whose rollback evidence comes from a real shadow
+// auditor over the incumbent's database. Like the serving layer, it starts at
+// generation 1 and retires the auditor's tables at every publish; hold parks
+// the audit worker at its capacity gate.
+func newAuditedHost(t *testing.T, sys *core.System) *host {
+	t.Helper()
+	h := newHost(sys)
+	h.aud = audit.New(
+		func() (*table.Database, int) { return sys.DB(), auditFrame },
+		func() bool { return !h.hold.Load() },
+		audit.Config{SampleRate: 1},
+	)
+	t.Cleanup(h.aud.Close)
+	h.gen = 1
+	h.aud.SetGeneration(h.gen)
+	h.setQuality(h.aud.WorstShapeP95)
+	return h
+}
+
+// offer hands the auditor n answers to auditSQL of the given row count,
+// served by generation gen.
+func (h *host) offer(t *testing.T, gen int64, rows, n int) {
+	t.Helper()
+	stmt, err := sqlparse.Parse(auditSQL)
+	if err != nil {
+		t.Fatal(err)
 	}
+	sv := audit.Served{SQL: stmt.String(), Source: "approximation", Generation: gen}
+	for i := 0; i < n; i++ {
+		for !h.aud.Consider(stmt, sv, rows, nil) { // queue full: let it drain
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
 
+// judged waits until the auditor has completed n audits in all.
+func (h *host) judged(t *testing.T, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for h.aud.Stats().Completed < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("audits did not complete: %+v, want %d completed", h.aud.Stats(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// generation returns the host's live publish generation.
+func (h *host) generation() int64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.gen
+}
+
+// swapAudited forces a retrain on an audited host and waits for the swap.
+func swapAudited(t *testing.T, h *host, window time.Duration) *Controller {
+	t.Helper()
 	cfg := testCfg()
-	cfg.RollbackWindow = 2 * time.Second
-	c := New(cfg, hooks)
+	cfg.RollbackWindow = window
+	c := New(cfg, h.hooks())
 	c.Start()
-	defer c.Close()
+	t.Cleanup(c.Close)
 	if err := c.Force(); err != nil {
 		t.Fatal(err)
 	}
 	waitStatus(t, c, 2*time.Minute, func(st Status) bool { return st.Swaps == 1 })
-
-	// Two rollback checks (every 200ms of the 2s window) pass: neither the
-	// stale alarm nor the superseded raw probe may trigger.
-	time.Sleep(500 * time.Millisecond)
-	if st := c.Status(); st.Rollbacks != 0 {
-		t.Fatalf("rolled back on a stale alarm or the superseded probe: %+v", st)
+	if g := h.generation(); g != 2 {
+		t.Fatalf("generation after the swap = %d, want 2", g)
 	}
+	return c
+}
 
-	amu.Lock()
-	since = time.Now()
-	amu.Unlock()
+// TestRollbackIgnoresDilutingHistory: a long healthy history of one shape in
+// the incumbent's generation (500 audits at error 0.02) cannot hide the
+// candidate's regression on it (20 audits at 0.5): the window judges the
+// candidate's own audits and rolls back. A lifetime histogram would hide it —
+// with 20 of 520 audits bad its p95 stays at 0.02.
+func TestRollbackIgnoresDilutingHistory(t *testing.T) {
+	inc := fixture(t)
+	primeDrift(t, inc, 3)
+	h := newAuditedHost(t, inc)
+	h.offer(t, 1, 49, 500) // error 1 − 49/50 = 0.02
+	h.judged(t, 500)
+
+	c := swapAudited(t, h, 3*time.Second)
+	if st := c.Status(); math.Abs(st.BaselineP95-0.02) > 0.01 {
+		t.Fatalf("baseline p95 = %v, want the incumbent's ≈ 0.02", st.BaselineP95)
+	}
+	h.offer(t, 2, 25, 20) // error 0.5
 	st := waitStatus(t, c, 10*time.Second, func(st Status) bool { return st.Rollbacks == 1 })
-	if st.LastOutcome != "rolled_back" || !strings.Contains(st.LastError, "quality SLO fast-burn") {
+	if st.LastOutcome != "rolled_back" || !strings.Contains(st.LastError, "quality regression") {
 		t.Fatalf("outcome %q, err %q", st.LastOutcome, st.LastError)
 	}
 	if h.incumbent() != inc {
 		t.Fatal("rollback did not restore the incumbent pointer")
+	}
+}
+
+// TestRollbackSparesPreSwapBurn: an incumbent already burning (audits at
+// error 0.5) sets a high baseline, and a candidate whose audits match it is
+// no regression: the window expires without a rollback.
+func TestRollbackSparesPreSwapBurn(t *testing.T) {
+	inc := fixture(t)
+	primeDrift(t, inc, 3)
+	h := newAuditedHost(t, inc)
+	h.offer(t, 1, 25, 40)
+	h.judged(t, 40)
+
+	c := swapAudited(t, h, 2*time.Second)
+	h.offer(t, 2, 25, 20)
+	h.judged(t, 60)
+	if p95, _, ok := h.aud.WorstShapeP95(); !ok || math.Abs(p95-0.5) > 0.05 {
+		t.Fatalf("candidate evidence = (%v, %v), want its own p95 ≈ 0.5", p95, ok)
+	}
+	if st := c.Status(); st.State != "rollback-window" {
+		t.Fatalf("the candidate's audits landed after the window (state %q)", st.State)
+	}
+	st := waitStatus(t, c, 10*time.Second, func(st Status) bool { return st.State == "idle" })
+	if st.Rollbacks != 0 || h.incumbent() == inc {
+		t.Fatalf("rolled back a candidate no worse than the incumbent: %+v", st)
+	}
+}
+
+// TestRollbackIgnoresLateVerdicts: verdicts on answers the incumbent served
+// (error 0.9) that complete only after the swap are not the candidate's
+// evidence, so they cannot roll it back.
+func TestRollbackIgnoresLateVerdicts(t *testing.T) {
+	inc := fixture(t)
+	primeDrift(t, inc, 3)
+	h := newAuditedHost(t, inc)
+	h.hold.Store(true)
+	h.offer(t, 1, 5, 3) // error 0.9, parked behind the gate
+
+	// The parked worker polls the gate at most a second apart; the window
+	// leaves room for that after the release.
+	c := swapAudited(t, h, 4*time.Second)
+	h.hold.Store(false)
+	h.judged(t, 3)
+	if st := c.Status(); st.State != "rollback-window" {
+		t.Fatalf("the late verdicts landed after the window (state %q)", st.State)
+	}
+	if p95, n, ok := h.aud.WorstShapeP95(); ok {
+		t.Fatalf("the retired generation's verdicts reached the candidate's evidence: p95 %v over %d", p95, n)
+	}
+	st := waitStatus(t, c, 10*time.Second, func(st Status) bool { return st.State == "idle" })
+	if st.Rollbacks != 0 || h.incumbent() == inc {
+		t.Fatalf("rolled back on the retired generation's verdicts: %+v", st)
 	}
 }

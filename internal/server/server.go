@@ -102,7 +102,9 @@ type Config struct {
 	SLOLatencyP99 time.Duration
 	// SLOQualityP95 is the p95 relative-error target for shadow-audited
 	// answers; audits above it burn budget against a 0.95 objective. It needs
-	// auditing on (AuditSample > 0) to see data. 0 disables.
+	// auditing on (AuditSample > 0) to see data. 0 disables. It alerts only:
+	// retrain rollback reads the auditor's per-generation evidence, armed by
+	// AuditSample alone.
 	SLOQualityP95 float64
 	// SLOWindows overrides the burn-rate windows (zero fields default to
 	// 1m/5m/30m/6h). Tests shrink them to seconds. The telemetry is sampled
@@ -297,9 +299,6 @@ func New(sys *core.System, cfg Config) *Server {
 		done: make(chan struct{}),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	if sys != nil {
-		s.SetSystem(sys)
-	}
 	// The shadow auditor borrows spare capacity, never admission slots: its
 	// gate denies work while draining, while the breaker is not closed (the
 	// full database is already suspected sick — the last thing it needs is
@@ -326,6 +325,9 @@ func New(sys *core.System, cfg Config) *Server {
 			Seed:       cfg.Seed,
 		},
 	)
+	if sys != nil {
+		s.SetSystem(sys) // after the auditor: it collects per generation
+	}
 	s.initSLO()
 	s.httpSrv = &http.Server{
 		Handler:           s.Handler(),
@@ -340,11 +342,6 @@ func New(sys *core.System, cfg Config) *Server {
 			Publish: s.SetSystem,
 			Quality: s.aud.WorstShapeP95,
 		}
-		if s.sloEng != nil && cfg.SLOQualityP95 > 0 {
-			// The rollback window consumes the quality SLO's state (windowed,
-			// hysteretic, budget-aware) instead of re-polling the raw p95.
-			hooks.QualityAlarm = s.qualityAlarm
-		}
 		if s.wal != nil {
 			hooks.Journal = s.journalRetrain
 		}
@@ -357,10 +354,13 @@ func New(sys *core.System, cfg Config) *Server {
 // SetSystem attaches (or replaces) the system and flips the server ready.
 // Each publish gets the next generation number; in-flight queries finish on
 // the system they loaded, new ones see the replacement — the swap itself is
-// one atomic pointer store, so no request is ever dropped or blended.
+// one atomic pointer store, so no request is ever dropped or blended. The
+// auditor's per-shape evidence restarts with the new generation before any
+// request can see it.
 func (s *Server) SetSystem(sys *core.System) {
 	s.pubMu.Lock()
 	s.gen++
+	s.aud.SetGeneration(s.gen)
 	s.live.Store(&liveSystem{sys: sys, gen: s.gen})
 	s.pubMu.Unlock()
 }
@@ -499,10 +499,11 @@ type QueryResponse struct {
 	// TraceID links the response to its distributed trace (also echoed in
 	// the traceparent response header). Present whenever tracing is enabled.
 	TraceID string `json:"trace_id,omitempty"`
-	// ObservedError, when shadow auditing is enabled and has evidence for
-	// this query's shape, is the historical p95 relative error measured for
-	// answers shaped like this one — honest uncertainty from ground truth,
-	// not a model prediction. A pointer so a measured 0.0 still serializes.
+	// ObservedError, when shadow auditing is enabled and the answering
+	// generation's audits have evidence for this query's shape, is the p95
+	// relative error measured for answers shaped like this one — honest
+	// uncertainty from ground truth, not a model prediction. It restarts at
+	// every publish. A pointer so a measured 0.0 still serializes.
 	ObservedError *float64 `json:"observed_error,omitempty"`
 	// Generation is the publish generation of the system that answered (1 for
 	// the system the server started with, bumped by every hot swap or
@@ -686,11 +687,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			agg = res.Frame.Table() // an aggregate's frame is over its own rows: no copy
 		}
 		if s.aud.Consider(stmt, audit.Served{
-			SQL:      canonical,
-			TraceID:  span.TraceID(),
-			Source:   resp.Source,
-			Degraded: resp.Degraded,
-			Reason:   resp.DegradedReason,
+			SQL:        canonical,
+			TraceID:    span.TraceID(),
+			Source:     resp.Source,
+			Degraded:   resp.Degraded,
+			Reason:     resp.DegradedReason,
+			Generation: gen,
 		}, res.Frame.N, agg) {
 			span.Event("audit_sampled")
 		}
@@ -717,20 +719,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// fullRungFailed reports whether the query's full-database rung tripped a
-// guard or fault that should count against the circuit breaker. Client
-// cancellation and an error of the statement do not count: they say nothing
-// about backend health.
+// fullRungFailed reports whether the query's full-database rung failed in a
+// way that counts against the circuit breaker: a deadline or a fault. Client
+// cancellation, an error of the statement and a row-budget trip do not count:
+// the database is immutable, so the statement and the request alone decide
+// them, and they say nothing about backend health.
 func fullRungFailed(res *core.QueryResult) bool {
 	if res == nil || !res.FullAttempted {
 		return false
 	}
-	switch res.FullFailure {
-	case "deadline", "rows", "fault":
-		return true
-	default:
-		return false
-	}
+	return res.FullFailure == "deadline" || res.FullFailure == "fault"
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

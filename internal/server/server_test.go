@@ -409,9 +409,9 @@ func TestObsCountersWired(t *testing.T) {
 }
 
 // TestRegistryNameSetIsClosed: every registry name is declared by a
-// package-level handle before the first request, and nothing a client sends —
-// forty-odd plan shapes over one to eight FROM entries, a parse error, a
-// row-budget trip, a shed, a breaker-open answer — can mint another. (A name
+// package-level handle before the first request, and nothing a request meets —
+// forty-odd plan shapes over one to eight FROM entries, a parse error, an
+// engine fault, a shed, a breaker-open answer — can mint another. (A name
 // per plan shape was a histogram, and 88 kB of sampler ring, per distinct
 // FROM-list a client cared to send.)
 func TestRegistryNameSetIsClosed(t *testing.T) {
@@ -470,10 +470,15 @@ func TestRegistryNameSetIsClosed(t *testing.T) {
 	if status, _ := post("SELECT FROM WHERE", 0); status != http.StatusBadRequest {
 		t.Errorf("parse error: HTTP %d, want 400", status)
 	}
-	// The row-budget trip on the full database is also the failure that opens
-	// the breaker (BreakerTrips 1), so the request after it is routed around.
-	if _, resp := post(fullRouteSQL, 2); resp.DegradedReason != "rows" {
-		t.Errorf("row-budget trip: degraded_reason %q, want rows", resp.DegradedReason)
+	// An engine fault on the full database is also the failure that opens the
+	// breaker (BreakerTrips 1), so the request after it is routed around.
+	faults.Enable(faults.NewSchedule(1, faults.Injection{
+		Point: faults.PointEngineScan, Kind: faults.KindError, MaxFires: 1,
+	}))
+	_, resp := post(fullRouteSQL, 0)
+	faults.Disable()
+	if resp.DegradedReason != "fault" {
+		t.Errorf("engine fault: degraded_reason %q, want fault", resp.DegradedReason)
 	}
 	if _, resp := post(fullRouteSQL, 0); resp.DegradedReason != "breaker" {
 		t.Errorf("after the trip: degraded_reason %q, want breaker", resp.DegradedReason)
@@ -511,6 +516,49 @@ func TestUnbindableStatementIs400AndSparesBreaker(t *testing.T) {
 	if st.BreakerState != "closed" {
 		t.Fatalf("breaker after unbindable statements = %q, want closed", st.BreakerState)
 	}
+	status, resp := postQuery(t, base, fullRouteSQL, 0, 0)
+	if status != http.StatusOK || resp.Source != "full" || resp.Degraded {
+		t.Fatalf("full-routed query after them: HTTP %d source=%q degraded=%v reason=%q, want a clean full answer",
+			status, resp.Source, resp.Degraded, resp.DegradedReason)
+	}
+}
+
+// TestRowBudgetTripSparesBreaker: a row-budget trip is decided by the
+// statement and the request, not by the database's health — the database is
+// immutable, so the same statement trips the same way every time. BreakerTrips
+// oversized cross joins (400: no rows to serve) and BreakerTrips full-routed
+// queries over their max_rows (200, degraded "rows") leave the breaker closed,
+// and the next full-routed query is still answered by the full database.
+func TestRowBudgetTripSparesBreaker(t *testing.T) {
+	sys := trainedSystem(t)
+	if pred, _ := sys.Estimator().Estimate(mustParse(t, fullRouteSQL)); pred >= core.EstimatorThreshold {
+		t.Skip("fixture query unexpectedly routed to the approximation set")
+	}
+	_, base := startServer(t, sys, Config{})
+	const crossJoin = "SELECT * FROM cast_info c1, cast_info c2, cast_info c3, cast_info c4, cast_info c5"
+	breaker := func(after string) {
+		t.Helper()
+		var st Stats
+		getJSON(t, base+"/stats", &st)
+		if st.BreakerState != "closed" {
+			t.Fatalf("breaker after %s = %q, want closed", after, st.BreakerState)
+		}
+	}
+	for i := 0; i < DefaultConfig().BreakerTrips; i++ {
+		status, resp := postQuery(t, base, crossJoin, 0, 0)
+		if status != http.StatusBadRequest || !strings.Contains(resp.Error, "row budget") {
+			t.Fatalf("oversized cross join %d: HTTP %d (%q), want 400 naming the row budget", i, status, resp.Error)
+		}
+	}
+	breaker("oversized cross joins")
+	for i := 0; i < DefaultConfig().BreakerTrips; i++ {
+		status, resp := postQuery(t, base, fullRouteSQL, 0, 2)
+		if status != http.StatusOK || resp.Source != "full" || resp.DegradedReason != "rows" {
+			t.Fatalf("max_rows trip %d: HTTP %d source=%q reason=%q, want 200 from full, degraded rows",
+				i, status, resp.Source, resp.DegradedReason)
+		}
+	}
+	breaker("max_rows trips")
 	status, resp := postQuery(t, base, fullRouteSQL, 0, 0)
 	if status != http.StatusOK || resp.Source != "full" || resp.Degraded {
 		t.Fatalf("full-routed query after them: HTTP %d source=%q degraded=%v reason=%q, want a clean full answer",

@@ -31,10 +31,9 @@ func sloInterval(w slo.Windows) time.Duration {
 
 // initSLO builds the windowed-telemetry sampler, the SLO engine, and the
 // flight recorder from Config. Called once from New, after the auditor
-// exists (the quality SLO annotates from it) and before the retrain
-// controller (whose rollback hook consumes the quality SLO state). With no
-// objectives and no DiagDir it leaves every field nil — the nil receivers
-// are no-ops, so the request path is untouched.
+// exists (the quality SLO annotates from it). With no objectives and no
+// DiagDir it leaves every field nil — the nil receivers are no-ops, so the
+// request path is untouched.
 func (s *Server) initSLO() {
 	cfg := s.cfg
 	if !cfg.sloEnabled() && cfg.DiagDir == "" {
@@ -166,22 +165,6 @@ func (s *Server) journalDiag(reason, bundle string) {
 		obs.Logger().Warn("diag journal append failed", "reason", reason, "err", err)
 		walAppendErrors.Inc()
 	}
-}
-
-// qualityAlarm adapts the quality SLO state into the retrain controller's
-// rollback trigger: burning is true only in fast_burn, and since is when the
-// state was entered — the controller checks it postdates the swap.
-func (s *Server) qualityAlarm() (burning bool, since time.Time, desc string) {
-	st, ok := s.sloEng.Status("quality")
-	if !ok || st.State != slo.StateFastBurn {
-		return false, time.Time{}, ""
-	}
-	desc = fmt.Sprintf("relative-error p95 objective %.3g breached, budget %.0f%% consumed",
-		st.Threshold, 100*st.BudgetConsumed)
-	if st.WorstShapeP95 > 0 {
-		desc += fmt.Sprintf(" (worst shape p95 %.4f)", st.WorstShapeP95)
-	}
-	return true, st.Since, desc
 }
 
 // RungLatency is a per-degradation-rung windowed latency summary in /sloz.

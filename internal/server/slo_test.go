@@ -41,7 +41,7 @@ func (c *sloClock) advance(d time.Duration) {
 }
 
 // sloStatus extracts one SLO's status from a page.
-func sloStatus(t *testing.T, page SlozPage, name string) slo.Status {
+func sloStatus(t *testing.T, page slo.Page, name string) slo.Status {
 	t.Helper()
 	for _, s := range page.SLOs {
 		if s.Name == name {
@@ -59,8 +59,8 @@ func sloStatus(t *testing.T, page SlozPage, name string) slo.Status {
 // one, (2) capture exactly one rate-limited flight-recorder bundle holding
 // the metric series, the trace ring, and a goroutine profile, (3) stamp a
 // durable diag/bundle WAL record that a kill-without-close replay surfaces as
-// "crashed while alerting", and (4) feed the quality SLO state to the
-// retrain rollback hook (srv.qualityAlarm).
+// "crashed while alerting", and (4) carry the quality SLO's fast burn, which
+// alerts only (retrain rollback reads the auditor's per-generation evidence).
 func TestSLOFastBurnFlightRecorderEndToEnd(t *testing.T) {
 	defer obs.SetEnabled(false)
 	clk := newSLOClock()
@@ -127,8 +127,8 @@ func TestSLOFastBurnFlightRecorderEndToEnd(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		tick(good)
 	}
-	if st, ok := eng.Status("latency"); !ok || st.State != slo.StateOK {
-		t.Fatalf("after healthy phase: latency status = %+v ok=%v, want ok state", st, ok)
+	if st := sloStatus(t, eng.Page(), "latency"); st.State != slo.StateOK {
+		t.Fatalf("after healthy phase: latency status = %+v, want ok state", st)
 	}
 
 	// --- One bad interval: the 4s confirmation window fires but the 12s
@@ -139,10 +139,7 @@ func TestSLOFastBurnFlightRecorderEndToEnd(t *testing.T) {
 	// over the 6× slow threshold — so the state is exactly slow_burn: ticket,
 	// not page, and no flight-recorder capture. ---
 	tick(bad)
-	st, ok := eng.Status("latency")
-	if !ok {
-		t.Fatal("latency SLO has no status")
-	}
+	st := sloStatus(t, eng.Page(), "latency")
 	if st.State != slo.StateSlowBurn {
 		t.Fatalf("after 1 bad interval: state = %s, want slow_burn (fast_long not confirmed)", st.State)
 	}
@@ -157,7 +154,7 @@ func TestSLOFastBurnFlightRecorderEndToEnd(t *testing.T) {
 	// 22.2; both windows over threshold → fast_burn. ---
 	tick(bad)
 	burnAt := clk.now()
-	if st, _ := eng.Status("latency"); st.State != slo.StateFastBurn {
+	if st := sloStatus(t, eng.Page(), "latency"); st.State != slo.StateFastBurn {
 		t.Fatalf("after 2 bad intervals: state = %s, want fast_burn", st.State)
 	} else if !st.Since.Equal(burnAt) {
 		t.Errorf("fast_burn since = %v, want the transition tick %v", st.Since, burnAt)
@@ -174,7 +171,7 @@ func TestSLOFastBurnFlightRecorderEndToEnd(t *testing.T) {
 	if w := page.Windows; w.FastShort != "4s" || w.FastLong != "12s" || w.SlowShort != "40s" || w.SlowLong != "2m0s" {
 		t.Fatalf("/sloz windows = %+v", w)
 	}
-	latSt := sloStatus(t, page, "latency")
+	latSt := sloStatus(t, page.Page, "latency")
 	if latSt.State != slo.StateFastBurn {
 		t.Fatalf("/sloz latency state = %s, want fast_burn", latSt.State)
 	}
@@ -286,8 +283,10 @@ func TestSLOFastBurnFlightRecorderEndToEnd(t *testing.T) {
 		}
 	})
 	qualityAt := clk.now()
-	if st, _ := eng.Status("quality"); st.State != slo.StateFastBurn {
-		t.Fatalf("quality state = %s, want fast_burn (all audited errors over target)", st.State)
+	qualitySt := sloStatus(t, eng.Page(), "quality")
+	if qualitySt.State != slo.StateFastBurn || !qualitySt.Since.Equal(qualityAt) {
+		t.Fatalf("quality state = %s since %v, want fast_burn since %v (all audited errors over target)",
+			qualitySt.State, qualitySt.Since, qualityAt)
 	}
 	for rec.Status().Suppressed < 1 {
 		if time.Now().After(deadline) {
@@ -300,13 +299,6 @@ func TestSLOFastBurnFlightRecorderEndToEnd(t *testing.T) {
 	}
 	if got := listBundles(t, diagDir); len(got) != 1 {
 		t.Fatalf("bundle dirs after suppression = %v, want exactly 1", got)
-	}
-
-	// The retrain rollback hook sees the burning quality SLO with the
-	// transition timestamp (so a swap that predates the burn rolls back).
-	burning, since, desc := srv.qualityAlarm()
-	if !burning || !since.Equal(qualityAt) || !strings.Contains(desc, "relative-error") {
-		t.Fatalf("qualityAlarm = (%v, %v, %q), want burning since %v", burning, since, desc, qualityAt)
 	}
 
 	// --- Crash: the process dies without closing the WAL. The replayed tail

@@ -20,7 +20,7 @@ import (
 func withServerTracing(t *testing.T, cfg obs.TracingConfig) string {
 	t.Helper()
 	dir := t.TempDir()
-	exp, err := obs.NewJSONLExporter(dir, 0, 0)
+	exp, err := obs.NewJSONLExporter(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -436,21 +436,6 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// Status returns the last evaluated status of the named SLO.
-func (e *Engine) Status(name string) (Status, bool) {
-	if e == nil {
-		return Status{}, false
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, st := range e.states {
-		if st.def.Name == name && !st.last.Since.IsZero() {
-			return st.last, true
-		}
-	}
-	return Status{}, false
-}
-
 // Page renders the last evaluation (evaluating once if none has happened
 // yet). Safe on a nil engine: reports disabled.
 func (e *Engine) Page() Page {

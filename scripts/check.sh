@@ -115,7 +115,9 @@ trap - EXIT
 # mix halfway through; with retraining armed (and the drift threshold
 # lowered so the storm registers) loadgen then waits for the controller to
 # either hot-swap a fine-tuned candidate or back off cleanly, so the gate
-# exercises drift → retrain → validate → swap end to end. The binary is
+# exercises drift → retrain → validate → swap end to end. -audit-sample 1
+# is what arms rollback (its one trigger is the auditor's per-generation
+# evidence); -slo-quality-p95 0.5 only feeds -slo-gate. The binary is
 # built and exec'd directly (not `go run`) so the recorded pid is the server
 # itself and the TERM below actually exercises — and completes — the
 # graceful drain.
