@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -35,7 +34,6 @@ import (
 	"asqprl/internal/datagen"
 	"asqprl/internal/obs"
 	"asqprl/internal/server"
-	"asqprl/internal/slo"
 	"asqprl/internal/table"
 	"asqprl/internal/wal"
 	"asqprl/internal/workload"
@@ -126,12 +124,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	frac(&c.SLOQualityP95, "slo-quality-p95", "quality SLO: p95 relative-error target for shadow-audited answers; burn-rate alerting on the 0.95 objective (0 = off)")
 	dur(&c.SLOLatencyP99, "slo-latency-p99", "latency SLO: p99 request-latency target; burn-rate alerting on the 0.99 objective (0 = off)")
 	frac(&c.SLOAvailability, "slo-availability", "availability SLO objective in (0,1), e.g. 0.999: fraction of requests answered without degradation/error/shedding (0 = off)")
-	fs.Func("slo-windows", "burn-rate windows fast-short,fast-long,slow-short,slow-long (default 1m,5m,30m,6h)", func(v string) (err error) {
-		c.SLOWindows, err = parseSLOWindows(v)
-		return err
-	})
 	str(&c.DiagDir, "diag-dir", "flight-recorder directory: capture a diagnostic bundle on SLO fast-burn or /debugz?capture=1 (empty = off)")
-	dur(&c.DiagMinInterval, "diag-min-interval", "rate limit between unforced flight-recorder captures")
 	on(&c.DriftObserve, "drift-observe", "feed served queries into the interest-drift detector")
 	frac(&b.driftConfidence, "drift-confidence", "deviation confidence (1 - similarity) above which a served query counts as drifted (0 = config default)")
 	num(&b.driftCount, "drift-count", "drifted queries that trigger fine-tuning/retraining (0 = config default)")
@@ -302,7 +295,10 @@ func main() {
 	fmt.Println("drained; bye")
 }
 
-// buildSystem loads a snapshot or trains from scratch, honoring cancellation.
+// buildSystem loads a snapshot or trains from scratch, honoring
+// cancellation. The drift overrides go into the system's configuration either
+// way, so the detector, the saved snapshot and every clone the retrain
+// controller fine-tunes read them.
 func buildSystem(ctx context.Context, in buildInputs) (*core.System, error) {
 	var db *table.Database
 	var err error
@@ -315,26 +311,26 @@ func buildSystem(ctx context.Context, in buildInputs) (*core.System, error) {
 		return nil, err
 	}
 	fmt.Printf("database: %d tables, %d tuples\n", len(db.TableNames()), db.TotalRows())
+	var sys *core.System
 	if in.loadFile != "" {
-		sys, err := core.LoadFile(db, in.loadFile)
-		if err != nil {
-			return nil, err
+		sys, err = core.LoadFile(db, in.loadFile)
+		if err == nil {
+			fmt.Printf("loaded system from %s\n", in.loadFile)
 		}
-		fmt.Printf("loaded system from %s\n", in.loadFile)
-		// The loaded detector came from the snapshot's training-time config.
-		// (On the train path the overrides are baked into the config below,
-		// so clones made by the retrain controller inherit them.)
-		if d := sys.Drift(); d != nil {
-			if in.driftConfidence > 0 {
-				d.Confidence = in.driftConfidence
-			}
-			if in.driftCount > 0 {
-				d.Count = in.driftCount
-			}
-		}
-		return sys, nil
+	} else {
+		sys, err = train(ctx, db, in)
 	}
+	if err != nil {
+		return nil, err
+	}
+	sys.SetDrift(in.driftConfidence, in.driftCount)
+	return sys, nil
+}
+
+// train trains a system on db from the workload file or a generated one.
+func train(ctx context.Context, db *table.Database, in buildInputs) (*core.System, error) {
 	var w workload.Workload
+	var err error
 	if in.workloadFile != "" {
 		w, err = workload.ReadFile(in.workloadFile)
 	} else {
@@ -352,12 +348,6 @@ func buildSystem(ctx context.Context, in buildInputs) (*core.System, error) {
 	cfg.F = in.frame
 	cfg.Seed = in.seed
 	cfg.Parallelism = in.parallelism
-	if in.driftConfidence > 0 {
-		cfg.DriftConfidence = in.driftConfidence
-	}
-	if in.driftCount > 0 {
-		cfg.DriftCount = in.driftCount
-	}
 	start := time.Now()
 	sys, err := core.TrainContext(ctx, db, w, cfg)
 	if err != nil {
@@ -365,24 +355,6 @@ func buildSystem(ctx context.Context, in buildInputs) (*core.System, error) {
 	}
 	fmt.Printf("trained in %s\n", time.Since(start).Round(time.Millisecond))
 	return sys, nil
-}
-
-// parseSLOWindows parses "fast-short,fast-long,slow-short,slow-long" (e.g.
-// "1m,5m,30m,6h").
-func parseSLOWindows(s string) (slo.Windows, error) {
-	var w slo.Windows
-	parts := strings.Split(s, ",")
-	if len(parts) != 4 {
-		return w, fmt.Errorf("want 4 comma-separated durations, got %q", s)
-	}
-	for i, dst := range []*time.Duration{&w.FastShort, &w.FastLong, &w.SlowShort, &w.SlowLong} {
-		d, err := time.ParseDuration(strings.TrimSpace(parts[i]))
-		if err != nil || d <= 0 {
-			return w, fmt.Errorf("element %d (%q): need a positive duration", i+1, parts[i])
-		}
-		*dst = d
-	}
-	return w, nil
 }
 
 func fatal(err error) {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -11,7 +12,7 @@ import (
 	"testing"
 
 	"asqprl/internal/audit"
-	"asqprl/internal/diag"
+	"asqprl/internal/core"
 	"asqprl/internal/retrain"
 	"asqprl/internal/server"
 	"asqprl/internal/wal"
@@ -39,8 +40,8 @@ func TestHelpGolden(t *testing.T) {
 	}
 	flags := 0
 	fs.VisitAll(func(*flag.Flag) { flags++ })
-	if flags != 42 {
-		t.Errorf("asqp-serve registers %d flags, want 42", flags)
+	if flags != 40 {
+		t.Errorf("asqp-serve registers %d flags, want 40", flags)
 	}
 	path := filepath.Join("testdata", "help.golden")
 	if *updateGolden {
@@ -75,7 +76,6 @@ func TestFlagsRegisterOwnersDefaults(t *testing.T) {
 		"breaker-trips":           srv.BreakerTrips,
 		"breaker-cooldown":        srv.BreakerCooldown,
 		"audit-workers":           audit.DefaultWorkers,
-		"diag-min-interval":       diag.DefaultMinInterval,
 		"retrain-interval":        ret.Interval,
 		"retrain-timeout":         ret.Timeout,
 		"retrain-validate-margin": ret.ValidateMargin,
@@ -87,6 +87,45 @@ func TestFlagsRegisterOwnersDefaults(t *testing.T) {
 			t.Errorf("flag -%s is not registered", name)
 		} else if f.DefValue != fmt.Sprint(want) {
 			t.Errorf("-%s defaults to %s, its owner to %v", name, f.DefValue, want)
+		}
+	}
+}
+
+// TestDriftOverridesSurviveClone: -drift-confidence and -drift-count on a
+// -load'ed system reach the configuration it carries, so the clone the retrain
+// controller fine-tunes (rebuilt from a snapshot of that configuration) keeps
+// them, as a trained system's clone does.
+func TestDriftOverridesSurviveClone(t *testing.T) {
+	ctx := context.Background()
+	in := buildInputs{dataset: "imdb", scale: 0.02, seed: 1, k: 150, frame: 50, light: true,
+		driftConfidence: 0.15, driftCount: 7}
+	trained, err := buildSystem(ctx, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.loadFile = filepath.Join(t.TempDir(), "sys.asqp")
+	if err := trained.SaveFile(in.loadFile); err != nil {
+		t.Fatal(err)
+	}
+	in.driftConfidence, in.driftCount = 0.25, 9
+	loaded, err := buildSystem(ctx, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		sys        *core.System
+		confidence float64
+		count      int
+	}{"trained": {trained, 0.15, 7}, "loaded": {loaded, 0.25, 9}} {
+		clone, err := c.sys.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []*core.System{c.sys, clone} {
+			if d := s.Drift(); d.Confidence != c.confidence || d.Count != c.count {
+				t.Errorf("%s system (or its clone): detector at %v/%d, want %v/%d",
+					name, d.Confidence, d.Count, c.confidence, c.count)
+			}
 		}
 	}
 }

@@ -240,6 +240,21 @@ func (s *System) DB() *table.Database { return s.db }
 // Drift exposes the interest-drift detector (Section 4.4).
 func (s *System) Drift() *DriftDetector { return s.drift }
 
+// SetDrift overrides DriftConfidence and DriftCount (a zero keeps the
+// current value) in the system's configuration and its detector, so Save and
+// Clone carry them too.
+func (s *System) SetDrift(confidence float64, count int) {
+	if confidence > 0 {
+		s.cfg.DriftConfidence = confidence
+	}
+	if count > 0 {
+		s.cfg.DriftCount = count
+	}
+	s.drift.mu.Lock()
+	s.drift.Confidence, s.drift.Count = s.cfg.DriftConfidence, s.cfg.DriftCount
+	s.drift.mu.Unlock()
+}
+
 // BuildSet re-runs inference (Algorithm 2) for a different requested size
 // without retraining, replacing the system's approximation set.
 func (s *System) BuildSet(reqSize int) (*table.Subset, error) {

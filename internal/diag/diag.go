@@ -5,10 +5,11 @@
 // the moments around an alert survive even if the process dies before anyone
 // can attach.
 //
-// Captures are rate-limited (one per MinInterval unless forced) and the
-// directory is bounded both by bundle count and total bytes: the recorder
-// can run unattended for months without filling a disk. A nil *Recorder is
-// a valid no-op, matching the repo's disabled-path contract.
+// Captures are rate-limited (one per DefaultMinInterval unless forced) and
+// the directory is bounded both by bundle count (8) and total bytes (64 MiB):
+// the recorder can run unattended for months without filling a disk. These
+// bounds are constants; the directory is the only setting. A nil *Recorder
+// is a valid no-op, matching the repo's disabled-path contract.
 package diag
 
 import (
@@ -23,24 +24,23 @@ import (
 	"time"
 )
 
-// Config bounds the recorder.
+// Config places the recorder.
 type Config struct {
 	// Dir is the bundle directory (created if missing). Required.
 	Dir string
-	// MaxTotalBytes caps the directory's total size (default 64 MiB).
-	MaxTotalBytes int64
-	// MinInterval rate-limits unforced captures (default DefaultMinInterval).
-	MinInterval time.Duration
 	// Now is the clock; defaults to time.Now (injectable for tests).
 	Now func() time.Time
 }
 
-// DefaultMinInterval is the gap between unforced captures when
-// Config.MinInterval is unset.
+// DefaultMinInterval is the least gap between unforced captures.
 const DefaultMinInterval = time.Minute
 
-// maxBundles caps retained bundles; the oldest is pruned first.
-const maxBundles = 8
+// The directory's bounds: retained bundles and their total bytes; the oldest
+// bundle is pruned first.
+const (
+	maxBundles = 8
+	maxBytes   = 64 << 20
+)
 
 // Source provides the state a bundle captures. Every field is optional;
 // nil collectors are skipped. Collectors run at capture time.
@@ -70,8 +70,9 @@ type Status struct {
 
 // Recorder writes diagnostic bundles. Nil is a no-op.
 type Recorder struct {
-	cfg Config
-	src Source
+	cfg      Config
+	src      Source
+	maxBytes int64
 
 	mu         sync.Mutex
 	lastAt     time.Time
@@ -85,14 +86,13 @@ type Recorder struct {
 
 // New builds a recorder and creates its directory. cfg.Dir must be set.
 func New(cfg Config, src Source) (*Recorder, error) {
+	return newRecorder(cfg, src, maxBytes)
+}
+
+// newRecorder is New with an explicit byte bound on the directory.
+func newRecorder(cfg Config, src Source, maxBytes int64) (*Recorder, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("diag: Dir is required")
-	}
-	if cfg.MaxTotalBytes <= 0 {
-		cfg.MaxTotalBytes = 64 << 20
-	}
-	if cfg.MinInterval <= 0 {
-		cfg.MinInterval = DefaultMinInterval
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -100,19 +100,19 @@ func New(cfg Config, src Source) (*Recorder, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("diag: create dir: %w", err)
 	}
-	return &Recorder{cfg: cfg, src: src}, nil
+	return &Recorder{cfg: cfg, src: src, maxBytes: maxBytes}, nil
 }
 
 // Capture writes one bundle for reason. Unforced captures inside
-// MinInterval of the previous one are suppressed (returned path is empty,
-// error nil). The returned path is the bundle directory.
+// DefaultMinInterval of the previous one are suppressed (returned path is
+// empty, error nil). The returned path is the bundle directory.
 func (r *Recorder) Capture(reason string, force bool) (string, error) {
 	if r == nil {
 		return "", nil
 	}
 	now := r.cfg.Now()
 	r.mu.Lock()
-	if !force && !r.lastAt.IsZero() && now.Sub(r.lastAt) < r.cfg.MinInterval {
+	if !force && !r.lastAt.IsZero() && now.Sub(r.lastAt) < DefaultMinInterval {
 		r.suppressed++
 		r.mu.Unlock()
 		return "", nil
@@ -204,7 +204,7 @@ func (r *Recorder) write(dir, reason string, now time.Time) error {
 	return err
 }
 
-// rotate prunes oldest bundles beyond maxBundles or MaxTotalBytes.
+// rotate prunes oldest bundles beyond maxBundles or r.maxBytes.
 func (r *Recorder) rotate() {
 	entries, err := os.ReadDir(r.cfg.Dir)
 	if err != nil {
@@ -226,7 +226,7 @@ func (r *Recorder) rotate() {
 		sizes[b] = sz
 		total += sz
 	}
-	for len(bundles) > 0 && (len(bundles) > maxBundles || total > r.cfg.MaxTotalBytes) {
+	for len(bundles) > 0 && (len(bundles) > maxBundles || total > r.maxBytes) {
 		victim := bundles[0]
 		bundles = bundles[1:]
 		total -= sizes[victim]

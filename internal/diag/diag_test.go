@@ -14,17 +14,10 @@ type testClock struct{ t time.Time }
 func (c *testClock) now() time.Time          { return c.t }
 func (c *testClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
-func newTestRecorder(t *testing.T, clk *testClock, mutate func(*Config), src Source) *Recorder {
+func newTestRecorder(t *testing.T, clk *testClock, maxBytes int64, src Source) *Recorder {
 	t.Helper()
-	cfg := Config{
-		Dir:         filepath.Join(t.TempDir(), "diag"),
-		MinInterval: time.Minute,
-		Now:         clk.now,
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	r, err := New(cfg, src)
+	cfg := Config{Dir: filepath.Join(t.TempDir(), "diag"), Now: clk.now}
+	r, err := newRecorder(cfg, src, maxBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +35,7 @@ func TestCaptureWritesBundle(t *testing.T) {
 		Stats:   func() any { return map[string]bool{"ready": true} },
 		Journal: func(reason, bundle string) { journaled = append(journaled, reason+":"+bundle) },
 	}
-	r := newTestRecorder(t, clk, nil, src)
+	r := newTestRecorder(t, clk, maxBytes, src)
 
 	dir, err := r.Capture("slo-latency", false)
 	if err != nil {
@@ -86,12 +79,12 @@ func TestCaptureWritesBundle(t *testing.T) {
 
 func TestRateLimitSuppressesAndForceBypasses(t *testing.T) {
 	clk := &testClock{t: time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)}
-	r := newTestRecorder(t, clk, nil, Source{})
+	r := newTestRecorder(t, clk, maxBytes, Source{})
 
 	if dir, err := r.Capture("first", false); err != nil || dir == "" {
 		t.Fatalf("first capture: %q %v", dir, err)
 	}
-	// Within MinInterval: suppressed.
+	// Within DefaultMinInterval: suppressed.
 	if dir, err := r.Capture("second", false); err != nil || dir != "" {
 		t.Fatalf("expected suppression, got %q %v", dir, err)
 	}
@@ -100,7 +93,7 @@ func TestRateLimitSuppressesAndForceBypasses(t *testing.T) {
 		t.Fatalf("forced capture: %q %v", dir, err)
 	}
 	// After the interval: allowed again.
-	clk.advance(2 * time.Minute)
+	clk.advance(DefaultMinInterval)
 	if dir, err := r.Capture("third", false); err != nil || dir == "" {
 		t.Fatalf("post-interval capture: %q %v", dir, err)
 	}
@@ -112,9 +105,7 @@ func TestRateLimitSuppressesAndForceBypasses(t *testing.T) {
 
 func TestRotationByCountAndBytes(t *testing.T) {
 	clk := &testClock{t: time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)}
-	r := newTestRecorder(t, clk, func(c *Config) {
-		c.MinInterval = time.Millisecond
-	}, Source{})
+	r := newTestRecorder(t, clk, maxBytes, Source{})
 	for i := 0; i < maxBundles+3; i++ {
 		if _, err := r.Capture("r", true); err != nil {
 			t.Fatal(err)
@@ -132,9 +123,7 @@ func TestRotationByCountAndBytes(t *testing.T) {
 	}
 
 	// Byte cap: tiny budget forces pruning down to the newest bundle.
-	r2 := newTestRecorder(t, clk, func(c *Config) {
-		c.MaxTotalBytes = 1 // every rotation prunes all but... everything beyond the cap
-	}, Source{})
+	r2 := newTestRecorder(t, clk, 1, Source{}) // every bundle is over the cap
 	r2.Capture("a", true)
 	clk.advance(time.Second)
 	r2.Capture("b", true)

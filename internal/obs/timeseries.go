@@ -9,8 +9,8 @@ import (
 
 // TimeSeries turns the cumulative metrics in a Registry into windowed ones.
 // A background ticker (or an explicit SampleNow under a test clock) records
-// one sample per interval — counter cumulatives and raw histogram bucket
-// cumulatives — into two fixed-size rings: a fine ring at the sampling
+// one sample every SampleInterval — counter cumulatives and raw histogram
+// bucket cumulatives — into two fixed-size rings: a fine ring at the sampling
 // interval and a coarse ring that keeps every coarseEvery-th sample. Windowed
 // queries (CounterWindow, HistogramWindow) subtract the retained sample
 // nearest the window start from the live registry state: counter deltas give
@@ -22,8 +22,8 @@ import (
 // queries. A nil *TimeSeries is a valid no-op (queries report no data),
 // matching the nil-receiver contract used by spans and the auditor.
 type TimeSeries struct {
-	reg  *Registry
-	opts TimeSeriesOptions
+	reg *Registry
+	now func() time.Time
 
 	mu        sync.Mutex
 	fine      [fineSlots]tsSample // ring
@@ -41,39 +41,15 @@ type TimeSeries struct {
 	started bool
 }
 
-// The rings' shape: the fine ring holds fineSlots samples, and the coarse
-// ring keeps one of every coarseEvery of them, coarseSlots deep. At the
-// default 5s interval that is 10m40s fine and 6.4h coarse.
+// SampleInterval is the sampler's cadence. The rings' shape: the fine ring
+// holds fineSlots samples, and the coarse ring keeps one of every coarseEvery
+// of them, coarseSlots deep — 10m40s fine and 6.4h coarse.
 const (
-	fineSlots   = 128
-	coarseEvery = 36
-	coarseSlots = 128
+	SampleInterval = 5 * time.Second
+	fineSlots      = 128
+	coarseEvery    = 36
+	coarseSlots    = 128
 )
-
-// Retention returns how far back the fine and the coarse ring reach when
-// sampling every interval: a window longer than fine is answered from the
-// coarse ring, and one longer than coarse from less history than it names.
-func Retention(interval time.Duration) (fine, coarse time.Duration) {
-	return fineSlots * interval, coarseSlots * coarseEvery * interval
-}
-
-// TimeSeriesOptions configures sampling cadence.
-type TimeSeriesOptions struct {
-	// Interval is the fine sampling cadence (default 5s).
-	Interval time.Duration
-	// Now is the clock; defaults to time.Now. Injectable for deterministic
-	// window-math tests.
-	Now func() time.Time
-}
-
-func (o *TimeSeriesOptions) normalize() {
-	if o.Interval <= 0 {
-		o.Interval = 5 * time.Second
-	}
-	if o.Now == nil {
-		o.Now = time.Now
-	}
-}
 
 // tsSample is one point-in-time capture of the registry.
 type tsSample struct {
@@ -82,16 +58,35 @@ type tsSample struct {
 	hists    map[string]bucketCounts
 }
 
-// NewTimeSeries builds a sampler over reg. Call Start for the background
-// ticker, or drive SampleNow manually (tests, fake clocks).
-func NewTimeSeries(reg *Registry, opts TimeSeriesOptions) *TimeSeries {
-	opts.normalize()
+// NewTimeSeries builds a sampler over reg that reads time from now (nil:
+// time.Now). Call Start for the background ticker, or drive SampleNow
+// manually (tests, fake clocks).
+func NewTimeSeries(reg *Registry, now func() time.Time) *TimeSeries {
+	if now == nil {
+		now = time.Now
+	}
 	return &TimeSeries{
 		reg:  reg,
-		opts: opts,
+		now:  now,
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
+}
+
+// Now reads the sampler's clock (time.Now on a nil sampler).
+func (ts *TimeSeries) Now() time.Time {
+	if ts == nil {
+		return time.Now()
+	}
+	return ts.now()
+}
+
+// Registry returns the registry the sampler reads (nil on a nil sampler).
+func (ts *TimeSeries) Registry() *Registry {
+	if ts == nil {
+		return nil
+	}
+	return ts.reg
 }
 
 // OnSample registers fn to run after every sample (ticker or SampleNow),
@@ -120,7 +115,7 @@ func (ts *TimeSeries) Start() {
 	ts.mu.Unlock()
 	go func() {
 		defer close(ts.done)
-		tick := time.NewTicker(ts.opts.Interval)
+		tick := time.NewTicker(SampleInterval)
 		defer tick.Stop()
 		ts.SampleNow()
 		for {
@@ -149,13 +144,13 @@ func (ts *TimeSeries) Close() {
 	}
 }
 
-// SampleNow captures one sample at the configured clock's current time and
+// SampleNow captures one sample at the sampler's clock's current time and
 // then runs the OnSample callbacks.
 func (ts *TimeSeries) SampleNow() {
 	if ts == nil {
 		return
 	}
-	s := ts.capture(ts.opts.Now())
+	s := ts.capture(ts.now())
 	ts.mu.Lock()
 	ts.fine[ts.fineIdx] = s
 	ts.fineIdx = (ts.fineIdx + 1) % fineSlots
@@ -233,7 +228,7 @@ func (ts *TimeSeries) CounterWindow(name string, window time.Duration) (delta in
 	if ts == nil {
 		return 0, 0, false
 	}
-	now := ts.opts.Now()
+	now := ts.now()
 	ts.mu.Lock()
 	base, bok := ts.baseline(now.Add(-window))
 	ts.mu.Unlock()
@@ -276,7 +271,7 @@ func (ts *TimeSeries) HistogramWindow(name string, window time.Duration) (hw His
 	if ts == nil {
 		return HistWindow{}, 0, false
 	}
-	now := ts.opts.Now()
+	now := ts.now()
 	ts.mu.Lock()
 	base, bok := ts.baseline(now.Add(-window))
 	ts.mu.Unlock()
@@ -326,7 +321,7 @@ func (ts *TimeSeries) DumpSeries() SeriesDump {
 	if ts == nil {
 		return dump
 	}
-	dump.Interval = ts.opts.Interval.String()
+	dump.Interval = SampleInterval.String()
 	ts.mu.Lock()
 	samples := make([]tsSample, 0, ts.fineN)
 	for i := 0; i < ts.fineN; i++ {

@@ -14,14 +14,10 @@ func newFakeClock() *fakeClock {
 	return &fakeClock{t: time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)}
 }
 
-func newTestTS(reg *Registry, clk *fakeClock, interval time.Duration) *TimeSeries {
-	return NewTimeSeries(reg, TimeSeriesOptions{Interval: interval, Now: clk.now})
-}
-
 func TestTimeSeriesCounterWindow(t *testing.T) {
 	reg := NewRegistry()
 	clk := newFakeClock()
-	ts := newTestTS(reg, clk, time.Second)
+	ts := NewTimeSeries(reg, clk.now)
 	c := reg.Counter("x")
 
 	// Before any sample: no data.
@@ -59,7 +55,7 @@ func TestTimeSeriesCounterWindow(t *testing.T) {
 func TestTimeSeriesCoarseRingExtendsRetention(t *testing.T) {
 	reg := NewRegistry()
 	clk := newFakeClock()
-	ts := newTestTS(reg, clk, time.Second) // fine keeps 128s, coarse 1-in-36 keeps 76m48s
+	ts := NewTimeSeries(reg, clk.now) // 1s ticks: fine keeps 128s, coarse 1-in-36 keeps 76m48s
 	c := reg.Counter("x")
 
 	for i := 0; i < 200; i++ {
@@ -86,7 +82,7 @@ func TestTimeSeriesCoarseRingExtendsRetention(t *testing.T) {
 func TestTimeSeriesHistogramWindow(t *testing.T) {
 	reg := NewRegistry()
 	clk := newFakeClock()
-	ts := newTestTS(reg, clk, time.Second)
+	ts := NewTimeSeries(reg, clk.now)
 	h := reg.Histogram("lat")
 
 	// First 5 seconds: fast observations (1ms). Then 5 seconds: slow (1s).
@@ -144,7 +140,7 @@ func TestTimeSeriesHistogramWindow(t *testing.T) {
 func TestTimeSeriesHistogramCreatedAfterBaseline(t *testing.T) {
 	reg := NewRegistry()
 	clk := newFakeClock()
-	ts := newTestTS(reg, clk, time.Second)
+	ts := NewTimeSeries(reg, clk.now)
 	ts.SampleNow()
 	clk.advance(time.Second)
 	// Histogram first observed after the baseline sample: the baseline
@@ -177,7 +173,7 @@ func TestTimeSeriesNilIsNoOp(t *testing.T) {
 func TestTimeSeriesOnSampleRunsOutsideLock(t *testing.T) {
 	reg := NewRegistry()
 	clk := newFakeClock()
-	ts := newTestTS(reg, clk, time.Second)
+	ts := NewTimeSeries(reg, clk.now)
 	var calls int
 	ts.OnSample(func() {
 		calls++
@@ -195,7 +191,7 @@ func TestTimeSeriesOnSampleRunsOutsideLock(t *testing.T) {
 func TestTimeSeriesDumpSeries(t *testing.T) {
 	reg := NewRegistry()
 	clk := newFakeClock()
-	ts := newTestTS(reg, clk, time.Second)
+	ts := NewTimeSeries(reg, clk.now)
 	c := reg.Counter("req")
 	h := reg.Histogram("lat")
 	for i := 0; i < 5; i++ {
@@ -206,8 +202,8 @@ func TestTimeSeriesDumpSeries(t *testing.T) {
 	}
 	ts.SampleNow()
 	dump := ts.DumpSeries()
-	if dump.Interval != "1s" {
-		t.Fatalf("interval = %q, want 1s", dump.Interval)
+	if dump.Interval != "5s" {
+		t.Fatalf("interval = %q, want 5s", dump.Interval)
 	}
 	pts := dump.Counters["req"]
 	if len(pts) != 5 {
@@ -226,9 +222,9 @@ func TestTimeSeriesDumpSeries(t *testing.T) {
 
 func TestTimeSeriesTickerLifecycle(t *testing.T) {
 	reg := NewRegistry()
-	ts := NewTimeSeries(reg, TimeSeriesOptions{Interval: time.Millisecond})
+	ts := NewTimeSeries(reg, nil)
 	reg.Counter("x").Add(5)
-	ts.Start()
+	ts.Start() // samples at once, long before the first SampleInterval tick
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if _, _, ok := ts.CounterWindow("x", time.Minute); ok {

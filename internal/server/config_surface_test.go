@@ -8,10 +8,8 @@ import (
 	"asqprl/internal/audit"
 	"asqprl/internal/core"
 	"asqprl/internal/diag"
-	"asqprl/internal/obs"
 	"asqprl/internal/retrain"
 	"asqprl/internal/rl"
-	"asqprl/internal/slo"
 	"asqprl/internal/wal"
 )
 
@@ -29,19 +27,16 @@ func TestConfigSurfaceIsClosed(t *testing.T) {
 			"EpisodesPerIteration Seed",
 		"server.Config": "Addr MaxInFlight QueueDepth DefaultTimeout MaxRows " +
 			"BreakerTrips BreakerCooldown DrainTimeout Seed AuditSample AuditWorkers DriftObserve " +
-			"Retrain WAL SLOAvailability SLOLatencyP99 SLOQualityP95 SLOWindows SLOClock DiagDir " +
-			"DiagMinInterval",
-		"retrain.Config":        "Enabled Interval Timeout ValidateMargin RollbackWindow Backoff SnapshotPath Seed",
-		"audit.Config":          "SampleRate Workers Seed",
-		"slo.Options":           "Windows Now WorstShape Registry",
-		"obs.TimeSeriesOptions": "Interval Now",
-		"diag.Config":           "Dir MaxTotalBytes MinInterval Now",
-		"wal.Options":           "SegmentBytes",
+			"Retrain WAL SLOAvailability SLOLatencyP99 SLOQualityP95 SLOClock DiagDir",
+		"retrain.Config": "Enabled Interval Timeout ValidateMargin RollbackWindow Backoff SnapshotPath Seed",
+		"audit.Config":   "SampleRate Workers Seed",
+		"diag.Config":    "Dir Now",
+		"wal.Options":    "SegmentBytes",
 	}
 	settable := 0
 	for _, v := range []any{
 		core.Config{}, rl.Config{}, Config{}, retrain.Config{}, audit.Config{},
-		slo.Options{}, obs.TimeSeriesOptions{}, diag.Config{}, wal.Options{},
+		diag.Config{}, wal.Options{},
 	} {
 		typ := reflect.TypeOf(v)
 		var fields []string

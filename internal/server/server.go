@@ -106,21 +106,16 @@ type Config struct {
 	// retrain rollback reads the auditor's per-generation evidence, armed by
 	// AuditSample alone.
 	SLOQualityP95 float64
-	// SLOWindows overrides the burn-rate windows (zero fields default to
-	// 1m/5m/30m/6h). Tests shrink them to seconds. The telemetry is sampled
-	// every min(FastShort/4, 5s), and Validate rejects a set whose long
-	// windows reach past what the sampler keeps at that interval.
-	SLOWindows slo.Windows
-	// SLOClock injects the SLO/diag clock for deterministic tests. When set,
-	// the background sampler ticker is NOT started — drive
-	// TimeSeries().SampleNow() manually.
+	// SLOClock injects the one clock the sampler, the SLO engine and the
+	// flight recorder read, for deterministic tests. When set, the
+	// background sampler ticker is NOT started: an in-package test advances
+	// its clock and calls SampleNow on the server's sampler (the ts field),
+	// and each sample re-evaluates the SLOs.
 	SLOClock func() time.Time
 	// DiagDir enables the flight recorder: on SLO fast-burn (or
 	// /debugz?capture=1) a diagnostic bundle is captured here. Empty
 	// disables — the nil recorder adds nothing to any path.
 	DiagDir string
-	// DiagMinInterval rate-limits unforced captures.
-	DiagMinInterval time.Duration
 }
 
 // maxTimeout caps the deadline a client may ask for with timeout_ms.
@@ -139,7 +134,6 @@ func DefaultConfig() Config {
 		DrainTimeout:    10 * time.Second,
 		Seed:            1,
 		AuditWorkers:    audit.DefaultWorkers,
-		DiagMinInterval: diag.DefaultMinInterval,
 		Retrain:         retrain.DefaultConfig(),
 	}
 }
@@ -166,8 +160,6 @@ func (c Config) Validate() error {
 		{"breaker cooldown", c.BreakerCooldown},
 		{"drain timeout", c.DrainTimeout},
 		{"latency SLO target", c.SLOLatencyP99},
-		{"SLO window", min(c.SLOWindows.FastShort, c.SLOWindows.FastLong, c.SLOWindows.SlowShort, c.SLOWindows.SlowLong)},
-		{"flight-recorder interval", c.DiagMinInterval},
 		{"retrain interval", c.Retrain.Interval},
 		{"retrain timeout", c.Retrain.Timeout},
 		{"retrain rollback window", c.Retrain.RollbackWindow},
@@ -188,18 +180,6 @@ func (c Config) Validate() error {
 		if n.v < 0 {
 			return fmt.Errorf("%s %d is negative", n.name, n.v)
 		}
-	}
-	// A burn window longer than the sampler's rings would be read over less
-	// time than /sloz labels it with.
-	w := c.SLOWindows
-	w.Normalize()
-	interval := sloInterval(w)
-	fine, coarse := obs.Retention(interval)
-	if w.FastLong > fine {
-		return fmt.Errorf("SLO window fast-long %s is longer than the %s the sampler keeps at its %s interval", w.FastLong, fine, interval)
-	}
-	if w.SlowLong > coarse {
-		return fmt.Errorf("SLO window slow-long %s is longer than the %s the sampler keeps at its %s interval", w.SlowLong, coarse, interval)
 	}
 	return nil
 }

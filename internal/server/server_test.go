@@ -17,7 +17,6 @@ import (
 	"asqprl/internal/faults"
 	"asqprl/internal/obs"
 	"asqprl/internal/retrain"
-	"asqprl/internal/slo"
 )
 
 func TestQueryEndpointBasic(t *testing.T) {
@@ -628,8 +627,6 @@ func TestConfigValidate(t *testing.T) {
 		"breaker cooldown":      {BreakerCooldown: -time.Millisecond},
 		"drain timeout":         {DrainTimeout: -time.Second},
 		"latency target":        {SLOLatencyP99: -time.Millisecond},
-		"slo window":            {SLOWindows: slo.Windows{FastLong: -time.Minute}},
-		"diag interval":         {DiagMinInterval: -time.Minute},
 		"retrain timeout":       {Retrain: retrain.Config{Timeout: -time.Minute}},
 		"max in-flight":         {MaxInFlight: -1},
 		"max rows":              {MaxRows: -1},
@@ -647,35 +644,4 @@ func TestConfigValidate(t *testing.T) {
 	defer obs.SetEnabled(prev) // arming an SLO turns recording on
 	s := New(nil, Config{SLOAvailability: 0.999, SLOLatencyP99: time.Second, SLOQualityP95: 0.2, SLOClock: time.Now})
 	_ = s.Shutdown(context.Background())
-}
-
-// TestConfigValidateSLOWindowsFitSampler: a burn window must fit in what the
-// sampler keeps at the interval the window set implies (128 samples fine,
-// 128 × 36 coarse), or /sloz would label it with more time than it reads.
-func TestConfigValidateSLOWindowsFitSampler(t *testing.T) {
-	windows := func(fs, fl, ss, sl time.Duration) Config {
-		return Config{SLOWindows: slo.Windows{FastShort: fs, FastLong: fl, SlowShort: ss, SlowLong: sl}}
-	}
-	for name, ok := range map[string]Config{
-		"defaults":          {},
-		"check.sh smoke":    windows(2*time.Second, 6*time.Second, 20*time.Second, 2*time.Minute),
-		"fast-burn e2e":     windows(4*time.Second, 12*time.Second, 40*time.Second, 2*time.Minute),
-		"default, explicit": windows(time.Minute, 5*time.Minute, 30*time.Minute, 6*time.Hour),
-	} {
-		if err := ok.Validate(); err != nil {
-			t.Errorf("%s: Validate = %v, want nil", name, err)
-		}
-	}
-	for name, bad := range map[string]Config{
-		// 5s samples: the coarse ring reaches 6.4h, not 24h.
-		"slow-long past the coarse ring": windows(time.Minute, 5*time.Minute, 30*time.Minute, 24*time.Hour),
-		// 250ms samples: the fine ring reaches 32s, not 5m.
-		"fast-long past the fine ring": windows(time.Second, 5*time.Minute, 30*time.Minute, time.Hour),
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted %+v", name, bad.SLOWindows)
-		} else if strings.Contains(err.Error(), "\n") {
-			t.Errorf("%s: error is not one line: %q", name, err)
-		}
-	}
 }

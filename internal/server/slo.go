@@ -22,13 +22,6 @@ func (c Config) sloEnabled() bool {
 	return c.SLOAvailability > 0 || c.SLOLatencyP99 > 0 || c.SLOQualityP95 > 0
 }
 
-// sloInterval is the telemetry sample interval for a normalized window set:
-// at least four samples per fast confirmation window, so that window always
-// spans several, and never slower than 5s, which matches the default 1m.
-func sloInterval(w slo.Windows) time.Duration {
-	return min(w.FastShort/4, 5*time.Second)
-}
-
 // initSLO builds the windowed-telemetry sampler, the SLO engine, and the
 // flight recorder from Config. Called once from New, after the auditor
 // exists (the quality SLO annotates from it). With no objectives and no
@@ -47,12 +40,7 @@ func (s *Server) initSLO() {
 		obs.Logger().Info("slo: enabling metric recording (objectives configured)")
 	}
 
-	windows := cfg.SLOWindows
-	windows.Normalize()
-	s.ts = obs.NewTimeSeries(obs.Default(), obs.TimeSeriesOptions{
-		Interval: sloInterval(windows),
-		Now:      cfg.SLOClock,
-	})
+	s.ts = obs.NewTimeSeries(obs.Default(), cfg.SLOClock)
 
 	if cfg.sloEnabled() {
 		var defs []slo.Def
@@ -83,12 +71,7 @@ func (s *Server) initSLO() {
 				Metric:    audit.MetricRelativeError,
 			})
 		}
-		eng, err := slo.New(s.ts, defs, slo.Options{
-			Windows:    windows,
-			Now:        cfg.SLOClock,
-			WorstShape: s.aud.WorstShapeP95,
-			Registry:   obs.Default(),
-		})
+		eng, err := slo.New(s.ts, defs, s.aud.WorstShapeP95)
 		if err != nil {
 			// Config.Validate rejects every objective and threshold slo.New
 			// would; reaching here means the caller skipped it or initSLO
@@ -99,11 +82,7 @@ func (s *Server) initSLO() {
 	}
 
 	if cfg.DiagDir != "" {
-		rec, err := diag.New(diag.Config{
-			Dir:         cfg.DiagDir,
-			MinInterval: cfg.DiagMinInterval,
-			Now:         cfg.SLOClock,
-		}, diag.Source{
+		rec, err := diag.New(diag.Config{Dir: cfg.DiagDir, Now: cfg.SLOClock}, diag.Source{
 			Metrics: func() any { return obs.Default().Snapshot() },
 			Series:  func() any { return s.ts.DumpSeries() },
 			SLO:     func() any { return s.sloEng.Page() },
@@ -119,10 +98,10 @@ func (s *Server) initSLO() {
 	}
 
 	// Fast-burn is the capture trigger: the recorder's rate limiter (not the
-	// hysteresis alone) guarantees at most one bundle per MinInterval even
-	// if several SLOs trip together. The capture runs off the sampler
-	// goroutine — it writes profiles and JSON, which must not delay the next
-	// sample.
+	// hysteresis alone) guarantees at most one bundle per
+	// diag.DefaultMinInterval even if several SLOs trip together. The
+	// capture runs off the sampler goroutine — it writes profiles and JSON,
+	// which must not delay the next sample.
 	s.sloEng.OnTransition(func(tr slo.Transition) {
 		obs.Logger().Warn("slo state change", "slo", tr.SLO.Name,
 			"from", tr.From, "to", tr.To, "budget_consumed", tr.SLO.BudgetConsumed)
@@ -189,13 +168,11 @@ func (s *Server) slozPage() SlozPage {
 	if s.ts == nil {
 		return page
 	}
-	w := s.cfg.SLOWindows
-	(&w).Normalize()
 	for rung, metric := range map[string]string{
 		"approximation": metricRungApprox,
 		"full":          metricRungFull,
 	} {
-		hw, elapsed, ok := s.ts.HistogramWindow(metric, w.FastLong)
+		hw, elapsed, ok := s.ts.HistogramWindow(metric, slo.FastLong)
 		if !ok || hw.Count == 0 {
 			continue
 		}

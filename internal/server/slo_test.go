@@ -79,19 +79,14 @@ func TestSLOFastBurnFlightRecorderEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The shipped windows (1m/5m/30m/6h) and rate limit (1m), sampled every
+	// obs.SampleInterval on the fake clock.
 	cfg := Config{
 		WAL:           wlog1,
 		SLOLatencyP99: 50 * time.Millisecond,
 		SLOQualityP95: 0.1,
-		SLOWindows: slo.Windows{
-			FastShort: 4 * time.Second,
-			FastLong:  12 * time.Second,
-			SlowShort: 40 * time.Second,
-			SlowLong:  2 * time.Minute,
-		},
-		SLOClock:        clk.now, // sampled every FastShort/4 = 1s
-		DiagDir:         diagDir,
-		DiagMinInterval: time.Hour, // only ONE unforced bundle can ever fit
+		SLOClock:      clk.now,
+		DiagDir:       diagDir,
 	}
 	srv, base := startServer(t, sys, cfg)
 	ts, eng, rec := srv.ts, srv.sloEng, srv.rec
@@ -103,13 +98,15 @@ func TestSLOFastBurnFlightRecorderEndToEnd(t *testing.T) {
 	// test writes it directly so every window count is exact. Good requests
 	// land at 1ms (whole buckets below the 50ms target), bad at 1s (whole
 	// buckets above), so FractionBelow needs no interpolation and the window
-	// error rates are exact ratios.
+	// error rates are exact ratios. A tick is one 5s interval: the fast-short
+	// window holds 12 of them, and the others reach back to the first sample
+	// throughout this test.
 	lat := obs.Default().Histogram(metricRequestSeconds)
 	tick := func(observe func()) {
 		if observe != nil {
 			observe()
 		}
-		clk.advance(time.Second)
+		clk.advance(obs.SampleInterval)
 		ts.SampleNow() // runs the SLO evaluation via OnSample
 	}
 	good := func() {
@@ -118,26 +115,26 @@ func TestSLOFastBurnFlightRecorderEndToEnd(t *testing.T) {
 		}
 	}
 	bad := func() {
-		for i := 0; i < 10; i++ {
+		for i := 0; i < 30; i++ {
 			lat.Observe(1.0)
 		}
 	}
 
-	// --- Healthy phase: 8 intervals of fast traffic → state ok. ---
-	for i := 0; i < 8; i++ {
+	// --- Healthy phase: 24 intervals (2m) of fast traffic → state ok. ---
+	for i := 0; i < 24; i++ {
 		tick(good)
 	}
 	if st := sloStatus(t, eng.Page(), "latency"); st.State != slo.StateOK {
 		t.Fatalf("after healthy phase: latency status = %+v, want ok state", st)
 	}
 
-	// --- One bad interval: the 4s confirmation window fires but the 12s
-	// window must hold the line (30 good + 10 bad in 4s → burn 25; 70 good +
-	// 10 bad in 12s → burn 12.5 < 14.4). This is the multi-window property:
-	// a single bad interval never pages as fast_burn. The slow pair (40s/2m,
-	// both falling back to process start) sees the same 12.5× burn, which IS
-	// over the 6× slow threshold — so the state is exactly slow_burn: ticket,
-	// not page, and no flight-recorder capture. ---
+	// --- One bad interval: the 1m confirmation window fires but the 5m
+	// window must hold the line (110 good + 30 bad in 1m → burn 21.4; 230
+	// good + 30 bad since the first sample → burn 11.5 < 14.4). This is the
+	// multi-window property: a single bad interval never pages as fast_burn.
+	// The slow pair (30m/6h, also reading from the first sample) sees the
+	// same 11.5× burn, which IS over the 6× slow threshold — so the state is
+	// exactly slow_burn: ticket, not page, and no flight-recorder capture. ---
 	tick(bad)
 	st := sloStatus(t, eng.Page(), "latency")
 	if st.State != slo.StateSlowBurn {
@@ -150,8 +147,8 @@ func TestSLOFastBurnFlightRecorderEndToEnd(t *testing.T) {
 		t.Errorf("fast_long burn = %v, want < 14.4 after one bad interval", st.Burns[1].Burn)
 	}
 
-	// --- Second bad interval: 20 bad / 90 events in the 12s window → burn
-	// 22.2; both windows over threshold → fast_burn. ---
+	// --- Second bad interval: 60 bad / 290 events in the 5m window → burn
+	// 20.7; both windows over threshold → fast_burn. ---
 	tick(bad)
 	burnAt := clk.now()
 	if st := sloStatus(t, eng.Page(), "latency"); st.State != slo.StateFastBurn {
@@ -168,7 +165,7 @@ func TestSLOFastBurnFlightRecorderEndToEnd(t *testing.T) {
 	if !page.Enabled {
 		t.Fatal("/sloz reports disabled")
 	}
-	if w := page.Windows; w.FastShort != "4s" || w.FastLong != "12s" || w.SlowShort != "40s" || w.SlowLong != "2m0s" {
+	if w := page.Windows; w.FastShort != "1m0s" || w.FastLong != "5m0s" || w.SlowShort != "30m0s" || w.SlowLong != "6h0m0s" {
 		t.Fatalf("/sloz windows = %+v", w)
 	}
 	latSt := sloStatus(t, page.Page, "latency")
@@ -179,13 +176,13 @@ func TestSLOFastBurnFlightRecorderEndToEnd(t *testing.T) {
 		t.Fatalf("latency has %d burn windows, want 4: %+v", len(latSt.Burns), latSt.Burns)
 	}
 	fl := latSt.Burns[1] // fast_long
-	if fl.Window != "12s" || fl.Events != 90 {
-		t.Fatalf("fast_long window = %+v, want 12s over exactly 90 events", fl)
+	if fl.Window != "5m0s" || fl.Events != 290 {
+		t.Fatalf("fast_long window = %+v, want 5m0s over exactly 290 events", fl)
 	}
-	if wantRate := 20.0 / 90.0; math.Abs(fl.ErrorRate-wantRate) > 1e-9 {
+	if wantRate := 60.0 / 290.0; math.Abs(fl.ErrorRate-wantRate) > 1e-9 {
 		t.Errorf("fast_long error_rate = %v, want exactly %v", fl.ErrorRate, wantRate)
 	}
-	if wantBurn := (20.0 / 90.0) / 0.01; math.Abs(fl.Burn-wantBurn) > 1e-6 {
+	if wantBurn := (60.0 / 290.0) / 0.01; math.Abs(fl.Burn-wantBurn) > 1e-6 {
 		t.Errorf("fast_long burn = %v, want %v (error rate over the 1%% budget)", fl.Burn, wantBurn)
 	}
 	if len(page.FastBurning) != 1 || page.FastBurning[0] != "latency" {
@@ -273,9 +270,9 @@ func TestSLOFastBurnFlightRecorderEndToEnd(t *testing.T) {
 		t.Errorf("meta.json missing trigger reason (err=%v): %s", err, meta)
 	}
 
-	// --- A second SLO tripping inside MinInterval must be suppressed by the
-	// recorder's rate limit: drive the quality SLO (audit relative-error
-	// histogram) into fast_burn one tick later. ---
+	// --- A second SLO tripping inside diag.DefaultMinInterval (1m) must be
+	// suppressed by the recorder's rate limit: drive the quality SLO (audit
+	// relative-error histogram) into fast_burn one 5s tick later. ---
 	rel := obs.Default().Histogram(audit.MetricRelativeError)
 	tick(func() {
 		for i := 0; i < 10; i++ {

@@ -22,6 +22,11 @@
 // after the condition has stayed clear for the fast-short window, so a burn
 // that flaps around the threshold does not flap the state (or re-trigger the
 // flight recorder).
+//
+// The windows are constants — 1m and 5m fast, 30m and 6h slow, read from an
+// obs.TimeSeries sampling every obs.SampleInterval on its own clock — so the
+// objectives are the only settings: a Def carries its objective and
+// threshold, and nothing else about the evaluation is configured.
 package slo
 
 import (
@@ -83,42 +88,16 @@ type Def struct {
 	BadCounters  []string
 }
 
-// Windows are the four burn-rate evaluation windows.
-type Windows struct {
-	FastShort time.Duration // fast-burn confirmation window (default 1m)
-	FastLong  time.Duration // fast-burn window (default 5m)
-	SlowShort time.Duration // slow-burn confirmation window (default 30m)
-	SlowLong  time.Duration // slow-burn window (default 6h)
-}
-
-// DefaultWindows returns the standard 1m/5m/30m/6h window set.
-func DefaultWindows() Windows {
-	return Windows{
-		FastShort: time.Minute,
-		FastLong:  5 * time.Minute,
-		SlowShort: 30 * time.Minute,
-		SlowLong:  6 * time.Hour,
-	}
-}
-
-// Normalize fills zero fields with the defaults. Exported so callers that
-// derive values from the effective windows (e.g. the server picking a sample
-// interval from FastShort) see exactly what the engine will use.
-func (w *Windows) Normalize() {
-	d := DefaultWindows()
-	if w.FastShort <= 0 {
-		w.FastShort = d.FastShort
-	}
-	if w.FastLong <= 0 {
-		w.FastLong = d.FastLong
-	}
-	if w.SlowShort <= 0 {
-		w.SlowShort = d.SlowShort
-	}
-	if w.SlowLong <= 0 {
-		w.SlowLong = d.SlowLong
-	}
-}
+// The four burn-rate evaluation windows. The sampler keeps a fine ring of
+// 10m40s and a coarse one of 6.4h at obs.SampleInterval, so each window is
+// read over the time it names once the process has been up that long; before
+// then it reads from process start.
+const (
+	FastShort = time.Minute      // fast-burn confirmation window
+	FastLong  = 5 * time.Minute  // fast-burn window
+	SlowShort = 30 * time.Minute // slow-burn confirmation window
+	SlowLong  = 6 * time.Hour    // slow-burn window
+)
 
 // WindowsView is the JSON rendering of a window set.
 type WindowsView struct {
@@ -128,13 +107,12 @@ type WindowsView struct {
 	SlowLong  string `json:"slow_long"`
 }
 
-func (w Windows) view() WindowsView {
-	return WindowsView{
-		FastShort: w.FastShort.String(),
-		FastLong:  w.FastLong.String(),
-		SlowShort: w.SlowShort.String(),
-		SlowLong:  w.SlowLong.String(),
-	}
+// windowsView is the window set as /sloz renders it.
+var windowsView = WindowsView{
+	FastShort: FastShort.String(),
+	FastLong:  FastLong.String(),
+	SlowShort: SlowShort.String(),
+	SlowLong:  SlowLong.String(),
 }
 
 // The burn-rate thresholds of the multi-window rule. A state relaxes only
@@ -143,19 +121,6 @@ const (
 	fastBurn = 14.4
 	slowBurn = 6
 )
-
-// Options configures the engine.
-type Options struct {
-	Windows Windows
-	// Now is the clock; defaults to time.Now (injectable for tests).
-	Now func() time.Time
-	// WorstShape, when set, annotates the quality SLO status with the
-	// worst-audited plan shape (from the shadow auditor).
-	WorstShape func() (p95 float64, completed int64, ok bool)
-	// Registry holds the latency and quality SLOs' histograms (Def.Metric),
-	// read for the exemplar trace behind a threshold violation. Nil: none.
-	Registry *obs.Registry
-}
 
 // WindowBurn is one window's contribution to a status.
 type WindowBurn struct {
@@ -209,10 +174,11 @@ type sloState struct {
 	last          Status
 }
 
-// Engine evaluates a fixed set of SLOs against a TimeSeries.
+// Engine evaluates a fixed set of SLOs against a TimeSeries, on the
+// sampler's clock.
 type Engine struct {
-	ts   *obs.TimeSeries
-	opts Options
+	ts         *obs.TimeSeries
+	worstShape func() (p95 float64, completed int64, ok bool)
 
 	mu       sync.Mutex
 	states   []*sloState
@@ -221,13 +187,13 @@ type Engine struct {
 }
 
 // New builds an engine over ts. Defs with out-of-range objectives are
-// rejected. A nil *Engine is a valid no-op (Page reports disabled).
-func New(ts *obs.TimeSeries, defs []Def, opts Options) (*Engine, error) {
-	opts.Windows.Normalize()
-	if opts.Now == nil {
-		opts.Now = time.Now
-	}
-	e := &Engine{ts: ts, opts: opts}
+// rejected. worstShape, when non-nil, annotates the quality SLO status with
+// the worst-audited plan shape (from the shadow auditor). A latency or
+// quality status names the exemplar trace behind a threshold violation from
+// the histogram in ts's registry. A nil *Engine is a valid no-op (Page
+// reports disabled).
+func New(ts *obs.TimeSeries, defs []Def, worstShape func() (p95 float64, completed int64, ok bool)) (*Engine, error) {
+	e := &Engine{ts: ts, worstShape: worstShape}
 	for _, d := range defs {
 		if d.Objective <= 0 || d.Objective >= 1 {
 			return nil, fmt.Errorf("slo %q: objective %v outside (0,1)", d.Name, d.Objective)
@@ -292,16 +258,15 @@ func (e *Engine) Evaluate() []Status {
 	if e == nil {
 		return nil
 	}
-	now := e.opts.Now()
-	w := e.opts.Windows
+	now := e.ts.Now()
 	specs := []struct {
 		label string
 		dur   time.Duration
 	}{
-		{"fast_short", w.FastShort},
-		{"fast_long", w.FastLong},
-		{"slow_short", w.SlowShort},
-		{"slow_long", w.SlowLong},
+		{"fast_short", FastShort},
+		{"fast_long", FastLong},
+		{"slow_short", SlowShort},
+		{"slow_long", SlowLong},
 	}
 
 	e.mu.Lock()
@@ -357,7 +322,7 @@ func (e *Engine) Evaluate() []Status {
 			// Hysteresis: relax one level at a time, only after the level
 			// has stayed clear for the fast-short window.
 			cur := stateLevel(prev)
-			if now.Sub(st.lastAtOrAbove[cur]) >= w.FastShort {
+			if now.Sub(st.lastAtOrAbove[cur]) >= FastShort {
 				next = levelState(cur - 1)
 				if next == StateOK && !anyData {
 					next = StateNoData
@@ -386,13 +351,13 @@ func (e *Engine) Evaluate() []Status {
 			// fraction consumed equals that window's burn rate, capped at 1.
 			BudgetConsumed: clamp01(rawBurn["slow_long"]),
 		}
-		if def.Kind != Availability && e.opts.Registry != nil {
-			if ex, ok := e.opts.Registry.Histogram(def.Metric).ExemplarAbove(def.Threshold); ok {
+		if reg := e.ts.Registry(); def.Kind != Availability && reg != nil {
+			if ex, ok := reg.Histogram(def.Metric).ExemplarAbove(def.Threshold); ok {
 				status.ExemplarTraceID = ex.TraceID
 			}
 		}
-		if def.Kind == Quality && e.opts.WorstShape != nil {
-			if p95, completed, ok := e.opts.WorstShape(); ok {
+		if def.Kind == Quality && e.worstShape != nil {
+			if p95, completed, ok := e.worstShape(); ok {
 				status.WorstShapeP95 = p95
 				status.AuditsCompleted = completed
 			}
@@ -452,7 +417,7 @@ func (e *Engine) Page() Page {
 	defer e.mu.Unlock()
 	p := Page{
 		Enabled:     true,
-		Windows:     e.opts.Windows.view(),
+		Windows:     windowsView,
 		FastBurn:    fastBurn,
 		SlowBurn:    slowBurn,
 		EvaluatedAt: e.lastEval,

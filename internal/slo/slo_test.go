@@ -17,30 +17,14 @@ type harness struct {
 	now time.Time
 }
 
-// testWindows are scaled-down burn windows: 4s/12s/30s/120s at a 1s sample
-// interval, so a test tick is one second.
-func testWindows() Windows {
-	return Windows{
-		FastShort: 4 * time.Second,
-		FastLong:  12 * time.Second,
-		SlowShort: 30 * time.Second,
-		SlowLong:  120 * time.Second,
-	}
-}
-
-func newHarness(t *testing.T, defs []Def, mutate func(*Options)) *harness {
+func newHarness(t *testing.T, defs []Def, worstShape func() (float64, int64, bool)) *harness {
 	t.Helper()
 	h := &harness{
 		reg: obs.NewRegistry(),
 		now: time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC),
 	}
-	clock := func() time.Time { return h.now }
-	h.ts = obs.NewTimeSeries(h.reg, obs.TimeSeriesOptions{Interval: time.Second, Now: clock})
-	opts := Options{Windows: testWindows(), Now: clock, Registry: h.reg}
-	if mutate != nil {
-		mutate(&opts)
-	}
-	eng, err := New(h.ts, defs, opts)
+	h.ts = obs.NewTimeSeries(h.reg, func() time.Time { return h.now })
+	eng, err := New(h.ts, defs, worstShape)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,9 +32,10 @@ func newHarness(t *testing.T, defs []Def, mutate func(*Options)) *harness {
 	return h
 }
 
-// tick advances one second, samples, and evaluates, returning the statuses.
+// tick advances one sample interval (5s), samples, and evaluates, returning
+// the statuses. The fast windows are 12 and 60 ticks long.
 func (h *harness) tick() []Status {
-	h.now = h.now.Add(time.Second)
+	h.now = h.now.Add(obs.SampleInterval)
 	h.ts.SampleNow()
 	return h.eng.Evaluate()
 }
@@ -121,14 +106,15 @@ func TestAvailabilityBurnMath(t *testing.T) {
 		bad.Add(100)
 		st = one(t, h.tick(), "availability")
 	}
-	// fast_short window (4s) is now all-bad: errRate 1, burn 10.
+	// fast_short window (1m) is now all-bad: errRate 1, burn 10.
 	fs := st.Burns[0]
 	if fs.ErrorRate < 0.99 || fs.Burn < 9.9 || fs.Burn > 10.1 {
 		t.Fatalf("outage fast_short = %+v, want errRate~1 burn~10", fs)
 	}
-	// burn 10 ≥ slow threshold 6 on both slow windows → slow_burn.
+	// The slow windows (30m, 6h) reach back to the first sample: 4000 bad of
+	// 5500, burn 7.3 ≥ slow threshold 6 on both → slow_burn.
 	if st.State != StateSlowBurn {
-		t.Fatalf("state = %s, want slow_burn (burn 10 vs slow threshold 6)", st.State)
+		t.Fatalf("state = %s, want slow_burn (burn 7.3 vs slow threshold 6)", st.State)
 	}
 }
 
@@ -149,7 +135,8 @@ func TestLatencyFastBurnAndHysteresis(t *testing.T) {
 	}
 
 	// Outage: every request at 1s. Error rate 1, budget 0.01 → burn 100,
-	// over the fast threshold once both fast windows (4s, 12s) fill.
+	// over the fast threshold once both fast windows (1m, 5m) carry enough
+	// of it; the 5m one still reads from the first sample.
 	transitioned := -1
 	for i := 0; i < 20; i++ {
 		for j := 0; j < 50; j++ {
@@ -164,7 +151,7 @@ func TestLatencyFastBurnAndHysteresis(t *testing.T) {
 	if transitioned < 0 {
 		t.Fatalf("never entered fast_burn; final %+v", st)
 	}
-	// The fast_long window (12s) must actually exceed the threshold at the
+	// The fast_long window (5m) must actually exceed the threshold at the
 	// transition — it still holds healthy samples early on, so the
 	// transition cannot be instant.
 	if transitioned < 1 {
@@ -179,7 +166,7 @@ func TestLatencyFastBurnAndHysteresis(t *testing.T) {
 	}
 
 	// Recovery: traffic healthy again. The state must hold through the
-	// hold-down (default = FastShort = 4s) and then step down one level at
+	// hold-down (FastShort = 1m, 12 ticks) and then step down one level at
 	// a time rather than snapping to ok.
 	sawFast, sawIntermediate := 0, false
 	for i := 0; i < 300 && st.State != StateOK; i++ {
@@ -213,9 +200,7 @@ func TestQualitySLOWorstShapeAnnotation(t *testing.T) {
 		Threshold: 0.1,
 		Metric:    "audit/relative_error",
 	}
-	h := newHarness(t, []Def{def}, func(o *Options) {
-		o.WorstShape = func() (float64, int64, bool) { return 0.42, 17, true }
-	})
+	h := newHarness(t, []Def{def}, func() (float64, int64, bool) { return 0.42, 17, true })
 	hist := h.reg.Histogram("audit/relative_error")
 	for i := 0; i < 3; i++ {
 		hist.Observe(0.01)
@@ -278,7 +263,7 @@ func TestPageAndHumanView(t *testing.T) {
 	if !p.Enabled || len(p.SLOs) != 2 {
 		t.Fatalf("page = %+v", p)
 	}
-	if p.Windows.FastShort != "4s" || p.Windows.SlowLong != "2m0s" {
+	if p.Windows.FastShort != "1m0s" || p.Windows.SlowLong != "6h0m0s" {
 		t.Fatalf("windows view = %+v", p.Windows)
 	}
 	var b strings.Builder
@@ -311,7 +296,7 @@ func TestNilEngineNoOps(t *testing.T) {
 }
 
 func TestDefValidation(t *testing.T) {
-	ts := obs.NewTimeSeries(obs.NewRegistry(), obs.TimeSeriesOptions{})
+	ts := obs.NewTimeSeries(obs.NewRegistry(), nil)
 	cases := []Def{
 		{Name: "bad-obj", Kind: Latency, Objective: 1.5, Threshold: 1, Metric: "m"},
 		{Name: "bad-avail", Kind: Availability, Objective: 0.9},
@@ -319,8 +304,34 @@ func TestDefValidation(t *testing.T) {
 		{Name: "bad-kind", Kind: "weird", Objective: 0.9},
 	}
 	for _, d := range cases {
-		if _, err := New(ts, []Def{d}, Options{}); err == nil {
+		if _, err := New(ts, []Def{d}, nil); err == nil {
 			t.Fatalf("def %+v accepted, want error", d)
+		}
+	}
+}
+
+// TestWindowsFitSampler: every burn window is read over the time it names once
+// the sampler's rings have wrapped — fast-long from the fine ring, exactly,
+// and slow-long (like slow-short) from the coarse ring, at most one coarse
+// step further back. A window past its ring would fall back to the oldest
+// retained sample and read less time than /sloz labels it with.
+func TestWindowsFitSampler(t *testing.T) {
+	h := newHarness(t, nil, nil)
+	c := h.reg.Counter("ticks")
+	for elapsed := time.Duration(0); elapsed < SlowLong+30*time.Minute; elapsed += obs.SampleInterval {
+		c.Inc()
+		h.tick()
+	}
+	for _, w := range []time.Duration{FastShort, FastLong, SlowShort, SlowLong} {
+		delta, elapsed, ok := h.ts.CounterWindow("ticks", w)
+		if !ok || elapsed < w || elapsed > w+3*time.Minute {
+			t.Errorf("%s window read %s (ok=%v), want it plus at most %s", w, elapsed, ok, 3*time.Minute)
+		}
+		if want := int64(elapsed / obs.SampleInterval); delta != want {
+			t.Errorf("%s window: delta %d over %s, want %d", w, delta, elapsed, want)
+		}
+		if w <= FastLong && elapsed != w {
+			t.Errorf("%s window read %s, want exactly its length from the fine ring", w, elapsed)
 		}
 	}
 }
