@@ -30,7 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -67,7 +66,7 @@ func main() {
 	trainTimeout := flag.Duration("train-timeout", 0, "wall-clock bound on training; on expiry the partially trained system is still used (0 = none)")
 	queryTimeout := flag.Duration("query-timeout", 0, "per-query deadline; an expired query returns a deadline error (0 = none)")
 	maxRows := flag.Int("max-rows", 0, "per-query result-row budget; on a trip the partial rows are returned marked degraded (0 = unlimited)")
-	parallelism := flag.Int("parallelism", 0, "worker count for workload scoring and RL updates (0 = one per CPU, <0 = serial; query execution is serial); results are identical for every setting")
+	parallelism := flag.Int("parallelism", 0, "workload-scoring workers for training, retraining and validation (0 = one per CPU, <0 = serial); query execution is serial at every setting")
 	traceDir := flag.String("trace-dir", "", "export tail-sampled query traces as rotated JSONL files in this directory (also enables tracing)")
 	traceSlow := flag.Duration("trace-slow", 500*time.Millisecond, "latency above which a trace counts as slow and is always kept")
 	var queries queryList
@@ -148,14 +147,6 @@ func main() {
 			cfg.Episodes = *episodes
 		}
 		cfg.Parallelism = *parallelism
-		switch {
-		case *parallelism > 0:
-			cfg.RL.Workers = *parallelism
-		case *parallelism == 0:
-			cfg.RL.Workers = runtime.NumCPU()
-		default:
-			cfg.RL.Workers = 1
-		}
 
 		ctx := context.Background()
 		if *trainTimeout > 0 {

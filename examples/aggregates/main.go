@@ -43,8 +43,9 @@ func main() {
 	}
 	for _, q := range queries {
 		stmt := sqlparse.MustParse(q)
-		// The public API: QueryAggregate routes via the estimator and
-		// applies the COUNT/SUM sample scale-up automatically.
+		// The public API: QueryAggregate answers through the same
+		// degradation ladder as every other query and applies the COUNT/SUM
+		// sample scale-up when the approximation set answered.
 		approx, err := sys.QueryAggregate(q)
 		if err != nil {
 			log.Fatal(err)

@@ -60,7 +60,7 @@ func main() {
 		fullTime := time.Since(fullStart)
 
 		apStart := time.Now()
-		res, err := sys.QueryApprox(q.Stmt)
+		res, err := engine.ExecuteWith(sys.SetDB(), q.Stmt, engine.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"asqprl/internal/engine"
 	"asqprl/internal/sqlparse"
+	"asqprl/internal/table"
 )
 
 // AggregateResult is the outcome of answering an aggregate query from the
@@ -16,80 +18,62 @@ type AggregateResult struct {
 	// global aggregates) to the estimated value of the first aggregate.
 	Values map[string]float64
 	// ScaleFactor is the COUNT/SUM scale-up that was applied (1 when the
-	// aggregate is scale-free).
+	// aggregate is scale-free or the full database answered).
 	ScaleFactor float64
-	// FromApproximation is false when the estimator routed the query to the
-	// full database (exact answer).
+	// FromApproximation is true when the approximation set answered, also
+	// as the ladder's degraded substitute; false for an exact answer.
 	FromApproximation bool
 }
 
-// QueryAggregate answers an aggregate SQL query approximately from the
-// approximation set, applying the standard AQP scale-up for COUNT and SUM.
-// The answerability estimator may route the query to the full database, in
-// which case the answer is exact. Only single-aggregate SELECTs with at most
-// one GROUP BY column are supported.
+// QueryAggregate answers an aggregate SQL query through the same ladder as
+// QueryStmtContext and, when the approximation set answered, applies the
+// standard AQP scale-up for COUNT and SUM (ScaleAggregate). Only
+// single-aggregate SELECTs with at most one GROUP BY column are supported.
 func (s *System) QueryAggregate(sql string) (*AggregateResult, error) {
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	return s.QueryAggregateStmt(stmt)
-}
-
-// QueryAggregateStmt is QueryAggregate over a parsed statement.
-func (s *System) QueryAggregateStmt(stmt *sqlparse.Select) (*AggregateResult, error) {
-	call := firstAggregateCall(stmt)
-	if call == nil {
+	if firstAggregateCall(stmt) == nil {
 		return nil, fmt.Errorf("core: QueryAggregate requires an aggregate in the SELECT list")
 	}
 	if len(stmt.GroupBy) > 1 {
 		return nil, fmt.Errorf("core: QueryAggregate supports at most one GROUP BY column")
 	}
-
-	// Route via the estimator using the SPJ rewrite, as in Section 4.4.
-	spj := engine.RewriteAggregateToSPJ(stmt)
-	pred, conf := s.est.Estimate(spj)
-	s.drift.Observe(spj, conf)
-
-	target := s.setDB
-	fromApprox := pred >= EstimatorThreshold
-	if !fromApprox {
-		target = s.db
-	}
-	res, err := engine.ExecuteWith(target, stmt, engine.Options{})
+	res, err := s.QueryStmtContext(context.Background(), stmt, QueryOptions{})
 	if err != nil {
 		return nil, err
 	}
 	out := &AggregateResult{
 		Values:            res.Table.GroupValues(len(stmt.GroupBy) > 0),
 		ScaleFactor:       1,
-		FromApproximation: fromApprox,
+		FromApproximation: res.FromApproximation,
 	}
-
-	// Scale COUNT/SUM by the sampling ratio of the queried table when
-	// answering from the approximation set.
-	if fromApprox && (call.Name == "COUNT" || call.Name == "SUM") && len(stmt.From) > 0 {
-		out.ScaleFactor = s.tableScaleFactor(stmt.From[0].Table)
-		for g := range out.Values {
-			out.Values[g] *= out.ScaleFactor
-		}
+	if res.FromApproximation {
+		out.ScaleFactor = ScaleAggregate(s.db, s.setDB, stmt, out.Values)
 	}
 	return out, nil
 }
 
-// tableScaleFactor returns |T| / |S_T| for the named table (1 when the
-// approximation set holds the whole table or the table is unknown).
-func (s *System) tableScaleFactor(tableName string) float64 {
-	full := s.db.Table(tableName)
-	approx := s.setDB.Table(tableName)
-	if full == nil || approx == nil || approx.NumRows() == 0 {
+// ScaleAggregate applies the standard AQP scale-up for unweighted samples to
+// values, the per-group answer of stmt over approx: a COUNT or SUM is
+// multiplied by |T| / |S_T|, the row ratio of the queried table T between
+// full and approx. It returns the factor it applied — 1 for a scale-free
+// aggregate (AVG, MIN, MAX) or a table either database lacks or holds empty.
+func ScaleAggregate(full, approx *table.Database, stmt *sqlparse.Select, values map[string]float64) float64 {
+	call := firstAggregateCall(stmt)
+	if call == nil || (call.Name != "COUNT" && call.Name != "SUM") || len(stmt.From) == 0 {
 		return 1
 	}
-	f := float64(full.NumRows()) / float64(approx.NumRows())
-	if f < 1 {
+	ft, at := full.Table(stmt.From[0].Table), approx.Table(stmt.From[0].Table)
+	if ft == nil || at == nil || ft.NumRows() == 0 || at.NumRows() == 0 {
 		return 1
 	}
-	return f
+	factor := float64(ft.NumRows()) / float64(at.NumRows())
+	for g := range values {
+		values[g] *= factor
+	}
+	return factor
 }
 
 // firstAggregateCall returns the first aggregate call in the SELECT list.

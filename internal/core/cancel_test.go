@@ -237,6 +237,31 @@ func TestQueryFaultFallsBackToApprox(t *testing.T) {
 	if got := strings.Join(events, " "); got != "guard_trip degraded" {
 		t.Errorf("ladder events = %q, want \"guard_trip degraded\"", got)
 	}
+
+	// QueryAggregate takes the same fallback, and the set's substitute is
+	// scaled like any set answer.
+	agg := "SELECT COUNT(*) FROM name WHERE birth_year > 1800"
+	faults.Enable(faults.NewSchedule(1, faults.Injection{
+		Point:    faults.PointEngineScan,
+		Kind:     faults.KindError,
+		MaxFires: 1,
+	}))
+	got, err := sys.QueryAggregate(agg)
+	faults.Disable()
+	if err != nil {
+		t.Fatalf("QueryAggregate: expected the set's scaled answer, got error %v", err)
+	}
+	if !got.FromApproximation {
+		t.Fatal("QueryAggregate: want the approximation set's answer")
+	}
+	setRes, err := engine.ExecuteWith(sys.SetDB(), mustParseCore(t, agg), engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	factor := float64(sys.DB().Table("name").NumRows()) / float64(sys.SetDB().Table("name").NumRows())
+	if want := setRes.Table.GroupValues(false)[""] * factor; factor <= 1 || got.ScaleFactor != factor || got.Values[""] != want {
+		t.Errorf("QueryAggregate = %v (scale %v), want %v (scale %v)", got.Values[""], got.ScaleFactor, want, factor)
+	}
 }
 
 // TestQueryStatementErrorEndsLadder: a statement that cannot bind fails the
@@ -264,18 +289,34 @@ func TestQueryStatementErrorEndsLadder(t *testing.T) {
 }
 
 // TestQueryPanicRecovered: an injected panic in the engine surfaces as an
-// error (or a degraded answer), never as a crash.
+// error (or a degraded answer), never as a crash — through QueryAggregate as
+// well, which answers through the same ladder.
 func TestQueryPanicRecovered(t *testing.T) {
 	sys := trainedSystem(t)
-	faults.Enable(faults.NewSchedule(1, faults.Injection{
-		Point: faults.PointEngineScan,
-		Kind:  faults.KindPanic,
-	}))
-	defer faults.Disable()
-	res, err := sys.QueryContext(context.Background(),
-		"SELECT * FROM name WHERE birth_year > 1800", QueryOptions{})
-	if err == nil && !res.Degraded {
-		t.Fatal("persistent panics should yield an error or a degraded result")
+	for _, tc := range []struct {
+		name string
+		run  func() (degraded bool, err error)
+	}{
+		{"Query", func() (bool, error) {
+			res, err := sys.QueryContext(context.Background(),
+				"SELECT * FROM name WHERE birth_year > 1800", QueryOptions{})
+			return res.Degraded, err
+		}},
+		{"QueryAggregate", func() (bool, error) { // no degraded answer: every scan panics
+			_, err := sys.QueryAggregate("SELECT COUNT(*) FROM name WHERE birth_year > 1800")
+			return false, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			faults.Enable(faults.NewSchedule(1, faults.Injection{
+				Point: faults.PointEngineScan,
+				Kind:  faults.KindPanic,
+			}))
+			defer faults.Disable()
+			if degraded, err := tc.run(); err == nil && !degraded {
+				t.Fatal("persistent panics should yield an error or a degraded result")
+			}
+		})
 	}
 }
 

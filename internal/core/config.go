@@ -3,15 +3,11 @@
 // the GSL/DRP/hybrid tabular environments (Section 5.2), training
 // (Algorithm 1) and inference (Algorithm 2), the answerability estimator and
 // interest-drift detection (Section 4.4), the statistics-driven query
-// generator for unknown workloads (Section 4.5), and the ASQP-Light /
-// adaptive configurations.
+// generator for unknown workloads (Section 4.5), and the ASQP-Light
+// configuration.
 package core
 
-import (
-	"time"
-
-	"asqprl/internal/rl"
-)
+import "asqprl/internal/rl"
 
 // EnvironmentKind selects the tabular RL environment (Section 5.2).
 type EnvironmentKind uint8
@@ -161,31 +157,6 @@ func LightConfig() Config {
 	c.Episodes = c.Episodes / 2
 	c.EarlyStopPatience = 4
 	c.RL.LR = 1e-2
-	return c
-}
-
-// AdaptiveConfig interpolates between LightConfig and DefaultConfig based on
-// the user's time budget relative to fullBudget (the time a full-quality run
-// is expected to take). This implements the "Adaptive Configuration" knob of
-// Section 4.5.
-func AdaptiveConfig(timeBudget, fullBudget time.Duration) Config {
-	if fullBudget <= 0 || timeBudget >= fullBudget {
-		return DefaultConfig()
-	}
-	frac := float64(timeBudget) / float64(fullBudget)
-	if frac < 0.1 {
-		frac = 0.1
-	}
-	full := DefaultConfig()
-	light := LightConfig()
-	lerp := func(a, b float64) float64 { return a + (b-a)*frac }
-	c := full
-	c.TrainFraction = lerp(light.TrainFraction, full.TrainFraction)
-	c.Episodes = int(lerp(float64(light.Episodes), float64(full.Episodes)))
-	c.RL.LR = lerp(light.RL.LR, full.RL.LR)
-	if frac < 0.6 {
-		c.EarlyStopPatience = light.EarlyStopPatience
-	}
 	return c
 }
 

@@ -468,7 +468,7 @@ func TestConfigNormalization(t *testing.T) {
 	}
 }
 
-func TestLightAndAdaptiveConfigs(t *testing.T) {
+func TestLightConfig(t *testing.T) {
 	light := LightConfig()
 	full := DefaultConfig()
 	if light.TrainFraction >= full.TrainFraction {
@@ -479,14 +479,6 @@ func TestLightAndAdaptiveConfigs(t *testing.T) {
 	}
 	if light.EarlyStopPatience == 0 {
 		t.Error("light should early-stop")
-	}
-	adaptive := AdaptiveConfig(1, 2) // half the budget
-	if adaptive.Episodes <= light.Episodes || adaptive.Episodes > full.Episodes {
-		t.Errorf("adaptive episodes %d should interpolate (%d..%d]",
-			adaptive.Episodes, light.Episodes, full.Episodes)
-	}
-	if got := AdaptiveConfig(5, 2); got.Episodes != full.Episodes {
-		t.Error("budget >= full should give full config")
 	}
 }
 

@@ -32,7 +32,7 @@ func TestDriftTakeObserveRace(t *testing.T) {
 		go func() {
 			defer writerWg.Done()
 			for i := 0; i < perWriter; i++ {
-				d.Observe(stmt, 0) // deviation 1.0 >= Confidence: always drifts
+				d.ObserveDetail(stmt, 0) // deviation 1.0 >= Confidence: always drifts
 			}
 		}()
 	}
@@ -75,8 +75,8 @@ func TestDriftTakeObserveRace(t *testing.T) {
 func TestDriftTakeBelowThreshold(t *testing.T) {
 	d := &DriftDetector{Confidence: 0.5, Count: 3}
 	stmt := mustParseCore(t, "SELECT * FROM title WHERE rating > 7")
-	d.Observe(stmt, 0)
-	d.Observe(stmt, 0)
+	d.ObserveDetail(stmt, 0)
+	d.ObserveDetail(stmt, 0)
 	if got := d.Take(3); got != nil {
 		t.Fatalf("Take below threshold returned %d statements, want nil", len(got))
 	}

@@ -153,18 +153,11 @@ type DriftDetector struct {
 // driftDropped counts, over every detector, the statements the bound discarded.
 var driftDropped = obs.Default().Counter("core/drift/dropped")
 
-// Observe records a query along with the estimator confidence produced for
-// it. It returns true when enough drifted queries have accumulated that
-// fine-tuning should be triggered.
-func (d *DriftDetector) Observe(stmt *sqlparse.Select, similarityConfidence float64) bool {
-	_, triggered := d.ObserveDetail(stmt, similarityConfidence)
-	return triggered
-}
-
-// ObserveDetail is Observe with the per-statement outcome exposed: drifted
-// reports whether this statement was added to the drift batch, triggered
-// whether the batch has reached the fine-tune threshold. The WAL uses drifted
-// to log exactly the observations that replay must re-feed after a crash.
+// ObserveDetail records a query along with the estimator confidence produced
+// for it: drifted reports whether this statement was added to the drift
+// batch, triggered whether the batch has reached the fine-tune threshold. The
+// WAL uses drifted to log exactly the observations that replay must re-feed
+// after a crash.
 func (d *DriftDetector) ObserveDetail(stmt *sqlparse.Select, similarityConfidence float64) (drifted, triggered bool) {
 	deviation := 1 - similarityConfidence
 	d.mu.Lock()
@@ -210,7 +203,7 @@ func (d *DriftDetector) Triggered() bool {
 // happen under one mutex hold, so statements observed concurrently by serving
 // traffic land either in this batch or in the next one, never in both and
 // never lost: the read/mutate race of reading the batch and resetting later
-// cannot drop an Observe that slipped in between.
+// cannot drop an ObserveDetail that slipped in between.
 func (d *DriftDetector) Take(min int) []*sqlparse.Select {
 	if min <= 0 {
 		min = 1

@@ -137,7 +137,8 @@ func decodeSnapshot(payload []byte) (snap snapshot, err error) {
 	return snap, nil
 }
 
-func loadBytes(db *table.Database, data []byte) (*System, error) {
+// LoadBytes restores a system from bytes produced by SaveBytes.
+func LoadBytes(db *table.Database, data []byte) (*System, error) {
 	payload, err := decodeFrame(data)
 	if err != nil {
 		return nil, err
@@ -183,24 +184,17 @@ func loadBytes(db *table.Database, data []byte) (*System, error) {
 	}
 	s.agent = agent
 
-	// Restore the estimator from the recorded per-query scores (or refit if
-	// the snapshot predates them).
-	emb := embed.Embedder{Dim: cfg.EmbedDim}
-	if len(snap.EstScores) == len(w) {
-		s.est = NewEstimator(emb, w.Statements(), snap.EstScores, estimatorNeighbors)
-	} else if err := s.fitEstimator(); err != nil {
-		return nil, fmt.Errorf("core: load: %w", err)
+	// Restore the estimator from the recorded per-query scores: Save writes
+	// one per training statement.
+	if len(snap.EstScores) != len(w) {
+		return nil, fmt.Errorf("core: load: snapshot has %d estimator scores for %d training statements", len(snap.EstScores), len(w))
 	}
+	s.est = NewEstimator(embed.Embedder{Dim: cfg.EmbedDim}, w.Statements(), snap.EstScores, estimatorNeighbors)
 	s.drift = &DriftDetector{Confidence: cfg.DriftConfidence, Count: cfg.DriftCount}
 
 	// Preprocessing artifacts are not serialized; rebuild them lazily when
 	// fine-tuning is requested.
 	return s, nil
-}
-
-// LoadBytes restores a system from bytes produced by SaveBytes.
-func LoadBytes(db *table.Database, data []byte) (*System, error) {
-	return loadBytes(db, data)
 }
 
 // restoreAgent reconstructs an agent and overwrites its networks with the

@@ -137,6 +137,24 @@ func errString(_ *System, err error) string {
 	return err.Error()
 }
 
+// TestLoadRejectsScoreCountMismatch: Save writes one estimator score per
+// training statement, so a snapshot with any other count is malformed and
+// loading it fails rather than refitting the estimator.
+func TestLoadRejectsScoreCountMismatch(t *testing.T) {
+	sys, err := trainedSystem(t).Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.est.scores = sys.est.scores[:len(sys.est.scores)-1]
+	data, err := sys.SaveBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadBytes(sys.DB(), data); err == nil || !strings.Contains(err.Error(), "estimator scores") {
+		t.Fatalf("load with a truncated score list: err = %v, want the count mismatch", err)
+	}
+}
+
 func TestLoadGarbage(t *testing.T) {
 	if _, err := LoadBytes(testIMDB(), []byte("junk")); err == nil {
 		t.Error("garbage snapshot should fail")

@@ -179,13 +179,13 @@ func TestEstimatorDegeneracies(t *testing.T) {
 func TestDriftDetectorExactThreshold(t *testing.T) {
 	d := &DriftDetector{Confidence: 0.5, Count: 2}
 	stmt := testWorkload()[0].Stmt
-	if d.Observe(stmt, 0.9) { // similarity 0.9 → deviation 0.1 < 0.5
+	if drifted, triggered := d.ObserveDetail(stmt, 0.9); drifted || triggered { // similarity 0.9 → deviation 0.1 < 0.5
 		t.Error("non-deviating query should not count")
 	}
-	if d.Observe(stmt, 0.3) { // deviation 0.7: first drifted
+	if drifted, triggered := d.ObserveDetail(stmt, 0.3); !drifted || triggered { // deviation 0.7: first drifted
 		t.Error("one drifted query should not trigger with Count=2")
 	}
-	if !d.Observe(stmt, 0.2) { // second drifted: trigger
+	if _, triggered := d.ObserveDetail(stmt, 0.2); !triggered { // second drifted: trigger
 		t.Error("second drifted query should trigger")
 	}
 	if d.DriftedCount() != 2 {

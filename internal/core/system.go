@@ -541,16 +541,6 @@ func final(err error) bool {
 	return terminal(err) || errors.Is(err, engine.ErrStatement)
 }
 
-// QueryApprox always answers from the approximation set, regardless of the
-// estimator (used by experiments that measure raw set quality).
-func (s *System) QueryApprox(stmt *sqlparse.Select) (*table.RowSet, error) {
-	res, err := engine.ExecuteWith(s.setDB, stmt, engine.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return res.Table, nil
-}
-
 // ScoreOn evaluates the approximation set against a workload using
 // Equation 1 with the system's frame size.
 func (s *System) ScoreOn(w workload.Workload) (float64, error) {
@@ -607,25 +597,19 @@ func (s *System) FineTuneContext(ctx context.Context, newQueries workload.Worklo
 }
 
 // FineTuneFromDrift fine-tunes on the drift detector's accumulated queries.
-// It is a no-op returning false when no drift has been detected.
-func (s *System) FineTuneFromDrift(extraEpisodes int) (bool, error) {
-	return s.FineTuneFromDriftContext(context.Background(), extraEpisodes)
-}
-
-// FineTuneFromDriftContext is FineTuneFromDrift with cooperative cancellation
-// (matching the FineTune/FineTuneContext convention). The drifted statements
-// are snapshotted and cleared in one atomic detector operation, so concurrent
-// QueryContext calls observing into the same detector can never have a
+// It is a no-op returning false when no drift has been detected. The drifted
+// statements are snapshotted and cleared in one atomic detector operation, so
+// concurrent queries observing into the same detector can never have a
 // statement both consumed here and dropped by a later reset. When the
 // fine-tune fails the taken statements are not restored — the caller decides
 // whether to retry on the same batch (see internal/retrain) or wait for
 // fresh drift to accumulate.
-func (s *System) FineTuneFromDriftContext(ctx context.Context, extraEpisodes int) (bool, error) {
+func (s *System) FineTuneFromDrift(extraEpisodes int) (bool, error) {
 	drifted := s.drift.Take(s.drift.Count)
 	if drifted == nil {
 		return false, nil
 	}
-	if err := s.FineTuneContext(ctx, workload.FromStatements(drifted), extraEpisodes); err != nil {
+	if err := s.FineTune(workload.FromStatements(drifted), extraEpisodes); err != nil {
 		return false, err
 	}
 	return true, nil

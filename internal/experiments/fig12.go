@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"strings"
-
 	"asqprl/internal/core"
 	"asqprl/internal/engine"
 	"asqprl/internal/generative"
@@ -32,38 +30,6 @@ func aggCategory(stmt *sqlparse.Select) string {
 		return "G+" + short
 	}
 	return short
-}
-
-// scaledAggregate executes an aggregate on an approximate database and
-// scales COUNT/SUM answers by the sampling ratio of the queried table — the
-// standard AQP scale-up for unweighted samples. AVG needs no scaling.
-func scaledAggregate(full, approx *table.Database, stmt *sqlparse.Select) (map[string]float64, error) {
-	res, err := engine.ExecuteWith(approx, stmt, engine.Options{})
-	if err != nil {
-		return nil, err
-	}
-	grouped := len(stmt.GroupBy) > 0
-	out := res.Table.GroupValues(grouped)
-
-	cat := aggCategory(stmt)
-	if strings.HasSuffix(cat, "CNT") || strings.HasSuffix(cat, "SUM") {
-		tableName := stmt.From[0].Table
-		fullRows := 0
-		approxRows := 0
-		if t := full.Table(tableName); t != nil {
-			fullRows = t.NumRows()
-		}
-		if t := approx.Table(tableName); t != nil {
-			approxRows = t.NumRows()
-		}
-		if approxRows > 0 && fullRows > 0 {
-			factor := float64(fullRows) / float64(approxRows)
-			for g := range out {
-				out[g] *= factor
-			}
-		}
-	}
-	return out, nil
 }
 
 // Fig12Aggregates regenerates Figure 12: relative error per aggregate
@@ -106,23 +72,36 @@ func Fig12Aggregates(p Params) (Result, error) {
 		return Result{}, err
 	}
 
+	// scaled answers on a sample database with core's COUNT/SUM scale-up.
+	// ASQP-RL answers from the set itself, never through the estimator's
+	// routing: the figure measures the set.
+	scaled := func(sample *table.Database) func(*sqlparse.Select) (map[string]float64, error) {
+		return func(stmt *sqlparse.Select) (map[string]float64, error) {
+			res, err := engine.ExecuteWith(sample, stmt, engine.Options{})
+			if err != nil {
+				return nil, err
+			}
+			out := res.Table.GroupValues(len(stmt.GroupBy) > 0)
+			core.ScaleAggregate(db, sample, stmt, out)
+			return out, nil
+		}
+	}
 	estimators := []struct {
 		name     string
 		estimate func(*sqlparse.Select) (map[string]float64, error)
 	}{
-		{"ASQP-RL", func(stmt *sqlparse.Select) (map[string]float64, error) { return scaledAggregate(db, sys.SetDB(), stmt) }},
-		{"VAE (gAQP)", func(stmt *sqlparse.Select) (map[string]float64, error) { return scaledAggregate(db, gen, stmt) }},
+		{"ASQP-RL", scaled(sys.SetDB())},
+		{"VAE (gAQP)", scaled(gen)},
 		{"SPN (DeepDB)", func(stmt *sqlparse.Select) (map[string]float64, error) { return model.Estimate(stmt) }},
 	}
 	// Relative errors per operator category and estimator; a query an
 	// estimator cannot answer counts as error 1.
 	errs := map[string][][]float64{}
 	for _, q := range test {
-		truthRes, err := engine.ExecuteWith(db, q.Stmt, engine.Options{})
+		truth, err := sys.ExactAggregate(q.Stmt)
 		if err != nil {
 			return Result{}, err
 		}
-		truth := truthRes.Table.GroupValues(len(q.Stmt.GroupBy) > 0)
 		if len(truth) == 0 {
 			continue
 		}

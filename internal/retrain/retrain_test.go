@@ -137,7 +137,7 @@ func primeDrift(t *testing.T, sys *core.System, n int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys.Drift().Observe(stmt, 0) // deviation 1.0: always counts as drifted
+		sys.Drift().ObserveDetail(stmt, 0) // deviation 1.0: always counts as drifted
 	}
 }
 

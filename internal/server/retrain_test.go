@@ -35,7 +35,7 @@ func primeDrift(t testing.TB, sys *core.System, n int) {
 		"SELECT * FROM name WHERE birth_year > 1980",
 	}
 	for i := 0; i < n; i++ {
-		sys.Drift().Observe(mustParse(t, sqls[i%len(sqls)]), 0)
+		sys.Drift().ObserveDetail(mustParse(t, sqls[i%len(sqls)]), 0)
 	}
 }
 

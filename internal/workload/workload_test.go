@@ -5,11 +5,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"asqprl/internal/datagen"
 	"asqprl/internal/engine"
+	"asqprl/internal/sqlparse"
 	"asqprl/internal/table"
 )
 
@@ -223,4 +225,53 @@ func TestReadFile(t *testing.T) {
 	if _, err := ReadFile(filepath.Join(t.TempDir(), "absent.sql")); err == nil {
 		t.Error("a missing file should error")
 	}
+}
+
+// FuzzReadWorkload holds the workload .sql loader to its contract on any
+// bytes: it never panics, and a file it accepts yields exactly its
+// non-blank, non-"--" lines (trimmed, CRLF endings included), each of which
+// re-parses to the same statement, with weights summing to 1.
+func FuzzReadWorkload(f *testing.F) {
+	for _, seed := range []string{
+		"-- the hot set\n\n  SELECT * FROM t WHERE a > 1\n--SELECT nothing\nSELECT b FROM t\n",
+		"SELECT a FROM t\r\n\r\n-- c\r\nSELECT b FROM t WHERE b < 2.5\r\n",
+		"SELECT * FROM t\n\nSELECT FROM WHERE\n",
+		"-- nothing here\n",
+		"\t SELECT x.a, COUNT(*) FROM t x GROUP BY x.a",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "queries.sql")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w, err := ReadFile(path)
+		if err != nil {
+			return
+		}
+		var want []string
+		for _, line := range strings.Split(string(data), "\n") {
+			if sql := strings.TrimSpace(line); sql != "" && !strings.HasPrefix(sql, "--") {
+				want = append(want, sql)
+			}
+		}
+		if got := w.SQLs(); !slices.Equal(got, want) {
+			t.Fatalf("statements = %q, want the file's non-blank, non-comment lines %q", got, want)
+		}
+		var total float64
+		for _, q := range w {
+			again, err := sqlparse.Parse(q.SQL)
+			if err != nil {
+				t.Fatalf("accepted %q no longer parses: %v", q.SQL, err)
+			}
+			if again.String() != q.Stmt.String() {
+				t.Fatalf("%q re-parses to %q, loaded as %q", q.SQL, again.String(), q.Stmt.String())
+			}
+			total += q.Weight
+		}
+		if math.Abs(total-1) > 1e-9 {
+			t.Fatalf("weights sum to %v, want 1", total)
+		}
+	})
 }

@@ -60,12 +60,15 @@ done
 # FuzzQueryRequest the /query handler to its contract on any method, body, q,
 # timeout_ms and max_rows (one JSON object back; 200, 400, 503 or 504, never
 # 500; an error message on every non-200).
-# The three disk-facing targets ride along: FuzzLoad (snapshot bytes: a system
+# The four disk-facing targets ride along: FuzzLoad (snapshot bytes: a system
 # or an error, never a panic), FuzzWALReplay (a damaged log opens, replays a
-# subsequence of what was written and accounts for the rest) and FuzzReadCSV
+# subsequence of what was written and accounts for the rest), FuzzReadCSV
 # (CSV bytes: the columns or the error of the row-at-a-time reference loader,
-# and a table that loads writes and reads back to a fixed point).
-echo "==> fuzz smoke: FuzzParse, FuzzRowVsColumnar, FuzzTuples, FuzzParseTraceparent, FuzzEncodeQueryResponse, FuzzQueryRequest, FuzzLoad, FuzzWALReplay, FuzzReadCSV"
+# and a table that loads writes and reads back to a fixed point) and
+# FuzzReadWorkload (a workload .sql file: an error, or exactly its non-blank,
+# non-comment lines, each re-parsing to the same statement, weights summing
+# to 1).
+echo "==> fuzz smoke: FuzzParse, FuzzRowVsColumnar, FuzzTuples, FuzzParseTraceparent, FuzzEncodeQueryResponse, FuzzQueryRequest, FuzzLoad, FuzzWALReplay, FuzzReadCSV, FuzzReadWorkload"
 go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/sqlparse/
 go test -run='^$' -fuzz=FuzzRowVsColumnar -fuzztime=20s ./internal/engine/
 go test -run='^$' -fuzz=FuzzTuples -fuzztime=5s ./internal/metrics/
@@ -75,6 +78,7 @@ go test -run='^$' -fuzz=FuzzQueryRequest -fuzztime=5s ./internal/server/
 go test -run='^$' -fuzz=FuzzLoad -fuzztime=5s ./internal/core/
 go test -run='^$' -fuzz=FuzzWALReplay -fuzztime=5s ./internal/wal/
 go test -run='^$' -fuzz=FuzzReadCSV -fuzztime=5s ./internal/table/
+go test -run='^$' -fuzz=FuzzReadWorkload -fuzztime=5s ./internal/workload/
 
 # The benchmark module is frozen (BENCHMARK.json "paths") and compiles against
 # internal packages: a change to an API it uses must fail here, not in the
