@@ -36,7 +36,6 @@ func main() {
 	seed := flag.Int64("seed", 0, "override base random seed")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /tracez and /debug/pprof on this address while experiments run")
 	md := flag.String("md", "", "rewrite each experiment's tables in this Markdown file, between its <!-- <id>:begin --> and <!-- <id>:end --> markers")
-	parallelism := flag.Int("parallelism", 0, "worker count for workload scoring (0 = one per CPU, <0 = serial; query execution is serial); results are identical for every setting")
 	logLevel := flag.String("log", "", "emit structured logs to stderr at this level (debug, info, warn, error)")
 	expTimeout := flag.Duration("train-timeout", 0, "watchdog: abort with a diagnostic if any single experiment exceeds this wall-clock bound (0 = none)")
 	flag.Parse()
@@ -79,7 +78,6 @@ func main() {
 	if *seed != 0 {
 		params.Seed = *seed
 	}
-	params.Parallelism = *parallelism
 
 	var runners []experiments.Runner
 	if *run == "all" {

@@ -40,12 +40,11 @@ import (
 )
 
 // options is everything the flags configure. Each flag is registered onto
-// the field of the struct that consumes it — server.Config, wal.Options,
+// the field of the struct that consumes it — server.Config,
 // obs.TracingConfig, buildInputs — with that field's value as its default, so
 // a default is written where its owner applies it and -h prints it.
 type options struct {
 	server  server.Config
-	wal     wal.Options
 	tracing obs.TracingConfig
 	build   buildInputs
 
@@ -59,7 +58,7 @@ type buildInputs struct {
 	workloadFile, loadFile string
 	scale                  float64
 	seed                   int64
-	k, frame, parallelism  int
+	k, frame               int
 	light                  bool
 	// Detector overrides (0 = the config's own).
 	driftConfidence float64
@@ -69,7 +68,6 @@ type buildInputs struct {
 func defaultOptions() options {
 	o := options{
 		server:   server.DefaultConfig(),
-		wal:      wal.DefaultOptions(),
 		tracing:  obs.TracingConfig{SampleRate: 0.01, SlowThreshold: 500 * time.Millisecond},
 		build:    buildInputs{dataset: "imdb", scale: 0.1, seed: 1, k: 1000, frame: 50},
 		logLevel: "info",
@@ -111,16 +109,12 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	dur(&c.DefaultTimeout, "query-timeout", "default per-query deadline")
 	num(&c.MaxRows, "max-rows", "per-query result-row cap")
 	dur(&c.DrainTimeout, "drain-timeout", "how long shutdown waits for in-flight queries")
-	num(&c.BreakerTrips, "breaker-trips", "consecutive full-DB guard trips that open the circuit breaker")
-	dur(&c.BreakerCooldown, "breaker-cooldown", "initial breaker open duration (doubles per failed probe)")
-	num(&b.parallelism, "parallelism", "workload-scoring workers for training, retraining and validation (0 = one per CPU, <0 = serial); query execution is serial at every setting")
 	str(&o.debugAddr, "debug-addr", "serve /metrics, /tracez and /debug/pprof on this address")
 	str(&o.logLevel, "log", "structured log level on stderr (debug, info, warn, error, off)")
 	str(&o.traceDir, "trace-dir", "export tail-sampled traces as rotated JSONL files in this directory")
 	frac(&o.tracing.SampleRate, "trace-sample", "fraction of healthy traces kept by the tail sampler (errors, degraded and slow traces are always kept)")
 	dur(&o.tracing.SlowThreshold, "trace-slow", "latency above which a trace counts as slow and is always kept")
 	frac(&c.AuditSample, "audit-sample", "fraction of approx-served/degraded answers shadow-audited against the full database (0 = off)")
-	num(&c.AuditWorkers, "audit-workers", "low-priority audit worker pool size")
 	frac(&c.SLOQualityP95, "slo-quality-p95", "quality SLO: p95 relative-error target for shadow-audited answers; burn-rate alerting on the 0.95 objective (0 = off)")
 	dur(&c.SLOLatencyP99, "slo-latency-p99", "latency SLO: p99 request-latency target; burn-rate alerting on the 0.99 objective (0 = off)")
 	frac(&c.SLOAvailability, "slo-availability", "availability SLO objective in (0,1), e.g. 0.999: fraction of requests answered without degradation/error/shedding (0 = off)")
@@ -129,12 +123,10 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	frac(&b.driftConfidence, "drift-confidence", "deviation confidence (1 - similarity) above which a served query counts as drifted (0 = config default)")
 	num(&b.driftCount, "drift-count", "drifted queries that trigger fine-tuning/retraining (0 = config default)")
 	on(&r.Enabled, "retrain", "enable drift-triggered background retraining with validated hot-swap and rollback")
-	dur(&r.Interval, "retrain-interval", "how often the retrain controller polls the drift detector")
 	dur(&r.Timeout, "retrain-timeout", "hard deadline for one retrain attempt (clone + fine-tune + validate)")
 	frac(&r.ValidateMargin, "retrain-validate-margin", "how much worse the candidate may score than the incumbent and still swap in")
 	dur(&r.RollbackWindow, "retrain-rollback-window", "how long the old system is retained after a swap for automatic rollback")
 	str(&o.walDir, "wal-dir", "write-ahead log directory: durably record served/drift/retrain events and replay them on startup (empty = durability off)")
-	big(&o.wal.SegmentBytes, "wal-segment-bytes", "WAL segment rotation threshold in bytes")
 }
 
 func main() {
@@ -196,7 +188,7 @@ func main() {
 	)
 	if o.walDir != "" {
 		var werr error
-		wlog, wrec, werr = wal.Open(o.walDir, o.wal)
+		wlog, wrec, werr = wal.Open(o.walDir, wal.Options{})
 		if werr != nil {
 			fatal(werr)
 		}
@@ -217,8 +209,7 @@ func main() {
 	}
 	fmt.Printf("serving on http://%s (/query, /healthz, /readyz, /stats, /qualityz, /retrainz, /sloz, /debugz); not ready until the system loads\n", bound)
 	if cfg.AuditSample > 0 {
-		fmt.Printf("shadow auditing %.0f%% of approx-served answers (workers=%d)\n",
-			cfg.AuditSample*100, cfg.AuditWorkers)
+		fmt.Printf("shadow auditing %.0f%% of approx-served answers\n", cfg.AuditSample*100)
 	}
 	if cfg.SLOAvailability > 0 || cfg.SLOLatencyP99 > 0 || cfg.SLOQualityP95 > 0 {
 		fmt.Printf("slo engine armed (availability=%g, latency-p99=%s, quality-p95=%g)\n",
@@ -347,7 +338,6 @@ func train(ctx context.Context, db *table.Database, in buildInputs) (*core.Syste
 	cfg.K = in.k
 	cfg.F = in.frame
 	cfg.Seed = in.seed
-	cfg.Parallelism = in.parallelism
 	start := time.Now()
 	sys, err := core.TrainContext(ctx, db, w, cfg)
 	if err != nil {

@@ -11,11 +11,9 @@ import (
 	"reflect"
 	"testing"
 
-	"asqprl/internal/audit"
 	"asqprl/internal/core"
 	"asqprl/internal/retrain"
 	"asqprl/internal/server"
-	"asqprl/internal/wal"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/help.golden from the registered flags")
@@ -40,8 +38,8 @@ func TestHelpGolden(t *testing.T) {
 	}
 	flags := 0
 	fs.VisitAll(func(*flag.Flag) { flags++ })
-	if flags != 40 {
-		t.Errorf("asqp-serve registers %d flags, want 40", flags)
+	if flags != 34 {
+		t.Errorf("asqp-serve registers %d flags, want 34", flags)
 	}
 	path := filepath.Join("testdata", "help.golden")
 	if *updateGolden {
@@ -61,7 +59,7 @@ func TestHelpGolden(t *testing.T) {
 // TestFlagsRegisterOwnersDefaults: registering the flags changes no field
 // (every flag's default is the value its field already held), and the fields
 // held what the package that applies them calls its default — so -h prints
-// what server.New, retrain.New and wal.Open do with an unset field.
+// what server.New and retrain.New do with an unset field.
 func TestFlagsRegisterOwnersDefaults(t *testing.T) {
 	fs, _, o := registered(t)
 	if want := defaultOptions(); !reflect.DeepEqual(o, want) {
@@ -73,14 +71,9 @@ func TestFlagsRegisterOwnersDefaults(t *testing.T) {
 		"query-timeout":           srv.DefaultTimeout,
 		"max-rows":                srv.MaxRows,
 		"drain-timeout":           srv.DrainTimeout,
-		"breaker-trips":           srv.BreakerTrips,
-		"breaker-cooldown":        srv.BreakerCooldown,
-		"audit-workers":           audit.DefaultWorkers,
-		"retrain-interval":        ret.Interval,
 		"retrain-timeout":         ret.Timeout,
 		"retrain-validate-margin": ret.ValidateMargin,
 		"retrain-rollback-window": ret.RollbackWindow,
-		"wal-segment-bytes":       wal.DefaultOptions().SegmentBytes,
 	} {
 		f := fs.Lookup(name)
 		if f == nil {

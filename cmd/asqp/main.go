@@ -66,7 +66,6 @@ func main() {
 	trainTimeout := flag.Duration("train-timeout", 0, "wall-clock bound on training; on expiry the partially trained system is still used (0 = none)")
 	queryTimeout := flag.Duration("query-timeout", 0, "per-query deadline; an expired query returns a deadline error (0 = none)")
 	maxRows := flag.Int("max-rows", 0, "per-query result-row budget; on a trip the partial rows are returned marked degraded (0 = unlimited)")
-	parallelism := flag.Int("parallelism", 0, "workload-scoring workers for training, retraining and validation (0 = one per CPU, <0 = serial); query execution is serial at every setting")
 	traceDir := flag.String("trace-dir", "", "export tail-sampled query traces as rotated JSONL files in this directory (also enables tracing)")
 	traceSlow := flag.Duration("trace-slow", 500*time.Millisecond, "latency above which a trace counts as slow and is always kept")
 	var queries queryList
@@ -146,7 +145,6 @@ func main() {
 		if *episodes > 0 {
 			cfg.Episodes = *episodes
 		}
-		cfg.Parallelism = *parallelism
 
 		ctx := context.Background()
 		if *trainTimeout > 0 {

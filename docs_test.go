@@ -400,3 +400,18 @@ func TestDocsResolveRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestDocsLength bounds the two documents a reader starts from: DESIGN.md
+// under 900 lines, README.md under 400 (as wc -l counts them). Text a change
+// makes obsolete goes first when one runs over.
+func TestDocsLength(t *testing.T) {
+	for doc, limit := range map[string]int{"DESIGN.md": 900, "README.md": 400} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(text), "\n"); n >= limit {
+			t.Errorf("%s has %d lines, want under %d", doc, n, limit)
+		}
+	}
+}

@@ -60,15 +60,16 @@ type Config struct {
 	// degraded) answers that are shadow-audited, in [0, 1]. Zero disables
 	// auditing.
 	SampleRate float64
-	// Workers is the number of low-priority audit executors (default
-	// DefaultWorkers).
-	Workers int
 	// Seed drives the sampling decisions (default 1).
 	Seed int64
+
+	// workers sizes the pool of low-priority audit executors for in-package
+	// tests; zero means DefaultWorkers.
+	workers int
 }
 
-// DefaultWorkers is the audit pool size when Config.Workers is unset: the
-// auditor is a background verifier, not a throughput machine.
+// DefaultWorkers is the audit pool size: the auditor is a background
+// verifier, not a throughput machine.
 const DefaultWorkers = 1
 
 // The auditor's fixed bounds. queueDepth bounds the pending-audit queue: a
@@ -90,8 +91,8 @@ func (c Config) normalize() Config {
 	if c.SampleRate > 1 {
 		c.SampleRate = 1
 	}
-	if c.Workers <= 0 {
-		c.Workers = DefaultWorkers
+	if c.workers <= 0 {
+		c.workers = DefaultWorkers
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -180,7 +181,7 @@ func New(target TargetFunc, gate GateFunc, cfg Config) *Auditor {
 		sqlShape: map[string]*shapeStats{},
 	}
 	a.ctx, a.cancel = context.WithCancel(context.Background())
-	for i := 0; i < cfg.Workers; i++ {
+	for i := 0; i < cfg.workers; i++ {
 		a.wg.Add(1)
 		go a.worker()
 	}

@@ -233,7 +233,7 @@ func TestAuditQueueBoundsAndDrop(t *testing.T) {
 	a := New(
 		func() (*table.Database, int) { return db, 25 },
 		func() bool { return allow.Load() },
-		Config{SampleRate: 1, Workers: 1},
+		Config{SampleRate: 1},
 	)
 	t.Cleanup(a.Close)
 	stmt := mustParse(t, "SELECT title FROM movies WHERE rating > 7")
@@ -278,7 +278,7 @@ func TestAuditCloseDrainsWorkers(t *testing.T) {
 	a := New(
 		func() (*table.Database, int) { return db, 25 },
 		func() bool { return false }, // gate never opens
-		Config{SampleRate: 1, Workers: 4},
+		Config{SampleRate: 1, workers: 4},
 	)
 	stmt := mustParse(t, "SELECT title FROM movies WHERE rating > 7")
 	sv := Served{SQL: stmt.String(), Source: "approximation"}

@@ -29,7 +29,7 @@ type dataset struct {
 
 // scoreOpts carries the dataset's reference cache and the run's parallelism.
 func (ds *dataset) scoreOpts(p Params) metrics.ScoreOptions {
-	return metrics.ScoreOptions{Parallelism: p.Parallelism, Cache: ds.ref}
+	return metrics.ScoreOptions{Parallelism: p.parallelism, Cache: ds.ref}
 }
 
 // heldOutFactor times WorkloadSize further statements are drawn for the test

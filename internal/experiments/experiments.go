@@ -40,12 +40,13 @@ type Params struct {
 	Seeds int
 	// BaselineBudget caps BRT/GRE search time.
 	BaselineBudget time.Duration
-	// Parallelism is the worker count for workload scoring
-	// (0 = one worker per CPU, <0 = serial). Results are identical for
-	// every setting; only wall-clock changes.
-	Parallelism int
 	// Seed is the base random seed.
 	Seed int64
+
+	// parallelism is the worker count for workload scoring (0 = one worker
+	// per CPU, <0 = serial); in-package tests set it to show that results
+	// are identical for every setting.
+	parallelism int
 }
 
 // Full returns the default experiment sizing.
@@ -90,7 +91,7 @@ func (p Params) asqpConfig(seed int64) core.Config {
 	cfg.ActionSpaceSize = p.Actions
 	cfg.Seed = seed
 	cfg.RL.Seed = seed
-	cfg.Parallelism = p.Parallelism
+	cfg.Parallelism = p.parallelism
 	return cfg
 }
 

@@ -194,7 +194,7 @@ func TestEvaluatePaired(t *testing.T) {
 	run := func(parallelism int) []Sample {
 		log = nil
 		for i := range conds {
-			conds[i].p.Parallelism = parallelism
+			conds[i].p.parallelism = parallelism
 		}
 		samples, err := evaluate(conds, methods)
 		if err != nil {
@@ -232,7 +232,7 @@ func TestEvaluatePaired(t *testing.T) {
 		t.Errorf("%d dataset values over %d seeds", len(datasets), p.Seeds)
 	}
 	if parallel := run(4); !reflect.DeepEqual(serial, parallel) {
-		t.Error("samples differ between Parallelism 1 and 4")
+		t.Error("samples differ between parallelism 1 and 4")
 	}
 }
 

@@ -3,8 +3,10 @@
 // into a supervised background retraining pipeline with a validated,
 // zero-downtime hot-swap and automatic rollback.
 //
-// The controller never touches the incumbent system. When the drift detector
-// trips (or an operator forces a run via /retrainz?force=1) it:
+// The controller never touches the incumbent system. It sleeps until the
+// serving layer reports that a query tipped the drift detector over its
+// threshold (Wake), an operator forces a run (/retrainz?force=1), or a
+// failure backoff expires; then it:
 //
 //  1. clones the incumbent through the CRC-framed snapshot path — the clone
 //     shares only the immutable database, so serving is never blocked and
@@ -55,10 +57,6 @@ type Config struct {
 	// Enabled turns the controller on. Serving layers construct it only when
 	// set, so a disabled deployment pays nothing.
 	Enabled bool
-	// Interval is the drift-poll cadence. The controller wakes, checks the
-	// incumbent's drift detector, and goes back to sleep; a Force call wakes
-	// it immediately.
-	Interval time.Duration
 	// Timeout is the hard wall-clock deadline for one retrain attempt:
 	// clone + fine-tune + validate. A deadline overrun discards the
 	// candidate — a half-trained set never reaches the gate.
@@ -89,7 +87,6 @@ type Config struct {
 // -retrain-* flags over it).
 func DefaultConfig() Config {
 	return Config{
-		Interval:       2 * time.Second,
 		Timeout:        5 * time.Minute,
 		ValidateMargin: 0.05,
 		RollbackWindow: 30 * time.Second,
@@ -113,9 +110,6 @@ const (
 
 func (c Config) normalize() Config {
 	d := DefaultConfig()
-	if c.Interval <= 0 {
-		c.Interval = d.Interval
-	}
 	if c.Timeout <= 0 {
 		c.Timeout = d.Timeout
 	}
@@ -231,6 +225,7 @@ type Controller struct {
 	ctx    context.Context // canceled at Close so in-flight training stops
 	cancel context.CancelFunc
 	force  chan struct{}
+	wake   chan struct{}
 	stopWg sync.WaitGroup
 
 	mu      sync.Mutex
@@ -238,7 +233,6 @@ type Controller struct {
 	pending workload.Workload // drifted batch being retrained, nil when idle
 	backoff time.Duration
 	until   time.Time // backoff deadline; zero when not backing off
-	rng     *rand.Rand
 }
 
 // ErrDisabled is returned by Force on a nil (disabled) controller.
@@ -257,8 +251,8 @@ func New(cfg Config, hooks Hooks) *Controller {
 		cfg:     cfg,
 		hooks:   hooks,
 		force:   make(chan struct{}, 1),
+		wake:    make(chan struct{}, 1),
 		backoff: cfg.Backoff,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	c.st = Status{Enabled: true, State: "idle"}
@@ -296,11 +290,27 @@ func (c *Controller) Force() error {
 	if c.ctx.Err() != nil {
 		return errors.New("retrain: controller closed")
 	}
-	select {
-	case c.force <- struct{}{}:
-	default: // a force is already queued; one wake is enough
-	}
+	signal(c.force)
 	return nil
+}
+
+// Wake asks the loop to look at the drift detector now: the serving layer
+// calls it when a query's result reports DriftTriggered, and recovery when
+// the restored batch already meets the threshold. It never blocks; wakes that
+// arrive during an attempt or a backoff coalesce into one look once the loop
+// is free. Nil-safe: a disabled controller ignores it.
+func (c *Controller) Wake() {
+	if c != nil {
+		signal(c.wake)
+	}
+}
+
+// signal queues one wake on ch unless one is already queued.
+func signal(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
 }
 
 // Status returns a snapshot of the controller state. Nil-safe: a disabled
@@ -321,18 +331,16 @@ func (c *Controller) Status() Status {
 	return st
 }
 
-// loop is the controller goroutine: wake on the poll interval or a Force,
-// pick up drift, and run attempts.
+// loop is the controller goroutine: sleep until a Wake (a drift trigger, a
+// recovery, the end of a backoff) or a Force, pick up drift, and run attempts.
 func (c *Controller) loop() {
 	defer c.stopWg.Done()
-	ticker := time.NewTicker(c.cfg.Interval)
-	defer ticker.Stop()
 	for {
 		forced := false
 		select {
 		case <-c.ctx.Done():
 			return
-		case <-ticker.C:
+		case <-c.wake:
 		case <-c.force:
 			forced = true
 		}
@@ -673,8 +681,8 @@ func (c *Controller) journal(ev Event) {
 // burned, and Restore resumes the doubled backoff where it left off, so a
 // crash-looping deployment cannot turn retraining into a hot loop. The drift
 // batch itself is restored separately (replay re-observes the drifted
-// statements into the detector; the controller picks them up as usual once
-// the backoff expires).
+// statements into the detector; the loop looks at them when the backoff
+// expires).
 func (c *Controller) Restore(attemptsThisBatch int) {
 	if c == nil || attemptsThisBatch <= 0 {
 		return
@@ -689,9 +697,11 @@ func (c *Controller) Restore(attemptsThisBatch int) {
 	c.armBackoffLocked()
 }
 
-// armBackoffLocked starts (and doubles) the failure backoff. Caller holds mu.
+// armBackoffLocked starts (and doubles) the failure backoff and wakes the
+// loop when it ends. Caller holds mu.
 func (c *Controller) armBackoffLocked() {
 	c.until = time.Now().Add(c.backoff)
+	time.AfterFunc(c.backoff, c.Wake)
 	c.backoff = min(2*c.backoff, c.cfg.maxBackoff())
 }
 

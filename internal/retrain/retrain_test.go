@@ -109,16 +109,16 @@ func (h *host) hooks() Hooks {
 	return Hooks{Incumbent: h.incumbent, Publish: h.publish, Quality: h.probe}
 }
 
-// testCfg is a controller config tuned for fast deterministic tests: huge
-// poll interval (only Force drives it), short windows and backoff.
+// testCfg is a controller config tuned for fast deterministic tests: only
+// Force starts an attempt (nothing calls Wake, and a failure backs off for an
+// hour), and the rollback window is short.
 func testCfg() Config {
 	return Config{
 		Enabled:        true,
-		Interval:       time.Hour,
 		Timeout:        2 * time.Minute,
 		ValidateMargin: 2, // scores live in [0,1]: the gate always passes
 		RollbackWindow: 300 * time.Millisecond,
-		Backoff:        10 * time.Millisecond,
+		Backoff:        time.Hour,
 		Seed:           1,
 	}
 }
@@ -174,7 +174,51 @@ func TestNilControllerIsDisabled(t *testing.T) {
 	if err := c.Force(); err != ErrDisabled {
 		t.Fatalf("nil Force err = %v, want ErrDisabled", err)
 	}
+	c.Wake()  // must not panic
 	c.Close() // must not panic
+}
+
+// TestWakeTakesBatchAtThreshold: with no Force, a Wake below the drift
+// threshold takes nothing, and a Wake once the detector holds Count
+// statements starts an attempt on them.
+func TestWakeTakesBatchAtThreshold(t *testing.T) {
+	inc := fixture(t)
+	count := inc.Drift().Count
+	primeDrift(t, inc, count-1)
+
+	c := New(testCfg(), newHost(inc).hooks())
+	c.Start()
+	defer c.Close()
+	c.Wake()
+	time.Sleep(100 * time.Millisecond)
+	if st := c.Status(); st.Attempts != 0 || inc.Drift().DriftedCount() != count-1 {
+		t.Fatalf("a wake below the threshold took the batch: %+v, detector holds %d", st, inc.Drift().DriftedCount())
+	}
+
+	primeDrift(t, inc, 1)
+	c.Wake()
+	waitStatus(t, c, 10*time.Second, func(st Status) bool { return st.Attempts == 1 })
+}
+
+// TestBackoffExpiryRetries: after a failed attempt the loop wakes on its own
+// when the backoff expires and retries the pending batch, so one Wake spends
+// the whole attempt budget without a Force.
+func TestBackoffExpiryRetries(t *testing.T) {
+	inc := fixture(t)
+	primeDrift(t, inc, inc.Drift().Count)
+	faults.Enable(faults.NewSchedule(1, faults.Injection{Point: faults.PointRetrainClone, Kind: faults.KindError}))
+	t.Cleanup(faults.Disable)
+
+	cfg := testCfg()
+	cfg.Backoff = 20 * time.Millisecond
+	c := New(cfg, newHost(inc).hooks())
+	c.Start()
+	defer c.Close()
+	c.Wake()
+	st := waitStatus(t, c, 10*time.Second, func(st Status) bool { return st.LastOutcome == "gave_up" })
+	if st.Failures != maxAttempts {
+		t.Fatalf("failures = %d, want %d", st.Failures, maxAttempts)
+	}
 }
 
 // TestForcedRetrainSwaps drives the happy path end to end: forced retrain on

@@ -27,7 +27,6 @@ func TestAuditEndToEnd(t *testing.T) {
 	sys := trainedSystem(t)
 	srv, base := startServer(t, sys, Config{
 		AuditSample:  1,
-		AuditWorkers: 1,
 		DriftObserve: true,
 	})
 
@@ -207,7 +206,6 @@ func TestChaosAuditOverloadAndDrain(t *testing.T) {
 		DefaultTimeout: 2 * time.Second,
 		DrainTimeout:   5 * time.Second,
 		AuditSample:    1, // every eligible answer queues an audit
-		AuditWorkers:   2,
 	})
 
 	// 32 concurrent clients against capacity 8 = 4x offered load, in

@@ -30,8 +30,8 @@ func (s breakerState) String() string {
 }
 
 // breaker protects the full-database fallback rung of the degradation ladder.
-// When the expensive path trips its guards (deadline, row budget, fault) N
-// times in a row, the breaker opens: queries route around the full database
+// When the expensive path fails (deadline or fault) breakerTrips times in a
+// row, the breaker opens: queries route around the full database
 // and are answered from the approximation set tagged Degraded, instead of
 // stacking doomed work on a sick backend. An error of the statement itself
 // says nothing about the backend and does not count. After a jittered cooldown the
@@ -53,9 +53,14 @@ type breaker struct {
 	now       func() time.Time // injectable clock for tests
 }
 
-// breakerMaxCooldownFactor caps the doubling: however many probes fail, the
-// breaker waits at most this many initial cooldowns before the next one.
-const breakerMaxCooldownFactor = 16
+// The breaker opens after breakerTrips consecutive full-database failures
+// and first probes breakerCooldown later. The cooldown doubles per failed
+// probe, capped at breakerMaxCooldownFactor initial cooldowns.
+const (
+	breakerTrips             = 5
+	breakerCooldown          = 500 * time.Millisecond
+	breakerMaxCooldownFactor = 16
+)
 
 func newBreaker(threshold int, cooldown time.Duration, seed int64) *breaker {
 	return &breaker{

@@ -31,7 +31,7 @@ func TestChaosOverloadWithFaults(t *testing.T) {
 		QueueDepth:     4,
 		DefaultTimeout: 2 * time.Second,
 		DrainTimeout:   5 * time.Second,
-		BreakerTrips:   3,
+		trips:          3,
 	})
 
 	// Persistent probabilistic chaos: errors, latency, and panics on the
@@ -144,10 +144,10 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	}
 
 	srv, base := startServer(t, sys, Config{
-		MaxInFlight:     2,
-		DefaultTimeout:  2 * time.Second,
-		BreakerTrips:    2,
-		BreakerCooldown: 300 * time.Millisecond,
+		MaxInFlight:    2,
+		DefaultTimeout: 2 * time.Second,
+		trips:          2,
+		cooldown:       300 * time.Millisecond,
 	})
 
 	// Fail the first scan of each query (the full-database attempt for a

@@ -26,12 +26,12 @@ func TestConfigSurfaceIsClosed(t *testing.T) {
 		"rl.Config": "Hidden LR Gamma ClipEpsilon EntropyCoef KLCoef UseCritic Epochs Workers " +
 			"EpisodesPerIteration Seed",
 		"server.Config": "Addr MaxInFlight QueueDepth DefaultTimeout MaxRows " +
-			"BreakerTrips BreakerCooldown DrainTimeout Seed AuditSample AuditWorkers DriftObserve " +
+			"DrainTimeout Seed AuditSample DriftObserve " +
 			"Retrain WAL SLOAvailability SLOLatencyP99 SLOQualityP95 SLOClock DiagDir",
-		"retrain.Config": "Enabled Interval Timeout ValidateMargin RollbackWindow Backoff SnapshotPath Seed",
-		"audit.Config":   "SampleRate Workers Seed",
+		"retrain.Config": "Enabled Timeout ValidateMargin RollbackWindow Backoff SnapshotPath Seed",
+		"audit.Config":   "SampleRate Seed",
 		"diag.Config":    "Dir Now",
-		"wal.Options":    "SegmentBytes",
+		"wal.Options":    "",
 	}
 	settable := 0
 	for _, v := range []any{

@@ -143,6 +143,11 @@ func (s *Server) Recover(sys *core.System, rec wal.Recovery) RecoveryInfo {
 
 	s.SetSystem(sys)
 	s.recovering.Store(false)
+	// The incumbent is live: a restored batch that already meets the
+	// threshold needs no new query to wake the retrain loop.
+	if d := sys.Drift(); d != nil && d.Triggered() {
+		s.ret.Wake()
+	}
 	obs.Logger().Info("recovery complete",
 		"frames_replayed", rec.Stats.FramesReplayed,
 		"frames_dropped", rec.Stats.FramesDropped,

@@ -74,7 +74,9 @@ func TestServerWALRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{WAL: wlog2, Retrain: retrainTestConfig()}
+	// The restored backoff (two attempts at the default 5 s: 10 s) outlasts
+	// the test, so the replayed drift stays in the detector to be counted.
+	cfg := Config{WAL: wlog2, Retrain: retrain.Config{Enabled: true}}
 	srv, base2 := startServer(t, sys2, cfg)
 	srv.BeginRecovery()
 
@@ -231,11 +233,36 @@ func TestJournalFailureCountedNotServed(t *testing.T) {
 	}
 }
 
-// retrainTestConfig is a controller config that never fires on its own (the
-// recovery test only needs the controller to exist so Restore has something
-// to re-arm).
-func retrainTestConfig() (c retrain.Config) {
-	c.Enabled = true
-	c.Interval = time.Hour
-	return c
+// TestRecoveryWakesRetrain: a replayed tail whose drift evidence meets the
+// threshold starts a retrain attempt with no new query and no Force — at once
+// when the tail holds no failed attempt, once the restored backoff expires
+// when it does.
+func TestRecoveryWakesRetrain(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		attempts int
+	}{{"fresh batch", 0}, {"after a failed attempt", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := clonedSystem(t)
+			var rec wal.Recovery
+			for i := 0; i < sys.Drift().Count; i++ {
+				rec.Tail = append(rec.Tail, wal.Record{Type: wal.TypeDrift, SQL: driftedSQL, Confidence: 0})
+			}
+			if tc.attempts > 0 {
+				rec.Tail = append(rec.Tail, wal.Record{Type: wal.TypeRetrain, Event: "failed", Attempt: tc.attempts})
+			}
+			cfg := fastRetrain()
+			cfg.Backoff = 300 * time.Millisecond
+			srv := New(nil, Config{Retrain: cfg}) // as asqp-serve: no system until recovery publishes one
+			defer srv.Shutdown(context.Background())
+			srv.BeginRecovery()
+			srv.Recover(sys, rec)
+			if tc.attempts > 0 {
+				if st := srv.ret.Status(); st.Attempts != 0 || st.State != "backoff" {
+					t.Fatalf("restored backoff not held: %+v", st)
+				}
+			}
+			waitRetrain(t, srv, 10*time.Second, func(st retrain.Status) bool { return st.Attempts >= 1 })
+		})
+	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"sync"
 	"testing"
@@ -39,13 +40,12 @@ func primeDrift(t testing.TB, sys *core.System, n int) {
 	}
 }
 
-// fastRetrain is a controller config tuned for tests: only Force drives it,
-// the gate always passes (scores live in [0,1], margin 2), and the rollback
-// window is short.
+// fastRetrain is a controller config tuned for tests: the gate always passes
+// (scores live in [0,1], margin 2), and the rollback window and the failure
+// backoff are short.
 func fastRetrain() retrain.Config {
 	return retrain.Config{
 		Enabled:        true,
-		Interval:       time.Hour,
 		Timeout:        2 * time.Minute,
 		ValidateMargin: 2,
 		RollbackWindow: 100 * time.Millisecond,
@@ -68,6 +68,22 @@ func waitRetrain(t *testing.T, srv *Server, timeout time.Duration, cond func(ret
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestDriftTriggerWakesRetrain: with retraining on and no Force, queries that
+// carry the drift detector past its count start an attempt — the request that
+// reports DriftTriggered wakes the controller.
+func TestDriftTriggerWakesRetrain(t *testing.T) {
+	sys := clonedSystem(t)
+	sys.SetDrift(0.01, 3)
+	srv, base := startServer(t, sys, Config{DriftObserve: true, Retrain: fastRetrain()})
+	for i := 0; i < 3; i++ {
+		sql := fmt.Sprintf("SELECT * FROM name WHERE birth_year > %d", 1800+i)
+		if status, resp := postQuery(t, base, sql, 0, 0); status != http.StatusOK {
+			t.Fatalf("drifting query %d: HTTP %d (%s)", i, status, resp.Error)
+		}
+	}
+	waitRetrain(t, srv, 10*time.Second, func(st retrain.Status) bool { return st.Attempts >= 1 })
 }
 
 // TestHotSwapZeroDowntimeUnderLoad proves the tentpole's serving guarantee:

@@ -9,7 +9,7 @@
 // Admission control bounds concurrency (MaxInFlight execution slots) and
 // queueing (QueueDepth waiters); anything beyond that is shed immediately
 // with 503 + Retry-After instead of piling up. The circuit breaker watches
-// the full-database fallback rung: after Breaker.Trips consecutive guard
+// the full-database fallback rung: after breakerTrips consecutive guard
 // trips it opens and queries are answered from the approximation set tagged
 // Degraded, with half-open probes on a jittered, doubling cooldown. Graceful
 // drain (Shutdown) stops admitting, waits for in-flight queries up to the
@@ -60,12 +60,6 @@ type Config struct {
 	// MaxRows caps per-query result rows — the serving layer always bounds
 	// result size.
 	MaxRows int
-	// BreakerTrips is the consecutive full-database guard-trip count that
-	// opens the circuit breaker.
-	BreakerTrips int
-	// BreakerCooldown is the initial open duration before a half-open probe;
-	// it doubles on each failed probe up to breakerMaxCooldownFactor times.
-	BreakerCooldown time.Duration
 	// DrainTimeout bounds how long Shutdown waits for in-flight queries
 	// before canceling them.
 	DrainTimeout time.Duration
@@ -75,8 +69,6 @@ type Config struct {
 	// shadow-audited against the full database (0 disables auditing, the
 	// default — the hot path then pays zero overhead).
 	AuditSample float64
-	// AuditWorkers is the size of the low-priority audit worker pool.
-	AuditWorkers int
 	// DriftObserve feeds each served query into core's interest-drift
 	// detector (Section 4.4). Off by default for in-process servers so
 	// synthetic traffic cannot poison the fine-tuning signal; asqp-serve
@@ -116,6 +108,11 @@ type Config struct {
 	// /debugz?capture=1) a diagnostic bundle is captured here. Empty
 	// disables — the nil recorder adds nothing to any path.
 	DiagDir string
+
+	// trips and cooldown run the circuit breaker at other settings for
+	// in-package tests; zero means breakerTrips and breakerCooldown.
+	trips    int
+	cooldown time.Duration
 }
 
 // maxTimeout caps the deadline a client may ask for with timeout_ms.
@@ -126,15 +123,12 @@ const maxTimeout = 30 * time.Second
 // asqp-serve registers its flags over it, so -h prints what New applies.
 func DefaultConfig() Config {
 	return Config{
-		Addr:            "localhost:8080",
-		DefaultTimeout:  2 * time.Second,
-		MaxRows:         100000,
-		BreakerTrips:    5,
-		BreakerCooldown: 500 * time.Millisecond,
-		DrainTimeout:    10 * time.Second,
-		Seed:            1,
-		AuditWorkers:    audit.DefaultWorkers,
-		Retrain:         retrain.DefaultConfig(),
+		Addr:           "localhost:8080",
+		DefaultTimeout: 2 * time.Second,
+		MaxRows:        100000,
+		DrainTimeout:   10 * time.Second,
+		Seed:           1,
+		Retrain:        retrain.DefaultConfig(),
 	}
 }
 
@@ -157,10 +151,8 @@ func (c Config) Validate() error {
 		v    time.Duration
 	}{
 		{"query timeout", c.DefaultTimeout},
-		{"breaker cooldown", c.BreakerCooldown},
 		{"drain timeout", c.DrainTimeout},
 		{"latency SLO target", c.SLOLatencyP99},
-		{"retrain interval", c.Retrain.Interval},
 		{"retrain timeout", c.Retrain.Timeout},
 		{"retrain rollback window", c.Retrain.RollbackWindow},
 	} {
@@ -174,8 +166,6 @@ func (c Config) Validate() error {
 	}{
 		{"max in-flight", c.MaxInFlight},
 		{"max rows", c.MaxRows},
-		{"breaker trips", c.BreakerTrips},
-		{"audit workers", c.AuditWorkers},
 	} {
 		if n.v < 0 {
 			return fmt.Errorf("%s %d is negative", n.name, n.v)
@@ -203,11 +193,11 @@ func (c Config) normalize() Config {
 	if c.MaxRows <= 0 {
 		c.MaxRows = d.MaxRows
 	}
-	if c.BreakerTrips <= 0 {
-		c.BreakerTrips = d.BreakerTrips
+	if c.trips <= 0 {
+		c.trips = breakerTrips
 	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = d.BreakerCooldown
+	if c.cooldown <= 0 {
+		c.cooldown = breakerCooldown
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = d.DrainTimeout
@@ -274,7 +264,7 @@ func New(sys *core.System, cfg Config) *Server {
 	s := &Server{
 		cfg:  cfg,
 		adm:  newAdmission(cfg.MaxInFlight, cfg.QueueDepth),
-		brk:  newBreaker(cfg.BreakerTrips, cfg.BreakerCooldown, cfg.Seed),
+		brk:  newBreaker(cfg.trips, cfg.cooldown, cfg.Seed),
 		wal:  cfg.WAL,
 		done: make(chan struct{}),
 	}
@@ -299,11 +289,7 @@ func New(sys *core.System, cfg Config) *Server {
 				s.adm.queued.Load() == 0 &&
 				2*s.adm.inFlight() <= cfg.MaxInFlight
 		},
-		audit.Config{
-			SampleRate: cfg.AuditSample,
-			Workers:    cfg.AuditWorkers,
-			Seed:       cfg.Seed,
-		},
+		audit.Config{SampleRate: cfg.AuditSample, Seed: cfg.Seed},
 	)
 	if sys != nil {
 		s.SetSystem(sys) // after the auditor: it collects per generation
@@ -613,6 +599,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if qerr != nil {
 		s.writeErr(w, span, statusForError(qerr), start, qerr.Error(), false)
 		return
+	}
+	if res.DriftTriggered {
+		s.ret.Wake()
 	}
 	resp := &QueryResponse{
 		Source:         "full",

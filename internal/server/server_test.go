@@ -417,7 +417,7 @@ func TestRegistryNameSetIsClosed(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
 	sys := trainedSystem(t)
-	srv := New(sys, Config{BreakerTrips: 1, BreakerCooldown: time.Hour})
+	srv := New(sys, Config{trips: 1, cooldown: time.Hour})
 	h := srv.Handler()
 	names := func() [2]int {
 		snap := obs.Default().Snapshot()
@@ -470,7 +470,7 @@ func TestRegistryNameSetIsClosed(t *testing.T) {
 		t.Errorf("parse error: HTTP %d, want 400", status)
 	}
 	// An engine fault on the full database is also the failure that opens the
-	// breaker (BreakerTrips 1), so the request after it is routed around.
+	// breaker (one trip opens it), so the request after it is routed around.
 	faults.Enable(faults.NewSchedule(1, faults.Injection{
 		Point: faults.PointEngineScan, Kind: faults.KindError, MaxFires: 1,
 	}))
@@ -496,7 +496,7 @@ func TestRegistryNameSetIsClosed(t *testing.T) {
 
 // TestUnbindableStatementIs400AndSparesBreaker: a statement that cannot run
 // on any generation is the client's error. Each one answers 400 at once, and
-// BreakerTrips of them in a row leave the breaker closed, so the next
+// breakerTrips of them in a row leave the breaker closed, so the next
 // full-routed query is still answered by the full database.
 func TestUnbindableStatementIs400AndSparesBreaker(t *testing.T) {
 	sys := trainedSystem(t)
@@ -504,7 +504,7 @@ func TestUnbindableStatementIs400AndSparesBreaker(t *testing.T) {
 		t.Skip("fixture query unexpectedly routed to the approximation set")
 	}
 	_, base := startServer(t, sys, Config{})
-	for i := 0; i < DefaultConfig().BreakerTrips; i++ {
+	for i := 0; i < breakerTrips; i++ {
 		status, resp := postQuery(t, base, "SELECT nosuch FROM name WHERE birth_year > 1800", 0, 0)
 		if status != http.StatusBadRequest || !strings.Contains(resp.Error, `column "nosuch" not found`) {
 			t.Fatalf("unbindable statement %d: HTTP %d (%q), want 400 naming the column", i, status, resp.Error)
@@ -524,8 +524,8 @@ func TestUnbindableStatementIs400AndSparesBreaker(t *testing.T) {
 
 // TestRowBudgetTripSparesBreaker: a row-budget trip is decided by the
 // statement and the request, not by the database's health — the database is
-// immutable, so the same statement trips the same way every time. BreakerTrips
-// oversized cross joins (400: no rows to serve) and BreakerTrips full-routed
+// immutable, so the same statement trips the same way every time. breakerTrips
+// oversized cross joins (400: no rows to serve) and breakerTrips full-routed
 // queries over their max_rows (200, degraded "rows") leave the breaker closed,
 // and the next full-routed query is still answered by the full database.
 func TestRowBudgetTripSparesBreaker(t *testing.T) {
@@ -543,14 +543,14 @@ func TestRowBudgetTripSparesBreaker(t *testing.T) {
 			t.Fatalf("breaker after %s = %q, want closed", after, st.BreakerState)
 		}
 	}
-	for i := 0; i < DefaultConfig().BreakerTrips; i++ {
+	for i := 0; i < breakerTrips; i++ {
 		status, resp := postQuery(t, base, crossJoin, 0, 0)
 		if status != http.StatusBadRequest || !strings.Contains(resp.Error, "row budget") {
 			t.Fatalf("oversized cross join %d: HTTP %d (%q), want 400 naming the row budget", i, status, resp.Error)
 		}
 	}
 	breaker("oversized cross joins")
-	for i := 0; i < DefaultConfig().BreakerTrips; i++ {
+	for i := 0; i < breakerTrips; i++ {
 		status, resp := postQuery(t, base, fullRouteSQL, 0, 2)
 		if status != http.StatusOK || resp.Source != "full" || resp.DegradedReason != "rows" {
 			t.Fatalf("max_rows trip %d: HTTP %d source=%q reason=%q, want 200 from full, degraded rows",
@@ -624,14 +624,11 @@ func TestConfigValidate(t *testing.T) {
 		"audit sample negative": {AuditSample: -0.5},
 		"quality negative":      {SLOQualityP95: -0.2},
 		"query timeout":         {DefaultTimeout: -time.Second},
-		"breaker cooldown":      {BreakerCooldown: -time.Millisecond},
 		"drain timeout":         {DrainTimeout: -time.Second},
 		"latency target":        {SLOLatencyP99: -time.Millisecond},
 		"retrain timeout":       {Retrain: retrain.Config{Timeout: -time.Minute}},
 		"max in-flight":         {MaxInFlight: -1},
 		"max rows":              {MaxRows: -1},
-		"breaker trips":         {BreakerTrips: -5},
-		"audit workers":         {AuditWorkers: -1},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", name, bad)

@@ -273,7 +273,7 @@ func TestShedRequestProducesTrace(t *testing.T) {
 func TestBreakerOpenProducesDegradedTrace(t *testing.T) {
 	withServerTracing(t, obs.TracingConfig{SampleRate: 0})
 	sys := trainedSystem(t)
-	srv, base := startServer(t, sys, Config{BreakerTrips: 1})
+	srv, base := startServer(t, sys, Config{trips: 1})
 
 	// One recorded full-rung failure opens the breaker (threshold 1).
 	srv.brk.record(false, true, true)

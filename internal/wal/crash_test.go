@@ -62,7 +62,7 @@ func runCrashCase(t *testing.T, point string, seed int64) {
 	faults.Enable(sched)
 	defer faults.Disable()
 
-	l, _ := openT(t, dir, Options{SegmentBytes: 300})
+	l, _ := openT(t, dir, Options{segmentBytes: 300})
 	prev := obs.Enabled()
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(prev)
@@ -118,7 +118,7 @@ func runCrashCase(t *testing.T, point string, seed int64) {
 	tearTail(t, dir, acked, rng)
 	faults.Disable()
 
-	l2, rec := openT(t, dir, Options{SegmentBytes: 300})
+	l2, rec := openT(t, dir, Options{segmentBytes: 300})
 	defer l2.Close()
 
 	assertSubsequence(t, acked, tailSQLs(rec.Tail))
@@ -129,7 +129,7 @@ func runCrashCase(t *testing.T, point string, seed int64) {
 	}
 	// Recovery repaired the disk: a second restart must be clean and agree.
 	l2.Close()
-	l3, rec2 := openT(t, dir, Options{SegmentBytes: 300})
+	l3, rec2 := openT(t, dir, Options{segmentBytes: 300})
 	defer l3.Close()
 	if rec2.Stats.TruncatedBytes != 0 {
 		t.Fatalf("second open still truncating: %+v", rec2.Stats)

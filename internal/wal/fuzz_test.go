@@ -33,7 +33,7 @@ func FuzzWALReplay(f *testing.F) {
 
 		applyCorruption(t, dir, ops)
 
-		l, rec := openT(t, dir, Options{SegmentBytes: 256})
+		l, rec := openT(t, dir, Options{segmentBytes: 256})
 		replayed := tailSQLs(rec.Tail)
 
 		// Subsequence check, recording which written frames survived.
@@ -83,7 +83,7 @@ func FuzzWALReplay(f *testing.F) {
 		}
 
 		// Second restart: disk is repaired, replay is stable.
-		l2, rec2 := openT(t, dir, Options{SegmentBytes: 256})
+		l2, rec2 := openT(t, dir, Options{segmentBytes: 256})
 		defer l2.Close()
 		if rec2.Stats.TruncatedBytes != 0 {
 			t.Fatalf("second open still truncating: %+v", rec2.Stats)
@@ -106,7 +106,7 @@ func FuzzWALReplay(f *testing.F) {
 // post-checkpoint suffix).
 func seedLog(t *testing.T, dir string) []string {
 	t.Helper()
-	l, _ := openT(t, dir, Options{SegmentBytes: 256})
+	l, _ := openT(t, dir, Options{segmentBytes: 256})
 	var written []string
 	for i := 0; i < 24; i++ {
 		if i == 8 {

@@ -168,7 +168,9 @@ func nextMagic(data []byte, from int) int {
 //     bytes stay exactly as recovered).
 func Open(dir string, opts Options) (*Log, Recovery, error) {
 	start := time.Now()
-	opts = opts.normalize()
+	if opts.segmentBytes <= 0 {
+		opts.segmentBytes = segmentBytes
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, Recovery{}, fmt.Errorf("wal: open %s: %w", dir, err)
 	}

@@ -179,30 +179,22 @@ func buildFrame(typ Type, seq uint64, payload []byte) []byte {
 	return buf
 }
 
-// Options tunes a Log. The zero value is production-safe: Open fills unset
-// fields from DefaultOptions.
+// Options is what Open takes besides the directory. Every caller passes the
+// zero value.
 type Options struct {
-	// SegmentBytes is the rotation threshold.
-	SegmentBytes int64
+	// segmentBytes rotates segments at another size for in-package tests;
+	// zero means the 4 MiB constant of the same name.
+	segmentBytes int64
 }
 
+// A segment is sealed once appending would take it past segmentBytes, and
 // maxSegments bounds the directory: rotation beyond it prunes the oldest
 // segment, sacrificing (and counting) its evidence rather than growing
 // without bound between checkpoints.
-const maxSegments = 64
-
-// DefaultOptions returns the value every unset Options field takes
-// (asqp-serve registers -wal-segment-bytes over it).
-func DefaultOptions() Options {
-	return Options{SegmentBytes: 4 << 20}
-}
-
-func (o Options) normalize() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = DefaultOptions().SegmentBytes
-	}
-	return o
-}
+const (
+	segmentBytes = 4 << 20
+	maxSegments  = 64
+)
 
 // Log is an append-only, segment-rotated write-ahead log. Safe for concurrent
 // use. A nil *Log is a valid disabled log: every method is a cheap no-op, so
@@ -345,7 +337,7 @@ func (l *Log) write(rec Record) (uint64, error) {
 		return 0, err
 	}
 	frameLen := int64(frameHeaderLen + len(payload))
-	if l.size+frameLen > l.opts.SegmentBytes && l.size > 0 {
+	if l.size+frameLen > l.opts.segmentBytes && l.size > 0 {
 		if err := l.rotateLocked(); err != nil {
 			return 0, err
 		}

@@ -108,7 +108,7 @@ func TestConcurrentDurableAppends(t *testing.T) {
 // recovery reads across all of them in order.
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openT(t, dir, Options{SegmentBytes: 256})
+	l, _ := openT(t, dir, Options{segmentBytes: 256})
 	const n = 40
 	for i := 0; i < n; i++ {
 		if err := l.Append(servedRec(i)); err != nil {
@@ -124,7 +124,7 @@ func TestSegmentRotation(t *testing.T) {
 	if err != nil || len(segs) < 2 {
 		t.Fatalf("listSegments = %v, %v; want >= 2 segments", segs, err)
 	}
-	_, rec := openT(t, dir, Options{SegmentBytes: 256})
+	_, rec := openT(t, dir, Options{segmentBytes: 256})
 	if got := len(rec.Tail); got != n {
 		t.Fatalf("recovered %d records across segments, want %d", got, n)
 	}
@@ -139,7 +139,7 @@ func TestSegmentRotation(t *testing.T) {
 // replayed and their segments are deleted; records after it are.
 func TestCheckpointTruncatesHistory(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openT(t, dir, Options{SegmentBytes: 256})
+	l, _ := openT(t, dir, Options{segmentBytes: 256})
 	for i := 0; i < 20; i++ {
 		if err := l.Append(servedRec(i)); err != nil {
 			t.Fatalf("Append: %v", err)
@@ -155,7 +155,7 @@ func TestCheckpointTruncatesHistory(t *testing.T) {
 	}
 	l.Close()
 
-	_, rec := openT(t, dir, Options{SegmentBytes: 256})
+	_, rec := openT(t, dir, Options{segmentBytes: 256})
 	if got := tailSQLs(rec.Tail); len(got) != 5 || got[0] != servedRec(20).SQL {
 		t.Fatalf("post-checkpoint tail = %v, want records 20..24", got)
 	}
@@ -301,7 +301,7 @@ func TestMaxSegmentsPrunes(t *testing.T) {
 	const maxSegs = maxSegments
 	dir := t.TempDir()
 	// A one-byte threshold puts every record in a segment of its own.
-	l, _ := openT(t, dir, Options{SegmentBytes: 1})
+	l, _ := openT(t, dir, Options{segmentBytes: 1})
 	for i := 0; i < 3*maxSegs+4; i++ {
 		if err := l.Append(servedRec(i)); err != nil {
 			t.Fatalf("Append: %v", err)

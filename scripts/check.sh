@@ -117,8 +117,9 @@ trap - EXIT
 # the run (auditing runs at full sampling here, so the gate exercises the
 # shadow-audit path end to end). The drift-storm scenario shifts the query
 # mix halfway through; with retraining armed (and the drift threshold
-# lowered so the storm registers) loadgen then waits for the controller to
-# either hot-swap a fine-tuned candidate or back off cleanly, so the gate
+# lowered so the storm registers; the request that crosses it wakes the
+# controller) loadgen then waits for the controller to either hot-swap a
+# fine-tuned candidate or back off cleanly, so the gate
 # exercises drift → retrain → validate → swap end to end. -audit-sample 1
 # is what arms rollback (its one trigger is the auditor's per-generation
 # evidence); -slo-quality-p95 0.5 only feeds -slo-gate. The binary is
@@ -135,7 +136,7 @@ go build -o "${serve_bin}" ./cmd/asqp-serve
 	-trace-dir "${trace_dir}" -trace-sample 1 \
 	-audit-sample 1 -slo-quality-p95 0.5 \
 	-drift-confidence 0.15 \
-	-retrain -retrain-interval 500ms -retrain-validate-margin 0.5 \
+	-retrain -retrain-validate-margin 0.5 \
 	-retrain-rollback-window 2s -save "${snap_file}" \
 	-log warn >/dev/null &
 serve_pid=$!
