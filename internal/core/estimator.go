@@ -18,6 +18,7 @@ type Estimator struct {
 	emb       embed.Embedder
 	vecs      [][]float64 // training-query embeddings
 	norms     []float64   // Σb² of each embedding, summed as embed.Cosine sums it
+	cols      []float64   // vecs dimension-major: cols[d*len(vecs)+i] = vecs[i][d], 0 past a short vector
 	scores    []float64   // achieved per-query scores on the built set
 	neighbors int
 }
@@ -35,8 +36,17 @@ func NewEstimator(emb embed.Embedder, stmts []*sqlparse.Select, scores []float64
 // newEstimator is NewEstimator over the training embeddings themselves.
 func newEstimator(emb embed.Embedder, vecs [][]float64, scores []float64, neighbors int) *Estimator {
 	e := &Estimator{emb: emb, vecs: vecs, norms: make([]float64, len(vecs)), scores: scores, neighbors: neighbors}
+	dim := 0
 	for i, v := range vecs {
 		e.norms[i] = sumSquares(v)
+		dim = max(dim, len(v))
+	}
+	n := len(vecs)
+	e.cols = make([]float64, dim*n)
+	for i, v := range vecs {
+		for d, x := range v {
+			e.cols[d*n+i] = x
+		}
 	}
 	return e
 }
@@ -65,8 +75,12 @@ func (e *Estimator) Estimate(stmt *sqlparse.Select) (pred, confidence float64) {
 	if k > len(buf) {
 		top = make([]neighbor, 0, k)
 	}
+	dots := e.dots(v, make([]float64, 0, 256)) // on the stack up to 256 training queries
 	for i, tv := range e.vecs {
-		sim := max(cosine(v, tv, nv, e.norms[i]), 0)
+		sim := 0.0
+		if len(v) == len(tv) && len(v) > 0 && nv != 0 && e.norms[i] != 0 {
+			sim = max(dots[i]/math.Sqrt(nv*e.norms[i]), 0)
+		}
 		if len(top) == k && sim <= top[k-1].sim {
 			continue
 		}
@@ -95,17 +109,29 @@ func (e *Estimator) Estimate(stmt *sqlparse.Select) (pred, confidence float64) {
 	return math.Min(1, ssum/wsum) * attenuation(confidence), confidence
 }
 
-// cosine is embed.Cosine(a, b) given na = sumSquares(a) and nb =
-// sumSquares(b): the same sums in the same order, so the same bits.
-func cosine(a, b []float64, na, nb float64) float64 {
-	if len(a) != len(b) || len(a) == 0 || na == 0 || nb == 0 {
-		return 0
+// dots returns, in buf grown to len(e.vecs), the dot product of v with each
+// training vector as embed.Cosine sums it, index by index from +0, but adding
+// only v's nonzero coordinates' terms. A skipped term 0·b is ±0; a sum that
+// starts at +0 never becomes -0 (x + y is -0 only when both are), and adding
+// ±0 to any other value leaves it unchanged, so the sums have the dense
+// loop's bits (b finite, as embeddings are). An entry is meaningful only
+// where the training vector has v's length; the caller checks that.
+func (e *Estimator) dots(v, buf []float64) []float64 {
+	n := len(e.vecs)
+	dots := append(buf[:0], make([]float64, n)...)
+	if len(v)*n > len(e.cols) {
+		return dots // no training vector is as long as v
 	}
-	var dot float64
-	for i := range a {
-		dot += a[i] * b[i]
+	for d, x := range v {
+		if x == 0 {
+			continue
+		}
+		col := e.cols[d*n : d*n+n]
+		for i, b := range col {
+			dots[i] += x * b
+		}
 	}
-	return dot / math.Sqrt(na*nb)
+	return dots
 }
 
 // sumSquares is Σv², summed in index order.
@@ -155,7 +181,8 @@ var driftDropped = obs.Default().Counter("core/drift/dropped")
 
 // ObserveDetail records a query along with the estimator confidence produced
 // for it: drifted reports whether this statement was added to the drift
-// batch, triggered whether the batch has reached the fine-tune threshold. The
+// batch, triggered whether the batch is at or over the fine-tune threshold
+// after it — a level, true on every observation until the batch is taken. The
 // WAL uses drifted to log exactly the observations that replay must re-feed
 // after a crash.
 func (d *DriftDetector) ObserveDetail(stmt *sqlparse.Select, similarityConfidence float64) (drifted, triggered bool) {

@@ -285,8 +285,10 @@ type QueryResult struct {
 	PredictedScore float64
 	// Confidence is the estimator's similarity confidence.
 	Confidence float64
-	// DriftTriggered is true when this query tipped the drift detector over
-	// its threshold; callers should fine-tune (see FineTuneFromDrift).
+	// DriftTriggered is true when, after this query, the drift batch is at or
+	// over the fine-tune threshold — on every query until the batch is taken,
+	// not only the one that reached it; callers should fine-tune (see
+	// FineTuneFromDrift).
 	DriftTriggered bool
 	// Drifted is true when this query itself was added to the drift batch
 	// (its deviation cleared the detector's confidence bar). The serving

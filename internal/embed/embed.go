@@ -11,10 +11,10 @@
 package embed
 
 import (
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"asqprl/internal/sqlparse"
 	"asqprl/internal/table"
@@ -36,22 +36,54 @@ func (e Embedder) dim() int {
 	return e.Dim
 }
 
-// hashToken maps a token to (index, sign) via two FNV hashes.
-func hashToken(tok string, dim int) (int, float64) {
-	h := fnv.New64a()
-	h.Write([]byte(tok))
-	sum := h.Sum64()
-	idx := int(sum % uint64(dim))
+// FNV-1a, 64 bit: the function hash/fnv's New64a computes, folded inline so
+// that a token hashes from its parts without an interface, a []byte copy or
+// the concatenated string.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnv1a folds s into the FNV-1a state h: fnv1a(fnv1a(fnvOffset, a), b) is the
+// hash of a+b.
+func fnv1a[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime
+	}
+	return h
+}
+
+// fnv1aLower is fnv1a over strings.ToLower(s), building no string when s is
+// ASCII.
+func fnv1aLower(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return fnv1a(h, strings.ToLower(s))
+		}
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		h ^= uint64(c)
+		h *= fnvPrime
+	}
+	return h
+}
+
+// token starts a token's hash with its prefix (a constant such as "col:").
+func token(prefix string) uint64 { return fnv1a(fnvOffset, prefix) }
+
+// addToken accumulates a weighted token, given as its FNV-1a hash, into vec:
+// the hash picks the coordinate and bit 32 the sign.
+func addToken(vec []float64, sum uint64, weight float64) {
+	idx := int(sum % uint64(len(vec)))
 	sign := 1.0
 	if (sum>>32)&1 == 1 {
 		sign = -1.0
 	}
-	return idx, sign
-}
-
-// addToken accumulates a weighted token into vec.
-func addToken(vec []float64, tok string, weight float64) {
-	idx, sign := hashToken(tok, len(vec))
 	vec[idx] += sign * weight
 }
 
@@ -70,50 +102,54 @@ func normalize(vec []float64) {
 	}
 }
 
-// Tokens splits free text into lower-case alphanumeric tokens.
-func Tokens(s string) []string {
-	var out []string
-	var cur strings.Builder
-	for _, r := range strings.ToLower(s) {
-		if r == '_' || (r >= 'a' && r <= 'z') || (r >= '0' && r <= '9') {
-			cur.WriteRune(r)
+// eachToken splits free text into lower-case alphanumeric tokens: it calls fn
+// with each run of [a-z0-9_] in strings.ToLower(s), in order, as a substring
+// of it. Lowering first keeps a character that lowers to ASCII (the Kelvin
+// sign) a token byte; after it every byte of a multi-byte rune is at or above
+// utf8.RuneSelf, so splitting bytes splits runes the same way.
+func eachToken(s string, fn func(string)) {
+	s = strings.ToLower(s)
+	start := -1
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c == '_' || ('a' <= c && c <= 'z') || ('0' <= c && c <= '9') {
+			if start < 0 {
+				start = i
+			}
 			continue
 		}
-		if cur.Len() > 0 {
-			out = append(out, cur.String())
-			cur.Reset()
+		if start >= 0 {
+			fn(s[start:i])
+			start = -1
 		}
 	}
-	if cur.Len() > 0 {
-		out = append(out, cur.String())
+	if start >= 0 {
+		fn(s[start:])
 	}
-	return out
 }
 
 // Text embeds free text as a unit vector.
 func (e Embedder) Text(s string) []float64 {
 	vec := make([]float64, e.dim())
-	for _, tok := range Tokens(s) {
-		addToken(vec, tok, 1)
-	}
+	eachToken(s, func(tok string) { addToken(vec, token(tok), 1) })
 	normalize(vec)
 	return vec
 }
 
-// numericBucket maps a numeric value to a coarse log-scale bucket token so
-// nearby literals (e.g. an original predicate constant and its relaxed
-// variant) share tokens.
-func numericBucket(v float64) string {
+// numericBucket folds into h the coarse log-scale bucket of a numeric value,
+// "num:<sign><half-decade>", so nearby literals (e.g. an original predicate
+// constant and its relaxed variant) share tokens.
+func numericBucket(h uint64, v float64) uint64 {
+	h = fnv1a(h, "num:")
 	if v == 0 {
-		return "num:0"
+		return fnv1a(h, "0")
 	}
-	sign := ""
 	if v < 0 {
-		sign = "-"
+		h = fnv1a(h, "-")
 		v = -v
 	}
 	exp := int(math.Floor(math.Log10(v) * 2)) // half-decade buckets
-	return "num:" + sign + strconv.Itoa(exp)
+	var buf [24]byte
+	return fnv1a(h, strconv.AppendInt(buf[:0], int64(exp), 10))
 }
 
 // Query embeds a parsed SQL statement. Structural tokens (tables, columns,
@@ -122,29 +158,34 @@ func numericBucket(v float64) string {
 func (e Embedder) Query(stmt *sqlparse.Select) []float64 {
 	vec := make([]float64, e.dim())
 	for _, f := range stmt.From {
-		addToken(vec, "tbl:"+strings.ToLower(f.Table), 3)
+		addToken(vec, fnv1aLower(token("tbl:"), f.Table), 3)
 	}
 	for _, j := range stmt.Joins {
-		addToken(vec, "tbl:"+strings.ToLower(j.Ref.Table), 3)
-		addToken(vec, "join", 2)
+		addToken(vec, fnv1aLower(token("tbl:"), j.Ref.Table), 3)
+		addToken(vec, token("join"), 2)
 	}
-	for _, c := range stmt.Columns() {
-		addToken(vec, "col:"+strings.ToLower(c.Column), 2)
-	}
+	stmt.EachColumn(func(c *sqlparse.ColumnRef) {
+		addToken(vec, fnv1aLower(token("col:"), c.Column), 2)
+	})
 	addPredicateTokens(vec, stmt.Where)
 	for _, j := range stmt.Joins {
 		addPredicateTokens(vec, j.On)
 	}
 	if stmt.HasAggregates() {
-		addToken(vec, "agg", 1)
+		addToken(vec, token("agg"), 1)
 	}
 	for _, g := range stmt.GroupBy {
 		if c, ok := g.(*sqlparse.ColumnRef); ok {
-			addToken(vec, "grp:"+strings.ToLower(c.Column), 1)
+			addToken(vec, fnv1aLower(token("grp:"), c.Column), 1)
 		}
 	}
 	normalize(vec)
 	return vec
+}
+
+// predToken is the hash of "pred:<lower(column)>:<op>".
+func predToken(c *sqlparse.ColumnRef, op string) uint64 {
+	return fnv1a(fnv1a(fnv1aLower(token("pred:"), c.Column), ":"), op)
 }
 
 // addPredicateTokens walks a predicate tree adding tokens per node.
@@ -154,15 +195,15 @@ func addPredicateTokens(vec []float64, expr sqlparse.Expr) {
 		case *sqlparse.Binary:
 			switch x.Op {
 			case "AND", "OR":
-				addToken(vec, "op:"+strings.ToLower(x.Op), 0.5)
+				addToken(vec, fnv1aLower(token("op:"), x.Op), 0.5)
 			case "=", "<>", "<", "<=", ">", ">=":
 				if c, ok := x.Left.(*sqlparse.ColumnRef); ok {
-					addToken(vec, "pred:"+strings.ToLower(c.Column)+":"+x.Op, 2)
+					addToken(vec, predToken(c, x.Op), 2)
 				}
 			}
 		case *sqlparse.In:
 			if c, ok := x.X.(*sqlparse.ColumnRef); ok {
-				addToken(vec, "pred:"+strings.ToLower(c.Column)+":in", 2)
+				addToken(vec, predToken(c, "in"), 2)
 			}
 			for _, item := range x.List {
 				if lit, ok := item.(*sqlparse.Literal); ok {
@@ -171,18 +212,16 @@ func addPredicateTokens(vec []float64, expr sqlparse.Expr) {
 			}
 		case *sqlparse.Between:
 			if c, ok := x.X.(*sqlparse.ColumnRef); ok {
-				addToken(vec, "pred:"+strings.ToLower(c.Column)+":between", 2)
+				addToken(vec, predToken(c, "between"), 2)
 			}
 		case *sqlparse.Like:
 			if c, ok := x.X.(*sqlparse.ColumnRef); ok {
-				addToken(vec, "pred:"+strings.ToLower(c.Column)+":like", 2)
+				addToken(vec, predToken(c, "like"), 2)
 			}
-			for _, tok := range Tokens(x.Pattern) {
-				addToken(vec, "lit:"+tok, 1)
-			}
+			eachToken(x.Pattern, func(tok string) { addToken(vec, fnv1a(token("lit:"), tok), 1) })
 		case *sqlparse.IsNull:
 			if c, ok := x.X.(*sqlparse.ColumnRef); ok {
-				addToken(vec, "pred:"+strings.ToLower(c.Column)+":null", 1)
+				addToken(vec, predToken(c, "null"), 1)
 			}
 		case *sqlparse.Literal:
 			addLiteralToken(vec, x.Value, 1)
@@ -193,13 +232,11 @@ func addPredicateTokens(vec []float64, expr sqlparse.Expr) {
 func addLiteralToken(vec []float64, v table.Value, weight float64) {
 	switch v.Kind {
 	case table.KindInt, table.KindFloat:
-		addToken(vec, numericBucket(v.AsFloat()), weight)
+		addToken(vec, numericBucket(fnvOffset, v.AsFloat()), weight)
 	case table.KindString:
-		for _, tok := range Tokens(v.Str) {
-			addToken(vec, "lit:"+tok, weight)
-		}
+		eachToken(v.Str, func(tok string) { addToken(vec, fnv1a(token("lit:"), tok), weight) })
 	case table.KindBool:
-		addToken(vec, "lit:"+v.String(), weight)
+		addToken(vec, fnv1a(token("lit:"), strconv.FormatBool(v.Bool)), weight)
 	}
 }
 
@@ -208,7 +245,7 @@ func addLiteralToken(vec []float64, v table.Value, weight float64) {
 // sentence-BERT modification.
 func (e Embedder) Row(tableName string, schema table.Schema, row table.Row) []float64 {
 	vec := make([]float64, e.dim())
-	addToken(vec, "tbl:"+strings.ToLower(tableName), 2)
+	addToken(vec, fnv1aLower(token("tbl:"), tableName), 2)
 	for i, col := range schema {
 		if i >= len(row) {
 			break
@@ -217,16 +254,14 @@ func (e Embedder) Row(tableName string, schema table.Schema, row table.Row) []fl
 		if v.IsNull() {
 			continue
 		}
-		name := strings.ToLower(col.Name)
+		name := fnv1a(fnv1aLower(fnvOffset, col.Name), "=") // "<lower(name)>="
 		switch v.Kind {
 		case table.KindInt, table.KindFloat:
-			addToken(vec, name+"="+numericBucket(v.AsFloat()), 1)
+			addToken(vec, numericBucket(name, v.AsFloat()), 1)
 		case table.KindString:
-			for _, tok := range Tokens(v.Str) {
-				addToken(vec, name+"="+tok, 1)
-			}
+			eachToken(v.Str, func(tok string) { addToken(vec, fnv1a(name, tok), 1) })
 		case table.KindBool:
-			addToken(vec, name+"="+v.String(), 1)
+			addToken(vec, fnv1a(name, strconv.FormatBool(v.Bool)), 1)
 		}
 	}
 	normalize(vec)

@@ -1,7 +1,11 @@
 package embed
 
 import (
+	"hash/fnv"
 	"math"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -9,8 +13,15 @@ import (
 	"asqprl/internal/table"
 )
 
+// tokens collects what eachToken calls its function with.
+func tokens(s string) []string {
+	var out []string
+	eachToken(s, func(tok string) { out = append(out, tok) })
+	return out
+}
+
 func TestTokens(t *testing.T) {
-	got := Tokens("SELECT m.title, COUNT(*) FROM movies_2020!")
+	got := tokens("SELECT m.title, COUNT(*) FROM movies_2020!")
 	want := []string{"select", "m", "title", "count", "from", "movies_2020"}
 	if len(got) != len(want) {
 		t.Fatalf("tokens = %v, want %v", got, want)
@@ -144,18 +155,88 @@ func TestCosineProperties(t *testing.T) {
 	}
 }
 
+// bucket is the hash of v's numeric bucket token.
+func bucket(v float64) uint64 { return numericBucket(fnvOffset, v) }
+
+// TestHashTokenIsFNV1a holds the inline hash to hash/fnv's FNV-1a over random
+// byte strings (empty, non-ASCII and invalid UTF-8 among them), whole and
+// folded from two parts, and the lowering fold to fnv1a over strings.ToLower.
+func TestHashTokenIsFNV1a(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	inputs := []string{"", "col:", "tbl:title", "ÄÖÜ straße", "\xff\xfe\x80", "\u212a", "İstanbul", "MiXeD_Case9"}
+	for i := 0; i < 2000; i++ {
+		b := make([]byte, rng.Intn(40))
+		for j := range b {
+			switch rng.Intn(3) {
+			case 0:
+				b[j] = byte(rng.Intn(256))
+			default:
+				b[j] = byte(' ' + rng.Intn(95))
+			}
+		}
+		inputs = append(inputs, string(b))
+	}
+	for _, s := range inputs {
+		ref := fnv.New64a()
+		ref.Write([]byte(s))
+		want := ref.Sum64()
+		if got := fnv1a(fnvOffset, s); got != want {
+			t.Fatalf("fnv1a(%q) = %x, hash/fnv = %x", s, got, want)
+		}
+		cut := len(s) / 3
+		if got := fnv1a(fnv1a(fnvOffset, s[:cut]), []byte(s[cut:])); got != want {
+			t.Fatalf("fnv1a(%q) folded from two parts = %x, hash/fnv = %x", s, got, want)
+		}
+		if got, want := fnv1aLower(fnvOffset, s), fnv1a(fnvOffset, strings.ToLower(s)); got != want {
+			t.Fatalf("fnv1aLower(%q) = %x, over strings.ToLower = %x", s, got, want)
+		}
+	}
+}
+
+// TestTokensSplitLikeRunes holds the byte-level splitter to the rune-level
+// one it replaced: lower-case the text, keep runs of [a-z0-9_] runes.
+func TestTokensSplitLikeRunes(t *testing.T) {
+	runes := func(s string) []string {
+		var out []string
+		var cur strings.Builder
+		for _, r := range strings.ToLower(s) {
+			if r == '_' || (r >= 'a' && r <= 'z') || (r >= '0' && r <= '9') {
+				cur.WriteRune(r)
+				continue
+			}
+			if cur.Len() > 0 {
+				out = append(out, cur.String())
+				cur.Reset()
+			}
+		}
+		if cur.Len() > 0 {
+			out = append(out, cur.String())
+		}
+		return out
+	}
+	f := func(s string) bool { return slices.Equal(tokens(s), runes(s)) }
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	for _, s := range []string{"\u212aelvin", "İSTANBUL x", "a\xffb", "Straße_9 ÉTÉ"} {
+		if !f(s) {
+			t.Errorf("tokens(%q) = %q, rune-level split = %q", s, tokens(s), runes(s))
+		}
+	}
+}
+
 func TestNumericBucketCoarseness(t *testing.T) {
 	// Values within the same half-decade share buckets.
-	if numericBucket(100) != numericBucket(150) {
+	if bucket(100) != bucket(150) {
 		t.Error("100 and 150 should share a bucket")
 	}
-	if numericBucket(100) == numericBucket(10000) {
+	if bucket(100) == bucket(10000) {
 		t.Error("100 and 10000 should not share a bucket")
 	}
-	if numericBucket(-5) == numericBucket(5) {
+	if bucket(-5) == bucket(5) {
 		t.Error("sign must distinguish buckets")
 	}
-	if numericBucket(0) != "num:0" {
+	if bucket(0) != token("num:0") {
 		t.Error("zero bucket")
 	}
 }

@@ -205,7 +205,7 @@ func runJoinsCol(b *binder, preds []predClass, opts Options, g *guard, span *obs
 	}
 	if scanSpan != nil {
 		for rel := 0; rel < n; rel++ {
-			scanSpan.Annotate("rows/"+b.refs[rel].Name(), len(candidates[rel]))
+			scanSpan.AnnotateNamed("rows/", b.refs[rel].Name(), len(candidates[rel]))
 		}
 		if st.skipped > 0 {
 			scanSpan.Annotate("morsels_skipped", st.skipped)
@@ -473,19 +473,20 @@ func scanRelationsCol(b *binder, preds []predClass, g *guard, span *obs.Span, st
 		}
 		st.rowsRead += int64(rowsRead)
 		if span != nil {
-			name, via, keys := b.refs[rel].Name(), "full", 0
+			name, keys := b.refs[rel].Name(), 0
 			if kp != nil {
 				keys = len(candidates[kp.boundBind.rel])
 			}
 			switch {
 			case partner:
-				via = b.bindingName(kp.boundBind)
+				span.AnnotateNamed("via/", name, b.bindingName(kp.boundBind))
 			case indexed:
-				via = "index " + b.bindingName(binding{rel: rel, col: rs.index.col})
+				span.AnnotateNamed("via/", name, "index "+b.bindingName(binding{rel: rel, col: rs.index.col}))
+			default:
+				span.AnnotateNamed("via/", name, "full") // a constant boxes without allocating
 			}
-			span.Annotate("via/"+name, via)
-			span.Annotate("keys/"+name, keys)
-			span.Annotate("rows_read/"+name, rowsRead)
+			span.AnnotateNamed("keys/", name, keys)
+			span.AnnotateNamed("rows_read/", name, rowsRead)
 		}
 		scanned[rel] = true
 		var err error
@@ -564,7 +565,7 @@ func scanKernels(ks []kernel, nRows int, sel []int32, g *guard, skipped *int64) 
 		return sel, nil
 	}
 	out := []int32{}
-	selBuf := make([]int32, morselRows)
+	selBuf := make([]int32, min(morselRows, nRows)) // a set's table is often one short morsel
 	for m, nm := 0, morselCount(nRows); m < nm; m++ {
 		lo := m * morselRows
 		hi := min(lo+morselRows, nRows)
@@ -594,7 +595,7 @@ func restAtRate(n, done, total int) int {
 	return int(rest + rest/16)
 }
 
-// runKernels filters rows [lo, hi) through ks in buf (of morselRows entries),
+// runKernels filters rows [lo, hi) through ks in buf (of at least hi-lo entries),
 // returning the surviving prefix of buf.
 func runKernels(ks []kernel, buf []int32, lo, hi int) []int32 {
 	sel := buf[:hi-lo]
@@ -671,9 +672,9 @@ func joinStepCol(b *binder, cur *joinedBatch, cand []int32, rel int, joins []pre
 		return nil, err
 	}
 	if span != nil {
-		name := b.refs[rel].Name()
-		span.Annotate("index/"+name, m.ix.Layout()+", "+probeKind(m.ix))
-		span.Annotate("build_rows/"+name, len(cand))
+		name, ix := b.refs[rel].Name(), m.ix // an index is immutable once built
+		span.AnnotateNamed("index/", name, func() string { return ix.Layout() + ", " + probeKind(ix) })
+		span.AnnotateNamed("build_rows/", name, len(cand))
 	}
 	return probeCol(cur, rel, emitBound, width, m, opts.MaxIntermediateRows, g)
 }

@@ -178,7 +178,8 @@ func ExecuteWithContext(ctx context.Context, db *table.Database, stmt *sqlparse.
 	res, b, preds, err := executeWith(db, stmt, opts, g, span)
 	if span != nil {
 		if b != nil {
-			span.Annotate("plan", planShape(b, preds, stmt))
+			// Rendered if a snapshot reads it: nothing changes a bound plan.
+			span.Annotate("plan", func() string { return planShape(b, preds, stmt) })
 		}
 		if res != nil {
 			span.Annotate("rows_out", res.rows())

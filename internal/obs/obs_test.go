@@ -125,6 +125,35 @@ func TestSpanTreeNestingAndOrdering(t *testing.T) {
 	}
 }
 
+// TestAnnotateLastWriteWins: a key written again keeps one attribute with the
+// last value, whether it was written whole (Annotate) or as a prefix and a
+// name (AnnotateNamed), split the same way or not, past the four attributes a
+// span holds in place; a lazy value renders at snapshot.
+func TestAnnotateLastWriteWins(t *testing.T) {
+	withObs(t)
+	_, s := StartSpan(context.Background(), "attrs")
+	s.Annotate("rows/title", 1)
+	s.AnnotateNamed("rows/", "title", 2)
+	s.AnnotateNamed("rows/t", "itle", 3)
+	s.AnnotateNamed("rows/", "name", 4)
+	s.Annotate("plan", func() string { return "scan1" })
+	for i := range 6 {
+		s.AnnotateNamed("k", string(rune('a'+i)), i)
+	}
+	s.Annotate("rows/name", 5)
+	s.End()
+	snap := s.Snapshot()
+	want := map[string]any{"rows/title": 3, "rows/name": 5, "plan": "scan1", "ka": 0, "kb": 1, "kc": 2, "kd": 3, "ke": 4, "kf": 5}
+	if len(snap.Attrs) != len(want) || len(s.attrs) != len(want) {
+		t.Fatalf("attrs = %v (%d held), want %v", snap.Attrs, len(s.attrs), want)
+	}
+	for k, v := range want {
+		if snap.Attrs[k] != v {
+			t.Errorf("attrs[%q] = %v, want %v", k, snap.Attrs[k], v)
+		}
+	}
+}
+
 func TestSpanDisabledIsNoop(t *testing.T) {
 	withTracing(t, TracingConfig{SampleRate: 1})
 	SetEnabled(false)

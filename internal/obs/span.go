@@ -38,7 +38,7 @@ type Span struct {
 
 	mu       sync.Mutex
 	end      time.Time
-	attrs    map[string]any
+	attrs    []spanAttr // each joined key once, in first-write order
 	events   []SpanEvent
 	dropped  int // events beyond maxSpanEvents
 	children []*Span
@@ -49,6 +49,19 @@ type Span struct {
 
 	childrenDropped int   // children beyond maxSpanChildren
 	droppedFrom     *Span // the parent that did not attach this span, if any
+
+	// What a request's spans hold, in the span itself: a ladder span carries
+	// up to four attributes and four children, and growing a slice from
+	// empty to four takes three allocations.
+	attrBuf  [4]spanAttr
+	childBuf [4]*Span
+}
+
+// spanAttr is one attribute: its key is key+name, joined when a snapshot
+// renders it (see AnnotateNamed).
+type spanAttr struct {
+	key, name string
+	value     any
 }
 
 // SpanEvent is one timestamped point annotation inside a span (a retry, a
@@ -123,6 +136,9 @@ func (s *Span) adopt(c *Span) {
 		s.childrenDropped++
 		c.droppedFrom = s
 	} else {
+		if s.children == nil {
+			s.children = s.childBuf[:0]
+		}
 		s.children = append(s.children, c)
 	}
 	s.mu.Unlock()
@@ -176,16 +192,39 @@ func (s *Span) End() {
 // func() string value is an attribute too dear to render for a span nobody
 // reads: Snapshot calls it and reports the string, so it must stay callable,
 // and keep returning the same thing, after the span has ended.
-func (s *Span) Annotate(key string, value any) {
+func (s *Span) Annotate(key string, value any) { s.AnnotateNamed(key, "", value) }
+
+// AnnotateNamed is Annotate(key+name, value) for a key made of a constant
+// prefix and a name ("rows/" and a table's), without building the key unless
+// a snapshot renders it.
+func (s *Span) AnnotateNamed(key, name string, value any) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	if s.attrs == nil {
-		s.attrs = map[string]any{}
+	defer s.mu.Unlock()
+	for i := range s.attrs {
+		if a := &s.attrs[i]; joinedEqual(a.key, a.name, key, name) {
+			a.value = value
+			return
+		}
 	}
-	s.attrs[key] = value
-	s.mu.Unlock()
+	if s.attrs == nil {
+		s.attrs = s.attrBuf[:0]
+	}
+	s.attrs = append(s.attrs, spanAttr{key: key, name: name, value: value})
+}
+
+// joinedEqual reports whether k1+n1 == k2+n2, joining neither.
+func joinedEqual(k1, n1, k2, n2 string) bool {
+	if len(k1)+len(n1) != len(k2)+len(n2) {
+		return false
+	}
+	if len(k1) > len(k2) {
+		k1, n1, k2, n2 = k2, n2, k1, n1
+	}
+	d := len(k2) - len(k1) // k2 must be k1 + n1[:d]
+	return k2[:len(k1)] == k1 && k2[len(k1):] == n1[:d] && n1[d:] == n2
 }
 
 // Event appends a timestamped event to the span. kv is alternating key/value
@@ -295,8 +334,8 @@ func (s *Span) Snapshot() SpanSnapshot {
 	}
 	if len(s.attrs) > 0 {
 		snap.Attrs = make(map[string]any, len(s.attrs))
-		for k, v := range s.attrs {
-			snap.Attrs[k] = v
+		for _, a := range s.attrs {
+			snap.Attrs[a.key+a.name] = a.value
 		}
 	}
 	if len(s.events) > 0 {
@@ -309,7 +348,7 @@ func (s *Span) Snapshot() SpanSnapshot {
 			})
 		}
 	}
-	children := append([]*Span(nil), s.children...)
+	children := s.children // append-only: the first len entries never change
 	s.mu.Unlock()
 	for k, v := range snap.Attrs {
 		if render, ok := v.(func() string); ok {
@@ -330,7 +369,7 @@ func (s *Span) status() (errMsg, degraded string) {
 	}
 	s.mu.Lock()
 	errMsg, degraded = s.errMsg, s.degraded
-	children := append([]*Span(nil), s.children...)
+	children := s.children // append-only: the first len entries never change
 	s.mu.Unlock()
 	for _, c := range children {
 		if errMsg != "" && degraded != "" {

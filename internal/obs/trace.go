@@ -16,7 +16,11 @@ type TraceID [16]byte
 func (t TraceID) IsZero() bool { return t == TraceID{} }
 
 // String renders the ID as 32 lowercase hex digits (the W3C wire form).
-func (t TraceID) String() string { return hex.EncodeToString(t[:]) }
+func (t TraceID) String() string {
+	var b [2 * len(t)]byte
+	hex.Encode(b[:], t[:])
+	return string(b[:])
+}
 
 // SpanID is a 64-bit span identity, unique within a trace. The zero value
 // means "no span".
@@ -26,7 +30,11 @@ type SpanID [8]byte
 func (s SpanID) IsZero() bool { return s == SpanID{} }
 
 // String renders the ID as 16 lowercase hex digits (the W3C wire form).
-func (s SpanID) String() string { return hex.EncodeToString(s[:]) }
+func (s SpanID) String() string {
+	var b [2 * len(s)]byte
+	hex.Encode(b[:], s[:])
+	return string(b[:])
+}
 
 // NewTraceID returns a random non-zero trace ID. The generator is
 // math/rand/v2's process-wide source (ChaCha8-seeded, safe for concurrent
@@ -111,11 +119,16 @@ func ParseTraceparent(h string) (TraceID, SpanID, bool, error) {
 
 // FormatTraceparent renders a version-00 W3C `traceparent` header value.
 func FormatTraceparent(tid TraceID, sid SpanID, sampled bool) string {
-	flags := "00"
+	var b [len("00-") + 32 + 1 + 16 + len("-01")]byte // one allocation: the string
+	copy(b[:], "00-")
+	hex.Encode(b[3:35], tid[:])
+	b[35] = '-'
+	hex.Encode(b[36:52], sid[:])
+	copy(b[52:], "-00")
 	if sampled {
-		flags = "01"
+		b[54] = '1'
 	}
-	return "00-" + tid.String() + "-" + sid.String() + "-" + flags
+	return string(b[:])
 }
 
 // remoteTraceKey carries an incoming (not-yet-span-backed) trace context.

@@ -4,7 +4,7 @@
 // zero-downtime hot-swap and automatic rollback.
 //
 // The controller never touches the incumbent system. It sleeps until the
-// serving layer reports that a query tipped the drift detector over its
+// serving layer reports a query after which the drift batch is at or over its
 // threshold (Wake), an operator forces a run (/retrainz?force=1), or a
 // failure backoff expires; then it:
 //

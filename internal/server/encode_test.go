@@ -402,9 +402,10 @@ func TestWideAnswerDeclaresItsLength(t *testing.T) {
 
 // TestTracedLadderBuildsNoNames: asqp-serve always traces, so what the ladder
 // adds to the engine call it wraps is paid per request: its spans, its contexts,
-// its result — 15 objects on the approximation rung, 16 on the full one — and
-// no name built on the way (the route annotation and the rung's span name are
-// constants; a map lookup boxed and a concatenation were two objects more).
+// its result and the estimator's query embedding — 9 objects on either rung —
+// and no name built on the way (the route annotation and the rung's span name
+// are constants; a map lookup boxed and a concatenation were two objects more;
+// the estimator's token strings and a span's attribute map were six more).
 func TestTracedLadderBuildsNoNames(t *testing.T) {
 	sys := trainedSystem(t)
 	wasEnabled := obs.Enabled()
@@ -437,10 +438,7 @@ func TestTracedLadderBuildsNoNames(t *testing.T) {
 			_, err := engine.ExecuteFrameContext(ctx, db, stmt, engine.Options{})
 			return err
 		})
-		want := 15.0
-		if full {
-			want = 16
-		}
+		const want = 9.0
 		if own := ladder - eng; own > want {
 			t.Errorf("%s: the ladder allocates %.0f objects around an engine call of %.0f, want at most %.0f", sql, own, eng, want)
 		}

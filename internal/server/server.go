@@ -600,6 +600,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, span, statusForError(qerr), start, qerr.Error(), false)
 		return
 	}
+	// DriftTriggered stays set on every query while a batch waits (out a
+	// backoff, say): Wake is a coalesced, non-blocking send, so this costs a
+	// failed channel send per request, never a wait or a second attempt.
 	if res.DriftTriggered {
 		s.ret.Wake()
 	}

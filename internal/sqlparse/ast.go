@@ -488,18 +488,16 @@ func (s *Select) eachExpr(fn func(Expr)) {
 	}
 }
 
-// Columns returns every column reference appearing anywhere in the
+// EachColumn calls fn with every column reference appearing anywhere in the
 // statement, in traversal order.
-func (s *Select) Columns() []*ColumnRef {
-	var out []*ColumnRef
+func (s *Select) EachColumn(fn func(*ColumnRef)) {
 	s.eachExpr(func(e Expr) {
 		Walk(e, func(n Expr) {
 			if c, ok := n.(*ColumnRef); ok {
-				out = append(out, c)
+				fn(c)
 			}
 		})
 	})
-	return out
 }
 
 // Conjuncts splits e on top-level ANDs. A nil expression yields nil.

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokenKind classifies lexer tokens.
@@ -32,16 +33,27 @@ type token struct {
 	pos  int
 }
 
-// keywords recognized by the lexer (upper-case canonical form).
-var keywords = map[string]bool{
-	"SELECT": true, "DISTINCT": true, "FROM": true, "WHERE": true,
-	"AND": true, "OR": true, "NOT": true, "IN": true, "BETWEEN": true,
-	"LIKE": true, "IS": true, "NULL": true, "AS": true, "JOIN": true,
-	"INNER": true, "ON": true, "GROUP": true, "BY": true, "HAVING": true,
-	"ORDER": true, "ASC": true, "DESC": true, "LIMIT": true,
-	"TRUE": true, "FALSE": true,
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-}
+// keywords recognized by the lexer, each mapped to itself: the upper-case
+// canonical form a keyword token carries.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, kw := range []string{
+		"SELECT", "DISTINCT", "FROM", "WHERE",
+		"AND", "OR", "NOT", "IN", "BETWEEN",
+		"LIKE", "IS", "NULL", "AS", "JOIN",
+		"INNER", "ON", "GROUP", "BY", "HAVING",
+		"ORDER", "ASC", "DESC", "LIMIT",
+		"TRUE", "FALSE",
+		"COUNT", "SUM", "AVG", "MIN", "MAX",
+	} {
+		m[kw] = kw
+	}
+	return m
+}()
+
+// maxPresizedTokens bounds the token slice lex reserves from the length of
+// its input; a longer statement grows it by appending.
+const maxPresizedTokens = 1024
 
 type lexer struct {
 	src  string
@@ -52,7 +64,10 @@ type lexer struct {
 // lex tokenizes src. A token with kind tokError is appended on the first
 // lexical error and scanning stops.
 func lex(src string) []token {
-	l := &lexer{src: src}
+	// Generated statements run 0.17-0.26 tokens a byte: one allocation for
+	// the token slice, where growing it from empty took six. The cap keeps a
+	// long literal from reserving what it will not use.
+	l := &lexer{src: src, toks: make([]token, 0, min(len(src)/3+2, maxPresizedTokens))}
 	for {
 		l.skipSpace()
 		if l.pos >= len(l.src) {
@@ -101,12 +116,37 @@ func (l *lexer) lexIdent(start int) {
 		l.pos++
 	}
 	text := l.src[start:l.pos]
-	upper := strings.ToUpper(text)
-	if keywords[upper] {
-		l.emit(tokKeyword, upper, start)
+	if kw, ok := keyword(text); ok {
+		l.emit(tokKeyword, kw, start)
 	} else {
 		l.emit(tokIdent, text, start)
 	}
+}
+
+// keyword returns the canonical keyword strings.ToUpper(text) names, if any.
+// An ASCII identifier is upper-cased in a stack buffer, and the string
+// returned is the table's own, so a keyword or an identifier costs no
+// allocation.
+func keyword(text string) (string, bool) {
+	for i := 0; i < len(text); i++ {
+		if text[i] >= utf8.RuneSelf {
+			kw, ok := keywords[strings.ToUpper(text)]
+			return kw, ok
+		}
+	}
+	var buf [len("DISTINCT")]byte // the longest keyword
+	if len(text) > len(buf) {
+		return "", false
+	}
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	kw, ok := keywords[string(buf[:len(text)])]
+	return kw, ok
 }
 
 func (l *lexer) lexNumber(start int) {
@@ -145,6 +185,12 @@ func (l *lexer) lexNumber(start int) {
 // It reports whether scanning succeeded.
 func (l *lexer) lexString(start int) bool {
 	l.pos++ // opening quote
+	// Without an escaped quote the literal is a slice of the source.
+	if n := strings.IndexByte(l.src[l.pos:], '\''); n >= 0 && !strings.HasPrefix(l.src[l.pos+n+1:], "'") {
+		l.emit(tokString, l.src[l.pos:l.pos+n], start)
+		l.pos += n + 1
+		return true
+	}
 	var b strings.Builder
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
@@ -185,7 +231,7 @@ func (l *lexer) lexOp(start int) bool {
 	switch c {
 	case '=', '<', '>', '+', '-', '*', '/', '%', '(', ')', ',', '.', ';':
 		l.pos++
-		l.emit(tokOp, string(c), start)
+		l.emit(tokOp, l.src[start:l.pos], start)
 		return true
 	}
 	l.emit(tokError, fmt.Sprintf("unexpected character %q at offset %d", c, start), start)

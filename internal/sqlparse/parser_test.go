@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -272,9 +273,11 @@ func TestConjunctsAndAndAll(t *testing.T) {
 
 func TestColumnsCollection(t *testing.T) {
 	s := MustParse("SELECT m.title FROM movies m JOIN r ON m.id = r.mid WHERE r.score > 5 GROUP BY m.title ORDER BY m.title")
-	cols := s.Columns()
-	if len(cols) < 5 {
-		t.Errorf("Columns found %d refs, want >= 5: %v", len(cols), cols)
+	var cols []string
+	s.EachColumn(func(c *ColumnRef) { cols = append(cols, c.String()) })
+	want := []string{"m.title", "m.id", "r.mid", "r.score", "m.title", "m.title"}
+	if !slices.Equal(cols, want) {
+		t.Errorf("EachColumn found %v, want %v", cols, want)
 	}
 }
 

@@ -59,7 +59,9 @@ done
 # byte for byte, on frames that cross its morsel boundaries, and
 # FuzzQueryRequest the /query handler to its contract on any method, body, q,
 # timeout_ms and max_rows (one JSON object back; 200, 400, 503 or 504, never
-# 500; an error message on every non-200).
+# 500; an error message on every non-200), and FuzzEstimate the estimator's
+# sparse neighbour pass to the dense cosine loop, bit for bit, on any statement
+# that parses.
 # The four disk-facing targets ride along: FuzzLoad (snapshot bytes: a system
 # or an error, never a panic), FuzzWALReplay (a damaged log opens, replays a
 # subsequence of what was written and accounts for the rest), FuzzReadCSV
@@ -68,13 +70,14 @@ done
 # FuzzReadWorkload (a workload .sql file: an error, or exactly its non-blank,
 # non-comment lines, each re-parsing to the same statement, weights summing
 # to 1).
-echo "==> fuzz smoke: FuzzParse, FuzzRowVsColumnar, FuzzTuples, FuzzParseTraceparent, FuzzEncodeQueryResponse, FuzzQueryRequest, FuzzLoad, FuzzWALReplay, FuzzReadCSV, FuzzReadWorkload"
+echo "==> fuzz smoke: FuzzParse, FuzzRowVsColumnar, FuzzTuples, FuzzParseTraceparent, FuzzEncodeQueryResponse, FuzzQueryRequest, FuzzEstimate, FuzzLoad, FuzzWALReplay, FuzzReadCSV, FuzzReadWorkload"
 go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/sqlparse/
 go test -run='^$' -fuzz=FuzzRowVsColumnar -fuzztime=20s ./internal/engine/
 go test -run='^$' -fuzz=FuzzTuples -fuzztime=5s ./internal/metrics/
 go test -run='^$' -fuzz=FuzzParseTraceparent -fuzztime=5s ./internal/obs/
 go test -run='^$' -fuzz=FuzzEncodeQueryResponse -fuzztime=5s ./internal/server/
 go test -run='^$' -fuzz=FuzzQueryRequest -fuzztime=5s ./internal/server/
+go test -run='^$' -fuzz=FuzzEstimate -fuzztime=5s ./internal/core/
 go test -run='^$' -fuzz=FuzzLoad -fuzztime=5s ./internal/core/
 go test -run='^$' -fuzz=FuzzWALReplay -fuzztime=5s ./internal/wal/
 go test -run='^$' -fuzz=FuzzReadCSV -fuzztime=5s ./internal/table/
