@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"asqprl/internal/embed"
@@ -118,7 +119,10 @@ func (e *Estimator) Estimate(stmt *sqlparse.Select) (pred, confidence float64) {
 // where the training vector has v's length; the caller checks that.
 func (e *Estimator) dots(v, buf []float64) []float64 {
 	n := len(e.vecs)
-	dots := append(buf[:0], make([]float64, n)...)
+	// Not append(buf[:0], make(...)...): the race detector's build allocates
+	// the make even when buf has room.
+	dots := slices.Grow(buf[:0], n)[:n]
+	clear(dots)
 	if len(v)*n > len(e.cols) {
 		return dots // no training vector is as long as v
 	}

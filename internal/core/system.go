@@ -281,6 +281,10 @@ type QueryResult struct {
 	// FromApproximation is true when the approximation set answered the
 	// query; false when the system fell back to the full database.
 	FromApproximation bool
+	// Estimated is the statement the estimator scored and the drift detector
+	// observed: the query itself, or an aggregate's SPJ rewrite (Section 4.4).
+	// It is shared, not copied; nothing may mutate it.
+	Estimated *sqlparse.Select
 	// PredictedScore is the estimator's score prediction for the query.
 	PredictedScore float64
 	// Confidence is the estimator's similarity confidence.
@@ -405,7 +409,7 @@ func (s *System) answer(ctx context.Context, stmt *sqlparse.Select, opts QueryOp
 		estStmt = engine.RewriteAggregateToSPJ(stmt)
 	}
 	pred, conf := s.est.Estimate(estStmt)
-	out := &QueryResult{PredictedScore: pred, Confidence: conf}
+	out := &QueryResult{Estimated: estStmt, PredictedScore: pred, Confidence: conf}
 	if !opts.SkipDrift {
 		out.Drifted, out.DriftTriggered = s.drift.ObserveDetail(estStmt, conf)
 	}
@@ -413,9 +417,9 @@ func (s *System) answer(ctx context.Context, stmt *sqlparse.Select, opts QueryOp
 	eopts := engine.Options{MaxOutputRows: opts.MaxRows}
 	useApprox := pred >= EstimatorThreshold
 	if span != nil {
-		span.Annotate("sql", stmt.String) // rendered if a snapshot reads it
-		span.Annotate("predicted_score", pred)
-		span.Annotate("confidence", conf)
+		span.AnnotateStringer("sql", stmt) // rendered if a snapshot reads it
+		span.AnnotateFloat("predicted_score", pred)
+		span.AnnotateFloat("confidence", conf)
 		if useApprox { // a constant boxes without allocating
 			span.Annotate("route", "approximation")
 		} else {

@@ -154,6 +154,59 @@ func TestAnnotateLastWriteWins(t *testing.T) {
 	}
 }
 
+// TestTypedAnnotationsRenderAsBoxed: a string, int64, float64 or Stringer
+// annotated through its typed method snapshots to the same value, and the
+// same JSON, as Annotate with the boxed value (the Stringer as its String
+// method); a typed value overwrites a boxed one under the same key and back;
+// and annotating a typed value allocates nothing.
+func TestTypedAnnotationsRenderAsBoxed(t *testing.T) {
+	withObs(t)
+	stmt := &stringer{"SELECT 1"} // a pointer, as a parsed statement is
+	_, typed := StartSpan(context.Background(), "typed")
+	typed.Annotate("s", 0)
+	typed.AnnotateString("s", "POST")
+	typed.AnnotateInt("i", -7)
+	typed.AnnotateFloat("f", 0.25)
+	typed.AnnotateStringer("sql", stmt)
+	typed.AnnotateFloat("over", 1)
+	typed.Annotate("over", "boxed")
+	_, boxed := StartSpan(context.Background(), "typed")
+	boxed.Annotate("s", "POST")
+	boxed.Annotate("i", int64(-7))
+	boxed.Annotate("f", 0.25)
+	boxed.Annotate("sql", stmt.String)
+	boxed.Annotate("over", "boxed")
+	typed.End()
+	boxed.End()
+	got, want := typed.Snapshot().Attrs, boxed.Snapshot().Attrs
+	gotJSON, _ := json.Marshal(got)
+	wantJSON, _ := json.Marshal(want)
+	if len(got) != len(want) || !bytes.Equal(gotJSON, wantJSON) {
+		t.Fatalf("typed attrs %s, boxed %s", gotJSON, wantJSON)
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("attrs[%q] = %#v, want %#v", k, got[k], v)
+		}
+	}
+	_, s := StartSpan(context.Background(), "allocs")
+	method := string([]byte("GET"))
+	if n := testing.AllocsPerRun(100, func() {
+		s.AnnotateString("method", method)
+		s.AnnotateInt("generation", 1<<40)
+		s.AnnotateFloat("confidence", 0.875)
+		s.AnnotateStringer("sql", stmt)
+	}); n != 0 {
+		t.Fatalf("typed annotations allocate %v objects, want 0", n)
+	}
+	s.End()
+}
+
+// stringer is a fmt.Stringer for the annotation tests.
+type stringer struct{ s string }
+
+func (s *stringer) String() string { return s.s }
+
 func TestSpanDisabledIsNoop(t *testing.T) {
 	withTracing(t, TracingConfig{SampleRate: 1})
 	SetEnabled(false)

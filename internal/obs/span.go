@@ -2,6 +2,8 @@ package obs
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"sync"
 	"time"
 )
@@ -58,10 +60,42 @@ type Span struct {
 }
 
 // spanAttr is one attribute: its key is key+name, joined when a snapshot
-// renders it (see AnnotateNamed).
+// renders it (see AnnotateNamed). A typed attribute keeps its value unboxed,
+// in str or num as its kind says, until a snapshot renders it; kind attrAny
+// holds it in value.
 type spanAttr struct {
 	key, name string
 	value     any
+	str       string
+	num       uint64 // an int64, or a float64's bits
+	kind      attrKind
+}
+
+// attrKind says where a spanAttr's value is held.
+type attrKind uint8
+
+const (
+	attrAny      attrKind = iota // value, rendered as it is (a func() string called)
+	attrString                   // str
+	attrInt                      // num, as an int64
+	attrFloat                    // num, as a float64's bits
+	attrStringer                 // value, a fmt.Stringer whose String is called
+)
+
+// rendered is the attribute's value as a snapshot reports it; an attrStringer
+// becomes its String method, called by Snapshot like any func() string.
+func (a *spanAttr) rendered() any {
+	switch a.kind {
+	case attrString:
+		return a.str
+	case attrInt:
+		return int64(a.num)
+	case attrFloat:
+		return math.Float64frombits(a.num)
+	case attrStringer:
+		return a.value.(fmt.Stringer).String
+	}
+	return a.value
 }
 
 // SpanEvent is one timestamped point annotation inside a span (a retry, a
@@ -198,21 +232,51 @@ func (s *Span) Annotate(key string, value any) { s.AnnotateNamed(key, "", value)
 // prefix and a name ("rows/" and a table's), without building the key unless
 // a snapshot renders it.
 func (s *Span) AnnotateNamed(key, name string, value any) {
+	s.annotate(spanAttr{key: key, name: name, value: value})
+}
+
+// AnnotateString is Annotate for a string, held unboxed until a snapshot
+// renders it: a span nobody keeps costs no allocation for it.
+func (s *Span) AnnotateString(key, value string) {
+	s.annotate(spanAttr{key: key, str: value, kind: attrString})
+}
+
+// AnnotateInt is Annotate for an int64, held unboxed until a snapshot renders
+// it.
+func (s *Span) AnnotateInt(key string, value int64) {
+	s.annotate(spanAttr{key: key, num: uint64(value), kind: attrInt})
+}
+
+// AnnotateFloat is Annotate for a float64, held unboxed until a snapshot
+// renders it.
+func (s *Span) AnnotateFloat(key string, value float64) {
+	s.annotate(spanAttr{key: key, num: math.Float64bits(value), kind: attrFloat})
+}
+
+// AnnotateStringer is Annotate(key, value.String) without the method value:
+// the snapshot reports value.String(), so value must keep rendering the same
+// thing after the span has ended.
+func (s *Span) AnnotateStringer(key string, value fmt.Stringer) {
+	s.annotate(spanAttr{key: key, value: value, kind: attrStringer})
+}
+
+// annotate sets attribute a (last write of its joined key wins).
+func (s *Span) annotate(a spanAttr) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := range s.attrs {
-		if a := &s.attrs[i]; joinedEqual(a.key, a.name, key, name) {
-			a.value = value
+		if old := &s.attrs[i]; joinedEqual(old.key, old.name, a.key, a.name) {
+			old.value, old.str, old.num, old.kind = a.value, a.str, a.num, a.kind
 			return
 		}
 	}
 	if s.attrs == nil {
 		s.attrs = s.attrBuf[:0]
 	}
-	s.attrs = append(s.attrs, spanAttr{key: key, name: name, value: value})
+	s.attrs = append(s.attrs, a)
 }
 
 // joinedEqual reports whether k1+n1 == k2+n2, joining neither.
@@ -334,8 +398,9 @@ func (s *Span) Snapshot() SpanSnapshot {
 	}
 	if len(s.attrs) > 0 {
 		snap.Attrs = make(map[string]any, len(s.attrs))
-		for _, a := range s.attrs {
-			snap.Attrs[a.key+a.name] = a.value
+		for i := range s.attrs {
+			a := &s.attrs[i]
+			snap.Attrs[a.key+a.name] = a.rendered()
 		}
 	}
 	if len(s.events) > 0 {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -37,7 +38,8 @@ type answerScratch struct {
 
 var answerScratches = sync.Pool{New: func() any { return new(answerScratch) }}
 
-// appendAnswer appends the JSON body of a successful /query response, written
+// appendAnswer appends the JSON body of a successful /query response: its head
+// (appendAnswerHead), then its tail (appendAnswerTail). The head is written
 // straight from the engine's frame without boxing the cells of a relation's
 // column, so a response costs no allocation per row or cell. The rows go out
 // a morsel at a time in two passes: gather copies each column's cells of the
@@ -51,6 +53,15 @@ var answerScratches = sync.Pool{New: func() any { return new(answerScratch) }}
 // to. NaN and ±Inf cells, which the engine supports and JSON does not, become
 // null; a non-finite scalar field is an error, as it is for encoding/json.
 func appendAnswer(dst []byte, r *QueryResponse, f *engine.Frame) ([]byte, error) {
+	dst, err := appendAnswerHead(dst, r, f)
+	dst, tailErr := appendAnswerTail(dst, r)
+	return dst, cmp.Or(err, tailErr)
+}
+
+// appendAnswerHead appends an answer's body from its opening brace through
+// confidence: what the answering generation, the statement and the row cap
+// decide, and so what the answer cache keeps.
+func appendAnswerHead(dst []byte, r *QueryResponse, f *engine.Frame) ([]byte, error) {
 	dst = append(dst, '{')
 	if len(f.Schema) > 0 {
 		dst = append(dst, `"columns":[`...)
@@ -90,19 +101,20 @@ func appendAnswer(dst []byte, r *QueryResponse, f *engine.Frame) ([]byte, error)
 		dst = appendJSONString(append(dst, `,"degraded_reason":`...), r.DegradedReason)
 	}
 	var bad error
-	num := func(key string, v float64) {
-		var ok bool
-		if dst, ok = appendJSONFloat(append(dst, key...), v); !ok && bad == nil {
-			bad = fmt.Errorf("json: unsupported value: %v", v)
-		}
-	}
 	if r.PredictedScore != 0 {
-		num(`,"predicted_score":`, r.PredictedScore)
+		dst = appendNum(dst, `,"predicted_score":`, r.PredictedScore, &bad)
 	}
 	if r.Confidence != 0 {
-		num(`,"confidence":`, r.Confidence)
+		dst = appendNum(dst, `,"confidence":`, r.Confidence, &bad)
 	}
-	num(`,"elapsed_ms":`, r.ElapsedMs)
+	return dst, bad
+}
+
+// appendAnswerTail appends the rest of an answer's body after its head: what
+// each request sets on its own, from elapsed_ms to the closing brace.
+func appendAnswerTail(dst []byte, r *QueryResponse) ([]byte, error) {
+	var bad error
+	dst = appendNum(dst, `,"elapsed_ms":`, r.ElapsedMs, &bad)
 	if r.Error != "" {
 		dst = appendJSONString(append(dst, `,"error":`...), r.Error)
 	}
@@ -110,12 +122,22 @@ func appendAnswer(dst []byte, r *QueryResponse, f *engine.Frame) ([]byte, error)
 		dst = appendJSONString(append(dst, `,"trace_id":`...), r.TraceID)
 	}
 	if r.ObservedError != nil {
-		num(`,"observed_error":`, *r.ObservedError)
+		dst = appendNum(dst, `,"observed_error":`, *r.ObservedError, &bad)
 	}
 	if r.Generation != 0 {
 		dst = strconv.AppendInt(append(dst, `,"generation":`...), r.Generation, 10)
 	}
 	return append(dst, '}'), bad
+}
+
+// appendNum appends key and v, or records in *bad the first value JSON cannot
+// carry.
+func appendNum(dst []byte, key string, v float64, bad *error) []byte {
+	dst, ok := appendJSONFloat(append(dst, key...), v)
+	if !ok && *bad == nil {
+		*bad = fmt.Errorf("json: unsupported value: %v", v)
+	}
+	return dst
 }
 
 // gather copies cells lo..lo+n-1 of frame column c into the scratch from off

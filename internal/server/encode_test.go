@@ -346,10 +346,11 @@ func TestQueryAnswersMatchOracleEndToEnd(t *testing.T) {
 // with the rows it answers — a 50-row page off the approximation set and a
 // join some two hundred times wider differ by the few dozen objects that grow
 // with the logarithm of a result (join vectors, the response recorder), not by
-// objects per row.
+// objects per row. Both run the ladder and the encoder every time: the answer
+// cache would serve the repeated page without either.
 func TestAnswerAllocatesNothingPerRow(t *testing.T) {
 	sys := trainedSystem(t)
-	h := New(sys, Config{}).Handler()
+	h := New(sys, Config{noAnswerCache: true}).Handler()
 	allocs := func(sql string) (perRun float64, rows int) {
 		body := []byte(fmt.Sprintf(`{"sql": %q}`, sql))
 		serve := func() *httptest.ResponseRecorder {
@@ -402,10 +403,11 @@ func TestWideAnswerDeclaresItsLength(t *testing.T) {
 
 // TestTracedLadderBuildsNoNames: asqp-serve always traces, so what the ladder
 // adds to the engine call it wraps is paid per request: its spans, its contexts,
-// its result and the estimator's query embedding — 9 objects on either rung —
+// its result and the estimator's query embedding — 6 objects on either rung —
 // and no name built on the way (the route annotation and the rung's span name
 // are constants; a map lookup boxed and a concatenation were two objects more;
-// the estimator's token strings and a span's attribute map were six more).
+// the estimator's token strings and a span's attribute map were six more; the
+// scores boxed and the statement's String method value, three more).
 func TestTracedLadderBuildsNoNames(t *testing.T) {
 	sys := trainedSystem(t)
 	wasEnabled := obs.Enabled()
@@ -438,7 +440,7 @@ func TestTracedLadderBuildsNoNames(t *testing.T) {
 			_, err := engine.ExecuteFrameContext(ctx, db, stmt, engine.Options{})
 			return err
 		})
-		const want = 9.0
+		const want = 6.0
 		if own := ladder - eng; own > want {
 			t.Errorf("%s: the ladder allocates %.0f objects around an engine call of %.0f, want at most %.0f", sql, own, eng, want)
 		}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -15,7 +16,8 @@ import (
 // any method, a raw JSON body or one built from the fields, a GET's q,
 // timeout_ms and max_rows. Every response is one JSON object, its status is
 // 200, 400, 503 or 504 (never 500: a statement that cannot run is the
-// client's error), and every non-200 carries an error message.
+// client's error), and every non-200 carries an error message. Each input is
+// sent three times, and an answer-cache hit must answer as the miss did.
 func FuzzQueryRequest(f *testing.F) {
 	for _, seed := range []struct {
 		method, body, q    string
@@ -40,7 +42,8 @@ func FuzzQueryRequest(f *testing.F) {
 	// One server for every input, as for a client's session: the breaker
 	// carries its state from one input to the next, so a failure may need the
 	// inputs before it to replay.
-	h := New(trainedSystem(f), Config{DefaultTimeout: 200 * time.Millisecond}).Handler()
+	srv := New(trainedSystem(f), Config{DefaultTimeout: 200 * time.Millisecond})
+	h := srv.Handler()
 	f.Fuzz(func(t *testing.T, method, body, q string, timeoutMs, maxRows int) {
 		timeoutMs %= 1000 // an input costs at most a second
 		target := "/query"
@@ -54,25 +57,60 @@ func FuzzQueryRequest(f *testing.F) {
 				"max_rows":   {strconv.Itoa(maxRows)},
 			}.Encode()
 		}
-		req, err := http.NewRequest(method, target, strings.NewReader(body))
-		if err != nil {
+		if _, err := http.NewRequest(method, target, nil); err != nil {
 			return // not a method a client can put on the wire
 		}
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-
-		var obj map[string]any
-		if err := json.Unmarshal(rec.Body.Bytes(), &obj); err != nil || obj == nil {
-			t.Fatalf("HTTP %d with a body that is not one JSON object (%v): %q", rec.Code, err, rec.Body.Bytes())
-		}
-		switch rec.Code {
-		case http.StatusOK:
-		case http.StatusBadRequest, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-			if msg, _ := obj["error"].(string); msg == "" {
-				t.Fatalf("HTTP %d without an error message: %q", rec.Code, rec.Body.Bytes())
+		// The input goes out three times. A clean set answer sent twice is in
+		// the answer cache, so the third send is a hit, and a hit answers what
+		// the send before it did, apart from elapsed_ms and trace_id.
+		var prev *httptest.ResponseRecorder
+		clean := 0 // clean set answers so far
+		for send := 1; send <= 3; send++ {
+			req, _ := http.NewRequest(method, target, strings.NewReader(body))
+			hits := srv.cacheHits.Load()
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			hit := srv.cacheHits.Load() > hits
+			checkQueryContract(t, rec)
+			if hit && prev != nil && cleanSetAnswer(prev) &&
+				(rec.Code != prev.Code || !sameAnswer(rec.Body.Bytes(), prev.Body.Bytes())) {
+				t.Fatalf("send %d hit the answer cache with HTTP %d %q; the send before answered HTTP %d %q",
+					send, rec.Code, rec.Body.Bytes(), prev.Code, prev.Body.Bytes())
 			}
-		default:
-			t.Fatalf("HTTP %d, want 200, 400, 503 or 504: %q", rec.Code, rec.Body.Bytes())
+			if send == 3 && clean == 2 && !hit {
+				t.Fatalf("a clean set answer sent twice missed the answer cache on its third send: %q", rec.Body.Bytes())
+			}
+			if cleanSetAnswer(rec) {
+				clean++
+			}
+			prev = rec
 		}
 	})
+}
+
+// checkQueryContract fails t unless rec is one JSON object with status 200,
+// 400, 503 or 504, an error message on every non-200.
+func checkQueryContract(t *testing.T, rec *httptest.ResponseRecorder) {
+	t.Helper()
+	var obj map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &obj); err != nil || obj == nil {
+		t.Fatalf("HTTP %d with a body that is not one JSON object (%v): %q", rec.Code, err, rec.Body.Bytes())
+	}
+	switch rec.Code {
+	case http.StatusOK:
+	case http.StatusBadRequest, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+		if msg, _ := obj["error"].(string); msg == "" {
+			t.Fatalf("HTTP %d without an error message: %q", rec.Code, rec.Body.Bytes())
+		}
+	default:
+		t.Fatalf("HTTP %d, want 200, 400, 503 or 504: %q", rec.Code, rec.Body.Bytes())
+	}
+}
+
+// cleanSetAnswer reports whether rec is an answer the answer cache keeps: a
+// 200 from the approximation set, not degraded.
+func cleanSetAnswer(rec *httptest.ResponseRecorder) bool {
+	b := rec.Body.Bytes()
+	return rec.Code == http.StatusOK && bytes.Contains(b, []byte(`"source":"approximation"`)) &&
+		!bytes.Contains(b, []byte(`"degraded":true`))
 }

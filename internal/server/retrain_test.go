@@ -2,8 +2,11 @@ package server
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -90,6 +93,9 @@ func TestDriftTriggerWakesRetrain(t *testing.T) {
 // a forced retrain completing mid-traffic swaps the system with zero dropped
 // requests, and every response is answered by exactly one generation — first
 // only generation 1, then only generation 2, never a blend and never a dip.
+// The clients repeat one statement, so nearly every answer is an answer-cache
+// hit: each must carry the rows its own generation answers, never a row the
+// generation before it encoded.
 func TestHotSwapZeroDowntimeUnderLoad(t *testing.T) {
 	sys := clonedSystem(t)
 	primeDrift(t, sys, 3)
@@ -104,6 +110,8 @@ func TestHotSwapZeroDowntimeUnderLoad(t *testing.T) {
 	type sample struct {
 		status int
 		gen    int64
+		count  int
+		rows   [][]any
 	}
 	stop := make(chan struct{})
 	perClient := make([][]sample, clients)
@@ -124,7 +132,7 @@ func TestHotSwapZeroDowntimeUnderLoad(t *testing.T) {
 					errs[c] = err
 					return
 				}
-				perClient[c] = append(perClient[c], sample{status: status, gen: resp.Generation})
+				perClient[c] = append(perClient[c], sample{status: status, gen: resp.Generation, count: resp.RowCount, rows: resp.Rows})
 			}
 		}(c)
 	}
@@ -139,6 +147,28 @@ func TestHotSwapZeroDowntimeUnderLoad(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
+	// What each generation answers directly, encoded and decoded as the
+	// clients' answers were.
+	sys2, _ := srv.System()
+	want := map[int64]QueryResponse{}
+	for gen, s := range map[int64]*core.System{1: sys, 2: sys2} {
+		res, err := s.QueryFrameContext(context.Background(), mustParse(t, approxRouteSQL),
+			core.QueryOptions{MaxRows: DefaultConfig().MaxRows, SkipDrift: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := appendAnswer(nil, &QueryResponse{}, res.Frame)
+		var r QueryResponse
+		if err == nil {
+			err = json.Unmarshal(body, &r)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[gen] = r
+	}
+
+	t.Logf("generation answers differ: %v (%d vs %d rows)", !reflect.DeepEqual(want[1], want[2]), want[1].RowCount, want[2].RowCount)
 	var total, gen2 int
 	for c := 0; c < clients; c++ {
 		if errs[c] != nil {
@@ -157,6 +187,10 @@ func TestHotSwapZeroDowntimeUnderLoad(t *testing.T) {
 				t.Fatalf("client %d observed generation going backward: %d after %d", c, s.gen, lastGen)
 			}
 			lastGen = s.gen
+			if w := want[s.gen]; s.count != w.RowCount || !reflect.DeepEqual(s.rows, w.Rows) {
+				t.Fatalf("client %d request %d: generation %d answered %d rows %v, want its own %d rows %v",
+					c, i, s.gen, s.count, s.rows, w.RowCount, w.Rows)
+			}
 			if s.gen == 2 {
 				gen2++
 			}
@@ -328,5 +362,65 @@ func TestRetrainChaosUnderOverload(t *testing.T) {
 	busyRate := float64(shedBusy) / float64(clientsN*rounds)
 	if busyRate > quietRate+0.15 {
 		t.Fatalf("retraining shed extra traffic: shed rate %.3f while retraining vs %.3f quiet", busyRate, quietRate)
+	}
+}
+
+// TestFineTuneLeavesCachedStatementsIntact: a cached answer shares its parsed
+// statement with the drift detector, so a drift batch of cached statements is
+// fine-tuned on through the very pointers the cache re-serves from. The
+// fine-tune must mutate none of them: after it, each statement still equals a
+// fresh parse of its SQL and the cache re-serves its answer byte for byte.
+func TestFineTuneLeavesCachedStatementsIntact(t *testing.T) {
+	sys := clonedSystem(t)
+	sys.SetDrift(0.05, 1<<20) // the cached statements drift; only a force retrains
+	cfg := fastRetrain()
+	cfg.ValidateMargin = -2 // every candidate is rejected: generation 1 and its cache stay live
+	srv := newTestServer(t, sys, Config{DriftObserve: true, Retrain: cfg})
+	h := srv.Handler()
+	sqls := []string{approxRouteSQL, approxRouteSQL + " LIMIT 3", "SELECT * FROM title WHERE rating > 3 LIMIT 25"}
+	served := map[string][]byte{}
+	for _, sql := range sqls {
+		for i := 0; i < 3; i++ {
+			_, served[sql] = serveQuery(h, sql, 0)
+		}
+	}
+	intact := func(when string) {
+		t.Helper()
+		for _, sql := range sqls {
+			fp := fingerprint(sql, DefaultConfig().MaxRows)
+			e := srv.live.Load().cache.get(fp, sql, DefaultConfig().MaxRows)
+			if e == nil {
+				t.Fatalf("%s: %q is not cached", when, sql)
+			}
+			if fresh := mustParse(t, sql); !reflect.DeepEqual(e.stmt, fresh) || !reflect.DeepEqual(e.est, fresh) {
+				t.Fatalf("%s: the cached statement of %q is no longer what it parses to", when, sql)
+			}
+		}
+	}
+	intact("before the fine-tune")
+	// The batch is emptied of the misses' own statements and refilled by hits
+	// alone, so the fine-tune reads every statement through a cached pointer.
+	sys.Drift().ResetDrift()
+	for _, sql := range sqls {
+		serveQuery(h, sql, 0)
+		serveQuery(h, sql, 0)
+	}
+	if st := srv.statsNow(); st.AnswerCache.Hits != int64(3*len(sqls)) || st.DriftedQueries != 2*len(sqls) {
+		t.Fatalf("hits %d, drifted %d; want %d and %d", st.AnswerCache.Hits, st.DriftedQueries, 3*len(sqls), 2*len(sqls))
+	}
+
+	if err := srv.ret.Force(); err != nil {
+		t.Fatal(err)
+	}
+	st := waitRetrain(t, srv, 2*time.Minute, func(st retrain.Status) bool { return st.LastOutcome == "gave_up" })
+	if st.ValidationRejects == 0 || st.Swaps != 0 {
+		t.Fatalf("retrain status %+v: want fine-tuned candidates rejected, none swapped in", st)
+	}
+	intact("after the fine-tune")
+	for _, sql := range sqls {
+		hits := srv.cacheHits.Load()
+		if _, body := serveQuery(h, sql, 0); srv.cacheHits.Load() == hits || !sameAnswer(body, served[sql]) {
+			t.Fatalf("%q re-served as\n%s\nwhere before the fine-tune it was\n%s", sql, body, served[sql])
+		}
 	}
 }

@@ -4,20 +4,24 @@
 //
 // The pipeline every request passes through:
 //
-//	admission control -> circuit breaker routing -> core degradation ladder
+//	admission control -> answer cache -> circuit breaker routing -> core degradation ladder
 //
 // Admission control bounds concurrency (MaxInFlight execution slots) and
 // queueing (QueueDepth waiters); anything beyond that is shed immediately
-// with 503 + Retry-After instead of piling up. The circuit breaker watches
-// the full-database fallback rung: after breakerTrips consecutive guard
-// trips it opens and queries are answered from the approximation set tagged
-// Degraded, with half-open probes on a jittered, doubling cooldown. Graceful
-// drain (Shutdown) stops admitting, waits for in-flight queries up to the
-// drain deadline, then cancels them via context — the listener goroutine and
-// every request goroutine are accounted for.
+// with 503 + Retry-After instead of piling up. The answer cache of the live
+// generation answers a repeated statement's clean approximation-set answer
+// without parsing or executing it, and still feeds drift, the WAL and the
+// auditor. The circuit breaker watches the full-database fallback rung: after
+// breakerTrips consecutive guard trips it opens and queries are answered from
+// the approximation set tagged Degraded, with half-open probes on a jittered,
+// doubling cooldown. Graceful drain (Shutdown) stops admitting, waits for
+// in-flight queries up to the drain deadline, then cancels them via context —
+// the listener goroutine and every request goroutine are accounted for.
 package server
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -113,6 +117,9 @@ type Config struct {
 	// in-package tests; zero means breakerTrips and breakerCooldown.
 	trips    int
 	cooldown time.Duration
+	// noAnswerCache serves every request through the ladder, for in-package
+	// tests that compare a cache-cold server with a warm one.
+	noAnswerCache bool
 }
 
 // maxTimeout caps the deadline a client may ask for with timeout_ms.
@@ -238,6 +245,10 @@ type Server struct {
 	pubMu sync.Mutex
 	gen   int64
 
+	// cacheHits and cacheMisses count answer-cache lookups over every
+	// generation, for /stats.
+	cacheHits, cacheMisses atomic.Int64
+
 	httpSrv    *http.Server
 	ln         net.Listener
 	baseCtx    context.Context
@@ -248,13 +259,14 @@ type Server struct {
 	done       chan struct{}
 }
 
-// liveSystem pairs the served system with its publish generation. Responses
-// carry the generation so a client (or a chaos test) can prove which system
-// produced an answer across a hot swap — every response comes from exactly
-// one generation, never a blend.
+// liveSystem pairs the served system with its publish generation and the
+// generation's answer cache. Responses carry the generation so a client (or a
+// chaos test) can prove which system produced an answer across a hot swap —
+// every response comes from exactly one generation, never a blend.
 type liveSystem struct {
-	sys *core.System
-	gen int64
+	sys   *core.System
+	gen   int64
+	cache *answerCache
 }
 
 // New builds a server around sys (which may be nil: the server then reports
@@ -321,13 +333,13 @@ func New(sys *core.System, cfg Config) *Server {
 // Each publish gets the next generation number; in-flight queries finish on
 // the system they loaded, new ones see the replacement — the swap itself is
 // one atomic pointer store, so no request is ever dropped or blended. The
-// auditor's per-shape evidence restarts with the new generation before any
-// request can see it.
+// auditor's per-shape evidence and the answer cache restart with the new
+// generation before any request can see it.
 func (s *Server) SetSystem(sys *core.System) {
 	s.pubMu.Lock()
 	s.gen++
 	s.aud.SetGeneration(s.gen)
-	s.live.Store(&liveSystem{sys: sys, gen: s.gen})
+	s.live.Store(&liveSystem{sys: sys, gen: s.gen, cache: newAnswerCache()})
 	s.pubMu.Unlock()
 }
 
@@ -504,8 +516,9 @@ var (
 	walAppendErrors = obs.Default().Counter("server/wal_append_errors")
 )
 
-// handleQuery runs one query through admission control, breaker routing, and
-// the core degradation ladder. Every exit path writes well-formed JSON.
+// handleQuery runs one query through admission control, the generation's
+// answer cache, breaker routing, and the core degradation ladder. Every exit
+// path writes well-formed JSON.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	requests.Inc()
@@ -514,35 +527,35 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// leave a trace naming the cause, and the response always carries the
 	// trace ID (header + JSON) for correlation.
 	ctx := r.Context()
-	if h := r.Header.Get("traceparent"); h != "" {
-		if tid, parent, sampled, perr := obs.ParseTraceparent(h); perr == nil {
+	if h := r.Header[traceparentKey]; len(h) > 0 && h[0] != "" {
+		if tid, parent, sampled, perr := obs.ParseTraceparent(h[0]); perr == nil {
 			ctx = obs.ContextWithRemoteTrace(ctx, tid, parent, sampled)
 		}
 	}
 	ctx, span := obs.StartSpan(ctx, "server/query")
 	defer span.End()
 	if span != nil {
-		span.Annotate("method", r.Method)
-		w.Header().Set("traceparent", obs.FormatTraceparent(span.TraceID(), span.SpanID(), true))
+		span.AnnotateString("method", r.Method)
+		w.Header()[traceparentKey] = []string{obs.FormatTraceparent(span.TraceID(), span.SpanID(), true)}
 	}
 	if s.draining.Load() {
 		span.Event("shed", "cause", "draining")
 		s.writeErr(w, span, http.StatusServiceUnavailable, start, "draining", true)
 		return
 	}
-	sys, gen := s.System()
-	if sys == nil {
+	ls := s.live.Load()
+	if ls == nil || ls.sys == nil {
 		span.Event("shed", "cause", "not_ready")
 		s.writeErr(w, span, http.StatusServiceUnavailable, start, "not ready: no system loaded", true)
 		return
 	}
-	span.Annotate("generation", gen)
+	span.AnnotateInt("generation", ls.gen)
 	req, err := parseQueryRequest(r)
 	if err != nil {
 		s.writeErr(w, span, http.StatusBadRequest, start, err.Error(), false)
 		return
 	}
-	span.Annotate("sql", req.SQL)
+	span.AnnotateString("sql", req.SQL)
 
 	// Per-request deadline: client wish, clamped into (0, maxTimeout], or the
 	// server default. The admission wait runs under the same deadline so a
@@ -575,6 +588,28 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.adm.release()
 
+	// A hit answers what this generation's ladder answered before, without
+	// parsing, estimating or executing: only drift, the WAL and the audit,
+	// which every request feeds, run again.
+	fp := fingerprint(req.SQL, maxRows)
+	if !s.cfg.noAnswerCache {
+		if e := ls.cache.get(fp, req.SQL, maxRows); e != nil {
+			s.cacheHits.Add(1)
+			span.Event("answer_cache_hit")
+			a := answered{
+				Served: audit.Served{SQL: e.canonical, Source: "approximation"},
+				stmt:   e.stmt, conf: e.conf, rows: e.rows, agg: e.agg,
+			}
+			if s.cfg.DriftObserve {
+				a.drifted, a.triggered = ls.sys.Drift().ObserveDetail(e.est, e.conf)
+			}
+			buf := answerBufs.Get().(*[]byte)
+			s.answer(w, span, start, ls.gen, &a, buf, append((*buf)[:0], e.head...), nil)
+			return
+		}
+		s.cacheMisses.Add(1)
+	}
+
 	stmt, perr := sqlparse.Parse(req.SQL)
 	if perr != nil {
 		s.writeErr(w, span, http.StatusBadRequest, start, "parse error: "+perr.Error(), false)
@@ -593,41 +628,78 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		SkipFull:  skipFull,
 		SkipDrift: !s.cfg.DriftObserve,
 	}
-	res, qerr := sys.QueryFrameContext(ctx, stmt, opts)
+	res, qerr := ls.sys.QueryFrameContext(ctx, stmt, opts)
 	s.brk.record(probe, res != nil && res.FullAttempted, fullRungFailed(res))
 
 	if qerr != nil {
 		s.writeErr(w, span, statusForError(qerr), start, qerr.Error(), false)
 		return
 	}
-	// DriftTriggered stays set on every query while a batch waits (out a
-	// backoff, say): Wake is a coalesced, non-blocking send, so this costs a
-	// failed channel send per request, never a wait or a second attempt.
-	if res.DriftTriggered {
-		s.ret.Wake()
-	}
-	resp := &QueryResponse{
-		Source:         "full",
-		Degraded:       res.Degraded,
-		DegradedReason: res.DegradedReason,
-		PredictedScore: res.PredictedScore,
-		Confidence:     res.Confidence,
-		Generation:     gen,
-	}
-	if span != nil {
-		resp.TraceID = span.TraceID().String()
+	a := answered{
+		Served: audit.Served{Source: "full", Degraded: res.Degraded, Reason: res.DegradedReason},
+		stmt:   stmt, conf: res.Confidence, rows: res.Frame.N,
+		drifted: res.Drifted, triggered: res.DriftTriggered,
 	}
 	if res.FromApproximation {
-		resp.Source = "approximation"
-	}
-	if res.Degraded {
-		span.MarkDegraded(res.DegradedReason)
+		a.Source = "approximation"
 	}
 	// One canonicalization serves the quality features (historical-error
 	// lookup, audit-sampling offer) and the WAL record.
-	var canonical string
 	if s.aud != nil || s.wal != nil {
-		canonical = stmt.String()
+		a.SQL = stmt.String()
+	}
+	if s.aud != nil && stmt.HasAggregates() {
+		a.agg = res.Frame.Table() // an aggregate's frame is over its own rows: no copy
+	}
+	// The head is encoded while the frame, which borrows the answering
+	// generation's rows, is in hand; nothing uses the frame after it.
+	buf := answerBufs.Get().(*[]byte)
+	body, encErr := appendAnswerHead((*buf)[:0], &QueryResponse{
+		Source:         a.Source,
+		Degraded:       a.Degraded,
+		DegradedReason: a.Reason,
+		PredictedScore: res.PredictedScore,
+		Confidence:     res.Confidence,
+	}, res.Frame)
+	// Only a clean rung-1 answer is kept, and only once its statement repeats.
+	if !s.cfg.noAnswerCache && encErr == nil && res.FromApproximation && !res.Degraded && ls.cache.sighted(fp) {
+		ls.cache.put(&cachedAnswer{
+			fp: fp, sql: req.SQL, maxRows: maxRows, head: bytes.Clone(body),
+			stmt: stmt, est: res.Estimated, conf: res.Confidence,
+			canonical: a.SQL, rows: a.rows, agg: a.agg,
+		})
+	}
+	s.answer(w, span, start, ls.gen, &a, buf, body, encErr)
+}
+
+// traceparentKey is the traceparent header's canonical key, so reading and
+// writing it never canonicalizes.
+const traceparentKey = "Traceparent"
+
+// answered is what a request's tail needs of its answer, whether the ladder
+// computed it or the answer cache kept it. Served.SQL is the canonical
+// statement, empty when neither the WAL nor the auditor reads it.
+type answered struct {
+	audit.Served
+	stmt               *sqlparse.Select
+	conf               float64
+	rows               int
+	agg                *table.RowSet // an aggregate's own rows, for the auditor
+	drifted, triggered bool
+}
+
+// answer finishes a successful request, hit or miss: it wakes retraining,
+// journals, offers the answer to the auditor, observes the request, and
+// writes body (the answer's head, in the pooled buffer buf) with its tail.
+func (s *Server) answer(w http.ResponseWriter, span *obs.Span, start time.Time, gen int64, a *answered, buf *[]byte, body []byte, encErr error) {
+	// triggered stays set on every query while a batch waits (out a backoff,
+	// say): Wake is a coalesced, non-blocking send, so this costs a failed
+	// channel send per request, never a wait or a second attempt.
+	if a.triggered {
+		s.ret.Wake()
+	}
+	if a.Degraded {
+		span.MarkDegraded(a.Reason)
 	}
 	if s.wal != nil {
 		// Async appends: the frames are buffered now and fsynced by the next
@@ -636,55 +708,46 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// were promised durable to anyone.
 		now := time.Now().UnixNano()
 		aerr := s.wal.AppendAsync(wal.Record{
-			Type: wal.TypeServed, UnixNs: now, SQL: canonical,
-			Source: resp.Source, Degraded: resp.Degraded,
+			Type: wal.TypeServed, UnixNs: now, SQL: a.SQL,
+			Source: a.Source, Degraded: a.Degraded,
 		})
-		if aerr == nil && res.Drifted {
+		if aerr == nil && a.drifted {
 			aerr = s.wal.AppendAsync(wal.Record{
-				Type: wal.TypeDrift, UnixNs: now, SQL: canonical,
-				Confidence: res.Confidence,
+				Type: wal.TypeDrift, UnixNs: now, SQL: a.SQL,
+				Confidence: a.conf,
 			})
 		}
 		if aerr != nil {
 			walAppendErrors.Inc()
 		}
 	}
+	tail := QueryResponse{Generation: gen}
+	if span != nil {
+		tail.TraceID = span.TraceID().String()
+	}
 	if s.aud != nil {
-		if oe, ok := s.aud.ObservedError(canonical); ok {
-			resp.ObservedError = &oe
-			span.Annotate("observed_error_p95", oe)
+		if oe, ok := s.aud.ObservedError(a.SQL); ok {
+			tail.ObservedError = &oe
+			span.AnnotateFloat("observed_error_p95", oe)
 		}
-		var agg *table.RowSet
-		if stmt.HasAggregates() {
-			agg = res.Frame.Table() // an aggregate's frame is over its own rows: no copy
-		}
-		if s.aud.Consider(stmt, audit.Served{
-			SQL:        canonical,
-			TraceID:    span.TraceID(),
-			Source:     resp.Source,
-			Degraded:   resp.Degraded,
-			Reason:     resp.DegradedReason,
-			Generation: gen,
-		}, res.Frame.N, agg) {
+		a.TraceID, a.Generation = span.TraceID(), gen
+		if s.aud.Consider(a.stmt, a.Served, a.rows, a.agg) {
 			span.Event("audit_sampled")
 		}
 	}
-	if res.Degraded {
+	if a.Degraded {
 		degraded.Inc()
 	}
 	elapsed := time.Since(start)
 	requestSeconds.ObserveDurationExemplar(elapsed, span.TraceID())
-	if res.FromApproximation {
+	if a.Source == "approximation" {
 		rungApproxSeconds.ObserveDuration(elapsed)
 	} else {
 		rungFullSeconds.ObserveDuration(elapsed)
 	}
-	// The body is complete before the status is written, and the frame (which
-	// borrows the answering generation's rows) is not used past this point.
-	resp.ElapsedMs = elapsedMs(start)
-	buf := answerBufs.Get().(*[]byte)
-	body, err := appendAnswer((*buf)[:0], resp, res.Frame)
-	writeBody(w, http.StatusOK, body, err)
+	tail.ElapsedMs = elapsedMs(start)
+	body, tailErr := appendAnswerTail(body, &tail)
+	writeBody(w, http.StatusOK, body, cmp.Or(encErr, tailErr))
 	if cap(body) <= maxPooledAnswer {
 		*buf = body
 		answerBufs.Put(buf)
@@ -751,6 +814,9 @@ type Stats struct {
 	// DiagDir is unset).
 	SLO  *slo.Page    `json:"slo,omitempty"`
 	Diag *diag.Status `json:"diag,omitempty"`
+	// AnswerCache is the answer cache: the live generation's entries and
+	// bytes, and the hits and misses since the server started.
+	AnswerCache AnswerCacheStats `json:"answer_cache"`
 }
 
 // statsNow assembles the /stats view. Shared by the HTTP handler and the
@@ -767,6 +833,10 @@ func (s *Server) statsNow() Stats {
 		BreakerState: s.brk.currentState().String(),
 		Quality:      s.aud.Stats(),
 		Retrain:      s.ret.Status(),
+	}
+	st.AnswerCache.Hits, st.AnswerCache.Misses = s.cacheHits.Load(), s.cacheMisses.Load()
+	if ls := s.live.Load(); ls != nil {
+		st.AnswerCache.Entries, st.AnswerCache.Bytes = ls.cache.stats()
 	}
 	if sys, gen := s.System(); sys != nil {
 		st.Generation = gen

@@ -147,6 +147,16 @@ trap 'kill "${serve_pid}" 2>/dev/null || true; rm -f "${serve_bin}" "${snap_file
 go run ./cmd/asqp-loadgen -url "http://localhost:${serve_port}" \
 	-clients 8 -duration 6s -scenario drift-storm -retrain-wait 90s \
 	-quality -slo-gate
+# The loadgen mixes repeat, so the answer cache must have served hits while
+# drift observation, audit at sample 1 and retraining ran beside it. Hits
+# count over every generation, so a swap does not reset them.
+stats="$(curl -fsS "http://localhost:${serve_port}/stats")"
+cache_hits="$(printf '%s' "${stats}" | grep -o '"answer_cache":{[^}]*}' | sed -n 's/.*"hits":\([0-9]*\).*/\1/p')"
+if [ -z "${cache_hits}" ] || [ "${cache_hits}" -eq 0 ]; then
+	echo "answer cache served no hit in the drift-storm run: ${stats}" >&2
+	exit 1
+fi
+echo "answer cache hits in the drift-storm run: ${cache_hits}"
 kill -TERM "${serve_pid}" 2>/dev/null || true
 wait "${serve_pid}" 2>/dev/null || true
 rm -f "${serve_bin}" "${snap_file}"
