@@ -293,6 +293,7 @@ func main() {
 func buildSystem(ctx context.Context, in buildInputs) (*core.System, error) {
 	var db *table.Database
 	var err error
+	start := time.Now()
 	if in.dataDir != "" {
 		db, err = table.ReadCSVDir(in.dataDir)
 	} else {
@@ -301,12 +302,13 @@ func buildSystem(ctx context.Context, in buildInputs) (*core.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	fmt.Printf("database: %d tables, %d tuples\n", len(db.TableNames()), db.TotalRows())
+	fmt.Printf("database: %d tables, %d tuples in %s\n", len(db.TableNames()), db.TotalRows(), time.Since(start).Round(time.Microsecond))
 	var sys *core.System
 	if in.loadFile != "" {
+		start = time.Now()
 		sys, err = core.LoadFile(db, in.loadFile)
 		if err == nil {
-			fmt.Printf("loaded system from %s\n", in.loadFile)
+			fmt.Printf("loaded system from %s in %s\n", in.loadFile, time.Since(start).Round(time.Microsecond))
 		}
 	} else {
 		sys, err = train(ctx, db, in)

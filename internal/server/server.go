@@ -310,6 +310,7 @@ func New(sys *core.System, cfg Config) *Server {
 	s.httpSrv = &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
+		BaseContext:       func(net.Listener) context.Context { return s.baseCtx },
 	}
 	if cfg.Retrain.Enabled {
 		hooks := retrain.Hooks{
@@ -361,7 +362,9 @@ func (s *Server) Ready() bool {
 	return s.live.Load() != nil && !s.draining.Load() && !s.recovering.Load()
 }
 
-// Handler returns the HTTP handler (also used directly by tests).
+// Handler returns the HTTP handler (also used directly by tests). The drain
+// deadline cancels the requests it serves through Start, whose contexts descend
+// from the server's base context; a caller serving it otherwise brings its own.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.handleQuery)
@@ -570,12 +573,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		maxRows = req.MaxRows
 	}
 
-	// Tie the query to both the connection (client gone = cancel) and the
-	// server's base context (drain deadline = cancel).
+	// The request context descends from the server's base context (drain
+	// deadline = cancel) through its connection (client gone = cancel).
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	stop := context.AfterFunc(s.baseCtx, cancel)
-	defer stop()
 
 	if err := s.adm.acquire(ctx); err != nil {
 		if errors.Is(err, ErrShed) {

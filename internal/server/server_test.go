@@ -346,7 +346,11 @@ func TestDrainWaitsForInflight(t *testing.T) {
 
 // TestDrainDeadlineCancelsStragglers: when in-flight queries outlive the
 // drain deadline, Shutdown reports the overrun but still returns promptly
-// and cancels the work instead of hanging.
+// and cancels the work instead of hanging. A request served through Start
+// learns of the deadline only through its context, which descends from the
+// server's base context (http.Server.BaseContext): one still queued behind the
+// slow query must come back canceled at the deadline, not served once the slot
+// frees.
 func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 	sys := trainedSystem(t)
 	srv, base := startServer(t, sys, Config{
@@ -368,7 +372,18 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 		defer close(done)
 		_, _, _ = tryPostQuery(base, approxRouteSQL, 0, 0)
 	}()
-	time.Sleep(100 * time.Millisecond)
+	time.Sleep(50 * time.Millisecond) // the slow query holds the only slot
+	type reply struct {
+		status int
+		resp   QueryResponse
+		err    error
+	}
+	queued := make(chan reply, 1)
+	go func() {
+		status, resp, err := tryPostQuery(base, approxRouteSQL, 0, 0)
+		queued <- reply{status, resp, err}
+	}()
+	time.Sleep(50 * time.Millisecond)
 
 	start := time.Now()
 	err := srv.Shutdown(context.Background())
@@ -377,6 +392,11 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 	}
 	if err == nil {
 		t.Error("shutdown should report the drain-deadline overrun")
+	}
+	r := <-queued
+	if r.err != nil || !strings.Contains(r.resp.Error, "canceled while queued") {
+		t.Errorf("queued straggler: status=%d err=%v error=%q, want it canceled at the drain deadline",
+			r.status, r.err, r.resp.Error)
 	}
 	<-done
 }

@@ -61,14 +61,25 @@ func (d *Dict) Code(s string) (int32, bool) {
 	return c, ok
 }
 
-// add returns s's code, adding s (a copy, if clone) when it is new.
-func (d *Dict) add(s string, clone bool) int32 {
+// add returns s's code, adding s when it is new.
+func (d *Dict) add(s string) int32 {
 	if c, ok := d.codes[s]; ok {
 		return c
 	}
-	if clone {
-		s = strings.Clone(s)
+	return d.insert(s)
+}
+
+// addBytes is add for a string held as bytes: the lookup copies nothing, and
+// b is copied only when it is new.
+func (d *Dict) addBytes(b []byte) int32 {
+	if c, ok := d.codes[string(b)]; ok {
+		return c
 	}
+	return d.insert(string(b))
+}
+
+// insert gives s, which the dictionary does not hold, the next code.
+func (d *Dict) insert(s string) int32 {
 	if d.codes == nil {
 		d.codes = make(map[string]int32)
 	}
@@ -173,7 +184,7 @@ func (c *ColumnData) append(i int, v Value) {
 	case KindFloat:
 		c.appendFloat(i, v.Float)
 	case KindString:
-		c.appendString(i, v.Str, false)
+		c.appendString(i, c.Dict.add(v.Str))
 	case KindBool:
 		c.appendBool(i, v.Bool)
 	}
@@ -181,7 +192,7 @@ func (c *ColumnData) append(i int, v Value) {
 
 // The typed appenders add cell i, the column's next, to a column of their kind
 // (appendNull to any): the value or the kind's zero, the null bit, the chunk's
-// zone, the string's dictionary code (see Dict.add for clone). Nothing else
+// zone, the string's dictionary code (Dict.add, Dict.addBytes). Nothing else
 // grows a column. zone opens a chunk (and a null-bitmap word) where i starts one.
 func (c *ColumnData) zone(i int) *Zone {
 	if i%ZoneChunkRows == 0 {
@@ -226,9 +237,9 @@ func (c *ColumnData) appendBool(i int, v bool) {
 	c.Bools = append(c.Bools, v)
 }
 
-func (c *ColumnData) appendString(i int, v string, clone bool) {
+func (c *ColumnData) appendString(i int, code int32) {
 	c.zone(i).HasValue = true
-	c.Codes = append(c.Codes, c.Dict.add(v, clone))
+	c.Codes = append(c.Codes, code)
 }
 
 // ColumnSet is a table's columns. The typed vectors are the storage; the

@@ -321,7 +321,7 @@ func refColumns(schema Schema, rows []Row) []ColumnData {
 				out.Floats[i] = v.Float
 				updateZone(z, v.Float)
 			case KindString:
-				out.Codes[i] = out.Dict.add(v.Str, false)
+				out.Codes[i] = out.Dict.add(v.Str)
 				z.HasValue = true
 			case KindBool:
 				out.Bools[i] = v.Bool

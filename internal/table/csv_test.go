@@ -100,9 +100,10 @@ func refReadCSV(name string, r io.Reader) (*Table, error) {
 }
 
 // FuzzReadCSV holds ReadCSV to the reference loader on any bytes — the same
-// columns, dictionary order included, or the same error — and holds what loads
-// to a fixed point: WriteCSV then ReadCSV gives the same columns, and writing
-// those again gives the same bytes.
+// columns, dictionary order included, or the same error — and so does
+// decodeCSV alone, the path ReadCSV takes where scanCSV declines. It holds what
+// loads to a fixed point: WriteCSV then ReadCSV gives the same columns, and
+// writing those again gives the same bytes.
 func FuzzReadCSV(f *testing.F) {
 	for _, seed := range []string{
 		"id\n1\n", "id:widget\n1\n", "id:int\nnot_a_number\n", "id:int,name:string\n1\n",
@@ -115,12 +116,33 @@ func FuzzReadCSV(f *testing.F) {
 		"i:int,junk:null\n1,\n",
 		"i:int\n9223372036854775808\n", "b:bool\nyes\n", "f:float\n1.2.3\n",
 		"s:text,i:INTEGER\nb,1\na,2\nb,3\n",
+		// Each rejection on the last line of an otherwise plain file.
+		"i:int,s:string\n1,a\n2,b\n3,c\"d\n", "i:int,s:string\n1,a\n2,b\n3,\"cd\n",
+		"i:int,s:string\n1,a\n2,b\n3,c\rd\n", "i:int,s:string\n1,a\n2,b\n3,c,d\n",
+		"i:int,s:string\n1,a\n2,b\n9223372036854775808,c\n", "i:int,s:string\n1,a\n2,b\n 1,c\n",
+		"i:int,s:string\n1,a\n2,b\n3,\"c\"d\n", "i:int,s:string\n1,a\r\n2,b\r",
+		// No final newline, an empty last field, blank lines; then \r\n line ends
+		// and quoted fields, which scanCSV leaves to decodeCSV.
+		"i:int,s:string\n1,a\n2,b", "i:int,s:string\n1,a\n2,", "i:int,s:string\n\n1,a\n\n2,b\n\n",
+		"i:int,s:string\n\n1,a\n\n\r\n2,b\n\n",
+		"i:int,s:string\r\n1,\"a\r\nb\"\r\n2,\"\"\r\n",
+		"i:int,s:string,f:float\n1,a,0.5\n2,\"x, \"\"y\"\"\nz\",1e3\n3,a,\n",
+		// A value and a column name holding \r\n, which WriteCSV must write so
+		// that they read back.
+		":int,:string\n,\"\r\r\n\"", "\"\r\r\n:int\"",
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadCSV("f", bytes.NewReader(data))
 		want, refErr := refReadCSV("f", bytes.NewReader(data))
+		decoded, err := decodeCSV("f", bytes.NewReader(data))
+		if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+			t.Fatalf("decodeCSV error %v, reference %v", err, refErr)
+		}
+		if err == nil {
+			sameTable(t, decoded, want)
+		}
+		got, err := ReadCSV("f", bytes.NewReader(data))
 		if err != nil || refErr != nil {
 			if err == nil || refErr == nil || err.Error() != refErr.Error() {
 				t.Fatalf("ReadCSV error %v, reference %v", err, refErr)
@@ -164,7 +186,8 @@ func sameTable(t testing.TB, got, want *Table) {
 // TestReadCSVDirConcurrent: files of very different sizes, loaded
 // concurrently again and again, give each the table ReadCSV gives of that file
 // alone, in name order; with two bad files the error always names the first in
-// name order; and no loader goroutine outlives the call.
+// name order; a file only encoding/csv can word the rejection of fails with its
+// words beside files scanCSV loads; and no loader goroutine outlives the call.
 func TestReadCSVDirConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	dir := t.TempDir()
@@ -228,6 +251,24 @@ func TestReadCSVDirConcurrent(t *testing.T) {
 		_, err := ReadCSVDir(bad)
 		if err == nil || !strings.Contains(err.Error(), "b.csv: table: csv line 50002 col i") {
 			t.Fatalf("round %d: error %v, want b.csv's line 50002", round, err)
+		}
+	}
+
+	// c.csv alone needs decodeCSV, for a bare quote on its last line: the
+	// error is encoding/csv's, naming the line and column.
+	mixed := t.TempDir()
+	for name, body := range map[string]string{
+		"a.csv": "i:int,s:string\n1,x\n", "b.csv": "i:int,s:string\n" + strings.Repeat("1,x y\n", 5000),
+		"c.csv": "i:int,s:string\n1,x\n2,y\n3,z\"\n", "d.csv": "i:int,s:string\n2,\n",
+	} {
+		if err := os.WriteFile(filepath.Join(mixed, name), []byte(body), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := filepath.Join(mixed, "c.csv") + ": table: read csv line 4: parse error on line 4, column 4: " + csv.ErrBareQuote.Error()
+	for round := 0; round < 20; round++ {
+		if _, err := ReadCSVDir(mixed); err == nil || err.Error() != want {
+			t.Fatalf("round %d: error %v, want %s", round, err, want)
 		}
 	}
 

@@ -27,23 +27,31 @@
 // cell of another kind or a null-kind column panics, naming table, column, row
 // and both kinds, and leaves the table as it was — a programming error, so a
 // relation that violates "a column holds NULLs and values of its declared kind
-// and nothing else" cannot exist. ReadCSV, the one outside door, parses each
-// field by its column's declared kind straight into its appender (no Row, no
-// boxed Value, one dictionary lookup per string, copied only when new), refuses
-// a :null header column or an unparsable field with an error naming line and
-// column, and returns no table on an error. ReadCSVDir reads a directory's
-// regular *.csv files concurrently, at most GOMAXPROCS at once and the largest
-// first, one goroutine per file, never a file split (a table's dictionaries
-// stay in first-appearance order); it adds the tables in name order and reports
-// the first failing file in name order, so the database and the error are what
-// a serial loop gives. No operator therefore re-implements cross-kind coercion
-// or has a second path for a column that is not typed vectors. column_test.go
-// keeps the build-everything-from-rows routine as the reference (refColumns)
-// and holds AppendRow, Select and ReadCSV(WriteCSV(t)) to it over random tables
-// with NULL runs across chunk boundaries; csv_test.go keeps the row-at-a-time
-// loader (refReadCSV) and FuzzReadCSV holds ReadCSV to it on any bytes, and
-// what loads to a WriteCSV fixed point; TestReadCSVDirConcurrent holds the
-// concurrent load to name order. TestGeneratedCSVPinned pins a generated
+// and nothing else" cannot exist. ReadCSV, the one outside door, holds a whole
+// file's bytes and scans them in place (scanCSV): fields split with
+// bytes.IndexByte and parsed by their column's declared kind straight into its
+// appender (no line string, no Row, no boxed Value, one dictionary lookup per
+// string, copied only when new), every vector sized once from the newline
+// count. The scanner reads a file with no quote and no \r anywhere and declines
+// the rest, as it does a record of another width, an unparsable field or a
+// :null header column; decodeCSV, the encoding/csv loop over the same bytes,
+// then loads what encoding/csv reads (quoted fields, \r\n line ends) or returns
+// the error naming line and column. An error returns no table. ReadCSVDir reads
+// a directory's regular *.csv files concurrently, at most GOMAXPROCS at once
+// and the largest first, one goroutine per file, never a file split (a table's
+// dictionaries stay in first-appearance order); a file's bytes stay live until
+// its table is built. It adds the tables in name order and reports the first
+// failing file in name order, so the database and the error are what a serial
+// loop gives. No operator therefore re-implements cross-kind coercion or has a
+// second path for a column that is not typed vectors. column_test.go keeps the
+// build-everything-from-rows routine as the reference (refColumns) and holds
+// AppendRow, Select and ReadCSV(WriteCSV(t)) to it over random tables with NULL
+// runs across chunk boundaries; csv_test.go keeps the row-at-a-time loader
+// (refReadCSV) and FuzzReadCSV holds ReadCSV, and decodeCSV alone, to it on any
+// bytes, and what loads to a WriteCSV fixed point; TestReadCSVAllocatesPerFile
+// holds a plain file to the scanner (its allocations do not grow with the
+// lines); TestReadCSVDirConcurrent holds the concurrent load to name order,
+// beside a file only decodeCSV words. TestGeneratedCSVPinned pins a generated
 // dataset's CSV bytes, TestResidentBytesPerCell holds a generated database to
 // 16 heap bytes a cell, TestReadCSVKeepsNoLine holds ReadCSV's dictionaries off
 // the lines they were read from, and BenchmarkLoadCSV and BenchmarkReadCSVDir

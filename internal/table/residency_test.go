@@ -142,6 +142,31 @@ func TestReadCSVKeepsNoLine(t *testing.T) {
 	}
 }
 
+// TestReadCSVAllocatesPerFile: a plain file (no quote, no \r) loads in a
+// number of objects that does not grow with its lines — the buffer, the
+// vectors, the dictionaries and their strings. A loader that makes even one
+// string a line, as encoding/csv does, makes 10 000 here.
+func TestReadCSVAllocatesPerFile(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	const rows = 10000
+	var buf bytes.Buffer
+	buf.WriteString("id:int,name:string,score:float,ok:bool\n")
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&buf, "%d,name%02d,%g,%t\n", i, i%50, float64(i)/8, i%3 == 0)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := table.ReadCSV("t", bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations for %d rows", allocs, rows)
+	if allocs > 300 {
+		t.Fatalf("%.0f allocations for %d rows, want at most 300", allocs, rows)
+	}
+}
+
 // imdbCSV is datagen.IMDB(2, 1) as CSV, one file per table, and its cell count.
 // Its own function so that the generated tables are garbage when it returns.
 func imdbCSV(b testing.TB) (names []string, files [][]byte, cells int) {

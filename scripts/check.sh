@@ -208,7 +208,9 @@ rm -f "${serve_bin}"
 rm -rf "${diag_dir}"
 trap - EXIT
 
-# Durability smoke: the end-to-end kill -9 story. First life: asqp-serve with
+# Durability smoke: the end-to-end kill -9 story. Both lives load their
+# tables from a CSV directory written once (-data), so a real process boots
+# through table.ReadCSVDir. First life: asqp-serve with
 # a WAL and a snapshot path takes live traffic (drift observation on, so the
 # log fills with served and drift frames), then dies by SIGKILL — no drain,
 # no WAL close, a real torn tail. Second life: the same binary
@@ -220,19 +222,22 @@ echo "==> durability smoke: kill -9 asqp-serve, restart, verify WAL recovery"
 serve_port=18480
 serve_bin="$(mktemp -t asqp-serve.XXXXXX)"
 wal_dir="$(mktemp -d -t asqp-wal.XXXXXX)"
+data_dir="$(mktemp -d -t asqp-data.XXXXXX)"
 snap_file="$(mktemp -t asqp-snap.XXXXXX)"
+serve_pid=""
+trap 'kill -9 "${serve_pid}" 2>/dev/null || true; rm -f "${serve_bin}" "${snap_file}"; rm -rf "${wal_dir}" "${data_dir}"' EXIT
 go build -o "${serve_bin}" ./cmd/asqp-serve
-"${serve_bin}" -addr "localhost:${serve_port}" -scale 0.02 -k 150 -light \
+go run ./cmd/asqp-datagen -dataset imdb -scale 0.02 -out "${data_dir}" >/dev/null
+"${serve_bin}" -addr "localhost:${serve_port}" -data "${data_dir}" -k 150 -light \
 	-drift-confidence 0.15 -wal-dir "${wal_dir}" -save "${snap_file}" \
 	-log warn >/dev/null &
 serve_pid=$!
-trap 'kill -9 "${serve_pid}" 2>/dev/null || true; rm -f "${serve_bin}" "${snap_file}"; rm -rf "${wal_dir}"' EXIT
 go run ./cmd/asqp-loadgen -url "http://localhost:${serve_port}" \
 	-clients 4 -duration 3s
 sleep 1 # let the group-commit syncer land the last async frames
 kill -9 "${serve_pid}" 2>/dev/null || true
 wait "${serve_pid}" 2>/dev/null || true
-"${serve_bin}" -addr "localhost:${serve_port}" -load "${snap_file}" \
+"${serve_bin}" -addr "localhost:${serve_port}" -data "${data_dir}" -load "${snap_file}" \
 	-drift-confidence 0.15 -wal-dir "${wal_dir}" -save "${snap_file}" \
 	-log warn >/dev/null &
 serve_pid=$!
@@ -241,7 +246,7 @@ go run ./cmd/asqp-loadgen -url "http://localhost:${serve_port}" \
 kill -TERM "${serve_pid}" 2>/dev/null || true
 wait "${serve_pid}" 2>/dev/null || true
 rm -f "${serve_bin}" "${snap_file}"
-rm -rf "${wal_dir}"
+rm -rf "${wal_dir}" "${data_dir}"
 trap - EXIT
 
 # Size: the numbers a CHANGES.md entry reports. Printed, not gated. The
