@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"asqprl/internal/engine"
+	"asqprl/internal/sqlparse"
 	"asqprl/internal/table"
 )
 
@@ -32,8 +33,8 @@ func TestIMDBShape(t *testing.T) {
 
 func TestIMDBJoinsProduceRows(t *testing.T) {
 	db := IMDB(0.02, 1)
-	res, err := engine.ExecuteSQL(db,
-		"SELECT t.title, n.name FROM title t JOIN cast_info c ON t.id = c.title_id JOIN name n ON c.name_id = n.id WHERE t.genre = 'drama'")
+	res, err := engine.Execute(db,
+		sqlparse.MustParse("SELECT t.title, n.name FROM title t JOIN cast_info c ON t.id = c.title_id JOIN name n ON c.name_id = n.id WHERE t.genre = 'drama'"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +73,8 @@ func TestMASShape(t *testing.T) {
 			t.Fatalf("table %s missing or empty", name)
 		}
 	}
-	res, err := engine.ExecuteSQL(db,
-		"SELECT a.name FROM author a JOIN writes w ON a.id = w.author_id JOIN publication p ON w.publication_id = p.id WHERE p.year > 2000")
+	res, err := engine.Execute(db,
+		sqlparse.MustParse("SELECT a.name FROM author a JOIN writes w ON a.id = w.author_id JOIN publication p ON w.publication_id = p.id WHERE p.year > 2000"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestFlightsShape(t *testing.T) {
 			t.Fatal("origin == dest")
 		}
 	}
-	res, err := engine.ExecuteSQL(db, "SELECT carrier, AVG(dep_delay) FROM flights GROUP BY carrier")
+	res, err := engine.Execute(db, sqlparse.MustParse("SELECT carrier, AVG(dep_delay) FROM flights GROUP BY carrier"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 
@@ -388,19 +387,12 @@ func indexRange(cs *table.ColumnSet, ks []kernel) (best *intRange, rows []int32)
 	return best, rows
 }
 
-// denseInts reports, from the zone maps' bounds alone, whether the join index
-// of int column c takes the dense layout. Bounds past ±2^53 are not exact in a
-// zone's float64, so such a column is taken as sparse.
+// denseInts reports, from the zone maps' bounds alone (intSpan), whether the
+// join index of int column c takes the dense layout. A column with a bound past
+// ±2^53 is taken as sparse.
 func denseInts(c *table.ColumnData, numRows int) bool {
-	lo, hi, any := math.Inf(1), math.Inf(-1), false
-	for i := range c.Zones {
-		if z := &c.Zones[i]; z.HasValue {
-			lo, hi, any = min(lo, z.Min), max(hi, z.Max), true
-		}
-	}
-	l, lok := exactInt(lo)
-	h, hok := exactInt(hi)
-	return any && lok && hok && table.DenseSpread(l, h, numRows)
+	lo, hi, ok := intSpan(c)
+	return ok && table.DenseSpread(lo, hi, numRows)
 }
 
 // ascendingRows copies an index range's rows into ascending order: one key's

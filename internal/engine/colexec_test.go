@@ -95,7 +95,12 @@ func TestColumnarCountFastPath(t *testing.T) {
 // of the vectorized comparison kernels: Value.Compare treats NaN as equal to
 // everything (it returns 0 when either side is unordered), so the row engine
 // passes NaN through <=, >= and BETWEEN but not <, > — and the kernels plus
-// the zone maps must reproduce that exactly.
+// the zone maps must reproduce that exactly. Beyond the pinned counts it holds
+// every float predicate form to the row engine over NaN, -0, ±Inf, a column
+// with NULL cells (one morsel of NULLs alone, which prunes) and one without:
+// each comparison and its NOT, IN and NOT IN with integral, fractional and
+// non-numeric items, BETWEEN and NOT BETWEEN with reversed bounds, and the bare
+// column and its NOT.
 func TestColumnarNaNComparisonParity(t *testing.T) {
 	tbl := table.New("nt", table.Schema{{Name: "f", Kind: table.KindFloat}})
 	tbl.AppendRow(table.Row{table.NewFloat(1)})
@@ -132,6 +137,57 @@ func TestColumnarNaNComparisonParity(t *testing.T) {
 			t.Errorf("%s: columnar diverges from row engine\nrow:\n%s\ncolumnar:\n%s", tc.sql, rf, cf)
 		}
 	}
+
+	cells := []float64{1, 2, math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 2.5, -3.5, 5, -1e300}
+	wide := table.New("ft", table.Schema{{Name: "id", Kind: table.KindInt}, {Name: "f", Kind: table.KindFloat}, {Name: "g", Kind: table.KindFloat}})
+	for i := 0; i < 3*table.ZoneChunkRows+5; i++ {
+		g := table.NewFloat(cells[i%len(cells)])
+		f := g
+		if i%4 == 1 || i/table.ZoneChunkRows == 1 { // the second morsel: NULLs alone
+			f = table.Null
+		}
+		wide.AppendRow(table.Row{table.NewInt(int64(i)), f, g})
+	}
+	db.Add(wide)
+	bounds := []string{"0", "-0.0", "2", "2.5", "-3.5", "1e308", "-1e308", "'x'", "NULL"}
+	var preds []string
+	for _, col := range []string{"f", "g"} {
+		for _, l := range bounds {
+			for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
+				preds = append(preds, fmt.Sprintf("%s %s %s", col, op, l), fmt.Sprintf("NOT %s %s %s", col, op, l))
+			}
+			for _, h := range bounds[:7] {
+				preds = append(preds, fmt.Sprintf("%s BETWEEN %s AND %s", col, l, h), fmt.Sprintf("%s NOT BETWEEN %s AND %s", col, l, h))
+			}
+		}
+		for _, p := range []string{
+			"%s", "NOT %s", "%s IN (2, 2.5, 'x')", "%s NOT IN (2, 2.5, 'x')", "%s IN ('x')", "%s NOT IN ('x')",
+			"%s IN (0)", "%s NOT IN (-0.0, 1, 5)", "%s IN (-3.5, 1e308)", "%s OR id < 10", "NOT %s AND id > 100",
+		} {
+			preds = append(preds, fmt.Sprintf(p, col))
+		}
+	}
+	matchRowEngine(t, db, "ft", preds)
+}
+
+// matchRowEngine holds SELECT id FROM <from> WHERE <pred>, for each pred, to
+// the row engine's answer.
+func matchRowEngine(t *testing.T, db *table.Database, from string, preds []string) {
+	t.Helper()
+	for _, pred := range preds {
+		stmt := sqlparse.MustParse("SELECT id FROM " + from + " WHERE " + pred)
+		row, err := rowExecute(context.Background(), db, stmt, Options{})
+		if err != nil {
+			t.Fatalf("%s (row): %v", pred, err)
+		}
+		col, err := ExecuteWith(db, stmt, Options{})
+		if err != nil {
+			t.Fatalf("%s (columnar): %v", pred, err)
+		}
+		if resultFingerprint(row) != resultFingerprint(col) {
+			t.Errorf("%s: columnar keeps %d rows, the row engine %d", pred, col.Table.NumRows(), row.Table.NumRows())
+		}
+	}
 }
 
 // TestIntKernelsMatchFloatComparison pins the int64 comparison kernels to the
@@ -139,7 +195,8 @@ func TestColumnarNaNComparisonParity(t *testing.T) {
 // beyond ±2^53 (which round as float64), bounds at and next to 2^53 (the first
 // bound the int path must leave to the float path), float-typed integral and
 // fractional bounds, reversed BETWEEN bounds, NULL cells, and morsels the zone
-// maps prune.
+// maps prune; and the bare column and its NOT, which compile as v <> 0 and
+// v = 0, beside IN and NOT IN.
 func TestIntKernelsMatchFloatComparison(t *testing.T) {
 	const p53 = 1 << 53
 	for l, want := range map[float64]bool{0: true, -7: true, p53 - 1: true, 1 - p53: true, p53: false, -p53: false, 2.5: false, math.Inf(1): false, math.NaN(): false} {
@@ -173,21 +230,11 @@ func TestIntKernelsMatchFloatComparison(t *testing.T) {
 				preds = append(preds, fmt.Sprintf("%s BETWEEN %s AND %s", col, l, h), fmt.Sprintf("%s NOT BETWEEN %s AND %s", col, l, h))
 			}
 		}
-	}
-	for _, pred := range preds {
-		stmt := sqlparse.MustParse("SELECT id FROM it WHERE " + pred)
-		row, err := rowExecute(context.Background(), db, stmt, Options{})
-		if err != nil {
-			t.Fatalf("%s (row): %v", pred, err)
-		}
-		col, err := ExecuteWith(db, stmt, Options{})
-		if err != nil {
-			t.Fatalf("%s (columnar): %v", pred, err)
-		}
-		if rf, cf := resultFingerprint(row), resultFingerprint(col); rf != cf {
-			t.Errorf("%s: columnar keeps %d rows, the row engine %d", pred, col.Table.NumRows(), row.Table.NumRows())
+		for _, p := range []string{"%s", "NOT %s", "%s IN (0, 5, 'x')", "%s NOT IN (5)"} {
+			preds = append(preds, fmt.Sprintf(p, col))
 		}
 	}
+	matchRowEngine(t, db, "it", preds)
 }
 
 // TestMaskKernelsMatchRowEngine pins the branch-free dictionary and bool
@@ -232,20 +279,7 @@ func TestMaskKernelsMatchRowEngine(t *testing.T) {
 			preds = append(preds, fmt.Sprintf(p, col))
 		}
 	}
-	for _, pred := range preds {
-		stmt := sqlparse.MustParse("SELECT id FROM mt WHERE " + pred)
-		row, err := rowExecute(context.Background(), db, stmt, Options{})
-		if err != nil {
-			t.Fatalf("%s (row): %v", pred, err)
-		}
-		col, err := ExecuteWith(db, stmt, Options{})
-		if err != nil {
-			t.Fatalf("%s (columnar): %v", pred, err)
-		}
-		if rf, cf := resultFingerprint(row), resultFingerprint(col); rf != cf {
-			t.Errorf("%s: columnar keeps %d rows, the row engine %d", pred, col.Table.NumRows(), row.Table.NumRows())
-		}
-	}
+	matchRowEngine(t, db, "mt", preds)
 }
 
 // TestJoinIndexTelemetry pins the index-backed join's one-name-per-fact

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"asqprl/internal/sqlparse"
 	"asqprl/internal/table"
 )
 
@@ -91,7 +92,7 @@ func TestDifferentialSingleTable(t *testing.T) {
 				want++
 			}
 		}
-		res, err := ExecuteSQL(db, sql)
+		res, err := Execute(db, sqlparse.MustParse(sql))
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
@@ -113,11 +114,11 @@ func TestDifferentialJoinPaths(t *testing.T) {
 		implicit := fmt.Sprintf(
 			"SELECT ta.id, tb.z FROM ta, tb WHERE ta.id = tb.ta_id AND tb.z > %d", zCut)
 
-		r1, err := ExecuteSQL(db, explicit)
+		r1, err := Execute(db, sqlparse.MustParse(explicit))
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := ExecuteSQL(db, implicit)
+		r2, err := Execute(db, sqlparse.MustParse(implicit))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +149,7 @@ func TestSubsetMonotonicityProperty(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		db := randomDB(rng)
 		sql := fmt.Sprintf("SELECT ta.id, tb.z FROM ta JOIN tb ON ta.id = tb.ta_id WHERE ta.x > %d", rng.Intn(8))
-		full, err := ExecuteSQL(db, sql)
+		full, err := Execute(db, sqlparse.MustParse(sql))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +163,7 @@ func TestSubsetMonotonicityProperty(t *testing.T) {
 				}
 			}
 		}
-		part, err := ExecuteSQL(sub.Materialize(db), sql)
+		part, err := Execute(sub.Materialize(db), sqlparse.MustParse(sql))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +188,7 @@ func TestAggregateConsistencyWithManualGrouping(t *testing.T) {
 		db := randomDB(rng)
 		cut := rng.Intn(8)
 		sql := fmt.Sprintf("SELECT x, COUNT(*), SUM(y) FROM ta WHERE y >= %d GROUP BY x", cut)
-		res, err := ExecuteSQL(db, sql)
+		res, err := Execute(db, sqlparse.MustParse(sql))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,11 +232,11 @@ func TestDistinctIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 20; trial++ {
 		db := randomDB(rng)
-		plain, err := ExecuteSQL(db, "SELECT x FROM ta")
+		plain, err := Execute(db, sqlparse.MustParse("SELECT x FROM ta"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		distinct, err := ExecuteSQL(db, "SELECT DISTINCT x FROM ta")
+		distinct, err := Execute(db, sqlparse.MustParse("SELECT DISTINCT x FROM ta"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +259,7 @@ func TestOrderByIsSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 20; trial++ {
 		db := randomDB(rng)
-		res, err := ExecuteSQL(db, "SELECT x, y FROM ta ORDER BY x DESC, y ASC")
+		res, err := Execute(db, sqlparse.MustParse("SELECT x, y FROM ta ORDER BY x DESC, y ASC"))
 		if err != nil {
 			t.Fatal(err)
 		}

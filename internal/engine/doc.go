@@ -41,10 +41,14 @@
 // table.ZoneChunkRows = 1024 rows, so one zone prunes exactly one morsel;
 // TestMorselsSkippedCounter). Compilation is conservative: an expression that
 // could raise at run time rejects, and the relation falls back to the per-row
-// scan, preserving error order. Compiled kernels cannot fail. String
-// predicates evaluate once per distinct dictionary code into a mask and then
-// scan codes (TestMaskKernelsMatchRowEngine); comparisons on an int column
-// against integral bounds below 2^53 are one inline unsigned range test on the
+// scan, preserving error order. Compiled kernels cannot fail. Every predicate
+// form is built by one constructor per column kind, from a test of one value:
+// numericKernel runs a float64 test over an int or float column
+// (TestColumnarNaNComparisonParity); dictKernel asks its test once per distinct
+// string and scans codes through the mask, and boolKernel asks it of false and
+// true (TestMaskKernelsMatchRowEngine). A bare numeric column is the comparison
+// with 0. Comparisons and BETWEEN on an int column against integral bounds
+// below 2^53 take rangeKernel instead: one inline unsigned range test on the
 // int64 cell, agreeing with the float64 comparison on every int64
 // (TestIntKernelsMatchFloatComparison).
 //

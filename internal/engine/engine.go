@@ -78,15 +78,6 @@ func Execute(db *table.Database, stmt *sqlparse.Select) (*Result, error) {
 	return ExecuteWith(db, stmt, Options{TrackLineage: true})
 }
 
-// ExecuteSQL parses and executes a SQL string.
-func ExecuteSQL(db *table.Database, sql string) (*Result, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return Execute(db, stmt)
-}
-
 // Count executes stmt and returns only the number of result rows. Lineage
 // tracking is disabled for speed.
 func Count(db *table.Database, stmt *sqlparse.Select) (int, error) {

@@ -84,7 +84,7 @@ func withCell(tbl *table.Table, row, col int, v table.Value) *table.Table {
 
 func mustExec(t *testing.T, db *table.Database, sql string) *Result {
 	t.Helper()
-	res, err := ExecuteSQL(db, sql)
+	res, err := Execute(db, sqlparse.MustParse(sql))
 	if err != nil {
 		t.Fatalf("exec %q: %v", sql, err)
 	}
@@ -373,7 +373,11 @@ func TestErrorCases(t *testing.T) {
 		"SELECT -title FROM movies",                                        // negated string
 	}
 	for _, sql := range bad {
-		_, err := ExecuteSQL(db, sql)
+		stmt, err := sqlparse.Parse(sql)
+		if err != nil {
+			continue // rejected by the grammar before the engine runs
+		}
+		_, err = Execute(db, stmt)
 		switch {
 		case err == nil:
 			// "SELECT id FROM movies, credits" is actually unambiguous; skip.
@@ -382,9 +386,6 @@ func TestErrorCases(t *testing.T) {
 			}
 			t.Errorf("%s: expected error", sql)
 		case !errors.Is(err, ErrStatement):
-			if _, perr := sqlparse.Parse(sql); perr != nil {
-				continue // rejected by the grammar before the engine runs
-			}
 			t.Errorf("%s: %v does not match ErrStatement", sql, err)
 		}
 	}
@@ -396,7 +397,7 @@ func TestAmbiguousColumn(t *testing.T) {
 	p := table.New("people", table.Schema{{Name: "person", Kind: table.KindString}})
 	p.AppendRow(table.Row{table.NewString("Ann")})
 	db.Add(p)
-	if _, err := ExecuteSQL(db, "SELECT person FROM credits, people"); err == nil {
+	if _, err := Execute(db, sqlparse.MustParse("SELECT person FROM credits, people")); err == nil {
 		t.Error("ambiguous column should error")
 	}
 }

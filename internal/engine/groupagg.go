@@ -71,25 +71,18 @@ func (k *groupKey) String() string {
 }
 
 // intSpan is the range [lo, hi] of an int column's non-NULL cells, from its
-// zone maps: ok only when both ends are below 2^53 in magnitude, where the
-// zones' float64 bounds are the cells' own values.
+// zone maps: ok only when the column holds a value and both ends are below
+// 2^53 in magnitude, where the zones' float64 bounds are the cells' own values.
 func intSpan(c *table.ColumnData) (lo, hi int64, ok bool) {
-	const exact = 1 << 53
-	mn, mx, any := 0.0, 0.0, false
+	mn, mx := math.Inf(1), math.Inf(-1) // no value: neither end is an exactInt
 	for i := range c.Zones {
-		z := &c.Zones[i]
-		if !z.HasValue {
-			continue
+		if z := &c.Zones[i]; z.HasValue {
+			mn, mx = min(mn, z.Min), max(mx, z.Max)
 		}
-		if !any || z.Min < mn {
-			mn = z.Min
-		}
-		if !any || z.Max > mx {
-			mx = z.Max
-		}
-		any = true
 	}
-	return int64(mn), int64(mx), mn > -exact && mx < exact
+	lo, lok := exactInt(mn)
+	hi, hok := exactInt(mx)
+	return lo, hi, lok && hok
 }
 
 func newGroupKey(b *binder, bd binding) groupKey {

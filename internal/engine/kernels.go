@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 
 	"asqprl/internal/sqlparse"
 	"asqprl/internal/table"
@@ -14,6 +15,13 @@ import (
 // comparand, an expression form with data-dependent
 // evaluation errors), the whole relation falls back to per-row evalExpr so
 // error ordering stays byte-identical to the row engine.
+//
+// Each predicate form reduces to a test of one value and hands it to the
+// constructor of its column's kind: numericKernel (int and float cells,
+// compared as float64), dictKernel (strings, tested once per dictionary
+// entry) or boolKernel; an int column against exact-int bounds takes
+// rangeKernel, whose range the scan's index path can read. No test passes a
+// NULL cell but IS NULL's; AND and OR compose kernels.
 //
 // Compiled kernels are infallible by construction — every expression form
 // that can raise an evaluation error is rejected at compile time — which is
@@ -66,10 +74,7 @@ func compileFilters(b *binder, rel int, cs *table.ColumnSet, filters []sqlparse.
 // row of the chunk passes its filter (filters are conjunctive).
 func pruneMorsel(ks []kernel, m int) bool {
 	for i := range ks {
-		if ks[i].constFalse {
-			return true
-		}
-		if ks[i].prune != nil && ks[i].prune(m) {
+		if ks[i].constFalse || ks[i].prune != nil && ks[i].prune(m) {
 			return true
 		}
 	}
@@ -99,15 +104,11 @@ func compileExpr(b *binder, rel int, cs *table.ColumnSet, e sqlparse.Expr, negat
 		if err != nil {
 			return kernel{}, false
 		}
-		pass := !v.IsNull() && truthy(v)
-		if negate {
-			// NOT NULL is NULL (fails); NOT x flips truthiness.
-			pass = !v.IsNull() && !truthy(v)
+		// NOT NULL is NULL (fails); NOT x flips truthiness.
+		if !v.IsNull() && truthy(v) != negate {
+			return trueKernel, true
 		}
-		if pass {
-			return passAllKernel(), true
-		}
-		return kernel{constFalse: true, sel: emptySel}, true
+		return falseKernel, true
 	}
 
 	switch x := e.(type) {
@@ -115,10 +116,9 @@ func compileExpr(b *binder, rel int, cs *table.ColumnSet, e sqlparse.Expr, negat
 		if x.Op == "NOT" {
 			return compileExpr(b, rel, cs, x.X, !negate)
 		}
-		return kernel{}, false
 	case *sqlparse.Binary:
 		switch x.Op {
-		case "AND":
+		case "AND", "OR":
 			if negate {
 				return kernel{}, false
 			}
@@ -130,49 +130,32 @@ func compileExpr(b *binder, rel int, cs *table.ColumnSet, e sqlparse.Expr, negat
 			if !ok {
 				return kernel{}, false
 			}
-			return andKernel(l, r), true
-		case "OR":
-			if negate {
-				return kernel{}, false
-			}
-			l, ok := compileExpr(b, rel, cs, x.Left, false)
-			if !ok {
-				return kernel{}, false
-			}
-			r, ok := compileExpr(b, rel, cs, x.Right, false)
-			if !ok {
-				return kernel{}, false
+			if x.Op == "AND" {
+				return andKernel(l, r), true
 			}
 			return orKernel(l, r), true
 		case "=", "<>", "<", "<=", ">", ">=":
-			op := x.Op
-			col, lit, ok := splitCmp(b, rel, x)
-			if !ok {
-				return kernel{}, false
+			op, col, lit := x.Op, x.Left, x.Right
+			if _, ok := col.(*sqlparse.Literal); ok {
+				op, col, lit = flipOp(op), lit, col
 			}
-			if col.flipped {
-				op = flipOp(op)
+			ci, ok := colOperand(b, rel, col)
+			l, lok := lit.(*sqlparse.Literal)
+			if !ok || !lok {
+				return kernel{}, false
 			}
 			if negate {
 				op = complementOp(op)
 			}
-			return compileCmp(cs, col.col, lit, op)
-		default:
-			return kernel{}, false
+			return compileCmp(cs, ci, l.Value, op)
 		}
 	case *sqlparse.ColumnRef:
 		// Bare column as predicate: pass iff non-NULL and truthy.
-		ci, ok := relColumn(b, rel, x)
-		if !ok {
-			return kernel{}, false
+		if ci, ok := colOperand(b, rel, x); ok {
+			return truthyKernel(cs, ci, negate)
 		}
-		return truthyKernel(&cs.Cols[ci], negate), true
 	case *sqlparse.In:
-		ref, ok := x.X.(*sqlparse.ColumnRef)
-		if !ok {
-			return kernel{}, false
-		}
-		ci, ok := relColumn(b, rel, ref)
+		ci, ok := colOperand(b, rel, x.X)
 		if !ok {
 			return kernel{}, false
 		}
@@ -184,35 +167,20 @@ func compileExpr(b *binder, rel int, cs *table.ColumnSet, e sqlparse.Expr, negat
 			}
 			items = append(items, lit.Value)
 		}
-		return compileIn(&cs.Cols[ci], items, x.Not != negate)
+		return compileIn(cs, ci, items, x.Not != negate)
 	case *sqlparse.Between:
-		ref, ok := x.X.(*sqlparse.ColumnRef)
-		if !ok {
-			return kernel{}, false
-		}
-		ci, ok := relColumn(b, rel, ref)
-		if !ok {
-			return kernel{}, false
-		}
+		ci, ok := colOperand(b, rel, x.X)
 		lo, lok := x.Lo.(*sqlparse.Literal)
 		hi, hok := x.Hi.(*sqlparse.Literal)
-		if !lok || !hok {
+		if !ok || !lok || !hok {
 			return kernel{}, false
 		}
 		return compileBetween(cs, ci, lo.Value, hi.Value, x.Not != negate)
 	case *sqlparse.Like:
-		ref, ok := x.X.(*sqlparse.ColumnRef)
-		if !ok {
-			return kernel{}, false
-		}
-		ci, ok := relColumn(b, rel, ref)
-		if !ok {
-			return kernel{}, false
-		}
-		c := &cs.Cols[ci]
-		if c.Kind != table.KindString {
-			// LIKE on non-string columns stringifies per row; leave it to the
-			// per-row scan.
+		// LIKE on non-string columns stringifies per row; leave it to the
+		// per-row scan.
+		ci, ok := colOperand(b, rel, x.X)
+		if !ok || cs.Cols[ci].Kind != table.KindString {
 			return kernel{}, false
 		}
 		re, err := likeRegexp(x.Pattern)
@@ -222,51 +190,22 @@ func compileExpr(b *binder, rel int, cs *table.ColumnSet, e sqlparse.Expr, negat
 			return kernel{}, false
 		}
 		not := x.Not != negate
-		mask := make([]bool, c.Dict.Len())
-		for i, s := range c.Dict.Strs {
-			mask[i] = re.MatchString(s) != not
-		}
-		return maskKernel(c, mask), true
+		return dictKernel(&cs.Cols[ci], func(v table.Value) bool { return re.MatchString(v.Str) != not }), true
 	case *sqlparse.IsNull:
-		ref, ok := x.X.(*sqlparse.ColumnRef)
-		if !ok {
-			return kernel{}, false
+		if ci, ok := colOperand(b, rel, x.X); ok {
+			return isNullKernel(&cs.Cols[ci], x.Not != negate), true
 		}
-		ci, ok := relColumn(b, rel, ref)
-		if !ok {
-			return kernel{}, false
-		}
-		return isNullKernel(&cs.Cols[ci], x.Not != negate), true
 	}
 	return kernel{}, false
 }
 
-// splitCmp extracts the (column, literal) operands of a comparison on rel.
-type cmpOperand struct {
-	col     int
-	flipped bool // literal was on the left
-}
-
-func splitCmp(b *binder, rel int, x *sqlparse.Binary) (cmpOperand, *sqlparse.Literal, bool) {
-	if ref, ok := x.Left.(*sqlparse.ColumnRef); ok {
-		if lit, ok := x.Right.(*sqlparse.Literal); ok {
-			if ci, ok := relColumn(b, rel, ref); ok {
-				return cmpOperand{col: ci}, lit, true
-			}
-		}
+// colOperand resolves e to a column of rel: ok only for a column reference
+// bound to rel.
+func colOperand(b *binder, rel int, e sqlparse.Expr) (int, bool) {
+	ref, ok := e.(*sqlparse.ColumnRef)
+	if !ok {
+		return 0, false
 	}
-	if ref, ok := x.Right.(*sqlparse.ColumnRef); ok {
-		if lit, ok := x.Left.(*sqlparse.Literal); ok {
-			if ci, ok := relColumn(b, rel, ref); ok {
-				return cmpOperand{col: ci, flipped: true}, lit, true
-			}
-		}
-	}
-	return cmpOperand{}, nil, false
-}
-
-// relColumn resolves ref to a column index on rel.
-func relColumn(b *binder, rel int, ref *sqlparse.ColumnRef) (int, bool) {
 	bd, err := b.resolve(ref)
 	if err != nil || bd.rel != rel {
 		return 0, false
@@ -332,42 +271,29 @@ func cmpSatisfied(v, o table.Value, op string) bool {
 }
 
 func emptySel(sel []int32) []int32 { return sel[:0] }
+func allSel(sel []int32) []int32   { return sel }
 
-// passAllKernel passes every row (a constant-true filter).
-func passAllKernel() kernel {
-	return kernel{sel: func(sel []int32) []int32 { return sel }}
-}
+// falseKernel passes no row, trueKernel every row: the constant filters.
+var falseKernel, trueKernel = kernel{constFalse: true, sel: emptySel}, kernel{sel: allSel}
 
-// passNonNullKernel passes every non-NULL row of c (a comparison whose
-// outcome depends only on kind ordering, e.g. intcol < 'text').
-func passNonNullKernel(c *table.ColumnData) kernel {
-	nulls := c.Nulls
+// zonePrune prunes a zone of c that holds no value, or that skip, when set,
+// proves holds no passing value.
+func zonePrune(c *table.ColumnData, skip func(z *table.Zone) bool) func(m int) bool {
 	zones := c.Zones
-	return kernel{
-		sel: func(sel []int32) []int32 {
-			if nulls == nil {
-				return sel
-			}
-			out := sel[:0]
-			for _, i := range sel {
-				if !nulls.Get(int(i)) {
-					out = append(out, i)
-				}
-			}
-			return out
-		},
-		prune: func(m int) bool { return !zones[m].HasValue },
+	if skip == nil {
+		return func(m int) bool { return !zones[m].HasValue }
 	}
+	return func(m int) bool { z := &zones[m]; return !z.HasValue || skip(z) }
 }
 
-// compileCmp builds the kernel for <col> <op> <lit>.
-func compileCmp(cs *table.ColumnSet, ci int, lit *sqlparse.Literal, op string) (kernel, bool) {
+// compileCmp builds the kernel for column ci <op> lv.
+func compileCmp(cs *table.ColumnSet, ci int, lv table.Value, op string) (kernel, bool) {
 	c := &cs.Cols[ci]
-	lv := lit.Value
 	if lv.IsNull() {
 		// cmp NULL is NULL: nothing passes.
-		return kernel{constFalse: true, sel: emptySel}, true
+		return falseKernel, true
 	}
+	keep := func(v table.Value) bool { return cmpSatisfied(v, lv, op) }
 	switch c.Kind {
 	case table.KindInt, table.KindFloat:
 		if lv.IsNumeric() {
@@ -379,21 +305,14 @@ func compileCmp(cs *table.ColumnSet, ci int, lit *sqlparse.Literal, op string) (
 		if c.Kind == table.KindFloat {
 			rep = table.NewFloat(0.5)
 		}
-		if cmpSatisfied(rep, lv, op) {
-			return passNonNullKernel(c), true
+		if keep(rep) {
+			return isNullKernel(c, true), true
 		}
-		return kernel{constFalse: true, sel: emptySel}, true
+		return falseKernel, true
 	case table.KindString:
-		mask := make([]bool, c.Dict.Len())
-		for i, s := range c.Dict.Strs {
-			mask[i] = cmpSatisfied(table.NewString(s), lv, op)
-		}
-		return maskKernel(c, mask), true
+		return dictKernel(c, keep), true
 	case table.KindBool:
-		var mask2 [2]bool
-		mask2[0] = cmpSatisfied(table.NewBool(false), lv, op)
-		mask2[1] = cmpSatisfied(table.NewBool(true), lv, op)
-		return boolMaskKernel(c, mask2), true
+		return boolKernel(c, keep), true
 	}
 	return kernel{}, false
 }
@@ -435,157 +354,146 @@ func intRangeSel(c *table.ColumnData, lo, hi int64, not bool) func(sel []int32) 
 	}
 }
 
+// rangeKernel passes the non-NULL cells of int column ci in [lo, hi] (not:
+// outside it) through intRangeSel; the pass set of the range itself is recorded
+// for the scan's index path.
+func rangeKernel(c *table.ColumnData, ci int, lo, hi int64, not bool, skip func(z *table.Zone) bool) kernel {
+	k := kernel{sel: intRangeSel(c, lo, hi, not), prune: zonePrune(c, skip)}
+	if !not {
+		k.ints = &intRange{ci, lo, hi}
+	}
+	return k
+}
+
+// numericKernel passes the non-NULL cells of int or float column c whose
+// float64 value test accepts; skip prunes as in zonePrune.
+func numericKernel(c *table.ColumnData, test func(float64) bool, skip func(z *table.Zone) bool) kernel {
+	k := kernel{prune: zonePrune(c, skip)}
+	if c.Kind == table.KindInt {
+		k.sel = testSel(c.Ints, c.Nulls, test)
+	} else {
+		k.sel = testSel(c.Floats, c.Nulls, test)
+	}
+	return k
+}
+
+// testSel is numericKernel's selection loop over a column's cells vals.
+func testSel[T int64 | float64](vals []T, nulls table.Bitmap, test func(float64) bool) func(sel []int32) []int32 {
+	if nulls == nil {
+		return func(sel []int32) []int32 {
+			out := sel[:0]
+			for _, i := range sel {
+				if test(float64(vals[i])) {
+					out = append(out, i)
+				}
+			}
+			return out
+		}
+	}
+	return func(sel []int32) []int32 {
+		out := sel[:0]
+		for _, i := range sel {
+			if !nulls.Get(int(i)) && test(float64(vals[i])) {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
+}
+
 // numericCmpKernel compares column ci, int or float, against a numeric literal:
 // in int64 when the column is int and the literal an exactInt (every operator
 // but <> then records its range), otherwise through float64, exactly like
 // Value.Compare on numeric pairs.
 func numericCmpKernel(c *table.ColumnData, ci int, op string, lit float64) kernel {
-	nulls := c.Nulls
-	zones := c.Zones
-	var pass func(v float64) bool
-	var prune func(m int) bool
+	var test func(v float64) bool
+	var skip func(z *table.Zone) bool
 	switch op {
 	case "=":
-		pass = func(v float64) bool { return v == lit }
-		prune = func(m int) bool { z := &zones[m]; return !z.HasValue || lit < z.Min || lit > z.Max }
+		test = func(v float64) bool { return v == lit }
+		skip = func(z *table.Zone) bool { return lit < z.Min || lit > z.Max }
 	case "<>":
-		pass = func(v float64) bool { return v != lit }
-		prune = func(m int) bool { z := &zones[m]; return !z.HasValue || (z.Min == lit && z.Max == lit) }
+		test = func(v float64) bool { return v != lit }
+		skip = func(z *table.Zone) bool { return z.Min == lit && z.Max == lit }
 	case "<":
-		pass = func(v float64) bool { return v < lit }
-		prune = func(m int) bool { z := &zones[m]; return !z.HasValue || z.Min >= lit }
+		test = func(v float64) bool { return v < lit }
+		skip = func(z *table.Zone) bool { return z.Min >= lit }
 	case "<=":
 		// Not v <= lit: Value.Compare returns 0 for NaN operands, so the row
 		// engine passes NaN here (cmp <= 0). !(v > lit) reproduces that.
-		pass = func(v float64) bool { return !(v > lit) }
-		prune = func(m int) bool { z := &zones[m]; return !z.HasValue || z.Min > lit }
+		test = func(v float64) bool { return !(v > lit) }
+		skip = func(z *table.Zone) bool { return z.Min > lit }
 	case ">":
-		pass = func(v float64) bool { return v > lit }
-		prune = func(m int) bool { z := &zones[m]; return !z.HasValue || z.Max <= lit }
+		test = func(v float64) bool { return v > lit }
+		skip = func(z *table.Zone) bool { return z.Max <= lit }
 	case ">=":
-		pass = func(v float64) bool { return !(v < lit) } // NaN passes, as in Compare
-		prune = func(m int) bool { z := &zones[m]; return !z.HasValue || z.Max < lit }
-	default:
-		return kernel{}
+		test = func(v float64) bool { return !(v < lit) } // NaN passes, as in Compare
+		skip = func(z *table.Zone) bool { return z.Max < lit }
 	}
-	k := kernel{prune: prune}
-	if l, ok := exactInt(lit); ok && c.Kind == table.KindInt {
-		// v op l is one of: v in [l, l], not in it, in (-inf, l) ... [l, +inf).
-		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
-		switch op {
-		case "=", "<>":
-			lo, hi = l, l
-		case "<":
-			hi = l - 1
-		case "<=":
-			hi = l
-		case ">":
-			lo = l + 1
-		case ">=":
-			lo = l
-		}
-		k.sel = intRangeSel(c, lo, hi, op == "<>")
-		if op != "<>" {
-			k.ints = &intRange{ci, lo, hi}
-		}
-		return k
+	l, ok := exactInt(lit)
+	if !ok || c.Kind != table.KindInt {
+		return numericKernel(c, test, skip)
 	}
-	if c.Kind == table.KindInt {
-		vals := c.Ints
-		if nulls == nil {
-			k.sel = func(sel []int32) []int32 {
-				out := sel[:0]
-				for _, i := range sel {
-					if pass(float64(vals[i])) {
-						out = append(out, i)
-					}
-				}
-				return out
-			}
-		} else {
-			k.sel = func(sel []int32) []int32 {
-				out := sel[:0]
-				for _, i := range sel {
-					if !nulls.Get(int(i)) && pass(float64(vals[i])) {
-						out = append(out, i)
-					}
-				}
-				return out
-			}
-		}
-	} else {
-		vals := c.Floats
-		if nulls == nil {
-			k.sel = func(sel []int32) []int32 {
-				out := sel[:0]
-				for _, i := range sel {
-					if pass(vals[i]) {
-						out = append(out, i)
-					}
-				}
-				return out
-			}
-		} else {
-			k.sel = func(sel []int32) []int32 {
-				out := sel[:0]
-				for _, i := range sel {
-					if !nulls.Get(int(i)) && pass(vals[i]) {
-						out = append(out, i)
-					}
-				}
-				return out
-			}
-		}
+	// v op l is one of: v in [l, l], not in it, in (-inf, l) ... [l, +inf).
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+	switch op {
+	case "=", "<>":
+		lo, hi = l, l
+	case "<":
+		hi = l - 1
+	case "<=":
+		hi = l
+	case ">":
+		lo = l + 1
+	case ">=":
+		lo = l
 	}
-	return k
+	return rangeKernel(c, ci, lo, hi, op == "<>", skip)
 }
 
-// maskKernel passes non-NULL rows of a dictionary column whose code is set in
-// mask. An all-false mask is constant-false. The surviving prefix is written
-// branch-free behind the read position, like intRangeSel's: the write position
-// moves on by the row's mask byte, and a NULL row's code, -1, reads the zero
-// byte in front of the mask.
-func maskKernel(c *table.ColumnData, mask []bool) kernel {
-	mask8, any := make([]uint8, len(mask)+1), false
-	for code, m := range mask {
-		if m {
-			mask8[code+1], any = 1, true
+// dictKernel passes the non-NULL rows of dictionary column c whose value keep
+// accepts, asking keep once per distinct string. A mask that keeps no code is
+// constant-false. The surviving prefix is written branch-free behind the read
+// position, like intRangeSel's: the write position moves on by the row's mask
+// byte, and a NULL row's code, -1, reads the zero byte in front of the mask.
+func dictKernel(c *table.ColumnData, keep func(table.Value) bool) kernel {
+	mask, any := make([]uint8, c.Dict.Len()+1), false
+	for code, s := range c.Dict.Strs {
+		if keep(table.NewString(s)) {
+			mask[code+1], any = 1, true
 		}
 	}
 	if !any {
-		return kernel{constFalse: true, sel: emptySel}
+		return falseKernel
 	}
 	codes := c.Codes
-	zones := c.Zones
 	return kernel{
 		sel: func(sel []int32) []int32 {
 			n := 0
 			for _, i := range sel {
 				sel[n] = i
-				n += int(mask8[codes[i]+1])
+				n += int(mask[codes[i]+1])
 			}
 			return sel[:n]
 		},
-		prune: func(m int) bool { return !zones[m].HasValue },
+		prune: zonePrune(c, nil),
 	}
 }
 
-// boolMaskKernel is maskKernel for boolean columns (mask2[0]=false cells,
-// mask2[1]=true cells); a NULL row's bit in the bitmap clears its mask byte.
-func boolMaskKernel(c *table.ColumnData, mask2 [2]bool) kernel {
-	if !mask2[0] && !mask2[1] {
-		return kernel{constFalse: true, sel: emptySel}
-	}
-	var mask8 [2]uint8
-	for v, m := range mask2 {
-		if m {
-			mask8[v] = 1
+// boolKernel is dictKernel for a bool column (mask[0] for false cells, mask[1]
+// for true ones); a NULL row's bit in the bitmap clears its mask byte.
+func boolKernel(c *table.ColumnData, keep func(table.Value) bool) kernel {
+	var mask [2]uint8
+	for v, b := range [2]bool{false, true} {
+		if keep(table.NewBool(b)) {
+			mask[v] = 1
 		}
 	}
-	vals := c.Bools
-	nulls := c.Nulls
-	zones := c.Zones
-	k := kernel{prune: func(m int) bool { return !zones[m].HasValue }}
+	if mask == [2]uint8{} {
+		return falseKernel
+	}
+	vals, nulls := c.Bools, c.Nulls
+	k := kernel{prune: zonePrune(c, nil)}
 	if nulls == nil {
 		k.sel = func(sel []int32) []int32 {
 			n := 0
@@ -595,7 +503,7 @@ func boolMaskKernel(c *table.ColumnData, mask2 [2]bool) kernel {
 				if vals[i] {
 					v = 1
 				}
-				n += int(mask8[v])
+				n += int(mask[v])
 			}
 			return sel[:n]
 		}
@@ -609,111 +517,64 @@ func boolMaskKernel(c *table.ColumnData, mask2 [2]bool) kernel {
 			if vals[i] {
 				v = 1
 			}
-			n += int(mask8[v]) &^ nulls.Bit(int(i))
+			n += int(mask[v]) &^ nulls.Bit(int(i))
 		}
 		return sel[:n]
 	}
 	return k
 }
 
-// truthyKernel passes rows whose value is non-NULL and truthy (or falsy,
-// when negated): the bare-column-as-predicate form.
-func truthyKernel(c *table.ColumnData, negate bool) kernel {
-	nulls := c.Nulls
-	zones := c.Zones
+// truthyKernel passes rows of column ci whose value is non-NULL and truthy (or
+// falsy, when negated): the bare-column-as-predicate form. A number is truthy
+// iff it is not 0, NaN included, so it compiles as ci <> 0 (negated: ci = 0).
+func truthyKernel(cs *table.ColumnSet, ci int, negate bool) (kernel, bool) {
+	c := &cs.Cols[ci]
+	keep := func(v table.Value) bool { return truthy(v) != negate }
 	switch c.Kind {
-	case table.KindInt:
-		vals := c.Ints
-		k := kernel{sel: func(sel []int32) []int32 {
-			out := sel[:0]
-			for _, i := range sel {
-				if nulls != nil && nulls.Get(int(i)) {
-					continue
-				}
-				if (vals[i] != 0) != negate {
-					out = append(out, i)
-				}
-			}
-			return out
-		}}
+	case table.KindInt, table.KindFloat:
 		if negate {
-			k.prune = func(m int) bool { z := &zones[m]; return !z.HasValue || z.Min > 0 || z.Max < 0 }
-		} else {
-			k.prune = func(m int) bool { z := &zones[m]; return !z.HasValue || (z.Min == 0 && z.Max == 0) }
+			return numericCmpKernel(c, ci, "=", 0), true
 		}
-		return k
-	case table.KindFloat:
-		vals := c.Floats
-		k := kernel{sel: func(sel []int32) []int32 {
-			out := sel[:0]
-			for _, i := range sel {
-				if nulls != nil && nulls.Get(int(i)) {
-					continue
-				}
-				if (vals[i] != 0) != negate {
-					out = append(out, i)
-				}
-			}
-			return out
-		}}
-		if negate {
-			k.prune = func(m int) bool { z := &zones[m]; return !z.HasValue || z.Min > 0 || z.Max < 0 }
-		} else {
-			k.prune = func(m int) bool { z := &zones[m]; return !z.HasValue || (z.Min == 0 && z.Max == 0) }
-		}
-		return k
+		return numericCmpKernel(c, ci, "<>", 0), true
 	case table.KindString:
-		mask := make([]bool, c.Dict.Len())
-		for i, s := range c.Dict.Strs {
-			mask[i] = (s != "") != negate
-		}
-		return maskKernel(c, mask)
+		return dictKernel(c, keep), true
 	case table.KindBool:
-		return boolMaskKernel(c, [2]bool{negate, !negate})
+		return boolKernel(c, keep), true
 	}
-	return kernel{}
+	return kernel{}, false
 }
 
 // isNullKernel implements IS NULL (not=false) and IS NOT NULL (not=true).
 func isNullKernel(c *table.ColumnData, not bool) kernel {
 	nulls := c.Nulls
-	zones := c.Zones
-	if not {
-		return kernel{
-			sel: func(sel []int32) []int32 {
-				if nulls == nil {
-					return sel
-				}
-				out := sel[:0]
-				for _, i := range sel {
-					if !nulls.Get(int(i)) {
-						out = append(out, i)
-					}
-				}
-				return out
-			},
-			prune: func(m int) bool { return !zones[m].HasValue },
-		}
-	}
 	if nulls == nil {
-		return kernel{constFalse: true, sel: emptySel}
+		if not {
+			return kernel{sel: allSel, prune: zonePrune(c, nil)}
+		}
+		return falseKernel
 	}
-	return kernel{
-		sel: func(sel []int32) []int32 {
-			out := sel[:0]
-			for _, i := range sel {
-				if nulls.Get(int(i)) {
-					out = append(out, i)
-				}
+	k := kernel{sel: func(sel []int32) []int32 {
+		out := sel[:0]
+		for _, i := range sel {
+			if nulls.Get(int(i)) != not {
+				out = append(out, i)
 			}
-			return out
-		},
-		prune: func(m int) bool { return !zones[m].HasNull },
+		}
+		return out
+	}}
+	if not {
+		k.prune = zonePrune(c, nil)
+	} else {
+		zones := c.Zones
+		k.prune = func(m int) bool { return !zones[m].HasNull }
 	}
+	return k
 }
 
-// compileIn builds the membership kernel for <col> [NOT] IN (literals...).
-func compileIn(c *table.ColumnData, items []table.Value, not bool) (kernel, bool) {
+// compileIn builds the membership kernel for column ci [NOT] IN (items...).
+func compileIn(cs *table.ColumnSet, ci int, items []table.Value, not bool) (kernel, bool) {
+	c := &cs.Cols[ci]
+	keep := func(v table.Value) bool { return slices.ContainsFunc(items, v.Equal) != not }
 	switch c.Kind {
 	case table.KindInt, table.KindFloat:
 		// Only numeric items can equal a numeric cell (Value.Equal).
@@ -725,32 +586,9 @@ func compileIn(c *table.ColumnData, items []table.Value, not bool) (kernel, bool
 		}
 		return numericInKernel(c, members, not), true
 	case table.KindString:
-		mask := make([]bool, c.Dict.Len())
-		for ci, s := range c.Dict.Strs {
-			member := false
-			sv := table.NewString(s)
-			for _, it := range items {
-				if sv.Equal(it) {
-					member = true
-					break
-				}
-			}
-			mask[ci] = member != not
-		}
-		return maskKernel(c, mask), true
+		return dictKernel(c, keep), true
 	case table.KindBool:
-		var mask2 [2]bool
-		for bi, bv := range []table.Value{table.NewBool(false), table.NewBool(true)} {
-			member := false
-			for _, it := range items {
-				if bv.Equal(it) {
-					member = true
-					break
-				}
-			}
-			mask2[bi] = member != not
-		}
-		return boolMaskKernel(c, mask2), true
+		return boolKernel(c, keep), true
 	}
 	return kernel{}, false
 }
@@ -758,29 +596,13 @@ func compileIn(c *table.ColumnData, items []table.Value, not bool) (kernel, bool
 func numericInKernel(c *table.ColumnData, members []float64, not bool) kernel {
 	if len(members) == 0 {
 		if !not {
-			return kernel{constFalse: true, sel: emptySel}
+			return falseKernel
 		}
-		return passNonNullKernel(c)
+		return isNullKernel(c, true)
 	}
-	nulls := c.Nulls
-	zones := c.Zones
-	member := func(v float64) bool {
-		for _, m := range members {
-			if v == m {
-				return true
-			}
-		}
-		return false
-	}
-	k := kernel{}
-	if not {
-		k.prune = func(m int) bool { return !zones[m].HasValue }
-	} else {
-		k.prune = func(m int) bool {
-			z := &zones[m]
-			if !z.HasValue {
-				return true
-			}
+	var skip func(z *table.Zone) bool
+	if !not {
+		skip = func(z *table.Zone) bool {
 			for _, mv := range members {
 				if mv >= z.Min && mv <= z.Max {
 					return false
@@ -789,37 +611,7 @@ func numericInKernel(c *table.ColumnData, members []float64, not bool) kernel {
 			return true
 		}
 	}
-	test := func(v float64) bool { return member(v) != not }
-	if c.Kind == table.KindInt {
-		vals := c.Ints
-		k.sel = func(sel []int32) []int32 {
-			out := sel[:0]
-			for _, i := range sel {
-				if nulls != nil && nulls.Get(int(i)) {
-					continue
-				}
-				if test(float64(vals[i])) {
-					out = append(out, i)
-				}
-			}
-			return out
-		}
-	} else {
-		vals := c.Floats
-		k.sel = func(sel []int32) []int32 {
-			out := sel[:0]
-			for _, i := range sel {
-				if nulls != nil && nulls.Get(int(i)) {
-					continue
-				}
-				if test(vals[i]) {
-					out = append(out, i)
-				}
-			}
-			return out
-		}
-	}
-	return k
+	return numericKernel(c, func(v float64) bool { return slices.Contains(members, v) != not }, skip)
 }
 
 // compileBetween builds the kernel for column ci [NOT] BETWEEN lo AND hi.
@@ -827,7 +619,7 @@ func compileBetween(cs *table.ColumnSet, ci int, lo, hi table.Value, not bool) (
 	c := &cs.Cols[ci]
 	if lo.IsNull() || hi.IsNull() {
 		// BETWEEN with a NULL bound is NULL for every row.
-		return kernel{constFalse: true, sel: emptySel}, true
+		return falseKernel, true
 	}
 	switch c.Kind {
 	case table.KindInt, table.KindFloat:
@@ -838,13 +630,7 @@ func compileBetween(cs *table.ColumnSet, ci int, lo, hi table.Value, not bool) (
 		}
 		return numericBetweenKernel(c, ci, lo.AsFloat(), hi.AsFloat(), not), true
 	case table.KindString:
-		mask := make([]bool, c.Dict.Len())
-		for code, s := range c.Dict.Strs {
-			sv := table.NewString(s)
-			in := sv.Compare(lo) >= 0 && sv.Compare(hi) <= 0
-			mask[code] = in != not
-		}
-		return maskKernel(c, mask), true
+		return dictKernel(c, func(v table.Value) bool { return (v.Compare(lo) >= 0 && v.Compare(hi) <= 0) != not }), true
 	}
 	return kernel{}, false
 }
@@ -852,63 +638,19 @@ func compileBetween(cs *table.ColumnSet, ci int, lo, hi table.Value, not bool) (
 // numericBetweenKernel is compileBetween over an int or float column; over an
 // int column between exactInt bounds, BETWEEN records its range.
 func numericBetweenKernel(c *table.ColumnData, ci int, lo, hi float64, not bool) kernel {
-	nulls := c.Nulls
-	zones := c.Zones
-	k := kernel{}
+	skip := func(z *table.Zone) bool { return z.Max < lo || z.Min > hi }
 	if not {
-		k.prune = func(m int) bool {
-			z := &zones[m]
-			return !z.HasValue || (z.Min >= lo && z.Max <= hi)
-		}
-	} else {
-		k.prune = func(m int) bool {
-			z := &zones[m]
-			return !z.HasValue || z.Max < lo || z.Min > hi
+		skip = func(z *table.Zone) bool { return z.Min >= lo && z.Max <= hi }
+	}
+	if l, lok := exactInt(lo); lok && c.Kind == table.KindInt {
+		if h, hok := exactInt(hi); hok && l <= h { // an int cell is never NaN
+			return rangeKernel(c, ci, l, h, not, skip)
 		}
 	}
 	// The row engine tests Compare(v,lo) >= 0 && Compare(v,hi) <= 0, and
 	// Compare returns 0 for NaN operands — so NaN is BETWEEN everything.
 	// !(v < lo) && !(v > hi) reproduces that exactly.
-	test := func(v float64) bool { return (!(v < lo) && !(v > hi)) != not }
-	if l, lok := exactInt(lo); lok && c.Kind == table.KindInt {
-		if h, hok := exactInt(hi); hok && l <= h { // an int cell is never NaN
-			k.sel = intRangeSel(c, l, h, not)
-			if !not {
-				k.ints = &intRange{ci, l, h}
-			}
-			return k
-		}
-	}
-	if c.Kind == table.KindInt {
-		vals := c.Ints
-		k.sel = func(sel []int32) []int32 {
-			out := sel[:0]
-			for _, i := range sel {
-				if nulls != nil && nulls.Get(int(i)) {
-					continue
-				}
-				if test(float64(vals[i])) {
-					out = append(out, i)
-				}
-			}
-			return out
-		}
-	} else {
-		vals := c.Floats
-		k.sel = func(sel []int32) []int32 {
-			out := sel[:0]
-			for _, i := range sel {
-				if nulls != nil && nulls.Get(int(i)) {
-					continue
-				}
-				if test(vals[i]) {
-					out = append(out, i)
-				}
-			}
-			return out
-		}
-	}
-	return k
+	return numericKernel(c, func(v float64) bool { return (!(v < lo) && !(v > hi)) != not }, skip)
 }
 
 // andKernel chains two kernels: r sees only l's survivors, mirroring the row

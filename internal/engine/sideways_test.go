@@ -319,7 +319,8 @@ func indexDB() *table.Database {
 // holds under an eighth of its rows in a dense index reads exactly those rows
 // (via/<rel> "index <col>"); a range over more declines after counting, and a
 // sparse int column, a float column, <>, NOT BETWEEN, a non-integral bound and a
-// one-morsel relation decline without an index being built. In a join the
+// one-morsel relation decline without an index being built. A bare int column
+// reads as col <> 0 and declines; NOT col reads as col = 0 and takes the index. In a join the
 // narrower of a relation's index range and a partner's keys is read, and the
 // relation with fewer candidate rows is scanned first. Answers, lineage
 // included, equal the row engine's in every case.
@@ -352,11 +353,13 @@ func TestIndexRangeDecision(t *testing.T) {
 		{"SELECT x.k, x.d FROM x WHERE x.d BETWEEN -3 AND 3", map[string]read{"x": {"index x.d", inRange(-3, 3)}}, ""},
 		{"SELECT * FROM x WHERE 190 < x.d AND x.f < 195", map[string]read{"x": {"index x.d", inRange(191, 200)}}, ""},
 		{"SELECT x.k FROM x WHERE NOT x.d >= -195", map[string]read{"x": {"index x.d", inRange(-200, -196)}}, ""},
+		{"SELECT x.k FROM x WHERE NOT x.d", map[string]read{"x": {"index x.d", inRange(0, 0)}}, ""}, // x.d = 0
 		{"SELECT x.k FROM x WHERE x.d < -1000", map[string]read{"x": {"index x.d", 0}}, ""},
 		{"SELECT x.k FROM x WHERE x.d >= -150", map[string]read{"x": {"full", 8000}}, ""},
 		{"SELECT x.k FROM x WHERE x.sp < 5000000", map[string]read{"x": {"full", 8000}}, "sp"},
 		{"SELECT x.k FROM x WHERE x.f = 5", map[string]read{"x": {"full", 8000}}, "f"},
 		{"SELECT x.k FROM x WHERE x.d <> 5", map[string]read{"x": {"full", 8000}}, "d"},
+		{"SELECT x.k FROM x WHERE x.d", map[string]read{"x": {"full", 8000}}, "d"}, // x.d <> 0
 		{"SELECT x.k FROM x WHERE x.d NOT BETWEEN -200 AND 195", map[string]read{"x": {"full", 8000}}, "d"},
 		{"SELECT x.k FROM x WHERE x.d < -195.5", map[string]read{"x": {"full", 8000}}, "d"},
 		{"SELECT small.k FROM small WHERE small.d = 5", map[string]read{"small": {"full", 1000}}, "d"},

@@ -6,6 +6,7 @@ import (
 
 	"asqprl/internal/datagen"
 	"asqprl/internal/engine"
+	"asqprl/internal/sqlparse"
 	"asqprl/internal/table"
 )
 
@@ -137,11 +138,11 @@ func TestGeneratedTuplesFailSelectiveJoins(t *testing.T) {
 	}
 	// A join query: generated ids almost never match across tables.
 	q := "SELECT t.title FROM title t JOIN cast_info c ON t.id = c.title_id WHERE t.genre = 'drama'"
-	full, err := engine.ExecuteSQL(db, q)
+	full, err := engine.Execute(db, sqlparse.MustParse(q))
 	if err != nil {
 		t.Fatal(err)
 	}
-	genRes, err := engine.ExecuteSQL(gen, q)
+	genRes, err := engine.Execute(gen, sqlparse.MustParse(q))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 // Package metrics implements the evaluation measures of the paper: the
 // approximation-set quality metric score(𝒮) (Equation 1), the relative error
-// used for aggregate queries (Equation 2), pairwise-Jaccard result diversity
-// (Section 6.2), and precision/recall for the answerability estimator.
+// used for aggregate queries (Equation 2), the diversity of the rows within
+// one answer (Section 6.2), and precision/recall for the answerability
+// estimator.
 //
 // Equation 1 has two forms here and one definition (Term): Score and its
 // variants execute a workload against a materialized set; CoverIndex and
@@ -202,33 +203,7 @@ func CoverageError(served, truth, frameSize int) float64 {
 	return 1 - Term(served, truth, truth, frameSize)
 }
 
-// JaccardDiversity measures result diversity as the mean pairwise Jaccard
-// distance between the row sets of consecutive query answers, following the
-// diversity comparison of Section 6.2. Each result is represented by its set
-// of row keys. Returns 0 for fewer than two results.
-func JaccardDiversity(results [][]string) float64 {
-	if len(results) < 2 {
-		return 0
-	}
-	sets := make([]map[string]bool, len(results))
-	for i, r := range results {
-		s := make(map[string]bool, len(r))
-		for _, k := range r {
-			s[k] = true
-		}
-		sets[i] = s
-	}
-	var total float64
-	pairs := 0
-	for i := 0; i < len(sets); i++ {
-		for j := i + 1; j < len(sets); j++ {
-			total += jaccardDistance(sets[i], sets[j])
-			pairs++
-		}
-	}
-	return total / float64(pairs)
-}
-
+// jaccardDistance is 1 − |a ∩ b| / |a ∪ b|, and 0 for two empty sets.
 func jaccardDistance(a, b map[string]bool) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 0

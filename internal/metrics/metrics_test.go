@@ -297,32 +297,6 @@ func TestCoverageError(t *testing.T) {
 	}
 }
 
-func TestJaccardDiversity(t *testing.T) {
-	// Identical results → 0 diversity.
-	same := [][]string{{"a", "b"}, {"a", "b"}}
-	if d := JaccardDiversity(same); d != 0 {
-		t.Errorf("identical results diversity = %v", d)
-	}
-	// Disjoint results → 1.
-	disjoint := [][]string{{"a"}, {"b"}, {"c"}}
-	if d := JaccardDiversity(disjoint); math.Abs(d-1) > 1e-9 {
-		t.Errorf("disjoint diversity = %v, want 1", d)
-	}
-	// Single result → 0.
-	if d := JaccardDiversity([][]string{{"a"}}); d != 0 {
-		t.Errorf("single result diversity = %v", d)
-	}
-	// Half overlap.
-	half := [][]string{{"a", "b"}, {"b", "c"}}
-	if d := JaccardDiversity(half); math.Abs(d-(1-1.0/3)) > 1e-9 {
-		t.Errorf("half-overlap diversity = %v, want 2/3", d)
-	}
-	// Empty results count as identical.
-	if d := JaccardDiversity([][]string{{}, {}}); d != 0 {
-		t.Errorf("two empty results = %v, want 0", d)
-	}
-}
-
 func TestPrecisionRecall(t *testing.T) {
 	pred := []bool{true, true, false, false, true}
 	act := []bool{true, false, false, true, true}
@@ -374,6 +348,18 @@ func TestIntraResultDiversity(t *testing.T) {
 	diff.Rows = append(diff.Rows, table.Row{table.NewInt(3), table.NewInt(4)})
 	if d := IntraResultDiversity(diff, 0); math.Abs(d-1) > 1e-9 {
 		t.Errorf("disjoint rows diversity = %v, want 1", d)
+	}
+	// Rows sharing one of three values → 1 − 1/3.
+	half := &table.RowSet{Schema: diff.Schema}
+	half.Rows = append(half.Rows, table.Row{table.NewInt(1), table.NewInt(2)})
+	half.Rows = append(half.Rows, table.Row{table.NewInt(2), table.NewInt(3)})
+	if d := IntraResultDiversity(half, 0); math.Abs(d-(1-1.0/3)) > 1e-9 {
+		t.Errorf("half-overlap diversity = %v, want 2/3", d)
+	}
+	// Rows of no columns count as identical.
+	empty := &table.RowSet{Rows: []table.Row{{}, {}}}
+	if d := IntraResultDiversity(empty, 0); d != 0 {
+		t.Errorf("two empty rows = %v, want 0", d)
 	}
 	// Single row → 0.
 	one := &table.RowSet{Schema: table.Schema{{Name: "a", Kind: table.KindInt}}}

@@ -27,12 +27,12 @@ func learned(t *testing.T) (*SPN, *table.Database) {
 // after the optional group column).
 func truth(t *testing.T, db *table.Database, sql string) map[string]float64 {
 	t.Helper()
-	res, err := engine.ExecuteSQL(db, sql)
+	stmt := sqlparse.MustParse(sql)
+	res, err := engine.Execute(db, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := map[string]float64{}
-	stmt := sqlparse.MustParse(sql)
 	hasGroup := len(stmt.GroupBy) > 0
 	for _, r := range res.Table.Rows {
 		if hasGroup {

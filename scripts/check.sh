@@ -70,18 +70,22 @@ done
 # FuzzReadWorkload (a workload .sql file: an error, or exactly its non-blank,
 # non-comment lines, each re-parsing to the same statement, weights summing
 # to 1).
+# Each line caps minimization at 100 executions per new input: by default the
+# fuzzing engine spends up to 60 s shrinking every input that finds new
+# coverage, which can eat a whole smoke and leave it running almost no inputs.
+fuzzmin=-fuzzminimizetime=100x
 echo "==> fuzz smoke: FuzzParse, FuzzRowVsColumnar, FuzzTuples, FuzzParseTraceparent, FuzzEncodeQueryResponse, FuzzQueryRequest, FuzzEstimate, FuzzLoad, FuzzWALReplay, FuzzReadCSV, FuzzReadWorkload"
-go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/sqlparse/
-go test -run='^$' -fuzz=FuzzRowVsColumnar -fuzztime=20s ./internal/engine/
-go test -run='^$' -fuzz=FuzzTuples -fuzztime=5s ./internal/metrics/
-go test -run='^$' -fuzz=FuzzParseTraceparent -fuzztime=5s ./internal/obs/
-go test -run='^$' -fuzz=FuzzEncodeQueryResponse -fuzztime=5s ./internal/server/
-go test -run='^$' -fuzz=FuzzQueryRequest -fuzztime=5s ./internal/server/
-go test -run='^$' -fuzz=FuzzEstimate -fuzztime=5s ./internal/core/
-go test -run='^$' -fuzz=FuzzLoad -fuzztime=5s ./internal/core/
-go test -run='^$' -fuzz=FuzzWALReplay -fuzztime=5s ./internal/wal/
-go test -run='^$' -fuzz=FuzzReadCSV -fuzztime=5s ./internal/table/
-go test -run='^$' -fuzz=FuzzReadWorkload -fuzztime=5s ./internal/workload/
+go test -run='^$' -fuzz=FuzzParse -fuzztime=10s "${fuzzmin}" ./internal/sqlparse/
+go test -run='^$' -fuzz=FuzzRowVsColumnar -fuzztime=20s "${fuzzmin}" ./internal/engine/
+go test -run='^$' -fuzz=FuzzTuples -fuzztime=5s "${fuzzmin}" ./internal/metrics/
+go test -run='^$' -fuzz=FuzzParseTraceparent -fuzztime=5s "${fuzzmin}" ./internal/obs/
+go test -run='^$' -fuzz=FuzzEncodeQueryResponse -fuzztime=5s "${fuzzmin}" ./internal/server/
+go test -run='^$' -fuzz=FuzzQueryRequest -fuzztime=5s "${fuzzmin}" ./internal/server/
+go test -run='^$' -fuzz=FuzzEstimate -fuzztime=5s "${fuzzmin}" ./internal/core/
+go test -run='^$' -fuzz=FuzzLoad -fuzztime=5s "${fuzzmin}" ./internal/core/
+go test -run='^$' -fuzz=FuzzWALReplay -fuzztime=5s "${fuzzmin}" ./internal/wal/
+go test -run='^$' -fuzz=FuzzReadCSV -fuzztime=5s "${fuzzmin}" ./internal/table/
+go test -run='^$' -fuzz=FuzzReadWorkload -fuzztime=5s "${fuzzmin}" ./internal/workload/
 
 # The benchmark module is frozen (BENCHMARK.json "paths") and compiles against
 # internal packages: a change to an API it uses must fail here, not in the
