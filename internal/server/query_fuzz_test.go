@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -36,6 +38,10 @@ func FuzzQueryRequest(f *testing.F) {
 		{"POST", `{"sql": "SELECT * FROM title WHERE rating > 7", "max_rows": 2}`, "", 0, 0},
 		{"POST", `{"sql": 7}`, "", 0, 0},
 		{"POST", `{"sql": "SELECT * FROM title"`, "", 0, 0},
+		{"POST", `{"sql": "SELECT * FROM title WHERE rating > 7"} {"sql": 7} trailing`, "", 0, 0},
+		{"POST", `{"sql": "SELECT * FROM title WHERE rat`, "", 0, 0},
+		{"POST", atCap(maxQueryBody), "", 0, 0},
+		{"POST", atCap(maxQueryBody + 1), "", 0, 0},
 	} {
 		f.Add(seed.method, seed.body, seed.q, seed.timeoutMs, seed.maxRows)
 	}
@@ -59,6 +65,9 @@ func FuzzQueryRequest(f *testing.F) {
 		}
 		if _, err := http.NewRequest(method, target, nil); err != nil {
 			return // not a method a client can put on the wire
+		}
+		if method == http.MethodPost {
+			checkBodyDecode(t, body)
 		}
 		// The input goes out three times. A clean set answer sent twice is in
 		// the answer cache, so the third send is a hit, and a hit answers what
@@ -86,6 +95,26 @@ func FuzzQueryRequest(f *testing.F) {
 			prev = rec
 		}
 	})
+}
+
+// atCap is a valid /query body of exactly n bytes: an answerable statement
+// padded by a field the request does not have.
+func atCap(n int) string {
+	const head, tail = `{"sql": "SELECT * FROM title WHERE rating > 7", "pad": "`, `"}`
+	return head + strings.Repeat("x", n-len(head)-len(tail)) + tail
+}
+
+// checkBodyDecode fails t unless decodeQueryBody reads body as a
+// json.Decoder over the capped body does: the same request, or the same
+// error text.
+func checkBodyDecode(t *testing.T, body string) {
+	t.Helper()
+	var want, got QueryRequest
+	wantErr := json.NewDecoder(http.MaxBytesReader(nil, io.NopCloser(strings.NewReader(body)), maxQueryBody)).Decode(&want)
+	gotErr := decodeQueryBody(io.NopCloser(strings.NewReader(body)), &got)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || (wantErr == nil && got != want) {
+		t.Fatalf("decodeQueryBody(%.200q) = %+v, %v; json.Decoder reads %+v, %v", body, got, gotErr, want, wantErr)
+	}
 }
 
 // checkQueryContract fails t unless rec is one JSON object with status 200,

@@ -36,7 +36,8 @@ func BenchmarkWALAppend(b *testing.B) {
 }
 
 // BenchmarkWALAppendAsync measures the fire-and-forget path the serving hot
-// loop uses: no fsync wait, durability at the next group sync.
+// loop uses, saturated: no fsync wait, durability at the group commit the
+// first frame after a sync arms.
 func BenchmarkWALAppendAsync(b *testing.B) {
 	l, _, err := Open(b.TempDir(), Options{})
 	if err != nil {
@@ -52,6 +53,26 @@ func BenchmarkWALAppendAsync(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkWALAppendAsyncPaced paces two appenders at 1 000 async frames/s
+// each, the shape of a served-statement stream, and reports how many fsyncs
+// the log makes per frame (syncs/frame). BenchmarkWALAppendAsync saturates the
+// log, so every fsync carries a large batch there and the per-frame price
+// never shows.
+func BenchmarkWALAppendAsyncPaced(b *testing.B) {
+	l, _, err := Open(b.TempDir(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	const appenders = 2
+	per := (b.N + appenders - 1) / appenders
+	syncs := countSyncs(b)
+	b.ResetTimer()
+	pacedAsync(b, l, appenders, per, time.Millisecond)
+	b.StopTimer()
+	b.ReportMetric(float64(syncs.Load())/float64(appenders*per), "syncs/frame")
 }
 
 // BenchmarkRecoveryReplay measures a full startup scan of a 100k-frame log —

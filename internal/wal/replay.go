@@ -171,6 +171,9 @@ func Open(dir string, opts Options) (*Log, Recovery, error) {
 	if opts.segmentBytes <= 0 {
 		opts.segmentBytes = segmentBytes
 	}
+	if opts.asyncSyncInterval <= 0 {
+		opts.asyncSyncInterval = asyncSyncInterval
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, Recovery{}, fmt.Errorf("wal: open %s: %w", dir, err)
 	}

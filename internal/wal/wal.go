@@ -22,10 +22,13 @@
 //   - Append acknowledges only after fsync. Appends are group-committed: a
 //     single syncer goroutine batches every frame written while the previous
 //     fsync was in flight into the next one, so concurrent appenders share
-//     fsyncs instead of queueing on them. AppendAsync enqueues without
-//     waiting — the record is durable at the next group sync — for
-//     high-volume evidence (served statements) whose loss window is an
-//     explicit, documented trade.
+//     fsyncs instead of queueing on them. AppendAsync only buffers its frame,
+//     for high-volume evidence (served statements, drift observations): the
+//     first async frame after a sync arms a deadline of asyncSyncInterval
+//     (5 ms), and the group commit at that deadline — or any earlier durable
+//     Append, Checkpoint, rotation or Close — makes it durable. A crash loses
+//     at most the async frames of the last interval, an explicit, documented
+//     trade; an idle log never wakes.
 //   - Segments rotate at a size threshold (`wal-NNNNNNNN.seg`); rotation
 //     fsyncs and closes the old segment first, so completed segments are
 //     immutable history.
@@ -54,6 +57,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"time"
 
 	"asqprl/internal/faults"
 	"asqprl/internal/obs"
@@ -185,15 +189,20 @@ type Options struct {
 	// segmentBytes rotates segments at another size for in-package tests;
 	// zero means the 4 MiB constant of the same name.
 	segmentBytes int64
+	// asyncSyncInterval group-commits async frames on another cadence for
+	// in-package tests; zero means the constant of the same name.
+	asyncSyncInterval time.Duration
 }
 
 // A segment is sealed once appending would take it past segmentBytes, and
 // maxSegments bounds the directory: rotation beyond it prunes the oldest
 // segment, sacrificing (and counting) its evidence rather than growing
-// without bound between checkpoints.
+// without bound between checkpoints. asyncSyncInterval is the longest an
+// async frame waits in the buffer for its group commit.
 const (
-	segmentBytes = 4 << 20
-	maxSegments  = 64
+	segmentBytes      = 4 << 20
+	maxSegments       = 64
+	asyncSyncInterval = 5 * time.Millisecond
 )
 
 // Log is an append-only, segment-rotated write-ahead log. Safe for concurrent
@@ -217,6 +226,12 @@ type Log struct {
 	failed   error  // sticky fsync/write failure
 	closed   bool
 	syncBusy bool // a group fsync is in flight outside mu
+
+	// asyncDue is set while an async frame waits for the group commit that
+	// asyncTimer will request; the sync that captures it clears it, so the
+	// next async frame arms the timer again.
+	asyncDue   bool
+	asyncTimer *time.Timer
 
 	syncReq chan struct{}
 	stop    chan struct{}
@@ -275,14 +290,11 @@ func (l *Log) Append(rec Record) error {
 	if l == nil {
 		return nil
 	}
-	my, err := l.write(rec)
+	my, err := l.write(rec, false)
 	if err != nil {
 		return err
 	}
-	select {
-	case l.syncReq <- struct{}{}:
-	default: // a sync is already requested; our frame rides along
-	}
+	l.kick()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for l.flushed < my && l.failed == nil && !l.closed {
@@ -297,30 +309,37 @@ func (l *Log) Append(rec Record) error {
 	return nil
 }
 
-// AppendAsync logs rec without waiting for durability: the frame is written
-// into the active segment and becomes durable at the next group fsync. A
-// crash inside that window loses the record — callers use it for high-volume
-// evidence (served statements) where the bounded loss window is an explicit
-// trade for zero added request latency. Errors (rotation failure, failed log)
-// are returned but the caller typically just counts them.
+// AppendAsync logs rec without waiting for durability and without any disk
+// work of its own: the frame is buffered for the active segment, and the
+// group commit at most asyncSyncInterval later makes it durable — sooner if a
+// durable Append, a Checkpoint, a rotation or Close syncs first. A crash
+// inside that window loses the record; callers use it for high-volume
+// evidence (served statements, drift observations) where the bounded loss
+// window is an explicit trade for zero added request latency. Errors
+// (rotation failure, failed log) are returned but the caller typically just
+// counts them.
 func (l *Log) AppendAsync(rec Record) error {
 	if l == nil {
 		return nil
 	}
-	if _, err := l.write(rec); err != nil {
-		return err
-	}
+	_, err := l.write(rec, true)
+	return err
+}
+
+// kick asks the syncer for a group commit; a request already pending covers
+// this one too.
+func (l *Log) kick() {
 	select {
 	case l.syncReq <- struct{}{}:
 	default:
 	}
-	return nil
 }
 
 // write encodes and buffers one frame under mu, rotating first if the active
-// segment is over budget. It returns the frame's sequence number (the value
-// flushed must reach for the frame to be durable).
-func (l *Log) write(rec Record) (uint64, error) {
+// segment is over budget. An async frame arms the group-commit deadline if
+// none is pending. It returns the frame's sequence number (the value flushed
+// must reach for the frame to be durable).
+func (l *Log) write(rec Record, async bool) (uint64, error) {
 	payload, err := marshalRecord(rec)
 	if err != nil {
 		return 0, err
@@ -350,6 +369,14 @@ func (l *Log) write(rec Record) (uint64, error) {
 	l.size += int64(len(frame))
 	l.written++
 	l.appended++
+	if async && !l.asyncDue {
+		l.asyncDue = true
+		if l.asyncTimer == nil {
+			l.asyncTimer = time.AfterFunc(l.opts.asyncSyncInterval, l.kick)
+		} else {
+			l.asyncTimer.Reset(l.opts.asyncSyncInterval)
+		}
+	}
 	return l.written, nil
 }
 
@@ -371,8 +398,9 @@ func (l *Log) flushAndSyncLocked() error {
 	return nil
 }
 
-// syncer is the group-commit goroutine: every wakeup flushes the buffer under
-// mu, then fsyncs outside it so appenders keep writing into the next batch.
+// syncer is the group-commit goroutine: every wakeup — a durable Append, or
+// the deadline an async frame armed — flushes the buffer under mu, then
+// fsyncs outside it so appenders keep writing into the next batch.
 func (l *Log) syncer() {
 	defer l.wg.Done()
 	for {
@@ -406,6 +434,7 @@ func (l *Log) syncer() {
 		target := l.written
 		f := l.f
 		l.syncBusy = true
+		l.asyncDue = false // this sync carries every async frame so far
 		l.mu.Unlock()
 
 		err := f.Sync()
@@ -450,6 +479,7 @@ func (l *Log) rotateLocked() error {
 			return l.failed
 		}
 		l.flushed = l.written // everything so far is durable
+		l.asyncDue = false
 		l.cond.Broadcast()
 		if err := l.f.Close(); err != nil {
 			l.failLocked(fmt.Errorf("wal: rotate close segment %d: %w", l.seq, err))
@@ -606,6 +636,9 @@ func (l *Log) Close() error {
 	}
 	for l.syncBusy {
 		l.cond.Wait()
+	}
+	if l.asyncTimer != nil {
+		l.asyncTimer.Stop()
 	}
 	var err error
 	if l.failed == nil && l.f != nil {

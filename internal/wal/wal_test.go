@@ -5,8 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"asqprl/internal/faults"
 	"asqprl/internal/obs"
 )
 
@@ -360,5 +363,180 @@ func TestRecoveryNeverReopensSealedSegments(t *testing.T) {
 	_, rec := openT(t, dir, Options{})
 	if got := len(rec.Tail); got != 10 {
 		t.Fatalf("recovered %d records, want 10", got)
+	}
+}
+
+// counters reads the log's last written and last durable frame sequence.
+func (l *Log) counters() (written, flushed uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.written, l.flushed
+}
+
+// countSyncs counts group commits through their fault-injection point (the
+// syncer passes faults.PointWALSync before every fsync it makes) until the
+// test ends.
+func countSyncs(tb testing.TB) *atomic.Int64 {
+	var n atomic.Int64
+	faults.Enable(faults.NewSchedule(1, faults.Injection{
+		Point: faults.PointWALSync, Kind: faults.KindHook, OnTrigger: func() { n.Add(1) },
+	}))
+	tb.Cleanup(faults.Disable)
+	return &n
+}
+
+// waitFlushed polls until frame seq is durable, failing after limit.
+func waitFlushed(t *testing.T, l *Log, seq uint64, limit time.Duration) time.Duration {
+	t.Helper()
+	start := time.Now()
+	for {
+		if _, flushed := l.counters(); flushed >= seq {
+			return time.Since(start)
+		}
+		if time.Since(start) > limit {
+			t.Fatalf("frame %d not durable after %v", seq, limit)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// segmentSQLs decodes the active segment's bytes on disk, as a restart after
+// a crash would see them.
+func segmentSQLs(t *testing.T, dir string) []string {
+	t.Helper()
+	segs, err := listSegments(dir)
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("listSegments = %v, %v", segs, err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, segName(segs[len(segs)-1])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for off := 0; off < len(data); {
+		rec, _, n, ok := decodeFrameAt(data[off:])
+		if !ok {
+			t.Fatalf("undecodable frame at offset %d of %d", off, len(data))
+		}
+		out = append(out, rec.SQL)
+		off += n
+	}
+	return out
+}
+
+// TestAppendAsyncDurableWithinInterval: an async frame with no other traffic
+// is group-committed by the deadline it armed — its sequence reaches flushed
+// and its bytes are in the segment file — without a Close or a durable
+// Append to carry it.
+func TestAppendAsyncDurableWithinInterval(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir, Options{})
+	defer l.Close()
+	if err := l.AppendAsync(servedRec(1)); err != nil {
+		t.Fatalf("AppendAsync: %v", err)
+	}
+	seq, _ := l.counters()
+	// A few intervals on a quiet box; a loaded race-mode run may take longer
+	// to schedule the timer, so the bound is generous.
+	took := waitFlushed(t, l, seq, 200*asyncSyncInterval)
+	t.Logf("async frame durable after %v (interval %v)", took, asyncSyncInterval)
+	if got := segmentSQLs(t, dir); len(got) != 1 || got[0] != servedRec(1).SQL {
+		t.Fatalf("segment holds %q after the group commit, want the async frame", got)
+	}
+}
+
+// TestIdleLogNeverSyncs: a log with no frames, or whose async frames are all
+// durable, performs no fsync however many intervals pass.
+func TestIdleLogNeverSyncs(t *testing.T) {
+	const interval = time.Millisecond
+	syncs := countSyncs(t)
+	l, _ := openT(t, t.TempDir(), Options{asyncSyncInterval: interval})
+	defer l.Close()
+	time.Sleep(20 * interval)
+	if n := syncs.Load(); n != 0 {
+		t.Fatalf("a log with no frames fsynced %d times", n)
+	}
+	if err := l.AppendAsync(servedRec(1)); err != nil {
+		t.Fatal(err)
+	}
+	seq, _ := l.counters()
+	waitFlushed(t, l, seq, 2*time.Second)
+	before := syncs.Load()
+	time.Sleep(50 * interval)
+	if after := syncs.Load(); after != before {
+		t.Fatalf("idle log fsynced %d more times over 50 intervals", after-before)
+	}
+}
+
+// TestDurableAppendCarriesPendingAsync: with async frames pending and a
+// deadline far away, a durable Append is acknowledged by an immediate sync,
+// and that one sync makes the pending async frames durable too.
+func TestDurableAppendCarriesPendingAsync(t *testing.T) {
+	dir := t.TempDir()
+	syncs := countSyncs(t)
+	l, _ := openT(t, dir, Options{asyncSyncInterval: time.Hour})
+	defer l.Close()
+	for i := 0; i < 5; i++ {
+		if err := l.AppendAsync(servedRec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // time for a sync the frames must not cause
+	if written, flushed := l.counters(); flushed == written || syncs.Load() != 0 {
+		t.Fatalf("async frames synced before their deadline: written %d, flushed %d, %d syncs", written, flushed, syncs.Load())
+	}
+	if err := l.Append(servedRec(5)); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if written, flushed := l.counters(); flushed != written || syncs.Load() != 1 {
+		t.Fatalf("after the durable Append: written %d, flushed %d, %d syncs; want all durable by one sync", written, flushed, syncs.Load())
+	}
+	got := segmentSQLs(t, dir)
+	if len(got) != 6 {
+		t.Fatalf("segment holds %d frames after the durable Append, want 6: %q", len(got), got)
+	}
+	for i, sql := range got {
+		if sql != servedRec(i).SQL {
+			t.Fatalf("frame %d = %q, want %q", i, sql, servedRec(i).SQL)
+		}
+	}
+}
+
+// pacedAsync runs appenders goroutines, each appending perAppender async
+// frames on a fixed schedule of one per gap.
+func pacedAsync(tb testing.TB, l *Log, appenders, perAppender int, gap time.Duration) {
+	start := time.Now()
+	var wg sync.WaitGroup
+	for a := 0; a < appenders; a++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perAppender; i++ {
+				if d := time.Until(start.Add(time.Duration(i) * gap)); d > 0 {
+					time.Sleep(d)
+				}
+				if err := l.AppendAsync(benchRecord); err != nil {
+					tb.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestAsyncAppendsShareSyncs: two appenders writing 2 000 async frames over
+// about a second share group commits — at most one fsync per ten frames,
+// where an fsync per frame is what waking the syncer on every frame costs.
+func TestAsyncAppendsShareSyncs(t *testing.T) {
+	syncs := countSyncs(t)
+	l, _ := openT(t, t.TempDir(), Options{})
+	defer l.Close()
+	const frames = 2000
+	pacedAsync(t, l, 2, frames/2, time.Millisecond)
+	n := syncs.Load()
+	t.Logf("%d fsyncs for %d async frames (%.3f per frame)", n, frames, float64(n)/frames)
+	if n > frames/10 {
+		t.Fatalf("%d fsyncs for %d async frames, want at most %d", n, frames, frames/10)
 	}
 }

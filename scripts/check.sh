@@ -73,7 +73,12 @@ done
 # Each line caps minimization at 100 executions per new input: by default the
 # fuzzing engine spends up to 60 s shrinking every input that finds new
 # coverage, which can eat a whole smoke and leave it running almost no inputs.
+# Each smoke starts from the committed seed corpus alone: the inputs earlier
+# runs left in the fuzz cache ($GOCACHE/fuzz) grow with every local run, and
+# re-running them all as baseline coverage can take a whole smoke before the
+# first mutation. An input worth keeping belongs in testdata/fuzz.
 fuzzmin=-fuzzminimizetime=100x
+go clean -fuzzcache
 echo "==> fuzz smoke: FuzzParse, FuzzRowVsColumnar, FuzzTuples, FuzzParseTraceparent, FuzzEncodeQueryResponse, FuzzQueryRequest, FuzzEstimate, FuzzLoad, FuzzWALReplay, FuzzReadCSV, FuzzReadWorkload"
 go test -run='^$' -fuzz=FuzzParse -fuzztime=10s "${fuzzmin}" ./internal/sqlparse/
 go test -run='^$' -fuzz=FuzzRowVsColumnar -fuzztime=20s "${fuzzmin}" ./internal/engine/
