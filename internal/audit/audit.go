@@ -2,7 +2,8 @@
 // background shadow auditor that samples a fraction of the approximation-set
 // (and degraded) answers the serving layer hands out, re-executes them
 // against the full database asynchronously, and turns the comparison into
-// per-query-shape relative-error histograms with trace-ID exemplars.
+// per-query-shape relative-error histograms, the pooled one the quality SLO
+// reads, and an "audit" event on the audited request's kept trace.
 //
 // The system's value claim is bounded-error exploratory answering; the
 // auditor is what makes that claim observable on live traffic instead of a
@@ -292,7 +293,7 @@ func (a *Auditor) waitCapacity() bool {
 // run executes one shadow audit: re-run the query against the full database
 // under a deadline, compute the relative error of the served answer, and
 // publish the verdict everywhere the spine surfaces (shape histograms, the
-// asqp_audit_relative_error exemplar histogram, the original trace, logs).
+// pooled audit/relative_error histogram, the original trace, logs).
 func (a *Auditor) run(j job) {
 	db, frame := a.target()
 	if db == nil {
@@ -326,7 +327,7 @@ func (a *Auditor) run(j job) {
 	span.Annotate("shape", shape)
 	span.Event("verdict", "relative_error", relErr, "truth_rows", truthRows, "served_rows", j.rows)
 
-	relativeError.ObserveExemplar(relErr, j.served.TraceID)
+	relativeError.Observe(relErr)
 	// Attach the verdict to the original request's trace so /tracez shows
 	// "this degraded answer was later measured at error X". The amendment is
 	// best-effort: only tail-kept traces are still addressable, and the JSONL

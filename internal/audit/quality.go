@@ -8,8 +8,9 @@ import (
 )
 
 // MetricRelativeError names the pooled relative-error histogram: every
-// completed audit observes into it with the audited request's trace ID as
-// exemplar. The serving layer's quality SLO reads it by this name.
+// completed audit observes into it. The serving layer's quality SLO reads it
+// by this name; the trace behind a verdict is the "audit" event run amends
+// onto the request's kept trace.
 const MetricRelativeError = "audit/relative_error"
 
 var relativeError = obs.Default().Histogram(MetricRelativeError)
@@ -60,7 +61,7 @@ func (a *Auditor) record(j job, shape string, relErr float64) {
 		a.shapes[shape] = st
 		a.order = append(a.order, shape)
 	}
-	st.hist.ObserveExemplar(relErr, j.served.TraceID)
+	st.hist.Observe(relErr)
 	st.lastSQL = j.served.SQL
 	st.lastAt = time.Now()
 	if j.served.Degraded {

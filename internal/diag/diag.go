@@ -46,7 +46,7 @@ const (
 // nil collectors are skipped. Collectors run at capture time.
 type Source struct {
 	Metrics func() any // registry snapshot
-	Series  func() any // windowed per-interval series (obs.TimeSeries)
+	Series  func() any // windowed per-interval series (slo.Engine.Series)
 	SLO     func() any // SLO engine page
 	Traces  func() any // tail-sampled trace ring
 	Stats   func() any // server /stats (breaker/admission/retrain/WAL)

@@ -40,27 +40,7 @@ type Histogram struct {
 	sumBits atomic.Uint64 // float64 bits, CAS-updated
 	minBits atomic.Uint64 // seeded with +Inf
 	maxBits atomic.Uint64 // seeded with -Inf
-	// exemplars retains, per bucket, the most recent traced observation, so
-	// a tail-latency bucket links to a concrete trace (/tracez, JSONL
-	// export). Written only by ObserveExemplar with a non-zero trace ID —
-	// untraced observations never allocate.
-	exemplars [numBuckets + 1]atomic.Pointer[Exemplar]
-	gated     bool // of the default registry: records only while Enabled()
-}
-
-// Exemplar ties one histogram observation to the trace that produced it.
-type Exemplar struct {
-	TraceID TraceID
-	Value   float64
-	When    time.Time
-}
-
-// ExemplarSnapshot is a JSON-friendly exemplar with its bucket's upper bound.
-type ExemplarSnapshot struct {
-	LE      float64   `json:"le"` // bucket upper bound (+Inf rendered as the overflow bound)
-	Value   float64   `json:"value"`
-	TraceID string    `json:"trace_id"`
-	When    time.Time `json:"when"`
+	gated   bool          // of the default registry: records only while Enabled()
 }
 
 // NewHistogram returns an empty histogram ready for concurrent use.
@@ -74,7 +54,6 @@ func NewHistogram() *Histogram {
 func (h *Histogram) reset() {
 	for i := range h.counts {
 		h.counts[i].Store(0)
-		h.exemplars[i].Store(nil)
 	}
 	h.count.Store(0)
 	h.sumBits.Store(0)
@@ -83,78 +62,22 @@ func (h *Histogram) reset() {
 }
 
 // Observe records one value. Negative values are clamped to zero.
-func (h *Histogram) Observe(v float64) { h.ObserveExemplar(v, TraceID{}) }
-
-// ObserveDuration records a duration in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// ObserveExemplar records one value and, when tid is a real trace, retains
-// the observation as the containing bucket's exemplar (most recent wins).
-// With a zero trace ID it is exactly Observe — no allocation.
-func (h *Histogram) ObserveExemplar(v float64, tid TraceID) {
+func (h *Histogram) Observe(v float64) {
 	if h.gated && !enabled.Load() {
 		return
 	}
 	if v < 0 || math.IsNaN(v) {
 		v = 0
 	}
-	idx := bucketIndex(v)
-	h.counts[idx].Add(1)
+	h.counts[bucketIndex(v)].Add(1)
 	h.count.Add(1)
 	atomicAddFloat(&h.sumBits, v)
 	atomicMinFloat(&h.minBits, v)
 	atomicMaxFloat(&h.maxBits, v)
-	if !tid.IsZero() {
-		h.exemplars[idx].Store(&Exemplar{TraceID: tid, Value: v, When: time.Now()})
-	}
 }
 
-// ObserveDurationExemplar records a duration in seconds with an exemplar.
-func (h *Histogram) ObserveDurationExemplar(d time.Duration, tid TraceID) {
-	h.ObserveExemplar(d.Seconds(), tid)
-}
-
-// Exemplars returns the retained per-bucket exemplars, lowest bucket first.
-func (h *Histogram) Exemplars() []ExemplarSnapshot {
-	var out []ExemplarSnapshot
-	for i := 0; i <= numBuckets; i++ {
-		ex := h.exemplars[i].Load()
-		if ex == nil {
-			continue
-		}
-		_, hi := bucketRange(i)
-		out = append(out, ExemplarSnapshot{
-			LE:      hi,
-			Value:   ex.Value,
-			TraceID: ex.TraceID.String(),
-			When:    ex.When,
-		})
-	}
-	return out
-}
-
-// ExemplarAbove returns the most recent retained exemplar whose bucket can
-// hold values above v — the concrete trace behind a threshold violation.
-// ok is false when no such exemplar is retained.
-func (h *Histogram) ExemplarAbove(v float64) (ExemplarSnapshot, bool) {
-	var best ExemplarSnapshot
-	var found bool
-	for i := 0; i <= numBuckets; i++ {
-		_, hi := bucketRange(i)
-		if hi <= v {
-			continue
-		}
-		ex := h.exemplars[i].Load()
-		if ex == nil || ex.Value <= v {
-			continue
-		}
-		if !found || ex.When.After(best.When) {
-			best = ExemplarSnapshot{LE: hi, Value: ex.Value, TraceID: ex.TraceID.String(), When: ex.When}
-			found = true
-		}
-	}
-	return best, found
-}
+// ObserveDuration records a duration in seconds.
+func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
@@ -167,13 +90,13 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()
 // single-bucket histograms report tight values. It returns 0 when the
 // histogram is empty.
 func (h *Histogram) Quantile(q float64) float64 {
-	b := h.buckets()
+	b := h.Buckets()
 	return b.quantile(q, h.Min(), h.Max())
 }
 
-// buckets reads the per-bucket counts.
-func (h *Histogram) buckets() bucketCounts {
-	var b bucketCounts
+// Buckets reads the per-bucket counts.
+func (h *Histogram) Buckets() Buckets {
+	var b Buckets
 	for i := range h.counts {
 		b.n[i] = h.counts[i].Load()
 		b.total += b.n[i]
@@ -199,28 +122,26 @@ func (h *Histogram) Max() float64 {
 
 // HistogramSnapshot is a point-in-time JSON-friendly view of a histogram.
 type HistogramSnapshot struct {
-	Count     int64              `json:"count"`
-	Sum       float64            `json:"sum"`
-	Mean      float64            `json:"mean"`
-	Min       float64            `json:"min"`
-	Max       float64            `json:"max"`
-	P50       float64            `json:"p50"`
-	P90       float64            `json:"p90"`
-	P99       float64            `json:"p99"`
-	Exemplars []ExemplarSnapshot `json:"exemplars,omitempty"`
+	Count int64   `json:"count"`
+	Sum   float64 `json:"sum"`
+	Mean  float64 `json:"mean"`
+	Min   float64 `json:"min"`
+	Max   float64 `json:"max"`
+	P50   float64 `json:"p50"`
+	P90   float64 `json:"p90"`
+	P99   float64 `json:"p99"`
 }
 
 // Snapshot captures count, sum, extrema, and p50/p90/p99 estimates.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
-		Count:     h.Count(),
-		Sum:       h.Sum(),
-		Min:       h.Min(),
-		Max:       h.Max(),
-		P50:       h.Quantile(0.50),
-		P90:       h.Quantile(0.90),
-		P99:       h.Quantile(0.99),
-		Exemplars: h.Exemplars(),
+		Count: h.Count(),
+		Sum:   h.Sum(),
+		Min:   h.Min(),
+		Max:   h.Max(),
+		P50:   h.Quantile(0.50),
+		P90:   h.Quantile(0.90),
+		P99:   h.Quantile(0.99),
 	}
 	if s.Count > 0 {
 		s.Mean = s.Sum / float64(s.Count)
@@ -250,18 +171,22 @@ func bucketRange(i int) (lo, hi float64) {
 	return bucketBounds[i-1], bucketBounds[i]
 }
 
-// bucketCounts is a histogram's per-bucket counts at one instant, or the
-// difference between two instants. Every quantile and threshold fraction in
-// the package is read off one.
-type bucketCounts struct {
+// Buckets is a histogram's per-bucket counts at one instant, or the
+// difference between two instants: a time window over a cumulative histogram
+// is the live counts minus those sampled at the window's start. Every
+// quantile and threshold fraction is read off one.
+type Buckets struct {
 	n     [numBuckets + 1]int64
 	total int64 // sum of n
 }
 
-// minus returns b − o bucket by bucket. A negative difference (the registry
+// Count returns the number of observations counted.
+func (b *Buckets) Count() int64 { return b.total }
+
+// Minus returns b − o bucket by bucket. A negative difference (the registry
 // was reset between the two reads) counts as zero.
-func (b *bucketCounts) minus(o *bucketCounts) bucketCounts {
-	var d bucketCounts
+func (b *Buckets) Minus(o *Buckets) Buckets {
+	var d Buckets
 	for i := range b.n {
 		if c := b.n[i] - o.n[i]; c > 0 {
 			d.n[i] = c
@@ -271,12 +196,16 @@ func (b *bucketCounts) minus(o *bucketCounts) bucketCounts {
 	return d
 }
 
+// Quantile estimates the q-th quantile with Histogram.Quantile's
+// interpolation, unclamped: the extrema of a window are not tracked.
+func (b *Buckets) Quantile(q float64) float64 { return b.quantile(q, math.Inf(-1), math.Inf(1)) }
+
 // quantile estimates the q-th quantile (q clamped to [0, 1]) by linear
 // interpolation inside the bucket holding the ⌈q·total⌉-th observation. The
 // interpolation range is narrowed to the observed extrema vmin and vmax where
 // they fall in that bucket; pass ±Inf when none are known. It returns 0 when
 // empty.
-func (b *bucketCounts) quantile(q, vmin, vmax float64) float64 {
+func (b *Buckets) quantile(q, vmin, vmax float64) float64 {
 	if b.total == 0 {
 		return 0
 	}
@@ -313,10 +242,10 @@ func (b *bucketCounts) quantile(q, vmin, vmax float64) float64 {
 	return hi // not reached: rank ≤ total
 }
 
-// fractionBelow estimates the fraction of observations ≤ v, interpolating
+// FractionBelow estimates the fraction of observations ≤ v, interpolating
 // linearly inside the bucket containing v. It returns 1 when empty (no
 // observations means no violations).
-func (b *bucketCounts) fractionBelow(v float64) float64 {
+func (b *Buckets) FractionBelow(v float64) float64 {
 	if b.total == 0 {
 		return 1
 	}

@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"math"
-	"sync"
 	"testing"
 	"time"
 )
@@ -78,75 +77,6 @@ func TestHistogramNegativeAndNaNClampedToZero(t *testing.T) {
 	}
 	if math.IsNaN(h.Quantile(0.5)) {
 		t.Error("NaN leaked into quantiles")
-	}
-}
-
-// TestHistogramExemplarConcurrentReadWrite races exemplar stores against
-// loads (Exemplars, Snapshot) — run under -race this is the pointer-race
-// guard for the per-bucket atomic exemplar slots.
-func TestHistogramExemplarConcurrentReadWrite(t *testing.T) {
-	h := NewHistogram()
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(seed int) {
-			defer wg.Done()
-			v := float64(seed+1) * 1e-6
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					h.ObserveExemplar(v, NewTraceID())
-				}
-			}
-		}(w)
-	}
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					for _, ex := range h.Exemplars() {
-						if ex.TraceID == "" || ex.Value < 0 {
-							t.Errorf("torn exemplar read: %+v", ex)
-							return
-						}
-					}
-					_ = h.Snapshot()
-				}
-			}
-		}()
-	}
-	time.Sleep(100 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-	if len(h.Exemplars()) == 0 {
-		t.Error("no exemplars retained after concurrent writes")
-	}
-}
-
-// TestHistogramExemplarZeroTraceIDSkipped: untraced observations must not
-// allocate or overwrite exemplars.
-func TestHistogramExemplarZeroTraceIDSkipped(t *testing.T) {
-	h := NewHistogram()
-	tid := NewTraceID()
-	h.ObserveExemplar(1e-6, tid)
-	h.ObserveExemplar(1e-6, TraceID{}) // same bucket, zero trace: keep old
-	exs := h.Exemplars()
-	if len(exs) != 1 || exs[0].TraceID != tid.String() {
-		t.Errorf("exemplars = %+v, want the traced observation only", exs)
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		h.ObserveExemplar(1e-6, TraceID{})
-	})
-	if allocs != 0 {
-		t.Errorf("untraced ObserveExemplar allocates %.1f per op, want 0", allocs)
 	}
 }
 

@@ -18,8 +18,8 @@ const readHeaderTimeout = 5 * time.Second
 // Handler returns the debug HTTP handler:
 //
 //	/            index linking the endpoints
-//	/metrics     JSON snapshot of the default registry, each histogram
-//	             bucket's exemplar trace ID included
+//	/metrics     JSON snapshot of the default registry: counters, and each
+//	             histogram's count, sum, extrema and quantiles
 //	/tracez      tail-sampled traces: slow/error/degraded views, slow-query
 //	             log, full trees by ?trace=<id>
 //	/debug/pprof the standard net/http/pprof handlers

@@ -126,3 +126,19 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	return snap
 }
+
+// Cumulative reads every counter's value and every histogram's bucket counts
+// at one instant: the state a time window subtracts from the live one.
+func (r *Registry) Cumulative() (counters map[string]int64, hists map[string]Buckets) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	counters = make(map[string]int64, len(r.counters))
+	hists = make(map[string]Buckets, len(r.hists))
+	for name, c := range r.counters {
+		counters[name] = c.Value()
+	}
+	for name, h := range r.hists {
+		hists[name] = h.Buckets()
+	}
+	return counters, hists
+}

@@ -17,9 +17,9 @@ import (
 // database in the background, and its relative error must surface on every
 // spine the quality layer claims — (a) an `audit` span event amended onto
 // the original request's kept trace, (b) the /qualityz shape report, (c) the
-// audit/relative_error histogram on /metrics carrying the same trace ID
-// as an exemplar, (d) the quality block of /stats, and (e) an observed_error
-// field on the next same-shape /query response.
+// same trace, verdict included, served by /tracez, (d) the quality block of
+// /stats, and (e) an observed_error field on the next same-shape /query
+// response.
 func TestAuditEndToEnd(t *testing.T) {
 	// Healthy traces must be tail-kept for the audit verdict to have a trace
 	// to amend, so sample at 1.
@@ -104,12 +104,14 @@ func TestAuditEndToEnd(t *testing.T) {
 		t.Errorf("qualityz drift block = %+v, want enabled (DriftObserve on)", page.Drift)
 	}
 
-	// (c) /metrics serves the pooled relative-error histogram with an
-	// exemplar carrying the request's trace ID.
+	// (c) /tracez serves the request's trace with the verdict on it.
 	debug := httptest.NewServer(obs.Handler())
 	defer debug.Close()
-	if !hasExemplar(t, debug.URL, audit.MetricRelativeError, tid) {
-		t.Error("/metrics: no exemplar with the audited request's trace ID on the pooled relative-error histogram")
+	var served obs.TraceRecord
+	if code := getJSON(t, debug.URL+"/tracez?trace="+tid.String(), &served); code != http.StatusOK {
+		t.Errorf("/tracez?trace=%s = %d, want the audited request's trace", tid, code)
+	} else if !hasEvent(served.Root, "audit", "", nil) {
+		t.Errorf("/tracez trace %s carries no audit event: %+v", tid, served.Root.Events)
 	}
 
 	// (d) /stats embeds the same rollup plus the drift counter.

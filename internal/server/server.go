@@ -103,11 +103,11 @@ type Config struct {
 	// retrain rollback reads the auditor's per-generation evidence, armed by
 	// AuditSample alone.
 	SLOQualityP95 float64
-	// SLOClock injects the one clock the sampler, the SLO engine and the
-	// flight recorder read, for deterministic tests. When set, the
-	// background sampler ticker is NOT started: an in-package test advances
-	// its clock and calls SampleNow on the server's sampler (the ts field),
-	// and each sample re-evaluates the SLOs.
+	// SLOClock injects the one clock the SLO engine (its sampler and its
+	// evaluation) and the flight recorder read, for deterministic tests.
+	// When set, the engine's ticker is NOT started: an in-package test
+	// advances its clock and calls SampleNow on the sloEng field, and each
+	// sample re-evaluates the SLOs.
 	SLOClock func() time.Time
 	// DiagDir enables the flight recorder: on SLO fast-burn (or
 	// /debugz?capture=1) a diagnostic bundle is captured here. Empty
@@ -229,9 +229,8 @@ type Server struct {
 	ret  *retrain.Controller
 	wal  *wal.Log // nil when durability is off — appends are no-ops
 
-	// ts/sloEng/rec are the windowed-telemetry sampler, burn-rate engine,
-	// and flight recorder (all nil unless configured — nil receivers no-op).
-	ts     *obs.TimeSeries
+	// sloEng/rec are the burn-rate engine (which samples the registry) and
+	// the flight recorder (both nil unless configured — nil receivers no-op).
 	sloEng *slo.Engine
 	rec    *diag.Recorder
 
@@ -415,10 +414,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	obs.Logger().Info("drain started", "inflight", s.adm.inFlight())
 	// Stop the retraining controller first: it cancels any in-flight
 	// fine-tune, and no new swap can land mid-drain. A candidate already
-	// published stays published; Close never un-publishes. The telemetry
-	// sampler goes with it — no SLO evaluation races the drain.
+	// published stays published; Close never un-publishes. The SLO
+	// engine's sampler goes with it — no SLO evaluation races the drain.
 	s.ret.Close()
-	s.ts.Close()
+	s.sloEng.Close()
 	if !s.started.Load() {
 		s.baseCancel()
 		s.aud.Close()
@@ -507,6 +506,10 @@ const (
 	metricRungFull       = "server/rung_seconds/full"
 )
 
+// spanQuery roots a request's trace; the latency SLO's exemplar is the newest
+// kept trace of this root.
+const spanQuery = "server/query"
+
 var (
 	requests          = obs.Default().Counter(metricRequests)
 	degraded          = obs.Default().Counter(metricDegraded)
@@ -536,7 +539,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			ctx = obs.ContextWithRemoteTrace(ctx, tid, parent, sampled)
 		}
 	}
-	ctx, span := obs.StartSpan(ctx, "server/query")
+	ctx, span := obs.StartSpan(ctx, spanQuery)
 	defer span.End()
 	if span != nil {
 		span.AnnotateString("method", r.Method)
@@ -741,7 +744,7 @@ func (s *Server) answer(w http.ResponseWriter, span *obs.Span, start time.Time, 
 		degraded.Inc()
 	}
 	elapsed := time.Since(start)
-	requestSeconds.ObserveDurationExemplar(elapsed, span.TraceID())
+	requestSeconds.ObserveDuration(elapsed)
 	if a.Source == "approximation" {
 		rungApproxSeconds.ObserveDuration(elapsed)
 	} else {
@@ -854,8 +857,7 @@ func (s *Server) statsNow() Stats {
 		st.WAL = &ws
 	}
 	st.Recovery = s.RecoveryInfo()
-	if s.sloEng != nil {
-		p := s.sloEng.Page()
+	if p := s.sloEng.Page(); p.Enabled {
 		st.SLO = &p
 	}
 	if s.rec != nil {
@@ -1012,7 +1014,7 @@ func (s *Server) writeErr(w http.ResponseWriter, span *obs.Span, status int, sta
 	} else {
 		errorsTotal.Inc()
 	}
-	requestSeconds.ObserveDurationExemplar(time.Since(start), span.TraceID())
+	requestSeconds.ObserveDuration(time.Since(start))
 	resp := &QueryResponse{Error: msg}
 	if span != nil {
 		resp.TraceID = span.TraceID().String()

@@ -1,7 +1,7 @@
-// SLO, windowed-telemetry, and flight-recorder wiring for the server: the
-// sampler that turns the cumulative registry into burn-rate windows, the
-// declarative SLO set built from Config, the /sloz and /debugz endpoints,
-// and the fast-burn → bundle-capture hook.
+// SLO and flight-recorder wiring for the server: the declarative SLO set
+// built from Config, the engine that samples the registry into burn-rate
+// windows, the /sloz and /debugz endpoints, and the fast-burn →
+// bundle-capture hook.
 package server
 
 import (
@@ -22,11 +22,12 @@ func (c Config) sloEnabled() bool {
 	return c.SLOAvailability > 0 || c.SLOLatencyP99 > 0 || c.SLOQualityP95 > 0
 }
 
-// initSLO builds the windowed-telemetry sampler, the SLO engine, and the
-// flight recorder from Config. Called once from New, after the auditor
-// exists (the quality SLO annotates from it). With no objectives and no
-// DiagDir it leaves every field nil — the nil receivers are no-ops, so the
-// request path is untouched.
+// initSLO builds the SLO engine and the flight recorder from Config. Called
+// once from New, after the auditor exists (the quality SLO annotates from
+// it). The engine exists whenever objectives or DiagDir are set: with
+// DiagDir alone it only samples, for the bundle's series and the per-rung
+// latency on /sloz. With neither it leaves both fields nil — the nil
+// receivers are no-ops, so the request path is untouched.
 func (s *Server) initSLO() {
 	cfg := s.cfg
 	if !cfg.sloEnabled() && cfg.DiagDir == "" {
@@ -40,51 +41,48 @@ func (s *Server) initSLO() {
 		obs.Logger().Info("slo: enabling metric recording (objectives configured)")
 	}
 
-	s.ts = obs.NewTimeSeries(obs.Default(), cfg.SLOClock)
-
-	if cfg.sloEnabled() {
-		var defs []slo.Def
-		if cfg.SLOAvailability > 0 {
-			defs = append(defs, slo.Def{
-				Name:         "availability",
-				Kind:         slo.Availability,
-				Objective:    cfg.SLOAvailability,
-				TotalCounter: metricRequests,
-				BadCounters:  []string{metricDegraded, metricErrors, metricUnavailable},
-			})
-		}
-		if cfg.SLOLatencyP99 > 0 {
-			defs = append(defs, slo.Def{
-				Name:      "latency",
-				Kind:      slo.Latency,
-				Objective: 0.99,
-				Threshold: cfg.SLOLatencyP99.Seconds(),
-				Metric:    metricRequestSeconds,
-			})
-		}
-		if cfg.SLOQualityP95 > 0 {
-			defs = append(defs, slo.Def{
-				Name:      "quality",
-				Kind:      slo.Quality,
-				Objective: 0.95,
-				Threshold: cfg.SLOQualityP95,
-				Metric:    audit.MetricRelativeError,
-			})
-		}
-		eng, err := slo.New(s.ts, defs, s.aud.WorstShapeP95)
-		if err != nil {
-			// Config.Validate rejects every objective and threshold slo.New
-			// would; reaching here means the caller skipped it or initSLO
-			// built a def wrong.
-			panic(fmt.Sprintf("server: building SLO engine: %v", err))
-		}
-		s.sloEng = eng
+	var defs []slo.Def
+	if cfg.SLOAvailability > 0 {
+		defs = append(defs, slo.Def{
+			Name:         "availability",
+			Kind:         slo.Availability,
+			Objective:    cfg.SLOAvailability,
+			TotalCounter: metricRequests,
+			BadCounters:  []string{metricDegraded, metricErrors, metricUnavailable},
+		})
 	}
+	if cfg.SLOLatencyP99 > 0 {
+		defs = append(defs, slo.Def{
+			Name:      "latency",
+			Kind:      slo.Latency,
+			Objective: 0.99,
+			Threshold: cfg.SLOLatencyP99.Seconds(),
+			Metric:    metricRequestSeconds,
+			Root:      spanQuery,
+		})
+	}
+	if cfg.SLOQualityP95 > 0 {
+		defs = append(defs, slo.Def{
+			Name:      "quality",
+			Kind:      slo.Quality,
+			Objective: 0.95,
+			Threshold: cfg.SLOQualityP95,
+			Metric:    audit.MetricRelativeError,
+		})
+	}
+	eng, err := slo.New(obs.Default(), cfg.SLOClock, defs, s.aud.WorstShapeP95)
+	if err != nil {
+		// Config.Validate rejects every objective and threshold slo.New
+		// would; reaching here means the caller skipped it or initSLO built
+		// a def wrong.
+		panic(fmt.Sprintf("server: building SLO engine: %v", err))
+	}
+	s.sloEng = eng
 
 	if cfg.DiagDir != "" {
 		rec, err := diag.New(diag.Config{Dir: cfg.DiagDir, Now: cfg.SLOClock}, diag.Source{
 			Metrics: func() any { return obs.Default().Snapshot() },
-			Series:  func() any { return s.ts.DumpSeries() },
+			Series:  func() any { return s.sloEng.Series() },
 			SLO:     func() any { return s.sloEng.Page() },
 			Traces:  func() any { return obs.KeptTraces() },
 			Stats:   func() any { return s.statsNow() },
@@ -121,9 +119,8 @@ func (s *Server) initSLO() {
 	// Every sample re-evaluates the SLOs, so state (and the fast-burn
 	// trigger) advances at sampler cadence with no extra goroutine. With an
 	// injected clock the ticker stays off and tests drive SampleNow.
-	s.ts.OnSample(func() { s.sloEng.Evaluate() })
 	if cfg.SLOClock == nil {
-		s.ts.Start()
+		s.sloEng.Start()
 	}
 }
 
@@ -165,15 +162,15 @@ type SlozPage struct {
 // slozPage assembles the /sloz payload (also embedded in /stats bundles).
 func (s *Server) slozPage() SlozPage {
 	page := SlozPage{Page: s.sloEng.Page()}
-	if s.ts == nil {
+	if s.sloEng == nil {
 		return page
 	}
 	for rung, metric := range map[string]string{
 		"approximation": metricRungApprox,
 		"full":          metricRungFull,
 	} {
-		hw, elapsed, ok := s.ts.HistogramWindow(metric, slo.FastLong)
-		if !ok || hw.Count == 0 {
+		b, elapsed, ok := s.sloEng.Window(metric, slo.FastLong)
+		if !ok || b.Count() == 0 {
 			continue
 		}
 		if page.RungLatency == nil {
@@ -181,9 +178,9 @@ func (s *Server) slozPage() SlozPage {
 		}
 		page.RungLatency[rung] = RungLatency{
 			Window: elapsed.Round(time.Millisecond).String(),
-			Count:  hw.Count,
-			P50Ms:  1000 * hw.Quantile(0.50),
-			P99Ms:  1000 * hw.Quantile(0.99),
+			Count:  b.Count(),
+			P50Ms:  1000 * b.Quantile(0.50),
+			P99Ms:  1000 * b.Quantile(0.99),
 		}
 	}
 	return page

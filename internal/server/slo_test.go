@@ -3,6 +3,8 @@ package server
 import (
 	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -80,7 +82,7 @@ func TestSLOFastBurnFlightRecorderEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The shipped windows (1m/5m/30m/6h) and rate limit (1m), sampled every
-	// obs.SampleInterval on the fake clock.
+	// slo.SampleInterval on the fake clock.
 	cfg := Config{
 		WAL:           wlog1,
 		SLOLatencyP99: 50 * time.Millisecond,
@@ -89,9 +91,9 @@ func TestSLOFastBurnFlightRecorderEndToEnd(t *testing.T) {
 		DiagDir:       diagDir,
 	}
 	srv, base := startServer(t, sys, cfg)
-	ts, eng, rec := srv.ts, srv.sloEng, srv.rec
-	if ts == nil || eng == nil || rec == nil {
-		t.Fatalf("SLO wiring incomplete: ts=%v eng=%v rec=%v", ts, eng, rec)
+	eng, rec := srv.sloEng, srv.rec
+	if eng == nil || rec == nil {
+		t.Fatalf("SLO wiring incomplete: eng=%v rec=%v", eng, rec)
 	}
 
 	// The SLI source is the request-latency histogram handleQuery feeds; the
@@ -106,8 +108,8 @@ func TestSLOFastBurnFlightRecorderEndToEnd(t *testing.T) {
 		if observe != nil {
 			observe()
 		}
-		clk.advance(obs.SampleInterval)
-		ts.SampleNow() // runs the SLO evaluation via OnSample
+		clk.advance(slo.SampleInterval)
+		eng.SampleNow() // samples, then evaluates the SLOs
 	}
 	good := func() {
 		for i := 0; i < 10; i++ {
@@ -254,7 +256,7 @@ func TestSLOFastBurnFlightRecorderEndToEnd(t *testing.T) {
 	if err != nil || !strings.Contains(string(gor), "goroutine") {
 		t.Errorf("goroutines.txt is not a goroutine dump (err=%v)", err)
 	}
-	var dump obs.SeriesDump
+	var dump slo.SeriesDump
 	raw, err := os.ReadFile(filepath.Join(bundleDir, "series.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -367,7 +369,7 @@ func listBundles(t *testing.T, dir string) []string {
 // the accessors confirm nothing was wired into the request path.
 func TestSlozDebugzDisabled(t *testing.T) {
 	srv, base := startServer(t, trainedSystem(t), Config{})
-	if srv.ts != nil || srv.sloEng != nil || srv.rec != nil {
+	if srv.sloEng != nil || srv.rec != nil {
 		t.Fatal("SLO layer built without any objectives or diag dir")
 	}
 	var page SlozPage
@@ -388,7 +390,7 @@ func TestSlozDebugzDisabled(t *testing.T) {
 
 // TestDebugzManualCapture: an operator's ?capture=1 bypasses the rate limit
 // and produces bundles even with no SLOs configured (diag dir alone arms the
-// recorder).
+// recorder, and an engine that only samples for the bundle's series).
 func TestDebugzManualCapture(t *testing.T) {
 	defer obs.SetEnabled(false)
 	diagDir := filepath.Join(t.TempDir(), "diag")
@@ -396,8 +398,8 @@ func TestDebugzManualCapture(t *testing.T) {
 	if srv.rec == nil {
 		t.Fatal("recorder not armed by DiagDir alone")
 	}
-	if srv.sloEng != nil {
-		t.Fatal("SLO engine built without objectives")
+	if srv.sloEng == nil || srv.sloEng.Page().Enabled {
+		t.Fatal("DiagDir alone must build a sampling engine that pages disabled")
 	}
 	var dbg DebugzPage
 	for i := 1; i <= 2; i++ {
@@ -425,7 +427,7 @@ func sloHotPathInstrumentation(fromApprox bool) {
 	}
 	reg := obs.Default()
 	elapsed := time.Millisecond
-	reg.Histogram(metricRequestSeconds).ObserveDurationExemplar(elapsed, obs.TraceID{})
+	reg.Histogram(metricRequestSeconds).ObserveDuration(elapsed)
 	if fromApprox {
 		reg.Histogram(metricRungApprox).ObserveDuration(elapsed)
 	} else {
@@ -435,8 +437,8 @@ func sloHotPathInstrumentation(fromApprox bool) {
 
 // TestSLOHotPathZeroAlloc is the acceptance bar: the request-path
 // instrumentation the SLO layer added allocates nothing — disabled (the
-// default) AND enabled (const metric names, registry hit path, untraced
-// exemplar skip are all allocation-free).
+// default) AND enabled (const metric names and the registry hit path are
+// allocation-free).
 func TestSLOHotPathZeroAlloc(t *testing.T) {
 	obs.SetEnabled(false)
 	if allocs := testing.AllocsPerRun(1000, func() { sloHotPathInstrumentation(true) }); allocs != 0 {
@@ -476,4 +478,51 @@ func BenchmarkSLODisabledOverhead(b *testing.B) {
 			sloHotPathInstrumentation(i%2 == 0)
 		}
 	})
+}
+
+// TestSLOExemplarIsAKeptTrace: the trace /sloz names as a burning SLO's
+// exemplar is always one /tracez can show. Every real request below breaks a
+// 1µs latency target, but with the tail sampler keeping no healthy trace
+// (sample rate 0, 500ms slow threshold) none of them is kept, so the exemplar
+// is empty or a kept trace; a request forced by a sampled traceparent is kept,
+// and it is the exemplar.
+func TestSLOExemplarIsAKeptTrace(t *testing.T) {
+	withServerTracing(t, obs.TracingConfig{SampleRate: 0, SlowThreshold: 500 * time.Millisecond})
+	clk := newSLOClock()
+	srv, base := startServer(t, trainedSystem(t), Config{SLOLatencyP99: time.Microsecond, SLOClock: clk.now})
+	exemplar := func() string {
+		t.Helper()
+		clk.advance(slo.SampleInterval)
+		srv.sloEng.SampleNow()
+		var page SlozPage
+		if code := getJSON(t, base+"/sloz", &page); code != http.StatusOK {
+			t.Fatalf("/sloz = %d", code)
+		}
+		return sloStatus(t, page.Page, "latency").ExemplarTraceID
+	}
+	srv.sloEng.SampleNow()
+	for i := 0; i < 20; i++ {
+		if code, resp := postQuery(t, base, approxRouteSQL, 0, 0); code != http.StatusOK {
+			t.Fatalf("query %d: status %d, body %+v", i, code, resp)
+		}
+	}
+	if id := exemplar(); id != "" {
+		if _, ok := obs.KeptTrace(id); !ok {
+			t.Fatalf("/sloz exemplar_trace_id %s is not a kept trace (%d kept)", id, len(obs.KeptTraces()))
+		}
+	}
+
+	tid, httpResp, resp := postTraced(t, base, approxRouteSQL, 0)
+	if httpResp.StatusCode != http.StatusOK {
+		t.Fatalf("forced query: status %d, body %+v", httpResp.StatusCode, resp)
+	}
+	if id := exemplar(); id != tid.String() {
+		t.Fatalf("/sloz exemplar_trace_id = %q, want the forced request's %s", id, tid)
+	}
+	debug := httptest.NewServer(obs.Handler())
+	defer debug.Close()
+	var rec obs.TraceRecord
+	if code := getJSON(t, debug.URL+"/tracez?trace="+tid.String(), &rec); code != http.StatusOK || rec.Verdict != "forced" {
+		t.Fatalf("/tracez?trace=%s = %d, verdict %q; want 200, forced", tid, code, rec.Verdict)
+	}
 }

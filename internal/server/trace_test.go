@@ -123,9 +123,8 @@ func readExportedTrace(t *testing.T, dir, traceID string) (obs.TraceRecord, bool
 // TestTraceEndToEndDegradedQuery is the PR's acceptance test: a request with
 // a W3C traceparent that takes the degraded path must yield (a) the same
 // trace ID in the JSON response and response header, (b) a /tracez span tree
-// spanning server → core → engine naming the degradation cause, (c) a
-// matching JSONL export line, and (d) an exemplar on the server latency
-// histogram carrying the trace ID.
+// spanning server → core → engine naming the degradation cause, and (c) a
+// matching JSONL export line.
 func TestTraceEndToEndDegradedQuery(t *testing.T) {
 	dir := withServerTracing(t, obs.TracingConfig{SampleRate: 0})
 	sys := trainedSystem(t)
@@ -211,26 +210,6 @@ func TestTraceEndToEndDegradedQuery(t *testing.T) {
 	if exported.Verdict != "degraded" || exported.Root.Name != "server/query" {
 		t.Errorf("exported record mismatch: %+v", exported)
 	}
-
-	// (d) /metrics serves the server latency histogram with an exemplar
-	// carrying the trace ID.
-	if !hasExemplar(t, debug.URL, "server/request_seconds", tid) {
-		t.Error("/metrics: no exemplar with the request's trace ID on server/request_seconds")
-	}
-}
-
-// hasExemplar reports whether the /metrics JSON snapshot served at base holds
-// an exemplar of trace tid on histogram name.
-func hasExemplar(t *testing.T, base, name string, tid obs.TraceID) bool {
-	t.Helper()
-	var snap obs.Snapshot
-	getJSON(t, base+"/metrics", &snap)
-	for _, ex := range snap.Histograms[name].Exemplars {
-		if ex.TraceID == tid.String() {
-			return true
-		}
-	}
-	return false
 }
 
 // TestShedRequestProducesTrace verifies trace propagation through the

@@ -1,5 +1,5 @@
 // Package slo evaluates declarative service-level objectives as multi-window
-// burn rates over the windowed telemetry in internal/obs.
+// burn rates over windows of the cumulative metrics in an obs.Registry.
 //
 // Every SLO is reduced to one ratio SLI — the fraction of "good" events over
 // a trailing window:
@@ -23,10 +23,19 @@
 // that flaps around the threshold does not flap the state (or re-trigger the
 // flight recorder).
 //
-// The windows are constants — 1m and 5m fast, 30m and 6h slow, read from an
-// obs.TimeSeries sampling every obs.SampleInterval on its own clock — so the
+// The windows are constants — 1m and 5m fast, 30m and 6h slow — so the
 // objectives are the only settings: a Def carries its objective and
-// threshold, and nothing else about the evaluation is configured.
+// threshold, and nothing else about the evaluation is configured. The Engine
+// is also the sampler that makes windows of cumulative metrics: every
+// SampleInterval, on its own clock, it records each counter's value and each
+// histogram's bucket counts into a fine ring and a coarse one, and a window
+// is the live state minus the sample nearest its start. Writers keep hitting
+// the plain atomic instruments; all windowing cost lives in the sampler and
+// the reads. The same rings serve the per-rung latency on /sloz and the
+// series of a flight-recorder bundle.
+//
+// A status never names a trace of its own: its exemplar is read from the
+// process's kept-trace ring (obs.KeptTraces), so it always opens on /tracez.
 package slo
 
 import (
@@ -83,13 +92,16 @@ type Def struct {
 	Threshold float64
 	// Metric is the histogram the SLI reads (latency, quality).
 	Metric string
+	// Root names the root span of the requests Metric times (latency): the
+	// exemplar is the newest kept trace of that root at or over Threshold.
+	Root string
 	// TotalCounter / BadCounters define the availability ratio.
 	TotalCounter string
 	BadCounters  []string
 }
 
 // The four burn-rate evaluation windows. The sampler keeps a fine ring of
-// 10m40s and a coarse one of 6.4h at obs.SampleInterval, so each window is
+// 10m40s and a coarse one of 6.4h at SampleInterval, so each window is
 // read over the time it names once the process has been up that long; before
 // then it reads from process start.
 const (
@@ -174,11 +186,17 @@ type sloState struct {
 	last          Status
 }
 
-// Engine evaluates a fixed set of SLOs against a TimeSeries, on the
-// sampler's clock.
+// Engine samples a registry and evaluates a fixed set of SLOs against the
+// windows of those samples, on one clock.
 type Engine struct {
-	ts         *obs.TimeSeries
+	reg        *obs.Registry
+	now        func() time.Time
 	worstShape func() (p95 float64, completed int64, ok bool)
+
+	ringMu       sync.Mutex // guards the rings and the ticker's channels
+	fine, coarse ring
+	ticks        int // samples taken, drives coarse admission
+	stop, done   chan struct{}
 
 	mu       sync.Mutex
 	states   []*sloState
@@ -186,14 +204,19 @@ type Engine struct {
 	onTrans  func(Transition)
 }
 
-// New builds an engine over ts. Defs with out-of-range objectives are
-// rejected. worstShape, when non-nil, annotates the quality SLO status with
-// the worst-audited plan shape (from the shadow auditor). A latency or
-// quality status names the exemplar trace behind a threshold violation from
-// the histogram in ts's registry. A nil *Engine is a valid no-op (Page
-// reports disabled).
-func New(ts *obs.TimeSeries, defs []Def, worstShape func() (p95 float64, completed int64, ok bool)) (*Engine, error) {
-	e := &Engine{ts: ts, worstShape: worstShape}
+// New builds an engine that samples reg and reads time from now (nil:
+// time.Now). Call Start for the background ticker, or drive SampleNow.
+// Defs with out-of-range objectives are rejected; with no defs the engine
+// only samples, and Page reports disabled. worstShape, when non-nil,
+// annotates the quality SLO status with the worst-audited plan shape (from
+// the shadow auditor). A nil *Engine is a valid no-op (Page reports
+// disabled).
+func New(reg *obs.Registry, now func() time.Time, defs []Def, worstShape func() (p95 float64, completed int64, ok bool)) (*Engine, error) {
+	if now == nil {
+		now = time.Now
+	}
+	e := &Engine{reg: reg, now: now, worstShape: worstShape,
+		fine: ring{buf: make([]sample, fineSlots)}, coarse: ring{buf: make([]sample, coarseSlots)}}
 	for _, d := range defs {
 		if d.Objective <= 0 || d.Objective >= 1 {
 			return nil, fmt.Errorf("slo %q: objective %v outside (0,1)", d.Name, d.Objective)
@@ -230,13 +253,13 @@ func (e *Engine) OnTransition(fn func(Transition)) {
 func (e *Engine) windowSLI(def Def, window time.Duration) (errRate float64, events int64, ok bool) {
 	switch def.Kind {
 	case Availability:
-		total, _, tok := e.ts.CounterWindow(def.TotalCounter, window)
+		total, _, tok := e.counterWindow(def.TotalCounter, window)
 		if !tok || total == 0 {
 			return 0, 0, tok
 		}
 		var bad int64
 		for _, name := range def.BadCounters {
-			d, _, _ := e.ts.CounterWindow(name, window)
+			d, _, _ := e.counterWindow(name, window)
 			bad += d
 		}
 		if bad > total {
@@ -244,11 +267,11 @@ func (e *Engine) windowSLI(def Def, window time.Duration) (errRate float64, even
 		}
 		return float64(bad) / float64(total), total, true
 	default: // Latency, Quality
-		hw, _, hok := e.ts.HistogramWindow(def.Metric, window)
-		if !hok || hw.Count == 0 {
+		b, _, hok := e.Window(def.Metric, window)
+		if !hok || b.Count() == 0 {
 			return 0, 0, hok
 		}
-		return 1 - hw.FractionBelow(def.Threshold), hw.Count, true
+		return 1 - b.FractionBelow(def.Threshold), b.Count(), true
 	}
 }
 
@@ -258,7 +281,7 @@ func (e *Engine) Evaluate() []Status {
 	if e == nil {
 		return nil
 	}
-	now := e.ts.Now()
+	now := e.now()
 	specs := []struct {
 		label string
 		dur   time.Duration
@@ -351,11 +374,7 @@ func (e *Engine) Evaluate() []Status {
 			// fraction consumed equals that window's burn rate, capped at 1.
 			BudgetConsumed: clamp01(rawBurn["slow_long"]),
 		}
-		if reg := e.ts.Registry(); def.Kind != Availability && reg != nil {
-			if ex, ok := reg.Histogram(def.Metric).ExemplarAbove(def.Threshold); ok {
-				status.ExemplarTraceID = ex.TraceID
-			}
-		}
+		status.ExemplarTraceID = exemplar(def)
 		if def.Kind == Quality && e.worstShape != nil {
 			if p95, completed, ok := e.worstShape(); ok {
 				status.WorstShapeP95 = p95
@@ -380,6 +399,31 @@ func (e *Engine) Evaluate() []Status {
 	return out
 }
 
+// exemplar returns the newest kept trace that broke def's threshold: for
+// latency a trace rooted at def.Root lasting at least the threshold, for
+// quality one carrying an "audit" amendment whose relative error exceeds it.
+// It is empty when the ring holds none, and for availability.
+func exemplar(def Def) string {
+	if def.Kind == Availability {
+		return ""
+	}
+	for _, rec := range obs.KeptTraces() { // newest first
+		switch def.Kind {
+		case Latency:
+			if rec.Root.Name == def.Root && rec.DurationMS >= 1000*def.Threshold {
+				return rec.TraceID
+			}
+		case Quality:
+			for _, ev := range rec.Root.Events {
+				if e, ok := ev.Attrs["relative_error"].(float64); ev.Name == "audit" && ok && e > def.Threshold {
+					return rec.TraceID
+				}
+			}
+		}
+	}
+	return ""
+}
+
 func levelState(l int) string {
 	switch l {
 	case 2:
@@ -402,9 +446,10 @@ func clamp01(v float64) float64 {
 }
 
 // Page renders the last evaluation (evaluating once if none has happened
-// yet). Safe on a nil engine: reports disabled.
+// yet). Safe on a nil engine: it, and an engine with no objectives, report
+// disabled.
 func (e *Engine) Page() Page {
-	if e == nil {
+	if e == nil || len(e.states) == 0 {
 		return Page{Enabled: false}
 	}
 	e.mu.Lock()

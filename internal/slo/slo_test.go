@@ -1,6 +1,7 @@
 package slo
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -8,11 +9,10 @@ import (
 	"asqprl/internal/obs"
 )
 
-// harness bundles a registry, a manually advanced clock, a time series, and
-// an engine so tests drive window math deterministically.
+// harness bundles a registry, a manually advanced clock and an engine so
+// tests drive window math deterministically.
 type harness struct {
 	reg *obs.Registry
-	ts  *obs.TimeSeries
 	eng *Engine
 	now time.Time
 }
@@ -23,8 +23,7 @@ func newHarness(t *testing.T, defs []Def, worstShape func() (float64, int64, boo
 		reg: obs.NewRegistry(),
 		now: time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC),
 	}
-	h.ts = obs.NewTimeSeries(h.reg, func() time.Time { return h.now })
-	eng, err := New(h.ts, defs, worstShape)
+	eng, err := New(h.reg, func() time.Time { return h.now }, defs, worstShape)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,11 +31,11 @@ func newHarness(t *testing.T, defs []Def, worstShape func() (float64, int64, boo
 	return h
 }
 
-// tick advances one sample interval (5s), samples, and evaluates, returning
-// the statuses. The fast windows are 12 and 60 ticks long.
+// tick advances one sample interval (5s), samples (which evaluates), and
+// returns the statuses. The fast windows are 12 and 60 ticks long.
 func (h *harness) tick() []Status {
-	h.now = h.now.Add(obs.SampleInterval)
-	h.ts.SampleNow()
+	h.now = h.now.Add(SampleInterval)
+	h.eng.SampleNow()
 	return h.eng.Evaluate()
 }
 
@@ -57,6 +56,7 @@ func latencyDef() Def {
 		Objective: 0.99,
 		Threshold: 0.1, // 100ms
 		Metric:    "req/seconds",
+		Root:      "server/query",
 	}
 }
 
@@ -212,15 +212,68 @@ func TestQualitySLOWorstShapeAnnotation(t *testing.T) {
 	}
 }
 
+// TestExemplarTraceIDSurfaced: an exemplar is a trace the kept-trace ring
+// holds, so it always opens on /tracez. With the tail sampler keeping no
+// healthy trace, requests over a 1µs target leave no exemplar; a forced
+// request (a sampled traceparent) is kept and becomes the latency exemplar, a
+// newer kept trace of another root does not, and the quality exemplar is the
+// newest kept trace whose audit amendment broke the quality threshold.
 func TestExemplarTraceIDSurfaced(t *testing.T) {
-	h := newHarness(t, []Def{latencyDef()}, nil)
-	hist := h.reg.Histogram("req/seconds")
-	tid := obs.TraceID{0xab, 0xcd, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}
-	hist.ObserveExemplar(1.5, tid) // above the 100ms threshold
-	h.tick()
-	st := one(t, h.eng.Evaluate(), "latency")
-	if st.ExemplarTraceID != tid.String() {
-		t.Fatalf("exemplar trace = %q, want %q", st.ExemplarTraceID, tid.String())
+	obs.SetEnabled(true)
+	obs.ConfigureTracing(obs.TracingConfig{SampleRate: 0, SlowThreshold: 500 * time.Millisecond})
+	obs.ResetTraces()
+	t.Cleanup(func() {
+		obs.DisableTracing()
+		obs.ResetTraces()
+		obs.SetEnabled(false)
+	})
+	lat := latencyDef()
+	lat.Threshold = 1e-6
+	quality := Def{Name: "quality", Kind: Quality, Objective: 0.95, Threshold: 0.1, Metric: "audit/relative_error"}
+	h := newHarness(t, []Def{lat, quality}, nil)
+	request := func(sampled bool, root string) string {
+		ctx := context.Background()
+		if sampled {
+			ctx = obs.ContextWithRemoteTrace(ctx, obs.NewTraceID(), obs.NewSpanID(), true)
+		}
+		_, span := obs.StartSpan(ctx, root)
+		time.Sleep(time.Millisecond)
+		span.End()
+		h.reg.Histogram(lat.Metric).Observe(span.Duration().Seconds())
+		return span.TraceID().String()
+	}
+	audited := func(id string, relErr float64) {
+		obs.AmendTrace(id, obs.SpanEvent{Name: "audit", Attrs: map[string]any{"relative_error": relErr}})
+	}
+	exemplars := func() (latency, quality string) {
+		sts := h.tick()
+		return one(t, sts, "latency").ExemplarTraceID, one(t, sts, "quality").ExemplarTraceID
+	}
+
+	for i := 0; i < 20; i++ {
+		request(false, lat.Root)
+	}
+	if l, q := exemplars(); l != "" || q != "" {
+		t.Fatalf("exemplars (%q, %q) with no trace kept, want none", l, q)
+	}
+
+	want := request(true, lat.Root)
+	request(true, "audit/shadow")
+	if l, _ := exemplars(); l != want {
+		t.Fatalf("latency exemplar = %q, want the forced request %q", l, want)
+	}
+	if _, ok := obs.KeptTrace(want); !ok {
+		t.Fatalf("exemplar %s is not a kept trace", want)
+	}
+
+	audited(want, 0.05)
+	if _, q := exemplars(); q != "" {
+		t.Fatalf("quality exemplar = %q for an audit under the threshold, want none", q)
+	}
+	bad := request(true, lat.Root)
+	audited(bad, 0.5)
+	if l, q := exemplars(); l != bad || q != bad {
+		t.Fatalf("exemplars (%q, %q), want the newest kept request %q for both", l, q, bad)
 	}
 }
 
@@ -287,16 +340,21 @@ func TestPageAndHumanView(t *testing.T) {
 	}
 }
 
+// TestNilEngineNoOps: a nil engine evaluates nothing, closes and pages
+// disabled.
 func TestNilEngineNoOps(t *testing.T) {
 	var e *Engine
 	if sts := e.Evaluate(); sts != nil {
 		t.Fatal("nil Evaluate must return nil")
 	}
 	e.OnTransition(func(Transition) {})
+	e.Close()
+	if e.Page().Enabled {
+		t.Fatal("nil engine page must be disabled")
+	}
 }
 
 func TestDefValidation(t *testing.T) {
-	ts := obs.NewTimeSeries(obs.NewRegistry(), nil)
 	cases := []Def{
 		{Name: "bad-obj", Kind: Latency, Objective: 1.5, Threshold: 1, Metric: "m"},
 		{Name: "bad-avail", Kind: Availability, Objective: 0.9},
@@ -304,7 +362,7 @@ func TestDefValidation(t *testing.T) {
 		{Name: "bad-kind", Kind: "weird", Objective: 0.9},
 	}
 	for _, d := range cases {
-		if _, err := New(ts, []Def{d}, nil); err == nil {
+		if _, err := New(obs.NewRegistry(), nil, []Def{d}, nil); err == nil {
 			t.Fatalf("def %+v accepted, want error", d)
 		}
 	}
@@ -318,16 +376,16 @@ func TestDefValidation(t *testing.T) {
 func TestWindowsFitSampler(t *testing.T) {
 	h := newHarness(t, nil, nil)
 	c := h.reg.Counter("ticks")
-	for elapsed := time.Duration(0); elapsed < SlowLong+30*time.Minute; elapsed += obs.SampleInterval {
+	for elapsed := time.Duration(0); elapsed < SlowLong+30*time.Minute; elapsed += SampleInterval {
 		c.Inc()
 		h.tick()
 	}
 	for _, w := range []time.Duration{FastShort, FastLong, SlowShort, SlowLong} {
-		delta, elapsed, ok := h.ts.CounterWindow("ticks", w)
+		delta, elapsed, ok := h.eng.counterWindow("ticks", w)
 		if !ok || elapsed < w || elapsed > w+3*time.Minute {
 			t.Errorf("%s window read %s (ok=%v), want it plus at most %s", w, elapsed, ok, 3*time.Minute)
 		}
-		if want := int64(elapsed / obs.SampleInterval); delta != want {
+		if want := int64(elapsed / SampleInterval); delta != want {
 			t.Errorf("%s window: delta %d over %s, want %d", w, delta, elapsed, want)
 		}
 		if w <= FastLong && elapsed != w {

@@ -81,7 +81,7 @@ fuzzmin=-fuzzminimizetime=100x
 go clean -fuzzcache
 echo "==> fuzz smoke: FuzzParse, FuzzRowVsColumnar, FuzzTuples, FuzzParseTraceparent, FuzzEncodeQueryResponse, FuzzQueryRequest, FuzzEstimate, FuzzLoad, FuzzWALReplay, FuzzReadCSV, FuzzReadWorkload"
 go test -run='^$' -fuzz=FuzzParse -fuzztime=10s "${fuzzmin}" ./internal/sqlparse/
-go test -run='^$' -fuzz=FuzzRowVsColumnar -fuzztime=20s "${fuzzmin}" ./internal/engine/
+go test -run='^$' -fuzz=FuzzRowVsColumnar -fuzztime=35s "${fuzzmin}" ./internal/engine/
 go test -run='^$' -fuzz=FuzzTuples -fuzztime=5s "${fuzzmin}" ./internal/metrics/
 go test -run='^$' -fuzz=FuzzParseTraceparent -fuzztime=5s "${fuzzmin}" ./internal/obs/
 go test -run='^$' -fuzz=FuzzEncodeQueryResponse -fuzztime=5s "${fuzzmin}" ./internal/server/
