@@ -129,13 +129,40 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	str(&o.walDir, "wal-dir", "write-ahead log directory: durably record served/drift/retrain events and replay them on startup (empty = durability off)")
 }
 
+// validate refuses, before anything loads, a flag value no deployment can mean;
+// the packages that read this binary's own would clamp it or use a default.
+func (o *options) validate() error {
+	if err := o.server.Validate(); err != nil {
+		return err
+	}
+	if r := o.tracing.SampleRate; r < 0 || r > 1 {
+		return fmt.Errorf("trace sample fraction %v outside [0,1]", r)
+	}
+	if d := o.tracing.SlowThreshold; d < 0 {
+		return fmt.Errorf("slow-trace threshold %v is negative", d)
+	}
+	if c := o.build.driftConfidence; c < 0 {
+		return fmt.Errorf("drift confidence %v is negative", c)
+	}
+	if n := o.build.driftCount; n < 0 {
+		return fmt.Errorf("drift count %v is negative", n)
+	}
+	if k := o.build.k; k < 0 {
+		return fmt.Errorf("memory budget k %v is negative", k)
+	}
+	if f := o.build.frame; f < 0 {
+		return fmt.Errorf("frame size f %v is negative", f)
+	}
+	return nil
+}
+
 func main() {
 	o := defaultOptions()
 	registerFlags(flag.CommandLine, &o)
 	flag.Parse()
 	cfg, saveFile := &o.server, o.server.Retrain.SnapshotPath
 	cfg.Seed, cfg.Retrain.Seed = o.build.seed, o.build.seed
-	if err := cfg.Validate(); err != nil {
+	if err := o.validate(); err != nil {
 		fatal(err)
 	}
 

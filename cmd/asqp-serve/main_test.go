@@ -6,9 +6,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"asqprl/internal/core"
@@ -53,6 +55,46 @@ func TestHelpGolden(t *testing.T) {
 	}
 	if !bytes.Equal(out.Bytes(), want) {
 		t.Errorf("-h output differs from %s (regen with -update-golden if intended):\n%s", path, out.Bytes())
+	}
+}
+
+// TestRefusesMeaninglessValues: a value no deployment can mean — a fraction
+// outside [0,1], a negative duration, budget or count — is refused before
+// anything loads, naming what it refused; the boundary values pass.
+func TestRefusesMeaninglessValues(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string // a substring of the refusal; "" for accepted
+	}{
+		{nil, ""},
+		{[]string{"-trace-sample", "0", "-trace-slow", "0s", "-k", "0", "-f", "0", "-drift-count", "0", "-drift-confidence", "0"}, ""},
+		{[]string{"-trace-sample", "1"}, ""},
+		{[]string{"-trace-sample", "2"}, "trace sample fraction 2 outside [0,1]"},
+		{[]string{"-trace-sample", "-0.5"}, "trace sample fraction -0.5 outside [0,1]"},
+		{[]string{"-trace-slow", "-1s"}, "slow-trace threshold -1s is negative"},
+		{[]string{"-drift-confidence", "-0.1"}, "drift confidence -0.1 is negative"},
+		{[]string{"-drift-count", "-3"}, "drift count -3 is negative"},
+		{[]string{"-k", "-1"}, "memory budget k -1 is negative"},
+		{[]string{"-f", "-50"}, "frame size f -50 is negative"},
+		{[]string{"-slo-availability", "1"}, "availability objective 1 outside (0,1)"},
+		{[]string{"-audit-sample", "2"}, "audit sample fraction 2 outside [0,1]"},
+	} {
+		fs := flag.NewFlagSet("asqp-serve", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		o := defaultOptions()
+		registerFlags(fs, &o)
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		err := o.validate()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%v refused: %v", c.args, err)
+		case c.want != "" && err == nil:
+			t.Errorf("%v accepted, want refused with %q", c.args, c.want)
+		case c.want != "" && !strings.Contains(err.Error(), c.want):
+			t.Errorf("%v refused with %q, want %q", c.args, err, c.want)
+		}
 	}
 }
 

@@ -183,11 +183,15 @@ func main() {
 		fmt.Printf("saved system to %s\n", *saveFile)
 	}
 
-	qopts := core.QueryOptions{Timeout: *queryTimeout, MaxRows: *maxRows}
 	for _, q := range queries {
 		fmt.Printf("\n> %s\n", q)
 		start := time.Now()
-		res, err := sys.QueryContext(context.Background(), q, qopts)
+		ctx, cancel := context.Background(), context.CancelFunc(func() {})
+		if *queryTimeout > 0 {
+			ctx, cancel = context.WithTimeout(ctx, *queryTimeout)
+		}
+		res, err := sys.QueryContext(ctx, q, core.QueryOptions{MaxRows: *maxRows})
+		cancel()
 		if err != nil {
 			fmt.Printf("  error: %v\n", err)
 			continue

@@ -18,9 +18,12 @@
 //  2. The hot path pays nothing when auditing is off. Every entry point is
 //     nil-receiver safe, so a disabled auditor costs one pointer compare and
 //     zero allocations (asserted by BenchmarkAuditDisabledOverhead).
-//  3. Everything is bounded: the pending-audit queue, the per-shape stats
-//     map, and the SQL→shape index all have fixed caps with FIFO eviction
-//     and drop counters — sustained overload sheds audits, never memory.
+//  3. Everything is bounded: the pending-audit queue and the per-shape
+//     stats map have fixed caps, with a drop counter and FIFO eviction —
+//     sustained overload sheds audits, never memory.
+//
+// Verdicts are filed, and ObservedError read, by the answering execution's
+// plan shape (Served.Shape); the auditor never plans a statement itself.
 //
 // Per-shape evidence belongs to one publish generation of the served system
 // (SetGeneration), so it describes the live set only; the lifetime counters
@@ -108,6 +111,9 @@ func (c Config) normalize() Config {
 type Served struct {
 	// SQL is the canonical SQL text (sqlparse.Select.String()).
 	SQL string
+	// Shape is the plan shape of the execution that answered
+	// (core.QueryResult.Shape); verdicts pool by it.
+	Shape string
 	// TraceID links the audit verdict back to the original request's trace.
 	TraceID obs.TraceID
 	// Source is "approximation" or "full" (the /query response's source).
@@ -118,6 +124,10 @@ type Served struct {
 	// Generation is the publish generation of the system that answered.
 	Generation int64
 }
+
+// Exact reports whether the answer is exact by construction (full database,
+// not degraded). Only an inexact answer is audited or carries observed error.
+func (sv Served) Exact() bool { return sv.Source != "approximation" && !sv.Degraded }
 
 // job is one queued shadow audit.
 type job struct {
@@ -147,12 +157,10 @@ type Auditor struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	mu       sync.Mutex
-	gen      int64 // the generation whose evidence the tables hold
-	shapes   map[string]*shapeStats
-	order    []string // shape insertion order, for FIFO eviction
-	sqlShape map[string]*shapeStats
-	sqlOrder []string
+	mu     sync.Mutex
+	gen    int64 // the generation whose evidence the tables hold
+	shapes map[string]*shapeStats
+	order  []string // shape insertion order, for FIFO eviction
 
 	eligible  atomic.Int64 // answers that could have been audited
 	sampled   atomic.Int64 // answers chosen for audit
@@ -172,14 +180,13 @@ func New(target TargetFunc, gate GateFunc, cfg Config) *Auditor {
 		return nil
 	}
 	a := &Auditor{
-		cfg:      cfg,
-		target:   target,
-		gate:     gate,
-		jobs:     make(chan job, queueDepth),
-		stop:     make(chan struct{}),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		shapes:   map[string]*shapeStats{},
-		sqlShape: map[string]*shapeStats{},
+		cfg:    cfg,
+		target: target,
+		gate:   gate,
+		jobs:   make(chan job, queueDepth),
+		stop:   make(chan struct{}),
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		shapes: map[string]*shapeStats{},
 	}
 	a.ctx, a.cancel = context.WithCancel(context.Background())
 	for i := 0; i < cfg.workers; i++ {
@@ -201,7 +208,7 @@ func (a *Auditor) Consider(stmt *sqlparse.Select, sv Served, rows int, agg *tabl
 	if a == nil || a.closed.Load() {
 		return false
 	}
-	if sv.Source != "approximation" && !sv.Degraded {
+	if sv.Exact() {
 		return false
 	}
 	a.eligible.Add(1)
@@ -309,10 +316,6 @@ func (a *Auditor) run(j job) {
 	ctx, cancel := context.WithTimeout(ctx, auditTimeout)
 	defer cancel()
 
-	shape, err := engine.PlanShape(db, j.stmt)
-	if err != nil {
-		shape = "unbound"
-	}
 	relErr, truthRows, err := a.groundTruth(ctx, db, frame, j)
 	if err != nil {
 		a.failed.Add(1)
@@ -322,9 +325,9 @@ func (a *Auditor) run(j job) {
 		return
 	}
 	a.completed.Add(1)
-	a.record(j, shape, relErr)
+	a.record(j, relErr)
 	span.Annotate("relative_error", relErr)
-	span.Annotate("shape", shape)
+	span.Annotate("shape", j.served.Shape)
 	span.Event("verdict", "relative_error", relErr, "truth_rows", truthRows, "served_rows", j.rows)
 
 	relativeError.Observe(relErr)
@@ -338,7 +341,7 @@ func (a *Auditor) run(j job) {
 		At:   time.Now(),
 		Attrs: map[string]any{
 			"relative_error": relErr,
-			"shape":          shape,
+			"shape":          j.served.Shape,
 		},
 	})
 }

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"asqprl/internal/engine"
 	"asqprl/internal/obs"
 	"asqprl/internal/sqlparse"
 	"asqprl/internal/table"
@@ -54,6 +56,18 @@ func mustParse(t *testing.T, sql string) *sqlparse.Select {
 	return stmt
 }
 
+// served describes an approximation-set answer to stmt as the serving layer
+// hands it over: its canonical SQL and the plan shape of the execution that
+// answered it.
+func served(t *testing.T, stmt *sqlparse.Select) Served {
+	t.Helper()
+	_, plan, err := engine.PlannedContext(context.Background(), testDB(), stmt, engine.Options{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Served{SQL: stmt.String(), Shape: plan.Shape(), Source: "approximation"}
+}
+
 // newTestAuditor builds an auditor over testDB with frame F and sample rate 1.
 func newTestAuditor(t *testing.T, frame int, mut func(*Config)) *Auditor {
 	t.Helper()
@@ -90,7 +104,7 @@ func waitCompleted(t *testing.T, a *Auditor, n int64) {
 func TestAuditSPJCoverageError(t *testing.T) {
 	a := newTestAuditor(t, 25, nil)
 	stmt := mustParse(t, "SELECT title FROM movies WHERE rating > 7")
-	sv := Served{SQL: stmt.String(), Source: "approximation"}
+	sv := served(t, stmt)
 	if !a.Consider(stmt, sv, 2, nil) {
 		t.Fatal("eligible answer was not enqueued at sample rate 1")
 	}
@@ -108,7 +122,7 @@ func TestAuditSPJCoverageError(t *testing.T) {
 		t.Errorf("coverage = %v, want 1 (1 eligible, 1 completed)", s.Coverage)
 	}
 
-	oe, ok := a.ObservedError(sv.SQL)
+	oe, ok := a.ObservedError(sv.Shape)
 	if !ok {
 		t.Fatal("ObservedError has no evidence after a completed audit")
 	}
@@ -126,8 +140,8 @@ func TestAuditSPJCoverageError(t *testing.T) {
 	if sh.Count != 1 || math.Abs(sh.Max-want) > 1e-9 {
 		t.Errorf("shape report: %+v", sh)
 	}
-	if sh.WorstSQL != sv.SQL {
-		t.Errorf("worst SQL %q, want %q", sh.WorstSQL, sv.SQL)
+	if sh.Shape != sv.Shape || sh.WorstSQL != sv.SQL {
+		t.Errorf("shape %q worst SQL %q, want %q and %q", sh.Shape, sh.WorstSQL, sv.Shape, sv.SQL)
 	}
 }
 
@@ -137,12 +151,12 @@ func TestAuditSPJCoverageError(t *testing.T) {
 func TestAuditLimitedStatement(t *testing.T) {
 	a := newTestAuditor(t, 25, nil)
 	stmt := mustParse(t, "SELECT title FROM movies WHERE rating > 7 LIMIT 2") // 3 rows match
-	a.Consider(stmt, Served{SQL: stmt.String(), Source: "approximation"}, 2, nil)
+	a.Consider(stmt, served(t, stmt), 2, nil)
 	waitCompleted(t, a, 1)
 	if got := a.Stats().ErrorMax; got != 0 {
 		t.Errorf("full page audited to error %v, want 0", got)
 	}
-	a.Consider(stmt, Served{SQL: stmt.String(), Source: "approximation"}, 1, nil)
+	a.Consider(stmt, served(t, stmt), 1, nil)
 	waitCompleted(t, a, 2)
 	if got := a.Stats().ErrorMax; math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("half page audited to error %v, want 0.5", got)
@@ -154,10 +168,10 @@ func TestAuditLimitedStatement(t *testing.T) {
 func TestAuditExactAnswerZeroError(t *testing.T) {
 	a := newTestAuditor(t, 25, nil)
 	stmt := mustParse(t, "SELECT title FROM movies WHERE rating > 7")
-	sv := Served{SQL: stmt.String(), Source: "approximation"}
+	sv := served(t, stmt)
 	a.Consider(stmt, sv, 3, nil)
 	waitCompleted(t, a, 1)
-	oe, ok := a.ObservedError(sv.SQL)
+	oe, ok := a.ObservedError(sv.Shape)
 	if !ok || oe != 0 {
 		t.Errorf("ObservedError = (%v, %v), want (0, true)", oe, ok)
 	}
@@ -171,15 +185,14 @@ func TestAuditAggregateGroupError(t *testing.T) {
 	stmt := mustParse(t, "SELECT genre, COUNT(*) FROM movies GROUP BY genre")
 	// Truth: drama 3, comedy 1, action 1. Served: drama 2 (error 1/3),
 	// comedy 1 (exact), action missing (error 1) → mean 4/9.
-	served := &table.RowSet{Schema: table.Schema{
+	answer := &table.RowSet{Schema: table.Schema{
 		{Name: "genre", Kind: table.KindString},
 		{Name: "count", Kind: table.KindInt},
 	}, Rows: []table.Row{
 		{table.NewString("drama"), table.NewInt(2)},
 		{table.NewString("comedy"), table.NewInt(1)},
 	}}
-	sv := Served{SQL: stmt.String(), Source: "approximation"}
-	a.Consider(stmt, sv, served.NumRows(), served)
+	a.Consider(stmt, served(t, stmt), answer.NumRows(), answer)
 	waitCompleted(t, a, 1)
 
 	want := 4.0 / 9.0
@@ -304,35 +317,33 @@ func TestAuditCloseDrainsWorkers(t *testing.T) {
 	}
 }
 
-// TestAuditMapsBounded: the shape map and the SQL index hold at most their
-// caps however many distinct shapes and statements are audited; the oldest
-// entry goes first, and an evicted statement has no evidence left.
+// TestAuditMapsBounded: the shape map holds at most its cap however many
+// distinct shapes are audited; the oldest shape goes first, and an evicted
+// shape has no evidence left.
 func TestAuditMapsBounded(t *testing.T) {
 	a := newTestAuditor(t, 25, nil)
 	name := func(kind string, i int) string { return fmt.Sprintf("%s-%d", kind, i) }
-	for i := 0; i <= maxSQLIndex; i++ {
-		sv := Served{SQL: name("sql", i), Source: "approximation"}
-		a.record(job{served: sv}, name("shape", i), 0.25)
+	const audited = 2 * maxShapes
+	for i := 0; i < audited; i++ {
+		sv := Served{SQL: name("sql", i), Shape: name("shape", i), Source: "approximation"}
+		a.record(job{served: sv}, 0.25)
 	}
 	a.mu.Lock()
-	shapes, order, sqls, sqlOrder := len(a.shapes), len(a.order), len(a.sqlShape), len(a.sqlOrder)
-	_, oldestShape := a.shapes[name("shape", maxSQLIndex-maxShapes)]
-	_, newestShape := a.shapes[name("shape", maxSQLIndex)]
+	shapes, order := len(a.shapes), len(a.order)
+	_, oldestShape := a.shapes[name("shape", audited-maxShapes)]
+	_, evictedShape := a.shapes[name("shape", audited-maxShapes-1)]
 	a.mu.Unlock()
 	if shapes != maxShapes || order != maxShapes {
 		t.Errorf("shape map holds %d entries (%d ordered), want the cap %d", shapes, order, maxShapes)
 	}
-	if sqls != maxSQLIndex || sqlOrder != maxSQLIndex {
-		t.Errorf("SQL index holds %d entries (%d ordered), want the cap %d", sqls, sqlOrder, maxSQLIndex)
+	if evictedShape || !oldestShape {
+		t.Errorf("shape eviction is not oldest-first: last evicted kept=%v oldest survivor kept=%v", evictedShape, oldestShape)
 	}
-	if oldestShape || !newestShape {
-		t.Errorf("shape eviction is not oldest-first: oldest kept=%v newest kept=%v", oldestShape, newestShape)
+	if _, ok := a.ObservedError(name("shape", 0)); ok {
+		t.Error("the evicted shape still reports evidence")
 	}
-	if _, ok := a.ObservedError(name("sql", 0)); ok {
-		t.Error("the evicted statement still reports evidence")
-	}
-	if p95, ok := a.ObservedError(name("sql", maxSQLIndex)); !ok || p95 <= 0 {
-		t.Errorf("the newest statement reports (%v, %v), want its evidence", p95, ok)
+	if p95, ok := a.ObservedError(name("shape", audited-1)); !ok || p95 <= 0 {
+		t.Errorf("the newest shape reports (%v, %v), want its evidence", p95, ok)
 	}
 	if p := a.Page(nil); len(p.Shapes) != maxShapes {
 		t.Errorf("/qualityz lists %d shapes, want %d", len(p.Shapes), maxShapes)
@@ -340,14 +351,15 @@ func TestAuditMapsBounded(t *testing.T) {
 }
 
 // TestAuditEvidencePerGeneration: SetGeneration retires the per-shape
-// tables — shapes, worst offenders, the SQL index — while the lifetime
+// tables — shapes and their worst offenders — while the lifetime
 // counters keep counting; a late verdict on the retired generation's answer
 // is not folded into the new generation's tables, the new generation's own
 // verdicts are.
 func TestAuditEvidencePerGeneration(t *testing.T) {
 	a := newTestAuditor(t, 25, nil)
 	stmt := mustParse(t, "SELECT title FROM movies WHERE rating > 7")
-	old := Served{SQL: stmt.String(), Source: "approximation", Generation: 1}
+	old := served(t, stmt)
+	old.Generation = 1
 	a.SetGeneration(1)
 	a.Consider(stmt, old, 1, nil) // error 2/3
 	waitCompleted(t, a, 1)
@@ -359,8 +371,8 @@ func TestAuditEvidencePerGeneration(t *testing.T) {
 	if _, _, ok := a.WorstShapeP95(); ok {
 		t.Error("the retired generation's shapes still back WorstShapeP95")
 	}
-	if _, ok := a.ObservedError(old.SQL); ok {
-		t.Error("the retired generation's statement still reports observed error")
+	if _, ok := a.ObservedError(old.Shape); ok {
+		t.Error("the retired generation's shape still reports observed error")
 	}
 	if p := a.Page(nil); len(p.Shapes) != 0 || p.Audit.Completed != 1 {
 		t.Errorf("after the swap /qualityz lists %d shapes over %d completed, want 0 over 1", len(p.Shapes), p.Audit.Completed)
@@ -390,10 +402,10 @@ func TestAuditWorstOffenderOrdering(t *testing.T) {
 	a := newTestAuditor(t, 25, nil)
 	// Shape A: scan with filter, error 2/3. Shape B: aggregate, error 0.
 	bad := mustParse(t, "SELECT title FROM movies WHERE rating > 7")
-	a.Consider(bad, Served{SQL: bad.String(), Source: "approximation"}, 1, nil)
+	a.Consider(bad, served(t, bad), 1, nil)
 	good := mustParse(t, "SELECT COUNT(*) FROM movies")
 	exact := &table.RowSet{Schema: table.Schema{{Name: "count", Kind: table.KindInt}}, Rows: []table.Row{{table.NewInt(5)}}}
-	a.Consider(good, Served{SQL: good.String(), Source: "approximation"}, exact.NumRows(), exact)
+	a.Consider(good, served(t, good), exact.NumRows(), exact)
 	waitCompleted(t, a, 2)
 
 	page := a.Page(&DriftStatus{Enabled: true, Drifted: 3, Threshold: 10})
@@ -419,7 +431,7 @@ func TestAuditDisabledZeroAlloc(t *testing.T) {
 	stmt := mustParse(t, "SELECT title FROM movies WHERE rating > 7")
 	allocs := testing.AllocsPerRun(1000, func() {
 		a.Consider(stmt, Served{Source: "approximation", TraceID: obs.TraceID{}}, 2, nil)
-		a.ObservedError("SELECT title FROM movies WHERE rating > 7")
+		a.ObservedError("scan1")
 	})
 	if allocs != 0 {
 		t.Errorf("disabled auditor allocates %.1f per op on the hot path, want 0", allocs)

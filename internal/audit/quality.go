@@ -15,21 +15,16 @@ const MetricRelativeError = "audit/relative_error"
 
 var relativeError = obs.Default().Histogram(MetricRelativeError)
 
-// maxShapes bounds the per-shape stats map and maxSQLIndex the canonical-SQL
-// → shape index behind ObservedError; both evict oldest-first.
-const (
-	maxShapes   = 256
-	maxSQLIndex = 1024
-)
+// maxShapes bounds the per-shape stats map, which evicts oldest-first.
+const maxShapes = 256
 
 // shapeStats aggregates audit verdicts for one query shape. A shape is the
-// pair (plan skeleton, aggregate-ness) produced by engine.PlanShape — coarse
+// answering execution's plan shape (engine.Plan.Shape) — coarse
 // enough that repeated exploratory variations of one query pattern pool
 // their error evidence, fine enough that a sick join pattern does not hide
 // behind healthy point lookups.
 type shapeStats struct {
-	shape string
-	hist  *obs.Histogram
+	hist *obs.Histogram
 
 	// worst offender for this shape, updated under Auditor.mu.
 	worstErr   float64
@@ -40,16 +35,17 @@ type shapeStats struct {
 	degraded   int64
 }
 
-// record folds one audit verdict into the per-shape aggregation and the
-// canonical-SQL index used by ObservedError, unless the audited answer came
-// from a generation SetGeneration has retired. Both maps are bounded with FIFO
-// eviction; evictions only forget history, never block.
-func (a *Auditor) record(j job, shape string, relErr float64) {
+// record folds one audit verdict into its shape's aggregation, unless the
+// audited answer came from a generation SetGeneration has retired. The shape
+// map is bounded with FIFO eviction; evictions only forget history, never
+// block.
+func (a *Auditor) record(j job, relErr float64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if j.served.Generation != a.gen {
 		return
 	}
+	shape := j.served.Shape
 	st := a.shapes[shape]
 	if st == nil {
 		if len(a.order) >= maxShapes {
@@ -57,7 +53,7 @@ func (a *Auditor) record(j job, shape string, relErr float64) {
 			a.order = a.order[1:]
 			delete(a.shapes, oldest)
 		}
-		st = &shapeStats{shape: shape, hist: obs.NewHistogram()}
+		st = &shapeStats{hist: obs.NewHistogram()}
 		a.shapes[shape] = st
 		a.order = append(a.order, shape)
 	}
@@ -72,19 +68,10 @@ func (a *Auditor) record(j job, shape string, relErr float64) {
 		st.worstTrace = j.served.TraceID.String()
 		st.worstSQL = j.served.SQL
 	}
-	if a.sqlShape[j.served.SQL] == nil {
-		if len(a.sqlOrder) >= maxSQLIndex {
-			oldest := a.sqlOrder[0]
-			a.sqlOrder = a.sqlOrder[1:]
-			delete(a.sqlShape, oldest)
-		}
-		a.sqlOrder = append(a.sqlOrder, j.served.SQL)
-	}
-	a.sqlShape[j.served.SQL] = st
 }
 
-// SetGeneration retires the per-shape tables — the shape histograms, their
-// worst offenders and the SQL→shape index — and folds only verdicts on
+// SetGeneration retires the per-shape tables — the shape histograms and
+// their worst offenders — and folds only verdicts on
 // answers served by generation gen from here on. The serving layer calls it
 // on every publish, rollback included. Nil-safe.
 func (a *Auditor) SetGeneration(gen int64) {
@@ -96,21 +83,20 @@ func (a *Auditor) SetGeneration(gen int64) {
 	a.gen = gen
 	a.shapes = map[string]*shapeStats{}
 	a.order = nil
-	a.sqlShape = map[string]*shapeStats{}
-	a.sqlOrder = nil
 }
 
 // ObservedError returns the p95 relative error the live generation's audits
-// measured for the shape of the query with the given canonical SQL, and
-// whether any such evidence exists. It backs the optional observed_error
-// field on /query responses: "answers shaped like yours have measured error
-// ≤ X 95% of the time". Nil-safe; a disabled auditor has no evidence.
-func (a *Auditor) ObservedError(canonicalSQL string) (float64, bool) {
-	if a == nil {
+// measured for answers of the given plan shape (Served.Shape), and whether
+// any such evidence exists. It backs the optional observed_error field on
+// /query responses: "answers shaped like yours have measured error ≤ X 95%
+// of the time" — for every statement of an audited shape, audited itself or
+// not. Nil-safe; a disabled auditor, and the empty shape, have no evidence.
+func (a *Auditor) ObservedError(shape string) (float64, bool) {
+	if a == nil || shape == "" {
 		return 0, false
 	}
 	a.mu.Lock()
-	st := a.sqlShape[canonicalSQL]
+	st := a.shapes[shape]
 	a.mu.Unlock()
 	if st == nil || st.hist.Count() == 0 {
 		return 0, false
@@ -244,13 +230,9 @@ func (a *Auditor) Page(drift *DriftStatus) QualityPage {
 		return p
 	}
 	a.mu.Lock()
-	shapes := make([]*shapeStats, 0, len(a.shapes))
-	for _, st := range a.shapes {
-		shapes = append(shapes, st)
-	}
-	for _, st := range shapes {
+	for shape, st := range a.shapes {
 		p.Shapes = append(p.Shapes, ShapeReport{
-			Shape:      st.shape,
+			Shape:      shape,
 			Count:      st.hist.Count(),
 			Degraded:   st.degraded,
 			P50:        st.hist.Quantile(0.50),

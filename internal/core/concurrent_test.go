@@ -23,6 +23,7 @@ func TestQueryContextConcurrent(t *testing.T) {
 	type probe struct {
 		sql     string
 		opts    QueryOptions
+		timeout time.Duration // the caller's deadline, when nonzero
 		check   func(*QueryResult, error) error
 		comment string
 	}
@@ -70,8 +71,8 @@ func TestQueryContextConcurrent(t *testing.T) {
 			comment: "row-budget degradation",
 		},
 		{
-			sql:  "SELECT * FROM title t JOIN cast_info c ON t.id = c.title_id",
-			opts: QueryOptions{Timeout: time.Nanosecond},
+			sql:     "SELECT * FROM title t JOIN cast_info c ON t.id = c.title_id",
+			timeout: time.Nanosecond,
 			check: func(res *QueryResult, err error) error {
 				if err == nil {
 					return nil // fast machines can beat even a tiny deadline
@@ -109,7 +110,12 @@ func TestQueryContextConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				p := probes[(g+i)%len(probes)]
-				res, err := sys.QueryContext(context.Background(), p.sql, p.opts)
+				ctx, cancel := context.Background(), context.CancelFunc(func() {})
+				if p.timeout > 0 {
+					ctx, cancel = context.WithTimeout(ctx, p.timeout)
+				}
+				res, err := sys.QueryContext(ctx, p.sql, p.opts)
+				cancel()
 				if cerr := p.check(res, err); cerr != nil {
 					errs <- fmt.Errorf("goroutine %d (%s): %w", g, p.comment, cerr)
 					return

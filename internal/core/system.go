@@ -317,14 +317,18 @@ type QueryResult struct {
 	// run; see engine.ErrStatement), or "fault"; empty when the full
 	// database answered or was never attempted.
 	FullFailure string
+
+	// plan is the bound plan of the execution whose rows are served.
+	plan engine.Plan
 }
 
+// Shape is the plan shape (engine.Plan.Shape) of the execution that
+// answered, rendered on each call; "" when nothing answered.
+func (r *QueryResult) Shape() string { return r.plan.Shape() }
+
 // QueryOptions bounds one query's execution and routes its ladder (see
-// QueryStmtContext).
+// QueryStmtContext). Its deadline is the context's.
 type QueryOptions struct {
-	// Timeout is the per-query wall-clock deadline (0 = none). It combines
-	// with any deadline already carried by the context; the earlier wins.
-	Timeout time.Duration
 	// MaxRows bounds the number of result rows (0 = unlimited). When the
 	// budget trips, the rows produced so far may be served tagged Degraded.
 	MaxRows int
@@ -398,11 +402,6 @@ func (s *System) answer(ctx context.Context, stmt *sqlparse.Select, opts QueryOp
 	// was.
 	ctx, span := obs.StartSpan(ctx, "core/query")
 	defer span.End()
-	if opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
-		defer cancel()
-	}
 	// Aggregates are estimated through their SPJ rewrite (Section 4.4).
 	estStmt := stmt
 	if stmt.HasAggregates() {
@@ -430,11 +429,12 @@ func (s *System) answer(ctx context.Context, stmt *sqlparse.Select, opts QueryOp
 	// Rung 1: approximation set, when the estimator trusts it.
 	var err error
 	var setRes *engine.Result // the set's answer, for rung 3
+	var setPlan engine.Plan
 	if useApprox {
-		setRes, err = s.runGuarded(ctx, s.setDB, stmt, eopts, rungApprox, frames)
+		setRes, setPlan, err = s.runGuarded(ctx, s.setDB, stmt, eopts, rungApprox, frames)
 		if err == nil {
 			out.FromApproximation = true
-			out.Table, out.Frame = setRes.Table, setRes.Frame
+			out.Table, out.Frame, out.plan = setRes.Table, setRes.Frame, setPlan
 			return out, nil
 		}
 		if final(err) {
@@ -452,9 +452,9 @@ func (s *System) answer(ctx context.Context, stmt *sqlparse.Select, opts QueryOp
 		span.Event("breaker_skip", "rung", "full")
 	} else {
 		out.FullAttempted = true
-		res, fullErr := s.runGuarded(ctx, s.db, stmt, eopts, rungFull, frames)
+		res, plan, fullErr := s.runGuarded(ctx, s.db, stmt, eopts, rungFull, frames)
 		if fullErr == nil {
-			out.Table, out.Frame = res.Table, res.Frame
+			out.Table, out.Frame, out.plan = res.Table, res.Frame, plan
 			return out, nil
 		}
 		err, reason = fullErr, failureKind(fullErr)
@@ -466,7 +466,7 @@ func (s *System) answer(ctx context.Context, stmt *sqlparse.Select, opts QueryOp
 		span.Event("guard_trip", "rung", "full", "kind", reason)
 		if res != nil { // a row-budget trip carries the rows before it
 			out.Degraded, out.DegradedReason = true, reason
-			out.Table, out.Frame = res.Table, res.Frame
+			out.Table, out.Frame, out.plan = res.Table, res.Frame, plan
 			span.MarkDegraded(reason)
 			span.Event("degraded", "reason", reason, "substitute", "partial_rows")
 			return out, nil
@@ -476,9 +476,9 @@ func (s *System) answer(ctx context.Context, stmt *sqlparse.Select, opts QueryOp
 	// Rung 3: the approximation set's answer, tagged degraded: run now when
 	// rung 1 was skipped, or the partial rows rung 1 left.
 	if !useApprox {
-		res, approxErr := s.runGuarded(ctx, s.setDB, stmt, eopts, rungApprox, frames)
+		res, plan, approxErr := s.runGuarded(ctx, s.setDB, stmt, eopts, rungApprox, frames)
 		if approxErr == nil {
-			setRes = res
+			setRes, setPlan = res, plan
 		} else if err == nil || final(approxErr) {
 			err = approxErr
 		}
@@ -486,7 +486,7 @@ func (s *System) answer(ctx context.Context, stmt *sqlparse.Select, opts QueryOp
 	if setRes != nil {
 		out.Degraded, out.DegradedReason = true, reason
 		out.FromApproximation = true
-		out.Table, out.Frame = setRes.Table, setRes.Frame
+		out.Table, out.Frame, out.plan = setRes.Table, setRes.Frame, setPlan
 		span.MarkDegraded(reason)
 		span.Event("degraded", "reason", reason, "substitute", "approximation")
 		return out, nil
@@ -513,25 +513,23 @@ const (
 	rungFull   = "core/rung/full"
 )
 
-// runGuarded executes stmt on db under ctx, converting panics into errors so
-// a malformed plan or injected fault cannot crash the serving process. Each
-// rung runs under its own child span (rungApprox or rungFull), which the
-// engine's operator spans attach to; panic recoveries land on it as events.
-func (s *System) runGuarded(ctx context.Context, db *table.Database, stmt *sqlparse.Select, eopts engine.Options, rungSpan string, frames bool) (res *engine.Result, err error) {
+// runGuarded executes stmt on db under ctx (engine.PlannedContext), converting
+// panics into errors so a malformed plan or injected fault cannot crash the
+// serving process. Each rung runs under its own child span (rungApprox or
+// rungFull), which the engine's operator spans attach to; panic recoveries
+// land on it as events.
+func (s *System) runGuarded(ctx context.Context, db *table.Database, stmt *sqlparse.Select, eopts engine.Options, rungSpan string, frames bool) (res *engine.Result, plan engine.Plan, err error) {
 	ctx, rspan := obs.StartSpan(ctx, rungSpan)
 	defer rspan.End()
 	defer func() {
 		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("core: query panic recovered: %v", r)
+			res, plan, err = nil, engine.Plan{}, fmt.Errorf("core: query panic recovered: %v", r)
 			rspan.Event("panic_recovered", "panic", fmt.Sprint(r))
 			rspan.MarkError(fmt.Sprintf("panic: %v", r))
 			obs.LoggerCtx(ctx).Error("query panic recovered", "panic", r)
 		}
 	}()
-	if frames {
-		return engine.ExecuteFrameContext(ctx, db, stmt, eopts)
-	}
-	return engine.ExecuteWithContext(ctx, db, stmt, eopts)
+	return engine.PlannedContext(ctx, db, stmt, eopts, frames)
 }
 
 // terminal reports whether the caller is gone: the deadline expired or the

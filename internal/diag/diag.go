@@ -56,7 +56,7 @@ type Source struct {
 	Journal func(reason, bundle string)
 }
 
-// Status is the recorder's state for /debugz and /stats.
+// Status is the recorder's state for /debugz.
 type Status struct {
 	Dir        string    `json:"dir"`
 	Captures   int64     `json:"captures"`

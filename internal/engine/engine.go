@@ -28,6 +28,13 @@ type Result struct {
 	Frame *Frame
 }
 
+// Plan is the bound plan of one execution (PlannedContext).
+type Plan struct {
+	b     *binder
+	preds []predClass
+	stmt  *sqlparse.Select
+}
+
 // rows is the result's cardinality, whichever form the answer took.
 func (r *Result) rows() int {
 	switch {
@@ -105,12 +112,7 @@ func CountContext(ctx context.Context, db *table.Database, stmt *sqlparse.Select
 // error), fault points and result order are those of ExecuteWithContext.
 // Lineage tracking is forced off. See Frame for how long the frame is valid.
 func ExecuteFrameContext(ctx context.Context, db *table.Database, stmt *sqlparse.Select, opts Options) (*Result, error) {
-	opts.TrackLineage = false
-	opts.frames = true
-	res, err := ExecuteWithContext(ctx, db, stmt, opts)
-	if res != nil && res.Table != nil {
-		res.Frame, res.Table = frameOver(res.Table), nil
-	}
+	res, _, err := PlannedContext(ctx, db, stmt, opts, true)
 	return res, err
 }
 
@@ -159,6 +161,16 @@ func ExecuteWith(db *table.Database, stmt *sqlparse.Select, opts Options) (*Resu
 // trips mid-projection, the partial rows are returned alongside the
 // ErrRowBudget error.
 func ExecuteWithContext(ctx context.Context, db *table.Database, stmt *sqlparse.Select, opts Options) (*Result, error) {
+	res, _, err := PlannedContext(ctx, db, stmt, opts, false)
+	return res, err
+}
+
+// PlannedContext is ExecuteFrameContext when frame is set, else
+// ExecuteWithContext, and returns the bound plan, a failed execution's too.
+func PlannedContext(ctx context.Context, db *table.Database, stmt *sqlparse.Select, opts Options, frame bool) (*Result, Plan, error) {
+	if frame {
+		opts.TrackLineage, opts.frames = false, true
+	}
 	g := newGuard(ctx, opts)
 	// Trace propagation: when the caller's context carries a span (a traced
 	// request from the serving layer or training pipeline), execution joins
@@ -166,11 +178,14 @@ func ExecuteWithContext(ctx context.Context, db *table.Database, stmt *sqlparse.
 	// Untraced calls — the scoring hot loop, plain ExecuteWith — pay only the
 	// context lookup and the nil-receiver no-ops.
 	span := obs.SpanFromContext(ctx).StartChild("engine/execute")
-	res, b, preds, err := executeWith(db, stmt, opts, g, span)
+	res, p, err := executeWith(db, stmt, opts, g, span)
+	if frame && res != nil && res.Table != nil {
+		res.Frame, res.Table = frameOver(res.Table), nil
+	}
 	if span != nil {
-		if b != nil {
+		if p.b != nil {
 			// Rendered if a snapshot reads it: nothing changes a bound plan.
-			span.Annotate("plan", func() string { return planShape(b, preds, stmt) })
+			span.Annotate("plan", p.Shape)
 		}
 		if res != nil {
 			span.Annotate("rows_out", res.rows())
@@ -180,7 +195,7 @@ func ExecuteWithContext(ctx context.Context, db *table.Database, stmt *sqlparse.
 		}
 		span.End()
 	}
-	return res, err
+	return res, p, err
 }
 
 // markSpanOutcome records err on span. Guard trips (deadline, row budget,
@@ -200,22 +215,22 @@ func markSpanOutcome(span *obs.Span, err error) {
 	span.MarkError(err.Error())
 }
 
-// executeWith is the execution pipeline. It returns the binder and classified
-// predicates so the caller can annotate its span with the plan shape.
-func executeWith(db *table.Database, stmt *sqlparse.Select, opts Options, g *guard, span *obs.Span) (*Result, *binder, []predClass, error) {
+// executeWith is the execution pipeline; its caller names the plan on its span.
+func executeWith(db *table.Database, stmt *sqlparse.Select, opts Options, g *guard, span *obs.Span) (*Result, Plan, error) {
 	if opts.MaxIntermediateRows <= 0 {
 		opts.MaxIntermediateRows = defaultMaxIntermediate
 	}
 	// An already-expired deadline or canceled context fails before any work.
 	if err := g.poll(); err != nil {
-		return nil, nil, nil, err
+		return nil, Plan{}, err
 	}
 	b, preds, err := plan(db, stmt)
+	p := Plan{b, preds, stmt}
 	if err != nil {
-		return nil, b, nil, err
+		return nil, p, err
 	}
 	res, err := executeColTail(b, stmt, preds, opts, g, span)
-	return res, b, preds, err
+	return res, p, err
 }
 
 // plan resolves stmt's relations, binds every expression and classifies the

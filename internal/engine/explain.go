@@ -126,28 +126,16 @@ func Explain(db *table.Database, stmt *sqlparse.Select) (string, error) {
 	return out.String(), nil
 }
 
-// PlanShape returns a compact key describing the physical plan the executor
-// will use for stmt — scan/join/residual operator counts plus finishing
-// operator flags, e.g. "scan3-hash2-res1+agg+sort+limit". The engine/execute
-// span carries it and the shadow auditor pools its verdicts by it, so queries
-// with the same plan skeleton aggregate regardless of their literals.
-func PlanShape(db *table.Database, stmt *sqlparse.Select) (string, error) {
-	b, err := newBinder(db, stmt)
-	if err != nil {
-		return "", err
+// Shape renders the plan shape — operator counts and finishing flags, e.g.
+// "scan3-hash2-res1+agg+sort+limit", the same whatever the literals — or ""
+// when the statement's relations did not resolve, and for the zero Plan.
+func (p Plan) Shape() string {
+	if p.b == nil {
+		return ""
 	}
-	preds, err := classify(b, stmt)
-	if err != nil {
-		return "", err
-	}
-	return planShape(b, preds, stmt), nil
-}
-
-// planShape renders the plan shape of a bound statement, as PlanShape does.
-func planShape(b *binder, preds []predClass, stmt *sqlparse.Select) string {
-	ops := planOpCounts(b, preds)
+	ops := planOpCounts(p.b, p.preds)
 	var out strings.Builder
-	fmt.Fprintf(&out, "scan%d", len(b.tables))
+	fmt.Fprintf(&out, "scan%d", len(p.b.tables))
 	if ops.hashJoins > 0 {
 		fmt.Fprintf(&out, "-hash%d", ops.hashJoins)
 	}
@@ -157,16 +145,16 @@ func planShape(b *binder, preds []predClass, stmt *sqlparse.Select) string {
 	if ops.residuals > 0 {
 		fmt.Fprintf(&out, "-res%d", ops.residuals)
 	}
-	if stmt.HasAggregates() {
+	if p.stmt.HasAggregates() {
 		out.WriteString("+agg")
 	}
-	if stmt.Distinct {
+	if p.stmt.Distinct {
 		out.WriteString("+distinct")
 	}
-	if len(stmt.OrderBy) > 0 {
+	if len(p.stmt.OrderBy) > 0 {
 		out.WriteString("+sort")
 	}
-	if stmt.Limit >= 0 {
+	if p.stmt.Limit >= 0 {
 		out.WriteString("+limit")
 	}
 	return out.String()

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -67,6 +68,9 @@ func TestExplainResidualPredicate(t *testing.T) {
 	}
 }
 
+// TestPlanShape: an execution's plan names its shape, whichever form the
+// answer takes; a failed execution's plan too, once its relations resolved; and
+// the zero Plan names none.
 func TestPlanShape(t *testing.T) {
 	db := testDB()
 	cases := []struct {
@@ -78,14 +82,30 @@ func TestPlanShape(t *testing.T) {
 		{"SELECT genre, COUNT(*) FROM movies, credits GROUP BY genre", "scan2-cross1+agg"},
 		{"SELECT DISTINCT m.id FROM movies m, credits c WHERE m.id = c.movie_id AND m.year + c.movie_id > 2000", "scan2-hash1-res1+distinct"},
 	}
+	ctx := context.Background()
 	for _, c := range cases {
-		got, err := PlanShape(db, sqlparse.MustParse(c.sql))
+		stmt := sqlparse.MustParse(c.sql)
+		_, rows, err := PlannedContext(ctx, db, stmt, Options{}, false)
 		if err != nil {
 			t.Fatalf("%s: %v", c.sql, err)
 		}
-		if got != c.want {
-			t.Errorf("PlanShape(%s) = %q, want %q", c.sql, got, c.want)
+		_, frame, err := PlannedContext(ctx, db, stmt, Options{}, true)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
 		}
+		if got, fgot := rows.Shape(), frame.Shape(); got != c.want || fgot != c.want {
+			t.Errorf("Shape(%s) = %q (frame %q), want %q", c.sql, got, fgot, c.want)
+		}
+	}
+	_, tripped, err := PlannedContext(ctx, db, sqlparse.MustParse("SELECT m.title FROM movies m, credits c"), Options{MaxIntermediateRows: 1}, false)
+	if err == nil || tripped.Shape() != "scan2-cross1" {
+		t.Errorf("budget-tripped plan shape = %q (err %v), want scan2-cross1 and an error", tripped.Shape(), err)
+	}
+	if _, ghost, _ := PlannedContext(ctx, db, sqlparse.MustParse("SELECT * FROM ghost"), Options{}, false); ghost.Shape() != "" {
+		t.Errorf("unresolved statement's plan shape = %q, want none", ghost.Shape())
+	}
+	if got := (Plan{}).Shape(); got != "" {
+		t.Errorf("zero plan shape = %q, want none", got)
 	}
 }
 

@@ -29,7 +29,7 @@ func TestOperatorSpansUnderTracedContext(t *testing.T) {
 	ctx, root := obs.StartSpan(context.Background(), "test/root")
 	stmt := sqlparse.MustParse(
 		"SELECT m.title, c.person FROM movies m JOIN credits c ON m.id = c.movie_id WHERE m.rating > 7")
-	res, err := ExecuteWithContext(ctx, testDB(), stmt, Options{})
+	res, plan, err := PlannedContext(ctx, testDB(), stmt, Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +43,8 @@ func TestOperatorSpansUnderTracedContext(t *testing.T) {
 	if exec.TraceID != root.TraceID().String() {
 		t.Errorf("engine span trace ID %s, want root's %s", exec.TraceID, root.TraceID())
 	}
-	if shape, _ := exec.Attrs["plan"].(string); shape == "" {
-		t.Error("engine/execute missing plan shape annotation")
+	if shape, _ := exec.Attrs["plan"].(string); shape == "" || shape != plan.Shape() {
+		t.Errorf("engine/execute plan annotation %q, want the execution's shape %q", shape, plan.Shape())
 	}
 	if rows, _ := exec.Attrs["rows_out"].(int); rows != res.Table.NumRows() {
 		t.Errorf("engine/execute rows_out = %v, want %d", exec.Attrs["rows_out"], res.Table.NumRows())
@@ -69,6 +69,29 @@ func TestOperatorSpansUnderTracedContext(t *testing.T) {
 	}
 	if proj := findSpan(snap, "engine/project"); proj == nil {
 		t.Error("no engine/project span")
+	}
+}
+
+// TestFailedExecutionSpanNamesPlan: a statement that bound but failed while
+// executing, leaving no result, still names its plan on engine/execute.
+func TestFailedExecutionSpanNamesPlan(t *testing.T) {
+	wasEnabled := obs.Enabled()
+	obs.SetEnabled(true)
+	t.Cleanup(func() { obs.SetEnabled(wasEnabled) })
+
+	ctx, root := obs.StartSpan(context.Background(), "test/root")
+	stmt := sqlparse.MustParse("SELECT m.title FROM movies m, credits c")
+	res, err := ExecuteWithContext(ctx, testDB(), stmt, Options{MaxIntermediateRows: 1})
+	root.End()
+	if err == nil || res != nil {
+		t.Fatalf("cross join under a one-row intermediate budget = (%v, %v), want an error and no result", res, err)
+	}
+	exec := findSpan(root.Snapshot(), "engine/execute")
+	if exec == nil {
+		t.Fatal("no engine/execute span")
+	}
+	if shape, _ := exec.Attrs["plan"].(string); shape != "scan2-cross1" {
+		t.Errorf("failed execution's plan annotation = %q, want scan2-cross1", shape)
 	}
 }
 

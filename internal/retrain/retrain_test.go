@@ -2,6 +2,7 @@ package retrain
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"asqprl/internal/audit"
 	"asqprl/internal/core"
 	"asqprl/internal/datagen"
+	"asqprl/internal/engine"
 	"asqprl/internal/faults"
 	"asqprl/internal/sqlparse"
 	"asqprl/internal/table"
@@ -656,14 +658,19 @@ func newAuditedHost(t *testing.T, sys *core.System) *host {
 }
 
 // offer hands the auditor n answers to auditSQL of the given row count,
-// served by generation gen.
+// served by generation gen under the statement's plan shape, as the serving
+// layer hands over an inexact answer.
 func (h *host) offer(t *testing.T, gen int64, rows, n int) {
 	t.Helper()
 	stmt, err := sqlparse.Parse(auditSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv := audit.Served{SQL: stmt.String(), Source: "approximation", Generation: gen}
+	_, plan, err := engine.PlannedContext(context.Background(), h.incumbent().DB(), stmt, engine.Options{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv := audit.Served{SQL: stmt.String(), Shape: plan.Shape(), Source: "approximation", Generation: gen}
 	for i := 0; i < n; i++ {
 		for !h.aud.Consider(stmt, sv, rows, nil) { // queue full: let it drain
 			time.Sleep(time.Millisecond)

@@ -48,6 +48,7 @@ type cachedAnswer struct {
 	est       *sqlparse.Select // core.QueryResult.Estimated
 	conf      float64
 	canonical string // stmt.String(), when the WAL or the auditor reads it
+	shape     string // the answering plan's shape, when the auditor reads it
 	rows      int
 	agg       *table.RowSet // an aggregate's own rows, for the auditor
 
@@ -138,7 +139,7 @@ func (c *answerCache) stats() (entries, bytes int) {
 
 // size is what e is charged against maxAnswerCacheBytes.
 func (e *cachedAnswer) size() int {
-	n := answerEntryOverhead + len(e.head) + len(e.sql) + len(e.canonical)
+	n := answerEntryOverhead + len(e.head) + len(e.sql) + len(e.canonical) + len(e.shape)
 	if e.agg != nil {
 		n += len(e.agg.Rows) * (int(unsafe.Sizeof(table.Row{})) + len(e.agg.Schema)*int(unsafe.Sizeof(table.Value{})))
 	}

@@ -134,6 +134,68 @@ func TestAuditEndToEnd(t *testing.T) {
 	}
 }
 
+// TestObservedErrorFollowsShape: observed_error is the evidence of the
+// answering plan's shape, not of a statement text. After one completed audit
+// of approxRouteSQL, a statement of the same shape that was never sent before
+// carries that shape's /qualityz p95 when the set answers it, and again when
+// the answer cache does; its audits pool under that one shape. A statement
+// of a shape without evidence carries none, and neither does an exact answer.
+func TestObservedErrorFollowsShape(t *testing.T) {
+	srv, base := startServer(t, trainedSystem(t), Config{AuditSample: 1})
+	settled := func(n int64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for st := srv.aud.Stats(); st.Completed+st.Failed < n; st = srv.aud.Stats() {
+			if time.Now().After(deadline) {
+				t.Fatalf("audits did not complete: %+v, want %d", st, n)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	if _, resp := postQuery(t, base, approxRouteSQL, 0, 0); resp.Source != "approximation" || resp.ObservedError != nil {
+		t.Fatalf("first answer: source %q observed_error %v, want the set's answer with no evidence yet", resp.Source, resp.ObservedError)
+	}
+	settled(1)
+	var page audit.QualityPage
+	getJSON(t, base+"/qualityz", &page)
+	if page.Audit.Completed != 1 || len(page.Shapes) != 1 {
+		t.Fatalf("/qualityz after one audit: %+v, want one completed audit of one shape", page)
+	}
+	shape := page.Shapes[0]
+
+	const sameShape = "SELECT * FROM title WHERE rating > 8"
+	for send := int64(1); send <= 3; send++ {
+		_, resp := postQuery(t, base, sameShape, 0, 0)
+		if resp.Source != "approximation" || resp.Degraded {
+			t.Fatalf("send %d: source %q degraded %v, want a clean set answer", send, resp.Source, resp.Degraded)
+		}
+		if resp.ObservedError == nil {
+			t.Fatalf("send %d of %q carries no observed_error despite evidence for its shape %s", send, sameShape, shape.Shape)
+		}
+		if send == 1 && *resp.ObservedError != shape.P95 {
+			t.Errorf("observed_error = %v, want the shape's /qualityz p95 %v", *resp.ObservedError, shape.P95)
+		}
+		settled(1 + send) // every set answer is audited at sample 1
+	}
+	if hits := srv.cacheHits.Load(); hits != 1 {
+		t.Errorf("answer cache hits = %d, want the third send a hit", hits)
+	}
+	getJSON(t, base+"/qualityz", &page)
+	if len(page.Shapes) != 1 || page.Shapes[0].Shape != shape.Shape || page.Shapes[0].Count != page.Audit.Completed {
+		t.Errorf("/qualityz shapes %+v over %d audits, want all under %s", page.Shapes, page.Audit.Completed, shape.Shape)
+	}
+
+	const otherShape = "SELECT title FROM title WHERE rating > 7 ORDER BY title"
+	if _, resp := postQuery(t, base, otherShape, 0, 0); resp.ObservedError != nil {
+		t.Errorf("%q, a shape without evidence, carries observed_error %v", otherShape, *resp.ObservedError)
+	}
+	// The full database's clean answer is exact, whatever its shape's evidence.
+	if _, resp := postQuery(t, base, fullRouteSQL, 0, 0); resp.Source != "full" || resp.Degraded || resp.ObservedError != nil {
+		t.Errorf("%q: source %q degraded %v observed_error %v, want an exact full answer with none",
+			fullRouteSQL, resp.Source, resp.Degraded, resp.ObservedError)
+	}
+}
+
 // TestDriftFeedFromServing covers the -drift-observe wiring: with
 // observation off (the default, so synthetic and test traffic cannot poison
 // fine-tuning decisions) served queries leave the detector untouched; with

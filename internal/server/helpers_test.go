@@ -14,6 +14,7 @@ import (
 
 	"asqprl/internal/core"
 	"asqprl/internal/datagen"
+	"asqprl/internal/obs"
 	"asqprl/internal/sqlparse"
 	"asqprl/internal/workload"
 )
@@ -152,6 +153,12 @@ func countGoroutines() int {
 		n = m
 	}
 	return n
+}
+
+// registryNames counts the default registry's counter and histogram names.
+func registryNames() [2]int {
+	snap := obs.Default().Snapshot()
+	return [2]int{len(snap.Counters), len(snap.Histograms)}
 }
 
 // waitGoroutinesBelow polls until the goroutine count drops to at most want,

@@ -10,8 +10,11 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"asqprl/internal/obs"
 )
 
 // FuzzQueryRequest holds /query to its contract on whatever a client sends:
@@ -20,6 +23,9 @@ import (
 // 200, 400, 503 or 504 (never 500: a statement that cannot run is the
 // client's error), and every non-200 carries an error message. Each input is
 // sent three times, and an answer-cache hit must answer as the miss did.
+// After each input the request path has left no footprint: the default
+// registry names the counters and histograms it named before the first input,
+// and the goroutine count settles back to where the first input found it.
 func FuzzQueryRequest(f *testing.F) {
 	for _, seed := range []struct {
 		method, body, q    string
@@ -50,7 +56,14 @@ func FuzzQueryRequest(f *testing.F) {
 	// inputs before it to replay.
 	srv := New(trainedSystem(f), Config{DefaultTimeout: 200 * time.Millisecond})
 	h := srv.Handler()
+	wasEnabled := obs.Enabled()
+	obs.SetEnabled(true) // recording on, so a request that minted a name would show
+	f.Cleanup(func() { obs.SetEnabled(wasEnabled) })
+	names := registryNames()
+	var goroutines int
+	var baseline sync.Once
 	f.Fuzz(func(t *testing.T, method, body, q string, timeoutMs, maxRows int) {
+		baseline.Do(func() { goroutines = countGoroutines() })
 		timeoutMs %= 1000 // an input costs at most a second
 		target := "/query"
 		if body == "" && method == http.MethodPost {
@@ -93,6 +106,12 @@ func FuzzQueryRequest(f *testing.F) {
 				clean++
 			}
 			prev = rec
+		}
+		if got := registryNames(); got != names {
+			t.Fatalf("registry names (counters, histograms) went from %v to %v", names, got)
+		}
+		if n := waitGoroutinesBelow(goroutines, 5*time.Second); n > goroutines {
+			t.Fatalf("%d goroutines after the input, %d before the first", n, goroutines)
 		}
 	})
 }

@@ -480,9 +480,11 @@ type QueryResponse struct {
 	// TraceID links the response to its distributed trace (also echoed in
 	// the traceparent response header). Present whenever tracing is enabled.
 	TraceID string `json:"trace_id,omitempty"`
-	// ObservedError, when shadow auditing is enabled and the answering
-	// generation's audits have evidence for this query's shape, is the p95
-	// relative error measured for answers shaped like this one — honest
+	// ObservedError, on an answer that is not exact (from the approximation
+	// set, or degraded) when shadow auditing is enabled and the answering
+	// generation's audits have evidence for the plan shape of the execution
+	// that answered, is the p95 relative error measured for answers of that
+	// shape, whether or not this statement was itself audited — honest
 	// uncertainty from ground truth, not a model prediction. It restarts at
 	// every publish. A pointer so a measured 0.0 still serializes.
 	ObservedError *float64 `json:"observed_error,omitempty"`
@@ -602,7 +604,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.cacheHits.Add(1)
 			span.Event("answer_cache_hit")
 			a := answered{
-				Served: audit.Served{SQL: e.canonical, Source: "approximation"},
+				Served: audit.Served{SQL: e.canonical, Shape: e.shape, Source: "approximation"},
 				stmt:   e.stmt, conf: e.conf, rows: e.rows, agg: e.agg,
 			}
 			if s.cfg.DriftObserve {
@@ -628,7 +630,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		span.Event("breaker_probe")
 	}
 	opts := core.QueryOptions{
-		Timeout:   0, // ctx already carries the deadline
 		MaxRows:   maxRows,
 		SkipFull:  skipFull,
 		SkipDrift: !s.cfg.DriftObserve,
@@ -648,13 +649,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if res.FromApproximation {
 		a.Source = "approximation"
 	}
-	// One canonicalization serves the quality features (historical-error
-	// lookup, audit-sampling offer) and the WAL record.
+	// One canonicalization serves the audit-sampling offer and the WAL
+	// record. The plan shape, the auditor's key, and an aggregate's rows are
+	// taken only where an auditor may read them: an answer that is not exact.
 	if s.aud != nil || s.wal != nil {
 		a.SQL = stmt.String()
 	}
-	if s.aud != nil && stmt.HasAggregates() {
-		a.agg = res.Frame.Table() // an aggregate's frame is over its own rows: no copy
+	if s.aud != nil && !a.Exact() {
+		a.Shape = res.Shape()
+		if stmt.HasAggregates() {
+			a.agg = res.Frame.Table() // an aggregate's frame is over its own rows: no copy
+		}
 	}
 	// The head is encoded while the frame, which borrows the answering
 	// generation's rows, is in hand; nothing uses the frame after it.
@@ -671,7 +676,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ls.cache.put(&cachedAnswer{
 			fp: fp, sql: req.SQL, maxRows: maxRows, head: bytes.Clone(body),
 			stmt: stmt, est: res.Estimated, conf: res.Confidence,
-			canonical: a.SQL, rows: a.rows, agg: a.agg,
+			canonical: a.SQL, shape: a.Shape, rows: a.rows, agg: a.agg,
 		})
 	}
 	s.answer(w, span, start, ls.gen, &a, buf, body, encErr)
@@ -683,7 +688,8 @@ const traceparentKey = "Traceparent"
 
 // answered is what a request's tail needs of its answer, whether the ladder
 // computed it or the answer cache kept it. Served.SQL is the canonical
-// statement, empty when neither the WAL nor the auditor reads it.
+// statement, empty when neither the WAL nor the auditor reads it; Served.Shape
+// is the answering plan's shape, empty without an auditor or on an exact answer.
 type answered struct {
 	audit.Served
 	stmt               *sqlparse.Select
@@ -731,7 +737,7 @@ func (s *Server) answer(w http.ResponseWriter, span *obs.Span, start time.Time, 
 		tail.TraceID = span.TraceID().String()
 	}
 	if s.aud != nil {
-		if oe, ok := s.aud.ObservedError(a.SQL); ok {
+		if oe, ok := s.aud.ObservedError(a.Shape); ok { // a.Shape is "" on an exact answer
 			tail.ObservedError = &oe
 			span.AnnotateFloat("observed_error_p95", oe)
 		}
@@ -789,7 +795,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // Stats is the JSON body of GET /stats: a point-in-time view of the
-// admission controller, breaker, and lifecycle.
+// admission controller, breaker, and lifecycle. Burn rates and the flight
+// recorder are /sloz's and /debugz's alone.
 type Stats struct {
 	Ready        bool   `json:"ready"`
 	Draining     bool   `json:"draining"`
@@ -814,11 +821,6 @@ type Stats struct {
 	// until a WAL-enabled server finishes recovering).
 	WAL      *wal.Stats    `json:"wal,omitempty"`
 	Recovery *RecoveryInfo `json:"recovery,omitempty"`
-	// SLO is the burn-rate engine's page (absent when no objectives are
-	// configured); Diag is the flight recorder's status (absent when
-	// DiagDir is unset).
-	SLO  *slo.Page    `json:"slo,omitempty"`
-	Diag *diag.Status `json:"diag,omitempty"`
 	// AnswerCache is the answer cache: the live generation's entries and
 	// bytes, and the hits and misses since the server started.
 	AnswerCache AnswerCacheStats `json:"answer_cache"`
@@ -857,13 +859,6 @@ func (s *Server) statsNow() Stats {
 		st.WAL = &ws
 	}
 	st.Recovery = s.RecoveryInfo()
-	if p := s.sloEng.Page(); p.Enabled {
-		st.SLO = &p
-	}
-	if s.rec != nil {
-		d := s.rec.Status()
-		st.Diag = &d
-	}
 	return st
 }
 

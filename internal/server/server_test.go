@@ -439,11 +439,7 @@ func TestRegistryNameSetIsClosed(t *testing.T) {
 	sys := trainedSystem(t)
 	srv := New(sys, Config{trips: 1, cooldown: time.Hour})
 	h := srv.Handler()
-	names := func() [2]int {
-		snap := obs.Default().Snapshot()
-		return [2]int{len(snap.Counters), len(snap.Histograms)}
-	}
-	before := names()
+	before := registryNames()
 
 	post := func(sql string, maxRows int) (int, QueryResponse) {
 		t.Helper()
@@ -475,11 +471,11 @@ func TestRegistryNameSetIsClosed(t *testing.T) {
 			if status, resp := post(sql, 0); status != http.StatusOK {
 				t.Fatalf("%s: HTTP %d (%s)", sql, status, resp.Error)
 			}
-			shape, err := engine.PlanShape(sys.DB(), mustParse(t, sql))
+			_, plan, err := engine.PlannedContext(context.Background(), sys.DB(), mustParse(t, sql), engine.Options{}, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			shapes[shape] = true
+			shapes[plan.Shape()] = true
 		}
 	}
 	if len(shapes) < 40 {
@@ -509,7 +505,7 @@ func TestRegistryNameSetIsClosed(t *testing.T) {
 		t.Errorf("with every ticket taken: HTTP %d, want 503", status)
 	}
 
-	if after := names(); after != before {
+	if after := registryNames(); after != before {
 		t.Errorf("registry names (counters, histograms) grew from %v to %v under requests", before, after)
 	}
 }

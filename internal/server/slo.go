@@ -23,10 +23,9 @@ func (c Config) sloEnabled() bool {
 }
 
 // initSLO builds the SLO engine and the flight recorder from Config. Called
-// once from New, after the auditor exists (the quality SLO annotates from
-// it). The engine exists whenever objectives or DiagDir are set: with
-// DiagDir alone it only samples, for the bundle's series and the per-rung
-// latency on /sloz. With neither it leaves both fields nil — the nil
+// once from New. The engine exists whenever objectives or DiagDir are set:
+// with DiagDir alone it only samples, for the bundle's series and the
+// per-rung latency on /sloz. With neither it leaves both fields nil — the nil
 // receivers are no-ops, so the request path is untouched.
 func (s *Server) initSLO() {
 	cfg := s.cfg
@@ -70,7 +69,7 @@ func (s *Server) initSLO() {
 			Metric:    audit.MetricRelativeError,
 		})
 	}
-	eng, err := slo.New(obs.Default(), cfg.SLOClock, defs, s.aud.WorstShapeP95)
+	eng, err := slo.New(obs.Default(), cfg.SLOClock, defs)
 	if err != nil {
 		// Config.Validate rejects every objective and threshold slo.New
 		// would; reaching here means the caller skipped it or initSLO built
@@ -159,7 +158,8 @@ type SlozPage struct {
 	RungLatency map[string]RungLatency `json:"rung_latency,omitempty"`
 }
 
-// slozPage assembles the /sloz payload (also embedded in /stats bundles).
+// slozPage assembles the /sloz payload, which a flight-recorder bundle also
+// writes as slo.json.
 func (s *Server) slozPage() SlozPage {
 	page := SlozPage{Page: s.sloEng.Page()}
 	if s.sloEng == nil {

@@ -203,16 +203,13 @@ func TestSLOFastBurnFlightRecorderEndToEnd(t *testing.T) {
 		t.Errorf("/sloz?view=human missing burn state:\n%s", human[:n])
 	}
 
-	// /stats carries the SLO page and recorder status.
-	var stats Stats
-	if code := getJSON(t, base+"/stats", &stats); code != 200 {
-		t.Fatalf("/stats = %d", code)
+	// The recorder's status is on /debugz (the SLO page is /sloz, above).
+	var dbg DebugzPage
+	if code := getJSON(t, base+"/debugz", &dbg); code != 200 {
+		t.Fatalf("/debugz = %d", code)
 	}
-	if stats.SLO == nil || !stats.SLO.Enabled {
-		t.Fatal("/stats slo block missing or disabled")
-	}
-	if stats.Diag == nil || stats.Diag.Dir != diagDir {
-		t.Fatalf("/stats diag block = %+v, want dir %s", stats.Diag, diagDir)
+	if !dbg.Enabled || dbg.Status.Dir != diagDir {
+		t.Fatalf("/debugz = %+v, want enabled with dir %s", dbg, diagDir)
 	}
 
 	// --- The fast-burn transition captured a bundle (async goroutine: poll

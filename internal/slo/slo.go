@@ -80,7 +80,7 @@ func stateLevel(s string) int {
 
 // Def declares one SLO.
 type Def struct {
-	// Name identifies the SLO in /sloz, /stats, metrics, and bundles.
+	// Name identifies the SLO in /sloz, metrics, and bundles (slo.json).
 	Name string
 	// Kind is availability, latency, or quality.
 	Kind Kind
@@ -153,8 +153,6 @@ type Status struct {
 	Burns           []WindowBurn `json:"burns"`
 	BudgetConsumed  float64      `json:"budget_consumed"`
 	ExemplarTraceID string       `json:"exemplar_trace_id,omitempty"`
-	WorstShapeP95   float64      `json:"worst_shape_p95,omitempty"`
-	AuditsCompleted int64        `json:"audits_completed,omitempty"`
 }
 
 // Page is the /sloz payload.
@@ -189,9 +187,8 @@ type sloState struct {
 // Engine samples a registry and evaluates a fixed set of SLOs against the
 // windows of those samples, on one clock.
 type Engine struct {
-	reg        *obs.Registry
-	now        func() time.Time
-	worstShape func() (p95 float64, completed int64, ok bool)
+	reg *obs.Registry
+	now func() time.Time
 
 	ringMu       sync.Mutex // guards the rings and the ticker's channels
 	fine, coarse ring
@@ -207,15 +204,13 @@ type Engine struct {
 // New builds an engine that samples reg and reads time from now (nil:
 // time.Now). Call Start for the background ticker, or drive SampleNow.
 // Defs with out-of-range objectives are rejected; with no defs the engine
-// only samples, and Page reports disabled. worstShape, when non-nil,
-// annotates the quality SLO status with the worst-audited plan shape (from
-// the shadow auditor). A nil *Engine is a valid no-op (Page reports
-// disabled).
-func New(reg *obs.Registry, now func() time.Time, defs []Def, worstShape func() (p95 float64, completed int64, ok bool)) (*Engine, error) {
+// only samples, and Page reports disabled. A nil *Engine is a valid no-op
+// (Page reports disabled).
+func New(reg *obs.Registry, now func() time.Time, defs []Def) (*Engine, error) {
 	if now == nil {
 		now = time.Now
 	}
-	e := &Engine{reg: reg, now: now, worstShape: worstShape,
+	e := &Engine{reg: reg, now: now,
 		fine: ring{buf: make([]sample, fineSlots)}, coarse: ring{buf: make([]sample, coarseSlots)}}
 	for _, d := range defs {
 		if d.Objective <= 0 || d.Objective >= 1 {
@@ -375,12 +370,6 @@ func (e *Engine) Evaluate() []Status {
 			BudgetConsumed: clamp01(rawBurn["slow_long"]),
 		}
 		status.ExemplarTraceID = exemplar(def)
-		if def.Kind == Quality && e.worstShape != nil {
-			if p95, completed, ok := e.worstShape(); ok {
-				status.WorstShapeP95 = p95
-				status.AuditsCompleted = completed
-			}
-		}
 		st.last = status
 		out = append(out, status)
 		if st.state != prev {
@@ -507,9 +496,6 @@ func (p Page) WriteHuman(b *strings.Builder) {
 		}
 		if s.ExemplarTraceID != "" {
 			fmt.Fprintf(b, "    exemplar trace %s\n", s.ExemplarTraceID)
-		}
-		if s.WorstShapeP95 > 0 {
-			fmt.Fprintf(b, "    worst shape p95 %.4f over %d audits\n", s.WorstShapeP95, s.AuditsCompleted)
 		}
 	}
 }

@@ -17,13 +17,13 @@ type harness struct {
 	now time.Time
 }
 
-func newHarness(t *testing.T, defs []Def, worstShape func() (float64, int64, bool)) *harness {
+func newHarness(t *testing.T, defs []Def) *harness {
 	t.Helper()
 	h := &harness{
 		reg: obs.NewRegistry(),
 		now: time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC),
 	}
-	eng, err := New(h.reg, func() time.Time { return h.now }, defs, worstShape)
+	eng, err := New(h.reg, func() time.Time { return h.now }, defs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func one(t *testing.T, sts []Status, name string) Status {
 }
 
 func TestAvailabilityBurnMath(t *testing.T) {
-	h := newHarness(t, []Def{availDef()}, nil)
+	h := newHarness(t, []Def{availDef()})
 	total := h.reg.Counter("req/total")
 	bad := h.reg.Counter("req/degraded")
 
@@ -119,7 +119,7 @@ func TestAvailabilityBurnMath(t *testing.T) {
 }
 
 func TestLatencyFastBurnAndHysteresis(t *testing.T) {
-	h := newHarness(t, []Def{latencyDef()}, nil)
+	h := newHarness(t, []Def{latencyDef()})
 	hist := h.reg.Histogram("req/seconds")
 
 	// Healthy: all requests at 1ms, well under the 100ms threshold.
@@ -192,26 +192,6 @@ func TestLatencyFastBurnAndHysteresis(t *testing.T) {
 	}
 }
 
-func TestQualitySLOWorstShapeAnnotation(t *testing.T) {
-	def := Def{
-		Name:      "quality",
-		Kind:      Quality,
-		Objective: 0.95,
-		Threshold: 0.1,
-		Metric:    "audit/relative_error",
-	}
-	h := newHarness(t, []Def{def}, func() (float64, int64, bool) { return 0.42, 17, true })
-	hist := h.reg.Histogram("audit/relative_error")
-	for i := 0; i < 3; i++ {
-		hist.Observe(0.01)
-		h.tick()
-	}
-	st := one(t, h.eng.Evaluate(), "quality")
-	if st.WorstShapeP95 != 0.42 || st.AuditsCompleted != 17 {
-		t.Fatalf("worst shape annotation = %+v", st)
-	}
-}
-
 // TestExemplarTraceIDSurfaced: an exemplar is a trace the kept-trace ring
 // holds, so it always opens on /tracez. With the tail sampler keeping no
 // healthy trace, requests over a 1µs target leave no exemplar; a forced
@@ -230,7 +210,7 @@ func TestExemplarTraceIDSurfaced(t *testing.T) {
 	lat := latencyDef()
 	lat.Threshold = 1e-6
 	quality := Def{Name: "quality", Kind: Quality, Objective: 0.95, Threshold: 0.1, Metric: "audit/relative_error"}
-	h := newHarness(t, []Def{lat, quality}, nil)
+	h := newHarness(t, []Def{lat, quality})
 	request := func(sampled bool, root string) string {
 		ctx := context.Background()
 		if sampled {
@@ -278,7 +258,7 @@ func TestExemplarTraceIDSurfaced(t *testing.T) {
 }
 
 func TestTransitionCallback(t *testing.T) {
-	h := newHarness(t, []Def{latencyDef()}, nil)
+	h := newHarness(t, []Def{latencyDef()})
 	hist := h.reg.Histogram("req/seconds")
 	var got []Transition
 	h.eng.OnTransition(func(tr Transition) { got = append(got, tr) })
@@ -309,7 +289,7 @@ func TestTransitionCallback(t *testing.T) {
 }
 
 func TestPageAndHumanView(t *testing.T) {
-	h := newHarness(t, []Def{availDef(), latencyDef()}, nil)
+	h := newHarness(t, []Def{availDef(), latencyDef()})
 	h.reg.Counter("req/total").Add(5)
 	h.tick()
 	p := h.eng.Page()
@@ -362,7 +342,7 @@ func TestDefValidation(t *testing.T) {
 		{Name: "bad-kind", Kind: "weird", Objective: 0.9},
 	}
 	for _, d := range cases {
-		if _, err := New(obs.NewRegistry(), nil, []Def{d}, nil); err == nil {
+		if _, err := New(obs.NewRegistry(), nil, []Def{d}); err == nil {
 			t.Fatalf("def %+v accepted, want error", d)
 		}
 	}
@@ -374,7 +354,7 @@ func TestDefValidation(t *testing.T) {
 // step further back. A window past its ring would fall back to the oldest
 // retained sample and read less time than /sloz labels it with.
 func TestWindowsFitSampler(t *testing.T) {
-	h := newHarness(t, nil, nil)
+	h := newHarness(t, nil)
 	c := h.reg.Counter("ticks")
 	for elapsed := time.Duration(0); elapsed < SlowLong+30*time.Minute; elapsed += SampleInterval {
 		c.Inc()

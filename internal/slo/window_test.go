@@ -6,7 +6,7 @@ import (
 )
 
 func TestCounterWindow(t *testing.T) {
-	h := newHarness(t, nil, nil)
+	h := newHarness(t, nil)
 	c := h.reg.Counter("x")
 
 	// Before any sample: no data.
@@ -36,7 +36,7 @@ func TestCounterWindow(t *testing.T) {
 }
 
 func TestCoarseRingExtendsRetention(t *testing.T) {
-	h := newHarness(t, nil, nil) // 1s ticks: fine keeps 128s, coarse 1-in-36 keeps 76m48s
+	h := newHarness(t, nil) // 1s ticks: fine keeps 128s, coarse 1-in-36 keeps 76m48s
 	c := h.reg.Counter("x")
 	for i := 0; i < 200; i++ {
 		h.eng.SampleNow()
@@ -60,7 +60,7 @@ func TestCoarseRingExtendsRetention(t *testing.T) {
 }
 
 func TestHistogramWindow(t *testing.T) {
-	h := newHarness(t, nil, nil)
+	h := newHarness(t, nil)
 	lat := h.reg.Histogram("lat")
 
 	// First 5 seconds: fast observations (1ms). Then 5 seconds: slow (1s).
@@ -111,7 +111,7 @@ func TestHistogramWindow(t *testing.T) {
 }
 
 func TestHistogramCreatedAfterBaseline(t *testing.T) {
-	h := newHarness(t, nil, nil)
+	h := newHarness(t, nil)
 	h.eng.SampleNow()
 	h.now = h.now.Add(time.Second)
 	// Histogram first observed after the baseline sample: the baseline
@@ -127,7 +127,7 @@ func TestHistogramCreatedAfterBaseline(t *testing.T) {
 // pages disabled and evaluates nothing, reports no window before its first
 // sample, and still samples after it.
 func TestEngineWithoutObjectivesSamples(t *testing.T) {
-	h := newHarness(t, nil, nil)
+	h := newHarness(t, nil)
 	if _, _, ok := h.eng.counterWindow("x", time.Minute); ok {
 		t.Fatal("counter window before the first sample must report no data")
 	}
@@ -152,7 +152,7 @@ func TestEngineWithoutObjectivesSamples(t *testing.T) {
 // TestSampleNowEvaluates: every sample re-evaluates the objectives, and the
 // transition hook it fires may read the engine back without deadlocking.
 func TestSampleNowEvaluates(t *testing.T) {
-	h := newHarness(t, []Def{availDef()}, nil)
+	h := newHarness(t, []Def{availDef()})
 	var calls int
 	h.eng.OnTransition(func(Transition) {
 		calls++
@@ -169,7 +169,7 @@ func TestSampleNowEvaluates(t *testing.T) {
 }
 
 func TestSeriesDump(t *testing.T) {
-	h := newHarness(t, nil, nil)
+	h := newHarness(t, nil)
 	c := h.reg.Counter("req")
 	lat := h.reg.Histogram("lat")
 	for i := 0; i < 5; i++ {
@@ -199,7 +199,7 @@ func TestSeriesDump(t *testing.T) {
 }
 
 func TestTickerLifecycle(t *testing.T) {
-	h := newHarness(t, nil, nil)
+	h := newHarness(t, nil)
 	h.eng.now = time.Now
 	h.reg.Counter("x").Add(5)
 	h.eng.Start() // samples at once, long before the first SampleInterval tick

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"asqprl/internal/faults"
-	"asqprl/internal/obs"
 )
 
 // TestCrashMatrix is the durability proof surface: for every kill point at a
@@ -63,10 +62,6 @@ func runCrashCase(t *testing.T, point string, seed int64) {
 	defer faults.Disable()
 
 	l, _ := openT(t, dir, Options{segmentBytes: 300})
-	prev := obs.Enabled()
-	obs.SetEnabled(true)
-	defer obs.SetEnabled(prev)
-	failedBefore := obs.Default().Counter("wal/append_errors").Value()
 
 	// acked tracks frames acknowledged durable since the last durable
 	// checkpoint — exactly the set recovery must replay.
@@ -93,18 +88,20 @@ func runCrashCase(t *testing.T, point string, seed int64) {
 			if err := l.Append(rec); err == nil {
 				acked = append(acked, rec.SQL)
 			} else if point == faults.PointWALSync || point == faults.PointWALRotate {
-				// fsyncgate: a failed fsync/rotate is sticky-fatal. Every
-				// later durable append must also fail — an ack after a lost
-				// fsync would be a lie.
+				// fsyncgate: a failed fsync/rotate is sticky-fatal. Stats
+				// names the failure that made the log read-only, and every
+				// later durable append is refused with that same failure —
+				// an ack after a lost fsync would be a lie.
+				failed := l.Stats().Failed
+				if failed == "" {
+					t.Fatalf("Stats().Failed is empty after a sticky %s failure", point)
+				}
 				for j := 0; j < 3; j++ {
 					if err2 := l.Append(servedRec(1000 + j)); err2 == nil {
 						t.Fatalf("append acknowledged after sticky %s failure", point)
+					} else if err2.Error() != failed {
+						t.Fatalf("append after sticky %s failure refused with %q, want the failure %q", point, err2, failed)
 					}
-				}
-				// …and the failure that made the log read-only is counted
-				// once, not once per refused append.
-				if got := obs.Default().Counter("wal/append_errors").Value() - failedBefore; got != 1 {
-					t.Fatalf("wal/append_errors advanced by %d after a sticky %s failure, want 1", got, point)
 				}
 			}
 		}

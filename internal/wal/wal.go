@@ -248,13 +248,10 @@ type Stats struct {
 	Failed        string `json:"failed,omitempty"`
 }
 
-// What no page carries: segments retention discarded with their evidence, and
-// the failure that turned a log read-only. Everything else the log counts is
-// on Stats and Recovery.
-var (
-	segmentsPruned = obs.Default().Counter("wal/segments_pruned")
-	appendErrors   = obs.Default().Counter("wal/append_errors")
-)
+// What no page carries: segments retention discarded with their evidence.
+// Everything else the log counts is on Stats and Recovery — the failure that
+// turned the log read-only is Stats.Failed.
+var segmentsPruned = obs.Default().Counter("wal/segments_pruned")
 
 // segName formats a segment file name; segSeq parses one.
 func segName(seq int) string { return fmt.Sprintf("wal-%08d.seg", seq) }
@@ -669,7 +666,6 @@ func (l *Log) Close() error {
 func (l *Log) failLocked(err error) {
 	if l.failed == nil {
 		l.failed = err
-		appendErrors.Inc()
 		obs.Logger().Error("wal failed; log is read-only until restart", "dir", l.dir, "err", err)
 	}
 }

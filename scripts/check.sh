@@ -192,18 +192,21 @@ serve_port=18481
 serve_bin="$(mktemp -t asqp-serve.XXXXXX)"
 diag_dir="$(mktemp -d -t asqp-diag.XXXXXX)"
 go build -o "${serve_bin}" ./cmd/asqp-serve
-# An objective outside (0,1) is refused before any data loads: exit non-zero,
-# one line on stderr.
-if "${serve_bin}" -slo-availability 1 >/dev/null 2>"${diag_dir}/stderr"; then
-	echo "asqp-serve accepted -slo-availability 1" >&2
-	exit 1
-fi
-if [ "$(wc -l <"${diag_dir}/stderr")" -ne 1 ]; then
-	echo "asqp-serve -slo-availability 1: want one line on stderr, got:" >&2
-	cat "${diag_dir}/stderr" >&2
-	exit 1
-fi
-rm -f "${diag_dir}/stderr"
+# An objective outside (0,1), a sampling fraction outside [0,1] and a negative
+# duration are refused before any data loads: exit non-zero, one line on stderr.
+for bad in "-slo-availability 1" "-trace-sample 2" "-trace-slow -1s"; do
+	# shellcheck disable=SC2086 # each case is a flag and its value
+	if "${serve_bin}" ${bad} >/dev/null 2>"${diag_dir}/stderr"; then
+		echo "asqp-serve accepted ${bad}" >&2
+		exit 1
+	fi
+	if [ "$(wc -l <"${diag_dir}/stderr")" -ne 1 ]; then
+		echo "asqp-serve ${bad}: want one line on stderr, got:" >&2
+		cat "${diag_dir}/stderr" >&2
+		exit 1
+	fi
+	rm -f "${diag_dir}/stderr"
+done
 "${serve_bin}" -addr "localhost:${serve_port}" -scale 0.02 -k 150 -light \
 	-slo-latency-p99 100us -diag-dir "${diag_dir}" \
 	-log warn >/dev/null &
