@@ -56,6 +56,8 @@ func (GreedyExec) Build(db *table.Database, train workload.Workload, k int, opts
 		bestRow := table.RowID{Row: -1}
 		bestGain := 0.0
 		for _, g := range order {
+			// A probe here is a whole metric evaluation, so the clock is read
+			// before each one; GRE+'s probes are cheap and read it per round.
 			if time.Now().After(deadline) {
 				break
 			}

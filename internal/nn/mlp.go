@@ -7,10 +7,24 @@
 // activations and deltas of n samples, one row each — filled by sample range
 // (ForwardBatch, BackwardBatch) and by parameter row range (AddGrads) in a
 // fixed summation order; ForwardCache and Backward are the kernel at n = 1.
-// BackwardBatch and AddGrads share one loop shape: a partial row that starts
-// at zero takes four terms per pass over it. A sample's activations can be
-// kept (Workspace.CopyActivations) and put back (Workspace.SetActivations) in
-// place of a forward pass while the weights are unchanged.
+// A sample's activations can be kept (Workspace.CopyActivations) and put back
+// (Workspace.SetActivations) in place of a forward pass while the weights are
+// unchanged.
+//
+// Every layer runs on two loops (kernel.go). dot gives each unit its bias
+// plus its weighted inputs in index order (ForwardBatch). accum adds to each
+// element of a row a sum that starts at zero and takes one product per term
+// in term order: a delta from the deltas above it (BackwardBatch), a weight
+// gradient from one block of samples (AddGrads). On amd64 with AVX2 both are
+// assembly (kernel_amd64.s) vectorised only across outputs, whose sums are
+// independent: each lane repeats the plain loop's steps for its output in the
+// plain loop's order, a product rounded on its own and then added, never
+// fused, so the bits are the plain loop's. accum holds 32 sums in registers
+// across its terms; dot takes 8 units, then 4, at a time, transposing four
+// inputs of their row-major weight rows in registers, and leaves the last
+// 0–3 units to the plain loop. An assembly CPUID and XGETBV check picks the
+// path once at start-up; every other host runs the plain loops, which round
+// each product explicitly (float64(x*y)) so that no compiler fuses it.
 //
 // The library is deliberately minimal — dense layers only — because that is
 // exactly what the paper's actor and critic networks are: "a large input
@@ -101,7 +115,7 @@ func (m *MLP) activateGrad(a float64) float64 {
 		}
 		return 0
 	}
-	return 1 - a*a
+	return 1 - float64(a*a)
 }
 
 // GradBlock is the number of consecutive samples whose parameter-gradient
@@ -185,30 +199,13 @@ func (ws *Workspace) SetActivations(s int, src []float64) {
 }
 
 // ForwardBatch runs samples [lo, hi) of ws from their input rows to their
-// output rows. Every unit's sum is its bias, then its inputs in index order;
-// four units are summed side by side so the adds overlap.
+// output rows. Every unit's sum is its bias, then its inputs in index order.
 func (m *MLP) ForwardBatch(ws *Workspace, lo, hi int) {
 	last := m.Layers() - 1
 	for l, w := range m.W {
-		in, out, b := m.Sizes[l], m.Sizes[l+1], m.B[l]
 		for s := lo; s < hi; s++ {
-			x, y := ws.row(ws.a, l, s), ws.row(ws.a, l+1, s)
-			o := 0
-			for ; o+4 <= out; o += 4 {
-				r0, r1, r2, r3 := w[o*in:][:len(x)], w[(o+1)*in:][:len(x)], w[(o+2)*in:][:len(x)], w[(o+3)*in:][:len(x)]
-				z0, z1, z2, z3 := b[o], b[o+1], b[o+2], b[o+3]
-				for i, xi := range x {
-					z0, z1, z2, z3 = z0+r0[i]*xi, z1+r1[i]*xi, z2+r2[i]*xi, z3+r3[i]*xi
-				}
-				y[o], y[o+1], y[o+2], y[o+3] = z0, z1, z2, z3
-			}
-			for ; o < out; o++ {
-				row, z := w[o*in:][:len(x)], b[o]
-				for i, xi := range x {
-					z += row[i] * xi
-				}
-				y[o] = z
-			}
+			y := ws.row(ws.a, l+1, s)
+			dot(y, m.B[l], w, ws.row(ws.a, l, s))
 			if l < last {
 				for o, z := range y {
 					y[o] = m.activate(z)
@@ -224,24 +221,10 @@ func (m *MLP) ForwardBatch(ws *Workspace, lo, hi int) {
 // weights.
 func (m *MLP) BackwardBatch(ws *Workspace, lo, hi int, input bool) {
 	for l := m.Layers() - 1; l > 0 || (l == 0 && input); l-- {
-		in, out, w := m.Sizes[l], m.Sizes[l+1], m.W[l]
 		for s := lo; s < hi; s++ {
-			above, prev := ws.row(ws.d, l+1, s), ws.row(ws.d, l, s)
+			prev := ws.row(ws.d, l, s)
 			clear(prev)
-			o := 0
-			for ; o+4 <= out; o += 4 {
-				r0, r1, r2, r3 := w[o*in:][:len(prev)], w[(o+1)*in:][:len(prev)], w[(o+2)*in:][:len(prev)], w[(o+3)*in:][:len(prev)]
-				d0, d1, d2, d3 := above[o], above[o+1], above[o+2], above[o+3]
-				for i, p := range prev {
-					prev[i] = p + d0*r0[i] + d1*r1[i] + d2*r2[i] + d3*r3[i]
-				}
-			}
-			for ; o < out; o++ {
-				row, d := w[o*in:][:len(prev)], above[o]
-				for i := range prev {
-					prev[i] += d * row[i]
-				}
-			}
+			accum(prev, ws.row(ws.d, l+1, s), m.W[l], m.Sizes[l])
 			if l > 0 {
 				for i, a := range ws.row(ws.a, l, s) {
 					prev[i] *= m.activateGrad(a)
@@ -275,22 +258,16 @@ func (g *Grads) Zero() {
 	}
 }
 
-// gradTile is how many weights of one gradient row AddGrads sums at a time:
-// the width of its partial row, which lives on the stack.
-const gradTile = 256
-
 // AddGrads adds to rows [lo, hi) of layer l of g the gradient of the first n
 // samples of ws, whose deltas BackwardBatch has filled. Each element is summed
 // on its own, GradBlock by GradBlock (see there), so any split of a layer's
 // rows between callers yields the same bits, and distinct rows can be added
-// concurrently. The loop is BackwardBatch's: per output row and block, a
-// partial row starts at zero, takes four samples per pass over it, and is then
-// added to the gradient.
+// concurrently: per output row and block, the samples' terms are summed from
+// zero in sample order, and the sum is then added to the gradient.
 func (m *MLP) AddGrads(ws *Workspace, n, l, lo, hi int, g *Grads) {
 	in, out := m.Sizes[l], m.Sizes[l+1]
 	acts, deltas := ws.a[l], ws.d[l+1]
 	var col [GradBlock]float64
-	var tile [gradTile]float64
 	for b0 := 0; b0 < n; b0 += GradBlock {
 		d := col[:min(GradBlock, n-b0)]
 		for o := lo; o < hi; o++ {
@@ -300,33 +277,7 @@ func (m *MLP) AddGrads(ws *Workspace, n, l, lo, hi int, g *Grads) {
 				sum += d[k]
 			}
 			g.B[l][o] += sum
-			row := g.W[l][o*in:][:in]
-			for i0 := 0; i0 < in; i0 += gradTile {
-				w := min(gradTile, in-i0)
-				part := tile[:w]
-				clear(part)
-				at := b0*in + i0
-				k := 0
-				for ; k+4 <= len(d); k += 4 {
-					a0, a1, a2, a3 := acts[at:][:len(part)], acts[at+in:][:len(part)], acts[at+2*in:][:len(part)], acts[at+3*in:][:len(part)]
-					d0, d1, d2, d3 := d[k], d[k+1], d[k+2], d[k+3]
-					for i, p := range part {
-						part[i] = p + d0*a0[i] + d1*a1[i] + d2*a2[i] + d3*a3[i]
-					}
-					at += 4 * in
-				}
-				for ; k < len(d); k++ {
-					a, dk := acts[at:][:len(part)], d[k]
-					for i := range part {
-						part[i] += dk * a[i]
-					}
-					at += in
-				}
-				r := row[i0:][:w]
-				for i, p := range part {
-					r[i] += p
-				}
-			}
+			accum(g.W[l][o*in:][:in], d, acts[b0*in:], in)
 		}
 	}
 }

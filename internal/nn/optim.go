@@ -39,10 +39,12 @@ func (a *Adam) Tick() { a.t++ }
 func (a *Adam) StepRows(m *MLP, g *Grads, l, lo, hi int) {
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	// Each product is rounded on its own (the float64 conversions), so that no
+	// compiler fuses it into the add: the same bits on every architecture.
 	update := func(p, gr, mo, ve []float64) {
 		for i := range p {
-			mo[i] = a.Beta1*mo[i] + (1-a.Beta1)*gr[i]
-			ve[i] = a.Beta2*ve[i] + (1-a.Beta2)*gr[i]*gr[i]
+			mo[i] = float64(a.Beta1*mo[i]) + float64((1-a.Beta1)*gr[i])
+			ve[i] = float64(a.Beta2*ve[i]) + float64((1-a.Beta2)*gr[i]*gr[i])
 			mHat := mo[i] / c1
 			vHat := ve[i] / c2
 			p[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)

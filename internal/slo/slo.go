@@ -18,10 +18,11 @@
 // multi-window practice from the SRE literature, an SLO enters fast_burn
 // when both a short confirmation window and a longer fast window exceed the
 // fast threshold (14.4), and slow_burn when both slow windows exceed the slow
-// threshold (6). Downward transitions are hysteretic: the state only relaxes
-// after the condition has stayed clear for the fast-short window, so a burn
-// that flaps around the threshold does not flap the state (or re-trigger the
-// flight recorder).
+// threshold (6). A window with fewer than ten events has burn 0: that is too
+// little evidence, so one bad observation cannot page. Downward transitions
+// are hysteretic: the state only relaxes after the condition has stayed clear
+// for the fast-short window, so a burn that flaps around the threshold does
+// not flap the state (or re-trigger the flight recorder).
 //
 // The windows are constants — 1m and 5m fast, 30m and 6h slow — so the
 // objectives are the only settings: a Def carries its objective and
@@ -133,6 +134,11 @@ const (
 	fastBurn = 14.4
 	slowBurn = 6
 )
+
+// minEvents is the fewest events a window needs for its burn to count: below
+// it the burn is 0, so a handful of bad observations — one audited answer —
+// cannot page on its own.
+const minEvents = 10
 
 // WindowBurn is one window's contribution to a status.
 type WindowBurn struct {
@@ -295,17 +301,15 @@ func (e *Engine) Evaluate() []Status {
 		budget := 1 - def.Objective
 		burns := make([]WindowBurn, 0, len(specs))
 		rawBurn := make(map[string]float64, len(specs))
-		rawEvents := make(map[string]int64, len(specs))
 		anyData := false
 		for _, sp := range specs {
 			errRate, events, ok := e.windowSLI(def, sp.dur)
 			burn := 0.0
-			if ok && events > 0 {
+			if ok && events >= minEvents {
 				burn = errRate / budget
-				anyData = true
 			}
+			anyData = anyData || (ok && events > 0)
 			rawBurn[sp.label] = burn
-			rawEvents[sp.label] = events
 			burns = append(burns, WindowBurn{
 				Window:    sp.dur.String(),
 				ErrorRate: errRate,
@@ -315,14 +319,13 @@ func (e *Engine) Evaluate() []Status {
 		}
 
 		// Raw level from the multi-window rule: both windows of a pair must
-		// have evidence and exceed the threshold.
+		// exceed the threshold, which a window with too few events to count
+		// as evidence never does.
 		rawLevel := 0
-		if rawEvents["slow_short"] > 0 && rawEvents["slow_long"] > 0 &&
-			rawBurn["slow_short"] >= slowBurn && rawBurn["slow_long"] >= slowBurn {
+		if rawBurn["slow_short"] >= slowBurn && rawBurn["slow_long"] >= slowBurn {
 			rawLevel = 1
 		}
-		if rawEvents["fast_short"] > 0 && rawEvents["fast_long"] > 0 &&
-			rawBurn["fast_short"] >= fastBurn && rawBurn["fast_long"] >= fastBurn {
+		if rawBurn["fast_short"] >= fastBurn && rawBurn["fast_long"] >= fastBurn {
 			rawLevel = 2
 		}
 		for l := 0; l <= rawLevel; l++ {

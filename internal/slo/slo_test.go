@@ -257,6 +257,34 @@ func TestExemplarTraceIDSurfaced(t *testing.T) {
 	}
 }
 
+// TestFewEventsDoNotPage: a window needs minEvents events before its burn
+// counts. One bad audited answer leaves the quality SLO ok with burn 0 in
+// every window; ten bad ones page.
+func TestFewEventsDoNotPage(t *testing.T) {
+	quality := Def{Name: "quality", Kind: Quality, Objective: 0.95, Threshold: 0.1, Metric: "audit/relative_error"}
+	h := newHarness(t, []Def{quality})
+	hist := h.reg.Histogram(quality.Metric)
+	h.tick()
+
+	hist.Observe(0.5)
+	st := one(t, h.tick(), "quality")
+	if st.State != StateOK {
+		t.Fatalf("state after one bad verdict = %s, want ok", st.State)
+	}
+	for _, b := range st.Burns {
+		if b.Events != 1 || b.Burn != 0 {
+			t.Fatalf("window %s: events %d, burn %v; want 1 event and burn 0", b.Window, b.Events, b.Burn)
+		}
+	}
+
+	for i := 1; i < minEvents; i++ {
+		hist.Observe(0.5)
+	}
+	if st = one(t, h.tick(), "quality"); st.State != StateFastBurn {
+		t.Fatalf("state after %d bad verdicts = %s, want fast_burn; burns %+v", minEvents, st.State, st.Burns)
+	}
+}
+
 func TestTransitionCallback(t *testing.T) {
 	h := newHarness(t, []Def{latencyDef()})
 	hist := h.reg.Histogram("req/seconds")

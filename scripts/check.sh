@@ -44,6 +44,25 @@ for procs in 1 4; do
 		./internal/core/ ./internal/rl/ ./internal/nn/
 done
 
+# A host without AVX2, arm64 among them, runs internal/nn's plain Go kernels.
+# They, Adam and the oracle round every product on its own (float64(x*y)),
+# which forbids the compiler to fuse it into the next add; arm64's compiler
+# fuses otherwise, and a fused kernel would not have the amd64 bits. Vet the
+# fallback build, then fail if any function of the package outside the test
+# and benchmark bodies compiles to a fused multiply-add.
+echo "==> GOARCH=arm64 go vet ./internal/nn ./internal/rl"
+GOARCH=arm64 go vet ./internal/nn ./internal/rl
+echo "==> arm64 internal/nn test binary: no fused multiply-add"
+nn_arm64="$(mktemp -t nn-arm64.XXXXXX)"
+GOARCH=arm64 go test -c -o "${nn_arm64}" ./internal/nn
+fused="$(go tool objdump -s '^asqprl/internal/nn\.' "${nn_arm64}" |
+	awk '/^TEXT /{fn=$2} /(FMADDD|FMSUBD|FNMADDD|FNMSUBD)/ && fn !~ /nn\.(Test|Benchmark)/ {print fn}' | sort -u)"
+rm -f "${nn_arm64}"
+if [ -n "${fused}" ]; then
+	echo "fused multiply-add in internal/nn on arm64: ${fused}" >&2
+	exit 1
+fi
+
 # Fuzz smoke: the seed corpora of the fuzz targets already ran as tests above;
 # a few seconds of mutation on top catch what a change to the grammar, the
 # canonical rendering or an operator opens up next to the seeds. FuzzParse holds
