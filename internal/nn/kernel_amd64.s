@@ -317,6 +317,262 @@ accdone:
 	VZEROUPPER
 	RET
 
+// ROW fills the 32-byte row at offset off of table t with four copies of v:
+// one vector operand.
+#define ROW(t, off, v) \
+	DATA t+(off)(SB)/8, v; \
+	DATA t+(off+8)(SB)/8, v; \
+	DATA t+(off+16)(SB)/8, v; \
+	DATA t+(off+24)(SB)/8, v
+
+// math.Exp's constants (the standard library's exp_amd64.s), one row each.
+ROW(expconst<>, 0, $1.4426950408889634073599246810018920)        // log2(e)
+ROW(expconst<>, 32, $0.69314718055966295651160180568695068359375) // ln 2, upper part
+ROW(expconst<>, 64, $0.28235290563031577122588448175013436025525412068e-12) // ln 2, lower part
+ROW(expconst<>, 96, $0.0625)
+ROW(expconst<>, 128, $-708.0)                  // the kernel's range
+ROW(expconst<>, 160, $709.0)
+ROW(expconst<>, 192, $2.4801587301587301587e-5) // the Taylor coefficients, x⁸ down to x²
+ROW(expconst<>, 224, $1.9841269841269841270e-4)
+ROW(expconst<>, 256, $1.3888888888888888889e-3)
+ROW(expconst<>, 288, $8.3333333333333333333e-3)
+ROW(expconst<>, 320, $4.1666666666666666667e-2)
+ROW(expconst<>, 352, $1.6666666666666666667e-1)
+ROW(expconst<>, 384, $0.5)
+ROW(expconst<>, 416, $1.0)
+ROW(expconst<>, 448, $2.0)
+ROW(expconst<>, 480, $0x000003ff000003ff) // the exponent bias, four int32s in 16 bytes
+GLOBL expconst<>(SB), RODATA, $512
+
+// func expAVX2(dst, x []float64) int
+//
+// Each lane takes the steps of math.Exp's FMA path (archExp under useFMA) in
+// its order and with its fusions: k = x·log2(e) rounded to the nearest int32
+// (VCVTPD2DQ, as CVTSD2SL), r = x − k·ln2 in two fused steps (upper, then
+// lower part), r·0.0625, the Taylor polynomial by a fused Horner chain, r
+// times it, three squarings x·(x+2), a fourth fused with the +1, and the
+// product with 2^k built as (k+1023)<<52. The range check keeps k in
+// [−1021, 1023]: no lane reaches archExp's overflow or denormal branches.
+// Registers: DI dst, SI x, CX len(x), AX the elements done; Y0 x then r, Y1
+// and Y3 scratch, Y2 k then 2^k, Y4..Y15 constants.
+TEXT ·expAVX2(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), CX
+	VMOVUPD expconst<>+0(SB), Y4
+	VMOVUPD expconst<>+32(SB), Y5
+	VMOVUPD expconst<>+64(SB), Y6
+	VMOVUPD expconst<>+96(SB), Y7
+	VMOVUPD expconst<>+128(SB), Y8
+	VMOVUPD expconst<>+160(SB), Y9
+	VMOVUPD expconst<>+192(SB), Y10
+	VMOVUPD expconst<>+224(SB), Y11
+	VMOVUPD expconst<>+256(SB), Y12
+	VMOVUPD expconst<>+288(SB), Y13
+	VMOVUPD expconst<>+416(SB), Y14
+	VMOVUPD expconst<>+448(SB), Y15
+	XORQ AX, AX
+
+explane:
+	CMPQ AX, CX
+	JAE  expdone
+	VMOVUPD (SI)(AX*8), Y0
+	VCMPPD $0x1d, Y8, Y0, Y1 // x >= −708, false for NaN
+	VCMPPD $0x12, Y9, Y0, Y3 // x <= 709
+	VANDPD Y3, Y1, Y1
+	VMOVMSKPD Y1, DX
+	CMPQ DX, $0xf
+	JNE  expdone
+	VMULPD Y4, Y0, Y1
+	VCVTPD2DQY Y1, X2
+	VCVTDQ2PD X2, Y1
+	VFNMADD231PD Y5, Y1, Y0
+	VFNMADD231PD Y6, Y1, Y0
+	VMULPD Y7, Y0, Y0
+	VMOVAPD Y10, Y1
+	VFMADD213PD Y11, Y0, Y1
+	VFMADD213PD Y12, Y0, Y1
+	VFMADD213PD Y13, Y0, Y1
+	VFMADD213PD expconst<>+320(SB), Y0, Y1
+	VFMADD213PD expconst<>+352(SB), Y0, Y1
+	VFMADD213PD expconst<>+384(SB), Y0, Y1
+	VFMADD213PD Y14, Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD Y15, Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD Y15, Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD Y15, Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD Y15, Y0, Y1
+	VFMADD213PD Y14, Y1, Y0
+	VPADDD expconst<>+480(SB), X2, X2
+	VPMOVZXDQ X2, Y2
+	VPSLLQ $52, Y2, Y2
+	VMULPD Y2, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  explane
+
+expdone:
+	MOVQ AX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// math.Log's constants (the standard library's log_amd64.s), one row each,
+// and the masks of its frexp.
+ROW(logconst<>, 0, $0x000FFFFFFFFFFFFF) // the mantissa
+ROW(logconst<>, 32, $0.5)
+ROW(logconst<>, 64, $0x4330000000000000) // 2^52, whose mantissa takes an exponent e
+ROW(logconst<>, 96, $0x43300000000003fe) // 2^52 + 1022: subtracted, leaves e − 1022
+ROW(logconst<>, 128, $7.07106781186547524401e-01) // √2/2
+ROW(logconst<>, 160, $1.0)
+ROW(logconst<>, 192, $2.0)
+ROW(logconst<>, 224, $6.666666666666735130e-01) // L1..L7
+ROW(logconst<>, 256, $3.999999999940941908e-01)
+ROW(logconst<>, 288, $2.857142874366239149e-01)
+ROW(logconst<>, 320, $2.222219843214978396e-01)
+ROW(logconst<>, 352, $1.818357216161805012e-01)
+ROW(logconst<>, 384, $1.531383769920937332e-01)
+ROW(logconst<>, 416, $1.479819860511658591e-01)
+ROW(logconst<>, 448, $1.90821492927058770002e-10) // ln 2, lower part
+ROW(logconst<>, 480, $6.93147180369123816490e-01) // ln 2, upper part
+ROW(logconst<>, 512, $0x7FF0000000000000) // +Inf
+GLOBL logconst<>(SB), RODATA, $544
+
+// func logAVX2(dst, x []float64) int
+//
+// Each lane takes the steps of math.Log's SSE2 path (archLog) in its order:
+// frexp by bit operations (f1 = the mantissa under the exponent of 0.5, k =
+// the biased exponent − 1022), then, under the mask !(√2/2 < f1), k −= 1 and
+// f1 ×= 2 as mask arithmetic, f = f1 − 1, s = f/(2+f), the two Horner chains
+// in s⁴, and k·Ln2Hi − ((hfsq − (s·(hfsq+R) + k·Ln2Lo)) − f); nothing is
+// fused. k is converted exactly: e (at most 2047) ORed into the mantissa of
+// 2^52, less 2^52 + 1022. Registers: DI dst, SI x, CX len(x), AX the elements
+// done; Y0 x, Y1 k, Y2 f1 then f, Y3..Y6 scratch, Y7..Y15 constants.
+TEXT ·logAVX2(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), CX
+	VMOVUPD logconst<>+32(SB), Y7
+	VMOVUPD logconst<>+160(SB), Y8
+	VMOVUPD logconst<>+128(SB), Y9
+	VMOVUPD logconst<>+416(SB), Y10
+	VMOVUPD logconst<>+384(SB), Y11
+	VMOVUPD logconst<>+352(SB), Y12
+	VMOVUPD logconst<>+320(SB), Y13
+	VMOVUPD logconst<>+288(SB), Y14
+	VMOVUPD logconst<>+256(SB), Y15
+	XORQ AX, AX
+
+loglane:
+	CMPQ AX, CX
+	JAE  logdone
+	VMOVUPD (SI)(AX*8), Y0
+	VXORPD Y1, Y1, Y1
+	VCMPPD $0x1e, Y1, Y0, Y1 // x > 0, false for NaN
+	VCMPPD $0x11, logconst<>+512(SB), Y0, Y3 // x < +Inf
+	VANDPD Y3, Y1, Y1
+	VMOVMSKPD Y1, DX
+	CMPQ DX, $0xf
+	JNE  logdone
+	VANDPD logconst<>+0(SB), Y0, Y2
+	VORPD Y7, Y2, Y2
+	VPSRLQ $52, Y0, Y1
+	VPOR logconst<>+64(SB), Y1, Y1
+	VSUBPD logconst<>+96(SB), Y1, Y1
+	VCMPPD $5, Y2, Y9, Y3 // !(√2/2 < f1)
+	VANDPD Y8, Y3, Y3
+	VSUBPD Y3, Y1, Y1
+	VADDPD Y8, Y3, Y3
+	VMULPD Y3, Y2, Y2
+	VSUBPD Y8, Y2, Y2
+	VADDPD logconst<>+192(SB), Y2, Y3
+	VDIVPD Y3, Y2, Y3 // s
+	VMULPD Y3, Y3, Y4 // s²
+	VMULPD Y4, Y4, Y5 // s⁴
+	VMULPD Y10, Y5, Y6
+	VADDPD Y12, Y6, Y6
+	VMULPD Y5, Y6, Y6
+	VADDPD Y14, Y6, Y6
+	VMULPD Y5, Y6, Y6
+	VADDPD logconst<>+224(SB), Y6, Y6
+	VMULPD Y6, Y4, Y4 // t1
+	VMULPD Y11, Y5, Y6
+	VADDPD Y13, Y6, Y6
+	VMULPD Y5, Y6, Y6
+	VADDPD Y15, Y6, Y6
+	VMULPD Y6, Y5, Y5 // t2
+	VADDPD Y5, Y4, Y4 // R
+	VMULPD Y7, Y2, Y6
+	VMULPD Y2, Y6, Y6 // hfsq
+	VADDPD Y6, Y4, Y4
+	VMULPD Y4, Y3, Y3
+	VMULPD logconst<>+448(SB), Y1, Y4
+	VADDPD Y4, Y3, Y3
+	VSUBPD Y3, Y6, Y6
+	VSUBPD Y2, Y6, Y6
+	VMULPD logconst<>+480(SB), Y1, Y1
+	VSUBPD Y6, Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  loglane
+
+logdone:
+	MOVQ AX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// func adamAVX2(p, g, m, v []float64, k *adamStep)
+//
+// Each lane takes adamGo's steps for its parameter in adamGo's order; the
+// products are rounded on their own and the divisions and the square root
+// are exact, so the bits are adamGo's. Registers: DI p, SI g, R8 m, R9 v, CX
+// len(p), AX the index; Y0 the gradients, Y1..Y3 scratch, Y8..Y15 the
+// scalars of k.
+TEXT ·adamAVX2(SB), NOSPLIT, $0-104
+	MOVQ p_base+0(FP), DI
+	MOVQ p_len+8(FP), CX
+	MOVQ g_base+24(FP), SI
+	MOVQ m_base+48(FP), R8
+	MOVQ v_base+72(FP), R9
+	MOVQ k+96(FP), DX
+	VBROADCASTSD 0(DX), Y8   // beta1
+	VBROADCASTSD 8(DX), Y9   // 1 − beta1
+	VBROADCASTSD 16(DX), Y10 // beta2
+	VBROADCASTSD 24(DX), Y11 // 1 − beta2
+	VBROADCASTSD 32(DX), Y12 // c1
+	VBROADCASTSD 40(DX), Y13 // c2
+	VBROADCASTSD 48(DX), Y14 // lr
+	VBROADCASTSD 56(DX), Y15 // eps
+	XORQ AX, AX
+
+adamlane:
+	VMOVUPD (SI)(AX*8), Y0
+	VMULPD (R8)(AX*8), Y8, Y1
+	VMULPD Y0, Y9, Y2
+	VADDPD Y2, Y1, Y1
+	VMOVUPD Y1, (R8)(AX*8)
+	VMULPD (R9)(AX*8), Y10, Y2
+	VMULPD Y0, Y11, Y3
+	VMULPD Y0, Y3, Y3
+	VADDPD Y3, Y2, Y2
+	VMOVUPD Y2, (R9)(AX*8)
+	VDIVPD Y12, Y1, Y1 // mHat
+	VDIVPD Y13, Y2, Y2 // vHat
+	VSQRTPD Y2, Y2
+	VADDPD Y15, Y2, Y2
+	VMULPD Y1, Y14, Y1
+	VDIVPD Y2, Y1, Y1
+	VMOVUPD (DI)(AX*8), Y3
+	VSUBPD Y1, Y3, Y3
+	VMOVUPD Y3, (DI)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JB   adamlane
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

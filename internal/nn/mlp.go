@@ -26,6 +26,20 @@
 // path once at start-up; every other host runs the plain loops, which round
 // each product explicitly (float64(x*y)) so that no compiler fuses it.
 //
+// Three elementwise kernels sit beside them, each with the bits of the code
+// it replaces: Exp and Log give math.Exp and math.Log of every element, and
+// adam is Adam.StepRows' update. Exp repeats math.Exp's FMA path lane by lane
+// (its fused reductions and Horner chain included) and so runs only where the
+// processor has AVX2 and FMA, the condition under which math.Exp takes that
+// path; Log repeats math.Log's SSE2 path and adam the update's unfused steps
+// (its divisions and square root are exact), both under AVX2. They take four
+// elements at a time; a group holding an input outside a kernel's range
+// (exp: [−708, 709], NaN outside it; log: positive and finite) goes to
+// math.Exp or math.Log, as do the last 0–3 elements, and every host without
+// the instructions runs the standard library throughout. LogSumExp and
+// Softmax take their exponentials through Exp a chunk at a time, one per
+// valid logit in each pass as before, and sum them in index order.
+//
 // The library is deliberately minimal — dense layers only — because that is
 // exactly what the paper's actor and critic networks are: "a large input
 // layer matching the action space's size, followed by smaller fully-connected

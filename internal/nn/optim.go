@@ -37,20 +37,14 @@ func (a *Adam) Tick() { a.t++ }
 // is elementwise, so an update may be split by rows between concurrent callers,
 // each row updated exactly once.
 func (a *Adam) StepRows(m *MLP, g *Grads, l, lo, hi int) {
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	// Each product is rounded on its own (the float64 conversions), so that no
-	// compiler fuses it into the add: the same bits on every architecture.
-	update := func(p, gr, mo, ve []float64) {
-		for i := range p {
-			mo[i] = float64(a.Beta1*mo[i]) + float64((1-a.Beta1)*gr[i])
-			ve[i] = float64(a.Beta2*ve[i]) + float64((1-a.Beta2)*gr[i]*gr[i])
-			mHat := mo[i] / c1
-			vHat := ve[i] / c2
-			p[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
-		}
+	k := adamStep{
+		beta1: a.Beta1, oneMinusBeta1: 1 - a.Beta1,
+		beta2: a.Beta2, oneMinusBeta2: 1 - a.Beta2,
+		c1: 1 - math.Pow(a.Beta1, float64(a.t)),
+		c2: 1 - math.Pow(a.Beta2, float64(a.t)),
+		lr: a.LR, eps: a.Eps,
 	}
 	in := m.Sizes[l]
-	update(m.W[l][lo*in:hi*in], g.W[l][lo*in:hi*in], a.mW[l][lo*in:hi*in], a.vW[l][lo*in:hi*in])
-	update(m.B[l][lo:hi], g.B[l][lo:hi], a.mB[l][lo:hi], a.vB[l][lo:hi])
+	adam(m.W[l][lo*in:hi*in], g.W[l][lo*in:hi*in], a.mW[l][lo*in:hi*in], a.vW[l][lo*in:hi*in], &k)
+	adam(m.B[l][lo:hi], g.B[l][lo:hi], a.mB[l][lo:hi], a.vB[l][lo:hi], &k)
 }

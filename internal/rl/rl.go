@@ -11,6 +11,11 @@
 // Ablation switches mirror the paper's Figure 3: setting Config.ClipEpsilon
 // to zero disables the PPO clipping ("-ppo" rows), and Config.UseCritic =
 // false falls back to REINFORCE-style returns ("-ppo -ac" rows).
+//
+// Every product that feeds an add or a subtraction is written float64(x*y):
+// the explicit rounding forbids the compiler to fuse the two (arm64's fuses
+// otherwise), so the package's own arithmetic has the same bits on every
+// architecture.
 package rl
 
 import (
@@ -532,7 +537,7 @@ func (a *Agent) runEpisode(env Environment, rng *rand.Rand, ws *nn.Workspace, ro
 func (a *Agent) finishEpisode(tr *trajectory) {
 	ret := 0.0
 	for i := len(tr.steps) - 1; i >= 0; i-- {
-		ret = tr.steps[i].reward + a.cfg.Gamma*ret
+		ret = tr.steps[i].reward + float64(a.cfg.Gamma*ret)
 		tr.steps[i].ret = ret
 	}
 }
@@ -760,6 +765,10 @@ func (a *Agent) apply(net *nn.MLP, ws *nn.Workspace, g *nn.Grads, opt *nn.Adam, 
 	a.parallelFor(len(rows), func(k int) { opt.StepRows(net, g, rows[k][0], rows[k][1], rows[k][2]) })
 }
 
+// logChunk is the number of probabilities policyStep hands to nn.Log at a
+// time, through a buffer on the stack.
+const logChunk = 64
+
 // policyStep turns one step's actor logits into the loss gradient at those
 // logits, scaled and written to delta; logits is overwritten (with log p, as
 // scratch). st is non-nil in the first epoch, whose policy is the collection
@@ -804,17 +813,31 @@ func (a *Agent) policyStep(s *step, logits, delta []float64, scale float64, st *
 
 	// Entropy H = −Σ p log p and, in the first epoch, KL(old || new), where
 	// the old policy is p itself (a valid action is the only kind with p > 0),
-	// so one log p serves both. Each log p is kept for the gradient below.
+	// so one log p serves both. Each log p is kept for the gradient below. The
+	// logs are taken by nn.Log a chunk at a time (a p that is not positive
+	// takes log 1, unused), the sums in index order.
 	var h, kl float64
 	if st != nil || a.cfg.EntropyCoef > 0 {
-		for i, p := range delta {
-			if p > 0 {
-				lp := math.Log(p)
-				if st != nil {
-					kl += p * (lp - logp(i))
+		var buf [logChunk]float64
+		for lo := 0; lo < len(delta); lo += logChunk {
+			ps := delta[lo:min(lo+logChunk, len(delta))]
+			lps := buf[:len(ps)]
+			for j, p := range ps {
+				lps[j] = 1
+				if p > 0 {
+					lps[j] = p
 				}
-				logits[i] = lp
-				h -= p * lp
+			}
+			nn.Log(lps, lps)
+			for j, p := range ps {
+				if p > 0 {
+					i, lp := lo+j, lps[j]
+					if st != nil {
+						kl += float64(p * (lp - logp(i)))
+					}
+					logits[i] = lp
+					h -= float64(p * lp)
+				}
 			}
 		}
 	}
@@ -833,15 +856,15 @@ func (a *Agent) policyStep(s *step, logits, delta []float64, scale float64, st *
 			d += 1
 		}
 		var dz float64
-		dz += g * d // from zero, as the gradient always was: a clipped step's −0 is +0
+		dz += float64(g * d) // from zero, as the gradient always was: a clipped step's −0 is +0
 		// Entropy bonus: maximize H, i.e. subtract entCoef·dH/dz.
 		if a.cfg.EntropyCoef > 0 && p > 0 {
 			dH := -p * (logits[i] + h)
-			dz -= a.cfg.EntropyCoef * dH
+			dz -= float64(a.cfg.EntropyCoef * dH)
 		}
 		// KL(old || new) penalty: d/dz_i = p_i − pOld_i.
 		if a.cfg.KLCoef > 0 {
-			dz += a.cfg.KLCoef * (p - s.oldDist[i])
+			dz += float64(a.cfg.KLCoef * (p - s.oldDist[i]))
 		}
 		delta[i] = dz * scale
 	}
@@ -861,7 +884,7 @@ func normalizeAdvantages(steps []*step) {
 	var variance float64
 	for _, s := range steps {
 		d := s.adv - mean
-		variance += d * d
+		variance += float64(d * d)
 	}
 	variance /= float64(len(steps))
 	std := math.Sqrt(variance)

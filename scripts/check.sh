@@ -35,33 +35,38 @@ echo "==> go test -race -count=1 -timeout 10m ./..."
 go test -race -count=1 -timeout 10m ./...
 
 # Training is bit-identical at any processor count: the pinned trained set, the
-# pinned loss series and parameters, and the kernel against its per-sample
-# oracle, once each at one processor and at four — the race pass above only
-# ever sees the box's own count.
+# pinned loss series and parameters, the actor rows kept at collection against
+# a forward pass, and the kernel against its per-sample oracle, once each at
+# one processor and at four — the race pass above only ever sees the box's own
+# count.
 echo "==> training pins under GOMAXPROCS=1 and GOMAXPROCS=4"
 for procs in 1 4; do
-	GOMAXPROCS="${procs}" go test -count=1 -run 'TestTrainedSetPinned|TestTrainPinned|TestKernelMatchesReference' \
+	GOMAXPROCS="${procs}" go test -count=1 -run 'TestTrainedSetPinned|TestTrainPinned|TestCollectedRowsMatchForwardPass|TestKernelMatchesReference' \
 		./internal/core/ ./internal/rl/ ./internal/nn/
 done
 
 # A host without AVX2, arm64 among them, runs internal/nn's plain Go kernels.
-# They, Adam and the oracle round every product on its own (float64(x*y)),
-# which forbids the compiler to fuse it into the next add; arm64's compiler
-# fuses otherwise, and a fused kernel would not have the amd64 bits. Vet the
-# fallback build, then fail if any function of the package outside the test
-# and benchmark bodies compiles to a fused multiply-add.
+# They, Adam, the oracle and internal/rl's own arithmetic round every product
+# on its own (float64(x*y)), which forbids the compiler to fuse it into the
+# next add; arm64's compiler fuses otherwise, and a fused product would not
+# have the amd64 bits. Vet the fallback build, then fail if any function of
+# either package outside the test and benchmark bodies compiles to a fused
+# multiply-add. (The standard library's tanh, exp and log, which the networks
+# call, still fuse there: the pins hold on amd64.)
 echo "==> GOARCH=arm64 go vet ./internal/nn ./internal/rl"
 GOARCH=arm64 go vet ./internal/nn ./internal/rl
-echo "==> arm64 internal/nn test binary: no fused multiply-add"
-nn_arm64="$(mktemp -t nn-arm64.XXXXXX)"
-GOARCH=arm64 go test -c -o "${nn_arm64}" ./internal/nn
-fused="$(go tool objdump -s '^asqprl/internal/nn\.' "${nn_arm64}" |
-	awk '/^TEXT /{fn=$2} /(FMADDD|FMSUBD|FNMADDD|FNMSUBD)/ && fn !~ /nn\.(Test|Benchmark)/ {print fn}' | sort -u)"
-rm -f "${nn_arm64}"
-if [ -n "${fused}" ]; then
-	echo "fused multiply-add in internal/nn on arm64: ${fused}" >&2
-	exit 1
-fi
+for pkg in nn rl; do
+	echo "==> arm64 internal/${pkg} test binary: no fused multiply-add"
+	arm64_bin="$(mktemp -t "${pkg}-arm64.XXXXXX")"
+	GOARCH=arm64 go test -c -o "${arm64_bin}" "./internal/${pkg}"
+	fused="$(go tool objdump -s "^asqprl/internal/${pkg}\." "${arm64_bin}" |
+		awk -v pkg="${pkg}" '/^TEXT /{fn=$2} /(FMADDD|FMSUBD|FNMADDD|FNMSUBD)/ && fn !~ (pkg "\\.(Test|Benchmark)") {print fn}' | sort -u)"
+	rm -f "${arm64_bin}"
+	if [ -n "${fused}" ]; then
+		echo "fused multiply-add in internal/${pkg} on arm64: ${fused}" >&2
+		exit 1
+	fi
+done
 
 # Fuzz smoke: the seed corpora of the fuzz targets already ran as tests above;
 # a few seconds of mutation on top catch what a change to the grammar, the
@@ -78,9 +83,10 @@ fi
 # byte for byte, on frames that cross its morsel boundaries, and
 # FuzzQueryRequest the /query handler to its contract on any method, body, q,
 # timeout_ms and max_rows (one JSON object back; 200, 400, 503 or 504, never
-# 500; an error message on every non-200), and FuzzEstimate the estimator's
+# 500; an error message on every non-200), FuzzEstimate the estimator's
 # sparse neighbour pass to the dense cosine loop, bit for bit, on any statement
-# that parses.
+# that parses, and FuzzExpLog internal/nn's exp and log kernels to math.Exp and
+# math.Log, bit for bit, on any float64 bit patterns.
 # The four disk-facing targets ride along: FuzzLoad (snapshot bytes: a system
 # or an error, never a panic), FuzzWALReplay (a damaged log opens, replays a
 # subsequence of what was written and accounts for the rest), FuzzReadCSV
@@ -98,7 +104,7 @@ fi
 # first mutation. An input worth keeping belongs in testdata/fuzz.
 fuzzmin=-fuzzminimizetime=100x
 go clean -fuzzcache
-echo "==> fuzz smoke: FuzzParse, FuzzRowVsColumnar, FuzzTuples, FuzzParseTraceparent, FuzzEncodeQueryResponse, FuzzQueryRequest, FuzzEstimate, FuzzLoad, FuzzWALReplay, FuzzReadCSV, FuzzReadWorkload"
+echo "==> fuzz smoke: FuzzParse, FuzzRowVsColumnar, FuzzTuples, FuzzParseTraceparent, FuzzEncodeQueryResponse, FuzzQueryRequest, FuzzEstimate, FuzzExpLog, FuzzLoad, FuzzWALReplay, FuzzReadCSV, FuzzReadWorkload"
 go test -run='^$' -fuzz=FuzzParse -fuzztime=10s "${fuzzmin}" ./internal/sqlparse/
 go test -run='^$' -fuzz=FuzzRowVsColumnar -fuzztime=35s "${fuzzmin}" ./internal/engine/
 go test -run='^$' -fuzz=FuzzTuples -fuzztime=5s "${fuzzmin}" ./internal/metrics/
@@ -106,6 +112,7 @@ go test -run='^$' -fuzz=FuzzParseTraceparent -fuzztime=5s "${fuzzmin}" ./interna
 go test -run='^$' -fuzz=FuzzEncodeQueryResponse -fuzztime=5s "${fuzzmin}" ./internal/server/
 go test -run='^$' -fuzz=FuzzQueryRequest -fuzztime=5s "${fuzzmin}" ./internal/server/
 go test -run='^$' -fuzz=FuzzEstimate -fuzztime=5s "${fuzzmin}" ./internal/core/
+go test -run='^$' -fuzz=FuzzExpLog -fuzztime=5s "${fuzzmin}" ./internal/nn/
 go test -run='^$' -fuzz=FuzzLoad -fuzztime=5s "${fuzzmin}" ./internal/core/
 go test -run='^$' -fuzz=FuzzWALReplay -fuzztime=5s "${fuzzmin}" ./internal/wal/
 go test -run='^$' -fuzz=FuzzReadCSV -fuzztime=5s "${fuzzmin}" ./internal/table/
